@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate cluster-gate plan-gate integrity-gate ci
+.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate cluster-gate plan-gate integrity-gate ci
 
 all: build test
 
@@ -83,6 +83,30 @@ stream-gate:
 	[ "$$bytes" -le 32768 ] || { echo "stream-gate: first witness costs $$bytes B/op (ceiling 32768) — the fast path is materializing"; exit 1; }
 	$(GO) run ./cmd/ecrpq-lint -only streamclose ./internal/core/ ./internal/cq/ ./internal/stream/ ./internal/server/
 
+## sweep-gate guards the Lemma 4.3 sweep kernel: the differential suite
+## (batched sweep ≡ per-source loop row for row, ≡ the brute-force
+## semantics as a set, map-regime tables, budget splitting, cancellation
+## releasing every charged byte) runs under the race detector, and the
+## layer benchmark must stay under 96 B and 0.05 allocations per emitted
+## row — rows go from the kernel's (destination, source-word) pairs
+## straight into one flat array, with no per-row allocation.
+sweep-gate:
+	$(GO) test -race -count=1 -run 'TestSweepKernel' ./internal/core/
+	@out="$$($(GO) test -run '^$$' -bench BenchmarkSweepComponent -benchmem ./internal/core/)"; \
+	echo "$$out"; \
+	echo "$$out" | awk '/^BenchmarkSweepComponent/ { \
+		rows = bytes = allocs = ""; \
+		for (i = 1; i < NF; i++) { \
+			if ($$(i+1) == "rows/op") rows = $$i; \
+			if ($$(i+1) == "B/op") bytes = $$i; \
+			if ($$(i+1) == "allocs/op") allocs = $$i; \
+		} \
+		if (rows == "" || bytes == "" || allocs == "" || rows <= 0) { print "sweep-gate: " $$1 ": benchmark output missing rows/op or alloc stats"; bad = 1; next } \
+		seen++; \
+		if (bytes / rows > 96) { printf "sweep-gate: %s costs %.1f B per row (ceiling 96)\n", $$1, bytes / rows; bad = 1 } \
+		if (allocs / rows > 0.05) { printf "sweep-gate: %s costs %.4f allocs per row (ceiling 0.05)\n", $$1, allocs / rows; bad = 1 } \
+	} END { if (!seen) { print "sweep-gate: no BenchmarkSweepComponent rows"; bad = 1 } exit bad }'
+
 ## chaos rebuilds the fault-injection build (-tags faultinject) and runs
 ## the deterministic chaos suite under the race detector: injected
 ## persist/cache/pool/core faults must surface as typed errors with no
@@ -127,6 +151,6 @@ integrity-gate:
 
 ## ci mirrors the GitHub Actions gate: build, vet, lint, tests, race
 ## tests, chaos suite, trace/govern zero-alloc gates, the streaming
-## enumeration gate, the planner gate, the multi-node cluster gate, and
-## the integrity gate.
-ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate plan-gate cluster-gate integrity-gate
+## enumeration gate, the sweep-kernel gate, the planner gate, the
+## multi-node cluster gate, and the integrity gate.
+ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate plan-gate cluster-gate integrity-gate

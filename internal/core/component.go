@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ecrpq/internal/alphabet"
@@ -280,7 +281,7 @@ func productSearch(
 			}
 		}
 		st := states[qi]
-		if acceptState(nfas, st) && accept(st) {
+		if acceptState(nfas, st.relStates) && accept(st) {
 			return qi, states, parents, nil
 		}
 		if maxStates > 0 && len(states) > maxStates {
@@ -417,9 +418,11 @@ func expandTracks(
 	overTracks(0)
 }
 
-func acceptState(nfas []*nfaView, st productState) bool {
+// acceptState reports whether every relation automaton accepts in its
+// component of relStates.
+func acceptState(nfas []*nfaView, relStates []int) bool {
 	for i, v := range nfas {
-		if !v.accept[st.relStates[i]] {
+		if !v.accept[relStates[i]] {
 			return false
 		}
 	}
@@ -529,64 +532,44 @@ func checkComponent(ctx context.Context, db *graphdb.DB, c *component, srcs, dst
 }
 
 // componentReachSet computes, for fixed sources, every tuple of destination
-// vertices reachable by satisfying paths — the building block for
-// materializing the Lemma 4.3 relations R'. When fp is non-nil it is used
-// (and reused across calls, e.g. over a source sweep); pass nil to fall back
-// to the general search. Tuples are returned in lexicographic order: the
-// product search's discovery order depends on map iteration and would
+// vertices reachable by satisfying paths, and appends them to buf back to
+// back (one vertex per track each). When fp is non-nil it is used (and
+// reused across calls, e.g. over a streamed source sweep): destinations are
+// collected as the packed keys the sweep kernel uses and decoded in key
+// order. Pass nil to fall back to the general search for components whose
+// state does not pack. Either way tuples come out in lexicographic order:
+// the product search's discovery order depends on map iteration and would
 // differ run to run, and streaming enumeration (the /v1/enumerate cursor)
 // needs the same sequence on every call.
-func componentReachSet(ctx context.Context, db *graphdb.DB, c *component, fp *fastProduct, srcs []int, maxStates int) ([][]int, error) {
-	seen := make(map[string]bool)
-	var out [][]int
-	if fp != nil {
-		_, err := fp.Run(ctx, srcs, func(verts []int) bool {
-			k := key4(verts)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, append([]int(nil), verts...))
-			}
-			return false // keep searching
-		}, maxStates)
-		if err != nil {
-			return nil, err
-		}
-	} else {
+func componentReachSet(ctx context.Context, db *graphdb.DB, c *component, fp *fastProduct, srcs []int, maxStates int, buf []int) ([]int, error) {
+	if fp == nil {
+		var out [][]int
 		_, _, _, err := productSearch(ctx, db, c, srcs, func(st productState) bool {
-			k := key4(st.verts)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, append([]int(nil), st.verts...))
-			}
+			out = append(out, st.verts)
 			return false // keep searching
 		}, maxStates)
 		if err != nil {
 			return nil, err
 		}
-	}
-	sortTuples(out)
-	return out, nil
-}
-
-// sortTuples orders tuples lexicographically in place.
-func sortTuples(ts [][]int) {
-	sort.Slice(ts, func(i, j int) bool {
-		for k := range ts[i] {
-			if ts[i][k] != ts[j][k] {
-				return ts[i][k] < ts[j][k]
-			}
+		slices.SortFunc(out, slices.Compare[[]int])
+		for _, dsts := range slices.CompactFunc(out, slices.Equal[[]int]) {
+			buf = append(buf, dsts...)
 		}
-		return false
-	})
-}
-
-func key4(xs []int) string {
-	buf := make([]byte, 4*len(xs))
-	for i, v := range xs {
-		buf[4*i] = byte(v)
-		buf[4*i+1] = byte(v >> 8)
-		buf[4*i+2] = byte(v >> 16)
-		buf[4*i+3] = byte(v >> 24)
+		return buf, nil
 	}
-	return string(buf)
+	fp.dests = fp.dests[:0]
+	_, err := fp.Run(ctx, srcs, func(verts []int) bool {
+		fp.dests = append(fp.dests, fp.destKey(verts))
+		return false // keep searching
+	}, maxStates)
+	if err != nil {
+		return nil, err
+	}
+	slices.Sort(fp.dests)
+	for _, key := range slices.Compact(fp.dests) {
+		n := len(buf)
+		buf = append(buf, srcs...) // t slots, overwritten below
+		fp.unpackDest(key, buf[n:])
+	}
+	return buf, nil
 }

@@ -31,7 +31,9 @@ const (
 	streamPinRowBytes   = 24
 )
 
-func streamCompRowBytes(t int) int64 { return int64(24 + 16*t) }
+// compRowBytes is what one R' row of a t-track component is charged,
+// retained (sweepComponent) or streamed: its 2t values plus a slice header.
+func compRowBytes(t int) int64 { return int64(24 + 16*t) }
 
 // streamQuery builds the CQ the streaming join evaluates: the same atoms
 // as buildReductionMerged, ordered for binding pushdown — pinned
@@ -193,7 +195,7 @@ func (s *sweepSource) Open(rel string, bound []int) (stream.Tuples, error) {
 		if err != nil {
 			return nil, err
 		}
-		return stream.Metered(cs, s.res.NewMeter(), streamCompRowBytes(t)), nil
+		return stream.Metered(cs, s.res.NewMeter(), compRowBytes(t)), nil
 	case rel == "__reach":
 		if len(bound) != 2 {
 			return nil, fmt.Errorf("core: __reach bound pattern has %d positions, want 2", len(bound))
@@ -220,7 +222,7 @@ func (s *sweepSource) Open(rel string, bound []int) (stream.Tuples, error) {
 // matching a bound pattern: source tuples in the materializing sweep's
 // mixed-radix order (track 0 varies fastest; pinned source positions are
 // skipped, yielding a subsequence of the unbound order), destination
-// tuples per source in lexicographic order (componentReachSet sorts) —
+// tuples per source in lexicographic order (componentReachSet's order) —
 // exactly the sweepComponent order, produced on demand.
 type compStream struct {
 	s        *sweepSource
@@ -232,9 +234,9 @@ type compStream struct {
 	total    int
 	counter  *int64
 
-	srcs []int   // current source tuple
-	dsts [][]int // destination tuples for the current source
-	di   int
+	srcs []int // current source tuple
+	dsts []int // destination tuples for the current source, t vertices each
+	di   int   // offset of the next destination tuple in dsts
 	row  []int // reused output row
 	err  error
 	done bool
@@ -273,7 +275,7 @@ func newCompStream(s *sweepSource, ci int, bound []int) (*compStream, error) {
 
 // decode fills srcs for mixed-radix index idx: pinned positions keep
 // their bound vertex; free positions advance with the lowest track index
-// fastest, matching sweepComponent's decode.
+// fastest, matching decodeSource.
 func (cs *compStream) decode(idx int) {
 	copy(cs.srcs, cs.fixedSrc)
 	for _, k := range cs.freePos {
@@ -290,8 +292,8 @@ func (cs *compStream) Next() ([]int, bool) {
 	for {
 		//ecrpq:bounded di advances through the current source's finite destination list
 		for cs.di < len(cs.dsts) {
-			d := cs.dsts[cs.di]
-			cs.di++
+			d := cs.dsts[cs.di : cs.di+cs.t]
+			cs.di += cs.t
 			if !cs.dstMatches(d) {
 				continue
 			}
@@ -313,7 +315,7 @@ func (cs *compStream) Next() ([]int, bool) {
 		}
 		cs.decode(cs.idx)
 		cs.idx++
-		dsts, err := componentReachSet(cs.s.ctx, cs.s.db, &cs.s.merged[cs.ci], cs.s.fp(cs.ci), cs.srcs, cs.s.opts.maxStates())
+		dsts, err := componentReachSet(cs.s.ctx, cs.s.db, &cs.s.merged[cs.ci], cs.s.fp(cs.ci), cs.srcs, cs.s.opts.maxStates(), cs.dsts[:0])
 		if err != nil {
 			cs.err = err
 			return nil, false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -129,7 +130,7 @@ func TestFastProductReuseAcrossRuns(t *testing.T) {
 	collect := func(f *fastProduct, srcs []int) map[string]bool {
 		out := make(map[string]bool)
 		_, err := f.Run(context.Background(), srcs, func(verts []int) bool {
-			out[key4(verts)] = true
+			out[fmt.Sprint(verts)] = true
 			return false
 		}, 0)
 		if err != nil {

@@ -22,6 +22,15 @@ import (
 //
 //ecrpq:charged deliberately ungoverned baseline oracle; never runs on the served path
 func NaiveBounded(db *graphdb.DB, q *query.Query, maxPathLen int) (*Result, error) {
+	return naiveBounded(db, q, nil, maxPathLen)
+}
+
+// naiveBounded is NaiveBounded with the node variables in pinned fixed to
+// the given vertices, so the oracle can be asked about one candidate row
+// of a component's endpoint relation.
+//
+//ecrpq:charged deliberately ungoverned baseline oracle; never runs on the served path
+func naiveBounded(db *graphdb.DB, q *query.Query, pinned map[string]int, maxPathLen int) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,6 +100,10 @@ func NaiveBounded(db *graphdb.DB, q *query.Query, maxPathLen int) (*Result, erro
 	pickNodes = func(i int) bool {
 		if i == len(nodeVars) {
 			return pickPaths(0)
+		}
+		if d, ok := pinned[nodeVars[i]]; ok {
+			assign[nodeVars[i]] = d
+			return pickNodes(i + 1)
 		}
 		for d := 0; d < n; d++ {
 			assign[nodeVars[i]] = d

@@ -95,31 +95,27 @@ func trackFirstLabels(c *component) []map[alphabet.Symbol]bool {
 // PushdownCandidates computes restricted candidate domains for node
 // variables of this plan against a concrete database: a variable that is
 // the source of a first-label-restricted track only needs vertices with an
-// out-edge carrying one of those labels. Variables sourcing several
-// restricted tracks get the intersection. The returned map (variable →
-// ascending vertex ids) feeds PlanHints.Candidates; variables absent from
-// it are unrestricted. The result is db-generation-specific — do not cache
-// it across re-registrations.
+// out-edge carrying one of those labels. A variable sourcing several
+// restricted tracks needs such an edge for each of them (one label set per
+// track: the tracks leave the vertex along different edges, so the sets are
+// not intersected). The label sets are read off each component's merged
+// Lemma 4.1 view, whose start transitions are the joint first letters all
+// of the component's relations agree on: eq over languages a… and b… has
+// none, so no vertex qualifies, while hamming<=1 over the same languages
+// keeps {a} and {b}. The returned map (variable → ascending vertex ids)
+// feeds PlanHints.Candidates; variables absent from it are unrestricted.
+// The result is db-generation-specific — do not cache it across
+// re-registrations.
 //
 //ecrpq:charged one O(|V|) pass per restricted variable; the candidate slices are request-scoped and bounded by |V|, accounted by the query reservation
 func (p *Prepared) PushdownCandidates(db *graphdb.DB) map[string][]int {
-	restrict := make(map[string]map[alphabet.Symbol]bool)
-	for ci := range p.comps {
-		c := &p.comps[ci]
-		firsts := trackFirstLabels(c)
-		for k, tr := range c.tracks {
-			if firsts[k] == nil {
-				continue
-			}
-			cur, ok := restrict[tr.srcVar]
-			if !ok {
-				restrict[tr.srcVar] = firsts[k]
-				continue
-			}
-			for s := range cur {
-				if !firsts[k][s] {
-					delete(cur, s)
-				}
+	restrict := make(map[string][]map[alphabet.Symbol]bool)
+	for ci := range p.merged {
+		c := &p.merged[ci]
+		for k, labels := range trackFirstLabels(c) {
+			if labels != nil {
+				v := c.tracks[k].srcVar
+				restrict[v] = append(restrict[v], labels)
 			}
 		}
 	}
@@ -127,17 +123,32 @@ func (p *Prepared) PushdownCandidates(db *graphdb.DB) map[string][]int {
 		return nil
 	}
 	out := make(map[string][]int, len(restrict))
-	for v, labels := range restrict {
+	for v, sets := range restrict {
 		cand := []int{}
 		for d := 0; d < db.NumVertices(); d++ {
-			for _, e := range db.Out(d) {
-				if labels[e.Label] {
-					cand = append(cand, d)
-					break
-				}
+			if hasOutEdgeInEach(db, d, sets) {
+				cand = append(cand, d)
 			}
 		}
 		out[v] = cand
 	}
 	return out
+}
+
+// hasOutEdgeInEach reports whether vertex d has, for every label set, an
+// out-edge labelled from it.
+func hasOutEdgeInEach(db *graphdb.DB, d int, sets []map[alphabet.Symbol]bool) bool {
+	for _, labels := range sets {
+		found := false
+		for _, e := range db.Out(d) {
+			if labels[e.Label] {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }

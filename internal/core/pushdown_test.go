@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ecrpq/internal/alphabet"
+	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
+	"ecrpq/internal/synchro"
 	"ecrpq/internal/workload"
 )
 
@@ -155,5 +158,116 @@ func TestTrackFirstLabelsExposed(t *testing.T) {
 	}
 	if !foundRestricted {
 		t.Error("no component has first-label restrictions for a single-letter query")
+	}
+}
+
+// TestPushdownKeepsOneLabelSetPerTrack is the regression test for the
+// wrong answers the benchmark oracle found under auto: two tracks leaving
+// one variable with first-label sets {a} and {b} restrict it to vertices
+// with an a-edge and a b-edge; intersecting the sets emptied its domain.
+// The hinted Generic run is what the server executes when the planner
+// resolves auto to Generic with pushdown.
+func TestPushdownKeepsOneLabelSetPerTrack(t *testing.T) {
+	a := alphabet.Lower(2)
+	db := workload.RandomDB(rand.New(rand.NewSource(40)), a, 40, 120)
+	q := query.NewBuilder(a).
+		Reach("x", "p1", "y").
+		Reach("x", "p2", "y").
+		Rel(synchro.HammingAtMost(a, 1), "p1", "p2").
+		Lang("p1", "a(a|b)*").
+		Lang("p2", "b(a|b)*").
+		MustBuild()
+	ctx := context.Background()
+	generic, err := Prepare(q, Options{Strategy: Generic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := generic.PushdownCandidates(db)
+	if len(cand["x"]) == 0 {
+		t.Fatalf("pushdown leaves x no candidate vertex: %v", cand)
+	}
+	results := map[string]*Result{}
+	if results["auto"], err = generic.EvaluateContextHinted(ctx, db, nil, &PlanHints{Candidates: cand}); err != nil {
+		t.Fatal(err)
+	}
+	for name, strat := range map[string]Strategy{"generic": Generic, "reduction": Reduction, "core-auto": Auto} {
+		if results[name], err = EvaluateContext(ctx, db, q, Options{Strategy: strat}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if !results["generic"].Sat {
+		t.Fatal("instance is unsatisfiable: it cannot show a lost answer")
+	}
+	for name, res := range results {
+		if res.Sat != results["generic"].Sat {
+			t.Errorf("%s: sat = %v, generic says %v", name, res.Sat, results["generic"].Sat)
+			continue
+		}
+		if err := VerifyWitness(db, q, res); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestPushdownCandidatesLabelSetPairs tabulates two tracks out of one
+// variable against a database with one vertex per out-label combination.
+func TestPushdownCandidatesLabelSetPairs(t *testing.T) {
+	db, err := graphdb.ParseString(`
+alphabet a b
+onlyA a sink
+onlyB b sink
+both a sink
+both b sink
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := db.Alphabet()
+	for _, tc := range []struct {
+		name         string
+		rel          *synchro.Relation
+		lang1, lang2 string // "" leaves the track unrestricted
+		want         []string
+	}{
+		{"disjoint", synchro.EqualLength(a, 2), "a(a|b)*", "b(a|b)*", []string{"both"}},
+		{"nested", synchro.EqualLength(a, 2), "a(a|b)*", "(a|b)(a|b)*", []string{"onlyA", "both"}},
+		{"equal", synchro.EqualLength(a, 2), "a(a|b)*", "a(a|b)*", []string{"onlyA", "both"}},
+		{"one unrestricted", synchro.EqualLength(a, 2), "b(a|b)*", "", []string{"onlyB", "both"}},
+		{"both unrestricted", synchro.EqualLength(a, 2), "", "", nil},
+		// The relation itself can rule joint first letters out: eq admits
+		// no pair of words starting a… and b…, so no vertex qualifies.
+		{"disjoint under eq", synchro.Equality(a, 2), "a(a|b)*", "b(a|b)*", []string{}},
+	} {
+		b := query.NewBuilder(a).
+			Reach("x", "p1", "y").
+			Reach("x", "p2", "y").
+			Rel(tc.rel, "p1", "p2")
+		if tc.lang1 != "" {
+			b.Lang("p1", tc.lang1)
+		}
+		if tc.lang2 != "" {
+			b.Lang("p2", tc.lang2)
+		}
+		p, err := Prepare(b.MustBuild(), Options{Strategy: Generic})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		cand := p.PushdownCandidates(db)
+		if tc.want == nil {
+			if _, ok := cand["x"]; ok {
+				t.Errorf("%s: x restricted to %v, want unrestricted", tc.name, cand["x"])
+			}
+			continue
+		}
+		if _, ok := cand["x"]; !ok {
+			t.Errorf("%s: x is unrestricted, want %v", tc.name, tc.want)
+		}
+		var got []string
+		for _, v := range cand["x"] {
+			got = append(got, db.VertexName(v))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: candidates for x = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"ecrpq/internal/cq"
@@ -91,36 +93,39 @@ func buildReductionMerged(ctx context.Context, db *graphdb.DB, q *query.Query, c
 		}
 	}
 
-	// Components: materialize R' by sweeping all source tuples.
+	// Components: materialize R' by sweeping all source tuples. The
+	// adjacency table is built once and shared by every component's sweep
+	// workers; it is scratch, released when the build returns.
+	scratch := govern.MeterFrom(ctx)
+	defer scratch.Close()
+	var adj [][]int32
+	if n > 0 && len(comps) > 0 {
+		adj = buildAdjacency(db, db.Alphabet().Size())
+		if err := scratch.Grow(adjacencyBytes(adj)); err != nil {
+			return nil, nil, stats, fmt.Errorf("core: product search: %w", err)
+		}
+	}
 	for ci := range comps {
 		c := &comps[ci]
 		t := len(c.tracks)
 		name := fmt.Sprintf("__comp%d", ci)
-		if err := st.AddRelation(name, 2*t); err != nil {
+		var rows []int
+		_, ssp := trace.StartSpan(ctx, "core/sweep")
+		var err error
+		if n > 0 {
+			rows, err = sweepComponent(ctx, db, &merged[ci], adj, opts)
+		}
+		if err == nil {
+			err = st.LoadSorted(name, 2*t, rows, sweepColumnOrder(t))
+		}
+		ssp.SetInt("component", int64(ci))
+		ssp.SetInt("tracks", int64(t))
+		ssp.SetInt("rows", int64(len(rows)/(2*t)))
+		ssp.End()
+		if err != nil {
 			return nil, nil, stats, err
 		}
-		if n > 0 {
-			// Materialized R' rows live for the rest of the evaluation (or
-			// until the cached materialization is evicted), so they charge
-			// the reservation directly rather than through a scoped meter.
-			res := govern.FromContext(ctx)
-			rowBytes := int64(24 + 16*t)
-			_, ssp := trace.StartSpan(ctx, "core/sweep")
-			added, err := sweepComponent(ctx, db, &merged[ci], t, n, opts, func(tuple []int) error {
-				if err := res.Grow(rowBytes); err != nil {
-					return err
-				}
-				return st.AddTuple(name, tuple...)
-			})
-			ssp.SetInt("component", int64(ci))
-			ssp.SetInt("tracks", int64(t))
-			ssp.SetInt("rows", int64(added))
-			ssp.End()
-			if err != nil {
-				return nil, nil, stats, err
-			}
-			stats.CQTuples += added
-		}
+		stats.CQTuples += len(rows) / (2 * t)
 		args := make([]string, 0, 2*t)
 		for _, tr := range c.tracks {
 			args = append(args, tr.srcVar, tr.dstVar)
@@ -211,7 +216,7 @@ func answersReduction(ctx context.Context, db *graphdb.DB, q *query.Query, opts 
 		}
 	}
 	cqq.Free = append([]string(nil), q.Free...)
-	out, err := cq.AllAnswers(st, cqq)
+	out, err := cq.AllAnswers(ctx, st, cqq)
 	if err != nil {
 		return nil, false, err
 	}
@@ -222,82 +227,70 @@ func answersReduction(ctx context.Context, db *graphdb.DB, q *query.Query, opts 
 // are refused rather than silently running for hours.
 const maxSweepSources = 1 << 32
 
-// sweepComponent enumerates all V^t source tuples of a merged component,
-// computes each reachable destination tuple, and feeds the interleaved
-// (u1, v1, ..., ut, vt) rows to add. The sweep is sharded across
-// opts.workers() goroutines, each with its own product-search scratch
-// space; rows are merged on the calling goroutine, so add needs no locking.
-// Returns the number of rows produced. ctx is polled between source
-// tuples (and inside each product search), so cancellation interrupts the
-// sweep promptly even when a single source's search is cheap.
-func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, t, n int, opts Options, add func([]int) error) (int, error) {
+// sweepColumnOrder is the column order the rows of a t-track sweep ascend
+// under (what cq.LoadSorted verifies and Contains searches by): source
+// index ascending with track 0 fastest — so the last track's source is the
+// most significant column — then destinations lexicographically.
+func sweepColumnOrder(t int) []int {
+	order := make([]int, 2*t)
+	for k := 0; k < t; k++ {
+		order[k] = 2 * (t - 1 - k)
+		order[t+k] = 2*k + 1
+	}
+	return order
+}
+
+// sweepComponent materializes R' of a merged component: for every one of
+// the V^t source tuples, each destination tuple reachable by satisfying
+// paths, as interleaved rows (u1, v1, ..., ut, vt) back to back in one flat
+// slice. Rows are distinct and in sweep order whatever the parallelism:
+// source index ascending with track 0 fastest, destinations lexicographic
+// per source — the order compStream reproduces lazily and /v1/enumerate
+// cursors are pinned to.
+//
+// Sources are swept 64 at a time (sweepKernel): the ⌈V^t/64⌉ batches are
+// sharded in contiguous ranges over opts.workers() goroutines, each with
+// its own kernel scratch over the shared product shape and adjacency adj.
+// A worker keeps each batch as (destination key, source word) pairs; once
+// all traversals are done the row count is known, the flat slice is
+// allocated once at its final size, and every worker expands its pairs
+// into its own region of it. Retained rows are charged to the context's
+// reservation per batch and stay charged on success; on failure everything
+// the sweep charged is released.
+func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, adj [][]int32, opts Options) (_ []int, err error) {
+	t, n := len(merged.tracks), db.NumVertices()
 	total := 1
 	for i := 0; i < t; i++ {
 		if total > maxSweepSources/n {
-			return 0, fmt.Errorf("core: Lemma 4.3 sweep of %d^%d source tuples exceeds the safety bound", n, t)
+			return nil, fmt.Errorf("core: Lemma 4.3 sweep of %d^%d source tuples exceeds the safety bound", n, t)
 		}
 		total *= n
 	}
-	decode := func(idx int, srcs []int) {
-		for i := 0; i < t; i++ {
-			srcs[i] = idx % n
-			idx /= n
-		}
+	f := packProduct(db, merged, adj)
+	if f == nil {
+		return sweepUnpacked(ctx, db, merged, total, opts.maxStates())
 	}
-	workers := opts.workers()
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		fp := newFastProduct(db, merged)
-		defer fp.releaseMem()
-		srcs := make([]int, t)
-		row := make([]int, 2*t)
-		count := 0
-		for idx := 0; idx < total; idx++ {
-			if err := ctx.Err(); err != nil {
-				return count, err
-			}
-			decode(idx, srcs)
-			dstTuples, err := componentReachSet(ctx, db, merged, fp, srcs, opts.maxStates())
-			if err != nil {
-				return count, err
-			}
-			for _, dsts := range dstTuples {
-				for k := 0; k < t; k++ {
-					row[2*k] = srcs[k]
-					row[2*k+1] = dsts[k]
-				}
-				if err := add(row); err != nil {
-					return count, err
-				}
-				count++
-			}
-		}
-		return count, nil
-	}
-
-	// Per-worker staging buffers charge through per-worker meters over the
-	// shared reservation (a Meter is single-goroutine); the staging bytes
-	// are released after the merge, once add has re-charged the surviving
-	// rows against the structure.
+	batches := (total + 63) / 64
 	res := govern.FromContext(ctx)
-	meters := make([]*govern.Meter, workers)
-	for w := range meters {
-		meters[w] = res.NewMeter()
-	}
+	ws := make([]*sweepWorker, min(opts.workers(), batches))
 	defer func() {
-		for _, m := range meters {
-			m.Close()
+		for _, w := range ws {
+			if w != nil {
+				w.k.mem.Close()
+				if err != nil {
+					w.retained.Close()
+				}
+			}
 		}
 	}()
-	rowBytes := int64(24 + 16*t)
-	results := make([][][]int, workers)
-	err := runWorkers(workers, func(w int, stop <-chan struct{}) error {
-		fp := newFastProduct(db, merged)
-		defer fp.releaseMem()
-		srcs := make([]int, t)
-		for idx := w; idx < total; idx += workers {
+	for i := range ws {
+		if ws[i], err = newSweepWorker(f, res); err != nil {
+			return nil, err
+		}
+	}
+	err = runWorkers(len(ws), func(i int, stop <-chan struct{}) error {
+		w := ws[i]
+		for b := i * batches / len(ws); b < (i+1)*batches/len(ws); b++ {
 			select {
 			case <-stop:
 				return nil // a sibling failed; its error wins
@@ -305,38 +298,167 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, t, n
 				return ctx.Err()
 			default:
 			}
-			decode(idx, srcs)
-			dstTuples, err := componentReachSet(ctx, db, merged, fp, srcs, opts.maxStates())
-			if err != nil {
+			if err := w.batch(ctx, b*64, 0, min(64, total-b*64), opts.maxStates()); err != nil {
 				return err
-			}
-			for _, dsts := range dstTuples {
-				if err := meters[w].Grow(rowBytes); err != nil {
-					return err
-				}
-				row := make([]int, 2*t)
-				for k := 0; k < t; k++ {
-					row[2*k] = srcs[k]
-					row[2*k+1] = dsts[k]
-				}
-				results[w] = append(results[w], row)
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	count := 0
-	for _, rows := range results {
-		for _, row := range rows {
-			if err := add(row); err != nil {
-				return count, err
+	rowEnd := make([]int, len(ws)+1) // worker i's rows are rowEnd[i]..rowEnd[i+1]
+	for i, w := range ws {
+		rowEnd[i+1] = rowEnd[i] + w.rows
+	}
+	flat := make([]int, rowEnd[len(ws)]*2*t)
+	err = runWorkers(len(ws), func(i int, _ <-chan struct{}) error {
+		return ws[i].emit(ctx, flat[rowEnd[i]*2*t:rowEnd[i+1]*2*t])
+	})
+	if err != nil {
+		return nil, err
+	}
+	return flat, nil
+}
+
+// sweepWorker sweeps a contiguous range of batches. Each traversal leaves
+// a segment: the batch's distinct destinations in key order, each with the
+// word of batch sources that reach it — 16 bytes for up to 64 rows, so the
+// rows themselves are only written once, by emit, at their final place.
+type sweepWorker struct {
+	k        *sweepKernel
+	retained *govern.Meter // the rows' charge; kept on success
+	segs     []sweepSegment
+	keys     []uint64 // destination keys of all segments, back to back
+	words    []uint64 // keys[j] is reached by the sources in words[j]
+	rows     int
+}
+
+// sweepSegment is one traversal's slice of the pair arrays.
+type sweepSegment struct {
+	first int // sweep index of the batch's source 0 (bit 0 of the words)
+	end   int // the segment's pairs are keys[previous end:end]
+	rows  int
+}
+
+func newSweepWorker(f *fastProduct, res *govern.Reservation) (*sweepWorker, error) {
+	k, err := newSweepKernel(f, res.NewMeter())
+	return &sweepWorker{k: k, retained: res.NewMeter()}, err
+}
+
+// batch sweeps sources first+lo … first+hi-1 into one segment. A batch
+// whose traversal exceeds the state budget is re-run in halves, down to a
+// single source, before the budget error is returned: the budget bounds
+// each source's own search, as it did when sources were swept one by one.
+func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) error {
+	err := w.k.Run(ctx, first, lo, hi, maxStates)
+	if err == errStateBudget {
+		if hi-lo == 1 {
+			return fmt.Errorf("core: product exceeded the state budget of %d", maxStates)
+		}
+		mid := (lo + hi) / 2
+		if err := w.batch(ctx, first, lo, mid, maxStates); err != nil {
+			return err
+		}
+		return w.batch(ctx, first, mid, hi, maxStates)
+	}
+	if err != nil {
+		return err
+	}
+	dests := w.k.dests
+	slices.Sort(dests.keys)
+	before, rows := cap(w.keys)+cap(w.words), 0
+	for _, key := range dests.keys {
+		word := dests.at(key)[0]
+		w.keys = append(w.keys, key)
+		w.words = append(w.words, word)
+		rows += bits.OnesCount64(word)
+	}
+	if err := w.k.mem.Grow(int64(8 * (cap(w.keys) + cap(w.words) - before))); err != nil {
+		return fmt.Errorf("core: product search: %w", err)
+	}
+	if err := w.retained.Grow(int64(rows) * compRowBytes(w.k.f.t)); err != nil {
+		return err
+	}
+	w.segs = append(w.segs, sweepSegment{first: first, end: len(w.keys), rows: rows})
+	w.rows += rows
+	return nil
+}
+
+// emit expands the worker's segments into out, its region of the flat row
+// array: per segment, sources ascending, and per source its destinations in
+// key order. A counting pass over the words gives every source its offset,
+// so each pair is visited once per row it stands for.
+func (w *sweepWorker) emit(ctx context.Context, out []int) error {
+	f := w.k.f
+	t, n := f.t, f.db.NumVertices()
+	srcs := make([]int, 64*t)
+	dst := make([]int, t)
+	begin := 0
+	for _, seg := range w.segs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		keys, words := w.keys[begin:seg.end], w.words[begin:seg.end]
+		begin = seg.end
+		var next [65]int // next[i]: segment row the next row of source i goes to
+		for _, word := range words {
+			for ; word != 0; word &= word - 1 {
+				next[bits.TrailingZeros64(word)+1]++
 			}
-			count++
+		}
+		for i := 0; i < 64; i++ {
+			next[i+1] += next[i]
+			decodeSource(seg.first+i, n, srcs[i*t:(i+1)*t])
+		}
+		for j, key := range keys {
+			f.unpackDest(key, dst)
+			for word := words[j]; word != 0; word &= word - 1 {
+				i := bits.TrailingZeros64(word)
+				row := out[next[i]*2*t : (next[i]+1)*2*t]
+				next[i]++
+				for k := 0; k < t; k++ {
+					row[2*k] = srcs[i*t+k]
+					row[2*k+1] = dst[k]
+				}
+			}
+		}
+		out = out[seg.rows*2*t:]
+	}
+	return nil
+}
+
+// sweepUnpacked is sweepComponent for a component whose product state does
+// not pack into 63 bits, the one input the kernel cannot run on: one
+// recording product search per source tuple, in sweep order.
+func sweepUnpacked(ctx context.Context, db *graphdb.DB, merged *component, total, maxStates int) (_ []int, err error) {
+	t, n := len(merged.tracks), db.NumVertices()
+	retained := govern.MeterFrom(ctx)
+	defer func() {
+		if err != nil {
+			retained.Close()
+		}
+	}()
+	srcs := make([]int, t)
+	var flat, dsts []int
+	for idx := 0; idx < total; idx++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		decodeSource(idx, n, srcs)
+		if dsts, err = componentReachSet(ctx, db, merged, nil, srcs, maxStates, dsts[:0]); err != nil {
+			return nil, err
+		}
+		if err := retained.Grow(int64(len(dsts)/t) * compRowBytes(t)); err != nil {
+			return nil, err
+		}
+		for d := 0; d < len(dsts); d += t {
+			for k := 0; k < t; k++ {
+				flat = append(flat, srcs[k], dsts[d+k])
+			}
 		}
 	}
-	return count, nil
+	return flat, nil
 }
 
 // runWorkers runs body(w, stop) on `workers` goroutines and returns the

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
@@ -53,28 +53,14 @@ func AnswersUnionContext(ctx context.Context, db *graphdb.DB, u *query.UnionQuer
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool)
 	var out [][]int
 	for _, q := range u.Disjuncts {
 		ans, err := AnswersContext(ctx, db, q, opts)
 		if err != nil {
 			return nil, err
 		}
-		for _, tup := range ans {
-			k := key4(tup)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, tup)
-			}
-		}
+		out = append(out, ans...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out, nil
+	slices.SortFunc(out, slices.Compare[[]int])
+	return slices.CompactFunc(out, slices.Equal[[]int]), nil
 }

@@ -7,6 +7,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ecrpq/internal/invariant"
@@ -20,11 +21,15 @@ type Structure struct {
 	rels   map[string]*Relation
 }
 
-// Relation is a named relation: a set of tuples over the domain.
+// Relation is a named relation: a set of tuples over the domain. A
+// relation is either built tuple by tuple (AddTuple; membership through a
+// hash index) or bulk-loaded from sorted rows (LoadSorted; membership by
+// binary search, no index).
 type Relation struct {
 	Arity  int
 	Tuples [][]int
-	index  map[string]bool
+	index  map[string]bool // AddTuple-built relations; nil when bulk-loaded
+	order  []int           // bulk-loaded: Tuples ascend strictly under this column order
 }
 
 // NewStructure returns a structure with the given domain size.
@@ -44,11 +49,67 @@ func (s *Structure) AddRelation(name string, arity int) error {
 	return nil
 }
 
+// LoadSorted declares a relation and bulk-loads it from flat, which holds
+// the rows back to back (arity ints each). The rows must be distinct and
+// strictly ascending when compared column by column in the order given by
+// order (a permutation of 0..arity-1); this is verified in one pass, along
+// with the domain bounds. The relation takes ownership of flat: Tuples are
+// slices into it, nothing is copied or indexed, and Contains binary-searches
+// the rows. A bulk-loaded relation is immutable (AddTuple on it fails).
+func (s *Structure) LoadSorted(name string, arity int, flat []int, order []int) error {
+	if _, ok := s.rels[name]; ok {
+		return fmt.Errorf("cq: duplicate relation %q", name)
+	}
+	if arity < 1 {
+		return fmt.Errorf("cq: relation %q arity %d < 1", name, arity)
+	}
+	if len(flat)%arity != 0 {
+		return fmt.Errorf("cq: relation %q: %d values do not divide into arity-%d rows", name, len(flat), arity)
+	}
+	seen := make([]bool, arity)
+	for _, c := range order {
+		if len(order) != arity || c < 0 || c >= arity || seen[c] {
+			return fmt.Errorf("cq: relation %q: column order %v is not a permutation of its %d columns", name, order, arity)
+		}
+		seen[c] = true
+	}
+	for _, v := range flat {
+		if v < 0 || v >= s.Domain {
+			return fmt.Errorf("cq: tuple value %d outside domain", v)
+		}
+	}
+	r := &Relation{Arity: arity, Tuples: make([][]int, len(flat)/arity), order: slices.Clone(order)}
+	for i := range r.Tuples {
+		r.Tuples[i] = flat[i*arity : (i+1)*arity : (i+1)*arity]
+		if i > 0 && r.compare(r.Tuples[i-1], r.Tuples[i]) >= 0 {
+			return fmt.Errorf("cq: relation %q: rows %d and %d are not strictly ascending under column order %v", name, i-1, i, order)
+		}
+	}
+	s.rels[name] = r
+	return nil
+}
+
+// compare orders two tuples column by column in the relation's load order.
+func (r *Relation) compare(a, b []int) int {
+	for _, c := range r.order {
+		if a[c] != b[c] {
+			if a[c] < b[c] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
 // AddTuple inserts a tuple into a declared relation. Duplicates are ignored.
 func (s *Structure) AddTuple(name string, tuple ...int) error {
 	r, ok := s.rels[name]
 	if !ok {
 		return fmt.Errorf("cq: unknown relation %q", name)
+	}
+	if r.index == nil {
+		return fmt.Errorf("cq: relation %q is bulk-loaded and immutable", name)
 	}
 	if len(tuple) != r.Arity {
 		return fmt.Errorf("cq: relation %q arity %d, tuple %v", name, r.Arity, tuple)
@@ -79,6 +140,10 @@ func (s *Structure) Contains(name string, tuple ...int) bool {
 	r, ok := s.rels[name]
 	if !ok || len(tuple) != r.Arity {
 		return false
+	}
+	if r.index == nil {
+		_, found := slices.BinarySearchFunc(r.Tuples, tuple, r.compare)
+		return found
 	}
 	return r.index[key(tuple)]
 }

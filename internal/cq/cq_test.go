@@ -1,6 +1,8 @@
 package cq
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -244,7 +246,7 @@ func TestAllAnswers(t *testing.T) {
 		Atoms: []Atom{{Rel: "E", Args: []string{"x", "y"}}, {Rel: "E", Args: []string{"y", "z"}}},
 		Free:  []string{"x", "z"},
 	}
-	ans, err := AllAnswers(s, q)
+	ans, err := AllAnswers(context.Background(), s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +259,104 @@ func TestAllAnswers(t *testing.T) {
 			t.Errorf("answers = %v, want %v", ans, want)
 		}
 	}
-	if _, err := AllAnswers(s, &Query{Atoms: q.Atoms}); err == nil {
+	if _, err := AllAnswers(context.Background(), s, &Query{Atoms: q.Atoms}); err == nil {
 		t.Error("AllAnswers on Boolean query should error")
+	}
+}
+
+// pollCtx turns cancelled at its cancelAt-th Err poll and counts the polls.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAllAnswersCancelled: the enumeration polls its context once per
+// candidate tuple, so a cancellation stops it before the next evaluation.
+func TestAllAnswersCancelled(t *testing.T) {
+	s := pathStructure(6)
+	q := &Query{
+		Atoms: []Atom{{Rel: "E", Args: []string{"x", "y"}}, {Rel: "E", Args: []string{"y", "z"}}},
+		Free:  []string{"x", "z"},
+	}
+	ctx := &pollCtx{Context: context.Background(), cancelAt: 10}
+	ans, err := AllAnswers(ctx, s, q)
+	if !errors.Is(err, context.Canceled) || ans != nil {
+		t.Fatalf("AllAnswers = %v, %v; want nil, context.Canceled", ans, err)
+	}
+	if ctx.polls != ctx.cancelAt {
+		t.Errorf("%d context polls for a cancellation at poll %d: the enumeration ran on", ctx.polls, ctx.cancelAt)
+	}
+}
+
+// TestLoadSorted covers the bulk-load constructor: rows must be distinct,
+// ascending under the given column order and inside the domain; a loaded
+// relation answers Contains by binary search and refuses AddTuple.
+func TestLoadSorted(t *testing.T) {
+	s := NewStructure(4)
+	// Ascending by column 1, then column 0.
+	flat := []int{2, 0, 3, 0, 0, 1, 1, 3}
+	if err := s.LoadSorted("R", 2, flat, []int{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	r := s.Relation("R")
+	if len(r.Tuples) != 4 || &r.Tuples[1][0] != &flat[2] {
+		t.Fatalf("Tuples = %v, want 4 rows slicing the loaded array", r.Tuples)
+	}
+	for d := 0; d < 16; d++ {
+		tup := []int{d / 4, d % 4}
+		want := false
+		for _, row := range r.Tuples {
+			want = want || (row[0] == tup[0] && row[1] == tup[1])
+		}
+		if got := s.Contains("R", tup...); got != want {
+			t.Errorf("Contains(%v) = %v, want %v", tup, got, want)
+		}
+	}
+	if s.NumTuples() != 4 {
+		t.Errorf("NumTuples = %d, want 4", s.NumTuples())
+	}
+	if err := s.AddTuple("R", 0, 0); err == nil {
+		t.Error("AddTuple on a bulk-loaded relation should fail")
+	}
+	if !evalBoth(t, s, &Query{Atoms: []Atom{{Rel: "R", Args: []string{"x", "y"}}, {Rel: "R", Args: []string{"y", "z"}}}}) {
+		t.Error("R(2,0), R(0,1) should join")
+	}
+	for name, bad := range map[string]struct {
+		arity int
+		flat  []int
+		order []int
+	}{
+		"duplicate name":   {2, nil, []int{0, 1}},
+		"unsorted":         {2, []int{1, 0, 0, 0}, []int{0, 1}},
+		"repeated row":     {2, []int{1, 0, 1, 0}, []int{0, 1}},
+		"ragged":           {2, []int{1, 0, 1}, []int{0, 1}},
+		"outside domain":   {2, []int{1, 4}, []int{0, 1}},
+		"short order":      {2, []int{1, 0}, []int{0}},
+		"repeated column":  {2, []int{1, 0}, []int{0, 0}},
+		"column too large": {2, []int{1, 0}, []int{0, 2}},
+		"zero arity":       {0, nil, nil},
+	} {
+		rel := "R"
+		if name != "duplicate name" {
+			rel = "bad " + name
+		}
+		if err := s.LoadSorted(rel, bad.arity, bad.flat, bad.order); err == nil {
+			t.Errorf("%s: LoadSorted accepted it", name)
+		}
+		if rel != "R" && s.Relation(rel) != nil {
+			t.Errorf("%s: the rejected relation was declared", name)
+		}
+	}
+	if err := s.LoadSorted("empty", 3, nil, []int{2, 1, 0}); err != nil || s.Contains("empty", 0, 0, 0) {
+		t.Errorf("empty bulk load: err %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
@@ -518,8 +519,10 @@ func containsAll(sorted []string, items []string) bool {
 // AllAnswers enumerates the answer set over the free variables by
 // substituting every combination of domain values for the free variables and
 // deciding the resulting Boolean query with the tree-decomposition
-// evaluator. The result is sorted lexicographically.
-func AllAnswers(s *Structure, q *Query) ([][]int, error) {
+// evaluator. The result is sorted lexicographically. ctx is polled once per
+// substituted tuple, so a cancelled enumeration returns ctx.Err() within
+// one evaluation.
+func AllAnswers(ctx context.Context, s *Structure, q *Query) ([][]int, error) {
 	if err := q.Validate(s); err != nil {
 		return nil, err
 	}
@@ -531,6 +534,9 @@ func AllAnswers(s *Structure, q *Query) ([][]int, error) {
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == len(q.Free) {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			sub, err := substitute(s, q, tuple)
 			if err != nil {
 				return err

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -59,7 +60,7 @@ func TestStreamAnswersMatchesAllAnswersRandom(t *testing.T) {
 			},
 			Free: []string{"x", "z"},
 		}
-		want, err := AllAnswers(s, q)
+		want, err := AllAnswers(context.Background(), s, q)
 		if err != nil {
 			t.Fatalf("trial %d: AllAnswers: %v", trial, err)
 		}

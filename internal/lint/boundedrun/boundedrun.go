@@ -1,7 +1,8 @@
 // Package boundedrun implements the boundedrun analyzer: in the core
 // package, product-search entry points must not be invoked with a
-// literal 0 state budget outside test files. Both fastProduct.Run and
-// productSearch treat maxStates == 0 as "unlimited", which is exactly
+// literal 0 state budget outside test files. fastProduct.Run, the batched
+// sweep kernel's sweepKernel.Run and productSearch all treat maxStates == 0
+// as "unlimited", which is exactly
 // the knob the resource governor relies on to keep a hostile query from
 // exploring an exponential product space unmetered. Production call
 // sites must thread a computed bound (options, config, or the caller's
@@ -21,8 +22,8 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "boundedrun",
 	Doc: "product searches must not pass a literal 0 (unlimited) state budget outside tests\n\n" +
-		"Applies to internal/core. fastProduct.Run and productSearch interpret a\n" +
-		"maxStates of 0 as unbounded exploration; call sites in non-test files must\n" +
+		"Applies to internal/core. fastProduct.Run, sweepKernel.Run and productSearch\n" +
+		"interpret a maxStates of 0 as unbounded exploration; call sites in non-test files must\n" +
 		"pass a computed budget instead. Suppress a single finding with\n" +
 		"//ecrpq:ignore boundedrun -- <reason>.",
 	Run: run,
@@ -65,7 +66,8 @@ func run(pass *lint.Pass) error {
 }
 
 // searchTarget classifies the callee: "productSearch" for the package
-// function, "fastProduct.Run" for the method, "" for anything else.
+// function, "fastProduct.Run" or "sweepKernel.Run" for the methods, "" for
+// anything else.
 func searchTarget(pass *lint.Pass, call *ast.CallExpr) string {
 	switch fn := call.Fun.(type) {
 	case *ast.Ident:
@@ -73,26 +75,33 @@ func searchTarget(pass *lint.Pass, call *ast.CallExpr) string {
 			return "productSearch"
 		}
 	case *ast.SelectorExpr:
-		if fn.Sel.Name == "Run" && isFastProduct(pass, fn.X) {
-			return "fastProduct.Run"
+		if fn.Sel.Name == "Run" {
+			if recv := searchType(pass, fn.X); recv != "" {
+				return recv + ".Run"
+			}
 		}
 	}
 	return ""
 }
 
-// isFastProduct reports whether e's static type is (a pointer to) a
-// named type called fastProduct.
-func isFastProduct(pass *lint.Pass, e ast.Expr) bool {
+// searchType returns the name of e's static type when it is (a pointer
+// to) one of the named search types, fastProduct or sweepKernel.
+func searchType(pass *lint.Pass, e ast.Expr) string {
 	tv, ok := pass.TypesInfo.Types[e]
 	if !ok || tv.Type == nil {
-		return false
+		return ""
 	}
 	t := tv.Type
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "fastProduct"
+	if named, ok := t.(*types.Named); ok {
+		switch name := named.Obj().Name(); name {
+		case "fastProduct", "sweepKernel":
+			return name
+		}
+	}
+	return ""
 }
 
 // isLiteralZero reports whether e is the integer literal 0 (possibly

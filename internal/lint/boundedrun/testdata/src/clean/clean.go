@@ -11,6 +11,12 @@ func (f *fastProduct) Run(ctx context.Context, srcs []int, accept func([]int) bo
 	return false, nil
 }
 
+type sweepKernel struct{}
+
+func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) error {
+	return nil
+}
+
 func productSearch(ctx context.Context, srcs []int, accept func([]int) bool, maxStates int) (int, error) {
 	return -1, nil
 }
@@ -27,6 +33,12 @@ func boundedMethod(ctx context.Context, fp *fastProduct, srcs []int, budget int)
 func boundedSearch(ctx context.Context, srcs []int) (int, error) {
 	const defaultBudget = 1 << 20
 	return productSearch(ctx, srcs, nil, defaultBudget)
+}
+
+// A batch whose first source is index 0 is not an unlimited search: only
+// the trailing budget argument counts.
+func boundedBatch(ctx context.Context, k *sweepKernel, budget int) error {
+	return k.Run(ctx, 0, 0, 64, budget)
 }
 
 func otherRun(r *runner) int {

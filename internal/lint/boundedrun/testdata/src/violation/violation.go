@@ -1,7 +1,7 @@
 // Package violation exercises every boundedrun diagnostic. The types
-// mirror the core package's search entry points: a fastProduct with a
-// Run method and a package-level productSearch, both taking maxStates
-// last.
+// mirror the core package's search entry points: a fastProduct and a
+// sweepKernel with Run methods and a package-level productSearch, all
+// taking maxStates last.
 package violation
 
 import "context"
@@ -10,6 +10,12 @@ type fastProduct struct{}
 
 func (f *fastProduct) Run(ctx context.Context, srcs []int, accept func([]int) bool, maxStates int) (bool, error) {
 	return false, nil
+}
+
+type sweepKernel struct{}
+
+func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) error {
+	return nil
 }
 
 func productSearch(ctx context.Context, srcs []int, accept func([]int) bool, maxStates int) (int, error) {
@@ -26,4 +32,8 @@ func unboundedValueReceiver(ctx context.Context, fp fastProduct, srcs []int) (bo
 
 func unboundedSearch(ctx context.Context, srcs []int) (int, error) {
 	return productSearch(ctx, srcs, nil, 0x0) // want `productSearch called with a literal 0 maxStates`
+}
+
+func unboundedBatch(ctx context.Context, k *sweepKernel) error {
+	return k.Run(ctx, 0, 0, 64, 0) // want `sweepKernel.Run called with a literal 0 maxStates`
 }

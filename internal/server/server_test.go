@@ -217,6 +217,29 @@ func TestTimeout504(t *testing.T) {
 	}
 }
 
+// TestTimedOutAnswersFreeWorker: a free-variable query enumerates its
+// answers with one CQ evaluation per candidate tuple (8000 here, each over
+// a six-figure relation — minutes of work). Past its deadline the request
+// gets its 504 and, because the enumeration polls the context between
+// evaluations, the only pool worker comes back: the next request is served
+// instead of sitting in the queue behind a wedged worker until its own
+// deadline.
+func TestTimedOutAnswersFreeWorker(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	registerDB(t, s, "g", denseDBText(20))
+	answers := "alphabet a b\nfree x y z\nx -[$p1]-> y\ny -[$p2]-> z\nrel eqlen(p1, p2)\n"
+	rec, _ := doJSON(t, s, "POST", "/v1/query",
+		map[string]any{"db": "g", "query": answers, "strategy": "reduction", "timeout_ms": 400})
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("code=%d, want 504 (%s)", rec.Code, rec.Body.String())
+	}
+	rec, _ = doJSON(t, s, "POST", "/v1/query",
+		map[string]any{"db": "g", "query": quickQuery, "timeout_ms": 5000})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("follow-up query: code=%d, want 200: the timed-out query still holds the worker (%s)", rec.Code, rec.Body.String())
+	}
+}
+
 func TestConcurrentQueries(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
 	registerDB(t, s, "g", denseDBText(12))

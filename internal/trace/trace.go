@@ -275,9 +275,12 @@ func (t *Trace) Snapshot() TraceData {
 	if t == nil {
 		return TraceData{}
 	}
-	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	// Read the clock under the lock: a span begun between an earlier
+	// reading and the lock would otherwise snapshot with a negative
+	// duration.
+	now := time.Now()
 	end := t.end
 	if end.IsZero() {
 		end = now
