@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate cluster-gate plan-gate integrity-gate ci
+.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate cluster-gate plan-gate integrity-gate ci
 
 all: build test
 
@@ -107,6 +107,41 @@ sweep-gate:
 		if (allocs / rows > 0.05) { printf "sweep-gate: %s costs %.4f allocs per row (ceiling 0.05)\n", $$1, allocs / rows; bad = 1 } \
 	} END { if (!seen) { print "sweep-gate: no BenchmarkSweepComponent rows"; bad = 1 } exit bad }'
 
+## generic-gate guards the Lemma 4.2 product search of the generic
+## strategy: the differential suite (one kept kernel and one resumable
+## traversal per source assignment ≡ a fresh kernel and search per check, on
+## the decision and on the smallest sufficient state budget; ≡ the reduction
+## strategy and the brute-force semantics; every witness read off the
+## recording kernel verified; the unpacked fallback; cancellation at every
+## poll releasing every charged byte) runs under the race detector, and the
+## layer benchmark must begin at most V traversals on the exhaustive fan,
+## stay under 0.05 allocations per check wherever an evaluation makes a
+## thousand checks or more (a satisfiable instance that needs one check
+## still builds a kernel and a result), and show no productSearch frame in
+## an every-allocation memory profile: both its shapes pack, and a packed
+## component must not touch the string-keyed search.
+generic-gate:
+	$(GO) test -race -count=1 -run 'TestGeneric|TestCancelMidGenericSearch' ./internal/core/
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	out="$$($(GO) test -run '^$$' -bench BenchmarkGenericCheck -benchmem -benchtime 20x \
+		-memprofile "$$dir/mem.prof" -memprofilerate 1 -o "$$dir/core.test" ./internal/core/)" || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk '/^BenchmarkGenericCheck/ { \
+		checks = trav = allocs = ""; \
+		for (i = 1; i < NF; i++) { \
+			if ($$(i+1) == "checks/op") checks = $$i; \
+			if ($$(i+1) == "traversals/op") trav = $$i; \
+			if ($$(i+1) == "allocs/op") allocs = $$i; \
+		} \
+		if (checks == "" || trav == "" || allocs == "" || checks <= 0) { print "generic-gate: " $$1 ": benchmark output missing checks/op, traversals/op or alloc stats"; bad = 1; next } \
+		seen++; \
+		if ($$1 ~ /fan-eq3-unsat/) { fan++; if (trav > 100) { printf "generic-gate: %s begins %d traversals (ceiling V = 100)\n", $$1, trav; bad = 1 } } \
+		if (checks >= 1000 && allocs / checks > 0.05) { printf "generic-gate: %s costs %.4f allocs per check (ceiling 0.05)\n", $$1, allocs / checks; bad = 1 } \
+	} END { if (seen < 2 || !fan) { print "generic-gate: BenchmarkGenericCheck rows missing"; bad = 1 } exit bad }' || exit 1; \
+	frames="$$($(GO) tool pprof -sample_index=alloc_space -top -nodefraction=0 -nodecount=100000 "$$dir/core.test" "$$dir/mem.prof" 2>/dev/null)" || { echo "generic-gate: cannot read the memory profile"; exit 1; }; \
+	echo "$$frames" | grep -q 'core\.evalGeneric' || { echo "generic-gate: the memory profile does not show the generic evaluation"; exit 1; }; \
+	if echo "$$frames" | grep -q 'core\.productSearch'; then echo "generic-gate: productSearch allocates on the packed path"; exit 1; fi
+
 ## chaos rebuilds the fault-injection build (-tags faultinject) and runs
 ## the deterministic chaos suite under the race detector: injected
 ## persist/cache/pool/core faults must surface as typed errors with no
@@ -151,6 +186,7 @@ integrity-gate:
 
 ## ci mirrors the GitHub Actions gate: build, vet, lint, tests, race
 ## tests, chaos suite, trace/govern zero-alloc gates, the streaming
-## enumeration gate, the sweep-kernel gate, the planner gate, the
-## multi-node cluster gate, and the integrity gate.
-ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate plan-gate cluster-gate integrity-gate
+## enumeration gate, the sweep-kernel gate, the generic product-search
+## gate, the planner gate, the multi-node cluster gate, and the integrity
+## gate.
+ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate plan-gate cluster-gate integrity-gate

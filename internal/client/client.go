@@ -571,14 +571,16 @@ type ExplainRequest struct {
 }
 
 // ExplainStage is one plan stage with the planner's cost estimate and,
-// when the query was executed, the traced actual self-time.
+// when the query was executed, the traced actual self-time and the
+// stage's work counters.
 type ExplainStage struct {
-	Stage       string  `json:"stage"`
-	Detail      string  `json:"detail,omitempty"`
-	Cost        float64 `json:"cost"`
-	EstimatedMs float64 `json:"estimated_ms"`
-	ActualMs    float64 `json:"actual_ms,omitempty"`
-	Measured    bool    `json:"measured,omitempty"`
+	Stage       string         `json:"stage"`
+	Detail      string         `json:"detail,omitempty"`
+	Cost        float64        `json:"cost"`
+	EstimatedMs float64        `json:"estimated_ms"`
+	ActualMs    float64        `json:"actual_ms,omitempty"`
+	Measured    bool           `json:"measured,omitempty"`
+	Attrs       map[string]any `json:"attrs,omitempty"`
 }
 
 // ExplainResponse is the chosen plan with its cost breakdown. Decision

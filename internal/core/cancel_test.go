@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ecrpq/internal/alphabet"
+	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
 	"ecrpq/internal/synchro"
@@ -40,8 +41,8 @@ func denseDB(t testing.TB, n int, a *alphabet.Alphabet) *graphdb.DB {
 }
 
 // slowGenericInstance is unsatisfiable (p1 ∈ aa*, p2 ∈ bb*, all three paths
-// equal), so the Lemma 4.2 product search must exhaust the product space —
-// roughly half a second uncancelled at n=40.
+// equal), so the Lemma 4.2 product search must try all n + n² assignments
+// at n=40: 1600 checks from 40 source assignments.
 func slowGenericInstance(t testing.TB) (*graphdb.DB, *query.Query) {
 	a, err := alphabet.New("a", "b")
 	if err != nil {
@@ -119,12 +120,49 @@ func cancelMidway(t *testing.T, eval func(ctx context.Context) error) {
 	waitGoroutines(t, baseline)
 }
 
+// TestCancelMidGenericSearch cancels the heavy benchmark shape (an
+// unsatisfiable 3-track eq fan: V traversals, V² checks that are set probes)
+// at every poll the evaluation makes, from the traversals and from the
+// assignment loop: each run returns context.Canceled with nothing left
+// charged and no goroutine behind, until one completes.
 func TestCancelMidGenericSearch(t *testing.T) {
 	db, q := slowGenericInstance(t)
-	cancelMidway(t, func(ctx context.Context) error {
-		_, err := EvaluateContext(ctx, db, q, Options{Strategy: Generic, MaxProductStates: 1 << 30})
-		return err
-	})
+	baseline := runtime.NumGoroutine()
+	broker := govern.NewBroker(1 << 30)
+	polls := 0
+	for ; ; polls++ {
+		res, err := broker.Reserve(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &countdownCtx{Context: govern.NewContext(context.Background(), res)}
+		ctx.left.Store(int64(polls))
+		out, err := EvaluateContext(ctx, db, q, Options{Strategy: Generic, MaxProductStates: 1 << 30})
+		used := res.Used()
+		res.Release()
+		if used != 0 {
+			t.Fatalf("cancelled at poll %d (err %v): %d bytes still charged", polls, err, used)
+		}
+		if err == nil {
+			n := db.NumVertices()
+			if out.Sat || out.Stats.Traversals != n || out.Stats.NodeAssignments != n+n*n {
+				t.Fatalf("completed run: sat=%v, %d traversals, %d assignments", out.Sat, out.Stats.Traversals, out.Stats.NodeAssignments)
+			}
+			// One poll on entry, one per traversal begun, and the
+			// assignment loop's own: the V² probes enter no search loop.
+			if want := 1 + n + (n+n*n)/cancelCheckInterval; polls != want {
+				t.Fatalf("evaluation polled the context %d times, want %d", polls, want)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("cancelled at poll %d: result %v, err %v, want context.Canceled", polls, out, err)
+		}
+	}
+	waitGoroutines(t, baseline)
+	if got := broker.Reserved(); got != 0 {
+		t.Fatalf("broker holds %d bytes after every reservation was released", got)
+	}
 }
 
 func TestCancelMidMaterialization(t *testing.T) {

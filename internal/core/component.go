@@ -20,13 +20,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ecrpq/internal/alphabet"
-	"ecrpq/internal/faultinject"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/invariant"
@@ -50,7 +49,13 @@ type component struct {
 	tracks    []track
 	rels      []*synchro.Relation // non-universal; explicit NFAs
 	relTracks [][]int             // relation → component-track indices
-	nodeVars  []string            // distinct node variables, sorted
+	// nodeVars are the distinct node variables: track sources first, then
+	// the variables that are only destinations, each in track order. The
+	// generic strategy assigns them in this order, so a component's
+	// destinations vary under fixed sources whatever the variables are
+	// called, which is what lets one product traversal answer for all of
+	// them (componentSearch).
+	nodeVars []string
 }
 
 // freeTrack is a path variable in no non-universal relation atom: its only
@@ -140,15 +145,18 @@ func decompose(q *query.Query) ([]component, []freeTrack, error) {
 	for _, r := range order {
 		c := compOf[r]
 		seen := make(map[string]bool)
-		for _, t := range c.tracks {
-			for _, v := range []string{t.srcVar, t.dstVar} {
-				if !seen[v] {
-					seen[v] = true
-					c.nodeVars = append(c.nodeVars, v)
-				}
+		add := func(v string) {
+			if !seen[v] {
+				seen[v] = true
+				c.nodeVars = append(c.nodeVars, v)
 			}
 		}
-		sort.Strings(c.nodeVars)
+		for _, t := range c.tracks {
+			add(t.srcVar)
+		}
+		for _, t := range c.tracks {
+			add(t.dstVar)
+		}
 		comps = append(comps, *c)
 	}
 	var frees []freeTrack
@@ -267,11 +275,8 @@ func productSearch(
 	const unset = alphabet.Unset
 	for qi := 0; qi < len(states); qi++ {
 		if qi%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
+			if err := pollSearch(ctx); err != nil {
 				return -1, nil, nil, err
-			}
-			if err := faultinject.Point("core.budget"); err != nil {
-				return -1, nil, nil, fmt.Errorf("core: product search aborted: %w", err)
 			}
 			if mem != nil && len(states) > chargedStates {
 				if err := mem.Grow(int64(len(states)-chargedStates) * perState); err != nil {
@@ -453,6 +458,14 @@ func newNFAView(r *synchro.Relation) *nfaView {
 		invariant.NoError(err, "core: malformed relation letter")
 		v.trans[p] = append(v.trans[p], decodedTrans{tuple: t, to: q})
 	})
+	// Transitions come in map order. Sorting them makes the order in which a
+	// search meets states, and so the state budget under which it finds a
+	// given destination, a function of the instance alone.
+	for _, trs := range v.trans {
+		slices.SortFunc(trs, func(a, b decodedTrans) int {
+			return cmp.Or(slices.Compare(a.tuple, b.tuple), cmp.Compare(a.to, b.to))
+		})
+	}
 	return v
 }
 
@@ -491,44 +504,75 @@ func reconstructPaths(c *component, srcs []int, states []productState, parents [
 	return paths
 }
 
-// checkComponent decides whether, with the given per-track endpoints, the
-// component's relational constraints can be satisfied by concrete paths, and
-// returns such paths. The existence check runs on the packed fast product
-// when possible; witness reconstruction re-runs the recording search only on
-// success.
-func checkComponent(ctx context.Context, db *graphdb.DB, c *component, srcs, dsts []int, maxStates int) ([]graphdb.Path, bool, error) {
-	if fp := newFastProduct(db, c); fp != nil {
-		defer fp.releaseMem()
-		found, err := fp.Run(ctx, srcs, func(verts []int) bool {
-			for i, v := range verts {
-				if v != dsts[i] {
-					return false
-				}
-			}
-			return true
-		}, maxStates)
-		if err != nil {
-			return nil, false, err
-		}
-		if !found {
-			return nil, false, nil
-		}
+// componentSearch is one component's Lemma 4.2 product search for the
+// length of one evaluation: the packed kernel is built on the first check
+// and reused by every later one, and released once by the owner. A
+// component whose state does not pack into 63 bits takes the string-keyed
+// productSearch instead, one search per call.
+type componentSearch struct {
+	db        *graphdb.DB
+	c         *component
+	maxStates int
+
+	fp        *fastProduct // nil before the first call, or when the state does not pack
+	built     bool
+	fallbacks int // productSearch calls, each one traversal
+}
+
+func (s *componentSearch) kernel() *fastProduct {
+	if !s.built {
+		s.built = true
+		s.fp = newFastProduct(s.db, s.c)
 	}
-	goal, states, parents, err := productSearch(ctx, db, c, srcs, func(st productState) bool {
-		for i, v := range st.verts {
-			if v != dsts[i] {
-				return false
-			}
-		}
-		return true
-	}, maxStates)
-	if err != nil {
+	return s.fp
+}
+
+// matchDsts is the productSearch acceptance test for one destination tuple.
+func matchDsts(dsts []int) func(productState) bool {
+	return func(st productState) bool { return slices.Equal(st.verts, dsts) }
+}
+
+// check decides whether, with the given per-track endpoints, the
+// component's relational constraints can be satisfied by concrete paths.
+func (s *componentSearch) check(ctx context.Context, srcs, dsts []int) (bool, error) {
+	if fp := s.kernel(); fp != nil {
+		return fp.reach(ctx, srcs, dsts, s.maxStates)
+	}
+	s.fallbacks++
+	goal, _, _, err := productSearch(ctx, s.db, s.c, srcs, matchDsts(dsts), s.maxStates)
+	return goal >= 0, err
+}
+
+// witness is check with the paths: one database path per track.
+func (s *componentSearch) witness(ctx context.Context, srcs, dsts []int) ([]graphdb.Path, bool, error) {
+	if fp := s.kernel(); fp != nil {
+		return fp.witness(ctx, srcs, dsts, s.maxStates)
+	}
+	s.fallbacks++
+	goal, states, parents, err := productSearch(ctx, s.db, s.c, srcs, matchDsts(dsts), s.maxStates)
+	if err != nil || goal < 0 {
 		return nil, false, err
 	}
-	if goal < 0 {
-		return nil, false, nil
+	return reconstructPaths(s.c, srcs, states, parents, goal), true, nil
+}
+
+// work reports the traversals begun and the product states expanded so far
+// (the fallback keeps no count of states).
+func (s *componentSearch) work() (traversals, states int) {
+	if s.fp == nil {
+		return s.fallbacks, 0
 	}
-	return reconstructPaths(c, srcs, states, parents, goal), true, nil
+	return s.fp.traversals, s.fp.expanded
+}
+
+func (s *componentSearch) release() { s.fp.releaseMem() }
+
+// checkComponent is a one-off componentSearch.witness: the paths for one
+// pair of endpoint tuples, on a kernel of its own.
+func checkComponent(ctx context.Context, db *graphdb.DB, c *component, srcs, dsts []int, maxStates int) ([]graphdb.Path, bool, error) {
+	s := componentSearch{db: db, c: c, maxStates: maxStates}
+	defer s.release()
+	return s.witness(ctx, srcs, dsts)
 }
 
 // componentReachSet computes, for fixed sources, every tuple of destination
@@ -537,10 +581,10 @@ func checkComponent(ctx context.Context, db *graphdb.DB, c *component, srcs, dst
 // reused across calls, e.g. over a streamed source sweep): destinations are
 // collected as the packed keys the sweep kernel uses and decoded in key
 // order. Pass nil to fall back to the general search for components whose
-// state does not pack. Either way tuples come out in lexicographic order:
-// the product search's discovery order depends on map iteration and would
-// differ run to run, and streaming enumeration (the /v1/enumerate cursor)
-// needs the same sequence on every call.
+// state does not pack. Either way tuples come out in lexicographic order,
+// not in the order the search met them: it is the order sweepComponent
+// emits, which streaming enumeration (the /v1/enumerate cursor) is pinned
+// to.
 func componentReachSet(ctx context.Context, db *graphdb.DB, c *component, fp *fastProduct, srcs []int, maxStates int, buf []int) ([]int, error) {
 	if fp == nil {
 		var out [][]int
@@ -557,16 +601,11 @@ func componentReachSet(ctx context.Context, db *graphdb.DB, c *component, fp *fa
 		}
 		return buf, nil
 	}
-	fp.dests = fp.dests[:0]
-	_, err := fp.Run(ctx, srcs, func(verts []int) bool {
-		fp.dests = append(fp.dests, fp.destKey(verts))
-		return false // keep searching
-	}, maxStates)
-	if err != nil {
+	if err := fp.Run(ctx, srcs, maxStates); err != nil {
 		return nil, err
 	}
 	slices.Sort(fp.dests)
-	for _, key := range slices.Compact(fp.dests) {
+	for _, key := range fp.dests {
 		n := len(buf)
 		buf = append(buf, srcs...) // t slots, overwritten below
 		fp.unpackDest(key, buf[n:])

@@ -130,8 +130,10 @@ type Stats struct {
 	StrategyUsed      Strategy
 	Components        int
 	FreeTracks        int
-	ProductChecks     int // generic: component product searches performed
+	ProductChecks     int // generic: component product decisions made (one per completed component per assignment)
 	NodeAssignments   int // generic: node-variable assignments tried
+	Traversals        int // generic: product traversals begun to make those decisions
+	ProductStates     int // generic: product states those traversals expanded
 	CQTuples          int // reduction: materialized tuples across relations R'
 	MergedStatesTotal int // eager merge: total states of merged relation NFAs
 }
@@ -383,10 +385,33 @@ func (h *PlanHints) componentOrder(n int) []int {
 	return h.ComponentOrder
 }
 
+// genericComp is one component of a generic evaluation: its product search
+// and where its tracks' endpoints sit in the assignment order.
+type genericComp struct {
+	componentSearch
+	srcPos, dstPos []int // per track: position of the endpoint variable in the order
+	srcs, dsts     []int // per track: the endpoints under the current assignment
+}
+
+// endpoints reads the component's endpoint tuples off the assignment.
+func (g *genericComp) endpoints(assign []int) {
+	for k := range g.srcPos {
+		g.srcs[k] = assign[g.srcPos[k]]
+		g.dsts[k] = assign[g.dstPos[k]]
+	}
+}
+
 // evalGeneric backtracks over node variables and checks each component's
 // product as soon as all of its node variables are assigned. hints (may
 // be nil) reorder the component completion sequence and restrict node
 // variable domains; they never change the decision or the witness shape.
+//
+// Each component keeps one product kernel for the whole evaluation
+// (componentSearch), and since a component's sources precede its other
+// variables in the order, consecutive checks of a component share their
+// sources until a source moves: one traversal per source assignment
+// answers for every destination guessed under it. Paths are only computed
+// for the assignment that wins.
 func evalGeneric(ctx context.Context, db *graphdb.DB, q *query.Query, comps []component, frees []freeTrack, pinned map[string]int, opts Options, hints *PlanHints) (*Result, error) {
 	stats := Stats{}
 	workComps := comps
@@ -405,12 +430,11 @@ func evalGeneric(ctx context.Context, db *graphdb.DB, q *query.Query, comps []co
 	// component so components complete early. A planner hint permutes the
 	// component sequence so the most selective (or cheapest) component's
 	// variables are assigned — and its product checked — first.
-	nodeVars := q.NodeVars()
 	var order []string
-	inOrder := make(map[string]bool)
+	pos := make(map[string]int)
 	add := func(v string) {
-		if !inOrder[v] {
-			inOrder[v] = true
+		if _, ok := pos[v]; !ok {
+			pos[v] = len(order)
 			order = append(order, v)
 		}
 	}
@@ -433,52 +457,49 @@ func evalGeneric(ctx context.Context, db *graphdb.DB, q *query.Query, comps []co
 		add(f.srcVar)
 		add(f.dstVar)
 	}
-	for _, v := range nodeVars {
+	for _, v := range q.NodeVars() {
 		add(v)
 	}
-	// compReady[i] = position in order after which component i is fully
-	// assigned.
-	pos := make(map[string]int, len(order))
-	for i, v := range order {
-		pos[v] = i
-	}
-	readyAt := func(vars []string) int {
-		r := -1
-		for _, v := range vars {
-			if pos[v] > r {
-				r = pos[v]
-			}
+
+	// compReady[i] lists the components fully assigned once the first i
+	// variables of the order are; freeReady likewise for free tracks.
+	gcs := make([]genericComp, len(workComps))
+	defer func() {
+		for i := range gcs {
+			gcs[i].release()
 		}
-		return r
-	}
+	}()
 	compReady := make([][]int, len(order)+1)
-	for i := range workComps {
-		r := readyAt(workComps[i].nodeVars) + 1
-		compReady[r] = append(compReady[r], i)
+	for ci := range workComps {
+		c := &workComps[ci]
+		t := len(c.tracks)
+		g := &gcs[ci]
+		g.componentSearch = componentSearch{db: db, c: c, maxStates: opts.maxStates()}
+		g.srcPos, g.dstPos = make([]int, t), make([]int, t)
+		g.srcs, g.dsts = make([]int, t), make([]int, t)
+		ready := 0
+		for k, tr := range c.tracks {
+			g.srcPos[k], g.dstPos[k] = pos[tr.srcVar], pos[tr.dstVar]
+			ready = max(ready, g.srcPos[k]+1, g.dstPos[k]+1)
+		}
+		compReady[ready] = append(compReady[ready], ci)
 	}
 	freeReady := make([][]int, len(order)+1)
+	freePos := make([][2]int, len(frees)) // per free track: positions of its source and destination
 	reachCache := make(map[int][]bool)
-	for i, f := range frees {
-		r := readyAt([]string{f.srcVar, f.dstVar}) + 1
-		freeReady[r] = append(freeReady[r], i)
+	for fi, f := range frees {
+		freePos[fi] = [2]int{pos[f.srcVar], pos[f.dstVar]}
+		ready := max(freePos[fi][0], freePos[fi][1]) + 1
+		freeReady[ready] = append(freeReady[ready], fi)
 	}
-	// Components with no node variables (impossible: tracks have endpoints)
-	// would be at compReady[0]; handled uniformly.
 
-	assign := make(map[string]int, len(order))
-	pathWitness := make(map[string]graphdb.Path)
+	assign := make([]int, len(order))
 	var searchErr error
-	var rec func(i int) bool
 	check := func(i int) bool {
 		for _, ci := range compReady[i] {
-			c := &workComps[ci]
-			srcs := make([]int, len(c.tracks))
-			dsts := make([]int, len(c.tracks))
-			for k, tr := range c.tracks {
-				srcs[k] = assign[tr.srcVar]
-				dsts[k] = assign[tr.dstVar]
-			}
-			paths, ok, err := checkComponent(ctx, db, c, srcs, dsts, opts.maxStates())
+			g := &gcs[ci]
+			g.endpoints(assign)
+			ok, err := g.check(ctx, g.srcs, g.dsts)
 			stats.ProductChecks++
 			if err != nil {
 				searchErr = err
@@ -487,13 +508,9 @@ func evalGeneric(ctx context.Context, db *graphdb.DB, q *query.Query, comps []co
 			if !ok {
 				return false
 			}
-			for k, tr := range c.tracks {
-				pathWitness[tr.pathVar] = paths[k]
-			}
 		}
 		for _, fi := range freeReady[i] {
-			f := frees[fi]
-			u, v := assign[f.srcVar], assign[f.dstVar]
+			u, v := assign[freePos[fi][0]], assign[freePos[fi][1]]
 			reach, ok := reachCache[u]
 			if !ok {
 				reach = anyReach(db, u)
@@ -502,74 +519,94 @@ func evalGeneric(ctx context.Context, db *graphdb.DB, q *query.Query, comps []co
 			if !reach[v] {
 				return false
 			}
-			p, _ := anyPath(db, u, v)
-			pathWitness[f.pathVar] = p
 		}
 		return true
 	}
-	rec = func(i int) bool {
-		if searchErr != nil {
-			return false
-		}
+	// try extends the assignment by order[i] = d. With memoised traversals a
+	// long run of assignments may never enter a search loop, so
+	// cancellation and injected faults are polled here, by assignments made.
+	var rec func(i int) bool
+	try := func(i, d int) bool {
+		assign[i] = d
+		stats.NodeAssignments++
 		if stats.NodeAssignments%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				searchErr = err
-				return false
-			}
+			searchErr = pollSearch(ctx)
 		}
+		return searchErr == nil && check(i+1) && rec(i+1)
+	}
+	rec = func(i int) bool {
 		if i == len(order) {
 			return true
 		}
 		v := order[i]
 		if pv, ok := pinned[v]; ok {
-			assign[v] = pv
-			stats.NodeAssignments++
-			if check(i+1) && rec(i+1) {
-				return true
-			}
-			delete(assign, v)
-			return false
+			return try(i, pv)
 		}
 		if cand, ok := hints.candidatesFor(v); ok {
 			for _, d := range cand {
-				if d < 0 || d >= db.NumVertices() {
-					continue
-				}
-				assign[v] = d
-				stats.NodeAssignments++
-				if check(i+1) && rec(i+1) {
+				if d >= 0 && d < db.NumVertices() && try(i, d) {
 					return true
 				}
+				if searchErr != nil {
+					return false
+				}
 			}
-			delete(assign, v)
 			return false
 		}
 		for d := 0; d < db.NumVertices(); d++ {
-			assign[v] = d
-			stats.NodeAssignments++
-			if check(i+1) && rec(i+1) {
+			if try(i, d) {
 				return true
 			}
+			if searchErr != nil {
+				return false
+			}
 		}
-		delete(assign, v)
 		return false
 	}
 	// Edge case: zero node variables (no atoms): trivially satisfiable.
 	_, psp := trace.StartSpan(ctx, "core/product_search")
-	sat := rec(0)
+	searchErr = ctx.Err()
+	sat := searchErr == nil && rec(0)
+	for i := range gcs {
+		traversals, states := gcs[i].work()
+		stats.Traversals += traversals
+		stats.ProductStates += states
+	}
 	psp.SetInt("product_checks", int64(stats.ProductChecks))
 	psp.SetInt("node_assignments", int64(stats.NodeAssignments))
+	psp.SetInt("traversals", int64(stats.Traversals))
+	psp.SetInt("states", int64(stats.ProductStates))
 	psp.End()
 	if searchErr != nil {
 		return nil, searchErr
 	}
 	res := &Result{Sat: sat, Stats: stats}
-	if sat {
-		res.Nodes = make(map[string]int, len(assign))
-		for k, v := range assign {
-			res.Nodes[k] = v
+	if !sat {
+		return res, nil
+	}
+	res.Nodes = make(map[string]int, len(order))
+	for i, v := range order {
+		res.Nodes[v] = assign[i]
+	}
+	_, wsp := trace.StartSpan(ctx, "core/witness")
+	defer wsp.End()
+	res.Paths = make(map[string]graphdb.Path)
+	for ci := range gcs {
+		g := &gcs[ci]
+		g.endpoints(assign)
+		paths, ok, err := g.witness(ctx, g.srcs, g.dsts)
+		if err != nil {
+			return nil, err
 		}
-		res.Paths = pathWitness
+		if !ok {
+			return nil, fmt.Errorf("core: internal error: accepted assignment not realizable in component %d", ci)
+		}
+		for k, tr := range g.c.tracks {
+			res.Paths[tr.pathVar] = paths[k]
+		}
+	}
+	for _, f := range frees {
+		res.Paths[f.pathVar], _ = anyPath(db, res.Nodes[f.srcVar], res.Nodes[f.dstVar])
 	}
 	return res, nil
 }

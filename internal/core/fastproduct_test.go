@@ -81,25 +81,11 @@ func TestFastProductAgreesWithGeneral(t *testing.T) {
 			t.Log("fast product unexpectedly unavailable")
 			return false
 		}
-		fastFound, err := fp.Run(context.Background(), srcs, func(verts []int) bool {
-			for i, v := range verts {
-				if v != dsts[i] {
-					return false
-				}
-			}
-			return true
-		}, 0)
+		fastFound, err := fp.reach(context.Background(), srcs, dsts, 0)
 		if err != nil {
 			return false
 		}
-		goal, _, _, err := productSearch(context.Background(), db, c, srcs, func(st productState) bool {
-			for i, v := range st.verts {
-				if v != dsts[i] {
-					return false
-				}
-			}
-			return true
-		}, 0)
+		goal, _, _, err := productSearch(context.Background(), db, c, srcs, matchDsts(dsts), 0)
 		if err != nil {
 			return false
 		}
@@ -129,12 +115,13 @@ func TestFastProductReuseAcrossRuns(t *testing.T) {
 	tn := len(c.tracks)
 	collect := func(f *fastProduct, srcs []int) map[string]bool {
 		out := make(map[string]bool)
-		_, err := f.Run(context.Background(), srcs, func(verts []int) bool {
-			out[fmt.Sprint(verts)] = true
-			return false
-		}, 0)
-		if err != nil {
+		if err := f.Run(context.Background(), srcs, 0); err != nil {
 			t.Fatal(err)
+		}
+		verts := make([]int, tn)
+		for _, key := range f.dests {
+			f.unpackDest(key, verts)
+			out[fmt.Sprint(verts)] = true
 		}
 		return out
 	}

@@ -341,7 +341,7 @@ type sweepSegment struct {
 	rows  int
 }
 
-func newSweepWorker(f *fastProduct, res *govern.Reservation) (*sweepWorker, error) {
+func newSweepWorker(f *productShape, res *govern.Reservation) (*sweepWorker, error) {
 	k, err := newSweepKernel(f, res.NewMeter())
 	return &sweepWorker{k: k, retained: res.NewMeter()}, err
 }
@@ -377,7 +377,7 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 	if err := w.k.mem.Grow(int64(8 * (cap(w.keys) + cap(w.words) - before))); err != nil {
 		return fmt.Errorf("core: product search: %w", err)
 	}
-	if err := w.retained.Grow(int64(rows) * compRowBytes(w.k.f.t)); err != nil {
+	if err := w.retained.Grow(int64(rows) * compRowBytes(w.k.t)); err != nil {
 		return err
 	}
 	w.segs = append(w.segs, sweepSegment{first: first, end: len(w.keys), rows: rows})
@@ -390,7 +390,7 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 // key order. A counting pass over the words gives every source its offset,
 // so each pair is visited once per row it stands for.
 func (w *sweepWorker) emit(ctx context.Context, out []int) error {
-	f := w.k.f
+	f := w.k.productShape
 	t, n := f.t, f.db.NumVertices()
 	srcs := make([]int, 64*t)
 	dst := make([]int, t)

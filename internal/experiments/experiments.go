@@ -775,7 +775,7 @@ func StageAttribution(seed int64) *Table {
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
-		"Shares are span self-times (duration minus child spans) from internal/trace, so columns sum to ≤100%; \"other\" is untraced glue. The dominant column per row matches the regime's predicted cost driver: E3's time concentrates in prepare+merge + product (the exponential language product), E1/E8 in sweep + cq join (the Lemma 4.3 pipeline).")
+		"Shares are span self-times (duration minus child spans) from internal/trace, so columns sum to ≤100%; \"other\" is untraced glue. The dominant column per row matches the regime's predicted cost driver: E3's time concentrates in prepare+merge + product + witness (the exponential language product: under the generic strategy the witness stage is the winning product traversal re-run with parent links recorded), E1/E8 in sweep + cq join (the Lemma 4.3 pipeline).")
 	return t
 }
 

@@ -1,12 +1,15 @@
 // Package boundedrun implements the boundedrun analyzer: in the core
 // package, product-search entry points must not be invoked with a
-// literal 0 state budget outside test files. fastProduct.Run, the batched
-// sweep kernel's sweepKernel.Run and productSearch all treat maxStates == 0
-// as "unlimited", which is exactly
-// the knob the resource governor relies on to keep a hostile query from
-// exploring an exponential product space unmetered. Production call
-// sites must thread a computed bound (options, config, or the caller's
-// budget) — a hard-coded 0 silently opts the call out of governance.
+// literal 0 state budget outside test files. The single-source kernel's
+// entry points that fix a traversal's budget (fastProduct.begin, and Run,
+// reach and the recording witness, which begin one), the batched sweep
+// kernel's sweepKernel.Run and productSearch all treat maxStates == 0 as
+// "unlimited", which is exactly the knob the resource governor relies on
+// to keep a hostile query from exploring an exponential product space
+// unmetered. Production call sites must thread a computed bound (options,
+// config, or the caller's budget) — a hard-coded 0 silently opts the call
+// out of governance. fastProduct.seek takes no budget: it resumes a
+// traversal under the one its begin fixed.
 package boundedrun
 
 import (
@@ -22,9 +25,9 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "boundedrun",
 	Doc: "product searches must not pass a literal 0 (unlimited) state budget outside tests\n\n" +
-		"Applies to internal/core. fastProduct.Run, sweepKernel.Run and productSearch\n" +
-		"interpret a maxStates of 0 as unbounded exploration; call sites in non-test files must\n" +
-		"pass a computed budget instead. Suppress a single finding with\n" +
+		"Applies to internal/core. fastProduct.begin/Run/reach/witness, sweepKernel.Run and\n" +
+		"productSearch interpret a maxStates of 0 as unbounded exploration; call sites in\n" +
+		"non-test files must pass a computed budget instead. Suppress a single finding with\n" +
 		"//ecrpq:ignore boundedrun -- <reason>.",
 	Run: run,
 }
@@ -65,9 +68,16 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
+// budgeted lists, per search type, the methods whose last argument is the
+// state budget of the traversal they begin.
+var budgeted = map[string][]string{
+	"fastProduct": {"Run", "begin", "reach", "witness"},
+	"sweepKernel": {"Run"},
+}
+
 // searchTarget classifies the callee: "productSearch" for the package
-// function, "fastProduct.Run" or "sweepKernel.Run" for the methods, "" for
-// anything else.
+// function, "<type>.<method>" for a budgeted method of a search type, ""
+// for anything else.
 func searchTarget(pass *lint.Pass, call *ast.CallExpr) string {
 	switch fn := call.Fun.(type) {
 	case *ast.Ident:
@@ -75,9 +85,10 @@ func searchTarget(pass *lint.Pass, call *ast.CallExpr) string {
 			return "productSearch"
 		}
 	case *ast.SelectorExpr:
-		if fn.Sel.Name == "Run" {
-			if recv := searchType(pass, fn.X); recv != "" {
-				return recv + ".Run"
+		recv := searchType(pass, fn.X)
+		for _, m := range budgeted[recv] {
+			if fn.Sel.Name == m {
+				return recv + "." + m
 			}
 		}
 	}
@@ -85,7 +96,7 @@ func searchTarget(pass *lint.Pass, call *ast.CallExpr) string {
 }
 
 // searchType returns the name of e's static type when it is (a pointer
-// to) one of the named search types, fastProduct or sweepKernel.
+// to) a named type, "" otherwise.
 func searchType(pass *lint.Pass, e ast.Expr) string {
 	tv, ok := pass.TypesInfo.Types[e]
 	if !ok || tv.Type == nil {
@@ -96,10 +107,7 @@ func searchType(pass *lint.Pass, e ast.Expr) string {
 		t = p.Elem()
 	}
 	if named, ok := t.(*types.Named); ok {
-		switch name := named.Obj().Name(); name {
-		case "fastProduct", "sweepKernel":
-			return name
-		}
+		return named.Obj().Name()
 	}
 	return ""
 }

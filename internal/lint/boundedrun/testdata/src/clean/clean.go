@@ -7,8 +7,20 @@ import "context"
 
 type fastProduct struct{}
 
-func (f *fastProduct) Run(ctx context.Context, srcs []int, accept func([]int) bool, maxStates int) (bool, error) {
+func (f *fastProduct) Run(ctx context.Context, srcs []int, maxStates int) error {
+	return nil
+}
+
+func (f *fastProduct) begin(ctx context.Context, srcs []int, maxStates int) error {
+	return nil
+}
+
+func (f *fastProduct) seek(ctx context.Context, want uint64) (bool, error) {
 	return false, nil
+}
+
+func (f *fastProduct) witness(ctx context.Context, srcs, dsts []int, maxStates int) ([]int, bool, error) {
+	return nil, false, nil
 }
 
 type sweepKernel struct{}
@@ -26,8 +38,21 @@ type runner struct{}
 // Run on an unrelated type is out of scope even with a trailing 0.
 func (r *runner) Run(n int) int { return n }
 
-func boundedMethod(ctx context.Context, fp *fastProduct, srcs []int, budget int) (bool, error) {
-	return fp.Run(ctx, srcs, nil, budget)
+func boundedMethod(ctx context.Context, fp *fastProduct, srcs []int, budget int) error {
+	return fp.Run(ctx, srcs, budget)
+}
+
+// seek resumes a traversal under the budget its begin fixed; destination
+// key 0 (every track at vertex 0) is not a budget.
+func boundedTraversal(ctx context.Context, fp *fastProduct, srcs []int, budget int) (bool, error) {
+	if err := fp.begin(ctx, srcs, budget); err != nil {
+		return false, err
+	}
+	return fp.seek(ctx, 0)
+}
+
+func boundedWitness(ctx context.Context, fp *fastProduct, srcs, dsts []int, budget int) ([]int, bool, error) {
+	return fp.witness(ctx, srcs, dsts, budget)
 }
 
 func boundedSearch(ctx context.Context, srcs []int) (int, error) {

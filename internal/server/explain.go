@@ -36,14 +36,17 @@ type explainRequest struct {
 }
 
 // explainStage is one plan stage: the planner's estimate and, when the
-// query was executed, the traced actual self-time for the same span name.
+// query was executed, the traced actual self-time for the same span name
+// with the span's work counters (e.g. product_checks, traversals and
+// states of core/product_search).
 type explainStage struct {
-	Stage       string  `json:"stage"`
-	Detail      string  `json:"detail,omitempty"`
-	Cost        float64 `json:"cost"`
-	EstimatedMs float64 `json:"estimated_ms"`
-	ActualMs    float64 `json:"actual_ms,omitempty"`
-	Measured    bool    `json:"measured,omitempty"`
+	Stage       string         `json:"stage"`
+	Detail      string         `json:"detail,omitempty"`
+	Cost        float64        `json:"cost"`
+	EstimatedMs float64        `json:"estimated_ms"`
+	ActualMs    float64        `json:"actual_ms,omitempty"`
+	Measured    bool           `json:"measured,omitempty"`
+	Attrs       map[string]any `json:"attrs,omitempty"`
 }
 
 // explainResponse is the chosen plan with its cost breakdown.
@@ -262,25 +265,27 @@ func (s *Server) explain(ctx context.Context, entry *dbEntry, q *query.Query, st
 // stages the planner did not estimate (merge, materialize, reach, …) are
 // appended so the whole evaluation is accounted for.
 func attachMeasured(resp *explainResponse, td trace.TraceData) {
-	selfMs := make(map[string]float64)
-	for _, st := range td.Breakdown() {
-		selfMs[st.Name] = st.SelfUs / 1000
+	breakdown := td.Breakdown()
+	measured := make(map[string]trace.Stage, len(breakdown))
+	for _, st := range breakdown {
+		measured[st.Name] = st
 	}
 	seen := make(map[string]bool, len(resp.Stages))
 	for i := range resp.Stages {
 		name := resp.Stages[i].Stage
 		seen[name] = true
-		if ms, ok := selfMs[name]; ok {
-			resp.Stages[i].ActualMs = ms
+		if st, ok := measured[name]; ok {
+			resp.Stages[i].ActualMs = st.SelfUs / 1000
 			resp.Stages[i].Measured = true
+			resp.Stages[i].Attrs = st.Attrs
 		}
 	}
-	for _, st := range td.Breakdown() {
+	for _, st := range breakdown {
 		if seen[st.Name] || len(st.Name) < 5 || st.Name[:5] != "core/" {
 			continue
 		}
 		resp.Stages = append(resp.Stages, explainStage{
-			Stage: st.Name, ActualMs: st.SelfUs / 1000, Measured: true,
+			Stage: st.Name, ActualMs: st.SelfUs / 1000, Measured: true, Attrs: st.Attrs,
 		})
 	}
 }

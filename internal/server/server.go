@@ -829,14 +829,15 @@ func (s *Server) finishTrace(tr *trace.Trace) {
 	var stages []byte
 	{
 		type row struct {
-			Name   string  `json:"name"`
-			Count  int     `json:"count"`
-			SelfMs float64 `json:"self_ms"`
+			Name   string         `json:"name"`
+			Count  int            `json:"count"`
+			SelfMs float64        `json:"self_ms"`
+			Attrs  map[string]any `json:"attrs,omitempty"`
 		}
 		br := td.Breakdown()
 		rows := make([]row, 0, len(br))
 		for _, st := range br {
-			rows = append(rows, row{Name: st.Name, Count: st.Count, SelfMs: st.SelfUs / 1000})
+			rows = append(rows, row{Name: st.Name, Count: st.Count, SelfMs: st.SelfUs / 1000, Attrs: st.Attrs})
 		}
 		stages, _ = json.Marshal(rows)
 	}

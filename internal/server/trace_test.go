@@ -136,6 +136,49 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestGenericSearchWorkIsVisible: the core/product_search stage carries its
+// work counters (decisions made, traversals begun, product states
+// expanded) wherever an operator looks for why a generic query was cheap or
+// dear: the executed /v1/explain stage table and the slow-query log.
+func TestGenericSearchWorkIsVisible(t *testing.T) {
+	var logBuf bytes.Buffer
+	var mu sync.Mutex
+	s := New(Config{
+		Logger:             log.New(&syncWriter{w: &logBuf, mu: &mu}, "", 0),
+		SlowQueryThreshold: time.Nanosecond,
+	})
+	registerDB(t, s, "g", denseDBText(10))
+	const fan = "alphabet a b\nx -[$p1]-> y\nx -[$p2]-> y\nrel eq(p1, p2)\n"
+	rec, out := doJSON(t, s, "POST", "/v1/explain",
+		map[string]any{"db": "g", "query": fan, "strategy": "generic", "execute": true})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("explain: %d %s", rec.Code, rec.Body.String())
+	}
+	var attrs map[string]any
+	stages, _ := out["stages"].([]any)
+	for _, st := range stages {
+		if row, _ := st.(map[string]any); row["stage"] == "core/product_search" {
+			attrs, _ = row["attrs"].(map[string]any)
+		}
+	}
+	// x = y with two empty paths satisfies the fan at the first assignment
+	// tried: one traversal, whose start state accepts before any expansion.
+	for key, want := range map[string]float64{"product_checks": 1, "node_assignments": 2, "traversals": 1, "states": 0} {
+		if n, ok := attrs[key].(float64); !ok || n != want {
+			t.Errorf("core/product_search stage attrs[%q] = %v, want %v (stages: %v)", key, attrs[key], want, stages)
+		}
+	}
+	doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": fan, "strategy": "generic"})
+	mu.Lock()
+	logged := logBuf.String()
+	mu.Unlock()
+	for _, want := range []string{"event=slow_query name=query", `"core/product_search"`, `"traversals":`, `"states":`} {
+		if !strings.Contains(logged, want) {
+			t.Errorf("slow_query log missing %s:\n%s", want, logged)
+		}
+	}
+}
+
 // TestTraceDisabled turns sampling off entirely: the endpoints must report
 // disabled and queries must still work.
 func TestTraceDisabled(t *testing.T) {

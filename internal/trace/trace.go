@@ -317,6 +317,10 @@ type Stage struct {
 	Count   int     `json:"count"`
 	SelfUs  float64 `json:"self_us"`
 	TotalUs float64 `json:"total_us"`
+	// Attrs are the span's attributes when the stage is a single span
+	// (its work counters: what made it cheap or dear); stages made of
+	// several spans carry none, their per-span attributes are in Spans.
+	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
 // Breakdown aggregates spans by name into self-time stages, sorted by
@@ -340,6 +344,10 @@ func (td TraceData) Breakdown() []Stage {
 			order = append(order, sp.Name)
 		}
 		st.Count++
+		st.Attrs = nil
+		if st.Count == 1 {
+			st.Attrs = sp.Attrs
+		}
 		st.TotalUs += sp.DurUs
 		self := sp.DurUs - childSum[sp.ID]
 		if self < 0 {

@@ -192,9 +192,9 @@ func TestBreakdownSelfTime(t *testing.T) {
 	td := TraceData{
 		Spans: []SpanData{
 			{ID: 0, Parent: -1, Name: "core/prepare", StartUs: 0, DurUs: 100},
-			{ID: 1, Parent: 0, Name: "core/merge", StartUs: 10, DurUs: 80},
-			{ID: 2, Parent: -1, Name: "core/sweep", StartUs: 100, DurUs: 300},
-			{ID: 3, Parent: -1, Name: "core/sweep", StartUs: 400, DurUs: 100},
+			{ID: 1, Parent: 0, Name: "core/merge", StartUs: 10, DurUs: 80, Attrs: map[string]any{"merged_states": int64(7)}},
+			{ID: 2, Parent: -1, Name: "core/sweep", StartUs: 100, DurUs: 300, Attrs: map[string]any{"component": int64(0)}},
+			{ID: 3, Parent: -1, Name: "core/sweep", StartUs: 400, DurUs: 100, Attrs: map[string]any{"component": int64(1)}},
 		},
 	}
 	stages := td.Breakdown()
@@ -203,6 +203,18 @@ func TestBreakdownSelfTime(t *testing.T) {
 	for _, st := range stages {
 		bySelf[st.Name] = st.SelfUs
 		byCount[st.Name] = st.Count
+		// A single-span stage shows its span's attributes; one made of
+		// several spans has no attributes of its own.
+		switch st.Name {
+		case "core/merge":
+			if st.Attrs["merged_states"] != int64(7) {
+				t.Errorf("merge attrs = %v, want its span's", st.Attrs)
+			}
+		default:
+			if st.Attrs != nil {
+				t.Errorf("%s attrs = %v, want none", st.Name, st.Attrs)
+			}
+		}
 	}
 	if bySelf["core/prepare"] != 20 { // 100 − child 80
 		t.Errorf("prepare self = %v, want 20", bySelf["core/prepare"])
