@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate cluster-gate plan-gate integrity-gate ci
+.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate cluster-gate plan-gate integrity-gate ci
 
 all: build test
 
@@ -142,6 +142,41 @@ generic-gate:
 	echo "$$frames" | grep -q 'core\.evalGeneric' || { echo "generic-gate: the memory profile does not show the generic evaluation"; exit 1; }; \
 	if echo "$$frames" | grep -q 'core\.productSearch'; then echo "generic-gate: productSearch allocates on the packed path"; exit 1; fi
 
+## join-gate guards the Prop 2.3 join (cq.Compile + the flat kernel): the
+## differential suite (Plan.Eval ≡ backtracking, every witness checked atom
+## by atom; Answers ≡ brute force ≡ the streaming join; keys wider than a
+## word; a charge function failing at every call; cancellation at every
+## poll returning the pooled scratch and releasing every charged byte; one
+## plan under eight goroutines) runs under the race detector, and the layer
+## benchmark — one evaluation of a prepared plan on a prebuilt
+## materialisation — must stay under 8 B and 0.05 allocations per input row
+## wherever it reads 10 000 rows or more, with no string-key frame in an
+## every-allocation memory profile: tables are flat, keys are integers.
+join-gate:
+	$(GO) test -race -count=1 -run 'TestPlan|TestAllAnswers|TestEval' ./internal/cq/
+	$(GO) test -race -count=1 -run 'TestCancelMidJoin|TestPreparedJoin' ./internal/core/
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	out="$$($(GO) test -run '^$$' -bench BenchmarkCQJoin -benchmem -benchtime 200x \
+		-memprofile "$$dir/mem.prof" -memprofilerate 1 -o "$$dir/core.test" ./internal/core/)" || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk '/^BenchmarkCQJoin/ { \
+		rows = bytes = allocs = ""; \
+		for (i = 1; i < NF; i++) { \
+			if ($$(i+1) == "rows/op") rows = $$i; \
+			if ($$(i+1) == "B/op") bytes = $$i; \
+			if ($$(i+1) == "allocs/op") allocs = $$i; \
+		} \
+		if (rows == "" || bytes == "" || allocs == "" || rows <= 0) { print "join-gate: " $$1 ": benchmark output missing rows/op or alloc stats"; bad = 1; next } \
+		seen++; \
+		if (rows < 10000) next; \
+		big++; \
+		if (bytes / rows > 8) { printf "join-gate: %s costs %.2f B per input row (ceiling 8)\n", $$1, bytes / rows; bad = 1 } \
+		if (allocs / rows > 0.05) { printf "join-gate: %s costs %.4f allocs per input row (ceiling 0.05)\n", $$1, allocs / rows; bad = 1 } \
+	} END { if (seen < 6 || big < 4) { print "join-gate: BenchmarkCQJoin rows missing"; bad = 1 } exit bad }' || exit 1; \
+	frames="$$($(GO) tool pprof -sample_index=alloc_space -top -nodefraction=0 -nodecount=100000 "$$dir/core.test" "$$dir/mem.prof" 2>/dev/null)" || { echo "join-gate: cannot read the memory profile"; exit 1; }; \
+	echo "$$frames" | grep -q 'cq\.(\*Plan)\.Eval' || { echo "join-gate: the memory profile does not show the join"; exit 1; }; \
+	if echo "$$frames" | grep -Eq 'cq\.(key|appendKey)$$'; then echo "join-gate: the join builds string keys"; exit 1; fi
+
 ## chaos rebuilds the fault-injection build (-tags faultinject) and runs
 ## the deterministic chaos suite under the race detector: injected
 ## persist/cache/pool/core faults must surface as typed errors with no
@@ -187,6 +222,6 @@ integrity-gate:
 ## ci mirrors the GitHub Actions gate: build, vet, lint, tests, race
 ## tests, chaos suite, trace/govern zero-alloc gates, the streaming
 ## enumeration gate, the sweep-kernel gate, the generic product-search
-## gate, the planner gate, the multi-node cluster gate, and the integrity
-## gate.
-ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate plan-gate cluster-gate integrity-gate
+## gate, the join-kernel gate, the planner gate, the multi-node cluster
+## gate, and the integrity gate.
+ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate plan-gate cluster-gate integrity-gate

@@ -4,6 +4,7 @@
 package ecrpq_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -302,7 +303,7 @@ func BenchmarkAblation_CQEval(b *testing.B) {
 	st, q := workload.CliqueCQ(rand.New(rand.NewSource(1)), 3, 16, 48, false)
 	b.Run("backtrack", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cq.EvalBacktrack(st, q); err != nil {
+			if _, _, err := cq.EvalBacktrack(context.Background(), st, q); err != nil {
 				b.Fatal(err)
 			}
 		}

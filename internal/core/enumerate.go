@@ -35,15 +35,18 @@ const (
 // retained (sweepComponent) or streamed: its 2t values plus a slice header.
 func compRowBytes(t int) int64 { return int64(24 + 16*t) }
 
-// streamQuery builds the CQ the streaming join evaluates: the same atoms
-// as buildReductionMerged, ordered for binding pushdown — pinned
-// singletons first (most selective), then component atoms in index
-// order, then free-track reachability atoms. The order is part of the
-// enumeration contract: it fixes the answer order the /v1/enumerate
-// cursor offsets into.
+// reductionQuery builds the conjunctive query of the Lemma 4.3 instance,
+// whose Gaifman graph is G^node of the normalized abstraction, over the
+// relations buildReductionMerged materializes (and sweepSource streams).
+// It depends on the query alone, so a prepared plan builds and compiles it
+// once. The atoms are ordered for binding pushdown — pinned singletons
+// first (most selective), then component atoms in index order, then
+// free-track reachability atoms. The order is part of the enumeration
+// contract: it fixes the answer order the /v1/enumerate cursor offsets
+// into.
 //
 //ecrpq:charged plan construction: O(atoms) slices owned by the prepared plan, counted by Prepared.MemBytes
-func streamQuery(comps []component, frees []freeTrack, pinned map[string]int, free []string) *cq.Query {
+func reductionQuery(comps []component, frees []freeTrack, pinned map[string]int, free []string) *cq.Query {
 	cqq := &cq.Query{Free: append([]string(nil), free...)}
 	pinVars := make([]string, 0, len(pinned))
 	for v := range pinned {
@@ -443,7 +446,7 @@ func (p *Prepared) enumerateReduction(ctx context.Context, db *graphdb.DB) (stre
 		}
 		return stream.Empty(), true, nil
 	}
-	cqq := streamQuery(p.comps, p.frees, nil, p.q.Free)
+	cqq := reductionQuery(p.comps, p.frees, nil, p.q.Free)
 	src := newSweepSource(ctx, db, p.merged, nil, p.opts)
 	mem := govern.MeterFrom(ctx) // dedup set + hash-level buffers
 	var charge stream.ChargeFunc
@@ -482,7 +485,7 @@ func (p *Prepared) evaluateReductionStreaming(ctx context.Context, db *graphdb.D
 	if db.NumVertices() == 0 {
 		return &Result{Sat: emptyDBSat(p)}, nil
 	}
-	cqq := streamQuery(p.comps, p.frees, nil, nil)
+	cqq := reductionQuery(p.comps, p.frees, nil, nil)
 	src := newSweepSource(ctx, db, p.merged, nil, p.opts)
 	defer src.release()
 	mem := govern.MeterFrom(ctx)

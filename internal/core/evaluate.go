@@ -621,21 +621,26 @@ func evalGeneric(ctx context.Context, db *graphdb.DB, q *query.Query, comps []co
 // with the tree-decomposition dynamic program. The Gaifman graph of that CQ
 // is exactly G^node of the (normalized) abstraction.
 func evalReduction(ctx context.Context, db *graphdb.DB, q *query.Query, comps []component, frees []freeTrack, pinned map[string]int, opts Options) (*Result, error) {
-	st, cqq, stats, err := buildReduction(ctx, db, q, comps, frees, pinned, opts)
+	join, err := cq.Compile(reductionQuery(comps, frees, pinned, nil))
 	if err != nil {
 		return nil, err
 	}
-	return evalReductionMaterialized(ctx, db, q, comps, frees, pinned, opts, st, cqq, stats)
+	st, stats, err := buildReduction(ctx, db, q, comps, frees, pinned, opts)
+	if err != nil {
+		return nil, err
+	}
+	return evalReductionMaterialized(ctx, db, q, comps, frees, pinned, opts, st, join, stats)
 }
 
 // evalReductionMaterialized runs the CQ evaluation and witness recovery of
-// the reduction strategy on an already-materialized Lemma 4.3 instance.
-// Split from evalReduction so a cached materialization (core.Prepared /
-// internal/plancache) can skip straight past the R' sweep.
-func evalReductionMaterialized(ctx context.Context, db *graphdb.DB, q *query.Query, comps []component, frees []freeTrack, pinned map[string]int, opts Options, st *cq.Structure, cqq *cq.Query, stats Stats) (*Result, error) {
+// the reduction strategy on an already-materialized Lemma 4.3 instance and
+// the compiled join of its conjunctive query. Split from evalReduction so a
+// cached materialization (core.Prepared / internal/plancache) can skip
+// straight past the R' sweep, and a prepared plan past the compilation.
+func evalReductionMaterialized(ctx context.Context, db *graphdb.DB, q *query.Query, comps []component, frees []freeTrack, pinned map[string]int, opts Options, st *cq.Structure, join *cq.Plan, stats Stats) (*Result, error) {
 	if db.NumVertices() == 0 {
 		// Empty database: satisfiable only if the query has no atoms at all.
-		sat := len(cqq.Atoms) == 0 && len(q.Reach) == 0
+		sat := len(comps)+len(frees)+len(pinned) == 0 && len(q.Reach) == 0
 		return &Result{Sat: sat, Stats: stats}, nil
 	}
 
@@ -648,7 +653,10 @@ func evalReductionMaterialized(ctx context.Context, db *graphdb.DB, q *query.Que
 		chargeFn = mem.Charge
 	}
 	_, jsp := trace.StartSpan(ctx, "core/cq_join")
-	assign, sat, err := cq.EvalTreeDecompBudget(st, cqq, chargeFn)
+	assign, sat, work, err := join.Eval(ctx, st, chargeFn)
+	jsp.SetInt("bags", int64(work.Bags))
+	jsp.SetInt("rows_in", int64(work.RowsIn))
+	jsp.SetInt("rows_peak", int64(work.RowsPeak))
 	jsp.End()
 	if err != nil {
 		return nil, err

@@ -25,6 +25,7 @@ type Prepared struct {
 	frees    []freeTrack
 	merged   []component // Lemma 4.1 single-relation views, one per component
 	mergedSt int         // total merged NFA states
+	join     *cq.Plan    // Reduction plans: the compiled Prop 2.3 join of the Lemma 4.3 query
 	measures twolevel.Measures
 	memBytes int
 }
@@ -73,6 +74,11 @@ func PrepareContext(ctx context.Context, q *query.Query, opts Options) (*Prepare
 		mergedSt: mergedStates,
 		measures: twolevel.QueryMeasures(q),
 	}
+	if strat == Reduction {
+		if p.join, err = cq.Compile(reductionQuery(comps, frees, nil, nil)); err != nil {
+			return nil, err
+		}
+	}
 	p.memBytes = p.estimateBytes()
 	sp.SetStr("strategy", strat.String())
 	sp.SetInt("components", int64(len(comps)))
@@ -117,13 +123,12 @@ func (p *Prepared) estimateBytes() int {
 }
 
 // Materialization is the db-dependent half of a reduction-strategy plan:
-// the Lemma 4.3 relational structure (the materialized R' relations) and
-// conjunctive query for one (query, database) pair. It is immutable after
+// the Lemma 4.3 relational structure (the materialized R' relations) for
+// one (query, database) pair. It is immutable after
 // Materialize and safe for concurrent EvaluateContext use; cache it keyed
 // by the database generation and drop it when the database is replaced.
 type Materialization struct {
 	st       *cq.Structure
-	cqq      *cq.Query
 	stats    Stats
 	memBytes int
 }
@@ -145,13 +150,13 @@ func (p *Prepared) Materialize(ctx context.Context, db *graphdb.DB) (*Materializ
 		return nil, err
 	}
 	ctx, sp := trace.StartSpan(ctx, "core/materialize")
-	st, cqq, stats, err := buildReductionMerged(ctx, db, p.q, p.comps, p.merged, p.mergedSt, p.frees, nil, p.opts)
+	st, stats, err := buildReductionMerged(ctx, db, p.comps, p.merged, p.mergedSt, p.frees, nil, p.opts)
 	sp.SetInt("cq_tuples", int64(stats.CQTuples))
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	m := &Materialization{st: st, cqq: cqq, stats: stats}
+	m := &Materialization{st: st, stats: stats}
 	// Tuples dominate: one []int row of total arity ints per tuple, map
 	// overhead included in the per-tuple constant.
 	arity := 2
@@ -202,7 +207,7 @@ func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, ma
 			res, err = p.evaluateReductionStreaming(ctx, db)
 			break
 		}
-		res, err = evalReductionMaterialized(ctx, db, p.q, p.comps, p.frees, nil, p.opts, mat.st, mat.cqq, mat.stats)
+		res, err = evalReductionMaterialized(ctx, db, p.q, p.comps, p.frees, nil, p.opts, mat.st, p.join, mat.stats)
 	default:
 		err = fmt.Errorf("core: unknown strategy %v", p.strat)
 	}

@@ -15,17 +15,17 @@ import (
 	"ecrpq/internal/trace"
 )
 
-// buildReduction constructs the Lemma 4.3 instance: a relational structure
-// over the database's vertices with one materialized endpoint relation R'
-// per merged component (plus a plain-reachability relation for free tracks
-// and singleton relations for pinned variables), and the conjunctive query
-// whose Gaifman graph is G^node of the normalized abstraction.
-func buildReduction(ctx context.Context, db *graphdb.DB, q *query.Query, comps []component, frees []freeTrack, pinned map[string]int, opts Options) (*cq.Structure, *cq.Query, Stats, error) {
+// buildReduction constructs the structure of the Lemma 4.3 instance: over
+// the database's vertices, one materialized endpoint relation R' per merged
+// component, plus a plain-reachability relation for free tracks and
+// singleton relations for pinned variables. reductionQuery is the other
+// half of the instance.
+func buildReduction(ctx context.Context, db *graphdb.DB, q *query.Query, comps []component, frees []freeTrack, pinned map[string]int, opts Options) (*cq.Structure, Stats, error) {
 	merged, mergedStates, err := mergedViews(ctx, q, comps)
 	if err != nil {
-		return nil, nil, Stats{}, err
+		return nil, Stats{}, err
 	}
-	return buildReductionMerged(ctx, db, q, comps, merged, mergedStates, frees, pinned, opts)
+	return buildReductionMerged(ctx, db, comps, merged, mergedStates, frees, pinned, opts)
 }
 
 // mergedStateBytes approximates the footprint of one merged-NFA state
@@ -75,22 +75,18 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) ([]comp
 }
 
 // buildReductionMerged is buildReduction on pre-merged component views.
-func buildReductionMerged(ctx context.Context, db *graphdb.DB, q *query.Query, comps, merged []component, mergedStates int, frees []freeTrack, pinned map[string]int, opts Options) (*cq.Structure, *cq.Query, Stats, error) {
+func buildReductionMerged(ctx context.Context, db *graphdb.DB, comps, merged []component, mergedStates int, frees []freeTrack, pinned map[string]int, opts Options) (*cq.Structure, Stats, error) {
 	stats := Stats{MergedStatesTotal: mergedStates}
 	n := db.NumVertices()
 	st := cq.NewStructure(maxInt(n, 1))
-	cqq := &cq.Query{}
 
 	// Free tracks: binary reachability relation (shared by all).
 	if len(frees) > 0 {
 		added, err := addReachRelation(ctx, db, st, n)
 		if err != nil {
-			return nil, nil, stats, err
+			return nil, stats, err
 		}
 		stats.CQTuples += added
-		for _, f := range frees {
-			cqq.Atoms = append(cqq.Atoms, cq.Atom{Rel: "__reach", Args: []string{f.srcVar, f.dstVar}})
-		}
 	}
 
 	// Components: materialize R' by sweeping all source tuples. The
@@ -102,13 +98,12 @@ func buildReductionMerged(ctx context.Context, db *graphdb.DB, q *query.Query, c
 	if n > 0 && len(comps) > 0 {
 		adj = buildAdjacency(db, db.Alphabet().Size())
 		if err := scratch.Grow(adjacencyBytes(adj)); err != nil {
-			return nil, nil, stats, fmt.Errorf("core: product search: %w", err)
+			return nil, stats, fmt.Errorf("core: product search: %w", err)
 		}
 	}
 	for ci := range comps {
 		c := &comps[ci]
 		t := len(c.tracks)
-		name := fmt.Sprintf("__comp%d", ci)
 		var rows []int
 		_, ssp := trace.StartSpan(ctx, "core/sweep")
 		var err error
@@ -116,64 +111,49 @@ func buildReductionMerged(ctx context.Context, db *graphdb.DB, q *query.Query, c
 			rows, err = sweepComponent(ctx, db, &merged[ci], adj, opts)
 		}
 		if err == nil {
-			err = st.LoadSorted(name, 2*t, rows, sweepColumnOrder(t))
+			err = st.LoadSorted(fmt.Sprintf("__comp%d", ci), 2*t, rows, sweepColumnOrder(t))
 		}
 		ssp.SetInt("component", int64(ci))
 		ssp.SetInt("tracks", int64(t))
 		ssp.SetInt("rows", int64(len(rows)/(2*t)))
 		ssp.End()
 		if err != nil {
-			return nil, nil, stats, err
+			return nil, stats, err
 		}
 		stats.CQTuples += len(rows) / (2 * t)
-		args := make([]string, 0, 2*t)
-		for _, tr := range c.tracks {
-			args = append(args, tr.srcVar, tr.dstVar)
-		}
-		cqq.Atoms = append(cqq.Atoms, cq.Atom{Rel: name, Args: args})
 	}
 
 	// Pin variables via singleton relations.
 	for v, val := range pinned {
-		name := fmt.Sprintf("__pin_%s", v)
-		if st.Relation(name) == nil {
-			if err := st.AddRelation(name, 1); err != nil {
-				return nil, nil, stats, err
-			}
-			if err := st.AddTuple(name, val); err != nil {
-				return nil, nil, stats, err
-			}
+		if err := st.LoadSorted("__pin_"+v, 1, []int{val}, []int{0}); err != nil {
+			return nil, stats, err
 		}
-		cqq.Atoms = append(cqq.Atoms, cq.Atom{Rel: name, Args: []string{v}})
 	}
-	return st, cqq, stats, nil
+	return st, stats, nil
 }
 
 // addReachRelation materializes the shared binary any-label reachability
-// relation used by free-track atoms. Returns the number of tuples added.
+// relation used by free-track atoms, bulk-loaded: the rows come out in
+// ascending (u, v) order. Returns the number of tuples added.
 func addReachRelation(ctx context.Context, db *graphdb.DB, st *cq.Structure, n int) (int, error) {
 	_, sp := trace.StartSpan(ctx, "core/reach")
 	defer sp.End()
-	if err := st.AddRelation("__reach", 2); err != nil {
-		return 0, err
-	}
 	res := govern.FromContext(ctx)
 	const reachRowBytes = 40
-	added := 0
+	var flat []int
 	for u := 0; u < n; u++ {
-		reach := anyReach(db, u)
-		for v, ok := range reach {
+		before := len(flat)
+		for v, ok := range anyReach(db, u) {
 			if ok {
-				if err := res.Grow(reachRowBytes); err != nil {
-					return added, err
-				}
-				st.MustAddTuple("__reach", u, v)
-				added++
+				flat = append(flat, u, v)
 			}
 		}
+		if err := res.Grow(int64(len(flat)-before) / 2 * reachRowBytes); err != nil {
+			return 0, err
+		}
 	}
-	sp.SetInt("tuples", int64(added))
-	return added, nil
+	sp.SetInt("tuples", int64(len(flat)/2))
+	return len(flat) / 2, st.LoadSorted("__reach", 2, flat, []int{0, 1})
 }
 
 // answersReduction computes the answer set via a single Lemma 4.3
@@ -196,13 +176,10 @@ func answersReduction(ctx context.Context, db *graphdb.DB, q *query.Query, opts 
 	if db.NumVertices() == 0 {
 		return nil, true, nil
 	}
-	st, cqq, _, err := buildReduction(ctx, db, q, comps, frees, nil, opts)
-	if err != nil {
-		return nil, false, err
-	}
 	// Free variables must occur in the CQ; a free variable used only in
 	// reachability atoms of components always does (its component atom
 	// mentions it). Guard for pathological queries anyway.
+	cqq := reductionQuery(comps, frees, nil, q.Free)
 	inCQ := make(map[string]bool)
 	for _, at := range cqq.Atoms {
 		for _, v := range at.Args {
@@ -215,8 +192,15 @@ func answersReduction(ctx context.Context, db *graphdb.DB, q *query.Query, opts 
 			return nil, false, nil
 		}
 	}
-	cqq.Free = append([]string(nil), q.Free...)
-	out, err := cq.AllAnswers(ctx, st, cqq)
+	join, err := cq.Compile(cqq)
+	if err != nil {
+		return nil, false, err
+	}
+	st, _, err := buildReduction(ctx, db, q, comps, frees, nil, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	out, err := join.Answers(ctx, st)
 	if err != nil {
 		return nil, false, err
 	}

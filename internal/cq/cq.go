@@ -219,9 +219,18 @@ func (q *Query) Vars() []string {
 	return out
 }
 
-// Validate checks atoms against the structure's signature.
+// Validate checks atoms against the structure's signature, and the query's
+// variables.
 func (q *Query) Validate(s *Structure) error {
-	varSeen := make(map[string]bool)
+	if err := q.checkSignature(s); err != nil {
+		return err
+	}
+	return q.checkVars()
+}
+
+// checkSignature is the half of Validate that depends on the structure:
+// every atom names a declared relation at its arity.
+func (q *Query) checkSignature(s *Structure) error {
 	for i, at := range q.Atoms {
 		r := s.Relation(at.Rel)
 		if r == nil {
@@ -231,6 +240,15 @@ func (q *Query) Validate(s *Structure) error {
 			return fmt.Errorf("cq: atom %d has %d args for arity-%d relation %q",
 				i, len(at.Args), r.Arity, at.Rel)
 		}
+	}
+	return nil
+}
+
+// checkVars is the query-only half of Validate: no variable is empty and
+// every free variable occurs in an atom.
+func (q *Query) checkVars() error {
+	varSeen := make(map[string]bool)
+	for i, at := range q.Atoms {
 		for _, v := range at.Args {
 			if v == "" {
 				return fmt.Errorf("cq: atom %d has empty variable", i)

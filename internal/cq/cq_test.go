@@ -114,7 +114,7 @@ func TestGaifmanGraph(t *testing.T) {
 
 func evalBoth(t *testing.T, s *Structure, q *Query) bool {
 	t.Helper()
-	a1, ok1, err1 := EvalBacktrack(s, q)
+	a1, ok1, err1 := EvalBacktrack(context.Background(), s, q)
 	a2, ok2, err2 := EvalTreeDecomp(s, q)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors: %v / %v", err1, err2)
@@ -414,7 +414,7 @@ func TestEvaluatorsAgreeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, q := randomInstance(rng)
-		_, ok1, err1 := EvalBacktrack(s, q)
+		_, ok1, err1 := EvalBacktrack(context.Background(), s, q)
 		_, ok2, err2 := EvalTreeDecomp(s, q)
 		if err1 != nil || err2 != nil {
 			return false

@@ -591,7 +591,7 @@ func AblationCQEval(seed int64) *Table {
 		for _, n := range []int{12, 20} {
 			st, q := workload.CliqueCQ(rng, k, n, 3*n, false)
 			var s1, s2 bool
-			d1 := timeIt(func() { _, s1, _ = cq.EvalBacktrack(st, q) })
+			d1 := timeIt(func() { _, s1, _ = cq.EvalBacktrack(context.Background(), st, q) })
 			d2 := timeIt(func() { _, s2, _ = cq.EvalTreeDecomp(st, q) })
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("clique k=%d", k), fmt.Sprint(n), ms(d1), ms(d2), fmt.Sprint(s1 == s2),
@@ -605,7 +605,7 @@ func AblationCQEval(seed int64) *Table {
 	for _, depth := range []int{6, 7} {
 		st, q := chainOnBinaryTree(depth)
 		var s1, s2 bool
-		d1 := timeIt(func() { _, s1, _ = cq.EvalBacktrack(st, q) })
+		d1 := timeIt(func() { _, s1, _ = cq.EvalBacktrack(context.Background(), st, q) })
 		d2 := timeIt(func() { _, s2, _ = cq.EvalTreeDecomp(st, q) })
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("tree-chain d=%d", depth), fmt.Sprint(st.Domain), ms(d1), ms(d2), fmt.Sprint(s1 == s2),

@@ -1,6 +1,7 @@
 package reductions
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -309,7 +310,7 @@ func TestCQToECRPQTriangle(t *testing.T) {
 		}
 		// Sanity: subdivided CQ matches original satisfiability.
 		splitQ := splitFormQuery(comps)
-		_, subSat, err := cq.EvalBacktrack(sub, splitQ)
+		_, subSat, err := cq.EvalBacktrack(context.Background(), sub, splitQ)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +430,7 @@ func TestCQToECRPQAgainstCQEvalProperty(t *testing.T) {
 			q.Atoms = append(q.Atoms, cq.Atom{Rel: "E", Args: []string{
 				vars[rng.Intn(len(vars))], vars[rng.Intn(len(vars))]}})
 		}
-		_, want, err := cq.EvalBacktrack(st, q)
+		_, want, err := cq.EvalBacktrack(context.Background(), st, q)
 		if err != nil {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -14,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"ecrpq/internal/core"
 	"ecrpq/internal/invariant"
+	"ecrpq/internal/query"
 )
 
 // denseDBText renders a dense deterministic database in the graphdb text
@@ -218,15 +221,15 @@ func TestTimeout504(t *testing.T) {
 }
 
 // TestTimedOutAnswersFreeWorker: a free-variable query enumerates its
-// answers with one CQ evaluation per candidate tuple (8000 here, each over
-// a six-figure relation — minutes of work). Past its deadline the request
-// gets its 504 and, because the enumeration polls the context between
-// evaluations, the only pool worker comes back: the next request is served
-// instead of sitting in the queue behind a wedged worker until its own
-// deadline.
+// answers by filtering and re-reducing the bag tables once per candidate
+// tuple (32 768 here, each over as many rows — seconds of work). Past its
+// deadline the request gets its 504 and, because the enumeration polls the
+// context between candidates, the only pool worker comes back: the next
+// request is served instead of sitting in the queue behind a wedged worker
+// until its own deadline.
 func TestTimedOutAnswersFreeWorker(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	registerDB(t, s, "g", denseDBText(20))
+	registerDB(t, s, "g", denseDBText(32))
 	answers := "alphabet a b\nfree x y z\nx -[$p1]-> y\ny -[$p2]-> z\nrel eqlen(p1, p2)\n"
 	rec, _ := doJSON(t, s, "POST", "/v1/query",
 		map[string]any{"db": "g", "query": answers, "strategy": "reduction", "timeout_ms": 400})
@@ -237,6 +240,68 @@ func TestTimedOutAnswersFreeWorker(t *testing.T) {
 		map[string]any{"db": "g", "query": quickQuery, "timeout_ms": 5000})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("follow-up query: code=%d, want 200: the timed-out query still holds the worker (%s)", rec.Code, rec.Body.String())
+	}
+}
+
+// pollLimitCtx reports context.DeadlineExceeded from its (left+1)-th Err
+// poll on: a deadline that expires at a chosen point of an evaluation.
+type pollLimitCtx struct {
+	context.Context
+	left int
+}
+
+func (c *pollLimitCtx) Err() error {
+	if c.left--; c.left < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestTimedOutBooleanHitFreesWorker is TestTimedOutAnswersFreeWorker for a
+// Boolean query served from a cached materialisation, where the work is the
+// Prop 2.3 join over 160 000 rows. A hit runs too briefly for a wall-clock
+// deadline to land inside it reliably, so the deadline is made to expire at
+// every poll in turn: the worker's evaluation returns the context's error
+// at that poll — the join stops within 4096 rows of its deadline instead of
+// holding the worker to the end — and polls often enough to show the join
+// itself is watching. Then the one worker serves the next request.
+func TestTimedOutBooleanHitFreesWorker(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	registerDB(t, s, "g", denseDBText(20))
+	const pair = "alphabet a b\nx -[$p1]-> y\nz -[$p2]-> w\nrel eqlen(p1, p2)\n"
+	var rows float64
+	for _, want := range []string{"miss", "hit"} {
+		rec, out := doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": pair, "strategy": "reduction"})
+		if rec.Code != http.StatusOK || out["cache"] != want {
+			t.Fatalf("code=%d cache=%v, want a 200 %s (%s)", rec.Code, out["cache"], want, rec.Body.String())
+		}
+		stats, _ := out["stats"].(map[string]any)
+		rows, _ = stats["CQTuples"].(float64)
+	}
+	q, err := query.ParseString(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := s.dbs.get("g")
+	polls := 0
+	for ; ; polls++ {
+		resp, err := s.evaluate(&pollLimitCtx{Context: context.Background(), left: polls}, entry, q, core.Reduction, "reduction")
+		if err == nil {
+			if resp.Cache != "hit" || !resp.Sat {
+				t.Fatalf("completed evaluation: cache=%q sat=%v", resp.Cache, resp.Sat)
+			}
+			break
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline at poll %d: err = %v, want context.DeadlineExceeded", polls, err)
+		}
+	}
+	if want := int(rows) / 4096; polls < want {
+		t.Errorf("a hit over %v rows polled its context %d times, want at least %d: the join does not watch its deadline", rows, polls, want)
+	}
+	rec, _ := doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": quickQuery, "timeout_ms": 5000})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("follow-up query: code=%d, want 200 (%s)", rec.Code, rec.Body.String())
 	}
 }
 

@@ -179,6 +179,58 @@ func TestGenericSearchWorkIsVisible(t *testing.T) {
 	}
 }
 
+// TestJoinWorkIsVisible: the core/cq_join stage of a materialised Reduction
+// evaluation carries the join's work counters (bags in the compiled plan,
+// relation rows scanned, rows of the largest bag table) in the executed
+// /v1/explain stage table, the slow-query log and /debug/trace.
+func TestJoinWorkIsVisible(t *testing.T) {
+	var logBuf bytes.Buffer
+	var mu sync.Mutex
+	s := New(Config{
+		Logger:             log.New(&syncWriter{w: &logBuf, mu: &mu}, "", 0),
+		SlowQueryThreshold: time.Nanosecond,
+	})
+	registerDB(t, s, "g", denseDBText(10))
+	// Two pair components chained on x2: two bags, each scanning its R'.
+	const chain = "alphabet a b\nx0 -[$p1]-> x1\nx1 -[$p2]-> x2\nx2 -[$p3]-> x3\nx3 -[$p4]-> x4\nrel eqlen(p1, p2)\nrel eqlen(p3, p4)\n"
+	rec, out := doJSON(t, s, "POST", "/v1/explain",
+		map[string]any{"db": "g", "query": chain, "strategy": "reduction", "execute": true})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("explain: %d %s", rec.Code, rec.Body.String())
+	}
+	var attrs map[string]any
+	stages, _ := out["stages"].([]any)
+	for _, st := range stages {
+		if row, _ := st.(map[string]any); row["stage"] == "core/cq_join" {
+			attrs, _ = row["attrs"].(map[string]any)
+		}
+	}
+	if n, _ := attrs["bags"].(float64); n != 2 {
+		t.Errorf("core/cq_join stage attrs[bags] = %v, want 2 (stages: %v)", attrs["bags"], stages)
+	}
+	in, _ := attrs["rows_in"].(float64)
+	peak, _ := attrs["rows_peak"].(float64)
+	if in < 2 || peak < 1 || peak > in {
+		t.Errorf("core/cq_join stage attrs: rows_in = %v, rows_peak = %v (stages: %v)", attrs["rows_in"], attrs["rows_peak"], stages)
+	}
+	doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": chain, "strategy": "reduction"})
+	mu.Lock()
+	logged := logBuf.String()
+	mu.Unlock()
+	for _, want := range []string{"event=slow_query name=query", `"core/cq_join"`, `"bags":2`, `"rows_in":`, `"rows_peak":`} {
+		if !strings.Contains(logged, want) {
+			t.Errorf("slow_query log missing %s:\n%s", want, logged)
+		}
+	}
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace/recent", nil))
+	for _, want := range []string{`"core/cq_join"`, `"rows_peak"`} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/debug/trace/recent missing %s:\n%s", want, rec.Body.String())
+		}
+	}
+}
+
 // TestTraceDisabled turns sampling off entirely: the endpoints must report
 // disabled and queries must still work.
 func TestTraceDisabled(t *testing.T) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestQueryFamiliesEvaluate(t *testing.T) {
 func TestCliqueCQ(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s, q := CliqueCQ(rng, 3, 8, 5, true)
-	_, sat, err := cq.EvalBacktrack(s, q)
+	_, sat, err := cq.EvalBacktrack(context.Background(), s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestCliqueCQ(t *testing.T) {
 	}
 	// Without planting and with no edges: unsat for k ≥ 2.
 	s2, q2 := CliqueCQ(rand.New(rand.NewSource(3)), 3, 8, 0, false)
-	_, sat2, err := cq.EvalBacktrack(s2, q2)
+	_, sat2, err := cq.EvalBacktrack(context.Background(), s2, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
