@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate cluster-gate plan-gate integrity-gate ci
+.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate cluster-gate plan-gate integrity-gate bench-check ci
 
 all: build test
 
@@ -219,9 +219,17 @@ integrity-gate:
 	$(GO) test -race -count=1 -tags faultinject ./internal/persist/ ./internal/server/ \
 		-run 'TestDigest|TestSidecar|TestScrub|TestQuarantine|TestIntegrity|TestAntiEntropy|TestReplicateRejects|TestClusterCorruption|TestChaosScrub|TestChaosReplicateDivergence|TestChaosClusterBitflip|TestChaosCrashBeforeSidecarRename|TestRestoreDigestMismatch|TestVerifyJournal'
 
+## bench-check builds, vets and tests the benchmark's nested module
+## (bench/go.mod, `replace ecrpq => ../`). The root `go test ./...` does not
+## see it, so without this a server or client refactor can break what
+## BENCHMARK.json runs and nothing notices.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 ## ci mirrors the GitHub Actions gate: build, vet, lint, tests, race
 ## tests, chaos suite, trace/govern zero-alloc gates, the streaming
 ## enumeration gate, the sweep-kernel gate, the generic product-search
 ## gate, the join-kernel gate, the planner gate, the multi-node cluster
-## gate, and the integrity gate.
-ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate plan-gate cluster-gate integrity-gate
+## gate, the integrity gate, and the benchmark module's own build and tests.
+ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate plan-gate cluster-gate integrity-gate bench-check

@@ -170,9 +170,19 @@ func TestClusterThroughputAndFailover(t *testing.T) {
 	// A 12-vertex ring makes the free-variable closure query cost ~15ms
 	// of evaluation — two orders of magnitude above the HTTP overhead, so
 	// throughput tracks the per-node evaluation slot, not the transport.
-	res, err := c0.RegisterDB(ctx, "accept", dbText(12))
-	if err != nil {
-		t.Fatalf("register: %v", err)
+	// A node that probed a peer before that peer was listening holds it
+	// unhealthy until the next probe; a write routed to such an owner is
+	// refused 503 OWNER_DOWN — not performed — so it is safe to send again.
+	var res *client.RegisterResult
+	for start := time.Now(); ; time.Sleep(100 * time.Millisecond) {
+		var err error
+		if res, err = c0.RegisterDB(ctx, "accept", dbText(12)); err == nil {
+			break
+		}
+		var se *client.StatusError
+		if !errors.As(err, &se) || se.ErrCode != "OWNER_DOWN" || time.Since(start) > 10*time.Second {
+			t.Fatalf("register: %v", err)
+		}
 	}
 	gen := res.Generation
 

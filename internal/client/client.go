@@ -319,6 +319,26 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	return nil, nil
 }
 
+// call marshals req, POSTs it to path under the retry policy (every JSON
+// call of the API is safe to repeat) and decodes the 2xx body into out.
+func (c *Client) call(ctx context.Context, path string, req, out any) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return fmt.Errorf("client: encoding %s request: %w", path, err)
+	}
+	return c.do(ctx, http.MethodPost, path, body, true, out)
+}
+
+// Read posts a read request to path (/v1/query, /v1/explain or
+// /v1/enumerate) and returns the success body undecoded. It is what a
+// cluster node relaying a read uses: the caller gets the holder's answer
+// byte for byte, not this package's idea of its fields.
+func (c *Client) Read(ctx context.Context, path string, req any) (json.RawMessage, error) {
+	var out json.RawMessage
+	err := c.call(ctx, path, req, &out)
+	return out, err
+}
+
 // --- API surface ---
 
 // Health is the GET /healthz body.
@@ -421,17 +441,20 @@ type QueryResponse struct {
 	Free      []string          `json:"free,omitempty"`
 	Stats     json.RawMessage   `json:"stats"`
 	ElapsedMs float64           `json:"elapsed_ms"`
+	// Degraded marks a satisfiability-only fallback answer: the server's
+	// memory budget could not cover the evaluation, so Sat is the
+	// db-independent decision (does the query hold on SOME database) and no
+	// witness or answer set is included. DegradedReason is "admission" or
+	// "evaluation".
+	Degraded       bool   `json:"degraded,omitempty"`
+	DegradedReason string `json:"degraded_reason,omitempty"`
 }
 
 // Query evaluates a query. Retried: evaluation is read-only, so repeating
 // a timed-out or shed request is safe.
 func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding query: %w", err)
-	}
 	var out QueryResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/query", body, true, &out); err != nil {
+	if err := c.call(ctx, "/v1/query", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -470,12 +493,8 @@ type EnumerateResponse struct {
 // enumeration) is not transient and surfaces immediately as a
 // *StatusError for the caller to restart from the first page.
 func (c *Client) Enumerate(ctx context.Context, req EnumerateRequest) (*EnumerateResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding enumerate request: %w", err)
-	}
 	var out EnumerateResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/enumerate", body, true, &out); err != nil {
+	if err := c.call(ctx, "/v1/enumerate", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -516,12 +535,8 @@ type ReplicateResult struct {
 // replica's current generation is a no-op), so re-sending after a timeout
 // can never double-apply or reorder.
 func (c *Client) Replicate(ctx context.Context, rec ReplicateRecord) (*ReplicateResult, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding replicate record: %w", err)
-	}
 	var out ReplicateResult
-	if err := c.do(ctx, http.MethodPost, "/v1/replicate", body, true, &out); err != nil {
+	if err := c.call(ctx, "/v1/replicate", rec, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -547,12 +562,8 @@ type PullResponse struct {
 // ReplicatePull performs one catch-up round-trip against an owner.
 // Retried (read-only on the owner; apply on the caller is monotonic).
 func (c *Client) ReplicatePull(ctx context.Context, req PullRequest) (*PullResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding pull request: %w", err)
-	}
 	var out PullResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/replicate/pull", body, true, &out); err != nil {
+	if err := c.call(ctx, "/v1/replicate/pull", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -591,6 +602,7 @@ type ExplainResponse struct {
 	QueryHash       string          `json:"query_hash"`
 	Generation      uint64          `json:"generation"`
 	StatsGeneration uint64          `json:"stats_generation,omitempty"`
+	StatsAgeSeconds float64         `json:"stats_age_seconds,omitempty"`
 	Plan            string          `json:"plan"`
 	Stages          []ExplainStage  `json:"stages,omitempty"`
 	Decision        json.RawMessage `json:"decision,omitempty"`
@@ -602,12 +614,8 @@ type ExplainResponse struct {
 // Explain asks the server which plan it would (or did) run for a query.
 // Retried (read-only; execute=true evaluations are idempotent).
 func (c *Client) Explain(ctx context.Context, req ExplainRequest) (*ExplainResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding explain request: %w", err)
-	}
 	var out ExplainResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/explain", body, true, &out); err != nil {
+	if err := c.call(ctx, "/v1/explain", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -646,12 +654,8 @@ func (c *Client) Integrity(ctx context.Context, db string) (*IntegrityInfo, erro
 
 // Measures reports a query's structural measures. Retried (read-only).
 func (c *Client) Measures(ctx context.Context, queryText string) (map[string]any, error) {
-	body, err := json.Marshal(map[string]string{"query": queryText})
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding measures request: %w", err)
-	}
 	var out map[string]any
-	if err := c.do(ctx, http.MethodPost, "/v1/measures", body, true, &out); err != nil {
+	if err := c.call(ctx, "/v1/measures", map[string]string{"query": queryText}, &out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -378,3 +378,39 @@ func TestEnumerateRetriedIdempotently(t *testing.T) {
 		t.Fatalf("client slept %v retrying a permanent 410", *slept)
 	}
 }
+
+// TestReadReturnsBodyVerbatim: Read goes through the same retry policy as
+// the typed calls but hands back the success body undecoded, so fields the
+// typed responses do not know (and the typed ones they now do) survive;
+// Query on the same body sees the degraded marking.
+func TestReadReturnsBodyVerbatim(t *testing.T) {
+	const body = `{"sat":true,"degraded":true,"degraded_reason":"admission","from_a_newer_build":[1,2]}`
+	calls, flaky := flakyHandler(1, http.StatusServiceUnavailable, nil)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Load() == 0 {
+			flaky(w, r)
+			return
+		}
+		calls.Add(1)
+		w.Write([]byte(body + "\n"))
+	}))
+	defer srv.Close()
+	c, _ := testClient(srv.URL, Config{})
+	raw, err := c.Read(context.Background(), "/v1/query", QueryRequest{DB: "g", Query: "q", Forwarded: true})
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if string(raw) != body {
+		t.Errorf("Read = %s, want the body as sent: %s", raw, body)
+	}
+	if c.Retries() != 1 {
+		t.Errorf("retries = %d, want 1: Read must ride the retry policy", c.Retries())
+	}
+	out, err := c.Query(context.Background(), QueryRequest{DB: "g", Query: "q"})
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if !out.Sat || !out.Degraded || out.DegradedReason != "admission" {
+		t.Errorf("Query = %+v, want the degraded marking decoded", out)
+	}
+}

@@ -18,6 +18,7 @@
 package planner
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -96,6 +97,26 @@ type Decision struct {
 	// UsedFallback marks a decision made without statistics, via the
 	// fixed core.AutoStrategy track-count rule.
 	UsedFallback bool `json:"used_fallback"`
+}
+
+// finite clamps an estimate into the range JSON can carry: the formulas
+// overflow to +Inf on large instances (and an Inf·0 makes a NaN), which
+// encoding/json refuses — the whole EXPLAIN payload would be lost.
+func finite(x float64) float64 {
+	if math.IsNaN(x) || x > math.MaxFloat64 {
+		return math.MaxFloat64
+	}
+	return x
+}
+
+// MarshalJSON renders the decision with its two totals clamped by finite
+// (stage estimates are clamped where they are built). In Go the totals
+// keep their +Inf, which is how "never plan into it" is expressed.
+func (d Decision) MarshalJSON() ([]byte, error) {
+	type plain Decision // same fields and tags, no method
+	p := plain(d)
+	p.GenericCost, p.ReductionCost = finite(p.GenericCost), finite(p.ReductionCost)
+	return json.Marshal(p)
 }
 
 // Resolve plans the query described by plan against the statistics in cat.
@@ -360,7 +381,9 @@ func (m *model) orderDP(n int) ([]int, float64) {
 // orderGreedy picks, at each step, the component with the cheapest
 // marginal cost (candidates × check), tie-breaking toward the more
 // selective component (smaller survivor fraction) so later steps see
-// fewer surviving assignments.
+// fewer surviving assignments. Past a few hundred components the survivor
+// estimate overflows and every marginal cost is +Inf (or NaN); the first
+// unused component then stands in, so the order is always a permutation.
 func (m *model) orderGreedy(n int) ([]int, float64) {
 	bound := map[string]bool{}
 	survivors := 1.0
@@ -380,8 +403,11 @@ func (m *model) orderGreedy(n int) ([]int, float64) {
 				}
 			}
 			cost := survivors * newDom * m.checkCost(ci)
+			if math.IsNaN(cost) {
+				cost = math.Inf(1)
+			}
 			sel := m.compSelectivity(ci)
-			if cost < bestCost || (cost == bestCost && sel < bestSel) {
+			if best < 0 || cost < bestCost || (cost == bestCost && sel < bestSel) {
 				best, bestCost, bestSel = ci, cost, sel
 			}
 		}
@@ -447,8 +473,10 @@ func (m *model) reductionCost() float64 {
 	return total + joinRows
 }
 
-func (m *model) toMs(cost float64) float64 {
-	return cost * m.cfg.nsPerUnit() / 1e6
+// stage is one trace-named estimate, clamped so it always encodes.
+func (m *model) stage(name, detail string, cost float64) StageEstimate {
+	cost = finite(cost)
+	return StageEstimate{Stage: name, Detail: detail, Cost: cost, EstimatedMs: finite(cost * m.cfg.nsPerUnit() / 1e6)}
 }
 
 // genericStages breaks the Generic estimate into trace-named stages.
@@ -465,17 +493,11 @@ func (m *model) genericStages(order []int) []StageEstimate {
 	for i, ci := range seq {
 		detail[i] = fmt.Sprintf("c%d{%s}", ci, strings.Join(m.plan.Components[ci].PathVars, ","))
 	}
-	return []StageEstimate{{
-		Stage:       "core/product_search",
-		Detail:      "component order " + strings.Join(detail, " → "),
-		Cost:        cost,
-		EstimatedMs: m.toMs(cost),
-	}}
+	return []StageEstimate{m.stage("core/product_search", "component order "+strings.Join(detail, " → "), cost)}
 }
 
 // reductionStages breaks the Reduction estimate into trace-named stages.
 func (m *model) reductionStages() []StageEstimate {
-	var out []StageEstimate
 	sweep := 0.0
 	for i := range m.plan.Components {
 		sweep += m.sweepCost(i)
@@ -487,26 +509,11 @@ func (m *model) reductionStages() []StageEstimate {
 	if len(m.plan.FreeTracks) > 0 {
 		joinRows += m.sigma * m.v * m.v * float64(len(m.plan.FreeTracks))
 	}
-	out = append(out, StageEstimate{
-		Stage:       "core/sweep",
-		Detail:      fmt.Sprintf("%d component R' sweep(s)", len(m.plan.Components)),
-		Cost:        sweep,
-		EstimatedMs: m.toMs(sweep),
-	})
-	out = append(out, StageEstimate{
-		Stage:       "core/cq_join",
-		Detail:      "tree-decomposition join over materialized rows",
-		Cost:        joinRows,
-		EstimatedMs: m.toMs(joinRows),
-	})
-	witness := float64(len(m.plan.Components)) * m.v
-	out = append(out, StageEstimate{
-		Stage:       "core/witness",
-		Detail:      "per-component witness recovery",
-		Cost:        witness,
-		EstimatedMs: m.toMs(witness),
-	})
-	return out
+	return []StageEstimate{
+		m.stage("core/sweep", fmt.Sprintf("%d component R' sweep(s)", len(m.plan.Components)), sweep),
+		m.stage("core/cq_join", "tree-decomposition join over materialized rows", joinRows),
+		m.stage("core/witness", "per-component witness recovery", float64(len(m.plan.Components))*m.v),
+	}
 }
 
 // SortedStageNames lists the distinct stage names of a decision, sorted —

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"ecrpq/internal/alphabet"
@@ -143,15 +144,8 @@ func TestComponentOrderIsPermutation(t *testing.T) {
 		if d.ComponentOrder == nil {
 			continue
 		}
-		if len(d.ComponentOrder) != len(plan.Components) {
-			t.Fatalf("order length %d, want %d", len(d.ComponentOrder), len(plan.Components))
-		}
-		seen := make([]bool, len(plan.Components))
-		for _, ci := range d.ComponentOrder {
-			if ci < 0 || ci >= len(seen) || seen[ci] {
-				t.Fatalf("order %v is not a permutation", d.ComponentOrder)
-			}
-			seen[ci] = true
+		if !isPermutation(d.ComponentOrder, len(plan.Components)) {
+			t.Fatalf("order %v is not a permutation of %d components", d.ComponentOrder, len(plan.Components))
 		}
 	}
 }
@@ -194,5 +188,63 @@ func TestHugeSweepForcesGeneric(t *testing.T) {
 	}
 	if !math.IsInf(d.ReductionCost, 1) {
 		t.Errorf("reduction cost = %v, want +Inf", d.ReductionCost)
+	}
+}
+
+// isPermutation reports whether order names each of 0…n-1 exactly once.
+func isPermutation(order []int, n int) bool {
+	if len(order) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, ci := range order {
+		if ci < 0 || ci >= n || seen[ci] {
+			return false
+		}
+		seen[ci] = true
+	}
+	return true
+}
+
+// singletonPlan is n one-track components over disjoint node variables.
+func singletonPlan(n int) *core.Plan {
+	plan := &core.Plan{Components: make([]core.PlanComponent, n)}
+	for i := range plan.Components {
+		x, y, p := "x"+strconv.Itoa(i), "y"+strconv.Itoa(i), "p"+strconv.Itoa(i)
+		plan.Components[i] = core.PlanComponent{
+			PathVars: []string{p}, NodeVars: []string{x, y}, Relations: 1, RelationStates: 2,
+			TrackSources: map[string]string{p: x}, TrackTargets: map[string]string{p: y},
+		}
+	}
+	return plan
+}
+
+// TestGreedyOrderSurvivesNonFiniteCosts: beyond dpMax components the greedy
+// order must stay a permutation when every marginal cost has overflowed to
+// +Inf (the survivor estimate passes 1e308 near 300 disjoint components) or
+// is NaN — it used to index used[-1] because no candidate beat +Inf.
+func TestGreedyOrderSurvivesNonFiniteCosts(t *testing.T) {
+	dense := &stats.Catalog{Generation: 1, Vertices: 1000, Edges: 4000, AnyReachSelectivity: 1}
+	for _, tc := range []struct {
+		name string
+		cat  *stats.Catalog
+		n    int
+	}{
+		{"overflow to +Inf", dense, 301},
+		{"just past dpMax", dense, 9},
+		{"NaN from the first step", &stats.Catalog{Generation: 1, Vertices: 10, AnyReachSelectivity: math.NaN()}, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := singletonPlan(tc.n)
+			m := newModel(tc.cat, plan, Config{})
+			order, _ := m.orderGreedy(tc.n)
+			if !isPermutation(order, tc.n) {
+				t.Fatalf("greedy order over %d components is not a permutation: %v", tc.n, order)
+			}
+			d := Resolve(tc.cat, plan, core.Options{Strategy: core.Generic}, Config{})
+			if !isPermutation(d.ComponentOrder, tc.n) {
+				t.Fatalf("Resolve: component order is not a permutation: %v", d.ComponentOrder)
+			}
+		})
 	}
 }

@@ -615,17 +615,22 @@ func (s *Server) forwardTargets(c *cluster.Cluster, db string) []cluster.Peer {
 	return append(out, down...)
 }
 
-// forward routes a read to another holder of db, failing over across
-// targets on transport errors. A peer that answers — success or a typed
-// refusal (stale cursor, bad query, overload) — ends the attempt: its
+// forward routes a read to another holder of its database, failing over
+// across targets on transport errors. A peer that answers — success or a
+// typed refusal (stale cursor, bad query, overload) — ends the attempt: its
 // decision would be the same everywhere, so failing over on it would just
-// multiply load. The response is re-encoded verbatim for the caller.
-func (s *Server) forward(ctx context.Context, c *cluster.Cluster, w http.ResponseWriter, db string, call func(context.Context, *client.Client) (any, error)) {
+// multiply load. The request goes out as it came in, marked forwarded, and
+// the peer's success body comes back verbatim: whatever the holder said —
+// a degraded marking, a field this node's build does not know — reaches the
+// caller. Each hop is bounded by the peer's own deadline plus margin for
+// transport and queueing.
+func (s *Server) forward(ctx context.Context, c *cluster.Cluster, w http.ResponseWriter, op *readOp, req readRequest) {
 	fctx, sp := trace.StartSpan(ctx, "cluster/forward")
 	defer sp.End()
-	targets := s.forwardTargets(c, db)
+	req.Forwarded = true
+	hop := s.clampTimeout(req.TimeoutMs) + 5*time.Second
 	var lastErr error
-	for _, p := range targets {
+	for _, p := range s.forwardTargets(c, req.DB) {
 		if err := faultinject.Point("cluster.partition"); err != nil {
 			s.mForwardErrors.Inc()
 			lastErr = err
@@ -636,11 +641,14 @@ func (s *Server) forward(ctx context.Context, c *cluster.Cluster, w http.Respons
 			lastErr = err
 			continue
 		}
-		out, err := call(fctx, c.ClientFor(p.ID))
+		hctx, cancel := context.WithTimeout(fctx, hop)
+		raw, err := c.ClientFor(p.ID).Read(hctx, "/v1/"+op.name, req)
+		cancel()
 		if err == nil {
 			s.mForwards.Inc()
 			c.MarkSuccess(p.ID)
-			writeJSON(w, http.StatusOK, out)
+			w.Header().Set("Content-Type", "application/json; charset=utf-8")
+			fmt.Fprintf(w, "%s\n", raw)
 			return
 		}
 		var se *client.StatusError
@@ -670,70 +678,9 @@ func (s *Server) forward(ctx context.Context, c *cluster.Cluster, w http.Respons
 		lastErr = err
 	}
 	w.Header().Set("Retry-After", "2")
+	msg := fmt.Sprintf("no reachable replica holds %q", req.DB)
 	if lastErr != nil {
-		writeErrorCode(w, http.StatusServiceUnavailable, "NO_REPLICA",
-			fmt.Sprintf("no reachable replica holds %q: %v", db, lastErr))
-		return
+		msg += ": " + lastErr.Error()
 	}
-	writeErrorCode(w, http.StatusServiceUnavailable, "NO_REPLICA",
-		fmt.Sprintf("no reachable replica holds %q", db))
-}
-
-// forwardTimeout bounds one forwarded hop: the peer's own deadline plus
-// margin for transport and queueing.
-func (s *Server) forwardTimeout(timeoutMs int64) time.Duration {
-	t := s.cfg.DefaultTimeout
-	if timeoutMs > 0 {
-		t = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if t > s.cfg.MaxTimeout {
-		t = s.cfg.MaxTimeout
-	}
-	return t + 5*time.Second
-}
-
-// forwardQuery proxies a /v1/query for a database this node does not
-// hold.
-func (s *Server) forwardQuery(ctx context.Context, c *cluster.Cluster, w http.ResponseWriter, req queryRequest) {
-	creq := client.QueryRequest{
-		DB: req.DB, Query: req.Query, Strategy: req.Strategy,
-		TimeoutMs: req.TimeoutMs, Forwarded: true,
-	}
-	s.forward(ctx, c, w, req.DB, func(fctx context.Context, cl *client.Client) (any, error) {
-		cctx, cancel := context.WithTimeout(fctx, s.forwardTimeout(req.TimeoutMs))
-		defer cancel()
-		return cl.Query(cctx, creq)
-	})
-}
-
-// forwardExplain proxies a /v1/explain for a database this node does not
-// hold. The serving holder plans from its local (replicated) catalog; the
-// catalog replicates byte-identically with the registration, so the
-// answer matches what the owner would say.
-func (s *Server) forwardExplain(ctx context.Context, c *cluster.Cluster, w http.ResponseWriter, req explainRequest) {
-	creq := client.ExplainRequest{
-		DB: req.DB, Query: req.Query, Strategy: req.Strategy,
-		Execute: req.Execute, TimeoutMs: req.TimeoutMs, Forwarded: true,
-	}
-	s.forward(ctx, c, w, req.DB, func(fctx context.Context, cl *client.Client) (any, error) {
-		cctx, cancel := context.WithTimeout(fctx, s.forwardTimeout(req.TimeoutMs))
-		defer cancel()
-		return cl.Explain(cctx, creq)
-	})
-}
-
-// forwardEnumerate proxies a /v1/enumerate page, cursor included
-// verbatim; the serving holder validates the cursor's generation against
-// its own copy, which is what makes a behind replica answer 410
-// STALE_CURSOR instead of splicing pages from two snapshots.
-func (s *Server) forwardEnumerate(ctx context.Context, c *cluster.Cluster, w http.ResponseWriter, req enumerateRequest) {
-	creq := client.EnumerateRequest{
-		DB: req.DB, Query: req.Query, Strategy: req.Strategy,
-		Limit: req.Limit, Cursor: req.Cursor, TimeoutMs: req.TimeoutMs, Forwarded: true,
-	}
-	s.forward(ctx, c, w, req.DB, func(fctx context.Context, cl *client.Client) (any, error) {
-		cctx, cancel := context.WithTimeout(fctx, s.forwardTimeout(req.TimeoutMs))
-		defer cancel()
-		return cl.Enumerate(cctx, creq)
-	})
+	writeErrorCode(w, http.StatusServiceUnavailable, "NO_REPLICA", msg)
 }

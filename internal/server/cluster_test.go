@@ -38,10 +38,16 @@ func (n *testClusterNode) url(path string) string { return n.ts.URL + path }
 // node's Server is shut down at cleanup.
 func newTestCluster(t *testing.T, n, rf, attach int) []*testClusterNode {
 	t.Helper()
+	return newTestClusterCfg(t, Config{}, n, rf, attach)
+}
+
+// newTestClusterCfg is newTestCluster with every node built from cfg.
+func newTestClusterCfg(t *testing.T, cfg Config, n, rf, attach int) []*testClusterNode {
+	t.Helper()
 	nodes := make([]*testClusterNode, n)
 	peers := make([]cluster.Peer, n)
 	for i := range nodes {
-		srv := newTestServer(t, Config{})
+		srv := newTestServer(t, cfg)
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		id := fmt.Sprintf("n%d", i+1)
@@ -527,4 +533,74 @@ func TestClusterRegisterDBOwnershipCheck(t *testing.T) {
 	if err := nodes[0].srv.RegisterDB(mine, db); err != nil {
 		t.Errorf("RegisterDB on the owner: %v", err)
 	}
+}
+
+// nonHolder returns a node that does not hold name (rf < cluster size).
+func nonHolder(t *testing.T, nodes []*testClusterNode, name string) *testClusterNode {
+	t.Helper()
+	holders := nodes[0].cl.Holders(name)
+	for _, nd := range nodes {
+		if !contains(holders, nd.id) {
+			return nd
+		}
+	}
+	t.Fatalf("every node holds %q", name)
+	return nil
+}
+
+// TestClusterForwardKeepsEveryField: a forwarded read relays the holder's
+// success body as it is. Decoding it into the client's response types and
+// re-encoding dropped whatever those types did not know — a degraded,
+// db-independent satisfiability answer reached the caller of a non-holder
+// looking like a real sat for that database, and a forwarded explain lost
+// its stats_age_seconds.
+func TestClusterForwardKeepsEveryField(t *testing.T) {
+	t.Run("degraded query", func(t *testing.T) {
+		// Below the admission floor everywhere: holders can only answer
+		// through the satisfiability fallback. The non-holder forwards before
+		// it reserves anything, so its own budget does not come into it.
+		nodes := newTestClusterCfg(t, Config{
+			MemBudgetBytes: 32 << 10, QueryReserveBytes: 64 << 10, DegradedFallback: true,
+		}, 3, 2, 3)
+		name := nameOwnedBy(t, nodes[0].cl, "n1")
+		if err := nodeByID(t, nodes, "n1").srv.RegisterDB(name, mustParseDB(t, "alphabet a b\nu a v\nv b w\n")); err != nil {
+			t.Fatal(err)
+		}
+		waitHolds(t, nodes, nodes[0].cl, name, 1)
+		via := nonHolder(t, nodes, name)
+		body, err := json.Marshal(map[string]any{"db": name, "query": quickQuery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out, _ := httpJSON(t, http.DefaultClient, "POST", via.url("/v1/query"), body)
+		if code != http.StatusOK {
+			t.Fatalf("query via non-holder %s: %d (%v)", via.id, code, out)
+		}
+		if via.srv.mForwards.Value() != 1 {
+			t.Fatalf("non-holder recorded %d forwards, want 1", via.srv.mForwards.Value())
+		}
+		if out["degraded"] != true || out["degraded_reason"] != "admission" || out["strategy"] != "satisfiability" {
+			t.Errorf("degraded answer lost its marking on the way through %s: %v", via.id, out)
+		}
+	})
+	t.Run("explain", func(t *testing.T) {
+		nodes := newTestCluster(t, 3, 2, 3)
+		name := nameOwnedBy(t, nodes[0].cl, "n1")
+		if err := nodeByID(t, nodes, "n1").srv.RegisterDB(name, mustParseDB(t, denseDBText(8))); err != nil {
+			t.Fatal(err)
+		}
+		waitHolds(t, nodes, nodes[0].cl, name, 1)
+		via := nonHolder(t, nodes, name)
+		body, err := json.Marshal(map[string]any{"db": name, "query": quickQuery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out, _ := httpJSON(t, http.DefaultClient, "POST", via.url("/v1/explain"), body)
+		if code != http.StatusOK {
+			t.Fatalf("explain via non-holder %s: %d (%v)", via.id, code, out)
+		}
+		if age, _ := out["stats_age_seconds"].(float64); age <= 0 {
+			t.Errorf("forwarded explain has stats_age_seconds=%v, want the holder's positive age: %v", out["stats_age_seconds"], out)
+		}
+	})
 }

@@ -16,31 +16,12 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
-	"ecrpq/internal/core"
-	"ecrpq/internal/govern"
-	"ecrpq/internal/query"
 	"ecrpq/internal/stream"
-	"ecrpq/internal/trace"
 )
-
-// enumerateRequest is the POST /v1/enumerate body. Cursor, when set,
-// must come from a previous response for the same db/query/strategy.
-type enumerateRequest struct {
-	DB        string `json:"db"`
-	Query     string `json:"query"`
-	Strategy  string `json:"strategy"`
-	Limit     int    `json:"limit"`
-	Cursor    string `json:"cursor"`
-	TimeoutMs int64  `json:"timeout_ms"`
-	// Forwarded marks a request relayed by another cluster node (see
-	// queryRequest.Forwarded).
-	Forwarded bool `json:"fwd,omitempty"`
-}
 
 // enumerateResponse is one page of answers. More=true means NextCursor
 // resumes the enumeration; a Boolean satisfiable query yields a single
@@ -90,196 +71,63 @@ func decodeCursor(s string) (enumCursor, error) {
 	return c, nil
 }
 
-// handleEnumerate is the paginated enumeration endpoint. Admission is
-// identical to /v1/query (drain, quota, shed, memory reservation, pool);
-// the cursor is validated against the request and the live database
-// generation before any evaluation work is admitted.
-func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeDraining(w)
-		return
+// checkCursor is /v1/enumerate's pre-admission check: the cursor is
+// validated against the request and the live database generation before
+// any evaluation work is admitted. False means the refusal is written.
+func (s *Server) checkCursor(w http.ResponseWriter, c *readCall) bool {
+	if c.Cursor == "" {
+		return true
 	}
-	if !s.admitClient(w, r) {
-		return
-	}
-	var req enumerateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", maxBodyBytes))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return
-	}
-	strat, stratName, err := parseStrategy(req.Strategy)
+	cur, err := decodeCursor(c.Cursor)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return false
 	}
-	limit := req.Limit
-	if limit <= 0 {
-		limit = s.cfg.EnumerateDefaultLimit
+	if cur.Q != c.hash || cur.DB != c.DB || cur.S != c.stratName || cur.Off < 0 {
+		writeError(w, http.StatusBadRequest,
+			"cursor does not belong to this query/database/strategy combination")
+		return false
 	}
-	if limit > s.cfg.EnumerateMaxLimit {
-		limit = s.cfg.EnumerateMaxLimit
+	if cur.Gen != c.entry.gen {
+		// The database was replaced since the cursor was minted: its
+		// enumeration order no longer exists. Clients restart from the
+		// first page.
+		s.mStaleCursors.Inc()
+		writeErrorCode(w, http.StatusGone, "STALE_CURSOR",
+			fmt.Sprintf("database %q was re-registered (generation %d, cursor has %d); restart the enumeration",
+				c.DB, c.entry.gen, cur.Gen))
+		return false
 	}
-	tctx, tr := s.startTrace(r.Context(), "enumerate")
-	defer s.finishTrace(tr)
-	tr.SetStr("db", req.DB)
-	tr.SetStr("strategy_requested", stratName)
-	psp := tr.Start("server/parse")
-	q, err := query.ParseString(req.Query)
-	psp.End()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	hash := query.Hash(q)
-	entry, ok := s.dbs.get(req.DB)
-	if !ok {
-		// Not held here: relay to a holder, cursor included verbatim. The
-		// serving holder validates the cursor's generation, so a stale
-		// cursor still gets its 410 no matter which node answers.
-		if c := s.clusterHandle(); c != nil && !req.Forwarded {
-			s.forwardEnumerate(tctx, c, w, req)
-			return
-		}
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no database %q (register with POST /v1/dbs/{name})", req.DB))
-		return
-	}
-	// Quarantined content must not back a page — a cursor resumed against
-	// a corrupt copy would splice wrong answers into an otherwise good
-	// stream. Fail over (cursor included verbatim: generations match
-	// cluster-wide) or refuse.
-	if s.isQuarantined(req.DB) {
-		if c := s.clusterHandle(); c != nil && !req.Forwarded {
-			s.forwardEnumerate(tctx, c, w, req)
-			return
-		}
-		s.refuseCorrupt(w, req.DB)
-		return
-	}
-	offset := 0
-	if req.Cursor != "" {
-		cur, err := decodeCursor(req.Cursor)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if cur.Q != hash || cur.DB != req.DB || cur.S != stratName || cur.Off < 0 {
-			writeError(w, http.StatusBadRequest,
-				"cursor does not belong to this query/database/strategy combination")
-			return
-		}
-		if cur.Gen != entry.gen {
-			// The database was replaced since the cursor was minted: its
-			// enumeration order no longer exists. Clients restart from the
-			// first page.
-			s.mStaleCursors.Inc()
-			writeErrorCode(w, http.StatusGone, "STALE_CURSOR",
-				fmt.Sprintf("database %q was re-registered (generation %d, cursor has %d); restart the enumeration",
-					req.DB, entry.gen, cur.Gen))
-			return
-		}
-		offset = cur.Off
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(tctx, timeout)
-	defer cancel()
-
-	rsp := tr.Start("govern/reserve")
-	res, rerr := s.broker.Reserve(s.cfg.QueryReserveBytes)
-	rsp.End()
-	if rerr != nil {
-		s.mResourceDenied.Inc()
-		w.Header().Set("Retry-After", "2")
-		writeErrorCode(w, http.StatusTooManyRequests, "RESOURCE_EXHAUSTED",
-			"insufficient memory budget to admit query: "+rerr.Error())
-		return
-	}
-	ctx = govern.NewContext(ctx, res)
-
-	s.mEnumerates.Inc()
-	s.inflight.Add(1)
-	s.mInflight.Inc()
-	defer func() {
-		s.inflight.Add(-1)
-		s.mInflight.Dec()
-	}()
-
-	done, admitted := s.dispatch(ctx, tr, res, func() (any, error) {
-		return s.enumerate(ctx, entry, q, hash, strat, stratName, limit, offset)
-	})
-	if !admitted {
-		res.Release()
-		s.mRejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeErrorCode(w, http.StatusTooManyRequests, "OVERLOADED",
-			"server at capacity, try again later")
-		return
-	}
-
-	select {
-	case out := <-done:
-		if out.err != nil {
-			s.writeEvalError(w, tr, nil, out.err, timeout)
-			return
-		}
-		tr.SetInt("mem_peak_bytes", res.Peak())
-		writeJSON(w, http.StatusOK, out.resp)
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.mTimeouts.Inc()
-			writeError(w, http.StatusGatewayTimeout,
-				fmt.Sprintf("query exceeded its %s deadline", timeout))
-			return
-		}
-		writeError(w, statusClientClosedRequest, "request cancelled")
-	}
+	c.offset = cur.Off
+	return true
 }
 
 // enumerate runs on a pool worker: plan-cache lookup (plans only — a
 // streamed query never materializes, so there is nothing db-generational
 // to cache), then one lazy page of the enumeration.
-func (s *Server) enumerate(ctx context.Context, entry *dbEntry, q *query.Query, hash string, strat core.Strategy, stratName string, limit, offset int) (*enumerateResponse, error) {
+func (s *Server) enumerate(ctx context.Context, c *readCall) (*enumerateResponse, error) {
 	start := time.Now()
-	tr := trace.FromContext(ctx)
-	tr.SetStr("query_hash", hash)
+	limit := c.Limit
+	if limit <= 0 {
+		limit = s.cfg.EnumerateDefaultLimit
+	}
+	limit = min(limit, s.cfg.EnumerateMaxLimit)
 	// The planner's decision (not its hints) applies here: strategy choice
 	// is deterministic per generation, so the public enumeration order
 	// stays cursor-stable, while ordering/pushdown hints are withheld —
 	// they must never perturb the order pages are defined over.
-	prepared, _, resolved, cacheState, err := s.preparedPlan(ctx, entry, q, hash, strat, stratName, s.coreOptions(strat))
+	rp, err := s.resolvePlan(ctx, c, false)
 	if err != nil {
 		return nil, err
 	}
-	tr.SetStr("strategy", resolved)
-	tr.SetStr("cache", cacheState)
-	if cacheState == "hit" {
-		s.mCacheHits.Inc()
-	} else {
-		s.mCacheMisses.Inc()
-	}
-	s.noteDBCacheRequest(entry.name, cacheState == "hit")
-
-	it, err := prepared.Enumerate(ctx, entry.db)
+	it, err := rp.prepared.Enumerate(ctx, c.entry.db)
 	if err != nil {
 		return nil, err
 	}
 	defer it.Close()
 	// limit+1 probes for a further page without a count query; the extra
 	// tuple is dropped from the response.
-	page := stream.Limit(stream.Offset(it, offset), limit+1)
+	page := stream.Limit(stream.Offset(it, c.offset), limit+1)
 	defer page.Close()
 	rows, err := stream.Collect(page)
 	if err != nil {
@@ -289,29 +137,21 @@ func (s *Server) enumerate(ctx context.Context, entry *dbEntry, q *query.Query, 
 	if more {
 		rows = rows[:limit]
 	}
-	named := make([][]string, len(rows))
-	for i, tup := range rows {
-		row := make([]string, len(tup))
-		for j, v := range tup {
-			row[j] = entry.db.VertexName(v)
-		}
-		named[i] = row
-	}
 	elapsed := time.Since(start)
 	s.mEvalLatency.Observe(elapsed)
 	resp := &enumerateResponse{
-		Answers:   named,
-		Free:      q.Free,
-		Count:     len(named),
+		Answers:   vertexNames(c.entry.db, rows),
+		Free:      c.q.Free,
+		Count:     len(rows),
 		More:      more,
-		Strategy:  resolved,
-		Cache:     cacheState,
-		QueryHash: hash,
+		Strategy:  rp.strategy,
+		Cache:     rp.cache,
+		QueryHash: c.hash,
 		ElapsedMs: float64(elapsed.Microseconds()) / 1000,
 	}
 	if more {
 		resp.NextCursor = encodeCursor(enumCursor{
-			Q: hash, DB: entry.name, Gen: entry.gen, S: stratName, Off: offset + limit,
+			Q: c.hash, DB: c.entry.name, Gen: c.entry.gen, S: c.stratName, Off: c.offset + limit,
 		})
 	}
 	return resp, nil

@@ -10,30 +10,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net/http"
 	"time"
 
 	"ecrpq/internal/core"
-	"ecrpq/internal/govern"
 	"ecrpq/internal/planner"
-	"ecrpq/internal/query"
 	"ecrpq/internal/trace"
 )
-
-// explainRequest is the POST /v1/explain body.
-type explainRequest struct {
-	DB       string `json:"db"`
-	Query    string `json:"query"`
-	Strategy string `json:"strategy"`
-	// Execute runs the query after planning and reports measured stage
-	// times alongside the estimates.
-	Execute   bool  `json:"execute"`
-	TimeoutMs int64 `json:"timeout_ms"`
-	Forwarded bool  `json:"fwd,omitempty"`
-}
 
 // explainStage is one plan stage: the planner's estimate and, when the
 // query was executed, the traced actual self-time for the same span name
@@ -68,135 +50,18 @@ type explainResponse struct {
 	ElapsedMs       float64           `json:"elapsed_ms"`
 }
 
-// handleExplain mirrors handleQuery's admission (drain, quota, shed,
-// memory reservation, worker pool): an execute=true explanation is a full
+// explain runs on a pool worker — an execute=true explanation is a full
 // evaluation and must compete like one, and even plan-only requests run
-// Explain/Resolve work worth admitting.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeDraining(w)
-		return
-	}
-	if !s.admitClient(w, r) {
-		return
-	}
-	var req explainRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", maxBodyBytes))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return
-	}
-	strat, stratName, err := parseStrategy(req.Strategy)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tctx, tr := s.startTrace(r.Context(), "explain")
-	defer s.finishTrace(tr)
-	tr.SetStr("db", req.DB)
-	tr.SetStr("strategy_requested", stratName)
-	psp := tr.Start("server/parse")
-	q, err := query.ParseString(req.Query)
-	psp.End()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	entry, ok := s.dbs.get(req.DB)
-	if !ok {
-		if c := s.clusterHandle(); c != nil && !req.Forwarded {
-			s.forwardExplain(tctx, c, w, req)
-			return
-		}
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no database %q (register with POST /v1/dbs/{name})", req.DB))
-		return
-	}
-	if s.isQuarantined(req.DB) {
-		if c := s.clusterHandle(); c != nil && !req.Forwarded {
-			s.forwardExplain(tctx, c, w, req)
-			return
-		}
-		s.refuseCorrupt(w, req.DB)
-		return
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(tctx, timeout)
-	defer cancel()
-
-	rsp := tr.Start("govern/reserve")
-	res, rerr := s.broker.Reserve(s.cfg.QueryReserveBytes)
-	rsp.End()
-	if rerr != nil {
-		s.mResourceDenied.Inc()
-		w.Header().Set("Retry-After", "2")
-		writeErrorCode(w, http.StatusTooManyRequests, "RESOURCE_EXHAUSTED",
-			"insufficient memory budget to admit explain: "+rerr.Error())
-		return
-	}
-	ctx = govern.NewContext(ctx, res)
-
-	s.inflight.Add(1)
-	s.mInflight.Inc()
-	defer func() {
-		s.inflight.Add(-1)
-		s.mInflight.Dec()
-	}()
-
-	done, admitted := s.dispatch(ctx, tr, res, func() (any, error) {
-		return s.explain(ctx, entry, q, strat, stratName, req.Execute)
-	})
-	if !admitted {
-		res.Release()
-		s.mRejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeErrorCode(w, http.StatusTooManyRequests, "OVERLOADED",
-			"server at capacity, try again later")
-		return
-	}
-
-	select {
-	case out := <-done:
-		if out.err != nil {
-			s.writeEvalError(w, tr, nil, out.err, timeout)
-			return
-		}
-		writeJSON(w, http.StatusOK, out.resp)
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.mTimeouts.Inc()
-			writeError(w, http.StatusGatewayTimeout,
-				fmt.Sprintf("explain exceeded its %s deadline", timeout))
-			return
-		}
-		writeError(w, statusClientClosedRequest, "request cancelled")
-	}
-}
-
-// explain runs on a pool worker: resolve the plan (through the same
+// Explain/Resolve work worth admitting: resolve the plan (through the same
 // cached decision execution uses), render its cost breakdown, and when
 // execute is set run the evaluation under a dedicated trace and fold the
 // measured stage self-times into the breakdown.
-func (s *Server) explain(ctx context.Context, entry *dbEntry, q *query.Query, strat core.Strategy, stratName string, execute bool) (*explainResponse, error) {
+func (s *Server) explain(ctx context.Context, c *readCall) (*explainResponse, error) {
 	start := time.Now()
-	hash := query.Hash(q)
-
 	var dec *planner.Decision
 	source := "requested"
-	if strat == core.Auto {
-		d, err := s.planDecision(ctx, entry, q, hash)
+	if c.strat == core.Auto {
+		d, err := s.planDecision(ctx, c)
 		if err != nil {
 			return nil, err
 		}
@@ -209,16 +74,16 @@ func (s *Server) explain(ctx context.Context, entry *dbEntry, q *query.Query, st
 	} else {
 		// A forced strategy is kept, but still costed so the operator sees
 		// what the choice is expected to pay.
-		plan, err := core.Explain(q, s.coreOptions(strat))
+		plan, err := core.Explain(c.q, s.coreOptions(c.strat))
 		if err != nil {
 			return nil, err
 		}
-		dec = planner.Resolve(entry.stats, plan, s.coreOptions(strat), s.cfg.Planner)
+		dec = planner.Resolve(c.entry.stats, plan, s.coreOptions(c.strat), s.cfg.Planner)
 	}
 
 	// The rendered plan reflects the resolved strategy, not the fixed
 	// rule's idea of "auto".
-	plan, err := core.Explain(q, s.coreOptions(dec.Strategy))
+	plan, err := core.Explain(c.q, s.coreOptions(dec.Strategy))
 	if err != nil {
 		return nil, err
 	}
@@ -226,14 +91,14 @@ func (s *Server) explain(ctx context.Context, entry *dbEntry, q *query.Query, st
 	resp := &explainResponse{
 		Strategy:        dec.Strategy.String(),
 		StrategySource:  source,
-		QueryHash:       hash,
-		Generation:      entry.gen,
+		QueryHash:       c.hash,
+		Generation:      c.entry.gen,
 		StatsGeneration: dec.StatsGeneration,
 		Plan:            plan.String(),
 		Decision:        dec,
 	}
-	if entry.stats != nil {
-		resp.StatsAgeSeconds = statsAge(entry.registeredAt)
+	if c.entry.stats != nil {
+		resp.StatsAgeSeconds = statsAge(c.entry.registeredAt)
 	}
 	for _, st := range dec.Stages {
 		resp.Stages = append(resp.Stages, explainStage{
@@ -241,13 +106,12 @@ func (s *Server) explain(ctx context.Context, entry *dbEntry, q *query.Query, st
 		})
 	}
 
-	if execute {
+	if c.Execute {
 		// A dedicated always-on trace (the request's sampled trace may be
 		// nil) measures the evaluation's per-stage self-times. Free-variable
 		// queries run exactly as /v1/query would; only the timings are kept.
 		etr := trace.New("explain_exec")
-		ectx := trace.NewContext(ctx, etr)
-		out, err := s.evaluate(ectx, entry, q, strat, stratName)
+		out, err := s.evaluate(trace.NewContext(ctx, etr), c)
 		etr.Finish()
 		if err != nil {
 			return nil, err

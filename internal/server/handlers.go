@@ -17,27 +17,70 @@ import (
 	"ecrpq/internal/plancache"
 	"ecrpq/internal/planner"
 	"ecrpq/internal/query"
+	"ecrpq/internal/server/metrics"
 	"ecrpq/internal/trace"
 )
 
 // maxBodyBytes bounds request bodies (databases and queries are text).
 const maxBodyBytes = 64 << 20
 
-// queryRequest is the POST /v1/query body.
-type queryRequest struct {
+// readRequest is the body of the three read endpoints (POST /v1/query,
+// /v1/explain, /v1/enumerate): one superset struct, decoded once, and
+// marshalled again as it stands — with fwd set — when the request is
+// relayed to a holder. An endpoint ignores the fields it has no use for.
+type readRequest struct {
 	// DB names a registered database.
 	DB string `json:"db"`
 	// Query is the query text in the internal/query DSL.
 	Query string `json:"query"`
 	// Strategy is auto (default), generic, or reduction.
-	Strategy string `json:"strategy"`
+	Strategy string `json:"strategy,omitempty"`
 	// TimeoutMs overrides the server's default per-request timeout,
 	// clamped to the configured maximum.
-	TimeoutMs int64 `json:"timeout_ms"`
+	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// Forwarded marks a request relayed by another cluster node. A
 	// forwarded request is never forwarded again — if the database is not
 	// here either, that is a 404, not a routing loop.
 	Forwarded bool `json:"fwd,omitempty"`
+	// Execute (/v1/explain) runs the query after planning and reports
+	// measured stage times alongside the estimates.
+	Execute bool `json:"execute,omitempty"`
+	// Limit and Cursor (/v1/enumerate) are the page size and the previous
+	// response's next_cursor for the same db/query/strategy.
+	Limit  int    `json:"limit,omitempty"`
+	Cursor string `json:"cursor,omitempty"`
+}
+
+// readCall is one read request on its way through the pipeline: the
+// decoded body plus everything serveRead resolves from it before a worker
+// sees it.
+type readCall struct {
+	readRequest
+	strat     core.Strategy
+	stratName string // normalized Strategy
+	q         *query.Query
+	hash      string // query.Hash(q), computed once
+	entry     *dbEntry
+	offset    int // /v1/enumerate: tuples already returned, from the validated cursor
+}
+
+// readOp is what distinguishes one read endpoint from another; everything
+// else is serveRead.
+type readOp struct {
+	// name is the path segment (/v1/<name>), the trace name, and the noun
+	// in refusal messages.
+	name string
+	// total counts requests that passed admission.
+	total *metrics.Counter
+	// degraded: a memory denial may be answered by the satisfiability
+	// fallback instead of a 429 (enumeration pages and plans have no
+	// meaningful degraded form).
+	degraded bool
+	// check, when set, validates the located request before anything is
+	// reserved; false means it wrote the refusal.
+	check func(http.ResponseWriter, *readCall) bool
+	// run is the worker side.
+	run func(context.Context, *readCall) (any, error)
 }
 
 // queryResponse is the POST /v1/query success body.
@@ -100,16 +143,22 @@ func writeDraining(w http.ResponseWriter) {
 func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", maxBodyBytes))
-			return nil, false
-		}
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		writeBodyError(w, "reading body", err)
 		return nil, false
 	}
 	return body, true
+}
+
+// writeBodyError answers a body that could not be read or decoded: 413
+// past maxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the %d-byte limit", maxBodyBytes))
+		return
+	}
+	writeError(w, http.StatusBadRequest, what+": "+err.Error())
 }
 
 // handleRegisterDB loads the request body as a graph database and installs
@@ -242,136 +291,127 @@ func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleQuery is the evaluation endpoint: parse, admit, evaluate with
-// plan-cache reuse under a per-request deadline.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeDraining(w)
-		return
-	}
-	if !s.admitClient(w, r) {
-		return
-	}
-	var req queryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", maxBodyBytes))
+// serveRead is the one read-request pipeline: /v1/query, /v1/explain and
+// /v1/enumerate are the same admission and evaluation problem and differ
+// only in their readOp. Stages, in order, each with its refusal: drain
+// (503), quota and shed (429), body (413/400), strategy (400), parse (400),
+// locate (forward / 404 / 503 CORRUPT_LOCAL), the op's own check, memory
+// reservation (429 RESOURCE_EXHAUSTED or the degraded answer), pool
+// admission (429 OVERLOADED), then the wait for the worker (504 / 499 /
+// writeEvalError).
+func (s *Server) serveRead(op *readOp) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.draining.Load() {
+			writeDraining(w)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return
-	}
-	strat, stratName, err := parseStrategy(req.Strategy)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tctx, tr := s.startTrace(r.Context(), "query")
-	defer s.finishTrace(tr)
-	tr.SetStr("db", req.DB)
-	tr.SetStr("strategy_requested", stratName)
-	psp := tr.Start("server/parse")
-	q, err := query.ParseString(req.Query)
-	psp.End()
-	if err != nil {
-		// Parser errors carry the offending line ("query: line N: ...").
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	entry, ok := s.dbs.get(req.DB)
-	if !ok {
-		// Not held here: in cluster mode relay the read to a holder (one
-		// hop only — a forwarded request that still misses is a 404).
-		if c := s.clusterHandle(); c != nil && !req.Forwarded {
-			s.forwardQuery(tctx, c, w, req)
+		if !s.admitClient(w, r) {
 			return
 		}
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no database %q (register with POST /v1/dbs/{name})", req.DB))
-		return
-	}
-	// Held but quarantined: never evaluate over content the integrity
-	// subsystem has flagged. In cluster mode the read fails over to a
-	// healthy holder; otherwise the caller gets the typed 503.
-	if s.isQuarantined(req.DB) {
-		if c := s.clusterHandle(); c != nil && !req.Forwarded {
-			s.forwardQuery(tctx, c, w, req)
+		c := new(readCall)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&c.readRequest); err != nil {
+			writeBodyError(w, "decoding request", err)
 			return
 		}
-		s.refuseCorrupt(w, req.DB)
-		return
-	}
+		var err error
+		if c.strat, c.stratName, err = parseStrategy(c.Strategy); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		tctx, tr := s.startTrace(r.Context(), op.name)
+		defer s.finishTrace(tr)
+		tr.SetStr("db", c.DB)
+		tr.SetStr("strategy_requested", c.stratName)
+		psp := tr.Start("server/parse")
+		c.q, err = query.ParseString(c.Query)
+		psp.End()
+		if err != nil {
+			// Parser errors carry the offending line ("query: line N: ...").
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		// Locate. Not held here, or held but quarantined (never evaluate over
+		// content the integrity subsystem has flagged): in cluster mode the
+		// read is relayed to a healthy holder — one hop only, and with the
+		// cursor verbatim, since generations match cluster-wide and the
+		// serving holder validates it.
+		var held bool
+		if c.entry, held = s.dbs.get(c.DB); !held || s.isQuarantined(c.DB) {
+			if cl := s.clusterHandle(); cl != nil && !c.Forwarded {
+				s.forward(tctx, cl, w, op, c.readRequest)
+			} else if held {
+				s.refuseCorrupt(w, c.DB)
+			} else {
+				writeError(w, http.StatusNotFound, fmt.Sprintf("no database %q (register with POST /v1/dbs/{name})", c.DB))
+			}
+			return
+		}
+		c.hash = query.Hash(c.q)
+		tr.SetStr("query_hash", c.hash)
+		if op.check != nil && !op.check(w, c) {
+			return
+		}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(tctx, timeout)
-	defer cancel()
+		timeout := s.clampTimeout(c.TimeoutMs)
+		ctx, cancel := context.WithTimeout(tctx, timeout)
+		defer cancel()
 
-	// Admission memory reservation: claim the per-query floor from the
-	// process ledger before any evaluation work. The evaluation grows the
-	// reservation through ctx as it allocates; denial at either point is a
-	// structured 429 (or a degraded satisfiability answer), never an OOM.
-	rsp := tr.Start("govern/reserve")
-	res, rerr := s.broker.Reserve(s.cfg.QueryReserveBytes)
-	rsp.End()
-	if rerr != nil {
-		s.mResourceDenied.Inc()
-		if s.degradedAnswer(w, tr, q, "admission") {
+		// Admission memory reservation: claim the per-query floor from the
+		// process ledger before any evaluation work. The evaluation grows the
+		// reservation through ctx as it allocates; denial at either point is a
+		// structured 429 (or a degraded satisfiability answer), never an OOM.
+		rsp := tr.Start("govern/reserve")
+		res, rerr := s.broker.Reserve(s.cfg.QueryReserveBytes)
+		rsp.End()
+		if rerr != nil {
+			s.memoryDenied(w, tr, op, c, "admission", "insufficient memory budget to admit "+op.name+": "+rerr.Error())
 			return
 		}
-		w.Header().Set("Retry-After", "2")
-		writeErrorCode(w, http.StatusTooManyRequests, "RESOURCE_EXHAUSTED",
-			"insufficient memory budget to admit query: "+rerr.Error())
-		return
-	}
-	ctx = govern.NewContext(ctx, res)
+		ctx = govern.NewContext(ctx, res)
 
-	s.mQueries.Inc()
-	s.inflight.Add(1)
-	s.mInflight.Inc()
-	defer func() {
-		s.inflight.Add(-1)
-		s.mInflight.Dec()
-	}()
+		op.total.Inc()
+		s.inflight.Add(1)
+		s.mInflight.Inc()
+		defer func() {
+			s.inflight.Add(-1)
+			s.mInflight.Dec()
+		}()
 
-	done, admitted := s.dispatch(ctx, tr, res, func() (any, error) {
-		return s.evaluate(ctx, entry, q, strat, stratName)
-	})
-	if !admitted {
-		res.Release()
-		s.mRejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeErrorCode(w, http.StatusTooManyRequests, "OVERLOADED",
-			"server at capacity, try again later")
-		return
-	}
-
-	select {
-	case out := <-done:
-		if out.err != nil {
-			s.writeEvalError(w, tr, q, out.err, timeout)
+		done, admitted := s.dispatch(ctx, tr, res, op, c)
+		if !admitted {
+			res.Release()
+			s.mRejected.Inc()
+			w.Header().Set("Retry-After", "1")
+			writeErrorCode(w, http.StatusTooManyRequests, "OVERLOADED",
+				"server at capacity, try again later")
 			return
 		}
-		tr.SetInt("mem_peak_bytes", res.Peak())
-		writeJSON(w, http.StatusOK, out.resp)
-	case <-ctx.Done():
-		// The worker observes the same ctx and will abandon the evaluation;
-		// the buffered done channel lets it exit without a receiver.
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.mTimeouts.Inc()
-			writeError(w, http.StatusGatewayTimeout,
-				fmt.Sprintf("query exceeded its %s deadline", timeout))
-			return
+
+		select {
+		case out := <-done:
+			if out.err != nil {
+				s.writeEvalError(w, tr, op, c, out.err, timeout)
+				return
+			}
+			tr.SetInt("mem_peak_bytes", res.Peak())
+			writeJSON(w, http.StatusOK, out.resp)
+		case <-ctx.Done():
+			// The worker observes the same ctx and will abandon the evaluation;
+			// the buffered done channel lets it exit without a receiver.
+			s.writeEvalError(w, tr, op, c, ctx.Err(), timeout)
 		}
-		writeError(w, statusClientClosedRequest, "request cancelled")
 	}
+}
+
+// clampTimeout is a request's deadline: its own timeout_ms or the default,
+// capped at the configured maximum. A forwarding node bounds the hop by the
+// same figure plus a margin.
+func (s *Server) clampTimeout(timeoutMs int64) time.Duration {
+	t := s.cfg.DefaultTimeout
+	if timeoutMs > 0 {
+		t = time.Duration(timeoutMs) * time.Millisecond
+	}
+	return min(t, s.cfg.MaxTimeout)
 }
 
 // statusClientClosedRequest is nginx's convention for a client that went
@@ -419,41 +459,35 @@ type evalOutcome struct {
 	err  error
 }
 
-// dispatch submits run to the worker pool under the request's memory
+// dispatch submits the call to the worker pool under the request's memory
 // reservation. The reservation is released on every worker exit —
 // success, error, panic, and drop-at-dequeue alike — so a wedged ledger
-// can never outlive its query. Returns admitted=false when the pool is
-// full; the caller then releases the reservation and answers 429.
-func (s *Server) dispatch(ctx context.Context, tr *trace.Trace, res *govern.Reservation, run func() (any, error)) (<-chan evalOutcome, bool) {
+// can never outlive its query, and released *before* the outcome is
+// published, so a caller holding its answer never sees the request still on
+// the ledger. Returns admitted=false when the pool is full; the caller then
+// releases the reservation and answers 429.
+func (s *Server) dispatch(ctx context.Context, tr *trace.Trace, res *govern.Reservation, op *readOp, c *readCall) (<-chan evalOutcome, bool) {
 	done := make(chan evalOutcome, 1)
 	submitted := time.Now()
 	admitted := s.pool.trySubmitJob(poolJob{
 		ctx:       ctx,
 		submitted: submitted,
 		run: func() {
-			defer res.Release()
 			// The queue-wait span covers submit → dequeue: backdated to the
 			// submit instant and ended as soon as a worker picks the job up.
 			tr.StartAt("pool/queue_wait", submitted).End()
+			var out evalOutcome
 			// Pool workers run outside wrap's recovery (the request goroutine
 			// is parked on the done channel), so an invariant violation raised
 			// during evaluation must be caught here or it kills the process.
-			// Anything that is not an invariant violation is a genuine bug and
-			// re-raised, same policy as wrap.
 			defer func() {
 				if rec := recover(); rec != nil {
-					var viol *invariant.Violation
-					if err, ok := rec.(error); ok && errors.As(err, &viol) {
-						s.mPanics.Inc()
-						s.cfg.Logger.Printf("event=panic_recovered where=pool_worker violation=%q", viol.Error())
-						done <- evalOutcome{nil, viol}
-						return
-					}
-					panic(rec)
+					out = evalOutcome{nil, s.recovered(rec, "where=pool_worker")}
 				}
+				res.Release()
+				done <- out
 			}()
-			resp, err := run()
-			done <- evalOutcome{resp, err}
+			out.resp, out.err = op.run(ctx, c)
 		},
 		// Dropped at dequeue (deadline passed while queued): the request
 		// goroutine is already answering via ctx.Done, only the ledger
@@ -463,137 +497,154 @@ func (s *Server) dispatch(ctx context.Context, tr *trace.Trace, res *govern.Rese
 	return done, admitted
 }
 
-// writeEvalError maps a worker error to the daemon's typed responses.
-// q non-nil enables the degraded satisfiability fallback on memory
-// denial (the /v1/query contract; enumeration pages have no meaningful
-// degraded form, so /v1/enumerate passes nil).
-func (s *Server) writeEvalError(w http.ResponseWriter, tr *trace.Trace, q *query.Query, err error, timeout time.Duration) {
+// writeEvalError maps a worker error (or the request context's own, when
+// it ended first) to the daemon's typed responses.
+func (s *Server) writeEvalError(w http.ResponseWriter, tr *trace.Trace, op *readOp, c *readCall, err error, timeout time.Duration) {
 	tr.SetStr("error", err.Error())
-	if errors.Is(err, context.DeadlineExceeded) {
+	var viol *invariant.Violation
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
 		s.mTimeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout,
-			fmt.Sprintf("query exceeded its %s deadline", timeout))
-		return
-	}
-	if errors.Is(err, context.Canceled) {
+		writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("%s exceeded its %s deadline", op.name, timeout))
+	case errors.Is(err, context.Canceled):
 		writeError(w, statusClientClosedRequest, "request cancelled")
-		return
+	case errors.Is(err, govern.ErrResourceExhausted):
+		// The evaluation outgrew the memory budget mid-flight and unwound
+		// cleanly; the reservation is already released.
+		s.memoryDenied(w, tr, op, c, "evaluation", err.Error())
+	case errors.As(err, &viol):
+		writeError(w, http.StatusInternalServerError, "internal invariant violation: "+viol.Msg)
+	default:
+		s.mErrors.Inc()
+		writeError(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	if errors.Is(err, govern.ErrResourceExhausted) {
-		// The evaluation outgrew the memory budget mid-flight and
-		// unwound cleanly; the reservation is already released.
-		s.mResourceDenied.Inc()
-		if q != nil && s.degradedAnswer(w, tr, q, "evaluation") {
+}
+
+// memoryDenied answers a ledger refusal, at admission or mid-evaluation
+// (reason): the satisfiability-only fallback where the op has one and it is
+// enabled, else the structured 429. The paper's satisfiability decision
+// needs no per-database materialization, so it runs in near-constant
+// memory; the answer is db-independent (does the query hold on SOME
+// database), which the response flags via degraded=true with no witness or
+// answer set.
+func (s *Server) memoryDenied(w http.ResponseWriter, tr *trace.Trace, op *readOp, c *readCall, reason, msg string) {
+	s.mResourceDenied.Inc()
+	if op.degraded && s.cfg.DegradedFallback {
+		sp := tr.Start("server/degraded")
+		_, _, sat, err := core.Satisfiable(c.q)
+		sp.End()
+		if err == nil {
+			s.mDegraded.Inc()
+			tr.SetStr("degraded", reason)
+			writeJSON(w, http.StatusOK, &queryResponse{
+				Sat: sat, Strategy: "satisfiability", Cache: "bypass", QueryHash: c.hash,
+				Degraded: true, DegradedReason: reason,
+			})
 			return
 		}
-		w.Header().Set("Retry-After", "2")
-		writeErrorCode(w, http.StatusTooManyRequests, "RESOURCE_EXHAUSTED", err.Error())
-		return
 	}
-	var viol *invariant.Violation
-	if errors.As(err, &viol) {
-		writeError(w, http.StatusInternalServerError,
-			"internal invariant violation: "+viol.Msg)
-		return
-	}
-	s.mErrors.Inc()
-	writeError(w, http.StatusUnprocessableEntity, err.Error())
+	w.Header().Set("Retry-After", "2")
+	writeErrorCode(w, http.StatusTooManyRequests, "RESOURCE_EXHAUSTED", msg)
 }
 
-// degradedAnswer serves the satisfiability-only fallback when the memory
-// budget cannot cover the full evaluation. The paper's satisfiability
-// decision needs no per-database materialization, so it runs in
-// near-constant memory; the answer is db-independent (does the query hold
-// on SOME database), which the response flags via degraded=true with no
-// witness or answer set. Returns false (nothing written) when the
-// fallback is disabled or itself fails, in which case the caller answers
-// with the structured 429.
-func (s *Server) degradedAnswer(w http.ResponseWriter, tr *trace.Trace, q *query.Query, reason string) bool {
-	if !s.cfg.DegradedFallback {
-		return false
-	}
-	sp := tr.Start("server/degraded")
-	_, _, sat, err := core.Satisfiable(q)
-	sp.End()
-	if err != nil {
-		return false
-	}
-	s.mDegraded.Inc()
-	tr.SetStr("degraded", reason)
-	writeJSON(w, http.StatusOK, &queryResponse{
-		Sat:            sat,
-		Strategy:       "satisfiability",
-		Cache:          "bypass",
-		QueryHash:      query.Hash(q),
-		Degraded:       true,
-		DegradedReason: reason,
-	})
-	return true
-}
-
-// planDecision resolves "auto" for (q, entry) through the cost-based
-// planner and memoizes the result under the "auto" pseudo-strategy at the
-// entry's generation — the decision depends on the statistics catalog, so
-// a re-registered database (new generation, new stats) naturally
-// invalidates it, while repeat queries skip Explain and Resolve entirely.
-// With no catalog the planner falls back to the fixed track-count rule
-// (Decision.UsedFallback), keeping execution and EXPLAIN in agreement
-// either way.
-func (s *Server) planDecision(ctx context.Context, entry *dbEntry, q *query.Query, hash string) (*planner.Decision, error) {
-	key := plancache.Key{QueryHash: hash, Strategy: "auto", DBGen: entry.gen}
+// planDecision resolves "auto" for the call's (query, database) through
+// the cost-based planner and memoizes the result under the "auto"
+// pseudo-strategy at the entry's generation — the decision depends on the
+// statistics catalog, so a re-registered database (new generation, new
+// stats) naturally invalidates it, while repeat queries skip Explain and
+// Resolve entirely. With no catalog the planner falls back to the fixed
+// track-count rule (Decision.UsedFallback), keeping execution and EXPLAIN
+// in agreement either way.
+func (s *Server) planDecision(ctx context.Context, c *readCall) (*planner.Decision, error) {
+	key := plancache.Key{QueryHash: c.hash, Strategy: "auto", DBGen: c.entry.gen}
 	if v, ok := s.cacheGet(ctx, key); ok {
 		if d, ok := v.(*planner.Decision); ok {
 			return d, nil
 		}
 	}
 	_, sp := trace.StartSpan(ctx, "planner/resolve")
-	plan, err := core.Explain(q, s.coreOptions(core.Auto))
+	plan, err := core.Explain(c.q, s.coreOptions(core.Auto))
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	d := planner.Resolve(entry.stats, plan, s.coreOptions(core.Auto), s.cfg.Planner)
+	d := planner.Resolve(c.entry.stats, plan, s.coreOptions(core.Auto), s.cfg.Planner)
 	sp.End()
 	size := 256 + 8*len(d.ComponentOrder) + 128*len(d.Stages)
 	s.cachePut(ctx, key, d, size)
 	return d, nil
 }
 
-// preparedPlan resolves the compiled plan for (q, strat) through the
-// plan cache. "auto" goes through the cost-based planner (planDecision);
-// the returned Decision is non-nil exactly in that case, so callers can
-// apply its ordering and pushdown hints and EXPLAIN can report the same
-// resolution execution used. Plans are keyed by the *resolved* strategy
+// resolvedPlan is what a worker runs for one call.
+type resolvedPlan struct {
+	prepared *core.Prepared
+	// dec is the planner's decision, non-nil exactly when "auto" was asked,
+	// so callers can apply its ordering and pushdown hints and EXPLAIN can
+	// report the same resolution execution used.
+	dec *planner.Decision
+	// mat is the Lemma 4.3 materialization over the call's database, when
+	// one was asked for and the strategy is Reduction.
+	mat      *core.Materialization
+	strategy string // resolved: never "auto"
+	cache    string // hit | partial (plan hit, materialization built) | miss
+}
+
+// resolvePlan is the one worker-side plan resolution: the compiled plan
+// for the call through the plan cache — "auto" going through planDecision
+// — and, with materialize, the database-generational materialization
+// beside it; then the accounting every caller owes (request hit/miss
+// counters, per-database attribution, the plan snapshot on the trace that
+// the slow-query log reports). Plans are keyed by the *resolved* strategy
 // at generation 0 (compilation is db-independent), so the same query
 // requested via "auto" and via the strategy the planner picks shares one
-// plan. cacheState is "hit" or "miss" for the compiled plan;
-// db-generational artifacts (materializations) are the caller's concern.
-func (s *Server) preparedPlan(ctx context.Context, entry *dbEntry, q *query.Query, hash string, strat core.Strategy, stratName string, opts core.Options) (prepared *core.Prepared, dec *planner.Decision, resolved, cacheState string, err error) {
-	resolved = stratName
-	if strat == core.Auto {
-		d, derr := s.planDecision(ctx, entry, q, hash)
-		if derr != nil {
-			return nil, nil, "", "", derr
+// plan.
+func (s *Server) resolvePlan(ctx context.Context, c *readCall, materialize bool) (rp resolvedPlan, err error) {
+	rp.strategy, rp.cache = c.stratName, "hit"
+	opts := s.coreOptions(c.strat)
+	if c.strat == core.Auto {
+		if rp.dec, err = s.planDecision(ctx, c); err != nil {
+			return rp, err
 		}
-		dec = d
-		resolved = d.Strategy.String()
-		opts.Strategy = d.Strategy
+		opts.Strategy = rp.dec.Strategy
+		rp.strategy = opts.Strategy.String()
 	}
-	planKey := plancache.Key{QueryHash: hash, Strategy: resolved, DBGen: 0}
-	cacheState = "hit"
+	planKey := plancache.Key{QueryHash: c.hash, Strategy: rp.strategy}
 	if v, ok := s.cacheGet(ctx, planKey); ok {
-		prepared = v.(*core.Prepared)
-	}
-	if prepared == nil {
-		cacheState = "miss"
-		p, perr := core.PrepareContext(ctx, q, opts)
-		if perr != nil {
-			return nil, nil, "", "", perr
+		rp.prepared = v.(*core.Prepared)
+	} else {
+		rp.cache = "miss"
+		if rp.prepared, err = core.PrepareContext(ctx, c.q, opts); err != nil {
+			return rp, err
 		}
-		prepared = p
-		s.cachePut(ctx, planKey, p, p.MemBytes())
+		s.cachePut(ctx, planKey, rp.prepared, rp.prepared.MemBytes())
 	}
-	return prepared, dec, resolved, cacheState, nil
+	if materialize && rp.prepared.Strategy() == core.Reduction {
+		matKey := plancache.Key{QueryHash: c.hash, Strategy: rp.strategy, DBGen: c.entry.gen}
+		if v, ok := s.cacheGet(ctx, matKey); ok {
+			rp.mat = v.(*core.Materialization)
+		} else {
+			if rp.cache == "hit" {
+				rp.cache = "partial"
+			}
+			if rp.mat, err = rp.prepared.Materialize(ctx, c.entry.db); err != nil {
+				return rp, err
+			}
+			s.cachePut(ctx, matKey, rp.mat, rp.mat.MemBytes())
+		}
+	}
+	tr := trace.FromContext(ctx)
+	tr.SetStr("strategy", rp.strategy)
+	tr.SetStr("cache", rp.cache)
+	m := rp.prepared.Measures()
+	tr.SetInt("cc_vertex", int64(m.CCVertex))
+	tr.SetInt("treewidth_upper", int64(m.TreewidthUpper))
+	if rp.cache == "hit" {
+		s.mCacheHits.Inc()
+	} else {
+		s.mCacheMisses.Inc()
+	}
+	s.noteDBCacheRequest(c.entry.name, rp.cache == "hit")
+	return rp, nil
 }
 
 // planHints turns a planner decision into evaluation hints for one
@@ -614,105 +665,76 @@ func (s *Server) planHints(dec *planner.Decision, prepared *core.Prepared, db *g
 	return h
 }
 
+// vertexNames renders answer tuples of vertex ids by name.
+func vertexNames(db *graphdb.DB, tuples [][]int) [][]string {
+	named := make([][]string, len(tuples))
+	for i, tup := range tuples {
+		row := make([]string, len(tup))
+		for j, v := range tup {
+			row[j] = db.VertexName(v)
+		}
+		named[i] = row
+	}
+	return named
+}
+
 // evaluate runs on a pool worker: plan-cache lookup/population, then
 // evaluation under ctx.
-func (s *Server) evaluate(ctx context.Context, entry *dbEntry, q *query.Query, strat core.Strategy, stratName string) (*queryResponse, error) {
+func (s *Server) evaluate(ctx context.Context, c *readCall) (*queryResponse, error) {
 	start := time.Now()
-	hash := query.Hash(q)
-	opts := s.coreOptions(strat)
-	tr := trace.FromContext(ctx)
-	tr.SetStr("query_hash", hash)
+	db := c.entry.db
 
 	// Free-variable queries return answer sets, which are not cached (the
 	// answer enumerator does not go through Prepared yet); everything else
 	// reuses compiled plans and materializations.
-	if len(q.Free) > 0 {
-		tr.SetStr("cache", "bypass")
-		answers, err := core.AnswersContext(ctx, entry.db, q, opts)
+	if len(c.q.Free) > 0 {
+		trace.FromContext(ctx).SetStr("cache", "bypass")
+		answers, err := core.AnswersContext(ctx, db, c.q, s.coreOptions(c.strat))
 		if err != nil {
 			return nil, err
-		}
-		named := make([][]string, len(answers))
-		for i, tup := range answers {
-			row := make([]string, len(tup))
-			for j, v := range tup {
-				row[j] = entry.db.VertexName(v)
-			}
-			named[i] = row
 		}
 		s.mEvalLatency.Observe(time.Since(start))
 		return &queryResponse{
 			Sat:       len(answers) > 0,
-			Strategy:  stratName,
+			Strategy:  c.stratName,
 			Cache:     "bypass",
-			QueryHash: hash,
-			Answers:   named,
-			Free:      q.Free,
+			QueryHash: c.hash,
+			Answers:   vertexNames(db, answers),
+			Free:      c.q.Free,
 			ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
 		}, nil
 	}
 
-	prepared, dec, resolved, cacheState, err := s.preparedPlan(ctx, entry, q, hash, strat, stratName, opts)
+	rp, err := s.resolvePlan(ctx, c, true)
 	if err != nil {
 		return nil, err
 	}
-
-	var mat *core.Materialization
-	if prepared.Strategy() == core.Reduction {
-		matKey := plancache.Key{QueryHash: hash, Strategy: resolved, DBGen: entry.gen}
-		if v, ok := s.cacheGet(ctx, matKey); ok {
-			mat = v.(*core.Materialization)
-		} else {
-			if cacheState == "hit" {
-				cacheState = "partial"
-			}
-			m, err := prepared.Materialize(ctx, entry.db)
-			if err != nil {
-				return nil, err
-			}
-			s.cachePut(ctx, matKey, m, m.MemBytes())
-			mat = m
-		}
-	}
-	// Plan snapshot onto the trace: what the slow-query log reports.
-	tr.SetStr("strategy", resolved)
-	tr.SetStr("cache", cacheState)
-	m := prepared.Measures()
-	tr.SetInt("cc_vertex", int64(m.CCVertex))
-	tr.SetInt("treewidth_upper", int64(m.TreewidthUpper))
-	if cacheState == "hit" {
-		s.mCacheHits.Inc()
-	} else {
-		s.mCacheMisses.Inc()
-	}
-	s.noteDBCacheRequest(entry.name, cacheState == "hit")
-
-	res, err := prepared.EvaluateContextHinted(ctx, entry.db, mat, s.planHints(dec, prepared, entry.db))
+	res, err := rp.prepared.EvaluateContextHinted(ctx, db, rp.mat, s.planHints(rp.dec, rp.prepared, db))
 	if err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
 	s.mEvalLatency.Observe(elapsed)
-	if c, ok := s.mStrategy[res.Stats.StrategyUsed.String()]; ok {
-		c.Inc()
+	if n, ok := s.mStrategy[res.Stats.StrategyUsed.String()]; ok {
+		n.Inc()
 	}
 
 	resp := &queryResponse{
 		Sat:       res.Sat,
 		Strategy:  res.Stats.StrategyUsed.String(),
-		Cache:     cacheState,
-		QueryHash: hash,
+		Cache:     rp.cache,
+		QueryHash: c.hash,
 		Stats:     res.Stats,
 		ElapsedMs: float64(elapsed.Microseconds()) / 1000,
 	}
 	if res.Sat {
 		resp.Nodes = make(map[string]string, len(res.Nodes))
 		for v, vertex := range res.Nodes {
-			resp.Nodes[v] = entry.db.VertexName(vertex)
+			resp.Nodes[v] = db.VertexName(vertex)
 		}
 		resp.Paths = make(map[string]string, len(res.Paths))
 		for p, path := range res.Paths {
-			resp.Paths[p] = path.Format(entry.db)
+			resp.Paths[p] = path.Format(db)
 		}
 	}
 	return resp, nil

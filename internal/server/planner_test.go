@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -263,5 +265,38 @@ func TestEnumeratePaginationStableUnderPlanner(t *testing.T) {
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("enumerated %d answers %v, materialized %d %v", len(got), got, len(want), want)
+	}
+}
+
+// TestExplainManyComponents: past the planner's DP bound the component
+// order comes from the greedy pass, whose marginal costs overflow to +Inf
+// near 300 disjoint components. The order used to index used[-1] there — a
+// runtime panic on a pool worker, which is not an invariant violation and
+// so took the process down. The request must be answered like any other.
+func TestExplainManyComponents(t *testing.T) {
+	s := newTestServer(t, Config{})
+	registerDB(t, s, "g", denseDBText(30))
+	var sb strings.Builder
+	sb.WriteString("alphabet a b\n")
+	for i := 0; i < 301; i++ {
+		fmt.Fprintf(&sb, "x%d -[a]-> y%d\n", i, i)
+	}
+	for _, strategy := range []string{"auto", "generic"} {
+		rec, out := doJSON(t, s, "POST", "/v1/explain", map[string]any{"db": "g", "query": sb.String(), "strategy": strategy})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s explain of a 301-component query: %d %s", strategy, rec.Code, rec.Body.String())
+		}
+		// The overflowed estimates must still encode: +Inf has no JSON form,
+		// and an encoder error after the 200 header leaves an empty body.
+		dec, _ := out["decision"].(map[string]any)
+		if _, ok := dec["generic_cost"].(float64); !ok {
+			t.Fatalf("%s: no decision in the body (%d bytes)", strategy, rec.Body.Len())
+		}
+		if order, _ := dec["component_order"].([]any); out["strategy"] == "generic" && len(order) != 301 {
+			t.Errorf("%s: component order has %d entries, want 301", strategy, len(order))
+		}
+	}
+	if s.mPanics.Value() != 0 {
+		t.Errorf("panics_recovered = %d, want 0", s.mPanics.Value())
 	}
 }

@@ -11,7 +11,8 @@
 //	POST   /v1/dbs/{name}   register or replace a database (body: graphdb text)
 //	DELETE /v1/dbs/{name}   drop a database
 //	GET    /v1/dbs          list registered databases
-//	POST   /v1/query        evaluate a query (JSON body, see queryRequest)
+//	POST   /v1/query        evaluate a query (JSON body, see readRequest)
+//	POST   /v1/explain      the plan the daemon would run, optionally executed
 //	POST   /v1/enumerate    stream one page of answers with a resumable cursor
 //	GET    /v1/measures     structural measures + regimes of a query
 //	GET    /healthz         liveness (always 200 while the process is up)
@@ -258,6 +259,7 @@ type Server struct {
 	mDegraded       *metrics.Counter   // queries answered via the satisfiability fallback
 	mQueueWait      *metrics.Histogram // pool submit→dequeue latency
 	mEnumerates     *metrics.Counter   // /v1/enumerate pages served or attempted
+	mExplains       *metrics.Counter   // /v1/explain plans rendered or attempted
 	mStaleCursors   *metrics.Counter   // enumerate cursors refused: database re-registered
 
 	// Per-database plan-cache attribution. dbCacheMu guards both maps:
@@ -366,6 +368,7 @@ func New(cfg Config) *Server {
 	s.mDegraded = s.reg.Counter("degraded_answers_total")
 	s.mQueueWait = s.reg.Histogram("queue_wait_seconds", nil)
 	s.mEnumerates = s.reg.Counter("enumerates_total")
+	s.mExplains = s.reg.Counter("explains_total")
 	s.mStaleCursors = s.reg.Counter("stale_cursors_total")
 	s.mForwards = s.reg.Counter("cluster_forwards_total")
 	s.mForwardErrors = s.reg.Counter("cluster_forward_errors_total")
@@ -421,9 +424,16 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/dbs/{name}", s.wrap(s.handleRegisterDB))
 	s.mux.HandleFunc("DELETE /v1/dbs/{name}", s.wrap(s.handleDropDB))
 	s.mux.HandleFunc("GET /v1/dbs", s.wrap(s.handleListDBs))
-	s.mux.HandleFunc("POST /v1/query", s.wrap(s.handleQuery))
-	s.mux.HandleFunc("POST /v1/explain", s.wrap(s.handleExplain))
-	s.mux.HandleFunc("POST /v1/enumerate", s.wrap(s.handleEnumerate))
+	for _, op := range []*readOp{
+		{name: "query", total: s.mQueries, degraded: true,
+			run: func(ctx context.Context, c *readCall) (any, error) { return s.evaluate(ctx, c) }},
+		{name: "explain", total: s.mExplains,
+			run: func(ctx context.Context, c *readCall) (any, error) { return s.explain(ctx, c) }},
+		{name: "enumerate", total: s.mEnumerates, check: s.checkCursor,
+			run: func(ctx context.Context, c *readCall) (any, error) { return s.enumerate(ctx, c) }},
+	} {
+		s.mux.HandleFunc("POST /v1/"+op.name, s.wrap(s.serveRead(op)))
+	}
 	s.mux.HandleFunc("GET /v1/stats/{name}", s.wrap(s.handleStats))
 	s.mux.HandleFunc("GET /v1/measures", s.wrap(s.handleMeasures))
 	s.mux.HandleFunc("POST /v1/measures", s.wrap(s.handleMeasures))
@@ -677,8 +687,7 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// wrap is the common middleware: panic recovery (invariant violations
-// become 500s; anything else is a genuine bug and re-raised), request
+// wrap is the common middleware: panic recovery (see recovered), request
 // metrics, and structured logging.
 func (s *Server) wrap(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -686,17 +695,8 @@ func (s *Server) wrap(h http.HandlerFunc) http.HandlerFunc {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
 			if rec := recover(); rec != nil {
-				var viol *invariant.Violation
-				if err, ok := rec.(error); ok && errors.As(err, &viol) {
-					s.mPanics.Inc()
-					s.cfg.Logger.Printf("event=panic_recovered method=%s path=%s violation=%q",
-						r.Method, r.URL.Path, viol.Error())
-					writeError(sw, http.StatusInternalServerError, "internal invariant violation: "+viol.Msg)
-				} else {
-					// Not an invariant violation: a genuine bug. Crash
-					// loudly rather than serve corrupted state.
-					panic(rec)
-				}
+				viol := s.recovered(rec, "method="+r.Method+" path="+r.URL.Path)
+				writeError(sw, http.StatusInternalServerError, "internal invariant violation: "+viol.Msg)
 			}
 			s.mLatency.Observe(time.Since(start))
 			s.cfg.Logger.Printf("event=request method=%s path=%s status=%d dur_ms=%.2f",
@@ -704,6 +704,22 @@ func (s *Server) wrap(h http.HandlerFunc) http.HandlerFunc {
 		}()
 		h(sw, r)
 	}
+}
+
+// recovered is the daemon's one policy for a panic recovered on a request
+// goroutine or on a pool worker: an invariant violation is counted, logged
+// with where it surfaced, and returned for the caller to answer as a 500;
+// anything else is a genuine bug and re-raised — crash loudly rather than
+// serve corrupted state. rec is the caller's non-nil recover() result
+// (recover only works when the deferred function itself calls it).
+func (s *Server) recovered(rec any, where string) *invariant.Violation {
+	var viol *invariant.Violation
+	if err, ok := rec.(error); !ok || !errors.As(err, &viol) {
+		panic(rec)
+	}
+	s.mPanics.Inc()
+	s.cfg.Logger.Printf("event=panic_recovered %s violation=%q", where, viol.Error())
+	return viol
 }
 
 // handleHealthz reports liveness: always 200 while the process is up,

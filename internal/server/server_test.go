@@ -285,7 +285,8 @@ func TestTimedOutBooleanHitFreesWorker(t *testing.T) {
 	entry, _ := s.dbs.get("g")
 	polls := 0
 	for ; ; polls++ {
-		resp, err := s.evaluate(&pollLimitCtx{Context: context.Background(), left: polls}, entry, q, core.Reduction, "reduction")
+		resp, err := s.evaluate(&pollLimitCtx{Context: context.Background(), left: polls},
+			&readCall{entry: entry, q: q, hash: query.Hash(q), strat: core.Reduction, stratName: "reduction"})
 		if err == nil {
 			if resp.Cache != "hit" || !resp.Sat {
 				t.Fatalf("completed evaluation: cache=%q sat=%v", resp.Cache, resp.Sat)
