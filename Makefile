@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate cluster-gate plan-gate integrity-gate bench-check ci
+.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate spine-gate cluster-gate plan-gate integrity-gate bench-check ci
 
 all: build test
 
@@ -139,7 +139,7 @@ generic-gate:
 		if (checks >= 1000 && allocs / checks > 0.05) { printf "generic-gate: %s costs %.4f allocs per check (ceiling 0.05)\n", $$1, allocs / checks; bad = 1 } \
 	} END { if (seen < 2 || !fan) { print "generic-gate: BenchmarkGenericCheck rows missing"; bad = 1 } exit bad }' || exit 1; \
 	frames="$$($(GO) tool pprof -sample_index=alloc_space -top -nodefraction=0 -nodecount=100000 "$$dir/core.test" "$$dir/mem.prof" 2>/dev/null)" || { echo "generic-gate: cannot read the memory profile"; exit 1; }; \
-	echo "$$frames" | grep -q 'core\.evalGeneric' || { echo "generic-gate: the memory profile does not show the generic evaluation"; exit 1; }; \
+	echo "$$frames" | grep -q 'core\.(\*Prepared)\.evalGeneric' || { echo "generic-gate: the memory profile does not show the generic evaluation"; exit 1; }; \
 	if echo "$$frames" | grep -q 'core\.productSearch'; then echo "generic-gate: productSearch allocates on the packed path"; exit 1; fi
 
 ## join-gate guards the Prop 2.3 join (cq.Compile + the flat kernel): the
@@ -176,6 +176,28 @@ join-gate:
 	frames="$$($(GO) tool pprof -sample_index=alloc_space -top -nodefraction=0 -nodecount=100000 "$$dir/core.test" "$$dir/mem.prof" 2>/dev/null)" || { echo "join-gate: cannot read the memory profile"; exit 1; }; \
 	echo "$$frames" | grep -q 'cq\.(\*Plan)\.Eval' || { echo "join-gate: the memory profile does not show the join"; exit 1; }; \
 	if echo "$$frames" | grep -Eq 'cq\.(key|appendKey)$$'; then echo "join-gate: the join builds string keys"; exit 1; fi
+
+## spine-gate guards the one evaluation spine of internal/core: prepare is
+## the only compiler (the only non-test callers of decompose are it,
+## Explain and Satisfiable; cq.Compile is called once), mergedViews the
+## only Lemma 4.1 merge routine besides Satisfiable's, and no pinned
+## reduction plumbing (__pin_ relations) has grown back; then the answers
+## matrix — every strategy × every way of asking for an answer set ≡ the
+## brute-force semantics — and the two regressions of the unified path (the
+## answers join is charged to the request; V^|Free| past 2³² is refused,
+## not answered empty) run under the race detector.
+spine-gate:
+	@cd internal/core && src="$$(ls *.go | grep -v _test.go)"; bad=0; \
+	calls() { grep -n "[^A-Za-z]$$1(" $$src | grep -v ":func $$1("; }; \
+	want() { got="$$(calls "$$1" | cut -d: -f1 | tr '\n' ' ')"; [ "$$got" = "$$2" ] || { echo "spine-gate: $$1( is called from [ $$got], want [ $$2]"; bad=1; }; }; \
+	want decompose 'explain.go prepared.go satisfiable.go '; \
+	want mergeComponent 'reduction_build.go satisfiable.go '; \
+	want 'cq\.Compile' 'prepared.go '; \
+	if grep -n '__pin_' $$src; then echo "spine-gate: the pinned-reduction relations are back"; bad=1; fi; \
+	exit $$bad
+	$(GO) test -race -count=1 -run 'TestAnswersStrategiesAgreeProperty|TestAnswersJoinIsGoverned|TestGenericEnumerationSafetyBound' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestPlanDifferential|TestPlanAnswersCharged' ./internal/cq/
+	$(GO) test -race -count=1 -run 'TestFreeVariable|TestAnswersJoinBounded' ./internal/server/
 
 ## chaos rebuilds the fault-injection build (-tags faultinject) and runs
 ## the deterministic chaos suite under the race detector: injected
@@ -230,6 +252,7 @@ bench-check:
 ## ci mirrors the GitHub Actions gate: build, vet, lint, tests, race
 ## tests, chaos suite, trace/govern zero-alloc gates, the streaming
 ## enumeration gate, the sweep-kernel gate, the generic product-search
-## gate, the join-kernel gate, the planner gate, the multi-node cluster
-## gate, the integrity gate, and the benchmark module's own build and tests.
-ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate plan-gate cluster-gate integrity-gate bench-check
+## gate, the join-kernel gate, the evaluation-spine gate, the planner gate,
+## the multi-node cluster gate, the integrity gate, and the benchmark
+## module's own build and tests.
+ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate spine-gate plan-gate cluster-gate integrity-gate bench-check

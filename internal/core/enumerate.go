@@ -10,9 +10,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -23,13 +21,10 @@ import (
 	"ecrpq/internal/trace"
 )
 
-// Per-row charge estimates for streamed relations, matching the
-// materializing path's constants (reduction_build.go) so the governor
-// sees comparable byte counts per row either way.
-const (
-	streamReachRowBytes = 40
-	streamPinRowBytes   = 24
-)
+// streamReachRowBytes is what one streamed __reach row is charged, matching
+// the materializing path's constant (addReachRelation) so the governor sees
+// comparable byte counts per row either way.
+const streamReachRowBytes = 40
 
 // compRowBytes is what one R' row of a t-track component is charged,
 // retained (sweepComponent) or streamed: its 2t values plus a slice header.
@@ -38,24 +33,15 @@ func compRowBytes(t int) int64 { return int64(24 + 16*t) }
 // reductionQuery builds the conjunctive query of the Lemma 4.3 instance,
 // whose Gaifman graph is G^node of the normalized abstraction, over the
 // relations buildReductionMerged materializes (and sweepSource streams).
-// It depends on the query alone, so a prepared plan builds and compiles it
-// once. The atoms are ordered for binding pushdown — pinned singletons
-// first (most selective), then component atoms in index order, then
-// free-track reachability atoms. The order is part of the enumeration
-// contract: it fixes the answer order the /v1/enumerate cursor offsets
-// into.
+// It depends on the query alone, so a plan builds and compiles it once.
+// The atoms are ordered for binding pushdown — component atoms in index
+// order, then free-track reachability atoms. The order is part of the
+// enumeration contract: it fixes the answer order the /v1/enumerate cursor
+// offsets into.
 //
 //ecrpq:charged plan construction: O(atoms) slices owned by the prepared plan, counted by Prepared.MemBytes
-func reductionQuery(comps []component, frees []freeTrack, pinned map[string]int, free []string) *cq.Query {
+func reductionQuery(comps []component, frees []freeTrack, free []string) *cq.Query {
 	cqq := &cq.Query{Free: append([]string(nil), free...)}
-	pinVars := make([]string, 0, len(pinned))
-	for v := range pinned {
-		pinVars = append(pinVars, v)
-	}
-	sort.Strings(pinVars)
-	for _, v := range pinVars {
-		cqq.Atoms = append(cqq.Atoms, cq.Atom{Rel: "__pin_" + v, Args: []string{v}})
-	}
 	for ci := range comps {
 		c := &comps[ci]
 		args := make([]string, 0, 2*len(c.tracks))
@@ -72,8 +58,8 @@ func reductionQuery(comps []component, frees []freeTrack, pinned map[string]int,
 
 // sweepSource implements cq.AtomSource over the database: each Open of a
 // __comp relation is a lazy R' sweep (restricted by the bound pattern),
-// __reach streams the any-label reachability relation from a per-source
-// BFS cache, and __pin_v streams a singleton. The source owns the shared
+// and __reach streams the any-label reachability relation from a
+// per-source BFS cache. The source owns the shared
 // scratch — one reusable fast product per component, the reach cache,
 // trace spans — and release() frees all of it; streams returned by Open
 // are independently closeable.
@@ -83,7 +69,6 @@ type sweepSource struct {
 	ctx    context.Context
 	db     *graphdb.DB
 	merged []component
-	pinned map[string]int
 	opts   Options
 	n      int
 
@@ -99,13 +84,12 @@ type sweepSource struct {
 	released bool
 }
 
-func newSweepSource(ctx context.Context, db *graphdb.DB, merged []component, pinned map[string]int, opts Options) *sweepSource {
+func newSweepSource(ctx context.Context, db *graphdb.DB, merged []component, opts Options) *sweepSource {
 	res := govern.FromContext(ctx)
 	return &sweepSource{
 		ctx:      ctx,
 		db:       db,
 		merged:   merged,
-		pinned:   pinned,
 		opts:     opts,
 		n:        db.NumVertices(),
 		res:      res,
@@ -205,18 +189,6 @@ func (s *sweepSource) Open(rel string, bound []int) (stream.Tuples, error) {
 		}
 		rs := &reachStream{s: s, counter: s.counter(rel, "core/reach", -1), u0: bound[0], v0: bound[1], u: -1}
 		return stream.Metered(rs, s.res.NewMeter(), streamReachRowBytes), nil
-	case strings.HasPrefix(rel, "__pin_"):
-		v, ok := s.pinned[rel[len("__pin_"):]]
-		if !ok {
-			return nil, fmt.Errorf("core: unknown pin relation %q", rel)
-		}
-		if len(bound) != 1 {
-			return nil, fmt.Errorf("core: %s bound pattern has %d positions, want 1", rel, len(bound))
-		}
-		if bound[0] >= 0 && bound[0] != v {
-			return stream.Empty(), nil
-		}
-		return stream.Once([]int{v}), nil
 	}
 	return nil, fmt.Errorf("core: unknown streamed relation %q", rel)
 }
@@ -408,71 +380,49 @@ func (rs *reachStream) Close()     { rs.done = true }
 // Enumerate streams the query's answers over db incrementally: tuples in
 // q.Free order for a query with free variables, at most one empty tuple
 // for a Boolean query. The enumeration order is deterministic (fixed by
-// the plan), duplicates are suppressed, and answers match AnswersContext
-// as a set. The iterator charges the ledger per chunk when ctx carries a
+// the plan), duplicates are suppressed, and answers match Answers as a
+// set. The iterator charges the ledger per chunk when ctx carries a
 // govern reservation, honors ctx cancellation at every Next, and must be
 // Closed on all paths — Close releases all reservations and scratch.
 //
-// Reduction plans stream the R' sweep lazily; Generic plans (and
-// reduction queries whose free variables appear in no component or
-// reachability atom) fall back to lazily pinning candidate tuples in
-// lexicographic order.
+// Reduction plans stream the R' sweep lazily; Generic plans pin candidate
+// tuples lazily in lexicographic order.
 func (p *Prepared) Enumerate(ctx context.Context, db *graphdb.DB) (stream.Tuples, error) {
 	if err := p.checkDB(db); err != nil {
 		return nil, err
 	}
-	if p.strat == Reduction {
-		it, ok, err := p.enumerateReduction(ctx, db)
+	if p.strat == Generic {
+		pe, err := newPinnedEnum(ctx, db, p)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			return it, nil
-		}
+		return stream.WithContext(ctx, pe), nil
 	}
-	return stream.WithContext(ctx, newPinnedEnum(ctx, db, p)), nil
-}
-
-// enumerateReduction builds the streaming Lemma 4.3 pipeline. ok=false
-// means the plan cannot stream (unconstrained free variable) and the
-// caller should fall back to pinned enumeration.
-func (p *Prepared) enumerateReduction(ctx context.Context, db *graphdb.DB) (stream.Tuples, bool, error) {
 	if db.NumVertices() == 0 {
-		if len(p.q.Free) > 0 {
-			return stream.Empty(), true, nil
+		if len(p.q.Free) == 0 && p.emptyDBSat() {
+			return stream.Once(nil), nil
 		}
-		if emptyDBSat(p) {
-			return stream.Once(nil), true, nil
-		}
-		return stream.Empty(), true, nil
+		return stream.Empty(), nil
 	}
-	cqq := reductionQuery(p.comps, p.frees, nil, p.q.Free)
-	src := newSweepSource(ctx, db, p.merged, nil, p.opts)
-	mem := govern.MeterFrom(ctx) // dedup set + hash-level buffers
-	var charge stream.ChargeFunc
-	if mem != nil {
-		charge = mem.Charge
-	}
-	ans, err := cq.StreamAnswers(src, cqq, charge)
+	src, charge, release := p.openSweep(ctx, db)
+	ans, err := cq.StreamAnswers(src, p.cqq, charge)
 	if err != nil {
-		src.release()
-		mem.Close()
-		if errors.Is(err, cq.ErrUnconstrained) {
-			return nil, false, nil
-		}
-		return nil, false, err
+		release()
+		return nil, err
 	}
-	it := stream.WithContext(ctx, stream.OnClose(ans, func() {
-		mem.Close()
-		src.release()
-	}))
-	return it, true, nil
+	return stream.WithContext(ctx, stream.OnClose(ans, release)), nil
 }
 
-// emptyDBSat mirrors evalReductionMaterialized's empty-database rule:
-// satisfiable only when the query constrains nothing.
-func emptyDBSat(p *Prepared) bool {
-	return len(p.comps) == 0 && len(p.frees) == 0 && len(p.q.Reach) == 0
+// openSweep starts the lazy Lemma 4.3 pipeline over db: the source the
+// streaming join pulls R' rows from, and the charge for what the join
+// itself buffers (dedup set, hash levels). release frees both.
+func (p *Prepared) openSweep(ctx context.Context, db *graphdb.DB) (src *sweepSource, charge func(int64) error, release func()) {
+	src = newSweepSource(ctx, db, p.merged, p.opts)
+	mem, charge := meterCharge(ctx)
+	return src, charge, func() {
+		mem.Close()
+		src.release()
+	}
 }
 
 // evaluateReductionStreaming is the first-witness fast path: enumerate
@@ -482,21 +432,11 @@ func emptyDBSat(p *Prepared) bool {
 // instances still sweep fully (the join must prove exhaustion), matching
 // the materializing path's worst case without retaining its tables.
 func (p *Prepared) evaluateReductionStreaming(ctx context.Context, db *graphdb.DB) (*Result, error) {
-	if db.NumVertices() == 0 {
-		return &Result{Sat: emptyDBSat(p)}, nil
-	}
-	cqq := reductionQuery(p.comps, p.frees, nil, nil)
-	src := newSweepSource(ctx, db, p.merged, nil, p.opts)
-	defer src.release()
-	mem := govern.MeterFrom(ctx)
-	defer mem.Close()
-	var charge stream.ChargeFunc
-	if mem != nil {
-		charge = mem.Charge
-	}
+	src, charge, release := p.openSweep(ctx, db)
+	defer release()
 	_, jsp := trace.StartSpan(ctx, "core/cq_join")
 	jsp.SetStr("mode", "stream")
-	asg, vars, err := cq.StreamAssignments(src, cqq, charge)
+	asg, vars, err := cq.StreamAssignments(src, p.cqq, charge)
 	if err != nil {
 		jsp.End()
 		return nil, err
@@ -509,31 +449,24 @@ func (p *Prepared) evaluateReductionStreaming(ctx context.Context, db *graphdb.D
 	if err != nil {
 		return nil, err
 	}
-	stats := Stats{CQTuples: int(src.rows)}
+	res := &Result{Sat: ok, Stats: Stats{CQTuples: int(src.rows)}}
 	if !ok {
-		return &Result{Sat: false, Stats: stats}, nil
+		return res, nil
 	}
-	res := &Result{Sat: true, Stats: stats, Nodes: make(map[string]int, len(vars))}
+	res.Nodes = make(map[string]int, len(vars))
 	for i, v := range vars {
 		res.Nodes[v] = row[i]
 	}
-	// Node variables in no CQ atom default to vertex 0, as in
-	// evalReductionMaterialized.
-	for _, v := range p.q.NodeVars() {
-		if _, bound := res.Nodes[v]; !bound {
-			res.Nodes[v] = 0
-		}
-	}
-	if err := recoverWitnesses(ctx, db, p.comps, p.frees, p.opts, res); err != nil {
+	if err := p.recoverWitnesses(ctx, db, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// pinnedEnum enumerates answers by deciding each candidate free-variable
-// tuple separately (lexicographic order, matching AnswersContext's
-// fallback). Boolean queries are a single decision yielding at most one
-// empty tuple.
+// pinnedEnum is the Generic strategy's answer enumerator: it decides each
+// candidate free-variable tuple separately, in lexicographic order, by a
+// product search on the plan's components with the tuple pinned. A Boolean
+// query is a single decision yielding at most one empty tuple.
 type pinnedEnum struct {
 	ctx    context.Context
 	db     *graphdb.DB
@@ -547,14 +480,13 @@ type pinnedEnum struct {
 	done   bool
 }
 
-func newPinnedEnum(ctx context.Context, db *graphdb.DB, p *Prepared) *pinnedEnum {
+func newPinnedEnum(ctx context.Context, db *graphdb.DB, p *Prepared) (*pinnedEnum, error) {
 	f := len(p.q.Free)
 	n := db.NumVertices()
 	total := 1
 	for i := 0; i < f; i++ {
-		if n == 0 || total > maxSweepSources/maxInt(n, 1) {
-			total = 0
-			break
+		if n > 0 && total > maxSweepSources/n {
+			return nil, fmt.Errorf("core: enumeration of %d^%d candidate tuples exceeds the safety bound", n, f)
 		}
 		total *= n
 	}
@@ -566,7 +498,7 @@ func newPinnedEnum(ctx context.Context, db *graphdb.DB, p *Prepared) *pinnedEnum
 		out:    make([]int, f),
 		pinned: make(map[string]int, f),
 		total:  total,
-	}
+	}, nil
 }
 
 // decode fills tuple for candidate idx in lexicographic order: the last
@@ -596,7 +528,7 @@ func (pe *pinnedEnum) Next() ([]int, bool) {
 			}
 		}
 		pe.idx++
-		res, err := evaluatePinned(pe.ctx, pe.db, pe.p.q, pe.pinned, pe.p.opts)
+		res, err := pe.p.evalGeneric(pe.ctx, pe.db, pe.pinned, nil)
 		if err != nil {
 			pe.err = err
 			return nil, false

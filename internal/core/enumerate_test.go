@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/govern"
@@ -53,41 +52,6 @@ func sortRows(rows [][]int) {
 		}
 		return false
 	})
-}
-
-func TestEnumerateMatchesAnswersProperty(t *testing.T) {
-	a := alphabet.Lower(2)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		db := randomDB(rng, a, 2+rng.Intn(3), 2+rng.Intn(5))
-		q := freeTestQuery(t, a)
-		for _, opts := range []Options{{Strategy: Reduction}, {Strategy: Generic}} {
-			want, err := AnswersContext(context.Background(), db, q, opts)
-			if err != nil {
-				t.Logf("seed %d: Answers: %v", seed, err)
-				return false
-			}
-			p, err := Prepare(q, opts)
-			if err != nil {
-				t.Logf("seed %d: Prepare: %v", seed, err)
-				return false
-			}
-			got := collectEnumerate(t, p, db)
-			sortRows(got)
-			if len(got) != len(want) {
-				t.Logf("seed %d strat %v: %d streamed vs %d materialized", seed, opts.Strategy, len(got), len(want))
-				return false
-			}
-			if len(got) > 0 && !reflect.DeepEqual(got, want) {
-				t.Logf("seed %d strat %v: %v vs %v", seed, opts.Strategy, got, want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestEnumerateBoolean(t *testing.T) {

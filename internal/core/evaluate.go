@@ -4,13 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 
-	"ecrpq/internal/cq"
-	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
-	"ecrpq/internal/synchro"
 	"ecrpq/internal/trace"
 )
 
@@ -107,13 +103,20 @@ func AutoStrategy(trackCounts []int, opts Options) Strategy {
 	return Reduction
 }
 
-// resolveAuto applies AutoStrategy to decomposed components.
-func resolveAuto(comps []component, opts Options) Strategy {
-	counts := make([]int, len(comps))
-	for i := range comps {
-		counts[i] = len(comps[i].tracks)
+// resolveStrategy turns the requested strategy into the one that runs:
+// Auto goes through AutoStrategy on the decomposed components.
+func resolveStrategy(comps []component, opts Options) (Strategy, error) {
+	switch opts.Strategy {
+	case Generic, Reduction:
+		return opts.Strategy, nil
+	case Auto:
+		counts := make([]int, len(comps))
+		for i := range comps {
+			counts[i] = len(comps[i].tracks)
+		}
+		return AutoStrategy(counts, opts), nil
 	}
-	return AutoStrategy(counts, opts)
+	return 0, fmt.Errorf("core: unknown strategy %v", opts.Strategy)
 }
 
 // Result is the outcome of Boolean evaluation, with a full witness when
@@ -148,107 +151,38 @@ func Evaluate(db *graphdb.DB, q *query.Query, opts Options) (*Result, error) {
 // EvaluateContext is Evaluate with cancellation: the product-space search
 // (Lemma 4.2) and the materialization sweep (Lemma 4.3) poll ctx
 // periodically and abort with ctx.Err() when it is cancelled or its
-// deadline passes.
+// deadline passes. It compiles a plan for this one call and, under the
+// Reduction strategy, materializes the whole Lemma 4.3 instance before the
+// join, so Stats.CQTuples is the full count (Prepared.EvaluateContext with
+// a nil materialization is the lazy first-witness path).
 func EvaluateContext(ctx context.Context, db *graphdb.DB, q *query.Query, opts Options) (*Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if db.Alphabet().Size() != q.Alphabet().Size() {
-		return nil, fmt.Errorf("core: query alphabet size %d ≠ database alphabet size %d",
-			q.Alphabet().Size(), db.Alphabet().Size())
-	}
-	return evaluatePinned(ctx, db, q, nil, opts)
-}
-
-// evaluatePinned evaluates with some node variables pre-assigned.
-func evaluatePinned(ctx context.Context, db *graphdb.DB, q *query.Query, pinned map[string]int, opts Options) (*Result, error) {
-	_, dsp := trace.StartSpan(ctx, "core/decompose")
-	comps, frees, err := decompose(q)
-	dsp.End()
+	p, err := prepare(ctx, q, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	strat := opts.Strategy
-	if strat == Auto {
-		strat = resolveAuto(comps, opts)
+	var mat *Materialization
+	if p.strat == Reduction {
+		if mat, err = p.Materialize(ctx, db); err != nil {
+			return nil, err
+		}
 	}
-	var res *Result
-	switch strat {
-	case Generic:
-		res, err = evalGeneric(ctx, db, q, comps, frees, pinned, opts, nil)
-	case Reduction:
-		res, err = evalReduction(ctx, db, q, comps, frees, pinned, opts)
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %v", opts.Strategy)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.StrategyUsed = strat
-	res.Stats.Components = len(comps)
-	res.Stats.FreeTracks = len(frees)
-	return res, nil
+	return p.EvaluateContextHinted(ctx, db, mat, nil)
 }
 
 // Answers computes the answer set of a query with free variables: all tuples
-// of vertices (in Free order) admitting a satisfying assignment. When the
-// reduction strategy applies, the Lemma 4.3 instance is materialized once
-// and the answer set is computed on the conjunctive query directly;
-// otherwise each candidate tuple is pinned and decided separately.
+// of vertices (in Free order) admitting a satisfying assignment, sorted
+// lexicographically (see Prepared.Answers).
 func Answers(db *graphdb.DB, q *query.Query, opts Options) ([][]int, error) {
 	return AnswersContext(context.Background(), db, q, opts)
 }
 
 // AnswersContext is Answers with cancellation (see EvaluateContext).
 func AnswersContext(ctx context.Context, db *graphdb.DB, q *query.Query, opts Options) ([][]int, error) {
-	if err := q.Validate(); err != nil {
+	p, err := prepare(ctx, q, opts, false)
+	if err != nil {
 		return nil, err
 	}
-	if len(q.Free) == 0 {
-		return nil, fmt.Errorf("core: Answers on a Boolean query; use Evaluate")
-	}
-	if out, ok, err := answersReduction(ctx, db, q, opts); err != nil {
-		return nil, err
-	} else if ok {
-		return out, nil
-	}
-	var out [][]int
-	tuple := make([]int, len(q.Free))
-	pinned := make(map[string]int, len(q.Free))
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(q.Free) {
-			res, err := evaluatePinned(ctx, db, q, pinned, opts)
-			if err != nil {
-				return err
-			}
-			if res.Sat {
-				out = append(out, append([]int(nil), tuple...))
-			}
-			return nil
-		}
-		for v := 0; v < db.NumVertices(); v++ {
-			tuple[i] = v
-			pinned[q.Free[i]] = v
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(pinned, q.Free[i])
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out, nil
+	return p.Answers(ctx, db, nil)
 }
 
 // anyReach computes the reflexive any-label reachability set from u.
@@ -305,40 +239,6 @@ func anyPath(db *graphdb.DB, u, v int) (graphdb.Path, bool) {
 		}
 	}
 	return graphdb.Path{}, false
-}
-
-// eagerMerge pre-merges each component's relations into one automaton
-// (Lemma 4.1), accumulating merged state counts into stats and charging
-// the merged view bytes to the context's govern reservation.
-func eagerMerge(ctx context.Context, q *query.Query, comps []component, stats *Stats) ([]component, error) {
-	res := govern.FromContext(ctx)
-	merged := make([]component, len(comps))
-	for i := range comps {
-		rel, err := mergeComponent(q.Alphabet(), &comps[i])
-		if err != nil {
-			return nil, err
-		}
-		if rel.IsUniversal() {
-			// Cannot happen: components contain ≥1 non-universal atom.
-			return nil, fmt.Errorf("core: merged component unexpectedly universal")
-		}
-		nStates, _ := rel.Size()
-		stats.MergedStatesTotal += nStates
-		if err := res.Grow(int64(nStates)*mergedStateBytes + int64(8*len(comps[i].tracks))); err != nil {
-			return nil, err
-		}
-		allTracks := make([]int, len(comps[i].tracks))
-		for k := range allTracks {
-			allTracks[k] = k
-		}
-		merged[i] = component{
-			tracks:    comps[i].tracks,
-			nodeVars:  comps[i].nodeVars,
-			rels:      []*synchro.Relation{rel},
-			relTracks: [][]int{allTracks},
-		}
-	}
-	return merged, nil
 }
 
 // PlanHints carries db-dependent decisions from a cost-based planner
@@ -412,18 +312,12 @@ func (g *genericComp) endpoints(assign []int) {
 // sources until a source moves: one traversal per source assignment
 // answers for every destination guessed under it. Paths are only computed
 // for the assignment that wins.
-func evalGeneric(ctx context.Context, db *graphdb.DB, q *query.Query, comps []component, frees []freeTrack, pinned map[string]int, opts Options, hints *PlanHints) (*Result, error) {
+func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[string]int, hints *PlanHints) (*Result, error) {
+	q, frees, opts := p.q, p.frees, p.opts
 	stats := Stats{}
-	workComps := comps
+	workComps := p.comps
 	if opts.EagerMerge {
-		_, msp := trace.StartSpan(ctx, "core/merge")
-		merged, err := eagerMerge(ctx, q, comps, &stats)
-		msp.SetInt("merged_states", int64(stats.MergedStatesTotal))
-		msp.End()
-		if err != nil {
-			return nil, err
-		}
-		workComps = merged
+		workComps, stats.MergedStatesTotal = p.merged, p.mergedSt
 	}
 
 	// Node variable universe and ordering: pinned first, then component by
@@ -611,49 +505,24 @@ func evalGeneric(ctx context.Context, db *graphdb.DB, q *query.Query, comps []co
 	return res, nil
 }
 
-// evalReduction implements Lemma 4.3: merge components (Lemma 4.1),
-// materialize each merged component's endpoint relation
+// evalReductionMaterialized decides the query by the reduction strategy
+// (Lemma 4.3) on a materialized instance: over the database's vertices,
 //
-//	R' = { (u1, v1, ..., ut, vt) : ∃ paths ui→vi with labels in R },
+//	R' = { (u1, v1, ..., ut, vt) : ∃ paths ui→vi with labels in R }
 //
-// build the conjunctive query with one atom R'(x1, y1, ..., xt, yt) per
-// component plus binary reachability atoms for free tracks, and evaluate it
-// with the tree-decomposition dynamic program. The Gaifman graph of that CQ
-// is exactly G^node of the (normalized) abstraction.
-func evalReduction(ctx context.Context, db *graphdb.DB, q *query.Query, comps []component, frees []freeTrack, pinned map[string]int, opts Options) (*Result, error) {
-	join, err := cq.Compile(reductionQuery(comps, frees, pinned, nil))
-	if err != nil {
-		return nil, err
-	}
-	st, stats, err := buildReduction(ctx, db, q, comps, frees, pinned, opts)
-	if err != nil {
-		return nil, err
-	}
-	return evalReductionMaterialized(ctx, db, q, comps, frees, pinned, opts, st, join, stats)
-}
-
-// evalReductionMaterialized runs the CQ evaluation and witness recovery of
-// the reduction strategy on an already-materialized Lemma 4.3 instance and
-// the compiled join of its conjunctive query. Split from evalReduction so a
-// cached materialization (core.Prepared / internal/plancache) can skip
-// straight past the R' sweep, and a prepared plan past the compilation.
-func evalReductionMaterialized(ctx context.Context, db *graphdb.DB, q *query.Query, comps []component, frees []freeTrack, pinned map[string]int, opts Options, st *cq.Structure, join *cq.Plan, stats Stats) (*Result, error) {
-	if db.NumVertices() == 0 {
-		// Empty database: satisfiable only if the query has no atoms at all.
-		sat := len(comps)+len(frees)+len(pinned) == 0 && len(q.Reach) == 0
-		return &Result{Sat: sat, Stats: stats}, nil
-	}
-
+// per merged component (Lemma 4.1) and plain reachability for free tracks;
+// the conjunctive query with one atom R'(x1, y1, ..., xt, yt) per component
+// and a binary reachability atom per free track — its Gaifman graph is
+// exactly G^node of the (normalized) abstraction — is evaluated with the
+// tree-decomposition dynamic program the plan compiled, and the witness
+// paths recovered.
+func (p *Prepared) evalReductionMaterialized(ctx context.Context, db *graphdb.DB, mat *Materialization) (*Result, error) {
 	// Join intermediates charge through a meter so they are released as a
 	// block when the CQ evaluation finishes, whatever path it exits by.
-	mem := govern.MeterFrom(ctx)
+	mem, charge := meterCharge(ctx)
 	defer mem.Close()
-	var chargeFn cq.ChargeFunc
-	if mem != nil {
-		chargeFn = mem.Charge
-	}
 	_, jsp := trace.StartSpan(ctx, "core/cq_join")
-	assign, sat, work, err := join.Eval(ctx, st, chargeFn)
+	assign, sat, work, err := p.join.Eval(ctx, mat.st, charge)
 	jsp.SetInt("bags", int64(work.Bags))
 	jsp.SetInt("rows_in", int64(work.RowsIn))
 	jsp.SetInt("rows_peak", int64(work.RowsPeak))
@@ -661,32 +530,30 @@ func evalReductionMaterialized(ctx context.Context, db *graphdb.DB, q *query.Que
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Sat: sat, Stats: stats}
+	res := &Result{Sat: sat, Stats: mat.stats}
 	if !sat {
 		return res, nil
 	}
-	// Node variables that appear in the query but not in any CQ atom (no
-	// components and no free tracks reference them) default to vertex 0.
-	res.Nodes = make(map[string]int)
-	for _, v := range q.NodeVars() {
-		if d, ok := assign[v]; ok {
-			res.Nodes[v] = d
-		} else if pv, ok := pinned[v]; ok {
-			res.Nodes[v] = pv
-		} else {
-			res.Nodes[v] = 0
-		}
+	res.Nodes = make(map[string]int, len(assign))
+	for _, v := range p.q.NodeVars() {
+		res.Nodes[v] = assign[v]
 	}
-	if err := recoverWitnesses(ctx, db, comps, frees, opts, res); err != nil {
+	if err := p.recoverWitnesses(ctx, db, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
+// emptyDBSat is the reduction strategy's verdict on a database with no
+// vertices, where there is nothing to sweep, stream or join: satisfiable
+// only when the query has no atom at all.
+func (p *Prepared) emptyDBSat() bool { return len(p.q.Reach) == 0 }
+
 // recoverWitnesses re-runs each component's product search with the CQ
 // witness's endpoints pinned to extract concrete paths, plus any-label
 // paths for free tracks. res.Nodes must be populated; res.Paths is filled.
-func recoverWitnesses(ctx context.Context, db *graphdb.DB, comps []component, frees []freeTrack, opts Options, res *Result) error {
+func (p *Prepared) recoverWitnesses(ctx context.Context, db *graphdb.DB, res *Result) error {
+	comps, frees := p.comps, p.frees
 	_, wsp := trace.StartSpan(ctx, "core/witness")
 	defer wsp.End()
 	res.Paths = make(map[string]graphdb.Path)
@@ -698,7 +565,7 @@ func recoverWitnesses(ctx context.Context, db *graphdb.DB, comps []component, fr
 			srcs[k] = res.Nodes[tr.srcVar]
 			dsts[k] = res.Nodes[tr.dstVar]
 		}
-		paths, ok, err := checkComponent(ctx, db, c, srcs, dsts, opts.maxStates())
+		paths, ok, err := checkComponent(ctx, db, c, srcs, dsts, p.opts.maxStates())
 		if err != nil {
 			return err
 		}

@@ -52,9 +52,9 @@ func Explain(q *query.Query, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	strat := opts.Strategy
-	if strat == Auto {
-		strat = resolveAuto(comps, opts)
+	strat, err := resolveStrategy(comps, opts)
+	if err != nil {
+		return nil, err
 	}
 	p := &Plan{
 		Strategy:      strat,

@@ -203,7 +203,7 @@ func workComponents(t testing.TB, q *query.Query, eager bool) []component {
 		t.Fatal(err)
 	}
 	if eager {
-		if comps, err = eagerMerge(context.Background(), q, comps, &Stats{}); err != nil {
+		if comps, _, err = mergedViews(context.Background(), q, comps); err != nil {
 			t.Fatal(err)
 		}
 	}

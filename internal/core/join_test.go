@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ecrpq/internal/alphabet"
@@ -127,39 +128,49 @@ func TestCancelMidJoin(t *testing.T) {
 	}
 }
 
-// TestPreparedJoinMatchesOneShot: the join compiled once at Prepare decides
-// every materialisation as the per-call compilation of EvaluateContext does,
-// and neither evaluation adds a relation to the materialised structure.
-func TestPreparedJoinMatchesOneShot(t *testing.T) {
+// TestPreparedJoinLeavesMaterialisationUntouched: a materialisation is
+// shared by every request that hits it, so neither deciding the query nor
+// computing an answer set over it may add a relation or a tuple to the
+// structure, and a second evaluation over it says what the first did.
+func TestPreparedJoinLeavesMaterialisationUntouched(t *testing.T) {
 	ctx := context.Background()
 	for _, jc := range joinCases() {
-		p, err := Prepare(jc.q, Options{Strategy: Reduction})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mat, err := p.Materialize(ctx, jc.db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		names := mat.st.RelationNames()
-		got, err := p.EvaluateContext(ctx, jc.db, mat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := EvaluateContext(ctx, jc.db, jc.q, Options{Strategy: Reduction})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Sat != want.Sat || got.Stats.CQTuples != want.Stats.CQTuples {
-			t.Errorf("%s: prepared sat=%v tuples=%d, one-shot sat=%v tuples=%d", jc.name, got.Sat, got.Stats.CQTuples, want.Sat, want.Stats.CQTuples)
-		}
-		if got.Sat {
-			if err := VerifyWitness(jc.db, jc.q, got); err != nil {
-				t.Errorf("%s: %v", jc.name, err)
+		fq := *jc.q
+		fq.Free = jc.q.NodeVars()[:1]
+		for _, q := range []*query.Query{jc.q, &fq} {
+			p, err := Prepare(q, Options{Strategy: Reduction})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if after := mat.st.RelationNames(); len(after) != len(names) {
-			t.Errorf("%s: evaluation grew the materialised structure: %v → %v", jc.name, names, after)
+			mat, err := p.Materialize(ctx, jc.db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, tuples := mat.st.RelationNames(), mat.st.NumTuples()
+			first, err := p.EvaluateContext(ctx, jc.db, mat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Sat {
+				if err := VerifyWitness(jc.db, q, first); err != nil {
+					t.Errorf("%s: %v", jc.name, err)
+				}
+			}
+			if len(q.Free) > 0 {
+				if _, err := p.Answers(ctx, jc.db, mat); err != nil {
+					t.Fatal(err)
+				}
+			}
+			again, err := p.EvaluateContext(ctx, jc.db, mat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Sat != first.Sat || again.Stats != first.Stats {
+				t.Errorf("%s: second evaluation sat=%v stats=%+v, first sat=%v stats=%+v", jc.name, again.Sat, again.Stats, first.Sat, first.Stats)
+			}
+			if after := mat.st.RelationNames(); !slices.Equal(after, names) || mat.st.NumTuples() != tuples {
+				t.Errorf("%s: evaluation changed the materialised structure: %v (%d tuples) → %v (%d)", jc.name, names, tuples, after, mat.st.NumTuples())
+			}
 		}
 	}
 }

@@ -5,27 +5,32 @@ import (
 	"fmt"
 
 	"ecrpq/internal/cq"
+	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
+	"ecrpq/internal/stream"
 	"ecrpq/internal/trace"
 	"ecrpq/internal/twolevel"
 )
 
-// Prepared is a query compiled for repeated evaluation: validation,
-// component decomposition, strategy resolution, the Lemma 4.1 component
-// merges, and the structural measures are all done once at Prepare time
-// and reused by every EvaluateContext call. Prepared values are immutable
-// after construction and safe for concurrent use — this is what
-// internal/plancache stores for the query server.
+// Prepared is a query compiled for evaluation: validation, component
+// decomposition, strategy resolution, the Lemma 4.1 component merges and
+// the Lemma 4.3 conjunctive query with its compiled join are all done once
+// by prepare, and every evaluation, answer set and enumeration is a method
+// on the result. Prepared values are immutable after construction and safe
+// for concurrent use — this is what internal/plancache stores for the
+// query server, and what the package-level one-shot entry points build and
+// drop.
 type Prepared struct {
 	q        *query.Query
 	opts     Options
 	strat    Strategy // resolved: never Auto
 	comps    []component
 	frees    []freeTrack
-	merged   []component // Lemma 4.1 single-relation views, one per component
+	merged   []component // Lemma 4.1 single-relation views, one per component; nil when none were built
 	mergedSt int         // total merged NFA states
-	join     *cq.Plan    // Reduction plans: the compiled Prop 2.3 join of the Lemma 4.3 query
+	cqq      *cq.Query   // Reduction plans: the Lemma 4.3 query, q.Free its free tuple
+	join     *cq.Plan    // Reduction plans: the compiled Prop 2.3 join of cqq
 	measures twolevel.Measures
 	memBytes int
 }
@@ -40,10 +45,31 @@ func Prepare(q *query.Query, opts Options) (*Prepared, error) {
 // PrepareContext is Prepare with context threading: when ctx carries an
 // internal/trace trace, the decomposition and Lemma 4.1 merge stages are
 // recorded as spans and the resolved strategy and structural measures
-// land on the core/prepare span as attributes.
+// land on the core/prepare span as attributes. A plan made here is meant
+// to be kept: its views are always built (PushdownCandidates reads them)
+// and it knows its measures and retained size.
 func PrepareContext(ctx context.Context, q *query.Query, opts Options) (*Prepared, error) {
 	ctx, sp := trace.StartSpan(ctx, "core/prepare")
 	defer sp.End()
+	p, err := prepare(ctx, q, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	p.measures = twolevel.QueryMeasures(q)
+	p.memBytes = p.estimateBytes()
+	sp.SetStr("strategy", p.strat.String())
+	sp.SetInt("components", int64(len(p.comps)))
+	sp.SetInt("cc_vertex", int64(p.measures.CCVertex))
+	sp.SetInt("treewidth_upper", int64(p.measures.TreewidthUpper))
+	return p, nil
+}
+
+// prepare is the only compiler: validate, decompose, resolve the strategy,
+// merge (Lemma 4.1), build and compile the Lemma 4.3 query. With views
+// false the merge is skipped when nothing will read it — a lazy Generic
+// plan searches the unmerged product — which is what the one-shot entry
+// points ask for.
+func prepare(ctx context.Context, q *query.Query, opts Options, views bool) (*Prepared, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -53,37 +79,21 @@ func PrepareContext(ctx context.Context, q *query.Query, opts Options) (*Prepare
 	if err != nil {
 		return nil, err
 	}
-	strat := opts.Strategy
-	if strat == Auto {
-		strat = resolveAuto(comps, opts)
-	}
-	if strat != Generic && strat != Reduction {
-		return nil, fmt.Errorf("core: unknown strategy %v", opts.Strategy)
-	}
-	merged, mergedStates, err := mergedViews(ctx, q, comps)
-	if err != nil {
+	p := &Prepared{q: q, opts: opts, comps: comps, frees: frees}
+	if p.strat, err = resolveStrategy(comps, opts); err != nil {
 		return nil, err
 	}
-	p := &Prepared{
-		q:        q,
-		opts:     opts,
-		strat:    strat,
-		comps:    comps,
-		frees:    frees,
-		merged:   merged,
-		mergedSt: mergedStates,
-		measures: twolevel.QueryMeasures(q),
-	}
-	if strat == Reduction {
-		if p.join, err = cq.Compile(reductionQuery(comps, frees, nil, nil)); err != nil {
+	if views || p.strat == Reduction || opts.EagerMerge {
+		if p.merged, p.mergedSt, err = mergedViews(ctx, q, comps); err != nil {
 			return nil, err
 		}
 	}
-	p.memBytes = p.estimateBytes()
-	sp.SetStr("strategy", strat.String())
-	sp.SetInt("components", int64(len(comps)))
-	sp.SetInt("cc_vertex", int64(p.measures.CCVertex))
-	sp.SetInt("treewidth_upper", int64(p.measures.TreewidthUpper))
+	if p.strat == Reduction {
+		p.cqq = reductionQuery(comps, frees, q.Free)
+		if p.join, err = cq.Compile(p.cqq); err != nil {
+			return nil, err
+		}
+	}
 	return p, nil
 }
 
@@ -150,7 +160,7 @@ func (p *Prepared) Materialize(ctx context.Context, db *graphdb.DB) (*Materializ
 		return nil, err
 	}
 	ctx, sp := trace.StartSpan(ctx, "core/materialize")
-	st, stats, err := buildReductionMerged(ctx, db, p.comps, p.merged, p.mergedSt, p.frees, nil, p.opts)
+	st, stats, err := p.buildReductionMerged(ctx, db)
 	sp.SetInt("cq_tuples", int64(stats.CQTuples))
 	sp.End()
 	if err != nil {
@@ -199,17 +209,15 @@ func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, ma
 	}
 	var res *Result
 	var err error
-	switch p.strat {
-	case Generic:
-		res, err = evalGeneric(ctx, db, p.q, p.comps, p.frees, nil, p.opts, hints)
-	case Reduction:
-		if mat == nil {
-			res, err = p.evaluateReductionStreaming(ctx, db)
-			break
-		}
-		res, err = evalReductionMaterialized(ctx, db, p.q, p.comps, p.frees, nil, p.opts, mat.st, p.join, mat.stats)
+	switch {
+	case p.strat == Generic:
+		res, err = p.evalGeneric(ctx, db, nil, hints)
+	case db.NumVertices() == 0:
+		res = &Result{Sat: p.emptyDBSat()}
+	case mat == nil:
+		res, err = p.evaluateReductionStreaming(ctx, db)
 	default:
-		err = fmt.Errorf("core: unknown strategy %v", p.strat)
+		res, err = p.evalReductionMaterialized(ctx, db, mat)
 	}
 	if err != nil {
 		return nil, err
@@ -218,4 +226,56 @@ func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, ma
 	res.Stats.Components = len(p.comps)
 	res.Stats.FreeTracks = len(p.frees)
 	return res, nil
+}
+
+// Answers computes the answer set of a query with free variables on the
+// database: all tuples of vertices (in Free order) admitting a satisfying
+// assignment, sorted lexicographically. A Reduction plan runs its own
+// compiled join over mat, the Materialization for this database (nil: it is
+// built first); the join's tables and the rows it keeps are charged to
+// ctx's reservation for the length of the call. A Generic plan ignores mat
+// and drains the candidate-pinning enumerator, whose order is
+// lexicographic already.
+func (p *Prepared) Answers(ctx context.Context, db *graphdb.DB, mat *Materialization) ([][]int, error) {
+	if len(p.q.Free) == 0 {
+		return nil, fmt.Errorf("core: Answers on a Boolean query; use Evaluate")
+	}
+	if p.strat == Generic {
+		it, err := p.Enumerate(ctx, db)
+		if err != nil {
+			return nil, err
+		}
+		defer it.Close()
+		return stream.Collect(it)
+	}
+	if err := p.checkDB(db); err != nil {
+		return nil, err
+	}
+	if db.NumVertices() == 0 {
+		return nil, nil
+	}
+	if mat == nil {
+		var err error
+		if mat, err = p.Materialize(ctx, db); err != nil {
+			return nil, err
+		}
+	}
+	mem, charge := meterCharge(ctx)
+	defer mem.Close()
+	_, jsp := trace.StartSpan(ctx, "core/cq_join")
+	out, err := p.join.Answers(ctx, mat.st, charge)
+	jsp.SetInt("rows_out", int64(len(out)))
+	jsp.End()
+	return out, err
+}
+
+// meterCharge opens a meter over ctx's reservation for intermediates that
+// are released as a block, and returns its Charge in the shape the joins
+// take — nil, which turns their accounting off, when ctx carries none.
+func meterCharge(ctx context.Context) (*govern.Meter, func(int64) error) {
+	mem := govern.MeterFrom(ctx)
+	if mem == nil {
+		return nil, nil
+	}
+	return mem, mem.Charge
 }

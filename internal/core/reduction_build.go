@@ -15,19 +15,6 @@ import (
 	"ecrpq/internal/trace"
 )
 
-// buildReduction constructs the structure of the Lemma 4.3 instance: over
-// the database's vertices, one materialized endpoint relation R' per merged
-// component, plus a plain-reachability relation for free tracks and
-// singleton relations for pinned variables. reductionQuery is the other
-// half of the instance.
-func buildReduction(ctx context.Context, db *graphdb.DB, q *query.Query, comps []component, frees []freeTrack, pinned map[string]int, opts Options) (*cq.Structure, Stats, error) {
-	merged, mergedStates, err := mergedViews(ctx, q, comps)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return buildReductionMerged(ctx, db, comps, merged, mergedStates, frees, pinned, opts)
-}
-
 // mergedStateBytes approximates the footprint of one merged-NFA state
 // (matching the per-state term of Prepared.estimateBytes); mergedViews
 // charges it against the request's reservation as each view is built.
@@ -74,9 +61,14 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) ([]comp
 	return merged, states, nil
 }
 
-// buildReductionMerged is buildReduction on pre-merged component views.
-func buildReductionMerged(ctx context.Context, db *graphdb.DB, comps, merged []component, mergedStates int, frees []freeTrack, pinned map[string]int, opts Options) (*cq.Structure, Stats, error) {
-	stats := Stats{MergedStatesTotal: mergedStates}
+// buildReductionMerged constructs the structure of the Lemma 4.3 instance
+// from the plan's merged views: over the database's vertices, one
+// materialized endpoint relation R' per merged component, plus a
+// plain-reachability relation for free tracks. reductionQuery is the other
+// half of the instance.
+func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*cq.Structure, Stats, error) {
+	merged, frees, opts := p.merged, p.frees, p.opts
+	stats := Stats{MergedStatesTotal: p.mergedSt}
 	n := db.NumVertices()
 	st := cq.NewStructure(maxInt(n, 1))
 
@@ -95,15 +87,14 @@ func buildReductionMerged(ctx context.Context, db *graphdb.DB, comps, merged []c
 	scratch := govern.MeterFrom(ctx)
 	defer scratch.Close()
 	var adj [][]int32
-	if n > 0 && len(comps) > 0 {
+	if n > 0 && len(merged) > 0 {
 		adj = buildAdjacency(db, db.Alphabet().Size())
 		if err := scratch.Grow(adjacencyBytes(adj)); err != nil {
 			return nil, stats, fmt.Errorf("core: product search: %w", err)
 		}
 	}
-	for ci := range comps {
-		c := &comps[ci]
-		t := len(c.tracks)
+	for ci := range merged {
+		t := len(merged[ci].tracks)
 		var rows []int
 		_, ssp := trace.StartSpan(ctx, "core/sweep")
 		var err error
@@ -121,13 +112,6 @@ func buildReductionMerged(ctx context.Context, db *graphdb.DB, comps, merged []c
 			return nil, stats, err
 		}
 		stats.CQTuples += len(rows) / (2 * t)
-	}
-
-	// Pin variables via singleton relations.
-	for v, val := range pinned {
-		if err := st.LoadSorted("__pin_"+v, 1, []int{val}, []int{0}); err != nil {
-			return nil, stats, err
-		}
 	}
 	return st, stats, nil
 }
@@ -154,57 +138,6 @@ func addReachRelation(ctx context.Context, db *graphdb.DB, st *cq.Structure, n i
 	}
 	sp.SetInt("tuples", int64(len(flat)/2))
 	return len(flat) / 2, st.LoadSorted("__reach", 2, flat, []int{0, 1})
-}
-
-// answersReduction computes the answer set via a single Lemma 4.3
-// materialization followed by conjunctive-query answer enumeration. It
-// reports ok=false when the strategy resolution chooses the generic
-// algorithm (large components), in which case the caller falls back to
-// per-tuple pinning.
-func answersReduction(ctx context.Context, db *graphdb.DB, q *query.Query, opts Options) ([][]int, bool, error) {
-	comps, frees, err := decompose(q)
-	if err != nil {
-		return nil, false, err
-	}
-	strat := opts.Strategy
-	if strat == Auto {
-		strat = resolveAuto(comps, opts)
-	}
-	if strat != Reduction {
-		return nil, false, nil
-	}
-	if db.NumVertices() == 0 {
-		return nil, true, nil
-	}
-	// Free variables must occur in the CQ; a free variable used only in
-	// reachability atoms of components always does (its component atom
-	// mentions it). Guard for pathological queries anyway.
-	cqq := reductionQuery(comps, frees, nil, q.Free)
-	inCQ := make(map[string]bool)
-	for _, at := range cqq.Atoms {
-		for _, v := range at.Args {
-			inCQ[v] = true
-		}
-	}
-	for _, f := range q.Free {
-		if !inCQ[f] {
-			// Unconstrained free variable: fall back to pinning.
-			return nil, false, nil
-		}
-	}
-	join, err := cq.Compile(cqq)
-	if err != nil {
-		return nil, false, err
-	}
-	st, _, err := buildReduction(ctx, db, q, comps, frees, nil, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	out, err := join.Answers(ctx, st)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
 }
 
 // maxSweepSources bounds the Lemma 4.3 sweep: V^t source tuples beyond this

@@ -139,5 +139,5 @@ func AllAnswers(ctx context.Context, s *Structure, q *Query) ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Answers(ctx, s)
+	return p.Answers(ctx, s, nil)
 }

@@ -545,12 +545,13 @@ func (r *run) witness() (Assignment, bool, error) {
 // the Domain^|Free| candidate tuples is then a column filter over the bags
 // on the paths between the free variables, re-reduced among themselves (the
 // bags below them were reduced against already and do not change). ctx is
-// polled once per candidate as well as inside the kernel.
-func (p *Plan) Answers(ctx context.Context, s *Structure) ([][]int, error) {
+// polled once per candidate as well as inside the kernel. charge sees the
+// bag tables as Eval's does, and every answer row kept.
+func (p *Plan) Answers(ctx context.Context, s *Structure, charge ChargeFunc) ([][]int, error) {
 	if len(p.q.Free) == 0 {
 		return nil, fmt.Errorf("cq: AllAnswers on a Boolean query")
 	}
-	r, err := p.start(ctx, s, nil)
+	r, err := p.start(ctx, s, charge)
 	if err != nil {
 		return nil, err
 	}
@@ -560,6 +561,7 @@ func (p *Plan) Answers(ctx context.Context, s *Structure) ([][]int, error) {
 	}
 	var out [][]int
 	tuple := make([]int, len(p.q.Free))
+	rowBytes := int64(24 + 8*len(tuple))
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == len(tuple) {
@@ -567,10 +569,16 @@ func (p *Plan) Answers(ctx context.Context, s *Structure) ([][]int, error) {
 				return err
 			}
 			ok, err := r.candidate(tuple)
-			if ok {
-				out = append(out, slices.Clone(tuple))
+			if !ok || err != nil {
+				return err
 			}
-			return err
+			if charge != nil {
+				if err := charge(rowBytes); err != nil {
+					return err
+				}
+			}
+			out = append(out, slices.Clone(tuple))
+			return nil
 		}
 		for d := 0; d < s.Domain; d++ {
 			tuple[i] = d

@@ -163,6 +163,20 @@ func TestPlanDifferential(t *testing.T) {
 		vars := q.Vars()
 		rng.Shuffle(len(vars), func(i, j int) { vars[i], vars[j] = vars[j], vars[i] })
 		fq := &Query{Atoms: q.Atoms, Free: vars[:1+rng.Intn(min(3, len(vars)))]}
+		// A plan compiled with free variables roots its trees elsewhere; it
+		// must still decide the Boolean question (core keeps one plan per
+		// query and runs both Eval and Answers on it).
+		fp, err := Compile(fq)
+		if err != nil {
+			t.Fatalf("seed %d: Compile(%+v): %v", seed, fq, err)
+		}
+		fassign, fgot, _, err := fp.Eval(ctx, s, nil)
+		if err != nil || fgot != want {
+			t.Fatalf("seed %d: Eval on the plan with free %v = %v, %v; the Boolean plan says %v", seed, fq.Free, fgot, err, want)
+		}
+		if fgot {
+			checkAssignment(t, s, fq, fassign)
+		}
 		if len(vars) > 6 {
 			continue // brute force is Domain^|vars|
 		}
@@ -396,6 +410,47 @@ func TestPlanChargeErrors(t *testing.T) {
 	}
 }
 
+// TestPlanAnswersCharged: Answers reports its bag tables and every answer
+// row it keeps to the charge function, and an error from it — at any call —
+// aborts the enumeration with that error.
+func TestPlanAnswersCharged(t *testing.T) {
+	ctx := context.Background()
+	errBudget := errors.New("budget")
+	for seed := int64(0); seed < 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, q := joinInstance(rng)
+		vars := q.Vars()
+		fq := &Query{Atoms: q.Atoms, Free: vars[:1+rng.Intn(min(2, len(vars)))]}
+		p, err := Compile(fq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls, sum int64
+		rows, err := p.Answers(ctx, s, func(d int64) error { calls++; sum += d; return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) > 0 && sum < int64(len(rows))*int64(24+8*len(fq.Free)) {
+			t.Fatalf("seed %d: %d answer rows but only %d bytes charged", seed, len(rows), sum)
+		}
+		for n := int64(1); n <= calls; n++ {
+			left := n
+			_, err := p.Answers(ctx, s, func(int64) error {
+				if left--; left == 0 {
+					return errBudget
+				}
+				return nil
+			})
+			if err != errBudget {
+				t.Fatalf("seed %d: charge failing at call %d of %d: err = %v", seed, n, calls, err)
+			}
+		}
+	}
+	if n := scratches.out.Load(); n != 0 {
+		t.Errorf("%d scratches not returned to the pool", n)
+	}
+}
+
 // TestPlanCancel: a context that turns cancelled at its N-th poll stops
 // Eval, Answers and EvalBacktrack with context.Canceled at that poll, for
 // every N up to the run's own count, and the scratch goes back to the pool.
@@ -435,7 +490,7 @@ func TestPlanCancel(t *testing.T) {
 		run      func(ctx context.Context) error
 	}{
 		{"Eval", 15, func(ctx context.Context) error { _, _, _, err := p.Eval(ctx, s, nil); return err }},
-		{"Answers", 36, func(ctx context.Context) error { _, err := sp.Answers(ctx, small); return err }},
+		{"Answers", 36, func(ctx context.Context) error { _, err := sp.Answers(ctx, small, nil); return err }},
 		{"EvalBacktrack", 4, func(ctx context.Context) error { _, _, err := EvalBacktrack(ctx, s, unsat); return err }},
 	} {
 		for n := 1; ; n++ {
@@ -487,7 +542,7 @@ func TestPlanConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantAns, err := p.Answers(ctx, s)
+		wantAns, err := p.Answers(ctx, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +561,7 @@ func TestPlanConcurrent(t *testing.T) {
 						t.Errorf("seed %d: concurrent Eval returned %v, which violates an atom", seed, assign)
 						return
 					}
-					ans, err := p.Answers(ctx, s)
+					ans, err := p.Answers(ctx, s, nil)
 					if err != nil || !slices.EqualFunc(ans, wantAns, slices.Equal[[]int]) {
 						t.Errorf("seed %d: concurrent Answers = %v, %v; want %v", seed, ans, err, wantAns)
 						return

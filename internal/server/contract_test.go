@@ -222,6 +222,39 @@ func TestReadRefusalContract(t *testing.T) {
 	}
 }
 
+// TestFreeVariableQueryContract is the success side for answer sets: a
+// free-variable /v1/query is a plan-cache citizen like a Boolean one — its
+// cache field is never "bypass", its strategy is the one that ran, and it
+// lands in the same counters.
+func TestFreeVariableQueryContract(t *testing.T) {
+	s := newTestServer(t, Config{})
+	registerDB(t, s, "g", "alphabet a b\nu a v\nv b w\n")
+	rec, out := doJSON(t, s, "POST", "/v1/query",
+		map[string]any{"db": "g", "query": "alphabet a b\nfree x y\nx -[ab]-> y\n"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%d %s", rec.Code, rec.Body.String())
+	}
+	if c := out["cache"]; c != "miss" && c != "partial" && c != "hit" {
+		t.Errorf("cache=%v, want miss, partial or hit", c)
+	}
+	strategy, _ := out["strategy"].(string)
+	if strategy != "generic" && strategy != "reduction" {
+		t.Errorf("strategy=%q under auto, want the resolved strategy", strategy)
+	}
+	if answers, _ := out["answers"].([]any); len(answers) != 1 {
+		t.Errorf("answers=%v, want the one tuple (u, w)", out["answers"])
+	}
+	if st := s.CacheStats(); st.Entries == 0 {
+		t.Error("an answers request left nothing in the plan cache")
+	}
+	if got := s.mCacheMisses.Value(); got != 1 {
+		t.Errorf("plan_cache misses=%d after one cold answers request, want 1", got)
+	}
+	if got := s.mStrategy[strategy].Value(); got != 1 {
+		t.Errorf("strategy_%s=%d after one answers request, want 1", strategy, got)
+	}
+}
+
 // decodeRecorded decodes a recorded JSON response body.
 func decodeRecorded(t *testing.T, rec *httptest.ResponseRecorder) map[string]any {
 	t.Helper()

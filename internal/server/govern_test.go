@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,6 +133,32 @@ func TestMemoryBombBounded(t *testing.T) {
 	}
 	if now := runtime.NumGoroutine(); now > before+2 {
 		t.Errorf("goroutines %d after test, was %d before", now, before)
+	}
+}
+
+// TestAnswersJoinBounded: the join behind a free-variable /v1/query is
+// charged to the request like a Boolean one's. On a 40-cycle each of the
+// triangle's three a*-reachability relations keeps 1 600 rows (the sweep
+// fits the budget) but their one bag joins into 64 000 (768 KB, which does
+// not): the request is refused with the typed 429, and gives everything
+// back.
+func TestAnswersJoinBounded(t *testing.T) {
+	s := newTestServer(t, Config{MemBudgetBytes: 512 << 10, QueryReserveBytes: 64 << 10})
+	var db strings.Builder
+	db.WriteString("alphabet a b\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&db, "v%d a v%d\n", i, (i+1)%40)
+	}
+	registerDB(t, s, "ring", db.String())
+	rec, out := doJSON(t, s, "POST", "/v1/query", map[string]any{
+		"db": "ring", "strategy": "reduction",
+		"query": "alphabet a b\nfree x\nx -[a*]-> y\ny -[a*]-> z\nx -[a*]-> z\n",
+	})
+	if rec.Code != http.StatusTooManyRequests || out["code"] != "RESOURCE_EXHAUSTED" {
+		t.Fatalf("status=%d code=%v, want 429 RESOURCE_EXHAUSTED (%.200s)", rec.Code, out["code"], rec.Body.String())
+	}
+	if got, cached := s.GovernStats().ReservedBytes, s.CacheStats().Bytes; got > cached {
+		t.Errorf("reserved = %d after the refusal, want at most the cache's %d", got, cached)
 	}
 }
 

@@ -87,7 +87,7 @@ type readOp struct {
 type queryResponse struct {
 	Sat       bool              `json:"sat"`
 	Strategy  string            `json:"strategy"`
-	Cache     string            `json:"cache"` // hit | partial | miss | bypass
+	Cache     string            `json:"cache"` // hit | partial | miss; bypass on a degraded answer, which ran no plan
 	QueryHash string            `json:"query_hash"`
 	Nodes     map[string]string `json:"nodes,omitempty"`
 	Paths     map[string]string `json:"paths,omitempty"`
@@ -679,63 +679,49 @@ func vertexNames(db *graphdb.DB, tuples [][]int) [][]string {
 }
 
 // evaluate runs on a pool worker: plan-cache lookup/population, then
-// evaluation under ctx.
+// evaluation under ctx. A free-variable query resolves its plan exactly as
+// a Boolean one does and asks it for the answer set; like /v1/enumerate it
+// takes the planner's strategy but not its hints, which only steer a
+// first-witness search.
 func (s *Server) evaluate(ctx context.Context, c *readCall) (*queryResponse, error) {
 	start := time.Now()
 	db := c.entry.db
-
-	// Free-variable queries return answer sets, which are not cached (the
-	// answer enumerator does not go through Prepared yet); everything else
-	// reuses compiled plans and materializations.
-	if len(c.q.Free) > 0 {
-		trace.FromContext(ctx).SetStr("cache", "bypass")
-		answers, err := core.AnswersContext(ctx, db, c.q, s.coreOptions(c.strat))
-		if err != nil {
-			return nil, err
-		}
-		s.mEvalLatency.Observe(time.Since(start))
-		return &queryResponse{
-			Sat:       len(answers) > 0,
-			Strategy:  c.stratName,
-			Cache:     "bypass",
-			QueryHash: c.hash,
-			Answers:   vertexNames(db, answers),
-			Free:      c.q.Free,
-			ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-		}, nil
-	}
-
 	rp, err := s.resolvePlan(ctx, c, true)
 	if err != nil {
 		return nil, err
 	}
-	res, err := rp.prepared.EvaluateContextHinted(ctx, db, rp.mat, s.planHints(rp.dec, rp.prepared, db))
-	if err != nil {
-		return nil, err
+	resp := &queryResponse{Strategy: rp.strategy, Cache: rp.cache, QueryHash: c.hash}
+	if len(c.q.Free) > 0 {
+		answers, err := rp.prepared.Answers(ctx, db, rp.mat)
+		if err != nil {
+			return nil, err
+		}
+		resp.Sat = len(answers) > 0
+		resp.Answers = vertexNames(db, answers)
+		resp.Free = c.q.Free
+	} else {
+		res, err := rp.prepared.EvaluateContextHinted(ctx, db, rp.mat, s.planHints(rp.dec, rp.prepared, db))
+		if err != nil {
+			return nil, err
+		}
+		resp.Sat = res.Sat
+		resp.Stats = res.Stats
+		if res.Sat {
+			resp.Nodes = make(map[string]string, len(res.Nodes))
+			for v, vertex := range res.Nodes {
+				resp.Nodes[v] = db.VertexName(vertex)
+			}
+			resp.Paths = make(map[string]string, len(res.Paths))
+			for p, path := range res.Paths {
+				resp.Paths[p] = path.Format(db)
+			}
+		}
 	}
 	elapsed := time.Since(start)
 	s.mEvalLatency.Observe(elapsed)
-	if n, ok := s.mStrategy[res.Stats.StrategyUsed.String()]; ok {
+	if n, ok := s.mStrategy[rp.strategy]; ok {
 		n.Inc()
 	}
-
-	resp := &queryResponse{
-		Sat:       res.Sat,
-		Strategy:  res.Stats.StrategyUsed.String(),
-		Cache:     rp.cache,
-		QueryHash: c.hash,
-		Stats:     res.Stats,
-		ElapsedMs: float64(elapsed.Microseconds()) / 1000,
-	}
-	if res.Sat {
-		resp.Nodes = make(map[string]string, len(res.Nodes))
-		for v, vertex := range res.Nodes {
-			resp.Nodes[v] = db.VertexName(vertex)
-		}
-		resp.Paths = make(map[string]string, len(res.Paths))
-		for p, path := range res.Paths {
-			resp.Paths[p] = path.Format(db)
-		}
-	}
+	resp.ElapsedMs = float64(elapsed.Microseconds()) / 1000
 	return resp, nil
 }
