@@ -108,23 +108,28 @@ sweep-gate:
 	} END { if (!seen) { print "sweep-gate: no BenchmarkSweepComponent rows"; bad = 1 } exit bad }'
 
 ## generic-gate guards the Lemma 4.2 product search of the generic
-## strategy: the differential suite (one kept kernel and one resumable
-## traversal per source assignment ≡ a fresh kernel and search per check, on
-## the decision and on the smallest sufficient state budget; ≡ the reduction
-## strategy and the brute-force semantics; every witness read off the
-## recording kernel verified; the unpacked fallback; cancellation at every
+## strategy. There is one product kernel (fastproduct.go) over the layout the
+## database owns: no second engine for states past the packed width, no
+## per-evaluation adjacency table and no caller that asks a kernel whether it
+## exists have grown back in non-test internal/core (the kernels of a
+## componentSearch and a sweepSource are built on first use, and nil means
+## only "not yet"). Then the differential suite (one kept kernel and one
+## resumable traversal per source assignment ≡ a fresh kernel and search per
+## check, on the decision and on the smallest sufficient state budget; ≡ the
+## reduction strategy and the brute-force semantics; every witness read off
+## the recording kernel verified; every instance again in the wide key
+## regime, and the components that are wide by nature; cancellation at every
 ## poll releasing every charged byte) runs under the race detector, and the
-## layer benchmark must begin at most V traversals on the exhaustive fan,
+## layer benchmark must begin at most V traversals on the exhaustive fan and
 ## stay under 0.05 allocations per check wherever an evaluation makes a
 ## thousand checks or more (a satisfiable instance that needs one check
-## still builds a kernel and a result), and show no productSearch frame in
-## an every-allocation memory profile: both its shapes pack, and a packed
-## component must not touch the string-keyed search.
+## still builds a kernel and a result).
 generic-gate:
+	@cd internal/core && src="$$(ls *.go | grep -v _test.go)"; \
+	if grep -nE 'productSearch|productState|sweepUnpacked|buildAdjacency|fp == nil' $$src; then \
+		echo "generic-gate: a second product engine, a per-evaluation adjacency table or a does-not-pack branch is back"; exit 1; fi
 	$(GO) test -race -count=1 -run 'TestGeneric|TestCancelMidGenericSearch' ./internal/core/
-	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	out="$$($(GO) test -run '^$$' -bench BenchmarkGenericCheck -benchmem -benchtime 20x \
-		-memprofile "$$dir/mem.prof" -memprofilerate 1 -o "$$dir/core.test" ./internal/core/)" || { echo "$$out"; exit 1; }; \
+	@out="$$($(GO) test -run '^$$' -bench BenchmarkGenericCheck -benchmem -benchtime 20x ./internal/core/)" || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk '/^BenchmarkGenericCheck/ { \
 		checks = trav = allocs = ""; \
@@ -137,10 +142,7 @@ generic-gate:
 		seen++; \
 		if ($$1 ~ /fan-eq3-unsat/) { fan++; if (trav > 100) { printf "generic-gate: %s begins %d traversals (ceiling V = 100)\n", $$1, trav; bad = 1 } } \
 		if (checks >= 1000 && allocs / checks > 0.05) { printf "generic-gate: %s costs %.4f allocs per check (ceiling 0.05)\n", $$1, allocs / checks; bad = 1 } \
-	} END { if (seen < 2 || !fan) { print "generic-gate: BenchmarkGenericCheck rows missing"; bad = 1 } exit bad }' || exit 1; \
-	frames="$$($(GO) tool pprof -sample_index=alloc_space -top -nodefraction=0 -nodecount=100000 "$$dir/core.test" "$$dir/mem.prof" 2>/dev/null)" || { echo "generic-gate: cannot read the memory profile"; exit 1; }; \
-	echo "$$frames" | grep -q 'core\.(\*Prepared)\.evalGeneric' || { echo "generic-gate: the memory profile does not show the generic evaluation"; exit 1; }; \
-	if echo "$$frames" | grep -q 'core\.productSearch'; then echo "generic-gate: productSearch allocates on the packed path"; exit 1; fi
+	} END { if (seen < 2 || !fan) { print "generic-gate: BenchmarkGenericCheck rows missing"; bad = 1 } exit bad }'
 
 ## join-gate guards the Prop 2.3 join (cq.Compile + the flat kernel): the
 ## differential suite (Plan.Eval ≡ backtracking, every witness checked atom
@@ -205,6 +207,7 @@ spine-gate:
 ## corruption and no goroutine leaks.
 chaos:
 	$(GO) test -race -tags faultinject ./internal/faultinject/ ./internal/persist/ ./internal/server/... ./internal/client/ ./internal/govern/ ./internal/cluster/
+	$(GO) test -race -tags faultinject -run TestChaos ./internal/core/
 
 ## cluster-gate guards multi-node operation: the ring/placement and
 ## failure-detector suites plus the in-process cluster tests run under

@@ -60,6 +60,20 @@ func slowGenericInstance(t testing.TB) (*graphdb.DB, *query.Query) {
 	return db, q
 }
 
+// wideGenericInstance is slowGenericInstance over 17 tracks, chained by
+// binary equalities: 17·6 vertex bits alone are past a word, so the product
+// is in the wide key regime. denseDB has one successor per vertex and
+// letter, which keeps the 17 pointers of a track tuple together.
+func wideGenericInstance(t testing.TB) (*graphdb.DB, *query.Query) {
+	db, _ := slowGenericInstance(t)
+	q := eqFan(db.Alphabet(), 17).Lang("p1", "aa*").Lang("p2", "bb*").MustBuild()
+	comps, _, err := decompose(q)
+	if err != nil || len(comps) != 1 || !packProduct(db, &comps[0]).wide {
+		t.Fatalf("not one wide component (err %v)", err)
+	}
+	return db, q
+}
+
 // slowReductionInstance makes the Lemma 4.3 materialization sweep the
 // dominant cost: a single 2-track equality component over a dense database,
 // so R' is materialized over n² source tuples (roughly a second uncancelled
@@ -122,11 +136,17 @@ func cancelMidway(t *testing.T, eval func(ctx context.Context) error) {
 
 // TestCancelMidGenericSearch cancels the heavy benchmark shape (an
 // unsatisfiable 3-track eq fan: V traversals, V² checks that are set probes)
-// at every poll the evaluation makes, from the traversals and from the
-// assignment loop: each run returns context.Canceled with nothing left
-// charged and no goroutine behind, until one completes.
+// and its 17-track wide-regime counterpart at every poll the evaluation
+// makes, from the traversals and from the assignment loop: each run returns
+// context.Canceled with nothing left charged and no goroutine behind, until
+// one completes.
 func TestCancelMidGenericSearch(t *testing.T) {
-	db, q := slowGenericInstance(t)
+	t.Run("narrow", func(t *testing.T) { cancelAtEveryPoll(t, slowGenericInstance) })
+	t.Run("wide", func(t *testing.T) { cancelAtEveryPoll(t, wideGenericInstance) })
+}
+
+func cancelAtEveryPoll(t *testing.T, instance func(testing.TB) (*graphdb.DB, *query.Query)) {
+	db, q := instance(t)
 	baseline := runtime.NumGoroutine()
 	broker := govern.NewBroker(1 << 30)
 	polls := 0

@@ -26,7 +26,6 @@ import (
 	"slices"
 
 	"ecrpq/internal/alphabet"
-	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/invariant"
 	"ecrpq/internal/query"
@@ -144,6 +143,9 @@ func decompose(q *query.Query) ([]component, []freeTrack, error) {
 	var comps []component
 	for _, r := range order {
 		c := compOf[r]
+		if t := len(c.tracks); t > 64 { // a product state's set of finished tracks is one uint64
+			return nil, nil, fmt.Errorf("core: component with %d tracks exceeds the 64-track limit", t)
+		}
 		seen := make(map[string]bool)
 		add := func(v string) {
 			if !seen[v] {
@@ -175,252 +177,6 @@ func decompose(q *query.Query) ([]component, []freeTrack, error) {
 // one hyperedge.
 func mergeComponent(a *alphabet.Alphabet, c *component) (*synchro.Relation, error) {
 	return synchro.Join(a, len(c.tracks), c.rels, c.relTracks)
-}
-
-// productState is a search state of the component product: one NFA state per
-// relation, one database vertex per track, and the set of finished tracks.
-type productState struct {
-	relStates []int
-	verts     []int
-	done      uint64
-}
-
-func (s productState) key() string {
-	buf := make([]byte, 0, 4*(len(s.relStates)+len(s.verts))+8)
-	put := func(v int) {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	for _, q := range s.relStates {
-		put(q)
-	}
-	for _, v := range s.verts {
-		put(v)
-	}
-	put(int(s.done))
-	put(int(s.done >> 32))
-	return string(buf)
-}
-
-// stepRecord remembers how a state was reached, for witness reconstruction.
-type stepRecord struct {
-	prev   int
-	letter alphabet.Tuple
-	moved  []int // new vertex per track (same length as tracks); -1 = unchanged
-}
-
-// productSearch explores the synchronized product of the component's
-// relation NFAs with the database, starting every track at srcs[i]. It calls
-// accept on each accepting product state (return true to stop the search and
-// make productSearch return that state's index). maxStates caps exploration
-// (0 = unlimited); exceeding it returns an error.
-//
-// This is exactly the nondeterministic procedure of Lemma 4.2, determinized
-// by breadth-first search: guess a joint convolution letter consistent with
-// every relation NFA (components that have exhausted their words stall), and
-// advance one database pointer per non-padded track along a matching edge.
-// ctx is polled every cancelCheckInterval states.
-func productSearch(
-	ctx context.Context,
-	db *graphdb.DB,
-	c *component,
-	srcs []int,
-	accept func(st productState) bool,
-	maxStates int,
-) (found int, states []productState, parents []stepRecord, err error) {
-	t := len(c.tracks)
-	if t > 64 {
-		return -1, nil, nil, fmt.Errorf("core: component with %d tracks exceeds the 64-track limit", t)
-	}
-	// Byte accounting: each recorded state costs a productState, a
-	// stepRecord, and an index entry; the whole table is released when the
-	// search returns (witness reconstruction from the returned slices is
-	// short-lived, so the transient under-count is acceptable).
-	mem := govern.MeterFrom(ctx)
-	defer mem.Close()
-	perState := int64(192 + 24*t + 16*len(c.rels))
-	chargedStates := 0
-	nfas := make([]*nfaView, len(c.rels))
-	for i, r := range c.rels {
-		nfas[i] = newNFAView(r)
-	}
-	idx := make(map[string]int)
-	push := func(st productState, rec stepRecord) int {
-		k := st.key()
-		if i, ok := idx[k]; ok {
-			return i
-		}
-		i := len(states)
-		idx[k] = i
-		states = append(states, st)
-		parents = append(parents, rec)
-		return i
-	}
-	// Start states: all combinations of relation start states.
-	var startCombos [][]int
-	var build func(i int, cur []int)
-	build = func(i int, cur []int) {
-		if i == len(nfas) {
-			startCombos = append(startCombos, append([]int(nil), cur...))
-			return
-		}
-		for _, q := range nfas[i].starts {
-			build(i+1, append(cur, q))
-		}
-	}
-	build(0, nil)
-	for _, combo := range startCombos {
-		st := productState{relStates: combo, verts: append([]int(nil), srcs...), done: 0}
-		push(st, stepRecord{prev: -1})
-	}
-	const unset = alphabet.Unset
-	for qi := 0; qi < len(states); qi++ {
-		if qi%cancelCheckInterval == 0 {
-			if err := pollSearch(ctx); err != nil {
-				return -1, nil, nil, err
-			}
-			if mem != nil && len(states) > chargedStates {
-				if err := mem.Grow(int64(len(states)-chargedStates) * perState); err != nil {
-					return -1, nil, nil, fmt.Errorf("core: product search: %w", err)
-				}
-				chargedStates = len(states)
-			}
-		}
-		st := states[qi]
-		if acceptState(nfas, st.relStates) && accept(st) {
-			return qi, states, parents, nil
-		}
-		if maxStates > 0 && len(states) > maxStates {
-			return -1, nil, nil, fmt.Errorf("core: product exceeded the state budget of %d", maxStates)
-		}
-		joint := make([]alphabet.Symbol, t)
-		for i := range joint {
-			joint[i] = unset
-		}
-		nextRel := make([]int, len(nfas))
-		var overRels func(i int)
-		overRels = func(i int) {
-			if i == len(nfas) {
-				expandTracks(db, c, st, joint, nextRel, qi, push)
-				return
-			}
-			nfas[i].transitions(st.relStates[i], func(tp alphabet.Tuple, to int) {
-				var touched []int
-				ok := true
-				for k, s := range tp {
-					mt := c.relTracks[i][k]
-					if joint[mt] == unset {
-						joint[mt] = s
-						touched = append(touched, mt)
-					} else if joint[mt] != s {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					nextRel[i] = to
-					overRels(i + 1)
-				}
-				for _, mt := range touched {
-					joint[mt] = unset
-				}
-			})
-			// Stall: relation i has finished its tracks (all pad onward).
-			var touched []int
-			ok := true
-			for _, mt := range c.relTracks[i] {
-				if joint[mt] == unset {
-					joint[mt] = alphabet.Pad
-					touched = append(touched, mt)
-				} else if joint[mt] != alphabet.Pad {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				nextRel[i] = st.relStates[i]
-				overRels(i + 1)
-			}
-			for _, mt := range touched {
-				joint[mt] = unset
-			}
-		}
-		overRels(0)
-	}
-	return -1, states, parents, nil
-}
-
-// expandTracks advances database pointers for a fully-determined joint
-// letter: each non-pad track must move along a matching edge (all edge
-// choices are explored); pad tracks must already be consistent with the done
-// mask and keep their vertex.
-func expandTracks(
-	db *graphdb.DB,
-	c *component,
-	st productState,
-	joint []alphabet.Symbol,
-	nextRel []int,
-	from int,
-	push func(productState, stepRecord) int,
-) {
-	t := len(c.tracks)
-	// Validity: all-pad letters do not exist in convolutions; done tracks
-	// must stay padded.
-	allPad := true
-	for i := 0; i < t; i++ {
-		if joint[i] != alphabet.Pad {
-			allPad = false
-			if st.done&(1<<uint(i)) != 0 {
-				return // resumed after padding: invalid convolution
-			}
-		}
-	}
-	if allPad {
-		return
-	}
-	newDone := st.done
-	for i := 0; i < t; i++ {
-		if joint[i] == alphabet.Pad {
-			newDone |= 1 << uint(i)
-		}
-	}
-	verts := make([]int, t)
-	copy(verts, st.verts)
-	moved := make([]int, t)
-	for i := range moved {
-		moved[i] = -1
-	}
-	var overTracks func(i int)
-	overTracks = func(i int) {
-		if i == t {
-			nst := productState{
-				relStates: append([]int(nil), nextRel...),
-				verts:     append([]int(nil), verts...),
-				done:      newDone,
-			}
-			push(nst, stepRecord{
-				prev:   from,
-				letter: append(alphabet.Tuple(nil), joint...),
-				moved:  append([]int(nil), moved...),
-			})
-			return
-		}
-		if joint[i] == alphabet.Pad {
-			overTracks(i + 1)
-			return
-		}
-		cur := st.verts[i]
-		for _, e := range db.Out(cur) {
-			if e.Label != joint[i] {
-				continue
-			}
-			verts[i] = e.To
-			moved[i] = e.To
-			overTracks(i + 1)
-		}
-		verts[i] = cur
-		moved[i] = -1
-	}
-	overTracks(0)
 }
 
 // acceptState reports whether every relation automaton accepts in its
@@ -469,103 +225,44 @@ func newNFAView(r *synchro.Relation) *nfaView {
 	return v
 }
 
-func (v *nfaView) transitions(q int, f func(t alphabet.Tuple, to int)) {
-	for _, tr := range v.trans[q] {
-		f(tr.tuple, tr.to)
-	}
-}
-
-// reconstructPaths rebuilds one database path per track from the parent
-// chain ending at state index goal.
-//
-//ecrpq:charged output-sized: the states/parents arrays it walks were charged by the product search that built them
-func reconstructPaths(c *component, srcs []int, states []productState, parents []stepRecord, goal int) []graphdb.Path {
-	t := len(c.tracks)
-	type step struct {
-		letter alphabet.Tuple
-		moved  []int
-	}
-	var chain []step
-	for i := goal; parents[i].prev >= 0; i = parents[i].prev {
-		chain = append(chain, step{parents[i].letter, parents[i].moved})
-	}
-	paths := make([]graphdb.Path, t)
-	for i := range paths {
-		paths[i] = graphdb.Path{Start: srcs[i]}
-	}
-	for k := len(chain) - 1; k >= 0; k-- {
-		s := chain[k]
-		for i := 0; i < t; i++ {
-			if s.moved[i] >= 0 {
-				paths[i].Edges = append(paths[i].Edges, graphdb.Edge{Label: s.letter[i], To: s.moved[i]})
-			}
-		}
-	}
-	return paths
-}
-
 // componentSearch is one component's Lemma 4.2 product search for the
-// length of one evaluation: the packed kernel is built on the first check
-// and reused by every later one, and released once by the owner. A
-// component whose state does not pack into 63 bits takes the string-keyed
-// productSearch instead, one search per call.
+// length of one evaluation: the kernel is built on the first check, reused
+// by every later one, and released once by the owner.
 type componentSearch struct {
 	db        *graphdb.DB
 	c         *component
 	maxStates int
 
-	fp        *fastProduct // nil before the first call, or when the state does not pack
-	built     bool
-	fallbacks int // productSearch calls, each one traversal
+	kern *fastProduct // nil until the first check or witness
 }
 
 func (s *componentSearch) kernel() *fastProduct {
-	if !s.built {
-		s.built = true
-		s.fp = newFastProduct(s.db, s.c)
+	if s.kern == nil {
+		s.kern = newFastProduct(s.db, s.c)
 	}
-	return s.fp
-}
-
-// matchDsts is the productSearch acceptance test for one destination tuple.
-func matchDsts(dsts []int) func(productState) bool {
-	return func(st productState) bool { return slices.Equal(st.verts, dsts) }
+	return s.kern
 }
 
 // check decides whether, with the given per-track endpoints, the
 // component's relational constraints can be satisfied by concrete paths.
 func (s *componentSearch) check(ctx context.Context, srcs, dsts []int) (bool, error) {
-	if fp := s.kernel(); fp != nil {
-		return fp.reach(ctx, srcs, dsts, s.maxStates)
-	}
-	s.fallbacks++
-	goal, _, _, err := productSearch(ctx, s.db, s.c, srcs, matchDsts(dsts), s.maxStates)
-	return goal >= 0, err
+	return s.kernel().reach(ctx, srcs, dsts, s.maxStates)
 }
 
 // witness is check with the paths: one database path per track.
 func (s *componentSearch) witness(ctx context.Context, srcs, dsts []int) ([]graphdb.Path, bool, error) {
-	if fp := s.kernel(); fp != nil {
-		return fp.witness(ctx, srcs, dsts, s.maxStates)
-	}
-	s.fallbacks++
-	goal, states, parents, err := productSearch(ctx, s.db, s.c, srcs, matchDsts(dsts), s.maxStates)
-	if err != nil || goal < 0 {
-		return nil, false, err
-	}
-	return reconstructPaths(s.c, srcs, states, parents, goal), true, nil
+	return s.kernel().witness(ctx, srcs, dsts, s.maxStates)
 }
 
-// work reports the traversals begun and the product states expanded so far
-// (the fallback keeps no count of states).
+// work reports the traversals begun and the product states expanded so far.
 func (s *componentSearch) work() (traversals, states int) {
-	if s.fp == nil {
-		return s.fallbacks, 0
+	if s.kern == nil {
+		return 0, 0
 	}
-	return s.fp.traversals, s.fp.expanded
+	return s.kern.traversals, s.kern.expanded
 }
 
-func (s *componentSearch) release() { s.fp.releaseMem() }
+func (s *componentSearch) release() { s.kern.releaseMem() }
 
 // checkComponent is a one-off componentSearch.witness: the paths for one
 // pair of endpoint tuples, on a kernel of its own.
@@ -577,34 +274,15 @@ func checkComponent(ctx context.Context, db *graphdb.DB, c *component, srcs, dst
 
 // componentReachSet computes, for fixed sources, every tuple of destination
 // vertices reachable by satisfying paths, and appends them to buf back to
-// back (one vertex per track each). When fp is non-nil it is used (and
-// reused across calls, e.g. over a streamed source sweep): destinations are
-// collected as the packed keys the sweep kernel uses and decoded in key
-// order. Pass nil to fall back to the general search for components whose
-// state does not pack. Either way tuples come out in lexicographic order,
-// not in the order the search met them: it is the order sweepComponent
-// emits, which streaming enumeration (the /v1/enumerate cursor) is pinned
-// to.
-func componentReachSet(ctx context.Context, db *graphdb.DB, c *component, fp *fastProduct, srcs []int, maxStates int, buf []int) ([]int, error) {
-	if fp == nil {
-		var out [][]int
-		_, _, _, err := productSearch(ctx, db, c, srcs, func(st productState) bool {
-			out = append(out, st.verts)
-			return false // keep searching
-		}, maxStates)
-		if err != nil {
-			return nil, err
-		}
-		slices.SortFunc(out, slices.Compare[[]int])
-		for _, dsts := range slices.CompactFunc(out, slices.Equal[[]int]) {
-			buf = append(buf, dsts...)
-		}
-		return buf, nil
-	}
+// back (one vertex per track each). fp is reused across calls, e.g. over a
+// streamed source sweep. Tuples come out in lexicographic order, not in the
+// order the search met them: it is the order sweepComponent emits, which
+// streaming enumeration (the /v1/enumerate cursor) is pinned to.
+func componentReachSet(ctx context.Context, fp *fastProduct, srcs []int, maxStates int, buf []int) ([]int, error) {
 	if err := fp.Run(ctx, srcs, maxStates); err != nil {
 		return nil, err
 	}
-	slices.Sort(fp.dests)
+	fp.sortDests(fp.dests)
 	for _, key := range fp.dests {
 		n := len(buf)
 		buf = append(buf, srcs...) // t slots, overwritten below

@@ -73,9 +73,8 @@ type sweepSource struct {
 	n      int
 
 	res   *govern.Reservation
-	mem   *govern.Meter // reach-cache bytes, released at release()
-	fps   []*fastProduct
-	fpSet []bool
+	mem   *govern.Meter  // reach-cache bytes, released at release()
+	fps   []*fastProduct // per component, nil until its first Open is pulled
 	reach map[int][]bool
 
 	spans    map[string]*trace.Span
@@ -95,7 +94,6 @@ func newSweepSource(ctx context.Context, db *graphdb.DB, merged []component, opt
 		res:      res,
 		mem:      res.NewMeter(),
 		fps:      make([]*fastProduct, len(merged)),
-		fpSet:    make([]bool, len(merged)),
 		reach:    make(map[int][]bool),
 		spans:    make(map[string]*trace.Span),
 		spanRows: make(map[string]*int64),
@@ -110,9 +108,7 @@ func (s *sweepSource) release() {
 	}
 	s.released = true
 	for _, fp := range s.fps {
-		if fp != nil {
-			fp.releaseMem()
-		}
+		fp.releaseMem()
 	}
 	s.mem.Close()
 	for name, sp := range s.spans {
@@ -121,13 +117,10 @@ func (s *sweepSource) release() {
 	}
 }
 
-// fp returns the component's reusable fast product (nil when the packed
-// representation does not apply; componentReachSet then falls back to
-// the general search).
+// fp returns the component's reusable fast product.
 func (s *sweepSource) fp(ci int) *fastProduct {
-	if !s.fpSet[ci] {
+	if s.fps[ci] == nil {
 		s.fps[ci] = newFastProduct(s.db, &s.merged[ci])
-		s.fpSet[ci] = true
 	}
 	return s.fps[ci]
 }
@@ -290,7 +283,7 @@ func (cs *compStream) Next() ([]int, bool) {
 		}
 		cs.decode(cs.idx)
 		cs.idx++
-		dsts, err := componentReachSet(cs.s.ctx, cs.s.db, &cs.s.merged[cs.ci], cs.s.fp(cs.ci), cs.srcs, cs.s.opts.maxStates(), cs.dsts[:0])
+		dsts, err := componentReachSet(cs.s.ctx, cs.s.fp(cs.ci), cs.srcs, cs.s.opts.maxStates(), cs.dsts[:0])
 		if err != nil {
 			cs.err = err
 			return nil, false

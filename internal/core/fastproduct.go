@@ -11,174 +11,135 @@ import (
 	"ecrpq/internal/faultinject"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
-	"ecrpq/internal/invariant"
 )
 
-// productShape is the packed layout of a component's product with a
-// database (Lemma 4.2): one relation-automaton state per relation, one
-// database vertex per track and the set of finished tracks, in one uint64:
+// productShape is the layout of a component's product with a database
+// (Lemma 4.2): one relation-automaton state per relation, one database
+// vertex per track and the set of finished tracks. A state is known to the
+// kernels by a uint64 key, in one of two regimes chosen here from the sizes
+// of the component and the database:
 //
-//	[ relation-state combo | vertex per track | done bits ]
+//   - narrow: the state packs into 63 bits and the key is the packing,
 //
-// It is read-only after packProduct and may be shared by concurrent
-// kernels. It applies when the packing fits in 63 bits; callers fall back
-// to productSearch otherwise.
+//     [ relation-state combo | vertex per track | done bits ]
+//
+//     and a destination tuple's key is its vertices packed likewise;
+//
+//   - wide: it does not, and a kernel keeps the columns of every state (and
+//     destination tuple) it meets as a flat int32 row in a rowSet; the key is
+//     the row's id.
+//
+// pack, unpack, destKey, unpackDest and sortDests are the only code that
+// knows which; everything downstream of a key — the traversals, the visited
+// sets, the word tables — is the same. The shape is read-only after
+// packProduct and may be shared by concurrent kernels.
 type productShape struct {
 	db    *graphdb.DB
+	fwd   *graphdb.CSR // the database's forward layout when the shape was made
 	c     *component
 	nfas  []*nfaView
 	t     int
 	vBits uint
 	qBits uint
-	bits  uint  // width of a packed state: qBits + t*vBits + t
 	radix []int // relation NFA sizes for mixed-radix state packing
-	nsym  int
-	adj   [][]int32 // adj[v*nsym+sym] = successors of v along sym-edges
+	wide  bool
+	// Key widths, which size the kernels' sets and tables: those of the
+	// packings, or 64 in the wide regime (no dense table is that large).
+	bits, destBits uint
 }
 
-// packProduct lays out the packed product state of c over db and decodes
-// the relation automata. adj is the database's adjacency table
-// (buildAdjacency), built here when nil. It returns nil when the state does
-// not pack into 63 bits.
-func packProduct(db *graphdb.DB, c *component, adj [][]int32) *productShape {
+// packedBits is the widest state the narrow regime packs into a key. It is
+// a variable so that the differential suites can run their instances in
+// both regimes; nothing but a test assigns it.
+var packedBits uint = 63
+
+// packProduct lays out the product state of c over db and decodes the
+// relation automata.
+func packProduct(db *graphdb.DB, c *component) *productShape {
 	t := len(c.tracks)
-	if t == 0 || t > 16 {
-		return nil
+	s := &productShape{
+		db: db, fwd: db.Forward(), c: c, t: t,
+		nfas: make([]*nfaView, len(c.rels)), radix: make([]int, len(c.rels)),
 	}
-	nfas := make([]*nfaView, len(c.rels))
 	qCombos := 1
-	radix := make([]int, len(c.rels))
 	for i, r := range c.rels {
-		nfas[i] = newNFAView(r)
-		n := r.RawNFA().NumStates()
-		if n == 0 {
-			n = 1
-		}
-		radix[i] = n
+		s.nfas[i] = newNFAView(r)
+		n := max(r.RawNFA().NumStates(), 1)
+		s.radix[i] = n
 		if qCombos > (1<<30)/n {
-			return nil
+			s.wide = true // the combos no longer index a mixed-radix number worth packing
+		} else {
+			qCombos *= n
 		}
-		qCombos *= n
 	}
-	vBits := uint(bits.Len(uint(maxInt(db.NumVertices()-1, 1))))
-	qBits := uint(bits.Len(uint(qCombos - 1)))
-	if qBits == 0 {
-		qBits = 1
+	s.vBits = uint(bits.Len(uint(max(db.NumVertices()-1, 1))))
+	s.qBits = uint(max(bits.Len(uint(qCombos-1)), 1))
+	s.bits, s.destBits = s.qBits+uint(t)*s.vBits+uint(t), uint(t)*s.vBits
+	if s.wide || s.bits > packedBits {
+		s.wide, s.bits, s.destBits = true, 64, 64
 	}
-	total := qBits + uint(t)*vBits + uint(t)
-	if total > 63 {
-		return nil
+	return s
+}
+
+// rowSet interns fixed-width int32 rows: a row's id is its rank in order of
+// first sight. It is the key space of the wide regime, and does what
+// cq.rowIndex does for join keys wider than a word: an open-addressing
+// table probed by an FNV fold of the row, a hit confirmed by comparing the
+// row. The zero value is an empty set that is never added to (the narrow
+// regime's).
+type rowSet struct {
+	width int
+	rows  []int32 // row id is rows[id*width:(id+1)*width]
+	slots []int32 // 1 + a row id, 0 = empty; a power of two long, at most half full
+	buf   []int32 // the row to intern, width long
+}
+
+func newRowSet(width int) rowSet { return rowSet{width: width, buf: make([]int32, width)} }
+
+func (s *rowSet) row(id uint64) []int32 {
+	return s.rows[int(id)*s.width : (int(id)+1)*s.width]
+}
+
+// slot returns the slot holding row's id, or the empty one where it belongs.
+func (s *rowSet) slot(row []int32) int {
+	h := uint64(14695981039346656037)
+	for _, v := range row {
+		h = (h ^ uint64(uint32(v))) * 1099511628211
 	}
-	nsym := db.Alphabet().Size()
-	if adj == nil {
-		adj = buildAdjacency(db, nsym)
-	}
-	return &productShape{
-		db: db, c: c, nfas: nfas, t: t,
-		vBits: vBits, qBits: qBits, bits: total, radix: radix,
-		nsym: nsym, adj: adj,
+	mask := len(s.slots) - 1
+	//ecrpq:bounded the table is at most half full: a probe ends at the row or at an empty slot
+	for i := int(h>>32) & mask; ; i = (i + 1) & mask {
+		if id := s.slots[i]; id == 0 || slices.Equal(s.row(uint64(id-1)), row) {
+			return i
+		}
 	}
 }
 
-// adjacencyBytes is the retained size of an adjacency table.
-func adjacencyBytes(adj [][]int32) int64 {
-	n := int64(24 * len(adj)) // slice headers
-	for _, succs := range adj {
-		n += int64(4 * cap(succs))
-	}
-	return n
-}
-
-// buildAdjacency flattens the database's labelled out-edges into the
-// vertex-major symbol-indexed table used by expand. The successor lists are
-// cut back to back from one array (a counting pass sizes them), so the
-// table costs two allocations whatever the database.
+// intern returns the id of the row in s.buf, adding it on first sight.
 //
-//ecrpq:bounds-checked
-//ecrpq:charged adjacency bytes (adjacencyBytes) are charged by the owner: the fastProduct's one-time fixed-cost Grow, or buildReductionMerged for the table its sweeps share
-func buildAdjacency(db *graphdb.DB, nsym int) [][]int32 {
-	adj := make([][]int32, db.NumVertices()*nsym)
-	end := make([]int, len(adj)+1) // end[i+1]: one past list i in flat, after the prefix sum
-	edges := 0
-	for v := 0; v < db.NumVertices(); v++ {
-		for _, e := range db.Out(v) {
-			idx := v*nsym + int(e.Label)
-			invariant.Assert(idx >= 0 && idx < len(adj), "core: edge label outside the database alphabet")
-			end[idx+1]++
-			edges++
+//ecrpq:charged the owning kernel charges bytes() as part of its footprint's high-water mark
+func (s *rowSet) intern() uint64 {
+	n := len(s.rows) / s.width
+	if 2*n >= len(s.slots) {
+		s.slots = make([]int32, max(16, 2*len(s.slots)))
+		for id := 0; id < n; id++ {
+			s.slots[s.slot(s.row(uint64(id)))] = int32(id + 1)
 		}
 	}
-	flat := make([]int32, edges)
-	for i := range adj {
-		end[i+1] += end[i]
-		adj[i] = flat[end[i]:end[i]:end[i+1]]
+	i := s.slot(s.buf)
+	if s.slots[i] == 0 {
+		s.slots[i] = int32(n + 1)
+		s.rows = append(s.rows, s.buf...)
 	}
-	for v := 0; v < db.NumVertices(); v++ {
-		for _, e := range db.Out(v) {
-			idx := v*nsym + int(e.Label)
-			adj[idx] = append(adj[idx], int32(e.To))
-		}
-	}
-	return adj
+	return uint64(s.slots[i] - 1)
 }
 
-// adjAt returns the successors of vertex v along s-labelled edges.
-//
-//ecrpq:bounds-checked
-func (f *productShape) adjAt(v int, s alphabet.Symbol) []int32 {
-	idx := v*f.nsym + int(s)
-	invariant.Assert(idx >= 0 && idx < len(f.adj), "core: adjacency access outside the packed table")
-	return f.adj[idx]
+func (s *rowSet) reset() {
+	s.rows = s.rows[:0]
+	clear(s.slots)
 }
 
-func (f *productShape) pack(relStates []int, verts []int, done uint64) uint64 {
-	q := 0
-	for i := len(relStates) - 1; i >= 0; i-- {
-		q = q*f.radix[i] + relStates[i]
-	}
-	key := uint64(q)
-	shift := f.qBits
-	for _, v := range verts {
-		key |= uint64(v) << shift
-		shift += f.vBits
-	}
-	key |= done << shift
-	return key
-}
-
-func (f *productShape) unpack(key uint64, relStates []int, verts []int) (done uint64) {
-	q := int(key & (1<<f.qBits - 1))
-	for i := range relStates {
-		relStates[i] = q % f.radix[i]
-		q /= f.radix[i]
-	}
-	shift := f.qBits
-	mask := uint64(1)<<f.vBits - 1
-	for i := range verts {
-		verts[i] = int((key >> shift) & mask)
-		shift += f.vBits
-	}
-	return key >> shift
-}
-
-// destKey packs a destination tuple so that ascending keys are the
-// lexicographic order of the tuples (track 0 most significant).
-func (f *productShape) destKey(verts []int) uint64 {
-	key := uint64(0)
-	for _, v := range verts {
-		key = key<<f.vBits | uint64(v)
-	}
-	return key
-}
-
-// unpackDest inverts destKey into verts.
-func (f *productShape) unpackDest(key uint64, verts []int) {
-	mask := uint64(1)<<f.vBits - 1
-	for i := len(verts) - 1; i >= 0; i-- {
-		verts[i] = int(key & mask)
-		key >>= f.vBits
-	}
-}
+func (s *rowSet) bytes() int64 { return int64(4 * (cap(s.rows) + cap(s.slots))) }
 
 // productStep holds the registers of the product state being expanded and
 // enumerates its successors: the nondeterministic step of Lemma 4.2 — guess
@@ -187,25 +148,135 @@ func (f *productShape) unpackDest(key uint64, verts []int) {
 // database pointer per non-padded track along a matching edge. Both kernels
 // embed it — the single-source traversal of fastProduct and the 64-source
 // sweepKernel — and differ only in emit, which receives every successor as
-// (nextRel, newVerts, newDone).
+// (nextRel, newVerts, newDone). It also owns the kernel's key space: the
+// rows behind the wide regime's keys.
 type productStep struct {
 	*productShape
 	relStates, nextRel []int
 	verts, newVerts    []int
 	joint              []alphabet.Symbol
+	touched            [][]int // per relation: the tracks its current move set in joint
 	done, newDone      uint64
 	emit               func()
+
+	stateRows, destRows rowSet // wide regime: [relation states | vertices | done lo, hi] and [vertices]
 }
 
+//ecrpq:charged registers per track and per relation: query-sized, whatever the database
 func newProductStep(s *productShape) productStep {
-	return productStep{
+	p := productStep{
 		productShape: s,
 		relStates:    make([]int, len(s.nfas)),
 		nextRel:      make([]int, len(s.nfas)),
 		verts:        make([]int, s.t),
 		newVerts:     make([]int, s.t),
 		joint:        make([]alphabet.Symbol, s.t),
+		touched:      make([][]int, len(s.nfas)),
 	}
+	for i, tracks := range s.c.relTracks {
+		p.touched[i] = make([]int, len(tracks))
+	}
+	if s.wide {
+		p.stateRows, p.destRows = newRowSet(len(s.nfas)+s.t+2), newRowSet(s.t)
+	}
+	return p
+}
+
+func (p *productStep) pack(relStates []int, verts []int, done uint64) uint64 {
+	if p.wide {
+		row := p.stateRows.buf
+		for i, q := range relStates {
+			row[i] = int32(q)
+		}
+		row = row[len(relStates):]
+		for i, v := range verts {
+			row[i] = int32(v)
+		}
+		row[p.t], row[p.t+1] = int32(done), int32(done>>32)
+		return p.stateRows.intern()
+	}
+	q := 0
+	for i := len(relStates) - 1; i >= 0; i-- {
+		q = q*p.radix[i] + relStates[i]
+	}
+	key := uint64(q)
+	shift := p.qBits
+	for _, v := range verts {
+		key |= uint64(v) << shift
+		shift += p.vBits
+	}
+	key |= done << shift
+	return key
+}
+
+func (p *productStep) unpack(key uint64, relStates []int, verts []int) (done uint64) {
+	if p.wide {
+		row := p.stateRows.row(key)
+		for i := range relStates {
+			relStates[i] = int(row[i])
+		}
+		row = row[len(relStates):]
+		for i := range verts {
+			verts[i] = int(row[i])
+		}
+		return uint64(uint32(row[p.t])) | uint64(uint32(row[p.t+1]))<<32
+	}
+	q := int(key & (1<<p.qBits - 1))
+	for i := range relStates {
+		relStates[i] = q % p.radix[i]
+		q /= p.radix[i]
+	}
+	shift := p.qBits
+	mask := uint64(1)<<p.vBits - 1
+	for i := range verts {
+		verts[i] = int((key >> shift) & mask)
+		shift += p.vBits
+	}
+	return key >> shift
+}
+
+// destKey is the key of a destination tuple. Packed keys ascend in the
+// lexicographic order of the tuples (track 0 most significant); row ids are
+// put in that order by sortDests.
+func (p *productStep) destKey(verts []int) uint64 {
+	if p.wide {
+		for i, v := range verts {
+			p.destRows.buf[i] = int32(v)
+		}
+		return p.destRows.intern()
+	}
+	key := uint64(0)
+	for _, v := range verts {
+		key = key<<p.vBits | uint64(v)
+	}
+	return key
+}
+
+// unpackDest inverts destKey into verts.
+func (p *productStep) unpackDest(key uint64, verts []int) {
+	if p.wide {
+		for i, v := range p.destRows.row(key) {
+			verts[i] = int(v)
+		}
+		return
+	}
+	mask := uint64(1)<<p.vBits - 1
+	for i := len(verts) - 1; i >= 0; i-- {
+		verts[i] = int(key & mask)
+		key >>= p.vBits
+	}
+}
+
+// sortDests puts destination keys in the lexicographic order of their
+// tuples.
+func (p *productStep) sortDests(keys []uint64) {
+	if !p.wide {
+		slices.Sort(keys)
+		return
+	}
+	slices.SortFunc(keys, func(a, b uint64) int {
+		return slices.Compare(p.destRows.row(a), p.destRows.row(b))
+	})
 }
 
 // load makes key the state being expanded.
@@ -237,7 +308,7 @@ func (p *productStep) overRels(i int) {
 		return
 	}
 	const unset = alphabet.Unset
-	var touched [16]int
+	touched := p.touched[i]
 	for _, tr := range p.nfas[i].trans[p.relStates[i]] {
 		ok := true
 		nt := 0
@@ -312,7 +383,7 @@ func (p *productStep) overTracks(i int) {
 		p.overTracks(i + 1)
 		return
 	}
-	for _, to := range p.adjAt(p.verts[i], p.joint[i]) {
+	for _, to := range p.fwd.Succ(p.verts[i], p.joint[i]) {
 		p.newVerts[i] = int(to)
 		p.overTracks(i + 1)
 	}
@@ -405,8 +476,8 @@ func pollSearch(ctx context.Context) error {
 	return nil
 }
 
-// noDest is the destination key no tuple has (keys are at most 63 bits
-// wide): seeking it runs a traversal to exhaustion.
+// noDest is the destination key no tuple has (packed keys are at most 63
+// bits wide, row ids 31): seeking it runs a traversal to exhaustion.
 const noDest = ^uint64(0)
 
 // fastProduct is the single-source kernel over a packed product: one
@@ -444,26 +515,20 @@ type fastProduct struct {
 	traversals int // begins
 	expanded   int // states whose successors were generated
 
-	// Byte accounting against the context reservation: the adjacency table
-	// and the sets' fixed footprint once, queue growth as a high-water
-	// mark. The owner releases via releaseMem.
-	mem      *govern.Meter
-	charged  int64
-	adjBytes int64
+	// Byte accounting against the context reservation: the sets' fixed
+	// footprint once, queue and row growth as a high-water mark. The owner
+	// releases via releaseMem.
+	mem     *govern.Meter
+	charged int64
 }
 
-// newFastProduct returns nil when the state does not pack into 63 bits.
 func newFastProduct(db *graphdb.DB, c *component) *fastProduct {
-	s := packProduct(db, c, nil)
-	if s == nil {
-		return nil
-	}
+	s := packProduct(db, c)
 	f := &fastProduct{
 		productStep: newProductStep(s),
 		visited:     newKeySet(s.bits),
-		accepted:    newKeySet(uint(s.t) * s.vBits),
+		accepted:    newKeySet(s.destBits),
 		srcs:        make([]int, s.t),
-		adjBytes:    adjacencyBytes(s.adj),
 	}
 	f.emit = f.push
 	return f
@@ -489,7 +554,7 @@ func (f *fastProduct) charge() error {
 	if f.record {
 		perState += 8 + int64(4*f.t)
 	}
-	need := f.adjBytes + f.visited.fixedBytes() + f.accepted.fixedBytes() +
+	need := f.visited.fixedBytes() + f.accepted.fixedBytes() + f.stateRows.bytes() + f.destRows.bytes() +
 		int64(len(f.queue))*perState + int64(len(f.dests))*(8+f.accepted.memberBytes())
 	if need > f.charged {
 		if err := f.mem.Grow(need - f.charged); err != nil {
@@ -509,6 +574,8 @@ func (f *fastProduct) begin(ctx context.Context, srcs []int, maxStates int) erro
 	}
 	f.visited.clear(f.queue)
 	f.accepted.clear(f.dests)
+	f.stateRows.reset()
+	f.destRows.reset()
 	f.queue, f.dests = f.queue[:0], f.dests[:0]
 	f.parents, f.letters = f.parents[:0], f.letters[:0]
 	copy(f.srcs, srcs)
@@ -751,7 +818,7 @@ func newSweepKernel(s *productShape, mem *govern.Meter) (*sweepKernel, error) {
 	k := &sweepKernel{
 		productStep: newProductStep(s),
 		states:      newWordTable(s.bits, 2),
-		dests:       newWordTable(uint(s.t)*s.vBits, 1),
+		dests:       newWordTable(s.destBits, 1),
 		mem:         mem,
 	}
 	k.emit = k.push
@@ -760,7 +827,7 @@ func newSweepKernel(s *productShape, mem *govern.Meter) (*sweepKernel, error) {
 
 // charge lifts the scratch charge to the kernel's current footprint.
 func (k *sweepKernel) charge() error {
-	need := k.states.bytes() + k.dests.bytes() + int64(8*cap(k.queue))
+	need := k.states.bytes() + k.dests.bytes() + k.stateRows.bytes() + k.destRows.bytes() + int64(8*cap(k.queue))
 	if need > k.charged {
 		if err := k.mem.Grow(need - k.charged); err != nil {
 			return fmt.Errorf("core: product search: %w", err)
@@ -789,6 +856,7 @@ func decodeSource(idx, n int, srcs []int) {
 func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) error {
 	k.states.reset()
 	k.dests.reset()
+	k.stateRows.reset() // destRows is kept: the owner reads destination keys after later Runs
 	k.queue = k.queue[:0]
 	n := k.db.NumVertices()
 	k.newDone = 0

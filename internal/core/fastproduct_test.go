@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,84 +14,101 @@ import (
 	"ecrpq/internal/synchro"
 )
 
-// randomComponent builds a random database plus a component over it.
-func randomComponentInstance(rng *rand.Rand, a *alphabet.Alphabet) (*graphdb.DB, *component, []int, []int) {
+// randomComponentInstance builds a random database and a query of one
+// component over it, every track with endpoint variables of its own (u<k>,
+// v<k>), plus an endpoint tuple to ask about.
+func randomComponentInstance(t testing.TB, rng *rand.Rand, a *alphabet.Alphabet) (*graphdb.DB, *query.Query, *component, []int, []int) {
+	t.Helper()
 	n := 2 + rng.Intn(4)
-	db := graphdb.New(a)
-	for i := 0; i < n; i++ {
-		db.MustAddVertex("")
-	}
-	for i := 0; i < 2*n; i++ {
-		db.MustAddEdge(rng.Intn(n), alphabet.Symbol(rng.Intn(a.Size())), rng.Intn(n))
-	}
+	db := randomDB(rng, a, n, 2*n)
 	rels := []*synchro.Relation{
 		synchro.Equality(a, 2), synchro.EqualLength(a, 2),
 		synchro.PrefixOf(a), synchro.HammingAtMost(a, 1),
 	}
-	t := 2 + rng.Intn(2) // 2 or 3 tracks
-	c := &component{}
-	for i := 0; i < t; i++ {
-		c.tracks = append(c.tracks, track{
-			pathVar: string(rune('p' + i)), srcVar: "s", dstVar: "d",
-		})
+	tracks := 2 + rng.Intn(2) // 2 or 3 tracks
+	path := func(k int) string { return fmt.Sprintf("p%d", k) }
+	b := query.NewBuilder(a)
+	for k := 0; k < tracks; k++ {
+		b.Reach(fmt.Sprintf("u%d", k), path(k), fmt.Sprintf("v%d", k))
 	}
-	nr := 1 + rng.Intn(2)
-	for i := 0; i < nr; i++ {
-		r := rels[rng.Intn(len(rels))]
-		i1 := rng.Intn(t)
-		i2 := rng.Intn(t)
+	covered := make([]bool, tracks)
+	for i, nr := 0, 1+rng.Intn(2); i < nr; i++ {
+		i1 := rng.Intn(tracks)
+		i2 := rng.Intn(tracks)
 		for i2 == i1 {
-			i2 = rng.Intn(t)
+			i2 = rng.Intn(tracks)
 		}
-		c.rels = append(c.rels, r)
-		c.relTracks = append(c.relTracks, []int{i1, i2})
+		b.Rel(rels[rng.Intn(len(rels))], path(i1), path(i2))
+		covered[i1], covered[i2] = true, true
 	}
-	// Ensure all tracks covered by some relation (decompose guarantees this
-	// in real use).
-	covered := make([]bool, t)
-	for _, rt := range c.relTracks {
-		for _, x := range rt {
-			covered[x] = true
-		}
-	}
-	for i, cov := range covered {
+	// Relate every track, so that the query is one component.
+	for k, cov := range covered {
 		if !cov {
-			other := (i + 1) % t
-			c.rels = append(c.rels, synchro.EqualLength(a, 2))
-			c.relTracks = append(c.relTracks, []int{i, other})
+			b.Rel(synchro.EqualLength(a, 2), path(k), path((k+1)%tracks))
 		}
 	}
-	srcs := make([]int, t)
-	dsts := make([]int, t)
-	for i := 0; i < t; i++ {
-		srcs[i] = rng.Intn(n)
-		dsts[i] = rng.Intn(n)
+	q := b.MustBuild()
+	comps, _, err := decompose(q)
+	if err != nil || len(comps) != 1 || len(comps[0].tracks) != tracks {
+		t.Fatalf("decompose: %v, %d components", err, len(comps))
 	}
-	return db, c, srcs, dsts
+	srcs := make([]int, tracks)
+	dsts := make([]int, tracks)
+	for k := range srcs {
+		srcs[k] = rng.Intn(n)
+		dsts[k] = rng.Intn(n)
+	}
+	return db, q, &comps[0], srcs, dsts
 }
 
-// TestFastProductAgreesWithGeneral cross-validates the packed bitset/map
-// search against the recording search on random component instances.
+// TestFastProductAgreesWithGeneral cross-validates the kernel against the
+// brute-force semantics on random component instances, in both directions:
+// an endpoint tuple NaiveBounded admits is reached, and a reached one has a
+// witness that verifies — which NaiveBounded can only have missed because a
+// path is longer than its bound.
 func TestFastProductAgreesWithGeneral(t *testing.T) {
+	const bound = 3
 	a := alphabet.Lower(2)
+	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		db, c, srcs, dsts := randomComponentInstance(rng, a)
+		db, q, c, srcs, dsts := randomComponentInstance(t, rng, a)
 		fp := newFastProduct(db, c)
-		if fp == nil {
-			t.Log("fast product unexpectedly unavailable")
-			return false
-		}
-		fastFound, err := fp.reach(context.Background(), srcs, dsts, 0)
+		found, err := fp.reach(ctx, srcs, dsts, 0)
 		if err != nil {
 			return false
 		}
-		goal, _, _, err := productSearch(context.Background(), db, c, srcs, matchDsts(dsts), 0)
+		res := &Result{Sat: true, Nodes: map[string]int{}, Paths: map[string]graphdb.Path{}}
+		for k, tr := range c.tracks {
+			res.Nodes[tr.srcVar], res.Nodes[tr.dstVar] = srcs[k], dsts[k]
+		}
+		naive, err := naiveBounded(db, q, res.Nodes, bound)
 		if err != nil {
 			return false
 		}
-		if fastFound != (goal >= 0) {
-			t.Logf("seed %d: fast=%v general=%v", seed, fastFound, goal >= 0)
+		if naive.Sat && !found {
+			t.Logf("seed %d: NaiveBounded admits %v→%v, the kernel does not reach it", seed, srcs, dsts)
+			return false
+		}
+		if !found {
+			return true
+		}
+		paths, ok, err := fp.witness(ctx, srcs, dsts, 0)
+		if err != nil || !ok {
+			t.Logf("seed %d: reached %v→%v has no witness (err %v)", seed, srcs, dsts, err)
+			return false
+		}
+		long := false
+		for k, tr := range c.tracks {
+			res.Paths[tr.pathVar] = paths[k]
+			long = long || paths[k].Len() > bound
+		}
+		if err := VerifyWitness(db, q, res); err != nil {
+			t.Logf("seed %d: witness: %v", seed, err)
+			return false
+		}
+		if !naive.Sat && !long {
+			t.Logf("seed %d: a witness within the bound that NaiveBounded missed", seed)
 			return false
 		}
 		return true
@@ -106,11 +124,8 @@ func TestFastProductAgreesWithGeneral(t *testing.T) {
 func TestFastProductReuseAcrossRuns(t *testing.T) {
 	a := alphabet.Lower(2)
 	rng := rand.New(rand.NewSource(42))
-	db, c, _, _ := randomComponentInstance(rng, a)
+	db, _, c, _, _ := randomComponentInstance(t, rng, a)
 	fp := newFastProduct(db, c)
-	if fp == nil {
-		t.Skip("fast product unavailable")
-	}
 	n := db.NumVertices()
 	tn := len(c.tracks)
 	collect := func(f *fastProduct, srcs []int) map[string]bool {
@@ -143,25 +158,50 @@ func TestFastProductReuseAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestFastProductUnavailableFallback: components too large to pack must make
-// newFastProduct return nil rather than misbehave.
+// TestFastProductUnavailableFallback: a shape newFastProduct used to refuse
+// (more than 16 tracks; TestGenericWideComponent has the other, automata
+// sizes past 2^30) gets a kernel, in the wide key regime, that serves every
+// entry point. On a database with one successor per vertex and letter, 17
+// tracks reading one word from v all end where that word leads, so the
+// reach set of (v, …, v) is the diagonal over the vertices reachable from
+// v, in ascending — lexicographic — order.
 func TestFastProductUnavailableFallback(t *testing.T) {
 	a := alphabet.Lower(2)
-	db := graphdb.New(a)
-	db.MustAddVertex("v")
-	db.MustAddEdge(0, 0, 0)
-	db.MustAddEdge(0, 1, 0)
-	// 17 tracks exceeds the 16-track limit.
-	c := &component{}
-	for i := 0; i < 17; i++ {
-		c.tracks = append(c.tracks, track{pathVar: "p", srcVar: "s", dstVar: "d"})
+	db := functionalDB(rand.New(rand.NewSource(16)), a, 6)
+	comps, _, err := decompose(eqFan(a, 17).MustBuild())
+	if err != nil || len(comps) != 1 {
+		t.Fatalf("decompose: %v, %d components", err, len(comps))
 	}
-	if newFastProduct(db, c) != nil {
-		t.Error("17-track component should not use the fast product")
+	fp := newFastProduct(db, &comps[0])
+	if !fp.wide {
+		t.Fatal("a 17-track state over 6 vertices packs into a word")
 	}
-	// Empty component.
-	if newFastProduct(db, &component{}) != nil {
-		t.Error("0-track component should not use the fast product")
+	ctx := context.Background()
+	srcs, dsts := make([]int, 17), make([]int, 17)
+	for v := 0; v < db.NumVertices(); v++ {
+		var want []int
+		for d, ok := range anyReach(db, v) {
+			for k := 0; ok && k < 17; k++ {
+				want = append(want, d)
+			}
+		}
+		for k := range srcs {
+			srcs[k] = v
+		}
+		got, err := componentReachSet(ctx, fp, srcs, 0, nil)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("reach set of %d^17: %v (err %v), want the diagonal %v", v, got, err, want)
+		}
+		copy(dsts, want[len(want)-17:])
+		paths, ok, err := fp.witness(ctx, srcs, dsts, 0)
+		if err != nil || !ok {
+			t.Fatalf("no witness %d^17 → %d^17 (err %v)", v, dsts[0], err)
+		}
+		for k, p := range paths {
+			if !p.Valid(db) || p.Start != v || p.End() != dsts[0] || !slices.Equal(p.Label(), paths[0].Label()) {
+				t.Fatalf("track %d: path %s is not track 0's word from %d to %d", k, p.Format(db), v, dsts[0])
+			}
+		}
 	}
 }
 

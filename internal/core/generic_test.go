@@ -23,6 +23,7 @@ type genericShape struct {
 	// chain: the shape's tracks are related pairwise (rel(p1,p2), rel(p2,p3));
 	// otherwise by one relation over all of them.
 	chain bool
+	maxV  int // the largest database the shape is drawn on (0 = all)
 }
 
 var genericShapes = []genericShape{
@@ -51,6 +52,12 @@ var genericShapes = []genericShape{
 	{name: "twocomp", tracks: 4, build: func(b *query.Builder, v func(string) string) {
 		b.Reach(v("x"), "p1", v("y")).Reach(v("x"), "p2", v("y"))
 		b.Reach(v("z"), "p3", v("x")).Reach(v("z"), "p4", v("x"))
+	}},
+	// Eight relation automata whose sizes multiply past 2^30: the unmerged
+	// component is in the wide key regime on every database, its Lemma 4.1
+	// merge (EagerMerge, the reduction) in the narrow one.
+	{name: "combo-overflow", tracks: 2, maxV: 3, build: func(b *query.Builder, v func(string) string) {
+		comboOverflowLangs(b.Reach(v("x"), "p1", v("y")).Reach(v("x"), "p2", v("y")), "p1", "p2")
 	}},
 }
 
@@ -100,6 +107,9 @@ func genericInstances(t testing.TB, rng *rand.Rand) []genericInstance {
 	for v := 1; v <= 8; v++ {
 		db := randomDB(rng, a, v, v+rng.Intn(2*v+1))
 		for _, s := range genericShapes {
+			if s.maxV > 0 && v > s.maxV {
+				continue // eight automata to decode per fresh kernel: the reference is what costs
+			}
 			for _, relName := range relNames {
 				for ni, naming := range genericNamings {
 					b := query.NewBuilder(a)
@@ -214,7 +224,10 @@ func workComponents(t testing.TB, q *query.Query, eager bool) []component {
 // combination of EagerMerge and planner hints, to the per-check reference,
 // to the reduction strategy and (on the smallest databases) to the
 // brute-force semantics; every witness it returns, all of them read off the
-// recording kernel's parent links, must verify.
+// recording kernel's parent links, must verify. Each instance is evaluated
+// again forced into the wide key regime: keys are then row ids, not
+// packings, and nothing else may differ — the decision, the witness's
+// validity, and the count of every traversal and expanded state.
 func TestGenericDifferential(t *testing.T) {
 	const bound = 3
 	rng := rand.New(rand.NewSource(20220614))
@@ -271,6 +284,21 @@ func TestGenericDifferential(t *testing.T) {
 						t.Fatalf("%s eager=%v hints=%d: witness: %v", in.name, eager, hi, err)
 					}
 				}
+				if hi > 0 {
+					continue
+				}
+				inWideRegime(func() {
+					wide, err := p.EvaluateContextHinted(ctx, in.db, nil, hints)
+					if err != nil || wide.Stats != res.Stats || wide.Sat != want {
+						t.Fatalf("%s eager=%v forced wide: sat=%v stats=%+v err=%v, own regime sat=%v stats=%+v",
+							in.name, eager, wide != nil && wide.Sat, wide.Stats, err, want, res.Stats)
+					}
+					if wide.Sat {
+						if err := VerifyWitness(in.db, in.q, wide); err != nil {
+							t.Fatalf("%s eager=%v forced wide: witness: %v", in.name, eager, err)
+						}
+					}
+				})
 			}
 		}
 		if in.db.NumVertices() > 3 {
@@ -317,6 +345,23 @@ func TestGenericOneTraversalPerSource(t *testing.T) {
 				x, y, res.Sat, res.Stats.ProductChecks, res.Stats.Traversals)
 		}
 	}
+}
+
+// smallestBudget is the least budget ≥ 1 that fits, for a monotone fits.
+func smallestBudget(fits func(int) bool) int {
+	hi := 1
+	for !fits(hi) {
+		hi *= 2
+	}
+	lo := hi / 2 // fails (or is 0)
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; fits(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }
 
 // TestGenericBudget: the state budget bounds each traversal exactly as it
@@ -374,6 +419,18 @@ func TestGenericBudget(t *testing.T) {
 					t.Fatalf("%s eager=%v: budget %d is one short per check, memoised gives err=%v", in.name, eager, hi-1, err)
 				}
 			}
+			inWideRegime(func() {
+				res, err := EvaluateContext(ctx, in.db, in.q, Options{Strategy: Generic, EagerMerge: eager, MaxProductStates: hi})
+				if err != nil || res.Sat != want {
+					t.Fatalf("%s eager=%v forced wide: budget %d suffices in the narrow regime, here sat=%v err=%v", in.name, eager, hi, res != nil && res.Sat, err)
+				}
+				if hi > 1 {
+					_, err := EvaluateContext(ctx, in.db, in.q, Options{Strategy: Generic, EagerMerge: eager, MaxProductStates: hi - 1})
+					if err == nil || !strings.Contains(err.Error(), "state budget") {
+						t.Fatalf("%s eager=%v forced wide: budget %d is one short in the narrow regime, here err=%v", in.name, eager, hi-1, err)
+					}
+				}
+			})
 		}
 	}
 	if tested < 20 {
@@ -381,51 +438,97 @@ func TestGenericBudget(t *testing.T) {
 	}
 }
 
-// TestGenericUnpackedFallback: components whose product state does not fit
-// 63 bits (more than 16 tracks; relation automata whose sizes multiply past
-// 2^30) take productSearch, for the decision and for the paths, and agree
-// with the reduction strategy.
-func TestGenericUnpackedFallback(t *testing.T) {
-	a := alphabet.Lower(2)
-	rng := rand.New(rand.NewSource(29))
-	wide := query.NewBuilder(a)
-	for k := 1; k <= 17; k++ {
-		wide.Reach("x", fmt.Sprintf("p%d", k), "y")
+// eqFan starts a query of `tracks` paths x→y chained by binary equalities:
+// every track reads the same word.
+func eqFan(a *alphabet.Alphabet, tracks int) *query.Builder {
+	b := query.NewBuilder(a)
+	for k := 1; k <= tracks; k++ {
+		b.Reach("x", fmt.Sprintf("p%d", k), "y")
 		if k > 1 {
-			wide.Rel(synchro.Equality(a, 2), fmt.Sprintf("p%d", k-1), fmt.Sprintf("p%d", k))
+			b.Rel(synchro.Equality(a, 2), fmt.Sprintf("p%d", k-1), fmt.Sprintf("p%d", k))
 		}
 	}
-	deep := query.NewBuilder(a).Reach("x", "p1", "y").Reach("x", "p2", "y").Rel(synchro.EqualLength(a, 2), "p1", "p2")
-	for k := 0; k < 7; k++ {
-		// Seven language atoms of ≥ 24 states each: 24^7 > 2^30.
-		deep.Lang([]string{"p1", "p2"}[k%2], strings.Repeat("(a|b)", 24+k)+"*")
+	return b
+}
+
+// functionalDB draws a database with at most one successor per vertex and
+// label, so that tracks reading one word from one vertex stay together: a
+// 17-track equality fan has at most V reachable vertex tuples per word, not
+// (successors per letter)^17.
+func functionalDB(rng *rand.Rand, a *alphabet.Alphabet, n int) *graphdb.DB {
+	db := randomDB(rng, a, n, 0)
+	for v := 0; v < n; v++ {
+		for s := 0; s < a.Size(); s++ {
+			if rng.Intn(4) > 0 {
+				db.MustAddEdge(v, alphabet.Symbol(s), rng.Intn(n))
+			}
+		}
 	}
-	for name, q := range map[string]*query.Query{"17 tracks": wide.MustBuild(), "qCombos overflow": deep.MustBuild()} {
+	return db
+}
+
+// TestGenericWideComponent: components whose product state does not fit 63
+// bits (17 tracks over V ≥ 5; relation automata whose sizes multiply past
+// 2^30 on any V) run on the one kernel like any other — the decision, the
+// paths, the counts of its work and the memo of one traversal per source
+// assignment — and agree with a fresh kernel per check on the decision and
+// on the smallest sufficient state budget, and with the reduction strategy
+// where its sweep is in reach.
+func TestGenericWideComponent(t *testing.T) {
+	a := alphabet.Lower(2)
+	rng := rand.New(rand.NewSource(29))
+	fan := eqFan(a, 17).Lang("p1", "a(a|b)*")
+	deep := comboOverflowLangs(query.NewBuilder(a).Reach("x", "p1", "y").Reach("x", "p2", "y").
+		Rel(synchro.EqualLength(a, 2), "p1", "p2"), "p1", "p2")
+	sats := 0
+	for name, q := range map[string]*query.Query{"17 tracks": fan.MustBuild(), "combo overflow": deep.MustBuild()} {
 		comps, _, err := decompose(q)
 		if err != nil || len(comps) != 1 {
 			t.Fatalf("%s: decompose: %v, %d components", name, err, len(comps))
 		}
-		for v := 1; v <= 4; v++ {
-			db := randomDB(rng, a, v, 3*v)
-			if newFastProduct(db, &comps[0]) != nil {
-				t.Fatalf("%s: the component packs; it does not reach the fallback", name)
+		for v := 1; v <= 6; v++ {
+			db := functionalDB(rng, a, v)
+			if name == "combo overflow" {
+				db = randomDB(rng, a, v, 3*v)
+			}
+			if !packProduct(db, &comps[0]).wide && (v >= 5 || name == "combo overflow") {
+				t.Fatalf("%s V=%d: the component packs; it does not reach the wide regime", name, v)
 			}
 			res, err := Evaluate(db, q, Options{Strategy: Generic})
 			if err != nil {
 				t.Fatalf("%s V=%d: %v", name, v, err)
 			}
-			if res.Stats.Traversals != res.Stats.ProductChecks {
-				t.Fatalf("%s V=%d: %d traversals for %d checks: the fallback searches once per check", name, v, res.Stats.Traversals, res.Stats.ProductChecks)
+			// x is the component's one source variable: a traversal per vertex
+			// tried for it, however many destinations are checked under each.
+			if st := res.Stats; st.ProductStates == 0 || st.Traversals == 0 || st.Traversals > v || st.ProductChecks < st.Traversals {
+				t.Fatalf("%s V=%d: %d states expanded by %d traversals for %d checks, want work counted and at most %d traversals",
+					name, v, st.ProductStates, st.Traversals, st.ProductChecks, v)
 			}
 			if res.Sat {
+				sats++
 				if err := VerifyWitness(db, q, res); err != nil {
 					t.Fatalf("%s V=%d: witness: %v", name, v, err)
+				}
+			}
+			if want, err := perCheckGeneric(db, q, comps, 0); err != nil || want != res.Sat {
+				t.Fatalf("%s V=%d: sat=%v, a fresh kernel per check says %v (err %v)", name, v, res.Sat, want, err)
+			}
+			budget := smallestBudget(func(b int) bool {
+				_, err := perCheckGeneric(db, q, comps, b)
+				return err == nil
+			})
+			if got, err := Evaluate(db, q, Options{Strategy: Generic, MaxProductStates: budget}); err != nil || got.Sat != res.Sat {
+				t.Fatalf("%s V=%d: budget %d suffices per check, memoised gives err=%v", name, v, budget, err)
+			}
+			if budget > 1 {
+				if _, err := Evaluate(db, q, Options{Strategy: Generic, MaxProductStates: budget - 1}); err == nil || !strings.Contains(err.Error(), "state budget") {
+					t.Fatalf("%s V=%d: budget %d is one short per check, memoised gives err=%v", name, v, budget-1, err)
 				}
 			}
 			if name == "17 tracks" {
 				// The 17-track sweep is out of the reduction's reach; one
 				// track's language decides it: all tracks read one word x→y.
-				one := query.NewBuilder(a).Reach("x", "p1", "y").MustBuild()
+				one := query.NewBuilder(a).Reach("x", "p1", "y").Lang("p1", "a(a|b)*").MustBuild()
 				ref, err := Evaluate(db, one, Options{Strategy: Generic})
 				if err != nil || ref.Sat != res.Sat {
 					t.Fatalf("%s V=%d: sat=%v, the single-track query says %v (err %v)", name, v, res.Sat, ref.Sat, err)
@@ -434,9 +537,12 @@ func TestGenericUnpackedFallback(t *testing.T) {
 			}
 			red, err := Evaluate(db, q, Options{Strategy: Reduction})
 			if err != nil || red.Sat != res.Sat {
-				t.Fatalf("%s V=%d: generic fallback says %v, reduction %v (err %v)", name, v, res.Sat, red.Sat, err)
+				t.Fatalf("%s V=%d: generic says %v, reduction %v (err %v)", name, v, res.Sat, red.Sat, err)
 			}
 		}
+	}
+	if sats < 4 {
+		t.Fatalf("only %d satisfiable instances: the witness path is barely exercised", sats)
 	}
 }
 

@@ -55,24 +55,32 @@ func TestEvaluateExhaustsTinyBudget(t *testing.T) {
 		Rel(synchro.EqualLength(a, 2), "p1", "p2").
 		MustBuild()
 
-	for _, opts := range []Options{{Strategy: Reduction}, {Strategy: Reduction, Parallelism: 4}, {Strategy: Generic}} {
-		broker := govern.NewBroker(2 << 10) // far below what the sweep needs
-		res, err := broker.Reserve(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := govern.NewContext(context.Background(), res)
-		_, err = EvaluateContext(ctx, db, q, opts)
-		if !errors.Is(err, govern.ErrResourceExhausted) {
-			t.Fatalf("strategy %v parallelism %d: err = %v, want ErrResourceExhausted",
-				opts.Strategy, opts.Parallelism, err)
-		}
-		res.Release()
-		if got := broker.Reserved(); got != 0 {
-			t.Fatalf("strategy %v: broker reserved = %d after release-on-error, want 0",
-				opts.Strategy, got)
+	denied := func() {
+		for _, opts := range []Options{{Strategy: Reduction}, {Strategy: Reduction, Parallelism: 4}, {Strategy: Generic}} {
+			broker := govern.NewBroker(2 << 10) // far below what the sweep needs
+			res, err := broker.Reserve(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := govern.NewContext(context.Background(), res)
+			_, err = EvaluateContext(ctx, db, q, opts)
+			if !errors.Is(err, govern.ErrResourceExhausted) {
+				t.Fatalf("strategy %v parallelism %d: err = %v, want ErrResourceExhausted",
+					opts.Strategy, opts.Parallelism, err)
+			}
+			if used := res.Used(); used != 0 {
+				t.Fatalf("strategy %v parallelism %d: %d bytes still charged after the denial",
+					opts.Strategy, opts.Parallelism, used)
+			}
+			res.Release()
+			if got := broker.Reserved(); got != 0 {
+				t.Fatalf("strategy %v: broker reserved = %d after release-on-error, want 0",
+					opts.Strategy, got)
+			}
 		}
 	}
+	denied()
+	inWideRegime(denied) // the kernels' row sets are charged and released with the rest
 }
 
 // TestEvaluateWithoutReservationUnchanged pins the disabled path: evaluation

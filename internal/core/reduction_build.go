@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"ecrpq/internal/cq"
@@ -81,25 +80,14 @@ func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*c
 		stats.CQTuples += added
 	}
 
-	// Components: materialize R' by sweeping all source tuples. The
-	// adjacency table is built once and shared by every component's sweep
-	// workers; it is scratch, released when the build returns.
-	scratch := govern.MeterFrom(ctx)
-	defer scratch.Close()
-	var adj [][]int32
-	if n > 0 && len(merged) > 0 {
-		adj = buildAdjacency(db, db.Alphabet().Size())
-		if err := scratch.Grow(adjacencyBytes(adj)); err != nil {
-			return nil, stats, fmt.Errorf("core: product search: %w", err)
-		}
-	}
+	// Components: materialize R' by sweeping all source tuples.
 	for ci := range merged {
 		t := len(merged[ci].tracks)
 		var rows []int
 		_, ssp := trace.StartSpan(ctx, "core/sweep")
 		var err error
 		if n > 0 {
-			rows, err = sweepComponent(ctx, db, &merged[ci], adj, opts)
+			rows, err = sweepComponent(ctx, db, &merged[ci], opts)
 		}
 		if err == nil {
 			err = st.LoadSorted(fmt.Sprintf("__comp%d", ci), 2*t, rows, sweepColumnOrder(t))
@@ -167,14 +155,14 @@ func sweepColumnOrder(t int) []int {
 //
 // Sources are swept 64 at a time (sweepKernel): the ⌈V^t/64⌉ batches are
 // sharded in contiguous ranges over opts.workers() goroutines, each with
-// its own kernel scratch over the shared product shape and adjacency adj.
+// its own kernel scratch over the shared product shape.
 // A worker keeps each batch as (destination key, source word) pairs; once
 // all traversals are done the row count is known, the flat slice is
 // allocated once at its final size, and every worker expands its pairs
 // into its own region of it. Retained rows are charged to the context's
 // reservation per batch and stay charged on success; on failure everything
 // the sweep charged is released.
-func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, adj [][]int32, opts Options) (_ []int, err error) {
+func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts Options) (_ []int, err error) {
 	t, n := len(merged.tracks), db.NumVertices()
 	total := 1
 	for i := 0; i < t; i++ {
@@ -183,10 +171,7 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, adj 
 		}
 		total *= n
 	}
-	f := packProduct(db, merged, adj)
-	if f == nil {
-		return sweepUnpacked(ctx, db, merged, total, opts.maxStates())
-	}
+	f := packProduct(db, merged)
 	batches := (total + 63) / 64
 	res := govern.FromContext(ctx)
 	ws := make([]*sweepWorker, min(opts.workers(), batches))
@@ -283,7 +268,7 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 		return err
 	}
 	dests := w.k.dests
-	slices.Sort(dests.keys)
+	w.k.sortDests(dests.keys)
 	before, rows := cap(w.keys)+cap(w.words), 0
 	for _, key := range dests.keys {
 		word := dests.at(key)[0]
@@ -307,8 +292,7 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 // key order. A counting pass over the words gives every source its offset,
 // so each pair is visited once per row it stands for.
 func (w *sweepWorker) emit(ctx context.Context, out []int) error {
-	f := w.k.productShape
-	t, n := f.t, f.db.NumVertices()
+	t, n := w.k.t, w.k.db.NumVertices()
 	srcs := make([]int, 64*t)
 	dst := make([]int, t)
 	begin := 0
@@ -329,7 +313,7 @@ func (w *sweepWorker) emit(ctx context.Context, out []int) error {
 			decodeSource(seg.first+i, n, srcs[i*t:(i+1)*t])
 		}
 		for j, key := range keys {
-			f.unpackDest(key, dst)
+			w.k.unpackDest(key, dst)
 			for word := words[j]; word != 0; word &= word - 1 {
 				i := bits.TrailingZeros64(word)
 				row := out[next[i]*2*t : (next[i]+1)*2*t]
@@ -343,39 +327,6 @@ func (w *sweepWorker) emit(ctx context.Context, out []int) error {
 		out = out[seg.rows*2*t:]
 	}
 	return nil
-}
-
-// sweepUnpacked is sweepComponent for a component whose product state does
-// not pack into 63 bits, the one input the kernel cannot run on: one
-// recording product search per source tuple, in sweep order.
-func sweepUnpacked(ctx context.Context, db *graphdb.DB, merged *component, total, maxStates int) (_ []int, err error) {
-	t, n := len(merged.tracks), db.NumVertices()
-	retained := govern.MeterFrom(ctx)
-	defer func() {
-		if err != nil {
-			retained.Close()
-		}
-	}()
-	srcs := make([]int, t)
-	var flat, dsts []int
-	for idx := 0; idx < total; idx++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		decodeSource(idx, n, srcs)
-		if dsts, err = componentReachSet(ctx, db, merged, nil, srcs, maxStates, dsts[:0]); err != nil {
-			return nil, err
-		}
-		if err := retained.Grow(int64(len(dsts)/t) * compRowBytes(t)); err != nil {
-			return nil, err
-		}
-		for d := 0; d < len(dsts); d += t {
-			for k := 0; k < t; k++ {
-				flat = append(flat, srcs[k], dsts[d+k])
-			}
-		}
-	}
-	return flat, nil
 }
 
 // runWorkers runs body(w, stop) on `workers` goroutines and returns the

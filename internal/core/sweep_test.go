@@ -71,8 +71,27 @@ func newSweepInstance(t testing.TB, name string, db *graphdb.DB, tracks int, rel
 }
 
 func (in sweepInstance) sweep(ctx context.Context, opts Options) ([]int, error) {
-	adj := buildAdjacency(in.db, in.db.Alphabet().Size())
-	return sweepComponent(ctx, in.db, in.merged, adj, opts)
+	return sweepComponent(ctx, in.db, in.merged, opts)
+}
+
+// inWideRegime runs f with every product shape it builds forced into the
+// wide regime, whatever its width.
+func inWideRegime(f func()) {
+	old := packedBits
+	packedBits = 0
+	defer func() { packedBits = old }()
+	f()
+}
+
+// comboOverflowLangs adds seven language atoms of ≥ 24 states each over p1
+// and p2: 24^7 > 2^30 relation-state combos, so the unmerged component is
+// in the wide regime on any database (its Lemma 4.1 merge is not: the
+// automata advance in lockstep and the reachable product is small).
+func comboOverflowLangs(b *query.Builder, p1, p2 string) *query.Builder {
+	for k := 0; k < 7; k++ {
+		b.Lang([]string{p1, p2}[k%2], strings.Repeat("(a|b)", 24+k)+"*")
+	}
+	return b
 }
 
 // reference concatenates per-source componentReachSet results in sweep
@@ -81,16 +100,13 @@ func (in sweepInstance) reference(t testing.TB, maxStates int) ([]int, error) {
 	t.Helper()
 	tr, n := len(in.merged.tracks), in.db.NumVertices()
 	fp := newFastProduct(in.db, in.merged)
-	if fp == nil {
-		t.Fatalf("%s: component does not pack", in.name)
-	}
 	total := pow(n, tr)
 	srcs := make([]int, tr)
 	var rows, dsts []int
 	for idx := 0; idx < total; idx++ {
 		decodeSource(idx, n, srcs)
 		var err error
-		if dsts, err = componentReachSet(context.Background(), in.db, in.merged, fp, srcs, maxStates, dsts[:0]); err != nil {
+		if dsts, err = componentReachSet(context.Background(), fp, srcs, maxStates, dsts[:0]); err != nil {
 			return nil, err
 		}
 		for d := 0; d < len(dsts); d += tr {
@@ -105,7 +121,10 @@ func (in sweepInstance) reference(t testing.TB, maxStates int) ([]int, error) {
 // sweepInstances enumerates the differential matrix: V ∈ 1…9 × t ∈ {1,2}
 // and V ∈ {1…5, 8} × t = 3 (the per-source reference is what costs) × the
 // five relations × with and without a language atom, so V^t lands below 64
-// (most), on it (8², 4³), on a multiple (8³) and off one (9², 5³).
+// (most), on it (8², 4³), on a multiple (8³) and off one (9², 5³); and, as
+// far as V^t permits, the two shapes past the packed width: a 17-track eq
+// chain (V = 1: at V = 2 its 2^17 per-source searches take a minute) and
+// the unmerged combo-overflow component (V ≤ 4).
 func sweepInstances(t testing.TB, rng *rand.Rand) []sweepInstance {
 	a := alphabet.Lower(2)
 	rels := sweepRelations(t, a)
@@ -133,14 +152,31 @@ func sweepInstances(t testing.TB, rng *rand.Rand) []sweepInstance {
 			out = append(out, newSweepInstance(t, fmt.Sprintf("V%d/t3/%s+%s/lang=%s", v, r1, r2, lang),
 				db, 3, []*synchro.Relation{rels[r1], rels[r2]}, lang))
 		}
+		if v == 1 {
+			chain := make([]*synchro.Relation, 16)
+			for k := range chain {
+				chain[k] = rels["eq"]
+			}
+			out = append(out, newSweepInstance(t, fmt.Sprintf("V%d/t17/eq", v), db, 17, chain, ""))
+		}
+		if v <= 4 {
+			q := comboOverflowLangs(query.NewBuilder(a).Reach("u1", "p1", "v1").Reach("u2", "p2", "v2").
+				Rel(rels["eqlen"], "p1", "p2"), "p1", "p2").MustBuild()
+			comps, _, err := decompose(q)
+			if err != nil || len(comps) != 1 || !packProduct(db, &comps[0]).wide {
+				t.Fatalf("V%d/t2/combo-overflow: not one wide component (err %v)", v, err)
+			}
+			out = append(out, sweepInstance{name: fmt.Sprintf("V%d/t2/combo-overflow", v), db: db, q: q, merged: &comps[0]})
+		}
 	}
 	return out
 }
 
 // TestSweepKernelDifferential holds the batched sweep to the per-source
-// loop it replaced, row for row and in order, under every parallelism; the
-// unpacked fallback to the same rows; and the bulk-loaded relation's
-// Contains to plain membership.
+// loop it replaced, row for row and in order, under every parallelism and
+// in both key regimes (every instance is swept again forced wide, against
+// the rows its own regime gave); and the bulk-loaded relation's Contains to
+// plain membership.
 func TestSweepKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20220612))
 	ctx := context.Background()
@@ -150,24 +186,25 @@ func TestSweepKernelDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", in.name, err)
 		}
-		total := pow(n, tr)
-		for _, par := range []int{0, 2, 5} {
-			got, err := in.sweep(ctx, Options{Parallelism: par, MaxProductStates: -1})
-			if err != nil {
-				t.Fatalf("%s par=%d: %v", in.name, par, err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s par=%d: %d row values, reference has %d (first difference at row %d)",
-					in.name, par, len(got), len(want), firstDiff(got, want)/(2*tr))
-			}
-		}
-		// The recording search behind the unpacked fallback is orders of
-		// magnitude slower; hold it to the same rows on the smaller sweeps.
-		if total <= 32 {
-			if got, err := sweepUnpacked(ctx, in.db, in.merged, total, 0); err != nil || !slices.Equal(got, want) {
-				t.Fatalf("%s: sweepUnpacked differs from the reference (err %v)", in.name, err)
+		sweeps := func(regime string) {
+			for _, par := range []int{0, 2, 5} {
+				got, err := in.sweep(ctx, Options{Parallelism: par, MaxProductStates: -1})
+				if err != nil {
+					t.Fatalf("%s %s par=%d: %v", in.name, regime, par, err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %s par=%d: %d row values, reference has %d (first difference at row %d)",
+						in.name, regime, par, len(got), len(want), firstDiff(got, want)/(2*tr))
+				}
 			}
 		}
+		sweeps("own regime")
+		inWideRegime(func() {
+			sweeps("forced wide")
+			if got, err := in.reference(t, 0); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: the per-source loop forced wide differs from its own regime's rows (err %v)", in.name, err)
+			}
+		})
 
 		st := cq.NewStructure(n)
 		if err := st.LoadSorted("r", 2*tr, want, sweepColumnOrder(tr)); err != nil {
@@ -295,8 +332,8 @@ func TestSweepKernelMapTable(t *testing.T) {
 	const n = 260
 	db := randomDB(rng, a, n, n)
 	in := newSweepInstance(t, "V260/hamming<=1", db, 2, []*synchro.Relation{synchro.HammingAtMost(a, 1)}, "a(a|b)*")
-	f := packProduct(db, in.merged, nil)
-	if f == nil || f.bits <= denseTableBits {
+	f := packProduct(db, in.merged)
+	if f.wide || f.bits <= denseTableBits {
 		t.Fatalf("instance packs into %d bits: it does not reach the map regime", f.bits)
 	}
 	if k, err := newSweepKernel(f, nil); err != nil || k.states.slots == nil {
@@ -376,8 +413,13 @@ func (c *countdownCtx) Err() error {
 
 // TestSweepKernelCancelReleases: a sweep cancelled at any poll returns
 // ctx.Err() and leaves nothing charged; one that completes keeps exactly
-// its rows charged.
+// its rows charged — in both key regimes.
 func TestSweepKernelCancelReleases(t *testing.T) {
+	t.Run("narrow", sweepCancelReleases)
+	t.Run("wide", func(t *testing.T) { inWideRegime(func() { sweepCancelReleases(t) }) })
+}
+
+func sweepCancelReleases(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := alphabet.Lower(2)
 	db := randomDB(rng, a, 12, 36)
@@ -433,12 +475,11 @@ func BenchmarkSweepComponent(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		adj := buildAdjacency(db, a.Size())
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			rows := 0
 			for i := 0; i < b.N; i++ {
-				flat, err := sweepComponent(context.Background(), db, &p.merged[0], adj, p.opts)
+				flat, err := sweepComponent(context.Background(), db, &p.merged[0], p.opts)
 				if err != nil {
 					b.Fatal(err)
 				}

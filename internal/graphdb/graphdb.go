@@ -1,6 +1,7 @@
 // Package graphdb implements edge-labelled graph databases (Section 2 of the
 // paper): finite graphs D = (V, E) with E ⊆ V × A × V over a finite alphabet
-// A, plus regular-path-query (RPQ) evaluation by product reachability.
+// A, with the label-partitioned forward layout (CSR) the product kernels of
+// internal/core traverse.
 package graphdb
 
 import (
@@ -9,9 +10,10 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"ecrpq/internal/alphabet"
-	"ecrpq/internal/automata"
 	"ecrpq/internal/invariant"
 )
 
@@ -31,6 +33,9 @@ type DB struct {
 	out   [][]Edge
 	in    [][]Edge
 	edges int
+
+	fwd   atomic.Pointer[CSR] // the forward layout of out; nil until Forward builds it, and again after a mutation
+	fwdMu sync.Mutex          // serialises the build
 }
 
 // New returns an empty database over the given alphabet.
@@ -49,6 +54,7 @@ func (d *DB) AddVertex(name string) (int, error) {
 			return -1, fmt.Errorf("graphdb: duplicate vertex %q", name)
 		}
 	}
+	d.fwd.Store(nil)
 	v := len(d.names)
 	d.names = append(d.names, name)
 	d.out = append(d.out, nil)
@@ -111,6 +117,7 @@ func (d *DB) AddEdge(u int, label alphabet.Symbol, v int) error {
 			return nil
 		}
 	}
+	d.fwd.Store(nil)
 	d.out[u] = append(d.out[u], Edge{label, v})
 	d.in[v] = append(d.in[v], Edge{label, u})
 	d.edges++
@@ -199,120 +206,6 @@ func (p Path) Format(d *DB) string {
 	}
 	_ = cur
 	return sb.String()
-}
-
-// ReachableFrom returns the set of vertices v such that some path from src
-// to v has a label accepted by the NFA, computed by BFS over the product of
-// the database with the automaton. The automaton must be ε-free (compile
-// regexes with rex, which guarantees this, or call RemoveEps first).
-func ReachableFrom(d *DB, nfa *automata.NFA[alphabet.Symbol], src int) []int {
-	nV := d.NumVertices()
-	nQ := nfa.NumStates()
-	if nQ == 0 || src < 0 || src >= nV {
-		return nil
-	}
-	visited := make([]bool, nV*nQ)
-	var queue []int
-	push := func(v, q int) {
-		id := v*nQ + q
-		if !visited[id] {
-			visited[id] = true
-			queue = append(queue, id)
-		}
-	}
-	for _, q := range nfa.StartStates() {
-		push(src, q)
-	}
-	resSet := make([]bool, nV)
-	for i := 0; i < len(queue); i++ {
-		id := queue[i]
-		v, q := id/nQ, id%nQ
-		if nfa.IsAccept(q) {
-			resSet[v] = true
-		}
-		for _, e := range d.Out(v) {
-			for _, q2 := range nfa.Successors(q, e.Label) {
-				push(e.To, q2)
-			}
-		}
-	}
-	var out []int
-	for v, ok := range resSet {
-		if ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// AllPairs evaluates the RPQ for every source vertex, returning a matrix
-// reach[u][v] = true iff some u→v path has a label in the language.
-func AllPairs(d *DB, nfa *automata.NFA[alphabet.Symbol]) [][]bool {
-	clean := nfa.RemoveEps()
-	n := d.NumVertices()
-	out := make([][]bool, n)
-	for u := 0; u < n; u++ {
-		row := make([]bool, n)
-		for _, v := range ReachableFrom(d, clean, u) {
-			row[v] = true
-		}
-		out[u] = row
-	}
-	return out
-}
-
-// PathBetween returns a shortest path from src to dst whose label is in the
-// automaton's language, or ok=false if none exists.
-func PathBetween(d *DB, nfa *automata.NFA[alphabet.Symbol], src, dst int) (Path, bool) {
-	clean := nfa.RemoveEps()
-	nV := d.NumVertices()
-	nQ := clean.NumStates()
-	if nQ == 0 || src < 0 || src >= nV || dst < 0 || dst >= nV {
-		return Path{}, false
-	}
-	type prev struct {
-		id   int
-		edge Edge
-	}
-	visited := make(map[int]prev)
-	var queue []int
-	for _, q := range clean.StartStates() {
-		id := src*nQ + q
-		if _, ok := visited[id]; !ok {
-			visited[id] = prev{id: -1}
-			queue = append(queue, id)
-		}
-	}
-	goal := -1
-	for i := 0; i < len(queue) && goal < 0; i++ {
-		id := queue[i]
-		v, q := id/nQ, id%nQ
-		if v == dst && clean.IsAccept(q) {
-			goal = id
-			break
-		}
-		for _, e := range d.Out(v) {
-			for _, q2 := range clean.Successors(q, e.Label) {
-				nid := e.To*nQ + q2
-				if _, ok := visited[nid]; !ok {
-					visited[nid] = prev{id: id, edge: e}
-					queue = append(queue, nid)
-				}
-			}
-		}
-	}
-	if goal < 0 {
-		return Path{}, false
-	}
-	var rev []Edge
-	for id := goal; visited[id].id >= 0; id = visited[id].id {
-		rev = append(rev, visited[id].edge)
-	}
-	edges := make([]Edge, len(rev))
-	for i := range rev {
-		edges[i] = rev[len(rev)-1-i]
-	}
-	return Path{Start: src, Edges: edges}, true
 }
 
 // Parse reads a database from text. Format:

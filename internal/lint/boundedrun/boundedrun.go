@@ -2,9 +2,9 @@
 // package, product-search entry points must not be invoked with a
 // literal 0 state budget outside test files. The single-source kernel's
 // entry points that fix a traversal's budget (fastProduct.begin, and Run,
-// reach and the recording witness, which begin one), the batched sweep
-// kernel's sweepKernel.Run and productSearch all treat maxStates == 0 as
-// "unlimited", which is exactly the knob the resource governor relies on
+// reach and the recording witness, which begin one) and the batched sweep
+// kernel's sweepKernel.Run — the one product kernel's two traversals; there
+// is no other search — treat maxStates == 0 as "unlimited", which is exactly the knob the resource governor relies on
 // to keep a hostile query from exploring an exponential product space
 // unmetered. Production call sites must thread a computed bound (options,
 // config, or the caller's budget) — a hard-coded 0 silently opts the call
@@ -25,9 +25,9 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "boundedrun",
 	Doc: "product searches must not pass a literal 0 (unlimited) state budget outside tests\n\n" +
-		"Applies to internal/core. fastProduct.begin/Run/reach/witness, sweepKernel.Run and\n" +
-		"productSearch interpret a maxStates of 0 as unbounded exploration; call sites in\n" +
-		"non-test files must pass a computed budget instead. Suppress a single finding with\n" +
+		"Applies to internal/core. fastProduct.begin/Run/reach/witness and sweepKernel.Run\n" +
+		"interpret a maxStates of 0 as unbounded exploration; call sites in non-test files\n" +
+		"must pass a computed budget instead. Suppress a single finding with\n" +
 		"//ecrpq:ignore boundedrun -- <reason>.",
 	Run: run,
 }
@@ -75,21 +75,17 @@ var budgeted = map[string][]string{
 	"sweepKernel": {"Run"},
 }
 
-// searchTarget classifies the callee: "productSearch" for the package
-// function, "<type>.<method>" for a budgeted method of a search type, ""
-// for anything else.
+// searchTarget classifies the callee: "<type>.<method>" for a budgeted
+// method of a search type, "" for anything else.
 func searchTarget(pass *lint.Pass, call *ast.CallExpr) string {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		if fn.Name == "productSearch" {
-			return "productSearch"
-		}
-	case *ast.SelectorExpr:
-		recv := searchType(pass, fn.X)
-		for _, m := range budgeted[recv] {
-			if fn.Sel.Name == m {
-				return recv + "." + m
-			}
+	fn, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	recv := searchType(pass, fn.X)
+	for _, m := range budgeted[recv] {
+		if fn.Sel.Name == m {
+			return recv + "." + m
 		}
 	}
 	return ""

@@ -29,7 +29,9 @@ func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) err
 	return nil
 }
 
-func productSearch(ctx context.Context, srcs []int, accept func([]int) bool, maxStates int) (int, error) {
+// A package-level function is not one of the kernel's traversals, whatever
+// it is called and whatever its last argument.
+func searchAll(ctx context.Context, srcs []int, maxStates int) (int, error) {
 	return -1, nil
 }
 
@@ -55,9 +57,8 @@ func boundedWitness(ctx context.Context, fp *fastProduct, srcs, dsts []int, budg
 	return fp.witness(ctx, srcs, dsts, budget)
 }
 
-func boundedSearch(ctx context.Context, srcs []int) (int, error) {
-	const defaultBudget = 1 << 20
-	return productSearch(ctx, srcs, nil, defaultBudget)
+func otherSearch(ctx context.Context, srcs []int) (int, error) {
+	return searchAll(ctx, srcs, 0)
 }
 
 // A batch whose first source is index 0 is not an unlimited search: only
@@ -70,7 +71,7 @@ func otherRun(r *runner) int {
 	return r.Run(0)
 }
 
-func suppressed(ctx context.Context, srcs []int) (int, error) {
+func suppressed(ctx context.Context, fp *fastProduct, srcs []int) error {
 	//ecrpq:ignore boundedrun -- offline tooling path with an external watchdog
-	return productSearch(ctx, srcs, nil, 0)
+	return fp.Run(ctx, srcs, 0)
 }

@@ -1,7 +1,7 @@
 // Package violation exercises every boundedrun diagnostic. The types
 // mirror the core package's search entry points: a fastProduct whose begin,
-// Run, reach and witness fix a traversal's budget, a sweepKernel with a Run
-// method and a package-level productSearch, all taking maxStates last.
+// Run, reach and witness fix a traversal's budget and a sweepKernel with a
+// Run method, all taking maxStates last.
 package violation
 
 import "context"
@@ -30,10 +30,6 @@ func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) err
 	return nil
 }
 
-func productSearch(ctx context.Context, srcs []int, accept func([]int) bool, maxStates int) (int, error) {
-	return -1, nil
-}
-
 func unboundedMethod(ctx context.Context, fp *fastProduct, srcs []int) error {
 	return fp.Run(ctx, srcs, 0) // want `fastProduct.Run called with a literal 0 maxStates`
 }
@@ -51,11 +47,7 @@ func unboundedReach(ctx context.Context, fp *fastProduct, srcs, dsts []int) (boo
 }
 
 func unboundedWitness(ctx context.Context, fp *fastProduct, srcs, dsts []int) ([]int, bool, error) {
-	return fp.witness(ctx, srcs, dsts, 0) // want `fastProduct.witness called with a literal 0 maxStates`
-}
-
-func unboundedSearch(ctx context.Context, srcs []int) (int, error) {
-	return productSearch(ctx, srcs, nil, 0x0) // want `productSearch called with a literal 0 maxStates`
+	return fp.witness(ctx, srcs, dsts, 0x0) // want `fastProduct.witness called with a literal 0 maxStates`
 }
 
 func unboundedBatch(ctx context.Context, k *sweepKernel) error {

@@ -1,8 +1,8 @@
 // Package statebounds implements the statebounds analyzer: in the
-// automata and core packages, state-table slices (the trans/accept/
-// start/eps adjacency fields of DFA, NFA and fastProduct) must not be
-// indexed with arithmetic-derived values outside a designated
-// bounds-checked accessor. Packed-state decoding and mixed-radix
+// automata, core and graphdb packages, state-table slices (the trans/
+// accept/start/eps fields of DFA and NFA, the offsets of the database's
+// forward CSR) must not be indexed with arithmetic-derived values outside
+// a designated bounds-checked accessor. Packed-state decoding and mixed-radix
 // arithmetic are exactly where an off-by-one silently reads a foreign
 // state's row; funnelling them through accessors annotated
 // //ecrpq:bounds-checked keeps every such computation next to an
@@ -20,29 +20,30 @@ import (
 
 // stateFields are the slice fields treated as state-indexed tables.
 var stateFields = map[string]bool{
-	"trans":  true,
-	"accept": true,
-	"start":  true,
-	"eps":    true,
-	"adj":    true,
+	"trans":   true,
+	"accept":  true,
+	"start":   true,
+	"eps":     true,
+	"offsets": true,
 }
 
 // Analyzer is the statebounds check.
 var Analyzer = &lint.Analyzer{
 	Name: "statebounds",
 	Doc: "state-table slices must not be indexed by arithmetic outside a //ecrpq:bounds-checked accessor\n\n" +
-		"Applies to internal/automata and internal/core. Mark an accessor exempt by putting\n" +
+		"Applies to internal/automata, internal/core and internal/graphdb. Mark an accessor exempt by putting\n" +
 		"//ecrpq:bounds-checked in its doc comment (the accessor must validate its own indices).\n" +
 		"Suppress a single finding with //ecrpq:ignore statebounds -- <reason>.",
 	Run: run,
 }
 
-// inScope restricts the check to the automata/core layers; fixture
+// inScope restricts the check to the automata/core/graphdb layers; fixture
 // packages (under a testdata tree) are always in scope so the analyzer
 // is testable.
 func inScope(path string) bool {
 	return strings.HasSuffix(path, "internal/automata") ||
 		strings.HasSuffix(path, "internal/core") ||
+		strings.HasSuffix(path, "internal/graphdb") ||
 		strings.Contains(path, "/testdata/")
 }
 
@@ -119,7 +120,7 @@ func collectTainted(body *ast.BlockStmt) map[string]bool {
 }
 
 // isStateTable reports whether e names a slice field from stateFields
-// (either a selector like f.adj or a bare identifier like adj).
+// (either a selector like c.offsets or a bare identifier like offsets).
 func isStateTable(pass *lint.Pass, e ast.Expr) bool {
 	var name string
 	switch v := e.(type) {

@@ -6,18 +6,18 @@ package clean
 import "ecrpq/internal/invariant"
 
 type table struct {
-	trans  [][]int
-	accept []bool
-	adj    []int32
+	trans   [][]int
+	accept  []bool
+	offsets []int32
 }
 
-// adjAt is the sanctioned accessor for packed adjacency rows.
+// offsetAt is the sanctioned accessor for the packed (vertex, label) rows.
 //
 //ecrpq:bounds-checked
-func (t *table) adjAt(v, nsym, sym int) int32 {
+func (t *table) offsetAt(v, nsym, sym int) int32 {
 	idx := v*nsym + sym
-	invariant.Assert(idx >= 0 && idx < len(t.adj), "adjacency index out of range")
-	return t.adj[idx]
+	invariant.Assert(idx >= 0 && idx < len(t.offsets), "offset index out of range")
+	return t.offsets[idx]
 }
 
 func plainIndex(t *table, p int) []int {
@@ -25,7 +25,7 @@ func plainIndex(t *table, p int) []int {
 }
 
 func viaAccessor(t *table, v, nsym, sym int) int32 {
-	return t.adjAt(v, nsym, sym)
+	return t.offsetAt(v, nsym, sym)
 }
 
 func otherSlices(xs []int, i, j int) int {

@@ -2,9 +2,9 @@
 package violation
 
 type table struct {
-	trans  [][]int
-	accept []bool
-	adj    []int32
+	trans   [][]int
+	accept  []bool
+	offsets []int32
 }
 
 func directArithmetic(t *table, p, off int) []int {
@@ -13,7 +13,7 @@ func directArithmetic(t *table, p, off int) []int {
 
 func packedDecode(t *table, v, nsym, sym int) int32 {
 	idx := v*nsym + sym
-	return t.adj[idx] // want `state-table index "idx" derives from arithmetic`
+	return t.offsets[idx] // want `state-table index "idx" derives from arithmetic`
 }
 
 func loopStride(t *table, workers int) bool {
@@ -24,6 +24,6 @@ func loopStride(t *table, workers int) bool {
 	return acc
 }
 
-func bareField(adj []int32, v, k int) int32 {
-	return adj[v*2+k] // want `state-table index computed by arithmetic`
+func bareField(offsets []int32, v, k int) int32 {
+	return offsets[v*2+k] // want `state-table index computed by arithmetic`
 }

@@ -68,8 +68,11 @@ func (r *dbRegistry) allocGen() uint64 {
 // installWithGen installs db under name with a pre-allocated (or
 // journal-replayed) generation. The counter is bumped to at least gen so
 // generations stay globally monotonic across restarts — which is what
-// keeps plan-cache invalidation correct after a reload.
+// keeps plan-cache invalidation correct after a reload. The database's
+// forward layout is built here, before the entry is visible, so that no
+// request ever builds it.
 func (r *dbRegistry) installWithGen(name string, db *graphdb.DB, gen uint64, at time.Time, cat *stats.Catalog, dg integrity.Digest) (entry *dbEntry, replacedGen uint64, replaced bool) {
+	db.Forward()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if old, ok := r.entries[name]; ok {

@@ -10,12 +10,14 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ecrpq/internal/core"
+	"ecrpq/internal/integrity"
 	"ecrpq/internal/invariant"
 	"ecrpq/internal/query"
 )
@@ -760,4 +762,41 @@ func BenchmarkQueryColdVsWarm(b *testing.B) {
 		b.ResetTimer()
 		run(b, s, false)
 	})
+}
+
+// TestRegisterWarmsLayout: installWithGen builds the database's forward
+// layout, so no request does. Builds are counted from outside: asking an
+// installed database for its layout allocates nothing (on a bare registry,
+// where no other goroutine allocates), and requests leave the same layout
+// behind.
+func TestRegisterWarmsLayout(t *testing.T) {
+	db := mustParseDB(t, denseDBText(8))
+	newDBRegistry().installWithGen("g", db, 1, time.Now(), nil, integrity.Digest{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	db.Forward()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("the first Forward after install allocates %d times: install did not build the layout", n)
+	}
+
+	s := newTestServer(t, Config{})
+	registerDB(t, s, "g", denseDBText(8))
+	e, ok := s.dbs.get("g")
+	if !ok {
+		t.Fatal("registered database not found")
+	}
+	layout := e.db.Forward()
+	for _, req := range []map[string]any{
+		{"db": "g", "query": slowQuery, "strategy": "reduction"}, // miss: sweep
+		{"db": "g", "query": slowQuery, "strategy": "reduction"}, // hit: witness recovery only
+		{"db": "g", "query": slowQuery, "strategy": "generic"},
+	} {
+		if rec, _ := doJSON(t, s, "POST", "/v1/query", req); rec.Code != http.StatusOK {
+			t.Fatalf("query %v: %d %s", req, rec.Code, rec.Body.String())
+		}
+	}
+	if e.db.Forward() != layout {
+		t.Fatal("a request rebuilt the registered database's layout")
+	}
 }
