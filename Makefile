@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate spine-gate cluster-gate plan-gate integrity-gate bench-check ci
+.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate front-gate spine-gate cluster-gate plan-gate integrity-gate bench-check ci
 
 all: build test
 
@@ -179,6 +179,28 @@ join-gate:
 	echo "$$frames" | grep -q 'cq\.(\*Plan)\.Eval' || { echo "join-gate: the memory profile does not show the join"; exit 1; }; \
 	if echo "$$frames" | grep -Eq 'cq\.(key|appendKey)$$'; then echo "join-gate: the join builds string keys"; exit 1; fi
 
+## front-gate guards the serving front half of a read (serveRead): the
+## request-text memo and response-encoder suites (memo hit ≡ fresh parse on
+## every text × strategy × endpoint, one memoised text under eight
+## goroutines, parse errors never cached, text entries on the ledger, an
+## unencodable response a 500) run under the race detector, and the layer
+## benchmark — one /v1/query whose text, plan and materialisation are
+## resident, handler to recorder — must stay under 330 (thin) and 190 (join)
+## allocations per request: 273 and 155 when the memo landed, 1 418 and 283
+## with the parser and the canonical hash on the path.
+front-gate:
+	$(GO) test -race -count=1 -run 'TestTextMemo|TestWriteJSON|TestReadRefusalContract' ./internal/server/
+	@out="$$($(GO) test -run '^$$' -bench BenchmarkServeReadHit -benchmem -benchtime 2000x ./internal/server/)" || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk '/^BenchmarkServeReadHit/ { \
+		allocs = ""; \
+		for (i = 1; i < NF; i++) if ($$(i+1) == "allocs/op") allocs = $$i; \
+		if (allocs == "") { print "front-gate: " $$1 ": benchmark output missing alloc stats"; bad = 1; next } \
+		seen++; \
+		ceiling = ($$1 ~ /thin/) ? 330 : 190; \
+		if (allocs > ceiling) { printf "front-gate: %s costs %d allocs/op (ceiling %d) — query-only work is back on the hit path\n", $$1, allocs, ceiling; bad = 1 } \
+	} END { if (seen < 2) { print "front-gate: BenchmarkServeReadHit rows missing"; bad = 1 } exit bad }'
+
 ## spine-gate guards the one evaluation spine of internal/core: prepare is
 ## the only compiler (the only non-test callers of decompose are it,
 ## Explain and Satisfiable; cq.Compile is called once), mergedViews the
@@ -255,7 +277,7 @@ bench-check:
 ## ci mirrors the GitHub Actions gate: build, vet, lint, tests, race
 ## tests, chaos suite, trace/govern zero-alloc gates, the streaming
 ## enumeration gate, the sweep-kernel gate, the generic product-search
-## gate, the join-kernel gate, the evaluation-spine gate, the planner gate,
-## the multi-node cluster gate, the integrity gate, and the benchmark
-## module's own build and tests.
-ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate spine-gate plan-gate cluster-gate integrity-gate bench-check
+## gate, the join-kernel gate, the serving-front gate, the evaluation-spine
+## gate, the planner gate, the multi-node cluster gate, the integrity gate,
+## and the benchmark module's own build and tests.
+ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate front-gate spine-gate plan-gate cluster-gate integrity-gate bench-check

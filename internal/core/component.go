@@ -48,6 +48,10 @@ type component struct {
 	tracks    []track
 	rels      []*synchro.Relation // non-universal; explicit NFAs
 	relTracks [][]int             // relation → component-track indices
+	// nfas are the relations' decoded transition tables, built with the
+	// component (decompose, mergedViews) so that no kernel over it decodes
+	// them again; read-only, shared by every kernel and every goroutine.
+	nfas []*nfaView
 	// nodeVars are the distinct node variables: track sources first, then
 	// the variables that are only destinations, each in track order. The
 	// generic strategy assigns them in this order, so a component's
@@ -159,6 +163,7 @@ func decompose(q *query.Query) ([]component, []freeTrack, error) {
 		for _, t := range c.tracks {
 			add(t.dstVar)
 		}
+		c.nfas = nfaViews(c.rels)
 		comps = append(comps, *c)
 	}
 	var frees []freeTrack
@@ -223,6 +228,14 @@ func newNFAView(r *synchro.Relation) *nfaView {
 		})
 	}
 	return v
+}
+
+func nfaViews(rels []*synchro.Relation) []*nfaView {
+	views := make([]*nfaView, len(rels))
+	for i, r := range rels {
+		views[i] = newNFAView(r)
+	}
+	return views
 }
 
 // componentSearch is one component's Lemma 4.2 product search for the

@@ -53,17 +53,15 @@ type productShape struct {
 // both regimes; nothing but a test assigns it.
 var packedBits uint = 63
 
-// packProduct lays out the product state of c over db and decodes the
-// relation automata.
+// packProduct lays out the product state of c over db.
 func packProduct(db *graphdb.DB, c *component) *productShape {
 	t := len(c.tracks)
 	s := &productShape{
 		db: db, fwd: db.Forward(), c: c, t: t,
-		nfas: make([]*nfaView, len(c.rels)), radix: make([]int, len(c.rels)),
+		nfas: c.nfas, radix: make([]int, len(c.rels)),
 	}
 	qCombos := 1
 	for i, r := range c.rels {
-		s.nfas[i] = newNFAView(r)
 		n := max(r.RawNFA().NumStates(), 1)
 		s.radix[i] = n
 		if qCombos > (1<<30)/n {

@@ -123,3 +123,54 @@ func TestConcurrentFirstEvaluation(t *testing.T) {
 		t.Fatal("an evaluation over a materialisation rebuilt the database's layout")
 	}
 }
+
+// TestPreparedSharedByGoroutines: a plan keeps its components' decoded
+// relation automata and every kernel over it reads them in place, so one
+// Prepared per strategy is evaluated from eight goroutines at once (run
+// under -race) — over a materialisation with witness recovery, streaming,
+// through the generic search with and without pushdown candidates — and
+// every result is the sequential one with a verified witness.
+func TestPreparedSharedByGoroutines(t *testing.T) {
+	a := alphabet.Lower(2)
+	db := randomDB(rand.New(rand.NewSource(8)), a, 12, 36)
+	q := query.NewBuilder(a).
+		Reach("x", "p1", "y").Reach("x", "p2", "y").Reach("y", "p3", "z").Reach("y", "p4", "z").
+		Rel(synchro.EqualLength(a, 2), "p1", "p2").Rel(synchro.HammingAtMost(a, 1), "p3", "p4").
+		Lang("p1", "a(a|b)*").Lang("p2", "b(a|b)*").Lang("p3", "(a|b)(a|b)*"). // no empty-path witness
+		MustBuild()
+	ctx := context.Background()
+	for _, opts := range strategies() {
+		p, err := Prepare(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mat *Materialization
+		if p.Strategy() == Reduction {
+			if mat, err = p.Materialize(ctx, db); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				m, hints := mat, (*PlanHints)(nil)
+				if i%2 == 1 { // Reduction: the streaming path; Generic: pushdown over the shared views
+					m, hints = nil, &PlanHints{Candidates: p.PushdownCandidates(db)}
+				}
+				for round := 0; round < 3; round++ {
+					res, err := p.EvaluateContextHinted(ctx, db, m, hints)
+					if err != nil || !res.Sat {
+						t.Errorf("%+v goroutine %d: sat=%v err=%v, want a witness", opts, i, res != nil && res.Sat, err)
+						return
+					}
+					if err := VerifyWitness(db, q, res); err != nil {
+						t.Errorf("%+v goroutine %d: %v", opts, i, err)
+					}
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+}

@@ -29,8 +29,7 @@ func trackFirstLabels(c *component) []map[alphabet.Symbol]bool {
 	t := len(c.tracks)
 	firsts := make([]map[alphabet.Symbol]bool, t)
 	restricted := make([]bool, t)
-	for ri, r := range c.rels {
-		view := newNFAView(r)
+	for ri, view := range c.nfas {
 		arity := len(c.relTracks[ri])
 		relFirst := make([]map[alphabet.Symbol]bool, arity)
 		relOpen := make([]bool, arity) // position may start empty/padded

@@ -54,6 +54,7 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) ([]comp
 			nodeVars:  c.nodeVars,
 			rels:      []*synchro.Relation{rel},
 			relTracks: [][]int{allTracks},
+			nfas:      nfaViews([]*synchro.Relation{rel}),
 		}
 	}
 	sp.SetInt("merged_states", int64(states))

@@ -27,10 +27,15 @@ import (
 
 // Key identifies one cached value.
 type Key struct {
-	// QueryHash is the canonical query identity (query.Hash hex digest).
+	// QueryHash is the canonical query identity (query.Hash hex digest) —
+	// or, under the server's "text" pseudo-strategy, the request text
+	// itself, which is what maps to that identity.
 	QueryHash string
 	// Strategy is the resolved evaluation strategy ("generic",
-	// "reduction"), part of the key because options change the plan.
+	// "reduction"), part of the key because options change the plan. The
+	// server also files its memos here under pseudo-strategies: "auto" (the
+	// planner's decision for a hash and generation) and "text" (the parsed
+	// query and hash of a request text, generation 0).
 	Strategy string
 	// DBGen is the database generation the value was built against; 0
 	// marks db-independent entries (compiled plans).

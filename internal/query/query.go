@@ -35,6 +35,12 @@ type RelAtom struct {
 // Query is an ECRPQ. Node and path variables are strings; every path
 // variable appears in exactly one reachability atom. Free lists the free
 // node variables (empty means Boolean).
+//
+// A query returned by Parse or Build is immutable: nothing in this
+// repository writes to it or to its relations afterwards, and callers must
+// not either. The query daemon relies on this — one parsed *Query is shared
+// by every request that sends the same text and by the plans compiled from
+// it, concurrently. Normalize and the like return new values.
 type Query struct {
 	alpha *alphabet.Alphabet
 	Free  []string

@@ -5,6 +5,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -256,5 +257,46 @@ func TestChaosDelayMode(t *testing.T) {
 		map[string]any{"db": "g", "query": quickQuery})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("delay-mode query failed: %d", rec.Code)
+	}
+}
+
+// TestChaosTextMemoCacheFaults: the request-text memo lives in the plan
+// cache, so a faulted probe or a dropped put must cost time and nothing
+// else — every text on every read endpoint answers exactly as it does with
+// the cache healthy, whether the text entry was never stored (put faulted)
+// or is there and cannot be read (get faulted).
+func TestChaosTextMemoCacheFaults(t *testing.T) {
+	defer faultinject.Disable()
+	ask := func(s *Server, ep, text string) map[string]any {
+		t.Helper()
+		rec, out := doJSON(t, s, "POST", "/v1/"+ep, map[string]any{"db": "g", "query": text, "strategy": "reduction"})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", ep, rec.Code, rec.Body.String())
+		}
+		return without(out, append([]string{"cache", "stats"}, volatile...)...)
+	}
+	healthy := newTestServer(t, Config{})
+	registerDB(t, healthy, "g", memoDB)
+	for _, site := range []string{"plancache.get", "plancache.put"} {
+		s := newTestServer(t, Config{})
+		registerDB(t, s, "g", memoDB)
+		faultinject.EnableSite(site, faultinject.ModeError, 1.0)
+		for _, tc := range memoTexts {
+			for _, ep := range []string{"query", "enumerate", "explain"} {
+				want := ask(healthy, ep, tc.text)
+				for round := 0; round < 2; round++ {
+					if got := ask(s, ep, tc.text); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s armed, %s %s round %d:\n got  %v\n want %v", site, ep, tc.name, round, got, want)
+					}
+				}
+			}
+		}
+		faultinject.Disable()
+		if h := s.mParseMemoHits.Value(); h != 0 {
+			t.Errorf("%s armed: memo hits=%d, want every request parsed", site, h)
+		}
+		if st, cs := s.GovernStats(), s.CacheStats(); st.ReservedBytes != cs.Bytes {
+			t.Errorf("%s armed: ledger holds %d bytes at rest, the cache accounts for %d", site, st.ReservedBytes, cs.Bytes)
+		}
 	}
 }

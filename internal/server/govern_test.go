@@ -284,12 +284,17 @@ func TestDroppedExpired(t *testing.T) {
 	if got := s.mDroppedExpired.Value(); got != 1 {
 		t.Fatalf("dropped_expired = %d, want 1", got)
 	}
-	// The dropped job's reservation came back (plus whatever the cache now
-	// holds for the registered db's plans — nothing ran, so none).
-	for s.GovernStats().ReservedBytes > baseline && time.Now().Before(deadline) {
+	// The dropped job's reservation came back. Nothing ran, so the cache
+	// holds no plan; what it does hold is the text entry the request-text
+	// memo stored when the request was parsed, charged to the same ledger.
+	if st := s.CacheStats(); st.Entries != 1 {
+		t.Fatalf("cache entries = %d after drop, want 1 (the text entry)", st.Entries)
+	}
+	want := baseline + s.CacheStats().Bytes
+	for s.GovernStats().ReservedBytes > want && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := s.GovernStats().ReservedBytes; got != baseline {
-		t.Fatalf("reserved = %d after drop, want baseline %d", got, baseline)
+	if got := s.GovernStats().ReservedBytes; got != want {
+		t.Fatalf("reserved = %d after drop, want baseline %d + the text entry's %d", got, baseline, want-baseline)
 	}
 }

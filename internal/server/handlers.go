@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ecrpq/internal/core"
@@ -59,7 +62,7 @@ type readCall struct {
 	strat     core.Strategy
 	stratName string // normalized Strategy
 	q         *query.Query
-	hash      string // query.Hash(q), computed once
+	hash      string // query.Hash(q), from the request-text memo
 	entry     *dbEntry
 	offset    int // /v1/enumerate: tuples already returned, from the validated cursor
 }
@@ -104,14 +107,27 @@ type queryResponse struct {
 	DegradedReason string `json:"degraded_reason,omitempty"`
 }
 
+// jsonBufs holds the buffers responses are encoded into.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v compactly into a pooled buffer and only then sends
+// the status line, so the header can carry Content-Length, the body is one
+// Write, and a value that does not encode (a non-finite float) is a 500 with
+// an error body instead of the intended status over an empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	if err := enc.Encode(v); err != nil { // nothing was written
+		code = http.StatusInternalServerError
+		_ = enc.Encode(map[string]string{"error": "encoding response: " + err.Error()}) // a map of strings always encodes
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// The header is already out; nothing more useful to do than note it.
-		_ = err
+	_, _ = w.Write(buf.Bytes()) // a failed write is the client's connection gone
+	if buf.Cap() <= 1<<20 {     // an answer set's megabytes are not worth keeping
+		jsonBufs.Put(buf)
 	}
 }
 
@@ -269,7 +285,7 @@ func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty query")
 		return
 	}
-	q, err := query.ParseString(text)
+	q, hash, err := s.parsed(r.Context(), text)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -281,7 +297,7 @@ func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
 	}
 	m := p.Measures()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"query_hash":      query.Hash(q),
+		"query_hash":      hash,
 		"auto_strategy":   p.Strategy().String(),
 		"cc_vertex":       m.CCVertex,
 		"cc_hedge":        m.CCHedge,
@@ -322,10 +338,7 @@ func (s *Server) serveRead(op *readOp) http.HandlerFunc {
 		defer s.finishTrace(tr)
 		tr.SetStr("db", c.DB)
 		tr.SetStr("strategy_requested", c.stratName)
-		psp := tr.Start("server/parse")
-		c.q, err = query.ParseString(c.Query)
-		psp.End()
-		if err != nil {
+		if c.q, c.hash, err = s.parsed(tctx, c.Query); err != nil {
 			// Parser errors carry the offending line ("query: line N: ...").
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
@@ -346,7 +359,6 @@ func (s *Server) serveRead(op *readOp) http.HandlerFunc {
 			}
 			return
 		}
-		c.hash = query.Hash(c.q)
 		tr.SetStr("query_hash", c.hash)
 		if op.check != nil && !op.check(w, c) {
 			return
@@ -545,6 +557,47 @@ func (s *Server) memoryDenied(w http.ResponseWriter, tr *trace.Trace, op *readOp
 	}
 	w.Header().Set("Retry-After", "2")
 	writeErrorCode(w, http.StatusTooManyRequests, "RESOURCE_EXHAUSTED", msg)
+}
+
+// parsedText is what the request-text memo keeps for one query text.
+type parsedText struct {
+	q    *query.Query
+	hash string // query.Hash(q)
+}
+
+// parsed maps a query text to its parsed query and canonical hash through
+// the request-text memo: a plan-cache entry under the "text"
+// pseudo-strategy, keyed by the exact text and charged at the text plus its
+// relation automata, so it is bounded, evicted and ledger-charged like a
+// plan. A repeated text costs one probe — no lexer, no regex compilation,
+// no NFA serialisation. The pair depends on the text alone (generation 0:
+// a re-registered database invalidates nothing); the query is shared by
+// every request that sends the text and is never modified. A parse error is
+// not kept: the 400 is cheap to reproduce and must not push plans out.
+func (s *Server) parsed(ctx context.Context, text string) (*query.Query, string, error) {
+	ctx, sp := trace.StartSpan(ctx, "server/parse")
+	defer sp.End()
+	key := plancache.Key{QueryHash: text, Strategy: "text"}
+	if v, ok := s.cacheGet(ctx, key); ok {
+		s.mParseMemoHits.Inc()
+		sp.SetStr("text_memo", "hit")
+		pt := v.(*parsedText)
+		return pt.q, pt.hash, nil
+	}
+	s.mParseMemoMisses.Inc()
+	sp.SetStr("text_memo", "miss")
+	q, err := query.ParseString(text)
+	if err != nil {
+		return nil, "", err
+	}
+	pt := &parsedText{q: q, hash: query.Hash(q)}
+	size := 256 + len(text) + 64*len(q.Reach)
+	for _, ra := range q.Rels {
+		states, trans := ra.Rel.Size()
+		size += 128 + 32*states + 48*trans
+	}
+	s.cachePut(ctx, key, pt, size)
+	return pt.q, pt.hash, nil
 }
 
 // planDecision resolves "auto" for the call's (query, database) through

@@ -252,6 +252,9 @@ type Server struct {
 	mCacheMisses *metrics.Counter
 	mSlow        *metrics.Counter
 
+	mParseMemoHits   *metrics.Counter // request texts answered by the text memo (see parsed)
+	mParseMemoMisses *metrics.Counter // request texts parsed and hashed
+
 	mResourceDenied *metrics.Counter   // queries refused: memory budget exhausted
 	mQuotaDenied    *metrics.Counter   // queries refused: per-client quota
 	mShed           *metrics.Counter   // queries refused: adaptive overload shed
@@ -361,6 +364,8 @@ func New(cfg Config) *Server {
 	s.mCacheHits = s.reg.Counter("plan_cache_request_hits_total")
 	s.mCacheMisses = s.reg.Counter("plan_cache_request_misses_total")
 	s.mSlow = s.reg.Counter("slow_queries_total")
+	s.mParseMemoHits = s.reg.Counter("parse_memo_hits_total")
+	s.mParseMemoMisses = s.reg.Counter("parse_memo_misses_total")
 	s.mResourceDenied = s.reg.Counter("resource_denied_total")
 	s.mQuotaDenied = s.reg.Counter("quota_denied_total")
 	s.mShed = s.reg.Counter("shed_total")

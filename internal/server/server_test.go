@@ -43,7 +43,7 @@ const slowQuery = "alphabet a b\nx -[$p1]-> y\nx -[$p2]-> y\nrel eq(p1, p2)\n"
 // quickQuery is a plain one-edge reachability query.
 const quickQuery = "alphabet a b\nx -[ab]-> y\n"
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)
@@ -51,7 +51,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return New(cfg)
 }
 
-func doJSON(t *testing.T, h http.Handler, method, path string, body any) (*httptest.ResponseRecorder, map[string]any) {
+func doJSON(t testing.TB, h http.Handler, method, path string, body any) (*httptest.ResponseRecorder, map[string]any) {
 	t.Helper()
 	var buf bytes.Buffer
 	switch b := body.(type) {
@@ -75,7 +75,7 @@ func doJSON(t *testing.T, h http.Handler, method, path string, body any) (*httpt
 	return rec, out
 }
 
-func registerDB(t *testing.T, s *Server, name, text string) {
+func registerDB(t testing.TB, s *Server, name, text string) {
 	t.Helper()
 	rec, _ := doJSON(t, s, "POST", "/v1/dbs/"+name, text)
 	if rec.Code != http.StatusOK {
@@ -112,8 +112,8 @@ func TestQueryMissThenHit(t *testing.T) {
 		t.Fatalf("first query cache=%v, want miss", cold["cache"])
 	}
 	st := s.CacheStats()
-	if st.Entries != 2 { // compiled plan + materialization
-		t.Fatalf("entries=%d after cold query, want 2", st.Entries)
+	if st.Entries != 3 { // text entry (request-text memo) + compiled plan + materialization
+		t.Fatalf("entries=%d after cold query, want 3", st.Entries)
 	}
 
 	rec, warm := doJSON(t, s, "POST", "/v1/query", req)
@@ -123,8 +123,8 @@ func TestQueryMissThenHit(t *testing.T) {
 	if warm["cache"] != "hit" {
 		t.Fatalf("second query cache=%v, want hit", warm["cache"])
 	}
-	if got := s.CacheStats().Hits - st.Hits; got < 2 { // plan + materialization lookups
-		t.Errorf("cache hits grew by %d, want ≥ 2", got)
+	if got := s.CacheStats().Hits - st.Hits; got != 3 { // text entry + plan + materialization lookups
+		t.Errorf("cache hits grew by %d, want 3", got)
 	}
 	if warm["sat"] != cold["sat"] {
 		t.Errorf("warm sat=%v differs from cold sat=%v", warm["sat"], cold["sat"])
@@ -491,14 +491,15 @@ func TestRegisterReplaceInvalidatesCache(t *testing.T) {
 	registerDB(t, s, "g", denseDBText(12))
 	req := map[string]any{"db": "g", "query": slowQuery, "strategy": "reduction"}
 	doJSON(t, s, "POST", "/v1/query", req)
-	if st := s.CacheStats(); st.Entries != 2 {
-		t.Fatalf("entries=%d, want 2", st.Entries)
+	if st := s.CacheStats(); st.Entries != 3 { // text entry + plan + materialization
+		t.Fatalf("entries=%d, want 3", st.Entries)
 	}
 	// Replacing the database must drop its materialization but keep the
-	// db-independent compiled plan.
+	// db-independent compiled plan and the text entry of the request-text
+	// memo, which depends on the query text alone.
 	registerDB(t, s, "g", denseDBText(14))
-	if st := s.CacheStats(); st.Entries != 1 {
-		t.Fatalf("entries=%d after replace, want 1 (compiled plan only)", st.Entries)
+	if st := s.CacheStats(); st.Entries != 2 {
+		t.Fatalf("entries=%d after replace, want 2 (text entry + compiled plan)", st.Entries)
 	}
 	rec, out := doJSON(t, s, "POST", "/v1/query", req)
 	if rec.Code != http.StatusOK {
@@ -520,7 +521,9 @@ func TestAutoSharesResolvedPlan(t *testing.T) {
 
 	// Ask the planner what auto resolves to on this database, then pin the
 	// explicit spelling to the same strategy. This also warms the decision
-	// memo ({hash, "auto", gen}), the single cache entry after explain.
+	// memo ({hash, "auto", gen}); with the text entry of the request-text
+	// memo ({text, "text", 0}) that makes two cache entries after explain.
+	// Every request below sends the same text, so that entry is shared too.
 	rec, exp := doJSON(t, s, "POST", "/v1/explain", map[string]any{"db": "g", "query": slowQuery})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("explain: %d %s", rec.Code, rec.Body.String())
@@ -529,8 +532,9 @@ func TestAutoSharesResolvedPlan(t *testing.T) {
 	if resolved != "generic" && resolved != "reduction" {
 		t.Fatalf("explain strategy = %v, want generic or reduction", exp["strategy"])
 	}
-	if st := s.CacheStats(); st.Entries != 1 {
-		t.Fatalf("entries=%d after explain, want 1 (auto decision memo)", st.Entries)
+	const memos = 2 // text entry + auto decision memo
+	if st := s.CacheStats(); st.Entries != memos {
+		t.Fatalf("entries=%d after explain, want %d (text entry + auto decision memo)", st.Entries, memos)
 	}
 	// The plan is keyed by the resolved strategy; Reduction additionally
 	// caches a per-generation materialization.
@@ -541,16 +545,16 @@ func TestAutoSharesResolvedPlan(t *testing.T) {
 	explicit := map[string]any{"db": "g", "query": slowQuery, "strategy": resolved}
 
 	doJSON(t, s, "POST", "/v1/query", explicit)
-	if st := s.CacheStats(); st.Entries != 1+planEntries {
-		t.Fatalf("entries=%d after explicit query, want %d (decision memo + plan artifacts)",
-			st.Entries, 1+planEntries)
+	if st := s.CacheStats(); st.Entries != memos+planEntries {
+		t.Fatalf("entries=%d after explicit query, want %d (the two memos + plan artifacts)",
+			st.Entries, memos+planEntries)
 	}
 	// The auto request must reuse the explicit request's plan (and
 	// materialization) rather than store duplicates under another key.
 	doJSON(t, s, "POST", "/v1/query", auto)
-	if st := s.CacheStats(); st.Entries != 1+planEntries {
+	if st := s.CacheStats(); st.Entries != memos+planEntries {
 		t.Fatalf("entries=%d after auto query, want %d still (everything shared)",
-			st.Entries, 1+planEntries)
+			st.Entries, memos+planEntries)
 	}
 	rec, out := doJSON(t, s, "POST", "/v1/query", auto)
 	if rec.Code != http.StatusOK {
@@ -566,8 +570,8 @@ func TestAutoSharesResolvedPlan(t *testing.T) {
 	if _, out := doJSON(t, s, "POST", "/v1/query", explicit); out["cache"] != "hit" {
 		t.Errorf("explicit query after auto cache=%v, want hit", out["cache"])
 	}
-	if st := s.CacheStats(); st.Entries != 1+planEntries {
-		t.Errorf("entries=%d after warm queries, want %d still", st.Entries, 1+planEntries)
+	if st := s.CacheStats(); st.Entries != memos+planEntries {
+		t.Errorf("entries=%d after warm queries, want %d still", st.Entries, memos+planEntries)
 	}
 }
 
