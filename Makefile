@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate front-gate spine-gate cluster-gate plan-gate integrity-gate bench-check ci
+.PHONY: all build test race lint lint-json vet fuzz-smoke bench server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate front-gate spine-gate write-gate cluster-gate plan-gate integrity-gate bench-check ci
 
 all: build test
 
@@ -223,6 +223,29 @@ spine-gate:
 	$(GO) test -race -count=1 -run 'TestPlanDifferential|TestPlanAnswersCharged' ./internal/cq/
 	$(GO) test -race -count=1 -run 'TestFreeVariable|TestAnswersJoinBounded' ./internal/server/
 
+## write-gate guards the one write pipeline of internal/server: the
+## registry's install and remove methods each have exactly one non-test
+## caller (Server.install and Server.remove, write.go), and nothing in
+## internal/server or internal/cluster outside the loop runner creates a
+## timer — periodic work is a body handed to cluster.Loops. Then the write
+## contract (every way of installing × every situation a name can be in,
+## every way of dropping, a failing journal append: the same post-conditions
+## everywhere), the two regressions of the hand-copied sequences (a
+## replicated drop left its quarantine record behind; a finding about one
+## generation quarantined the next) and the runner's suites run under the
+## race detector with fault injection compiled in.
+write-gate:
+	@cd internal/server && src="$$(ls *.go | grep -v _test.go)"; bad=0; \
+	want() { got="$$(grep -n "$$1(" $$src | cut -d: -f1 | tr '\n' ' ')"; [ "$$got" = "$$2" ] || { echo "write-gate: $$1( is called from [ $$got], want [ $$2]"; bad=1; }; }; \
+	want 'dbs\.install' 'write.go '; \
+	want 'dbs\.remove' 'write.go '; \
+	exit $$bad
+	@src="$$(ls internal/server/*.go internal/cluster/*.go | grep -v -e _test.go -e internal/cluster/loop.go)"; \
+	if grep -nE 'time\.(NewTimer|NewTicker|Tick|After|AfterFunc)\(' $$src; then \
+		echo "write-gate: a timer outside the loop runner (internal/cluster/loop.go)"; exit 1; fi
+	$(GO) test -race -count=1 -tags faultinject -run 'TestWriteContract|TestReplicatedDropLiftsQuarantine|TestStaleFindingSparesNewerGeneration|TestBackgroundLoops' ./internal/server/
+	$(GO) test -race -count=1 -tags faultinject -run 'TestLoops|TestSleep|TestChaosLoop|TestStopIdempotent' ./internal/cluster/
+
 ## chaos rebuilds the fault-injection build (-tags faultinject) and runs
 ## the deterministic chaos suite under the race detector: injected
 ## persist/cache/pool/core faults must surface as typed errors with no
@@ -259,7 +282,7 @@ plan-gate:
 ## race detector with fault injection compiled in — at-rest bit-flips
 ## self-heal from verified memory, rotted copies quarantine with typed
 ## 503s and cluster reads failing over, divergent replication ships are
-## rejected, and the repair loop re-fetches verified content from the
+## rejected, and the catch-up round re-fetches verified content from the
 ## ring owner with digests re-converging and no goroutine leaks.
 integrity-gate:
 	$(GO) test -race -count=1 ./internal/integrity/
@@ -278,6 +301,6 @@ bench-check:
 ## tests, chaos suite, trace/govern zero-alloc gates, the streaming
 ## enumeration gate, the sweep-kernel gate, the generic product-search
 ## gate, the join-kernel gate, the serving-front gate, the evaluation-spine
-## gate, the planner gate, the multi-node cluster gate, the integrity gate,
-## and the benchmark module's own build and tests.
-ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate front-gate spine-gate plan-gate cluster-gate integrity-gate bench-check
+## gate, the write-pipeline gate, the planner gate, the multi-node cluster
+## gate, the integrity gate, and the benchmark module's own build and tests.
+ci: build vet lint test race server-test chaos trace-gate govern-gate stream-gate sweep-gate generic-gate join-gate front-gate spine-gate write-gate plan-gate cluster-gate integrity-gate bench-check

@@ -26,14 +26,13 @@
 // forward, replicate, catch-up — so ModeError simulates a full network
 // partition and ModeDelay a degraded link; "cluster.replicate.send",
 // "cluster.replicate.apply" and "cluster.catchup" target individual
-// replication stages.
+// replication stages; "loop.<name>" makes a background loop skip passes.
 package cluster
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -90,9 +89,8 @@ func (c Config) withDefaults() Config {
 
 // peerState is the failure detector's view of one peer.
 type peerState struct {
-	healthy    bool
-	lastProbe  time.Time
-	lastChange time.Time
+	healthy   bool
+	lastProbe time.Time
 }
 
 // Cluster is one node's membership handle: placement lookups, per-peer
@@ -112,10 +110,6 @@ type Cluster struct {
 
 	mu     sync.RWMutex
 	health map[string]*peerState
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
 }
 
 // New validates cfg and builds the membership handle. Start must be
@@ -141,7 +135,6 @@ func New(cfg Config) (*Cluster, error) {
 		clients: make(map[string]*client.Client, len(cfg.Peers)),
 		probes:  make(map[string]*client.Client, len(cfg.Peers)),
 		health:  make(map[string]*peerState, len(cfg.Peers)),
-		stopCh:  make(chan struct{}),
 	}
 	for _, p := range cfg.Peers {
 		if p.ID == cfg.NodeID {
@@ -168,7 +161,7 @@ func New(cfg Config) (*Cluster, error) {
 		})
 		// Peers start healthy: a fresh node should route optimistically and
 		// let the first failed probe or forward mark reality.
-		c.health[p.ID] = &peerState{healthy: true, lastChange: time.Now()}
+		c.health[p.ID] = &peerState{healthy: true}
 	}
 	return c, nil
 }
@@ -185,8 +178,7 @@ func (c *Cluster) ReplicationFactor() int { return c.cfg.ReplicationFactor }
 // ProbeInterval returns the failure detector's polling cadence.
 func (c *Cluster) ProbeInterval() time.Duration { return c.cfg.ProbeInterval }
 
-// CatchupInterval returns the catch-up pull cadence for the server's
-// repair loop.
+// CatchupInterval returns the server's catch-up (and repair) pull cadence.
 func (c *Cluster) CatchupInterval() time.Duration { return c.cfg.CatchupInterval }
 
 // Owner returns the node that owns name (the single writer).
@@ -200,10 +192,10 @@ func (c *Cluster) Holders(name string) []Peer {
 // IsOwner reports whether this node owns name.
 func (c *Cluster) IsOwner(name string) bool { return c.ring.Owner(name).ID == c.self.ID }
 
-// ShouldHold reports whether this node is one of name's holders.
-func (c *Cluster) ShouldHold(name string) bool {
+// Holds reports whether node id is one of name's holders.
+func (c *Cluster) Holds(id, name string) bool {
 	for _, p := range c.Holders(name) {
-		if p.ID == c.self.ID {
+		if p.ID == id {
 			return true
 		}
 	}
@@ -246,7 +238,6 @@ func (c *Cluster) setHealthy(id string, healthy bool, probedAt time.Time) {
 	}
 	if st.healthy != healthy {
 		st.healthy = healthy
-		st.lastChange = time.Now()
 		if c.cfg.Logger != nil {
 			c.cfg.Logger.Printf("event=peer_health peer=%s healthy=%t", id, healthy)
 		}
@@ -279,64 +270,30 @@ func (c *Cluster) Status() []PeerStatus {
 	return out
 }
 
-// Start launches one prober goroutine per peer. Idempotent-free: call
-// exactly once; Stop tears the probers down.
-func (c *Cluster) Start() {
+// Start launches one prober per peer on l, which owns their shutdown. Call
+// exactly once. A prober polls its peer's /readyz — readiness, not liveness,
+// on purpose: a draining node answers /healthz 200 but /readyz 503, and the
+// router must stop sending it work in both the draining and the dead case.
+func (c *Cluster) Start(l *Loops) {
 	for _, p := range c.Peers() {
 		if p.ID == c.self.ID {
 			continue
 		}
-		c.wg.Add(1)
-		go c.probeLoop(p.ID)
-	}
-}
-
-// Stop halts the probers and waits for them to exit. Idempotent.
-func (c *Cluster) Stop() {
-	c.stopOnce.Do(func() { close(c.stopCh) })
-	c.wg.Wait()
-}
-
-// Jitter spreads a loop interval uniformly across [d/2, 3d/2). Periodic
-// cluster work — readiness probes, catch-up pulls, scrub and
-// anti-entropy sweeps — must not run in lockstep: nodes restarted by the
-// same supervisor share a phase, and synchronized loops turn every
-// restart into a thundering herd against whichever peer comes up last.
-// Non-positive d is returned unchanged.
-func Jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
-}
-
-// probeLoop polls one peer's /readyz. Readiness (not liveness) is the
-// probe target on purpose: a draining node answers /healthz 200 but
-// /readyz 503, and the router must stop sending it work in both the
-// draining and the dead case. Each wait is independently jittered so
-// co-restarted nodes desynchronize instead of probing in lockstep.
-func (c *Cluster) probeLoop(id string) {
-	defer c.wg.Done()
-	timer := time.NewTimer(Jitter(c.cfg.ProbeInterval))
-	defer timer.Stop()
-	for {
-		select {
-		case <-c.stopCh:
-			return
-		case <-timer.C:
-		}
-		healthy := c.probeOnce(id)
-		c.setHealthy(id, healthy, time.Now())
-		timer.Reset(Jitter(c.cfg.ProbeInterval))
+		l.Every("probe", c.cfg.ProbeInterval, func(ctx context.Context) {
+			// A probe cut short by shutdown says nothing about the peer.
+			if healthy := c.probeOnce(ctx, p.ID); ctx.Err() == nil {
+				c.setHealthy(p.ID, healthy, time.Now())
+			}
+		})
 	}
 }
 
 // probeOnce performs one readiness round-trip against a peer.
-func (c *Cluster) probeOnce(id string) bool {
+func (c *Cluster) probeOnce(ctx context.Context, id string) bool {
 	if err := faultinject.Point("cluster.partition"); err != nil {
 		return false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
 	defer cancel()
 	_, err := c.probes[id].Ready(ctx)
 	return err == nil

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ecrpq/internal/server/metrics"
 )
 
 // readyzStub is a minimal peer: /readyz answers 200 or 503 depending on
@@ -95,8 +97,8 @@ func TestPlacementAccessors(t *testing.T) {
 				hold = true
 			}
 		}
-		if c.ShouldHold(name) != hold {
-			t.Fatalf("ShouldHold(%q) disagrees with Holders", name)
+		if c.Holds("n1", name) != hold {
+			t.Fatalf("Holds(n1, %q) disagrees with Holders", name)
 		}
 		if c.IsOwner(name) {
 			ownedHere++
@@ -132,8 +134,9 @@ func TestProberDetectsDownAndRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c.Start()
-	defer c.Stop()
+	loops := NewLoops(metrics.NewRegistry())
+	c.Start(loops)
+	defer loops.Stop()
 
 	waitFor(t, "n2 probed healthy", func() bool {
 		for _, ps := range c.Status() {
@@ -183,7 +186,8 @@ func TestPassiveMarks(t *testing.T) {
 	}
 }
 
-// TestStopIdempotent: Stop must be safe to call twice and after Start.
+// TestStopIdempotent: the runner's Stop must be safe to call twice and
+// after the probers were started on it.
 func TestStopIdempotent(t *testing.T) {
 	ts, _ := readyzStub(t)
 	c, err := New(Config{
@@ -194,7 +198,8 @@ func TestStopIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c.Start()
-	c.Stop()
-	c.Stop()
+	loops := NewLoops(metrics.NewRegistry())
+	c.Start(loops)
+	loops.Stop()
+	loops.Stop()
 }

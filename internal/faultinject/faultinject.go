@@ -12,7 +12,9 @@
 // "cluster.replicate.send" and "cluster.replicate.apply" fault the two
 // halves of journal shipping independently (replication lag vs a
 // crashed apply); and "cluster.catchup" suppresses the pull-based
-// repair loop so lag persists until the site is disabled.
+// repair loop so lag persists until the site is disabled. Every background
+// loop also has a site named after it, "loop.<name>" (scrub, catchup,
+// anti_entropy, probe): while it fires the loop skips its passes.
 //
 // The integrity subsystem adds corruption-shaped sites, where an
 // injected "error" is interpreted as data damage rather than a failure

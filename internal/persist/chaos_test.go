@@ -33,16 +33,16 @@ func TestChaosCrashBetweenSnapshotAndJournal(t *testing.T) {
 	}
 
 	// Two committed registers establish the pre-crash state.
-	if err := st.AppendRegister("alpha", 1, time.Unix(100, 0), buildDB(t, 4)); err != nil {
+	if err := appendRegister(st, "alpha", 1, time.Unix(100, 0), buildDB(t, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendRegister("beta", 2, time.Unix(200, 0), buildDB(t, 5)); err != nil {
+	if err := appendRegister(st, "beta", 2, time.Unix(200, 0), buildDB(t, 5)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Crash window: snapshot lands, journal record does not.
 	faultinject.EnableSite("persist.journal.append", faultinject.ModeError, 1.0)
-	err = st.AppendRegister("gamma", 3, time.Unix(300, 0), buildDB(t, 6))
+	err = appendRegister(st, "gamma", 3, time.Unix(300, 0), buildDB(t, 6))
 	faultinject.Disable()
 	if err == nil {
 		t.Fatal("AppendRegister succeeded despite the injected journal crash")
@@ -96,7 +96,7 @@ func TestChaosCrashBetweenSnapshotAndJournal(t *testing.T) {
 	// records with installWithGen relies on. Reusing generation 3 is
 	// legal precisely because the crashed register was never journaled.
 	nextGen := st2.MaxGen() + 1
-	if err := st2.AppendRegister("delta", nextGen, time.Unix(400, 0), buildDB(t, 3)); err != nil {
+	if err := appendRegister(st2, "delta", nextGen, time.Unix(400, 0), buildDB(t, 3)); err != nil {
 		t.Fatalf("register after recovery: %v", err)
 	}
 	if err := st2.Close(); err != nil {
@@ -134,12 +134,12 @@ func TestChaosCrashBeforeSnapshotRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendRegister("alpha", 1, time.Unix(100, 0), buildDB(t, 4)); err != nil {
+	if err := appendRegister(st, "alpha", 1, time.Unix(100, 0), buildDB(t, 4)); err != nil {
 		t.Fatal(err)
 	}
 
 	faultinject.EnableSite("persist.snapshot.rename", faultinject.ModeError, 1.0)
-	err = st.AppendRegister("beta", 2, time.Unix(200, 0), buildDB(t, 5))
+	err = appendRegister(st, "beta", 2, time.Unix(200, 0), buildDB(t, 5))
 	faultinject.Disable()
 	if err == nil {
 		t.Fatal("AppendRegister succeeded despite the injected rename crash")

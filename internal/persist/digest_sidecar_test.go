@@ -50,7 +50,7 @@ func TestDigestSidecarRoundTrip(t *testing.T) {
 		t.Errorf("replayed db digests to %v, sidecar says %v", got, want)
 	}
 	// Drop removes the digest sidecar with the snapshot.
-	if err := s2.AppendDrop("g", 3); err != nil {
+	if err := s2.AppendDropContext(context.Background(), "g", 3); err != nil {
 		t.Fatalf("AppendDrop: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, digestFileName(3))); !os.IsNotExist(err) {
@@ -209,7 +209,7 @@ func TestVerifyJournalConcurrentAppends(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < appends; i++ {
-			if err := s.AppendDrop(fmt.Sprintf("g%d", i), uint64(i+1)); err != nil {
+			if err := s.AppendDropContext(context.Background(), fmt.Sprintf("g%d", i), uint64(i+1)); err != nil {
 				t.Errorf("AppendDrop %d: %v", i, err)
 				return
 			}

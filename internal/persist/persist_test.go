@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,12 @@ import (
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/graphdb"
 )
+
+// appendRegister journals a registration without sidecars, which is all the
+// journal and snapshot tests need.
+func appendRegister(st *Store, name string, gen uint64, at time.Time, db *graphdb.DB) error {
+	return st.AppendRegisterWithSidecars(context.Background(), name, gen, at, db, nil, nil)
+}
 
 // buildDB makes a deterministic database with named and anonymous
 // vertices: n named vertices in an a/b ring plus one anonymous vertex.
@@ -113,11 +120,11 @@ func TestStoreReplayRegisterReplaceDrop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(st.AppendRegister("alpha", 1, now, dbA))
-	must(st.AppendRegister("beta", 2, now, dbB))
-	must(st.AppendRegister("alpha", 3, now, dbC)) // replace
-	must(st.AppendRegister("gamma", 4, now, dbA))
-	must(st.AppendDrop("gamma", 4))
+	must(appendRegister(st, "alpha", 1, now, dbA))
+	must(appendRegister(st, "beta", 2, now, dbB))
+	must(appendRegister(st, "alpha", 3, now, dbC)) // replace
+	must(appendRegister(st, "gamma", 4, now, dbA))
+	must(st.AppendDropContext(context.Background(), "gamma", 4))
 	must(st.Close())
 
 	st2, err := Open(dir)
@@ -164,7 +171,7 @@ func TestStoreTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendRegister("keep", 1, time.Now(), buildDB(t, 4)); err != nil {
+	if err := appendRegister(st, "keep", 1, time.Now(), buildDB(t, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -209,7 +216,7 @@ func TestStoreTornTailTruncated(t *testing.T) {
 		t.Errorf("journal is %d bytes after recovery, want truncated back to %d", len(after), len(good))
 	}
 	// The repaired journal must accept new appends and replay cleanly.
-	if err := st2.AppendRegister("fresh", 5, time.Now(), buildDB(t, 2)); err != nil {
+	if err := appendRegister(st2, "fresh", 5, time.Now(), buildDB(t, 2)); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()
@@ -231,10 +238,10 @@ func TestStoreCorruptSnapshotSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendRegister("ok", 1, time.Now(), buildDB(t, 3)); err != nil {
+	if err := appendRegister(st, "ok", 1, time.Now(), buildDB(t, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendRegister("bad", 2, time.Now(), buildDB(t, 3)); err != nil {
+	if err := appendRegister(st, "bad", 2, time.Now(), buildDB(t, 3)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -268,7 +275,7 @@ func BenchmarkRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i, name := range []string{"g0", "g1", "g2"} {
-				if err := st.AppendRegister(name, uint64(i+1), time.Now(), buildDB(b, n)); err != nil {
+				if err := appendRegister(st, name, uint64(i+1), time.Now(), buildDB(b, n)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -16,7 +16,7 @@ func TestStatsSidecarRoundTrip(t *testing.T) {
 	}
 	db := buildDB(t, 5)
 	statsJSON := []byte(`{"generation":3,"vertices":6}`)
-	if err := s.AppendRegisterWithStats(context.Background(), "g", 3, time.Unix(0, 100), db, statsJSON); err != nil {
+	if err := s.AppendRegisterWithSidecars(context.Background(), "g", 3, time.Unix(0, 100), db, statsJSON, nil); err != nil {
 		t.Fatalf("AppendRegisterWithStats: %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -45,7 +45,7 @@ func TestStatsSidecarOptional(t *testing.T) {
 	}
 	db := buildDB(t, 4)
 	// Plain AppendRegister (nil stats): replay yields a nil Stats field.
-	if err := s.AppendRegister("g", 1, time.Unix(0, 1), db); err != nil {
+	if err := appendRegister(s, "g", 1, time.Unix(0, 1), db); err != nil {
 		t.Fatalf("AppendRegister: %v", err)
 	}
 	s.Close()
@@ -67,11 +67,11 @@ func TestStatsSidecarGCAndDrop(t *testing.T) {
 	}
 	db := buildDB(t, 4)
 	ctx := context.Background()
-	if err := s.AppendRegisterWithStats(ctx, "g", 1, time.Unix(0, 1), db, []byte(`{"generation":1}`)); err != nil {
+	if err := s.AppendRegisterWithSidecars(ctx, "g", 1, time.Unix(0, 1), db, []byte(`{"generation":1}`), nil); err != nil {
 		t.Fatalf("register gen 1: %v", err)
 	}
 	// Replace: gen 1 becomes stale.
-	if err := s.AppendRegisterWithStats(ctx, "g", 2, time.Unix(0, 2), db, []byte(`{"generation":2}`)); err != nil {
+	if err := s.AppendRegisterWithSidecars(ctx, "g", 2, time.Unix(0, 2), db, []byte(`{"generation":2}`), nil); err != nil {
 		t.Fatalf("register gen 2: %v", err)
 	}
 	s.Close()
@@ -86,7 +86,7 @@ func TestStatsSidecarGCAndDrop(t *testing.T) {
 		t.Errorf("live sidecar for gen 2 missing: %v", err)
 	}
 	// Drop removes the sidecar immediately.
-	if err := s2.AppendDrop("g", 2); err != nil {
+	if err := s2.AppendDropContext(context.Background(), "g", 2); err != nil {
 		t.Fatalf("AppendDrop: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, statsFileName(2))); !os.IsNotExist(err) {

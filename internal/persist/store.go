@@ -43,8 +43,8 @@ type Entry struct {
 
 // Store is a crash-safe registry persistence layer over one data
 // directory. Open replays the journal (truncating a torn tail) and loads
-// the live snapshots; AppendRegister/AppendDrop durably record subsequent
-// mutations. Methods are safe for concurrent use, though the server
+// the live snapshots; AppendRegisterWithSidecars/AppendDropContext durably
+// record subsequent mutations. Methods are safe for concurrent use, though the server
 // serializes mutations anyway.
 type Store struct {
 	dir string
@@ -198,37 +198,18 @@ func statsFileName(gen uint64) string { return fmt.Sprintf("db-%016x.stats", gen
 // digestFileName names the content-digest sidecar for a generation.
 func digestFileName(gen uint64) string { return fmt.Sprintf("db-%016x.digest", gen) }
 
-// AppendRegister durably records a registration: snapshot first (temp
-// file, fsync, atomic rename, directory fsync), then the journal record
-// referencing it (append, fsync). On error the registration is not
-// recorded; any temp file is cleaned up on the next Open.
-func (s *Store) AppendRegister(name string, gen uint64, registeredAt time.Time, db *graphdb.DB) error {
-	return s.AppendRegisterContext(context.Background(), name, gen, registeredAt, db)
-}
-
-// AppendRegisterContext is AppendRegister with context threading: when ctx
-// carries an internal/trace trace, the snapshot write and journal append
-// are recorded as spans (the fsyncs dominate register latency, and the
-// slow-query log should say so rather than blaming evaluation).
-func (s *Store) AppendRegisterContext(ctx context.Context, name string, gen uint64, registeredAt time.Time, db *graphdb.DB) error {
-	return s.AppendRegisterWithStats(ctx, name, gen, registeredAt, db, nil)
-}
-
-// AppendRegisterWithStats is AppendRegisterContext plus an optional
-// encoded statistics catalog, written as a sidecar file (same atomic
-// temp+rename discipline as the snapshot) before the journal record. The
-// sidecar is advisory: it is not journaled, and a crash between snapshot
-// and sidecar just means the server recomputes statistics on restart.
-func (s *Store) AppendRegisterWithStats(ctx context.Context, name string, gen uint64, registeredAt time.Time, db *graphdb.DB, statsJSON []byte) error {
-	return s.AppendRegisterWithSidecars(ctx, name, gen, registeredAt, db, statsJSON, nil)
-}
-
-// AppendRegisterWithSidecars is the full register write: snapshot, then
-// the optional statistics and content-digest sidecars (each with the
-// atomic temp+rename discipline), then the journal record. The digest
-// sidecar lets a restart and the background scrub verify on-disk and
-// in-memory content without recomputing a digest they cannot trust; like
-// the stats sidecar it is advisory and never journaled.
+// AppendRegisterWithSidecars durably records a registration: snapshot first
+// (temp file, fsync, atomic rename, directory fsync), then the optional
+// statistics and content-digest sidecars (same discipline), then the journal
+// record referencing the snapshot (append, fsync). On error the registration
+// is not recorded; any temp file is cleaned up on the next Open. The
+// sidecars are advisory — never journaled, and a crash between snapshot and
+// sidecar just means the server recomputes on restart; the digest one lets a
+// restart and the background scrub verify on-disk and in-memory content
+// without recomputing a digest they cannot trust. When ctx carries an
+// internal/trace trace, the snapshot write and journal append are recorded
+// as spans (the fsyncs dominate register latency, and the slow-query log
+// should say so rather than blaming evaluation).
 func (s *Store) AppendRegisterWithSidecars(ctx context.Context, name string, gen uint64, registeredAt time.Time, db *graphdb.DB, statsJSON, digest []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,7 +218,7 @@ func (s *Store) AppendRegisterWithSidecars(ctx context.Context, name string, gen
 	}
 	snapFile := snapFileName(gen)
 	_, ssp := trace.StartSpan(ctx, "persist/snapshot_write")
-	err := s.writeSnapshot(snapFile, gen, db)
+	err := s.writeSnapshot(snapFile, db)
 	if err == nil && len(statsJSON) > 0 {
 		err = s.writeSidecar(statsFileName(gen), statsJSON)
 	}
@@ -261,14 +242,9 @@ func (s *Store) AppendRegisterWithSidecars(ctx context.Context, name string, gen
 	return err
 }
 
-// AppendDrop durably records that the registration with the given
-// generation was dropped.
-func (s *Store) AppendDrop(name string, gen uint64) error {
-	return s.AppendDropContext(context.Background(), name, gen)
-}
-
-// AppendDropContext is AppendDrop with context threading (see
-// AppendRegisterContext).
+// AppendDropContext durably records that the registration with the given
+// generation was dropped, with the journal append traced as in
+// AppendRegisterWithSidecars.
 func (s *Store) AppendDropContext(ctx context.Context, name string, gen uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,75 +265,53 @@ func (s *Store) AppendDropContext(ctx context.Context, name string, gen uint64) 
 	return nil
 }
 
-// writeSidecar writes arbitrary sidecar bytes next to a snapshot with the
-// same temp-write/fsync/rename discipline. The temp name embeds the final
-// name so concurrent sidecar kinds (stats, digest) for one generation can
-// never collide, and Open's ".tmp-" GC sweeps any orphan a crash leaves.
+// writeSidecar publishes arbitrary sidecar bytes next to a snapshot.
 func (s *Store) writeSidecar(fileName string, data []byte) error {
+	return s.publish("sidecar", fileName, "persist.sidecar.rename", data)
+}
+
+// writeSnapshot publishes the encoded database as snapFile.
+func (s *Store) writeSnapshot(snapFile string, db *graphdb.DB) error {
+	if err := faultinject.Point("persist.snapshot.write"); err != nil {
+		return fmt.Errorf("persist: writing snapshot: %w", err)
+	}
+	return s.publish("snapshot", snapFile, "persist.snapshot.rename", EncodeSnapshot(db))
+}
+
+// publish writes data to fileName atomically: temp file, fsync, rename,
+// directory fsync, so a reader sees the old file or the new one, never a torn
+// one. The temp name embeds the final name, so the files of one generation
+// (snapshot, stats, digest) can never collide, and Open's ".tmp-" GC sweeps
+// any orphan a crash leaves. renameSite is the fault point for a crash
+// between the temp write and the rename: the temp stays behind exactly as a
+// real crash would leave it, and the previously published file, if any, is
+// untouched.
+func (s *Store) publish(kind, fileName, renameSite string, data []byte) error {
 	tmp := filepath.Join(s.dir, ".tmp-"+fileName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("persist: creating sidecar temp file: %w", err)
+		return fmt.Errorf("persist: creating %s temp file: %w", kind, err)
 	}
 	if _, err := f.Write(data); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: writing sidecar: %w", err)
+		return fmt.Errorf("persist: writing %s: %w", kind, err)
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: syncing sidecar: %w", err)
+		return fmt.Errorf("persist: syncing %s: %w", kind, err)
 	}
 	if err := f.Close(); err != nil {
 		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: closing sidecar: %w", err)
+		return fmt.Errorf("persist: closing %s: %w", kind, err)
 	}
-	if err := faultinject.Point("persist.sidecar.rename"); err != nil {
-		// A crash between temp write and rename: the temp stays behind
-		// exactly as a real crash would leave it (Open GCs it), and the
-		// previously published sidecar, if any, is untouched.
-		return fmt.Errorf("persist: publishing sidecar: %w", err)
+	if err := faultinject.Point(renameSite); err != nil {
+		return fmt.Errorf("persist: publishing %s: %w", kind, err)
 	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, fileName)); err != nil {
 		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: publishing sidecar: %w", err)
-	}
-	s.syncDir()
-	return nil
-}
-
-// writeSnapshot writes the encoded database to snapFile atomically.
-func (s *Store) writeSnapshot(snapFile string, gen uint64, db *graphdb.DB) error {
-	if err := faultinject.Point("persist.snapshot.write"); err != nil {
-		return fmt.Errorf("persist: writing snapshot: %w", err)
-	}
-	tmp := filepath.Join(s.dir, fmt.Sprintf(".tmp-%016x", gen))
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: creating snapshot temp file: %w", err)
-	}
-	if _, err := f.Write(EncodeSnapshot(db)); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: writing snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: closing snapshot: %w", err)
-	}
-	if err := faultinject.Point("persist.snapshot.rename"); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: publishing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapFile)); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: publishing snapshot: %w", err)
+		return fmt.Errorf("persist: publishing %s: %w", kind, err)
 	}
 	s.syncDir()
 	return nil
@@ -452,7 +406,7 @@ func (s *Store) RewriteSnapshot(gen uint64, db *graphdb.DB, digest []byte) error
 	if s.closed {
 		return fmt.Errorf("persist: store is closed")
 	}
-	if err := s.writeSnapshot(snapFileName(gen), gen, db); err != nil {
+	if err := s.writeSnapshot(snapFileName(gen), db); err != nil {
 		return err
 	}
 	if len(digest) > 0 {

@@ -44,9 +44,7 @@ import (
 	"ecrpq/internal/cluster"
 	"ecrpq/internal/faultinject"
 	"ecrpq/internal/govern"
-	"ecrpq/internal/graphdb"
 	"ecrpq/internal/persist"
-	"ecrpq/internal/stats"
 	"ecrpq/internal/trace"
 )
 
@@ -62,63 +60,26 @@ type shipTask struct {
 	res *govern.Reservation
 }
 
-// clusterState bundles everything AttachCluster installs, published
-// through one atomic pointer so a node can join a cluster while already
-// serving traffic (handlers may read mid-attach) without a lock on the
-// request path.
-type clusterState struct {
-	c      *cluster.Cluster
-	shipCh chan shipTask
-	cancel context.CancelFunc
-}
-
-// clusterHandle returns the attached membership handle, nil in
-// single-node mode.
-func (s *Server) clusterHandle() *cluster.Cluster {
-	if st := s.clu.Load(); st != nil {
-		return st.c
-	}
-	return nil
-}
-
 // AttachCluster wires cluster membership into the server and starts the
-// prober, the push shipper, and the catch-up loop. May be called on a
-// serving node (a late joiner catches up via pulls); Shutdown stops
-// everything it starts.
+// probers, the push shipper, the catch-up loop and (when configured) the
+// anti-entropy loop. May be called on a serving node (a late joiner catches
+// up via pulls); Shutdown stops everything it starts.
 func (s *Server) AttachCluster(c *cluster.Cluster) error {
 	if c == nil {
 		return fmt.Errorf("server: nil cluster")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	st := &clusterState{c: c, shipCh: make(chan shipTask, shipQueueDepth), cancel: cancel}
-	if !s.clu.CompareAndSwap(nil, st) {
-		cancel()
+	if !s.clu.CompareAndSwap(nil, c) {
 		return fmt.Errorf("server: a cluster is already attached")
 	}
-	c.Start()
-	s.clusterWG.Add(3)
-	go s.shipLoop(ctx, st)
-	go s.catchupLoop(ctx, st)
-	go s.repairLoop(ctx, st)
+	c.Start(s.loops)
+	s.loops.Run(func(ctx context.Context) { s.shipLoop(ctx, c) })
+	s.loops.Every("catchup", c.CatchupInterval(), func(ctx context.Context) { s.catchupOnce(ctx, c) })
 	if s.cfg.AntiEntropyInterval > 0 {
-		s.clusterWG.Add(1)
-		go s.antiEntropyLoop(ctx, st)
+		s.loops.Every("anti_entropy", s.cfg.AntiEntropyInterval, func(ctx context.Context) { s.antiEntropyOnce(ctx, c) })
 	}
 	s.cfg.Logger.Printf("event=cluster_start node=%s peers=%d rf=%d probe_ms=%d",
 		c.Self().ID, len(c.Peers()), c.ReplicationFactor(), c.ProbeInterval().Milliseconds())
 	return nil
-}
-
-// stopCluster halts the prober, shipper, and catch-up loop (idempotent;
-// no-op when no cluster is attached). Called from Shutdown.
-func (s *Server) stopCluster() {
-	st := s.clu.Load()
-	if st == nil {
-		return
-	}
-	st.cancel()
-	st.c.Stop()
-	s.clusterWG.Wait()
 }
 
 // routeWrite enforces single-writer placement for register/drop: when
@@ -128,7 +89,7 @@ func (s *Server) stopCluster() {
 // with 503 OWNER_DOWN rather than silently diverging generations.
 // Returns true when the response has been written.
 func (s *Server) routeWrite(w http.ResponseWriter, r *http.Request, name string) bool {
-	c := s.clusterHandle()
+	c := s.clu.Load()
 	if c == nil {
 		return false
 	}
@@ -150,40 +111,13 @@ func (s *Server) routeWrite(w http.ResponseWriter, r *http.Request, name string)
 	return true
 }
 
-// shipRegister queues a committed register/replace for push replication.
-// The statistics catalog rides along so replicas plan from the owner's
-// catalog (byte-identical costs → identical EXPLAIN output cluster-wide)
-// instead of recomputing. Called from doRegister under persistMu; no-op
-// in single-node mode.
-func (s *Server) shipRegister(name string, gen uint64, at time.Time, db *graphdb.DB, statsJSON, digest []byte) {
-	st := s.clu.Load()
-	if st == nil {
-		return
-	}
-	s.enqueueShip(st, client.ReplicateRecord{
-		Op: "register", Name: name, Gen: gen,
-		UnixNano: at.UnixNano(), Snapshot: persist.EncodeSnapshot(db),
-		Stats: statsJSON, Digest: digest,
-	})
-}
-
-// shipDrop queues a committed drop for push replication. Called from
-// doDrop under persistMu; no-op in single-node mode.
-func (s *Server) shipDrop(name string, gen uint64) {
-	st := s.clu.Load()
-	if st == nil {
-		return
-	}
-	s.enqueueShip(st, client.ReplicateRecord{Op: "drop", Name: name, Gen: gen})
-}
-
 // enqueueShip queues one journal record for async push replication. The
 // record's buffer is charged to the process ledger while queued; when the
 // ledger or the queue is full the push is dropped (catch-up repairs) so
-// replication can never wedge or OOM the write path. Called under
-// persistMu, immediately after the local commit, so the queue order
-// matches commit order.
-func (s *Server) enqueueShip(st *clusterState, rec client.ReplicateRecord) {
+// replication can never wedge or OOM the write path. Called by install and
+// remove under persistMu, immediately after the local commit, so the queue
+// order matches commit order.
+func (s *Server) enqueueShip(rec client.ReplicateRecord) {
 	res, err := s.broker.Reserve(int64(len(rec.Snapshot)) + 256)
 	if err != nil {
 		s.mShipDropped.Inc()
@@ -191,7 +125,7 @@ func (s *Server) enqueueShip(st *clusterState, rec client.ReplicateRecord) {
 		return
 	}
 	select {
-	case st.shipCh <- shipTask{rec: rec, res: res}:
+	case s.shipCh <- shipTask{rec: rec, res: res}:
 	default:
 		res.Release()
 		s.mShipDropped.Inc()
@@ -200,8 +134,7 @@ func (s *Server) enqueueShip(st *clusterState, rec client.ReplicateRecord) {
 }
 
 // shipLoop drains the push queue in commit order, one record at a time.
-func (s *Server) shipLoop(ctx context.Context, st *clusterState) {
-	defer s.clusterWG.Done()
+func (s *Server) shipLoop(ctx context.Context, c *cluster.Cluster) {
 	for {
 		select {
 		case <-ctx.Done():
@@ -209,14 +142,14 @@ func (s *Server) shipLoop(ctx context.Context, st *clusterState) {
 			// already durable locally and catch-up re-ships them.
 			for {
 				select {
-				case t := <-st.shipCh:
+				case t := <-s.shipCh:
 					t.res.Release()
 				default:
 					return
 				}
 			}
-		case t := <-st.shipCh:
-			s.shipOne(ctx, st.c, t.rec)
+		case t := <-s.shipCh:
+			s.shipOne(ctx, c, t.rec)
 			t.res.Release()
 		}
 	}
@@ -257,28 +190,12 @@ func (s *Server) shipOne(ctx context.Context, c *cluster.Cluster, rec client.Rep
 	}
 }
 
-// catchupLoop periodically pulls missed replication records from each
-// owner. This is the convergence backstop: it repairs partitions, ship
-// drops, and replicas that were down, and it bootstraps a freshly wiped
-// (or late-joining) node from nothing.
-func (s *Server) catchupLoop(ctx context.Context, st *clusterState) {
-	defer s.clusterWG.Done()
-	// Jittered like the prober: a multi-node restart must not have every
-	// node pull from every owner on the same tick.
-	timer := time.NewTimer(cluster.Jitter(st.c.CatchupInterval()))
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
-		s.catchupOnce(ctx, st.c)
-		timer.Reset(cluster.Jitter(st.c.CatchupInterval()))
-	}
-}
-
-// catchupOnce performs one pull round against every healthy peer.
+// catchupOnce performs one pull round against every healthy peer, asking
+// each owner for the records this node is missing. This is the convergence
+// backstop: it repairs partitions, ship drops, and replicas that were down,
+// it bootstraps a freshly wiped (or late-joining) node from nothing, and it
+// is the repair path for a quarantined copy — reported at generation 0, so
+// the owner re-sends it in full and the apply verifies the shipped digest.
 func (s *Server) catchupOnce(ctx context.Context, c *cluster.Cluster) {
 	if err := faultinject.Point("cluster.catchup"); err != nil {
 		return
@@ -292,11 +209,16 @@ func (s *Server) catchupOnce(ctx context.Context, c *cluster.Cluster) {
 			continue
 		}
 		// have reports every local database this peer owns, so the owner
-		// can answer with exactly the records we are missing or behind on.
+		// can answer with exactly the records we are missing, behind on, or
+		// hold a quarantined copy of.
 		have := make(map[string]uint64)
 		for _, e := range s.dbs.list() {
-			if c.Owner(e.name).ID == p.ID {
-				have[e.name] = e.gen
+			if c.Owner(e.name).ID != p.ID {
+				continue
+			}
+			have[e.name] = e.gen
+			if e.quar != nil {
+				have[e.name] = 0
 			}
 		}
 		pctx, cancel := context.WithTimeout(ctx, 30*time.Second)
@@ -333,98 +255,39 @@ func (s *Server) catchupOnce(ctx context.Context, c *cluster.Cluster) {
 // applyReplicated installs one shipped journal record, preserving the
 // owner's generation. Apply is generation-monotonic and idempotent: a
 // record at or below the local generation for its name is a no-op
-// ("stale"), so pushes and catch-up pulls may race or repeat freely. When
-// a persistence store is attached the record is journaled locally before
-// it becomes visible — the same memory ⊆ disk invariant doRegister keeps.
+// ("stale"), so pushes and catch-up pulls may race or repeat freely — except
+// that a register AT the generation of a quarantined local copy is exactly
+// how a repair pull re-installs verified content, and goes through.
 func (s *Server) applyReplicated(ctx context.Context, rec client.ReplicateRecord) (applied bool, reason string, err error) {
 	if rec.Name == "" || rec.Gen == 0 {
 		return false, "", fmt.Errorf("replicate: record needs name and generation")
 	}
+	var changed *dbEntry
 	switch rec.Op {
 	case "register":
 		// Cheap staleness pre-check before decoding a possibly large
-		// snapshot; re-checked under persistMu before installing. The check
-		// is quarantine-aware: a record AT the local generation is normally
-		// a no-op, but when the local copy is quarantined it is exactly how
-		// a repair pull re-installs verified content at the same generation.
-		if e, ok := s.dbs.get(rec.Name); ok && s.replicaFresh(e, rec.Gen) {
+		// snapshot; install re-checks under persistMu.
+		if e, ok := s.dbs.get(rec.Name); ok && replicaFresh(e, rec.Gen) {
 			return false, "stale", nil
 		}
 		db, derr := persist.DecodeSnapshot(rec.Snapshot)
 		if derr != nil {
 			return false, "", fmt.Errorf("replicate: decoding snapshot for %q gen %d: %w", rec.Name, rec.Gen, derr)
 		}
-		// Verify the decoded graph against the owner's shipped digest
-		// before anything becomes durable or visible. A mismatch means the
-		// record was damaged somewhere past the owner's commit (or the
-		// owner itself is corrupt): reject it — the error surfaces as a 422
-		// to the pusher, and catch-up re-pulls a fresh snapshot — rather
-		// than install divergent state that would silently serve wrong
-		// answers.
-		dg, verr := s.verifyShippedDigest(rec, db)
-		if verr != nil {
-			return false, "", verr
-		}
-		at := time.Unix(0, rec.UnixNano)
-		s.persistMu.Lock()
-		defer s.persistMu.Unlock()
-		e, existed := s.dbs.get(rec.Name)
-		if existed && s.replicaFresh(e, rec.Gen) {
-			return false, "stale", nil
-		}
-		// Prefer the owner's shipped catalog (a replica must cost plans
-		// exactly as the owner does); recompute locally only when the ship
-		// predates stats or the payload is unusable.
-		var cat *stats.Catalog
-		if len(rec.Stats) > 0 {
-			if dec, derr := stats.Decode(rec.Stats); derr == nil && dec.Generation == rec.Gen {
-				cat = dec
-			}
-		}
-		if cat == nil {
-			cat = s.computeStats(ctx, db, rec.Gen)
-		}
-		if s.store != nil {
-			if err := s.store.AppendRegisterWithSidecars(ctx, rec.Name, rec.Gen, at, db, rec.Stats, dg.Encode()); err != nil {
-				return false, "", fmt.Errorf("replicate: persisting %q: %w", rec.Name, err)
-			}
-		}
-		_, replacedGen, replaced := s.dbs.installWithGen(rec.Name, db, rec.Gen, at, cat, dg)
-		if replaced {
-			// Invalidate the replaced generation's materializations. On a
-			// same-generation repair the generation number survives, so the
-			// cache entries keyed by it (possibly built from corrupt data)
-			// must go while the gen→name note stays.
-			s.cache.InvalidateGeneration(replacedGen)
-			if replacedGen != rec.Gen {
-				s.dropGenName(replacedGen)
-			}
-		}
-		s.noteGenName(rec.Gen, rec.Name)
-		// The installed copy is freshly verified; lift any quarantine.
-		s.unquarantine(rec.Name, true)
-		return true, "", nil
+		changed, _, err = s.install(ctx, installReq{from: fromOwner, name: rec.Name, db: db, gen: rec.Gen,
+			at: time.Unix(0, rec.UnixNano), stats: rec.Stats, digest: rec.Digest})
 	case "drop":
-		s.persistMu.Lock()
-		defer s.persistMu.Unlock()
-		e, ok := s.dbs.get(rec.Name)
-		if !ok || e.gen > rec.Gen {
-			return false, "stale", nil
-		}
-		if s.store != nil {
-			if err := s.store.AppendDropContext(ctx, rec.Name, e.gen); err != nil {
-				return false, "", fmt.Errorf("replicate: persisting drop of %q: %w", rec.Name, err)
-			}
-		}
-		gen, dropped := s.dbs.drop(rec.Name)
-		if dropped {
-			s.cache.InvalidateGeneration(gen)
-			s.dropGenName(gen)
-		}
-		return dropped, "", nil
+		changed, err = s.remove(ctx, fromOwner, rec.Name, rec.Gen)
 	default:
 		return false, "", fmt.Errorf("replicate: unknown op %q", rec.Op)
 	}
+	if err != nil {
+		return false, "", fmt.Errorf("replicate: %w", err)
+	}
+	if changed == nil {
+		return false, "stale", nil
+	}
+	return true, "", nil
 }
 
 // handleReplicate is the push-replication endpoint: a holder applies one
@@ -433,7 +296,7 @@ func (s *Server) applyReplicated(ctx context.Context, rec client.ReplicateRecord
 // competes with queries for the same memory budget instead of bypassing
 // it.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if s.clusterHandle() == nil {
+	if s.clu.Load() == nil {
 		writeError(w, http.StatusNotFound, "not running in cluster mode")
 		return
 	}
@@ -486,7 +349,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // and is missing or behind on, plus the names the caller holds that no
 // longer exist here.
 func (s *Server) handleReplicatePull(w http.ResponseWriter, r *http.Request) {
-	c := s.clusterHandle()
+	c := s.clu.Load()
 	if c == nil {
 		writeError(w, http.StatusNotFound, "not running in cluster mode")
 		return
@@ -510,36 +373,16 @@ func (s *Server) handleReplicatePull(w http.ResponseWriter, r *http.Request) {
 		if c.Owner(e.name).ID != self {
 			continue
 		}
-		caller := false
-		for _, h := range c.Holders(e.name) {
-			if h.ID == req.Node {
-				caller = true
-				break
-			}
-		}
-		if !caller || req.Have[e.name] >= e.gen {
+		if !c.Holds(req.Node, e.name) || req.Have[e.name] >= e.gen {
 			continue
 		}
 		// Never serve catch-up records from a quarantined copy: the whole
 		// point of quarantine is that this content is suspect, and a pull
 		// would propagate it with a matching (locally computed) digest.
-		if s.isQuarantined(e.name) {
+		if e.quar != nil {
 			continue
 		}
-		rec := client.ReplicateRecord{
-			Op:       "register",
-			Name:     e.name,
-			Gen:      e.gen,
-			UnixNano: e.registeredAt.UnixNano(),
-			Snapshot: persist.EncodeSnapshot(e.db),
-		}
-		if e.stats != nil {
-			rec.Stats = e.stats.Encode()
-		}
-		if e.digest.Gen == e.gen {
-			rec.Digest = e.digest.Encode()
-		}
-		resp.Records = append(resp.Records, rec)
+		resp.Records = append(resp.Records, recordFor(e))
 	}
 	for name := range req.Have {
 		if c.Owner(name).ID != self {
@@ -555,7 +398,7 @@ func (s *Server) handleReplicatePull(w http.ResponseWriter, r *http.Request) {
 // handleClusterStatus reports membership, per-peer health, and the
 // placement of every locally held database.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	c := s.clusterHandle()
+	c := s.clu.Load()
 	if c == nil {
 		writeError(w, http.StatusNotFound, "not running in cluster mode")
 		return

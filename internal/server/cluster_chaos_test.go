@@ -18,29 +18,6 @@ import (
 	"ecrpq/internal/faultinject"
 )
 
-// waitGoroutines polls until the goroutine count settles back to
-// baseline. Idle HTTP keep-alive connections (2 goroutines each, parked
-// on the shared DefaultTransport by the inter-node clients) are reaped
-// each round so they cannot masquerade as leaks — or hide one.
-func waitGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if tr, ok := http.DefaultTransport.(*http.Transport); ok {
-			tr.CloseIdleConnections()
-		}
-		g := runtime.NumGoroutine()
-		if g <= baseline+4 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("goroutines leaked: %d now vs %d baseline", g, baseline)
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // clusterChaosSetup builds a converged 3-node cluster holding one
 // database and returns it with the goroutine baseline (taken after the
 // cluster's own long-lived goroutines — probers, shipper, catch-up —

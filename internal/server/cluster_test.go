@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -176,6 +177,29 @@ func waitHolds(t *testing.T, nodes []*testClusterNode, c *cluster.Cluster, name 
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("replicas of %q did not converge to generation %d", name, gen)
+}
+
+// waitGoroutines polls until the goroutine count settles back to
+// baseline. Idle HTTP keep-alive connections (2 goroutines each, parked
+// on the shared DefaultTransport by the inter-node clients) are reaped
+// each round so they cannot masquerade as leaks — or hide one.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if tr, ok := http.DefaultTransport.(*http.Transport); ok {
+			tr.CloseIdleConnections()
+		}
+		g := runtime.NumGoroutine()
+		if g <= baseline+4 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("goroutines leaked: %d now vs %d baseline", g, baseline)
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestClusterWriteRoutingAndReplication: a register sent to the wrong

@@ -75,23 +75,6 @@ type dbCacheCounters struct {
 	evictions uint64
 }
 
-// noteGenName records the generation → name mapping used to attribute
-// cache evictions. Called at every install point (register, restore,
-// replicate apply).
-func (s *Server) noteGenName(gen uint64, name string) {
-	s.dbCacheMu.Lock()
-	s.genNames[gen] = name
-	s.dbCacheMu.Unlock()
-}
-
-// dropGenName forgets a replaced or dropped generation. Its eviction
-// counts remain attributed to the name; only the live mapping is removed.
-func (s *Server) dropGenName(gen uint64) {
-	s.dbCacheMu.Lock()
-	delete(s.genNames, gen)
-	s.dbCacheMu.Unlock()
-}
-
 func (s *Server) dbCounters(name string) *dbCacheCounters {
 	// Caller holds dbCacheMu.
 	c, ok := s.dbCache[name]
@@ -122,11 +105,11 @@ func (s *Server) onCacheEviction(k plancache.Key) {
 	if k.DBGen == 0 {
 		return
 	}
-	s.dbCacheMu.Lock()
-	if name, ok := s.genNames[k.DBGen]; ok {
+	if name, ok := s.dbs.nameOf(k.DBGen); ok {
+		s.dbCacheMu.Lock()
 		s.dbCounters(name).evictions++
+		s.dbCacheMu.Unlock()
 	}
-	s.dbCacheMu.Unlock()
 }
 
 // renderDBCache renders the per-database counters as one JSON object,

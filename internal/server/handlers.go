@@ -207,7 +207,7 @@ func (s *Server) handleRegisterDB(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	entry, replaced, err := s.doRegister(ctx, name, db)
+	entry, replaced, err := s.install(ctx, installReq{from: fromClient, name: name, db: db})
 	if err != nil {
 		// The registration is not durable, so it did not happen: memory
 		// was left untouched and the client must retry or give up.
@@ -216,13 +216,13 @@ func (s *Server) handleRegisterDB(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cfg.Logger.Printf("event=register_db name=%s gen=%d vertices=%d replaced=%t",
-		name, entry.gen, db.NumVertices(), replaced)
+		name, entry.gen, db.NumVertices(), replaced != nil)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"name":       name,
 		"generation": entry.gen,
 		"vertices":   db.NumVertices(),
 		"alphabet":   db.Alphabet().Size(),
-		"replaced":   replaced,
+		"replaced":   replaced != nil,
 	})
 }
 
@@ -236,18 +236,18 @@ func (s *Server) handleDropDB(w http.ResponseWriter, r *http.Request) {
 	ctx, tr := s.startTrace(r.Context(), "drop")
 	defer s.finishTrace(tr)
 	tr.SetStr("db", name)
-	gen, ok, err := s.doDrop(ctx, name)
+	removed, err := s.remove(ctx, fromClient, name, 0)
 	if err != nil {
 		s.cfg.Logger.Printf("event=drop_db_failed name=%s err=%q", name, err)
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if !ok {
+	if removed == nil {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no database %q", name))
 		return
 	}
-	s.cfg.Logger.Printf("event=drop_db name=%s gen=%d", name, gen)
-	writeJSON(w, http.StatusOK, map[string]any{"dropped": name, "generation": gen})
+	s.cfg.Logger.Printf("event=drop_db name=%s gen=%d", name, removed.gen)
+	writeJSON(w, http.StatusOK, map[string]any{"dropped": name, "generation": removed.gen})
 }
 
 // handleListDBs lists the registered databases.
@@ -349,11 +349,11 @@ func (s *Server) serveRead(op *readOp) http.HandlerFunc {
 		// cursor verbatim, since generations match cluster-wide and the
 		// serving holder validates it.
 		var held bool
-		if c.entry, held = s.dbs.get(c.DB); !held || s.isQuarantined(c.DB) {
-			if cl := s.clusterHandle(); cl != nil && !c.Forwarded {
+		if c.entry, held = s.dbs.get(c.DB); !held || c.entry.quar != nil {
+			if cl := s.clu.Load(); cl != nil && !c.Forwarded {
 				s.forward(tctx, cl, w, op, c.readRequest)
 			} else if held {
-				s.refuseCorrupt(w, c.DB)
+				s.refuseCorrupt(w, c.entry)
 			} else {
 				writeError(w, http.StatusNotFound, fmt.Sprintf("no database %q (register with POST /v1/dbs/{name})", c.DB))
 			}

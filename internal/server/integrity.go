@@ -22,14 +22,15 @@ package server
 //     the journal tail. Findings feed a repair matrix: good memory
 //     heals bad disk by rewriting the snapshot; good disk heals bad
 //     memory by reinstalling; when both are bad the database is
-//     quarantined and, on a replica, re-fetched from the ring owner.
+//     quarantined and, on a replica, re-fetched from the ring owner by
+//     the next catch-up round.
 //
 //   - Anti-entropy: when Config.AntiEntropyInterval > 0 in cluster
 //     mode, each non-owner holder periodically compares its
 //     (generation, digest) pair against the owner's. Divergence at the
 //     same generation means silent corruption or a bad apply — the
-//     holder quarantines its copy and the repair loop pulls a fresh
-//     verified snapshot.
+//     holder quarantines its copy and the next catch-up round pulls a
+//     fresh verified snapshot.
 //
 // Fault injection: "integrity.bitflip" flips a byte in scrub's view of
 // the on-disk snapshot (at-rest rot); "integrity.digest" corrupts a
@@ -37,12 +38,12 @@ package server
 // without the faultinject build tag.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -52,148 +53,51 @@ import (
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/integrity"
 	"ecrpq/internal/persist"
-
-	"context"
 )
 
-// quarRecord is one quarantine-table entry: why the database was
-// quarantined, and whether a scrub pass that finds everything verifying
-// may lift it. Scrub and restore quarantines are locally re-verifiable —
-// their cause is a digest/structural check the scrub itself re-runs, so
-// "everything now verifies" genuinely contradicts the finding. An
-// anti-entropy quarantine records divergence from the ring owner, which
-// no amount of local verification can rule out (the divergent content is
-// self-consistent by construction) — only a verified re-install
-// (repair pull, replacement registration, or drop) lifts it.
-type quarRecord struct {
-	reason        string
-	scrubLiftable bool
-}
-
-// quarantine marks name corrupt-local. Idempotent: the first record
-// sticks (it names the original finding; later findings are usually
-// consequences).
-func (s *Server) quarantine(name, reason string, scrubLiftable bool) {
-	s.quarMu.Lock()
-	_, already := s.quarantined[name]
-	if !already {
-		s.quarantined[name] = quarRecord{reason: reason, scrubLiftable: scrubLiftable}
-	}
-	s.quarMu.Unlock()
-	if !already {
-		s.mQuarantines.Inc()
-		s.cfg.Logger.Printf("event=integrity_quarantine db=%s reason=%q", name, reason)
+// quarantineEntry marks e's generation of its database corrupt-local. A
+// finding about a generation that has since been replaced or dropped is
+// discarded, and the first record on a copy sticks.
+func (s *Server) quarantineEntry(e *dbEntry, reason string, scrubLiftable bool) {
+	if s.dbs.setQuarantine(e.name, e.gen, &quarRecord{reason: reason, scrubLiftable: scrubLiftable}) {
+		s.noteQuarantined(e.name, reason)
 	}
 }
 
-// unquarantine lifts a quarantine after verified content replaced the
-// corrupt copy. repaired distinguishes a genuine repair (counted and
-// logged) from a supersede (drop, or a replacement registration minting
-// a fresh generation).
-func (s *Server) unquarantine(name string, repaired bool) {
-	s.quarMu.Lock()
-	_, was := s.quarantined[name]
-	delete(s.quarantined, name)
-	s.quarMu.Unlock()
-	if was && repaired {
-		s.mRepairs.Inc()
-		s.cfg.Logger.Printf("event=integrity_repaired db=%s", name)
-	}
+// noteQuarantined counts and logs a copy entering quarantine.
+func (s *Server) noteQuarantined(name, reason string) {
+	s.mQuarantines.Inc()
+	s.cfg.Logger.Printf("event=integrity_quarantine db=%s reason=%q", name, reason)
 }
 
-// unquarantineScrubVerified lifts a quarantine on the strength of local
-// verification alone (the scrub's healthy and memory-heal outcomes). It
-// refuses to lift records whose cause the scrub cannot re-check — an
-// anti-entropy divergence stays quarantined until a verified re-install.
-func (s *Server) unquarantineScrubVerified(name string) {
-	s.quarMu.Lock()
-	rec, was := s.quarantined[name]
-	lift := was && rec.scrubLiftable
-	if lift {
-		delete(s.quarantined, name)
-	}
-	s.quarMu.Unlock()
-	if lift {
-		s.mRepairs.Inc()
-		s.cfg.Logger.Printf("event=integrity_repaired db=%s", name)
-	}
+// noteRepaired counts and logs a quarantine that ended because verified
+// content is in place again (as opposed to one superseded by a client's
+// replacement or drop).
+func (s *Server) noteRepaired(name string) {
+	s.mRepairs.Inc()
+	s.cfg.Logger.Printf("event=integrity_repaired db=%s", name)
 }
 
-// isQuarantined reports whether name is currently corrupt-local.
-func (s *Server) isQuarantined(name string) bool {
-	s.quarMu.Lock()
-	defer s.quarMu.Unlock()
-	_, ok := s.quarantined[name]
-	return ok
-}
-
-// quarantineSnapshot copies the quarantine table (name → reason).
-func (s *Server) quarantineSnapshot() map[string]string {
-	s.quarMu.Lock()
-	defer s.quarMu.Unlock()
-	if len(s.quarantined) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(s.quarantined))
-	for k, v := range s.quarantined {
-		out[k] = v.reason
+// quarantinedEntries returns the entries currently quarantined, sorted by
+// name.
+func (s *Server) quarantinedEntries() []*dbEntry {
+	var out []*dbEntry
+	for _, e := range s.dbs.list() {
+		if e.quar != nil {
+			out = append(out, e)
+		}
 	}
 	return out
 }
 
-// refuseCorrupt answers a read against a quarantined database with the
-// typed 503. Retry-After is the scrub/repair cadence ballpark: by the
-// next attempt the repair loop may have re-fetched a verified copy.
-func (s *Server) refuseCorrupt(w http.ResponseWriter, name string) {
-	s.quarMu.Lock()
-	reason := s.quarantined[name].reason
-	s.quarMu.Unlock()
+// refuseCorrupt answers a read against a quarantined copy with the typed
+// 503. Retry-After is the scrub/catch-up cadence ballpark: by the next
+// attempt a verified copy may have been re-fetched.
+func (s *Server) refuseCorrupt(w http.ResponseWriter, e *dbEntry) {
 	s.mCorruptRefused.Inc()
 	w.Header().Set("Retry-After", "2")
 	writeErrorCode(w, http.StatusServiceUnavailable, "CORRUPT_LOCAL",
-		fmt.Sprintf("local copy of %q is quarantined: %s", name, reason))
-}
-
-// replicaFresh reports whether the local entry already covers a
-// replicated record at gen. Strictly newer local content always wins; at
-// the same generation the record is redundant — unless the local copy is
-// quarantined, in which case the incoming record is a repair and must be
-// allowed through.
-func (s *Server) replicaFresh(e *dbEntry, gen uint64) bool {
-	return e.gen > gen || (e.gen == gen && !s.isQuarantined(e.name))
-}
-
-// verifyShippedDigest recomputes the digest of a decoded replication
-// snapshot and checks it against the owner's shipped digest. An empty
-// shipped digest (an owner predating the integrity subsystem) is
-// accepted with the locally computed digest standing in.
-func (s *Server) verifyShippedDigest(rec client.ReplicateRecord, db *graphdb.DB) (integrity.Digest, error) {
-	got := integrity.Compute(db, rec.Gen)
-	s.mDigestsComputed.Inc()
-	if err := faultinject.Point("integrity.digest"); err != nil {
-		// Chaos: pretend the decode produced divergent content.
-		got.Sum ^= 0xbad1dea
-	}
-	if len(rec.Digest) == 0 {
-		return got, nil
-	}
-	want, err := integrity.Decode(rec.Digest)
-	if err != nil {
-		s.mApplyRejected.Inc()
-		return integrity.Digest{}, fmt.Errorf("replicate: digest record for %q gen %d: %w", rec.Name, rec.Gen, err)
-	}
-	if want.Gen != rec.Gen {
-		s.mApplyRejected.Inc()
-		return integrity.Digest{}, fmt.Errorf("replicate: digest for %q is bound to gen %d, record is gen %d",
-			rec.Name, want.Gen, rec.Gen)
-	}
-	if got != want {
-		s.mDigestMismatches.Inc()
-		s.mApplyRejected.Inc()
-		return integrity.Digest{}, fmt.Errorf("replicate: %q gen %d digest mismatch: owner shipped %s, snapshot decodes to %s",
-			rec.Name, rec.Gen, want, got)
-	}
-	return got, nil
+		fmt.Sprintf("local copy of %q is quarantined: %s", e.name, e.quar.reason))
 }
 
 // handleIntegrity serves this node's (generation, digest, quarantine)
@@ -210,7 +114,7 @@ func (s *Server) handleIntegrity(w http.ResponseWriter, r *http.Request) {
 		DB:          name,
 		Gen:         e.gen,
 		Digest:      e.digest.String(),
-		Quarantined: s.isQuarantined(name),
+		Quarantined: e.quar != nil,
 	})
 }
 
@@ -218,7 +122,6 @@ func (s *Server) handleIntegrity(w http.ResponseWriter, r *http.Request) {
 // "integrity" expvar.
 type scrubStatus struct {
 	passes      uint64
-	lastStart   time.Time
 	lastEnd     time.Time
 	checked     int
 	corrupt     int
@@ -230,22 +133,16 @@ type scrubStatus struct {
 // renderIntegrity renders the integrity expvar: quarantine table and
 // scrub summary.
 func (s *Server) renderIntegrity() string {
-	q := s.quarantineSnapshot()
-	names := make([]string, 0, len(q))
-	for n := range q {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	s.scrubMu.Lock()
 	st := s.scrubStat
 	s.scrubMu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, `{"quarantined":[`)
-	for i, n := range names {
+	for i, e := range s.quarantinedEntries() {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%q", n)
+		fmt.Fprintf(&b, "%q", e.name)
 	}
 	fmt.Fprintf(&b, `],"scrub_passes":%d,"scrub_checked":%d,"scrub_corrupt":%d,"scrub_journal_torn_bytes":%d,"scrub_last_finding":%q,"scrub_last_error":%q`,
 		st.passes, st.checked, st.corrupt, st.journalTorn, st.lastFinding, st.lastError)
@@ -263,9 +160,7 @@ func (s *Server) renderPersistHealth() string {
 	s.salvageMu.Lock()
 	salvage := len(s.salvage)
 	s.salvageMu.Unlock()
-	s.persistMu.Lock()
-	st := s.store
-	s.persistMu.Unlock()
+	st := s.store.Load()
 	var syncFails uint64
 	lastSyncErr := ""
 	if st != nil {
@@ -276,58 +171,19 @@ func (s *Server) renderPersistHealth() string {
 		st != nil, salvage, syncFails, lastSyncErr)
 }
 
-// stopScrubOnce halts the scrub loop and waits for it (idempotent; no-op
-// when scrubbing is disabled).
-func (s *Server) stopScrubOnce() {
-	s.scrubStopOnce.Do(func() { close(s.stopScrub) })
-	s.scrubWG.Wait()
-}
-
-// scrubSleep pauses for d, abandoning the wait (and reporting false)
-// when the scrub is being stopped.
-func (s *Server) scrubSleep(d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-s.stopScrub:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// scrubLoop runs scrubOnce every ScrubInterval (jittered) until
-// Shutdown.
-func (s *Server) scrubLoop() {
-	defer s.scrubWG.Done()
-	for {
-		if !s.scrubSleep(cluster.Jitter(s.cfg.ScrubInterval)) {
-			return
-		}
-		s.scrubOnce(context.Background())
-	}
-}
-
 // scrubOnce runs one full verification pass over every registered
-// database plus the journal. It never blocks serving: reads are paced
-// and ledger-charged, verification works on immutable entries, and the
-// only mutations are the same install/rewrite paths registration uses.
+// database plus the journal (every ScrubInterval, on the loop runner;
+// abandoned between databases once ctx is cancelled). It never blocks
+// serving: reads are paced and ledger-charged, verification works on
+// immutable entries, and the only mutations are the same install/rewrite
+// paths registration uses.
 func (s *Server) scrubOnce(ctx context.Context) {
 	start := time.Now()
-	s.scrubMu.Lock()
-	s.scrubStat.lastStart = start
-	s.scrubMu.Unlock()
-
 	checked, corrupt := 0, 0
 	lastFinding, lastErr := "", ""
 	for _, e := range s.dbs.list() {
-		select {
-		case <-s.stopScrub:
+		if ctx.Err() != nil {
 			return
-		default:
 		}
 		checked++
 		finding, serr := s.scrubDB(ctx, e)
@@ -342,9 +198,7 @@ func (s *Server) scrubOnce(ctx context.Context) {
 	}
 
 	journalTorn := 0
-	s.persistMu.Lock()
-	st := s.store
-	s.persistMu.Unlock()
+	st := s.store.Load()
 	if st != nil {
 		chk, err := st.VerifyJournal()
 		if err != nil {
@@ -417,11 +271,9 @@ func (s *Server) scrubDB(ctx context.Context, e *dbEntry) (finding, internalErr 
 	diskSt := diskUnknown
 	var diskDB *graphdb.DB
 	diskWhy := "no persistence store attached"
-	s.persistMu.Lock()
-	st := s.store
-	s.persistMu.Unlock()
+	st := s.store.Load()
 	if st != nil {
-		diskDB, diskSt, diskWhy = s.scrubDisk(st, e)
+		diskDB, diskSt, diskWhy = s.scrubDisk(ctx, st, e)
 	}
 
 	switch {
@@ -430,7 +282,9 @@ func (s *Server) scrubDB(ctx context.Context, e *dbEntry) (finding, internalErr 
 		// just re-checked — everything verifies — is lifted; an
 		// anti-entropy quarantine is not (local verification cannot rule
 		// out divergence from the owner).
-		s.unquarantineScrubVerified(e.name)
+		if s.dbs.setQuarantine(e.name, e.gen, nil) {
+			s.noteRepaired(e.name)
+		}
 		return "", ""
 	case memOK && diskSt == diskUnknown:
 		// Disk state unknown (ledger pressure, scrub stopping, stat
@@ -458,22 +312,17 @@ func (s *Server) scrubDB(ctx context.Context, e *dbEntry) (finding, internalErr 
 		// at the same generation. The plan cache may hold materializations
 		// built from the corrupt heap, so the generation's entries are
 		// invalidated even though the generation number survives. The
-		// reinstall is guarded: a concurrent replacement (a newer
-		// generation arrived while the scrub read disk) means there is
-		// nothing left to heal — no repair is counted or reported. Stats
+		// reinstall is for generation e.gen only: a concurrent replacement
+		// (a newer generation arrived while the scrub read disk) means there
+		// is nothing left to heal — no repair is counted or reported. Stats
 		// are recomputed from the verified disk copy rather than reusing a
 		// catalog possibly built over the corrupt heap.
-		s.persistMu.Lock()
-		healed := false
-		if cur, ok := s.dbs.get(e.name); ok && cur.gen == e.gen {
-			cat := s.computeStats(ctx, diskDB, e.gen)
-			s.dbs.installWithGen(e.name, diskDB, e.gen, e.registeredAt, cat, e.digest)
-			s.cache.InvalidateGeneration(e.gen)
-			s.unquarantineScrubVerified(e.name)
-			healed = true
+		healed, _, err := s.install(ctx, installReq{from: fromScrub, name: e.name, db: diskDB,
+			gen: e.gen, at: e.registeredAt, digest: e.digest.Encode()})
+		if err != nil {
+			return "", err.Error()
 		}
-		s.persistMu.Unlock()
-		if !healed {
+		if healed == nil {
 			return "", ""
 		}
 		finding = fmt.Sprintf("%s gen %d: in-memory copy corrupt (%s); reinstalled from verified disk", e.name, e.gen, memWhy)
@@ -483,11 +332,11 @@ func (s *Server) scrubDB(ctx context.Context, e *dbEntry) (finding, internalErr 
 	default:
 		// Memory bad with no verified disk copy to heal from (disk also
 		// bad, disk state unknown, or no store): quarantine. A replica's
-		// repair loop re-fetches from the ring owner; an owner (or single
+		// next catch-up round re-fetches from the ring owner; an owner (or single
 		// node) stays quarantined until re-registration — or until a later
 		// pass verifies the disk copy and reinstalls it.
 		finding = fmt.Sprintf("%s gen %d: memory fails verification (%s); disk: %s", e.name, e.gen, memWhy, diskWhy)
-		s.quarantine(e.name, finding, true)
+		s.quarantineEntry(e, finding, true)
 		return finding, ""
 	}
 }
@@ -512,7 +361,7 @@ const (
 // second so a large database cannot monopolize disk bandwidth. The
 // decoded database is non-nil exactly when the verdict is diskVerified;
 // the reason string explains any other verdict.
-func (s *Server) scrubDisk(st *persist.Store, e *dbEntry) (*graphdb.DB, diskVerdict, string) {
+func (s *Server) scrubDisk(ctx context.Context, st *persist.Store, e *dbEntry) (*graphdb.DB, diskVerdict, string) {
 	size, err := st.SnapshotSize(e.gen)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -529,7 +378,7 @@ func (s *Server) scrubDisk(st *persist.Store, e *dbEntry) (*graphdb.DB, diskVerd
 		return nil, diskUnknown, "skipped: " + rerr.Error()
 	}
 	defer res.Release()
-	if !s.scrubSleep(scrubPaceDelay(size, s.cfg.ScrubPaceBytes)) {
+	if !cluster.Sleep(ctx, scrubPaceDelay(size, s.cfg.ScrubPaceBytes)) {
 		return nil, diskUnknown, "skipped: scrub stopping"
 	}
 	raw, err := st.ReadSnapshot(e.gen)
@@ -570,92 +419,12 @@ func scrubPaceDelay(size, pace int64) time.Duration {
 	return time.Duration(secs)*time.Second + rem
 }
 
-// repairLoop watches the quarantine table on a cluster node and
-// re-fetches quarantined databases this node does not own from their
-// ring owner. Runs at the catch-up cadence (jittered); single-node
-// repair is the scrub's job (disk↔memory) or the operator's
-// (re-register).
-func (s *Server) repairLoop(ctx context.Context, st *clusterState) {
-	defer s.clusterWG.Done()
-	timer := time.NewTimer(cluster.Jitter(st.c.CatchupInterval()))
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
-		for name := range s.quarantineSnapshot() {
-			if !st.c.IsOwner(name) {
-				s.repairOne(ctx, st.c, name)
-			}
-		}
-		timer.Reset(cluster.Jitter(st.c.CatchupInterval()))
-	}
-}
-
-// repairOne pulls a fresh verified copy of one quarantined database from
-// its ring owner by reporting generation 0 for it (forcing a full
-// re-send) while reporting true generations for everything else that
-// owner owns (so nothing else is re-shipped). The apply path verifies
-// the shipped digest and lifts the quarantine.
-func (s *Server) repairOne(ctx context.Context, c *cluster.Cluster, name string) {
-	owner := c.Owner(name)
-	if owner.ID == c.Self().ID || !c.Healthy(owner.ID) {
-		return
-	}
-	have := map[string]uint64{name: 0}
-	for _, e := range s.dbs.list() {
-		if e.name != name && c.Owner(e.name).ID == owner.ID {
-			have[e.name] = e.gen
-		}
-	}
-	pctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	resp, err := c.ClientFor(owner.ID).ReplicatePull(pctx, client.PullRequest{Node: c.Self().ID, Have: have})
-	cancel()
-	if err != nil {
-		s.mRepairErrors.Inc()
-		s.cfg.Logger.Printf("event=integrity_repair_failed db=%s owner=%s err=%q", name, owner.ID, err)
-		return
-	}
-	for _, rec := range resp.Records {
-		if rec.Name != name {
-			continue
-		}
-		applied, _, aerr := s.applyReplicated(ctx, rec)
-		if aerr != nil {
-			s.mRepairErrors.Inc()
-			s.cfg.Logger.Printf("event=integrity_repair_failed db=%s owner=%s err=%q", name, owner.ID, aerr)
-			return
-		}
-		if applied {
-			s.cfg.Logger.Printf("event=integrity_refetched db=%s gen=%d from=%s", name, rec.Gen, owner.ID)
-		}
-	}
-}
-
-// antiEntropyLoop periodically compares this node's (generation, digest)
-// pairs against each database's ring owner. The comparison is
-// one-directional — every non-owner holder checks itself against the
-// owner — which converges without all-pairs chatter: the owner is the
-// generation authority, and an owner that rots is caught by its own
-// scrub.
-func (s *Server) antiEntropyLoop(ctx context.Context, st *clusterState) {
-	defer s.clusterWG.Done()
-	timer := time.NewTimer(cluster.Jitter(s.cfg.AntiEntropyInterval))
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
-		s.antiEntropyOnce(ctx, st.c)
-		timer.Reset(cluster.Jitter(s.cfg.AntiEntropyInterval))
-	}
-}
-
-// antiEntropyOnce performs one comparison round.
+// antiEntropyOnce performs one comparison round (every AntiEntropyInterval
+// in cluster mode): this node's (generation, digest) pairs against each
+// database's ring owner. The comparison is one-directional — every non-owner
+// holder checks itself against the owner — which converges without
+// all-pairs chatter: the owner is the generation authority, and an owner
+// that rots is caught by its own scrub.
 func (s *Server) antiEntropyOnce(ctx context.Context, c *cluster.Cluster) {
 	s.mAERounds.Inc()
 	self := c.Self().ID
@@ -684,7 +453,7 @@ func (s *Server) antiEntropyOnce(ctx context.Context, c *cluster.Cluster) {
 			// Not scrub-liftable: the divergent content is locally
 			// self-consistent, so a scrub pass would verify it clean.
 			// Only a verified re-install from the owner lifts this.
-			s.quarantine(e.name, fmt.Sprintf(
+			s.quarantineEntry(e, fmt.Sprintf(
 				"anti-entropy: gen %d digest %s diverges from owner %s's %s",
 				e.gen, e.digest, owner.ID, info.Digest), false)
 		}

@@ -159,7 +159,7 @@ func TestChaosReplicateDivergenceRejected(t *testing.T) {
 // (its disk reads rot) combined with "integrity.digest" (its memory
 // verification fails too), so both copies are bad and the node
 // quarantines. Reads sent to it transparently fail over with right
-// answers, the repair loop re-fetches a verified copy from the ring
+// answers, the catch-up loop re-fetches a verified copy from the ring
 // owner once injection stops, and the process never crashes.
 func TestChaosClusterBitflipFailoverAndRepair(t *testing.T) {
 	nodes, name, gen, baseline := clusterChaosSetup(t, 2)
@@ -202,7 +202,7 @@ func TestChaosClusterBitflipFailoverAndRepair(t *testing.T) {
 		t.Fatalf("forwarded read on quarantined node: %d code=%v, want 503 CORRUPT_LOCAL", code, out["code"])
 	}
 
-	// Injection stops (the rot is "replaced hardware"); the repair loop
+	// Injection stops (the rot is "replaced hardware"); the catch-up loop
 	// re-fetches from the owner and the digest matches again.
 	faultinject.Disable()
 	deadline := time.Now().Add(10 * time.Second)
@@ -213,7 +213,7 @@ func TestChaosClusterBitflipFailoverAndRepair(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if victim.srv.isQuarantined(name) {
-		t.Fatal("repair loop did not re-fetch after injection stopped")
+		t.Fatal("catch-up did not re-fetch after injection stopped")
 	}
 	repaired, _ := victim.srv.dbs.get(name)
 	if repaired.gen != gen || repaired.digest != want.digest {

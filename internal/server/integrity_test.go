@@ -58,7 +58,23 @@ func corruptMemory(t *testing.T, s *Server, name string) {
 	if !ok {
 		t.Fatalf("no entry %q to corrupt", name)
 	}
-	s.dbs.installWithGen(name, mustParseDB(t, altDBText()), e.gen, e.registeredAt, e.stats, e.digest)
+	rotted := *e
+	rotted.db = mustParseDB(t, altDBText())
+	s.dbs.install(&rotted)
+}
+
+// quarantine marks the live copy of name corrupt-local, as a finding about
+// its current generation would.
+func (s *Server) quarantine(name, reason string, scrubLiftable bool) {
+	if e, ok := s.dbs.get(name); ok {
+		s.quarantineEntry(e, reason, scrubLiftable)
+	}
+}
+
+// isQuarantined reports whether the live copy of name is quarantined.
+func (s *Server) isQuarantined(name string) bool {
+	e, ok := s.dbs.get(name)
+	return ok && e.quar != nil
 }
 
 func TestIntegrityEndpoint(t *testing.T) {
@@ -279,9 +295,7 @@ func newIntegrityCluster(t *testing.T, n, rf int, cfg Config) []*testClusterNode
 
 // storeDir reports the data directory behind a node's attached store.
 func storeDir(nd *testClusterNode) string {
-	nd.srv.persistMu.Lock()
-	defer nd.srv.persistMu.Unlock()
-	return nd.srv.store.Dir()
+	return nd.srv.store.Load().Dir()
 }
 
 // TestClusterCorruptionFailoverAndRepair is the acceptance scenario: on
@@ -289,7 +303,7 @@ func storeDir(nd *testClusterNode) string {
 // bit-flipped on disk, divergent content in memory). The scrub detects
 // it and quarantines — the process does not crash — reads sent to the
 // corrupt node fail over to a healthy holder and return right answers,
-// and the repair loop automatically re-fetches a verified copy from the
+// and the catch-up loop automatically re-fetches a verified copy from the
 // ring owner, restoring a matching digest.
 func TestClusterCorruptionFailoverAndRepair(t *testing.T) {
 	nodes := newIntegrityCluster(t, 3, 2, Config{})
@@ -335,7 +349,7 @@ func TestClusterCorruptionFailoverAndRepair(t *testing.T) {
 		t.Fatalf("forwarded read on corrupt node: %d code=%v, want 503 CORRUPT_LOCAL", code, out["code"])
 	}
 
-	// The repair loop re-fetches from the owner without intervention.
+	// The catch-up loop re-fetches from the owner without intervention.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if !victim.srv.isQuarantined(name) {
@@ -344,7 +358,7 @@ func TestClusterCorruptionFailoverAndRepair(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if victim.srv.isQuarantined(name) {
-		t.Fatal("repair loop did not re-fetch within 10s")
+		t.Fatal("catch-up did not re-fetch within 10s")
 	}
 	repaired, _ := victim.srv.dbs.get(name)
 	if repaired.gen != gen || repaired.digest != wantDigest.digest {
@@ -423,7 +437,9 @@ func TestAntiEntropyDetectsDivergence(t *testing.T) {
 	// consistent (scrub-proof) but differs from the owner's.
 	divergent := mustParseDB(t, altDBText())
 	e, _ := victim.srv.dbs.get(name)
-	victim.srv.dbs.installWithGen(name, divergent, gen, e.registeredAt, e.stats, integrity.Compute(divergent, gen))
+	swapped := *e
+	swapped.db, swapped.digest = divergent, integrity.Compute(divergent, gen)
+	victim.srv.dbs.install(&swapped)
 
 	victim.srv.scrubOnce(context.Background())
 	if victim.srv.isQuarantined(name) {

@@ -37,16 +37,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ecrpq/internal/cluster"
 	"ecrpq/internal/core"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
-	"ecrpq/internal/integrity"
 	"ecrpq/internal/invariant"
 	"ecrpq/internal/persist"
 	"ecrpq/internal/plancache"
 	"ecrpq/internal/planner"
 	"ecrpq/internal/server/metrics"
-	"ecrpq/internal/stats"
 	"ecrpq/internal/trace"
 )
 
@@ -209,21 +208,27 @@ type Server struct {
 	inflight atomic.Int64
 
 	// Persistence. store is nil when the daemon runs in-memory only.
-	// persistMu serializes registry mutations with their durability
-	// writes so the journal order matches the order mutations became
-	// visible — without it two concurrent replaces of one name could
-	// commit to disk in the opposite order they won the registry.
-	store     *persist.Store
+	// persistMu is the write pipeline's lock (install and remove, write.go):
+	// it serializes registry mutations with their durability writes so the
+	// journal order matches the order mutations became visible — without it
+	// two concurrent replaces of one name could commit to disk in the
+	// opposite order they won the registry.
+	store     atomic.Pointer[persist.Store]
 	persistMu sync.Mutex
 
-	// Cluster mode. clu is nil in single-node mode; AttachCluster
-	// publishes the whole bundle (membership, ship queue, loop cancel)
-	// atomically so even a node already serving traffic can join. The
-	// ship and catch-up loops are tracked by clusterWG; forwardRR rotates
-	// read forwards across healthy holders.
-	clu       atomic.Pointer[clusterState]
-	clusterWG sync.WaitGroup
+	// Cluster mode. clu is nil in single-node mode; AttachCluster publishes
+	// the membership handle atomically, so even a node already serving
+	// traffic can join without a lock on the request path. shipCh is the
+	// push-replication queue (idle until then); forwardRR rotates read
+	// forwards across healthy holders.
+	clu       atomic.Pointer[cluster.Cluster]
+	shipCh    chan shipTask
 	forwardRR atomic.Uint64
+
+	// loops runs everything in the background — scrub passes and, in
+	// cluster mode, probes, the ship queue, catch-up and anti-entropy — and
+	// Shutdown stops it.
+	loops *cluster.Loops
 
 	// tracer samples per-request traces into a ring buffer for
 	// /debug/trace/{recent,chrome} and the slow-query log. Nil when
@@ -265,15 +270,13 @@ type Server struct {
 	mExplains       *metrics.Counter   // /v1/explain plans rendered or attempted
 	mStaleCursors   *metrics.Counter   // enumerate cursors refused: database re-registered
 
-	// Per-database plan-cache attribution. dbCacheMu guards both maps:
-	// dbCache accumulates hit/miss/eviction counts per database name, and
-	// genNames maps a live generation to its database name so the cache's
-	// eviction hook (which only sees keys) can attribute generation-keyed
-	// evictions. Gen-0 (db-independent plan) evictions are attributed to
-	// the pseudo-database "" and not rendered.
+	// Per-database plan-cache attribution: dbCache accumulates
+	// hit/miss/eviction counts per database name. Evictions reach it through
+	// the cache's eviction hook, which only sees keys and asks the registry
+	// which name a generation belongs to. Gen-0 (db-independent plan)
+	// evictions are not attributed.
 	dbCacheMu sync.Mutex
 	dbCache   map[string]*dbCacheCounters
-	genNames  map[uint64]string
 
 	mForwards       *metrics.Counter // reads answered by another holder (incl. typed refusals)
 	mForwardErrors  *metrics.Counter // forward attempts that failed at the transport level
@@ -287,24 +290,15 @@ type Server struct {
 	mCatchupPulls   *metrics.Counter // catch-up pull rounds completed
 	mCatchupApplied *metrics.Counter // records repaired via catch-up
 
-	// Integrity subsystem state (see integrity.go in this package).
-	// quarMu guards quarantined: name → quarantine record (reason plus
-	// whether local scrub verification may lift it).
-	// A quarantined database refuses local reads with a typed 503
-	// CORRUPT_LOCAL (cluster nodes fail reads over to healthy holders)
-	// until a repair re-installs verified content. salvageMu/salvage
-	// retain the persist layer's torn-tail salvage notes, previously
-	// logged once and dropped, for /healthz and expvar. scrubMu/scrubStat
-	// expose the last scrub pass; stopScrub halts the loops at Shutdown.
-	quarMu        sync.Mutex
-	quarantined   map[string]quarRecord
-	salvageMu     sync.Mutex
-	salvage       []string
-	scrubMu       sync.Mutex
-	scrubStat     scrubStatus
-	stopScrub     chan struct{}
-	scrubStopOnce sync.Once
-	scrubWG       sync.WaitGroup
+	// Integrity subsystem state (see integrity.go in this package; which
+	// copies are quarantined is on the registry's entries). salvageMu/salvage
+	// retain the persist layer's torn-tail salvage notes, previously logged
+	// once and dropped, for /healthz and expvar. scrubMu/scrubStat expose the
+	// last scrub pass.
+	salvageMu sync.Mutex
+	salvage   []string
+	scrubMu   sync.Mutex
+	scrubStat scrubStatus
 
 	mDigestsComputed  *metrics.Counter // content digests computed at register/restore time
 	mDigestMismatches *metrics.Counter // digest verifications that failed (any path)
@@ -324,17 +318,16 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		dbs:         newDBRegistry(),
-		cache:       plancache.New(cfg.CacheBudgetBytes),
-		mux:         http.NewServeMux(),
-		reg:         metrics.NewRegistry(),
-		started:     time.Now(),
-		dbCache:     make(map[string]*dbCacheCounters),
-		genNames:    make(map[uint64]string),
-		quarantined: make(map[string]quarRecord),
-		stopScrub:   make(chan struct{}),
+		cfg:     cfg,
+		cache:   plancache.New(cfg.CacheBudgetBytes),
+		mux:     http.NewServeMux(),
+		reg:     metrics.NewRegistry(),
+		started: time.Now(),
+		dbCache: make(map[string]*dbCacheCounters),
+		shipCh:  make(chan shipTask, shipQueueDepth),
 	}
+	s.dbs = newDBRegistry(s.cache.InvalidateGeneration)
+	s.loops = cluster.NewLoops(s.reg)
 	// One ledger for everything resident: live evaluations reserve from
 	// the broker and the plan cache charges its entries to it, so a cached
 	// materialization and an in-flight sweep compete for the same budget.
@@ -452,8 +445,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /debug/trace/recent", s.wrap(s.handleTraceRecent))
 	s.mux.HandleFunc("GET /debug/trace/chrome", s.wrap(s.handleTraceChrome))
 	if cfg.ScrubInterval > 0 {
-		s.scrubWG.Add(1)
-		go s.scrubLoop()
+		s.loops.Every("scrub", cfg.ScrubInterval, s.scrubOnce)
 	}
 	return s
 }
@@ -474,16 +466,16 @@ func (s *Server) RegisterDB(name string, db *graphdb.DB) error {
 	}
 	// In cluster mode only the ring owner may mint generations for a name;
 	// a preload on the wrong node would silently diverge from replication.
-	if c := s.clusterHandle(); c != nil && !c.IsOwner(name) {
+	if c := s.clu.Load(); c != nil && !c.IsOwner(name) {
 		return fmt.Errorf("server: node %s does not own %q (owner is %s); preload it there",
 			c.Self().ID, name, c.Owner(name).ID)
 	}
-	entry, replaced, err := s.doRegister(context.Background(), name, db)
+	entry, replaced, err := s.install(context.Background(), installReq{from: fromClient, name: name, db: db})
 	if err != nil {
 		return err
 	}
 	s.cfg.Logger.Printf("event=register_db name=%s gen=%d vertices=%d replaced=%t",
-		name, entry.gen, db.NumVertices(), replaced)
+		name, entry.gen, db.NumVertices(), replaced != nil)
 	return nil
 }
 
@@ -497,9 +489,15 @@ func (s *Server) AttachStore(st *persist.Store) (int, error) {
 	if st == nil {
 		return 0, fmt.Errorf("server: nil store")
 	}
+	// The store is attached, and the generation counter floored, before the
+	// replay: a registration racing it is journaled and gets a generation
+	// past every replayed one, so the replay of an older entry for the same
+	// name is stale and skipped.
 	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.store != nil {
+	attached := s.store.CompareAndSwap(nil, st)
+	s.dbs.bumpGen(st.MaxGen())
+	s.persistMu.Unlock()
+	if !attached {
 		return 0, fmt.Errorf("server: a store is already attached")
 	}
 	warnings := st.Warnings()
@@ -512,122 +510,21 @@ func (s *Server) AttachStore(st *persist.Store) (int, error) {
 	s.salvageMu.Lock()
 	s.salvage = append(s.salvage, warnings...)
 	s.salvageMu.Unlock()
-	entries := st.Entries()
-	for _, e := range entries {
-		// Prefer the persisted stats sidecar; recompute when it is absent,
-		// corrupt, or from a different generation (a crash between
-		// snapshot and sidecar leaves the previous generation's file).
-		var cat *stats.Catalog
-		if len(e.Stats) > 0 {
-			if dec, err := stats.Decode(e.Stats); err == nil && dec.Generation == e.Gen {
-				cat = dec
-			}
+	restored := 0
+	for _, e := range st.Entries() {
+		entry, _, err := s.install(context.Background(), installReq{from: fromDisk,
+			name: e.Name, db: e.DB, gen: e.Gen, at: e.RegisteredAt, stats: e.Stats, digest: e.Digest})
+		if err != nil {
+			return restored, err
 		}
-		if cat == nil {
-			cat = s.computeStats(context.Background(), e.DB, e.Gen)
+		if entry == nil {
+			continue // something newer is already registered
 		}
-		// Verify the restored database against its persisted digest
-		// sidecar. The snapshot's CRC already vouches for the bytes on
-		// disk; the digest additionally vouches that those bytes decode to
-		// the content that was registered. A mismatch (or a sidecar from a
-		// different generation) means at-rest damage the CRC could not
-		// see — install the entry but quarantine it rather than serve
-		// potentially wrong answers or refuse to start. The entry keeps
-		// the *persisted* digest as its expectation, never one computed
-		// from the corrupt content: a self-consistent digest would let the
-		// next scrub pass verify the corruption clean and lift the
-		// quarantine.
-		dg := integrity.Compute(e.DB, e.Gen)
-		s.mDigestsComputed.Inc()
-		if len(e.Digest) > 0 {
-			if want, err := integrity.Decode(e.Digest); err == nil && want.Gen == e.Gen {
-				if want != dg {
-					s.mDigestMismatches.Inc()
-					s.quarantine(e.Name, fmt.Sprintf("restore: digest mismatch (disk %s, computed %s)", want, dg), true)
-				}
-				dg = want
-			}
-		}
-		s.dbs.installWithGen(e.Name, e.DB, e.Gen, e.RegisteredAt, cat, dg)
-		s.noteGenName(e.Gen, e.Name)
+		restored++
 		s.cfg.Logger.Printf("event=restore_db name=%s gen=%d vertices=%d stats=%t digest=%s",
-			e.Name, e.Gen, e.DB.NumVertices(), cat != nil, dg)
+			e.Name, e.Gen, e.DB.NumVertices(), entry.stats != nil, entry.digest)
 	}
-	s.dbs.bumpGen(st.MaxGen())
-	s.store = st
-	return len(entries), nil
-}
-
-// doRegister is the single register/replace path: allocate a generation,
-// make the registration durable (when a store is attached), and only then
-// install it in the registry and invalidate the replaced generation's
-// cache entries. A persistence failure leaves memory untouched — the
-// invariant is memory ⊆ disk, so a crash can lose nothing the server
-// ever acknowledged.
-func (s *Server) doRegister(ctx context.Context, name string, db *graphdb.DB) (entry *dbEntry, replaced bool, err error) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	gen := s.dbs.allocGen()
-	at := time.Now()
-	// Statistics are computed before the durability write so the sidecar
-	// and the replication record carry them. A nil catalog (stats disabled
-	// or the ledger refused the transient compute) degrades the planner to
-	// the fixed rule — it never blocks the registration.
-	cat := s.computeStats(ctx, db, gen)
-	var statsJSON []byte
-	if cat != nil {
-		statsJSON = cat.Encode()
-	}
-	// The content digest is computed before the durability write so the
-	// sidecar and the replication record carry it: replicas verify decoded
-	// snapshots against it, the scrub re-verifies memory and disk against
-	// it, and anti-entropy compares it across holders.
-	dg := integrity.Compute(db, gen)
-	s.mDigestsComputed.Inc()
-	if s.store != nil {
-		if err := s.store.AppendRegisterWithSidecars(ctx, name, gen, at, db, statsJSON, dg.Encode()); err != nil {
-			return nil, false, fmt.Errorf("persisting %q: %w", name, err)
-		}
-	}
-	entry, replacedGen, replaced := s.dbs.installWithGen(name, db, gen, at, cat, dg)
-	s.noteGenName(gen, name)
-	// A replacement registration supersedes any quarantine on the name:
-	// the corrupt generation is gone and the new content is freshly
-	// digested.
-	s.unquarantine(name, false)
-	if replaced {
-		s.cache.InvalidateGeneration(replacedGen)
-		s.dropGenName(replacedGen)
-	}
-	s.shipRegister(name, gen, at, db, statsJSON, dg.Encode())
-	return entry, replaced, nil
-}
-
-// doDrop is the durable counterpart of registry.drop: the drop record is
-// journaled first, then the entry is removed and its materializations
-// invalidated. Dropping a name that is not registered is not an error
-// worth journaling, so existence is checked first under persistMu (which
-// all mutations hold, making check-then-act safe).
-func (s *Server) doDrop(ctx context.Context, name string) (gen uint64, ok bool, err error) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	e, exists := s.dbs.get(name)
-	if !exists {
-		return 0, false, nil
-	}
-	if s.store != nil {
-		if err := s.store.AppendDropContext(ctx, name, e.gen); err != nil {
-			return 0, false, fmt.Errorf("persisting drop of %q: %w", name, err)
-		}
-	}
-	gen, ok = s.dbs.drop(name)
-	if ok {
-		s.cache.InvalidateGeneration(gen)
-		s.dropGenName(gen)
-		s.unquarantine(name, false)
-		s.shipDrop(name, gen)
-	}
-	return gen, ok, nil
+	return restored, nil
 }
 
 // CacheStats snapshots the plan cache counters.
@@ -650,19 +547,13 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // concurrently; Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	// Stop the background scrub before the cluster machinery: a scrub
-	// mid-pass must not race registry teardown or schedule repairs into a
-	// dying process.
-	s.stopScrubOnce()
-	// Stop cluster machinery first: probers, the replication shipper, and
-	// the catch-up loop must not keep calling peers (or applying records)
-	// while the registry is being torn down.
-	s.stopCluster()
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
+	// Stop the background work first: a scrub mid-pass, the probers, the
+	// replication shipper and the catch-up loop must not keep calling peers,
+	// applying records or healing entries while the registry is being torn
+	// down.
+	s.loops.Stop()
 	for s.inflight.Load() > 0 {
-		select {
-		case <-ctx.Done():
+		if !cluster.Sleep(ctx, 5*time.Millisecond) {
 			// Still stop pool admission before giving up, so abandoned
 			// requests cannot enqueue more work into a dying process.
 			stuck, _ := s.pool.closeCtx(ctx)
@@ -670,7 +561,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				s.inflight.Load(), stuck)
 			return fmt.Errorf("server: shutdown abandoned %d in-flight request(s): %w",
 				s.inflight.Load(), ctx.Err())
-		case <-tick.C:
 		}
 	}
 	if stuck, err := s.pool.closeCtx(ctx); err != nil {
@@ -752,8 +642,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["persist_salvage"] = append([]string(nil), s.salvage...)
 	}
 	s.salvageMu.Unlock()
-	if q := s.quarantineSnapshot(); len(q) > 0 {
-		body["quarantined"] = q
+	if q := s.quarantinedEntries(); len(q) > 0 {
+		reasons := make(map[string]string, len(q))
+		for _, e := range q {
+			reasons[e.name] = e.quar.reason
+		}
+		body["quarantined"] = reasons
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"ecrpq/internal/core"
-	"ecrpq/internal/integrity"
 	"ecrpq/internal/invariant"
 	"ecrpq/internal/query"
 )
@@ -768,14 +767,14 @@ func BenchmarkQueryColdVsWarm(b *testing.B) {
 	})
 }
 
-// TestRegisterWarmsLayout: installWithGen builds the database's forward
+// TestRegisterWarmsLayout: the registry's install builds the database's forward
 // layout, so no request does. Builds are counted from outside: asking an
 // installed database for its layout allocates nothing (on a bare registry,
 // where no other goroutine allocates), and requests leave the same layout
 // behind.
 func TestRegisterWarmsLayout(t *testing.T) {
 	db := mustParseDB(t, denseDBText(8))
-	newDBRegistry().installWithGen("g", db, 1, time.Now(), nil, integrity.Digest{})
+	newDBRegistry(func(uint64) int { return 0 }).install(&dbEntry{name: "g", db: db, gen: 1})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	db.Forward()
