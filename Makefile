@@ -37,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseCompile -fuzztime $(FUZZTIME) ./internal/rex/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzDigestCodec -fuzztime $(FUZZTIME) ./internal/integrity/
+	$(GO) test -run '^$$' -fuzz FuzzPlanAnswers -fuzztime $(FUZZTIME) ./internal/cq/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -145,17 +146,27 @@ generic-gate:
 	} END { if (seen < 2 || !fan) { print "generic-gate: BenchmarkGenericCheck rows missing"; bad = 1 } exit bad }'
 
 ## join-gate guards the Prop 2.3 join (cq.Compile + the flat kernel): the
-## differential suite (Plan.Eval ≡ backtracking, every witness checked atom
-## by atom; Answers ≡ brute force ≡ the streaming join; keys wider than a
-## word; a charge function failing at every call; cancellation at every
-## poll returning the pooled scratch and releasing every charged byte; one
-## plan under eight goroutines) runs under the race detector, and the layer
-## benchmark — one evaluation of a prepared plan on a prebuilt
-## materialisation — must stay under 8 B and 0.05 allocations per input row
-## wherever it reads 10 000 rows or more, with no string-key frame in an
-## every-allocation memory profile: tables are flat, keys are integers.
+## package has one evaluator and one reference (no candidate-guessing answers
+## engine beside the walk, and EvalBacktrack called from nowhere at run time);
+## the differential suite (Plan.Eval ≡ backtracking, every witness checked
+## atom by atom; Answers ≡ brute force ≡ the streaming join, on random
+## instances, on the shapes the walk has to get right and on
+## FuzzPlanAnswers' corpus; Answers' context polls within a constant of its
+## table rows plus its answers; keys wider than a word; a charge function
+## failing at every call; cancellation at every poll returning the pooled
+## scratch and releasing every charged byte; one plan under eight
+## goroutines) runs under the race detector, and the layer benchmark — one
+## evaluation of a prepared plan on a prebuilt materialisation — must stay
+## under 8 B and 0.05 allocations per input row wherever it reads 10 000
+## rows or more, with no string-key frame in an every-allocation memory
+## profile: tables are flat, keys are integers.
 join-gate:
-	$(GO) test -race -count=1 -run 'TestPlan|TestAllAnswers|TestEval' ./internal/cq/
+	@cd internal/cq && src="$$(ls *.go | grep -v _test.go)"; bad=0; \
+	if grep -nE 'candidate\(|\.cand\b' $$src; then echo "join-gate: a candidate-guessing answers engine is back beside the walk"; bad=1; fi; \
+	got="$$(grep -l 'EvalBacktrack(' $$src | tr '\n' ' ')"; \
+	[ "$$got" = "eval.go " ] || { echo "join-gate: EvalBacktrack( appears in [ $$got], want [ eval.go ]: the reference evaluator is called at run time"; bad=1; }; \
+	exit $$bad
+	$(GO) test -race -count=1 -run 'TestPlan|TestAllAnswers|TestEval|FuzzPlanAnswers' ./internal/cq/
 	$(GO) test -race -count=1 -run 'TestCancelMidJoin|TestPreparedJoin' ./internal/core/
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	out="$$($(GO) test -run '^$$' -bench BenchmarkCQJoin -benchmem -benchtime 200x \
@@ -207,9 +218,11 @@ front-gate:
 ## only Lemma 4.1 merge routine besides Satisfiable's, and no pinned
 ## reduction plumbing (__pin_ relations) has grown back; then the answers
 ## matrix — every strategy × every way of asking for an answer set ≡ the
-## brute-force semantics — and the two regressions of the unified path (the
-## answers join is charged to the request; V^|Free| past 2³² is refused,
-## not answered empty) run under the race detector.
+## brute-force semantics, pages of 1, 7 and 50 concatenating to the one-shot
+## enumeration — and the regressions of the unified path (the answers join
+## and a Generic plan's rows are charged to the request; V^|Free| past 2³² is
+## refused, not answered empty; an answer set's work follows its size, and a
+## Generic enumeration opens one span) run under the race detector.
 spine-gate:
 	@cd internal/core && src="$$(ls *.go | grep -v _test.go)"; bad=0; \
 	calls() { grep -n "[^A-Za-z]$$1(" $$src | grep -v ":func $$1("; }; \
@@ -219,8 +232,8 @@ spine-gate:
 	want 'cq\.Compile' 'prepared.go '; \
 	if grep -n '__pin_' $$src; then echo "spine-gate: the pinned-reduction relations are back"; bad=1; fi; \
 	exit $$bad
-	$(GO) test -race -count=1 -run 'TestAnswersStrategiesAgreeProperty|TestAnswersJoinIsGoverned|TestGenericEnumerationSafetyBound' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestPlanDifferential|TestPlanAnswersCharged' ./internal/cq/
+	$(GO) test -race -count=1 -run 'TestAnswersStrategiesAgreeProperty|TestAnswersJoinIsGoverned|TestGenericEnumerationSafetyBound|TestAnswersWork|TestExplainBuildsNoViews' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestPlanDifferential|TestPlanAnswers' ./internal/cq/
 	$(GO) test -race -count=1 -run 'TestFreeVariable|TestAnswersJoinBounded' ./internal/server/
 
 ## write-gate guards the one write pipeline of internal/server: the

@@ -18,8 +18,6 @@
 //	internal/cq         conjunctive-query substrate
 //	internal/core       the evaluation engine (both strategies)
 //	internal/reductions lower-bound constructions (Lemmas 5.1, 5.3, 5.4)
-//	internal/recog      recognizable relations, CRPQ+Recognizable → UCRPQ
-//	internal/rational   rational relations (transducers), bounded evaluation
 //	internal/workload   instance generators for the experiment suite
 //	internal/experiments the E1–E12 + ablation experiment suite
 //

@@ -18,12 +18,12 @@ import (
 	"log"
 
 	"ecrpq"
+	"ecrpq/examples/hierarchy/rational"
 	"ecrpq/examples/hierarchy/recog"
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/automata"
 	"ecrpq/internal/core"
 	"ecrpq/internal/query"
-	"ecrpq/internal/rational"
 	"ecrpq/internal/rex"
 )
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ecrpq/internal/alphabet"
@@ -77,5 +78,47 @@ func TestChaosWideKernelReleases(t *testing.T) {
 				t.Fatalf("%s, %s: with injection off: %v", site, tc.name, err)
 			}
 		}
+	}
+}
+
+// TestChaosAnswersMatrix runs the answers matrix with every fault site armed
+// under a reservation: whichever way a cell's answer set is asked for, the
+// call returns the injected fault as a typed error or the whole reference
+// set — never a wrong or a partial one — and leaves nothing charged.
+func TestChaosAnswersMatrix(t *testing.T) {
+	broker := govern.NewBroker(1 << 30)
+	faults, clean := 0, 0
+	forEachAnswersCell(t, func(c *answersCell) {
+		for how, run := range c.ways() {
+			for seed := uint64(1); seed <= 3; seed++ {
+				res, err := broker.Reserve(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				faultinject.Enable(seed, 0.3)
+				got, err := run(govern.NewContext(context.Background(), res))
+				faultinject.Disable()
+				switch {
+				case errors.Is(err, faultinject.ErrInjected):
+					faults++
+				case err != nil || !slices.EqualFunc(got, c.ref, slices.Equal[[]int]):
+					t.Fatalf("%s: %s under fault seed %d = %v, %v; want %v or the injected fault", c.at, how, seed, got, err, c.ref)
+				default:
+					clean++
+				}
+				// A materialisation built inside the call stays charged to the
+				// request that built it, as one handed to the cache would.
+				if used := res.Used(); used != 0 && !(c.mat != nil && how == "Answers with none") {
+					t.Fatalf("%s: %s under fault seed %d: %d bytes still charged", c.at, how, seed, used)
+				}
+				res.Release()
+			}
+		}
+	})
+	if faults < 100 || clean < 100 {
+		t.Errorf("%d faulted and %d clean calls: the matrix no longer sees both outcomes", faults, clean)
+	}
+	if got := broker.Reserved(); got != 0 {
+		t.Errorf("broker holds %d bytes after every reservation was released", got)
 	}
 }

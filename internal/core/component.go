@@ -48,9 +48,10 @@ type component struct {
 	tracks    []track
 	rels      []*synchro.Relation // non-universal; explicit NFAs
 	relTracks [][]int             // relation → component-track indices
-	// nfas are the relations' decoded transition tables, built with the
-	// component (decompose, mergedViews) so that no kernel over it decodes
-	// them again; read-only, shared by every kernel and every goroutine.
+	// nfas are the relations' decoded transition tables, built once for a
+	// plan's components (prepare, mergedViews) so that no kernel over them
+	// decodes them again; read-only, shared by every kernel and every
+	// goroutine. Explain and Satisfiable read no transitions and leave it nil.
 	nfas []*nfaView
 	// nodeVars are the distinct node variables: track sources first, then
 	// the variables that are only destinations, each in track order. The
@@ -163,7 +164,6 @@ func decompose(q *query.Query) ([]component, []freeTrack, error) {
 		for _, t := range c.tracks {
 			add(t.dstVar)
 		}
-		c.nfas = nfaViews(c.rels)
 		comps = append(comps, *c)
 	}
 	var frees []freeTrack

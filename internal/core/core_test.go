@@ -544,7 +544,7 @@ func TestDecompose(t *testing.T) {
 		Rel(synchro.EqualLength(a, 2), "p1", "p2").
 		Rel(synchro.Universal(a, 2), "p2", "p3"). // universal: no semantic link
 		MustBuild()
-	comps, frees, err := decompose(q)
+	comps, frees, err := decomposeViews(q)
 	if err != nil {
 		t.Fatal(err)
 	}

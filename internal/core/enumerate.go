@@ -456,21 +456,21 @@ func (p *Prepared) evaluateReductionStreaming(ctx context.Context, db *graphdb.D
 	return res, nil
 }
 
-// pinnedEnum is the Generic strategy's answer enumerator: it decides each
-// candidate free-variable tuple separately, in lexicographic order, by a
-// product search on the plan's components with the tuple pinned. A Boolean
-// query is a single decision yielding at most one empty tuple.
+// pinnedEnum is the Generic strategy's answer enumerator: one search set up
+// for the whole enumeration with the free variables pinned, which then
+// decides each candidate tuple in lexicographic order — no paths, and one
+// core/product_search span however many candidates there are. A Boolean
+// query is a single decision yielding at most one empty tuple. Close
+// releases the kernels the search keeps between candidates.
 type pinnedEnum struct {
-	ctx    context.Context
-	db     *graphdb.DB
-	p      *Prepared
-	tuple  []int
-	out    []int
-	pinned map[string]int
-	idx    int
-	total  int
-	err    error
-	done   bool
+	ctx   context.Context
+	g     *genericSearch // nil once closed
+	sp    *trace.Span
+	free  []string
+	tuple []int
+	idx   int
+	total int
+	err   error
 }
 
 func newPinnedEnum(ctx context.Context, db *graphdb.DB, p *Prepared) (*pinnedEnum, error) {
@@ -483,57 +483,51 @@ func newPinnedEnum(ctx context.Context, db *graphdb.DB, p *Prepared) (*pinnedEnu
 		}
 		total *= n
 	}
-	return &pinnedEnum{
-		ctx:    ctx,
-		db:     db,
-		p:      p,
-		tuple:  make([]int, f),
-		out:    make([]int, f),
-		pinned: make(map[string]int, f),
-		total:  total,
-	}, nil
-}
-
-// decode fills tuple for candidate idx in lexicographic order: the last
-// free variable varies fastest.
-func (pe *pinnedEnum) decode(idx int) {
-	n := pe.db.NumVertices()
-	for i := len(pe.tuple) - 1; i >= 0; i-- {
-		pe.tuple[i] = idx % n
-		idx /= n
+	pinned := make(map[string]int, f)
+	for _, v := range p.q.Free {
+		pinned[v] = 0
 	}
+	//ecrpq:ignore spanend -- the span's lifetime is the enumeration's; Close ends it, which streamclose enforces on all paths
+	_, sp := trace.StartSpan(ctx, "core/product_search")
+	return &pinnedEnum{ctx: ctx, g: p.newGenericSearch(db, pinned, nil), sp: sp, free: p.q.Free, tuple: make([]int, f), total: total}, nil
 }
 
 func (pe *pinnedEnum) Next() ([]int, bool) {
-	if pe.err != nil || pe.done {
+	if pe.err != nil || pe.g == nil {
 		return nil, false
 	}
 	//ecrpq:bounded each iteration consumes one candidate index; total is finite
 	for pe.idx < pe.total {
-		if err := pe.ctx.Err(); err != nil {
-			pe.err = err
+		if pe.err = pe.ctx.Err(); pe.err != nil {
 			return nil, false
 		}
-		if len(pe.tuple) > 0 {
-			pe.decode(pe.idx)
-			for i, f := range pe.p.q.Free {
-				pe.pinned[f] = pe.tuple[i]
-			}
+		// Candidate idx in lexicographic order: the last free variable
+		// varies fastest.
+		n := pe.g.db.NumVertices()
+		for i, rest := len(pe.tuple)-1, pe.idx; i >= 0; i-- {
+			pe.tuple[i], rest = rest%n, rest/n
+			pe.g.pinned[pe.free[i]] = pe.tuple[i]
 		}
 		pe.idx++
-		res, err := pe.p.evalGeneric(pe.ctx, pe.db, pe.pinned, nil)
-		if err != nil {
-			pe.err = err
+		var sat bool
+		if sat, pe.err = pe.g.decide(pe.ctx); pe.err != nil {
 			return nil, false
 		}
-		if res.Sat {
-			copy(pe.out, pe.tuple)
-			return pe.out, true
+		if sat {
+			return pe.tuple, true
 		}
 	}
-	pe.done = true
+	pe.Close()
 	return nil, false
 }
 
 func (pe *pinnedEnum) Err() error { return pe.err }
-func (pe *pinnedEnum) Close()     { pe.done = true }
+
+func (pe *pinnedEnum) Close() {
+	if pe.g != nil {
+		pe.g.report(pe.sp)
+		pe.sp.End()
+		pe.g.release()
+		pe.g = nil
+	}
+}

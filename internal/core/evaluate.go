@@ -301,35 +301,50 @@ func (g *genericComp) endpoints(assign []int) {
 	}
 }
 
-// evalGeneric backtracks over node variables and checks each component's
-// product as soon as all of its node variables are assigned. hints (may
-// be nil) reorder the component completion sequence and restrict node
-// variable domains; they never change the decision or the witness shape.
+// genericSearch is a generic evaluation set up once (newGenericSearch) and
+// decided any number of times, each under the current values of pinned.
+// Each component keeps one product kernel for all of them (componentSearch),
+// and since a component's sources precede its other variables in the order,
+// consecutive checks of a component share their sources until a source
+// moves: one traversal per source assignment answers for every destination
+// guessed under it.
+type genericSearch struct {
+	db                   *graphdb.DB
+	frees                []freeTrack
+	pinned               map[string]int
+	hints                *PlanHints
+	order                []string
+	gcs                  []genericComp
+	compReady, freeReady [][]int  // by assigned prefix length: the components and free tracks fully assigned there
+	freePos              [][2]int // per free track: positions of its source and destination
+	reachCache           map[int][]bool
+	assign               []int
+	stats                Stats
+}
+
+// newGenericSearch lays out the backtracking over node variables that checks
+// each component's product as soon as all of its node variables are
+// assigned. hints (may be nil) reorder the component completion sequence and
+// restrict node variable domains; they never change the decision or the
+// witness shape. The caller must call release.
 //
-// Each component keeps one product kernel for the whole evaluation
-// (componentSearch), and since a component's sources precede its other
-// variables in the order, consecutive checks of a component share their
-// sources until a source moves: one traversal per source assignment
-// answers for every destination guessed under it. Paths are only computed
-// for the assignment that wins.
-func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[string]int, hints *PlanHints) (*Result, error) {
-	q, frees, opts := p.q, p.frees, p.opts
-	stats := Stats{}
+//ecrpq:charged query-sized: the order, positions and ready lists are bounded by the query's node variables and tracks
+func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints *PlanHints) *genericSearch {
+	g := &genericSearch{db: db, frees: p.frees, pinned: pinned, hints: hints, reachCache: make(map[int][]bool)}
 	workComps := p.comps
-	if opts.EagerMerge {
-		workComps, stats.MergedStatesTotal = p.merged, p.mergedSt
+	if p.opts.EagerMerge {
+		workComps, g.stats.MergedStatesTotal = p.merged, p.mergedSt
 	}
 
 	// Node variable universe and ordering: pinned first, then component by
 	// component so components complete early. A planner hint permutes the
 	// component sequence so the most selective (or cheapest) component's
 	// variables are assigned — and its product checked — first.
-	var order []string
 	pos := make(map[string]int)
 	add := func(v string) {
 		if _, ok := pos[v]; !ok {
-			pos[v] = len(order)
-			order = append(order, v)
+			pos[v] = len(g.order)
+			g.order = append(g.order, v)
 		}
 	}
 	for v := range pinned {
@@ -347,54 +362,56 @@ func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[s
 			add(v)
 		}
 	}
-	for _, f := range frees {
+	for _, f := range g.frees {
 		add(f.srcVar)
 		add(f.dstVar)
 	}
-	for _, v := range q.NodeVars() {
+	for _, v := range p.q.NodeVars() {
 		add(v)
 	}
 
-	// compReady[i] lists the components fully assigned once the first i
-	// variables of the order are; freeReady likewise for free tracks.
-	gcs := make([]genericComp, len(workComps))
-	defer func() {
-		for i := range gcs {
-			gcs[i].release()
-		}
-	}()
-	compReady := make([][]int, len(order)+1)
+	g.gcs = make([]genericComp, len(workComps))
+	g.compReady = make([][]int, len(g.order)+1)
 	for ci := range workComps {
 		c := &workComps[ci]
 		t := len(c.tracks)
-		g := &gcs[ci]
-		g.componentSearch = componentSearch{db: db, c: c, maxStates: opts.maxStates()}
-		g.srcPos, g.dstPos = make([]int, t), make([]int, t)
-		g.srcs, g.dsts = make([]int, t), make([]int, t)
+		gc := &g.gcs[ci]
+		gc.componentSearch = componentSearch{db: db, c: c, maxStates: p.opts.maxStates()}
+		gc.srcPos, gc.dstPos = make([]int, t), make([]int, t)
+		gc.srcs, gc.dsts = make([]int, t), make([]int, t)
 		ready := 0
 		for k, tr := range c.tracks {
-			g.srcPos[k], g.dstPos[k] = pos[tr.srcVar], pos[tr.dstVar]
-			ready = max(ready, g.srcPos[k]+1, g.dstPos[k]+1)
+			gc.srcPos[k], gc.dstPos[k] = pos[tr.srcVar], pos[tr.dstVar]
+			ready = max(ready, gc.srcPos[k]+1, gc.dstPos[k]+1)
 		}
-		compReady[ready] = append(compReady[ready], ci)
+		g.compReady[ready] = append(g.compReady[ready], ci)
 	}
-	freeReady := make([][]int, len(order)+1)
-	freePos := make([][2]int, len(frees)) // per free track: positions of its source and destination
-	reachCache := make(map[int][]bool)
-	for fi, f := range frees {
-		freePos[fi] = [2]int{pos[f.srcVar], pos[f.dstVar]}
-		ready := max(freePos[fi][0], freePos[fi][1]) + 1
-		freeReady[ready] = append(freeReady[ready], fi)
+	g.freeReady = make([][]int, len(g.order)+1)
+	g.freePos = make([][2]int, len(g.frees))
+	for fi, f := range g.frees {
+		g.freePos[fi] = [2]int{pos[f.srcVar], pos[f.dstVar]}
+		ready := max(g.freePos[fi][0], g.freePos[fi][1]) + 1
+		g.freeReady[ready] = append(g.freeReady[ready], fi)
 	}
+	g.assign = make([]int, len(g.order))
+	return g
+}
 
-	assign := make([]int, len(order))
+func (g *genericSearch) release() {
+	for i := range g.gcs {
+		g.gcs[i].release()
+	}
+}
+
+// decide runs the search and leaves the assignment it accepts in g.assign.
+func (g *genericSearch) decide(ctx context.Context) (bool, error) {
 	var searchErr error
 	check := func(i int) bool {
-		for _, ci := range compReady[i] {
-			g := &gcs[ci]
-			g.endpoints(assign)
-			ok, err := g.check(ctx, g.srcs, g.dsts)
-			stats.ProductChecks++
+		for _, ci := range g.compReady[i] {
+			gc := &g.gcs[ci]
+			gc.endpoints(g.assign)
+			ok, err := gc.check(ctx, gc.srcs, gc.dsts)
+			g.stats.ProductChecks++
 			if err != nil {
 				searchErr = err
 				return false
@@ -403,12 +420,12 @@ func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[s
 				return false
 			}
 		}
-		for _, fi := range freeReady[i] {
-			u, v := assign[freePos[fi][0]], assign[freePos[fi][1]]
-			reach, ok := reachCache[u]
+		for _, fi := range g.freeReady[i] {
+			u, v := g.assign[g.freePos[fi][0]], g.assign[g.freePos[fi][1]]
+			reach, ok := g.reachCache[u]
 			if !ok {
-				reach = anyReach(db, u)
-				reachCache[u] = reach
+				reach = anyReach(g.db, u)
+				g.reachCache[u] = reach
 			}
 			if !reach[v] {
 				return false
@@ -421,24 +438,24 @@ func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[s
 	// cancellation and injected faults are polled here, by assignments made.
 	var rec func(i int) bool
 	try := func(i, d int) bool {
-		assign[i] = d
-		stats.NodeAssignments++
-		if stats.NodeAssignments%cancelCheckInterval == 0 {
+		g.assign[i] = d
+		g.stats.NodeAssignments++
+		if g.stats.NodeAssignments%cancelCheckInterval == 0 {
 			searchErr = pollSearch(ctx)
 		}
 		return searchErr == nil && check(i+1) && rec(i+1)
 	}
 	rec = func(i int) bool {
-		if i == len(order) {
+		if i == len(g.order) {
 			return true
 		}
-		v := order[i]
-		if pv, ok := pinned[v]; ok {
+		v := g.order[i]
+		if pv, ok := g.pinned[v]; ok {
 			return try(i, pv)
 		}
-		if cand, ok := hints.candidatesFor(v); ok {
+		if cand, ok := g.hints.candidatesFor(v); ok {
 			for _, d := range cand {
-				if d >= 0 && d < db.NumVertices() && try(i, d) {
+				if d >= 0 && d < g.db.NumVertices() && try(i, d) {
 					return true
 				}
 				if searchErr != nil {
@@ -447,7 +464,7 @@ func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[s
 			}
 			return false
 		}
-		for d := 0; d < db.NumVertices(); d++ {
+		for d := 0; d < g.db.NumVertices(); d++ {
 			if try(i, d) {
 				return true
 			}
@@ -458,48 +475,63 @@ func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[s
 		return false
 	}
 	// Edge case: zero node variables (no atoms): trivially satisfiable.
-	_, psp := trace.StartSpan(ctx, "core/product_search")
 	searchErr = ctx.Err()
 	sat := searchErr == nil && rec(0)
-	for i := range gcs {
-		traversals, states := gcs[i].work()
-		stats.Traversals += traversals
-		stats.ProductStates += states
+	return sat, searchErr
+}
+
+// report puts the work of every decide so far on the search's span.
+func (g *genericSearch) report(psp *trace.Span) {
+	g.stats.Traversals, g.stats.ProductStates = 0, 0
+	for i := range g.gcs {
+		traversals, states := g.gcs[i].work()
+		g.stats.Traversals += traversals
+		g.stats.ProductStates += states
 	}
-	psp.SetInt("product_checks", int64(stats.ProductChecks))
-	psp.SetInt("node_assignments", int64(stats.NodeAssignments))
-	psp.SetInt("traversals", int64(stats.Traversals))
-	psp.SetInt("states", int64(stats.ProductStates))
+	psp.SetInt("product_checks", int64(g.stats.ProductChecks))
+	psp.SetInt("node_assignments", int64(g.stats.NodeAssignments))
+	psp.SetInt("traversals", int64(g.stats.Traversals))
+	psp.SetInt("states", int64(g.stats.ProductStates))
+}
+
+// evalGeneric is one generic evaluation: set up, decide, and for a yes the
+// witness. Paths are only computed for the assignment that wins.
+func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[string]int, hints *PlanHints) (*Result, error) {
+	g := p.newGenericSearch(db, pinned, hints)
+	defer g.release()
+	_, psp := trace.StartSpan(ctx, "core/product_search")
+	sat, err := g.decide(ctx)
+	g.report(psp)
 	psp.End()
-	if searchErr != nil {
-		return nil, searchErr
+	if err != nil {
+		return nil, err
 	}
-	res := &Result{Sat: sat, Stats: stats}
+	res := &Result{Sat: sat, Stats: g.stats}
 	if !sat {
 		return res, nil
 	}
-	res.Nodes = make(map[string]int, len(order))
-	for i, v := range order {
-		res.Nodes[v] = assign[i]
+	res.Nodes = make(map[string]int, len(g.order))
+	for i, v := range g.order {
+		res.Nodes[v] = g.assign[i]
 	}
 	_, wsp := trace.StartSpan(ctx, "core/witness")
 	defer wsp.End()
 	res.Paths = make(map[string]graphdb.Path)
-	for ci := range gcs {
-		g := &gcs[ci]
-		g.endpoints(assign)
-		paths, ok, err := g.witness(ctx, g.srcs, g.dsts)
+	for ci := range g.gcs {
+		gc := &g.gcs[ci]
+		gc.endpoints(g.assign)
+		paths, ok, err := gc.witness(ctx, gc.srcs, gc.dsts)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return nil, fmt.Errorf("core: internal error: accepted assignment not realizable in component %d", ci)
 		}
-		for k, tr := range g.c.tracks {
+		for k, tr := range gc.c.tracks {
 			res.Paths[tr.pathVar] = paths[k]
 		}
 	}
-	for _, f := range frees {
+	for _, f := range g.frees {
 		res.Paths[f.pathVar], _ = anyPath(db, res.Nodes[f.srcVar], res.Nodes[f.dstVar])
 	}
 	return res, nil
@@ -584,11 +616,4 @@ func (p *Prepared) recoverWitnesses(ctx context.Context, db *graphdb.DB, res *Re
 		res.Paths[f.pathVar] = p
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

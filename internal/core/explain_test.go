@@ -68,3 +68,34 @@ func TestExplainInvalidQuery(t *testing.T) {
 		t.Error("invalid query should error")
 	}
 }
+
+// TestExplainBuildsNoViews: Explain (and Satisfiable) read no transition
+// table, so decompose leaves the decoded NFA views to prepare. On this
+// 3-relation component Explain made 162 allocations when decompose built
+// them for every caller.
+func TestExplainBuildsNoViews(t *testing.T) {
+	a := alphabet.Lower(2)
+	q := query.NewBuilder(a).
+		Reach("x", "p1", "y").Reach("x", "p2", "y").
+		Rel(synchro.EqualLength(a, 2), "p1", "p2").
+		Lang("p1", "a(a|b)*").Lang("p2", "(a|b)*b").
+		MustBuild()
+	comps, _, err := decompose(q)
+	if err != nil || len(comps) != 1 || len(comps[0].rels) != 3 {
+		t.Fatalf("decompose: %v, %d components", err, len(comps))
+	}
+	if comps[0].nfas != nil {
+		t.Error("decompose built the NFA views")
+	}
+	p, err := Prepare(q, Options{})
+	if err != nil || len(p.comps[0].nfas) != 3 {
+		t.Fatalf("Prepare: %v; its component has no views", err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Explain(q, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}); n >= 162 {
+		t.Errorf("Explain makes %v allocations, want fewer than the 162 it made with the views", n)
+	}
+}

@@ -48,7 +48,7 @@ func randomComponentInstance(t testing.TB, rng *rand.Rand, a *alphabet.Alphabet)
 		}
 	}
 	q := b.MustBuild()
-	comps, _, err := decompose(q)
+	comps, _, err := decomposeViews(q)
 	if err != nil || len(comps) != 1 || len(comps[0].tracks) != tracks {
 		t.Fatalf("decompose: %v, %d components", err, len(comps))
 	}
@@ -168,7 +168,7 @@ func TestFastProductReuseAcrossRuns(t *testing.T) {
 func TestFastProductUnavailableFallback(t *testing.T) {
 	a := alphabet.Lower(2)
 	db := functionalDB(rand.New(rand.NewSource(16)), a, 6)
-	comps, _, err := decompose(eqFan(a, 17).MustBuild())
+	comps, _, err := decomposeViews(eqFan(a, 17).MustBuild())
 	if err != nil || len(comps) != 1 {
 		t.Fatalf("decompose: %v, %d components", err, len(comps))
 	}
@@ -216,7 +216,7 @@ func TestCheckComponentBudgetViaFastPath(t *testing.T) {
 		Rel(synchro.EqualLength(a, 2), "p1", "p2").
 		Lang("p1", "a+b").
 		MustBuild()
-	comps, _, err := decompose(q)
+	comps, _, err := decomposeViews(q)
 	if err != nil || len(comps) != 1 {
 		t.Fatalf("decompose: %v %d", err, len(comps))
 	}

@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ecrpq/internal/cq"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
-	"ecrpq/internal/stream"
 	"ecrpq/internal/trace"
 	"ecrpq/internal/twolevel"
 )
@@ -78,6 +78,9 @@ func prepare(ctx context.Context, q *query.Query, opts Options, views bool) (*Pr
 	dsp.End()
 	if err != nil {
 		return nil, err
+	}
+	for ci := range comps {
+		comps[ci].nfas = nfaViews(comps[ci].rels)
 	}
 	p := &Prepared{q: q, opts: opts, comps: comps, frees: frees}
 	if p.strat, err = resolveStrategy(comps, opts); err != nil {
@@ -232,24 +235,34 @@ func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, ma
 // database: all tuples of vertices (in Free order) admitting a satisfying
 // assignment, sorted lexicographically. A Reduction plan runs its own
 // compiled join over mat, the Materialization for this database (nil: it is
-// built first); the join's tables and the rows it keeps are charged to
-// ctx's reservation for the length of the call. A Generic plan ignores mat
-// and drains the candidate-pinning enumerator, whose order is
-// lexicographic already.
+// built first), and reads the answers off the reduced tables; a Generic plan
+// ignores mat and drains the candidate-pinning enumerator, whose order is
+// lexicographic already. Either way the intermediates and every row kept
+// are charged to ctx's reservation for the length of the call.
 func (p *Prepared) Answers(ctx context.Context, db *graphdb.DB, mat *Materialization) ([][]int, error) {
 	if len(p.q.Free) == 0 {
 		return nil, fmt.Errorf("core: Answers on a Boolean query; use Evaluate")
 	}
+	if err := p.checkDB(db); err != nil {
+		return nil, err
+	}
+	mem, charge := meterCharge(ctx)
+	defer mem.Close()
 	if p.strat == Generic {
-		it, err := p.Enumerate(ctx, db)
+		pe, err := newPinnedEnum(ctx, db, p)
 		if err != nil {
 			return nil, err
 		}
-		defer it.Close()
-		return stream.Collect(it)
-	}
-	if err := p.checkDB(db); err != nil {
-		return nil, err
+		defer pe.Close()
+		var out [][]int
+		//ecrpq:bounded each iteration consumes one of the enumerator's finitely many candidates
+		for row, ok := pe.Next(); ok; row, ok = pe.Next() {
+			if err := mem.Grow(int64(24 + 8*len(row))); err != nil {
+				return nil, err
+			}
+			out = append(out, slices.Clone(row))
+		}
+		return out, pe.Err()
 	}
 	if db.NumVertices() == 0 {
 		return nil, nil
@@ -260,8 +273,6 @@ func (p *Prepared) Answers(ctx context.Context, db *graphdb.DB, mat *Materializa
 			return nil, err
 		}
 	}
-	mem, charge := meterCharge(ctx)
-	defer mem.Close()
 	_, jsp := trace.StartSpan(ctx, "core/cq_join")
 	out, err := p.join.Answers(ctx, mat.st, charge)
 	jsp.SetInt("rows_out", int64(len(out)))

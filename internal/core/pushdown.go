@@ -13,6 +13,7 @@ package core
 import (
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/graphdb"
+	"ecrpq/internal/invariant"
 )
 
 // trackFirstLabels computes, per component track, the set of labels an
@@ -29,23 +30,25 @@ func trackFirstLabels(c *component) []map[alphabet.Symbol]bool {
 	t := len(c.tracks)
 	firsts := make([]map[alphabet.Symbol]bool, t)
 	restricted := make([]bool, t)
-	for ri, view := range c.nfas {
+	for ri, rel := range c.rels {
+		// Only the start states' letters matter, so they are read off the
+		// automaton itself: Explain asks without ever building the views.
+		nfa := rel.RawNFA()
 		arity := len(c.relTracks[ri])
 		relFirst := make([]map[alphabet.Symbol]bool, arity)
 		relOpen := make([]bool, arity) // position may start empty/padded
-		for _, q := range view.starts {
-			if view.accept[q] {
+		for _, q := range nfa.StartStates() {
+			if nfa.IsAccept(q) {
 				// The all-empty tuple is accepted: every position may be
 				// empty, so this relation restricts nothing.
 				for j := range relOpen {
 					relOpen[j] = true
 				}
-				break
 			}
-		}
-		for _, q := range view.starts {
-			for _, tr := range view.trans[q] {
-				for j, sym := range tr.tuple {
+			nfa.OutLetters(q, func(l string) {
+				tuple, err := alphabet.TupleFromKey(l)
+				invariant.NoError(err, "core: malformed relation letter")
+				for j, sym := range tuple {
 					if sym == alphabet.Pad {
 						relOpen[j] = true
 						continue
@@ -55,7 +58,7 @@ func trackFirstLabels(c *component) []map[alphabet.Symbol]bool {
 					}
 					relFirst[j][sym] = true
 				}
-			}
+			})
 		}
 		for j, ct := range c.relTracks[ri] {
 			if relOpen[j] {

@@ -70,7 +70,7 @@ func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*c
 	merged, frees, opts := p.merged, p.frees, p.opts
 	stats := Stats{MergedStatesTotal: p.mergedSt}
 	n := db.NumVertices()
-	st := cq.NewStructure(maxInt(n, 1))
+	st := cq.NewStructure(max(n, 1))
 
 	// Free tracks: binary reachability relation (shared by all).
 	if len(frees) > 0 {

@@ -1,7 +1,8 @@
 // Package cq implements conjunctive queries over finite relational
-// structures and two evaluators: exhaustive backtracking, and the
-// tree-decomposition dynamic program that makes bounded-treewidth evaluation
-// polynomial (Proposition 2.3 of the paper). It is the target of the
+// structures with one evaluator, the tree-decomposition dynamic program that
+// makes bounded-treewidth evaluation polynomial (Proposition 2.3 of the
+// paper; Compile, Plan.Eval, Plan.Answers), and one reference it is tested
+// against, exhaustive backtracking (EvalBacktrack). It is the target of the
 // ECRPQ-to-CQ reduction of Lemma 4.3.
 package cq
 

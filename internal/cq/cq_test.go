@@ -278,10 +278,10 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// TestAllAnswersCancelled: the enumeration polls its context once per
-// candidate tuple, so a cancellation stops it before the next evaluation.
+// TestAllAnswersCancelled: the enumeration polls its context every pollRows
+// rows, so a cancellation stops it there and no answer comes back.
 func TestAllAnswersCancelled(t *testing.T) {
-	s := pathStructure(6)
+	s := pathStructure(10 * pollRows)
 	q := &Query{
 		Atoms: []Atom{{Rel: "E", Args: []string{"x", "y"}}, {Rel: "E", Args: []string{"y", "z"}}},
 		Free:  []string{"x", "z"},

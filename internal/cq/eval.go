@@ -5,11 +5,12 @@ import "context"
 // Assignment maps query variables to domain elements.
 type Assignment map[string]int
 
-// EvalBacktrack decides Boolean satisfiability by backtracking search with
-// forward checking: variables are assigned in an order that prefers
-// variables constrained by already-grounded atoms, and every fully-grounded
-// atom is checked as soon as possible. Returns a satisfying assignment if
-// one exists. ctx is polled every pollRows assignments tried.
+// EvalBacktrack is the reference evaluator the compiled plan is tested
+// against; nothing calls it at run time. It decides Boolean satisfiability by
+// backtracking with forward checking: variables are assigned in an order
+// that prefers those constrained by already-grounded atoms, and every
+// fully-grounded atom is checked as soon as possible. It returns a satisfying
+// assignment if one exists. ctx is polled every pollRows assignments tried.
 //
 //ecrpq:charged per-step scratch is one atom-arity tuple; peak live memory is the assignment map, sized by the query
 func EvalBacktrack(ctx context.Context, s *Structure, q *Query) (Assignment, bool, error) {
@@ -23,13 +24,8 @@ func EvalBacktrack(ctx context.Context, s *Structure, q *Query) (Assignment, boo
 	if len(vars) == 0 {
 		return Assignment{}, true, nil
 	}
-	// Candidate lists per variable from unary occurrences could prune more;
-	// keep the core simple: order variables by connectivity (greedy: most
-	// atoms shared with already-ordered variables first).
 	order := orderVars(q, vars)
 	assign := make(Assignment, len(vars))
-	// Pre-index: for each variable, atoms whose last unassigned variable it
-	// could be — checked dynamically instead for simplicity.
 	var err error
 	poll := poller{ctx, pollRows}
 	var rec func(i int) bool
@@ -80,10 +76,6 @@ func EvalBacktrack(ctx context.Context, s *Structure, q *Query) (Assignment, boo
 //
 //ecrpq:charged query-sized: allocates one ordering over the variable list
 func orderVars(q *Query, vars []string) []string {
-	remaining := make(map[string]bool, len(vars))
-	for _, v := range vars {
-		remaining[v] = true
-	}
 	var order []string
 	chosen := make(map[string]bool)
 	for len(order) < len(vars) {

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"ecrpq/internal/invariant"
 )
 
 // ChargeFunc accounts join-intermediate bytes during tree-decomposition
@@ -47,13 +49,13 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // keep their capacity from one evaluation to the next, so a steady stream
 // of evaluations allocates nothing here.
 type scratch struct {
-	base, cand []flatTable // per bag: its table; Answers' per-candidate filtered copy
-	atom, out  flatTable   // a join's scanned atom; a join's or an extension's output
-	set        []uint64    // dense semijoin key set
-	idx        rowIndex
-	charged    []int64 // per bag: bytes reported through the ChargeFunc
-	vals       []int   // witness: variable id → value
-	tuple      []int
+	base      []flatTable // per bag: its table
+	atom, out flatTable   // a join's scanned atom, or the front of the answer walk; a join's, an extension's or a projection's output
+	set       []uint64    // dense semijoin key set
+	idx       rowIndex
+	charged   []int64 // per bag, then the front: bytes reported through the ChargeFunc
+	vals      []int   // witness: variable id → value
+	tuple     []int
 }
 
 // maxPooledWords bounds what an idle scratch may hold on to (32-bit words
@@ -64,9 +66,6 @@ func (sc *scratch) words() int {
 	n := cap(sc.atom.data) + cap(sc.out.data) + 2*cap(sc.set) + sc.idx.words()
 	for i := range sc.base {
 		n += cap(sc.base[i].data)
-	}
-	for i := range sc.cand {
-		n += cap(sc.cand[i].data)
 	}
 	return n
 }
@@ -143,8 +142,7 @@ func (p *Plan) start(ctx context.Context, s *Structure, charge ChargeFunc) (*run
 	}
 	r.work.Bags = len(p.bags)
 	r.base = resize(r.base, len(p.bags))
-	r.cand = resize(r.cand, len(p.bags))
-	r.charged = resize(r.charged, len(p.bags))
+	r.charged = resize(r.charged, len(p.bags)+1)
 	clear(r.charged)
 	r.vals = resize(r.vals, len(p.vars))
 	return r, nil
@@ -415,7 +413,7 @@ func (x *rowIndex) words() int { return 2*cap(x.keys) + cap(x.heads) + cap(x.nex
 
 // index builds r.idx over t's rows keyed by cols. Rows of one key are
 // chained in ascending order when chain is set; otherwise only the first is
-// kept, which is all a membership test needs.
+// kept, which is all a membership test or a projection needs.
 func (r *run) index(t *flatTable, cols []int, chain bool) (*rowIndex, error) {
 	if t.rows > math.MaxInt32 {
 		return nil, fmt.Errorf("cq: a table of %d rows exceeds the join kernel's 32-bit row ids", t.rows)
@@ -496,8 +494,9 @@ func (x *rowIndex) find(row []int32, cols []int) int32 {
 // root's first row, then for each child the first row agreeing with its
 // parent's pick on the separator — one exists after the semijoin pass, and
 // the separator is all the child shares with anything picked before it. The
-// assignment is then verified against every atom; should either step fail,
-// the backtracking search decides.
+// assignment is then verified against every atom; a bag with no row to pick
+// or an atom the assignment violates means the reduction is wrong, and is
+// reported as that rather than decided a second way.
 func (r *run) witness() (Assignment, bool, error) {
 	for b := range r.p.bags {
 		bag := &r.p.bags[b]
@@ -517,7 +516,7 @@ func (r *run) witness() (Assignment, bool, error) {
 			pick = i
 		}
 		if pick < 0 {
-			return EvalBacktrack(r.ctx, r.s, r.p.q)
+			return nil, false, &invariant.Violation{Msg: fmt.Sprintf("cq: reduced bag %d has no row agreeing with its parent's pick", b)}
 		}
 		for c, v := range t.row(pick) {
 			r.vals[bag.vars[c]] = int(v)
@@ -530,7 +529,7 @@ func (r *run) witness() (Assignment, bool, error) {
 			r.tuple[i] = r.vals[v]
 		}
 		if !r.s.Contains(at.Rel, r.tuple...) {
-			return EvalBacktrack(r.ctx, r.s, r.p.q)
+			return nil, false, &invariant.Violation{Msg: fmt.Sprintf("cq: the assignment read off the reduced tables violates atom %d, %s%v", ai, at.Rel, r.tuple)}
 		}
 	}
 	assign := make(Assignment, len(r.p.vars))
@@ -540,13 +539,17 @@ func (r *run) witness() (Assignment, bool, error) {
 	return assign, true, nil
 }
 
-// Answers enumerates the answer set over the query's free variables, in
-// lexicographic order. The bag tables are built and reduced once; each of
-// the Domain^|Free| candidate tuples is then a column filter over the bags
-// on the paths between the free variables, re-reduced among themselves (the
-// bags below them were reduced against already and do not change). ctx is
-// polled once per candidate as well as inside the kernel. charge sees the
-// bag tables as Eval's does, and every answer row kept.
+// Answers computes the answer set over the query's free variables, in
+// lexicographic order, by one top-down pass over the tables reduce leaves.
+// After the bottom-up semijoins every row of a bag extends into each of its
+// subtrees, so joining the walked bags parent to child on their separators
+// meets no dead end. Each bag is first projected onto the columns the walk
+// reads, and the front onto those it still will, both deduplicated, so a
+// variable that is neither free nor in a separator never multiplies a row:
+// for a free-connex query the front never outgrows the answer set, and
+// otherwise the same projection is what removes the duplicates. The domain
+// is never iterated. charge sees the bag tables as Eval's does, the front,
+// and every answer row.
 func (p *Plan) Answers(ctx context.Context, s *Structure, charge ChargeFunc) ([][]int, error) {
 	if len(p.q.Free) == 0 {
 		return nil, fmt.Errorf("cq: AllAnswers on a Boolean query")
@@ -559,79 +562,70 @@ func (p *Plan) Answers(ctx context.Context, s *Structure, charge ChargeFunc) ([]
 	if ok, err := r.reduce(); err != nil || !ok {
 		return nil, err
 	}
-	var out [][]int
-	tuple := make([]int, len(p.q.Free))
-	rowBytes := int64(24 + 8*len(tuple))
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(tuple) {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			ok, err := r.candidate(tuple)
-			if !ok || err != nil {
-				return err
-			}
-			if charge != nil {
-				if err := charge(rowBytes); err != nil {
-					return err
-				}
-			}
-			out = append(out, slices.Clone(tuple))
-			return nil
+	front, slot := &r.atom, len(p.bags)
+	front.reset(0)
+	front.rows = 1
+	for i := range p.walk {
+		w := &p.walk[i]
+		bag := &r.base[w.bag]
+		if err := r.project(w.bag, bag, w.proj); err != nil {
+			return nil, err
 		}
-		for d := 0; d < s.Domain; d++ {
-			tuple[i] = d
-			if err := rec(i + 1); err != nil {
-				return err
-			}
+		if err := r.join(slot, front, &w.join, bag); err != nil {
+			return nil, err
 		}
-		return nil
+		if err := r.project(slot, front, w.keep); err != nil {
+			return nil, err
+		}
 	}
-	if err := rec(0); err != nil {
-		return nil, err
+	free := len(p.answer)
+	if charge != nil {
+		if err := charge(int64(front.rows) * int64(24+8*free)); err != nil {
+			return nil, err
+		}
 	}
+	flat := make([]int, front.rows*free)
+	out := make([][]int, front.rows)
+	for i := range out {
+		if err := r.tick(); err != nil {
+			return nil, err
+		}
+		out[i] = flat[i*free : (i+1)*free : (i+1)*free]
+		row := front.row(i)
+		for k, c := range p.answer {
+			out[i][k] = int(row[c])
+		}
+	}
+	slices.SortFunc(out, slices.Compare[[]int])
 	return out, nil
 }
 
-// candidate reports whether the reduced tables still join once the free
-// variables are fixed to tuple.
-func (r *run) candidate(tuple []int) (bool, error) {
-	for b := len(r.p.bags) - 1; b >= 0; b-- {
-		bag := &r.p.bags[b]
-		if !bag.dirty {
+// project replaces t, charged as bag b's table, by its cols columns (which
+// ascend), one row per distinct value: the index keeps the first row of
+// every key, and only that row is copied.
+func (r *run) project(b int, t *flatTable, cols []int) error {
+	if len(cols) == t.stride {
+		return nil // rows are distinct already
+	}
+	x, err := r.index(t, cols, false)
+	if err != nil {
+		return err
+	}
+	out := &r.out
+	out.reset(len(cols))
+	for i := 0; i < t.rows; i++ {
+		if err := r.tick(); err != nil {
+			return err
+		}
+		row := t.row(i)
+		if x.find(row, cols) != int32(i+1) {
 			continue
 		}
-		src, t := &r.base[b], &r.cand[b]
-		t.reset(src.stride)
-		t.data = resize(t.data, len(src.data))
-	rows:
-		for i := 0; i < src.rows; i++ {
-			if err := r.tick(); err != nil {
-				return false, err
-			}
-			row := src.row(i)
-			for _, f := range bag.free {
-				if int(row[f[0]]) != tuple[f[1]] {
-					continue rows
-				}
-			}
-			copy(t.data[t.rows*t.stride:], row)
-			t.rows++
+		for _, c := range cols {
+			out.data = append(out.data, row[c])
 		}
-		t.data = t.data[:t.rows*t.stride]
-		for _, c := range bag.kids {
-			kid := &r.p.bags[c]
-			if t.rows == 0 || !kid.dirty {
-				continue
-			}
-			if err := r.semijoin(t, kid.parentSep, &r.cand[c], kid.sep); err != nil {
-				return false, err
-			}
-		}
-		if t.rows == 0 {
-			return false, nil
-		}
+		out.rows++
 	}
-	return true, nil
+	*t, *out = *out, *t
+	return r.account(b, t.stride, t.rows)
 }

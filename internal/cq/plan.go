@@ -18,6 +18,10 @@ type Plan struct {
 	// parent has a smaller index, so descending order is bottom-up and
 	// ascending order is top-down.
 	bags []planBag
+	// walk is Answers' top-down pass, one step per bag whose subtree holds a
+	// free variable; answer is q.Free's columns in the table it ends with.
+	walk   []walkStep
+	answer []int
 }
 
 // planAtom is how one atom's relation rows become table rows.
@@ -41,11 +45,6 @@ type planBag struct {
 	// sep and parentSep are the separator's columns in this table and in
 	// the parent's table, in matching order.
 	sep, parentSep []int
-	// free lists (column, index into q.Free) for the free variables in
-	// this bag; dirty marks bags whose subtree holds a free variable, the
-	// only ones a candidate answer can shrink.
-	free  [][2]int
-	dirty bool
 }
 
 // joinStep joins one atom into a bag's table. The first step of a bag has
@@ -54,6 +53,16 @@ type joinStep struct {
 	atom            int
 	tabKey, atomKey []int // shared variables: table column, atom column
 	extra           []int // atom columns appended to the table
+}
+
+// walkStep joins one reduced bag table into the answer walk's front table.
+// The walk reads a column only if its variable is free or in another walked
+// bag (a separator): proj lists those of the bag, and keep those the front
+// still needs once the bag is in.
+type walkStep struct {
+	bag        int
+	proj, keep []int
+	join       joinStep // front ⋈ projected bag, keyed on the separator to its parent
 }
 
 // Compile does the per-query work of the tree-decomposition evaluator: it
@@ -171,65 +180,101 @@ func Compile(q *Query) (*Plan, error) {
 	// Assign each atom to the first bag holding all its variables (its
 	// variables form a clique in the Gaifman graph, so one exists) and lay
 	// out each bag's columns in the order its atoms introduce them.
-	col := make([]int, len(vars)) // variable id → column in the bag being laid out, or -1
 	taken := make([]bool, len(p.atoms))
 	for bi := range p.bags {
 		bag := &p.bags[bi]
 		set := sets[order[bi]]
-		for _, v := range set {
-			col[v] = -1
-		}
 		for ai := range p.atoms {
-			pa := &p.atoms[ai]
-			if taken[ai] || !subset(pa.vars, set) {
+			if taken[ai] || !subset(p.atoms[ai].vars, set) {
 				continue
 			}
 			taken[ai] = true
-			st := joinStep{atom: ai}
-			for ac, v := range pa.vars {
-				if col[v] >= 0 {
-					st.tabKey = append(st.tabKey, col[v])
-					st.atomKey = append(st.atomKey, ac)
-				} else {
-					col[v] = len(bag.vars)
-					bag.vars = append(bag.vars, v)
-					st.extra = append(st.extra, ac)
-				}
-			}
+			st, vars := lay(bag.vars, p.atoms[ai].vars)
+			st.atom, bag.vars = ai, vars
 			bag.steps = append(bag.steps, st)
 		}
 		bag.covered = len(bag.vars)
 		for _, v := range set {
-			if col[v] < 0 {
-				col[v] = len(bag.vars)
+			if !slices.Contains(bag.vars, v) {
 				bag.vars = append(bag.vars, v)
 			}
 		}
-		for fi, f := range q.Free {
-			if c := slices.Index(bag.vars, id[f]); c >= 0 {
-				bag.free = append(bag.free, [2]int{c, fi})
-			}
-		}
 		if bag.parent >= 0 {
-			for pc, v := range p.bags[bag.parent].vars {
-				if c := slices.Index(bag.vars, v); c >= 0 {
-					bag.sep = append(bag.sep, c)
-					bag.parentSep = append(bag.parentSep, pc)
-				}
-			}
+			st, _ := lay(slices.Clip(p.bags[bag.parent].vars), bag.vars)
+			bag.sep, bag.parentSep = st.atomKey, st.tabKey
 		}
 	}
 	if ai := slices.Index(taken, false); ai >= 0 {
 		return nil, fmt.Errorf("cq: no bag covers atom %d (decomposition bug)", ai)
 	}
+
+	// The answer walk covers the bags whose subtree holds a free variable.
+	// By the running intersection a variable in two of them is in the
+	// separators between them, so a column that is neither free nor in such
+	// a separator constrains nothing the walk has left to read.
+	walked := make([]bool, len(p.bags))
+	last := make([]int, len(vars)) // variable id → the last walked bag holding it
 	for bi := len(p.bags) - 1; bi >= 0; bi-- {
 		bag := &p.bags[bi]
-		bag.dirty = bag.dirty || len(bag.free) > 0
-		if bag.dirty && bag.parent >= 0 {
-			p.bags[bag.parent].dirty = true
+		if !walked[bi] && !hasFree(order[bi]) {
+			continue
+		}
+		walked[bi] = true
+		if bag.parent >= 0 {
+			walked[bag.parent] = true
+		}
+		for _, v := range bag.vars {
+			last[v] = max(last[v], bi)
 		}
 	}
+	var front []int // front column → variable id
+	for bi := range p.bags {
+		if !walked[bi] {
+			continue
+		}
+		bag := &p.bags[bi]
+		w := walkStep{bag: bi}
+		var read []int
+		for c, v := range bag.vars {
+			if isFree[v] || last[v] > bi || slices.Contains(bag.sep, c) {
+				w.proj = append(w.proj, c)
+				read = append(read, v)
+			}
+		}
+		var joined []int
+		w.join, joined = lay(front, read)
+		front = nil
+		for c, v := range joined {
+			if isFree[v] || last[v] > bi {
+				w.keep = append(w.keep, c)
+				front = append(front, v)
+			}
+		}
+		p.walk = append(p.walk, w)
+	}
+	for _, f := range q.Free {
+		p.answer = append(p.answer, slices.Index(front, id[f]))
+	}
 	return p, nil
+}
+
+// lay returns the step that joins a table over the variables avars into one
+// over tvars — the shared variables are the key, the rest are appended — and
+// the joined table's variables.
+//
+//ecrpq:charged query-sized: a step's columns are bounded by the query's variables
+func lay(tvars, avars []int) (joinStep, []int) {
+	var st joinStep
+	for ac, v := range avars {
+		if tc := slices.Index(tvars, v); tc >= 0 {
+			st.tabKey = append(st.tabKey, tc)
+			st.atomKey = append(st.atomKey, ac)
+		} else {
+			st.extra = append(st.extra, ac)
+			tvars = append(tvars, v)
+		}
+	}
+	return st, tvars
 }
 
 // subset reports whether every element of a is in b, which ascends.

@@ -238,20 +238,13 @@ func TestPlanShapes(t *testing.T) {
 	if !slices.ContainsFunc(p.bags, func(b planBag) bool { return b.covered < len(b.vars) }) {
 		t.Error("5-cycle: no bag is extended over an uncovered variable")
 	}
-	// Rooted at a free variable's bag, only the path to it is dirty.
+	// Rooted at a free variable's bag, only the path to it is walked.
 	p, err = Compile(&Query{Atoms: []Atom{e("a", "b"), e("b", "c"), e("c", "d")}, Free: []string{"d"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dirty := func() (n int) {
-		for _, b := range p.bags {
-			if b.dirty {
-				n++
-			}
-		}
-		return
-	}(); dirty != 1 || !p.bags[0].dirty {
-		t.Errorf("free variable d: %d dirty bags, root dirty = %v; want only the root", dirty, p.bags[0].dirty)
+	if len(p.walk) != 1 || p.walk[0].bag != 0 {
+		t.Errorf("free variable d: the walk is %+v; want only the root", p.walk)
 	}
 }
 
@@ -328,33 +321,23 @@ func TestPlanWideKeys(t *testing.T) {
 			sats++
 			checkAssignment(t, wide, q, assign)
 		}
-		fq := &Query{Atoms: q.Atoms, Free: []string{"e", "f"}}
-		wantAns, err := AllAnswers(ctx, narrow, fq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Domain² candidates is out of reach at 70 000; the answers are
-		// the narrow ones iff each of them, and no neighbour, joins.
-		fp, err := Compile(fq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := fp.start(ctx, wide, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok, err := r.reduce(); err != nil || ok != want {
-			t.Fatalf("seed %d: reduce = %v, %v", seed, ok, err)
-		}
-		for e := 0; e < 4 && want; e++ {
-			for f := 0; f < 4; f++ {
-				got, err := r.candidate([]int{e, f})
-				if in := slices.ContainsFunc(wantAns, func(a []int) bool { return a[0] == e && a[1] == f }); err != nil || got != in {
-					t.Fatalf("seed %d: candidate (%d, %d) = %v, %v; want %v", seed, e, f, got, err, in)
-				}
+		// The walk never iterates the domain, so 70 000² candidates cost
+		// nothing: the wide structure has the narrow one's answers. Four free
+		// variables make the projections' keys 68 bits wide as well.
+		for _, free := range [][]string{{"e", "f"}, {"f", "a", "e", "d"}} {
+			fq := &Query{Atoms: q.Atoms, Free: free}
+			wantAns, err := AllAnswers(ctx, narrow, fq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotAns, err := AllAnswers(ctx, wide, fq)
+			if err != nil || !slices.EqualFunc(gotAns, wantAns, slices.Equal[[]int]) {
+				t.Fatalf("seed %d, free %v: domain 70000 answers %v, %v; domain 6 answers %v", seed, free, gotAns, err, wantAns)
+			}
+			if want != (len(wantAns) > 0) {
+				t.Fatalf("seed %d, free %v: sat %v but %d answers", seed, free, want, len(wantAns))
 			}
 		}
-		r.done()
 	}
 	if sats < 10 || sats > 50 {
 		t.Errorf("%d of 60 wide instances satisfiable: the generator no longer mixes outcomes", sats)
@@ -455,9 +438,10 @@ func TestPlanAnswersCharged(t *testing.T) {
 // Eval, Answers and EvalBacktrack with context.Canceled at that poll, for
 // every N up to the run's own count, and the scratch goes back to the pool.
 func TestPlanCancel(t *testing.T) {
-	// One 20 000-row relation under a three-bag path with a free end: the
-	// scans, the index (a 30-bit key space is too sparse for a bitset), the
-	// semijoins, the witness scan and the candidates all poll.
+	// One 20 000-row relation under a three-bag path: the scans, the index (a
+	// 30-bit key space is too sparse for a bitset), the semijoins and the
+	// witness scan all poll; with the path's two ends free, so do the
+	// projections, the joins and the answer rows of the walk.
 	s := NewStructure(1 << 15)
 	var flat []int
 	for i := 0; i < 20000; i++ {
@@ -477,9 +461,7 @@ func TestPlanCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := pathStructure(6)
-	sq := &Query{Atoms: []Atom{{Rel: "E", Args: []string{"x", "y"}}, {Rel: "E", Args: []string{"y", "z"}}}, Free: []string{"x", "z"}}
-	sp, err := Compile(sq)
+	fp, err := Compile(&Query{Atoms: q.Atoms[:3], Free: []string{"a", "d"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +472,7 @@ func TestPlanCancel(t *testing.T) {
 		run      func(ctx context.Context) error
 	}{
 		{"Eval", 15, func(ctx context.Context) error { _, _, _, err := p.Eval(ctx, s, nil); return err }},
-		{"Answers", 36, func(ctx context.Context) error { _, err := sp.Answers(ctx, small, nil); return err }},
+		{"Answers", 36, func(ctx context.Context) error { _, err := fp.Answers(ctx, s, nil); return err }},
 		{"EvalBacktrack", 4, func(ctx context.Context) error { _, _, err := EvalBacktrack(ctx, s, unsat); return err }},
 	} {
 		for n := 1; ; n++ {

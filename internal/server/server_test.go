@@ -239,21 +239,44 @@ func TestTimeout504(t *testing.T) {
 	}
 }
 
-// TestTimedOutAnswersFreeWorker: a free-variable query enumerates its
-// answers by filtering and re-reducing the bag tables once per candidate
-// tuple (32 768 here, each over as many rows — seconds of work). Past its
-// deadline the request gets its 504 and, because the enumeration polls the
-// context between candidates, the only pool worker comes back: the next
-// request is served instead of sitting in the queue behind a wedged worker
-// until its own deadline.
+// TestTimedOutAnswersFreeWorker: a free-variable query reads its answers off
+// the reduced join — 32 768 of them here, from a bag table of as many rows.
+// That no longer takes the seconds a wall-clock deadline could land in (it
+// tried each candidate tuple against the whole table), so as for the Boolean
+// hit below the deadline is made to expire at every poll in turn: the
+// worker's evaluation returns the context's error at that poll, and polls
+// often enough to show that the walk and the rows it keeps watch the
+// deadline. Then the one worker serves the next request.
 func TestTimedOutAnswersFreeWorker(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{Workers: 1, CacheBudgetBytes: 1 << 30}) // the ~60 MB materialisation must be a hit
 	registerDB(t, s, "g", denseDBText(32))
-	answers := "alphabet a b\nfree x y z\nx -[$p1]-> y\ny -[$p2]-> z\nrel eqlen(p1, p2)\n"
-	rec, _ := doJSON(t, s, "POST", "/v1/query",
-		map[string]any{"db": "g", "query": answers, "strategy": "reduction", "timeout_ms": 400})
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("code=%d, want 504 (%s)", rec.Code, rec.Body.String())
+	const answers = "alphabet a b\nfree x y z\nx -[$p1]-> y\ny -[$p2]-> z\nrel eqlen(p1, p2)\n"
+	rec, out := doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": answers, "strategy": "reduction"})
+	if rec.Code != http.StatusOK || out["cache"] != "miss" {
+		t.Fatalf("code=%d cache=%v, want a 200 miss", rec.Code, out["cache"])
+	}
+	rows, _ := out["answers"].([]any)
+	q, err := query.ParseString(answers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := s.dbs.get("g")
+	polls := 0
+	for ; ; polls++ {
+		resp, err := s.evaluate(&pollLimitCtx{Context: context.Background(), left: polls},
+			&readCall{entry: entry, q: q, hash: query.Hash(q), strat: core.Reduction, stratName: "reduction"})
+		if err == nil {
+			if resp.Cache != "hit" || len(resp.Answers) != len(rows) {
+				t.Fatalf("completed evaluation: cache=%q, %d answers, want a hit with %d", resp.Cache, len(resp.Answers), len(rows))
+			}
+			break
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline at poll %d: err = %v, want context.DeadlineExceeded", polls, err)
+		}
+	}
+	if want := 2 * len(rows) / 4096; len(rows) != 32768 || polls < want {
+		t.Errorf("%d answers polled the context %d times, want 32768 and at least %d: the answer walk does not watch its deadline", len(rows), polls, want)
 	}
 	rec, _ = doJSON(t, s, "POST", "/v1/query",
 		map[string]any{"db": "g", "query": quickQuery, "timeout_ms": 5000})

@@ -28,7 +28,6 @@ import (
 	"context"
 
 	"ecrpq/internal/govern"
-	"ecrpq/internal/trace"
 )
 
 // Tuples is a pull iterator over integer tuples. See the package comment
@@ -70,18 +69,6 @@ func (s *sliceStream) Next() ([]int, bool) {
 
 func (s *sliceStream) Err() error { return nil }
 func (s *sliceStream) Close()     { s.i = len(s.rows) }
-
-// errStream is a stream that fails immediately — constructors that hit
-// an error before producing anything return one so the iterator contract
-// (error surfaces through Err after Next=false) stays uniform.
-type errStream struct{ err error }
-
-// Fail returns a stream whose first Next reports exhaustion with err.
-func Fail(err error) Tuples { return &errStream{err: err} }
-
-func (s *errStream) Next() ([]int, bool) { return nil, false }
-func (s *errStream) Err() error          { return s.err }
-func (s *errStream) Close()              {}
 
 // Limit passes through at most n tuples, then reports exhaustion and
 // closes the source early — the "stop at first witness" primitive is
@@ -389,44 +376,6 @@ func (s *meteredStream) Close() {
 	s.closed = true
 	s.src.Close()
 	s.m.Close()
-}
-
-// Spanned wraps the stream's whole lifetime in a trace span: the span
-// opens now and ends at Close, carrying the tuple count — so per-stage
-// attribution (the A8 experiment's span buckets) keeps working when a
-// stage streams instead of materializing. Nil-safe when ctx carries no
-// trace.
-func Spanned(ctx context.Context, name string, src Tuples) Tuples {
-	//ecrpq:ignore spanend -- the span's End is tied to the stream's Close, which streamclose enforces on all paths
-	_, sp := trace.StartSpan(ctx, name)
-	return &spannedStream{src: src, sp: sp}
-}
-
-type spannedStream struct {
-	src    Tuples
-	sp     *trace.Span
-	rows   int64
-	closed bool
-}
-
-func (s *spannedStream) Next() ([]int, bool) {
-	row, ok := s.src.Next()
-	if ok {
-		s.rows++
-	}
-	return row, ok
-}
-
-func (s *spannedStream) Err() error { return s.src.Err() }
-
-func (s *spannedStream) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.src.Close()
-	s.sp.SetInt("rows", s.rows)
-	s.sp.End()
 }
 
 // Collect drains the stream into a slice of copied rows (the iterator's

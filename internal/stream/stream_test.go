@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ecrpq/internal/govern"
-	"ecrpq/internal/trace"
 )
 
 func rows(rs ...[]int) [][]int { return rs }
@@ -100,18 +99,6 @@ func TestOnCloseRunsOnce(t *testing.T) {
 	}
 }
 
-func TestFailSurfacesError(t *testing.T) {
-	boom := errors.New("boom")
-	s := Fail(boom)
-	defer s.Close()
-	if _, ok := s.Next(); ok {
-		t.Fatal("Fail yielded a row")
-	}
-	if !errors.Is(s.Err(), boom) {
-		t.Fatalf("Err = %v", s.Err())
-	}
-}
-
 func TestMeteredChargesAndReleases(t *testing.T) {
 	broker := govern.NewBroker(0) // account-only
 	res, err := broker.Reserve(0)
@@ -163,29 +150,6 @@ func TestMeteredDenialMidNext(t *testing.T) {
 	s.Close()
 	if got := broker.Reserved(); got != 0 {
 		t.Fatalf("broker holds %d bytes after Close, want 0", got)
-	}
-}
-
-func TestSpannedRecordsRows(t *testing.T) {
-	tr := trace.New("test")
-	ctx := trace.NewContext(context.Background(), tr)
-	s := Spanned(ctx, "core/sweep", FromRows(rows([]int{1}, []int{2})))
-	if _, err := Collect(s); err != nil {
-		t.Fatalf("Collect: %v", err)
-	}
-	s.Close()
-	snap := tr.Snapshot()
-	found := false
-	for _, sp := range snap.Spans {
-		if sp.Name == "core/sweep" {
-			found = true
-			if rows, _ := sp.Attrs["rows"].(int64); rows != 2 {
-				t.Fatalf("span rows = %v, want 2", sp.Attrs["rows"])
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no core/sweep span recorded")
 	}
 }
 
