@@ -215,14 +215,21 @@ front-gate:
 ## spine-gate guards the one evaluation spine of internal/core: prepare is
 ## the only compiler (the only non-test callers of decompose are it,
 ## Explain and Satisfiable; cq.Compile is called once), mergedViews the
-## only Lemma 4.1 merge routine besides Satisfiable's, and no pinned
-## reduction plumbing (__pin_ relations) has grown back; then the answers
+## only Lemma 4.1 merge routine besides Satisfiable's, no pinned
+## reduction plumbing (__pin_ relations) has grown back, and plain
+## reachability has no evaluator of its own — a path variable in no
+## non-universal atom is a one-track Σ* component, so non-test internal/core
+## has no free-track type, any-label BFS, __reach relation, reach stream or
+## reach cache, and internal/planner costs no FreeTracks term; then the answers
 ## matrix — every strategy × every way of asking for an answer set ≡ the
 ## brute-force semantics, pages of 1, 7 and 50 concatenating to the one-shot
-## enumeration — and the regressions of the unified path (the answers join
-## and a Generic plan's rows are charged to the request; V^|Free| past 2³² is
-## refused, not answered empty; an answer set's work follows its size, and a
-## Generic enumeration opens one span) run under the race detector.
+## enumeration, the free-track shapes as written and with (a|b)* spelled
+## out — and the regressions of the unified path (the answers join, a Generic
+## plan's rows and the kernels that decide free tracks are charged to the
+## request; V^|Free| past 2³² is refused, not answered empty, by the one
+## sweep-size rule; an answer set's work follows its size, and a Generic
+## enumeration opens one span; a free track ≡ the language (a|b)*; the
+## per-source memo of pinned Opens) run under the race detector.
 spine-gate:
 	@cd internal/core && src="$$(ls *.go | grep -v _test.go)"; bad=0; \
 	calls() { grep -n "[^A-Za-z]$$1(" $$src | grep -v ":func $$1("; }; \
@@ -231,8 +238,10 @@ spine-gate:
 	want mergeComponent 'reduction_build.go satisfiable.go '; \
 	want 'cq\.Compile' 'prepared.go '; \
 	if grep -n '__pin_' $$src; then echo "spine-gate: the pinned-reduction relations are back"; bad=1; fi; \
+	if grep -nE 'freeTrack|anyReach\(|anyPath\(|__reach|reachStream|reachCache' $$src; then echo "spine-gate: plain reachability has an evaluator of its own again"; bad=1; fi; \
+	if grep -n 'FreeTracks' $$(ls ../planner/*.go | grep -v _test.go); then echo "spine-gate: the planner costs free tracks apart from components"; bad=1; fi; \
 	exit $$bad
-	$(GO) test -race -count=1 -run 'TestAnswersStrategiesAgreeProperty|TestAnswersJoinIsGoverned|TestGenericEnumerationSafetyBound|TestAnswersWork|TestExplainBuildsNoViews' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestAnswersStrategiesAgreeProperty|TestAnswersJoinIsGoverned|TestGenericEnumerationSafetyBound|TestAnswersWork|TestExplainBuildsNoViews|TestFreeTrackIsSigmaStar|TestSweepSources|TestSweepSourceMemo|TestDecompose|TestExplain' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPlanDifferential|TestPlanAnswers' ./internal/cq/
 	$(GO) test -race -count=1 -run 'TestFreeVariable|TestAnswersJoinBounded' ./internal/server/
 

@@ -40,7 +40,8 @@ type answersShape struct {
 // with existential-only bags between them (the non-free-connex chains, with
 // and without a 2-track component in the middle); in a bag column extended
 // over the domain (each variable of a 5-cycle in turn); and in two trees at
-// once beside a Boolean-only tree that is often empty.
+// once beside a Boolean-only tree that is often empty. Then the free-track
+// shapes, each twice: as written and with (a|b)* spelled out.
 func answersShapes(t testing.TB, a *alphabet.Alphabet) []answersShape {
 	t.Helper()
 	shapes := []answersShape{
@@ -91,6 +92,48 @@ func answersShapes(t testing.TB, a *alphabet.Alphabet) []answersShape {
 			b.Edge(fmt.Sprintf("c%d", k), []string{"a", "b"}[k%2], fmt.Sprintf("c%d", (k+1)%5))
 		}
 		shapes = append(shapes, answersShape{fmt.Sprintf("cycle5-c%d", i), b.Free(fmt.Sprintf("c%d", i)).MustBuild(), 3, 1})
+	}
+	return append(append(shapes, freeTrackShapes(a, false)...), freeTrackShapes(a, true)...)
+}
+
+// freeTrackShapes are the shapes a path variable in no non-universal atom
+// used to have an evaluator of its own for: a free track from a variable to
+// itself; two free tracks sharing a variable beside a two-track component; a
+// free track whose source the generic order assigns after its destination
+// (y is pinned, x comes with y's component, z last); and path variables only
+// a universal atom mentions. With explicit, every such variable gets the
+// language (a|b)* instead, which is the same query (TestFreeTrackIsSigmaStar).
+func freeTrackShapes(a *alphabet.Alphabet, explicit bool) []answersShape {
+	build := func(b *query.Builder, unconstrained ...string) *query.Query {
+		for _, p := range unconstrained {
+			if explicit {
+				b.Lang(p, "(a|b)*")
+			}
+		}
+		return b.MustBuild()
+	}
+	shapes := []answersShape{
+		{"free-loop", build(query.NewBuilder(a).
+			Reach("x", "p1", "x").Reach("x", "p2", "y").
+			Lang("p2", "a(a|b)*").
+			Free("x", "y"), "p1"), 5, 3},
+		{"pair+two-free-tracks", build(query.NewBuilder(a).
+			Reach("x", "p1", "y").Reach("x", "p2", "y").Reach("y", "p3", "z").Reach("y", "p4", "w").
+			Rel(synchro.EqualLength(a, 2), "p1", "p2").
+			Free("z", "w"), "p3", "p4"), 5, 2},
+		{"free-source-after-destination", build(query.NewBuilder(a).
+			Reach("x", "p1", "y").Reach("z", "p2", "x").
+			Lang("p1", "a(a|b)*").
+			Free("y"), "p2"), 5, 3},
+		{"universal-atom-only", build(query.NewBuilder(a).
+			Reach("x", "p1", "y").Reach("y", "p3", "z").Reach("z", "p4", "w").
+			Lang("p1", "a(a|b)*").Rel(synchro.Universal(a, 2), "p3", "p4").
+			Free("x", "w"), "p3", "p4"), 5, 2},
+	}
+	if explicit {
+		for i := range shapes {
+			shapes[i].name += " as (a|b)*"
+		}
 	}
 	return shapes
 }
@@ -151,13 +194,13 @@ func (c *answersCell) ways() map[string]func(ctx context.Context) ([][]int, erro
 }
 
 // forEachAnswersCell visits {Reduction, Generic, Generic with EagerMerge} ×
-// every shape × seeded databases small enough for it, the empty one and a
-// single vertex among them. The reference set is the one-shot Answers under
-// Auto, held to NaiveBounded candidate by candidate.
+// every shape × seeded databases small enough for it, the empty one, a
+// single vertex and five vertices among them. The reference set is the
+// one-shot Answers under Auto, held to NaiveBounded candidate by candidate.
 func forEachAnswersCell(t *testing.T, visit func(c *answersCell)) {
 	ctx := context.Background()
 	a := alphabet.Lower(2)
-	dbs := []*graphdb.DB{graphdb.New(a), randomDB(rand.New(rand.NewSource(99)), a, 1, 2)}
+	dbs := []*graphdb.DB{graphdb.New(a), randomDB(rand.New(rand.NewSource(99)), a, 1, 2), randomDB(rand.New(rand.NewSource(5)), a, 5, 8)}
 	for seed := int64(0); seed < 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dbs = append(dbs, randomDB(rng, a, 1+rng.Intn(4), 1+rng.Intn(7)))
@@ -295,10 +338,12 @@ func joinHeavyAnswers(t testing.TB) (*graphdb.DB, *query.Query) {
 
 // TestAnswersJoinIsGoverned: the answers join charges its bag tables and
 // the rows it keeps to the request's reservation, and so does a Generic
-// plan's enumeration. A budget that covers the whole sweep but not the
-// join's tables makes the one-shot AnswersContext fail with the ledger's
-// typed exhaustion; and under either strategy Prepared.Answers leaves
-// nothing charged behind, whether it succeeds, is denied, or is cancelled.
+// plan's enumeration — a query of free tracks alone included, whose Generic
+// evaluation charges the kernels that decide plain reachability. A budget
+// that covers the whole sweep but not the join's tables makes the one-shot
+// AnswersContext fail with the ledger's typed exhaustion; and under either
+// strategy a call leaves nothing charged behind, whether it succeeds, is
+// denied, or is cancelled.
 func TestAnswersJoinIsGoverned(t *testing.T) {
 	db, q := joinHeavyAnswers(t)
 	opts := Options{Strategy: Reduction}
@@ -349,18 +394,61 @@ func TestAnswersJoinIsGoverned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rowsBytes = 150 * 150 * (24 + 8*2)
+
+	// Free tracks only: x -p-> y, y -q-> z on 2¹⁶ vertices that all step to
+	// vertex 0. The Generic strategy used to decide such a query from
+	// reachability sets it cached and charged to nobody; now each track is a
+	// component whose kernel charges its tables, 40 KiB apiece here.
+	const fn = 1 << 16
+	fdb := graphdb.New(gdb.Alphabet())
+	for i := 0; i < fn; i++ {
+		fdb.MustAddVertex("")
+	}
+	for i := 0; i < fn; i++ {
+		fdb.MustAddEdge(i, 0, 0)
+	}
+	fb := query.NewBuilder(fdb.Alphabet()).Reach("x", "p", "y").Reach("y", "q", "z")
+	fBool, err := Prepare(fb.MustBuild(), Options{Strategy: Generic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fAns, err := Prepare(fb.Free("x").MustBuild(), Options{Strategy: Generic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kernels int64
+	for ci := range fBool.comps {
+		fp := newFastProduct(fdb, &fBool.comps[ci])
+		kernels += fp.visited.fixedBytes() + fp.accepted.fixedBytes()
+	}
+	if kernels < 64<<10 {
+		t.Fatalf("the two kernels' tables are %d bytes: too small to tell from nothing charged", kernels)
+	}
+
+	answers := func(p *Prepared, db *graphdb.DB, mat *Materialization) func(context.Context) (int, error) {
+		return func(ctx context.Context) (int, error) {
+			rows, err := p.Answers(ctx, db, mat)
+			return len(rows), err
+		}
+	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, arm := range []struct {
 		name   string
-		p      *Prepared
-		db     *graphdb.DB
-		mat    *Materialization
+		run    func(ctx context.Context) (rows int, err error)
 		rows   int
 		charge int64 // what a completed call must have charged at its peak
 	}{
-		{"reduction", p, db, mat, 40, joinTables},
-		{"generic", gp, gdb, nil, 150 * 150, rowsBytes},
+		{"reduction", answers(p, db, mat), 40, joinTables},
+		{"generic", answers(gp, gdb, nil), 150 * 150, rowsBytes},
+		{"generic, free tracks only", answers(fAns, fdb, nil), fn, kernels + fn*(24+8)},
+		{"generic, free tracks only, Evaluate", func(ctx context.Context) (int, error) {
+			res, err := fBool.EvaluateContext(ctx, fdb, nil)
+			if err != nil || !res.Sat {
+				return 0, err
+			}
+			return 1, nil
+		}, 1, kernels},
 	} {
 		for _, tc := range []struct {
 			name    string
@@ -378,15 +466,15 @@ func TestAnswersJoinIsGoverned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := arm.p.Answers(govern.NewContext(tc.ctx, res), arm.db, arm.mat)
-			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && (err != nil || len(rows) != arm.rows)) {
-				t.Errorf("%s: %d rows, err %v; want err %v", at, len(rows), err, tc.wantErr)
+			rows, err := arm.run(govern.NewContext(tc.ctx, res))
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && (err != nil || rows != arm.rows)) {
+				t.Errorf("%s: %d rows, err %v; want err %v", at, rows, err, tc.wantErr)
 			}
 			if tc.wantErr == nil && res.Peak() < arm.charge {
-				t.Errorf("%s: peak charge %d, below the %d bytes of the join's table or the rows kept", at, res.Peak(), arm.charge)
+				t.Errorf("%s: peak charge %d, below the %d bytes of the join's table, the rows kept or the kernels' tables", at, res.Peak(), arm.charge)
 			}
 			if used := res.Used(); used != 0 {
-				t.Errorf("%s: %d bytes still charged after Answers returned", at, used)
+				t.Errorf("%s: %d bytes still charged after the call returned", at, used)
 			}
 			res.Release()
 			if got := broker.Reserved(); got != 0 {

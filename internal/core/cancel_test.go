@@ -67,7 +67,7 @@ func slowGenericInstance(t testing.TB) (*graphdb.DB, *query.Query) {
 func wideGenericInstance(t testing.TB) (*graphdb.DB, *query.Query) {
 	db, _ := slowGenericInstance(t)
 	q := eqFan(db.Alphabet(), 17).Lang("p1", "aa*").Lang("p2", "bb*").MustBuild()
-	comps, _, err := decomposeViews(q)
+	comps, err := decomposeViews(q)
 	if err != nil || len(comps) != 1 || !packProduct(db, &comps[0]).wide {
 		t.Fatalf("not one wide component (err %v)", err)
 	}

@@ -44,6 +44,10 @@ type track struct {
 // variables connected through non-universal relation atoms. Universal atoms
 // impose no constraint and so do not connect path variables semantically
 // (they still count for the structural measures; see internal/twolevel).
+// Every path variable is a track of exactly one component: one that no
+// non-universal atom mentions is the single track of a component whose
+// relation is Σ* (the paper's normal form, §2), so plain reachability is
+// evaluated, swept, streamed and costed like any other component.
 type component struct {
 	tracks    []track
 	rels      []*synchro.Relation // non-universal; explicit NFAs
@@ -60,22 +64,50 @@ type component struct {
 	// called, which is what lets one product traversal answer for all of
 	// them (componentSearch).
 	nodeVars []string
+	// plain marks a Σ* component decompose made for a path variable the user
+	// left unconstrained. It is read only to report — Stats.Components and
+	// Stats.FreeTracks, Plan.FreeTracks — and by nothing that evaluates,
+	// plans or costs.
+	plain bool
 }
 
-// freeTrack is a path variable in no non-universal relation atom: its only
-// constraint is plain reachability.
-type freeTrack struct {
-	pathVar string
-	srcVar  string
-	dstVar  string
+// endpointVars lists the tracks' distinct node variables, sources first.
+//
+//ecrpq:charged query-sized: at most two variables per track
+func endpointVars(tracks []track) []string {
+	var vars []string
+	for _, t := range tracks {
+		if !slices.Contains(vars, t.srcVar) {
+			vars = append(vars, t.srcVar)
+		}
+	}
+	for _, t := range tracks {
+		if !slices.Contains(vars, t.dstVar) {
+			vars = append(vars, t.dstVar)
+		}
+	}
+	return vars
 }
 
-// decompose splits a validated query into semantic components and free
-// tracks. The query need not be normalized (universal atoms are skipped
-// either way).
+// plainTracks counts the components decompose made for unconstrained path
+// variables, which the reports call free tracks.
+func plainTracks(comps []component) int {
+	n := 0
+	for i := range comps {
+		if comps[i].plain {
+			n++
+		}
+	}
+	return n
+}
+
+// decompose splits a validated query into its components: the semantic
+// ones in order of their first path variable, then one Σ* component per
+// path variable in no non-universal atom, in path-variable order. The
+// query need not be normalized (universal atoms are skipped either way).
 //
 //ecrpq:charged all allocation is query-sized (components, tracks, union-find), independent of the database
-func decompose(q *query.Query) ([]component, []freeTrack, error) {
+func decompose(q *query.Query) ([]component, error) {
 	paths := q.PathVars()
 	pathIdx := make(map[string]int, len(paths))
 	for i, p := range paths {
@@ -100,7 +132,7 @@ func decompose(q *query.Query) ([]component, []freeTrack, error) {
 			continue
 		}
 		if ra.Rel.RawNFA() == nil {
-			return nil, nil, fmt.Errorf("core: relation %q has no automaton", ra.Rel.Name())
+			return nil, fmt.Errorf("core: relation %q has no automaton", ra.Rel.Name())
 		}
 		nonUniversal = append(nonUniversal, ra)
 		first := pathIdx[ra.Paths[0]]
@@ -149,32 +181,39 @@ func decompose(q *query.Query) ([]component, []freeTrack, error) {
 	for _, r := range order {
 		c := compOf[r]
 		if t := len(c.tracks); t > 64 { // a product state's set of finished tracks is one uint64
-			return nil, nil, fmt.Errorf("core: component with %d tracks exceeds the 64-track limit", t)
+			return nil, fmt.Errorf("core: component with %d tracks exceeds the 64-track limit", t)
 		}
-		seen := make(map[string]bool)
-		add := func(v string) {
-			if !seen[v] {
-				seen[v] = true
-				c.nodeVars = append(c.nodeVars, v)
-			}
-		}
-		for _, t := range c.tracks {
-			add(t.srcVar)
-		}
-		for _, t := range c.tracks {
-			add(t.dstVar)
-		}
+		c.nodeVars = endpointVars(c.tracks)
 		comps = append(comps, *c)
 	}
-	var frees []freeTrack
+	// Coming last and in path-variable order keeps the Lemma 4.3 query's
+	// atom order, and with it the enumeration order /v1/enumerate cursors
+	// offset into.
+	var sigmaStar *synchro.Relation
 	for _, p := range paths {
 		if covered[p] {
 			continue
 		}
+		if sigmaStar == nil {
+			nfa, err := synchro.Universal(q.Alphabet(), 1).NFA()
+			if err == nil {
+				sigmaStar, err = synchro.FromNFA(q.Alphabet(), 1, nfa)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
 		atom, _ := q.ReachAtomFor(p)
-		frees = append(frees, freeTrack{pathVar: p, srcVar: atom.Src, dstVar: atom.Dst})
+		tracks := []track{{pathVar: p, srcVar: atom.Src, dstVar: atom.Dst}}
+		comps = append(comps, component{
+			tracks:    tracks,
+			rels:      []*synchro.Relation{sigmaStar},
+			relTracks: [][]int{{0}},
+			nodeVars:  endpointVars(tracks),
+			plain:     true,
+		})
 	}
-	return comps, frees, nil
+	return comps, nil
 }
 
 // mergeComponent applies Lemma 4.1: it joins the component's relations into

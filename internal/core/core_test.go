@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -544,18 +545,27 @@ func TestDecompose(t *testing.T) {
 		Rel(synchro.EqualLength(a, 2), "p1", "p2").
 		Rel(synchro.Universal(a, 2), "p2", "p3"). // universal: no semantic link
 		MustBuild()
-	comps, frees, err := decomposeViews(q)
+	comps, err := decomposeViews(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comps) != 1 {
-		t.Fatalf("components = %d, want 1", len(comps))
+	if len(comps) != 3 {
+		t.Fatalf("components = %d, want 3: {p1, p2}, then p3 and p4 as Σ* components", len(comps))
 	}
 	if len(comps[0].tracks) != 2 {
 		t.Errorf("component tracks = %d, want 2", len(comps[0].tracks))
 	}
-	if len(frees) != 2 {
-		t.Errorf("free tracks = %d, want 2 (p3 via universal only, p4 unconstrained)", len(frees))
+	if frees := plainTracks(comps); frees != 2 {
+		t.Errorf("free tracks = %d, want 2 (p3 via universal only, p4 unconstrained)", frees)
+	}
+	for ci, want := range []string{"p3", "p4"} {
+		c := comps[1+ci]
+		if !c.plain || len(c.tracks) != 1 || c.tracks[0].pathVar != want || len(c.rels) != 1 || c.rels[0].IsUniversal() {
+			t.Errorf("component %d = %+v, want the one-track explicit Σ* component of %s", 1+ci, c, want)
+		}
+	}
+	if got := comps[2].nodeVars; !slices.Equal(got, []string{"z"}) {
+		t.Errorf("node variables of z -p4-> z = %v, want [z]", got)
 	}
 }
 

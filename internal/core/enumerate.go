@@ -10,6 +10,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -21,11 +22,6 @@ import (
 	"ecrpq/internal/trace"
 )
 
-// streamReachRowBytes is what one streamed __reach row is charged, matching
-// the materializing path's constant (addReachRelation) so the governor sees
-// comparable byte counts per row either way.
-const streamReachRowBytes = 40
-
 // compRowBytes is what one R' row of a t-track component is charged,
 // retained (sweepComponent) or streamed: its 2t values plus a slice header.
 func compRowBytes(t int) int64 { return int64(24 + 16*t) }
@@ -34,13 +30,13 @@ func compRowBytes(t int) int64 { return int64(24 + 16*t) }
 // whose Gaifman graph is G^node of the normalized abstraction, over the
 // relations buildReductionMerged materializes (and sweepSource streams).
 // It depends on the query alone, so a plan builds and compiles it once.
-// The atoms are ordered for binding pushdown — component atoms in index
-// order, then free-track reachability atoms. The order is part of the
+// One atom per component, in index order (decompose puts the Σ* components
+// of unconstrained path variables last). The order is part of the
 // enumeration contract: it fixes the answer order the /v1/enumerate cursor
 // offsets into.
 //
 //ecrpq:charged plan construction: O(atoms) slices owned by the prepared plan, counted by Prepared.MemBytes
-func reductionQuery(comps []component, frees []freeTrack, free []string) *cq.Query {
+func reductionQuery(comps []component, free []string) *cq.Query {
 	cqq := &cq.Query{Free: append([]string(nil), free...)}
 	for ci := range comps {
 		c := &comps[ci]
@@ -50,19 +46,14 @@ func reductionQuery(comps []component, frees []freeTrack, free []string) *cq.Que
 		}
 		cqq.Atoms = append(cqq.Atoms, cq.Atom{Rel: fmt.Sprintf("__comp%d", ci), Args: args})
 	}
-	for _, f := range frees {
-		cqq.Atoms = append(cqq.Atoms, cq.Atom{Rel: "__reach", Args: []string{f.srcVar, f.dstVar}})
-	}
 	return cqq
 }
 
 // sweepSource implements cq.AtomSource over the database: each Open of a
-// __comp relation is a lazy R' sweep (restricted by the bound pattern),
-// and __reach streams the any-label reachability relation from a
-// per-source BFS cache. The source owns the shared
-// scratch — one reusable fast product per component, the reach cache,
-// trace spans — and release() frees all of it; streams returned by Open
-// are independently closeable.
+// __comp relation is a lazy R' sweep (restricted by the bound pattern). The
+// source owns the shared scratch — one reusable fast product per component,
+// the destination memo, trace spans — and release() frees all of it;
+// streams returned by Open are independently closeable.
 //
 // Not safe for concurrent use: the streaming join pulls sequentially.
 type sweepSource struct {
@@ -72,14 +63,21 @@ type sweepSource struct {
 	opts   Options
 	n      int
 
-	res   *govern.Reservation
-	mem   *govern.Meter  // reach-cache bytes, released at release()
-	fps   []*fastProduct // per component, nil until its first Open is pulled
-	reach map[int][]bool
+	res *govern.Reservation
+	fps []*fastProduct // per component, nil until its first Open is pulled
+	// memo keeps, per component and source tuple, the destination list
+	// componentReachSet gave: a nested join level re-opens its atom with a
+	// pinned source once per prefix row, mostly with sources it has pinned
+	// before. Only Opens that pin a source consult it — an unpinned sweep
+	// meets each source once. Entries are charged to mem and released at
+	// release(); one the reservation refuses is simply not kept.
+	memo   []map[string][]int
+	mem    *govern.Meter
+	keyBuf []byte
 
-	spans    map[string]*trace.Span
-	spanRows map[string]*int64
-	rows     int64 // total R' rows streamed across all Opens
+	spans    []*trace.Span // per component, opened with its fast product
+	spanRows []int64       // rows streamed per component across its Opens
+	rows     int64         // total R' rows streamed across all Opens
 	released bool
 }
 
@@ -92,16 +90,16 @@ func newSweepSource(ctx context.Context, db *graphdb.DB, merged []component, opt
 		opts:     opts,
 		n:        db.NumVertices(),
 		res:      res,
-		mem:      res.NewMeter(),
 		fps:      make([]*fastProduct, len(merged)),
-		reach:    make(map[int][]bool),
-		spans:    make(map[string]*trace.Span),
-		spanRows: make(map[string]*int64),
+		memo:     make([]map[string][]int, len(merged)),
+		mem:      res.NewMeter(),
+		spans:    make([]*trace.Span, len(merged)),
+		spanRows: make([]int64, len(merged)),
 	}
 }
 
-// release frees the product-search scratch, the reach cache's ledger
-// charge, and ends the per-stage spans. Idempotent.
+// release frees the product-search scratch, the memo's ledger charge, and
+// ends the per-stage spans. Idempotent.
 func (s *sweepSource) release() {
 	if s.released {
 		return
@@ -111,79 +109,71 @@ func (s *sweepSource) release() {
 		fp.releaseMem()
 	}
 	s.mem.Close()
-	for name, sp := range s.spans {
-		sp.SetInt("rows", *s.spanRows[name])
+	for ci, sp := range s.spans {
+		sp.SetInt("rows", s.spanRows[ci])
 		sp.End()
 	}
 }
 
-// fp returns the component's reusable fast product.
+// fp returns the component's reusable fast product, opening the
+// component's stage span with it. The span ends at release() — a per-Open
+// span would flood the trace with one span per join probe.
 func (s *sweepSource) fp(ci int) *fastProduct {
 	if s.fps[ci] == nil {
 		s.fps[ci] = newFastProduct(s.db, &s.merged[ci])
+		//ecrpq:ignore spanend -- span lifetime is the source's; release() ends every span in s.spans on all paths
+		_, sp := trace.StartSpan(s.ctx, "core/sweep")
+		sp.SetInt("component", int64(ci))
+		sp.SetInt("tracks", int64(len(s.merged[ci].tracks)))
+		sp.SetStr("mode", "stream")
+		s.spans[ci] = sp
 	}
 	return s.fps[ci]
 }
 
-// reachFor returns (and caches) the any-label reachability set from u,
-// charging the cache against the ledger.
-func (s *sweepSource) reachFor(u int) ([]bool, error) {
-	if r, ok := s.reach[u]; ok {
-		return r, nil
+// destinations is componentReachSet for component ci through the memo: the
+// list comes back shared and must not be written to.
+func (s *sweepSource) destinations(ci int, srcs []int) ([]int, error) {
+	s.keyBuf = s.keyBuf[:0]
+	for _, v := range srcs {
+		s.keyBuf = binary.LittleEndian.AppendUint32(s.keyBuf, uint32(v))
 	}
-	if err := s.mem.Grow(int64(s.n) + 48); err != nil {
+	if dsts, ok := s.memo[ci][string(s.keyBuf)]; ok {
+		return dsts, nil
+	}
+	dsts, err := componentReachSet(s.ctx, s.fp(ci), srcs, s.opts.maxStates(), nil)
+	if err != nil {
 		return nil, err
 	}
-	r := anyReach(s.db, u)
-	s.reach[u] = r
-	return r, nil
+	if s.mem.Grow(int64(8*cap(dsts)+len(s.keyBuf))+memoEntryBytes) == nil {
+		if s.memo[ci] == nil {
+			s.memo[ci] = make(map[string][]int)
+		}
+		s.memo[ci][string(s.keyBuf)] = dsts
+	}
+	return dsts, nil
 }
 
-// counter returns the streamed-row counter shared by every Open of the
-// named relation, opening that relation's stage span on first use. The
-// span ends at release() — a per-Open span would flood the trace with
-// one span per join probe.
-func (s *sweepSource) counter(rel, spanName string, ci int) *int64 {
-	if c, ok := s.spanRows[rel]; ok {
-		return c
-	}
-	//ecrpq:ignore spanend -- span lifetime is the source's; release() ends every span in s.spans on all paths
-	_, sp := trace.StartSpan(s.ctx, spanName)
-	if ci >= 0 {
-		sp.SetInt("component", int64(ci))
-	}
-	sp.SetStr("mode", "stream")
-	s.spans[rel] = sp
-	c := new(int64)
-	s.spanRows[rel] = c
-	return c
-}
+// memoEntryBytes approximates a memo entry beyond its key and list: the
+// map slot, the string and slice headers.
+const memoEntryBytes = 64
 
 // Open implements cq.AtomSource for the reduction relations.
 func (s *sweepSource) Open(rel string, bound []int) (stream.Tuples, error) {
-	switch {
-	case strings.HasPrefix(rel, "__comp"):
-		ci, err := strconv.Atoi(rel[len("__comp"):])
-		if err != nil || ci < 0 || ci >= len(s.merged) {
-			return nil, fmt.Errorf("core: unknown component relation %q", rel)
-		}
-		t := len(s.merged[ci].tracks)
-		if len(bound) != 2*t {
-			return nil, fmt.Errorf("core: %s bound pattern has %d positions, want %d", rel, len(bound), 2*t)
-		}
-		cs, err := newCompStream(s, ci, bound)
-		if err != nil {
-			return nil, err
-		}
-		return stream.Metered(cs, s.res.NewMeter(), compRowBytes(t)), nil
-	case rel == "__reach":
-		if len(bound) != 2 {
-			return nil, fmt.Errorf("core: __reach bound pattern has %d positions, want 2", len(bound))
-		}
-		rs := &reachStream{s: s, counter: s.counter(rel, "core/reach", -1), u0: bound[0], v0: bound[1], u: -1}
-		return stream.Metered(rs, s.res.NewMeter(), streamReachRowBytes), nil
+	num, ok := strings.CutPrefix(rel, "__comp")
+	ci, err := strconv.Atoi(num)
+	if !ok || err != nil || ci < 0 || ci >= len(s.merged) {
+		return nil, fmt.Errorf("core: unknown streamed relation %q", rel)
 	}
-	return nil, fmt.Errorf("core: unknown streamed relation %q", rel)
+	t := len(s.merged[ci].tracks)
+	if len(bound) != 2*t {
+		return nil, fmt.Errorf("core: %s bound pattern has %d positions, want %d", rel, len(bound), 2*t)
+	}
+	cs, err := newCompStream(s, ci, bound)
+	if err != nil {
+		return nil, err
+	}
+	return stream.Metered(cs, s.res.NewMeter(), compRowBytes(t)), nil
 }
 
 // compStream lazily enumerates the rows of one component's R' relation
@@ -200,10 +190,9 @@ type compStream struct {
 	freePos  []int // track indices whose source position is free
 	idx      int   // next mixed-radix index over the free positions
 	total    int
-	counter  *int64
 
 	srcs []int // current source tuple
-	dsts []int // destination tuples for the current source, t vertices each
+	dsts []int // destination tuples for the current source, t vertices each; the memo's list when a source is pinned
 	di   int   // offset of the next destination tuple in dsts
 	row  []int // reused output row
 	err  error
@@ -219,7 +208,6 @@ func newCompStream(s *sweepSource, ci int, bound []int) (*compStream, error) {
 		t:        t,
 		fixedSrc: make([]int, t),
 		boundDst: make([]int, t),
-		counter:  s.counter(fmt.Sprintf("__comp%d", ci), "core/sweep", ci),
 		srcs:     make([]int, t),
 		row:      make([]int, 2*t),
 	}
@@ -230,15 +218,9 @@ func newCompStream(s *sweepSource, ci int, bound []int) (*compStream, error) {
 			cs.freePos = append(cs.freePos, k)
 		}
 	}
-	total := 1
-	for range cs.freePos {
-		if s.n > 0 && total > maxSweepSources/s.n {
-			return nil, fmt.Errorf("core: Lemma 4.3 sweep of %d^%d source tuples exceeds the safety bound", s.n, len(cs.freePos))
-		}
-		total *= s.n
-	}
-	cs.total = total
-	return cs, nil
+	var err error
+	cs.total, err = sweepSources(s.n, len(cs.freePos))
+	return cs, err
 }
 
 // decode fills srcs for mixed-radix index idx: pinned positions keep
@@ -269,7 +251,7 @@ func (cs *compStream) Next() ([]int, bool) {
 				cs.row[2*k] = cs.srcs[k]
 				cs.row[2*k+1] = d[k]
 			}
-			*cs.counter++
+			cs.s.spanRows[cs.ci]++
 			cs.s.rows++
 			return cs.row, true
 		}
@@ -283,12 +265,16 @@ func (cs *compStream) Next() ([]int, bool) {
 		}
 		cs.decode(cs.idx)
 		cs.idx++
-		dsts, err := componentReachSet(cs.s.ctx, cs.s.fp(cs.ci), cs.srcs, cs.s.opts.maxStates(), cs.dsts[:0])
+		var err error
+		if len(cs.freePos) < cs.t {
+			cs.dsts, err = cs.s.destinations(cs.ci, cs.srcs)
+		} else { // an unpinned sweep meets each source once: no memo, and dsts stays its own buffer
+			cs.dsts, err = componentReachSet(cs.s.ctx, cs.s.fp(cs.ci), cs.srcs, cs.s.opts.maxStates(), cs.dsts[:0])
+		}
 		if err != nil {
 			cs.err = err
 			return nil, false
 		}
-		cs.dsts = dsts
 		cs.di = 0
 	}
 }
@@ -304,71 +290,6 @@ func (cs *compStream) dstMatches(d []int) bool {
 
 func (cs *compStream) Err() error { return cs.err }
 func (cs *compStream) Close()     { cs.done = true; cs.dsts = nil }
-
-// reachStream enumerates the __reach relation lazily: sources ascending,
-// destinations ascending per source — the order addReachRelation
-// materializes in. Bound positions restrict the scan.
-type reachStream struct {
-	s       *sweepSource
-	counter *int64
-	u0, v0  int // bound source/destination, or -1
-	u       int // current source (-1 before the first)
-	v       int // next destination to test
-	cur     []bool
-	row     [2]int
-	err     error
-	done    bool
-}
-
-func (rs *reachStream) Next() ([]int, bool) {
-	if rs.err != nil || rs.done {
-		return nil, false
-	}
-	//ecrpq:bounded the (u, v) cursor advances strictly through the finite n×n grid
-	for {
-		if rs.cur == nil {
-			next := rs.u + 1
-			if rs.u0 >= 0 {
-				if rs.u >= 0 { // the single bound source is exhausted
-					rs.done = true
-					return nil, false
-				}
-				next = rs.u0
-			}
-			if next >= rs.s.n {
-				rs.done = true
-				return nil, false
-			}
-			if err := rs.s.ctx.Err(); err != nil {
-				rs.err = err
-				return nil, false
-			}
-			reach, err := rs.s.reachFor(next)
-			if err != nil {
-				rs.err = err
-				return nil, false
-			}
-			rs.u = next
-			rs.cur = reach
-			rs.v = 0
-		}
-		//ecrpq:bounded v advances through the current source's n destination slots
-		for rs.v < rs.s.n {
-			v := rs.v
-			rs.v++
-			if rs.cur[v] && (rs.v0 < 0 || v == rs.v0) {
-				rs.row[0], rs.row[1] = rs.u, v
-				*rs.counter++
-				rs.s.rows++
-				return rs.row[:], true
-			}
-		}
-		rs.cur = nil
-	}
-}
-
-func (rs *reachStream) Err() error { return rs.err }
-func (rs *reachStream) Close()     { rs.done = true }
 
 // Enumerate streams the query's answers over db incrementally: tuples in
 // q.Free order for a query with free variables, at most one empty tuple
@@ -475,13 +396,9 @@ type pinnedEnum struct {
 
 func newPinnedEnum(ctx context.Context, db *graphdb.DB, p *Prepared) (*pinnedEnum, error) {
 	f := len(p.q.Free)
-	n := db.NumVertices()
-	total := 1
-	for i := 0; i < f; i++ {
-		if n > 0 && total > maxSweepSources/n {
-			return nil, fmt.Errorf("core: enumeration of %d^%d candidate tuples exceeds the safety bound", n, f)
-		}
-		total *= n
+	total, err := sweepSources(db.NumVertices(), f)
+	if err != nil {
+		return nil, err
 	}
 	pinned := make(map[string]int, f)
 	for _, v := range p.q.Free {

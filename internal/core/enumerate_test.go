@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -253,6 +254,81 @@ func TestEnumerateCloseReleasesReservations(t *testing.T) {
 	res.Release()
 	if got := broker.Reserved(); got != 0 {
 		t.Fatalf("broker still holds %d bytes after Release", got)
+	}
+}
+
+// TestSweepSourceMemo: an Open that pins a source remembers the source's
+// destination list, so the nested join's next Open of the same source is a
+// lookup, not a traversal; an unpinned sweep stores nothing; the entries are
+// charged and released with the source; and an entry the reservation refuses
+// is not kept and fails nothing — the rows come out the same, one traversal
+// per Open.
+func TestSweepSourceMemo(t *testing.T) {
+	a := alphabet.Lower(2)
+	db := denseDB(t, 20, a)
+	p, err := Prepare(freeTestQuery(t, a), Options{Strategy: Reduction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := func(s *sweepSource, rel string, bound []int) [][]int {
+		t.Helper()
+		it, err := s.Open(rel, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		rows, err := stream.Collect(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	broker := govern.NewBroker(1 << 30)
+	for _, refused := range []bool{false, true} {
+		res, err := broker.Reserve(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newSweepSource(govern.NewContext(context.Background(), res), db, p.merged, p.opts)
+		if refused {
+			full, err := govern.NewBroker(1).Reserve(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.mem = full.NewMeter()
+		}
+		// Component 1 is the free track y -p3-> z, component 0 the pair.
+		for ci, bound := range [][]int{{3, -1, 3, -1}, {3, -1}} {
+			rel := fmt.Sprintf("__comp%d", ci)
+			first := drain(s, rel, bound)
+			if len(first) == 0 {
+				t.Fatalf("%s from vertex 3: no rows", rel)
+			}
+			again := drain(s, rel, bound)
+			if !reflect.DeepEqual(first, again) {
+				t.Fatalf("refused=%v: %s from vertex 3 a second time: %v, the first time %v", refused, rel, again, first)
+			}
+			want := 1
+			if refused {
+				want = 2
+			}
+			if got := s.fp(ci).traversals; got != want {
+				t.Errorf("refused=%v: two Opens of %s with its source pinned began %d traversals, want %d", refused, rel, got, want)
+			}
+		}
+		if charged := s.mem.Charged(); (charged > 0) == refused {
+			t.Errorf("refused=%v: the memo holds %d bytes", refused, charged)
+		}
+		before := len(s.memo[1])
+		all := drain(s, "__comp1", []int{-1, -1})
+		if len(s.memo[1]) != before || len(all) < 20 {
+			t.Errorf("refused=%v: an unpinned sweep of %d rows took the memo from %d entries to %d", refused, len(all), before, len(s.memo[1]))
+		}
+		s.release()
+		if used := res.Used(); used != 0 {
+			t.Errorf("refused=%v: %d bytes still charged after release", refused, used)
+		}
+		res.Release()
 	}
 }
 

@@ -131,8 +131,8 @@ type Result struct {
 // Stats reports work done during evaluation.
 type Stats struct {
 	StrategyUsed      Strategy
-	Components        int
-	FreeTracks        int
+	Components        int // semantic components: those a non-universal atom constrains
+	FreeTracks        int // path variables in no such atom, each evaluated as a one-track Σ* component
 	ProductChecks     int // generic: component product decisions made (one per completed component per assignment)
 	NodeAssignments   int // generic: node-variable assignments tried
 	Traversals        int // generic: product traversals begun to make those decisions
@@ -183,62 +183,6 @@ func AnswersContext(ctx context.Context, db *graphdb.DB, q *query.Query, opts Op
 		return nil, err
 	}
 	return p.Answers(ctx, db, nil)
-}
-
-// anyReach computes the reflexive any-label reachability set from u.
-//
-//ecrpq:charged O(|V|) scratch released at return; callers charge what they retain (addReachRelation charges per reach tuple)
-func anyReach(db *graphdb.DB, u int) []bool {
-	seen := make([]bool, db.NumVertices())
-	seen[u] = true
-	queue := []int{u}
-	//ecrpq:bounded visited-set BFS: every vertex is enqueued at most once
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, e := range db.Out(v) {
-			if !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return seen
-}
-
-// anyPath returns a shortest any-label path from u to v.
-//
-//ecrpq:charged O(|V|) scratch released at return; the witness path it returns is bounded by |V| edges
-func anyPath(db *graphdb.DB, u, v int) (graphdb.Path, bool) {
-	type prev struct {
-		vert int
-		edge graphdb.Edge
-	}
-	seen := map[int]prev{u: {vert: -1}}
-	queue := []int{u}
-	//ecrpq:bounded visited-set BFS: every vertex is enqueued at most once
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if x == v {
-			var rev []graphdb.Edge
-			for cur := v; seen[cur].vert >= 0; cur = seen[cur].vert {
-				rev = append(rev, seen[cur].edge)
-			}
-			edges := make([]graphdb.Edge, len(rev))
-			for i := range rev {
-				edges[i] = rev[len(rev)-1-i]
-			}
-			return graphdb.Path{Start: u, Edges: edges}, true
-		}
-		for _, e := range db.Out(x) {
-			if _, ok := seen[e.To]; !ok {
-				seen[e.To] = prev{vert: x, edge: e}
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return graphdb.Path{}, false
 }
 
 // PlanHints carries db-dependent decisions from a cost-based planner
@@ -309,17 +253,14 @@ func (g *genericComp) endpoints(assign []int) {
 // moves: one traversal per source assignment answers for every destination
 // guessed under it.
 type genericSearch struct {
-	db                   *graphdb.DB
-	frees                []freeTrack
-	pinned               map[string]int
-	hints                *PlanHints
-	order                []string
-	gcs                  []genericComp
-	compReady, freeReady [][]int  // by assigned prefix length: the components and free tracks fully assigned there
-	freePos              [][2]int // per free track: positions of its source and destination
-	reachCache           map[int][]bool
-	assign               []int
-	stats                Stats
+	db        *graphdb.DB
+	pinned    map[string]int
+	hints     *PlanHints
+	order     []string
+	gcs       []genericComp
+	compReady [][]int // by assigned prefix length: the components fully assigned there
+	assign    []int
+	stats     Stats
 }
 
 // newGenericSearch lays out the backtracking over node variables that checks
@@ -330,7 +271,7 @@ type genericSearch struct {
 //
 //ecrpq:charged query-sized: the order, positions and ready lists are bounded by the query's node variables and tracks
 func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints *PlanHints) *genericSearch {
-	g := &genericSearch{db: db, frees: p.frees, pinned: pinned, hints: hints, reachCache: make(map[int][]bool)}
+	g := &genericSearch{db: db, pinned: pinned, hints: hints}
 	workComps := p.comps
 	if p.opts.EagerMerge {
 		workComps, g.stats.MergedStatesTotal = p.merged, p.mergedSt
@@ -362,10 +303,6 @@ func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints
 			add(v)
 		}
 	}
-	for _, f := range g.frees {
-		add(f.srcVar)
-		add(f.dstVar)
-	}
 	for _, v := range p.q.NodeVars() {
 		add(v)
 	}
@@ -385,13 +322,6 @@ func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints
 			ready = max(ready, gc.srcPos[k]+1, gc.dstPos[k]+1)
 		}
 		g.compReady[ready] = append(g.compReady[ready], ci)
-	}
-	g.freeReady = make([][]int, len(g.order)+1)
-	g.freePos = make([][2]int, len(g.frees))
-	for fi, f := range g.frees {
-		g.freePos[fi] = [2]int{pos[f.srcVar], pos[f.dstVar]}
-		ready := max(g.freePos[fi][0], g.freePos[fi][1]) + 1
-		g.freeReady[ready] = append(g.freeReady[ready], fi)
 	}
 	g.assign = make([]int, len(g.order))
 	return g
@@ -417,17 +347,6 @@ func (g *genericSearch) decide(ctx context.Context) (bool, error) {
 				return false
 			}
 			if !ok {
-				return false
-			}
-		}
-		for _, fi := range g.freeReady[i] {
-			u, v := g.assign[g.freePos[fi][0]], g.assign[g.freePos[fi][1]]
-			reach, ok := g.reachCache[u]
-			if !ok {
-				reach = anyReach(g.db, u)
-				g.reachCache[u] = reach
-			}
-			if !reach[v] {
 				return false
 			}
 		}
@@ -531,9 +450,6 @@ func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[s
 			res.Paths[tr.pathVar] = paths[k]
 		}
 	}
-	for _, f := range g.frees {
-		res.Paths[f.pathVar], _ = anyPath(db, res.Nodes[f.srcVar], res.Nodes[f.dstVar])
-	}
 	return res, nil
 }
 
@@ -542,10 +458,9 @@ func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[s
 //
 //	R' = { (u1, v1, ..., ut, vt) : ∃ paths ui→vi with labels in R }
 //
-// per merged component (Lemma 4.1) and plain reachability for free tracks;
-// the conjunctive query with one atom R'(x1, y1, ..., xt, yt) per component
-// and a binary reachability atom per free track — its Gaifman graph is
-// exactly G^node of the (normalized) abstraction — is evaluated with the
+// per merged component (Lemma 4.1); the conjunctive query with one atom
+// R'(x1, y1, ..., xt, yt) per component — its Gaifman graph is exactly
+// G^node of the (normalized) abstraction — is evaluated with the
 // tree-decomposition dynamic program the plan compiled, and the witness
 // paths recovered.
 func (p *Prepared) evalReductionMaterialized(ctx context.Context, db *graphdb.DB, mat *Materialization) (*Result, error) {
@@ -582,15 +497,14 @@ func (p *Prepared) evalReductionMaterialized(ctx context.Context, db *graphdb.DB
 func (p *Prepared) emptyDBSat() bool { return len(p.q.Reach) == 0 }
 
 // recoverWitnesses re-runs each component's product search with the CQ
-// witness's endpoints pinned to extract concrete paths, plus any-label
-// paths for free tracks. res.Nodes must be populated; res.Paths is filled.
+// witness's endpoints pinned to extract concrete paths. res.Nodes must be
+// populated; res.Paths is filled.
 func (p *Prepared) recoverWitnesses(ctx context.Context, db *graphdb.DB, res *Result) error {
-	comps, frees := p.comps, p.frees
 	_, wsp := trace.StartSpan(ctx, "core/witness")
 	defer wsp.End()
 	res.Paths = make(map[string]graphdb.Path)
-	for ci := range comps {
-		c := &comps[ci]
+	for ci := range p.comps {
+		c := &p.comps[ci]
 		srcs := make([]int, len(c.tracks))
 		dsts := make([]int, len(c.tracks))
 		for k, tr := range c.tracks {
@@ -607,13 +521,6 @@ func (p *Prepared) recoverWitnesses(ctx context.Context, db *graphdb.DB, res *Re
 		for k, tr := range c.tracks {
 			res.Paths[tr.pathVar] = paths[k]
 		}
-	}
-	for _, f := range frees {
-		p, ok := anyPath(db, res.Nodes[f.srcVar], res.Nodes[f.dstVar])
-		if !ok {
-			return fmt.Errorf("core: internal error: free track %q not realizable", f.pathVar)
-		}
-		res.Paths[f.pathVar] = p
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,8 +13,11 @@ import (
 // Plan describes how a query would be evaluated: its semantic components,
 // their sizes, the structural measures, and the strategy Auto would pick.
 type Plan struct {
-	Strategy       Strategy
-	Measures       twolevel.Measures
+	Strategy Strategy
+	Measures twolevel.Measures
+	// Components are the semantic components, then one single-track Σ*
+	// component per path variable in no non-universal atom; FreeTracks names
+	// those variables (plain reachability).
 	Components     []PlanComponent
 	FreeTracks     []string
 	NodeVariables  []string
@@ -48,7 +52,7 @@ func Explain(q *query.Query, opts Options) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	comps, frees, err := decompose(q)
+	comps, err := decompose(q)
 	if err != nil {
 		return nil, err
 	}
@@ -95,9 +99,9 @@ func Explain(q *query.Query, opts Options) (*Plan, error) {
 			pc.TrackFirstLabels[tr.pathVar] = names
 		}
 		p.Components = append(p.Components, pc)
-	}
-	for _, f := range frees {
-		p.FreeTracks = append(p.FreeTracks, f.pathVar)
+		if c.plain {
+			p.FreeTracks = append(p.FreeTracks, c.tracks[0].pathVar)
+		}
 	}
 	// Classification for the family bounded by this query's own measures.
 	p.PredictedEval, p.PredictedParam = twolevel.Classify(true, true, true)
@@ -116,6 +120,9 @@ func (p *Plan) String() string {
 	}
 	sb.WriteString("\n")
 	for i, c := range p.Components {
+		if len(c.PathVars) == 1 && slices.Contains(p.FreeTracks, c.PathVars[0]) {
+			continue // a relation the user never wrote; listed below
+		}
 		fmt.Fprintf(&sb, "component %d: paths {%s} over nodes {%s}, %d relation(s), %d NFA state(s)\n",
 			i, strings.Join(c.PathVars, ", "), strings.Join(c.NodeVars, ", "),
 			c.Relations, c.RelationStates)

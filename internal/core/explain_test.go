@@ -24,7 +24,7 @@ func TestExplain(t *testing.T) {
 	if p.Strategy != Reduction {
 		t.Errorf("strategy = %v, want reduction for a 2-track component", p.Strategy)
 	}
-	if len(p.Components) != 1 || len(p.Components[0].PathVars) != 2 {
+	if len(p.Components) != 2 || len(p.Components[0].PathVars) != 2 {
 		t.Errorf("components = %+v", p.Components)
 	}
 	if len(p.FreeTracks) != 1 || p.FreeTracks[0] != "p3" {
@@ -35,6 +35,9 @@ func TestExplain(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("plan string missing %q:\n%s", want, s)
 		}
+	}
+	if strings.Contains(s, "component 1") || !strings.Contains(s, "free tracks (plain reachability): p3") {
+		t.Errorf("p3 is rendered as a component, not as a free track:\n%s", s)
 	}
 }
 
@@ -80,7 +83,7 @@ func TestExplainBuildsNoViews(t *testing.T) {
 		Rel(synchro.EqualLength(a, 2), "p1", "p2").
 		Lang("p1", "a(a|b)*").Lang("p2", "(a|b)*b").
 		MustBuild()
-	comps, _, err := decompose(q)
+	comps, err := decompose(q)
 	if err != nil || len(comps) != 1 || len(comps[0].rels) != 3 {
 		t.Fatalf("decompose: %v, %d components", err, len(comps))
 	}

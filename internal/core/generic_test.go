@@ -208,7 +208,7 @@ func perCheckGeneric(db *graphdb.DB, q *query.Query, comps []component, maxState
 // or their Lemma 4.1 merges.
 func workComponents(t testing.TB, q *query.Query, eager bool) []component {
 	t.Helper()
-	comps, _, err := decomposeViews(q)
+	comps, err := decomposeViews(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestGenericWideComponent(t *testing.T) {
 		Rel(synchro.EqualLength(a, 2), "p1", "p2"), "p1", "p2")
 	sats := 0
 	for name, q := range map[string]*query.Query{"17 tracks": fan.MustBuild(), "combo overflow": deep.MustBuild()} {
-		comps, _, err := decomposeViews(q)
+		comps, err := decomposeViews(q)
 		if err != nil || len(comps) != 1 {
 			t.Fatalf("%s: decompose: %v, %d components", name, err, len(comps))
 		}
@@ -590,10 +590,10 @@ func BenchmarkGenericCheck(b *testing.B) {
 
 // decomposeViews is decompose and what prepare does next, the decoded NFA
 // views: the tests that hand components straight to a kernel need both.
-func decomposeViews(q *query.Query) ([]component, []freeTrack, error) {
-	comps, frees, err := decompose(q)
+func decomposeViews(q *query.Query) ([]component, error) {
+	comps, err := decompose(q)
 	for ci := range comps {
 		comps[ci].nfas = nfaViews(comps[ci].rels)
 	}
-	return comps, frees, err
+	return comps, err
 }

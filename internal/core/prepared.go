@@ -24,9 +24,8 @@ import (
 type Prepared struct {
 	q        *query.Query
 	opts     Options
-	strat    Strategy // resolved: never Auto
-	comps    []component
-	frees    []freeTrack
+	strat    Strategy    // resolved: never Auto
+	comps    []component // every path variable is a track of one of them
 	merged   []component // Lemma 4.1 single-relation views, one per component; nil when none were built
 	mergedSt int         // total merged NFA states
 	cqq      *cq.Query   // Reduction plans: the Lemma 4.3 query, q.Free its free tuple
@@ -74,7 +73,7 @@ func prepare(ctx context.Context, q *query.Query, opts Options, views bool) (*Pr
 		return nil, err
 	}
 	_, dsp := trace.StartSpan(ctx, "core/decompose")
-	comps, frees, err := decompose(q)
+	comps, err := decompose(q)
 	dsp.End()
 	if err != nil {
 		return nil, err
@@ -82,7 +81,7 @@ func prepare(ctx context.Context, q *query.Query, opts Options, views bool) (*Pr
 	for ci := range comps {
 		comps[ci].nfas = nfaViews(comps[ci].rels)
 	}
-	p := &Prepared{q: q, opts: opts, comps: comps, frees: frees}
+	p := &Prepared{q: q, opts: opts, comps: comps}
 	if p.strat, err = resolveStrategy(comps, opts); err != nil {
 		return nil, err
 	}
@@ -92,7 +91,7 @@ func prepare(ctx context.Context, q *query.Query, opts Options, views bool) (*Pr
 		}
 	}
 	if p.strat == Reduction {
-		p.cqq = reductionQuery(comps, frees, q.Free)
+		p.cqq = reductionQuery(comps, q.Free)
 		if p.join, err = cq.Compile(p.cqq); err != nil {
 			return nil, err
 		}
@@ -226,8 +225,8 @@ func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, ma
 		return nil, err
 	}
 	res.Stats.StrategyUsed = p.strat
-	res.Stats.Components = len(p.comps)
-	res.Stats.FreeTracks = len(p.frees)
+	res.Stats.FreeTracks = plainTracks(p.comps)
+	res.Stats.Components = len(p.comps) - res.Stats.FreeTracks
 	return res, nil
 }
 

@@ -63,25 +63,14 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) ([]comp
 
 // buildReductionMerged constructs the structure of the Lemma 4.3 instance
 // from the plan's merged views: over the database's vertices, one
-// materialized endpoint relation R' per merged component, plus a
-// plain-reachability relation for free tracks. reductionQuery is the other
-// half of the instance.
+// materialized endpoint relation R' per merged component, each the sweep
+// of all its source tuples. reductionQuery is the other half of the
+// instance.
 func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*cq.Structure, Stats, error) {
-	merged, frees, opts := p.merged, p.frees, p.opts
+	merged, opts := p.merged, p.opts
 	stats := Stats{MergedStatesTotal: p.mergedSt}
 	n := db.NumVertices()
 	st := cq.NewStructure(max(n, 1))
-
-	// Free tracks: binary reachability relation (shared by all).
-	if len(frees) > 0 {
-		added, err := addReachRelation(ctx, db, st, n)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.CQTuples += added
-	}
-
-	// Components: materialize R' by sweeping all source tuples.
 	for ci := range merged {
 		t := len(merged[ci].tracks)
 		var rows []int
@@ -105,33 +94,23 @@ func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*c
 	return st, stats, nil
 }
 
-// addReachRelation materializes the shared binary any-label reachability
-// relation used by free-track atoms, bulk-loaded: the rows come out in
-// ascending (u, v) order. Returns the number of tuples added.
-func addReachRelation(ctx context.Context, db *graphdb.DB, st *cq.Structure, n int) (int, error) {
-	_, sp := trace.StartSpan(ctx, "core/reach")
-	defer sp.End()
-	res := govern.FromContext(ctx)
-	const reachRowBytes = 40
-	var flat []int
-	for u := 0; u < n; u++ {
-		before := len(flat)
-		for v, ok := range anyReach(db, u) {
-			if ok {
-				flat = append(flat, u, v)
-			}
-		}
-		if err := res.Grow(int64(len(flat)-before) / 2 * reachRowBytes); err != nil {
-			return 0, err
-		}
-	}
-	sp.SetInt("tuples", int64(len(flat)/2))
-	return len(flat) / 2, st.LoadSorted("__reach", 2, flat, []int{0, 1})
-}
+// MaxSweepSources bounds the Lemma 4.3 sweep and the Generic candidate
+// enumeration: V^t tuples beyond this are refused rather than silently
+// running for hours. A planner must not pick Reduction past it.
+const MaxSweepSources = 1 << 32
 
-// maxSweepSources bounds the Lemma 4.3 sweep: V^t source tuples beyond this
-// are refused rather than silently running for hours.
-const maxSweepSources = 1 << 32
+// sweepSources is the number of tuples a sweep of t positions over n
+// vertices visits, n^t, or an error past MaxSweepSources.
+func sweepSources(n, t int) (int, error) {
+	total := 1
+	for i := 0; i < t; i++ {
+		if n > 0 && total > MaxSweepSources/n {
+			return 0, fmt.Errorf("core: a sweep of %d^%d tuples exceeds the safety bound", n, t)
+		}
+		total *= n
+	}
+	return total, nil
+}
 
 // sweepColumnOrder is the column order the rows of a t-track sweep ascend
 // under (what cq.LoadSorted verifies and Contains searches by): source
@@ -164,13 +143,10 @@ func sweepColumnOrder(t int) []int {
 // reservation per batch and stay charged on success; on failure everything
 // the sweep charged is released.
 func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts Options) (_ []int, err error) {
-	t, n := len(merged.tracks), db.NumVertices()
-	total := 1
-	for i := 0; i < t; i++ {
-		if total > maxSweepSources/n {
-			return nil, fmt.Errorf("core: Lemma 4.3 sweep of %d^%d source tuples exceeds the safety bound", n, t)
-		}
-		total *= n
+	t := len(merged.tracks)
+	total, err := sweepSources(db.NumVertices(), t)
+	if err != nil {
+		return nil, err
 	}
 	f := packProduct(db, merged)
 	batches := (total + 63) / 64

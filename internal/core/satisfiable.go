@@ -24,7 +24,7 @@ func Satisfiable(q *query.Query) (*graphdb.DB, *Result, bool, error) {
 	if err := q.Validate(); err != nil {
 		return nil, nil, false, err
 	}
-	comps, frees, err := decompose(q)
+	comps, err := decompose(q)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -43,9 +43,6 @@ func Satisfiable(q *query.Query) (*graphdb.DB, *Result, bool, error) {
 		for k, tr := range c.tracks {
 			words[tr.pathVar] = ws[k]
 		}
-	}
-	for _, f := range frees {
-		words[f.pathVar] = alphabet.Word{} // empty path suffices
 	}
 
 	// Identify endpoint variables forced equal by empty-word tracks.

@@ -162,7 +162,7 @@ func sweepInstances(t testing.TB, rng *rand.Rand) []sweepInstance {
 		if v <= 4 {
 			q := comboOverflowLangs(query.NewBuilder(a).Reach("u1", "p1", "v1").Reach("u2", "p2", "v2").
 				Rel(rels["eqlen"], "p1", "p2"), "p1", "p2").MustBuild()
-			comps, _, err := decomposeViews(q)
+			comps, err := decomposeViews(q)
 			if err != nil || len(comps) != 1 || !packProduct(db, &comps[0]).wide {
 				t.Fatalf("V%d/t2/combo-overflow: not one wide component (err %v)", v, err)
 			}

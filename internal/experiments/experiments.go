@@ -681,7 +681,7 @@ var stageBuckets = []struct {
 }{
 	{"prepare+merge", []string{"core/prepare", "core/decompose", "core/merge"}},
 	{"product", []string{"core/product_search"}},
-	{"sweep", []string{"core/sweep", "core/reach", "core/materialize"}},
+	{"sweep", []string{"core/sweep", "core/materialize"}},
 	{"cq join", []string{"core/cq_join"}},
 	{"witness", []string{"core/witness"}},
 }

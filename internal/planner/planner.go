@@ -54,11 +54,6 @@ func (c Config) nsPerUnit() float64 {
 	return c.NsPerCostUnit
 }
 
-// maxSweepSources mirrors the reduction builder's hard cap on V^t source
-// tuples: above it the sweep refuses to run, so the planner must not pick
-// Reduction.
-const maxSweepSources = float64(1 << 32)
-
 // StageEstimate is one predicted evaluation stage. Stage carries the
 // internal/trace span name the work will be recorded under, so measured
 // self-times can be joined back onto the estimate by name (see the
@@ -444,10 +439,12 @@ func (m *model) rows(i int) float64 {
 	return math.Pow(m.v*m.v*m.sigma, float64(t))
 }
 
+// sweepSourcesExceeded reports a component whose V^t source tuples pass
+// the cap at which the sweep refuses to run.
 func (m *model) sweepSourcesExceeded() bool {
 	for i := range m.plan.Components {
 		t := float64(len(m.plan.Components[i].PathVars))
-		if math.Pow(m.v, t) > maxSweepSources {
+		if math.Pow(m.v, t) > core.MaxSweepSources {
 			return true
 		}
 	}
@@ -462,10 +459,6 @@ func (m *model) reductionCost() float64 {
 	for i := range m.plan.Components {
 		total += m.sweepCost(i)
 		joinRows += m.rows(i)
-	}
-	// Free tracks add one reachability relation of ≈ σ·V² rows.
-	if len(m.plan.FreeTracks) > 0 {
-		joinRows += m.sigma * m.v * m.v * float64(len(m.plan.FreeTracks))
 	}
 	if m.sweepSourcesExceeded() {
 		return math.Inf(1)
@@ -505,9 +498,6 @@ func (m *model) reductionStages() []StageEstimate {
 	joinRows := 0.0
 	for i := range m.plan.Components {
 		joinRows += m.rows(i)
-	}
-	if len(m.plan.FreeTracks) > 0 {
-		joinRows += m.sigma * m.v * m.v * float64(len(m.plan.FreeTracks))
 	}
 	return []StageEstimate{
 		m.stage("core/sweep", fmt.Sprintf("%d component R' sweep(s)", len(m.plan.Components)), sweep),

@@ -126,7 +126,7 @@ func (s *Server) explain(ctx context.Context, c *readCall) (*explainResponse, er
 
 // attachMeasured folds a finished execution trace into the stage table:
 // estimated stages gain their measured self-time, and measured core/*
-// stages the planner did not estimate (merge, materialize, reach, …) are
+// stages the planner did not estimate (merge, materialize, …) are
 // appended so the whole evaluation is accounted for.
 func attachMeasured(resp *explainResponse, td trace.TraceData) {
 	breakdown := td.Breakdown()

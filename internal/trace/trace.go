@@ -24,9 +24,8 @@
 //	core/prepare        Prepare: decompose + strategy + merge + measures
 //	core/decompose      component decomposition
 //	core/merge          Lemma 4.1 synchronized merge
-//	core/materialize    Lemma 4.3 R' build (parent of sweep/reach)
-//	core/reach          reachable-set pass for free track variables
-//	core/sweep          per-component V^t source sweep
+//	core/materialize    Lemma 4.3 R' build (parent of the sweeps)
+//	core/sweep          per-component V^t source sweep (free tracks: tracks=1)
 //	core/product_search Lemma 4.2 product search (generic strategy)
 //	core/cq_join        tree-decomposition CQ join
 //	core/witness        witness path recovery
