@@ -120,28 +120,39 @@ sweep-gate:
 ## reduction strategy and the brute-force semantics; every witness read off
 ## the recording kernel verified; every instance again in the wide key
 ## regime, and the components that are wide by nature; cancellation at every
-## poll releasing every charged byte) runs under the race detector, and the
-## layer benchmark must begin at most V traversals on the exhaustive fan and
-## stay under 0.05 allocations per check wherever an evaluation makes a
-## thousand checks or more (a satisfiable instance that needs one check
-## still builds a kernel and a result).
+## poll releasing every charged byte; the witness read off the search that
+## decided ≡ a fresh recorded traversal, whatever the kernel did before; the
+## shared key table ≡ a map; a kernel's charge following the states it meets)
+## runs under the race detector, and the layer benchmark must begin at most
+## V traversals on the exhaustive fan, stay under 0.05 allocations per check
+## wherever an evaluation makes a thousand checks or more (a satisfiable
+## instance that needs one check still builds a kernel and a result), and
+## under 16 KiB per evaluation on the fan and 1.5 MB on the satisfiable
+## prefix chain — 264 176 B and 5.28 MB when a kernel zeroed a bitset over
+## its key space and re-ran the winning traversal for the paths. No kernel
+## table is a Go map, no per-entry size is guessed, no letters are stored.
 generic-gate:
 	@cd internal/core && src="$$(ls *.go | grep -v _test.go)"; \
 	if grep -nE 'productSearch|productState|sweepUnpacked|buildAdjacency|fp == nil' $$src; then \
-		echo "generic-gate: a second product engine, a per-evaluation adjacency table or a does-not-pack branch is back"; exit 1; fi
-	$(GO) test -race -count=1 -run 'TestGeneric|TestCancelMidGenericSearch' ./internal/core/
+		echo "generic-gate: a second product engine, a per-evaluation adjacency table or a does-not-pack branch is back"; exit 1; fi; \
+	if grep -nE 'map\[uint64\]|fastStateMapBytes|\.letters\b' $$src; then \
+		echo "generic-gate: a map-backed kernel table, a guessed entry size or stored witness letters are back"; exit 1; fi
+	$(GO) test -race -count=1 -run 'TestGeneric|TestCancelMidGenericSearch|TestWitnessFromSearch|TestRankTableAgainstMap|TestKeyTablesAgainstMap' ./internal/core/
 	@out="$$($(GO) test -run '^$$' -bench BenchmarkGenericCheck -benchmem -benchtime 20x ./internal/core/)" || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk '/^BenchmarkGenericCheck/ { \
-		checks = trav = allocs = ""; \
+		checks = trav = allocs = bytes = ""; \
 		for (i = 1; i < NF; i++) { \
 			if ($$(i+1) == "checks/op") checks = $$i; \
 			if ($$(i+1) == "traversals/op") trav = $$i; \
 			if ($$(i+1) == "allocs/op") allocs = $$i; \
+			if ($$(i+1) == "B/op") bytes = $$i; \
 		} \
-		if (checks == "" || trav == "" || allocs == "" || checks <= 0) { print "generic-gate: " $$1 ": benchmark output missing checks/op, traversals/op or alloc stats"; bad = 1; next } \
+		if (checks == "" || trav == "" || allocs == "" || bytes == "" || checks <= 0) { print "generic-gate: " $$1 ": benchmark output missing checks/op, traversals/op or alloc stats"; bad = 1; next } \
 		seen++; \
 		if ($$1 ~ /fan-eq3-unsat/) { fan++; if (trav > 100) { printf "generic-gate: %s begins %d traversals (ceiling V = 100)\n", $$1, trav; bad = 1 } } \
+		ceiling = ($$1 ~ /fan-eq3-unsat/) ? 16384 : 1500000; \
+		if (bytes > ceiling) { printf "generic-gate: %s costs %d B/op (ceiling %d) — a table is sized by its key space, or the witness re-runs the search\n", $$1, bytes, ceiling; bad = 1 } \
 		if (checks >= 1000 && allocs / checks > 0.05) { printf "generic-gate: %s costs %.4f allocs per check (ceiling 0.05)\n", $$1, allocs / checks; bad = 1 } \
 	} END { if (seen < 2 || !fan) { print "generic-gate: BenchmarkGenericCheck rows missing"; bad = 1 } exit bad }'
 

@@ -398,7 +398,9 @@ func TestAnswersJoinIsGoverned(t *testing.T) {
 	// Free tracks only: x -p-> y, y -q-> z on 2¹⁶ vertices that all step to
 	// vertex 0. The Generic strategy used to decide such a query from
 	// reachability sets it cached and charged to nobody; now each track is a
-	// component whose kernel charges its tables, 40 KiB apiece here.
+	// component whose kernel charges the tables it holds. Those grow with
+	// the states a search meets, so what a call must charge is measured: the
+	// peak of a run under an ample reservation.
 	const fn = 1 << 16
 	fdb := graphdb.New(gdb.Alphabet())
 	for i := 0; i < fn; i++ {
@@ -416,20 +418,29 @@ func TestAnswersJoinIsGoverned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kernels int64
-	for ci := range fBool.comps {
-		fp := newFastProduct(fdb, &fBool.comps[ci])
-		kernels += fp.visited.fixedBytes() + fp.accepted.fixedBytes()
-	}
-	if kernels < 64<<10 {
-		t.Fatalf("the two kernels' tables are %d bytes: too small to tell from nothing charged", kernels)
-	}
-
 	answers := func(p *Prepared, db *graphdb.DB, mat *Materialization) func(context.Context) (int, error) {
 		return func(ctx context.Context) (int, error) {
 			rows, err := p.Answers(ctx, db, mat)
 			return len(rows), err
 		}
+	}
+	evaluate := func(ctx context.Context) (int, error) {
+		res, err := fBool.EvaluateContext(ctx, fdb, nil)
+		if err != nil || !res.Sat {
+			return 0, err
+		}
+		return 1, nil
+	}
+	peakOf := func(run func(context.Context) (int, error)) int64 {
+		res, err := govern.NewBroker(1 << 30).Reserve(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Release()
+		if _, err := run(govern.NewContext(context.Background(), res)); err != nil || res.Peak() == 0 {
+			t.Fatalf("measuring run: err %v, peak charge %d", err, res.Peak())
+		}
+		return res.Peak()
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -441,14 +452,8 @@ func TestAnswersJoinIsGoverned(t *testing.T) {
 	}{
 		{"reduction", answers(p, db, mat), 40, joinTables},
 		{"generic", answers(gp, gdb, nil), 150 * 150, rowsBytes},
-		{"generic, free tracks only", answers(fAns, fdb, nil), fn, kernels + fn*(24+8)},
-		{"generic, free tracks only, Evaluate", func(ctx context.Context) (int, error) {
-			res, err := fBool.EvaluateContext(ctx, fdb, nil)
-			if err != nil || !res.Sat {
-				return 0, err
-			}
-			return 1, nil
-		}, 1, kernels},
+		{"generic, free tracks only", answers(fAns, fdb, nil), fn, peakOf(answers(fAns, fdb, nil))},
+		{"generic, free tracks only, Evaluate", evaluate, 1, peakOf(evaluate)},
 	} {
 		for _, tc := range []struct {
 			name    string

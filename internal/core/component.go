@@ -284,6 +284,7 @@ type componentSearch struct {
 	db        *graphdb.DB
 	c         *component
 	maxStates int
+	paths     bool // a witness will be asked of a check that succeeds: checks record
 
 	kern *fastProduct // nil until the first check or witness
 }
@@ -291,6 +292,7 @@ type componentSearch struct {
 func (s *componentSearch) kernel() *fastProduct {
 	if s.kern == nil {
 		s.kern = newFastProduct(s.db, s.c)
+		s.kern.paths = s.paths
 	}
 	return s.kern
 }

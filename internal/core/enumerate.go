@@ -406,7 +406,7 @@ func newPinnedEnum(ctx context.Context, db *graphdb.DB, p *Prepared) (*pinnedEnu
 	}
 	//ecrpq:ignore spanend -- the span's lifetime is the enumeration's; Close ends it, which streamclose enforces on all paths
 	_, sp := trace.StartSpan(ctx, "core/product_search")
-	return &pinnedEnum{ctx: ctx, g: p.newGenericSearch(db, pinned, nil), sp: sp, free: p.q.Free, tuple: make([]int, f), total: total}, nil
+	return &pinnedEnum{ctx: ctx, g: p.newGenericSearch(db, pinned, nil, false), sp: sp, free: p.q.Free, tuple: make([]int, f), total: total}, nil
 }
 
 func (pe *pinnedEnum) Next() ([]int, bool) {

@@ -267,10 +267,11 @@ type genericSearch struct {
 // each component's product as soon as all of its node variables are
 // assigned. hints (may be nil) reorder the component completion sequence and
 // restrict node variable domains; they never change the decision or the
-// witness shape. The caller must call release.
+// witness shape; paths says the caller will want the paths of the assignment
+// a decide accepts. The caller must call release.
 //
 //ecrpq:charged query-sized: the order, positions and ready lists are bounded by the query's node variables and tracks
-func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints *PlanHints) *genericSearch {
+func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints *PlanHints, paths bool) *genericSearch {
 	g := &genericSearch{db: db, pinned: pinned, hints: hints}
 	workComps := p.comps
 	if p.opts.EagerMerge {
@@ -313,7 +314,7 @@ func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints
 		c := &workComps[ci]
 		t := len(c.tracks)
 		gc := &g.gcs[ci]
-		gc.componentSearch = componentSearch{db: db, c: c, maxStates: p.opts.maxStates()}
+		gc.componentSearch = componentSearch{db: db, c: c, maxStates: p.opts.maxStates(), paths: paths}
 		gc.srcPos, gc.dstPos = make([]int, t), make([]int, t)
 		gc.srcs, gc.dsts = make([]int, t), make([]int, t)
 		ready := 0
@@ -416,7 +417,7 @@ func (g *genericSearch) report(psp *trace.Span) {
 // evalGeneric is one generic evaluation: set up, decide, and for a yes the
 // witness. Paths are only computed for the assignment that wins.
 func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[string]int, hints *PlanHints) (*Result, error) {
-	g := p.newGenericSearch(db, pinned, hints)
+	g := p.newGenericSearch(db, pinned, hints, true)
 	defer g.release()
 	_, psp := trace.StartSpan(ctx, "core/product_search")
 	sat, err := g.decide(ctx)

@@ -31,8 +31,9 @@ import (
 //
 // pack, unpack, destKey, unpackDest and sortDests are the only code that
 // knows which; everything downstream of a key — the traversals, the visited
-// sets, the word tables — is the same. The shape is read-only after
-// packProduct and may be shared by concurrent kernels.
+// sets, the word tables — is the same: a row id is a rank of first sight, so
+// a table takes it as an index and grows with the ids. The shape is
+// read-only after packProduct and may be shared by concurrent kernels.
 type productShape struct {
 	db    *graphdb.DB
 	fwd   *graphdb.CSR // the database's forward layout when the shape was made
@@ -43,8 +44,9 @@ type productShape struct {
 	qBits uint
 	radix []int // relation NFA sizes for mixed-radix state packing
 	wide  bool
-	// Key widths, which size the kernels' sets and tables: those of the
-	// packings, or 64 in the wide regime (no dense table is that large).
+	// Key widths, which decide how the kernels' sets and tables are indexed:
+	// those of the packings, or 0 in the wide regime, whose keys count up
+	// from 0 (a table indexed by them starts empty and grows with them).
 	bits, destBits uint
 }
 
@@ -74,7 +76,7 @@ func packProduct(db *graphdb.DB, c *component) *productShape {
 	s.qBits = uint(max(bits.Len(uint(qCombos-1)), 1))
 	s.bits, s.destBits = s.qBits+uint(t)*s.vBits+uint(t), uint(t)*s.vBits
 	if s.wide || s.bits > packedBits {
-		s.wide, s.bits, s.destBits = true, 64, 64
+		s.wide, s.bits, s.destBits = true, 0, 0
 	}
 	return s
 }
@@ -388,53 +390,112 @@ func (p *productStep) overTracks(i int) {
 	p.newVerts[i] = p.verts[i]
 }
 
-// bitsetMaxBits bounds the key width up to which a keySet is a bitset
-// (2^26 bits = 8 MiB); wider key spaces use a map.
-const bitsetMaxBits = 26
+// rankTable gives each distinct key of up to 63 bits its rank in order of
+// first sight: what rowSet does for rows, for keys that are their own row.
+// It starts empty and doubles at half load, so its size follows the keys a
+// search meets, never the space they are drawn from.
+type rankTable struct {
+	keys  []uint64 // 1 + a key, 0 = empty; a power of two long, at most half full
+	ranks []int32  // the rank of the key in the same slot of keys
+	n     int
+}
 
-// keySet is a set of packed keys of a known width. The owner keeps the
-// list of members (it needs them in order anyway), so clearing costs what
-// was added, never a pass over the table.
+// slot returns the slot holding key, or the empty one where it belongs.
+func (t *rankTable) slot(key uint64) int {
+	mask := len(t.keys) - 1
+	//ecrpq:bounded the table is at most half full: a probe ends at the key or at an empty slot
+	for i := int(key*0x9E3779B97F4A7C15>>32) & mask; ; i = (i + 1) & mask {
+		if k := t.keys[i]; k == 0 || k == key+1 {
+			return i
+		}
+	}
+}
+
+func (t *rankTable) has(key uint64) bool { return t.n > 0 && t.keys[t.slot(key)] != 0 }
+
+// add returns key's rank and whether this call gave it one.
+//
+//ecrpq:charged the owning kernel charges bytes() as part of its footprint's high-water mark
+func (t *rankTable) add(key uint64) (rank int, fresh bool) {
+	if 2*t.n >= len(t.keys) {
+		keys, ranks := t.keys, t.ranks
+		t.keys, t.ranks = make([]uint64, max(16, 2*len(keys))), make([]int32, max(16, 2*len(keys)))
+		for i, k := range keys {
+			if k != 0 {
+				j := t.slot(k - 1)
+				t.keys[j], t.ranks[j] = k, ranks[i]
+			}
+		}
+	}
+	i := t.slot(key)
+	if fresh = t.keys[i] == 0; fresh {
+		t.keys[i], t.ranks[i] = key+1, int32(t.n)
+		t.n++
+	}
+	return int(t.ranks[i]), fresh
+}
+
+func (t *rankTable) reset() {
+	clear(t.keys)
+	t.n = 0
+}
+
+// bytes is the table's footprint; a nil table (a direct-indexed owner) has none.
+func (t *rankTable) bytes() int64 {
+	if t == nil {
+		return 0
+	}
+	return int64(8*cap(t.keys) + 4*cap(t.ranks))
+}
+
+// denseSetBits bounds the key width up to which a keySet is a bitset over
+// its whole key space (2^16 bits = 8 KiB); a wider space is hashed.
+const denseSetBits = 16
+
+// keySet is a set of keys of a known width: a bitset indexed by the key, or
+// past denseSetBits a rankTable. A bitset that meets a key beyond its end
+// grows to hold it, which only the wide regime's width 0 lets happen. The
+// owner keeps the list of members (it needs them in order anyway), so
+// clearing a bitset costs what was added, never a pass over the key space.
 type keySet struct {
-	bits []uint64
-	m    map[uint64]struct{}
+	bits  []uint64
+	table *rankTable // nil for a bitset
 }
 
 func newKeySet(width uint) keySet {
-	if width <= bitsetMaxBits {
-		return keySet{bits: make([]uint64, (uint64(1)<<width+63)/64)}
+	if width > denseSetBits {
+		return keySet{table: new(rankTable)}
 	}
-	return keySet{m: make(map[uint64]struct{})}
+	return keySet{bits: make([]uint64, (uint64(1)<<width+63)/64)}
 }
 
 func (s *keySet) has(key uint64) bool {
-	if s.m == nil {
-		return s.bits[key>>6]&(1<<(key&63)) != 0
+	if s.table != nil {
+		return s.table.has(key)
 	}
-	_, ok := s.m[key]
-	return ok
+	return key>>6 < uint64(len(s.bits)) && s.bits[key>>6]&(1<<(key&63)) != 0
 }
 
 // add inserts key and reports whether it was new.
+//
+//ecrpq:charged the owning kernel charges bytes() as part of its footprint's high-water mark
 func (s *keySet) add(key uint64) bool {
-	if s.m == nil {
-		if s.bits[key>>6]&(1<<(key&63)) != 0 {
-			return false
-		}
-		s.bits[key>>6] |= 1 << (key & 63)
-		return true
+	if s.table != nil {
+		_, fresh := s.table.add(key)
+		return fresh
 	}
-	if _, ok := s.m[key]; ok {
-		return false
+	if w := int(key >> 6); w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
 	}
-	s.m[key] = struct{}{}
-	return true
+	fresh := s.bits[key>>6]&(1<<(key&63)) == 0
+	s.bits[key>>6] |= 1 << (key & 63)
+	return fresh
 }
 
 // clear empties the set, given exactly its members.
 func (s *keySet) clear(members []uint64) {
-	if s.m != nil {
-		clear(s.m)
+	if s.table != nil {
+		s.table.reset()
 		return
 	}
 	for _, k := range members {
@@ -442,19 +503,7 @@ func (s *keySet) clear(members []uint64) {
 	}
 }
 
-// fixedBytes is the footprint the set has whatever it holds; memberBytes
-// what each member adds.
-func (s *keySet) fixedBytes() int64 { return int64(8 * len(s.bits)) }
-
-func (s *keySet) memberBytes() int64 {
-	if s.m == nil {
-		return 0
-	}
-	return fastStateMapBytes
-}
-
-// fastStateMapBytes estimates a map-regime set entry.
-const fastStateMapBytes = 56
+func (s *keySet) bytes() int64 { return int64(8*cap(s.bits)) + s.table.bytes() }
 
 // cancelCheckInterval is how many product states are processed between
 // context-cancellation polls. Polling ctx.Err() costs an atomic load, so
@@ -488,8 +537,8 @@ const noDest = ^uint64(0)
 // destination asked of it, and every other destination of the same sources
 // is a set probe. reach keeps the live traversal across calls with the
 // same sources (a one-entry memo); Run is the exhaustive traversal the
-// streamed sweep collects destinations with; witness re-runs a traversal
-// with parent links recorded and reads the paths off them.
+// streamed sweep collects destinations with; witness reads the paths off
+// the parent links of the traversal that found them.
 //
 // The scratch is reused across traversals and cleared from its own member
 // lists. Not safe for concurrent use.
@@ -505,17 +554,19 @@ type fastProduct struct {
 	live      bool     // a traversal from srcs is suspended or exhausted, not failed
 	maxStates int      // the live traversal's cap on distinct states (0 = unlimited)
 
-	// Recording mode (witness): how each queue slot was first reached.
-	record  bool
-	parents []int             // queue index of the predecessor; -1 for a start state
-	letters []alphabet.Symbol // the joint letter read into slot i is letters[i*t:(i+1)*t]
+	// Recording, what a witness is read off: witness's traversals do, reach's
+	// if the owner wants paths, Run's — whose callers reorder dests — never.
+	paths    bool    // reach records
+	record   bool    // the live traversal records
+	parents  []int32 // per queue slot: the slot it was first reached from; -1 for a start state
+	destSlot []int32 // per member of dests, in the order met: the slot of its first accepting state
+	child    uint64  // witness: the state whose first emit by the loaded one is being looked for
 
 	traversals int // begins
 	expanded   int // states whose successors were generated
 
-	// Byte accounting against the context reservation: the sets' fixed
-	// footprint once, queue and row growth as a high-water mark. The owner
-	// releases via releaseMem.
+	// Byte accounting against the context reservation: what the sets, rows
+	// and lists hold, as a high-water mark. The owner releases via releaseMem.
 	mem     *govern.Meter
 	charged int64
 }
@@ -548,12 +599,8 @@ func (f *fastProduct) charge() error {
 	if f.mem == nil {
 		return nil
 	}
-	perState := 8 + f.visited.memberBytes()
-	if f.record {
-		perState += 8 + int64(4*f.t)
-	}
-	need := f.visited.fixedBytes() + f.accepted.fixedBytes() + f.stateRows.bytes() + f.destRows.bytes() +
-		int64(len(f.queue))*perState + int64(len(f.dests))*(8+f.accepted.memberBytes())
+	need := f.visited.bytes() + f.accepted.bytes() + f.stateRows.bytes() + f.destRows.bytes() +
+		int64(8*(cap(f.queue)+cap(f.dests))+4*(cap(f.parents)+cap(f.destSlot)))
 	if need > f.charged {
 		if err := f.mem.Grow(need - f.charged); err != nil {
 			return fmt.Errorf("core: product search: %w", err)
@@ -575,7 +622,7 @@ func (f *fastProduct) begin(ctx context.Context, srcs []int, maxStates int) erro
 	f.stateRows.reset()
 	f.destRows.reset()
 	f.queue, f.dests = f.queue[:0], f.dests[:0]
-	f.parents, f.letters = f.parents[:0], f.letters[:0]
+	f.parents, f.destSlot = f.parents[:0], f.destSlot[:0]
 	copy(f.srcs, srcs)
 	f.maxStates = maxStates
 	f.traversals++
@@ -600,8 +647,7 @@ func (f *fastProduct) push() {
 	}
 	f.queue = append(f.queue, key)
 	if f.record {
-		f.parents = append(f.parents, f.qi)
-		f.letters = append(f.letters, f.joint...)
+		f.parents = append(f.parents, int32(f.qi))
 	}
 }
 
@@ -637,6 +683,9 @@ func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
 			d := f.destKey(f.verts)
 			if f.accepted.add(d) {
 				f.dests = append(f.dests, d)
+				if f.record {
+					f.destSlot = append(f.destSlot, int32(f.qi))
+				}
 			}
 			if d == want {
 				return true, nil
@@ -658,6 +707,7 @@ func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
 // pays one traversal for all of them.
 func (f *fastProduct) reach(ctx context.Context, srcs, dsts []int, maxStates int) (bool, error) {
 	if !f.live || !slices.Equal(f.srcs, srcs) {
+		f.record = f.paths
 		if err := f.begin(ctx, srcs, maxStates); err != nil {
 			return false, err
 		}
@@ -668,6 +718,7 @@ func (f *fastProduct) reach(ctx context.Context, srcs, dsts []int, maxStates int
 // Run traverses everything reachable from srcs and leaves in f.dests the
 // distinct destination keys of the accepting states.
 func (f *fastProduct) Run(ctx context.Context, srcs []int, maxStates int) error {
+	f.record = false
 	if err := f.begin(ctx, srcs, maxStates); err != nil {
 		return err
 	}
@@ -675,83 +726,94 @@ func (f *fastProduct) Run(ctx context.Context, srcs []int, maxStates int) error 
 	return err
 }
 
-// witness is reach with the paths: it runs a fresh traversal from srcs with
-// parent links recorded, as far as the first accepting state over dsts, and
-// reads one database path per track off the links.
+// witness is reach with the paths, one per track. It resumes the live
+// traversal if that is from srcs and recorded, and begins one only
+// otherwise; the path is the chain of parent links from the first accepting
+// state over dsts back to a start state. A link stores no letter: each
+// step's parent is expanded once more and the joint letter read where the
+// expansion first emits the child, as it did when the child was queued.
 func (f *fastProduct) witness(ctx context.Context, srcs, dsts []int, maxStates int) ([]graphdb.Path, bool, error) {
-	f.record = true
-	defer func() { f.record, f.live = false, false }() // a recorded traversal is never resumed
-	if err := f.begin(ctx, srcs, maxStates); err != nil {
-		return nil, false, err
+	if !f.live || !f.record || !slices.Equal(f.srcs, srcs) {
+		f.record = true
+		if err := f.begin(ctx, srcs, maxStates); err != nil {
+			return nil, false, err
+		}
 	}
-	found, err := f.advance(ctx, f.destKey(dsts))
+	want := f.destKey(dsts)
+	found, err := f.seek(ctx, want)
 	if err != nil || !found {
 		return nil, false, err
-	}
-	var chain []int
-	for i := f.qi; f.parents[i] >= 0; i = f.parents[i] {
-		chain = append(chain, i)
 	}
 	paths := make([]graphdb.Path, f.t)
 	for i := range paths {
 		paths[i].Start = srcs[i]
 	}
-	for k := len(chain) - 1; k >= 0; k-- {
-		slot := chain[k]
-		f.unpack(f.queue[slot], f.relStates, f.verts)
-		for i, s := range f.letters[slot*f.t : (slot+1)*f.t] {
+	// Walking back from the accepting state, the edges come out last first.
+	push := f.emit
+	f.emit = func() {
+		if f.pack(f.nextRel, f.newVerts, f.newDone) != f.child {
+			return
+		}
+		f.child = noDest // later emits of the same state read other letters
+		for i, s := range f.joint {
 			if s != alphabet.Pad {
-				paths[i].Edges = append(paths[i].Edges, graphdb.Edge{Label: s, To: f.verts[i]})
+				paths[i].Edges = append(paths[i].Edges, graphdb.Edge{Label: s, To: f.newVerts[i]})
 			}
 		}
+	}
+	for slot := f.destSlot[slices.Index(f.dests, want)]; f.parents[slot] >= 0; slot = f.parents[slot] {
+		f.child = f.queue[slot]
+		f.load(f.queue[f.parents[slot]])
+		f.overRels(0)
+	}
+	f.emit = push
+	for i := range paths {
+		slices.Reverse(paths[i].Edges)
 	}
 	return paths, true, nil
 }
 
 // denseTableBits bounds the key width up to which a wordTable is a dense
-// array indexed by key (2^20 slots); wider key spaces use a map.
+// array indexed by key (2^20 slots); wider keys index it by their rank.
 const denseTableBits = 20
 
-// wordTable maps packed uint64 keys to slots of stride words, all zero
-// until written. It is the per-state table of the sweep kernel (stride 2:
-// the sources that reach a product state, and those not yet propagated
-// from it) and the per-destination table the rows are emitted from (stride
-// 1). keys lists the distinct keys touched since the last reset, so
-// clearing costs what was touched, never a pass over the table.
+// wordTable maps uint64 keys to slots of stride words, all zero until
+// written. It is the per-state table of the sweep kernel (stride 2: the
+// sources that reach a product state, and those not yet propagated from it)
+// and the per-destination table the rows are emitted from (stride 1). Up to
+// denseTableBits wide a key indexes its slot and the table covers the key
+// space (at width 0 — the wide regime — it grows with the keys instead);
+// a wider key indexes it by its rank. keys lists the distinct keys touched
+// since the last reset, so clearing costs what was touched, never a pass
+// over the key space.
 type wordTable struct {
 	stride int
-	words  []uint64       // dense regime: slot of key k starts at k*stride
-	slots  map[uint64]int // map regime: key → start of its slot in words
+	words  []uint64   // the slot of index i starts at i*stride
+	index  *rankTable // past denseTableBits: key → index; nil where the key is the index
 	keys   []uint64
 }
 
 //ecrpq:charged the owner charges bytes() to its scratch meter before the first traversal
 func newWordTable(keyBits uint, stride int) *wordTable {
-	t := &wordTable{stride: stride}
-	if keyBits <= denseTableBits {
-		t.words = make([]uint64, stride<<keyBits)
-	} else {
-		t.slots = make(map[uint64]int)
+	if keyBits > denseTableBits {
+		return &wordTable{stride: stride, index: new(rankTable)}
 	}
-	return t
+	return &wordTable{stride: stride, words: make([]uint64, stride<<keyBits)}
 }
 
-// at returns key's slot, claiming a zeroed one on first use in the map
-// regime. The slice is valid until the next at or or call.
+// at returns key's slot, claiming a zeroed one on first use where the table
+// does not cover the key space. The slice is valid until the next at or or
+// call.
 //
-//ecrpq:charged slot growth in the map regime is charged by the owner as the table's bytes() high-water mark
+//ecrpq:charged slot growth is charged by the owner as the table's bytes() high-water mark
 func (t *wordTable) at(key uint64) []uint64 {
-	if t.slots == nil {
-		i := int(key) * t.stride
-		return t.words[i : i+t.stride]
+	i := int(key)
+	if t.index != nil {
+		i, _ = t.index.add(key)
 	}
-	i, ok := t.slots[key]
-	if !ok {
-		i = len(t.words)
-		t.slots[key] = i
-		for j := 0; j < t.stride; j++ {
-			t.words = append(t.words, 0)
-		}
+	i *= t.stride
+	if i >= len(t.words) {
+		t.words = append(t.words, make([]uint64, i+t.stride-len(t.words))...)
 	}
 	return t.words[i : i+t.stride]
 }
@@ -770,21 +832,19 @@ func (t *wordTable) or(key, bits uint64) (slot []uint64, fresh uint64) {
 
 // reset zeroes every touched slot.
 func (t *wordTable) reset() {
-	if t.slots == nil {
+	if t.index != nil {
+		clear(t.words[:t.index.n*t.stride])
+		t.index.reset()
+	} else {
 		for _, key := range t.keys {
 			clear(t.at(key))
 		}
-	} else {
-		clear(t.slots)
-		t.words = t.words[:0]
 	}
 	t.keys = t.keys[:0]
 }
 
 // bytes is the table's current footprint.
-func (t *wordTable) bytes() int64 {
-	return int64(8*(cap(t.words)+cap(t.keys))) + int64(fastStateMapBytes*len(t.slots))
-}
+func (t *wordTable) bytes() int64 { return int64(8*(cap(t.words)+cap(t.keys))) + t.index.bytes() }
 
 // errStateBudget reports a sweep traversal that met more distinct product
 // states than its budget; sweepWorker.batch splits the batch and retries.

@@ -247,3 +247,148 @@ func TestCheckComponentBudgetViaFastPath(t *testing.T) {
 		t.Error("budget 1 should error")
 	}
 }
+
+// TestRankTableAgainstMap holds the open-addressing table the key sets and
+// the word tables share to map[uint64]int: every key gets the rank of its
+// first sight, dense from 0, through growth and after a reset. The keys are
+// the ones the encoding could get wrong — 0, whose slot word is 1, beside
+// an empty slot; 2^63-1, the widest packed key, whose slot word is 2^63 —
+// then runs congruent modulo every table size (what packed keys of one
+// relation state look like), keys picked to share a home slot, and a
+// million random operations over a key space small enough to repeat.
+func TestRankTableAgainstMap(t *testing.T) {
+	var tab rankTable
+	ref := map[uint64]int{}
+	add := func(key uint64) {
+		t.Helper()
+		want, seen := ref[key]
+		if !seen {
+			want = len(ref)
+			ref[key] = want
+		}
+		if tab.has(key) != seen {
+			t.Fatalf("has(%d) = %v before the add", key, !seen)
+		}
+		if rank, fresh := tab.add(key); rank != want || fresh == seen {
+			t.Fatalf("add(%d) = rank %d, fresh %v; want rank %d, fresh %v", key, rank, fresh, want, !seen)
+		}
+		if !tab.has(key) || tab.n != len(ref) || 2*tab.n > len(tab.keys) {
+			t.Fatalf("after add(%d): has %v; %d keys in %d slots, want %d at most half full", key, tab.has(key), tab.n, len(tab.keys), len(ref))
+		}
+	}
+	reset := func() {
+		tab.reset()
+		clear(ref)
+		if tab.has(0) || tab.has(1<<63-1) {
+			t.Fatal("a reset table has a key")
+		}
+	}
+	if tab.has(0) || tab.bytes() != 0 {
+		t.Fatal("the zero table is not empty")
+	}
+	edge := []uint64{0, 1<<63 - 1, 1, 1<<63 - 2, 0, 1<<63 - 1}
+	for _, key := range edge {
+		add(key)
+	}
+	for shift := uint(4); shift <= 20; shift += 4 {
+		for i := uint64(0); i < 40; i++ {
+			add(i << shift)
+			add(i<<shift | 3)
+		}
+	}
+	if len(tab.keys) < 16<<3 {
+		t.Fatalf("%d slots after %d keys: the table has not doubled three times", len(tab.keys), tab.n)
+	}
+	grown := len(tab.keys)
+	reset()
+	for _, key := range edge {
+		add(key) // ranks are dense from 0 again
+	}
+	// Keys that share a home slot in the table as it is now: one probe chain.
+	const home = 7
+	for key, found := uint64(2), 0; found < grown/4; key++ {
+		if int(key*0x9E3779B97F4A7C15>>32)&(grown-1) == home {
+			add(key)
+			found++
+		}
+	}
+	if len(tab.keys) != grown {
+		t.Fatalf("a reset table of %d slots has %d after fewer keys than before", grown, len(tab.keys))
+	}
+	rng := rand.New(rand.NewSource(63))
+	for op := 0; op < 1000000; op++ {
+		switch r := rng.Intn(200000); {
+		case r == 0:
+			reset()
+		case r%2 == 0:
+			add(uint64(rng.Intn(30000)))
+		default:
+			add(rng.Uint64() >> 1)
+		}
+	}
+}
+
+// TestKeyTablesAgainstMap drives keySet and wordTable in each of their
+// regimes — direct over a small key space, direct and growing with the
+// wide regime's row ids (width 0), hashed past denseSetBits and
+// denseTableBits — against a map, through the reset-and-reuse cycle the
+// kernels put them through.
+func TestKeyTablesAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, width := range []uint{0, 10, denseSetBits, denseSetBits + 1, denseTableBits, denseTableBits + 1, 63} {
+		set, words := newKeySet(width), newWordTable(width, 2)
+		if hashed := set.table != nil; hashed != (width > denseSetBits) {
+			t.Fatalf("width %d: key set hashed = %v", width, hashed)
+		}
+		if hashed := words.index != nil; hashed != (width > denseTableBits) {
+			t.Fatalf("width %d: word table hashed = %v", width, hashed)
+		}
+		space := uint64(1)<<width - 1
+		if width == 0 {
+			space = 5000 // row ids: however many rows a search has interned
+		}
+		for round := 0; round < 4; round++ {
+			ref := map[uint64][2]uint64{}
+			var members []uint64
+			for op := 0; op < 3000; op++ {
+				key := rng.Uint64() & space
+				if width == 0 {
+					key = uint64(rng.Intn(int(space)))
+				}
+				_, seen := ref[key]
+				if set.has(key) != seen {
+					t.Fatalf("width %d: has(%d) = %v", width, key, !seen)
+				}
+				if set.add(key) == seen {
+					t.Fatalf("width %d: add(%d) reports new = %v", width, key, seen)
+				}
+				if !seen {
+					members = append(members, key)
+				}
+				bits := uint64(1) << uint(rng.Intn(64))
+				slot, fresh := words.or(key, bits)
+				if want := bits &^ ref[key][0]; fresh != want {
+					t.Fatalf("width %d: or(%d) reports %x new, want %x", width, key, fresh, want)
+				}
+				slot[1] += bits
+				ref[key] = [2]uint64{ref[key][0] | bits, ref[key][1] + bits}
+			}
+			if !slices.Equal(words.keys, members) {
+				t.Fatalf("width %d: touched keys are not the members in order of first touch", width)
+			}
+			for key, want := range ref {
+				if got := words.at(key); got[0] != want[0] || got[1] != want[1] {
+					t.Fatalf("width %d: slot of %d is %x, want %x", width, key, got, want)
+				}
+			}
+			set.clear(members)
+			words.reset()
+			for _, key := range members {
+				if set.has(key) || words.at(key)[0] != 0 || words.at(key)[1] != 0 {
+					t.Fatalf("width %d: key %d survives the reset", width, key)
+				}
+			}
+			words.reset() // the probes above claimed slots in the hashed regime
+		}
+	}
+}

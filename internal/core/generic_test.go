@@ -546,6 +546,21 @@ func TestGenericWideComponent(t *testing.T) {
 	}
 }
 
+// prefixChain3 is the satisfiable 3-track prefix chain of the generic-search
+// workload and genericCheckDB the database BenchmarkGenericCheck draws for V
+// vertices: TestGenericSearchChargesWhatItMeets runs the same pair under a
+// reservation.
+func prefixChain3(a *alphabet.Alphabet) *query.Query {
+	return query.NewBuilder(a).
+		Reach("x", "p1", "y").Reach("x", "p2", "y").Reach("x", "p3", "y").
+		Rel(synchro.PrefixOf(a), "p1", "p2").Rel(synchro.PrefixOf(a), "p2", "p3").
+		Lang("p1", "a(a|b)*").MustBuild()
+}
+
+func genericCheckDB(a *alphabet.Alphabet, v int) *graphdb.DB {
+	return randomDB(rand.New(rand.NewSource(int64(v))), a, v, 3*v)
+}
+
 // BenchmarkGenericCheck is the Lemma 4.2 layer benchmark, on the two shapes
 // of the generic-search workload that cost the most: the exhaustive
 // unsatisfiable 3-track eq fan on V = 100 (10 000 checks from 100 source
@@ -562,12 +577,9 @@ func BenchmarkGenericCheck(b *testing.B) {
 			Reach("x", "p1", "y").Reach("x", "p2", "y").Reach("x", "p3", "y").
 			Rel(synchro.Equality(a, 3), "p1", "p2", "p3").
 			Lang("p1", "a(a|b)*").Lang("p2", "b(a|b)*").Lang("p3", "(a|b)*").MustBuild()},
-		{"chain-prefix3-sat", 40, query.NewBuilder(a).
-			Reach("x", "p1", "y").Reach("x", "p2", "y").Reach("x", "p3", "y").
-			Rel(synchro.PrefixOf(a), "p1", "p2").Rel(synchro.PrefixOf(a), "p2", "p3").
-			Lang("p1", "a(a|b)*").MustBuild()},
+		{"chain-prefix3-sat", 40, prefixChain3(a)},
 	} {
-		db := randomDB(rand.New(rand.NewSource(int64(bc.v))), a, bc.v, 3*bc.v)
+		db := genericCheckDB(a, bc.v)
 		p, err := Prepare(bc.q, Options{Strategy: Generic})
 		if err != nil {
 			b.Fatal(err)

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/govern"
+	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
 	"ecrpq/internal/synchro"
 )
@@ -95,5 +97,80 @@ func TestEvaluateWithoutReservationUnchanged(t *testing.T) {
 		MustBuild()
 	if !evalAll(t, db, q) {
 		t.Fatal("equal-length query should hold on the line database")
+	}
+}
+
+// TestGenericSearchChargesWhatItMeets: a product kernel charges the tables
+// it holds, and those are sized by the states its searches meet, not by the
+// key space the states are drawn from. What an operator sees: the V = 40
+// prefix 3-chain of BenchmarkGenericCheck packs into 2^28 keys and meets a
+// few thousand states; when a kernel began by zeroing a bitset over the key
+// space its evaluation charged 4.4 MB up front and a 1 MiB reservation
+// refused it, and now it fits, with a witness that verifies and nothing
+// charged afterwards. And an empty kernel holds at most two 8 KiB bitsets,
+// whatever the database, the tracks and the key regime.
+func TestGenericSearchChargesWhatItMeets(t *testing.T) {
+	a := alphabet.Lower(2)
+	db, q := genericCheckDB(a, 40), prefixChain3(a)
+	for _, regime := range []func(func()){func(f func()) { f() }, inWideRegime} {
+		regime(func() {
+			broker := govern.NewBroker(1 << 20)
+			res, err := broker.Reserve(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := EvaluateContext(govern.NewContext(context.Background(), res), db, q, Options{Strategy: Generic})
+			if err != nil || !out.Sat {
+				t.Fatalf("the prefix 3-chain under a 1 MiB reservation: result %v, err %v (peak charge %d)", out, err, res.Peak())
+			}
+			if err := VerifyWitness(db, q, out); err != nil {
+				t.Fatal(err)
+			}
+			if res.Peak() == 0 || res.Used() != 0 {
+				t.Fatalf("peak charge %d, %d bytes still charged after the call", res.Peak(), res.Used())
+			}
+			res.Release()
+			if got := broker.Reserved(); got != 0 {
+				t.Fatalf("broker holds %d bytes after release", got)
+			}
+		})
+	}
+
+	for _, v := range []int{16, 40, 100, 100000} {
+		big := graphdb.New(a)
+		for i := 0; i < v; i++ {
+			big.MustAddVertex("")
+		}
+		for tracks := 1; tracks <= 3; tracks++ {
+			comps, err := decomposeViews(eqFan(a, tracks).Lang("p1", "a(a|b)*b").MustBuild())
+			if err != nil || len(comps) != 1 {
+				t.Fatalf("decompose: %v, %d components", err, len(comps))
+			}
+			for name, regime := range map[string]func(func()){"narrow": func(f func()) { f() }, "wide": inWideRegime} {
+				regime(func() {
+					fp := newFastProduct(big, &comps[0])
+					at := fmt.Sprintf("V=%d, %d tracks, %s (%d-bit states, %d-bit destinations)", v, tracks, name, fp.bits, fp.destBits)
+					if fp.wide != (name == "wide") {
+						t.Fatalf("%s: wide=%v", at, fp.wide)
+					}
+					held := fp.visited.bytes() + fp.accepted.bytes() + fp.stateRows.bytes() + fp.destRows.bytes()
+					if held > 16<<10 {
+						t.Fatalf("%s: an empty kernel holds %d bytes", at, held)
+					}
+					res, err := govern.NewBroker(1 << 30).Reserve(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer res.Release()
+					if err := fp.begin(govern.NewContext(context.Background(), res), make([]int, tracks), 0); err != nil {
+						t.Fatal(err)
+					}
+					if res.Used() == 0 || res.Used() > 17<<10 {
+						t.Fatalf("%s: a kernel that has met its start states charges %d bytes", at, res.Used())
+					}
+					fp.releaseMem()
+				})
+			}
+		}
 	}
 }

@@ -324,8 +324,9 @@ func pow(n, e int) int {
 	return out
 }
 
-// TestSweepKernelMapTable forces the map regime of the word table (a packed
-// state wider than denseTableBits) and holds it to the per-source reference.
+// TestSweepKernelMapTable forces the hashed regime of the word table (a
+// packed state wider than denseTableBits, indexed through the rank table it
+// shares with the key sets) and holds it to the per-source reference.
 func TestSweepKernelMapTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := alphabet.Lower(2)
@@ -336,7 +337,7 @@ func TestSweepKernelMapTable(t *testing.T) {
 	if f.wide || f.bits <= denseTableBits {
 		t.Fatalf("instance packs into %d bits: it does not reach the map regime", f.bits)
 	}
-	if k, err := newSweepKernel(f, nil); err != nil || k.states.slots == nil {
+	if k, err := newSweepKernel(f, nil); err != nil || k.states.index == nil {
 		t.Fatalf("state table is dense for a %d-bit state (err %v)", f.bits, err)
 	}
 	want, err := in.reference(t, 0)

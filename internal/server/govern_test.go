@@ -162,6 +162,32 @@ func TestAnswersJoinBounded(t *testing.T) {
 	}
 }
 
+// TestGenericSearchFitsSmallBudget: the generic strategy's product kernels
+// charge tables sized by the states a search meets. The 3-track prefix
+// chain on a 40-vertex graph packs into 2^28 keys; when a kernel zeroed a
+// bitset over that space before its first state, a daemon with a 1 MiB
+// budget answered this request 429 RESOURCE_EXHAUSTED (4.4 MB asked for
+// up front), and now answers it with a witness.
+func TestGenericSearchFitsSmallBudget(t *testing.T) {
+	s := newTestServer(t, Config{MemBudgetBytes: 1 << 20, QueryReserveBytes: 64 << 10})
+	var db strings.Builder
+	db.WriteString("alphabet a b\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&db, "v%d a v%d\nv%d b v%d\nv%d a v%d\n", i, (i+1)%40, i, (7*i+3)%40, i, (11*i+5)%40)
+	}
+	registerDB(t, s, "g40", db.String())
+	rec, out := doJSON(t, s, "POST", "/v1/query", map[string]any{
+		"db": "g40", "strategy": "generic",
+		"query": "alphabet a b\nx -[$p1]-> y\nx -[$p2]-> y\nx -[$p3]-> y\nrel prefix(p1, p2)\nrel prefix(p2, p3)\nlang p1 a(a|b)*\n",
+	})
+	if rec.Code != http.StatusOK || out["sat"] != true || out["paths"] == nil {
+		t.Fatalf("status=%d, want 200 with a witness (%.300s)", rec.Code, rec.Body.String())
+	}
+	if got, cached := s.GovernStats().ReservedBytes, s.CacheStats().Bytes; got > cached {
+		t.Errorf("reserved = %d after the request, want at most the cache's %d", got, cached)
+	}
+}
+
 // TestDegradedFallback pins the satisfiability-only answer: with a budget
 // too small to admit any evaluation, a satisfiable query still gets a 200
 // marked degraded.
