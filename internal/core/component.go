@@ -340,7 +340,7 @@ func componentReachSet(ctx context.Context, fp *fastProduct, srcs []int, maxStat
 	for _, key := range fp.dests {
 		n := len(buf)
 		buf = append(buf, srcs...) // t slots, overwritten below
-		fp.unpackDest(key, buf[n:])
+		unpackDest(&fp.productStep, key, buf[n:])
 	}
 	return buf, nil
 }

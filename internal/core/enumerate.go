@@ -22,8 +22,8 @@ import (
 	"ecrpq/internal/trace"
 )
 
-// compRowBytes is what one R' row of a t-track component is charged,
-// retained (sweepComponent) or streamed: its 2t values plus a slice header.
+// compRowBytes is what one streamed R' row of a t-track component is charged:
+// 2t ints plus a slice header (a materialised row is its 8t bytes of array).
 func compRowBytes(t int) int64 { return int64(24 + 16*t) }
 
 // reductionQuery builds the conjunctive query of the Lemma 4.3 instance,

@@ -252,17 +252,17 @@ func (p *productStep) destKey(verts []int) uint64 {
 	return key
 }
 
-// unpackDest inverts destKey into verts.
-func (p *productStep) unpackDest(key uint64, verts []int) {
+// unpackDest inverts destKey into verts: ints for a search, int32 for R' rows.
+func unpackDest[T int | int32](p *productStep, key uint64, verts []T) {
 	if p.wide {
 		for i, v := range p.destRows.row(key) {
-			verts[i] = int(v)
+			verts[i] = T(v)
 		}
 		return
 	}
 	mask := uint64(1)<<p.vBits - 1
 	for i := len(verts) - 1; i >= 0; i-- {
-		verts[i] = int(key & mask)
+		verts[i] = T(key & mask)
 		key >>= p.vBits
 	}
 }
@@ -897,9 +897,9 @@ func (k *sweepKernel) charge() error {
 
 // decodeSource fills srcs with source tuple idx of the sweep order: mixed
 // radix base n with track 0 varying fastest.
-func decodeSource(idx, n int, srcs []int) {
+func decodeSource[T int | int32](idx, n int, srcs []T) {
 	for i := range srcs {
-		srcs[i] = idx % n
+		srcs[i] = T(idx % n)
 		idx /= n
 	}
 }

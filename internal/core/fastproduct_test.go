@@ -135,7 +135,7 @@ func TestFastProductReuseAcrossRuns(t *testing.T) {
 		}
 		verts := make([]int, tn)
 		for _, key := range f.dests {
-			f.unpackDest(key, verts)
+			unpackDest(&f.productStep, key, verts)
 			out[fmt.Sprint(verts)] = true
 		}
 		return out

@@ -10,6 +10,7 @@ import (
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
+	"ecrpq/internal/plancache"
 	"ecrpq/internal/query"
 	"ecrpq/internal/synchro"
 )
@@ -173,4 +174,69 @@ func TestGenericSearchChargesWhatItMeets(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMaterializationChargesItsRows: what a Materialize leaves charged to its
+// reservation, what the materialisation reports as MemBytes and what a cache
+// Put of it takes from the broker's ledger are the same bytes — the size of
+// the []int32 arrays its relations hold, each component at its own arity (a
+// 1-track row is 8 bytes beside a 2-track row's 16, not charged at the wider)
+// — in both key regimes and at every parallelism.
+func TestMaterializationChargesItsRows(t *testing.T) {
+	a := alphabet.Lower(2)
+	db := randomDB(rand.New(rand.NewSource(27)), a, 10, 30)
+	q := query.NewBuilder(a).
+		Reach("x", "p1", "y").
+		Reach("x", "p2", "y").
+		Rel(synchro.EqualLength(a, 2), "p1", "p2").
+		Reach("y", "p3", "z").
+		Lang("p3", "a(a|b)*").
+		MustBuild()
+	check := func() {
+		for _, par := range []int{0, 2} {
+			p, err := Prepare(q, Options{Strategy: Reduction, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			broker := govern.NewBroker(1 << 30)
+			res, err := broker.Reserve(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mat, err := p.Materialize(govern.NewContext(context.Background(), res), db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, arities := int64(0), map[int]bool{}
+			for _, name := range mat.st.RelationNames() {
+				r := mat.st.Relation(name)
+				if r.Len() == 0 {
+					t.Fatalf("par=%d: %s is empty; the instance no longer exercises both arities", par, name)
+				}
+				rows += int64(4 * r.Arity * r.Len())
+				arities[r.Arity] = true
+			}
+			if !arities[2] || !arities[4] {
+				t.Fatalf("par=%d: relation arities %v, want a 1-track and a 2-track component", par, arities)
+			}
+			if int64(mat.st.RowBytes()) != rows || res.Used() != rows || int64(mat.MemBytes()) != 512+rows {
+				t.Fatalf("par=%d: the relations hold %d bytes of rows (RowBytes %d): the reservation keeps %d, MemBytes is %d, want %d and %d",
+					par, rows, mat.st.RowBytes(), res.Used(), mat.MemBytes(), rows, 512+rows)
+			}
+			res.Release()
+			cache := plancache.New(1 << 30)
+			cache.SetLedger(broker)
+			before := broker.Reserved()
+			cache.Put(plancache.Key{QueryHash: "q", Strategy: "reduction", DBGen: 1}, mat, mat.MemBytes())
+			if got := broker.Reserved() - before; got != int64(mat.MemBytes()) || cache.Len() != 1 {
+				t.Fatalf("par=%d: caching the materialisation moved the ledger by %d bytes (%d entries), want MemBytes = %d", par, got, cache.Len(), mat.MemBytes())
+			}
+			cache.Delete(plancache.Key{QueryHash: "q", Strategy: "reduction", DBGen: 1})
+			if got := broker.Reserved(); got != 0 {
+				t.Fatalf("par=%d: broker holds %d bytes after the release and the delete", par, got)
+			}
+		}
+	}
+	check()
+	inWideRegime(check)
 }

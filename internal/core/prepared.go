@@ -145,7 +145,8 @@ type Materialization struct {
 	memBytes int
 }
 
-// MemBytes approximates the retained size of the materialized instance.
+// MemBytes is the retained size of the materialized instance: its R' row
+// arrays, as the sweep charged them, plus a fixed 512 for what is around them.
 func (m *Materialization) MemBytes() int { return m.memBytes }
 
 // Tuples returns the number of materialized CQ tuples (the R' rows).
@@ -168,17 +169,7 @@ func (p *Prepared) Materialize(ctx context.Context, db *graphdb.DB) (*Materializ
 	if err != nil {
 		return nil, err
 	}
-	m := &Materialization{st: st, stats: stats}
-	// Tuples dominate: one []int row of total arity ints per tuple, map
-	// overhead included in the per-tuple constant.
-	arity := 2
-	for _, c := range p.comps {
-		if a := 2 * len(c.tracks); a > arity {
-			arity = a
-		}
-	}
-	m.memBytes = 512 + stats.CQTuples*(24+8*arity)
-	return m, nil
+	return &Materialization{st: st, stats: stats, memBytes: 512 + st.RowBytes()}, nil
 }
 
 func (p *Prepared) checkDB(db *graphdb.DB) error {

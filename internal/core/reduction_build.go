@@ -45,9 +45,9 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) ([]comp
 		if err := res.Grow(int64(st)*mergedStateBytes + int64(8*len(c.tracks))); err != nil {
 			return nil, 0, err
 		}
-		allTracks := make([]int, len(c.tracks))
-		for k := range allTracks {
-			allTracks[k] = k
+		var allTracks []int
+		for k := range c.tracks {
+			allTracks = append(allTracks, k)
 		}
 		merged[ci] = component{
 			tracks:    c.tracks,
@@ -73,7 +73,7 @@ func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*c
 	st := cq.NewStructure(max(n, 1))
 	for ci := range merged {
 		t := len(merged[ci].tracks)
-		var rows []int
+		var rows []int32
 		_, ssp := trace.StartSpan(ctx, "core/sweep")
 		var err error
 		if n > 0 {
@@ -116,11 +116,15 @@ func sweepSources(n, t int) (int, error) {
 // under (what cq.LoadSorted verifies and Contains searches by): source
 // index ascending with track 0 fastest — so the last track's source is the
 // most significant column — then destinations lexicographically.
+//
+//ecrpq:charged query-sized: 2t column indices
 func sweepColumnOrder(t int) []int {
-	order := make([]int, 2*t)
+	var order []int
+	for k := t - 1; k >= 0; k-- {
+		order = append(order, 2*k)
+	}
 	for k := 0; k < t; k++ {
-		order[k] = 2 * (t - 1 - k)
-		order[t+k] = 2*k + 1
+		order = append(order, 2*k+1)
 	}
 	return order
 }
@@ -128,10 +132,11 @@ func sweepColumnOrder(t int) []int {
 // sweepComponent materializes R' of a merged component: for every one of
 // the V^t source tuples, each destination tuple reachable by satisfying
 // paths, as interleaved rows (u1, v1, ..., ut, vt) back to back in one flat
-// slice. Rows are distinct and in sweep order whatever the parallelism:
-// source index ascending with track 0 fastest, destinations lexicographic
-// per source — the order compStream reproduces lazily and /v1/enumerate
-// cursors are pinned to.
+// []int32, which cq.LoadSorted takes as the relation's row store and the join
+// scans: a row is written once and never converted. Rows are distinct and in
+// sweep order whatever the parallelism: source index ascending with track 0
+// fastest, destinations lexicographic per source — the order compStream
+// reproduces lazily and /v1/enumerate cursors are pinned to.
 //
 // Sources are swept 64 at a time (sweepKernel): the ⌈V^t/64⌉ batches are
 // sharded in contiguous ranges over opts.workers() goroutines, each with
@@ -140,9 +145,9 @@ func sweepColumnOrder(t int) []int {
 // all traversals are done the row count is known, the flat slice is
 // allocated once at its final size, and every worker expands its pairs
 // into its own region of it. Retained rows are charged to the context's
-// reservation per batch and stay charged on success; on failure everything
-// the sweep charged is released.
-func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts Options) (_ []int, err error) {
+// reservation per batch, at the bytes they take in that array, and stay
+// charged on success; on failure everything the sweep charged is released.
+func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts Options) (_ []int32, err error) {
 	t := len(merged.tracks)
 	total, err := sweepSources(db.NumVertices(), t)
 	if err != nil {
@@ -186,13 +191,14 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 	if err != nil {
 		return nil, err
 	}
-	rowEnd := make([]int, len(ws)+1) // worker i's rows are rowEnd[i]..rowEnd[i+1]
-	for i, w := range ws {
-		rowEnd[i+1] = rowEnd[i] + w.rows
+	rows := 0
+	for _, w := range ws {
+		w.start = rows
+		rows += w.rows
 	}
-	flat := make([]int, rowEnd[len(ws)]*2*t)
+	flat := make([]int32, rows*2*t)
 	err = runWorkers(len(ws), func(i int, _ <-chan struct{}) error {
-		return ws[i].emit(ctx, flat[rowEnd[i]*2*t:rowEnd[i+1]*2*t])
+		return ws[i].emit(ctx, flat)
 	})
 	if err != nil {
 		return nil, err
@@ -211,6 +217,7 @@ type sweepWorker struct {
 	keys     []uint64 // destination keys of all segments, back to back
 	words    []uint64 // keys[j] is reached by the sources in words[j]
 	rows     int
+	start    int // the worker's first row in the component's array
 }
 
 // sweepSegment is one traversal's slice of the pair arrays.
@@ -256,7 +263,7 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 	if err := w.k.mem.Grow(int64(8 * (cap(w.keys) + cap(w.words) - before))); err != nil {
 		return fmt.Errorf("core: product search: %w", err)
 	}
-	if err := w.retained.Grow(int64(rows) * compRowBytes(w.k.t)); err != nil {
+	if err := w.retained.Grow(int64(rows) * 8 * int64(w.k.t)); err != nil { // 2t int32 values a row
 		return err
 	}
 	w.segs = append(w.segs, sweepSegment{first: first, end: len(w.keys), rows: rows})
@@ -264,14 +271,15 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 	return nil
 }
 
-// emit expands the worker's segments into out, its region of the flat row
-// array: per segment, sources ascending, and per source its destinations in
-// key order. A counting pass over the words gives every source its offset,
-// so each pair is visited once per row it stands for.
-func (w *sweepWorker) emit(ctx context.Context, out []int) error {
+// emit expands the worker's segments into its region of the flat row array,
+// rows start … start+rows-1: per segment, sources ascending, and per source
+// its destinations in key order. A counting pass over the words gives every
+// source its offset, so each pair is visited once per row it stands for.
+func (w *sweepWorker) emit(ctx context.Context, flat []int32) error {
 	t, n := w.k.t, w.k.db.NumVertices()
-	srcs := make([]int, 64*t)
-	dst := make([]int, t)
+	out := flat[w.start*2*t : (w.start+w.rows)*2*t]
+	srcs := make([]int32, 64*t)
+	dst := make([]int32, t)
 	begin := 0
 	for _, seg := range w.segs {
 		if err := ctx.Err(); err != nil {
@@ -290,7 +298,7 @@ func (w *sweepWorker) emit(ctx context.Context, out []int) error {
 			decodeSource(seg.first+i, n, srcs[i*t:(i+1)*t])
 		}
 		for j, key := range keys {
-			w.k.unpackDest(key, dst)
+			unpackDest(&w.k.productStep, key, dst)
 			for word := words[j]; word != 0; word &= word - 1 {
 				i := bits.TrailingZeros64(word)
 				row := out[next[i]*2*t : (next[i]+1)*2*t]

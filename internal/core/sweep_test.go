@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
 	"slices"
 	"strings"
@@ -70,7 +73,7 @@ func newSweepInstance(t testing.TB, name string, db *graphdb.DB, tracks int, rel
 	return sweepInstance{name: name, db: db, q: q, merged: &p.merged[0]}
 }
 
-func (in sweepInstance) sweep(ctx context.Context, opts Options) ([]int, error) {
+func (in sweepInstance) sweep(ctx context.Context, opts Options) ([]int32, error) {
 	return sweepComponent(ctx, in.db, in.merged, opts)
 }
 
@@ -96,13 +99,14 @@ func comboOverflowLangs(b *query.Builder, p1, p2 string) *query.Builder {
 
 // reference concatenates per-source componentReachSet results in sweep
 // order: the rows the per-source loop of the previous sweep produced.
-func (in sweepInstance) reference(t testing.TB, maxStates int) ([]int, error) {
+func (in sweepInstance) reference(t testing.TB, maxStates int) ([]int32, error) {
 	t.Helper()
 	tr, n := len(in.merged.tracks), in.db.NumVertices()
 	fp := newFastProduct(in.db, in.merged)
 	total := pow(n, tr)
 	srcs := make([]int, tr)
-	var rows, dsts []int
+	var rows []int32
+	var dsts []int
 	for idx := 0; idx < total; idx++ {
 		decodeSource(idx, n, srcs)
 		var err error
@@ -111,7 +115,7 @@ func (in sweepInstance) reference(t testing.TB, maxStates int) ([]int, error) {
 		}
 		for d := 0; d < len(dsts); d += tr {
 			for k := 0; k < tr; k++ {
-				rows = append(rows, srcs[k], dsts[d+k])
+				rows = append(rows, int32(srcs[k]), int32(dsts[d+k]))
 			}
 		}
 	}
@@ -211,13 +215,17 @@ func TestSweepKernelDifferential(t *testing.T) {
 			t.Fatalf("%s: LoadSorted: %v", in.name, err)
 		}
 		member := make(map[string]bool)
-		for _, row := range st.Relation("r").Tuples {
+		probe := make([]int, 2*tr)
+		for i, r := 0, st.Relation("r"); i < r.Len(); i++ {
+			row := r.Row(i)
+			for k, v := range row {
+				probe[k] = int(v)
+			}
 			member[fmt.Sprint(row)] = true
-			if !st.Contains("r", row...) {
+			if !st.Contains("r", probe...) {
 				t.Fatalf("%s: Contains misses row %v", in.name, row)
 			}
 		}
-		probe := make([]int, 2*tr)
 		for i := 0; i < 1000; i++ {
 			for k := range probe {
 				probe[k] = rng.Intn(n)
@@ -229,7 +237,7 @@ func TestSweepKernelDifferential(t *testing.T) {
 	}
 }
 
-func firstDiff(a, b []int) int {
+func firstDiff(a, b []int32) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {
 			return i
@@ -439,8 +447,8 @@ func sweepCancelReleases(t *testing.T) {
 			used := res.Used()
 			res.Release()
 			if err == nil {
-				if want := int64(len(rows)/4) * compRowBytes(2); used != want {
-					t.Fatalf("par=%d: completed sweep leaves %d bytes charged, want %d for its %d rows", par, used, want, len(rows)/4)
+				if want := int64(4 * len(rows)); used != want {
+					t.Fatalf("par=%d: completed sweep leaves %d bytes charged, want %d: the size of its %d-value array", par, used, want, len(rows))
 				}
 				break
 			}
@@ -457,6 +465,53 @@ func sweepCancelReleases(t *testing.T) {
 	}
 	if got := broker.Reserved(); got != 0 {
 		t.Fatalf("broker holds %d bytes after every reservation was released", got)
+	}
+}
+
+// TestSweepKernelRowsStayFlat is the layout's architecture assertion: R' is
+// int32 values back to back from the sweep's emit to the join's scan, so no
+// struct in cq.go has a [][]int field (a slice header per row) and nothing in
+// reduction_build.go makes an []int (8 bytes per vertex id).
+func TestSweepKernelRowsStayFlat(t *testing.T) {
+	isIntSlice := func(e ast.Expr) bool {
+		arr, ok := e.(*ast.ArrayType)
+		if !ok || arr.Len != nil {
+			return false
+		}
+		elem, ok := arr.Elt.(*ast.Ident)
+		return ok && elem.Name == "int"
+	}
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	fields, makes := 0, 0
+	ast.Inspect(parse("../cq/cq.go"), func(n ast.Node) bool {
+		if f, ok := n.(*ast.Field); ok {
+			fields++
+			if arr, ok := f.Type.(*ast.ArrayType); ok && arr.Len == nil && isIntSlice(arr.Elt) {
+				t.Errorf("%s: a [][]int field in cq.go: rows have headers again", fset.Position(f.Pos()))
+			}
+		}
+		return true
+	})
+	ast.Inspect(parse("reduction_build.go"), func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
+			if fn, _ := call.Fun.(*ast.Ident); fn != nil && fn.Name == "make" {
+				makes++
+				if isIntSlice(call.Args[0]) {
+					t.Errorf("%s: make([]int, …) in reduction_build.go: the sweep's rows and scratch are int32", fset.Position(call.Pos()))
+				}
+			}
+		}
+		return true
+	})
+	if fields == 0 || makes == 0 {
+		t.Errorf("saw %d fields in cq.go and %d make calls in reduction_build.go: the assertion is looking at nothing", fields, makes)
 	}
 }
 
@@ -488,7 +543,7 @@ func BenchmarkSweepComponent(b *testing.B) {
 				if err := st.LoadSorted("r", 4, flat, sweepColumnOrder(2)); err != nil {
 					b.Fatal(err)
 				}
-				rows = len(st.Relation("r").Tuples)
+				rows = st.Relation("r").Len()
 			}
 			b.ReportMetric(float64(rows), "rows/op")
 		})

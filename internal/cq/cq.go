@@ -3,11 +3,13 @@
 // makes bounded-treewidth evaluation polynomial (Proposition 2.3 of the
 // paper; Compile, Plan.Eval, Plan.Answers), and one reference it is tested
 // against, exhaustive backtracking (EvalBacktrack). It is the target of the
-// ECRPQ-to-CQ reduction of Lemma 4.3.
+// ECRPQ-to-CQ reduction of Lemma 4.3, whose R' relations it stores as the
+// evaluator reads them: one flat []int32 of rows each (Relation).
 package cq
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -22,16 +24,22 @@ type Structure struct {
 	rels   map[string]*Relation
 }
 
-// Relation is a named relation: a set of tuples over the domain. A
-// relation is either built tuple by tuple (AddTuple; membership through a
-// hash index) or bulk-loaded from sorted rows (LoadSorted; membership by
-// binary search, no index).
+// Relation is a named relation: a set of tuples over the domain, stored as the
+// join kernel reads them — rows back to back in one pointer-free []int32. It is
+// built tuple by tuple (AddTuple; membership through a hash index beside the
+// rows) or bulk-loaded sorted (LoadSorted; membership by binary search, no index).
 type Relation struct {
-	Arity  int
-	Tuples [][]int
-	index  map[string]bool // AddTuple-built relations; nil when bulk-loaded
-	order  []int           // bulk-loaded: Tuples ascend strictly under this column order
+	Arity int
+	data  []int32         // Len() rows of Arity values each
+	index map[string]bool // AddTuple-built relations; nil when bulk-loaded
+	order []int           // bulk-loaded: rows ascend strictly under this column order
 }
+
+// Len returns the number of rows.
+func (r *Relation) Len() int { return len(r.data) / r.Arity }
+
+// Row returns row i, a read-only slice into the relation's array.
+func (r *Relation) Row(i int) []int32 { return r.data[i*r.Arity : (i+1)*r.Arity : (i+1)*r.Arity] }
 
 // NewStructure returns a structure with the given domain size.
 func NewStructure(domain int) *Structure {
@@ -51,13 +59,13 @@ func (s *Structure) AddRelation(name string, arity int) error {
 }
 
 // LoadSorted declares a relation and bulk-loads it from flat, which holds
-// the rows back to back (arity ints each). The rows must be distinct and
+// the rows back to back (arity values each). The rows must be distinct and
 // strictly ascending when compared column by column in the order given by
-// order (a permutation of 0..arity-1); this is verified in one pass, along
-// with the domain bounds. The relation takes ownership of flat: Tuples are
-// slices into it, nothing is copied or indexed, and Contains binary-searches
-// the rows. A bulk-loaded relation is immutable (AddTuple on it fails).
-func (s *Structure) LoadSorted(name string, arity int, flat []int, order []int) error {
+// order (a permutation of 0..arity-1); this is verified in place, in one
+// pass, along with the domain bounds. The relation takes ownership of flat
+// as its row store: nothing is copied or indexed, and Contains binary-searches
+// the row indices. A bulk-loaded relation is immutable (AddTuple on it fails).
+func (s *Structure) LoadSorted(name string, arity int, flat []int32, order []int) error {
 	if _, ok := s.rels[name]; ok {
 		return fmt.Errorf("cq: duplicate relation %q", name)
 	}
@@ -69,32 +77,39 @@ func (s *Structure) LoadSorted(name string, arity int, flat []int, order []int) 
 	}
 	seen := make([]bool, arity)
 	for _, c := range order {
-		if len(order) != arity || c < 0 || c >= arity || seen[c] {
-			return fmt.Errorf("cq: relation %q: column order %v is not a permutation of its %d columns", name, order, arity)
-		}
-		seen[c] = true
-	}
-	for _, v := range flat {
-		if v < 0 || v >= s.Domain {
-			return fmt.Errorf("cq: tuple value %d outside domain", v)
+		if c >= 0 && c < arity {
+			seen[c] = true
 		}
 	}
-	r := &Relation{Arity: arity, Tuples: make([][]int, len(flat)/arity), order: slices.Clone(order)}
-	for i := range r.Tuples {
-		r.Tuples[i] = flat[i*arity : (i+1)*arity : (i+1)*arity]
-		if i > 0 && r.compare(r.Tuples[i-1], r.Tuples[i]) >= 0 {
-			return fmt.Errorf("cq: relation %q: rows %d and %d are not strictly ascending under column order %v", name, i-1, i, order)
+	if len(order) != arity || slices.Contains(seen, false) { // arity entries naming every column: a permutation
+		return fmt.Errorf("cq: relation %q: column order %v is not a permutation of its %d columns", name, order, arity)
+	}
+	r := &Relation{Arity: arity, data: flat, order: slices.Clone(order)}
+	unsorted := 0 // the first row not above its predecessor; a value outside the domain, wherever it is, is reported first
+	for i, n := 0, r.Len(); i < n; i++ {
+		row := r.Row(i)
+		for _, v := range row {
+			if v < 0 || int(v) >= s.Domain {
+				return fmt.Errorf("cq: tuple value %d outside domain", v)
+			}
 		}
+		if unsorted == 0 && i > 0 && compareRows(r.order, row, r.Row(i-1)) <= 0 {
+			unsorted = i
+		}
+	}
+	if unsorted > 0 {
+		return fmt.Errorf("cq: relation %q: rows %d and %d are not strictly ascending under column order %v", name, unsorted-1, unsorted, order)
 	}
 	s.rels[name] = r
 	return nil
 }
 
-// compare orders two tuples column by column in the relation's load order.
-func (r *Relation) compare(a, b []int) int {
-	for _, c := range r.order {
-		if a[c] != b[c] {
-			if a[c] < b[c] {
+// compareRows orders a tuple (a caller's []int, or another row) against a
+// row, column by column in the given order.
+func compareRows[T int | int32](order []int, tuple []T, row []int32) int {
+	for _, c := range order {
+		if a, b := int(tuple[c]), int(row[c]); a != b {
+			if a < b {
 				return -1
 			}
 			return 1
@@ -116,7 +131,7 @@ func (s *Structure) AddTuple(name string, tuple ...int) error {
 		return fmt.Errorf("cq: relation %q arity %d, tuple %v", name, r.Arity, tuple)
 	}
 	for _, v := range tuple {
-		if v < 0 || v >= s.Domain {
+		if v < 0 || v >= s.Domain || v > math.MaxInt32 { // rows hold int32; Eval refuses a wider domain outright
 			return fmt.Errorf("cq: tuple value %d outside domain", v)
 		}
 	}
@@ -125,9 +140,11 @@ func (s *Structure) AddTuple(name string, tuple ...int) error {
 		return nil
 	}
 	r.index[k] = true
-	cp := make([]int, len(tuple))
-	copy(cp, tuple)
-	r.Tuples = append(r.Tuples, cp)
+	n := len(r.data)
+	r.data = slices.Grow(r.data, r.Arity)[:n+r.Arity]
+	for i, v := range tuple {
+		r.data[n+i] = int32(v)
+	}
 	return nil
 }
 
@@ -142,11 +159,11 @@ func (s *Structure) Contains(name string, tuple ...int) bool {
 	if !ok || len(tuple) != r.Arity {
 		return false
 	}
-	if r.index == nil {
-		_, found := slices.BinarySearchFunc(r.Tuples, tuple, r.compare)
-		return found
+	if r.index != nil {
+		return r.index[key(tuple)]
 	}
-	return r.index[key(tuple)]
+	_, found := sort.Find(r.Len(), func(i int) int { return compareRows(r.order, tuple, r.Row(i)) })
+	return found
 }
 
 // RelationNames returns the declared relation names, sorted.
@@ -168,7 +185,16 @@ func (s *Structure) Relation(name string) *Relation { return s.rels[name] }
 func (s *Structure) NumTuples() int {
 	n := 0
 	for _, r := range s.rels {
-		n += len(r.Tuples)
+		n += r.Len()
+	}
+	return n
+}
+
+// RowBytes returns the bytes the relations' rows occupy: 4 per value.
+func (s *Structure) RowBytes() int {
+	n := 0
+	for _, r := range s.rels {
+		n += 4 * len(r.data)
 	}
 	return n
 }

@@ -5,9 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// rows32 narrows test rows to the element type relations store.
+func rows32(flat []int) []int32 {
+	out := make([]int32, len(flat))
+	for i, v := range flat {
+		out[i] = int32(v)
+	}
+	return out
+}
 
 // pathStructure builds a structure with a binary relation E forming a
 // directed path 0 → 1 → ... → n-1.
@@ -302,19 +312,19 @@ func TestAllAnswersCancelled(t *testing.T) {
 func TestLoadSorted(t *testing.T) {
 	s := NewStructure(4)
 	// Ascending by column 1, then column 0.
-	flat := []int{2, 0, 3, 0, 0, 1, 1, 3}
+	flat := []int32{2, 0, 3, 0, 0, 1, 1, 3}
 	if err := s.LoadSorted("R", 2, flat, []int{1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	r := s.Relation("R")
-	if len(r.Tuples) != 4 || &r.Tuples[1][0] != &flat[2] {
-		t.Fatalf("Tuples = %v, want 4 rows slicing the loaded array", r.Tuples)
+	if r.Len() != 4 || &r.Row(1)[0] != &flat[2] || cap(r.Row(1)) != 2 {
+		t.Fatalf("%d rows, row 1 = %v: want 4 rows slicing the loaded array", r.Len(), r.Row(1))
 	}
 	for d := 0; d < 16; d++ {
 		tup := []int{d / 4, d % 4}
 		want := false
-		for _, row := range r.Tuples {
-			want = want || (row[0] == tup[0] && row[1] == tup[1])
+		for i := 0; i < r.Len(); i++ {
+			want = want || (int(r.Row(i)[0]) == tup[0] && int(r.Row(i)[1]) == tup[1])
 		}
 		if got := s.Contains("R", tup...); got != want {
 			t.Errorf("Contains(%v) = %v, want %v", tup, got, want)
@@ -331,25 +341,35 @@ func TestLoadSorted(t *testing.T) {
 	}
 	for name, bad := range map[string]struct {
 		arity int
-		flat  []int
+		flat  []int32
 		order []int
 	}{
-		"duplicate name":   {2, nil, []int{0, 1}},
-		"unsorted":         {2, []int{1, 0, 0, 0}, []int{0, 1}},
-		"repeated row":     {2, []int{1, 0, 1, 0}, []int{0, 1}},
-		"ragged":           {2, []int{1, 0, 1}, []int{0, 1}},
-		"outside domain":   {2, []int{1, 4}, []int{0, 1}},
-		"short order":      {2, []int{1, 0}, []int{0}},
-		"repeated column":  {2, []int{1, 0}, []int{0, 0}},
-		"column too large": {2, []int{1, 0}, []int{0, 2}},
-		"zero arity":       {0, nil, nil},
+		"duplicate name":      {2, nil, []int{0, 1}},
+		"unsorted":            {2, []int32{1, 0, 0, 0}, []int{0, 1}},
+		"repeated row":        {2, []int32{1, 0, 1, 0}, []int{0, 1}},
+		"ragged":              {2, []int32{1, 0, 1}, []int{0, 1}},
+		"outside domain":      {2, []int32{1, 4}, []int{0, 1}},
+		"negative value":      {2, []int32{1, -1}, []int{0, 1}},
+		"short order":         {2, []int32{1, 0}, []int{0}},
+		"long order":          {2, []int32{1, 0}, []int{0, 1, 0}},
+		"empty order":         {2, []int32{1, 0, 2, 0}, []int{}},
+		"nil order, one row":  {2, []int32{1, 0}, nil},
+		"nil order, no rows":  {2, nil, nil},
+		"repeated column":     {2, []int32{1, 0}, []int{0, 0}},
+		"column too large":    {2, []int32{1, 0}, []int{0, 2}},
+		"negative column":     {2, []int32{1, 0}, []int{0, -1}},
+		"zero arity":          {0, nil, nil},
+		"unsorted and beyond": {2, []int32{1, 0, 0, 0, 0, 4}, []int{0, 1}},
 	} {
 		rel := "R"
 		if name != "duplicate name" {
 			rel = "bad " + name
 		}
-		if err := s.LoadSorted(rel, bad.arity, bad.flat, bad.order); err == nil {
+		err := s.LoadSorted(rel, bad.arity, bad.flat, bad.order)
+		if err == nil {
 			t.Errorf("%s: LoadSorted accepted it", name)
+		} else if name == "unsorted and beyond" && !strings.Contains(err.Error(), "outside domain") {
+			t.Errorf("%s: err = %v; a value outside the domain is reported before the order", name, err)
 		}
 		if rel != "R" && s.Relation(rel) != nil {
 			t.Errorf("%s: the rejected relation was declared", name)

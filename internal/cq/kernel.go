@@ -257,13 +257,13 @@ func (r *run) account(b, stride, rows int) error {
 // keeping the rows on which a repeated variable's positions agree.
 func (r *run) scan(atom int, t *flatTable) error {
 	pa := &r.p.atoms[atom]
-	tuples := r.s.Relation(r.p.q.Atoms[atom].Rel).Tuples
-	r.work.RowsIn += len(tuples)
+	rel := r.s.Relation(r.p.q.Atoms[atom].Rel)
+	r.work.RowsIn += rel.Len()
 	stride := len(pa.cols)
-	data := resize(t.data, len(tuples)*stride)
+	data := resize(t.data, rel.Len()*stride)
 	n := 0
 rows:
-	for _, tup := range tuples {
+	for tup := rel.data; len(tup) > 0; tup = tup[rel.Arity:] {
 		if err := r.tick(); err != nil {
 			return err
 		}
@@ -273,7 +273,7 @@ rows:
 			}
 		}
 		for c, pos := range pa.cols {
-			data[n+c] = int32(tup[pos])
+			data[n+c] = tup[pos]
 		}
 		n += stride
 	}

@@ -80,7 +80,7 @@ func addRandomRelation(rng *rand.Rand, s *Structure, name string, arity int) {
 		for i := range order {
 			order[i] = i
 		}
-		if err := s.LoadSorted(name, arity, flat, order); err != nil {
+		if err := s.LoadSorted(name, arity, rows32(flat), order); err != nil {
 			panic(err)
 		}
 		return
@@ -278,7 +278,7 @@ func wideInstance(rng *rand.Rand, domain int) (*Structure, *Query) {
 		for i := range order {
 			order[i] = i
 		}
-		if err := s.LoadSorted(r.name, r.arity, rows(r.arity, 14), order); err != nil {
+		if err := s.LoadSorted(r.name, r.arity, rows32(rows(r.arity, 14)), order); err != nil {
 			panic(err)
 		}
 	}
@@ -447,10 +447,10 @@ func TestPlanCancel(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		flat = append(flat, i, (i*7+1)%20000)
 	}
-	if err := s.LoadSorted("E", 2, flat, []int{0, 1}); err != nil {
+	if err := s.LoadSorted("E", 2, rows32(flat), []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LoadSorted("P", 1, []int{5}, []int{0}); err != nil {
+	if err := s.LoadSorted("P", 1, []int32{5}, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	q := &Query{Atoms: []Atom{

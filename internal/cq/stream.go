@@ -11,6 +11,7 @@ package cq
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ecrpq/internal/stream"
 )
@@ -47,16 +48,36 @@ func (ss structSource) Open(rel string, bound []int) (stream.Tuples, error) {
 	if len(bound) != r.Arity {
 		return nil, fmt.Errorf("cq: relation %q arity %d, bound pattern %v", rel, r.Arity, bound)
 	}
-	pat := append([]int(nil), bound...)
-	return stream.Filter(stream.FromRows(r.Tuples), func(tup []int) bool {
-		for i, b := range pat {
-			if b >= 0 && tup[i] != b {
-				return false
+	return &relStream{r: r, pat: slices.Clone(bound), buf: make([]int, r.Arity)}, nil
+}
+
+// relStream yields a relation's rows matching pat, in storage order, via buf.
+type relStream struct {
+	r        *Relation
+	pat, buf []int
+	i        int
+}
+
+func (s *relStream) Next() ([]int, bool) {
+rows:
+	for s.i < s.r.Len() {
+		row := s.r.Row(s.i)
+		s.i++
+		for k, b := range s.pat {
+			if b >= 0 && int(row[k]) != b {
+				continue rows
 			}
 		}
-		return true
-	}), nil
+		for k, v := range row {
+			s.buf[k] = int(v)
+		}
+		return s.buf, true
+	}
+	return nil, false
 }
+
+func (s *relStream) Err() error { return nil }
+func (s *relStream) Close()     { s.i = s.r.Len() }
 
 // streamLevel is one join level: an atom, the full-row column of each of
 // its args, and whether this level binds that column for the first time.

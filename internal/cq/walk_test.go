@@ -106,7 +106,7 @@ func TestPlanAnswersWork(t *testing.T) {
 	for i := 0; i < n*n; i++ {
 		flat = append(flat, i/n, i%n)
 	}
-	if err := s.LoadSorted("R", 2, flat, []int{0, 1}); err != nil {
+	if err := s.LoadSorted("R", 2, rows32(flat), []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := Compile(&Query{Atoms: []Atom{{Rel: "R", Args: []string{"x", "y"}}}, Free: []string{"x", "y"}})

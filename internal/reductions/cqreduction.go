@@ -66,8 +66,9 @@ func CQToECRPQ(st *cq.Structure, comps []SplitComponent) (*graphdb.DB, *query.Qu
 		if r.Arity != 2 {
 			return nil, nil, fmt.Errorf("reductions: relation %q has arity %d; Lemma 5.3 needs binary structures", n, r.Arity)
 		}
-		for _, t := range r.Tuples {
-			db.MustAddEdge(t[0], relSym[n], t[1])
+		for i := 0; i < r.Len(); i++ {
+			t := r.Row(i)
+			db.MustAddEdge(int(t[0]), relSym[n], int(t[1]))
 		}
 	}
 	// Binary-index cycles: vertex i gets a fresh simple cycle reading the
@@ -183,7 +184,7 @@ func SubdivideCQ(st *cq.Structure, q *cq.Query) (*cq.Structure, []SplitComponent
 		if r.Arity != 2 {
 			return nil, nil, fmt.Errorf("reductions: relation %q not binary", n)
 		}
-		for i := range r.Tuples {
+		for i := 0; i < r.Len(); i++ {
 			mid[key{n, i}] = total
 			total++
 		}
@@ -197,10 +198,10 @@ func SubdivideCQ(st *cq.Structure, q *cq.Query) (*cq.Structure, []SplitComponent
 		if err := out.AddRelation(n+"<-", 2); err != nil {
 			return nil, nil, err
 		}
-		for i, t := range r.Tuples {
-			m := mid[key{n, i}]
-			out.MustAddTuple(n+"->", t[0], m)
-			out.MustAddTuple(n+"<-", m, t[1])
+		for i := 0; i < r.Len(); i++ {
+			t, m := r.Row(i), mid[key{n, i}]
+			out.MustAddTuple(n+"->", int(t[0]), m)
+			out.MustAddTuple(n+"<-", m, int(t[1]))
 		}
 	}
 	var comps []SplitComponent
