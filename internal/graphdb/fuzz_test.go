@@ -4,7 +4,8 @@ import (
 	"testing"
 )
 
-// FuzzParse: arbitrary text must never panic the database parser, and a
+// FuzzParse: arbitrary text must never panic the database parser, Parse must
+// agree with the line-by-line reference on it (error text or database), and a
 // successfully parsed database must round-trip through Format.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
@@ -12,10 +13,12 @@ func FuzzParse(f *testing.F) {
 		"alphabet a\nvertex x\nx a x",
 		"# only comments\nalphabet s",
 		"alphabet a b c\nu a v\nu b v\nu c v\nv a u",
+		"alphabet a\r\n\tvertex\u00a0vertex\r\nu\u2003a\tu\nu a u\n# u b u\nalphabet a alphabet",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		checkParse(t, src)
 		db, err := ParseString(src)
 		if err != nil {
 			return

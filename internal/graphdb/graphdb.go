@@ -1,17 +1,22 @@
 // Package graphdb implements edge-labelled graph databases (Section 2 of the
 // paper): finite graphs D = (V, E) with E ⊆ V × A × V over a finite alphabet
 // A, with the label-partitioned forward layout (CSR) the product kernels of
-// internal/core traverse.
+// internal/core traverse. A database grows edge by edge (AddVertex, AddEdge)
+// or is built whole, in linear time, by Load — which Parse and the snapshot
+// decoder of internal/persist go through; both give the same representation.
 package graphdb
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/invariant"
@@ -216,23 +221,30 @@ func (p Path) Format(d *DB) string {
 //	v b w
 //
 // The alphabet line must come first (before any edge). Vertices are created
-// on first mention.
+// on first mention. Lines are tokenised in the scanner's buffer (a name is
+// copied once, when it is new) and the edges go to withEdges in one batch.
 func Parse(r io.Reader) (*DB, error) {
 	sc := bufio.NewScanner(r)
 	var db *DB
+	var triples []int32 // (source, label, target) per edge line
+	if text, ok := r.(interface{ Len() int }); ok {
+		// An in-memory text says how long it is: reserve for edge lines of 12
+		// bytes ("v123 a v456\n"), which is at most the text's size again.
+		triples = make([]int32, 0, text.Len()/12*3)
+	}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := sc.Bytes()
+		first, rest := nextField(line)
+		if len(first) == 0 || first[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if fields[0] == "alphabet" {
+		if string(first) == "alphabet" {
 			if db != nil {
 				return nil, fmt.Errorf("graphdb: line %d: duplicate alphabet line", lineNo)
 			}
-			a, err := alphabet.New(fields[1:]...)
+			a, err := alphabet.New(strings.Fields(string(rest))...)
 			if err != nil {
 				return nil, fmt.Errorf("graphdb: line %d: %v", lineNo, err)
 			}
@@ -242,33 +254,57 @@ func Parse(r io.Reader) (*DB, error) {
 		if db == nil {
 			return nil, fmt.Errorf("graphdb: line %d: alphabet line must come first", lineNo)
 		}
-		if fields[0] == "vertex" {
-			if len(fields) != 2 {
+		second, rest := nextField(rest)
+		third, rest := nextField(rest)
+		fourth, _ := nextField(rest)
+		if string(first) == "vertex" {
+			if len(second) == 0 || len(third) != 0 {
 				return nil, fmt.Errorf("graphdb: line %d: vertex line needs one name", lineNo)
 			}
-			db.EnsureVertex(fields[1])
+			db.vertexNamed(second)
 			continue
 		}
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("graphdb: line %d: want 'src label dst', got %q", lineNo, line)
+		if len(third) == 0 || len(fourth) != 0 {
+			return nil, fmt.Errorf("graphdb: line %d: want 'src label dst', got %q", lineNo, bytes.TrimSpace(line))
 		}
-		label, ok := db.alpha.Lookup(fields[1])
+		label, ok := db.alpha.Lookup(string(second))
 		if !ok {
-			return nil, fmt.Errorf("graphdb: line %d: unknown label %q", lineNo, fields[1])
+			return nil, fmt.Errorf("graphdb: line %d: unknown label %q", lineNo, second)
 		}
-		u := db.EnsureVertex(fields[0])
-		v := db.EnsureVertex(fields[2])
-		if err := db.AddEdge(u, label, v); err != nil {
-			return nil, fmt.Errorf("graphdb: line %d: %v", lineNo, err)
-		}
+		triples = append(triples, db.vertexNamed(first), int32(label), db.vertexNamed(third))
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("graphdb: line %d: line longer than %d bytes", lineNo+1, bufio.MaxScanTokenSize-1)
+		}
 		return nil, err
 	}
 	if db == nil {
 		return nil, fmt.Errorf("graphdb: no alphabet line found")
 	}
-	return db, nil
+	return db.withEdges(triples)
+}
+
+// vertexNamed is EnsureVertex for Parse: it names the vertex and leaves its
+// adjacency to withEdges.
+func (d *DB) vertexNamed(name []byte) int32 {
+	if v, ok := d.index[string(name)]; ok {
+		return int32(v)
+	}
+	s := string(name)
+	d.index[s] = len(d.names)
+	d.names = append(d.names, s)
+	return int32(len(d.names) - 1)
+}
+
+// nextField splits the first field off b the way strings.Fields would: fields
+// are separated by unicode.IsSpace runes of the UTF-8 text.
+func nextField(b []byte) (field, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
 }
 
 // ParseString is Parse over a string.

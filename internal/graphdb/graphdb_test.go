@@ -1,6 +1,7 @@
 package graphdb
 
 import (
+	"bufio"
 	"strings"
 	"testing"
 
@@ -48,20 +49,32 @@ func TestParseAndBasics(t *testing.T) {
 	}
 }
 
+// parseErrorTexts are the malformed shapes Parse rejects.
+var parseErrorTexts = []string{
+	"x a y",                  // no alphabet line
+	"alphabet a\nalphabet b", // duplicate alphabet
+	"alphabet a\nx q y",      // unknown label
+	"alphabet a\nx a",        // wrong arity
+	"alphabet a\nvertex",     // bad vertex line
+	"alphabet a a",           // duplicate symbol
+	"",                       // empty
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"x a y",                  // no alphabet line
-		"alphabet a\nalphabet b", // duplicate alphabet
-		"alphabet a\nx q y",      // unknown label
-		"alphabet a\nx a",        // wrong arity
-		"alphabet a\nvertex",     // bad vertex line
-		"alphabet a a",           // duplicate symbol
-		"",                       // empty
-	}
-	for _, s := range bad {
+	for _, s := range parseErrorTexts {
 		if _, err := ParseString(s); err == nil {
 			t.Errorf("ParseString(%q) should fail", s)
 		}
+	}
+	// A line past the scanner's token limit is reported with its position;
+	// one byte shorter still parses.
+	long := "alphabet a\nx a y\n# " + strings.Repeat("x", bufio.MaxScanTokenSize-3)
+	if _, err := ParseString(long + "\ny a x\n"); err != nil {
+		t.Errorf("a %d-byte line: %v", bufio.MaxScanTokenSize-1, err)
+	}
+	_, err := ParseString(long + "x\ny a x\n")
+	if want := "graphdb: line 3: line longer than 65535 bytes"; err == nil || err.Error() != want {
+		t.Errorf("a %d-byte line: error %v, want %q", bufio.MaxScanTokenSize, err, want)
 	}
 }
 

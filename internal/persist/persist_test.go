@@ -1,16 +1,22 @@
 package persist
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/graphdb"
+	"ecrpq/internal/workload"
 )
 
 // appendRegister journals a registration without sidecars, which is all the
@@ -36,7 +42,9 @@ func buildDB(t testing.TB, n int) *graphdb.DB {
 	return db
 }
 
-// sameDB compares two databases structurally (alphabet, raw names, edges).
+// sameDB compares two databases as their users see them: alphabet, raw names
+// and ids, edge count, the element order of every Out, In and Forward().Succ
+// list, and internal consistency.
 func sameDB(a, b *graphdb.DB) error {
 	if got, want := a.Alphabet().String(), b.Alphabet().String(); got != want {
 		return fmt.Errorf("alphabet %q != %q", got, want)
@@ -44,17 +52,132 @@ func sameDB(a, b *graphdb.DB) error {
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
 		return fmt.Errorf("size %d/%d != %d/%d", a.NumVertices(), a.NumEdges(), b.NumVertices(), b.NumEdges())
 	}
+	af, bf := a.Forward(), b.Forward()
 	for v := 0; v < a.NumVertices(); v++ {
-		if a.RawVertexName(v) != b.RawVertexName(v) {
-			return fmt.Errorf("vertex %d name %q != %q", v, a.RawVertexName(v), b.RawVertexName(v))
+		name := b.RawVertexName(v)
+		if a.RawVertexName(v) != name {
+			return fmt.Errorf("vertex %d name %q != %q", v, a.RawVertexName(v), name)
 		}
-		for _, e := range a.Out(v) {
-			if !b.HasEdge(v, e.Label, e.To) {
-				return fmt.Errorf("edge (%d,%d,%d) missing", v, e.Label, e.To)
+		if id, ok := a.Lookup(name); name != "" && (!ok || id != v) {
+			return fmt.Errorf("Lookup(%q) = %d, %v, want %d", name, id, ok, v)
+		}
+		if !slices.Equal(a.Out(v), b.Out(v)) {
+			return fmt.Errorf("Out(%d) = %v != %v", v, a.Out(v), b.Out(v))
+		}
+		if !slices.Equal(a.In(v), b.In(v)) {
+			return fmt.Errorf("In(%d) = %v != %v", v, a.In(v), b.In(v))
+		}
+		for _, l := range b.Alphabet().Symbols() {
+			if !slices.Equal(af.Succ(v, l), bf.Succ(v, l)) {
+				return fmt.Errorf("Succ(%d, %d) = %v != %v", v, l, af.Succ(v, l), bf.Succ(v, l))
 			}
 		}
 	}
-	return nil
+	return a.CheckConsistency()
+}
+
+// replay is the per-record decoder DecodeSnapshot replaced, kept as the
+// oracle: one AddVertex per name and one AddEdge per record, in snapshot
+// order (so In lists come back source-major, whatever order db grew in).
+func replay(db *graphdb.DB) *graphdb.DB {
+	out := graphdb.New(db.Alphabet())
+	for v := 0; v < db.NumVertices(); v++ {
+		out.MustAddVertex(db.RawVertexName(v))
+	}
+	for u := 0; u < db.NumVertices(); u++ {
+		for _, e := range db.Out(u) {
+			out.MustAddEdge(u, e.Label, e.To)
+		}
+	}
+	return out
+}
+
+// rawSnapshot encodes a payload EncodeSnapshot would never write — records
+// out of range or repeated — under a correct header and checksum.
+func rawSnapshot(syms, names []string, records ...[3]uint64) []byte {
+	buf := binary.LittleEndian.AppendUint16([]byte(snapMagic), snapVersion)
+	for _, strs := range [][]string{syms, names} {
+		buf = binary.AppendUvarint(buf, uint64(len(strs)))
+		for _, s := range strs {
+			buf = append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(records)))
+	for _, rec := range records {
+		for _, x := range rec {
+			buf = binary.AppendUvarint(buf, x)
+		}
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+}
+
+// TestSnapshotRecordChecks: DecodeSnapshot's range check is the only one on
+// the bulk path. A record naming vertex nV or label nSym is an error, and a
+// repeated record decodes to the graph without the repeat — never a panic.
+func TestSnapshotRecordChecks(t *testing.T) {
+	syms, names := []string{"a", "b"}, []string{"x", "", "z"}
+	good := [][3]uint64{{0, 1, 2}, {2, 0, 0}, {2, 1, 1}}
+	want, err := DecodeSnapshot(rawSnapshot(syms, names, good...))
+	if err != nil || want.NumVertices() != 3 || want.NumEdges() != 3 {
+		t.Fatalf("well-formed raw snapshot: %v", err)
+	}
+	for what, rec := range map[string][3]uint64{
+		"u = nV":    {3, 0, 0},
+		"v = nV":    {0, 0, 3},
+		"l = nSym":  {0, 2, 1},
+		"u past 32": {1 << 32, 0, 0},
+		"l past 32": {0, 1<<32 + 1, 0},
+	} {
+		_, err := DecodeSnapshot(rawSnapshot(syms, names, append(good[:2:2], rec, good[2])...))
+		if err == nil || !strings.Contains(err.Error(), "snapshot edge 2") || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("record with %s: error %v, want edge 2 out of range", what, err)
+		}
+	}
+	got, err := DecodeSnapshot(rawSnapshot(syms, names, good[0], good[1], good[0], good[2], good[1]))
+	if err != nil {
+		t.Fatalf("repeated records: %v", err)
+	}
+	if err := sameDB(got, want); err != nil {
+		t.Errorf("repeated records: %v", err)
+	}
+	if _, err := DecodeSnapshot(rawSnapshot(syms, []string{"x", "y", "x"})); err == nil {
+		t.Error("a repeated vertex name decoded")
+	}
+	if _, err := DecodeSnapshot(rawSnapshot(syms, nil, [3]uint64{0, 0, 0})); err == nil {
+		t.Error("an edge over no vertices decoded")
+	}
+}
+
+// TestSnapshotDecodeMatchesReplay: the bulk decode builds what the
+// per-record decode built, for databases that were parsed, generated edge by
+// edge in arbitrary order, and mutated after a parse.
+func TestSnapshotDecodeMatchesReplay(t *testing.T) {
+	parsed, err := graphdb.ParseString("alphabet a b c\nz c x\nx a y\ny b z\nvertex w\nz a x\nx a y\ny a y\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated, _ := graphdb.ParseString(parsed.FormatString())
+	mutated.MustAddEdge(mutated.MustAddVertex(""), 2, 0)
+	mutated.MustAddEdge(0, 1, 0)
+	mutated.MustAddEdge(1, 1, 0)
+	dbs := map[string]*graphdb.DB{"parsed": parsed, "mutated": mutated, "ring": buildDB(t, 17)}
+	rng := rand.New(rand.NewSource(28))
+	for i := 0; i < 50; i++ {
+		dbs[fmt.Sprintf("random %d", i)] = workload.RandomDB(rng, alphabet.Lower(1+rng.Intn(4)), 1+rng.Intn(60), rng.Intn(200))
+	}
+	for name, db := range dbs {
+		enc := EncodeSnapshot(db)
+		back, err := DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if err := sameDB(back, replay(db)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if !bytes.Equal(EncodeSnapshot(back), enc) {
+			t.Errorf("%s: re-encoding the decoded database changed the bytes", name)
+		}
+	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -290,6 +413,26 @@ func BenchmarkRecovery(b *testing.B) {
 					b.Fatalf("replayed %d entries", len(st.Entries()))
 				}
 				st.Close()
+			}
+		})
+	}
+}
+
+var sinkDB *graphdb.DB
+
+// BenchmarkDecodeSnapshot measures the restore, catch-up and replicated
+// install path: one snapshot of a random graph, decoded.
+func BenchmarkDecodeSnapshot(b *testing.B) {
+	for _, size := range [][2]int{{2000, 6000}, {20000, 60000}} {
+		snap := EncodeSnapshot(workload.RandomDB(rand.New(rand.NewSource(28)), alphabet.Lower(3), size[0], size[1]))
+		b.Run(fmt.Sprintf("V%d_E%d", size[0], size[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				db, err := DecodeSnapshot(snap)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkDB = db
 			}
 		})
 	}

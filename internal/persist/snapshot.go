@@ -148,7 +148,6 @@ func DecodeSnapshot(data []byte) (*graphdb.DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: snapshot alphabet: %w", err)
 	}
-	db := graphdb.New(alpha)
 
 	nV, err := r.uvarint()
 	if err != nil {
@@ -157,13 +156,10 @@ func DecodeSnapshot(data []byte) (*graphdb.DB, error) {
 	if nV > uint64(len(body)) {
 		return nil, fmt.Errorf("persist: vertex count %d exceeds snapshot size", nV)
 	}
-	for i := uint64(0); i < nV; i++ {
-		name, err := r.str()
-		if err != nil {
+	names := make([]string, nV)
+	for i := range names {
+		if names[i], err = r.str(); err != nil {
 			return nil, err
-		}
-		if _, err := db.AddVertex(name); err != nil {
-			return nil, fmt.Errorf("persist: snapshot vertex %d: %w", i, err)
 		}
 	}
 
@@ -171,31 +167,30 @@ func DecodeSnapshot(data []byte) (*graphdb.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nE > uint64(len(body)) {
+	if nE > uint64(len(body)-r.off)/3 { // a record is at least three bytes
 		return nil, fmt.Errorf("persist: edge count %d exceeds snapshot size", nE)
 	}
+	// The records are range-checked here, before they narrow to the int32
+	// triples graphdb.Load takes (it checks them again).
+	triples := make([]int32, 0, 3*nE)
 	for i := uint64(0); i < nE; i++ {
-		u, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		var rec [3]uint64 // source, label, target
+		for j := range rec {
+			if rec[j], err = r.uvarint(); err != nil {
+				return nil, err
+			}
 		}
-		l, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		if rec[0] >= nV || rec[2] >= nV || rec[1] >= nSym {
+			return nil, fmt.Errorf("persist: snapshot edge %d (%d,%d,%d) out of range", i, rec[0], rec[1], rec[2])
 		}
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if u > uint64(db.NumVertices()) || v > uint64(db.NumVertices()) || l > uint64(alpha.Size()) {
-			return nil, fmt.Errorf("persist: snapshot edge %d (%d,%d,%d) out of range", i, u, l, v)
-		}
-		if err := db.AddEdge(int(u), alphabet.Symbol(l), int(v)); err != nil {
-			return nil, fmt.Errorf("persist: snapshot edge %d: %w", i, err)
-		}
+		triples = append(triples, int32(rec[0]), int32(rec[1]), int32(rec[2]))
 	}
 	if r.off != len(body) {
 		return nil, fmt.Errorf("persist: %d trailing bytes after snapshot payload", len(body)-r.off)
+	}
+	db, err := graphdb.Load(alpha, names, triples)
+	if err != nil {
+		return nil, fmt.Errorf("persist: snapshot: %w", err)
 	}
 	return db, nil
 }

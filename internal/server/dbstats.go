@@ -24,8 +24,10 @@ import (
 )
 
 // statsComputeReserve is the transient ledger reservation wrapped around a
-// statistics computation: BFS scratch plus the retained catalog, generous
-// because computation is rare (register time only).
+// statistics computation. stats.Compute charges it the passes' scratch (13
+// bytes per vertex, released when they end) and the retained catalog; it
+// covers databases up to ~300 000 vertices outright, and a larger one grows
+// it from the broker or, refused, registers without a catalog.
 const statsComputeReserve = 4 << 20
 
 // computeStats builds the statistics catalog for a registration, or nil

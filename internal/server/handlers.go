@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -151,18 +150,27 @@ func writeDraining(w http.ResponseWriter) {
 	writeError(w, http.StatusServiceUnavailable, "server is draining")
 }
 
+// bodyReserveMax caps what a declared Content-Length reserves before a byte
+// of the body has arrived: the header sizes the buffer, it does not buy it.
+const bodyReserveMax = 1 << 20
+
 // readBody reads the whole request body, enforcing maxBodyBytes via
 // http.MaxBytesReader so an oversized body is a 413 error rather than a
 // silent truncation (a truncated database landing on a line boundary
-// would otherwise parse as a smaller, wrong graph). On failure the error
-// response has already been written and ok is false.
+// would otherwise parse as a smaller, wrong graph). The buffer starts at
+// the declared length (up to bodyReserveMax), so a body that is what its
+// header says is read into one allocation; a longer one grows it. On
+// failure the error response has already been written and ok is false.
 func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+	var buf bytes.Buffer
+	// MinRead more than declared: ReadFrom wants that much room before the
+	// read that meets EOF.
+	buf.Grow(int(min(max(r.ContentLength, 0), bodyReserveMax)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		writeBodyError(w, "reading body", err)
 		return nil, false
 	}
-	return body, true
+	return buf.Bytes(), true
 }
 
 // writeBodyError answers a body that could not be read or decoded: 413
@@ -201,7 +209,7 @@ func (s *Server) handleRegisterDB(w http.ResponseWriter, r *http.Request) {
 	defer s.finishTrace(tr)
 	tr.SetStr("db", name)
 	sp := tr.Start("server/parse")
-	db, err := graphdb.ParseString(string(body))
+	db, err := graphdb.Parse(bytes.NewReader(body))
 	sp.End()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -6,10 +6,11 @@
 // GET /v1/stats/{db}.
 //
 // Everything in a Catalog is database-sized-or-smaller and deterministic:
-// reachability selectivities are estimated by BFS from a fixed-seed sample
-// of source vertices, so owner and replica compute byte-identical catalogs
-// for the same graph and generation — which is what makes "replica EXPLAIN
-// matches owner EXPLAIN" testable.
+// reachability selectivities are exact reachability counts from a fixed-seed
+// sample of at most 32 source vertices, all advanced together in one
+// word-parallel pass per label set (reachSum), so owner and replica compute
+// byte-identical catalogs for the same graph and generation — which is what
+// makes "replica EXPLAIN matches owner EXPLAIN" testable.
 package stats
 
 import (
@@ -18,12 +19,13 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ecrpq/internal/alphabet"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
 )
 
-// maxSampledSources bounds the number of BFS source samples used for
-// reachability selectivity estimation.
+// maxSampledSources bounds the number of source samples used for reachability
+// selectivity estimation; reachSum needs it to fit a mask word.
 const maxSampledSources = 32
 
 // LabelStats holds the per-label statistics of one edge label.
@@ -38,7 +40,7 @@ type LabelStats struct {
 	DistinctSrc int `json:"distinct_src"`
 	DistinctDst int `json:"distinct_dst"`
 	// ReachSelectivity estimates Pr[v reachable from u] over uniform (u,v)
-	// when only edges of this label may be traversed, sampled by BFS from
+	// when only edges of this label may be traversed, sampled from
 	// SampledSources fixed-seed sources (1.0 on an empty graph by
 	// convention is never emitted; empty graphs get 0).
 	ReachSelectivity float64 `json:"reach_selectivity"`
@@ -65,7 +67,7 @@ type Catalog struct {
 	// AnyReachSelectivity estimates Pr[v reachable from u] over uniform
 	// (u,v) with any-label edges, from the same source sample.
 	AnyReachSelectivity float64 `json:"any_reach_selectivity"`
-	// SampledSources is how many BFS sources the selectivities average
+	// SampledSources is how many sources the selectivities average
 	// over (min(32, |V|), deterministically chosen).
 	SampledSources int `json:"sampled_sources"`
 }
@@ -155,109 +157,123 @@ func sampleSources(n int) []int {
 	return out
 }
 
-// bfsCount returns how many vertices (including u itself) are reachable
-// from u following only edges accepted by allow.
-func bfsCount(db *graphdb.DB, u int, allow func(graphdb.Edge) bool, seen []bool, queue []int) int {
-	for i := range seen {
-		seen[i] = false
+// reachSum returns, summed over the sampled sources, how many vertices
+// (itself included) a source reaches along edges labelled from syms. Bit i of
+// mask[v] says source i reaches v; a vertex whose mask grew is queued (once,
+// in a ring of one slot per vertex) and pushes the bits its successors lack.
+// The masks end as the per-source reachability sets, so the sum is exactly
+// that of one search per source.
+func reachSum(fwd *graphdb.CSR, sources []int, syms []alphabet.Symbol, mask []uint64, queue []int32, queued []bool) int {
+	clear(mask)
+	n, head, pending := len(mask), 0, 0
+	for i, u := range sources {
+		mask[u] = 1 << i
+		queue[pending], queued[u] = int32(u), true
+		pending++
 	}
-	seen[u] = true
-	queue = queue[:0]
-	queue = append(queue, u)
-	count := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, e := range db.Out(v) {
-			if !seen[e.To] && allow(e) {
-				seen[e.To] = true
-				count++
-				queue = append(queue, e.To)
+	for pending > 0 {
+		v := queue[head]
+		if head++; head == n {
+			head = 0
+		}
+		pending--
+		queued[v] = false
+		m := mask[v] // v is not its own target below: a self-loop adds no bit
+		for _, l := range syms {
+			for _, w := range fwd.Succ(int(v), l) {
+				add := m &^ mask[w]
+				if add == 0 {
+					continue
+				}
+				mask[w] |= add
+				if !queued[w] {
+					queue[(head+pending)%n], queued[w] = w, true
+					pending++
+				}
 			}
 		}
 	}
-	return count
+	total := 0
+	for _, m := range mask {
+		total += bits.OnesCount64(m)
+	}
+	return total
 }
 
-// Compute builds the statistics catalog for db at the given generation. It
-// charges the retained catalog size to the context's govern reservation
-// (no-op when none is attached) and polls ctx between BFS samples.
+// Compute builds the statistics catalog for db at the given generation in
+// 1 + |Σ| passes over db.Forward(). It charges the passes' scratch while they
+// run, and the retained catalog, to the context's govern reservation (no-op
+// when none is attached) and polls ctx between passes.
 func Compute(ctx context.Context, db *graphdb.DB, gen uint64) (*Catalog, error) {
 	a := db.Alphabet()
+	syms := a.Symbols()
 	n := db.NumVertices()
 	c := &Catalog{
 		Generation: gen,
 		Vertices:   n,
 		Edges:      db.NumEdges(),
-		Labels:     make([]LabelStats, a.Size()),
+		Labels:     make([]LabelStats, len(syms)),
 	}
-	for i := range c.Labels {
-		c.Labels[i].Label = a.Name(a.Symbols()[i])
+	for i, l := range syms {
+		c.Labels[i].Label = a.Name(l)
 	}
+	res := govern.FromContext(ctx)
+	// Scratch: per vertex a mask word, a queue slot and a queued flag for
+	// reachSum, per label a lastDst entry.
+	scratch := int64(n)*(8+4+1) + 8*int64(len(syms))
+	if err := res.Grow(scratch); err != nil {
+		return nil, err
+	}
+	defer res.Shrink(scratch)
 
-	outHist := make([]int, degreeBucket(n)+1)
-	inHist := make([]int, degreeBucket(n)+1)
-	srcSeen := make([][]bool, a.Size())
-	dstSeen := make([][]bool, a.Size())
-	for i := range srcSeen {
-		srcSeen[i] = make([]bool, n)
-		dstSeen[i] = make([]bool, n)
-	}
+	fwd := db.Forward()
+	outHist := make([]int, degreeBucket(c.Edges)+1) // a degree is at most |E|, and can pass |V|
+	inHist := make([]int, degreeBucket(c.Edges)+1)
+	lastDst := make([]int, len(syms)) // 1 + the last vertex counted as a target of the label
 	maxOut, maxIn := 0, 0
 	for v := 0; v < n; v++ {
-		out := db.Out(v)
 		in := db.In(v)
-		outHist[degreeBucket(len(out))]++
+		outDeg := 0
+		for i, l := range syms {
+			if d := len(fwd.Succ(v, l)); d > 0 {
+				outDeg += d
+				c.Labels[i].Count += d
+				c.Labels[i].DistinctSrc++
+			}
+		}
+		for _, e := range in {
+			if lastDst[e.Label] != v+1 {
+				lastDst[e.Label] = v + 1
+				c.Labels[e.Label].DistinctDst++
+			}
+		}
+		outHist[degreeBucket(outDeg)]++
 		inHist[degreeBucket(len(in))]++
-		if len(out) > maxOut {
-			maxOut = len(out)
-		}
-		if len(in) > maxIn {
-			maxIn = len(in)
-		}
-		for _, e := range out {
-			l := int(e.Label)
-			c.Labels[l].Count++
-			if !srcSeen[l][v] {
-				srcSeen[l][v] = true
-				c.Labels[l].DistinctSrc++
-			}
-			if !dstSeen[l][e.To] {
-				dstSeen[l][e.To] = true
-				c.Labels[l].DistinctDst++
-			}
-		}
+		maxOut, maxIn = max(maxOut, outDeg), max(maxIn, len(in))
 	}
 	c.OutDegreeHist = outHist[:degreeBucket(maxOut)+1]
 	c.InDegreeHist = inHist[:degreeBucket(maxIn)+1]
 
-	// Sampled reachability selectivities: any-label plus one restricted
-	// BFS per label, all from the same deterministic source sample.
+	// Sampled reachability selectivities: one pass over any label, then one
+	// per label, all from the same deterministic source sample.
 	sources := sampleSources(n)
 	c.SampledSources = len(sources)
-	if n > 0 && len(sources) > 0 {
-		seen := make([]bool, n)
-		queue := make([]int, 0, n)
-		anyTotal := 0
-		labelTotal := make([]int, a.Size())
-		for _, u := range sources {
+	if len(sources) > 0 {
+		mask, queue, queued := make([]uint64, n), make([]int32, n), make([]bool, n)
+		denom := float64(len(sources)) * float64(n)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		c.AnyReachSelectivity = float64(reachSum(fwd, sources, syms, mask, queue, queued)) / denom
+		for i := range syms {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			anyTotal += bfsCount(db, u, func(graphdb.Edge) bool { return true }, seen, queue)
-			for l := range labelTotal {
-				sym := a.Symbols()[l]
-				labelTotal[l] += bfsCount(db, u, func(e graphdb.Edge) bool { return e.Label == sym }, seen, queue)
-			}
-		}
-		denom := float64(len(sources)) * float64(n)
-		c.AnyReachSelectivity = float64(anyTotal) / denom
-		for l := range c.Labels {
-			c.Labels[l].ReachSelectivity = float64(labelTotal[l]) / denom
+			c.Labels[i].ReachSelectivity = float64(reachSum(fwd, sources, syms[i:i+1], mask, queue, queued)) / denom
 		}
 	}
 
-	if err := govern.FromContext(ctx).Grow(int64(c.MemBytes())); err != nil {
+	if err := res.Grow(int64(c.MemBytes())); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -79,6 +79,22 @@ func TestDegreeHistograms(t *testing.T) {
 	}
 }
 
+// TestDegreeAboveVertexCount: parallel edges of different labels take a
+// degree past |V|, which the histogram must have a bucket for.
+func TestDegreeAboveVertexCount(t *testing.T) {
+	db, err := graphdb.ParseString("alphabet a b c\nx a x\nx b x\nx c x\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compute(context.Background(), db, 1)
+	if err != nil {
+		t.Fatalf("Compute: %v", err)
+	}
+	if want := []int{0, 0, 1}; !reflect.DeepEqual(c.OutDegreeHist, want) || !reflect.DeepEqual(c.InDegreeHist, want) {
+		t.Errorf("degree histograms = %v / %v, want %v", c.OutDegreeHist, c.InDegreeHist, want)
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	db := testDB(t)
 	c, err := Compute(context.Background(), db, 42)
