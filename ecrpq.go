@@ -61,6 +61,10 @@ type (
 	QueryBuilder = query.Builder
 	// Relation is a synchronous word relation.
 	Relation = synchro.Relation
+	// LimitError is the error a relation builder (EditDistanceAtMost, or
+	// a built-in named in a query text) returns instead of building an
+	// automaton past a fixed size.
+	LimitError = synchro.LimitError
 	// LanguageNFA is an automaton over single symbols (a regular language).
 	LanguageNFA = automata.NFA[alphabet.Symbol]
 	// Result is a Boolean evaluation outcome with witnesses.

@@ -336,8 +336,8 @@ func componentReachSet(ctx context.Context, fp *fastProduct, srcs []int, maxStat
 	if err := fp.Run(ctx, srcs, maxStates); err != nil {
 		return nil, err
 	}
-	fp.sortDests(fp.dests)
-	for _, key := range fp.dests {
+	fp.sortDests(fp.dests.s)
+	for _, key := range fp.dests.s {
 		n := len(buf)
 		buf = append(buf, srcs...) // t slots, overwritten below
 		unpackDest(&fp.productStep, key, buf[n:])

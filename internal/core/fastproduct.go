@@ -395,48 +395,64 @@ func (p *productStep) overTracks(i int) {
 // It starts empty and doubles at half load, so its size follows the keys a
 // search meets, never the space they are drawn from.
 type rankTable struct {
-	keys  []uint64 // 1 + a key, 0 = empty; a power of two long, at most half full
-	ranks []int32  // the rank of the key in the same slot of keys
+	keys  slab[uint64] // 1 + a key, 0 = empty; a power of two long, at most half full
+	ranks slab[int32]  // the rank of the key in the same slot of keys
 	n     int
 }
 
 // slot returns the slot holding key, or the empty one where it belongs.
 func (t *rankTable) slot(key uint64) int {
-	mask := len(t.keys) - 1
+	keys := t.keys.s
+	mask := len(keys) - 1
 	//ecrpq:bounded the table is at most half full: a probe ends at the key or at an empty slot
 	for i := int(key*0x9E3779B97F4A7C15>>32) & mask; ; i = (i + 1) & mask {
-		if k := t.keys[i]; k == 0 || k == key+1 {
+		if k := keys[i]; k == 0 || k == key+1 {
 			return i
 		}
 	}
 }
 
-func (t *rankTable) has(key uint64) bool { return t.n > 0 && t.keys[t.slot(key)] != 0 }
+func (t *rankTable) has(key uint64) bool { return t.n > 0 && t.keys.s[t.slot(key)] != 0 }
 
 // add returns key's rank and whether this call gave it one.
-//
-//ecrpq:charged the owning kernel charges bytes() as part of its footprint's high-water mark
 func (t *rankTable) add(key uint64) (rank int, fresh bool) {
-	if 2*t.n >= len(t.keys) {
-		keys, ranks := t.keys, t.ranks
-		t.keys, t.ranks = make([]uint64, max(16, 2*len(keys))), make([]int32, max(16, 2*len(keys)))
-		for i, k := range keys {
-			if k != 0 {
-				j := t.slot(k - 1)
-				t.keys[j], t.ranks[j] = k, ranks[i]
-			}
-		}
+	if 2*t.n >= len(t.keys.s) {
+		t.double()
 	}
 	i := t.slot(key)
-	if fresh = t.keys[i] == 0; fresh {
-		t.keys[i], t.ranks[i] = key+1, int32(t.n)
+	if fresh = t.keys.s[i] == 0; fresh {
+		t.keys.s[i], t.ranks.s[i] = key+1, int32(t.n)
 		t.n++
 	}
-	return int(t.ranks[i]), fresh
+	return int(t.ranks.s[i]), fresh
+}
+
+// double moves the keys into a table twice the size (16 slots at first).
+//
+//ecrpq:charged the owning kernel charges bytes() as part of its footprint's high-water mark
+func (t *rankTable) double() {
+	keys, ranks := t.keys, t.ranks
+	n := max(16, 2*len(keys.s))
+	t.keys, t.ranks = takeSlab[uint64](n, true), takeSlab[int32](n, false)
+	for i, k := range keys.s {
+		if k != 0 {
+			j := t.slot(k - 1)
+			t.keys.s[j], t.ranks.s[j] = k, ranks.s[i]
+		}
+	}
+	keys.release()
+	ranks.release()
 }
 
 func (t *rankTable) reset() {
-	clear(t.keys)
+	clear(t.keys.s)
+	t.n = 0
+}
+
+// release gives the slots back to their pools and leaves the table empty.
+func (t *rankTable) release() {
+	t.keys.release()
+	t.ranks.release()
 	t.n = 0
 }
 
@@ -445,7 +461,7 @@ func (t *rankTable) bytes() int64 {
 	if t == nil {
 		return 0
 	}
-	return int64(8*cap(t.keys) + 4*cap(t.ranks))
+	return int64(8*cap(t.keys.s) + 4*cap(t.ranks.s))
 }
 
 // denseSetBits bounds the key width up to which a keySet is a bitset over
@@ -453,12 +469,14 @@ func (t *rankTable) bytes() int64 {
 const denseSetBits = 16
 
 // keySet is a set of keys of a known width: a bitset indexed by the key, or
-// past denseSetBits a rankTable. A bitset that meets a key beyond its end
-// grows to hold it, which only the wide regime's width 0 lets happen. The
-// owner keeps the list of members (it needs them in order anyway), so
-// clearing a bitset costs what was added, never a pass over the key space.
+// past denseSetBits a rankTable. The bitset covers the key space from the
+// first open or add; one that meets a key beyond its end grows to hold it,
+// which only the wide regime's width 0 lets happen. The owner keeps the list
+// of members (it needs them in order anyway), so clearing a bitset costs
+// what was added, never a pass over the key space.
 type keySet struct {
-	bits  []uint64
+	width uint
+	bits  slab[uint64]
 	table *rankTable // nil for a bitset
 }
 
@@ -466,29 +484,38 @@ func newKeySet(width uint) keySet {
 	if width > denseSetBits {
 		return keySet{table: new(rankTable)}
 	}
-	return keySet{bits: make([]uint64, (uint64(1)<<width+63)/64)}
+	return keySet{width: width}
+}
+
+// open gives a bitset that has none (a new or released set) the words of
+// its key space.
+func (s *keySet) open() {
+	if s.table == nil && s.bits.s == nil {
+		s.bits = takeSlab[uint64](int((uint64(1)<<s.width+63)/64), true)
+	}
 }
 
 func (s *keySet) has(key uint64) bool {
 	if s.table != nil {
 		return s.table.has(key)
 	}
-	return key>>6 < uint64(len(s.bits)) && s.bits[key>>6]&(1<<(key&63)) != 0
+	return key>>6 < uint64(len(s.bits.s)) && s.bits.s[key>>6]&(1<<(key&63)) != 0
 }
 
 // add inserts key and reports whether it was new.
-//
-//ecrpq:charged the owning kernel charges bytes() as part of its footprint's high-water mark
 func (s *keySet) add(key uint64) bool {
 	if s.table != nil {
 		_, fresh := s.table.add(key)
 		return fresh
 	}
-	if w := int(key >> 6); w >= len(s.bits) {
-		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	if w := int(key >> 6); w >= len(s.bits.s) {
+		s.open()
+		if w >= len(s.bits.s) {
+			s.bits.extend(w + 1 - len(s.bits.s))
+		}
 	}
-	fresh := s.bits[key>>6]&(1<<(key&63)) == 0
-	s.bits[key>>6] |= 1 << (key & 63)
+	fresh := s.bits.s[key>>6]&(1<<(key&63)) == 0
+	s.bits.s[key>>6] |= 1 << (key & 63)
 	return fresh
 }
 
@@ -499,11 +526,19 @@ func (s *keySet) clear(members []uint64) {
 		return
 	}
 	for _, k := range members {
-		s.bits[k>>6] &^= 1 << (k & 63)
+		s.bits.s[k>>6] &^= 1 << (k & 63)
 	}
 }
 
-func (s *keySet) bytes() int64 { return int64(8*cap(s.bits)) + s.table.bytes() }
+// release gives the set's storage back to the pools and leaves it empty.
+func (s *keySet) release() {
+	s.bits.release()
+	if s.table != nil {
+		s.table.release()
+	}
+}
+
+func (s *keySet) bytes() int64 { return int64(8*cap(s.bits.s)) + s.table.bytes() }
 
 // cancelCheckInterval is how many product states are processed between
 // context-cancellation polls. Polling ctx.Err() costs an atomic load, so
@@ -545,22 +580,22 @@ const noDest = ^uint64(0)
 type fastProduct struct {
 	productStep
 
-	visited   keySet   // states met by the live traversal; its members are queue
-	queue     []uint64 // breadth-first order; queue[:qi] have been expanded
+	visited   keySet       // states met by the live traversal; its members are queue
+	queue     slab[uint64] // breadth-first order; queue[:qi] have been expanded
 	qi        int
-	accepted  keySet   // destination keys of the accepting states popped so far; its members are dests
-	dests     []uint64 // distinct, in the order met
-	srcs      []int    // sources of the live traversal
-	live      bool     // a traversal from srcs is suspended or exhausted, not failed
-	maxStates int      // the live traversal's cap on distinct states (0 = unlimited)
+	accepted  keySet       // destination keys of the accepting states popped so far; its members are dests
+	dests     slab[uint64] // distinct, in the order met
+	srcs      []int        // sources of the live traversal
+	live      bool         // a traversal from srcs is suspended or exhausted, not failed
+	maxStates int          // the live traversal's cap on distinct states (0 = unlimited)
 
 	// Recording, what a witness is read off: witness's traversals do, reach's
 	// if the owner wants paths, Run's — whose callers reorder dests — never.
-	paths    bool    // reach records
-	record   bool    // the live traversal records
-	parents  []int32 // per queue slot: the slot it was first reached from; -1 for a start state
-	destSlot []int32 // per member of dests, in the order met: the slot of its first accepting state
-	child    uint64  // witness: the state whose first emit by the loaded one is being looked for
+	paths    bool        // reach records
+	record   bool        // the live traversal records
+	parents  slab[int32] // per queue slot: the slot it was first reached from; -1 for a start state
+	destSlot slab[int32] // per member of dests, in the order met: the slot of its first accepting state
+	child    uint64      // witness: the state whose first emit by the loaded one is being looked for
 
 	traversals int // begins
 	expanded   int // states whose successors were generated
@@ -584,14 +619,22 @@ func newFastProduct(db *graphdb.DB, c *component) *fastProduct {
 }
 
 // releaseMem closes the accounting scope: everything this fastProduct
-// charged is released back to the reservation. Safe on nil receivers and
-// without an attached meter; the scratch itself stays reusable.
+// charged is released back to the reservation, and its tables go back to
+// their pools. Safe on nil receivers and without an attached meter; the
+// kernel stays usable, and a later traversal starts from empty tables.
 func (f *fastProduct) releaseMem() {
 	if f == nil {
 		return
 	}
 	f.mem.Close()
 	f.mem, f.charged = nil, 0
+	f.live = false
+	f.visited.release()
+	f.accepted.release()
+	f.queue.release()
+	f.dests.release()
+	f.parents.release()
+	f.destSlot.release()
 }
 
 // charge lifts the charge to the kernel's current footprint.
@@ -600,7 +643,7 @@ func (f *fastProduct) charge() error {
 		return nil
 	}
 	need := f.visited.bytes() + f.accepted.bytes() + f.stateRows.bytes() + f.destRows.bytes() +
-		int64(8*(cap(f.queue)+cap(f.dests))+4*(cap(f.parents)+cap(f.destSlot)))
+		int64(8*(cap(f.queue.s)+cap(f.dests.s))+4*(cap(f.parents.s)+cap(f.destSlot.s)))
 	if need > f.charged {
 		if err := f.mem.Grow(need - f.charged); err != nil {
 			return fmt.Errorf("core: product search: %w", err)
@@ -617,12 +660,14 @@ func (f *fastProduct) begin(ctx context.Context, srcs []int, maxStates int) erro
 	if f.mem == nil {
 		f.mem = govern.MeterFrom(ctx)
 	}
-	f.visited.clear(f.queue)
-	f.accepted.clear(f.dests)
+	f.visited.clear(f.queue.s)
+	f.accepted.clear(f.dests.s)
+	f.visited.open()
+	f.accepted.open()
 	f.stateRows.reset()
 	f.destRows.reset()
-	f.queue, f.dests = f.queue[:0], f.dests[:0]
-	f.parents, f.destSlot = f.parents[:0], f.destSlot[:0]
+	f.queue.s, f.dests.s = f.queue.s[:0], f.dests.s[:0]
+	f.parents.s, f.destSlot.s = f.parents.s[:0], f.destSlot.s[:0]
 	copy(f.srcs, srcs)
 	f.maxStates = maxStates
 	f.traversals++
@@ -645,9 +690,9 @@ func (f *fastProduct) push() {
 	if !f.visited.add(key) {
 		return
 	}
-	f.queue = append(f.queue, key)
+	f.queue.push(key)
 	if f.record {
-		f.parents = append(f.parents, int32(f.qi))
+		f.parents.push(int32(f.qi))
 	}
 }
 
@@ -667,7 +712,7 @@ func (f *fastProduct) seek(ctx context.Context, want uint64) (bool, error) {
 // cancelCheckInterval states and fails once more than maxStates distinct
 // states have been met; a failed traversal is not resumable.
 func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
-	for ; f.qi < len(f.queue); f.qi++ {
+	for ; f.qi < len(f.queue.s); f.qi++ {
 		if f.qi%cancelCheckInterval == 0 {
 			err := pollSearch(ctx)
 			if err == nil {
@@ -678,20 +723,20 @@ func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
 				return false, err
 			}
 		}
-		f.load(f.queue[f.qi])
+		f.load(f.queue.s[f.qi])
 		if acceptState(f.nfas, f.relStates) {
 			d := f.destKey(f.verts)
 			if f.accepted.add(d) {
-				f.dests = append(f.dests, d)
+				f.dests.push(d)
 				if f.record {
-					f.destSlot = append(f.destSlot, int32(f.qi))
+					f.destSlot.push(int32(f.qi))
 				}
 			}
 			if d == want {
 				return true, nil
 			}
 		}
-		if f.maxStates > 0 && len(f.queue) > f.maxStates {
+		if f.maxStates > 0 && len(f.queue.s) > f.maxStates {
 			f.live = false
 			return false, fmt.Errorf("core: product exceeded the state budget of %d", f.maxStates)
 		}
@@ -761,9 +806,10 @@ func (f *fastProduct) witness(ctx context.Context, srcs, dsts []int, maxStates i
 			}
 		}
 	}
-	for slot := f.destSlot[slices.Index(f.dests, want)]; f.parents[slot] >= 0; slot = f.parents[slot] {
-		f.child = f.queue[slot]
-		f.load(f.queue[f.parents[slot]])
+	queue, parents := f.queue.s, f.parents.s
+	for slot := f.destSlot.s[slices.Index(f.dests.s, want)]; parents[slot] >= 0; slot = parents[slot] {
+		f.child = queue[slot]
+		f.load(queue[parents[slot]])
 		f.overRels(0)
 	}
 	f.emit = push
@@ -788,9 +834,9 @@ const denseTableBits = 20
 // over the key space.
 type wordTable struct {
 	stride int
-	words  []uint64   // the slot of index i starts at i*stride
-	index  *rankTable // past denseTableBits: key → index; nil where the key is the index
-	keys   []uint64
+	words  slab[uint64] // the slot of index i starts at i*stride
+	index  *rankTable   // past denseTableBits: key → index; nil where the key is the index
+	keys   slab[uint64]
 }
 
 //ecrpq:charged the owner charges bytes() to its scratch meter before the first traversal
@@ -798,24 +844,22 @@ func newWordTable(keyBits uint, stride int) *wordTable {
 	if keyBits > denseTableBits {
 		return &wordTable{stride: stride, index: new(rankTable)}
 	}
-	return &wordTable{stride: stride, words: make([]uint64, stride<<keyBits)}
+	return &wordTable{stride: stride, words: takeSlab[uint64](stride<<keyBits, true)}
 }
 
 // at returns key's slot, claiming a zeroed one on first use where the table
 // does not cover the key space. The slice is valid until the next at or or
 // call.
-//
-//ecrpq:charged slot growth is charged by the owner as the table's bytes() high-water mark
 func (t *wordTable) at(key uint64) []uint64 {
 	i := int(key)
 	if t.index != nil {
 		i, _ = t.index.add(key)
 	}
 	i *= t.stride
-	if i >= len(t.words) {
-		t.words = append(t.words, make([]uint64, i+t.stride-len(t.words))...)
+	if i >= len(t.words.s) {
+		t.words.extend(i + t.stride - len(t.words.s))
 	}
-	return t.words[i : i+t.stride]
+	return t.words.s[i : i+t.stride]
 }
 
 // or ORs bits (non-zero) into the first word of key's slot, recording the
@@ -823,7 +867,7 @@ func (t *wordTable) at(key uint64) []uint64 {
 func (t *wordTable) or(key, bits uint64) (slot []uint64, fresh uint64) {
 	slot = t.at(key)
 	if slot[0] == 0 {
-		t.keys = append(t.keys, key)
+		t.keys.push(key)
 	}
 	fresh = bits &^ slot[0]
 	slot[0] |= fresh
@@ -833,18 +877,29 @@ func (t *wordTable) or(key, bits uint64) (slot []uint64, fresh uint64) {
 // reset zeroes every touched slot.
 func (t *wordTable) reset() {
 	if t.index != nil {
-		clear(t.words[:t.index.n*t.stride])
+		clear(t.words.s[:t.index.n*t.stride])
 		t.index.reset()
 	} else {
-		for _, key := range t.keys {
+		for _, key := range t.keys.s {
 			clear(t.at(key))
 		}
 	}
-	t.keys = t.keys[:0]
+	t.keys.s = t.keys.s[:0]
+}
+
+// release gives the table's storage back to the pools.
+func (t *wordTable) release() {
+	t.words.release()
+	t.keys.release()
+	if t.index != nil {
+		t.index.release()
+	}
 }
 
 // bytes is the table's current footprint.
-func (t *wordTable) bytes() int64 { return int64(8*(cap(t.words)+cap(t.keys))) + t.index.bytes() }
+func (t *wordTable) bytes() int64 {
+	return int64(8*(cap(t.words.s)+cap(t.keys.s))) + t.index.bytes()
+}
 
 // errStateBudget reports a sweep traversal that met more distinct product
 // states than its budget; sweepWorker.batch splits the batch and retries.
@@ -859,13 +914,13 @@ var errStateBudget = errors.New("core: product exceeded the state budget")
 // read-only; everything else belongs to this kernel.
 type sweepKernel struct {
 	productStep
-	states *wordTable // per packed state: [reached, pending]
-	dests  *wordTable // per packed destination tuple: sources that reach it
-	queue  []uint64   // states with pending sources, FIFO; a state re-enters when new sources arrive
-	delta  uint64     // sources being propagated
+	states *wordTable   // per packed state: [reached, pending]
+	dests  *wordTable   // per packed destination tuple: sources that reach it
+	queue  slab[uint64] // states with pending sources, FIFO; a state re-enters when new sources arrive
+	delta  uint64       // sources being propagated
 
 	// Scratch accounting: the tables and the queue are charged as a
-	// high-water mark and released by the owner closing mem.
+	// high-water mark and released by the owner through release.
 	mem     *govern.Meter
 	charged int64
 }
@@ -883,9 +938,18 @@ func newSweepKernel(s *productShape, mem *govern.Meter) (*sweepKernel, error) {
 	return k, k.charge()
 }
 
+// release closes the kernel's meter and gives its tables back to their
+// pools; the kernel is not used again.
+func (k *sweepKernel) release() {
+	k.mem.Close()
+	k.states.release()
+	k.dests.release()
+	k.queue.release()
+}
+
 // charge lifts the scratch charge to the kernel's current footprint.
 func (k *sweepKernel) charge() error {
-	need := k.states.bytes() + k.dests.bytes() + k.stateRows.bytes() + k.destRows.bytes() + int64(8*cap(k.queue))
+	need := k.states.bytes() + k.dests.bytes() + k.stateRows.bytes() + k.destRows.bytes() + int64(8*cap(k.queue.s))
 	if need > k.charged {
 		if err := k.mem.Grow(need - k.charged); err != nil {
 			return fmt.Errorf("core: product search: %w", err)
@@ -915,7 +979,7 @@ func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) err
 	k.states.reset()
 	k.dests.reset()
 	k.stateRows.reset() // destRows is kept: the owner reads destination keys after later Runs
-	k.queue = k.queue[:0]
+	k.queue.s = k.queue.s[:0]
 	n := k.db.NumVertices()
 	k.newDone = 0
 	for i := lo; i < hi; i++ {
@@ -923,7 +987,7 @@ func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) err
 		k.delta = 1 << uint(i)
 		k.seed(0)
 	}
-	for qi := 0; qi < len(k.queue); qi++ {
+	for qi := 0; qi < len(k.queue.s); qi++ {
 		if qi%cancelCheckInterval == 0 {
 			if err := pollSearch(ctx); err != nil {
 				return err
@@ -932,16 +996,16 @@ func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) err
 				return err
 			}
 		}
-		if maxStates > 0 && len(k.states.keys) > maxStates {
+		if maxStates > 0 && len(k.states.keys.s) > maxStates {
 			return errStateBudget
 		}
-		key := k.queue[qi]
+		key := k.queue.s[qi]
 		slot := k.states.at(key)
 		k.delta, slot[1] = slot[1], 0
 		k.load(key)
 		k.overRels(0)
 	}
-	for _, key := range k.states.keys {
+	for _, key := range k.states.keys.s {
 		k.unpack(key, k.relStates, k.verts)
 		if acceptState(k.nfas, k.relStates) {
 			k.dests.or(k.destKey(k.verts), k.states.at(key)[0])
@@ -959,7 +1023,7 @@ func (k *sweepKernel) push() {
 		return
 	}
 	if slot[1] == 0 {
-		k.queue = append(k.queue, key)
+		k.queue.push(key)
 	}
 	slot[1] |= fresh
 }

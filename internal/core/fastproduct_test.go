@@ -134,7 +134,7 @@ func TestFastProductReuseAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		verts := make([]int, tn)
-		for _, key := range f.dests {
+		for _, key := range f.dests.s {
 			unpackDest(&f.productStep, key, verts)
 			out[fmt.Sprint(verts)] = true
 		}
@@ -272,8 +272,8 @@ func TestRankTableAgainstMap(t *testing.T) {
 		if rank, fresh := tab.add(key); rank != want || fresh == seen {
 			t.Fatalf("add(%d) = rank %d, fresh %v; want rank %d, fresh %v", key, rank, fresh, want, !seen)
 		}
-		if !tab.has(key) || tab.n != len(ref) || 2*tab.n > len(tab.keys) {
-			t.Fatalf("after add(%d): has %v; %d keys in %d slots, want %d at most half full", key, tab.has(key), tab.n, len(tab.keys), len(ref))
+		if !tab.has(key) || tab.n != len(ref) || 2*tab.n > len(tab.keys.s) {
+			t.Fatalf("after add(%d): has %v; %d keys in %d slots, want %d at most half full", key, tab.has(key), tab.n, len(tab.keys.s), len(ref))
 		}
 	}
 	reset := func() {
@@ -296,10 +296,10 @@ func TestRankTableAgainstMap(t *testing.T) {
 			add(i<<shift | 3)
 		}
 	}
-	if len(tab.keys) < 16<<3 {
-		t.Fatalf("%d slots after %d keys: the table has not doubled three times", len(tab.keys), tab.n)
+	if len(tab.keys.s) < 16<<3 {
+		t.Fatalf("%d slots after %d keys: the table has not doubled three times", len(tab.keys.s), tab.n)
 	}
-	grown := len(tab.keys)
+	grown := len(tab.keys.s)
 	reset()
 	for _, key := range edge {
 		add(key) // ranks are dense from 0 again
@@ -312,8 +312,8 @@ func TestRankTableAgainstMap(t *testing.T) {
 			found++
 		}
 	}
-	if len(tab.keys) != grown {
-		t.Fatalf("a reset table of %d slots has %d after fewer keys than before", grown, len(tab.keys))
+	if len(tab.keys.s) != grown {
+		t.Fatalf("a reset table of %d slots has %d after fewer keys than before", grown, len(tab.keys.s))
 	}
 	rng := rand.New(rand.NewSource(63))
 	for op := 0; op < 1000000; op++ {
@@ -373,7 +373,7 @@ func TestKeyTablesAgainstMap(t *testing.T) {
 				slot[1] += bits
 				ref[key] = [2]uint64{ref[key][0] | bits, ref[key][1] + bits}
 			}
-			if !slices.Equal(words.keys, members) {
+			if !slices.Equal(words.keys.s, members) {
 				t.Fatalf("width %d: touched keys are not the members in order of first touch", width)
 			}
 			for key, want := range ref {

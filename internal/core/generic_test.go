@@ -561,14 +561,14 @@ func genericCheckDB(a *alphabet.Alphabet, v int) *graphdb.DB {
 	return randomDB(rand.New(rand.NewSource(int64(v))), a, v, 3*v)
 }
 
-// BenchmarkGenericCheck is the Lemma 4.2 layer benchmark, on the two shapes
-// of the generic-search workload that cost the most: the exhaustive
-// unsatisfiable 3-track eq fan on V = 100 (10 000 checks from 100 source
-// assignments) and the satisfiable prefix 3-chain on V = 40. `make
-// generic-gate` reads traversals/op and allocs/op against checks/op.
-func BenchmarkGenericCheck(b *testing.B) {
-	a := alphabet.Lower(2)
-	for _, bc := range []struct {
+// genericCheckShapes are the two shapes of the generic-search workload that
+// cost the most, each with the size of the database it is drawn on.
+func genericCheckShapes(a *alphabet.Alphabet) []struct {
+	name string
+	v    int
+	q    *query.Query
+} {
+	return []struct {
 		name string
 		v    int
 		q    *query.Query
@@ -578,7 +578,17 @@ func BenchmarkGenericCheck(b *testing.B) {
 			Rel(synchro.Equality(a, 3), "p1", "p2", "p3").
 			Lang("p1", "a(a|b)*").Lang("p2", "b(a|b)*").Lang("p3", "(a|b)*").MustBuild()},
 		{"chain-prefix3-sat", 40, prefixChain3(a)},
-	} {
+	}
+}
+
+// BenchmarkGenericCheck is the Lemma 4.2 layer benchmark, on the two shapes
+// of the generic-search workload that cost the most: the exhaustive
+// unsatisfiable 3-track eq fan on V = 100 (10 000 checks from 100 source
+// assignments) and the satisfiable prefix 3-chain on V = 40. `make
+// generic-gate` reads traversals/op and allocs/op against checks/op.
+func BenchmarkGenericCheck(b *testing.B) {
+	a := alphabet.Lower(2)
+	for _, bc := range genericCheckShapes(a) {
 		db := genericCheckDB(a, bc.v)
 		p, err := Prepare(bc.q, Options{Strategy: Generic})
 		if err != nil {

@@ -160,7 +160,7 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 	defer func() {
 		for _, w := range ws {
 			if w != nil {
-				w.k.mem.Close()
+				w.k.release()
 				if err != nil {
 					w.retained.Close()
 				}
@@ -252,9 +252,9 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 		return err
 	}
 	dests := w.k.dests
-	w.k.sortDests(dests.keys)
+	w.k.sortDests(dests.keys.s)
 	before, rows := cap(w.keys)+cap(w.words), 0
-	for _, key := range dests.keys {
+	for _, key := range dests.keys.s {
 		word := dests.at(key)[0]
 		w.keys = append(w.keys, key)
 		w.words = append(w.words, word)

@@ -24,9 +24,9 @@ func referenceWitness(t testing.TB, db *graphdb.DB, c *component, srcs, dsts []i
 	fp := newFastProduct(db, c)
 	var letters []alphabet.Symbol
 	fp.emit = func() {
-		n := len(fp.queue)
+		n := len(fp.queue.s)
 		fp.push()
-		if len(fp.queue) > n {
+		if len(fp.queue.s) > n {
 			letters = append(letters, fp.joint...)
 		}
 	}
@@ -42,7 +42,7 @@ func referenceWitness(t testing.TB, db *graphdb.DB, c *component, srcs, dsts []i
 		return nil, false
 	}
 	var chain []int32
-	for i := int32(fp.qi); fp.parents[i] >= 0; i = fp.parents[i] {
+	for i := int32(fp.qi); fp.parents.s[i] >= 0; i = fp.parents.s[i] {
 		chain = append(chain, i)
 	}
 	paths := make([]graphdb.Path, fp.t)
@@ -51,7 +51,7 @@ func referenceWitness(t testing.TB, db *graphdb.DB, c *component, srcs, dsts []i
 	}
 	for k := len(chain) - 1; k >= 0; k-- {
 		slot := int(chain[k])
-		fp.unpack(fp.queue[slot], fp.relStates, fp.verts)
+		fp.unpack(fp.queue.s[slot], fp.relStates, fp.verts)
 		for i, s := range letters[slot*fp.t : (slot+1)*fp.t] {
 			if s != alphabet.Pad {
 				paths[i].Edges = append(paths[i].Edges, graphdb.Edge{Label: s, To: fp.verts[i]})

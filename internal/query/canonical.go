@@ -14,7 +14,8 @@ import (
 // ordered during construction) canonicalize identically, and any
 // difference in alphabet, free-variable tuple, atom structure, or
 // relation automata shows up in the text. Relations are fingerprinted by
-// name plus a digest of their serialized NFA (synchro.Format), so a
+// name plus a digest of their serialized NFA (synchro.Relation.Fingerprint,
+// carried by every relation the parser takes from the relation table), so a
 // custom relation reusing a built-in's name still keys distinctly.
 //
 // Canonicalization is purely syntactic: it does not identify semantically
@@ -37,9 +38,7 @@ func Canonical(q *Query) string {
 	sort.Strings(reach)
 	rels := make([]string, len(q.Rels))
 	for i, ra := range q.Rels {
-		fp := sha256.Sum256([]byte(ra.Rel.FormatString()))
-		rels[i] = fmt.Sprintf("rel %s#%s %s",
-			ra.Rel.Name(), hex.EncodeToString(fp[:8]), strings.Join(ra.Paths, " "))
+		rels[i] = fmt.Sprintf("rel %s#%s %s", ra.Rel.Name(), ra.Rel.Fingerprint(), strings.Join(ra.Paths, " "))
 	}
 	sort.Strings(rels)
 	for _, line := range reach {

@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzParse feeds arbitrary text to the query DSL parser: it must never
-// panic, and successfully-parsed queries must validate and survive
-// normalization.
+// panic, and successfully-parsed queries must validate, survive
+// normalization and hash as a parse that builds every relation afresh
+// (bypassing the relation table) does.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"alphabet a b\nx -[$p1]-> y\nrel eq(p1, p1)",
@@ -36,6 +37,14 @@ func FuzzParse(f *testing.F) {
 		}
 		_ = q.String()
 		_ = q.IsCRPQ()
+		var fresh *Query
+		withoutIntern(func() { fresh, err = ParseString(src) })
+		if err != nil {
+			t.Fatalf("parses through the relation table but not without it: %v", err)
+		}
+		if Hash(q) != Hash(fresh) {
+			t.Fatalf("hash %s through the relation table, %s without it\nsource: %q", Hash(q), Hash(fresh), src)
+		}
 	})
 }
 

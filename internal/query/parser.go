@@ -68,7 +68,7 @@ func ParseWithRelations(r io.Reader, registry map[string]*synchro.Relation) (*Qu
 		case fields[0] == "rel":
 			rest := strings.TrimSpace(strings.TrimPrefix(line, "rel"))
 			if err := parseRelClause(b, alpha, registry, rest); err != nil {
-				return nil, fmt.Errorf("query: line %d: %v", lineNo, err)
+				return nil, fmt.Errorf("query: line %d: %w", lineNo, err)
 			}
 		default:
 			if err := parseReachClause(b, line); err != nil {
@@ -159,8 +159,36 @@ func parseRelClause(b *Builder, alpha *alphabet.Alphabet, registry map[string]*s
 }
 
 // BuiltinRelation resolves a built-in relation by name and arity: eq, eqlen,
-// prefix, universal, hamming<=N, edit<=N, lendiff<=N.
+// prefix, universal, hamming<=N, edit<=N, lendiff<=N. The relation comes from
+// the relation table (see internRelation) and must not be written to. A
+// built-in whose automaton would exceed maxBuiltinTransitions — or, for
+// edit<=N, synchro.MaxEditCompositionStates — is refused with a
+// *synchro.LimitError before it is built.
 func BuiltinRelation(a *alphabet.Alphabet, name string, arity int) (*synchro.Relation, error) {
+	return internRelation(a, 'b', name+"("+strconv.Itoa(arity)+")", func(a *alphabet.Alphabet) (*synchro.Relation, error) {
+		return builtinRelation(a, name, arity)
+	})
+}
+
+// maxBuiltinTransitions bounds the automaton a built-in relation may build
+// from a query text: eqlen has |A|^arity transitions, hamming<=N about
+// (N+1)·|A|² and lendiff<=N |A|² + 2N·|A|, so a short text could otherwise
+// ask for any amount of memory.
+const maxBuiltinTransitions = 1 << 16
+
+// withinBuiltinLimit reports whether n factors multiply to at most
+// maxBuiltinTransitions, and otherwise returns the error refusing name.
+func withinBuiltinLimit(a *alphabet.Alphabet, name string, factors ...int) error {
+	n := 1
+	for _, f := range factors {
+		if n *= max(f, 1); n > maxBuiltinTransitions {
+			return &synchro.LimitError{Relation: name, Symbols: a.Size(), Limit: maxBuiltinTransitions, Unit: "transitions"}
+		}
+	}
+	return nil
+}
+
+func builtinRelation(a *alphabet.Alphabet, name string, arity int) (*synchro.Relation, error) {
 	switch {
 	case name == "eq":
 		if arity < 2 {
@@ -170,6 +198,13 @@ func BuiltinRelation(a *alphabet.Alphabet, name string, arity int) (*synchro.Rel
 	case name == "eqlen":
 		if arity < 2 {
 			return nil, fmt.Errorf("eqlen needs arity ≥ 2, got %d", arity)
+		}
+		factors := make([]int, arity)
+		for i := range factors {
+			factors[i] = a.Size()
+		}
+		if err := withinBuiltinLimit(a, name, factors...); err != nil {
+			return nil, err
 		}
 		return synchro.EqualLength(a, arity), nil
 	case name == "prefix":
@@ -187,6 +222,9 @@ func BuiltinRelation(a *alphabet.Alphabet, name string, arity int) (*synchro.Rel
 		if arity != 2 {
 			return nil, fmt.Errorf("%s is binary, got arity %d", name, arity)
 		}
+		if err := withinBuiltinLimit(a, name, min(d, maxBuiltinTransitions)+1, a.Size(), a.Size()); err != nil {
+			return nil, err
+		}
 		return synchro.HammingAtMost(a, d), nil
 	case strings.HasPrefix(name, "edit<="):
 		d, err := strconv.Atoi(strings.TrimPrefix(name, "edit<="))
@@ -196,6 +234,9 @@ func BuiltinRelation(a *alphabet.Alphabet, name string, arity int) (*synchro.Rel
 		if arity != 2 {
 			return nil, fmt.Errorf("%s is binary, got arity %d", name, arity)
 		}
+		if err := withinBuiltinLimit(a, name, 4, a.Size(), a.Size()); err != nil {
+			return nil, err // the distance-1 automaton: substitutions, insertions, deletions
+		}
 		return synchro.EditDistanceAtMost(a, d)
 	case strings.HasPrefix(name, "lendiff<="):
 		d, err := strconv.Atoi(strings.TrimPrefix(name, "lendiff<="))
@@ -204,6 +245,9 @@ func BuiltinRelation(a *alphabet.Alphabet, name string, arity int) (*synchro.Rel
 		}
 		if arity != 2 {
 			return nil, fmt.Errorf("%s is binary, got arity %d", name, arity)
+		}
+		if err := withinBuiltinLimit(a, name, 2*min(d, maxBuiltinTransitions)+a.Size(), a.Size()); err != nil {
+			return nil, err
 		}
 		return synchro.LengthDiffAtMost(a, d), nil
 	default:

@@ -251,17 +251,24 @@ func (b *Builder) Rel(rel *synchro.Relation, paths ...string) *Builder {
 }
 
 // Lang constrains a path variable's label to a regular expression (a unary
-// relation atom).
+// relation atom). The relation comes from the relation table (see
+// internRelation), named by the expression.
 func (b *Builder) Lang(path, regex string) *Builder {
 	if b.err != nil {
 		return b
 	}
-	nfa, err := rex.CompileString(b.alpha, regex)
+	rel, err := internRelation(b.alpha, 'r', regex, func(a *alphabet.Alphabet) (*synchro.Relation, error) {
+		nfa, err := rex.CompileString(a, regex)
+		if err != nil {
+			return nil, err
+		}
+		return synchro.Lift(a, nfa).WithName(regex), nil
+	})
 	if err != nil {
 		b.err = err
 		return b
 	}
-	return b.Rel(synchro.Lift(b.alpha, nfa).WithName(regex), path)
+	return b.Rel(rel, path)
 }
 
 // Edge is the CRPQ convenience  src --regex--> dst : it introduces a fresh

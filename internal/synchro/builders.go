@@ -2,6 +2,7 @@ package synchro
 
 import (
 	"fmt"
+	"sort"
 
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/automata"
@@ -186,11 +187,33 @@ func insertion(a *alphabet.Alphabet) *Relation {
 	return &Relation{arity: 2, alpha: a, nfa: nfa, name: "insert1"}
 }
 
+// MaxEditCompositionStates bounds the d-fold composition EditDistanceAtMost
+// builds: the distance-1 automaton of s = 2|A|+6 states composed with itself
+// d times has up to s^d states before it is minimised, and determinising it
+// is exponential in that. A bound past it is refused before any of the work
+// is done. d ≤ 2 is built over up to 4 symbols (196 states, 80 ms), d = 3
+// over none (1 000 states over 2 symbols took 1.5 s, d = 4 minutes).
+const MaxEditCompositionStates = 200
+
+// LimitError is what a relation builder returns instead of building an
+// automaton past a fixed size.
+type LimitError struct {
+	Relation string // the relation asked for, e.g. "edit<=7"
+	Symbols  int    // the alphabet size it was asked over
+	Limit    int
+	Unit     string // what Limit counts
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("synchro: %s over %d symbols would exceed %d %s", e.Relation, e.Symbols, e.Limit, e.Unit)
+}
+
 // EditDistanceAtMost returns the binary relation of words at Levenshtein
 // distance at most d, built as the d-fold composition of the distance-1
 // relation (synchronous relations are closed under composition). The
-// construction is exponential in d; keep d small (the paper's own example
-// uses a constant, "edit-distance at most 14").
+// construction is exponential in d: past MaxEditCompositionStates it
+// returns a *LimitError (the paper's own example uses a constant,
+// "edit-distance at most 14", which is out of reach of this construction).
 func EditDistanceAtMost(a *alphabet.Alphabet, d int) (*Relation, error) {
 	if d < 0 {
 		return nil, fmt.Errorf("synchro: negative edit distance bound %d", d)
@@ -199,6 +222,13 @@ func EditDistanceAtMost(a *alphabet.Alphabet, d int) (*Relation, error) {
 		return Equality(a, 2).WithName("edit<=0"), nil
 	}
 	step := editOne(a)
+	s, _ := step.Size()
+	for i, states := 1, s; i < d; i++ {
+		if states *= s; states > MaxEditCompositionStates {
+			return nil, &LimitError{Relation: fmt.Sprintf("edit<=%d", d), Symbols: a.Size(),
+				Limit: MaxEditCompositionStates, Unit: "states in its composition"}
+		}
+	}
 	cur := step
 	for i := 1; i < d; i++ {
 		next, err := cur.Compose(step)
@@ -232,12 +262,54 @@ func FromTuples(a *alphabet.Alphabet, k int, tuples ...[]alphabet.Word) (*Relati
 }
 
 // Minimized returns an equivalent relation with a determinized+minimized
-// underlying automaton (useful to tame composition growth). Universal
-// relations are returned unchanged.
+// underlying automaton (useful to tame composition growth). Its states are
+// numbered canonically, so the same relation minimises to the same Format
+// text (and Fingerprint) however the maps it was built through iterate.
+// Universal relations are returned unchanged.
 func (r *Relation) Minimized() *Relation {
 	if r.universal {
 		return r
 	}
-	min := r.nfa.Determinize().Minimize().ToNFA()
+	min := canonicalNumbering(r.nfa.Determinize().Minimize().ToNFA())
 	return &Relation{arity: r.arity, alpha: r.alpha, nfa: min, name: r.name}
+}
+
+// canonicalNumbering renumbers an automaton whose states are all reachable
+// from its start states in breadth-first order, start states first and
+// letters in key order: two isomorphic deterministic automata (a minimal DFA
+// is unique up to isomorphism) come out identical.
+func canonicalNumbering(nfa *automata.NFA[string]) *automata.NFA[string] {
+	num := make([]int, nfa.NumStates())
+	for q := range num {
+		num[q] = -1
+	}
+	order := nfa.StartStates()
+	for i, q := range order {
+		num[q] = i
+	}
+	var letters []string
+	for i := 0; i < len(order); i++ {
+		letters = letters[:0]
+		nfa.OutLetters(order[i], func(l string) { letters = append(letters, l) })
+		sort.Strings(letters)
+		for _, l := range letters {
+			for _, q := range nfa.Successors(order[i], l) {
+				if num[q] < 0 {
+					num[q] = len(order)
+					order = append(order, q)
+				}
+			}
+		}
+	}
+	out := automata.NewNFA[string](len(order))
+	for i, q := range order {
+		out.SetStart(i, nfa.IsStart(q))
+		out.SetAccept(i, nfa.IsAccept(q))
+	}
+	nfa.Transitions(func(p int, l string, q int) {
+		if num[p] >= 0 && num[q] >= 0 {
+			out.AddTransition(num[p], l, num[q])
+		}
+	})
+	return out
 }

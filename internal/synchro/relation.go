@@ -12,6 +12,8 @@
 package synchro
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
 	"ecrpq/internal/alphabet"
@@ -30,6 +32,7 @@ type Relation struct {
 	nfa       *automata.NFA[string] // letters: alphabet.Tuple.Key(); nil iff universal
 	universal bool
 	name      string
+	fp        string // Fingerprint, when Fingerprinted set it; "" = compute on demand
 }
 
 // maxMaterializeLetters bounds (|A|+1)^k when a universal relation must be
@@ -97,10 +100,34 @@ func (r *Relation) IsUniversal() bool { return r.universal }
 // Name returns the optional human-readable name set by WithName.
 func (r *Relation) Name() string { return r.name }
 
-// WithName returns the same relation carrying a display name.
+// WithName returns the same relation carrying a display name. The name is
+// part of the Format text, so the copy does not keep a fingerprint.
 func (r *Relation) WithName(name string) *Relation {
 	r2 := *r
 	r2.name = name
+	r2.fp = ""
+	return &r2
+}
+
+// Fingerprint is the hex of the first 8 bytes of the SHA-256 of the
+// relation's Format text: what a canonical query text names the relation
+// by, so that two relations under one name key apart unless their automata
+// print alike. A relation made by Fingerprinted returns the digest it
+// carries; any other computes it.
+func (r *Relation) Fingerprint() string {
+	if r.fp != "" {
+		return r.fp
+	}
+	sum := sha256.Sum256([]byte(r.FormatString()))
+	return hex.EncodeToString(sum[:8])
+}
+
+// Fingerprinted returns a copy of the relation that carries its
+// Fingerprint, for a relation shared by many queries and never written to
+// (what internal/query's relation intern hands out).
+func (r *Relation) Fingerprinted() *Relation {
+	r2 := *r
+	r2.fp = r.Fingerprint()
 	return &r2
 }
 
