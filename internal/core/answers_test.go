@@ -20,7 +20,7 @@ import (
 	"ecrpq/internal/trace"
 )
 
-// The differential suite of the one answers path (`make spine-gate` runs it
+// The differential suite of the one answers path (`make race` runs it
 // under -race): every way of asking for an answer set, under every
 // strategy, gives the same set, and that set is the brute-force semantics.
 

@@ -581,28 +581,37 @@ func genericCheckShapes(a *alphabet.Alphabet) []struct {
 	}
 }
 
+// genericCheckOp is the Lemma 4.2 layer's operation on one of
+// genericCheckShapes: a generic evaluation of the prepared query, which
+// returns its search counters.
+func genericCheckOp(tb testing.TB, q *query.Query, db *graphdb.DB) func(testing.TB) Stats {
+	p, err := Prepare(q, Options{Strategy: Generic})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(tb testing.TB) Stats {
+		res, err := p.EvaluateContext(context.Background(), db, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return res.Stats
+	}
+}
+
 // BenchmarkGenericCheck is the Lemma 4.2 layer benchmark, on the two shapes
 // of the generic-search workload that cost the most: the exhaustive
 // unsatisfiable 3-track eq fan on V = 100 (10 000 checks from 100 source
-// assignments) and the satisfiable prefix 3-chain on V = 40. `make
-// generic-gate` reads traversals/op and allocs/op against checks/op.
+// assignments) and the satisfiable prefix 3-chain on V = 40. TestCeilings
+// holds its traversals, allocations per check and bytes per evaluation.
 func BenchmarkGenericCheck(b *testing.B) {
 	a := alphabet.Lower(2)
 	for _, bc := range genericCheckShapes(a) {
-		db := genericCheckDB(a, bc.v)
-		p, err := Prepare(bc.q, Options{Strategy: Generic})
-		if err != nil {
-			b.Fatal(err)
-		}
+		op := genericCheckOp(b, bc.q, genericCheckDB(a, bc.v))
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var stats Stats
 			for i := 0; i < b.N; i++ {
-				res, err := p.EvaluateContext(context.Background(), db, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats = res.Stats
+				stats = op(b)
 			}
 			b.ReportMetric(float64(stats.ProductChecks), "checks/op")
 			b.ReportMetric(float64(stats.Traversals), "traversals/op")

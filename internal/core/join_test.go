@@ -54,30 +54,40 @@ func joinCases() []struct {
 	}
 }
 
-// BenchmarkCQJoin measures one evaluation of a prepared Reduction plan on a
-// prebuilt materialisation: the compiled Prop 2.3 join plus witness
-// recovery. rows/op is the materialisation's tuple count, the rows the join
-// reads; `make join-gate` holds B/op and allocs/op per such row under its
-// ceilings.
-func BenchmarkCQJoin(b *testing.B) {
+// joinOp is the Prop 2.3 layer's operation: one evaluation of a prepared
+// Reduction plan on a prebuilt materialisation, the compiled join plus
+// witness recovery. It returns the materialisation's tuple count, the rows
+// the join reads.
+func joinOp(tb testing.TB, q *query.Query, db *graphdb.DB) func(testing.TB) int {
 	ctx := context.Background()
+	p, err := Prepare(q, Options{Strategy: Reduction})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mat, err := p.Materialize(ctx, db)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(tb testing.TB) int {
+		if _, err := p.EvaluateContext(ctx, db, mat); err != nil {
+			tb.Fatal(err)
+		}
+		return mat.Tuples()
+	}
+}
+
+// BenchmarkCQJoin is the Prop 2.3 layer benchmark over joinCases;
+// TestCeilings holds its bytes and allocations per input row.
+func BenchmarkCQJoin(b *testing.B) {
 	for _, jc := range joinCases() {
-		p, err := Prepare(jc.q, Options{Strategy: Reduction})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mat, err := p.Materialize(ctx, jc.db)
-		if err != nil {
-			b.Fatal(err)
-		}
+		op := joinOp(b, jc.q, jc.db)
 		b.Run(jc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			rows := 0
 			for i := 0; i < b.N; i++ {
-				if _, err := p.EvaluateContext(ctx, jc.db, mat); err != nil {
-					b.Fatal(err)
-				}
+				rows = op(b)
 			}
-			b.ReportMetric(float64(mat.Tuples()), "rows/op")
+			b.ReportMetric(float64(rows), "rows/op")
 		})
 	}
 }

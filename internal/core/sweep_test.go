@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"math/rand"
 	"slices"
 	"strings"
@@ -468,60 +465,13 @@ func sweepCancelReleases(t *testing.T) {
 	}
 }
 
-// TestSweepKernelRowsStayFlat is the layout's architecture assertion: R' is
-// int32 values back to back from the sweep's emit to the join's scan, so no
-// struct in cq.go has a [][]int field (a slice header per row) and nothing in
-// reduction_build.go makes an []int (8 bytes per vertex id).
-func TestSweepKernelRowsStayFlat(t *testing.T) {
-	isIntSlice := func(e ast.Expr) bool {
-		arr, ok := e.(*ast.ArrayType)
-		if !ok || arr.Len != nil {
-			return false
-		}
-		elem, ok := arr.Elt.(*ast.Ident)
-		return ok && elem.Name == "int"
-	}
-	fset := token.NewFileSet()
-	parse := func(path string) *ast.File {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	fields, makes := 0, 0
-	ast.Inspect(parse("../cq/cq.go"), func(n ast.Node) bool {
-		if f, ok := n.(*ast.Field); ok {
-			fields++
-			if arr, ok := f.Type.(*ast.ArrayType); ok && arr.Len == nil && isIntSlice(arr.Elt) {
-				t.Errorf("%s: a [][]int field in cq.go: rows have headers again", fset.Position(f.Pos()))
-			}
-		}
-		return true
-	})
-	ast.Inspect(parse("reduction_build.go"), func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
-			if fn, _ := call.Fun.(*ast.Ident); fn != nil && fn.Name == "make" {
-				makes++
-				if isIntSlice(call.Args[0]) {
-					t.Errorf("%s: make([]int, …) in reduction_build.go: the sweep's rows and scratch are int32", fset.Position(call.Pos()))
-				}
-			}
-		}
-		return true
-	})
-	if fields == 0 || makes == 0 {
-		t.Errorf("saw %d fields in cq.go and %d make calls in reduction_build.go: the assertion is looking at nothing", fields, makes)
-	}
-}
-
-// BenchmarkSweepComponent is the Lemma 4.3 layer benchmark: sweep one
-// 2-track component over V = 18 (the cold-sweep heavy op's shape) and
-// bulk-load the rows, at the default parallelism. `make sweep-gate` reads
-// B/op and allocs/op against rows/op.
-func BenchmarkSweepComponent(b *testing.B) {
+// sweepCases are the Lemma 4.3 layer's operations: sweep one 2-track
+// component over V = 18 (the cold-sweep heavy op's shape) and bulk-load the
+// rows, at the default parallelism. Each op returns the rows it loaded.
+func sweepCases(tb testing.TB) []layerOp {
 	a := alphabet.Lower(2)
 	db := randomDB(rand.New(rand.NewSource(18)), a, 18, 54)
+	var cases []layerOp
 	for _, bc := range []struct {
 		name string
 		rel  *synchro.Relation
@@ -529,21 +479,32 @@ func BenchmarkSweepComponent(b *testing.B) {
 		q := query.NewBuilder(a).Reach("x0", "p1", "x1").Reach("x1", "p2", "x2").Rel(bc.rel, "p1", "p2").MustBuild()
 		p, err := Prepare(q, Options{Strategy: Reduction})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		b.Run(bc.name, func(b *testing.B) {
+		cases = append(cases, layerOp{bc.name, func(tb testing.TB) int {
+			flat, err := sweepComponent(context.Background(), db, &p.merged[0], p.opts)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			st := cq.NewStructure(db.NumVertices())
+			if err := st.LoadSorted("r", 4, flat, sweepColumnOrder(2)); err != nil {
+				tb.Fatal(err)
+			}
+			return st.Relation("r").Len()
+		}})
+	}
+	return cases
+}
+
+// BenchmarkSweepComponent is the Lemma 4.3 layer benchmark over sweepCases;
+// TestCeilings holds its bytes and allocations per row.
+func BenchmarkSweepComponent(b *testing.B) {
+	for _, sc := range sweepCases(b) {
+		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			rows := 0
 			for i := 0; i < b.N; i++ {
-				flat, err := sweepComponent(context.Background(), db, &p.merged[0], p.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st := cq.NewStructure(db.NumVertices())
-				if err := st.LoadSorted("r", 4, flat, sweepColumnOrder(2)); err != nil {
-					b.Fatal(err)
-				}
-				rows = st.Relation("r").Len()
+				rows = sc.op(b)
 			}
 			b.ReportMetric(float64(rows), "rows/op")
 		})

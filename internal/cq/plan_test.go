@@ -11,7 +11,7 @@ import (
 )
 
 // The differential suite of the compiled plan and the flat kernel
-// (`make join-gate` runs it under -race): Plan.Eval ≡ EvalBacktrack,
+// (`make race` runs it under -race): Plan.Eval ≡ EvalBacktrack,
 // Plan.Answers ≡ brute force ≡ StreamAnswers, on seeded random instances
 // chosen to reach every corner of the kernel.
 

@@ -11,7 +11,7 @@ import (
 
 // What the answer walk has to get right that trying every candidate tuple
 // got for free, and that its work follows the tables and the answers, not
-// Domain^|Free| (`make join-gate` runs both, and the fuzz target's corpus).
+// Domain^|Free| (`make test` runs both, and the fuzz target's corpus).
 
 // walkShapes are query shapes chosen by where their free variables sit in
 // the decomposition. R1–R3 have the arity of their name.

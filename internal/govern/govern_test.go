@@ -384,30 +384,42 @@ func TestParsePriority(t *testing.T) {
 	}
 }
 
-// BenchmarkReservationDisabled is the zero-cost gate for the disabled
-// path: evaluation code instruments allocation sites unconditionally, so
-// when no reservation is attached (every library caller, every server
-// without a broker... there is none: the server always has a broker, but
-// core used directly does not) the nil-receiver calls must not allocate.
-// make ci greps this benchmark for "0 allocs/op".
+// reserveDisabled is the disabled path: evaluation code instruments
+// allocation sites unconditionally, so when no reservation is attached
+// (core used directly; the server always has a broker) the nil-receiver
+// calls must not allocate.
+func reserveDisabled(tb testing.TB, ctx context.Context) {
+	r := FromContext(ctx)
+	if err := r.Grow(64); err != nil {
+		tb.Fatal(err)
+	}
+	m := r.NewMeter()
+	if err := m.Grow(128); err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.Charge(-64); err != nil {
+		tb.Fatal(err)
+	}
+	m.Close()
+	r.Shrink(32)
+	r.Release()
+}
+
 func BenchmarkReservationDisabled(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := FromContext(ctx)
-		if err := r.Grow(64); err != nil {
-			b.Fatal(err)
-		}
-		m := r.NewMeter()
-		if err := m.Grow(128); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Charge(-64); err != nil {
-			b.Fatal(err)
-		}
-		m.Close()
-		r.Shrink(32)
-		r.Release()
+		reserveDisabled(b, ctx)
+	}
+}
+
+// TestCeilings holds the disabled path at zero allocations, the twin of
+// trace's TestTraceDisabledZeroAlloc: accounting costs ~nothing when no
+// broker is attached.
+func TestCeilings(t *testing.T) {
+	ctx := context.Background()
+	if got := testing.AllocsPerRun(1000, func() { reserveDisabled(t, ctx) }); got != 0 {
+		t.Fatalf("the disabled reservation path makes %.1f allocations, want 0", got)
 	}
 }
 

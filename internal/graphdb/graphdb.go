@@ -204,12 +204,9 @@ func (p Path) Valid(d *DB) bool {
 func (p Path) Format(d *DB) string {
 	var sb strings.Builder
 	sb.WriteString(d.VertexName(p.Start))
-	cur := p.Start
 	for _, e := range p.Edges {
 		fmt.Fprintf(&sb, " -%s-> %s", d.alpha.Name(e.Label), d.VertexName(e.To))
-		cur = e.To
 	}
-	_ = cur
 	return sb.String()
 }
 

@@ -164,7 +164,7 @@ var internTexts = []string{
 }
 
 // TestInternConcurrentParse: eight goroutines parse the same texts at once
-// (run under -race by make generic-gate) and every parse hashes as a parse
+// (run under -race by `make race`) and every parse hashes as a parse
 // without the table does.
 func TestInternConcurrentParse(t *testing.T) {
 	want := make([]string, len(internTexts))

@@ -298,11 +298,11 @@ var readBenchTexts = []struct{ name, text string }{
 }
 
 // benchRead drives one read through the handler as the mux sees it.
-func benchRead(b *testing.B, s *Server, body string) {
+func benchRead(tb testing.TB, s *Server, body string) {
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query", strings.NewReader(body)))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"sat":true`) {
-		b.Fatalf("%d %s", rec.Code, rec.Body.String())
+		tb.Fatalf("%d %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -310,23 +310,46 @@ func benchBody(text string) string {
 	return string(mustJSON(map[string]any{"db": "g", "query": text, "strategy": "reduction"}))
 }
 
-// BenchmarkServeReadHit is the front-half layer row: one /v1/query whose
-// text, plan and materialisation are all resident, handler to recorder, with
-// tracing as the daemon ships it (every request sampled). `make front-gate`
-// holds its allocs/op under a ceiling.
+// readHitOp is the front half's operation: one /v1/query whose text, plan
+// and materialisation are all resident, handler to recorder, with tracing as
+// the daemon ships it (every request sampled).
+func readHitOp(tb testing.TB, text string) func() {
+	s := newTestServer(tb, Config{})
+	registerDB(tb, s, "g", denseDBText(14))
+	body := benchBody(fmt.Sprintf(text, ""))
+	benchRead(tb, s, body)
+	return func() { benchRead(tb, s, body) }
+}
+
+// BenchmarkServeReadHit is the front-half layer row over readHitOp;
+// TestCeilings holds its allocations per request.
 func BenchmarkServeReadHit(b *testing.B) {
 	for _, tc := range readBenchTexts {
 		b.Run(tc.name, func(b *testing.B) {
-			s := newTestServer(b, Config{})
-			registerDB(b, s, "g", denseDBText(14))
-			body := benchBody(fmt.Sprintf(tc.text, ""))
-			benchRead(b, s, body)
+			op := readHitOp(b, tc.text)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchRead(b, s, body)
+				op()
 			}
 		})
+	}
+}
+
+// TestCeilings holds a read hit under 330 (thin) and 190 (join) allocations
+// per request: 273 and 155 when the request-text memo landed, 1 418 and 283
+// with the parser and the canonical hash on the path.
+func TestCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random and allocates on its own")
+	}
+	ceilings := map[string]float64{"thin": 330, "join": 190}
+	for _, tc := range readBenchTexts {
+		got := testing.AllocsPerRun(200, readHitOp(t, tc.text))
+		t.Logf("%s: %.0f allocations per read hit", tc.name, got)
+		if got > ceilings[tc.name] {
+			t.Errorf("%s: a read hit makes %.0f allocations (ceiling %.0f): query-only work is back on the hit path", tc.name, got, ceilings[tc.name])
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // TestTraceRingPopulatedConcurrently fires queries from several goroutines
 // and checks that /debug/trace/recent serves well-formed traces with the
-// pipeline spans attached. Runs under -race via the server-test target.
+// pipeline spans attached. Runs under -race via `make race`.
 func TestTraceRingPopulatedConcurrently(t *testing.T) {
 	s := newTestServer(t, Config{TraceRingSize: 32})
 	registerDB(t, s, "g", "alphabet a b\nu a v\nv b w\n")
