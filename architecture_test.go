@@ -140,6 +140,19 @@ var archRules = []archRule{
 	{name: "kernel-nil-is-not-yet", why: "a caller asks whether a kernel exists: nil means only not yet built",
 		in: []string{"internal/core"}, check: never(comparisons, `\bfp == nil$`),
 		violation: "func f() bool { return c.fp == nil }"},
+	// Every kernel walks one automaton per component, the Lemma 4.1 merge:
+	// no product over several relation automata, and no switch to choose one.
+	{name: "one-automaton-per-component", why: "a product over several relation automata or a knob to skip the merge",
+		in:        []string{"internal/core"},
+		check:     never(names, `^(overRels|radix|acceptState|relStates|nfaViews|EagerMerge)$`),
+		violation: "func f(p *productStep) { p.overRels(0) }"},
+	{name: "relation-tracks", why: "a relation's own tracks read outside decompose, the merge and the first-letter analysis",
+		in: []string{"internal/core"}, skip: []string{"internal/core/component.go", "internal/core/reduction_build.go", "internal/core/pushdown.go"},
+		check:     never(names, `^relTracks$`),
+		violation: "func f(c *component) int { return len(c.relTracks) }"},
+	{name: "nfa-view-callers", why: "an automaton decoded for a kernel other than the merged view's",
+		in: []string{"internal/core"}, check: onlyFrom("newNFAView", "internal/core/reduction_build.go"),
+		violation: "func f(r *synchro.Relation) { newNFAView(r) }"},
 	// The Lemma 4.3 sweep: R' is int32 values back to back from the sweep's
 	// emit to the join's scan.
 	{name: "rows-no-header", why: "a slice header per row",

@@ -286,8 +286,7 @@ func BenchmarkAblation_Strategy(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"generic-lazy", core.Options{Strategy: core.Generic}},
-		{"generic-eager", core.Options{Strategy: core.Generic, EagerMerge: true}},
+		{"generic", core.Options{Strategy: core.Generic}},
 		{"reduction", core.Options{Strategy: core.Reduction}},
 	} {
 		b.Run(s.name, func(b *testing.B) {

@@ -193,7 +193,7 @@ func (c *answersCell) ways() map[string]func(ctx context.Context) ([][]int, erro
 	return ways
 }
 
-// forEachAnswersCell visits {Reduction, Generic, Generic with EagerMerge} ×
+// forEachAnswersCell visits {Reduction, Generic} ×
 // every shape × seeded databases small enough for it, the empty one, a
 // single vertex and five vertices among them. The reference set is the
 // one-shot Answers under Auto, held to NaiveBounded candidate by candidate.
@@ -218,8 +218,8 @@ func forEachAnswersCell(t *testing.T, visit func(c *answersCell)) {
 			}
 			answers += len(ref)
 			checkAgainstNaive(t, at, db, shape.q, ref, shape.bound)
-			for _, opts := range []Options{{Strategy: Reduction}, {Strategy: Generic}, {Strategy: Generic, EagerMerge: true}} {
-				c := &answersCell{at: fmt.Sprintf("%s %v eager=%v", at, opts.Strategy, opts.EagerMerge), db: db, ref: ref}
+			for _, opts := range []Options{{Strategy: Reduction}, {Strategy: Generic}} {
+				c := &answersCell{at: fmt.Sprintf("%s %v", at, opts.Strategy), db: db, ref: ref}
 				if c.p, err = Prepare(shape.q, opts); err != nil {
 					t.Fatalf("%s: %v", c.at, err)
 				}

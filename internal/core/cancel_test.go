@@ -40,36 +40,43 @@ func denseDB(t testing.TB, n int, a *alphabet.Alphabet) *graphdb.DB {
 	return db
 }
 
-// slowGenericInstance is unsatisfiable (p1 ∈ aa*, p2 ∈ bb*, all three paths
-// equal), so the Lemma 4.2 product search must try all n + n² assignments
-// at n=40: 1600 checks from 40 source assignments.
+// slowGenericInstance is unsatisfiable though its merged relation is not
+// empty: all three paths read one word of a*b, and the database is an
+// a-cycle over n=40 vertices with no b edge. No traversal can end, so the
+// Lemma 4.2 product search must try all n + n² assignments: 1600 checks
+// from 40 source assignments, each traversal walking the cycle.
 func slowGenericInstance(t testing.TB) (*graphdb.DB, *query.Query) {
 	a, err := alphabet.New("a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := denseDB(t, 40, a)
+	db := graphdb.New(a)
+	for i := 0; i < 40; i++ {
+		db.MustAddVertex(fmt.Sprintf("v%d", i))
+	}
+	for i := 0; i < 40; i++ {
+		db.MustAddEdge(i, 0, (i*7+1)%40)
+	}
 	q := query.NewBuilder(a).
 		Reach("x", "p1", "y").
 		Reach("x", "p2", "y").
 		Reach("x", "p3", "y").
 		Rel(synchro.Equality(a, 3), "p1", "p2", "p3").
-		Lang("p1", "aa*").
-		Lang("p2", "bb*").
+		Lang("p1", "a*b").
 		MustBuild()
 	return db, q
 }
 
 // wideGenericInstance is slowGenericInstance over 17 tracks, chained by
 // binary equalities: 17·6 vertex bits alone are past a word, so the product
-// is in the wide key regime. denseDB has one successor per vertex and
-// letter, which keeps the 17 pointers of a track tuple together.
+// is in the wide key regime. The database has one successor per vertex,
+// which keeps the 17 pointers of a track tuple together.
 func wideGenericInstance(t testing.TB) (*graphdb.DB, *query.Query) {
 	db, _ := slowGenericInstance(t)
-	q := eqFan(db.Alphabet(), 17).Lang("p1", "aa*").Lang("p2", "bb*").MustBuild()
-	comps, err := decomposeViews(q)
-	if err != nil || len(comps) != 1 || !packProduct(db, &comps[0]).wide {
-		t.Fatalf("not one wide component (err %v)", err)
+	q := eqFan(db.Alphabet(), 17).Lang("p1", "a*b").MustBuild()
+	comps := mergedComponents(t, q)
+	if len(comps) != 1 || len(comps[0].nfa.accept) == 0 || !packProduct(db, &comps[0]).wide {
+		t.Fatalf("not one wide component with a non-empty merged automaton")
 	}
 	return db, q
 }
@@ -134,11 +141,11 @@ func cancelMidway(t *testing.T, eval func(ctx context.Context) error) {
 	waitGoroutines(t, baseline)
 }
 
-// TestCancelMidGenericSearch cancels the heavy benchmark shape (an
-// unsatisfiable 3-track eq fan: V traversals, V² checks that are set probes)
-// and its 17-track wide-regime counterpart at every poll the evaluation
-// makes, from the traversals and from the assignment loop: each run returns
-// context.Canceled with nothing left charged and no goroutine behind, until
+// TestCancelMidGenericSearch cancels an unsatisfiable 3-track eq fan (V
+// traversals, V² checks that are set probes) and its 17-track wide-regime
+// counterpart at every poll the evaluation makes, from the traversals and
+// from the assignment loop: each run returns context.Canceled with nothing
+// left charged — the plan's merge included — and no goroutine behind, until
 // one completes.
 func TestCancelMidGenericSearch(t *testing.T) {
 	t.Run("narrow", func(t *testing.T) { cancelAtEveryPoll(t, slowGenericInstance) })

@@ -43,8 +43,9 @@ func measure(t *testing.T, runs int, op func(testing.TB) int) (allocs, bytes flo
 //   - Lemma 4.2 product search: at most V traversals, 0.05 allocations per
 //     check wherever an evaluation makes 1 000 checks or more, and 4 KiB per
 //     evaluation on the fan, 8 KiB on the chain — the warm-pool figures
-//     (2.1 and 3.5 KB; 1.28 MB on the chain when every evaluation regrew its
-//     kernel's tables);
+//     (1.7 and 2.9 KB over the merged automaton; 2.1 and 3.5 KB over the
+//     unmerged relations; 1.28 MB on the chain when every evaluation regrew
+//     its kernel's tables);
 //   - Prop 2.3 join: 8 B and 0.05 allocations per input row wherever it
 //     reads 10 000 rows or more — flat tables, integer keys.
 func TestCeilings(t *testing.T) {

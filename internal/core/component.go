@@ -6,9 +6,9 @@
 //
 //   - Generic: the algorithm behind the PSPACE upper bound (Proposition 2.2)
 //     and the XNL membership argument (Lemma 4.2) — backtrack over node
-//     variables and, per relation component, search the synchronized product
-//     of the component's relation NFAs with one database pointer per path
-//     variable.
+//     variables and, per relation component, search the product of the
+//     component's relations merged into one automaton (Lemma 4.1) with one
+//     database pointer per path variable.
 //
 //   - Reduction: the algorithm behind the NP and PTIME upper bounds
 //     (Lemma 4.3) — merge each component's relations (Lemma 4.1), materialize
@@ -52,11 +52,12 @@ type component struct {
 	tracks    []track
 	rels      []*synchro.Relation // non-universal; explicit NFAs
 	relTracks [][]int             // relation → component-track indices
-	// nfas are the relations' decoded transition tables, built once for a
-	// plan's components (prepare, mergedViews) so that no kernel over them
-	// decodes them again; read-only, shared by every kernel and every
-	// goroutine. Explain and Satisfiable read no transitions and leave it nil.
-	nfas []*nfaView
+	// nfa is the decoded transition table of the Lemma 4.1 merge, the one
+	// automaton every product kernel searches. Only mergedViews sets it, on
+	// the plan's merged views, so that no kernel decodes it again; read-only,
+	// shared by every kernel and every goroutine. decompose's components
+	// leave it nil.
+	nfa *nfaView
 	// nodeVars are the distinct node variables: track sources first, then
 	// the variables that are only destinations, each in track order. The
 	// generic strategy assigns them in this order, so a component's
@@ -223,17 +224,6 @@ func mergeComponent(a *alphabet.Alphabet, c *component) (*synchro.Relation, erro
 	return synchro.Join(a, len(c.tracks), c.rels, c.relTracks)
 }
 
-// acceptState reports whether every relation automaton accepts in its
-// component of relStates.
-func acceptState(nfas []*nfaView, relStates []int) bool {
-	for i, v := range nfas {
-		if !v.accept[relStates[i]] {
-			return false
-		}
-	}
-	return true
-}
-
 // nfaView caches a relation NFA's decoded transitions for fast iteration.
 type nfaView struct {
 	starts []int
@@ -267,14 +257,6 @@ func newNFAView(r *synchro.Relation) *nfaView {
 		})
 	}
 	return v
-}
-
-func nfaViews(rels []*synchro.Relation) []*nfaView {
-	views := make([]*nfaView, len(rels))
-	for i, r := range rels {
-		views[i] = newNFAView(r)
-	}
-	return views
 }
 
 // componentSearch is one component's Lemma 4.2 product search for the

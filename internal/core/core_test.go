@@ -34,7 +34,6 @@ n2 a z
 func strategies() []Options {
 	return []Options{
 		{Strategy: Generic},
-		{Strategy: Generic, EagerMerge: true},
 		{Strategy: Reduction},
 		{Strategy: Auto},
 	}
@@ -48,18 +47,18 @@ func evalAll(t *testing.T, db *graphdb.DB, q *query.Query) bool {
 	for _, opts := range strategies() {
 		res, err := Evaluate(db, q, opts)
 		if err != nil {
-			t.Fatalf("strategy %v (merge=%v): %v", opts.Strategy, opts.EagerMerge, err)
+			t.Fatalf("strategy %v: %v", opts.Strategy, err)
 		}
 		if verdict == nil {
 			v := res.Sat
 			verdict = &v
 		} else if *verdict != res.Sat {
-			t.Fatalf("strategies disagree: %v (merge=%v) says %v, earlier said %v",
-				opts.Strategy, opts.EagerMerge, res.Sat, *verdict)
+			t.Fatalf("strategies disagree: %v says %v, earlier said %v",
+				opts.Strategy, res.Sat, *verdict)
 		}
 		if res.Sat {
 			if err := VerifyWitness(db, q, res); err != nil {
-				t.Fatalf("strategy %v (merge=%v): bad witness: %v", opts.Strategy, opts.EagerMerge, err)
+				t.Fatalf("strategy %v: bad witness: %v", opts.Strategy, err)
 			}
 		}
 	}
@@ -323,12 +322,16 @@ func TestStatsPopulated(t *testing.T) {
 	if res.Stats.CQTuples == 0 {
 		t.Error("reduction should materialize tuples")
 	}
-	res2, err := Evaluate(db, q, Options{Strategy: Generic, EagerMerge: true})
+	if res.Stats.MergedStatesTotal == 0 {
+		t.Error("reduction should report merged states")
+	}
+	res2, err := Evaluate(db, q, Options{Strategy: Generic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Stats.MergedStatesTotal == 0 {
-		t.Error("eager merge should report merged states")
+	if res2.Stats.MergedStatesTotal != res.Stats.MergedStatesTotal {
+		t.Errorf("generic reports %d merged states, reduction %d: both walk the one merged automaton",
+			res2.Stats.MergedStatesTotal, res.Stats.MergedStatesTotal)
 	}
 }
 
@@ -545,7 +548,7 @@ func TestDecompose(t *testing.T) {
 		Rel(synchro.EqualLength(a, 2), "p1", "p2").
 		Rel(synchro.Universal(a, 2), "p2", "p3"). // universal: no semantic link
 		MustBuild()
-	comps, err := decomposeViews(q)
+	comps, err := decompose(q)
 	if err != nil {
 		t.Fatal(err)
 	}

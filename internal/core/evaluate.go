@@ -44,10 +44,6 @@ type Options struct {
 	// MaxProductStates caps each component product search (0 = default of
 	// 20 million states; negative = unlimited).
 	MaxProductStates int
-	// EagerMerge makes the Generic strategy pre-merge each component's
-	// relations into one automaton (Lemma 4.1) before the product search,
-	// instead of running the multi-automaton product lazily.
-	EagerMerge bool
 	// MaxReductionTracks bounds the component arity t for which Auto deems
 	// the V^t materialization of Lemma 4.3 affordable (default 3).
 	MaxReductionTracks int
@@ -138,7 +134,7 @@ type Stats struct {
 	Traversals        int // generic: product traversals begun to make those decisions
 	ProductStates     int // generic: product states those traversals expanded
 	CQTuples          int // reduction: materialized tuples across relations R'
-	MergedStatesTotal int // eager merge: total states of merged relation NFAs
+	MergedStatesTotal int // total states of the merged relation NFAs (Lemma 4.1) the kernels walk
 }
 
 // Evaluate decides whether the (Boolean) query holds on the database. For
@@ -154,17 +150,21 @@ func Evaluate(db *graphdb.DB, q *query.Query, opts Options) (*Result, error) {
 // deadline passes. It compiles a plan for this one call and, under the
 // Reduction strategy, materializes the whole Lemma 4.3 instance before the
 // join, so Stats.CQTuples is the full count (Prepared.EvaluateContext with
-// a nil materialization is the lazy first-witness path).
+// a nil materialization is the lazy first-witness path). The plan and the
+// materialization are dropped on return, and with them what they charged
+// to ctx's reservation.
 func EvaluateContext(ctx context.Context, db *graphdb.DB, q *query.Query, opts Options) (*Result, error) {
-	p, err := prepare(ctx, q, opts, false)
+	p, err := prepare(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer p.releaseMerge(ctx)
 	var mat *Materialization
 	if p.strat == Reduction {
 		if mat, err = p.Materialize(ctx, db); err != nil {
 			return nil, err
 		}
+		defer mat.releaseRows(ctx)
 	}
 	return p.EvaluateContextHinted(ctx, db, mat, nil)
 }
@@ -178,11 +178,19 @@ func Answers(db *graphdb.DB, q *query.Query, opts Options) ([][]int, error) {
 
 // AnswersContext is Answers with cancellation (see EvaluateContext).
 func AnswersContext(ctx context.Context, db *graphdb.DB, q *query.Query, opts Options) ([][]int, error) {
-	p, err := prepare(ctx, q, opts, false)
+	p, err := prepare(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	return p.Answers(ctx, db, nil)
+	defer p.releaseMerge(ctx)
+	var mat *Materialization
+	if p.strat == Reduction && len(q.Free) > 0 {
+		if mat, err = p.Materialize(ctx, db); err != nil {
+			return nil, err
+		}
+		defer mat.releaseRows(ctx)
+	}
+	return p.Answers(ctx, db, mat)
 }
 
 // PlanHints carries db-dependent decisions from a cost-based planner
@@ -273,10 +281,7 @@ type genericSearch struct {
 //ecrpq:charged query-sized: the order, positions and ready lists are bounded by the query's node variables and tracks
 func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints *PlanHints, paths bool) *genericSearch {
 	g := &genericSearch{db: db, pinned: pinned, hints: hints}
-	workComps := p.comps
-	if p.opts.EagerMerge {
-		workComps, g.stats.MergedStatesTotal = p.merged, p.mergedSt
-	}
+	comps := p.merged
 
 	// Node variable universe and ordering: pinned first, then component by
 	// component so components complete early. A planner hint permutes the
@@ -292,15 +297,15 @@ func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints
 	for v := range pinned {
 		add(v)
 	}
-	compSeq := hints.componentOrder(len(workComps))
+	compSeq := hints.componentOrder(len(comps))
 	if compSeq == nil {
-		compSeq = make([]int, len(workComps))
+		compSeq = make([]int, len(comps))
 		for i := range compSeq {
 			compSeq[i] = i
 		}
 	}
 	for _, ci := range compSeq {
-		for _, v := range workComps[ci].nodeVars {
+		for _, v := range comps[ci].nodeVars {
 			add(v)
 		}
 	}
@@ -308,10 +313,10 @@ func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints
 		add(v)
 	}
 
-	g.gcs = make([]genericComp, len(workComps))
+	g.gcs = make([]genericComp, len(comps))
 	g.compReady = make([][]int, len(g.order)+1)
-	for ci := range workComps {
-		c := &workComps[ci]
+	for ci := range comps {
+		c := &comps[ci]
 		t := len(c.tracks)
 		gc := &g.gcs[ci]
 		gc.componentSearch = componentSearch{db: db, c: c, maxStates: p.opts.maxStates(), paths: paths}
@@ -497,15 +502,15 @@ func (p *Prepared) evalReductionMaterialized(ctx context.Context, db *graphdb.DB
 // only when the query has no atom at all.
 func (p *Prepared) emptyDBSat() bool { return len(p.q.Reach) == 0 }
 
-// recoverWitnesses re-runs each component's product search with the CQ
-// witness's endpoints pinned to extract concrete paths. res.Nodes must be
-// populated; res.Paths is filled.
+// recoverWitnesses re-runs each component's product search, over its merged
+// view, with the CQ witness's endpoints pinned to extract concrete paths.
+// res.Nodes must be populated; res.Paths is filled.
 func (p *Prepared) recoverWitnesses(ctx context.Context, db *graphdb.DB, res *Result) error {
 	_, wsp := trace.StartSpan(ctx, "core/witness")
 	defer wsp.End()
 	res.Paths = make(map[string]graphdb.Path)
-	for ci := range p.comps {
-		c := &p.comps[ci]
+	for ci := range p.merged {
+		c := &p.merged[ci]
 		srcs := make([]int, len(c.tracks))
 		dsts := make([]int, len(c.tracks))
 		for k, tr := range c.tracks {

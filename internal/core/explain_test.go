@@ -73,9 +73,10 @@ func TestExplainInvalidQuery(t *testing.T) {
 }
 
 // TestExplainBuildsNoViews: Explain (and Satisfiable) read no transition
-// table, so decompose leaves the decoded NFA views to prepare. On this
-// 3-relation component Explain made 162 allocations when decompose built
-// them for every caller.
+// table, so decompose builds no decoded NFA view: the only one is the merged
+// view's, which prepare builds through mergedViews. On this 3-relation
+// component Explain made 162 allocations when decompose built views for
+// every caller.
 func TestExplainBuildsNoViews(t *testing.T) {
 	a := alphabet.Lower(2)
 	q := query.NewBuilder(a).
@@ -87,12 +88,15 @@ func TestExplainBuildsNoViews(t *testing.T) {
 	if err != nil || len(comps) != 1 || len(comps[0].rels) != 3 {
 		t.Fatalf("decompose: %v, %d components", err, len(comps))
 	}
-	if comps[0].nfas != nil {
-		t.Error("decompose built the NFA views")
+	if comps[0].nfa != nil {
+		t.Error("decompose built an NFA view")
 	}
 	p, err := Prepare(q, Options{})
-	if err != nil || len(p.comps[0].nfas) != 3 {
-		t.Fatalf("Prepare: %v; its component has no views", err)
+	if err != nil || len(p.merged) != 1 || p.merged[0].nfa == nil {
+		t.Fatalf("Prepare: %v; its merged view has no decoded automaton", err)
+	}
+	if p.comps[0].nfa != nil {
+		t.Error("Prepare decoded the unmerged relations")
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := Explain(q, Options{}); err != nil {

@@ -14,14 +14,14 @@ import (
 )
 
 // productShape is the layout of a component's product with a database
-// (Lemma 4.2): one relation-automaton state per relation, one database
-// vertex per track and the set of finished tracks. A state is known to the
-// kernels by a uint64 key, in one of two regimes chosen here from the sizes
-// of the component and the database:
+// (Lemma 4.2): one state of the component's merged automaton (Lemma 4.1),
+// one database vertex per track and the set of finished tracks. A state is
+// known to the kernels by a uint64 key, in one of two regimes chosen here
+// from the sizes of the automaton and the database:
 //
 //   - narrow: the state packs into 63 bits and the key is the packing,
 //
-//     [ relation-state combo | vertex per track | done bits ]
+//     [ automaton state | vertex per track | done bits ]
 //
 //     and a destination tuple's key is its vertices packed likewise;
 //
@@ -37,12 +37,10 @@ import (
 type productShape struct {
 	db    *graphdb.DB
 	fwd   *graphdb.CSR // the database's forward layout when the shape was made
-	c     *component
-	nfas  []*nfaView
+	nfa   *nfaView     // the component's merged automaton
 	t     int
 	vBits uint
 	qBits uint
-	radix []int // relation NFA sizes for mixed-radix state packing
 	wide  bool
 	// Key widths, which decide how the kernels' sets and tables are indexed:
 	// those of the packings, or 0 in the wide regime, whose keys count up
@@ -55,27 +53,14 @@ type productShape struct {
 // both regimes; nothing but a test assigns it.
 var packedBits uint = 63
 
-// packProduct lays out the product state of c over db.
+// packProduct lays out the product state of the merged view c over db.
 func packProduct(db *graphdb.DB, c *component) *productShape {
 	t := len(c.tracks)
-	s := &productShape{
-		db: db, fwd: db.Forward(), c: c, t: t,
-		nfas: c.nfas, radix: make([]int, len(c.rels)),
-	}
-	qCombos := 1
-	for i, r := range c.rels {
-		n := max(r.RawNFA().NumStates(), 1)
-		s.radix[i] = n
-		if qCombos > (1<<30)/n {
-			s.wide = true // the combos no longer index a mixed-radix number worth packing
-		} else {
-			qCombos *= n
-		}
-	}
+	s := &productShape{db: db, fwd: db.Forward(), nfa: c.nfa, t: t}
 	s.vBits = uint(bits.Len(uint(max(db.NumVertices()-1, 1))))
-	s.qBits = uint(max(bits.Len(uint(qCombos-1)), 1))
+	s.qBits = uint(bits.Len(uint(max(len(c.nfa.accept), 2) - 1)))
 	s.bits, s.destBits = s.qBits+uint(t)*s.vBits+uint(t), uint(t)*s.vBits
-	if s.wide || s.bits > packedBits {
+	if s.bits > packedBits {
 		s.wide, s.bits, s.destBits = true, 0, 0
 	}
 	return s
@@ -142,62 +127,47 @@ func (s *rowSet) reset() {
 func (s *rowSet) bytes() int64 { return int64(4 * (cap(s.rows) + cap(s.slots))) }
 
 // productStep holds the registers of the product state being expanded and
-// enumerates its successors: the nondeterministic step of Lemma 4.2 — guess
-// a joint convolution letter consistent with every relation automaton
-// (relations that have exhausted their words stall) and advance one
-// database pointer per non-padded track along a matching edge. Both kernels
-// embed it — the single-source traversal of fastProduct and the 64-source
-// sweepKernel — and differ only in emit, which receives every successor as
-// (nextRel, newVerts, newDone). It also owns the kernel's key space: the
-// rows behind the wide regime's keys.
+// enumerates its successors: the nondeterministic step of Lemma 4.2 — take
+// one transition of the merged automaton, whose letter is the joint
+// convolution letter of every track, and advance one database pointer per
+// non-padded track along a matching edge. Both kernels embed it — the
+// single-source traversal of fastProduct and the 64-source sweepKernel — and
+// differ only in emit, which receives every successor as (nextQ, newVerts,
+// newDone). It also owns the kernel's key space: the rows behind the wide
+// regime's keys.
 type productStep struct {
 	*productShape
-	relStates, nextRel []int
-	verts, newVerts    []int
-	joint              []alphabet.Symbol
-	touched            [][]int // per relation: the tracks its current move set in joint
-	done, newDone      uint64
-	emit               func()
+	q, nextQ        int // automaton state of the loaded state and of the successor
+	verts, newVerts []int
+	joint           alphabet.Tuple // the letter of the transition being taken
+	done, newDone   uint64
+	emit            func()
 
-	stateRows, destRows rowSet // wide regime: [relation states | vertices | done lo, hi] and [vertices]
+	stateRows, destRows rowSet // wide regime: [automaton state | vertices | done lo, hi] and [vertices]
 }
 
-//ecrpq:charged registers per track and per relation: query-sized, whatever the database
+//ecrpq:charged registers per track: query-sized, whatever the database
 func newProductStep(s *productShape) productStep {
 	p := productStep{
 		productShape: s,
-		relStates:    make([]int, len(s.nfas)),
-		nextRel:      make([]int, len(s.nfas)),
 		verts:        make([]int, s.t),
 		newVerts:     make([]int, s.t),
-		joint:        make([]alphabet.Symbol, s.t),
-		touched:      make([][]int, len(s.nfas)),
-	}
-	for i, tracks := range s.c.relTracks {
-		p.touched[i] = make([]int, len(tracks))
 	}
 	if s.wide {
-		p.stateRows, p.destRows = newRowSet(len(s.nfas)+s.t+2), newRowSet(s.t)
+		p.stateRows, p.destRows = newRowSet(s.t+3), newRowSet(s.t)
 	}
 	return p
 }
 
-func (p *productStep) pack(relStates []int, verts []int, done uint64) uint64 {
+func (p *productStep) pack(q int, verts []int, done uint64) uint64 {
 	if p.wide {
 		row := p.stateRows.buf
-		for i, q := range relStates {
-			row[i] = int32(q)
-		}
-		row = row[len(relStates):]
+		row[0] = int32(q)
 		for i, v := range verts {
-			row[i] = int32(v)
+			row[1+i] = int32(v)
 		}
-		row[p.t], row[p.t+1] = int32(done), int32(done>>32)
+		row[1+p.t], row[2+p.t] = int32(done), int32(done>>32)
 		return p.stateRows.intern()
-	}
-	q := 0
-	for i := len(relStates) - 1; i >= 0; i-- {
-		q = q*p.radix[i] + relStates[i]
 	}
 	key := uint64(q)
 	shift := p.qBits
@@ -209,22 +179,13 @@ func (p *productStep) pack(relStates []int, verts []int, done uint64) uint64 {
 	return key
 }
 
-func (p *productStep) unpack(key uint64, relStates []int, verts []int) (done uint64) {
+func (p *productStep) unpack(key uint64, verts []int) (q int, done uint64) {
 	if p.wide {
 		row := p.stateRows.row(key)
-		for i := range relStates {
-			relStates[i] = int(row[i])
-		}
-		row = row[len(relStates):]
 		for i := range verts {
-			verts[i] = int(row[i])
+			verts[i] = int(row[1+i])
 		}
-		return uint64(uint32(row[p.t])) | uint64(uint32(row[p.t+1]))<<32
-	}
-	q := int(key & (1<<p.qBits - 1))
-	for i := range relStates {
-		relStates[i] = q % p.radix[i]
-		q /= p.radix[i]
+		return int(row[0]), uint64(uint32(row[1+p.t])) | uint64(uint32(row[2+p.t]))<<32
 	}
 	shift := p.qBits
 	mask := uint64(1)<<p.vBits - 1
@@ -232,7 +193,7 @@ func (p *productStep) unpack(key uint64, relStates []int, verts []int) (done uin
 		verts[i] = int((key >> shift) & mask)
 		shift += p.vBits
 	}
-	return key >> shift
+	return int(key & (1<<p.qBits - 1)), key >> shift
 }
 
 // destKey is the key of a destination tuple. Packed keys ascend in the
@@ -280,76 +241,27 @@ func (p *productStep) sortDests(keys []uint64) {
 }
 
 // load makes key the state being expanded.
-func (p *productStep) load(key uint64) {
-	p.done = p.unpack(key, p.relStates, p.verts)
-	for i := range p.joint {
-		p.joint[i] = alphabet.Unset
-	}
-}
+func (p *productStep) load(key uint64) { p.q, p.done = p.unpack(key, p.verts) }
 
-// seed emits every combination of relation start states over newVerts and
-// newDone, which the caller has set.
-func (p *productStep) seed(i int) {
-	if i == len(p.nfas) {
+// accepting reports whether the loaded state's automaton state accepts.
+func (p *productStep) accepting() bool { return p.nfa.accept[p.q] }
+
+// seed emits every start state of the automaton over newVerts and newDone,
+// which the caller has set.
+func (p *productStep) seed() {
+	for _, q := range p.nfa.starts {
+		p.nextQ = q
 		p.emit()
-		return
-	}
-	for _, q := range p.nfas[i].starts {
-		p.nextRel[i] = q
-		p.seed(i + 1)
 	}
 }
 
-// overRels extends the joint letter with one move (or the stall) of
-// relation i; overRels(0) emits every successor of the loaded state.
-func (p *productStep) overRels(i int) {
-	if i == len(p.nfas) {
+// step emits every successor of the loaded state, one transition of the
+// automaton at a time. The all-pad letter, which a merged automaton may
+// carry but no database move reads, is rejected by expand.
+func (p *productStep) step() {
+	for _, tr := range p.nfa.trans[p.q] {
+		p.joint, p.nextQ = tr.tuple, tr.to
 		p.expand()
-		return
-	}
-	const unset = alphabet.Unset
-	touched := p.touched[i]
-	for _, tr := range p.nfas[i].trans[p.relStates[i]] {
-		ok := true
-		nt := 0
-		for j, s := range tr.tuple {
-			mt := p.c.relTracks[i][j]
-			if p.joint[mt] == unset {
-				p.joint[mt] = s
-				touched[nt] = mt
-				nt++
-			} else if p.joint[mt] != s {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			p.nextRel[i] = tr.to
-			p.overRels(i + 1)
-		}
-		for j := 0; j < nt; j++ {
-			p.joint[touched[j]] = unset
-		}
-	}
-	// Stall: this relation's tracks are all padded from here on.
-	ok := true
-	nt := 0
-	for _, mt := range p.c.relTracks[i] {
-		if p.joint[mt] == unset {
-			p.joint[mt] = alphabet.Pad
-			touched[nt] = mt
-			nt++
-		} else if p.joint[mt] != alphabet.Pad {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		p.nextRel[i] = p.relStates[i]
-		p.overRels(i + 1)
-	}
-	for j := 0; j < nt; j++ {
-		p.joint[touched[j]] = unset
 	}
 }
 
@@ -674,7 +586,7 @@ func (f *fastProduct) begin(ctx context.Context, srcs []int, maxStates int) erro
 	f.qi = -1 // what push records as the parent of a start state
 	copy(f.newVerts, srcs)
 	f.newDone = 0
-	f.seed(0)
+	f.seed()
 	f.qi = 0
 	if err := f.charge(); err != nil {
 		return err
@@ -683,10 +595,10 @@ func (f *fastProduct) begin(ctx context.Context, srcs []int, maxStates int) erro
 	return nil
 }
 
-// push queues the successor (nextRel, newVerts, newDone) of queue[qi] on
+// push queues the successor (nextQ, newVerts, newDone) of queue[qi] on
 // first sight.
 func (f *fastProduct) push() {
-	key := f.pack(f.nextRel, f.newVerts, f.newDone)
+	key := f.pack(f.nextQ, f.newVerts, f.newDone)
 	if !f.visited.add(key) {
 		return
 	}
@@ -724,7 +636,7 @@ func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
 			}
 		}
 		f.load(f.queue.s[f.qi])
-		if acceptState(f.nfas, f.relStates) {
+		if f.accepting() {
 			d := f.destKey(f.verts)
 			if f.accepted.add(d) {
 				f.dests.push(d)
@@ -741,7 +653,7 @@ func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
 			return false, fmt.Errorf("core: product exceeded the state budget of %d", f.maxStates)
 		}
 		f.expanded++
-		f.overRels(0)
+		f.step()
 	}
 	return false, nil
 }
@@ -796,7 +708,7 @@ func (f *fastProduct) witness(ctx context.Context, srcs, dsts []int, maxStates i
 	// Walking back from the accepting state, the edges come out last first.
 	push := f.emit
 	f.emit = func() {
-		if f.pack(f.nextRel, f.newVerts, f.newDone) != f.child {
+		if f.pack(f.nextQ, f.newVerts, f.newDone) != f.child {
 			return
 		}
 		f.child = noDest // later emits of the same state read other letters
@@ -810,7 +722,7 @@ func (f *fastProduct) witness(ctx context.Context, srcs, dsts []int, maxStates i
 	for slot := f.destSlot.s[slices.Index(f.dests.s, want)]; parents[slot] >= 0; slot = parents[slot] {
 		f.child = queue[slot]
 		f.load(queue[parents[slot]])
-		f.overRels(0)
+		f.step()
 	}
 	f.emit = push
 	for i := range paths {
@@ -985,7 +897,7 @@ func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) err
 	for i := lo; i < hi; i++ {
 		decodeSource(first+i, n, k.newVerts)
 		k.delta = 1 << uint(i)
-		k.seed(0)
+		k.seed()
 	}
 	for qi := 0; qi < len(k.queue.s); qi++ {
 		if qi%cancelCheckInterval == 0 {
@@ -1003,21 +915,21 @@ func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) err
 		slot := k.states.at(key)
 		k.delta, slot[1] = slot[1], 0
 		k.load(key)
-		k.overRels(0)
+		k.step()
 	}
 	for _, key := range k.states.keys.s {
-		k.unpack(key, k.relStates, k.verts)
-		if acceptState(k.nfas, k.relStates) {
+		k.load(key)
+		if k.accepting() {
 			k.dests.or(k.destKey(k.verts), k.states.at(key)[0])
 		}
 	}
 	return k.charge()
 }
 
-// push delivers the sources being propagated to the state (nextRel,
+// push delivers the sources being propagated to the state (nextQ,
 // newVerts, newDone), queueing it if any of them is new to it.
 func (k *sweepKernel) push() {
-	key := k.pack(k.nextRel, k.newVerts, k.newDone)
+	key := k.pack(k.nextQ, k.newVerts, k.newDone)
 	slot, fresh := k.states.or(key, k.delta)
 	if fresh == 0 {
 		return

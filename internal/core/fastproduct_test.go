@@ -48,9 +48,9 @@ func randomComponentInstance(t testing.TB, rng *rand.Rand, a *alphabet.Alphabet)
 		}
 	}
 	q := b.MustBuild()
-	comps, err := decomposeViews(q)
-	if err != nil || len(comps) != 1 || len(comps[0].tracks) != tracks {
-		t.Fatalf("decompose: %v, %d components", err, len(comps))
+	comps := mergedComponents(t, q)
+	if len(comps) != 1 || len(comps[0].tracks) != tracks {
+		t.Fatalf("%d components", len(comps))
 	}
 	srcs := make([]int, tracks)
 	dsts := make([]int, tracks)
@@ -159,18 +159,17 @@ func TestFastProductReuseAcrossRuns(t *testing.T) {
 }
 
 // TestFastProductUnavailableFallback: a shape newFastProduct used to refuse
-// (more than 16 tracks; TestGenericWideComponent has the other, automata
-// sizes past 2^30) gets a kernel, in the wide key regime, that serves every
-// entry point. On a database with one successor per vertex and letter, 17
+// (more than 16 tracks) gets a kernel, in the wide key regime, that serves
+// every entry point. On a database with one successor per vertex and letter, 17
 // tracks reading one word from v all end where that word leads, so the
 // reach set of (v, …, v) is the diagonal over the vertices reachable from
 // v, in ascending — lexicographic — order.
 func TestFastProductUnavailableFallback(t *testing.T) {
 	a := alphabet.Lower(2)
 	db := functionalDB(rand.New(rand.NewSource(16)), a, 6)
-	comps, err := decomposeViews(eqFan(a, 17).MustBuild())
-	if err != nil || len(comps) != 1 {
-		t.Fatalf("decompose: %v, %d components", err, len(comps))
+	comps := mergedComponents(t, eqFan(a, 17).MustBuild())
+	if len(comps) != 1 {
+		t.Fatalf("%d components", len(comps))
 	}
 	fp := newFastProduct(db, &comps[0])
 	if !fp.wide {
@@ -237,9 +236,9 @@ func TestCheckComponentBudgetViaFastPath(t *testing.T) {
 		Rel(synchro.EqualLength(a, 2), "p1", "p2").
 		Lang("p1", "a+b").
 		MustBuild()
-	comps, err := decomposeViews(q)
-	if err != nil || len(comps) != 1 {
-		t.Fatalf("decompose: %v %d", err, len(comps))
+	comps := mergedComponents(t, q)
+	if len(comps) != 1 {
+		t.Fatalf("%d components", len(comps))
 	}
 	u, _ := db.Lookup("u")
 	z, _ := db.Lookup("z")

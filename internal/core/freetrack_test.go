@@ -50,8 +50,8 @@ func TestFreeTrackIsSigmaStar(t *testing.T) {
 	sat := 0
 	for si := range plain {
 		for di, db := range dbs {
-			for _, opts := range []Options{{Strategy: Reduction}, {Strategy: Generic}, {Strategy: Generic, EagerMerge: true}} {
-				at := fmt.Sprintf("%s, db %d, %v eager=%v", plain[si].name, di, opts.Strategy, opts.EagerMerge)
+			for _, opts := range []Options{{Strategy: Reduction}, {Strategy: Generic}} {
+				at := fmt.Sprintf("%s, db %d, %v", plain[si].name, di, opts.Strategy)
 				var res [2]*Result
 				var ans, whole [2][][]int
 				for i, q := range []*query.Query{plain[si].q, explicit[si].q} {

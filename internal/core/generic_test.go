@@ -10,6 +10,7 @@ import (
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
+	"ecrpq/internal/stream"
 	"ecrpq/internal/synchro"
 )
 
@@ -53,9 +54,8 @@ var genericShapes = []genericShape{
 		b.Reach(v("x"), "p1", v("y")).Reach(v("x"), "p2", v("y"))
 		b.Reach(v("z"), "p3", v("x")).Reach(v("z"), "p4", v("x"))
 	}},
-	// Eight relation automata whose sizes multiply past 2^30: the unmerged
-	// component is in the wide key regime on every database, its Lemma 4.1
-	// merge (EagerMerge, the reduction) in the narrow one.
+	// Eight relation automata of up to 30 states each, which the Lemma 4.1
+	// merge runs in lockstep: a small merged automaton the kernels walk.
 	{name: "combo-overflow", tracks: 2, maxV: 3, build: func(b *query.Builder, v func(string) string) {
 		comboOverflowLangs(b.Reach(v("x"), "p1", v("y")).Reach(v("x"), "p2", v("y")), "p1", "p2")
 	}},
@@ -108,7 +108,7 @@ func genericInstances(t testing.TB, rng *rand.Rand) []genericInstance {
 		db := randomDB(rng, a, v, v+rng.Intn(2*v+1))
 		for _, s := range genericShapes {
 			if s.maxV > 0 && v > s.maxV {
-				continue // eight automata to decode per fresh kernel: the reference is what costs
+				continue // eight automata to merge per evaluation: the reference is what costs
 			}
 			for _, relName := range relNames {
 				for ni, naming := range genericNamings {
@@ -204,36 +204,20 @@ func perCheckGeneric(db *graphdb.DB, q *query.Query, comps []component, maxState
 	return rec(0)
 }
 
-// workComponents is what evalGeneric searches: the decomposed components,
-// or their Lemma 4.1 merges.
-func workComponents(t testing.TB, q *query.Query, eager bool) []component {
-	t.Helper()
-	comps, err := decomposeViews(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eager {
-		if comps, _, err = mergedViews(context.Background(), q, comps); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return comps
-}
-
 // TestGenericDifferential holds the memoised generic evaluation, under every
-// combination of EagerMerge and planner hints, to the per-check reference,
-// to the reduction strategy and (on the smallest databases) to the
-// brute-force semantics; every witness it returns, all of them read off the
-// recording kernel's parent links, must verify. Each instance is evaluated
-// again forced into the wide key regime: keys are then row ids, not
-// packings, and nothing else may differ — the decision, the witness's
-// validity, and the count of every traversal and expanded state.
+// planner hint, to the per-check reference, to the reduction strategy and
+// (on the smallest databases) to the brute-force semantics; every witness it
+// returns, all of them read off the recording kernel's parent links, must
+// verify. Each instance is evaluated again forced into the wide key regime:
+// keys are then row ids, not packings, and nothing else may differ — the
+// decision, the witness's validity, and the count of every traversal and
+// expanded state.
 func TestGenericDifferential(t *testing.T) {
 	const bound = 3
 	rng := rand.New(rand.NewSource(20220614))
 	ctx := context.Background()
 	for _, in := range genericInstances(t, rng) {
-		want, err := perCheckGeneric(in.db, in.q, workComponents(t, in.q, false), 0)
+		want, err := perCheckGeneric(in.db, in.q, mergedComponents(t, in.q), 0)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", in.name, err)
 		}
@@ -249,57 +233,50 @@ func TestGenericDifferential(t *testing.T) {
 				t.Fatalf("%s: reduction witness: %v", in.name, err)
 			}
 		}
-		for _, eager := range []bool{false, true} {
-			if eager {
-				if got, err := perCheckGeneric(in.db, in.q, workComponents(t, in.q, true), 0); err != nil || got != want {
-					t.Fatalf("%s: per-check reference over merged components says %v (err %v), want %v", in.name, got, err, want)
-				}
-			}
-			p, err := Prepare(in.q, Options{Strategy: Generic, EagerMerge: eager})
+		p, err := Prepare(in.q, Options{Strategy: Generic})
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", in.name, err)
+		}
+		reversed := make([]int, len(p.comps))
+		for i := range reversed {
+			reversed[i] = len(reversed) - 1 - i
+		}
+		for hi, hints := range []*PlanHints{
+			nil,
+			{ComponentOrder: reversed},
+			{Candidates: p.PushdownCandidates(in.db)},
+			{ComponentOrder: reversed, Candidates: p.PushdownCandidates(in.db)},
+		} {
+			res, err := p.EvaluateContextHinted(ctx, in.db, nil, hints)
 			if err != nil {
-				t.Fatalf("%s: Prepare: %v", in.name, err)
+				t.Fatalf("%s hints=%d: %v", in.name, hi, err)
 			}
-			reversed := make([]int, len(p.comps))
-			for i := range reversed {
-				reversed[i] = len(reversed) - 1 - i
+			if res.Sat != want {
+				t.Fatalf("%s hints=%d: memoised kernel says %v, the per-check reference %v", in.name, hi, res.Sat, want)
 			}
-			for hi, hints := range []*PlanHints{
-				nil,
-				{ComponentOrder: reversed},
-				{Candidates: p.PushdownCandidates(in.db)},
-				{ComponentOrder: reversed, Candidates: p.PushdownCandidates(in.db)},
-			} {
-				res, err := p.EvaluateContextHinted(ctx, in.db, nil, hints)
-				if err != nil {
-					t.Fatalf("%s eager=%v hints=%d: %v", in.name, eager, hi, err)
+			if res.Stats.Traversals > res.Stats.ProductChecks {
+				t.Fatalf("%s hints=%d: %d traversals for %d checks", in.name, hi, res.Stats.Traversals, res.Stats.ProductChecks)
+			}
+			if res.Sat {
+				if err := VerifyWitness(in.db, in.q, res); err != nil {
+					t.Fatalf("%s hints=%d: witness: %v", in.name, hi, err)
 				}
-				if res.Sat != want {
-					t.Fatalf("%s eager=%v hints=%d: memoised kernel says %v, the per-check reference %v", in.name, eager, hi, res.Sat, want)
+			}
+			if hi > 0 {
+				continue
+			}
+			inWideRegime(func() {
+				wide, err := p.EvaluateContextHinted(ctx, in.db, nil, hints)
+				if err != nil || wide.Stats != res.Stats || wide.Sat != want {
+					t.Fatalf("%s forced wide: sat=%v stats=%+v err=%v, own regime sat=%v stats=%+v",
+						in.name, wide != nil && wide.Sat, wide.Stats, err, want, res.Stats)
 				}
-				if res.Stats.Traversals > res.Stats.ProductChecks {
-					t.Fatalf("%s eager=%v hints=%d: %d traversals for %d checks", in.name, eager, hi, res.Stats.Traversals, res.Stats.ProductChecks)
-				}
-				if res.Sat {
-					if err := VerifyWitness(in.db, in.q, res); err != nil {
-						t.Fatalf("%s eager=%v hints=%d: witness: %v", in.name, eager, hi, err)
+				if wide.Sat {
+					if err := VerifyWitness(in.db, in.q, wide); err != nil {
+						t.Fatalf("%s forced wide: witness: %v", in.name, err)
 					}
 				}
-				if hi > 0 {
-					continue
-				}
-				inWideRegime(func() {
-					wide, err := p.EvaluateContextHinted(ctx, in.db, nil, hints)
-					if err != nil || wide.Stats != res.Stats || wide.Sat != want {
-						t.Fatalf("%s eager=%v forced wide: sat=%v stats=%+v err=%v, own regime sat=%v stats=%+v",
-							in.name, eager, wide != nil && wide.Sat, wide.Stats, err, want, res.Stats)
-					}
-					if wide.Sat {
-						if err := VerifyWitness(in.db, in.q, wide); err != nil {
-							t.Fatalf("%s eager=%v forced wide: witness: %v", in.name, eager, err)
-						}
-					}
-				})
-			}
+			})
 		}
 		if in.db.NumVertices() > 3 {
 			continue
@@ -377,61 +354,47 @@ func TestGenericBudget(t *testing.T) {
 		if in.db.NumVertices() < 6 || rng.Intn(4) != 0 {
 			continue
 		}
-		for _, eager := range []bool{false, true} {
-			comps := workComponents(t, in.q, eager)
-			want, err := perCheckGeneric(in.db, in.q, comps, 0)
+		comps := mergedComponents(t, in.q)
+		want, err := perCheckGeneric(in.db, in.q, comps, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi := smallestBudget(func(budget int) bool {
+			got, err := perCheckGeneric(in.db, in.q, comps, budget)
 			if err != nil {
-				t.Fatal(err)
-			}
-			fits := func(budget int) bool {
-				got, err := perCheckGeneric(in.db, in.q, comps, budget)
-				if err != nil {
-					if !strings.Contains(err.Error(), "state budget") {
-						t.Fatalf("%s budget %d: %v", in.name, budget, err)
-					}
-					return false
+				if !strings.Contains(err.Error(), "state budget") {
+					t.Fatalf("%s budget %d: %v", in.name, budget, err)
 				}
-				if got != want {
-					t.Fatalf("%s budget %d: reference says %v, unbounded %v", in.name, budget, got, want)
-				}
-				return true
+				return false
 			}
-			hi := 1
-			for !fits(hi) {
-				hi *= 2
+			if got != want {
+				t.Fatalf("%s budget %d: reference says %v, unbounded %v", in.name, budget, got, want)
 			}
-			lo := hi / 2 // fails (or is 0)
-			for hi-lo > 1 {
-				if mid := (lo + hi) / 2; fits(mid) {
-					hi = mid
-				} else {
-					lo = mid
-				}
+			return true
+		})
+		res, err := EvaluateContext(ctx, in.db, in.q, Options{Strategy: Generic, MaxProductStates: hi})
+		if err != nil || res.Sat != want {
+			t.Fatalf("%s: budget %d suffices per check, memoised gives sat=%v err=%v", in.name, hi, res != nil && res.Sat, err)
+		}
+		if hi > 1 {
+			tested++
+			_, err := EvaluateContext(ctx, in.db, in.q, Options{Strategy: Generic, MaxProductStates: hi - 1})
+			if err == nil || !strings.Contains(err.Error(), "state budget") {
+				t.Fatalf("%s: budget %d is one short per check, memoised gives err=%v", in.name, hi-1, err)
 			}
-			res, err := EvaluateContext(ctx, in.db, in.q, Options{Strategy: Generic, EagerMerge: eager, MaxProductStates: hi})
+		}
+		inWideRegime(func() {
+			res, err := EvaluateContext(ctx, in.db, in.q, Options{Strategy: Generic, MaxProductStates: hi})
 			if err != nil || res.Sat != want {
-				t.Fatalf("%s eager=%v: budget %d suffices per check, memoised gives sat=%v err=%v", in.name, eager, hi, res != nil && res.Sat, err)
+				t.Fatalf("%s forced wide: budget %d suffices in the narrow regime, here sat=%v err=%v", in.name, hi, res != nil && res.Sat, err)
 			}
 			if hi > 1 {
-				tested++
-				_, err := EvaluateContext(ctx, in.db, in.q, Options{Strategy: Generic, EagerMerge: eager, MaxProductStates: hi - 1})
+				_, err := EvaluateContext(ctx, in.db, in.q, Options{Strategy: Generic, MaxProductStates: hi - 1})
 				if err == nil || !strings.Contains(err.Error(), "state budget") {
-					t.Fatalf("%s eager=%v: budget %d is one short per check, memoised gives err=%v", in.name, eager, hi-1, err)
+					t.Fatalf("%s forced wide: budget %d is one short in the narrow regime, here err=%v", in.name, hi-1, err)
 				}
 			}
-			inWideRegime(func() {
-				res, err := EvaluateContext(ctx, in.db, in.q, Options{Strategy: Generic, EagerMerge: eager, MaxProductStates: hi})
-				if err != nil || res.Sat != want {
-					t.Fatalf("%s eager=%v forced wide: budget %d suffices in the narrow regime, here sat=%v err=%v", in.name, eager, hi, res != nil && res.Sat, err)
-				}
-				if hi > 1 {
-					_, err := EvaluateContext(ctx, in.db, in.q, Options{Strategy: Generic, EagerMerge: eager, MaxProductStates: hi - 1})
-					if err == nil || !strings.Contains(err.Error(), "state budget") {
-						t.Fatalf("%s eager=%v forced wide: budget %d is one short in the narrow regime, here err=%v", in.name, eager, hi-1, err)
-					}
-				}
-			})
-		}
+		})
 	}
 	if tested < 20 {
 		t.Fatalf("only %d instances needed a budget above 1", tested)
@@ -468,12 +431,12 @@ func functionalDB(rng *rand.Rand, a *alphabet.Alphabet, n int) *graphdb.DB {
 }
 
 // TestGenericWideComponent: components whose product state does not fit 63
-// bits (17 tracks over V ≥ 5; relation automata whose sizes multiply past
-// 2^30 on any V) run on the one kernel like any other — the decision, the
-// paths, the counts of its work and the memo of one traversal per source
-// assignment — and agree with a fresh kernel per check on the decision and
-// on the smallest sufficient state budget, and with the reduction strategy
-// where its sweep is in reach.
+// bits (17 tracks over V ≥ 5; eight automata merged into one, forced wide
+// through packedBits on any V) run on the one kernel like any other — the
+// decision, the paths, the counts of its work and the memo of one traversal
+// per source assignment — and agree with a fresh kernel per check on the
+// decision and on the smallest sufficient state budget, and with the
+// reduction strategy where its sweep is in reach.
 func TestGenericWideComponent(t *testing.T) {
 	a := alphabet.Lower(2)
 	rng := rand.New(rand.NewSource(29))
@@ -482,63 +445,69 @@ func TestGenericWideComponent(t *testing.T) {
 		Rel(synchro.EqualLength(a, 2), "p1", "p2"), "p1", "p2")
 	sats := 0
 	for name, q := range map[string]*query.Query{"17 tracks": fan.MustBuild(), "combo overflow": deep.MustBuild()} {
-		comps, err := decomposeViews(q)
-		if err != nil || len(comps) != 1 {
-			t.Fatalf("%s: decompose: %v, %d components", name, err, len(comps))
+		comps := mergedComponents(t, q)
+		if len(comps) != 1 {
+			t.Fatalf("%s: %d components", name, len(comps))
+		}
+		regime := func(f func()) { f() }
+		if name == "combo overflow" {
+			regime = inWideRegime
 		}
 		for v := 1; v <= 6; v++ {
 			db := functionalDB(rng, a, v)
 			if name == "combo overflow" {
 				db = randomDB(rng, a, v, 3*v)
 			}
-			if !packProduct(db, &comps[0]).wide && (v >= 5 || name == "combo overflow") {
-				t.Fatalf("%s V=%d: the component packs; it does not reach the wide regime", name, v)
-			}
-			res, err := Evaluate(db, q, Options{Strategy: Generic})
-			if err != nil {
-				t.Fatalf("%s V=%d: %v", name, v, err)
-			}
-			// x is the component's one source variable: a traversal per vertex
-			// tried for it, however many destinations are checked under each.
-			if st := res.Stats; st.ProductStates == 0 || st.Traversals == 0 || st.Traversals > v || st.ProductChecks < st.Traversals {
-				t.Fatalf("%s V=%d: %d states expanded by %d traversals for %d checks, want work counted and at most %d traversals",
-					name, v, st.ProductStates, st.Traversals, st.ProductChecks, v)
-			}
-			if res.Sat {
-				sats++
-				if err := VerifyWitness(db, q, res); err != nil {
-					t.Fatalf("%s V=%d: witness: %v", name, v, err)
+			regime(func() {
+				if !packProduct(db, &comps[0]).wide && (v >= 5 || name == "combo overflow") {
+					t.Fatalf("%s V=%d: the component packs; it does not reach the wide regime", name, v)
 				}
-			}
-			if want, err := perCheckGeneric(db, q, comps, 0); err != nil || want != res.Sat {
-				t.Fatalf("%s V=%d: sat=%v, a fresh kernel per check says %v (err %v)", name, v, res.Sat, want, err)
-			}
-			budget := smallestBudget(func(b int) bool {
-				_, err := perCheckGeneric(db, q, comps, b)
-				return err == nil
+				res, err := Evaluate(db, q, Options{Strategy: Generic})
+				if err != nil {
+					t.Fatalf("%s V=%d: %v", name, v, err)
+				}
+				// x is the component's one source variable: a traversal per vertex
+				// tried for it, however many destinations are checked under each.
+				if st := res.Stats; st.ProductStates == 0 || st.Traversals == 0 || st.Traversals > v || st.ProductChecks < st.Traversals {
+					t.Fatalf("%s V=%d: %d states expanded by %d traversals for %d checks, want work counted and at most %d traversals",
+						name, v, st.ProductStates, st.Traversals, st.ProductChecks, v)
+				}
+				if res.Sat {
+					sats++
+					if err := VerifyWitness(db, q, res); err != nil {
+						t.Fatalf("%s V=%d: witness: %v", name, v, err)
+					}
+				}
+				if want, err := perCheckGeneric(db, q, comps, 0); err != nil || want != res.Sat {
+					t.Fatalf("%s V=%d: sat=%v, a fresh kernel per check says %v (err %v)", name, v, res.Sat, want, err)
+				}
+				budget := smallestBudget(func(b int) bool {
+					_, err := perCheckGeneric(db, q, comps, b)
+					return err == nil
+				})
+				if got, err := Evaluate(db, q, Options{Strategy: Generic, MaxProductStates: budget}); err != nil || got.Sat != res.Sat {
+					t.Fatalf("%s V=%d: budget %d suffices per check, memoised gives err=%v", name, v, budget, err)
+				}
+				if budget > 1 {
+					if _, err := Evaluate(db, q, Options{Strategy: Generic, MaxProductStates: budget - 1}); err == nil || !strings.Contains(err.Error(), "state budget") {
+						t.Fatalf("%s V=%d: budget %d is one short per check, memoised gives err=%v", name, v, budget-1, err)
+					}
+				}
+				if name == "17 tracks" {
+					// The 17-track sweep is out of the reduction's reach; one
+					// track's language decides it: all tracks read one word x→y.
+					one := query.NewBuilder(a).Reach("x", "p1", "y").Lang("p1", "a(a|b)*").MustBuild()
+					ref, err := Evaluate(db, one, Options{Strategy: Generic})
+					if err != nil || ref.Sat != res.Sat {
+						t.Fatalf("%s V=%d: sat=%v, the single-track query says %v (err %v)", name, v, res.Sat, ref.Sat, err)
+					}
+					return
+				}
+				red, err := Evaluate(db, q, Options{Strategy: Reduction})
+				if err != nil || red.Sat != res.Sat {
+					t.Fatalf("%s V=%d: generic says %v, reduction %v (err %v)", name, v, res.Sat, red.Sat, err)
+				}
 			})
-			if got, err := Evaluate(db, q, Options{Strategy: Generic, MaxProductStates: budget}); err != nil || got.Sat != res.Sat {
-				t.Fatalf("%s V=%d: budget %d suffices per check, memoised gives err=%v", name, v, budget, err)
-			}
-			if budget > 1 {
-				if _, err := Evaluate(db, q, Options{Strategy: Generic, MaxProductStates: budget - 1}); err == nil || !strings.Contains(err.Error(), "state budget") {
-					t.Fatalf("%s V=%d: budget %d is one short per check, memoised gives err=%v", name, v, budget-1, err)
-				}
-			}
-			if name == "17 tracks" {
-				// The 17-track sweep is out of the reduction's reach; one
-				// track's language decides it: all tracks read one word x→y.
-				one := query.NewBuilder(a).Reach("x", "p1", "y").Lang("p1", "a(a|b)*").MustBuild()
-				ref, err := Evaluate(db, one, Options{Strategy: Generic})
-				if err != nil || ref.Sat != res.Sat {
-					t.Fatalf("%s V=%d: sat=%v, the single-track query says %v (err %v)", name, v, res.Sat, ref.Sat, err)
-				}
-				continue
-			}
-			red, err := Evaluate(db, q, Options{Strategy: Reduction})
-			if err != nil || red.Sat != res.Sat {
-				t.Fatalf("%s V=%d: generic says %v, reduction %v (err %v)", name, v, res.Sat, red.Sat, err)
-			}
 		}
 	}
 	if sats < 4 {
@@ -619,12 +588,81 @@ func BenchmarkGenericCheck(b *testing.B) {
 	}
 }
 
-// decomposeViews is decompose and what prepare does next, the decoded NFA
-// views: the tests that hand components straight to a kernel need both.
-func decomposeViews(q *query.Query) ([]component, error) {
+// mergedComponents is what prepare builds for the kernels to walk: the
+// query's components merged by Lemma 4.1, each with its decoded automaton.
+// Every test that hands a component straight to a kernel takes it from here.
+func mergedComponents(tb testing.TB, q *query.Query) []component {
+	tb.Helper()
 	comps, err := decompose(q)
-	for ci := range comps {
-		comps[ci].nfas = nfaViews(comps[ci].rels)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return comps, err
+	merged, _, _, err := mergedViews(context.Background(), q, comps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return merged
+}
+
+// TestLanguageEmptyComponent: a component whose Lemma 4.1 merge trims to no
+// state at all — eq over p1 ∈ a(a|b)* and p2 ∈ b(a|b)* — is decided by
+// every entry point without a product state met: Evaluate, Answers and
+// Enumerate under both strategies, and the witness kernel, in both key
+// regimes, all agree with NaiveBounded that nothing holds.
+func TestLanguageEmptyComponent(t *testing.T) {
+	const bound = 3
+	a := alphabet.Lower(2)
+	ctx := context.Background()
+	shape := func(free ...string) *query.Query {
+		return query.NewBuilder(a).Free(free...).
+			Reach("x", "p1", "y").Reach("x", "p2", "y").
+			Rel(synchro.Equality(a, 2), "p1", "p2").
+			Lang("p1", "a(a|b)*").Lang("p2", "b(a|b)*").MustBuild()
+	}
+	boolean, free := shape(), shape("x", "y")
+	comps := mergedComponents(t, boolean)
+	if len(comps) != 1 || len(comps[0].nfa.accept) != 0 {
+		t.Fatal("want one component whose merged automaton trims to no state")
+	}
+	rng := rand.New(rand.NewSource(37))
+	for v := 1; v <= 4; v++ {
+		db := randomDB(rng, a, v, 3*v)
+		if naive, err := NaiveBounded(db, boolean, bound); err != nil || naive.Sat {
+			t.Fatalf("V=%d: NaiveBounded says %v (err %v)", v, naive != nil && naive.Sat, err)
+		}
+		for name, regime := range map[string]func(func()){"narrow": func(f func()) { f() }, "wide": inWideRegime} {
+			regime(func() {
+				at := fmt.Sprintf("V=%d %s", v, name)
+				if wide := packProduct(db, &comps[0]).wide; wide != (name == "wide") {
+					t.Fatalf("%s: wide=%v", at, wide)
+				}
+				srcs, dsts := []int{0, 0}, []int{v - 1, v - 1}
+				if paths, ok, err := checkComponent(ctx, db, &comps[0], srcs, dsts, 0); err != nil || ok || paths != nil {
+					t.Fatalf("%s: witness kernel found %v (ok %v, err %v)", at, paths, ok, err)
+				}
+				for _, s := range []Strategy{Generic, Reduction} {
+					res, err := Evaluate(db, boolean, Options{Strategy: s})
+					if err != nil || res.Sat || res.Stats.ProductStates != 0 || res.Stats.CQTuples != 0 {
+						t.Fatalf("%s %v: Evaluate sat=%v stats=%+v err=%v; want false with no state and no row", at, s, res != nil && res.Sat, res.Stats, err)
+					}
+					if ans, err := Answers(db, free, Options{Strategy: s}); err != nil || len(ans) != 0 {
+						t.Fatalf("%s %v: Answers %v (err %v)", at, s, ans, err)
+					}
+					p, err := Prepare(free, Options{Strategy: s})
+					if err != nil {
+						t.Fatal(err)
+					}
+					it, err := p.Enumerate(ctx, db)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows, err := stream.Collect(it)
+					it.Close()
+					if err != nil || len(rows) != 0 {
+						t.Fatalf("%s %v: Enumerate %v (err %v)", at, s, rows, err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -143,9 +143,9 @@ func TestGenericSearchChargesWhatItMeets(t *testing.T) {
 			big.MustAddVertex("")
 		}
 		for tracks := 1; tracks <= 3; tracks++ {
-			comps, err := decomposeViews(eqFan(a, tracks).Lang("p1", "a(a|b)*b").MustBuild())
-			if err != nil || len(comps) != 1 {
-				t.Fatalf("decompose: %v, %d components", err, len(comps))
+			comps := mergedComponents(t, eqFan(a, tracks).Lang("p1", "a(a|b)*b").MustBuild())
+			if len(comps) != 1 {
+				t.Fatalf("%d components", len(comps))
 			}
 			for name, regime := range map[string]func(func()){"narrow": func(f func()) { f() }, "wide": inWideRegime} {
 				regime(func() {
@@ -239,4 +239,58 @@ func TestMaterializationChargesItsRows(t *testing.T) {
 	}
 	check()
 	inWideRegime(check)
+}
+
+// TestOneShotReleasesItsCharges: a one-shot call prepares a plan under the
+// caller's reservation — the Lemma 4.1 merge is charged to it — and, under
+// Reduction, materializes the rows; it drops both when it returns, and their
+// charges go with them, under either strategy, for Evaluate and Answers,
+// whether the merged language is empty or not. A plan kept from
+// PrepareContext stays charged.
+func TestOneShotReleasesItsCharges(t *testing.T) {
+	a := alphabet.Lower(2)
+	db := randomDB(rand.New(rand.NewSource(31)), a, 6, 14)
+	broker := govern.NewBroker(1 << 30)
+	reserve := func() (*govern.Reservation, context.Context) {
+		res, err := broker.Reserve(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, govern.NewContext(context.Background(), res)
+	}
+	for _, second := range []string{"(a|b)*b", "b(a|b)*"} { // a non-empty merge, then an empty one
+		q := query.NewBuilder(a).Free("x").
+			Reach("x", "p1", "y").Reach("x", "p2", "y").
+			Rel(synchro.Equality(a, 2), "p1", "p2").
+			Lang("p1", "a(a|b)*").Lang("p2", second).MustBuild()
+		for _, s := range []Strategy{Generic, Reduction} {
+			for call, run := range map[string]func(context.Context) error{
+				"Evaluate": func(ctx context.Context) error {
+					_, err := EvaluateContext(ctx, db, q, Options{Strategy: s})
+					return err
+				},
+				"Answers": func(ctx context.Context) error {
+					_, err := AnswersContext(ctx, db, q, Options{Strategy: s})
+					return err
+				},
+			} {
+				res, ctx := reserve()
+				if err := run(ctx); err != nil {
+					t.Fatalf("p2 ∈ %s, %v %s: %v", second, s, call, err)
+				}
+				if res.Peak() == 0 || res.Used() != 0 {
+					t.Fatalf("p2 ∈ %s, %v %s: peak charge %d, %d bytes still charged after the call", second, s, call, res.Peak(), res.Used())
+				}
+				res.Release()
+			}
+		}
+		res, ctx := reserve()
+		if _, err := PrepareContext(ctx, q, Options{}); err != nil || res.Used() == 0 {
+			t.Fatalf("p2 ∈ %s: a kept plan leaves %d bytes charged (err %v), want its merge", second, res.Used(), err)
+		}
+		res.Release()
+	}
+	if got := broker.Reserved(); got != 0 {
+		t.Fatalf("broker holds %d bytes after every reservation was released", got)
+	}
 }

@@ -26,8 +26,9 @@ type Prepared struct {
 	opts     Options
 	strat    Strategy    // resolved: never Auto
 	comps    []component // every path variable is a track of one of them
-	merged   []component // Lemma 4.1 single-relation views, one per component; nil when none were built
+	merged   []component // Lemma 4.1 single-relation views, one per component: what every kernel searches
 	mergedSt int         // total merged NFA states
+	mergeMem int64       // what mergedViews charged to the preparing context's reservation
 	cqq      *cq.Query   // Reduction plans: the Lemma 4.3 query, q.Free its free tuple
 	join     *cq.Plan    // Reduction plans: the compiled Prop 2.3 join of cqq
 	measures twolevel.Measures
@@ -45,12 +46,12 @@ func Prepare(q *query.Query, opts Options) (*Prepared, error) {
 // internal/trace trace, the decomposition and Lemma 4.1 merge stages are
 // recorded as spans and the resolved strategy and structural measures
 // land on the core/prepare span as attributes. A plan made here is meant
-// to be kept: its views are always built (PushdownCandidates reads them)
-// and it knows its measures and retained size.
+// to be kept: it knows its measures and retained size, and the merge stays
+// charged to ctx's reservation.
 func PrepareContext(ctx context.Context, q *query.Query, opts Options) (*Prepared, error) {
 	ctx, sp := trace.StartSpan(ctx, "core/prepare")
 	defer sp.End()
-	p, err := prepare(ctx, q, opts, true)
+	p, err := prepare(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -64,11 +65,10 @@ func PrepareContext(ctx context.Context, q *query.Query, opts Options) (*Prepare
 }
 
 // prepare is the only compiler: validate, decompose, resolve the strategy,
-// merge (Lemma 4.1), build and compile the Lemma 4.3 query. With views
-// false the merge is skipped when nothing will read it — a lazy Generic
-// plan searches the unmerged product — which is what the one-shot entry
-// points ask for.
-func prepare(ctx context.Context, q *query.Query, opts Options, views bool) (*Prepared, error) {
+// merge (Lemma 4.1), build and compile the Lemma 4.3 query. Every plan has
+// its merged views: they are the one automaton per component that every
+// kernel — product search, sweep, witness — walks.
+func prepare(ctx context.Context, q *query.Query, opts Options) (*Prepared, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -78,26 +78,26 @@ func prepare(ctx context.Context, q *query.Query, opts Options, views bool) (*Pr
 	if err != nil {
 		return nil, err
 	}
-	for ci := range comps {
-		comps[ci].nfas = nfaViews(comps[ci].rels)
-	}
 	p := &Prepared{q: q, opts: opts, comps: comps}
 	if p.strat, err = resolveStrategy(comps, opts); err != nil {
 		return nil, err
 	}
-	if views || p.strat == Reduction || opts.EagerMerge {
-		if p.merged, p.mergedSt, err = mergedViews(ctx, q, comps); err != nil {
-			return nil, err
-		}
+	if p.merged, p.mergedSt, p.mergeMem, err = mergedViews(ctx, q, comps); err != nil {
+		return nil, err
 	}
 	if p.strat == Reduction {
 		p.cqq = reductionQuery(comps, q.Free)
 		if p.join, err = cq.Compile(p.cqq); err != nil {
+			p.releaseMerge(ctx)
 			return nil, err
 		}
 	}
 	return p, nil
 }
+
+// releaseMerge gives back what mergedViews charged to ctx's reservation,
+// for a caller that drops the plan it prepared under ctx.
+func (p *Prepared) releaseMerge(ctx context.Context) { govern.FromContext(ctx).Shrink(p.mergeMem) }
 
 // Strategy returns the resolved evaluation strategy.
 func (p *Prepared) Strategy() Strategy { return p.strat }
@@ -151,6 +151,13 @@ func (m *Materialization) MemBytes() int { return m.memBytes }
 
 // Tuples returns the number of materialized CQ tuples (the R' rows).
 func (m *Materialization) Tuples() int { return m.stats.CQTuples }
+
+// releaseRows gives back the rows' charge to ctx's reservation, which
+// Materialize leaves there, for a caller that drops the materialization it
+// built under ctx.
+func (m *Materialization) releaseRows(ctx context.Context) {
+	govern.FromContext(ctx).Shrink(int64(m.st.RowBytes()))
+}
 
 // Materialize runs the Lemma 4.3 R' sweep for this plan against the
 // database. It is only meaningful for the Reduction strategy; calling it
@@ -216,6 +223,7 @@ func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, ma
 		return nil, err
 	}
 	res.Stats.StrategyUsed = p.strat
+	res.Stats.MergedStatesTotal = p.mergedSt
 	res.Stats.FreeTracks = plainTracks(p.comps)
 	res.Stats.Components = len(p.comps) - res.Stats.FreeTracks
 	return res, nil

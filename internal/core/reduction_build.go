@@ -20,30 +20,36 @@ import (
 const mergedStateBytes = 32
 
 // mergedViews applies Lemma 4.1 to every component: each is joined into a
-// single-relation view covering all of its tracks. Returns the views and
-// the total merged NFA state count. Prepared plans compute this once and
-// reuse it across materializations. The whole pass is one core/merge span
-// when ctx carries a trace, and view bytes are charged to the context's
-// govern reservation as they materialize.
-func mergedViews(ctx context.Context, q *query.Query, comps []component) ([]component, int, error) {
+// single-relation view covering all of its tracks, with the decoded
+// transitions every product kernel walks. Returns the views, the total
+// merged NFA state count and the bytes charged for them. Prepared plans
+// compute this once and reuse it across evaluations and materializations.
+// The whole pass is one core/merge span when ctx carries a trace, and view
+// bytes are charged to the context's govern reservation as they
+// materialize; on failure nothing stays charged.
+func mergedViews(ctx context.Context, q *query.Query, comps []component) (_ []component, states int, charged int64, err error) {
 	_, sp := trace.StartSpan(ctx, "core/merge")
 	defer sp.End()
-	res := govern.FromContext(ctx)
+	mem := govern.MeterFrom(ctx)
+	defer func() {
+		if err != nil {
+			mem.Close()
+		}
+	}()
 	merged := make([]component, len(comps))
-	states := 0
 	for ci := range comps {
 		c := &comps[ci]
 		rel, err := mergeComponent(q.Alphabet(), c)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		st, _ := rel.Size()
 		states += st
 		// The merged automaton dominates the view's footprint; charge a
 		// conservative per-state estimate plus the track-index slice so
 		// the governor sees plan materialization, not just evaluation.
-		if err := res.Grow(int64(st)*mergedStateBytes + int64(8*len(c.tracks))); err != nil {
-			return nil, 0, err
+		if err := mem.Grow(int64(st)*mergedStateBytes + int64(8*len(c.tracks))); err != nil {
+			return nil, 0, 0, err
 		}
 		var allTracks []int
 		for k := range c.tracks {
@@ -54,11 +60,11 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) ([]comp
 			nodeVars:  c.nodeVars,
 			rels:      []*synchro.Relation{rel},
 			relTracks: [][]int{allTracks},
-			nfas:      nfaViews([]*synchro.Relation{rel}),
+			nfa:       newNFAView(rel),
 		}
 	}
 	sp.SetInt("merged_states", int64(states))
-	return merged, states, nil
+	return merged, states, mem.Charged(), nil
 }
 
 // buildReductionMerged constructs the structure of the Lemma 4.3 instance
@@ -68,7 +74,7 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) ([]comp
 // instance.
 func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*cq.Structure, Stats, error) {
 	merged, opts := p.merged, p.opts
-	stats := Stats{MergedStatesTotal: p.mergedSt}
+	var stats Stats
 	n := db.NumVertices()
 	st := cq.NewStructure(max(n, 1))
 	for ci := range merged {

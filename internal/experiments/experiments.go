@@ -216,7 +216,7 @@ func E3(seed int64) *Table {
 		m := twolevel.QueryMeasures(q)
 		var res *core.Result
 		d := timeIt(func() {
-			res = mustEval(db, q, core.Options{Strategy: core.Generic, EagerMerge: true})
+			res = mustEval(db, q, core.Options{Strategy: core.Generic})
 		})
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(m.CCVertex), fmt.Sprint(res.Sat), ms(d),
@@ -465,11 +465,7 @@ func E11(seed int64) *Table {
 		Claim:   "§3: data complexity of ECRPQ is NL-complete (polynomial, low degree)",
 		Headers: []string{"strategy", "fitted |V| exponent"},
 	}
-	for _, s := range []core.Options{
-		{Strategy: core.Generic},
-		{Strategy: core.Generic, EagerMerge: true},
-		{Strategy: core.Reduction},
-	} {
+	for _, s := range []core.Options{{Strategy: core.Generic}, {Strategy: core.Reduction}} {
 		var xs, ys []float64
 		for _, n := range []int{6, 9, 13, 19} {
 			db := graphdb.New(a)
@@ -483,11 +479,7 @@ func E11(seed int64) *Table {
 			xs = append(xs, float64(n))
 			ys = append(ys, float64(d.Microseconds()))
 		}
-		name := s.Strategy.String()
-		if s.EagerMerge {
-			name += "+eager"
-		}
-		t.Rows = append(t.Rows, []string{name, fmt.Sprintf("%.2f", slope(xs, ys))})
+		t.Rows = append(t.Rows, []string{s.Strategy.String(), fmt.Sprintf("%.2f", slope(xs, ys))})
 	}
 	return t
 }
@@ -515,9 +507,9 @@ func E12(seed int64) *Table {
 	return t
 }
 
-// AblationStrategies compares the two strategies (and eager merging) on the
-// same instances, on both satisfiable and unsatisfiable variants: the
-// generic product search is output-sensitive (a witness can be found
+// AblationStrategies compares the two strategies on the same instances, on
+// both satisfiable and unsatisfiable variants: the generic product search is
+// output-sensitive (a witness can be found
 // immediately), while the reduction always pays the full V^2t
 // materialization — but on unsatisfiable instances the generic search must
 // exhaust all |V|^{#nodevars} assignments and the reduction wins.
@@ -525,9 +517,9 @@ func AblationStrategies(seed int64) *Table {
 	a := alphabet.Lower(2)
 	t := &Table{
 		ID:      "A1",
-		Title:   "Ablation: generic vs reduction strategy, lazy vs eager merge",
+		Title:   "Ablation: generic vs reduction strategy",
 		Claim:   "design choice: generic search is output-sensitive; the Lemma 4.3 route is exhaustive but polynomial for bounded components",
-		Headers: []string{"instance", "generic (ms)", "generic+eager (ms)", "reduction (ms)"},
+		Headers: []string{"instance", "generic (ms)", "reduction (ms)"},
 	}
 	rng := rand.New(rand.NewSource(seed))
 	db := workload.RandomDB(rng, a, 10, 30)
@@ -566,11 +558,10 @@ func AblationStrategies(seed int64) *Table {
 		{"pair-chain k=6 (unsat)", unsatDB, unsatPair(6)},
 	} {
 		d1 := timeIt(func() { mustEval(in.db, in.q, core.Options{Strategy: core.Generic}) })
-		d2 := timeIt(func() { mustEval(in.db, in.q, core.Options{Strategy: core.Generic, EagerMerge: true}) })
-		d3 := timeIt(func() {
+		d2 := timeIt(func() {
 			mustEval(in.db, in.q, core.Options{Strategy: core.Reduction, MaxReductionTracks: 8})
 		})
-		t.Rows = append(t.Rows, []string{in.name, ms(d1), ms(d2), ms(d3)})
+		t.Rows = append(t.Rows, []string{in.name, ms(d1), ms(d2)})
 	}
 	t.Notes = append(t.Notes,
 		"On satisfiable instances the generic search finds a witness almost immediately (often via empty paths); on unsatisfiable ones it exhausts |V|^{#nodevars} assignments while the reduction's Lemma 4.3 sweep stays polynomial — motivating the Auto strategy's component-size dispatch.")
@@ -759,7 +750,7 @@ func StageAttribution(seed int64) *Table {
 			db, q, err := reductions.BigHyperedge(in)
 			invariant.NoError(err, "experiments: A8 BigHyperedge reduction")
 			return db, q
-		}, core.Options{Strategy: core.Generic, EagerMerge: true}},
+		}, core.Options{Strategy: core.Generic}},
 		{"E8 fan t=3, |V|=12", func() (*graphdb.DB, *query.Query) {
 			rng := rand.New(rand.NewSource(seed))
 			return workload.RandomDB(rng, a, 12, 24), workload.FanQuery(a, 3)

@@ -92,7 +92,7 @@ func PlannerAblation(seed int64) *Table {
 			db, q, err := reductions.BigHyperedge(in)
 			invariant.NoError(err, "experiments: A12 BigHyperedge reduction")
 			return db, q
-		}, core.Options{Strategy: core.Auto, EagerMerge: true}, false},
+		}, core.Options{Strategy: core.Auto}, false},
 		{"E8 fan t=3, |V|=17", func() (*graphdb.DB, *query.Query) {
 			rng := rand.New(rand.NewSource(seed))
 			return workload.RandomDB(rng, a, 17, 34), workload.FanQuery(a, 3)

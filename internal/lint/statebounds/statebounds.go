@@ -2,7 +2,7 @@
 // automata, core and graphdb packages, state-table slices (the trans/
 // accept/start/eps fields of DFA and NFA, the offsets of the database's
 // forward CSR) must not be indexed with arithmetic-derived values outside
-// a designated bounds-checked accessor. Packed-state decoding and mixed-radix
+// a designated bounds-checked accessor. Packed-state decoding and offset
 // arithmetic are exactly where an off-by-one silently reads a foreign
 // state's row; funnelling them through accessors annotated
 // //ecrpq:bounds-checked keeps every such computation next to an
