@@ -170,6 +170,19 @@ var archRules = []archRule{
 	{name: "planner-no-free-tracks", why: "the planner costs free tracks apart from components",
 		in: []string{"internal/planner"}, check: never(names, `FreeTracks`),
 		violation: "func f(c Cost) int { return c.FreeTracks }"},
+	// Enumeration is push iteration: each stage yields to a callback and
+	// releases with defer. The one value that must be closed, the pull view
+	// *core.Enumeration, is made in one place and opened by one caller.
+	{name: "enumerate-callers", why: "an enumeration opened outside the /v1/enumerate page loop",
+		in: []string{"internal/core", "internal/server"}, check: onlyFrom("Enumerate", "internal/server/enumerate.go"),
+		violation: "func f() { it, _ := p.Enumerate(ctx, db); it.Close() }"},
+	{name: "one-pull-boundary", why: "a second pull view of a push walk",
+		in: []string{".", "cmd/...", "examples/...", "internal/..."}, check: onlyFrom("iter.Pull", "internal/core/enumerate.go"),
+		violation: "func f() { next, stop := iter.Pull(seq) }"},
+	{name: "no-pull-combinators", why: "a pull-iterator combinator or state machine beside the push walk",
+		in:        []string{"internal/core", "internal/cq", "internal/server"},
+		check:     never(names, `^(NestedLoop|HashJoin|Metered|compStream|pinnedEnum)$`),
+		violation: "func f() { stream.HashJoin(probe, build, nil, nil, nil) }"},
 	// The Prop 2.3 join: one evaluator beside the reference, integer keys.
 	{name: "no-candidate-engine", why: "a candidate-guessing answers engine beside the walk",
 		in: []string{"internal/cq"}, check: never(names, `^(candidate|cand)$`),

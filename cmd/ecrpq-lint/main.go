@@ -36,7 +36,6 @@ import (
 	"ecrpq/internal/lint/planstats"
 	"ecrpq/internal/lint/spanend"
 	"ecrpq/internal/lint/statebounds"
-	"ecrpq/internal/lint/streamclose"
 )
 
 // analyzers is the full suite, in reporting order: the per-package
@@ -49,7 +48,6 @@ var analyzers = []*lint.Analyzer{
 	boundedrun.Analyzer,
 	errcheckstrict.Analyzer,
 	spanend.Analyzer,
-	streamclose.Analyzer,
 	lockorder.Analyzer,
 	governcharge.Analyzer,
 	ctxpoll.Analyzer,

@@ -15,7 +15,6 @@ import (
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
-	"ecrpq/internal/stream"
 	"ecrpq/internal/synchro"
 	"ecrpq/internal/trace"
 )
@@ -158,7 +157,7 @@ func (c *answersCell) ways() map[string]func(ctx context.Context) ([][]int, erro
 			return nil, err
 		}
 		defer it.Close()
-		return stream.Collect(stream.Limit(stream.Offset(it, offset), limit))
+		return page(it, offset, limit)
 	}
 	ways := map[string]func(ctx context.Context) ([][]int, error){
 		"Answers over the materialisation": func(ctx context.Context) ([][]int, error) { return c.p.Answers(ctx, c.db, c.mat) },
@@ -553,7 +552,7 @@ func TestAnswersWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := stream.Collect(it)
+		rows, err := page(it, 0, math.MaxInt)
 		it.Close()
 		if err != nil || len(rows) != n*n {
 			t.Fatalf("V=%d: %d rows, err %v", n, len(rows), err)

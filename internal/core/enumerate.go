@@ -1,30 +1,27 @@
+//go:build go1.23
+
 package core
 
-// Streaming enumeration: the lazy half of the Lemma 4.3 pipeline.
-// Materializing evaluation sweeps all V^t source tuples of every
-// component into R' tables before the CQ join runs; here the same R'
-// rows are produced on demand by pull iterators (internal/stream) feeding
-// the streaming CQ join (cq.StreamAssignments), so the sweep advances
-// only as far as the consumer pulls. First witness and first page become
-// output-sensitive: they cost a prefix of the sweep, not all of it.
+// Streaming enumeration, the lazy half of the Lemma 4.3 pipeline:
+// sweepSource.Scan produces R' rows on demand for the streaming join, which
+// stops the sweep when its consumer stops, so first witness and first page
+// cost a prefix of the sweep rather than every R' table.
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"iter"
+	"slices"
 	"strconv"
 	"strings"
 
 	"ecrpq/internal/cq"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
-	"ecrpq/internal/stream"
 	"ecrpq/internal/trace"
 )
-
-// compRowBytes is what one streamed R' row of a t-track component is charged:
-// 2t ints plus a slice header (a materialised row is its 8t bytes of array).
-func compRowBytes(t int) int64 { return int64(24 + 16*t) }
 
 // reductionQuery builds the conjunctive query of the Lemma 4.3 instance,
 // whose Gaifman graph is G^node of the normalized abstraction, over the
@@ -49,84 +46,30 @@ func reductionQuery(comps []component, free []string) *cq.Query {
 	return cqq
 }
 
-// sweepSource implements cq.AtomSource over the database: each Open of a
-// __comp relation is a lazy R' sweep (restricted by the bound pattern). The
-// source owns the shared scratch — one reusable fast product per component,
-// the destination memo, trace spans — and release() frees all of it;
-// streams returned by Open are independently closeable.
-//
-// Not safe for concurrent use: the streaming join pulls sequentially.
+// sweepSource implements cq.AtomSource over the database: each Scan of a
+// __comp relation is a lazy R' sweep restricted by the bound pattern. It
+// holds one reusable fast product per component and the destination memo
+// for as long as Prepared.sweep runs. Not safe for concurrent use.
 type sweepSource struct {
-	ctx    context.Context
-	db     *graphdb.DB
-	merged []component
-	opts   Options
-	n      int
-
+	ctx context.Context
+	db  *graphdb.DB
+	p   *Prepared
 	res *govern.Reservation
-	fps []*fastProduct // per component, nil until its first Open is pulled
-	// memo keeps, per component and source tuple, the destination list
-	// componentReachSet gave: a nested join level re-opens its atom with a
-	// pinned source once per prefix row, mostly with sources it has pinned
-	// before. Only Opens that pin a source consult it — an unpinned sweep
-	// meets each source once. Entries are charged to mem and released at
-	// release(); one the reservation refuses is simply not kept.
+	fps []*fastProduct // per component, nil until its first Scan
+	// memo keeps, per component and pinned source tuple, the destination
+	// list componentReachSet gave: a nested level re-scans its atom once per
+	// prefix row, mostly with sources pinned before. Entries are charged to
+	// mem, the join's meter; one the reservation refuses is simply not kept.
 	memo   []map[string][]int
 	mem    *govern.Meter
 	keyBuf []byte
-
-	spans    []*trace.Span // per component, opened with its fast product
-	spanRows []int64       // rows streamed per component across its Opens
-	rows     int64         // total R' rows streamed across all Opens
-	released bool
+	rows   []int64 // R' rows scanned per component
 }
 
-func newSweepSource(ctx context.Context, db *graphdb.DB, merged []component, opts Options) *sweepSource {
-	res := govern.FromContext(ctx)
-	return &sweepSource{
-		ctx:      ctx,
-		db:       db,
-		merged:   merged,
-		opts:     opts,
-		n:        db.NumVertices(),
-		res:      res,
-		fps:      make([]*fastProduct, len(merged)),
-		memo:     make([]map[string][]int, len(merged)),
-		mem:      res.NewMeter(),
-		spans:    make([]*trace.Span, len(merged)),
-		spanRows: make([]int64, len(merged)),
-	}
-}
-
-// release frees the product-search scratch, the memo's ledger charge, and
-// ends the per-stage spans. Idempotent.
-func (s *sweepSource) release() {
-	if s.released {
-		return
-	}
-	s.released = true
-	for _, fp := range s.fps {
-		fp.releaseMem()
-	}
-	s.mem.Close()
-	for ci, sp := range s.spans {
-		sp.SetInt("rows", s.spanRows[ci])
-		sp.End()
-	}
-}
-
-// fp returns the component's reusable fast product, opening the
-// component's stage span with it. The span ends at release() — a per-Open
-// span would flood the trace with one span per join probe.
+// fp returns the component's reusable fast product.
 func (s *sweepSource) fp(ci int) *fastProduct {
 	if s.fps[ci] == nil {
-		s.fps[ci] = newFastProduct(s.db, &s.merged[ci])
-		//ecrpq:ignore spanend -- span lifetime is the source's; release() ends every span in s.spans on all paths
-		_, sp := trace.StartSpan(s.ctx, "core/sweep")
-		sp.SetInt("component", int64(ci))
-		sp.SetInt("tracks", int64(len(s.merged[ci].tracks)))
-		sp.SetStr("mode", "stream")
-		s.spans[ci] = sp
+		s.fps[ci] = newFastProduct(s.db, &s.p.merged[ci])
 	}
 	return s.fps[ci]
 }
@@ -141,11 +84,12 @@ func (s *sweepSource) destinations(ci int, srcs []int) ([]int, error) {
 	if dsts, ok := s.memo[ci][string(s.keyBuf)]; ok {
 		return dsts, nil
 	}
-	dsts, err := componentReachSet(s.ctx, s.fp(ci), srcs, s.opts.maxStates(), nil)
+	dsts, err := componentReachSet(s.ctx, s.fp(ci), srcs, s.p.opts.maxStates(), nil)
 	if err != nil {
 		return nil, err
 	}
-	if s.mem.Grow(int64(8*cap(dsts)+len(s.keyBuf))+memoEntryBytes) == nil {
+	// Beyond key and list, an entry holds a map slot and three headers: 64 bytes.
+	if s.mem.Grow(int64(8*cap(dsts)+len(s.keyBuf))+64) == nil {
 		if s.memo[ci] == nil {
 			s.memo[ci] = make(map[string][]int)
 		}
@@ -154,297 +98,222 @@ func (s *sweepSource) destinations(ci int, srcs []int) ([]int, error) {
 	return dsts, nil
 }
 
-// memoEntryBytes approximates a memo entry beyond its key and list: the
-// map slot, the string and slice headers.
-const memoEntryBytes = 64
-
-// Open implements cq.AtomSource for the reduction relations.
-func (s *sweepSource) Open(rel string, bound []int) (stream.Tuples, error) {
+// Scan yields the rows of one component's R' matching bound in the
+// materializing sweep's order: sources mixed-radix with track 0 fastest
+// (pinned positions skipped), each source's destinations lexicographic.
+// ctx is polled once per source. Every 64 rows, once yield asks for more,
+// the chunk is charged to a meter closed on return: 24 + 16t bytes a row,
+// its 2t ints and a slice header (a materialised row is its 8t bytes).
+//
+//ecrpq:charged O(tracks) pattern scratch; the rows are charged in chunks to the Scan's meter
+func (s *sweepSource) Scan(rel string, bound []int, yield func([]int) bool) error {
 	num, ok := strings.CutPrefix(rel, "__comp")
 	ci, err := strconv.Atoi(num)
-	if !ok || err != nil || ci < 0 || ci >= len(s.merged) {
-		return nil, fmt.Errorf("core: unknown streamed relation %q", rel)
+	if !ok || err != nil || ci < 0 || ci >= len(s.p.merged) || len(bound) != 2*len(s.p.merged[ci].tracks) {
+		return fmt.Errorf("core: no streamed relation %q of arity %d", rel, len(bound))
 	}
-	t := len(s.merged[ci].tracks)
-	if len(bound) != 2*t {
-		return nil, fmt.Errorf("core: %s bound pattern has %d positions, want %d", rel, len(bound), 2*t)
+	t := len(bound) / 2
+	srcs, row := make([]int, t), make([]int, 2*t)
+	var free []int // the tracks whose source is not pinned
+	for k := range srcs {
+		if srcs[k] = bound[2*k]; srcs[k] < 0 {
+			free = append(free, k)
+		}
 	}
-	cs, err := newCompStream(s, ci, bound)
+	n := s.db.NumVertices()
+	total, err := sweepSources(n, len(free))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return stream.Metered(cs, s.res.NewMeter(), compRowBytes(t)), nil
-}
-
-// compStream lazily enumerates the rows of one component's R' relation
-// matching a bound pattern: source tuples in the materializing sweep's
-// mixed-radix order (track 0 varies fastest; pinned source positions are
-// skipped, yielding a subsequence of the unbound order), destination
-// tuples per source in lexicographic order (componentReachSet's order) —
-// exactly the sweepComponent order, produced on demand.
-type compStream struct {
-	s        *sweepSource
-	ci, t    int
-	fixedSrc []int // per track: bound source vertex, or -1
-	boundDst []int // per track: bound destination vertex, or -1
-	freePos  []int // track indices whose source position is free
-	idx      int   // next mixed-radix index over the free positions
-	total    int
-
-	srcs []int // current source tuple
-	dsts []int // destination tuples for the current source, t vertices each; the memo's list when a source is pinned
-	di   int   // offset of the next destination tuple in dsts
-	row  []int // reused output row
-	err  error
-	done bool
-}
-
-//ecrpq:charged O(tracks) pattern scratch; streamed rows are charged by the stream.Metered wrapper in Open
-func newCompStream(s *sweepSource, ci int, bound []int) (*compStream, error) {
-	t := len(s.merged[ci].tracks)
-	cs := &compStream{
-		s:        s,
-		ci:       ci,
-		t:        t,
-		fixedSrc: make([]int, t),
-		boundDst: make([]int, t),
-		srcs:     make([]int, t),
-		row:      make([]int, 2*t),
-	}
-	for k := 0; k < t; k++ {
-		cs.fixedSrc[k] = bound[2*k]
-		cs.boundDst[k] = bound[2*k+1]
-		if bound[2*k] < 0 {
-			cs.freePos = append(cs.freePos, k)
+	m := s.res.NewMeter()
+	defer m.Close()
+	var dsts []int // t vertices per destination tuple; the memo's list when a source is pinned
+	for idx, pending := 0, 0; idx < total; idx++ {
+		if err := s.ctx.Err(); err != nil {
+			return err
 		}
-	}
-	var err error
-	cs.total, err = sweepSources(s.n, len(cs.freePos))
-	return cs, err
-}
-
-// decode fills srcs for mixed-radix index idx: pinned positions keep
-// their bound vertex; free positions advance with the lowest track index
-// fastest, matching decodeSource.
-func (cs *compStream) decode(idx int) {
-	copy(cs.srcs, cs.fixedSrc)
-	for _, k := range cs.freePos {
-		cs.srcs[k] = idx % cs.s.n
-		idx /= cs.s.n
-	}
-}
-
-func (cs *compStream) Next() ([]int, bool) {
-	if cs.err != nil || cs.done {
-		return nil, false
-	}
-	//ecrpq:bounded each iteration either yields a row or advances idx toward total; both are finite
-	for {
-		//ecrpq:bounded di advances through the current source's finite destination list
-		for cs.di < len(cs.dsts) {
-			d := cs.dsts[cs.di : cs.di+cs.t]
-			cs.di += cs.t
-			if !cs.dstMatches(d) {
-				continue
-			}
-			for k := 0; k < cs.t; k++ {
-				cs.row[2*k] = cs.srcs[k]
-				cs.row[2*k+1] = d[k]
-			}
-			cs.s.spanRows[cs.ci]++
-			cs.s.rows++
-			return cs.row, true
+		for j, rest := 0, idx; j < len(free); j++ {
+			srcs[free[j]], rest = rest%n, rest/n
 		}
-		if cs.idx >= cs.total {
-			cs.done = true
-			return nil, false
-		}
-		if err := cs.s.ctx.Err(); err != nil {
-			cs.err = err
-			return nil, false
-		}
-		cs.decode(cs.idx)
-		cs.idx++
-		var err error
-		if len(cs.freePos) < cs.t {
-			cs.dsts, err = cs.s.destinations(cs.ci, cs.srcs)
+		if len(free) < t {
+			dsts, err = s.destinations(ci, srcs)
 		} else { // an unpinned sweep meets each source once: no memo, and dsts stays its own buffer
-			cs.dsts, err = componentReachSet(cs.s.ctx, cs.s.fp(cs.ci), cs.srcs, cs.s.opts.maxStates(), cs.dsts[:0])
+			dsts, err = componentReachSet(s.ctx, s.fp(ci), srcs, s.p.opts.maxStates(), dsts[:0])
 		}
 		if err != nil {
-			cs.err = err
-			return nil, false
+			return err
 		}
-		cs.di = 0
+	dests:
+		for d := 0; d < len(dsts); d += t {
+			for k := 0; k < t; k++ {
+				if b := bound[2*k+1]; b >= 0 && dsts[d+k] != b {
+					continue dests
+				}
+				row[2*k], row[2*k+1] = srcs[k], dsts[d+k]
+			}
+			if s.rows[ci]++; !yield(row) {
+				return nil
+			}
+			if pending++; pending == 64 {
+				if err := m.Grow(64 * int64(24+16*t)); err != nil {
+					return err
+				}
+				pending = 0
+			}
+		}
 	}
+	return nil
 }
 
-func (cs *compStream) dstMatches(d []int) bool {
-	for k, want := range cs.boundDst {
-		if want >= 0 && d[k] != want {
-			return false
-		}
+// sweep runs walk over a lazy R' source on db with the charge for what the
+// join buffers, which the memo's entries share, and releases the source's
+// kernels, the charges and the per-component core/sweep spans when walk
+// returns.
+func (p *Prepared) sweep(ctx context.Context, db *graphdb.DB, walk func(src *sweepSource, charge cq.ChargeFunc) error) error {
+	mem, charge := meterCharge(ctx)
+	defer mem.Close()
+	n := len(p.merged)
+	src := &sweepSource{ctx: ctx, db: db, p: p, res: govern.FromContext(ctx), fps: make([]*fastProduct, n),
+		memo: make([]map[string][]int, n), mem: mem, rows: make([]int64, n)}
+	spans := make([]*trace.Span, n)
+	for ci := range spans {
+		_, sp := trace.StartSpan(ctx, "core/sweep")
+		defer sp.End()
+		sp.SetInt("component", int64(ci))
+		sp.SetInt("tracks", int64(len(p.merged[ci].tracks)))
+		sp.SetStr("mode", "stream")
+		spans[ci] = sp
 	}
-	return true
+	defer func() { // before the spans end
+		for ci, fp := range src.fps {
+			fp.releaseMem()
+			spans[ci].SetInt("rows", src.rows[ci])
+		}
+	}()
+	return walk(src, charge)
 }
 
-func (cs *compStream) Err() error { return cs.err }
-func (cs *compStream) Close()     { cs.done = true; cs.dsts = nil }
+// Enumeration is the pull view of one enumeration: the push walk runs as a
+// coroutine (iter.Pull), and each Next resumes it up to its next row.
+type Enumeration struct {
+	ctx  context.Context
+	next func() ([]int, bool)
+	stop func()
+	err  error
+}
 
-// Enumerate streams the query's answers over db incrementally: tuples in
-// q.Free order for a query with free variables, at most one empty tuple
-// for a Boolean query. The enumeration order is deterministic (fixed by
-// the plan), duplicates are suppressed, and answers match Answers as a
-// set. The iterator charges the ledger per chunk when ctx carries a
-// govern reservation, honors ctx cancellation at every Next, and must be
-// Closed on all paths — Close releases all reservations and scratch.
-//
-// Reduction plans stream the R' sweep lazily; Generic plans pin candidate
-// tuples lazily in lexicographic order.
-func (p *Prepared) Enumerate(ctx context.Context, db *graphdb.DB) (stream.Tuples, error) {
+// Next returns the next answer, or false when the enumeration is exhausted
+// or failed (check Err). The row is only valid until the next call. ctx is
+// checked on every call.
+func (e *Enumeration) Next() ([]int, bool) {
+	if e.err = cmp.Or(e.err, e.ctx.Err()); e.err != nil {
+		return nil, false
+	}
+	return e.next()
+}
+
+// Err returns the error that ended the enumeration, nil on exhaustion.
+func (e *Enumeration) Err() error { return e.err }
+
+// Close ends the enumeration on all paths: a walk suspended at a row sees
+// its yield return false, so every deferred release runs — kernels, spans
+// and govern charges. Idempotent.
+func (e *Enumeration) Close() { e.stop() }
+
+// Enumerate streams the answers over db, Answers' set without duplicates
+// in an order fixed by the plan: tuples in q.Free order, at most one empty
+// tuple for a Boolean query. Reduction plans sweep R' lazily; Generic plans
+// decide candidates in lexicographic order, refusing more than 2³² up
+// front. It charges ctx's reservation as it goes and must be Closed.
+func (p *Prepared) Enumerate(ctx context.Context, db *graphdb.DB) (*Enumeration, error) {
 	if err := p.checkDB(db); err != nil {
 		return nil, err
 	}
 	if p.strat == Generic {
-		pe, err := newPinnedEnum(ctx, db, p)
-		if err != nil {
+		if _, err := sweepSources(db.NumVertices(), len(p.q.Free)); err != nil {
 			return nil, err
 		}
-		return stream.WithContext(ctx, pe), nil
 	}
-	if db.NumVertices() == 0 {
-		if len(p.q.Free) == 0 && p.emptyDBSat() {
-			return stream.Once(nil), nil
+	e := &Enumeration{ctx: ctx}
+	e.next, e.stop = iter.Pull(func(yield func([]int) bool) {
+		var err error
+		if p.strat == Generic {
+			err = p.decideCandidates(ctx, db, yield)
+		} else { // on an empty database only an atom-free query has a row, the empty one
+			err = p.sweep(ctx, db, func(src *sweepSource, charge cq.ChargeFunc) error {
+				return cq.StreamAnswers(src, p.cqq, charge, yield)
+			})
 		}
-		return stream.Empty(), nil
-	}
-	src, charge, release := p.openSweep(ctx, db)
-	ans, err := cq.StreamAnswers(src, p.cqq, charge)
-	if err != nil {
-		release()
-		return nil, err
-	}
-	return stream.WithContext(ctx, stream.OnClose(ans, release)), nil
+		if err != nil { // a stopped walk returns nil: keep what ended it
+			e.err = err
+		}
+	})
+	return e, nil
 }
 
-// openSweep starts the lazy Lemma 4.3 pipeline over db: the source the
-// streaming join pulls R' rows from, and the charge for what the join
-// itself buffers (dedup set, hash levels). release frees both.
-func (p *Prepared) openSweep(ctx context.Context, db *graphdb.DB) (src *sweepSource, charge func(int64) error, release func()) {
-	src = newSweepSource(ctx, db, p.merged, p.opts)
-	mem, charge := meterCharge(ctx)
-	return src, charge, func() {
-		mem.Close()
-		src.release()
-	}
-}
-
-// evaluateReductionStreaming is the first-witness fast path: enumerate
-// full CQ assignments lazily and stop at the first one, instead of
-// materializing every R' table before the join. Satisfiability of a
-// satisfiable instance costs a prefix of the sweep; unsatisfiable
-// instances still sweep fully (the join must prove exhaustion), matching
-// the materializing path's worst case without retaining its tables.
+// evaluateReductionStreaming is the first-witness fast path: the join's
+// yield keeps the first assignment and stops the sweep. Satisfiability of a
+// satisfiable instance costs a prefix of the sweep; an unsatisfiable one
+// still sweeps fully (the join must prove exhaustion), without the tables.
 func (p *Prepared) evaluateReductionStreaming(ctx context.Context, db *graphdb.DB) (*Result, error) {
-	src, charge, release := p.openSweep(ctx, db)
-	defer release()
-	_, jsp := trace.StartSpan(ctx, "core/cq_join")
-	jsp.SetStr("mode", "stream")
-	asg, vars, err := cq.StreamAssignments(src, p.cqq, charge)
-	if err != nil {
-		jsp.End()
-		return nil, err
+	res := &Result{}
+	var vars []string
+	var first []int
+	err := p.sweep(ctx, db, func(src *sweepSource, charge cq.ChargeFunc) error {
+		_, jsp := trace.StartSpan(ctx, "core/cq_join")
+		defer jsp.End()
+		jsp.SetStr("mode", "stream")
+		var err error
+		vars, err = cq.StreamAssignments(src, p.cqq, charge, func(row []int) bool {
+			res.Sat, first = true, slices.Clone(row)
+			return false
+		})
+		for _, n := range src.rows {
+			res.Stats.CQTuples += int(n)
+		}
+		return err
+	})
+	if err == nil && res.Sat {
+		res.Nodes = make(map[string]int, len(vars))
+		for i, v := range vars {
+			res.Nodes[v] = first[i]
+		}
+		err = p.recoverWitnesses(ctx, db, res)
 	}
-	it := stream.WithContext(ctx, asg)
-	defer it.Close()
-	row, ok := it.Next()
-	err = it.Err()
-	jsp.End()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Sat: ok, Stats: Stats{CQTuples: int(src.rows)}}
-	if !ok {
-		return res, nil
-	}
-	res.Nodes = make(map[string]int, len(vars))
-	for i, v := range vars {
-		res.Nodes[v] = row[i]
-	}
-	if err := p.recoverWitnesses(ctx, db, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, err
 }
 
-// pinnedEnum is the Generic strategy's answer enumerator: one search set up
-// for the whole enumeration with the free variables pinned, which then
-// decides each candidate tuple in lexicographic order — no paths, and one
-// core/product_search span however many candidates there are. A Boolean
-// query is a single decision yielding at most one empty tuple. Close
-// releases the kernels the search keeps between candidates.
-type pinnedEnum struct {
-	ctx   context.Context
-	g     *genericSearch // nil once closed
-	sp    *trace.Span
-	free  []string
-	tuple []int
-	idx   int
-	total int
-	err   error
-}
-
-func newPinnedEnum(ctx context.Context, db *graphdb.DB, p *Prepared) (*pinnedEnum, error) {
-	f := len(p.q.Free)
-	total, err := sweepSources(db.NumVertices(), f)
+// decideCandidates is the Generic answer walk: one search with the free
+// variables pinned decides each candidate tuple in lexicographic order
+// (last variable fastest) and yields the satisfiable ones — no paths, one
+// core/product_search span. A Boolean query is one decision.
+func (p *Prepared) decideCandidates(ctx context.Context, db *graphdb.DB, yield func([]int) bool) error {
+	f, n := len(p.q.Free), db.NumVertices()
+	total, err := sweepSources(n, f)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pinned := make(map[string]int, f)
 	for _, v := range p.q.Free {
 		pinned[v] = 0
 	}
-	//ecrpq:ignore spanend -- the span's lifetime is the enumeration's; Close ends it, which streamclose enforces on all paths
 	_, sp := trace.StartSpan(ctx, "core/product_search")
-	return &pinnedEnum{ctx: ctx, g: p.newGenericSearch(db, pinned, nil, false), sp: sp, free: p.q.Free, tuple: make([]int, f), total: total}, nil
-}
-
-func (pe *pinnedEnum) Next() ([]int, bool) {
-	if pe.err != nil || pe.g == nil {
-		return nil, false
-	}
-	//ecrpq:bounded each iteration consumes one candidate index; total is finite
-	for pe.idx < pe.total {
-		if pe.err = pe.ctx.Err(); pe.err != nil {
-			return nil, false
+	g := p.newGenericSearch(db, pinned, nil, false)
+	defer g.release()
+	defer sp.End()
+	defer g.report(sp)
+	tuple := make([]int, f)
+	for idx := 0; idx < total; idx++ {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		// Candidate idx in lexicographic order: the last free variable
-		// varies fastest.
-		n := pe.g.db.NumVertices()
-		for i, rest := len(pe.tuple)-1, pe.idx; i >= 0; i-- {
-			pe.tuple[i], rest = rest%n, rest/n
-			pe.g.pinned[pe.free[i]] = pe.tuple[i]
+		for i, rest := f-1, idx; i >= 0; i-- {
+			tuple[i], rest = rest%n, rest/n
+			g.pinned[p.q.Free[i]] = tuple[i]
 		}
-		pe.idx++
-		var sat bool
-		if sat, pe.err = pe.g.decide(pe.ctx); pe.err != nil {
-			return nil, false
-		}
-		if sat {
-			return pe.tuple, true
+		if sat, err := g.decide(ctx); err != nil || sat && !yield(tuple) {
+			return err // nil when the consumer stopped
 		}
 	}
-	pe.Close()
-	return nil, false
-}
-
-func (pe *pinnedEnum) Err() error { return pe.err }
-
-func (pe *pinnedEnum) Close() {
-	if pe.g != nil {
-		pe.g.report(pe.sp)
-		pe.sp.End()
-		pe.g.release()
-		pe.g = nil
-	}
+	return nil
 }

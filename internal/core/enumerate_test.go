@@ -4,16 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"ecrpq/internal/alphabet"
+	"ecrpq/internal/cq"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
-	"ecrpq/internal/stream"
 	"ecrpq/internal/synchro"
 )
 
@@ -37,11 +39,29 @@ func collectEnumerate(t testing.TB, p *Prepared, db *graphdb.DB) [][]int {
 		t.Fatalf("Enumerate: %v", err)
 	}
 	defer it.Close()
-	rows, err := stream.Collect(it)
+	rows, err := page(it, 0, math.MaxInt)
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("Enumerate: %v", err)
 	}
 	return rows
+}
+
+// page skips offset rows of it, copies up to limit more and reports its
+// error: one page of the /v1/enumerate cursor protocol.
+func page(it *Enumeration, offset, limit int) ([][]int, error) {
+	var rows [][]int
+	for skipped := 0; len(rows) < limit; {
+		row, ok := it.Next()
+		if !ok {
+			break
+		}
+		if skipped < offset {
+			skipped++
+			continue
+		}
+		rows = append(rows, slices.Clone(row))
+	}
+	return rows, it.Err()
 }
 
 func sortRows(rows [][]int) {
@@ -108,7 +128,7 @@ func TestEnumerateOrderDeterministicAndResumable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := stream.Collect(stream.Offset(it, k))
+		rows, err := page(it, k, math.MaxInt)
 		it.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -120,6 +140,33 @@ func TestEnumerateOrderDeterministicAndResumable(t *testing.T) {
 		if !reflect.DeepEqual(rows, rest) {
 			t.Fatalf("offset %d resume mismatch: %v vs %v", k, rows, rest)
 		}
+	}
+}
+
+// TestDisjointComponentWaitsForPrefix: a component sharing no node
+// variable with the components before it is swept on the first prefix row
+// that reaches it. With no b-edge the first component has no row, so the
+// a* component over the 30-cycle (900 rows) is never swept: the first
+// witness reads no row and the enumeration is empty.
+func TestDisjointComponentWaitsForPrefix(t *testing.T) {
+	db, _ := cycleReach(t, 30)
+	q := query.NewBuilder(db.Alphabet()).
+		Reach("x", "p1", "y").Lang("p1", "b").
+		Reach("u", "p2", "v").Lang("p2", "a*").
+		MustBuild()
+	p, err := Prepare(q, Options{Strategy: Reduction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.EvaluateContext(context.Background(), db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sat || res.Stats.CQTuples != 0 {
+		t.Fatalf("first witness: sat %v after %d R' rows; want false after 0", res.Sat, res.Stats.CQTuples)
+	}
+	if rows := collectEnumerate(t, p, db); len(rows) != 0 {
+		t.Fatalf("Enumerate yielded %v", rows)
 	}
 }
 
@@ -257,12 +304,79 @@ func TestEnumerateCloseReleasesReservations(t *testing.T) {
 	}
 }
 
-// TestSweepSourceMemo: an Open that pins a source remembers the source's
-// destination list, so the nested join's next Open of the same source is a
+// TestEnumerationNextChecksContext: every Next checks ctx before it resumes
+// the walk, on either strategy, and the cancellation sticks.
+func TestEnumerationNextChecksContext(t *testing.T) {
+	a := alphabet.Lower(2)
+	db := denseDB(t, 20, a)
+	for _, strat := range []Strategy{Reduction, Generic} {
+		p, err := Prepare(freeTestQuery(t, a), Options{Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		it, err := p.Enumerate(ctx, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := it.Next(); !ok {
+			t.Fatalf("%v: no answer before cancel (err %v)", strat, it.Err())
+		}
+		cancel()
+		for i := 0; i < 2; i++ {
+			if _, ok := it.Next(); ok || !errors.Is(it.Err(), context.Canceled) {
+				t.Errorf("%v: Next %d after cancel succeeded=%v with Err %v; want false and context.Canceled", strat, i+1, ok, it.Err())
+			}
+		}
+		it.Close()
+	}
+}
+
+// TestEnumerationCloseIdempotent: Close may be called again, and before any
+// Next; after it Next yields nothing, Err stays nil and nothing is charged.
+func TestEnumerationCloseIdempotent(t *testing.T) {
+	a := alphabet.Lower(2)
+	db := denseDB(t, 20, a)
+	p, err := Prepare(freeTestQuery(t, a), Options{Strategy: Reduction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker := govern.NewBroker(0)
+	for _, reads := range []int{0, 2} {
+		res, err := broker.Reserve(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := p.Enumerate(govern.NewContext(context.Background(), res), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < reads; i++ {
+			if _, ok := it.Next(); !ok {
+				t.Fatalf("row %d: none (err %v)", i, it.Err())
+			}
+		}
+		it.Close()
+		it.Close()
+		if _, ok := it.Next(); ok || it.Err() != nil {
+			t.Errorf("after %d reads: Next after Close succeeded=%v with Err %v", reads, ok, it.Err())
+		}
+		if got := res.Used(); got != 0 {
+			t.Errorf("after %d reads: %d bytes still charged after Close", reads, got)
+		}
+		res.Release()
+	}
+	if got := broker.Reserved(); got != 0 {
+		t.Errorf("broker still holds %d bytes", got)
+	}
+}
+
+// TestSweepSourceMemo: a Scan that pins a source remembers the source's
+// destination list, so the nested join's next Scan of the same source is a
 // lookup, not a traversal; an unpinned sweep stores nothing; the entries are
-// charged and released with the source; and an entry the reservation refuses
+// charged and released when the sweep returns; and an entry the reservation refuses
 // is not kept and fails nothing — the rows come out the same, one traversal
-// per Open.
+// per Scan.
 func TestSweepSourceMemo(t *testing.T) {
 	a := alphabet.Lower(2)
 	db := denseDB(t, 20, a)
@@ -272,13 +386,8 @@ func TestSweepSourceMemo(t *testing.T) {
 	}
 	drain := func(s *sweepSource, rel string, bound []int) [][]int {
 		t.Helper()
-		it, err := s.Open(rel, bound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer it.Close()
-		rows, err := stream.Collect(it)
-		if err != nil {
+		var rows [][]int
+		if err := s.Scan(rel, bound, func(row []int) bool { rows = append(rows, slices.Clone(row)); return true }); err != nil {
 			t.Fatal(err)
 		}
 		return rows
@@ -289,46 +398,108 @@ func TestSweepSourceMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := newSweepSource(govern.NewContext(context.Background(), res), db, p.merged, p.opts)
-		if refused {
-			full, err := govern.NewBroker(1).Reserve(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.mem = full.NewMeter()
-		}
-		// Component 1 is the free track y -p3-> z, component 0 the pair.
-		for ci, bound := range [][]int{{3, -1, 3, -1}, {3, -1}} {
-			rel := fmt.Sprintf("__comp%d", ci)
-			first := drain(s, rel, bound)
-			if len(first) == 0 {
-				t.Fatalf("%s from vertex 3: no rows", rel)
-			}
-			again := drain(s, rel, bound)
-			if !reflect.DeepEqual(first, again) {
-				t.Fatalf("refused=%v: %s from vertex 3 a second time: %v, the first time %v", refused, rel, again, first)
-			}
-			want := 1
+		err = p.sweep(govern.NewContext(context.Background(), res), db, func(s *sweepSource, _ cq.ChargeFunc) error {
 			if refused {
-				want = 2
+				full, err := govern.NewBroker(1).Reserve(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.mem = full.NewMeter()
 			}
-			if got := s.fp(ci).traversals; got != want {
-				t.Errorf("refused=%v: two Opens of %s with its source pinned began %d traversals, want %d", refused, rel, got, want)
+			// Component 1 is the free track y -p3-> z, component 0 the pair.
+			for ci, bound := range [][]int{{3, -1, 3, -1}, {3, -1}} {
+				rel := fmt.Sprintf("__comp%d", ci)
+				first := drain(s, rel, bound)
+				if len(first) == 0 {
+					t.Fatalf("%s from vertex 3: no rows", rel)
+				}
+				again := drain(s, rel, bound)
+				if !reflect.DeepEqual(first, again) {
+					t.Fatalf("refused=%v: %s from vertex 3 a second time: %v, the first time %v", refused, rel, again, first)
+				}
+				want := 1
+				if refused {
+					want = 2
+				}
+				if got := s.fp(ci).traversals; got != want {
+					t.Errorf("refused=%v: two Scans of %s with its source pinned began %d traversals, want %d", refused, rel, got, want)
+				}
 			}
+			if charged := s.mem.Charged(); (charged > 0) == refused {
+				t.Errorf("refused=%v: the memo holds %d bytes", refused, charged)
+			}
+			before := len(s.memo[1])
+			all := drain(s, "__comp1", []int{-1, -1})
+			if len(s.memo[1]) != before || len(all) < 20 {
+				t.Errorf("refused=%v: an unpinned sweep of %d rows took the memo from %d entries to %d", refused, len(all), before, len(s.memo[1]))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if charged := s.mem.Charged(); (charged > 0) == refused {
-			t.Errorf("refused=%v: the memo holds %d bytes", refused, charged)
-		}
-		before := len(s.memo[1])
-		all := drain(s, "__comp1", []int{-1, -1})
-		if len(s.memo[1]) != before || len(all) < 20 {
-			t.Errorf("refused=%v: an unpinned sweep of %d rows took the memo from %d entries to %d", refused, len(all), before, len(s.memo[1]))
-		}
-		s.release()
 		if used := res.Used(); used != 0 {
-			t.Errorf("refused=%v: %d bytes still charged after release", refused, used)
+			t.Errorf("refused=%v: %d bytes still charged after the sweep", refused, used)
 		}
 		res.Release()
+	}
+}
+
+// scanMetered drains component 1 (the free track y -p3-> z) of
+// freeTestQuery's R' on a dense V = 20 database, its rows charged to a
+// reservation of budget, and reports the rows yielded, the reservation's
+// use at the first row of the first three 64-row chunks, what it still
+// holds once the Scan returns and the Scan's error.
+func scanMetered(t *testing.T, budget int64) (rows int, used []int64, left int64, err error) {
+	t.Helper()
+	a := alphabet.Lower(2)
+	db := denseDB(t, 20, a)
+	p, err := Prepare(freeTestQuery(t, a), Options{Strategy: Reduction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The Scan's rows are charged to their own reservation, the kernel's
+	// tables to the context's.
+	rowRes, err := govern.NewBroker(budget).Reserve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rowRes.Release()
+	err = p.sweep(context.Background(), db, func(s *sweepSource, _ cq.ChargeFunc) error {
+		s.res = rowRes
+		return s.Scan("__comp1", []int{-1, -1}, func([]int) bool {
+			if rows++; rows%64 == 1 && rows < 130 {
+				used = append(used, rowRes.Used())
+			}
+			return true
+		})
+	})
+	return rows, used, rowRes.Used(), err
+}
+
+// TestSweepScanMeterChargesAndReleases: a Scan charges its rows 24 + 16t
+// bytes each, a chunk of 64 at a time once yield asks for more, and
+// releases them when it returns.
+func TestSweepScanMeterChargesAndReleases(t *testing.T) {
+	const chunk = 64 * (24 + 16)
+	rows, used, left, err := scanMetered(t, 0) // account-only
+	if err != nil || rows <= 129 || !slices.Equal(used, []int64{0, chunk, 2 * chunk}) {
+		t.Errorf("%d rows, %v charged at rows 1, 65 and 129 (err %v); want more than 129 rows, [0 %d %d]", rows, used, err, chunk, 2*chunk)
+	}
+	if left != 0 {
+		t.Errorf("%d bytes still charged after the Scan", left)
+	}
+}
+
+// TestSweepScanMeterDenial: a chunk the reservation refuses ends the Scan
+// with the refusal and nothing left charged.
+func TestSweepScanMeterDenial(t *testing.T) {
+	rows, _, left, err := scanMetered(t, 1024) // less than a chunk
+	if !errors.Is(err, govern.ErrResourceExhausted) || rows != 64 {
+		t.Errorf("%d rows, err %v; want the refusal after 64", rows, err)
+	}
+	if left != 0 {
+		t.Errorf("%d bytes still charged after the Scan", left)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
-	"ecrpq/internal/stream"
 	"ecrpq/internal/workload"
 )
 
@@ -37,12 +36,12 @@ func TestFreeTrackIsSigmaStar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
-			page, err := stream.Collect(stream.Limit(stream.Offset(it, len(rows)), size))
+			next, err := page(it, len(rows), size)
 			it.Close()
 			if err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
-			rows, more = append(rows, page...), len(page) == size
+			rows, more = append(rows, next...), len(next) == size
 		}
 		return rows
 	}
@@ -175,7 +174,7 @@ func BenchmarkFreeTrack(b *testing.B) {
 				return 0, err
 			}
 			defer it.Close()
-			rows, err := stream.Collect(it)
+			rows, err := page(it, 0, math.MaxInt)
 			return len(rows), err
 		}},
 		{"generic-unsat", func() (int, error) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
-	"ecrpq/internal/stream"
 	"ecrpq/internal/synchro"
 )
 
@@ -656,7 +656,7 @@ func TestLanguageEmptyComponent(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rows, err := stream.Collect(it)
+					rows, err := page(it, 0, math.MaxInt)
 					it.Close()
 					if err != nil || len(rows) != 0 {
 						t.Fatalf("%s %v: Enumerate %v (err %v)", at, s, rows, err)

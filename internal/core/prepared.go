@@ -234,8 +234,8 @@ func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, ma
 // assignment, sorted lexicographically. A Reduction plan runs its own
 // compiled join over mat, the Materialization for this database (nil: it is
 // built first), and reads the answers off the reduced tables; a Generic plan
-// ignores mat and drains the candidate-pinning enumerator, whose order is
-// lexicographic already. Either way the intermediates and every row kept
+// ignores mat and decides the candidate tuples on one pinned search, in
+// lexicographic order already. Either way the intermediates and every row kept
 // are charged to ctx's reservation for the length of the call.
 func (p *Prepared) Answers(ctx context.Context, db *graphdb.DB, mat *Materialization) ([][]int, error) {
 	if len(p.q.Free) == 0 {
@@ -247,20 +247,19 @@ func (p *Prepared) Answers(ctx context.Context, db *graphdb.DB, mat *Materializa
 	mem, charge := meterCharge(ctx)
 	defer mem.Close()
 	if p.strat == Generic {
-		pe, err := newPinnedEnum(ctx, db, p)
-		if err != nil {
-			return nil, err
-		}
-		defer pe.Close()
 		var out [][]int
-		//ecrpq:bounded each iteration consumes one of the enumerator's finitely many candidates
-		for row, ok := pe.Next(); ok; row, ok = pe.Next() {
-			if err := mem.Grow(int64(24 + 8*len(row))); err != nil {
-				return nil, err
+		var denied error
+		err := p.decideCandidates(ctx, db, func(row []int) bool {
+			if denied = mem.Grow(int64(24 + 8*len(row))); denied != nil {
+				return false
 			}
 			out = append(out, slices.Clone(row))
+			return true
+		})
+		if err == nil {
+			err = denied
 		}
-		return out, pe.Err()
+		return out, err
 	}
 	if db.NumVertices() == 0 {
 		return nil, nil

@@ -141,7 +141,7 @@ func sweepColumnOrder(t int) []int {
 // []int32, which cq.LoadSorted takes as the relation's row store and the join
 // scans: a row is written once and never converted. Rows are distinct and in
 // sweep order whatever the parallelism: source index ascending with track 0
-// fastest, destinations lexicographic per source — the order compStream
+// fastest, destinations lexicographic per source — the order sweepSource.Scan
 // reproduces lazily and /v1/enumerate cursors are pinned to.
 //
 // Sources are swept 64 at a time (sweepKernel): the ⌈V^t/64⌉ batches are

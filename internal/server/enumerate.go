@@ -18,9 +18,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
-
-	"ecrpq/internal/stream"
 )
 
 // enumerateResponse is one page of answers. More=true means NextCursor
@@ -125,12 +124,23 @@ func (s *Server) enumerate(ctx context.Context, c *readCall) (*enumerateResponse
 		return nil, err
 	}
 	defer it.Close()
-	// limit+1 probes for a further page without a count query; the extra
-	// tuple is dropped from the response.
-	page := stream.Limit(stream.Offset(it, c.offset), limit+1)
-	defer page.Close()
-	rows, err := stream.Collect(page)
-	if err != nil {
+	// Skip the cursor's offset (an offset resume re-does the skipped work,
+	// the price of a stateless server), then copy limit+1 rows: the extra
+	// one probes for a further page without a count query and is dropped
+	// from the response.
+	var rows [][]int
+	for skipped := 0; len(rows) <= limit; {
+		row, ok := it.Next()
+		if !ok {
+			break
+		}
+		if skipped < c.offset {
+			skipped++
+			continue
+		}
+		rows = append(rows, slices.Clone(row))
+	}
+	if err := it.Err(); err != nil {
 		return nil, err
 	}
 	more := len(rows) > limit

@@ -110,6 +110,57 @@ func TestEnumeratePaginationMatchesQuery(t *testing.T) {
 	}
 }
 
+// TestEnumeratePageOffsetLimit: a page skips exactly its cursor's offset
+// and returns at most limit answers, the next ones in enumeration order; an
+// offset at or past the end is an empty final page.
+func TestEnumeratePageOffsetLimit(t *testing.T) {
+	s := newTestServer(t, Config{})
+	registerDB(t, s, "g", denseDBText(10))
+	rec, out := doJSON(t, s, "POST", "/v1/enumerate",
+		map[string]any{"db": "g", "query": reachAllQuery, "limit": 1000})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("all answers: %d %s", rec.Code, rec.Body.String())
+	}
+	all := answerStrings(t, out)
+	if more, _ := out["more"].(bool); more || len(all) < 4 {
+		t.Fatalf("want every answer of a multi-answer set on one page, got %d (more=%v)", len(all), more)
+	}
+	rec, out = doJSON(t, s, "POST", "/v1/enumerate",
+		map[string]any{"db": "g", "query": reachAllQuery, "limit": 1})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("first page: %d %s", rec.Code, rec.Body.String())
+	}
+	cur, err := decodeCursor(out["next_cursor"].(string))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ off, limit, want int }{
+		{1, 2, 2},
+		{len(all) - 1, 2, 1},
+		{len(all), 2, 0},
+		{len(all) + 5, 2, 0},
+	} {
+		cur.Off = tc.off
+		rec, out := doJSON(t, s, "POST", "/v1/enumerate",
+			map[string]any{"db": "g", "query": reachAllQuery, "limit": tc.limit, "cursor": encodeCursor(cur)})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("offset %d: %d %s", tc.off, rec.Code, rec.Body.String())
+		}
+		got := answerStrings(t, out)
+		more, _ := out["more"].(bool)
+		wantMore := tc.off+tc.limit < len(all)
+		if len(got) != tc.want || more != wantMore {
+			t.Errorf("offset %d limit %d: %d answers, more=%v; want %d, more=%v", tc.off, tc.limit, len(got), more, tc.want, wantMore)
+			continue
+		}
+		for i, row := range got {
+			if row != all[tc.off+i] {
+				t.Errorf("offset %d: answer %d = %q, want %q", tc.off, i, row, all[tc.off+i])
+			}
+		}
+	}
+}
+
 // TestEnumerateStaleCursor410 pins the generation contract: a cursor
 // minted before a database re-register is refused with 410 STALE_CURSOR
 // (the enumeration order it offsets into no longer exists).
