@@ -170,6 +170,16 @@ var archRules = []archRule{
 	{name: "planner-no-free-tracks", why: "the planner costs free tracks apart from components",
 		in: []string{"internal/planner"}, check: never(names, `FreeTracks`),
 		violation: "func f(c Cost) int { return c.FreeTracks }"},
+	// A plan decision costs O(query): database facts come from the
+	// stats.Catalog computed at registration, never from the graph itself.
+	{name: "planner-reads-catalog", why: "the planner reads the database instead of the stats catalog",
+		in: []string{"internal/planner"}, check: never(func(n ast.Node) (string, bool) {
+			if imp, ok := n.(*ast.ImportSpec); ok {
+				return imp.Path.Value, true
+			}
+			return selectors(n)
+		}, `^"ecrpq/internal/(graphdb|persist)"$|^graphdb\.`),
+		violation: `import _ "ecrpq/internal/graphdb"`},
 	// Enumeration is push iteration: each stage yields to a callback and
 	// releases with defer. The one value that must be closed, the pull view
 	// *core.Enumeration, is made in one place and opened by one caller.

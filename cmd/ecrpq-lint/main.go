@@ -1,15 +1,10 @@
 // Command ecrpq-lint is the repository's custom static-analysis suite: a
-// multichecker over the analyzers in internal/lint. It runs in two
-// modes:
+// multichecker over the analyzers in internal/lint.
 //
-//   - standalone:  ecrpq-lint [-only a,b] [packages...]
-//     loads the named packages (default ./...) from source and prints
-//     findings as file:line:col: [analyzer] message, exiting 1 if any.
+//	ecrpq-lint [-list] [-json] [-only a,b] [packages...]
 //
-//   - vettool:     go vet -vettool=$(which ecrpq-lint) ./...
-//     speaks enough of the cmd/vet unit-checker protocol (-V=full and
-//     JSON .cfg invocations) to run under the go toolchain, importing
-//     dependencies from the compiler's export data.
+// loads the named packages (default ./...) from source and prints
+// findings as file:line:col: [analyzer] message, exiting 1 if any.
 //
 // Suppress an individual finding with a trailing or preceding comment:
 //
@@ -33,14 +28,12 @@ import (
 	"ecrpq/internal/lint/governcharge"
 	"ecrpq/internal/lint/lockorder"
 	"ecrpq/internal/lint/panicfree"
-	"ecrpq/internal/lint/planstats"
 	"ecrpq/internal/lint/spanend"
 	"ecrpq/internal/lint/statebounds"
 )
 
 // analyzers is the full suite, in reporting order: the per-package
-// checks first, then the module-wide dataflow checks (which go vet unit
-// mode skips — they need every package in hand at once).
+// checks first, then the module-wide dataflow checks.
 var analyzers = []*lint.Analyzer{
 	panicfree.Analyzer,
 	alphabetguard.Analyzer,
@@ -51,7 +44,6 @@ var analyzers = []*lint.Analyzer{
 	lockorder.Analyzer,
 	governcharge.Analyzer,
 	ctxpoll.Analyzer,
-	planstats.Analyzer,
 }
 
 func main() {
@@ -69,22 +61,6 @@ type jsonFinding struct {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// go vet probes the tool's identity with -V=full before use.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Fprintln(stdout, "ecrpq-lint version v1.0.0")
-		return 0
-	}
-	// go vet also asks which flags the tool accepts (-flags); we expose
-	// none beyond the protocol, so answer with an empty JSON list.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-	// A single *.cfg argument means go vet is driving us per-package.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetUnit(args[0], stderr)
-	}
-
 	fs := flag.NewFlagSet("ecrpq-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")

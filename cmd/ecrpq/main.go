@@ -129,15 +129,8 @@ func printExplain(ctx context.Context, db *ecrpq.DB, q *ecrpq.Query, opts ecrpq.
 		source = "fixed-rule"
 	}
 	fmt.Printf("strategy: %s (%s)\n", dec.Strategy, source)
-	rendered, err := ecrpq.Explain(q, ecrpq.Options{
-		Strategy:         dec.Strategy,
-		MaxProductStates: opts.MaxProductStates,
-		Parallelism:      opts.Parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Print(rendered.String())
+	plan.Strategy = dec.Strategy // render the resolved strategy, not "auto"
+	fmt.Print(plan.String())
 	fmt.Printf("costs: generic=%.0f reduction=%.0f (|V|=%d, any-reach selectivity %.4f)\n",
 		dec.GenericCost, dec.ReductionCost, cat.Vertices, cat.AnyReachSelectivity)
 	for _, st := range dec.Stages {

@@ -39,8 +39,7 @@ type Analyzer struct {
 	Run func(*Pass) error
 	// RunModule applies the check to the whole set of loaded packages at
 	// once. Module analyzers see the cross-package call graph and the
-	// per-function summaries of ModulePass; they are skipped by drivers
-	// that only have a single package in hand (go vet unit mode).
+	// per-function summaries of ModulePass.
 	RunModule func(*ModulePass) error
 }
 

@@ -6,53 +6,45 @@
 //   - resolve the "auto" strategy by comparing estimated Generic vs
 //     Reduction cost instead of the fixed track-count rule,
 //   - order the Generic backtracking's component completion sequence
-//     (greedy, exact bitmask DP below a configurable component count), and
+//     (exact bitmask DP up to dpMaxComponents components, greedy beyond),
+//     and
 //   - decide whether first-label predicate pushdown into the product
 //     search is worthwhile.
 //
 // The planner reads database statistics exclusively through the stats
 // catalog API — it never touches internal/graphdb (enforced by the
-// planstats lint). Decisions are deterministic functions of
-// (catalog, plan, options), so two nodes holding the same generation
-// resolve identically — replica EXPLAIN matches owner EXPLAIN.
+// planner-reads-catalog rule of the root architecture test). Decisions are
+// deterministic functions of (catalog, plan, options), so two nodes holding
+// the same generation resolve identically — replica EXPLAIN matches owner
+// EXPLAIN.
 package planner
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"ecrpq/internal/core"
 	"ecrpq/internal/stats"
 )
 
-// Config tunes the planner.
-type Config struct {
-	// DPMaxComponents is the component count at or below which join
-	// ordering uses exact bitmask dynamic programming; above it the
-	// greedy order is used. 0 means the default of 8 (2^8 subsets).
-	DPMaxComponents int
-	// NsPerCostUnit converts abstract cost units to nanoseconds for the
-	// EstimatedMs fields. 0 means the default of 25ns, roughly one
-	// product-state expansion on commodity hardware.
-	NsPerCostUnit float64
-}
+const (
+	// dpMaxComponents is the component count at or below which join
+	// ordering uses exact bitmask DP (2^8 subsets); the greedy order above
+	// it keeps planning polynomial in the component count.
+	dpMaxComponents = 8
+	// nsPerCostUnit converts abstract cost units to nanoseconds for the
+	// EstimatedMs fields: roughly one product-state expansion on commodity
+	// hardware.
+	nsPerCostUnit = 25
+)
 
-func (c Config) dpMax() int {
-	if c.DPMaxComponents <= 0 {
-		return 8
-	}
-	return c.DPMaxComponents
-}
-
-func (c Config) nsPerUnit() float64 {
-	if c.NsPerCostUnit <= 0 {
-		return 25
-	}
-	return c.NsPerCostUnit
-}
+// Config has no fields: the planner has no settings. The type stays so
+// that existing calls passing planner.Config{}, the benchmark harness's
+// among them, keep compiling.
+type Config struct{}
 
 // StageEstimate is one predicted evaluation stage. Stage carries the
 // internal/trace span name the work will be recorded under, so measured
@@ -120,14 +112,14 @@ func (d Decision) MarshalJSON() ([]byte, error) {
 // forced strategies too. cat may be nil (no statistics yet), in which case
 // the fixed AutoStrategy rule resolves and no ordering/pushdown hints are
 // produced.
-func Resolve(cat *stats.Catalog, plan *core.Plan, opts core.Options, cfg Config) *Decision {
-	trackCounts := make([]int, len(plan.Components))
-	for i, c := range plan.Components {
-		trackCounts[i] = len(c.PathVars)
-	}
+func Resolve(cat *stats.Catalog, plan *core.Plan, opts core.Options, _ Config) *Decision {
 	if cat == nil {
 		strat := opts.Strategy
 		if strat == core.Auto {
+			trackCounts := make([]int, len(plan.Components))
+			for i, c := range plan.Components {
+				trackCounts[i] = len(c.PathVars)
+			}
 			strat = core.AutoStrategy(trackCounts, opts)
 		}
 		return &Decision{
@@ -137,20 +129,20 @@ func Resolve(cat *stats.Catalog, plan *core.Plan, opts core.Options, cfg Config)
 		}
 	}
 
-	m := newModel(cat, plan, cfg)
+	m := newModel(cat, plan)
 	order, genericCost := m.orderComponents()
-	reductionCost := m.reductionCost()
+	red := m.reduction()
+	reductionCost := red.sweep + red.rows
+	if red.capped {
+		reductionCost = math.Inf(1)
+	}
 
 	strat := opts.Strategy
 	if strat == core.Auto {
-		if genericCost <= reductionCost {
-			strat = core.Generic
-		} else {
-			strat = core.Reduction
-		}
 		// Past the sweep's hard source cap the reduction builder errors
-		// out; never plan into it.
-		if strat == core.Reduction && m.sweepSourcesExceeded() {
+		// out; never plan into it. A NaN Generic estimate loses.
+		strat = core.Reduction
+		if genericCost <= reductionCost || red.capped {
 			strat = core.Generic
 		}
 	}
@@ -163,31 +155,49 @@ func Resolve(cat *stats.Catalog, plan *core.Plan, opts core.Options, cfg Config)
 		StatsGeneration: cat.Generation,
 	}
 	if strat == core.Generic {
-		d.ComponentOrder = order
-		d.Pushdown = m.hasPushdown()
-		d.Stages = m.genericStages(order)
+		if len(order) > 1 { // one component has nothing to permute
+			d.ComponentOrder = order
+		}
+		d.Pushdown = m.pushdown
+		detail := make([]string, len(order))
+		for i, ci := range order {
+			detail[i] = fmt.Sprintf("c%d{%s}", ci, strings.Join(plan.Components[ci].PathVars, ","))
+		}
+		d.Stages = []StageEstimate{stage("core/product_search", "component order "+strings.Join(detail, " → "), genericCost)}
 	} else {
-		d.Stages = m.reductionStages()
+		n := len(plan.Components)
+		d.Stages = []StageEstimate{
+			stage("core/sweep", fmt.Sprintf("%d component R' sweep(s)", n), red.sweep),
+			stage("core/cq_join", "tree-decomposition join over materialized rows", red.rows),
+			stage("core/witness", "per-component witness recovery", float64(n)*m.v),
+		}
 	}
 	return d
 }
 
-// model holds the derived quantities the cost formulas share.
+// stage is one trace-named estimate, clamped so it always encodes.
+func stage(name, detail string, cost float64) StageEstimate {
+	cost = finite(cost)
+	return StageEstimate{Stage: name, Detail: detail, Cost: cost, EstimatedMs: finite(cost * nsPerCostUnit / 1e6)}
+}
+
+// model holds the per-component quantities the cost formulas share. Node
+// variables are numbered in the order the plan's components first name
+// them; a set of bound variables is a []bool over those numbers.
 type model struct {
-	cat  *stats.Catalog
 	plan *core.Plan
-	cfg  Config
 
 	v     float64 // |V|, at least 1 to keep formulas finite
 	sigma float64 // any-label reachability selectivity, clamped to (0,1]
-	// dom[i] is the estimated candidate-domain size product for component
-	// i's NEW node variables ignoring bindings (per-variable domains
-	// multiplied on demand in orderCost); varDom maps a node variable to
-	// its pushdown-restricted domain size.
-	varDom map[string]float64
+
+	dom      []float64 // per variable: its candidate count, narrowed by pushdown
+	pushdown bool      // some track's first labels narrow its source's domain
+	vars     [][]int   // per component: its distinct node variables
+	check    []float64 // per component: one product-search check's cost
+	sel      []float64 // per component: fraction of assignments its check keeps
 }
 
-func newModel(cat *stats.Catalog, plan *core.Plan, cfg Config) *model {
+func newModel(cat *stats.Catalog, plan *core.Plan) *model {
 	v := float64(cat.Vertices)
 	if v < 1 {
 		v = 1
@@ -199,12 +209,46 @@ func newModel(cat *stats.Catalog, plan *core.Plan, cfg Config) *model {
 	if sigma > 1 {
 		sigma = 1
 	}
-	m := &model{cat: cat, plan: plan, cfg: cfg, v: v, sigma: sigma, varDom: map[string]float64{}}
-	// Pushdown domain estimates: a variable sourcing a restricted track
-	// only ranges over vertices with an out-edge in the allowed label set;
-	// DistinctSrc is exactly that count per label. Multiple restricted
-	// tracks on one source variable take the minimum.
+	m := &model{plan: plan, v: v, sigma: sigma}
+	index := map[string]int{}
+	number := func(name string) int {
+		i, ok := index[name]
+		if !ok {
+			i = len(m.dom)
+			index[name] = i
+			m.dom = append(m.dom, v)
+		}
+		return i
+	}
 	for _, pc := range plan.Components {
+		var vars []int
+		for _, nv := range pc.NodeVars {
+			if i := number(nv); !slices.Contains(vars, i) {
+				vars = append(vars, i)
+			}
+		}
+		m.vars = append(m.vars, vars)
+
+		// A check of the component explores at most its automaton states
+		// times the endpoint-bounded product frontier, (σ·V)^t positions;
+		// each track independently demands reachability between its
+		// endpoints, so σ^t of the assignments survive.
+		t := float64(len(pc.PathVars))
+		states := float64(pc.RelationStates)
+		if states < 1 {
+			states = 1
+		}
+		m.check = append(m.check, states*math.Pow(math.Max(sigma*v, 1), t))
+		sel := math.Pow(sigma, t)
+		if sel < 1e-12 {
+			sel = 1e-12
+		}
+		m.sel = append(m.sel, sel)
+
+		// Pushdown: a variable sourcing a restricted track only ranges over
+		// vertices with an out-edge in the allowed label set; DistinctSrc is
+		// exactly that count per label. Several restricted tracks on one
+		// source variable take the minimum.
 		for pv, labels := range pc.TrackFirstLabels {
 			src, ok := pc.TrackSources[pv]
 			if !ok {
@@ -216,96 +260,53 @@ func newModel(cat *stats.Catalog, plan *core.Plan, cfg Config) *model {
 					total += float64(ls.DistinctSrc)
 				}
 			}
-			if total > v {
-				total = v
-			}
-			if cur, ok := m.varDom[src]; !ok || total < cur {
-				m.varDom[src] = total
-			}
+			i := number(src)
+			m.dom[i] = math.Min(m.dom[i], total)
+			m.pushdown = true
+		}
+	}
+	for i, d := range m.dom {
+		if d < 1 {
+			m.dom[i] = 1 // empty domains still cost the loop setup
 		}
 	}
 	return m
 }
 
-func (m *model) hasPushdown() bool { return len(m.varDom) > 0 }
-
-// domain returns the estimated candidate count for one node variable.
-func (m *model) domain(v string) float64 {
-	if d, ok := m.varDom[v]; ok {
-		if d < 1 {
-			return 1 // empty domains still cost the loop setup
-		}
-		return d
-	}
-	return m.v
-}
-
-// checkCost estimates one product-search check of component i: the
-// automaton states times the endpoint-bounded product frontier. With all
-// endpoints fixed the search explores at most states × (σ·V)^t product
-// positions before concluding.
-func (m *model) checkCost(i int) float64 {
-	pc := m.plan.Components[i]
-	t := float64(len(pc.PathVars))
-	states := float64(pc.RelationStates)
-	if states < 1 {
-		states = 1
-	}
-	frontier := math.Pow(math.Max(m.sigma*m.v, 1), t)
-	return states * frontier
-}
-
-// compSelectivity estimates the fraction of endpoint assignments of
-// component i that survive its check: each track independently demands
-// reachability between its endpoints.
-func (m *model) compSelectivity(i int) float64 {
-	t := len(m.plan.Components[i].PathVars)
-	sel := math.Pow(m.sigma, float64(t))
-	if sel < 1e-12 {
-		sel = 1e-12
-	}
-	return sel
-}
-
-// orderCost walks one component order, accumulating the Generic
-// backtracking estimate: candidates enumerated per step times the check
-// cost, with survivors thinning by each component's selectivity.
-func (m *model) orderCost(order []int) float64 {
-	bound := map[string]bool{}
-	survivors := 1.0
-	total := 0.0
-	for _, ci := range order {
-		pc := m.plan.Components[ci]
-		newDom := 1.0
-		for _, nv := range pc.NodeVars {
-			if !bound[nv] {
-				bound[nv] = true
-				newDom *= m.domain(nv)
-			}
-		}
-		candidates := survivors * newDom
-		total += candidates * m.checkCost(ci)
-		survivors = candidates * m.compSelectivity(ci)
-		if survivors < 1 {
-			survivors = 1
+// step is the Generic cost model: completing component ci after the
+// variables in bound, with survivors partial assignments alive, multiplies
+// them by the domains of ci's new variables into candidates, each of which
+// pays one check of ci; the check's selectivity thins the candidates into
+// the next survivors, never below one. step returns the check work and
+// those survivors.
+func (m *model) step(bound []bool, survivors float64, ci int) (cost, next float64) {
+	newDom := 1.0
+	for _, v := range m.vars[ci] {
+		if !bound[v] {
+			newDom *= m.dom[v]
 		}
 	}
-	return total
+	candidates := survivors * newDom
+	next = candidates * m.sel[ci]
+	if next < 1 {
+		next = 1
+	}
+	return candidates * m.check[ci], next
+}
+
+// bind marks component ci's node variables bound.
+func (m *model) bind(bound []bool, ci int) {
+	for _, v := range m.vars[ci] {
+		bound[v] = true
+	}
 }
 
 // orderComponents picks the component completion order minimizing the
-// estimated Generic cost: exact subset DP up to cfg.DPMaxComponents
-// components, greedy beyond. Returns the order and its cost. A nil order
-// (0 or 1 components) keeps the natural sequence.
+// estimated Generic cost: exact subset DP up to dpMaxComponents
+// components, greedy beyond. Returns the order and its cost.
 func (m *model) orderComponents() ([]int, float64) {
 	n := len(m.plan.Components)
-	switch n {
-	case 0:
-		return nil, 0
-	case 1:
-		return nil, m.orderCost([]int{0})
-	}
-	if n <= m.cfg.dpMax() {
+	if n <= dpMaxComponents {
 		return m.orderDP(n)
 	}
 	return m.orderGreedy(n)
@@ -315,62 +316,46 @@ func (m *model) orderComponents() ([]int, float64) {
 // subset: the cheapest total cost of completing exactly that subset, with
 // the surviving-assignment count it implies (cost-optimal substructure is
 // approximate because survivors also matter; the DP tracks the pair and
-// minimizes cost, tie-breaking on survivors).
+// minimizes cost, tie-breaking on survivors). A subset's bound variables
+// are those of its components.
 func (m *model) orderDP(n int) ([]int, float64) {
 	type state struct {
 		cost      float64
 		survivors float64
-		bound     map[string]bool
-		last      int // component added to reach this subset
+		last      int // component added to reach this subset; -1 before any
 		prev      int // previous subset mask
 	}
-	states := make([]*state, 1<<n)
-	states[0] = &state{cost: 0, survivors: 1, bound: map[string]bool{}, last: -1}
-	for mask := 0; mask < 1<<n; mask++ {
-		st := states[mask]
-		if st == nil {
-			continue
+	states := make([]state, 1<<n)
+	for i := range states {
+		states[i].last = -1
+	}
+	states[0].survivors = 1
+	bound := make([]bool, len(m.dom))
+	// Masks ascend, so every subset is final before it is extended.
+	for mask, st := range states {
+		clear(bound)
+		for ci := 0; ci < n; ci++ {
+			if mask&(1<<ci) != 0 {
+				m.bind(bound, ci)
+			}
 		}
 		for ci := 0; ci < n; ci++ {
 			if mask&(1<<ci) != 0 {
 				continue
 			}
-			pc := m.plan.Components[ci]
-			newDom := 1.0
-			for _, nv := range pc.NodeVars {
-				if !st.bound[nv] {
-					newDom *= m.domain(nv)
-				}
-			}
-			candidates := st.survivors * newDom
-			cost := st.cost + candidates*m.checkCost(ci)
-			survivors := candidates * m.compSelectivity(ci)
-			if survivors < 1 {
-				survivors = 1
-			}
-			next := mask | 1<<ci
-			if cur := states[next]; cur == nil || cost < cur.cost ||
+			marginal, survivors := m.step(bound, st.survivors, ci)
+			cost := st.cost + marginal
+			if cur := &states[mask|1<<ci]; cur.last < 0 || cost < cur.cost ||
 				(cost == cur.cost && survivors < cur.survivors) {
-				nb := make(map[string]bool, len(st.bound)+len(pc.NodeVars))
-				for k := range st.bound {
-					nb[k] = true
-				}
-				for _, nv := range pc.NodeVars {
-					nb[nv] = true
-				}
-				states[next] = &state{cost: cost, survivors: survivors, bound: nb, last: ci, prev: mask}
+				*cur = state{cost: cost, survivors: survivors, last: ci, prev: mask}
 			}
 		}
 	}
-	final := states[1<<n-1]
-	order := make([]int, 0, n)
-	for st := final; st != nil && st.last >= 0; st = states[st.prev] {
-		order = append(order, st.last)
+	order := make([]int, n)
+	for i, mask := n-1, len(states)-1; i >= 0; i, mask = i-1, states[mask].prev {
+		order[i] = states[mask].last
 	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order, final.cost
+	return order, states[len(states)-1].cost
 }
 
 // orderGreedy picks, at each step, the component with the cheapest
@@ -380,143 +365,52 @@ func (m *model) orderDP(n int) ([]int, float64) {
 // estimate overflows and every marginal cost is +Inf (or NaN); the first
 // unused component then stands in, so the order is always a permutation.
 func (m *model) orderGreedy(n int) ([]int, float64) {
-	bound := map[string]bool{}
-	survivors := 1.0
+	bound := make([]bool, len(m.dom))
 	used := make([]bool, n)
 	order := make([]int, 0, n)
-	total := 0.0
+	survivors, total := 1.0, 0.0
 	for len(order) < n {
-		best, bestCost, bestSel := -1, math.Inf(1), 0.0
+		best, bestCost := -1, math.Inf(1)
 		for ci := 0; ci < n; ci++ {
 			if used[ci] {
 				continue
 			}
-			newDom := 1.0
-			for _, nv := range m.plan.Components[ci].NodeVars {
-				if !bound[nv] {
-					newDom *= m.domain(nv)
-				}
-			}
-			cost := survivors * newDom * m.checkCost(ci)
+			cost, _ := m.step(bound, survivors, ci)
 			if math.IsNaN(cost) {
 				cost = math.Inf(1)
 			}
-			sel := m.compSelectivity(ci)
-			if best < 0 || cost < bestCost || (cost == bestCost && sel < bestSel) {
-				best, bestCost, bestSel = ci, cost, sel
+			if best < 0 || cost < bestCost || (cost == bestCost && m.sel[ci] < m.sel[best]) {
+				best, bestCost = ci, cost
 			}
 		}
+		cost, next := m.step(bound, survivors, best)
+		m.bind(bound, best)
 		used[best] = true
 		order = append(order, best)
-		pc := m.plan.Components[best]
-		newDom := 1.0
-		for _, nv := range pc.NodeVars {
-			if !bound[nv] {
-				bound[nv] = true
-				newDom *= m.domain(nv)
-			}
-		}
-		candidates := survivors * newDom
-		total += candidates * m.checkCost(best)
-		survivors = candidates * m.compSelectivity(best)
-		if survivors < 1 {
-			survivors = 1
-		}
+		total += cost
+		survivors = next
 	}
 	return order, total
 }
 
-// sweepCost estimates component i's Lemma 4.3 R' sweep: one bounded
-// product exploration from each of V^t source tuples.
-func (m *model) sweepCost(i int) float64 {
-	t := float64(len(m.plan.Components[i].PathVars))
-	return math.Pow(m.v, t) * m.checkCost(i)
+// reduction is the Reduction estimate, summed over the components in one
+// pass.
+type reduction struct {
+	sweep  float64 // Lemma 4.3 R' sweeps: one bounded product exploration from each of V^t source tuples
+	rows   float64 // materialized R' rows, which the CQ join reads
+	capped bool    // some component's V^t source tuples pass the cap at which the sweep refuses to run
 }
 
-// rows estimates component i's materialized R' row count.
-func (m *model) rows(i int) float64 {
-	t := len(m.plan.Components[i].PathVars)
-	return math.Pow(m.v*m.v*m.sigma, float64(t))
-}
-
-// sweepSourcesExceeded reports a component whose V^t source tuples pass
-// the cap at which the sweep refuses to run.
-func (m *model) sweepSourcesExceeded() bool {
-	for i := range m.plan.Components {
-		t := float64(len(m.plan.Components[i].PathVars))
-		if math.Pow(m.v, t) > core.MaxSweepSources {
-			return true
+func (m *model) reduction() reduction {
+	var r reduction
+	for i, pc := range m.plan.Components {
+		t := float64(len(pc.PathVars))
+		sources := math.Pow(m.v, t)
+		r.sweep += sources * m.check[i]
+		r.rows += math.Pow(m.v*m.v*m.sigma, t)
+		if sources > core.MaxSweepSources {
+			r.capped = true
 		}
 	}
-	return false
-}
-
-// reductionCost totals the Reduction strategy estimate: the per-component
-// sweeps plus the CQ join over the materialized rows.
-func (m *model) reductionCost() float64 {
-	total := 0.0
-	joinRows := 0.0
-	for i := range m.plan.Components {
-		total += m.sweepCost(i)
-		joinRows += m.rows(i)
-	}
-	if m.sweepSourcesExceeded() {
-		return math.Inf(1)
-	}
-	return total + joinRows
-}
-
-// stage is one trace-named estimate, clamped so it always encodes.
-func (m *model) stage(name, detail string, cost float64) StageEstimate {
-	cost = finite(cost)
-	return StageEstimate{Stage: name, Detail: detail, Cost: cost, EstimatedMs: finite(cost * m.cfg.nsPerUnit() / 1e6)}
-}
-
-// genericStages breaks the Generic estimate into trace-named stages.
-func (m *model) genericStages(order []int) []StageEstimate {
-	seq := order
-	if seq == nil {
-		seq = make([]int, len(m.plan.Components))
-		for i := range seq {
-			seq[i] = i
-		}
-	}
-	cost := m.orderCost(seq)
-	detail := make([]string, len(seq))
-	for i, ci := range seq {
-		detail[i] = fmt.Sprintf("c%d{%s}", ci, strings.Join(m.plan.Components[ci].PathVars, ","))
-	}
-	return []StageEstimate{m.stage("core/product_search", "component order "+strings.Join(detail, " → "), cost)}
-}
-
-// reductionStages breaks the Reduction estimate into trace-named stages.
-func (m *model) reductionStages() []StageEstimate {
-	sweep := 0.0
-	for i := range m.plan.Components {
-		sweep += m.sweepCost(i)
-	}
-	joinRows := 0.0
-	for i := range m.plan.Components {
-		joinRows += m.rows(i)
-	}
-	return []StageEstimate{
-		m.stage("core/sweep", fmt.Sprintf("%d component R' sweep(s)", len(m.plan.Components)), sweep),
-		m.stage("core/cq_join", "tree-decomposition join over materialized rows", joinRows),
-		m.stage("core/witness", "per-component witness recovery", float64(len(m.plan.Components))*m.v),
-	}
-}
-
-// SortedStageNames lists the distinct stage names of a decision, sorted —
-// a convenience for tests pinning payload shapes.
-func (d *Decision) SortedStageNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range d.Stages {
-		if !seen[s.Stage] {
-			seen[s.Stage] = true
-			out = append(out, s.Stage)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return r
 }

@@ -136,17 +136,15 @@ func TestComponentOrderIsPermutation(t *testing.T) {
 		t.Fatalf("Explain: %v", err)
 	}
 	cat := catalogFor(t, 9, a, 30, 90)
-	for _, cfg := range []Config{{}, {DPMaxComponents: 2}} { // DP and greedy paths
-		d := Resolve(cat, plan, core.Options{Strategy: core.Generic}, cfg)
-		if d.Strategy != core.Generic {
-			t.Fatalf("strategy = %v", d.Strategy)
-		}
-		if d.ComponentOrder == nil {
-			continue
-		}
-		if !isPermutation(d.ComponentOrder, len(plan.Components)) {
-			t.Fatalf("order %v is not a permutation of %d components", d.ComponentOrder, len(plan.Components))
-		}
+	d := Resolve(cat, plan, core.Options{Strategy: core.Generic}, Config{}) // the DP path
+	if d.Strategy != core.Generic {
+		t.Fatalf("strategy = %v", d.Strategy)
+	}
+	if d.ComponentOrder != nil && !isPermutation(d.ComponentOrder, len(plan.Components)) {
+		t.Fatalf("DP order %v is not a permutation of %d components", d.ComponentOrder, len(plan.Components))
+	}
+	if order, _ := newModel(cat, plan).orderGreedy(len(plan.Components)); !isPermutation(order, len(plan.Components)) {
+		t.Fatalf("greedy order %v is not a permutation of %d components", order, len(plan.Components))
 	}
 }
 
@@ -236,7 +234,7 @@ func TestGreedyOrderSurvivesNonFiniteCosts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := singletonPlan(tc.n)
-			m := newModel(tc.cat, plan, Config{})
+			m := newModel(tc.cat, plan)
 			order, _ := m.orderGreedy(tc.n)
 			if !isPermutation(order, tc.n) {
 				t.Fatalf("greedy order over %d components is not a permutation: %v", tc.n, order)

@@ -31,12 +31,9 @@ import (
 const statsComputeReserve = 4 << 20
 
 // computeStats builds the statistics catalog for a registration, or nil
-// when statistics are disabled or the memory broker cannot admit the
-// computation right now. Never fails the registration.
+// when the memory broker cannot admit the computation right now. Never
+// fails the registration.
 func (s *Server) computeStats(ctx context.Context, db *graphdb.DB, gen uint64) *stats.Catalog {
-	if s.cfg.DisableStats {
-		return nil
-	}
 	res, err := s.broker.Reserve(statsComputeReserve)
 	if err != nil {
 		s.cfg.Logger.Printf("event=stats_skipped gen=%d reason=%q", gen, err.Error())

@@ -58,6 +58,10 @@ type explainResponse struct {
 // measured stage self-times into the breakdown.
 func (s *Server) explain(ctx context.Context, c *readCall) (*explainResponse, error) {
 	start := time.Now()
+	plan, err := core.Explain(c.q, s.coreOptions(c.strat))
+	if err != nil {
+		return nil, err
+	}
 	var dec *planner.Decision
 	source := "requested"
 	if c.strat == core.Auto {
@@ -74,19 +78,11 @@ func (s *Server) explain(ctx context.Context, c *readCall) (*explainResponse, er
 	} else {
 		// A forced strategy is kept, but still costed so the operator sees
 		// what the choice is expected to pay.
-		plan, err := core.Explain(c.q, s.coreOptions(c.strat))
-		if err != nil {
-			return nil, err
-		}
-		dec = planner.Resolve(c.entry.stats, plan, s.coreOptions(c.strat), s.cfg.Planner)
+		dec = planner.Resolve(c.entry.stats, plan, s.coreOptions(c.strat), planner.Config{})
 	}
-
 	// The rendered plan reflects the resolved strategy, not the fixed
 	// rule's idea of "auto".
-	plan, err := core.Explain(c.q, s.coreOptions(dec.Strategy))
-	if err != nil {
-		return nil, err
-	}
+	plan.Strategy = dec.Strategy
 
 	resp := &explainResponse{
 		Strategy:        dec.Strategy.String(),

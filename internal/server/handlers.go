@@ -629,7 +629,7 @@ func (s *Server) planDecision(ctx context.Context, c *readCall) (*planner.Decisi
 		sp.End()
 		return nil, err
 	}
-	d := planner.Resolve(c.entry.stats, plan, s.coreOptions(core.Auto), s.cfg.Planner)
+	d := planner.Resolve(c.entry.stats, plan, s.coreOptions(core.Auto), planner.Config{})
 	sp.End()
 	size := 256 + 8*len(d.ComponentOrder) + 128*len(d.Stages)
 	s.cachePut(ctx, key, d, size)

@@ -9,6 +9,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"ecrpq/internal/core"
+	"ecrpq/internal/query"
 )
 
 // TestPerDBCacheMetricsShape pins the JSON shape of the
@@ -298,5 +301,42 @@ func TestExplainManyComponents(t *testing.T) {
 	}
 	if s.mPanics.Value() != 0 {
 		t.Errorf("panics_recovered = %d, want 0", s.mPanics.Value())
+	}
+}
+
+// TestExplainRendersResolvedPlan: /v1/explain renders the plan it built
+// with the strategy that was resolved, for auto (both ways the cost model
+// can go) and for each forced strategy.
+func TestExplainRendersResolvedPlan(t *testing.T) {
+	s := newTestServer(t, Config{})
+	registerDB(t, s, "g", denseDBText(30))
+	const chain = "alphabet a b\nx0 -[$p1]-> x1\nx1 -[$p2]-> x2\nx2 -[$p3]-> x3\nx3 -[$p4]-> x4\nrel eqlen(p1, p2)\nrel eqlen(p3, p4)\n"
+	for _, tc := range []struct {
+		query, strategy, want string
+	}{
+		{slowQuery, "auto", "generic"},
+		{chain, "auto", "reduction"},
+		{slowQuery, "generic", "generic"},
+		{slowQuery, "reduction", "reduction"},
+	} {
+		rec, out := doJSON(t, s, "POST", "/v1/explain", map[string]any{"db": "g", "query": tc.query, "strategy": tc.strategy})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s explain: %d %s", tc.strategy, rec.Code, rec.Body.String())
+		}
+		if out["strategy"] != tc.want {
+			t.Fatalf("%s explain resolved to %v, want %s", tc.strategy, out["strategy"], tc.want)
+		}
+		q, err := query.ParseString(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strat, _, _ := parseStrategy(tc.want)
+		plan, err := core.Explain(q, core.Options{Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out["plan"] != plan.String() {
+			t.Errorf("%s explain plan:\n%v\nwant:\n%s", tc.strategy, out["plan"], plan.String())
+		}
 	}
 }

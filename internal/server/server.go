@@ -44,7 +44,6 @@ import (
 	"ecrpq/internal/invariant"
 	"ecrpq/internal/persist"
 	"ecrpq/internal/plancache"
-	"ecrpq/internal/planner"
 	"ecrpq/internal/server/metrics"
 	"ecrpq/internal/trace"
 )
@@ -120,14 +119,6 @@ type Config struct {
 	EnumerateDefaultLimit int
 	// EnumerateMaxLimit caps any requested page size (default 1000).
 	EnumerateMaxLimit int
-	// DisableStats skips statistics-catalog computation at register time.
-	// Databases registered without statistics resolve "auto" by the fixed
-	// track-count rule instead of the cost model (the pre-planner
-	// behaviour) — useful for benchmarking the planner against its absence
-	// and as an escape hatch for very large registrations.
-	DisableStats bool
-	// Planner tunes the cost-based planner (zero value = defaults).
-	Planner planner.Config
 	// ScrubInterval enables the background integrity scrub at this cadence
 	// (0 = disabled). Each pass re-verifies every registered database's
 	// in-memory content digest and structural invariants, its on-disk
