@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race lint lint-json vet fuzz-smoke bench chaos bench-check ci
+.PHONY: all build test race vet fuzz-smoke bench chaos bench-check ci
 
 all: build test
 
@@ -13,17 +13,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-## lint runs the repo-specific analyzers (run `ecrpq-lint -list` for the
-## full set: per-package walkers plus the module-wide dataflow checks
-## lockorder, governcharge and ctxpoll). Exit 0 means the tree is clean.
-lint:
-	$(GO) run ./cmd/ecrpq-lint ./...
-
-## lint-json emits findings as a JSON array on stdout (plain findings
-## still go to stderr for log scrapers); used by the CI lint job.
-lint-json:
-	$(GO) run ./cmd/ecrpq-lint -json ./...
 
 vet:
 	$(GO) vet ./...
@@ -58,8 +47,9 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-## ci mirrors the GitHub Actions jobs. The invariants the kernels' bounds
-## depend on are tests that `test` runs: TestArchitecture (structural rules
-## over the source) and the TestCeilings tables of internal/core,
-## internal/server and internal/govern (allocation and byte ceilings).
-ci: build vet lint test race chaos bench-check
+## ci mirrors the GitHub Actions jobs. Every static check is a test that
+## `test` runs: TestArchitecture (syntactic rules over the source and the
+## module analyzers of internal/lint) and the TestCeilings tables of
+## internal/core, internal/server and internal/govern (allocation and byte
+## ceilings).
+ci: build vet test race chaos bench-check

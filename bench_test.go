@@ -189,7 +189,7 @@ func BenchmarkE8_ReductionCost(b *testing.B) {
 		db := workload.RandomDB(rand.New(rand.NewSource(1)), a, 12, 24)
 		b.Run(fmt.Sprintf("t=%d", t), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mustEvalB(b, db, q, core.Options{Strategy: core.Reduction, MaxReductionTracks: 8})
+				mustEvalB(b, db, q, core.Options{Strategy: core.Reduction})
 			}
 		})
 	}

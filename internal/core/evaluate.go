@@ -44,9 +44,6 @@ type Options struct {
 	// MaxProductStates caps each component product search (0 = default of
 	// 20 million states; negative = unlimited).
 	MaxProductStates int
-	// MaxReductionTracks bounds the component arity t for which Auto deems
-	// the V^t materialization of Lemma 4.3 affordable (default 3).
-	MaxReductionTracks int
 	// Parallelism sets the number of worker goroutines for the Lemma 4.3
 	// R' sweep (the dominant cost of the reduction strategy). 0 or 1 runs
 	// sequentially; negative uses GOMAXPROCS.
@@ -75,12 +72,9 @@ func (o Options) maxStates() int {
 	}
 }
 
-func (o Options) maxReductionTracks() int {
-	if o.MaxReductionTracks <= 0 {
-		return 3
-	}
-	return o.MaxReductionTracks
-}
+// MaxReductionTracks bounds the component arity t for which Auto deems the
+// V^t materialization of Lemma 4.3 affordable.
+const MaxReductionTracks = 3
 
 // AutoStrategy is the fixed rule the Auto strategy resolves by: Reduction
 // exactly when every component's track count is at most
@@ -90,9 +84,9 @@ func (o Options) maxReductionTracks() int {
 // back to the same rule — and so EXPLAIN and execution can never disagree
 // on what "auto" means: every resolution site in this package goes
 // through this one function.
-func AutoStrategy(trackCounts []int, opts Options) Strategy {
+func AutoStrategy(trackCounts []int) Strategy {
 	for _, t := range trackCounts {
-		if t > opts.maxReductionTracks() {
+		if t > MaxReductionTracks {
 			return Generic
 		}
 	}
@@ -110,7 +104,7 @@ func resolveStrategy(comps []component, opts Options) (Strategy, error) {
 		for i := range comps {
 			counts[i] = len(comps[i].tracks)
 		}
-		return AutoStrategy(counts, opts), nil
+		return AutoStrategy(counts), nil
 	}
 	return 0, fmt.Errorf("core: unknown strategy %v", opts.Strategy)
 }

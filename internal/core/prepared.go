@@ -37,7 +37,7 @@ type Prepared struct {
 
 // Prepare compiles the query under the given options. The strategy is
 // resolved immediately (Auto picks Reduction exactly when every component
-// has at most opts.MaxReductionTracks tracks, as in Evaluate).
+// has at most MaxReductionTracks tracks, as in Evaluate).
 func Prepare(q *query.Query, opts Options) (*Prepared, error) {
 	return PrepareContext(context.Background(), q, opts)
 }

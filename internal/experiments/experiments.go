@@ -357,7 +357,7 @@ func E8(seed int64) *Table {
 			db := workload.RandomDB(rng, a, n, 2*n)
 			var res *core.Result
 			d := timeIt(func() {
-				res = mustEval(db, q, core.Options{Strategy: core.Reduction, MaxReductionTracks: 8})
+				res = mustEval(db, q, core.Options{Strategy: core.Reduction})
 			})
 			xs = append(xs, float64(n))
 			ysTuples = append(ysTuples, float64(res.Stats.CQTuples)+1)
@@ -559,7 +559,7 @@ func AblationStrategies(seed int64) *Table {
 	} {
 		d1 := timeIt(func() { mustEval(in.db, in.q, core.Options{Strategy: core.Generic}) })
 		d2 := timeIt(func() {
-			mustEval(in.db, in.q, core.Options{Strategy: core.Reduction, MaxReductionTracks: 8})
+			mustEval(in.db, in.q, core.Options{Strategy: core.Reduction})
 		})
 		t.Rows = append(t.Rows, []string{in.name, ms(d1), ms(d2)})
 	}
@@ -754,7 +754,7 @@ func StageAttribution(seed int64) *Table {
 		{"E8 fan t=3, |V|=12", func() (*graphdb.DB, *query.Query) {
 			rng := rand.New(rand.NewSource(seed))
 			return workload.RandomDB(rng, a, 12, 24), workload.FanQuery(a, 3)
-		}, core.Options{Strategy: core.Reduction, MaxReductionTracks: 8}},
+		}, core.Options{Strategy: core.Reduction}},
 	}
 	for _, in := range instances {
 		db, q := in.build()

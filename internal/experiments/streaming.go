@@ -69,7 +69,7 @@ func StreamingEnumeration(seed int64) *Table {
 		{"E8 fan t=3, |V|=17", func() (*graphdb.DB, *query.Query) {
 			rng := rand.New(rand.NewSource(seed))
 			return workload.RandomDB(rng, a, 17, 34), workload.FanQuery(a, 3)
-		}, core.Options{Strategy: core.Reduction, MaxReductionTracks: 8}},
+		}, core.Options{Strategy: core.Reduction}},
 	}
 	// The materializing runs are multi-second, so one rep's timing noise
 	// is negligible; the sub-millisecond streaming runs take best-of-5.

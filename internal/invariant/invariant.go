@@ -1,7 +1,7 @@
 // Package invariant is the single sanctioned gateway to panicking in
-// library code. The ecrpq-lint analyzer "panicfree" forbids the panic
-// builtin (and log.Fatal*) everywhere under internal/ and in the root
-// package except inside this package, so every irrecoverable condition is
+// library code. The panicfree rule of the root package's TestArchitecture
+// forbids the panic builtin (and log.Fatal*) everywhere under internal/ and
+// in the root package except inside this package, so every irrecoverable condition is
 // forced to state explicitly that it is an invariant violation — with a
 // message — rather than an incidental panic.
 //

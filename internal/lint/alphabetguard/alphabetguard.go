@@ -21,26 +21,26 @@ const (
 	symbolTypeName  = "Symbol"
 )
 
-// Analyzer is the alphabetguard check.
-var Analyzer = &lint.Analyzer{
-	Name: "alphabetguard",
-	Doc: "forbid raw rune/byte/int literals typed as alphabet.Symbol outside internal/alphabet\n\n" +
-		"Symbols must come from Alphabet.Add/Lookup or the exported sentinels (Pad, Unset).\n" +
-		"Suppress a finding with //ecrpq:ignore alphabetguard -- <reason>.",
-	Run: run,
+// Analyzer is the alphabetguard check. It needs types: a rune literal is
+// only a violation where its context adopts it as alphabet.Symbol.
+var Analyzer = &lint.Analyzer{Name: "alphabetguard", Run: run}
+
+func run(pass *lint.ModulePass) {
+	for _, pkg := range pass.Pkgs {
+		if !strings.HasSuffix(pkg.Path, symbolPkgSuffix) { // the alphabet layer defines the sentinels
+			check(pass, pkg)
+		}
+	}
 }
 
-func run(pass *lint.Pass) error {
-	if strings.HasSuffix(pass.Pkg.Path(), symbolPkgSuffix) {
-		return nil // the alphabet layer itself defines the sentinels
-	}
-	for _, f := range pass.Files {
+func check(pass *lint.ModulePass, pkg *lint.Package) {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch e := n.(type) {
 			case *ast.CallExpr:
 				// Conversion alphabet.Symbol(<literal>) — including
 				// negative literals like Symbol(-2).
-				if isSymbolConversion(pass, e) && len(e.Args) == 1 && isLiteralConst(e.Args[0]) {
+				if isSymbolConversion(pkg, e) && len(e.Args) == 1 && isLiteralConst(e.Args[0]) {
 					pass.Reportf(e.Pos(),
 						"raw literal converted to alphabet.Symbol: obtain symbols from the Alphabet (Add/Lookup) or use an exported sentinel")
 					return false // don't re-flag the literal inside
@@ -51,7 +51,7 @@ func run(pass *lint.Pass) error {
 				if e.Kind != token.CHAR {
 					return true
 				}
-				if tv, ok := pass.TypesInfo.Types[e]; ok && isSymbolType(tv.Type) {
+				if tv, ok := pkg.TypesInfo.Types[e]; ok && isSymbolType(tv.Type) {
 					pass.Reportf(e.Pos(),
 						"rune literal used as alphabet.Symbol: symbols are alphabet indices, not character codes")
 				}
@@ -59,7 +59,6 @@ func run(pass *lint.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // isSymbolType reports whether t (or its named core) is alphabet.Symbol.
@@ -75,8 +74,8 @@ func isSymbolType(t types.Type) bool {
 
 // isSymbolConversion reports whether call is a type conversion whose
 // target type is alphabet.Symbol.
-func isSymbolConversion(pass *lint.Pass, call *ast.CallExpr) bool {
-	tv, ok := pass.TypesInfo.Types[call.Fun]
+func isSymbolConversion(pkg *lint.Package, call *ast.CallExpr) bool {
+	tv, ok := pkg.TypesInfo.Types[call.Fun]
 	if !ok || !tv.IsType() {
 		return false
 	}

@@ -21,22 +21,14 @@ import (
 )
 
 // Analyzer is the ctxpoll check.
-var Analyzer = &lint.Analyzer{
-	Name: "ctxpoll",
-	Doc: "unbounded loops in internal/core must poll the context for cancellation\n\n" +
-		"A loop is fine when its body reaches ctx.Err()/ctx.Done() directly or through\n" +
-		"a callee (resolved via the module call graph), or when it carries the\n" +
-		"//ecrpq:bounded <reason> directive. Suppress with\n" +
-		"//ecrpq:ignore ctxpoll -- <reason>.",
-	RunModule: run,
-}
+var Analyzer = &lint.Analyzer{Name: "ctxpoll", Run: run}
 
 func inScope(path string) bool {
 	return strings.Contains(path, "internal/core") ||
 		strings.Contains(path, "/testdata/")
 }
 
-func run(pass *lint.ModulePass) error {
+func run(pass *lint.ModulePass) {
 	// boundedLines[filename] holds the lines covered by an
 	// //ecrpq:bounded directive, computed once per file.
 	boundedLines := make(map[string]map[int]bool)
@@ -76,7 +68,6 @@ func run(pass *lint.ModulePass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // boundedByForm reports whether the loop's trip count is bounded by its

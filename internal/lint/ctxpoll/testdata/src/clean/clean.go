@@ -86,15 +86,3 @@ func annotatedFunc() int {
 	}
 	return n
 }
-
-// suppressed silences the finding with an ignore comment.
-func suppressed(step func() bool) int {
-	n := 0
-	//ecrpq:ignore ctxpoll -- fixture: step is trusted to terminate
-	for {
-		if step() {
-			return n
-		}
-		n++
-	}
-}

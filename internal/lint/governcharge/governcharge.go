@@ -18,15 +18,7 @@ import (
 )
 
 // Analyzer is the governcharge check.
-var Analyzer = &lint.Analyzer{
-	Name: "governcharge",
-	Doc: "allocations in evaluation loops must be charged to the govern byte ledger\n\n" +
-		"Applies module-wide to internal/core and internal/cq. A function is exempt\n" +
-		"when it (or a transitive callee, via the call graph) charges a govern meter,\n" +
-		"or when its declaration carries //ecrpq:charged <reason>. Suppress a single\n" +
-		"site with //ecrpq:ignore governcharge -- <reason>.",
-	RunModule: run,
-}
+var Analyzer = &lint.Analyzer{Name: "governcharge", Run: run}
 
 func inScope(path string) bool {
 	return strings.Contains(path, "internal/core") ||
@@ -34,7 +26,7 @@ func inScope(path string) bool {
 		strings.Contains(path, "/testdata/")
 }
 
-func run(pass *lint.ModulePass) error {
+func run(pass *lint.ModulePass) {
 	for _, node := range pass.Graph.Funcs() {
 		if !inScope(node.Pkg.Path) {
 			continue
@@ -59,5 +51,4 @@ func run(pass *lint.ModulePass) error {
 				site.Kind, node.Func.Name())
 		}
 	}
-	return nil
 }

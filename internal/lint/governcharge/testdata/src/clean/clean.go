@@ -48,13 +48,3 @@ func notInLoop(n int) []int {
 	out := make([]int, n)
 	return out
 }
-
-// suppressed silences one site with an ignore comment.
-func suppressed(n int) []int {
-	var out []int
-	for i := 0; i < n; i++ {
-		//ecrpq:ignore governcharge -- fixture: bounded by small constant n
-		out = append(out, i)
-	}
-	return out
-}

@@ -1,154 +1,32 @@
-// Package lint is a minimal, dependency-free re-implementation of the
-// golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass, Diagnostic)
-// plus a module-aware source loader, sufficient to run this repository's
-// custom analyzers from cmd/ecrpq-lint without any module downloads.
+// Package lint holds the repository's module-wide static checks: analyzers
+// that need type information or the module call graph, which a syntactic
+// rule of the root package's TestArchitecture cannot decide. The
+// architecture test loads the module with Loader and runs every analyzer
+// over it; checktest runs one over its fixtures.
 //
-// The shape deliberately mirrors go/analysis so the analyzers can be
-// ported to the real framework verbatim once x/tools is vendorable:
-// an Analyzer bundles a name, doc string and a Run function; Run receives
-// a Pass carrying the parsed files, type information and a Report sink.
-//
-// Two analysis granularities exist:
-//
-//   - per-package (Analyzer.Run): the classic go/analysis unit, one
-//     type-checked package at a time; and
-//   - module-wide (Analyzer.RunModule): one pass over every loaded
-//     package at once, with a call graph and per-function summaries
-//     (see ModulePass), for invariants that cross package boundaries.
+// An Analyzer sees the whole loaded module at once through a ModulePass:
+// every package, type-checked in one importer session, plus a call graph
+// with per-function summaries (see CallGraph).
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"sort"
+	"slices"
+	"strings"
 )
 
-// Analyzer describes one static check. Exactly one of Run and RunModule
-// must be set.
+// Analyzer is one static check over the loaded module.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //ecrpq:ignore suppression comments. It must be a valid identifier.
+	// Name identifies the analyzer in findings.
 	Name string
-	// Doc is the help text shown by `ecrpq-lint -list`.
-	Doc string
-	// Run applies the check to a single package and reports findings via
-	// pass.Report. It returns an error only for operational failures
-	// (diagnostics are not errors).
-	Run func(*Pass) error
-	// RunModule applies the check to the whole set of loaded packages at
-	// once. Module analyzers see the cross-package call graph and the
-	// per-function summaries of ModulePass.
-	RunModule func(*ModulePass) error
+	// Run applies the check and reports findings through pass.Reportf.
+	Run func(pass *ModulePass)
 }
 
-// Pass carries one type-checked package through an analyzer.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Files are the package's parsed non-test Go files.
-	Files []*ast.File
-	// Pkg is the type-checked package object.
-	Pkg *types.Package
-	// TypesInfo records type and object resolution for all expressions.
-	TypesInfo *types.Info
-	// Report delivers one diagnostic. Suppression comments are applied by
-	// the driver, not by analyzers.
-	Report func(Diagnostic)
-}
-
-// Reportf is a convenience wrapper formatting a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Diagnostic is a single finding.
-type Diagnostic struct {
-	Pos     token.Pos
-	Message string
-}
-
-// RunAnalyzers applies each analyzer to the loaded packages, filtering
-// suppressed findings, and returns all diagnostics sorted by position.
-// Per-package analyzers run once per package; module analyzers run once
-// over the full package set, sharing a single lazily-built ModulePass.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	var findings []Finding
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	fset := pkgs[0].Fset
-	supp := buildSuppressionIndex(fset, pkgs)
-	reporter := func(name string) func(Diagnostic) {
-		return func(d Diagnostic) {
-			pos := fset.Position(d.Pos)
-			if supp.suppressed(name, pos) {
-				return
-			}
-			findings = append(findings, Finding{Analyzer: name, Position: pos, Message: d.Message})
-		}
-	}
-	for _, pkg := range pkgs {
-		if pkg.Types == nil {
-			continue
-		}
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-				Report:    reporter(a.Name),
-			}
-			if err := a.Run(pass); err != nil {
-				return findings, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-	}
-	var graph *CallGraph // built once, shared by every module analyzer
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		if graph == nil {
-			graph = BuildCallGraph(pkgs)
-		}
-		mp := &ModulePass{
-			Analyzer: a,
-			Fset:     fset,
-			Pkgs:     pkgs,
-			Graph:    graph,
-			Report:   reporter(a.Name),
-		}
-		if err := a.RunModule(mp); err != nil {
-			return findings, fmt.Errorf("%s (module): %w", a.Name, err)
-		}
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Position, findings[j].Position
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		if findings[i].Analyzer != findings[j].Analyzer {
-			return findings[i].Analyzer < findings[j].Analyzer
-		}
-		return findings[i].Message < findings[j].Message
-	})
-	return findings, nil
-}
-
-// Finding is a resolved diagnostic with its source position.
+// Finding is one reported violation with its source position.
 type Finding struct {
 	Analyzer string
 	Position token.Position
@@ -160,27 +38,65 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Position.Filename, f.Position.Line, f.Position.Column, f.Analyzer, f.Message)
 }
 
-// FuncOf resolves id to the function object it uses or defines, nil
-// otherwise. Analyzers use it to map call-site identifiers onto call
-// graph nodes.
-func FuncOf(info *types.Info, id *ast.Ident) *types.Func {
-	return funcOf(info, id)
+// RunAnalyzers applies each analyzer to the loaded packages, sharing one
+// call graph, and returns the findings sorted by position.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
+	if len(pkgs) == 0 {
+		return nil
+	}
+	fset := pkgs[0].Fset
+	graph := BuildCallGraph(pkgs)
+	var findings []Finding
+	for _, a := range analyzers {
+		a.Run(&ModulePass{Fset: fset, Pkgs: pkgs, Graph: graph, report: func(pos token.Pos, msg string) {
+			findings = append(findings, Finding{Analyzer: a.Name, Position: fset.Position(pos), Message: msg})
+		}})
+	}
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(
+			cmp.Compare(a.Position.Filename, b.Position.Filename),
+			cmp.Compare(a.Position.Line, b.Position.Line),
+			cmp.Compare(a.Position.Column, b.Position.Column),
+			cmp.Compare(a.Analyzer, b.Analyzer),
+			cmp.Compare(a.Message, b.Message))
+	})
+	return findings
 }
 
-// IsCtxPoll reports whether fn is (context.Context).Err or .Done — the
-// two methods whose reference constitutes a cancellation poll.
-func IsCtxPoll(fn *types.Func) bool {
-	return isCtxPoll(fn)
+// HasDirective reports whether the doc comment of a declaration contains
+// the given //ecrpq:<directive> marker (e.g. "charged" or "bounded").
+func HasDirective(doc *ast.CommentGroup, directive string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if isDirective(c.Text, directive) {
+			return true
+		}
+	}
+	return false
 }
 
-// funcOf resolves id to the function object it uses or defines, nil
-// otherwise.
-func funcOf(info *types.Info, id *ast.Ident) *types.Func {
-	if obj, ok := info.Uses[id].(*types.Func); ok {
-		return obj
+// DirectiveLines returns the set of lines of f covered by a standalone
+// //ecrpq:<directive> comment: the comment's own line and the line below
+// it. Statement-level directives (//ecrpq:bounded on a loop) are looked
+// up here.
+func DirectiveLines(fset *token.FileSet, f *ast.File, directive string) map[int]bool {
+	out := make(map[int]bool)
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if isDirective(c.Text, directive) {
+				line := fset.Position(c.Pos()).Line
+				out[line] = true
+				out[line+1] = true
+			}
+		}
 	}
-	if obj, ok := info.Defs[id].(*types.Func); ok {
-		return obj
-	}
-	return nil
+	return out
+}
+
+func isDirective(comment, directive string) bool {
+	text := strings.TrimSpace(comment)
+	want := "//ecrpq:" + directive
+	return text == want || strings.HasPrefix(text, want+" ")
 }

@@ -23,7 +23,7 @@ type Package struct {
 	Types     *types.Package
 	TypesInfo *types.Info
 	// Errors holds type-checking problems. Analyzers still run on
-	// packages with errors; the driver surfaces them separately.
+	// packages with errors; the caller decides whether they are fatal.
 	Errors []error
 }
 

@@ -1,7 +1,5 @@
-// Package lockorder implements the lockorder analyzer: a module-wide
-// check over the concurrent server packages (internal/server,
-// internal/plancache, internal/persist, internal/govern,
-// internal/client) enforcing two invariants that no per-package,
+// Package lockorder implements the lockorder analyzer: a check over every
+// package of the module enforcing two invariants that no per-package,
 // purely-syntactic check can see:
 //
 //  1. Paired release: every sync.Mutex/RWMutex Lock()/RLock() must be
@@ -32,33 +30,7 @@ import (
 )
 
 // Analyzer is the lockorder check.
-var Analyzer = &lint.Analyzer{
-	Name: "lockorder",
-	Doc: "mutexes must be released on every return path and acquired in a cycle-free order\n\n" +
-		"Applies module-wide to internal/server, internal/plancache, internal/persist,\n" +
-		"internal/govern and internal/client. Acquisitions in callees are found through\n" +
-		"the call graph (interfaces resolved over module implementations). Suppress a\n" +
-		"finding with //ecrpq:ignore lockorder -- <reason>.",
-	RunModule: run,
-}
-
-// scopedPrefixes are the package-path fragments the analyzer applies to.
-var scopedPrefixes = []string{
-	"internal/server",
-	"internal/plancache",
-	"internal/persist",
-	"internal/govern",
-	"internal/client",
-}
-
-func inScope(path string) bool {
-	for _, p := range scopedPrefixes {
-		if strings.Contains(path, p) {
-			return true
-		}
-	}
-	return strings.Contains(path, "/testdata/")
-}
+var Analyzer = &lint.Analyzer{Name: "lockorder", Run: run}
 
 // edge is one observed ordering: To acquired while From was held.
 type edge struct {
@@ -67,12 +39,9 @@ type edge struct {
 	fn       string
 }
 
-func run(pass *lint.ModulePass) error {
+func run(pass *lint.ModulePass) {
 	var edges []edge
 	for _, node := range pass.Graph.Funcs() {
-		if !inScope(node.Pkg.Path) {
-			continue
-		}
 		a := &unitAnalysis{pass: pass, node: node, edges: &edges}
 		a.analyze(node.Decl.Body)
 		// Function literals are independent units: they run at another
@@ -88,7 +57,6 @@ func run(pass *lint.ModulePass) error {
 		})
 	}
 	reportCycles(pass, edges)
-	return nil
 }
 
 // unitAnalysis tracks lock state through one function body (or function

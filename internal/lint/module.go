@@ -16,23 +16,19 @@ import (
 // internal/server is the same object as the one defined in
 // internal/persist. The Graph exposes a static call graph over those
 // objects plus per-function summaries with callee→caller fact
-// propagation — the same role facts play in go/analysis, so module
-// analyzers stay portable to the real framework.
+// propagation.
 type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
+	Fset *token.FileSet
 	// Pkgs are the loaded packages, in deterministic (path) order.
 	Pkgs []*Package
 	// Graph is the module call graph with function summaries.
-	Graph *CallGraph
-	// Report delivers one diagnostic; suppression is applied by the
-	// driver.
-	Report func(Diagnostic)
+	Graph  *CallGraph
+	report func(token.Pos, string)
 }
 
-// Reportf is a convenience wrapper formatting a diagnostic at pos.
+// Reportf reports one finding at pos.
 func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.report(pos, fmt.Sprintf(format, args...))
 }
 
 // FuncNode is one function (or method) with a body in a loaded package.
@@ -233,9 +229,9 @@ func (g *CallGraph) CalleesAt(pkg *Package, call *ast.CallExpr) []*types.Func {
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		add(funcOf(pkg.TypesInfo, fun))
+		add(FuncOf(pkg.TypesInfo, fun))
 	case *ast.SelectorExpr:
-		fn := funcOf(pkg.TypesInfo, fun.Sel)
+		fn := FuncOf(pkg.TypesInfo, fun.Sel)
 		add(fn)
 		if fn != nil {
 			for _, impl := range g.implementationsOf(fn) {
@@ -277,7 +273,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok || decl.Body == nil {
 					continue
 				}
-				fn := funcOf(pkg.TypesInfo, decl.Name)
+				fn := FuncOf(pkg.TypesInfo, decl.Name)
 				if fn == nil {
 					continue
 				}
@@ -370,7 +366,7 @@ func (g *CallGraph) summarize(n *FuncNode) {
 		stack = append(stack, node)
 		switch x := node.(type) {
 		case *ast.Ident:
-			fn := funcOf(info, x)
+			fn := FuncOf(info, x)
 			if fn == nil || fn == n.Func {
 				break
 			}
@@ -378,7 +374,7 @@ func (g *CallGraph) summarize(n *FuncNode) {
 			for _, impl := range g.ifaceImpls[fn] {
 				n.callees[impl] = true
 			}
-			if isCtxPoll(fn) {
+			if IsCtxPoll(fn) {
 				n.Summary.PollsCtx = true
 			}
 			if isGovernCharge(fn) {
@@ -432,8 +428,9 @@ func (g *CallGraph) recordCall(n *FuncNode, call *ast.CallExpr, stack []ast.Node
 	}
 }
 
-// isCtxPoll recognizes the (context.Context).Err and .Done methods.
-func isCtxPoll(fn *types.Func) bool {
+// IsCtxPoll recognizes the (context.Context).Err and .Done methods, the two
+// whose reference constitutes a cancellation poll.
+func IsCtxPoll(fn *types.Func) bool {
 	if fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 		return false
 	}
@@ -495,7 +492,7 @@ func ParseLockCall(pkg *Package, call *ast.CallExpr) (LockOp, bool) {
 	if !ok {
 		return LockOp{}, false
 	}
-	fn := funcOf(pkg.TypesInfo, sel.Sel)
+	fn := FuncOf(pkg.TypesInfo, sel.Sel)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return LockOp{}, false
 	}
@@ -553,4 +550,16 @@ func lockClass(pkg *Package, expr ast.Expr) (string, bool) {
 		}
 	}
 	return pkg.Types.Name() + ".<expr>", false
+}
+
+// FuncOf resolves id to the function object it uses or defines, nil
+// otherwise.
+func FuncOf(info *types.Info, id *ast.Ident) *types.Func {
+	if obj, ok := info.Uses[id].(*types.Func); ok {
+		return obj
+	}
+	if obj, ok := info.Defs[id].(*types.Func); ok {
+		return obj
+	}
+	return nil
 }

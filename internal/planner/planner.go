@@ -120,7 +120,7 @@ func Resolve(cat *stats.Catalog, plan *core.Plan, opts core.Options, _ Config) *
 			for i, c := range plan.Components {
 				trackCounts[i] = len(c.PathVars)
 			}
-			strat = core.AutoStrategy(trackCounts, opts)
+			strat = core.AutoStrategy(trackCounts)
 		}
 		return &Decision{
 			Strategy:     strat,

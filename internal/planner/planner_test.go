@@ -62,7 +62,7 @@ func TestResolveFanPrefersGeneric(t *testing.T) {
 		t.Errorf("strategy = %v (generic %.3g vs reduction %.3g), want Generic",
 			d.Strategy, d.GenericCost, d.ReductionCost)
 	}
-	if core.AutoStrategy([]int{3}, core.Options{}) != core.Reduction {
+	if core.AutoStrategy([]int{3}) != core.Reduction {
 		t.Error("fixed rule no longer picks Reduction on t=3; test premise broken")
 	}
 	if len(d.Stages) == 0 {
@@ -131,7 +131,7 @@ func TestResolveDeterministic(t *testing.T) {
 func TestComponentOrderIsPermutation(t *testing.T) {
 	a := alphabet.Lower(3)
 	q := workload.CliqueQuery(a, 4) // 6 singleton components
-	plan, err := core.Explain(q, core.Options{MaxReductionTracks: 0, Strategy: core.Generic})
+	plan, err := core.Explain(q, core.Options{Strategy: core.Generic})
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
 	}
