@@ -144,7 +144,8 @@ func AnswersContext(ctx context.Context, db *DB, q *Query, opts Options) ([][]in
 // core.Prepare. Prepared values are immutable and safe for concurrent use.
 type Prepared = core.Prepared
 
-// Materialization is the cached db-dependent half of a Reduction plan.
+// Materialization is the cached db-dependent half of a Reduction plan and,
+// for a Boolean query, the answer decided over it; see core.Materialization.
 type Materialization = core.Materialization
 
 // Prepare compiles a query for repeated evaluation (validation,

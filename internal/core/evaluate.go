@@ -158,7 +158,7 @@ func EvaluateContext(ctx context.Context, db *graphdb.DB, q *query.Query, opts O
 		if mat, err = p.Materialize(ctx, db); err != nil {
 			return nil, err
 		}
-		defer mat.releaseRows(ctx)
+		defer mat.release(ctx)
 	}
 	return p.EvaluateContextHinted(ctx, db, mat, nil)
 }
@@ -182,7 +182,7 @@ func AnswersContext(ctx context.Context, db *graphdb.DB, q *query.Query, opts Op
 		if mat, err = p.Materialize(ctx, db); err != nil {
 			return nil, err
 		}
-		defer mat.releaseRows(ctx)
+		defer mat.release(ctx)
 	}
 	return p.Answers(ctx, db, mat)
 }
@@ -462,7 +462,8 @@ func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[s
 // R'(x1, y1, ..., xt, yt) per component — its Gaifman graph is exactly
 // G^node of the (normalized) abstraction — is evaluated with the
 // tree-decomposition dynamic program the plan compiled, and the witness
-// paths recovered.
+// paths recovered. A Boolean plan runs it once, in Materialize; a plan with
+// free variables on every existential evaluation over mat.
 func (p *Prepared) evalReductionMaterialized(ctx context.Context, db *graphdb.DB, mat *Materialization) (*Result, error) {
 	// Join intermediates charge through a meter so they are released as a
 	// block when the CQ evaluation finishes, whatever path it exits by.

@@ -180,8 +180,9 @@ func TestGenericSearchChargesWhatItMeets(t *testing.T) {
 // reservation, what the materialisation reports as MemBytes and what a cache
 // Put of it takes from the broker's ledger are the same bytes — the size of
 // the []int32 arrays its relations hold, each component at its own arity (a
-// 1-track row is 8 bytes beside a 2-track row's 16, not charged at the wider)
-// — in both key regimes and at every parallelism.
+// 1-track row is 8 bytes beside a 2-track row's 16, not charged at the wider),
+// plus the Boolean query's decided answer — in both key regimes and at every
+// parallelism.
 func TestMaterializationChargesItsRows(t *testing.T) {
 	a := alphabet.Lower(2)
 	db := randomDB(rand.New(rand.NewSource(27)), a, 10, 30)
@@ -219,9 +220,13 @@ func TestMaterializationChargesItsRows(t *testing.T) {
 			if !arities[2] || !arities[4] {
 				t.Fatalf("par=%d: relation arities %v, want a 1-track and a 2-track component", par, arities)
 			}
-			if int64(mat.st.RowBytes()) != rows || res.Used() != rows || int64(mat.MemBytes()) != 512+rows {
-				t.Fatalf("par=%d: the relations hold %d bytes of rows (RowBytes %d): the reservation keeps %d, MemBytes is %d, want %d and %d",
-					par, rows, mat.st.RowBytes(), res.Used(), mat.MemBytes(), rows, 512+rows)
+			if mat.decided == nil {
+				t.Fatalf("par=%d: a Boolean materialisation carries no decided answer", par)
+			}
+			held := rows + resultBytes(mat.decided)
+			if int64(mat.st.RowBytes()) != rows || res.Used() != held || int64(mat.MemBytes()) != 512+held {
+				t.Fatalf("par=%d: the relations hold %d bytes of rows (RowBytes %d) and the decision %d: the reservation keeps %d, MemBytes is %d, want %d and %d",
+					par, rows, mat.st.RowBytes(), resultBytes(mat.decided), res.Used(), mat.MemBytes(), held, 512+held)
 			}
 			res.Release()
 			cache := plancache.New(1 << 30)

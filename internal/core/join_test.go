@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -54,10 +55,10 @@ func joinCases() []struct {
 	}
 }
 
-// joinOp is the Prop 2.3 layer's operation: one evaluation of a prepared
-// Reduction plan on a prebuilt materialisation, the compiled join plus
-// witness recovery. It returns the materialisation's tuple count, the rows
-// the join reads.
+// joinOp is the Prop 2.3 layer's operation: the decision Materialize makes
+// for a Boolean plan over the rows it built, the compiled join plus witness
+// recovery, run again on a prebuilt materialisation. It returns the
+// materialisation's tuple count, the rows the join reads.
 func joinOp(tb testing.TB, q *query.Query, db *graphdb.DB) func(testing.TB) int {
 	ctx := context.Background()
 	p, err := Prepare(q, Options{Strategy: Reduction})
@@ -69,7 +70,7 @@ func joinOp(tb testing.TB, q *query.Query, db *graphdb.DB) func(testing.TB) int 
 		tb.Fatal(err)
 	}
 	return func(tb testing.TB) int {
-		if _, err := p.EvaluateContext(ctx, db, mat); err != nil {
+		if _, err := p.evalReductionMaterialized(ctx, db, mat); err != nil {
 			tb.Fatal(err)
 		}
 		return mat.Tuples()
@@ -92,20 +93,31 @@ func BenchmarkCQJoin(b *testing.B) {
 	}
 }
 
-// TestCancelMidJoin cancels an evaluation over a cached materialisation at
-// every poll it makes — in the join's scans, semijoins and witness pick, and
-// in witness recovery: each run returns context.Canceled with nothing left
-// charged, until one completes.
+// TestCancelMidJoin cancels a Boolean plan's Materialize at every poll it
+// makes — in the sweep, then in the join's scans, semijoins and witness
+// pick, and in witness recovery: each run returns context.Canceled with no
+// materialisation and nothing left charged, until one completes, and the
+// decision phase alone polls at least 12 times.
 func TestCancelMidJoin(t *testing.T) {
 	jc := joinCases()[3] // two bags, 41 472 rows in
-	p, err := Prepare(jc.q, Options{Strategy: Reduction})
+	p, err := Prepare(jc.q, Options{Strategy: Reduction, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := p.Materialize(context.Background(), jc.db)
+	// The free-variable twin sweeps the same components and decides nothing:
+	// its polls are the sweep's.
+	fq := *jc.q
+	fq.Free = jc.q.NodeVars()[:1]
+	twin, err := Prepare(&fq, Options{Strategy: Reduction, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	counter := &countdownCtx{Context: context.Background()}
+	counter.left.Store(math.MaxInt64)
+	if _, err := twin.Materialize(counter, jc.db); err != nil {
+		t.Fatal(err)
+	}
+	sweepPolls := int(math.MaxInt64 - counter.left.Load())
 	broker := govern.NewBroker(1 << 30)
 	for polls := 0; ; polls++ {
 		res, err := broker.Reserve(0)
@@ -114,23 +126,23 @@ func TestCancelMidJoin(t *testing.T) {
 		}
 		ctx := &countdownCtx{Context: govern.NewContext(context.Background(), res)}
 		ctx.left.Store(int64(polls))
-		out, err := p.EvaluateContext(ctx, jc.db, mat)
+		mat, err := p.Materialize(ctx, jc.db)
 		used, peak := res.Used(), res.Peak()
 		res.Release()
-		if used != 0 {
-			t.Fatalf("cancelled at poll %d (err %v): %d bytes still charged", polls, err, used)
-		}
 		if err == nil {
-			if !out.Sat || peak == 0 {
-				t.Fatalf("completed run: sat=%v, peak charge %d", out.Sat, peak)
+			if mat.decided == nil || !mat.decided.Sat || used != int64(mat.MemBytes()-512) || peak <= used {
+				t.Fatalf("completed run: decided %v, %d bytes charged (MemBytes %d), peak %d", mat.decided, used, mat.MemBytes(), peak)
 			}
-			if polls < 12 {
-				t.Fatalf("evaluation completed after %d polls: the join does not poll its rows", polls)
+			if polls-sweepPolls < 12 {
+				t.Fatalf("the decision completed after %d polls past the sweep's %d: the join does not poll its rows", polls-sweepPolls, sweepPolls)
 			}
 			break
 		}
-		if !errors.Is(err, context.Canceled) || out != nil {
-			t.Fatalf("cancelled at poll %d: result %v, err %v, want context.Canceled", polls, out, err)
+		if used != 0 {
+			t.Fatalf("cancelled at poll %d (err %v): %d bytes still charged", polls, err, used)
+		}
+		if !errors.Is(err, context.Canceled) || mat != nil {
+			t.Fatalf("cancelled at poll %d: materialisation %v, err %v, want context.Canceled", polls, mat, err)
 		}
 	}
 	if got := broker.Reserved(); got != 0 {
@@ -141,7 +153,8 @@ func TestCancelMidJoin(t *testing.T) {
 // TestPreparedJoinLeavesMaterialisationUntouched: a materialisation is
 // shared by every request that hits it, so neither deciding the query nor
 // computing an answer set over it may add a relation or a tuple to the
-// structure, and a second evaluation over it says what the first did.
+// structure, and an evaluation over it says what one over a freshly built
+// materialisation says.
 func TestPreparedJoinLeavesMaterialisationUntouched(t *testing.T) {
 	ctx := context.Background()
 	for _, jc := range joinCases() {
@@ -171,12 +184,16 @@ func TestPreparedJoinLeavesMaterialisationUntouched(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			again, err := p.EvaluateContext(ctx, jc.db, mat)
+			fresh, err := p.Materialize(ctx, jc.db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := p.EvaluateContext(ctx, jc.db, fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if again.Sat != first.Sat || again.Stats != first.Stats {
-				t.Errorf("%s: second evaluation sat=%v stats=%+v, first sat=%v stats=%+v", jc.name, again.Sat, again.Stats, first.Sat, first.Stats)
+				t.Errorf("%s: a fresh materialisation says sat=%v stats=%+v, the first sat=%v stats=%+v", jc.name, again.Sat, again.Stats, first.Sat, first.Stats)
 			}
 			if after := mat.st.RelationNames(); !slices.Equal(after, names) || mat.st.NumTuples() != tuples {
 				t.Errorf("%s: evaluation changed the materialised structure: %v (%d tuples) → %v (%d)", jc.name, names, tuples, after, mat.st.NumTuples())

@@ -136,32 +136,42 @@ func (p *Prepared) estimateBytes() int {
 
 // Materialization is the db-dependent half of a reduction-strategy plan:
 // the Lemma 4.3 relational structure (the materialized R' relations) for
-// one (query, database) pair. It is immutable after
-// Materialize and safe for concurrent EvaluateContext use; cache it keyed
-// by the database generation and drop it when the database is replaced.
+// one (query, database) pair and, for a Boolean query, the answer decided
+// over it. It is immutable after Materialize and safe for concurrent
+// EvaluateContext use; cache it keyed by the database generation and drop
+// it when the database is replaced.
 type Materialization struct {
-	st       *cq.Structure
-	stats    Stats
+	st    *cq.Structure
+	stats Stats
+	// decided is a Boolean plan's Result over st: the Prop 2.3 join and the
+	// witness recovery, run once by Materialize. Its maps are shared with
+	// every Result read off it and are never written.
+	decided  *Result
+	charged  int64 // what Materialize left on its context's reservation: rows and decided
 	memBytes int
 }
 
 // MemBytes is the retained size of the materialized instance: its R' row
-// arrays, as the sweep charged them, plus a fixed 512 for what is around them.
+// arrays, as the sweep charged them, the decided answer of a Boolean plan,
+// and a fixed 512 for what is around them.
 func (m *Materialization) MemBytes() int { return m.memBytes }
 
 // Tuples returns the number of materialized CQ tuples (the R' rows).
 func (m *Materialization) Tuples() int { return m.stats.CQTuples }
 
-// releaseRows gives back the rows' charge to ctx's reservation, which
-// Materialize leaves there, for a caller that drops the materialization it
-// built under ctx.
-func (m *Materialization) releaseRows(ctx context.Context) {
-	govern.FromContext(ctx).Shrink(int64(m.st.RowBytes()))
+// release gives back the charge Materialize leaves on ctx's reservation,
+// for a caller that drops the materialization it built under ctx.
+func (m *Materialization) release(ctx context.Context) {
+	govern.FromContext(ctx).Shrink(m.charged)
 }
 
 // Materialize runs the Lemma 4.3 R' sweep for this plan against the
-// database. It is only meaningful for the Reduction strategy; calling it
-// on a Generic plan is an error. ctx cancels the sweep.
+// database and, when the query is Boolean, decides it over the rows: the
+// compiled join and the witness recovery run here, once, and every
+// evaluation over the result returns that answer (Lemma 4.3 and Prop 2.3
+// make it a function of the plan and the database alone). It is only
+// meaningful for the Reduction strategy; calling it on a Generic plan is
+// an error. ctx cancels both phases; a failed call leaves nothing charged.
 func (p *Prepared) Materialize(ctx context.Context, db *graphdb.DB) (*Materialization, error) {
 	if p.strat != Reduction {
 		return nil, fmt.Errorf("core: Materialize on a %v-strategy plan", p.strat)
@@ -169,14 +179,50 @@ func (p *Prepared) Materialize(ctx context.Context, db *graphdb.DB) (*Materializ
 	if err := p.checkDB(db); err != nil {
 		return nil, err
 	}
-	ctx, sp := trace.StartSpan(ctx, "core/materialize")
-	st, stats, err := p.buildReductionMerged(ctx, db)
+	mctx, sp := trace.StartSpan(ctx, "core/materialize")
+	st, stats, err := p.buildReductionMerged(mctx, db)
 	sp.SetInt("cq_tuples", int64(stats.CQTuples))
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return &Materialization{st: st, stats: stats, memBytes: 512 + st.RowBytes()}, nil
+	m := &Materialization{st: st, stats: stats, charged: int64(st.RowBytes())}
+	if len(p.q.Free) == 0 {
+		if err := p.decide(ctx, db, m); err != nil {
+			m.release(ctx)
+			return nil, err
+		}
+	}
+	m.memBytes = 512 + int(m.charged)
+	return m, nil
+}
+
+// decide sets m.decided to the Boolean answer over m's rows and charges
+// its size to ctx's reservation beside them.
+func (p *Prepared) decide(ctx context.Context, db *graphdb.DB, m *Materialization) error {
+	res := &Result{Sat: p.emptyDBSat()}
+	if db.NumVertices() > 0 {
+		var err error
+		if res, err = p.evalReductionMaterialized(ctx, db, m); err != nil {
+			return err
+		}
+	}
+	n := resultBytes(res)
+	if err := govern.FromContext(ctx).Grow(n); err != nil {
+		return err
+	}
+	m.decided, m.charged = res, m.charged+n
+	return nil
+}
+
+// resultBytes approximates what a Result retains: the struct, a map entry
+// per node and path variable, and the witness paths' edges.
+func resultBytes(r *Result) int64 {
+	n := 128 + 48*len(r.Nodes)
+	for _, path := range r.Paths {
+		n += 64 + 16*len(path.Edges)
+	}
+	return int64(n)
 }
 
 func (p *Prepared) checkDB(db *graphdb.DB) error {
@@ -188,7 +234,9 @@ func (p *Prepared) checkDB(db *graphdb.DB) error {
 }
 
 // EvaluateContext evaluates the prepared query on the database. For a
-// Reduction plan, mat supplies a cached Materialization for this database;
+// Reduction plan, mat supplies a cached Materialization for this database:
+// a Boolean query reads the answer Materialize decided off it, a shallow
+// copy whose Nodes and Paths maps are shared and must not be written;
 // passing nil runs the streaming first-witness path instead (enumerate
 // lazily, stop at the first satisfying assignment), which never builds
 // the full R' tables — on satisfiable instances it does a fraction of the
@@ -212,6 +260,9 @@ func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, ma
 	switch {
 	case p.strat == Generic:
 		res, err = p.evalGeneric(ctx, db, nil, hints)
+	case mat != nil && mat.decided != nil:
+		r := *mat.decided
+		res = &r
 	case db.NumVertices() == 0:
 		res = &Result{Sat: p.emptyDBSat()}
 	case mat == nil:

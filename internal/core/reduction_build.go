@@ -71,7 +71,7 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) (_ []co
 // from the plan's merged views: over the database's vertices, one
 // materialized endpoint relation R' per merged component, each the sweep
 // of all its source tuples. reductionQuery is the other half of the
-// instance.
+// instance. The rows stay charged to ctx's reservation, unless it fails.
 func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*cq.Structure, Stats, error) {
 	merged, opts := p.merged, p.opts
 	var stats Stats
@@ -93,6 +93,9 @@ func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*c
 		ssp.SetInt("rows", int64(len(rows)/(2*t)))
 		ssp.End()
 		if err != nil {
+			// A failed sweep gave back its own rows; these are the ones
+			// loaded before it.
+			govern.FromContext(ctx).Shrink(int64(st.RowBytes()))
 			return nil, stats, err
 		}
 		stats.CQTuples += len(rows) / (2 * t)

@@ -300,3 +300,34 @@ func TestChaosTextMemoCacheFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosAnswerMemoForcedMiss: with every plan-cache probe failing, each
+// Boolean query materialises and decides afresh — no request reads a
+// decided answer — and each answer is a recompute's; once probes succeed
+// again the materialisation the last request cached is a hit whose memo is
+// the recompute too, and the ledger is back at what the cache holds.
+func TestChaosAnswerMemoForcedMiss(t *testing.T) {
+	s := newTestServer(t, Config{})
+	registerDB(t, s, "g", answerSatDB)
+	for _, text := range answerTexts {
+		text = fmt.Sprintf(text, "")
+		for round := 0; round < 2; round++ {
+			faultinject.EnableSite("plancache.get", faultinject.ModeError, 1.0)
+			out := askAnswer(t, s, text)
+			faultinject.Disable()
+			if out["cache"] != "miss" {
+				t.Fatalf("%q round %d: cache=%v with every probe failing, want miss", text, round, out["cache"])
+			}
+			checkAnswer(t, s, text, out)
+		}
+		if out := askAnswer(t, s, text); out["cache"] != "hit" {
+			t.Fatalf("%q: cache=%v once probes succeed, want hit", text, out["cache"])
+		} else {
+			checkAnswer(t, s, text, out)
+		}
+	}
+	if got := s.mAnswerMemoHits.Value(); got != uint64(len(answerTexts)) {
+		t.Errorf("memo hits %d, want one per text, after the probes recover", got)
+	}
+	atRestLedger(t, s, "after forced misses")
+}

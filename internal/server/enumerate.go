@@ -115,7 +115,7 @@ func (s *Server) enumerate(ctx context.Context, c *readCall) (*enumerateResponse
 	// is deterministic per generation, so the public enumeration order
 	// stays cursor-stable, while ordering/pushdown hints are withheld —
 	// they must never perturb the order pages are defined over.
-	rp, err := s.resolvePlan(ctx, c, false)
+	rp, err := s.resolvePlan(ctx, c, matNone)
 	if err != nil {
 		return nil, err
 	}

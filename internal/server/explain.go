@@ -106,8 +106,10 @@ func (s *Server) explain(ctx context.Context, c *readCall) (*explainResponse, er
 		// A dedicated always-on trace (the request's sampled trace may be
 		// nil) measures the evaluation's per-stage self-times. Free-variable
 		// queries run exactly as /v1/query would; only the timings are kept.
+		// The materialisation is built for this run alone, so a cached
+		// decided answer never stands in for the sweep, join and witness.
 		etr := trace.New("explain_exec")
-		out, err := s.evaluate(trace.NewContext(ctx, etr), c)
+		out, err := s.evaluate(trace.NewContext(ctx, etr), c, matOwn)
 		etr.Finish()
 		if err != nil {
 			return nil, err

@@ -650,16 +650,28 @@ type resolvedPlan struct {
 	cache    string // hit | partial (plan hit, materialization built) | miss
 }
 
+// matUse is what resolvePlan does about a Reduction plan's Lemma 4.3
+// materialisation.
+type matUse int
+
+const (
+	matNone   matUse = iota // nothing: a streamed query never materializes
+	matCached               // read it from the plan cache at the entry's generation, or build and put it
+	matOwn                  // build one for this call alone, neither read from nor written to the cache
+)
+
 // resolvePlan is the one worker-side plan resolution: the compiled plan
 // for the call through the plan cache — "auto" going through planDecision
-// — and, with materialize, the database-generational materialization
-// beside it; then the accounting every caller owes (request hit/miss
-// counters, per-database attribution, the plan snapshot on the trace that
-// the slow-query log reports). Plans are keyed by the *resolved* strategy
-// at generation 0 (compilation is db-independent), so the same query
+// — and, as use says, the database-generational materialization beside
+// it; then the accounting every caller owes (request hit/miss counters,
+// per-database attribution, the plan snapshot on the trace that the
+// slow-query log reports). Plans are keyed by the *resolved* strategy at
+// generation 0 (compilation is db-independent), so the same query
 // requested via "auto" and via the strategy the planner picks shares one
-// plan.
-func (s *Server) resolvePlan(ctx context.Context, c *readCall, materialize bool) (rp resolvedPlan, err error) {
+// plan. A cached materialization of a Boolean query carries its decided
+// answer: that hit is counted in answer_memo_hits_total and marked
+// answer=memo on the trace.
+func (s *Server) resolvePlan(ctx context.Context, c *readCall, use matUse) (rp resolvedPlan, err error) {
 	rp.strategy, rp.cache = c.stratName, "hit"
 	opts := s.coreOptions(c.strat)
 	if c.strat == core.Auto {
@@ -679,21 +691,30 @@ func (s *Server) resolvePlan(ctx context.Context, c *readCall, materialize bool)
 		}
 		s.cachePut(ctx, planKey, rp.prepared, rp.prepared.MemBytes())
 	}
-	if materialize && rp.prepared.Strategy() == core.Reduction {
+	tr := trace.FromContext(ctx)
+	if use != matNone && rp.prepared.Strategy() == core.Reduction {
 		matKey := plancache.Key{QueryHash: c.hash, Strategy: rp.strategy, DBGen: c.entry.gen}
-		if v, ok := s.cacheGet(ctx, matKey); ok {
-			rp.mat = v.(*core.Materialization)
-		} else {
+		if use == matCached {
+			if v, ok := s.cacheGet(ctx, matKey); ok {
+				rp.mat = v.(*core.Materialization)
+				if len(c.q.Free) == 0 {
+					s.mAnswerMemoHits.Inc()
+					tr.SetStr("answer", "memo")
+				}
+			}
+		}
+		if rp.mat == nil {
 			if rp.cache == "hit" {
 				rp.cache = "partial"
 			}
 			if rp.mat, err = rp.prepared.Materialize(ctx, c.entry.db); err != nil {
 				return rp, err
 			}
-			s.cachePut(ctx, matKey, rp.mat, rp.mat.MemBytes())
+			if use == matCached {
+				s.cachePut(ctx, matKey, rp.mat, rp.mat.MemBytes())
+			}
 		}
 	}
-	tr := trace.FromContext(ctx)
 	tr.SetStr("strategy", rp.strategy)
 	tr.SetStr("cache", rp.cache)
 	m := rp.prepared.Measures()
@@ -740,14 +761,15 @@ func vertexNames(db *graphdb.DB, tuples [][]int) [][]string {
 }
 
 // evaluate runs on a pool worker: plan-cache lookup/population, then
-// evaluation under ctx. A free-variable query resolves its plan exactly as
-// a Boolean one does and asks it for the answer set; like /v1/enumerate it
-// takes the planner's strategy but not its hints, which only steer a
-// first-witness search.
-func (s *Server) evaluate(ctx context.Context, c *readCall) (*queryResponse, error) {
+// evaluation under ctx. A Boolean query over a cached materialization reads
+// the answer Materialize decided; a free-variable query resolves its plan
+// exactly as a Boolean one does and asks it for the answer set; like
+// /v1/enumerate it takes the planner's strategy but not its hints, which
+// only steer a first-witness search.
+func (s *Server) evaluate(ctx context.Context, c *readCall, use matUse) (*queryResponse, error) {
 	start := time.Now()
 	db := c.entry.db
-	rp, err := s.resolvePlan(ctx, c, true)
+	rp, err := s.resolvePlan(ctx, c, use)
 	if err != nil {
 		return nil, err
 	}

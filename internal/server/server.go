@@ -250,6 +250,7 @@ type Server struct {
 
 	mParseMemoHits   *metrics.Counter // request texts answered by the text memo (see parsed)
 	mParseMemoMisses *metrics.Counter // request texts parsed and hashed
+	mAnswerMemoHits  *metrics.Counter // Boolean queries answered by a cached materialisation's decided answer
 
 	mResourceDenied *metrics.Counter   // queries refused: memory budget exhausted
 	mQuotaDenied    *metrics.Counter   // queries refused: per-client quota
@@ -350,6 +351,7 @@ func New(cfg Config) *Server {
 	s.mSlow = s.reg.Counter("slow_queries_total")
 	s.mParseMemoHits = s.reg.Counter("parse_memo_hits_total")
 	s.mParseMemoMisses = s.reg.Counter("parse_memo_misses_total")
+	s.mAnswerMemoHits = s.reg.Counter("answer_memo_hits_total")
 	s.mResourceDenied = s.reg.Counter("resource_denied_total")
 	s.mQuotaDenied = s.reg.Counter("quota_denied_total")
 	s.mShed = s.reg.Counter("shed_total")
@@ -415,7 +417,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/dbs", s.wrap(s.handleListDBs))
 	for _, op := range []*readOp{
 		{name: "query", total: s.mQueries, degraded: true,
-			run: func(ctx context.Context, c *readCall) (any, error) { return s.evaluate(ctx, c) }},
+			run: func(ctx context.Context, c *readCall) (any, error) { return s.evaluate(ctx, c, matCached) }},
 		{name: "explain", total: s.mExplains,
 			run: func(ctx context.Context, c *readCall) (any, error) { return s.explain(ctx, c) }},
 		{name: "enumerate", total: s.mEnumerates, check: s.checkCursor,

@@ -13,11 +13,13 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ecrpq/internal/core"
 	"ecrpq/internal/invariant"
+	"ecrpq/internal/plancache"
 	"ecrpq/internal/query"
 )
 
@@ -263,8 +265,8 @@ func TestTimedOutAnswersFreeWorker(t *testing.T) {
 	entry, _ := s.dbs.get("g")
 	polls := 0
 	for ; ; polls++ {
-		resp, err := s.evaluate(&pollLimitCtx{Context: context.Background(), left: polls},
-			&readCall{entry: entry, q: q, hash: query.Hash(q), strat: core.Reduction, stratName: "reduction"})
+		resp, err := s.evaluate(pollLimit(polls),
+			&readCall{entry: entry, q: q, hash: query.Hash(q), strat: core.Reduction, stratName: "reduction"}, matCached)
 		if err == nil {
 			if resp.Cache != "hit" || len(resp.Answers) != len(rows) {
 				t.Fatalf("completed evaluation: cache=%q, %d answers, want a hit with %d", resp.Cache, len(resp.Answers), len(rows))
@@ -286,63 +288,76 @@ func TestTimedOutAnswersFreeWorker(t *testing.T) {
 }
 
 // pollLimitCtx reports context.DeadlineExceeded from its (left+1)-th Err
-// poll on: a deadline that expires at a chosen point of an evaluation.
+// poll on, counted across the goroutines that share it: a deadline that
+// expires at a chosen point of an evaluation.
 type pollLimitCtx struct {
 	context.Context
-	left int
+	left atomic.Int64
+}
+
+func pollLimit(polls int) *pollLimitCtx {
+	c := &pollLimitCtx{Context: context.Background()}
+	c.left.Store(int64(polls))
+	return c
 }
 
 func (c *pollLimitCtx) Err() error {
-	if c.left--; c.left < 0 {
+	if c.left.Add(-1) < 0 {
 		return context.DeadlineExceeded
 	}
 	return nil
 }
 
 // TestTimedOutBooleanHitFreesWorker is TestTimedOutAnswersFreeWorker for a
-// Boolean query served from a cached materialisation, where the work is the
-// Prop 2.3 join over 160 000 rows. A hit runs too briefly for a wall-clock
-// deadline to land inside it reliably, so the deadline is made to expire at
-// every poll in turn: the worker's evaluation returns the context's error
-// at that poll — the join stops within 4096 rows of its deadline instead of
-// holding the worker to the end — and polls often enough to show the join
-// itself is watching. Then the one worker serves the next request.
+// Boolean query, whose work — the Lemma 4.3 sweep of 160 000 rows, then the
+// Prop 2.3 join over them and the witness — is done once, by the miss that
+// materialises and decides it; a hit only reads the decided answer. The miss
+// runs too briefly for a wall-clock deadline to land inside it reliably, so
+// the deadline is made to expire at every poll in turn: the worker's
+// evaluation returns the context's error at that poll — the sweep and the
+// join stop within 4096 rows of their deadline instead of holding the worker
+// to the end — leaves no materialisation in the cache, and polls often
+// enough to show the work is watching. Then the decided answer is a hit, and
+// the one worker serves the next request.
 func TestTimedOutBooleanHitFreesWorker(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	registerDB(t, s, "g", denseDBText(20))
 	const pair = "alphabet a b\nx -[$p1]-> y\nz -[$p2]-> w\nrel eqlen(p1, p2)\n"
-	var rows float64
-	for _, want := range []string{"miss", "hit"} {
-		rec, out := doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": pair, "strategy": "reduction"})
-		if rec.Code != http.StatusOK || out["cache"] != want {
-			t.Fatalf("code=%d cache=%v, want a 200 %s (%s)", rec.Code, out["cache"], want, rec.Body.String())
-		}
-		stats, _ := out["stats"].(map[string]any)
-		rows, _ = stats["CQTuples"].(float64)
-	}
 	q, err := query.ParseString(pair)
 	if err != nil {
 		t.Fatal(err)
 	}
 	entry, _ := s.dbs.get("g")
+	call := &readCall{entry: entry, q: q, hash: query.Hash(q), strat: core.Reduction, stratName: "reduction"}
+	matKey := plancache.Key{QueryHash: call.hash, Strategy: "reduction", DBGen: entry.gen}
 	polls := 0
+	var rows int
 	for ; ; polls++ {
-		resp, err := s.evaluate(&pollLimitCtx{Context: context.Background(), left: polls},
-			&readCall{entry: entry, q: q, hash: query.Hash(q), strat: core.Reduction, stratName: "reduction"})
+		resp, err := s.evaluate(pollLimit(polls), call, matCached)
 		if err == nil {
-			if resp.Cache != "hit" || !resp.Sat {
-				t.Fatalf("completed evaluation: cache=%q sat=%v", resp.Cache, resp.Sat)
+			if resp.Cache == "hit" || !resp.Sat {
+				t.Fatalf("completed evaluation: cache=%q sat=%v, want the satisfiable miss that builds the materialisation", resp.Cache, resp.Sat)
 			}
+			rows = resp.Stats.CQTuples
 			break
 		}
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("deadline at poll %d: err = %v, want context.DeadlineExceeded", polls, err)
 		}
+		if _, ok := s.cache.Get(matKey); ok {
+			t.Fatalf("deadline at poll %d left a materialisation in the cache", polls)
+		}
 	}
-	if want := int(rows) / 4096; polls < want {
-		t.Errorf("a hit over %v rows polled its context %d times, want at least %d: the join does not watch its deadline", rows, polls, want)
+	if want := rows / 4096; rows != 160000 || polls < want {
+		t.Errorf("a miss over %d rows polled its context %d times, want 160000 rows and at least %d polls: the work does not watch its deadline", rows, polls, want)
 	}
-	rec, _ := doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": quickQuery, "timeout_ms": 5000})
+	hits := s.mAnswerMemoHits.Value()
+	rec, out := doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": pair, "strategy": "reduction"})
+	if rec.Code != http.StatusOK || out["cache"] != "hit" || out["sat"] != true || s.mAnswerMemoHits.Value() != hits+1 {
+		t.Fatalf("code=%d cache=%v sat=%v memo hits %d → %d, want a satisfiable 200 hit read off the memo (%s)",
+			rec.Code, out["cache"], out["sat"], hits, s.mAnswerMemoHits.Value(), rec.Body.String())
+	}
+	rec, _ = doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": quickQuery, "timeout_ms": 5000})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("follow-up query: code=%d, want 200 (%s)", rec.Code, rec.Body.String())
 	}

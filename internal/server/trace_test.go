@@ -182,7 +182,10 @@ func TestGenericSearchWorkIsVisible(t *testing.T) {
 // TestJoinWorkIsVisible: the core/cq_join stage of a materialised Reduction
 // evaluation carries the join's work counters (bags in the compiled plan,
 // relation rows scanned, rows of the largest bag table) in the executed
-// /v1/explain stage table, the slow-query log and /debug/trace.
+// /v1/explain stage table, the slow-query log and /debug/trace. The join
+// runs where the materialisation is built: an executed explanation builds
+// its own, cached query or not, and a /v1/query only on the miss that
+// caches it — the hits after it read the decided answer.
 func TestJoinWorkIsVisible(t *testing.T) {
 	var logBuf bytes.Buffer
 	var mu sync.Mutex
@@ -193,41 +196,67 @@ func TestJoinWorkIsVisible(t *testing.T) {
 	registerDB(t, s, "g", denseDBText(10))
 	// Two pair components chained on x2: two bags, each scanning its R'.
 	const chain = "alphabet a b\nx0 -[$p1]-> x1\nx1 -[$p2]-> x2\nx2 -[$p3]-> x3\nx3 -[$p4]-> x4\nrel eqlen(p1, p2)\nrel eqlen(p3, p4)\n"
-	rec, out := doJSON(t, s, "POST", "/v1/explain",
-		map[string]any{"db": "g", "query": chain, "strategy": "reduction", "execute": true})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("explain: %d %s", rec.Code, rec.Body.String())
-	}
-	var attrs map[string]any
-	stages, _ := out["stages"].([]any)
-	for _, st := range stages {
-		if row, _ := st.(map[string]any); row["stage"] == "core/cq_join" {
-			attrs, _ = row["attrs"].(map[string]any)
+	explainJoin := func(when string) {
+		rec, out := doJSON(t, s, "POST", "/v1/explain",
+			map[string]any{"db": "g", "query": chain, "strategy": "reduction", "execute": true})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("explain %s: %d %s", when, rec.Code, rec.Body.String())
+		}
+		var attrs map[string]any
+		seen := map[string]bool{}
+		stages, _ := out["stages"].([]any)
+		for _, st := range stages {
+			row, _ := st.(map[string]any)
+			name, _ := row["stage"].(string)
+			seen[name] = true
+			if name == "core/cq_join" {
+				attrs, _ = row["attrs"].(map[string]any)
+			}
+		}
+		for _, stage := range []string{"core/materialize", "core/cq_join", "core/witness"} {
+			if !seen[stage] {
+				t.Errorf("explain %s: no %s stage (stages: %v)", when, stage, stages)
+			}
+		}
+		if n, _ := attrs["bags"].(float64); n != 2 {
+			t.Errorf("explain %s: core/cq_join stage attrs[bags] = %v, want 2 (stages: %v)", when, attrs["bags"], stages)
+		}
+		in, _ := attrs["rows_in"].(float64)
+		peak, _ := attrs["rows_peak"].(float64)
+		if in < 2 || peak < 1 || peak > in {
+			t.Errorf("explain %s: core/cq_join stage attrs: rows_in = %v, rows_peak = %v (stages: %v)", when, attrs["rows_in"], attrs["rows_peak"], stages)
 		}
 	}
-	if n, _ := attrs["bags"].(float64); n != 2 {
-		t.Errorf("core/cq_join stage attrs[bags] = %v, want 2 (stages: %v)", attrs["bags"], stages)
+	explainJoin("before any query")
+	if cs := s.CacheStats(); cs.Entries != 2 {
+		t.Fatalf("an executed explanation left %d cache entries, want the text and the plan", cs.Entries)
 	}
-	in, _ := attrs["rows_in"].(float64)
-	peak, _ := attrs["rows_peak"].(float64)
-	if in < 2 || peak < 1 || peak > in {
-		t.Errorf("core/cq_join stage attrs: rows_in = %v, rows_peak = %v (stages: %v)", attrs["rows_in"], attrs["rows_peak"], stages)
+	ask := func(want string) {
+		rec, out := doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": chain, "strategy": "reduction"})
+		if rec.Code != http.StatusOK || out["cache"] != want || out["sat"] != true {
+			t.Fatalf("query: %d cache=%v sat=%v, want a satisfiable %s", rec.Code, out["cache"], out["sat"], want)
+		}
 	}
-	doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": chain, "strategy": "reduction"})
+	ask("partial")
 	mu.Lock()
 	logged := logBuf.String()
 	mu.Unlock()
-	for _, want := range []string{"event=slow_query name=query", `"core/cq_join"`, `"bags":2`, `"rows_in":`, `"rows_peak":`} {
+	for _, want := range []string{"event=slow_query name=query", `"core/cq_join"`, `"bags":2`, `"rows_in":`, `"rows_peak":`, `"core/witness"`} {
 		if !strings.Contains(logged, want) {
 			t.Errorf("slow_query log missing %s:\n%s", want, logged)
 		}
 	}
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace/recent", nil))
 	for _, want := range []string{`"core/cq_join"`, `"rows_peak"`} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("/debug/trace/recent missing %s:\n%s", want, rec.Body.String())
 		}
+	}
+	ask("hit")
+	explainJoin("of a cached query")
+	if got := s.mAnswerMemoHits.Value(); got != 1 {
+		t.Errorf("memo hits %d, want the one query hit: an executed explanation read the decided answer", got)
 	}
 }
 
