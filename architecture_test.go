@@ -61,6 +61,19 @@ func onlyFrom(name string, files ...string) func(string, ast.Node) (bool, string
 	}
 }
 
+// allOf: the subjects of every check, and the first problem one finds.
+func allOf(checks ...func(string, ast.Node) (bool, string)) func(string, ast.Node) (bool, string) {
+	return func(file string, n ast.Node) (subject bool, bad string) {
+		for _, check := range checks {
+			s, b := check(file, n)
+			if subject = subject || s; bad == "" {
+				bad = b
+			}
+		}
+		return subject, bad
+	}
+}
+
 // never: no node that render renders as text matches pattern.
 func never(render func(ast.Node) (string, bool), pattern string) func(string, ast.Node) (bool, string) {
 	re := regexp.MustCompile(pattern)
@@ -471,6 +484,15 @@ func popIdiom(t *table, stack []int) (acc bool) {
 		in: []string{"internal/server/...", "internal/cluster"}, skip: []string{"internal/cluster/loop.go"},
 		check:     never(calls, `^time\.(NewTimer|NewTicker|Tick|After|AfterFunc)\(`),
 		violation: "func f() { <-time.After(d) }"},
+	// The one node-variable join: both strategies run the walk, the Generic
+	// one with no tables, and nothing but the walk's own file runs it.
+	{name: "one-node-join", why: "a second node-variable join beside the walk, or the walk run outside enumerate.go",
+		in: []string{"internal/core"}, check: allOf(
+			never(names, `^(genericSearch|newGenericSearch|genericComp|evalGeneric|decideCandidates|componentSearch|compReady)$`),
+			onlyFrom("cq.StreamAssignments", "internal/core/enumerate.go"),
+			onlyFrom("cq.StreamAnswers", "internal/core/enumerate.go")),
+		violation: `func (g *genericSearch) decide(ctx context.Context) (bool, error) { return g.rec(0), nil }
+func answers(src cq.AtomSource, q *cq.Query) error { return cq.StreamAnswers(src, q, nil, nil) }`},
 	// The Lemma 4.2 product search: one kernel (fastproduct.go) over the
 	// layout the database owns, its tables flat and sized by what it meets.
 	{name: "one-product-kernel", why: "a second product engine, a per-evaluation adjacency table or a guessed entry size",

@@ -276,10 +276,12 @@ func checkAgainstNaive(t *testing.T, at string, db *graphdb.DB, q *query.Query, 
 	n, f := db.NumVertices(), len(q.Free)
 	tuple := make([]int, f)
 	pinned := make(map[string]int, f)
+	hints := &PlanHints{Candidates: make(map[string][]int, f)}
 	for idx := 0; idx < pow(n, f); idx++ {
 		for i, rest := f-1, idx; i >= 0; i-- {
 			tuple[i], rest = rest%n, rest/n
 			pinned[q.Free[i]] = tuple[i]
+			hints.Candidates[q.Free[i]] = []int{tuple[i]}
 		}
 		_, isAnswer := slices.BinarySearchFunc(ans, tuple, slices.Compare[[]int])
 		naive, err := naiveBounded(db, q, pinned, bound)
@@ -292,7 +294,7 @@ func checkAgainstNaive(t *testing.T, at string, db *graphdb.DB, q *query.Query, 
 		if !isAnswer {
 			continue
 		}
-		res, err := p.evalGeneric(context.Background(), db, pinned, nil)
+		res, err := p.EvaluateContextHinted(context.Background(), db, nil, hints)
 		if err != nil || !res.Sat {
 			t.Fatalf("%s: answer %v has no witness (err %v)", at, tuple, err)
 		}

@@ -2,19 +2,20 @@
 // ECRPQ queries over graph databases, with the complexity-aware strategies
 // the characterization theorems describe.
 //
-// Two evaluation strategies are provided:
+// Two evaluation strategies join the node variables with one atom per
+// relation component, and differ in how that atom is read:
 //
 //   - Generic: the algorithm behind the PSPACE upper bound (Proposition 2.2)
-//     and the XNL membership argument (Lemma 4.2) — backtrack over node
-//     variables and, per relation component, search the product of the
+//     and the XNL membership argument (Lemma 4.2) — guess the atom's node
+//     variables and decide each guess by a search of the product of the
 //     component's relations merged into one automaton (Lemma 4.1) with one
 //     database pointer per path variable.
 //
 //   - Reduction: the algorithm behind the NP and PTIME upper bounds
-//     (Lemma 4.3) — merge each component's relations (Lemma 4.1), materialize
-//     the induced 2t-ary endpoint relations R' over database vertices, and
-//     evaluate the resulting conjunctive query with the tree-decomposition
-//     dynamic program (Proposition 2.3).
+//     (Lemma 4.3) — merge each component's relations (Lemma 4.1), and read
+//     the atom off the induced 2t-ary endpoint relation R' over database
+//     vertices, lazily or materialized for the tree-decomposition dynamic
+//     program (Proposition 2.3).
 //
 // Both return full witnesses (node assignment plus concrete paths).
 package core
@@ -26,7 +27,6 @@ import (
 	"slices"
 
 	"ecrpq/internal/alphabet"
-	"ecrpq/internal/graphdb"
 	"ecrpq/internal/invariant"
 	"ecrpq/internal/query"
 	"ecrpq/internal/synchro"
@@ -60,11 +60,14 @@ type component struct {
 	nfa *nfaView
 	// nodeVars are the distinct node variables: track sources first, then
 	// the variables that are only destinations, each in track order. The
-	// generic strategy assigns them in this order, so a component's
+	// Generic walk guesses them in this order, so a component's
 	// destinations vary under fixed sources whatever the variables are
 	// called, which is what lets one product traversal answer for all of
-	// them (componentSearch).
+	// them (fastProduct.reach).
 	nodeVars []string
+	// ends holds, per endpoint of the atom — 2k the source of track k, 2k+1
+	// its destination — the index of its variable in nodeVars.
+	ends []int
 	// plain marks a Σ* component decompose made for a path variable the user
 	// left unconstrained. It is read only to report — Stats.Components and
 	// Stats.FreeTracks, Plan.FreeTracks — and by nothing that evaluates,
@@ -72,11 +75,11 @@ type component struct {
 	plain bool
 }
 
-// endpointVars lists the tracks' distinct node variables, sources first.
+// endpointVars lists the tracks' distinct node variables, sources first,
+// and the index in that list of each endpoint's variable (component.ends).
 //
 //ecrpq:charged query-sized: at most two variables per track
-func endpointVars(tracks []track) []string {
-	var vars []string
+func endpointVars(tracks []track) (vars []string, ends []int) {
 	for _, t := range tracks {
 		if !slices.Contains(vars, t.srcVar) {
 			vars = append(vars, t.srcVar)
@@ -87,7 +90,10 @@ func endpointVars(tracks []track) []string {
 			vars = append(vars, t.dstVar)
 		}
 	}
-	return vars
+	for _, t := range tracks {
+		ends = append(ends, slices.Index(vars, t.srcVar), slices.Index(vars, t.dstVar))
+	}
+	return vars, ends
 }
 
 // plainTracks counts the components decompose made for unconstrained path
@@ -184,7 +190,7 @@ func decompose(q *query.Query) ([]component, error) {
 		if t := len(c.tracks); t > 64 { // a product state's set of finished tracks is one uint64
 			return nil, fmt.Errorf("core: component with %d tracks exceeds the 64-track limit", t)
 		}
-		c.nodeVars = endpointVars(c.tracks)
+		c.nodeVars, c.ends = endpointVars(c.tracks)
 		comps = append(comps, *c)
 	}
 	// Coming last and in path-variable order keeps the Lemma 4.3 query's
@@ -205,14 +211,14 @@ func decompose(q *query.Query) ([]component, error) {
 			}
 		}
 		atom, _ := q.ReachAtomFor(p)
-		tracks := []track{{pathVar: p, srcVar: atom.Src, dstVar: atom.Dst}}
-		comps = append(comps, component{
-			tracks:    tracks,
+		c := component{
+			tracks:    []track{{pathVar: p, srcVar: atom.Src, dstVar: atom.Dst}},
 			rels:      []*synchro.Relation{sigmaStar},
 			relTracks: [][]int{{0}},
-			nodeVars:  endpointVars(tracks),
 			plain:     true,
-		})
+		}
+		c.nodeVars, c.ends = endpointVars(c.tracks)
+		comps = append(comps, c)
 	}
 	return comps, nil
 }
@@ -257,55 +263,6 @@ func newNFAView(r *synchro.Relation) *nfaView {
 		})
 	}
 	return v
-}
-
-// componentSearch is one component's Lemma 4.2 product search for the
-// length of one evaluation: the kernel is built on the first check, reused
-// by every later one, and released once by the owner.
-type componentSearch struct {
-	db        *graphdb.DB
-	c         *component
-	maxStates int
-	paths     bool // a witness will be asked of a check that succeeds: checks record
-
-	kern *fastProduct // nil until the first check or witness
-}
-
-func (s *componentSearch) kernel() *fastProduct {
-	if s.kern == nil {
-		s.kern = newFastProduct(s.db, s.c)
-		s.kern.paths = s.paths
-	}
-	return s.kern
-}
-
-// check decides whether, with the given per-track endpoints, the
-// component's relational constraints can be satisfied by concrete paths.
-func (s *componentSearch) check(ctx context.Context, srcs, dsts []int) (bool, error) {
-	return s.kernel().reach(ctx, srcs, dsts, s.maxStates)
-}
-
-// witness is check with the paths: one database path per track.
-func (s *componentSearch) witness(ctx context.Context, srcs, dsts []int) ([]graphdb.Path, bool, error) {
-	return s.kernel().witness(ctx, srcs, dsts, s.maxStates)
-}
-
-// work reports the traversals begun and the product states expanded so far.
-func (s *componentSearch) work() (traversals, states int) {
-	if s.kern == nil {
-		return 0, 0
-	}
-	return s.kern.traversals, s.kern.expanded
-}
-
-func (s *componentSearch) release() { s.kern.releaseMem() }
-
-// checkComponent is a one-off componentSearch.witness: the paths for one
-// pair of endpoint tuples, on a kernel of its own.
-func checkComponent(ctx context.Context, db *graphdb.DB, c *component, srcs, dsts []int, maxStates int) ([]graphdb.Path, bool, error) {
-	s := componentSearch{db: db, c: c, maxStates: maxStates}
-	defer s.release()
-	return s.witness(ctx, srcs, dsts)
 }
 
 // componentReachSet computes, for fixed sources, every tuple of destination

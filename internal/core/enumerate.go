@@ -2,10 +2,10 @@
 
 package core
 
-// Streaming enumeration, the lazy half of the Lemma 4.3 pipeline:
-// sweepSource.Scan produces R' rows on demand for the streaming join, which
-// stops the sweep when its consumer stops, so first witness and first page
-// cost a prefix of the sweep rather than every R' table.
+// The walk, the one join over node variables: cq.StreamAssignments and
+// cq.StreamAnswers bind one atom per level, and sweepSource.Scan reads each
+// in the plan's access mode. It stops when its consumer stops, so a first
+// witness or a first page costs a prefix of the work.
 
 import (
 	"cmp"
@@ -23,53 +23,100 @@ import (
 	"ecrpq/internal/trace"
 )
 
-// reductionQuery builds the conjunctive query of the Lemma 4.3 instance,
-// whose Gaifman graph is G^node of the normalized abstraction, over the
-// relations buildReductionMerged materializes (and sweepSource streams).
-// It depends on the query alone, so a plan builds and compiles it once.
-// One atom per component, in index order (decompose puts the Σ* components
-// of unconstrained path variables last). The order is part of the
-// enumeration contract: it fixes the answer order the /v1/enumerate cursor
-// offsets into.
+// walkQuery is the walk's conjunctive query, an atom __comp<i>(x1, y1, …)
+// per component over its R': G^node of the normalized abstraction. The
+// components come in seq (nil: index order, where decompose puts the Σ*
+// components of unconstrained path variables last), each where its last
+// variable is bound: one whose variables the atoms before it all bind, a
+// filter, moves up to right after the atom that binds the last of them,
+// which changes no row the walk yields nor their order — the order the
+// /v1/enumerate cursor offsets into. With domains, an atom __free<i>(v) per
+// free variable, read as v's candidates, comes first, so that a Generic
+// answers walk stops at each candidate's first derivation.
 //
-//ecrpq:charged plan construction: O(atoms) slices owned by the prepared plan, counted by Prepared.MemBytes
-func reductionQuery(comps []component, free []string) *cq.Query {
-	cqq := &cq.Query{Free: append([]string(nil), free...)}
-	for ci := range comps {
-		c := &comps[ci]
-		args := make([]string, 0, 2*len(c.tracks))
-		for _, tr := range c.tracks {
-			args = append(args, tr.srcVar, tr.dstVar)
+//ecrpq:charged plan construction: query-sized, one entry per node variable and atom, owned by the prepared plan
+func walkQuery(comps []component, free []string, seq []int, domains bool) *cq.Query {
+	binder := make(map[string]int) // variable → the group of the atom that binds it
+	var groups [][]cq.Atom
+	for i, v := range free {
+		if domains {
+			binder[v] = len(groups)
+			groups = append(groups, []cq.Atom{{Rel: fmt.Sprintf("__free%d", i), Args: []string{v}}})
 		}
-		cqq.Atoms = append(cqq.Atoms, cq.Atom{Rel: fmt.Sprintf("__comp%d", ci), Args: args})
 	}
-	return cqq
+	for i := range comps {
+		ci := i
+		if seq != nil {
+			ci = seq[i]
+		}
+		at := cq.Atom{Rel: fmt.Sprintf("__comp%d", ci)}
+		for _, tr := range comps[ci].tracks {
+			at.Args = append(at.Args, tr.srcVar, tr.dstVar)
+		}
+		last, binds := -1, false
+		for _, v := range comps[ci].nodeVars {
+			if g, ok := binder[v]; ok {
+				last = max(last, g)
+			} else {
+				binder[v], binds = len(groups), true
+			}
+		}
+		if binds {
+			groups = append(groups, []cq.Atom{at})
+		} else {
+			groups[last] = append(groups[last], at)
+		}
+	}
+	return &cq.Query{Free: slices.Clone(free), Atoms: slices.Concat(groups...)}
 }
 
-// sweepSource implements cq.AtomSource over the database: each Scan of a
-// __comp relation is a lazy R' sweep restricted by the bound pattern. It
-// holds one reusable fast product per component and the destination memo
-// for as long as Prepared.sweep runs. Not safe for concurrent use.
+// sweepSource implements cq.AtomSource over the database, one kernel per
+// component, for as long as Prepared.sweep runs. A Reduction plan's opens
+// R' lazily, from the bound sources; a Generic plan's checks, with no
+// tables. Not safe for concurrent use.
 type sweepSource struct {
-	ctx context.Context
-	db  *graphdb.DB
-	p   *Prepared
-	res *govern.Reservation
-	fps []*fastProduct // per component, nil until its first Scan
+	ctx  context.Context
+	db   *graphdb.DB
+	p    *Prepared
+	res  *govern.Reservation
+	fps  []*fastProduct // per component, nil until its first Scan
+	rows []int64        // rows yielded per component
 	// memo keeps, per component and pinned source tuple, the destination
 	// list componentReachSet gave: a nested level re-scans its atom once per
 	// prefix row, mostly with sources pinned before. Entries are charged to
 	// mem, the join's meter; one the reservation refuses is simply not kept.
-	memo   []map[string][]int
-	mem    *govern.Meter
-	keyBuf []byte
-	rows   []int64 // R' rows scanned per component
+	memo    []map[string][]int
+	mem     *govern.Meter
+	keyBuf  []byte
+	scratch [][]int // per component, its Scans' buffer: they never nest
+	// The check mode (Generic plans): the guesses' domains, whether the
+	// kernels record for a witness, and the guesses and decisions made.
+	check bool
+	paths bool
+	hints *PlanHints
+	work  Stats
+	spans []*trace.Span // core/sweep per component, or core/product_search
+}
+
+// newSource is a source over db with no kernel built yet; release gives
+// back the kernels' tables and charges.
+func (p *Prepared) newSource(ctx context.Context, db *graphdb.DB) *sweepSource {
+	n := len(p.merged)
+	return &sweepSource{ctx: ctx, db: db, p: p, res: govern.FromContext(ctx), fps: make([]*fastProduct, n),
+		rows: make([]int64, n), memo: make([]map[string][]int, n), scratch: make([][]int, n)}
+}
+
+func (s *sweepSource) release() {
+	for _, fp := range s.fps {
+		fp.releaseMem()
+	}
 }
 
 // fp returns the component's reusable fast product.
 func (s *sweepSource) fp(ci int) *fastProduct {
 	if s.fps[ci] == nil {
 		s.fps[ci] = newFastProduct(s.db, &s.p.merged[ci])
+		s.fps[ci].paths = s.paths
 	}
 	return s.fps[ci]
 }
@@ -98,47 +145,125 @@ func (s *sweepSource) destinations(ci int, srcs []int) ([]int, error) {
 	return dsts, nil
 }
 
-// Scan yields the rows of one component's R' matching bound in the
-// materializing sweep's order: sources mixed-radix with track 0 fastest
-// (pinned positions skipped), each source's destinations lexicographic.
-// ctx is polled once per source. Every 64 rows, once yield asks for more,
-// the chunk is charged to a meter closed on return: 24 + 16t bytes a row,
-// its 2t ints and a slice header (a materialised row is its 8t bytes).
+// Scan yields the rows of an atom matching bound, guessing unbound
+// variables, the last fastest. In check mode: all of them in nodeVars
+// order over their candidates, each value counted (ctx polled every
+// cancelCheckInterval), each complete guess decided on the kernel. Opening
+// R': the distinct source variables, the last track's most significant
+// (the sweep's order), ctx polled once per source, whose destinations come
+// off the kernel lexicographically. Every 64 rows yielded are charged to a
+// meter closed on return, 24 + 16t bytes each.
 //
-//ecrpq:charged O(tracks) pattern scratch; the rows are charged in chunks to the Scan's meter
+//ecrpq:charged O(tracks) pattern scratch kept per component; the rows are charged in chunks to the Scan's meter
 func (s *sweepSource) Scan(rel string, bound []int, yield func([]int) bool) error {
 	num, ok := strings.CutPrefix(rel, "__comp")
 	ci, err := strconv.Atoi(num)
-	if !ok || err != nil || ci < 0 || ci >= len(s.p.merged) || len(bound) != 2*len(s.p.merged[ci].tracks) {
+	var c *component
+	if ok && err == nil && ci >= 0 && ci < len(s.p.merged) && len(bound) == 2*len(s.p.merged[ci].tracks) {
+		c = &s.p.merged[ci]
+	} else if num, ok = strings.CutPrefix(rel, "__free"); ok && len(bound) == 1 { // a free variable's domain: one variable, no track
+		if fi, err := strconv.Atoi(num); err == nil && fi >= 0 && fi < len(s.p.q.Free) {
+			ci, c = -1, &component{nodeVars: s.p.q.Free[fi : fi+1], ends: []int{0}}
+		}
+	}
+	if c == nil {
 		return fmt.Errorf("core: no streamed relation %q of arity %d", rel, len(bound))
 	}
-	t := len(bound) / 2
-	srcs, row := make([]int, t), make([]int, 2*t)
-	var free []int // the tracks whose source is not pinned
-	for k := range srcs {
-		if srcs[k] = bound[2*k]; srcs[k] < 0 {
-			free = append(free, k)
+	t, nv, n := len(c.tracks), len(c.nodeVars), s.db.NumVertices()
+	// Per variable its value (-1 while unbound), the variables guessed, per
+	// guessed one its place in its domain, and a guess's endpoints.
+	var buf []int
+	if ci >= 0 && cap(s.scratch[ci]) >= 3*nv+4*t {
+		buf = s.scratch[ci][:3*nv+4*t]
+	} else if buf = make([]int, 3*nv+4*t); ci >= 0 {
+		s.scratch[ci] = buf
+	}
+	vals, digits, pos := buf[:nv], buf[nv:nv:2*nv], buf[2*nv:3*nv]
+	srcs, want, row := buf[3*nv:3*nv+t], buf[3*nv+t:3*nv+2*t], buf[3*nv+2*t:]
+	var dsts []int // t vertices per destination tuple; the memo's list when a source is pinned
+	for i := range vals {
+		vals[i], pos[i] = -1, -1
+	}
+	pinned := false // a source is bound: the memo serves the Scans that repeat it
+	for i, b := range bound {
+		if b >= 0 {
+			vals[c.ends[i]], pinned = b, pinned || i%2 == 0
 		}
 	}
-	n := s.db.NumVertices()
-	total, err := sweepSources(n, len(free))
-	if err != nil {
-		return err
-	}
-	m := s.res.NewMeter()
-	defer m.Close()
-	var dsts []int // t vertices per destination tuple; the memo's list when a source is pinned
-	for idx, pending := 0, 0; idx < total; idx++ {
-		if err := s.ctx.Err(); err != nil {
+	var doms [][]int // per digit: its candidates, nil for every vertex
+	if s.check {
+		for v := range vals {
+			if vals[v] < 0 {
+				digits = append(digits, v)
+				if s.hints != nil {
+					doms = append(doms, s.hints.domain(c.nodeVars[v]))
+				}
+			}
+		}
+	} else {
+		for k := t - 1; k >= 0; k-- {
+			if v := c.ends[2*k]; vals[v] < 0 && !slices.Contains(digits, v) {
+				digits = append(digits, v)
+			}
+		}
+		if _, err := sweepSources(n, len(digits)); err != nil {
 			return err
 		}
-		for j, rest := 0, idx; j < len(free); j++ {
-			srcs[free[j]], rest = rest%n, rest/n
+	}
+	var fp *fastProduct
+	if ci >= 0 {
+		fp = s.fp(ci)
+	}
+	ends, maxStates := c.ends, s.p.opts.maxStates()
+	var m *govern.Meter // made at the first chunk
+	defer func() { m.Close() }()
+	for j, pending := 0, 0; j >= 0; {
+		if j < len(digits) { // move digit j to its next value that is a vertex, or back out of it
+			pos[j]++
+			d, end := pos[j], n
+			if doms != nil && doms[j] != nil {
+				if end = len(doms[j]); d < end {
+					d = doms[j][d]
+				}
+			}
+			if pos[j] >= end {
+				pos[j], j = -1, j-1
+			} else if d >= 0 && d < n {
+				vals[digits[j]], j = d, j+1
+				if s.check {
+					if s.work.NodeAssignments++; s.work.NodeAssignments%cancelCheckInterval == 0 {
+						if err := pollSearch(s.ctx); err != nil {
+							return err
+						}
+					}
+				}
+			}
+			continue
 		}
-		if len(free) < t {
+		j-- // a complete guess; the next pass moves the last digit
+		if ci < 0 {
+			if !yield(vals) {
+				return nil
+			}
+			continue
+		}
+		for k := range srcs {
+			srcs[k], want[k] = vals[ends[2*k]], vals[ends[2*k+1]]
+		}
+		if s.check {
+			reached, err := fp.reach(s.ctx, srcs, want, maxStates)
+			if s.work.ProductChecks++; err != nil {
+				return err
+			} else if !reached {
+				continue
+			}
+			dsts = want
+		} else if err = s.ctx.Err(); err != nil {
+			return err
+		} else if pinned {
 			dsts, err = s.destinations(ci, srcs)
 		} else { // an unpinned sweep meets each source once: no memo, and dsts stays its own buffer
-			dsts, err = componentReachSet(s.ctx, s.fp(ci), srcs, s.p.opts.maxStates(), dsts[:0])
+			dsts, err = componentReachSet(s.ctx, fp, srcs, maxStates, dsts[:0])
 		}
 		if err != nil {
 			return err
@@ -155,6 +280,9 @@ func (s *sweepSource) Scan(rel string, bound []int, yield func([]int) bool) erro
 				return nil
 			}
 			if pending++; pending == 64 {
+				if m == nil {
+					m = s.res.NewMeter()
+				}
 				if err := m.Grow(64 * int64(24+16*t)); err != nil {
 					return err
 				}
@@ -165,31 +293,59 @@ func (s *sweepSource) Scan(rel string, bound []int, yield func([]int) bool) erro
 	return nil
 }
 
-// sweep runs walk over a lazy R' source on db with the charge for what the
-// join buffers, which the memo's entries share, and releases the source's
-// kernels, the charges and the per-component core/sweep spans when walk
-// returns.
-func (p *Prepared) sweep(ctx context.Context, db *graphdb.DB, walk func(src *sweepSource, charge cq.ChargeFunc) error) error {
+// end puts the walk's work on its spans, ends them and returns it. A walk
+// ends its source when it returns, before any paths are read off it.
+func (s *sweepSource) end() Stats {
+	st := s.work
+	for ci, fp := range s.fps {
+		if fp != nil {
+			st.Traversals += fp.traversals
+			st.ProductStates += fp.expanded
+		}
+		if !s.check {
+			st.CQTuples += int(s.rows[ci])
+			s.spans[ci].SetInt("rows", s.rows[ci])
+			s.spans[ci].End()
+		}
+	}
+	if s.check {
+		s.spans[0].SetInt("product_checks", int64(st.ProductChecks))
+		s.spans[0].SetInt("node_assignments", int64(st.NodeAssignments))
+		s.spans[0].SetInt("traversals", int64(st.Traversals))
+		s.spans[0].SetInt("states", int64(st.ProductStates))
+		s.spans[0].End()
+	}
+	return st
+}
+
+// sweep runs walk over a source on db, with the charge for what the join
+// buffers (the memo's entries share it): one core/sweep span per component
+// opening R', or one core/product_search span checking under hints, with
+// paths recorded when asked. It releases kernels, charges and spans.
+func (p *Prepared) sweep(ctx context.Context, db *graphdb.DB, hints *PlanHints, paths bool, walk func(src *sweepSource, charge cq.ChargeFunc) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	mem, charge := meterCharge(ctx)
 	defer mem.Close()
-	n := len(p.merged)
-	src := &sweepSource{ctx: ctx, db: db, p: p, res: govern.FromContext(ctx), fps: make([]*fastProduct, n),
-		memo: make([]map[string][]int, n), mem: mem, rows: make([]int64, n)}
-	spans := make([]*trace.Span, n)
-	for ci := range spans {
-		_, sp := trace.StartSpan(ctx, "core/sweep")
+	src := p.newSource(ctx, db)
+	defer src.release()
+	src.mem, src.check = mem, p.strat == Generic
+	if src.check {
+		src.paths, src.hints = paths, hints
+		_, sp := trace.StartSpan(ctx, "core/product_search")
 		defer sp.End()
-		sp.SetInt("component", int64(ci))
-		sp.SetInt("tracks", int64(len(p.merged[ci].tracks)))
-		sp.SetStr("mode", "stream")
-		spans[ci] = sp
-	}
-	defer func() { // before the spans end
-		for ci, fp := range src.fps {
-			fp.releaseMem()
-			spans[ci].SetInt("rows", src.rows[ci])
+		src.spans = append(src.spans, sp)
+	} else {
+		for ci := range p.merged {
+			_, sp := trace.StartSpan(ctx, "core/sweep")
+			defer sp.End()
+			sp.SetInt("component", int64(ci))
+			sp.SetInt("tracks", int64(len(p.merged[ci].tracks)))
+			sp.SetStr("mode", "stream")
+			src.spans = append(src.spans, sp)
 		}
-	}()
+	}
 	return walk(src, charge)
 }
 
@@ -222,98 +378,64 @@ func (e *Enumeration) Close() { e.stop() }
 
 // Enumerate streams the answers over db, Answers' set without duplicates
 // in an order fixed by the plan: tuples in q.Free order, at most one empty
-// tuple for a Boolean query. Reduction plans sweep R' lazily; Generic plans
-// decide candidates in lexicographic order, refusing more than 2³² up
-// front. It charges ctx's reservation as it goes and must be Closed.
+// tuple for a Boolean query. It is the walk under either strategy; a
+// Generic plan refuses more than 2³² candidate tuples up front. It charges
+// ctx's reservation as it goes and must be Closed.
 func (p *Prepared) Enumerate(ctx context.Context, db *graphdb.DB) (*Enumeration, error) {
 	if err := p.checkDB(db); err != nil {
 		return nil, err
 	}
-	if p.strat == Generic {
-		if _, err := sweepSources(db.NumVertices(), len(p.q.Free)); err != nil {
-			return nil, err
-		}
+	if _, err := sweepSources(db.NumVertices(), len(p.q.Free)); err != nil && p.strat == Generic {
+		return nil, err
 	}
 	e := &Enumeration{ctx: ctx}
 	e.next, e.stop = iter.Pull(func(yield func([]int) bool) {
-		var err error
-		if p.strat == Generic {
-			err = p.decideCandidates(ctx, db, yield)
-		} else { // on an empty database only an atom-free query has a row, the empty one
-			err = p.sweep(ctx, db, func(src *sweepSource, charge cq.ChargeFunc) error {
-				return cq.StreamAnswers(src, p.cqq, charge, yield)
-			})
-		}
-		if err != nil { // a stopped walk returns nil: keep what ended it
+		// On an empty database only an atom-free query has a row, the empty one.
+		if err := p.streamAnswers(ctx, db, yield); err != nil { // a stopped walk returns nil: keep what ended it
 			e.err = err
 		}
 	})
 	return e, nil
 }
 
-// evaluateReductionStreaming is the first-witness fast path: the join's
-// yield keeps the first assignment and stops the sweep. Satisfiability of a
-// satisfiable instance costs a prefix of the sweep; an unsatisfiable one
-// still sweeps fully (the join must prove exhaustion), without the tables.
-func (p *Prepared) evaluateReductionStreaming(ctx context.Context, db *graphdb.DB) (*Result, error) {
-	res := &Result{}
-	var vars []string
-	var first []int
-	err := p.sweep(ctx, db, func(src *sweepSource, charge cq.ChargeFunc) error {
-		_, jsp := trace.StartSpan(ctx, "core/cq_join")
-		defer jsp.End()
-		jsp.SetStr("mode", "stream")
-		var err error
-		vars, err = cq.StreamAssignments(src, p.cqq, charge, func(row []int) bool {
+// streamAnswers is the walk's answers, deduplicated, yielded in its order
+// until yield returns false.
+func (p *Prepared) streamAnswers(ctx context.Context, db *graphdb.DB, yield func([]int) bool) error {
+	return p.sweep(ctx, db, nil, false, func(src *sweepSource, charge cq.ChargeFunc) error {
+		defer src.end()
+		return cq.StreamAnswers(src, p.answersQ, charge, yield)
+	})
+}
+
+// evaluateStreaming is the walk's first witness: the join's yield keeps the
+// first assignment and stops the walk, and the paths are read off the
+// source's kernels. Opening R', a satisfiable instance costs a prefix of
+// the sweep and an unsatisfiable one a full sweep without the tables.
+func (p *Prepared) evaluateStreaming(ctx context.Context, db *graphdb.DB, hints *PlanHints) (*Result, error) {
+	res, q := &Result{}, p.cqq
+	if seq := hints.componentOrder(len(p.comps)); seq != nil && p.strat == Generic {
+		q = walkQuery(p.comps, p.q.Free, seq, false)
+	}
+	err := p.sweep(ctx, db, hints, true, func(src *sweepSource, charge cq.ChargeFunc) error {
+		var jsp *trace.Span
+		if !src.check {
+			_, jsp = trace.StartSpan(ctx, "core/cq_join")
+			jsp.SetStr("mode", "stream")
+		}
+		var first []int
+		vars, err := cq.StreamAssignments(src, q, charge, func(row []int) bool {
 			res.Sat, first = true, slices.Clone(row)
 			return false
 		})
-		for _, n := range src.rows {
-			res.Stats.CQTuples += int(n)
+		jsp.End()
+		if res.Stats = src.end(); err != nil || !res.Sat {
+			return err
 		}
-		return err
-	})
-	if err == nil && res.Sat {
 		res.Nodes = make(map[string]int, len(vars))
 		for i, v := range vars {
 			res.Nodes[v] = first[i]
 		}
-		err = p.recoverWitnesses(ctx, db, res)
-	}
+		return p.recoverWitnesses(ctx, src, res)
+	})
 	return res, err
-}
-
-// decideCandidates is the Generic answer walk: one search with the free
-// variables pinned decides each candidate tuple in lexicographic order
-// (last variable fastest) and yields the satisfiable ones — no paths, one
-// core/product_search span. A Boolean query is one decision.
-func (p *Prepared) decideCandidates(ctx context.Context, db *graphdb.DB, yield func([]int) bool) error {
-	f, n := len(p.q.Free), db.NumVertices()
-	total, err := sweepSources(n, f)
-	if err != nil {
-		return err
-	}
-	pinned := make(map[string]int, f)
-	for _, v := range p.q.Free {
-		pinned[v] = 0
-	}
-	_, sp := trace.StartSpan(ctx, "core/product_search")
-	g := p.newGenericSearch(db, pinned, nil, false)
-	defer g.release()
-	defer sp.End()
-	defer g.report(sp)
-	tuple := make([]int, f)
-	for idx := 0; idx < total; idx++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i, rest := f-1, idx; i >= 0; i-- {
-			tuple[i], rest = rest%n, rest/n
-			g.pinned[p.q.Free[i]] = tuple[i]
-		}
-		if sat, err := g.decide(ctx); err != nil || sat && !yield(tuple) {
-			return err // nil when the consumer stopped
-		}
-	}
-	return nil
 }

@@ -239,6 +239,100 @@ func TestEvaluateStreamingFirstWitness(t *testing.T) {
 	}
 }
 
+// TestStreamOpensDistinctSources: a streamed Scan opens one source tuple
+// per value of the component's distinct unbound source variables, not one
+// per track. On an unsatisfiable 3-track eq fan out of one x at V = 9, the
+// first-witness walk begins at most V traversals and polls its context
+// about twice per source (V³ = 729 of each when every track's source was
+// enumerated on its own); and the rows come out in the sweep's order,
+// those of the materialised R' whose repeated variables agree.
+func TestStreamOpensDistinctSources(t *testing.T) {
+	a := alphabet.Lower(2)
+	db := randomDB(rand.New(rand.NewSource(3)), a, 9, 27)
+	n := db.NumVertices()
+	fan := func() *query.Builder {
+		return query.NewBuilder(a).
+			Reach("x", "p1", "y").Reach("x", "p2", "y").Reach("x", "p3", "y").
+			Rel(synchro.Equality(a, 3), "p1", "p2", "p3")
+	}
+	p, err := Prepare(fan().Lang("p1", "a(a|b)*").Lang("p2", "b(a|b)*").MustBuild(), Options{Strategy: Reduction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &pollCounter{Context: context.Background()}
+	res, err := p.EvaluateContext(ctx, db, nil)
+	if err != nil || res.Sat {
+		t.Fatalf("sat=%v err=%v, want unsatisfiable", res != nil && res.Sat, err)
+	}
+	if tr := res.Stats.Traversals; tr < 1 || tr > n {
+		t.Errorf("the walk began %d traversals on V = %d, want 1 to %d", tr, n, n)
+	}
+	if polls := ctx.polls.Load(); polls > int64(2*n+2) {
+		t.Errorf("the walk polled its context %d times on V = %d, want at most %d", polls, n, 2*n+2)
+	}
+
+	free, err := Prepare(fan().Free("x", "y").MustBuild(), Options{Strategy: Reduction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := free.Materialize(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]int
+	seen := map[[2]int]bool{}
+	rel := mat.st.Relation("__comp0")
+	for i := 0; i < rel.Len(); i++ {
+		r := rel.Row(i)
+		key := [2]int{int(r[0]), int(r[1])}
+		if r[0] == r[2] && r[2] == r[4] && r[1] == r[3] && r[3] == r[5] && !seen[key] {
+			seen[key] = true
+			want = append(want, key[:])
+		}
+	}
+	if got := collectEnumerate(t, free, db); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("streamed answers %v, the materialised rows' order %v", got, want)
+	}
+}
+
+// TestWalkQueryMovesFiltersUp: a component whose variables the atoms
+// before it all bind — here the free track x -p3-> y, which decompose puts
+// last — is walked right after the atom that binds them, and the walk
+// yields the same answers in the same order as over the index order.
+func TestWalkQueryMovesFiltersUp(t *testing.T) {
+	a := alphabet.Lower(2)
+	db := randomDB(rand.New(rand.NewSource(9)), a, 6, 14)
+	q := query.NewBuilder(a).
+		Reach("x", "p1", "y").Reach("z", "p2", "w").Reach("x", "p3", "y").
+		Lang("p1", "a(a|b)*").Lang("p2", "b*").
+		Free("x", "y", "z", "w").MustBuild()
+	p, err := Prepare(q, Options{Strategy: Reduction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rels []string
+	for _, at := range p.cqq.Atoms {
+		rels = append(rels, at.Rel)
+	}
+	if !slices.Equal(rels, []string{"__comp0", "__comp2", "__comp1"}) {
+		t.Fatalf("walk order %v, want the free track right after the atom binding x and y", rels)
+	}
+	indexOrder := &cq.Query{Free: p.cqq.Free, Atoms: []cq.Atom{p.cqq.Atoms[0], p.cqq.Atoms[2], p.cqq.Atoms[1]}}
+	var want [][]int
+	err = p.sweep(context.Background(), db, nil, false, func(src *sweepSource, charge cq.ChargeFunc) error {
+		return cq.StreamAnswers(src, indexOrder, charge, func(row []int) bool {
+			want = append(want, slices.Clone(row))
+			return true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collectEnumerate(t, p, db); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("walked in level order: %v; in index order: %v", got, want)
+	}
+}
+
 func TestEnumerateCancelMidStream(t *testing.T) {
 	a, err := alphabet.New("a", "b")
 	if err != nil {
@@ -398,7 +492,7 @@ func TestSweepSourceMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = p.sweep(govern.NewContext(context.Background(), res), db, func(s *sweepSource, _ cq.ChargeFunc) error {
+		err = p.sweep(govern.NewContext(context.Background(), res), db, nil, false, func(s *sweepSource, _ cq.ChargeFunc) error {
 			if refused {
 				full, err := govern.NewBroker(1).Reserve(0)
 				if err != nil {
@@ -465,7 +559,7 @@ func scanMetered(t *testing.T, budget int64) (rows int, used []int64, left int64
 		t.Fatal(err)
 	}
 	defer rowRes.Release()
-	err = p.sweep(context.Background(), db, func(s *sweepSource, _ cq.ChargeFunc) error {
+	err = p.sweep(context.Background(), db, nil, false, func(s *sweepSource, _ cq.ChargeFunc) error {
 		s.res = rowRes
 		return s.Scan("__comp1", []int{-1, -1}, func([]int) bool {
 			if rows++; rows%64 == 1 && rows < 130 {

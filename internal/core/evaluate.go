@@ -123,11 +123,11 @@ type Stats struct {
 	StrategyUsed      Strategy
 	Components        int // semantic components: those a non-universal atom constrains
 	FreeTracks        int // path variables in no such atom, each evaluated as a one-track Σ* component
-	ProductChecks     int // generic: component product decisions made (one per completed component per assignment)
-	NodeAssignments   int // generic: node-variable assignments tried
-	Traversals        int // generic: product traversals begun to make those decisions
-	ProductStates     int // generic: product states those traversals expanded
-	CQTuples          int // reduction: materialized tuples across relations R'
+	ProductChecks     int // generic: product decisions made, one per complete guess of a component's variables
+	NodeAssignments   int // generic: node-variable values guessed, each variable counted where it is (re)set
+	Traversals        int // walk: product traversals its kernels began, before any witness was read off them
+	ProductStates     int // walk: product states those traversals expanded
+	CQTuples          int // reduction: R' tuples materialized, or streamed by the walk
 	MergedStatesTotal int // total states of the merged relation NFAs (Lemma 4.1) the kernels walk
 }
 
@@ -191,13 +191,13 @@ func AnswersContext(ctx context.Context, db *graphdb.DB, q *query.Query, opts Op
 // (internal/planner) into a Generic evaluation. Hints are advisory and
 // never affect the answer, only the order and size of the search:
 //
-//   - ComponentOrder permutes the sequence in which the backtracking
-//     completes components (indices into the plan's component list, a
-//     permutation of 0..n-1; ignored when malformed).
-//   - Candidates restricts the vertex domain tried for a node variable to
-//     a sound superset of its satisfying assignments (ascending vertex
-//     ids, typically from Prepared.PushdownCandidates). Variables absent
-//     from the map range over all vertices.
+//   - ComponentOrder is the walk's level order (indices into the plan's
+//     component list, a permutation of 0..n-1; ignored when malformed),
+//     each component where its last variable is bound.
+//   - Candidates restricts the vertex domain a node variable is guessed
+//     over to a sound superset of its satisfying assignments (ascending
+//     vertex ids, typically from Prepared.PushdownCandidates). Variables
+//     absent from the map range over all vertices.
 //
 // The streaming enumeration path deliberately takes no hints: its tuple
 // order is a public cursor contract (see internal/server /v1/enumerate)
@@ -207,13 +207,14 @@ type PlanHints struct {
 	Candidates     map[string][]int
 }
 
-// candidatesFor returns the hinted domain for a node variable.
-func (h *PlanHints) candidatesFor(v string) ([]int, bool) {
-	if h == nil || h.Candidates == nil {
-		return nil, false
-	}
+// domain returns the hinted candidates of a node variable, nil when it
+// ranges over every vertex.
+func (h *PlanHints) domain(v string) []int {
 	c, ok := h.Candidates[v]
-	return c, ok
+	if ok && c == nil {
+		return []int{} // listed, with no vertex
+	}
+	return c
 }
 
 // componentOrder validates and returns the hinted permutation, or nil.
@@ -229,228 +230,6 @@ func (h *PlanHints) componentOrder(n int) []int {
 		seen[i] = true
 	}
 	return h.ComponentOrder
-}
-
-// genericComp is one component of a generic evaluation: its product search
-// and where its tracks' endpoints sit in the assignment order.
-type genericComp struct {
-	componentSearch
-	srcPos, dstPos []int // per track: position of the endpoint variable in the order
-	srcs, dsts     []int // per track: the endpoints under the current assignment
-}
-
-// endpoints reads the component's endpoint tuples off the assignment.
-func (g *genericComp) endpoints(assign []int) {
-	for k := range g.srcPos {
-		g.srcs[k] = assign[g.srcPos[k]]
-		g.dsts[k] = assign[g.dstPos[k]]
-	}
-}
-
-// genericSearch is a generic evaluation set up once (newGenericSearch) and
-// decided any number of times, each under the current values of pinned.
-// Each component keeps one product kernel for all of them (componentSearch),
-// and since a component's sources precede its other variables in the order,
-// consecutive checks of a component share their sources until a source
-// moves: one traversal per source assignment answers for every destination
-// guessed under it.
-type genericSearch struct {
-	db        *graphdb.DB
-	pinned    map[string]int
-	hints     *PlanHints
-	order     []string
-	gcs       []genericComp
-	compReady [][]int // by assigned prefix length: the components fully assigned there
-	assign    []int
-	stats     Stats
-}
-
-// newGenericSearch lays out the backtracking over node variables that checks
-// each component's product as soon as all of its node variables are
-// assigned. hints (may be nil) reorder the component completion sequence and
-// restrict node variable domains; they never change the decision or the
-// witness shape; paths says the caller will want the paths of the assignment
-// a decide accepts. The caller must call release.
-//
-//ecrpq:charged query-sized: the order, positions and ready lists are bounded by the query's node variables and tracks
-func (p *Prepared) newGenericSearch(db *graphdb.DB, pinned map[string]int, hints *PlanHints, paths bool) *genericSearch {
-	g := &genericSearch{db: db, pinned: pinned, hints: hints}
-	comps := p.merged
-
-	// Node variable universe and ordering: pinned first, then component by
-	// component so components complete early. A planner hint permutes the
-	// component sequence so the most selective (or cheapest) component's
-	// variables are assigned — and its product checked — first.
-	pos := make(map[string]int)
-	add := func(v string) {
-		if _, ok := pos[v]; !ok {
-			pos[v] = len(g.order)
-			g.order = append(g.order, v)
-		}
-	}
-	for v := range pinned {
-		add(v)
-	}
-	compSeq := hints.componentOrder(len(comps))
-	if compSeq == nil {
-		compSeq = make([]int, len(comps))
-		for i := range compSeq {
-			compSeq[i] = i
-		}
-	}
-	for _, ci := range compSeq {
-		for _, v := range comps[ci].nodeVars {
-			add(v)
-		}
-	}
-	for _, v := range p.q.NodeVars() {
-		add(v)
-	}
-
-	g.gcs = make([]genericComp, len(comps))
-	g.compReady = make([][]int, len(g.order)+1)
-	for ci := range comps {
-		c := &comps[ci]
-		t := len(c.tracks)
-		gc := &g.gcs[ci]
-		gc.componentSearch = componentSearch{db: db, c: c, maxStates: p.opts.maxStates(), paths: paths}
-		gc.srcPos, gc.dstPos = make([]int, t), make([]int, t)
-		gc.srcs, gc.dsts = make([]int, t), make([]int, t)
-		ready := 0
-		for k, tr := range c.tracks {
-			gc.srcPos[k], gc.dstPos[k] = pos[tr.srcVar], pos[tr.dstVar]
-			ready = max(ready, gc.srcPos[k]+1, gc.dstPos[k]+1)
-		}
-		g.compReady[ready] = append(g.compReady[ready], ci)
-	}
-	g.assign = make([]int, len(g.order))
-	return g
-}
-
-func (g *genericSearch) release() {
-	for i := range g.gcs {
-		g.gcs[i].release()
-	}
-}
-
-// decide runs the search and leaves the assignment it accepts in g.assign.
-func (g *genericSearch) decide(ctx context.Context) (bool, error) {
-	var searchErr error
-	check := func(i int) bool {
-		for _, ci := range g.compReady[i] {
-			gc := &g.gcs[ci]
-			gc.endpoints(g.assign)
-			ok, err := gc.check(ctx, gc.srcs, gc.dsts)
-			g.stats.ProductChecks++
-			if err != nil {
-				searchErr = err
-				return false
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	// try extends the assignment by order[i] = d. With memoised traversals a
-	// long run of assignments may never enter a search loop, so
-	// cancellation and injected faults are polled here, by assignments made.
-	var rec func(i int) bool
-	try := func(i, d int) bool {
-		g.assign[i] = d
-		g.stats.NodeAssignments++
-		if g.stats.NodeAssignments%cancelCheckInterval == 0 {
-			searchErr = pollSearch(ctx)
-		}
-		return searchErr == nil && check(i+1) && rec(i+1)
-	}
-	rec = func(i int) bool {
-		if i == len(g.order) {
-			return true
-		}
-		v := g.order[i]
-		if pv, ok := g.pinned[v]; ok {
-			return try(i, pv)
-		}
-		if cand, ok := g.hints.candidatesFor(v); ok {
-			for _, d := range cand {
-				if d >= 0 && d < g.db.NumVertices() && try(i, d) {
-					return true
-				}
-				if searchErr != nil {
-					return false
-				}
-			}
-			return false
-		}
-		for d := 0; d < g.db.NumVertices(); d++ {
-			if try(i, d) {
-				return true
-			}
-			if searchErr != nil {
-				return false
-			}
-		}
-		return false
-	}
-	// Edge case: zero node variables (no atoms): trivially satisfiable.
-	searchErr = ctx.Err()
-	sat := searchErr == nil && rec(0)
-	return sat, searchErr
-}
-
-// report puts the work of every decide so far on the search's span.
-func (g *genericSearch) report(psp *trace.Span) {
-	g.stats.Traversals, g.stats.ProductStates = 0, 0
-	for i := range g.gcs {
-		traversals, states := g.gcs[i].work()
-		g.stats.Traversals += traversals
-		g.stats.ProductStates += states
-	}
-	psp.SetInt("product_checks", int64(g.stats.ProductChecks))
-	psp.SetInt("node_assignments", int64(g.stats.NodeAssignments))
-	psp.SetInt("traversals", int64(g.stats.Traversals))
-	psp.SetInt("states", int64(g.stats.ProductStates))
-}
-
-// evalGeneric is one generic evaluation: set up, decide, and for a yes the
-// witness. Paths are only computed for the assignment that wins.
-func (p *Prepared) evalGeneric(ctx context.Context, db *graphdb.DB, pinned map[string]int, hints *PlanHints) (*Result, error) {
-	g := p.newGenericSearch(db, pinned, hints, true)
-	defer g.release()
-	_, psp := trace.StartSpan(ctx, "core/product_search")
-	sat, err := g.decide(ctx)
-	g.report(psp)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Sat: sat, Stats: g.stats}
-	if !sat {
-		return res, nil
-	}
-	res.Nodes = make(map[string]int, len(g.order))
-	for i, v := range g.order {
-		res.Nodes[v] = g.assign[i]
-	}
-	_, wsp := trace.StartSpan(ctx, "core/witness")
-	defer wsp.End()
-	res.Paths = make(map[string]graphdb.Path)
-	for ci := range g.gcs {
-		gc := &g.gcs[ci]
-		gc.endpoints(g.assign)
-		paths, ok, err := gc.witness(ctx, gc.srcs, gc.dsts)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("core: internal error: accepted assignment not realizable in component %d", ci)
-		}
-		for k, tr := range gc.c.tracks {
-			res.Paths[tr.pathVar] = paths[k]
-		}
-	}
-	return res, nil
 }
 
 // evalReductionMaterialized decides the query by the reduction strategy
@@ -486,7 +265,9 @@ func (p *Prepared) evalReductionMaterialized(ctx context.Context, db *graphdb.DB
 	for _, v := range p.q.NodeVars() {
 		res.Nodes[v] = assign[v]
 	}
-	if err := p.recoverWitnesses(ctx, db, res); err != nil {
+	src := p.newSource(ctx, db)
+	defer src.release()
+	if err := p.recoverWitnesses(ctx, src, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -497,27 +278,27 @@ func (p *Prepared) evalReductionMaterialized(ctx context.Context, db *graphdb.DB
 // only when the query has no atom at all.
 func (p *Prepared) emptyDBSat() bool { return len(p.q.Reach) == 0 }
 
-// recoverWitnesses re-runs each component's product search, over its merged
-// view, with the CQ witness's endpoints pinned to extract concrete paths.
-// res.Nodes must be populated; res.Paths is filled.
-func (p *Prepared) recoverWitnesses(ctx context.Context, db *graphdb.DB, res *Result) error {
+// recoverWitnesses reads the paths for res.Nodes off src's kernels, one
+// component at a time: a kernel whose live traversal decided those
+// endpoints resumes it, any other begins one. res.Paths is filled.
+func (p *Prepared) recoverWitnesses(ctx context.Context, src *sweepSource, res *Result) error {
 	_, wsp := trace.StartSpan(ctx, "core/witness")
 	defer wsp.End()
 	res.Paths = make(map[string]graphdb.Path)
 	for ci := range p.merged {
 		c := &p.merged[ci]
-		srcs := make([]int, len(c.tracks))
-		dsts := make([]int, len(c.tracks))
+		ends := make([]int, 2*len(c.tracks))
+		srcs, dsts := ends[:len(c.tracks)], ends[len(c.tracks):]
 		for k, tr := range c.tracks {
 			srcs[k] = res.Nodes[tr.srcVar]
 			dsts[k] = res.Nodes[tr.dstVar]
 		}
-		paths, ok, err := checkComponent(ctx, db, c, srcs, dsts, p.opts.maxStates())
+		paths, ok, err := src.fp(ci).witness(ctx, srcs, dsts, p.opts.maxStates())
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("core: internal error: CQ witness not realizable in component %d", ci)
+			return fmt.Errorf("core: internal error: accepted assignment not realizable in component %d", ci)
 		}
 		for k, tr := range c.tracks {
 			res.Paths[tr.pathVar] = paths[k]

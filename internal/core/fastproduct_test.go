@@ -225,6 +225,14 @@ func bfsDist(db *graphdb.DB, u int) []int {
 	return dist
 }
 
+// checkComponent is a witness for one pair of endpoint tuples, on a kernel
+// of its own.
+func checkComponent(ctx context.Context, db *graphdb.DB, c *component, srcs, dsts []int, maxStates int) ([]graphdb.Path, bool, error) {
+	fp := newFastProduct(db, c)
+	defer fp.releaseMem()
+	return fp.witness(ctx, srcs, dsts, maxStates)
+}
+
 // TestCheckComponentBudgetViaFastPath ensures the state budget error also
 // surfaces through the fast path.
 func TestCheckComponentBudgetViaFastPath(t *testing.T) {

@@ -241,11 +241,15 @@ func TestGenericDifferential(t *testing.T) {
 		for i := range reversed {
 			reversed[i] = len(reversed) - 1 - i
 		}
+		// One variable fixed by a singleton domain: to the reduction's
+		// witness when there is one, which keeps the decision.
+		first := in.q.NodeVars()[0]
 		for hi, hints := range []*PlanHints{
 			nil,
 			{ComponentOrder: reversed},
 			{Candidates: p.PushdownCandidates(in.db)},
 			{ComponentOrder: reversed, Candidates: p.PushdownCandidates(in.db)},
+			{Candidates: map[string][]int{first: {red.Nodes[first]}}},
 		} {
 			res, err := p.EvaluateContextHinted(ctx, in.db, nil, hints)
 			if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -29,7 +30,8 @@ type Prepared struct {
 	merged   []component // Lemma 4.1 single-relation views, one per component: what every kernel searches
 	mergedSt int         // total merged NFA states
 	mergeMem int64       // what mergedViews charged to the preparing context's reservation
-	cqq      *cq.Query   // Reduction plans: the Lemma 4.3 query, q.Free its free tuple
+	cqq      *cq.Query   // the Lemma 4.3 query in the walk's level order, q.Free its free tuple
+	answersQ *cq.Query   // what the answers walk runs: cqq, after a Generic plan's domain atoms
 	join     *cq.Plan    // Reduction plans: the compiled Prop 2.3 join of cqq
 	measures twolevel.Measures
 	memBytes int
@@ -85,8 +87,10 @@ func prepare(ctx context.Context, q *query.Query, opts Options) (*Prepared, erro
 	if p.merged, p.mergedSt, p.mergeMem, err = mergedViews(ctx, q, comps); err != nil {
 		return nil, err
 	}
+	// A Generic answers walk leads with the free variables when others are existential.
+	p.cqq = walkQuery(comps, q.Free, nil, false)
+	p.answersQ = walkQuery(comps, q.Free, nil, p.strat == Generic && len(q.Free) < len(q.NodeVars()))
 	if p.strat == Reduction {
-		p.cqq = reductionQuery(comps, q.Free)
 		if p.join, err = cq.Compile(p.cqq); err != nil {
 			p.releaseMerge(ctx)
 			return nil, err
@@ -237,10 +241,10 @@ func (p *Prepared) checkDB(db *graphdb.DB) error {
 // Reduction plan, mat supplies a cached Materialization for this database:
 // a Boolean query reads the answer Materialize decided off it, a shallow
 // copy whose Nodes and Paths maps are shared and must not be written;
-// passing nil runs the streaming first-witness path instead (enumerate
-// lazily, stop at the first satisfying assignment), which never builds
-// the full R' tables — on satisfiable instances it does a fraction of the
-// sweep, and Stats.CQTuples reports only the rows actually streamed.
+// passing nil runs the streaming first-witness path instead (the walk opens
+// R' lazily and stops at the first satisfying assignment), which never
+// builds the full R' tables — on satisfiable instances it does a fraction
+// of the sweep, and Stats.CQTuples reports only the rows actually streamed.
 // Generic plans ignore mat. Sat/Nodes/Paths are identical to
 // core.EvaluateContext with the same options either way.
 func (p *Prepared) EvaluateContext(ctx context.Context, db *graphdb.DB, mat *Materialization) (*Result, error) {
@@ -248,8 +252,9 @@ func (p *Prepared) EvaluateContext(ctx context.Context, db *graphdb.DB, mat *Mat
 }
 
 // EvaluateContextHinted is EvaluateContext with planner hints. Hints only
-// affect the Generic strategy (component completion order and node-variable
-// candidate domains); Reduction plans ignore them. nil hints is exactly
+// affect the Generic strategy, whose first-witness walk takes its level
+// order from ComponentOrder and its guesses' domains from Candidates (see
+// PlanHints); Reduction plans ignore them. nil hints is exactly
 // EvaluateContext.
 func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, mat *Materialization, hints *PlanHints) (*Result, error) {
 	if err := p.checkDB(db); err != nil {
@@ -258,15 +263,13 @@ func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, ma
 	var res *Result
 	var err error
 	switch {
-	case p.strat == Generic:
-		res, err = p.evalGeneric(ctx, db, nil, hints)
+	case p.strat == Generic || mat == nil && db.NumVertices() > 0:
+		res, err = p.evaluateStreaming(ctx, db, hints)
 	case mat != nil && mat.decided != nil:
 		r := *mat.decided
 		res = &r
 	case db.NumVertices() == 0:
 		res = &Result{Sat: p.emptyDBSat()}
-	case mat == nil:
-		res, err = p.evaluateReductionStreaming(ctx, db)
 	default:
 		res, err = p.evalReductionMaterialized(ctx, db, mat)
 	}
@@ -285,9 +288,9 @@ func (p *Prepared) EvaluateContextHinted(ctx context.Context, db *graphdb.DB, ma
 // assignment, sorted lexicographically. A Reduction plan runs its own
 // compiled join over mat, the Materialization for this database (nil: it is
 // built first), and reads the answers off the reduced tables; a Generic plan
-// ignores mat and decides the candidate tuples on one pinned search, in
-// lexicographic order already. Either way the intermediates and every row kept
-// are charged to ctx's reservation for the length of the call.
+// ignores mat, refuses more than 2³² candidate tuples, and sorts the walk's.
+// Either way the intermediates and every row kept are charged to ctx's
+// reservation for the length of the call.
 func (p *Prepared) Answers(ctx context.Context, db *graphdb.DB, mat *Materialization) ([][]int, error) {
 	if len(p.q.Free) == 0 {
 		return nil, fmt.Errorf("core: Answers on a Boolean query; use Evaluate")
@@ -295,22 +298,23 @@ func (p *Prepared) Answers(ctx context.Context, db *graphdb.DB, mat *Materializa
 	if err := p.checkDB(db); err != nil {
 		return nil, err
 	}
+	if _, err := sweepSources(db.NumVertices(), len(p.q.Free)); err != nil && p.strat == Generic {
+		return nil, err
+	}
 	mem, charge := meterCharge(ctx)
 	defer mem.Close()
 	if p.strat == Generic {
 		var out [][]int
 		var denied error
-		err := p.decideCandidates(ctx, db, func(row []int) bool {
+		err := p.streamAnswers(ctx, db, func(row []int) bool {
 			if denied = mem.Grow(int64(24 + 8*len(row))); denied != nil {
 				return false
 			}
 			out = append(out, slices.Clone(row))
 			return true
 		})
-		if err == nil {
-			err = denied
-		}
-		return out, err
+		slices.SortFunc(out, slices.Compare[[]int])
+		return out, cmp.Or(err, denied)
 	}
 	if db.NumVertices() == 0 {
 		return nil, nil

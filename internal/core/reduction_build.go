@@ -58,6 +58,7 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) (_ []co
 		merged[ci] = component{
 			tracks:    c.tracks,
 			nodeVars:  c.nodeVars,
+			ends:      c.ends,
 			rels:      []*synchro.Relation{rel},
 			relTracks: [][]int{allTracks},
 			nfa:       newNFAView(rel),
@@ -70,7 +71,7 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) (_ []co
 // buildReductionMerged constructs the structure of the Lemma 4.3 instance
 // from the plan's merged views: over the database's vertices, one
 // materialized endpoint relation R' per merged component, each the sweep
-// of all its source tuples. reductionQuery is the other half of the
+// of all its source tuples. walkQuery is the other half of the
 // instance. The rows stay charged to ctx's reservation, unless it fails.
 func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*cq.Structure, Stats, error) {
 	merged, opts := p.merged, p.opts

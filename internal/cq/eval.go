@@ -122,14 +122,3 @@ func EvalTreeDecomp(s *Structure, q *Query) (Assignment, bool, error) {
 	assign, sat, _, err := p.Eval(context.Background(), s, nil)
 	return assign, sat, err
 }
-
-// AllAnswers enumerates the answer set over the free variables, sorted
-// lexicographically (see Plan.Answers), compiling the query for this one
-// enumeration. s is only read.
-func AllAnswers(ctx context.Context, s *Structure, q *Query) ([][]int, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Answers(ctx, s, nil)
-}

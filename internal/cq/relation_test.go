@@ -205,3 +205,14 @@ func TestAddTupleBeyondInt32(t *testing.T) {
 		t.Fatalf("Eval over a 2^33 domain: err = %v", err)
 	}
 }
+
+// AllAnswers enumerates the answer set over the free variables, sorted
+// lexicographically (see Plan.Answers), compiling the query for this one
+// enumeration. s is only read.
+func AllAnswers(ctx context.Context, s *Structure, q *Query) ([][]int, error) {
+	p, err := Compile(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Answers(ctx, s, nil)
+}

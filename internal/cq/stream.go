@@ -15,10 +15,10 @@ import (
 
 // AtomSource scans a relation with binding pushdown: Scan calls yield with
 // each tuple of rel matching bound (bound[i] >= 0 pins position i, -1
-// leaves it free) until yield returns false. The tuple is only valid
-// during the call. Equal Scans yield equal sequences, and a bound Scan a
-// subsequence of the unbound one: the /v1/enumerate cursor needs a
-// deterministic order.
+// leaves it free) until yield returns false, and may omit those the atom's
+// repeated variables rule out. A tuple is valid during its call. Equal
+// Scans yield equal sequences, a bound Scan a subsequence of the unbound
+// one: the /v1/enumerate cursor needs a deterministic order.
 type AtomSource interface {
 	Scan(rel string, bound []int, yield func(tuple []int) bool) error
 }
@@ -65,12 +65,14 @@ type streamLevel struct {
 type streamPlan struct {
 	vars   []string
 	free   []int // the column of each free variable
+	binds  []int // per column: the level that binds it
 	levels []*streamLevel
+	cut    int // a complete row ends the scans of the levels past this one: the last that binds a free variable
 }
 
 //ecrpq:charged plan-shaped scratch: O(atoms × arity) buffers sized by the query, not the data
 func planStream(q *Query) (*streamPlan, error) {
-	p, varCol := &streamPlan{}, make(map[string]int)
+	p, varCol := &streamPlan{cut: -1}, make(map[string]int)
 	for _, at := range q.Atoms {
 		lvl := &streamLevel{rel: at.Rel, disjoint: true, bound: make([]int, len(at.Args))}
 		before := len(p.vars) // the columns earlier levels bind
@@ -79,7 +81,7 @@ func planStream(q *Query) (*streamPlan, error) {
 			if !ok {
 				col = len(p.vars)
 				varCol[v] = col
-				p.vars = append(p.vars, v)
+				p.vars, p.binds = append(p.vars, v), append(p.binds, len(p.levels))
 			}
 			lvl.cols = append(lvl.cols, col)
 			lvl.disjoint = lvl.disjoint && col >= before
@@ -91,7 +93,7 @@ func planStream(q *Query) (*streamPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnconstrained, f)
 		}
-		p.free = append(p.free, col)
+		p.free, p.cut = append(p.free, col), max(p.cut, p.binds[col])
 	}
 	for _, lvl := range p.levels {
 		lvl.row = make([]int, len(p.vars))
@@ -105,9 +107,10 @@ func planStream(q *Query) (*streamPlan, error) {
 // disagree with the row. A level sharing no variable with the prefix
 // (after the first) is scanned once, on the first prefix row that reaches
 // it, into a buffer charged 48 + 16·arity bytes a row until walk returns.
-// walk returns when yield returns false, a scan fails or charge refuses.
+// A complete row ends the scans of the levels past p.cut. walk returns
+// when yield returns false, a scan fails or charge refuses.
 func (p *streamPlan) walk(src AtomSource, charge ChargeFunc, yield func([]int) bool) (err error) {
-	var held int64
+	held, reached := int64(0), false // reached: a row was complete since the scans up to p.cut last moved
 	defer func() {
 		if held > 0 {
 			_ = charge(-held) // a release is never refused
@@ -116,6 +119,7 @@ func (p *streamPlan) walk(src AtomSource, charge ChargeFunc, yield func([]int) b
 	var level func(i int, prefix []int) bool
 	level = func(i int, prefix []int) bool {
 		if i == len(p.levels) {
+			reached = true
 			return yield(prefix)
 		}
 		lvl := p.levels[i]
@@ -132,6 +136,10 @@ func (p *streamPlan) walk(src AtomSource, charge ChargeFunc, yield func([]int) b
 				lvl.row[col] = tup[k]
 			}
 			more = level(i+1, lvl.row)
+			if reached && i > p.cut {
+				return false
+			}
+			reached = false
 			return more
 		}
 		if !lvl.disjoint || i == 0 {
@@ -160,8 +168,7 @@ func (p *streamPlan) walk(src AtomSource, charge ChargeFunc, yield func([]int) b
 				return false
 			}
 		}
-		for k, a := 0, len(lvl.cols); k < len(lvl.buf) && more; k += a {
-			next(lvl.buf[k : k+a])
+		for k, a := 0, len(lvl.cols); k < len(lvl.buf) && next(lvl.buf[k:k+a]); k += a {
 		}
 		return more
 	}
@@ -183,13 +190,16 @@ func StreamAssignments(src AtomSource, q *Query, charge ChargeFunc, yield func(r
 	if err != nil {
 		return nil, err
 	}
+	p.cut = len(p.levels) // every assignment, not only the first of an answer
 	return p.vars, p.walk(src, charge, yield)
 }
 
 // StreamAnswers calls yield with the answers of q over src in q.Free
 // order until it returns false, deduplicated: the first derivation wins,
-// and each seen-set entry is charged 64 bytes plus its key. A Boolean
-// query yields at most one empty tuple.
+// and each seen-set entry is charged 64 bytes plus its key; the levels
+// past the last that binds a free variable stop at a complete row, as all
+// they could add repeats its answer. A Boolean query yields at most one
+// empty tuple.
 func StreamAnswers(src AtomSource, q *Query, charge ChargeFunc, yield func(answer []int) bool) error {
 	p, err := planStream(q)
 	if err != nil {

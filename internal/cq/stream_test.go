@@ -3,6 +3,7 @@ package cq
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -226,6 +227,50 @@ func TestStreamDisjointLevelWaitsForPrefix(t *testing.T) {
 			t.Errorf("A = %v: B scanned %d times, %d answers; want %d scans and %d answers", as, src.scans["B"], rows, want, 2*len(as))
 		}
 	}
+}
+
+// TestStreamAnswersCutsRepeats: once a row is complete, the levels past
+// the last one that binds a free variable end their scans — what they have
+// left can only derive the same answer again — and the levels up to it go
+// on. A Boolean query stops at its first row.
+func TestStreamAnswersCutsRepeats(t *testing.T) {
+	s := NewStructure(8)
+	for rel, rows := range map[string][][]int{"A": {{0}, {1}}, "E": {{0, 5}, {0, 6}, {1, 5}, {1, 6}}, "B": {{5}, {6}}} {
+		if err := s.AddRelation(rel, len(rows[0])); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			s.MustAddTuple(rel, r...)
+		}
+	}
+	atoms := []Atom{{Rel: "A", Args: []string{"x"}}, {Rel: "E", Args: []string{"x", "y"}}, {Rel: "B", Args: []string{"y"}}}
+	for _, tc := range []struct {
+		free     []string
+		answers  int
+		pulledBy map[string]int // tuples each relation's scans handed out
+	}{
+		{[]string{"x"}, 2, map[string]int{"A": 2, "E": 2, "B": 2}},
+		{[]string{"x", "y"}, 4, map[string]int{"A": 2, "E": 4, "B": 4}},
+		{nil, 1, map[string]int{"A": 1, "E": 1, "B": 1}},
+	} {
+		pulled := map[string]int{}
+		src := sourceFunc(func(rel string, bound []int, yield func([]int) bool) error {
+			return s.Scan(rel, bound, func(tup []int) bool { pulled[rel]++; return yield(tup) })
+		})
+		answers := 0
+		if err := StreamAnswers(src, &Query{Atoms: atoms, Free: tc.free}, nil, func([]int) bool { answers++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if answers != tc.answers || !maps.Equal(pulled, tc.pulledBy) {
+			t.Errorf("free %v: %d answers, tuples pulled %v; want %d and %v", tc.free, answers, pulled, tc.answers, tc.pulledBy)
+		}
+	}
+}
+
+type sourceFunc func(rel string, bound []int, yield func([]int) bool) error
+
+func (f sourceFunc) Scan(rel string, bound []int, yield func([]int) bool) error {
+	return f(rel, bound, yield)
 }
 
 // TestStreamPushdown: a level sharing a variable with the prefix scans its
