@@ -289,11 +289,13 @@ func TestEnumerateErrors(t *testing.T) {
 }
 
 // TestEnumerateTimeout504: a tiny deadline against a slow enumeration
-// surfaces as 504 with the ledger drained, like /v1/query.
+// surfaces as 504 with the ledger drained, like /v1/query. The two tracks
+// start at distinct free variables, so the Reduction walk guesses all n²
+// source pairs and the enumeration stays quadratic in the database.
 func TestEnumerateTimeout504(t *testing.T) {
 	s := newTestServer(t, Config{})
-	registerDB(t, s, "g", denseDBText(60))
-	slowFree := "alphabet a b\nfree x y\nx -[$p1]-> y\nx -[$p2]-> y\nrel eq(p1, p2)\n"
+	registerDB(t, s, "g", denseDBText(200))
+	slowFree := "alphabet a b\nfree x1 x2 y\nx1 -[$p1]-> y\nx2 -[$p2]-> y\nrel eq(p1, p2)\n"
 	rec, _ := doJSON(t, s, "POST", "/v1/enumerate",
 		map[string]any{"db": "g", "query": slowFree, "strategy": "reduction",
 			"limit": 1000000, "timeout_ms": 30})
