@@ -463,9 +463,13 @@ func popIdiom(t *table, stack []int) (acc bool) {
 			"internal/core/explain.go", "internal/core/prepared.go", "internal/core/satisfiable.go"),
 		violation: "func f() { decompose(q) }"},
 	{name: "merge-callers", why: "a second Lemma 4.1 merge routine",
-		in: []string{"internal/core"}, check: onlyFrom("mergeComponent",
-			"internal/core/reduction_build.go", "internal/core/satisfiable.go"),
-		violation: "func f() { mergeComponent(c) }"},
+		in: []string{"internal/core"}, check: allOf(
+			onlyFrom("mergeComponent", "internal/core/reduction_build.go", "internal/core/satisfiable.go"),
+			onlyFrom("synchro.Merge", "internal/core/component.go"),
+			never(selectors, `^synchro\.Join$`)),
+		violation: `func f() { mergeComponent(ctx, a, c, nil) }
+func g() { synchro.Merge(ctx, a, 2, rels, vars, nil) }
+func h() { synchro.Join(a, 2, rels, vars) }`},
 	{name: "compile-callers", why: "a join compiled outside prepare",
 		in: []string{"internal/core"}, check: onlyFrom("cq.Compile", "internal/core/prepared.go"),
 		violation: "func f() { cq.Compile(q) }"},
@@ -518,9 +522,13 @@ func answers(src cq.AtomSource, q *cq.Query) error { return cq.StreamAnswers(src
 		in: []string{"internal/core"}, skip: []string{"internal/core/component.go", "internal/core/reduction_build.go", "internal/core/pushdown.go"},
 		check:     never(names, `^relTracks$`),
 		violation: "func f(c *component) int { return len(c.relTracks) }"},
-	{name: "nfa-view-callers", why: "an automaton decoded for a kernel other than the merged view's",
-		in: []string{"internal/core"}, check: onlyFrom("newNFAView", "internal/core/reduction_build.go"),
-		violation: "func f(r *synchro.Relation) { newNFAView(r) }"},
+	{name: "nfa-view-callers", why: "a kernel automaton other than the merged table: a relation's own table is read only by the first-letter analysis",
+		in: []string{"internal/core"}, check: onlyFrom("Table", "internal/core/pushdown.go"),
+		violation: "func f(r *synchro.Relation) *synchro.Table { return r.Table() }"},
+	{name: "integer-letters", why: "a letter packed into or decoded from a string key: the merge hands core symbol tuples",
+		in: []string{"internal/core"}, check: never(selectors, `^alphabet\.TupleFromKey$|\.Key$`),
+		violation: `func f(t alphabet.Tuple) string { return t.Key() }
+func g(k string) (alphabet.Tuple, error) { return alphabet.TupleFromKey(k) }`},
 	// The Lemma 4.3 sweep: R' is int32 values back to back from the sweep's
 	// emit to the join's scan.
 	{name: "rows-no-header", why: "a slice header per row",

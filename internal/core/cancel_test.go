@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,7 +77,7 @@ func wideGenericInstance(t testing.TB) (*graphdb.DB, *query.Query) {
 	db, _ := slowGenericInstance(t)
 	q := eqFan(db.Alphabet(), 17).Lang("p1", "a*b").MustBuild()
 	comps := mergedComponents(t, q)
-	if len(comps) != 1 || len(comps[0].nfa.accept) == 0 || !packProduct(db, &comps[0]).wide {
+	if len(comps) != 1 || len(comps[0].nfa.Accept) == 0 || !packProduct(db, &comps[0]).wide {
 		t.Fatalf("not one wide component with a non-empty merged automaton")
 	}
 	return db, q
@@ -259,5 +261,58 @@ func TestPreCancelledContext(t *testing.T) {
 		MustBuild()
 	if _, err := AnswersContext(ctx, db, free, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("AnswersContext: got %v, want context.Canceled", err)
+	}
+}
+
+// TestMergeStopsEarly: the Lemma 4.1 merge polls the preparing context and
+// charges the states it discovers as it goes. The query is one path under
+// six lang p ((a|b)^m)* atoms, m ∈ {2, 3, 5, 7, 11, 13}: a merge of 60 061
+// states. Under a deadline a tenth of the uncancelled prepare time it fails
+// with context.DeadlineExceeded well inside that time, and under a
+// reservation smaller than the merge with the typed memory error after
+// charging part of it; either way nothing stays charged.
+func TestMergeStopsEarly(t *testing.T) {
+	a := alphabet.Lower(2)
+	b := query.NewBuilder(a).Reach("x", "p", "y")
+	for _, m := range []int{2, 3, 5, 7, 11, 13} {
+		b = b.Lang("p", "("+strings.Repeat("(a|b)", m)+")*")
+	}
+	q := b.MustBuild()
+	full := time.Duration(math.MaxInt64)
+	for range 2 {
+		start := time.Now()
+		p, err := PrepareContext(context.Background(), q, Options{Strategy: Generic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.mergedSt != 60061 {
+			t.Fatalf("uncancelled prepare: %d merged states, want 60061", p.mergedSt)
+		}
+		full = min(full, time.Since(start))
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), full/10)
+	defer cancel()
+	start := time.Now()
+	_, err := PrepareContext(ctx, q, Options{Strategy: Generic})
+	if elapsed := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || elapsed > full/2 {
+		t.Errorf("prepare under a %v deadline: %v after %v, want context.DeadlineExceeded within %v", full/10, err, elapsed, full/2)
+	}
+
+	broker := govern.NewBroker(512 << 10)
+	res, err := broker.Reserve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	_, err = PrepareContext(govern.NewContext(context.Background(), res), q, Options{Strategy: Generic})
+	if !errors.Is(err, govern.ErrResourceExhausted) {
+		t.Errorf("prepare under a 512 KiB reservation: %v, want %v", err, govern.ErrResourceExhausted)
+	}
+	if peak := res.Peak(); peak == 0 || peak >= 60061*mergedStateBytes {
+		t.Errorf("the merge charged at most %d bytes before it was refused, want some of its %d", peak, 60061*mergedStateBytes)
+	}
+	if used := res.Used(); used != 0 {
+		t.Errorf("%d bytes still charged after a refused merge", used)
 	}
 }

@@ -47,7 +47,13 @@ func measure(t *testing.T, runs int, op func(testing.TB) int) (allocs, bytes flo
 //     unmerged relations; 1.28 MB on the chain when every evaluation regrew
 //     its kernel's tables);
 //   - Prop 2.3 join: 8 B and 0.05 allocations per input row wherever it
-//     reads 10 000 rows or more — flat tables, integer keys.
+//     reads 10 000 rows or more — flat tables, integer keys;
+//   - Lemma 4.1 merge: 256 B and 0.5 allocations per merged transition
+//     wherever a merge has 500 transitions or more — an integer product
+//     written straight into the table the kernels walk (the edit<=2 fan:
+//     602 transitions, 133 allocations and 83 KB; 11 775 allocations and
+//     323 KB when the product ran over string letters, decoded on every
+//     visit, into a map automaton that was decoded again).
 func TestCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random and allocates on its own")
@@ -81,6 +87,12 @@ func TestCeilings(t *testing.T) {
 		op := joinOp(t, jc.q, jc.db)
 		if rows := float64(op(t)); rows >= 10000 {
 			table = append(table, ceiling{fmt.Sprintf("join/%s (%.0f rows)", jc.name, rows), op, 0.05 * rows, 8 * rows})
+		}
+	}
+	for _, ms := range mergeShapes(a) {
+		op := mergeOp(ms.q)
+		if transitions := float64(op(t)); transitions >= 500 {
+			table = append(table, ceiling{fmt.Sprintf("merge/%s (%.0f transitions)", ms.name, transitions), op, 0.5 * transitions, 256 * transitions})
 		}
 	}
 	for _, c := range table {

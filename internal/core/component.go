@@ -21,13 +21,11 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
 
 	"ecrpq/internal/alphabet"
-	"ecrpq/internal/invariant"
 	"ecrpq/internal/query"
 	"ecrpq/internal/synchro"
 )
@@ -52,12 +50,13 @@ type component struct {
 	tracks    []track
 	rels      []*synchro.Relation // non-universal; explicit NFAs
 	relTracks [][]int             // relation → component-track indices
-	// nfa is the decoded transition table of the Lemma 4.1 merge, the one
-	// automaton every product kernel searches. Only mergedViews sets it, on
-	// the plan's merged views, so that no kernel decodes it again; read-only,
+	// nfa is the table of the Lemma 4.1 merge, the one automaton every
+	// product kernel searches, as synchro.Merge built it: integer states and
+	// symbol-tuple letters, nothing to decode. Only mergedViews sets it, on
+	// the plan's merged views, which carry no relation besides; read-only,
 	// shared by every kernel and every goroutine. decompose's components
 	// leave it nil.
-	nfa *nfaView
+	nfa *synchro.Table
 	// nodeVars are the distinct node variables: track sources first, then
 	// the variables that are only destinations, each in track order. The
 	// Generic walk guesses them in this order, so a component's
@@ -120,34 +119,16 @@ func decompose(q *query.Query) ([]component, error) {
 	for i, p := range paths {
 		pathIdx[p] = i
 	}
-	parent := make([]int, len(paths))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		//ecrpq:bounded union-find with path halving: every step strictly shortens the chain to the root
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	uf := newUnionFind(len(paths))
 	var nonUniversal []query.RelAtom
 	for _, ra := range q.Rels {
 		if ra.Rel.IsUniversal() {
 			continue
 		}
-		if ra.Rel.RawNFA() == nil {
-			return nil, fmt.Errorf("core: relation %q has no automaton", ra.Rel.Name())
-		}
 		nonUniversal = append(nonUniversal, ra)
 		first := pathIdx[ra.Paths[0]]
 		for _, p := range ra.Paths[1:] {
-			a, b := find(first), find(pathIdx[p])
-			if a != b {
-				parent[a] = b
-			}
+			uf.union(first, pathIdx[p])
 		}
 	}
 	compOf := make(map[int]*component)
@@ -163,7 +144,7 @@ func decompose(q *query.Query) ([]component, error) {
 		if !covered[p] {
 			continue
 		}
-		r := find(i)
+		r := uf.find(i)
 		c, ok := compOf[r]
 		if !ok {
 			c = &component{}
@@ -175,7 +156,7 @@ func decompose(q *query.Query) ([]component, error) {
 		c.tracks = append(c.tracks, track{pathVar: p, srcVar: atom.Src, dstVar: atom.Dst})
 	}
 	for _, ra := range nonUniversal {
-		r := find(pathIdx[ra.Paths[0]])
+		r := uf.find(pathIdx[ra.Paths[0]])
 		c := compOf[r]
 		idxs := make([]int, len(ra.Paths))
 		for i, p := range ra.Paths {
@@ -223,46 +204,34 @@ func decompose(q *query.Query) ([]component, error) {
 	return comps, nil
 }
 
+// unionFind is a union-find over 0 … n-1 with path halving.
+type unionFind []int
+
+func newUnionFind(n int) unionFind {
+	u := make(unionFind, n)
+	for i := range u {
+		u[i] = i
+	}
+	return u
+}
+
+func (u unionFind) find(x int) int {
+	//ecrpq:bounded path halving: every step strictly shortens the chain to the root
+	for u[x] != x {
+		u[x] = u[u[x]]
+		x = u[x]
+	}
+	return x
+}
+
+// union joins the sets of x and y under y's root.
+func (u unionFind) union(x, y int) { u[u.find(x)] = u.find(y) }
+
 // mergeComponent applies Lemma 4.1: it joins the component's relations into
-// a single relation over the component's tracks, so the component behaves as
-// one hyperedge.
-func mergeComponent(a *alphabet.Alphabet, c *component) (*synchro.Relation, error) {
-	return synchro.Join(a, len(c.tracks), c.rels, c.relTracks)
-}
-
-// nfaView caches a relation NFA's decoded transitions for fast iteration.
-type nfaView struct {
-	starts []int
-	accept []bool
-	trans  [][]decodedTrans
-}
-
-type decodedTrans struct {
-	tuple alphabet.Tuple
-	to    int
-}
-
-func newNFAView(r *synchro.Relation) *nfaView {
-	nfa := r.RawNFA()
-	n := nfa.NumStates()
-	v := &nfaView{starts: nfa.StartStates(), accept: make([]bool, n), trans: make([][]decodedTrans, n)}
-	for q := 0; q < n; q++ {
-		v.accept[q] = nfa.IsAccept(q)
-	}
-	nfa.Transitions(func(p int, l string, q int) {
-		t, err := alphabet.TupleFromKey(l)
-		invariant.NoError(err, "core: malformed relation letter")
-		v.trans[p] = append(v.trans[p], decodedTrans{tuple: t, to: q})
-	})
-	// Transitions come in map order. Sorting them makes the order in which a
-	// search meets states, and so the state budget under which it finds a
-	// given destination, a function of the instance alone.
-	for _, trs := range v.trans {
-		slices.SortFunc(trs, func(a, b decodedTrans) int {
-			return cmp.Or(slices.Compare(a.tuple, b.tuple), cmp.Compare(a.to, b.to))
-		})
-	}
-	return v
+// the table of a single relation over the component's tracks, so the
+// component behaves as one hyperedge. grow is synchro.Merge's.
+func mergeComponent(ctx context.Context, a *alphabet.Alphabet, c *component, grow func(states int) error) (*synchro.Table, error) {
+	return synchro.Merge(ctx, a, len(c.tracks), c.rels, c.relTracks, grow)
 }
 
 // componentReachSet computes, for fixed sources, every tuple of destination

@@ -11,6 +11,7 @@ import (
 	"ecrpq/internal/faultinject"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
+	"ecrpq/internal/synchro"
 )
 
 // productShape is the layout of a component's product with a database
@@ -36,8 +37,8 @@ import (
 // read-only after packProduct and may be shared by concurrent kernels.
 type productShape struct {
 	db    *graphdb.DB
-	fwd   *graphdb.CSR // the database's forward layout when the shape was made
-	nfa   *nfaView     // the component's merged automaton
+	fwd   *graphdb.CSR   // the database's forward layout when the shape was made
+	nfa   *synchro.Table // the component's merged automaton
 	t     int
 	vBits uint
 	qBits uint
@@ -58,7 +59,7 @@ func packProduct(db *graphdb.DB, c *component) *productShape {
 	t := len(c.tracks)
 	s := &productShape{db: db, fwd: db.Forward(), nfa: c.nfa, t: t}
 	s.vBits = uint(bits.Len(uint(max(db.NumVertices()-1, 1))))
-	s.qBits = uint(bits.Len(uint(max(len(c.nfa.accept), 2) - 1)))
+	s.qBits = uint(bits.Len(uint(max(c.nfa.NumStates(), 2) - 1)))
 	s.bits, s.destBits = s.qBits+uint(t)*s.vBits+uint(t), uint(t)*s.vBits
 	if s.bits > packedBits {
 		s.wide, s.bits, s.destBits = true, 0, 0
@@ -244,43 +245,36 @@ func (p *productStep) sortDests(keys []uint64) {
 func (p *productStep) load(key uint64) { p.q, p.done = p.unpack(key, p.verts) }
 
 // accepting reports whether the loaded state's automaton state accepts.
-func (p *productStep) accepting() bool { return p.nfa.accept[p.q] }
+func (p *productStep) accepting() bool { return p.nfa.Accept[p.q] }
 
 // seed emits every start state of the automaton over newVerts and newDone,
 // which the caller has set.
 func (p *productStep) seed() {
-	for _, q := range p.nfa.starts {
+	for _, q := range p.nfa.Starts {
 		p.nextQ = q
 		p.emit()
 	}
 }
 
 // step emits every successor of the loaded state, one transition of the
-// automaton at a time. The all-pad letter, which a merged automaton may
-// carry but no database move reads, is rejected by expand.
+// automaton at a time. A merged table carries no all-pad letter
+// (synchro.Merge leaves it out), so every letter moves some pointer.
 func (p *productStep) step() {
-	for _, tr := range p.nfa.trans[p.q] {
-		p.joint, p.nextQ = tr.tuple, tr.to
+	for _, tr := range p.nfa.Trans[p.q] {
+		p.joint, p.nextQ = tr.Tuple, tr.To
 		p.expand()
 	}
 }
 
 // expand advances database pointers for a fully-determined joint letter.
 func (p *productStep) expand() {
-	allPad := true
 	p.newDone = p.done
 	for i, s := range p.joint {
 		if s == alphabet.Pad {
 			p.newDone |= 1 << uint(i)
-		} else {
-			allPad = false
-			if p.done&(1<<uint(i)) != 0 {
-				return
-			}
+		} else if p.done&(1<<uint(i)) != 0 {
+			return
 		}
-	}
-	if allPad {
-		return
 	}
 	copy(p.newVerts, p.verts)
 	p.overTracks(0)

@@ -625,7 +625,7 @@ func TestLanguageEmptyComponent(t *testing.T) {
 	}
 	boolean, free := shape(), shape("x", "y")
 	comps := mergedComponents(t, boolean)
-	if len(comps) != 1 || len(comps[0].nfa.accept) != 0 {
+	if len(comps) != 1 || len(comps[0].nfa.Accept) != 0 {
 		t.Fatal("want one component whose merged automaton trims to no state")
 	}
 	rng := rand.New(rand.NewSource(37))

@@ -118,8 +118,8 @@ func (p *Prepared) Query() *query.Query { return p.q }
 // plus fixed per-component overhead; it is an estimate, not an accounting.
 func (p *Prepared) MemBytes() int { return p.memBytes }
 
-// relTransitionBytes approximates the footprint of one NFA transition in
-// the decoded nfaView representation (tuple slice + indices).
+// relTransitionBytes approximates the footprint of one transition of a
+// synchro.Table (tuple slice + target).
 const relTransitionBytes = 48
 
 func (p *Prepared) estimateBytes() int {
@@ -130,6 +130,9 @@ func (p *Prepared) estimateBytes() int {
 			for _, r := range cs[i].rels {
 				states, trans := r.Size()
 				total += 32*states + relTransitionBytes*trans
+			}
+			if t := cs[i].nfa; t != nil {
+				total += 32*t.NumStates() + relTransitionBytes*t.NumTransitions()
 			}
 		}
 	}

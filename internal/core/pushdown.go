@@ -11,72 +11,72 @@ package core
 // over-approximates the first letters of every track the relation spans.
 
 import (
+	"maps"
+
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/graphdb"
-	"ecrpq/internal/invariant"
+	"ecrpq/internal/synchro"
 )
 
 // trackFirstLabels computes, per component track, the set of labels an
 // accepted witness path for that track may start with, or nil when the
-// track is unrestricted. A track is unrestricted when some relation
-// spanning it admits an empty word there (a start state is accepting, or a
-// start-state transition pads the position); otherwise the sets from all
-// spanning relations are intersected. The result is a sound
+// track is unrestricted. Only start states' letters matter, so they are read
+// off tables: the merged view's when the component is one (what
+// PushdownCandidates asks about), else each relation's (what Explain asks
+// about, without building the views). A track is unrestricted when some
+// table spanning it admits an empty word there (a start state is
+// accepting, or a start-state transition pads the position); otherwise the
+// sets from all spanning tables are intersected. The result is a sound
 // over-approximation: every satisfying assignment's witness starts with a
 // returned label.
 //
 //ecrpq:charged output is bounded by the query's relation automata (first-letter sets ⊆ alphabet), never database-sized
 func trackFirstLabels(c *component) []map[alphabet.Symbol]bool {
-	t := len(c.tracks)
-	firsts := make([]map[alphabet.Symbol]bool, t)
-	restricted := make([]bool, t)
-	for ri, rel := range c.rels {
-		// Only the start states' letters matter, so they are read off the
-		// automaton itself: Explain asks without ever building the views.
-		nfa := rel.RawNFA()
-		arity := len(c.relTracks[ri])
-		relFirst := make([]map[alphabet.Symbol]bool, arity)
-		relOpen := make([]bool, arity) // position may start empty/padded
-		for _, q := range nfa.StartStates() {
-			if nfa.IsAccept(q) {
+	tabs := []*synchro.Table{c.nfa}
+	if c.nfa == nil {
+		tabs = nil
+		for _, r := range c.rels {
+			tabs = append(tabs, r.Table())
+		}
+	}
+	firsts := make([]map[alphabet.Symbol]bool, len(c.tracks))
+	restricted := make([]bool, len(c.tracks))
+	for ri, tab := range tabs {
+		// A position no start transition touches keeps the empty label set:
+		// the table accepts nothing, a vacuously sound restriction.
+		relFirst := make([]map[alphabet.Symbol]bool, tab.Arity)
+		for j := range relFirst {
+			relFirst[j] = make(map[alphabet.Symbol]bool)
+		}
+		relOpen := make([]bool, tab.Arity) // position may start empty/padded
+		for _, q := range tab.Starts {
+			if tab.Accept[q] {
 				// The all-empty tuple is accepted: every position may be
-				// empty, so this relation restricts nothing.
+				// empty, so this table restricts nothing.
 				for j := range relOpen {
 					relOpen[j] = true
 				}
 			}
-			nfa.OutLetters(q, func(l string) {
-				tuple, err := alphabet.TupleFromKey(l)
-				invariant.NoError(err, "core: malformed relation letter")
-				for j, sym := range tuple {
+			for _, tr := range tab.Trans[q] {
+				for j, sym := range tr.Tuple {
 					if sym == alphabet.Pad {
 						relOpen[j] = true
 						continue
 					}
-					if relFirst[j] == nil {
-						relFirst[j] = make(map[alphabet.Symbol]bool)
-					}
 					relFirst[j][sym] = true
 				}
-			})
+			}
 		}
-		for j, ct := range c.relTracks[ri] {
+		for j := range relOpen {
+			ct := j // the merged table spans the tracks in order
+			if c.nfa == nil {
+				ct = c.relTracks[ri][j]
+			}
 			if relOpen[j] {
 				continue
 			}
-			if relFirst[j] == nil {
-				// No start transition touches this position at all: the
-				// relation accepts nothing, so the empty label set is the
-				// (vacuously sound) restriction.
-				relFirst[j] = make(map[alphabet.Symbol]bool)
-			}
 			if !restricted[ct] {
-				restricted[ct] = true
-				cp := make(map[alphabet.Symbol]bool, len(relFirst[j]))
-				for s := range relFirst[j] {
-					cp[s] = true
-				}
-				firsts[ct] = cp
+				restricted[ct], firsts[ct] = true, maps.Clone(relFirst[j])
 				continue
 			}
 			for s := range firsts[ct] {
@@ -84,11 +84,6 @@ func trackFirstLabels(c *component) []map[alphabet.Symbol]bool {
 					delete(firsts[ct], s)
 				}
 			}
-		}
-	}
-	for k := range firsts {
-		if !restricted[k] {
-			firsts[k] = nil
 		}
 	}
 	return firsts

@@ -10,23 +10,23 @@ import (
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
-	"ecrpq/internal/synchro"
 	"ecrpq/internal/trace"
 )
 
 // mergedStateBytes approximates the footprint of one merged-NFA state
 // (matching the per-state term of Prepared.estimateBytes); mergedViews
-// charges it against the request's reservation as each view is built.
+// charges it against the request's reservation as the merge discovers
+// states.
 const mergedStateBytes = 32
 
-// mergedViews applies Lemma 4.1 to every component: each is joined into a
-// single-relation view covering all of its tracks, with the decoded
-// transitions every product kernel walks. Returns the views, the total
-// merged NFA state count and the bytes charged for them. Prepared plans
-// compute this once and reuse it across evaluations and materializations.
-// The whole pass is one core/merge span when ctx carries a trace, and view
-// bytes are charged to the context's govern reservation as they
-// materialize; on failure nothing stays charged.
+// mergedViews applies Lemma 4.1 to every component: each is merged into a
+// single-table view covering all of its tracks, the table every product
+// kernel walks. Returns the views, the total merged state count and the
+// bytes charged for them. Prepared plans compute this once and reuse it
+// across evaluations and materializations. The whole pass is one core/merge
+// span when ctx carries a trace. A merge polls ctx and charges the states it
+// discovers to the context's govern reservation as it goes, then settles
+// the charge to the states trimming kept; on failure nothing stays charged.
 func mergedViews(ctx context.Context, q *query.Query, comps []component) (_ []component, states int, charged int64, err error) {
 	_, sp := trace.StartSpan(ctx, "core/merge")
 	defer sp.End()
@@ -39,30 +39,18 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) (_ []co
 	merged := make([]component, len(comps))
 	for ci := range comps {
 		c := &comps[ci]
-		rel, err := mergeComponent(q.Alphabet(), c)
+		before := mem.Charged()
+		tab, err := mergeComponent(ctx, q.Alphabet(), c, func(states int) error { return mem.Grow(int64(states) * mergedStateBytes) })
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		st, _ := rel.Size()
-		states += st
-		// The merged automaton dominates the view's footprint; charge a
-		// conservative per-state estimate plus the track-index slice so
-		// the governor sees plan materialization, not just evaluation.
-		if err := mem.Grow(int64(st)*mergedStateBytes + int64(8*len(c.tracks))); err != nil {
+		states += tab.NumStates()
+		// Settle on what the view keeps: a conservative estimate per state of
+		// the trimmed table, the governor's view of plan materialization.
+		if err := mem.Charge(before + int64(tab.NumStates())*mergedStateBytes + int64(8*len(c.tracks)) - mem.Charged()); err != nil {
 			return nil, 0, 0, err
 		}
-		var allTracks []int
-		for k := range c.tracks {
-			allTracks = append(allTracks, k)
-		}
-		merged[ci] = component{
-			tracks:    c.tracks,
-			nodeVars:  c.nodeVars,
-			ends:      c.ends,
-			rels:      []*synchro.Relation{rel},
-			relTracks: [][]int{allTracks},
-			nfa:       newNFAView(rel),
-		}
+		merged[ci] = component{tracks: c.tracks, nodeVars: c.nodeVars, ends: c.ends, nfa: tab}
 	}
 	sp.SetInt("merged_states", int64(states))
 	return merged, states, mem.Charged(), nil

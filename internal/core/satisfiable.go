@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"ecrpq/internal/alphabet"
@@ -32,11 +33,11 @@ func Satisfiable(q *query.Query) (*graphdb.DB, *Result, bool, error) {
 	words := make(map[string]alphabet.Word)
 	for ci := range comps {
 		c := &comps[ci]
-		rel, err := mergeComponent(q.Alphabet(), c)
+		tab, err := mergeComponent(context.Background(), q.Alphabet(), c, nil)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		ws, empty := rel.IsEmpty()
+		ws, empty := tab.IsEmpty()
 		if empty {
 			return nil, nil, false, nil
 		}
@@ -51,25 +52,10 @@ func Satisfiable(q *query.Query) (*graphdb.DB, *Result, bool, error) {
 	for i, v := range nodeVars {
 		idx[v] = i
 	}
-	parent := make([]int, len(nodeVars))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		//ecrpq:bounded union-find with path halving: every step strictly shortens the chain to the root
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	uf := newUnionFind(len(nodeVars))
 	for _, ra := range q.Reach {
 		if len(words[ra.Path]) == 0 {
-			a, b := find(idx[ra.Src]), find(idx[ra.Dst])
-			if a != b {
-				parent[a] = b
-			}
+			uf.union(idx[ra.Src], idx[ra.Dst])
 		}
 	}
 
@@ -78,7 +64,7 @@ func Satisfiable(q *query.Query) (*graphdb.DB, *Result, bool, error) {
 	db := graphdb.New(q.Alphabet())
 	classVertex := make(map[int]int)
 	vertexOf := func(v string) int {
-		r := find(idx[v])
+		r := uf.find(idx[v])
 		if vv, ok := classVertex[r]; ok {
 			return vv
 		}

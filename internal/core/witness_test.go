@@ -168,7 +168,7 @@ func TestWitnessFromSearch(t *testing.T) {
 				check(fmt.Sprintf("a traversal capped at one state (err %v)", budgetErr), fp, 1+btoi(budgetErr != nil))
 				// A language-empty merge has no start state: its traversal
 				// meets nothing, so it polls nothing and fails nothing.
-				empty := len(c.nfa.starts) == 0
+				empty := len(c.nfa.Starts) == 0
 				fp = kernelOf(in, c)
 				if _, err := fp.reach(cancelled, srcs, dsts, 0); (err == nil) != empty {
 					t.Fatalf("%s: reach under a cancelled context: err %v", at, err)

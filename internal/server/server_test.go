@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -807,18 +808,24 @@ func BenchmarkQueryColdVsWarm(b *testing.B) {
 
 // TestRegisterWarmsLayout: the registry's install builds the database's forward
 // layout, so no request does. Builds are counted from outside: asking an
-// installed database for its layout allocates nothing (on a bare registry,
-// where no other goroutine allocates), and requests leave the same layout
-// behind.
+// installed database for its layout allocates nothing, and requests leave
+// the same layout behind. The count is of the process's allocations, which
+// the runtime's own background work can add to, so it is taken on three
+// fresh databases and the least must be 0; an install that does not build
+// the layout allocates in the first Forward of every one.
 func TestRegisterWarmsLayout(t *testing.T) {
-	db := mustParseDB(t, denseDBText(8))
-	newDBRegistry(func(uint64) int { return 0 }).install(&dbEntry{name: "g", db: db, gen: 1})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	db.Forward()
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("the first Forward after install allocates %d times: install did not build the layout", n)
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		db := mustParseDB(t, denseDBText(8))
+		newDBRegistry(func(uint64) int { return 0 }).install(&dbEntry{name: "g", db: db, gen: 1})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		db.Forward()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != 0 {
+		t.Fatalf("the first Forward after install allocates %d times: install did not build the layout", least)
 	}
 
 	s := newTestServer(t, Config{})

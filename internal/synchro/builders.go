@@ -30,7 +30,7 @@ func Lift(a *alphabet.Alphabet, lang *automata.NFA[alphabet.Symbol]) *Relation {
 	clean.Transitions(func(p int, s alphabet.Symbol, q int) {
 		n.AddTransition(p, alphabet.Tuple{s}.Key(), q)
 	})
-	return &Relation{arity: 1, alpha: a, nfa: n, name: "lang"}
+	return explicit(a, 1, n, "lang")
 }
 
 // Equality returns the k-ary relation {(w, ..., w) : w ∈ A*}.
@@ -45,7 +45,7 @@ func Equality(a *alphabet.Alphabet, k int) *Relation {
 		}
 		nfa.AddTransition(0, t.Key(), 0)
 	}
-	return &Relation{arity: k, alpha: a, nfa: nfa, name: "eq"}
+	return explicit(a, k, nfa, "eq")
 }
 
 // EqualLength returns the k-ary relation {(w1,...,wk) : |w1| = ... = |wk|}.
@@ -67,7 +67,7 @@ func EqualLength(a *alphabet.Alphabet, k int) *Relation {
 		}
 	}
 	rec(0)
-	return &Relation{arity: k, alpha: a, nfa: nfa, name: "eq-len"}
+	return explicit(a, k, nfa, "eq-len")
 }
 
 // PrefixOf returns the binary relation {(u, v) : u is a prefix of v}.
@@ -82,7 +82,7 @@ func PrefixOf(a *alphabet.Alphabet) *Relation {
 		nfa.AddTransition(0, alphabet.Tuple{alphabet.Pad, s}.Key(), 1)
 		nfa.AddTransition(1, alphabet.Tuple{alphabet.Pad, s}.Key(), 1)
 	}
-	return &Relation{arity: 2, alpha: a, nfa: nfa, name: "prefix"}
+	return explicit(a, 2, nfa, "prefix")
 }
 
 // HammingAtMost returns the binary relation of equal-length words differing
@@ -104,7 +104,7 @@ func HammingAtMost(a *alphabet.Alphabet, d int) *Relation {
 			}
 		}
 	}
-	return &Relation{arity: 2, alpha: a, nfa: nfa, name: fmt.Sprintf("hamming<=%d", d)}
+	return explicit(a, 2, nfa, fmt.Sprintf("hamming<=%d", d))
 }
 
 // LengthDiffAtMost returns the binary relation {(u,v) : ||u|-|v|| ≤ d}.
@@ -137,7 +137,7 @@ func LengthDiffAtMost(a *alphabet.Alphabet, d int) *Relation {
 			nfa.AddTransition(from2, alphabet.Tuple{s, alphabet.Pad}.Key(), d+i+1)
 		}
 	}
-	return &Relation{arity: 2, alpha: a, nfa: nfa, name: fmt.Sprintf("lendiff<=%d", d)}
+	return explicit(a, 2, nfa, fmt.Sprintf("lendiff<=%d", d))
 }
 
 // editOne returns the binary relation {(u, v) : ed(u, v) ≤ 1}: equality, one
@@ -184,7 +184,7 @@ func insertion(a *alphabet.Alphabet) *Relation {
 		// u ends; v flushes the last pending symbol.
 		nfa.AddTransition(pending(s), alphabet.Tuple{alphabet.Pad, s}.Key(), done)
 	}
-	return &Relation{arity: 2, alpha: a, nfa: nfa, name: "insert1"}
+	return explicit(a, 2, nfa, "insert1")
 }
 
 // MaxEditCompositionStates bounds the d-fold composition EditDistanceAtMost
@@ -271,7 +271,7 @@ func (r *Relation) Minimized() *Relation {
 		return r
 	}
 	min := canonicalNumbering(r.nfa.Determinize().Minimize().ToNFA())
-	return &Relation{arity: r.arity, alpha: r.alpha, nfa: min, name: r.name}
+	return explicit(r.alpha, r.arity, min, r.name)
 }
 
 // canonicalNumbering renumbers an automaton whose states are all reachable

@@ -20,7 +20,7 @@ func ShorterThan(a *alphabet.Alphabet) *Relation {
 		nfa.AddTransition(0, alphabet.Tuple{alphabet.Pad, s}.Key(), 1)
 		nfa.AddTransition(1, alphabet.Tuple{alphabet.Pad, s}.Key(), 1)
 	}
-	return &Relation{arity: 2, alpha: a, nfa: nfa, name: "shorter"}
+	return explicit(a, 2, nfa, "shorter")
 }
 
 // LexLeq returns the binary relation {(u, v) : u ≤ v in length-lexicographic
@@ -53,7 +53,7 @@ func LexLeq(a *alphabet.Alphabet) *Relation {
 		nfa.AddTransition(1, alphabet.Tuple{s, alphabet.Pad}.Key(), 1)
 		nfa.AddTransition(1, alphabet.Tuple{alphabet.Pad, s}.Key(), 1)
 	}
-	return &Relation{arity: 2, alpha: a, nfa: nfa, name: "lex<="}
+	return explicit(a, 2, nfa, "lex<=")
 }
 
 // CommonPrefixAtLeast returns the binary relation of word pairs sharing a
@@ -80,7 +80,7 @@ func CommonPrefixAtLeast(a *alphabet.Alphabet, k int) *Relation {
 		// Every pair qualifies, including empty words.
 		nfa.SetAccept(0, true)
 	}
-	return &Relation{arity: 2, alpha: a, nfa: nfa, name: "common-prefix>=k"}
+	return explicit(a, 2, nfa, "common-prefix>=k")
 }
 
 // SameLastSymbol returns the binary relation of non-empty word pairs ending
@@ -124,5 +124,5 @@ func SameLastSymbol(a *alphabet.Alphabet) *Relation {
 		nfa.AddTransition(uEnded(s), alphabet.Tuple{alphabet.Pad, s}.Key(), done)
 		nfa.AddTransition(vEnded(s), alphabet.Tuple{s, alphabet.Pad}.Key(), done)
 	}
-	return &Relation{arity: 2, alpha: a, nfa: nfa, name: "same-last"}
+	return explicit(a, 2, nfa, "same-last")
 }

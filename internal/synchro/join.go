@@ -1,10 +1,12 @@
 package synchro
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"ecrpq/internal/alphabet"
-	"ecrpq/internal/automata"
 )
 
 // Join implements the product construction of Lemma 4.1: given relations
@@ -19,207 +21,321 @@ import (
 // relations contribute no constraint and no state-space factor. Merged
 // tracks covered by no (non-universal) relation range freely over A ∪ {⊥};
 // each such track multiplies the joint letter count by |A|+1, so a guard
-// rejects joins with more than a few free tracks.
+// rejects joins with more than a few free tracks. The relation's automaton
+// is Merge's table.
 func Join(a *alphabet.Alphabet, arity int, rels []*Relation, vars [][]int) (*Relation, error) {
+	j, err := newJoin(a, arity, rels, vars)
+	if err != nil {
+		return nil, err
+	}
+	if len(j.tabs) == 0 {
+		return Universal(a, arity), nil
+	}
+	t, err := j.product(context.Background(), nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Relation{arity: arity, alpha: a, nfa: t.nfa(), name: "join", table: func() *Table { return t }}, nil
+}
+
+// Merge is Join's product as the kernels walk it: the trimmed table of the
+// merged relation, built over the input relations' tables. Every
+// mergeCheckInterval states it discovers it checks ctx and passes grow
+// (when not nil) the number of states discovered since the last call; an
+// error from either ends the merge and is returned.
+func Merge(ctx context.Context, a *alphabet.Alphabet, arity int, rels []*Relation, vars [][]int, grow func(states int) error) (*Table, error) {
+	j, err := newJoin(a, arity, rels, vars)
+	if err != nil {
+		return nil, err
+	}
+	return j.product(ctx, grow)
+}
+
+// mergeCheckInterval is how many product states Merge discovers between
+// polls of its context and calls of grow.
+const mergeCheckInterval = 1024
+
+// join is a validated Lemma 4.1 product: the non-universal relations'
+// tables and where their tracks go.
+type join struct {
+	alpha *alphabet.Alphabet
+	arity int
+	tabs  []*Table
+	vars  [][]int
+	// owns[i][k] marks the first relation to cover merged track vars[i][k]:
+	// it writes that track's symbol of the joint letter, and every later
+	// relation on the track compares with it.
+	owns [][]bool
+	free []int // merged tracks no relation covers
+}
+
+func newJoin(a *alphabet.Alphabet, arity int, rels []*Relation, vars [][]int) (*join, error) {
 	if len(rels) != len(vars) {
 		return nil, fmt.Errorf("synchro: %d relations but %d variable maps", len(rels), len(vars))
 	}
+	j := &join{alpha: a, arity: arity}
 	covered := make([]bool, arity)
-	var active []*Relation
-	var activeVars [][]int
 	for i, r := range rels {
 		if len(vars[i]) != r.arity {
 			return nil, fmt.Errorf("synchro: relation %d has arity %d but %d variables", i, r.arity, len(vars[i]))
 		}
-		seen := make(map[int]bool, len(vars[i]))
-		for _, v := range vars[i] {
+		for k, v := range vars[i] {
 			if v < 0 || v >= arity {
 				return nil, fmt.Errorf("synchro: relation %d refers to merged track %d out of range", i, v)
 			}
-			if seen[v] {
+			if slices.Contains(vars[i][:k], v) {
 				return nil, fmt.Errorf("synchro: relation %d uses merged track %d twice", i, v)
 			}
-			seen[v] = true
-			if !r.universal {
-				covered[v] = true
-			}
 		}
-		if r.alpha != a {
+		if r.alpha != a && r.alpha.Size() != a.Size() {
 			// Different alphabet object: require identical symbol sets.
-			if r.alpha.Size() != a.Size() {
-				return nil, fmt.Errorf("synchro: relation %d over a different alphabet", i)
-			}
+			return nil, fmt.Errorf("synchro: relation %d over a different alphabet", i)
 		}
 		if r.universal {
 			continue
 		}
-		active = append(active, r)
-		activeVars = append(activeVars, vars[i])
+		own := make([]bool, len(vars[i]))
+		for k, v := range vars[i] {
+			own[k], covered[v] = !covered[v], true
+		}
+		j.tabs = append(j.tabs, r.Table())
+		j.vars = append(j.vars, vars[i])
+		j.owns = append(j.owns, own)
 	}
-	var free []int
 	for t, c := range covered {
 		if !c {
-			free = append(free, t)
+			j.free = append(j.free, t)
 		}
 	}
-	if len(active) == 0 {
-		return Universal(a, arity), nil
-	}
-	freeChoices := 1
-	for range free {
-		freeChoices *= a.Size() + 1
-		if freeChoices > maxMaterializeLetters {
-			return nil, fmt.Errorf("synchro: join leaves %d unconstrained tracks; letter blowup too large", len(free))
-		}
-	}
+	return j, nil
+}
 
-	ell := len(active)
-	encode := func(qs []int) string {
-		buf := make([]byte, 4*len(qs))
-		for i, q := range qs {
-			buf[4*i] = byte(q)
-			buf[4*i+1] = byte(q >> 8)
-			buf[4*i+2] = byte(q >> 16)
-			buf[4*i+3] = byte(q >> 24)
+// product runs the construction breadth-first from the combinations of
+// start states, keying a product state by its component states packed into
+// a uint64 when they fit and by their bytes when they do not.
+func (j *join) product(ctx context.Context, grow func(states int) error) (*Table, error) {
+	freeChoices := 1
+	for range j.free {
+		freeChoices *= j.alpha.Size() + 1
+		if freeChoices > maxMaterializeLetters {
+			return nil, fmt.Errorf("synchro: join leaves %d unconstrained tracks; letter blowup too large", len(j.free))
+		}
+	}
+	var widths []uint
+	var total uint
+	for _, t := range j.tabs {
+		widths = append(widths, uint(bits.Len(uint(max(t.NumStates(), 1)-1))))
+		total += widths[len(widths)-1]
+	}
+	if total <= 64 {
+		return runProduct(ctx, j, grow, func(qs []int) uint64 {
+			var k uint64
+			for i, q := range qs {
+				k = k<<widths[i] | uint64(q)
+			}
+			return k
+		})
+	}
+	return runProduct(ctx, j, grow, func(qs []int) string {
+		buf := make([]byte, 0, 4*len(qs))
+		for _, q := range qs {
+			buf = append(buf, byte(q), byte(q>>8), byte(q>>16), byte(q>>24))
 		}
 		return string(buf)
-	}
+	})
+}
 
-	out := automata.NewNFA[string](0)
-	idx := make(map[string]int)
-	var queue [][]int
-	getState := func(qs []int) int {
-		k := encode(qs)
-		if i, ok := idx[k]; ok {
-			return i
-		}
-		i := out.AddState()
-		idx[k] = i
-		acc := true
-		for j, q := range qs {
-			if !active[j].nfa.IsAccept(q) {
-				acc = false
-				break
-			}
-		}
-		out.SetAccept(i, acc)
-		cp := make([]int, len(qs))
-		copy(cp, qs)
-		queue = append(queue, cp)
-		return i
-	}
+// builder holds a product under construction. The transitions of state s
+// are to[off[s]:off[s+1]], their letters arity symbols each in syms.
+type builder[K comparable] struct {
+	*join
+	key    func(qs []int) K
+	ids    map[K]int32
+	qs     []int // the component states of each product state, back to back
+	accept []bool
+	cur    []int // the component states of the state being expanded
+	next   []int
+	joint  alphabet.Tuple
+	pads   alphabet.Tuple // the stall's letter
+	syms   []alphabet.Symbol
+	to     []int32
+	off    []int32
+}
 
-	// All combinations of start states.
-	var starts [][]int
-	var buildStarts func(i int, cur []int)
-	buildStarts = func(i int, cur []int) {
+func runProduct[K comparable](ctx context.Context, j *join, grow func(int) error, key func([]int) K) (*Table, error) {
+	ell := len(j.tabs)
+	b := &builder[K]{join: j, key: key, ids: make(map[K]int32), next: make([]int, ell), joint: make(alphabet.Tuple, j.arity)}
+	for range j.arity {
+		b.pads = append(b.pads, alphabet.Pad)
+	}
+	var starts func(i int)
+	starts = func(i int) {
 		if i == ell {
-			cp := make([]int, ell)
-			copy(cp, cur)
-			starts = append(starts, cp)
+			b.state(b.next)
 			return
 		}
-		for _, q := range active[i].nfa.StartStates() {
-			cur[i] = q
-			buildStarts(i+1, cur)
+		for _, q := range j.tabs[i].Starts {
+			b.next[i] = q
+			starts(i + 1)
 		}
 	}
-	buildStarts(0, make([]int, ell))
-	for _, s := range starts {
-		out.SetStart(getState(s), true)
+	starts(0)
+	nStarts, charged := len(b.accept), 0
+	for s := 0; s < len(b.accept); s++ {
+		if n := len(b.accept); n-charged >= mergeCheckInterval {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if grow != nil {
+				if err := grow(n - charged); err != nil {
+					return nil, err
+				}
+			}
+			charged = n
+		}
+		b.off = append(b.off, int32(len(b.to)))
+		b.cur = b.qs[s*ell : (s+1)*ell]
+		b.emit(0)
 	}
+	b.off = append(b.off, int32(len(b.to)))
+	return b.trim(nStarts), nil
+}
 
-	// unassigned marker for merged-track symbols during the consistency join.
-	const unset = alphabet.Unset
-
-	for qi := 0; qi < len(queue); qi++ {
-		qs := queue[qi]
-		from := idx[encode(qs)]
-		joint := make([]alphabet.Symbol, arity)
-		for i := range joint {
-			joint[i] = unset
-		}
-		next := make([]int, ell)
-		var emit func(i int)
-		emit = func(i int) {
-			if i == ell {
-				// Fill free tracks with every choice.
-				var fill func(j int)
-				fill = func(j int) {
-					if j == len(free) {
-						t := make(alphabet.Tuple, arity)
-						copy(t, joint)
-						allPad := true
-						for _, s := range t {
-							if s != alphabet.Pad {
-								allPad = false
-								break
-							}
-						}
-						if !allPad {
-							out.AddTransition(from, t.Key(), getState(next))
-						}
-						return
-					}
-					joint[free[j]] = alphabet.Pad
-					fill(j + 1)
-					for _, s := range a.Symbols() {
-						joint[free[j]] = s
-						fill(j + 1)
-					}
-					joint[free[j]] = unset
-				}
-				fill(0)
-				return
-			}
-			rel := active[i]
-			tupleTransitions(rel.nfa, qs[i], func(t alphabet.Tuple, to int) {
-				// Check consistency with the current partial joint letter.
-				var touched []int
-				ok := true
-				for k, s := range t {
-					mt := activeVars[i][k]
-					if joint[mt] == unset {
-						joint[mt] = s
-						touched = append(touched, mt)
-					} else if joint[mt] != s {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					next[i] = to
-					emit(i + 1)
-				}
-				for _, mt := range touched {
-					joint[mt] = unset
-				}
-			})
-			// Stall: component i has finished (all of its tracks are padded
-			// from here on). Its words' convolution is a strict prefix of
-			// the joint convolution, so the automaton stays in place; the
-			// final state must still be accepting for the joint word to be
-			// accepted.
-			var touched []int
-			ok := true
-			for _, mt := range activeVars[i] {
-				if joint[mt] == unset {
-					joint[mt] = alphabet.Pad
-					touched = append(touched, mt)
-				} else if joint[mt] != alphabet.Pad {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				next[i] = qs[i]
-				emit(i + 1)
-			}
-			for _, mt := range touched {
-				joint[mt] = unset
-			}
-		}
-		emit(0)
+// state returns the id of the product state qs, adding it on first sight.
+func (b *builder[K]) state(qs []int) int32 {
+	k := b.key(qs)
+	if id, ok := b.ids[k]; ok {
+		return id
 	}
-	return &Relation{arity: arity, alpha: a, nfa: out.Trim(), name: "join"}, nil
+	id := int32(len(b.accept))
+	b.ids[k] = id
+	b.qs = append(b.qs, qs...)
+	acc := true
+	for i, q := range qs {
+		acc = acc && b.tabs[i].Accept[q]
+	}
+	b.accept = append(b.accept, acc)
+	return id
+}
+
+// emit extends the joint letter with a move of relation i and of every
+// later one: each transition consistent with the symbols the earlier
+// relations chose, then the stall.
+func (b *builder[K]) emit(i int) {
+	if i == len(b.tabs) {
+		b.fill(0)
+		return
+	}
+	for _, tr := range b.tabs[i].Trans[b.cur[i]] {
+		if b.consistent(i, tr.Tuple) {
+			b.next[i] = tr.To
+			b.emit(i + 1)
+		}
+	}
+	// Stall: relation i has finished (all of its tracks are padded from
+	// here on). Its words' convolution is a strict prefix of the joint
+	// convolution, so the automaton stays in place; the final state must
+	// still be accepting for the joint word to be accepted.
+	if b.consistent(i, b.pads) {
+		b.next[i] = b.cur[i]
+		b.emit(i + 1)
+	}
+}
+
+// consistent writes relation i's letter t into the tracks it owns and
+// reports whether it agrees with the joint letter on the others.
+func (b *builder[K]) consistent(i int, t alphabet.Tuple) bool {
+	for k, mt := range b.vars[i] {
+		if b.owns[i][k] {
+			b.joint[mt] = t[k]
+		} else if b.joint[mt] != t[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// fill gives the free tracks from f on every choice in A ∪ {⊥} and records
+// each joint letter but the all-pad one.
+func (b *builder[K]) fill(f int) {
+	if f < len(b.free) {
+		b.joint[b.free[f]] = alphabet.Pad
+		b.fill(f + 1)
+		for _, s := range b.alpha.Symbols() {
+			b.joint[b.free[f]] = s
+			b.fill(f + 1)
+		}
+		return
+	}
+	if !slices.ContainsFunc(b.joint, func(s alphabet.Symbol) bool { return s != alphabet.Pad }) {
+		return
+	}
+	b.to = append(b.to, b.state(b.next))
+	b.syms = append(b.syms, b.joint...)
+}
+
+// trim keeps the states from which an accepting state is reachable (every
+// state is reachable from a start), renumbered in order, and lays their
+// transitions out as the merged Table.
+func (b *builder[K]) trim(nStarts int) *Table {
+	n := len(b.accept)
+	// The sources of the transitions into q are src[in[q]:in[q+1]].
+	in := make([]int32, n+1)
+	for _, q := range b.to {
+		in[q+1]++
+	}
+	for q := range n {
+		in[q+1] += in[q]
+	}
+	src, at := make([]int32, len(b.to)), slices.Clone(in)
+	for p := range n {
+		for _, q := range b.to[b.off[p]:b.off[p+1]] {
+			src[at[q]], at[q] = int32(p), at[q]+1
+		}
+	}
+	id := make([]int, n) // 1 + the new number of a kept state, 0 for a dropped one
+	var stack []int32
+	for q, acc := range b.accept {
+		if acc {
+			id[q], stack = 1, append(stack, int32(q))
+		}
+	}
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range src[in[q]:in[q+1]] {
+			if id[p] == 0 {
+				id[p], stack = 1, append(stack, p)
+			}
+		}
+	}
+	t, transitions := &Table{Arity: b.arity}, 0
+	for p := range id {
+		if id[p] == 0 {
+			continue
+		}
+		if t.Accept = append(t.Accept, b.accept[p]); p < nStarts {
+			t.Starts = append(t.Starts, len(t.Accept)-1)
+		}
+		id[p] = len(t.Accept)
+		for _, q := range b.to[b.off[p]:b.off[p+1]] {
+			transitions += min(id[q], 1)
+		}
+	}
+	// Letters stay in b.syms; each transition's tuple is a capped window on it.
+	flat, w := make([]Transition, 0, transitions), b.arity
+	for p := range id {
+		if id[p] == 0 {
+			continue
+		}
+		from := len(flat)
+		for k := int(b.off[p]); k < int(b.off[p+1]); k++ {
+			if q := b.to[k]; id[q] != 0 {
+				flat = append(flat, Transition{b.syms[k*w : (k+1)*w : (k+1)*w], id[q] - 1})
+			}
+		}
+		t.Trans = append(t.Trans, flat[from:len(flat):len(flat)])
+		slices.SortFunc(t.Trans[len(t.Trans)-1], compareTransitions)
+	}
+	return t
 }

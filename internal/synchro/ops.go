@@ -19,7 +19,7 @@ func (r *Relation) Intersect(s *Relation) (*Relation, error) {
 	if s.universal {
 		return r, nil
 	}
-	return &Relation{arity: r.arity, alpha: r.alpha, nfa: r.nfa.Intersect(s.nfa).Trim()}, nil
+	return explicit(r.alpha, r.arity, r.nfa.Intersect(s.nfa).Trim(), ""), nil
 }
 
 // Union returns R ∪ S (same arity required).
@@ -33,7 +33,7 @@ func (r *Relation) Union(s *Relation) (*Relation, error) {
 	if s.universal {
 		return s, nil
 	}
-	return &Relation{arity: r.arity, alpha: r.alpha, nfa: r.nfa.Union(s.nfa)}, nil
+	return explicit(r.alpha, r.arity, r.nfa.Union(s.nfa), ""), nil
 }
 
 // Complement returns (A*)^k \ R. The result accepts exactly the valid
@@ -41,15 +41,15 @@ func (r *Relation) Union(s *Relation) (*Relation, error) {
 // full tuple alphabet, so it is exponential in arity; a guard rejects
 // relations whose materialized alphabet would exceed an internal bound.
 func (r *Relation) Complement() (*Relation, error) {
-	m, err := r.materialized()
+	nfa, err := r.NFA()
 	if err != nil {
 		return nil, err
 	}
 	if r.universal {
 		// Complement of universal is empty.
-		nfa := automata.NewNFA[string](1)
-		nfa.SetStart(0, true)
-		return &Relation{arity: r.arity, alpha: r.alpha, nfa: nfa}, nil
+		empty := automata.NewNFA[string](1)
+		empty.SetStart(0, true)
+		return explicit(r.alpha, r.arity, empty, ""), nil
 	}
 	letters := make([]string, 0)
 	for _, t := range alphabet.AllTuples(r.alpha, r.arity) {
@@ -58,13 +58,13 @@ func (r *Relation) Complement() (*Relation, error) {
 	if len(letters) > maxMaterializeLetters {
 		return nil, fmt.Errorf("synchro: complement of arity-%d relation over %d symbols too large", r.arity, r.alpha.Size())
 	}
-	comp := m.nfa.Determinize().Complement(letters).ToNFA()
+	comp := nfa.Determinize().Complement(letters).ToNFA()
 	// Restrict to valid convolutions.
 	valid, err := validConvolutionsNFA(r.alpha, r.arity)
 	if err != nil {
 		return nil, err
 	}
-	return &Relation{arity: r.arity, alpha: r.alpha, nfa: comp.Intersect(valid).Trim()}, nil
+	return explicit(r.alpha, r.arity, comp.Intersect(valid).Trim(), ""), nil
 }
 
 // validConvolutionsNFA recognizes exactly the valid convolutions of k-tuples
@@ -99,6 +99,23 @@ func validConvolutionsNFA(a *alphabet.Alphabet, k int) (*automata.NFA[string], e
 	return n, nil
 }
 
+// relabel builds an automaton with r's states, start and accepting states,
+// and the transitions add makes of each of r's.
+func (r *Relation) relabel(add func(out *automata.NFA[string], q int, tr Transition)) *automata.NFA[string] {
+	t := r.Table()
+	out := automata.NewNFA[string](t.NumStates())
+	for _, q := range t.Starts {
+		out.SetStart(q, true)
+	}
+	for q, trs := range t.Trans {
+		out.SetAccept(q, t.Accept[q])
+		for _, tr := range trs {
+			add(out, q, tr)
+		}
+	}
+	return out
+}
+
 // Permute returns the relation { (w_{perm[0]}, ..., w_{perm[k-1]}) :
 // (w_0,...,w_{k-1}) ∈ R }; that is, track i of the result carries what track
 // perm[i] of R carried. perm must be a permutation of 0..k-1.
@@ -113,23 +130,14 @@ func (r *Relation) Permute(perm []int) *Relation {
 	if r.universal {
 		return r
 	}
-	out := automata.NewNFA[string](r.nfa.NumStates())
-	for _, q := range r.nfa.StartStates() {
-		out.SetStart(q, true)
-	}
-	for _, q := range r.nfa.AcceptStates() {
-		out.SetAccept(q, true)
-	}
-	for q := 0; q < r.nfa.NumStates(); q++ {
-		tupleTransitions(r.nfa, q, func(t alphabet.Tuple, to int) {
-			nt := make(alphabet.Tuple, len(t))
-			for i := range nt {
-				nt[i] = t[perm[i]]
-			}
-			out.AddTransition(q, nt.Key(), to)
-		})
-	}
-	return &Relation{arity: r.arity, alpha: r.alpha, nfa: out, name: r.name}
+	out := r.relabel(func(out *automata.NFA[string], q int, tr Transition) {
+		nt := make(alphabet.Tuple, len(tr.Tuple))
+		for i := range nt {
+			nt[i] = tr.Tuple[perm[i]]
+		}
+		out.AddTransition(q, nt.Key(), tr.To)
+	})
+	return explicit(r.alpha, r.arity, out, r.name)
 }
 
 // Project returns the relation over the kept tracks:
@@ -149,30 +157,21 @@ func (r *Relation) Project(keep []int) (*Relation, error) {
 	if r.universal {
 		return Universal(r.alpha, len(keep)), nil
 	}
-	out := automata.NewNFA[string](r.nfa.NumStates())
-	for _, q := range r.nfa.StartStates() {
-		out.SetStart(q, true)
-	}
-	for _, q := range r.nfa.AcceptStates() {
-		out.SetAccept(q, true)
-	}
-	for q := 0; q < r.nfa.NumStates(); q++ {
-		tupleTransitions(r.nfa, q, func(t alphabet.Tuple, to int) {
-			nt := make(alphabet.Tuple, len(keep))
-			allPad := true
-			for i, src := range keep {
-				nt[i] = t[src]
-				if t[src] != alphabet.Pad {
-					allPad = false
-				}
+	out := r.relabel(func(out *automata.NFA[string], q int, tr Transition) {
+		nt := make(alphabet.Tuple, len(keep))
+		allPad := true
+		for i, src := range keep {
+			nt[i] = tr.Tuple[src]
+			if tr.Tuple[src] != alphabet.Pad {
+				allPad = false
 			}
-			if allPad {
-				out.AddEps(q, to)
-			} else {
-				out.AddTransition(q, nt.Key(), to)
-			}
-		})
-	}
+		}
+		if allPad {
+			out.AddEps(q, tr.To)
+		} else {
+			out.AddTransition(q, nt.Key(), tr.To)
+		}
+	})
 	clean := out.RemoveEps().Trim()
 	// Sanitize: restrict to valid convolutions so that iterated first-order
 	// constructions (e.g. Compose chains) never treat pad-gapped junk words
@@ -182,7 +181,7 @@ func (r *Relation) Project(keep []int) (*Relation, error) {
 			clean = clean.Intersect(valid).Trim()
 		}
 	}
-	return &Relation{arity: len(keep), alpha: r.alpha, nfa: clean}, nil
+	return explicit(r.alpha, len(keep), clean, ""), nil
 }
 
 // Cylindrify inserts a new unconstrained track at position pos (0-based),
@@ -198,24 +197,15 @@ func (r *Relation) Cylindrify(pos int) (*Relation, error) {
 		return Universal(r.alpha, r.arity+1), nil
 	}
 	syms := append([]alphabet.Symbol{alphabet.Pad}, r.alpha.Symbols()...)
-	out := automata.NewNFA[string](r.nfa.NumStates())
-	for _, q := range r.nfa.StartStates() {
-		out.SetStart(q, true)
-	}
-	for _, q := range r.nfa.AcceptStates() {
-		out.SetAccept(q, true)
-	}
-	for q := 0; q < r.nfa.NumStates(); q++ {
-		tupleTransitions(r.nfa, q, func(t alphabet.Tuple, to int) {
-			for _, x := range syms {
-				nt := make(alphabet.Tuple, r.arity+1)
-				copy(nt, t[:pos])
-				nt[pos] = x
-				copy(nt[pos+1:], t[pos:])
-				out.AddTransition(q, nt.Key(), to)
-			}
-		})
-	}
+	out := r.relabel(func(out *automata.NFA[string], q int, tr Transition) {
+		for _, x := range syms {
+			nt := make(alphabet.Tuple, r.arity+1)
+			copy(nt, tr.Tuple[:pos])
+			nt[pos] = x
+			copy(nt[pos+1:], tr.Tuple[pos:])
+			out.AddTransition(q, nt.Key(), tr.To)
+		}
+	})
 	// Tail: the new track continues after all original tracks ended. Add a
 	// tail state reachable from every accepting state, looping on letters
 	// that are pad everywhere except the new track.
@@ -235,28 +225,18 @@ func (r *Relation) Cylindrify(pos int) (*Relation, error) {
 		}
 		out.AddTransition(tail, key, tail)
 	}
-	return &Relation{arity: r.arity + 1, alpha: r.alpha, nfa: out}, nil
+	return explicit(r.alpha, r.arity+1, out, ""), nil
 }
 
 // Compose returns the composition R ∘ S = { (u, w) : ∃v, (u,v) ∈ R and
-// (v,w) ∈ S } of two binary relations, using cylindrification, intersection
-// and projection (synchronous relations are closed under first-order
-// operations).
+// (v,w) ∈ S } of two binary relations: their Lemma 4.1 merge over the
+// tracks (u, v, w), projected to (u, w) (synchronous relations are closed
+// under first-order operations).
 func (r *Relation) Compose(s *Relation) (*Relation, error) {
 	if r.arity != 2 || s.arity != 2 {
 		return nil, fmt.Errorf("synchro: compose requires binary relations (got %d and %d)", r.arity, s.arity)
 	}
-	// R over tracks (u, v) → cylindrify to (u, v, w).
-	rc, err := r.Cylindrify(2)
-	if err != nil {
-		return nil, err
-	}
-	// S over tracks (v, w) → cylindrify to (u, v, w).
-	sc, err := s.Cylindrify(0)
-	if err != nil {
-		return nil, err
-	}
-	both, err := rc.Intersect(sc)
+	both, err := Join(r.alpha, 3, []*Relation{r, s}, [][]int{{0, 1}, {1, 2}})
 	if err != nil {
 		return nil, err
 	}

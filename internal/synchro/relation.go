@@ -4,17 +4,22 @@
 //
 // A k-ary relation R ⊆ (A*)^k is synchronous when the language of
 // convolutions { w1 ⊗ ... ⊗ wk : (w1,...,wk) ∈ R } is regular over the
-// alphabet (A ∪ {⊥})^k. Relations are represented by NFAs whose letters are
-// packed convolution tuples (alphabet.Tuple.Key). The class is closed under
-// all Boolean operations, cylindrification, projection, permutation and
-// composition — all implemented here — and has decidable emptiness and
-// membership.
+// alphabet (A ∪ {⊥})^k. A relation is built and combined as an NFA whose
+// letters are packed convolution tuples (alphabet.Tuple.Key), and read as a
+// Table: the same automaton with integer states and symbol-tuple letters,
+// decoded once per relation. The Lemma 4.1 merge (Merge, Join) runs on
+// Tables alone. The class is closed under all Boolean operations,
+// cylindrification, projection, permutation and composition — all
+// implemented here — and has decidable emptiness and membership.
 package synchro
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
+	"sync"
 
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/automata"
@@ -32,7 +37,88 @@ type Relation struct {
 	nfa       *automata.NFA[string] // letters: alphabet.Tuple.Key(); nil iff universal
 	universal bool
 	name      string
-	fp        string // Fingerprint, when Fingerprinted set it; "" = compute on demand
+	fp        string        // Fingerprint, when Fingerprinted set it; "" = compute on demand
+	table     func() *Table // the decoded nfa, built on first call and shared by every copy; nil iff universal
+}
+
+// explicit wraps an automaton over packed tuples as a relation whose Table
+// is decoded on first use, once for it and every copy made of it.
+func explicit(a *alphabet.Alphabet, arity int, nfa *automata.NFA[string], name string) *Relation {
+	return &Relation{arity: arity, alpha: a, nfa: nfa, name: name,
+		table: sync.OnceValue(func() *Table { return invariant.Must(decodeTable(arity, nfa)) })}
+}
+
+// Table is a relation's automaton as the product kernels walk it: states
+// 0 … NumStates-1, the start states in increasing order, and per state its
+// transitions with letters decoded to symbol tuples, sorted by (tuple,
+// target) so that the order in which a search meets states is a function
+// of the automaton alone. A Table is never written after it is built and
+// is shared by every reader, concurrently.
+type Table struct {
+	Arity  int
+	Starts []int
+	Accept []bool
+	Trans  [][]Transition
+}
+
+// Transition is one move of a Table: read the joint letter Tuple, go to To.
+type Transition struct {
+	Tuple alphabet.Tuple
+	To    int
+}
+
+// NumStates returns the number of states.
+func (t *Table) NumStates() int { return len(t.Accept) }
+
+// NumTransitions returns the number of transitions.
+func (t *Table) NumTransitions() int {
+	n := 0
+	for _, trs := range t.Trans {
+		n += len(trs)
+	}
+	return n
+}
+
+// decodeTable decodes each letter of nfa once, failing on a letter that is
+// no arity-tuple.
+func decodeTable(arity int, nfa *automata.NFA[string]) (*Table, error) {
+	n := nfa.NumStates()
+	t := &Table{arity, nfa.StartStates(), make([]bool, n), make([][]Transition, n)}
+	var err error
+	for q := range t.Trans {
+		t.Accept[q] = nfa.IsAccept(q)
+		nfa.OutLetters(q, func(l string) {
+			tuple, bad := alphabet.TupleFromKey(l)
+			if bad == nil && len(tuple) != arity {
+				bad = fmt.Errorf("synchro: letter %v has %d tracks, want %d", tuple, len(tuple), arity)
+			}
+			err = cmp.Or(err, bad)
+			for _, to := range nfa.Successors(q, l) {
+				t.Trans[q] = append(t.Trans[q], Transition{tuple, to})
+			}
+		})
+		slices.SortFunc(t.Trans[q], compareTransitions)
+	}
+	return t, err
+}
+
+func compareTransitions(a, b Transition) int {
+	return cmp.Or(slices.Compare(a.Tuple, b.Tuple), cmp.Compare(a.To, b.To))
+}
+
+// nfa encodes the table's letters as packed tuples.
+func (t *Table) nfa() *automata.NFA[string] {
+	nfa := automata.NewNFA[string](t.NumStates())
+	for _, q := range t.Starts {
+		nfa.SetStart(q, true)
+	}
+	for q, trs := range t.Trans {
+		nfa.SetAccept(q, t.Accept[q])
+		for _, tr := range trs {
+			nfa.AddTransition(q, tr.Tuple.Key(), tr.To)
+		}
+	}
+	return nfa
 }
 
 // maxMaterializeLetters bounds (|A|+1)^k when a universal relation must be
@@ -48,39 +134,21 @@ func FromNFA(a *alphabet.Alphabet, arity int, nfa *automata.NFA[string]) (*Relat
 	if err := nfa.Validate(); err != nil {
 		return nil, err
 	}
-	var bad error
-	nfa.Transitions(func(p int, l string, q int) {
-		if bad != nil {
-			return
-		}
-		t, err := alphabet.TupleFromKey(l)
-		if err != nil {
-			bad = err
-			return
-		}
-		if len(t) != arity {
-			bad = fmt.Errorf("synchro: letter %v has %d tracks, want %d", t, len(t), arity)
-			return
-		}
-		allPad := true
-		for _, s := range t {
-			if s == alphabet.Pad {
-				continue
-			}
-			allPad = false
-			if !a.Contains(s) {
-				bad = fmt.Errorf("synchro: letter %v uses symbol outside alphabet", t)
-				return
-			}
-		}
-		if allPad {
-			bad = fmt.Errorf("synchro: all-padding letter")
-		}
-	})
-	if bad != nil {
-		return nil, bad
+	t, err := decodeTable(arity, nfa)
+	if err != nil {
+		return nil, err
 	}
-	return &Relation{arity: arity, alpha: a, nfa: nfa}, nil
+	for _, trs := range t.Trans {
+		for _, tr := range trs {
+			if !slices.ContainsFunc(tr.Tuple, func(s alphabet.Symbol) bool { return s != alphabet.Pad }) {
+				return nil, fmt.Errorf("synchro: all-padding letter")
+			}
+			if slices.ContainsFunc(tr.Tuple, func(s alphabet.Symbol) bool { return s != alphabet.Pad && !a.Contains(s) }) {
+				return nil, fmt.Errorf("synchro: letter %v uses symbol outside alphabet", tr.Tuple)
+			}
+		}
+	}
+	return &Relation{arity: arity, alpha: a, nfa: nfa, table: func() *Table { return t }}, nil
 }
 
 // MustFromNFA is FromNFA, panicking on error.
@@ -145,6 +213,16 @@ func (r *Relation) NFA() (*automata.NFA[string], error) {
 // universal.
 func (r *Relation) RawNFA() *automata.NFA[string] { return r.nfa }
 
+// Table returns the relation's decoded automaton if the relation is
+// explicit, nil if symbolic universal: decoded by the first call on the
+// relation or on any copy WithName or Fingerprinted made of it.
+func (r *Relation) Table() *Table {
+	if r.universal {
+		return nil
+	}
+	return r.table()
+}
+
 func universalNFA(a *alphabet.Alphabet, k int) (*automata.NFA[string], error) {
 	count := 1
 	for i := 0; i < k; i++ {
@@ -162,18 +240,6 @@ func universalNFA(a *alphabet.Alphabet, k int) (*automata.NFA[string], error) {
 		nfa.AddTransition(0, t.Key(), 0)
 	}
 	return nfa, nil
-}
-
-// materialized returns an explicit-NFA version of the relation.
-func (r *Relation) materialized() (*Relation, error) {
-	if !r.universal {
-		return r, nil
-	}
-	nfa, err := universalNFA(r.alpha, r.arity)
-	if err != nil {
-		return nil, err
-	}
-	return &Relation{arity: r.arity, alpha: r.alpha, nfa: nfa, name: r.name}, nil
 }
 
 // Contains reports whether the tuple of words is in the relation. The number
@@ -204,10 +270,7 @@ func (r *Relation) MustContain(words ...alphabet.Word) bool {
 }
 
 // IsEmpty reports whether the relation contains no tuple. When non-empty it
-// returns a witness tuple of words. The check intersects with the
-// valid-convolution condition on the fly (tracking which tracks have
-// finished), so it is exact even if the underlying NFA accepts junk words
-// that are not valid convolutions.
+// returns a witness tuple of words.
 func (r *Relation) IsEmpty() ([]alphabet.Word, bool) {
 	if r.universal {
 		words := make([]alphabet.Word, r.arity)
@@ -216,102 +279,56 @@ func (r *Relation) IsEmpty() ([]alphabet.Word, bool) {
 		}
 		return words, false
 	}
-	type st struct {
-		q    int
-		mask uint64 // finished tracks (only low `arity` bits used)
+	return r.Table().IsEmpty()
+}
+
+// IsEmpty reports whether the table accepts no tuple of words and, when it
+// accepts one, returns a shortest. The search intersects with the
+// valid-convolution condition on the fly (tracking which tracks have
+// finished), so it is exact even if the table accepts junk words that are
+// not valid convolutions; past 64 tracks it does not track them.
+func (t *Table) IsEmpty() ([]alphabet.Word, bool) {
+	type node struct {
+		q     int
+		mask  uint64 // finished tracks
+		prev  int    // the node this one was reached from, -1 for a start
+		tuple alphabet.Tuple
 	}
-	if r.arity > 64 {
-		// Fall back to ignoring the validity product for extreme arities.
-		letters, empty := r.nfa.IsEmpty()
-		if empty {
-			return nil, true
+	var nodes []node
+	seen := make(map[[2]uint64]bool)
+	push := func(n node) {
+		if k := [2]uint64{uint64(n.q), n.mask}; !seen[k] {
+			seen[k], nodes = true, append(nodes, n)
 		}
-		return r.decodeWitness(letters)
 	}
-	type pred struct {
-		prev   int
-		letter string
-		hasLtr bool
+	for _, q := range t.Starts {
+		push(node{q: q, prev: -1})
 	}
-	var states []st
-	preds := []pred{}
-	idx := make(map[st]int)
-	push := func(s st, p pred) int {
-		if i, ok := idx[s]; ok {
-			return i
-		}
-		i := len(states)
-		idx[s] = i
-		states = append(states, s)
-		preds = append(preds, p)
-		return i
-	}
-	for _, q := range r.nfa.StartStates() {
-		push(st{q, 0}, pred{prev: -1})
-	}
-	goal := -1
-	for i := 0; i < len(states) && goal < 0; i++ {
-		cur := states[i]
-		if r.nfa.IsAccept(cur.q) {
-			goal = i
-			break
-		}
-		r.nfa.OutLetters(cur.q, func(l string) {
-			if goal >= 0 {
-				return
+	for i := 0; i < len(nodes); i++ {
+		cur := nodes[i]
+		if t.Accept[cur.q] {
+			var tuples []alphabet.Tuple
+			for j := i; nodes[j].prev >= 0; j = nodes[j].prev {
+				tuples = append(tuples, nodes[j].tuple)
 			}
-			t, err := alphabet.TupleFromKey(l)
-			if err != nil {
-				return
-			}
+			slices.Reverse(tuples)
+			words, err := alphabet.Deconvolve(t.Arity, tuples)
+			return words, err != nil
+		}
+	next:
+		for _, tr := range t.Trans[cur.q] {
 			mask := cur.mask
-			ok := true
-			for track, s := range t {
+			for track, s := range tr.Tuple[:min(t.Arity, 64)] {
 				if s == alphabet.Pad {
 					mask |= 1 << uint(track)
 				} else if cur.mask&(1<<uint(track)) != 0 {
-					ok = false // resumed after padding: invalid convolution
-					break
+					continue next // resumed after padding: invalid convolution
 				}
 			}
-			if !ok {
-				return
-			}
-			for _, q2 := range r.nfa.Successors(cur.q, l) {
-				push(st{q2, mask}, pred{prev: i, letter: l, hasLtr: true})
-			}
-		})
-	}
-	if goal < 0 {
-		return nil, true
-	}
-	var rev []string
-	for i := goal; preds[i].prev >= 0; i = preds[i].prev {
-		if preds[i].hasLtr {
-			rev = append(rev, preds[i].letter)
+			push(node{tr.To, mask, i, tr.Tuple})
 		}
 	}
-	letters := make([]string, len(rev))
-	for i := range rev {
-		letters[i] = rev[len(rev)-1-i]
-	}
-	return r.decodeWitness(letters)
-}
-
-func (r *Relation) decodeWitness(letters []string) ([]alphabet.Word, bool) {
-	tuples := make([]alphabet.Tuple, len(letters))
-	for i, l := range letters {
-		t, err := alphabet.TupleFromKey(l)
-		if err != nil {
-			return nil, true
-		}
-		tuples[i] = t
-	}
-	words, err := alphabet.Deconvolve(r.arity, tuples)
-	if err != nil {
-		return nil, true
-	}
-	return words, false
+	return nil, true
 }
 
 // Size returns the number of states and transitions of the underlying NFA
@@ -320,7 +337,8 @@ func (r *Relation) Size() (states, transitions int) {
 	if r.universal {
 		return 0, 0
 	}
-	return r.nfa.NumStates(), r.nfa.NumTransitions()
+	t := r.Table()
+	return t.NumStates(), t.NumTransitions()
 }
 
 // String renders a short description.
@@ -334,17 +352,4 @@ func (r *Relation) String() string {
 	}
 	s, tr := r.Size()
 	return fmt.Sprintf("%s[arity=%d, states=%d, trans=%d]", n, r.arity, s, tr)
-}
-
-// tupleTransitions iterates transitions of an explicit relation NFA from
-// state q, decoding letters. Panics on malformed letters (excluded by
-// FromNFA).
-func tupleTransitions(nfa *automata.NFA[string], q int, f func(t alphabet.Tuple, to int)) {
-	nfa.OutLetters(q, func(l string) {
-		t, err := alphabet.TupleFromKey(l)
-		invariant.NoError(err, "synchro: malformed letter key")
-		for _, to := range nfa.Successors(q, l) {
-			f(t, to)
-		}
-	})
 }

@@ -2,9 +2,10 @@ package synchro
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -41,39 +42,19 @@ func (r *Relation) Format(w io.Writer) error {
 		return err
 	}
 	nfa := r.nfa
-	if _, err := fmt.Fprintf(w, "states %d\n", nfa.NumStates()); err != nil {
+	if _, err := fmt.Fprintf(w, "states %d\nstart %s\naccept %s\n", nfa.NumStates(),
+		joinInts(nfa.StartStates()), joinInts(nfa.AcceptStates())); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "start %s\n", joinInts(nfa.StartStates())); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "accept %s\n", joinInts(nfa.AcceptStates())); err != nil {
-		return err
-	}
-	type row struct {
-		p, q int
-		t    alphabet.Tuple
-	}
-	var rows []row
-	nfa.Transitions(func(p int, l string, q int) {
-		t, err := alphabet.TupleFromKey(l)
-		if err != nil {
-			return
-		}
-		rows = append(rows, row{p, q, t})
-	})
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].p != rows[j].p {
-			return rows[i].p < rows[j].p
-		}
-		if rows[i].q != rows[j].q {
-			return rows[i].q < rows[j].q
-		}
-		return rows[i].t.Key() < rows[j].t.Key()
-	})
-	for _, rw := range rows {
-		if _, err := fmt.Fprintf(w, "%d %s %d\n", rw.p, formatTuple(r.alpha, rw.t), rw.q); err != nil {
-			return err
+	for p, trs := range r.Table().Trans {
+		trs = slices.Clone(trs)
+		slices.SortFunc(trs, func(a, b Transition) int {
+			return cmp.Or(cmp.Compare(a.To, b.To), strings.Compare(a.Tuple.Key(), b.Tuple.Key()))
+		})
+		for _, tr := range trs {
+			if _, err := fmt.Fprintf(w, "%d %s %d\n", p, formatTuple(r.alpha, tr.Tuple), tr.To); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
