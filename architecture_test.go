@@ -363,6 +363,44 @@ func isArithmetic(e ast.Expr) bool {
 	return false
 }
 
+// sourceWalks checks one function: a loop that walks the tracks from the
+// last and reads their sources, ends[2*k] — the order a sweep's source
+// numeral is read in — is newAtomPattern's, which every reader of R' takes
+// its digits from.
+func sourceWalks(_ string, n ast.Node) (bool, string) {
+	fd, ok := n.(*ast.FuncDecl)
+	if !ok || fd.Body == nil {
+		return false, ""
+	}
+	var walks []string
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		loop, ok := n.(*ast.ForStmt)
+		if !ok {
+			return true
+		}
+		if post, ok := loop.Post.(*ast.IncDecStmt); !ok || post.Tok != token.DEC {
+			return true
+		}
+		ast.Inspect(loop.Body, func(n ast.Node) bool {
+			if ix, ok := n.(*ast.IndexExpr); ok && strings.HasSuffix(types.ExprString(ix.X), "ends") &&
+				sourceEnd.MatchString(types.ExprString(ix.Index)) {
+				walks = append(walks, types.ExprString(ix))
+			}
+			return true
+		})
+		return true
+	})
+	if len(walks) == 0 {
+		return false, ""
+	}
+	if fd.Name.Name == "newAtomPattern" {
+		return true, ""
+	}
+	return true, strings.Join(walks, ", ")
+}
+
+var sourceEnd = regexp.MustCompile(`^2 \* \w+$`)
+
 var archRules = []archRule{
 	// Hostile input must not be able to stop or unbound the engine: library
 	// code fails by error or through internal/invariant, product searches
@@ -537,6 +575,40 @@ func g(k string) (alphabet.Tuple, error) { return alphabet.TupleFromKey(k) }`},
 	{name: "rows-int32", why: "the sweep's rows and scratch are int32, not 8 bytes per vertex id",
 		in: []string{"internal/core/reduction_build.go"}, check: never(calls, `^make\(\[\]int,`),
 		violation: "func f() { _ = make([]int, 4) }"},
+	{name: "one-source-order", why: "a second computation of the sweep's source digits: both readers of R' take them from newAtomPattern",
+		in: []string{"internal/core"}, check: sourceWalks,
+		violation: `func digitsAgain(c *component) (d []int) {
+	for k := len(c.tracks) - 1; k >= 0; k-- {
+		if !slices.Contains(d, c.ends[2*k]) {
+			d = append(d, c.ends[2*k])
+		}
+	}
+	return d
+}
+func bareEnds(ends []int, t int) (d []int) {
+	for k := t - 1; k >= 0; k-- {
+		d = append(d, ends[2*k])
+	}
+	return d
+}`,
+		accepted: `func columnOrder(t int) (o []int) {
+	for k := t - 1; k >= 0; k-- {
+		o = append(o, 2*k)
+	}
+	return o
+}
+func destinations(c *component, vals []int) (d []int) {
+	for k := len(c.tracks) - 1; k >= 0; k-- {
+		d = append(d, vals[c.ends[2*k+1]])
+	}
+	return d
+}
+func forward(c *component, vals []int) (s []int) {
+	for k := range c.tracks {
+		s = append(s, vals[c.ends[2*k]])
+	}
+	return s
+}`},
 	// Plain reachability has no evaluator of its own: a path variable in no
 	// non-universal atom is a one-track Σ* component.
 	{name: "no-pinned-reduction", why: "the pinned-reduction relations or a free-track evaluator",

@@ -181,11 +181,11 @@ func BenchmarkE7_MergeGrowth(b *testing.B) {
 }
 
 // BenchmarkE8_ReductionCost — Lemma 4.3: R' materialization cost grows with
-// component arity.
+// component arity when the component's endpoints are distinct variables.
 func BenchmarkE8_ReductionCost(b *testing.B) {
 	a := alphabet.Lower(2)
 	for _, t := range []int{1, 2, 3} {
-		q := workload.FanQuery(a, t)
+		q := workload.SplitFanQuery(a, t)
 		db := workload.RandomDB(rand.New(rand.NewSource(1)), a, 12, 24)
 		b.Run(fmt.Sprintf("t=%d", t), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -84,8 +84,9 @@ func wideGenericInstance(t testing.TB) (*graphdb.DB, *query.Query) {
 }
 
 // slowReductionInstance makes the Lemma 4.3 materialization sweep the
-// dominant cost: a single 2-track equality component over a dense database,
-// so R' is materialized over n² source tuples (roughly a second uncancelled
+// dominant cost: a single 2-track equality component over a dense database
+// whose four endpoints are distinct variables, so R' is materialized over
+// n² source tuples and every destination pair (roughly a second uncancelled
 // at n=60).
 func slowReductionInstance(t testing.TB) (*graphdb.DB, *query.Query) {
 	a, err := alphabet.New("a", "b")
@@ -94,8 +95,8 @@ func slowReductionInstance(t testing.TB) (*graphdb.DB, *query.Query) {
 	}
 	db := denseDB(t, 60, a)
 	q := query.NewBuilder(a).
-		Reach("x", "p1", "y").
-		Reach("x", "p2", "y").
+		Reach("x1", "p1", "y1").
+		Reach("x2", "p2", "y2").
 		Rel(synchro.Equality(a, 2), "p1", "p2").
 		MustBuild()
 	return db, q

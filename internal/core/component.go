@@ -67,6 +67,9 @@ type component struct {
 	// ends holds, per endpoint of the atom — 2k the source of track k, 2k+1
 	// its destination — the index of its variable in nodeVars.
 	ends []int
+	// pat is the atom's endpoint pattern, the one both readers of R' take
+	// their sources from. Only mergedViews sets it, beside nfa.
+	pat atomPattern
 	// plain marks a Σ* component decompose made for a path variable the user
 	// left unconstrained. It is read only to report — Stats.Components and
 	// Stats.FreeTracks, Plan.FreeTracks — and by nothing that evaluates,
@@ -93,6 +96,68 @@ func endpointVars(tracks []track) (vars []string, ends []int) {
 		ends = append(ends, slices.Index(vars, t.srcVar), slices.Index(vars, t.dstVar))
 	}
 	return vars, ends
+}
+
+// atomPattern is the endpoint pattern of a component's atom R'(x1, y1, …,
+// xt, yt) over the query's own node variables (Lemma 4.3). R' holds only
+// the rows whose repeated variables agree: its source tuples are a base-V
+// numeral over the distinct source variables, and a destination is either
+// free or equal to a source or to an earlier destination.
+type atomPattern struct {
+	// digits are the distinct source variables (indices in nodeVars), most
+	// significant first: the last track's variable leads, so the numeral's
+	// order is the order of R' under sweepColumnOrder.
+	digits []int
+	// src holds, per track, the place in digits of its source's variable.
+	src []int
+	// dst holds, per track, the endpoint its destination must equal — 2j
+	// the source of track j, 2j+1 the destination of an earlier track j —
+	// or -1 when it is free.
+	dst []int
+	// cuts is whether some destination is not free.
+	cuts bool
+}
+
+// newAtomPattern reads the pattern off component.ends.
+//
+//ecrpq:charged query-sized: one entry per distinct source variable and three per track
+func newAtomPattern(ends []int) atomPattern {
+	t := len(ends) / 2
+	p := atomPattern{src: make([]int, t), dst: make([]int, t)}
+	for k := t - 1; k >= 0; k-- {
+		if !slices.Contains(p.digits, ends[2*k]) {
+			p.digits = append(p.digits, ends[2*k])
+		}
+	}
+	for k := 0; k < t; k++ {
+		p.src[k] = slices.Index(p.digits, ends[2*k])
+		// An earlier destination is checked once per destination tuple, a
+		// source once per lane: the former wins where both apply.
+		p.dst[k] = -1
+		for e := 1; e < 2*k && p.dst[k] < 0; e += 2 {
+			if ends[e] == ends[2*k+1] {
+				p.dst[k] = e
+			}
+		}
+		for e := 0; e < len(ends) && p.dst[k] < 0; e += 2 {
+			if ends[e] == ends[2*k+1] {
+				p.dst[k] = e
+			}
+		}
+		p.cuts = p.cuts || p.dst[k] >= 0
+	}
+	return p
+}
+
+// keeps reports whether a row of the atom, (u1, v1, …, ut, vt), satisfies
+// its destination equalities.
+func (p *atomPattern) keeps(row []int) bool {
+	for k, e := range p.dst {
+		if e >= 0 && row[2*k+1] != row[e] {
+			return false
+		}
+	}
+	return true
 }
 
 // plainTracks counts the components decompose made for unconstrained path

@@ -201,8 +201,8 @@ func (s *sweepSource) Scan(rel string, bound []int, yield func([]int) bool) erro
 			}
 		}
 	} else {
-		for k := t - 1; k >= 0; k-- {
-			if v := c.ends[2*k]; vals[v] < 0 && !slices.Contains(digits, v) {
+		for _, v := range c.pat.digits {
+			if vals[v] < 0 {
 				digits = append(digits, v)
 			}
 		}
@@ -275,6 +275,9 @@ func (s *sweepSource) Scan(rel string, bound []int, yield func([]int) bool) erro
 					continue dests
 				}
 				row[2*k], row[2*k+1] = srcs[k], dsts[d+k]
+			}
+			if !c.pat.keeps(row) {
+				continue
 			}
 			if s.rows[ci]++; !yield(row) {
 				return nil

@@ -127,7 +127,13 @@ func (p *Plan) String() string {
 			i, strings.Join(c.PathVars, ", "), strings.Join(c.NodeVars, ", "),
 			c.Relations, c.RelationStates)
 		if p.Strategy == Reduction {
-			fmt.Fprintf(&sb, "  cost: R' sweep over |V|^%d source tuples (Lemma 4.3)\n", len(c.PathVars))
+			sources := 0 // distinct source variables
+			for i, pv := range c.PathVars {
+				if !slices.ContainsFunc(c.PathVars[:i], func(q string) bool { return c.TrackSources[q] == c.TrackSources[pv] }) {
+					sources++
+				}
+			}
+			fmt.Fprintf(&sb, "  cost: R' sweep over |V|^%d source tuples (Lemma 4.3)\n", sources)
 		} else {
 			fmt.Fprintf(&sb, "  cost: product over relation states × |V|^%d pointers (Lemma 4.2)\n", len(c.PathVars))
 		}

@@ -31,7 +31,8 @@ func TestExplain(t *testing.T) {
 		t.Errorf("free tracks = %v", p.FreeTracks)
 	}
 	s := p.String()
-	for _, want := range []string{"strategy: reduction", "cc_vertex=2", "p1, p2", "Lemma 4.3", "p3"} {
+	// Both tracks leave x: the sweep opens one source variable.
+	for _, want := range []string{"strategy: reduction", "cc_vertex=2", "p1, p2", "|V|^1 source tuples (Lemma 4.3)", "p3"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("plan string missing %q:\n%s", want, s)
 		}

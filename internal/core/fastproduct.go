@@ -865,31 +865,38 @@ func (k *sweepKernel) charge() error {
 	return nil
 }
 
-// decodeSource fills srcs with source tuple idx of the sweep order: mixed
-// radix base n with track 0 varying fastest.
-func decodeSource[T int | int32](idx, n int, srcs []T) {
-	for i := range srcs {
-		srcs[i] = T(idx % n)
+// decodeSource fills srcs with source tuple idx of the sweep order: a
+// base-n numeral over the pattern's digits, the last one fastest, each
+// track reading the digit of its source's variable.
+func decodeSource[T int | int32](pat *atomPattern, idx, n int, srcs []T) {
+	for d := len(pat.digits) - 1; d >= 0; d-- {
+		v := T(idx % n)
 		idx /= n
+		for k, place := range pat.src {
+			if place == d {
+				srcs[k] = v
+			}
+		}
 	}
 }
 
-// Run traverses the product graph from source tuples first+lo … first+hi-1
-// of the sweep order at once (hi ≤ 64; bit i of every word stands for
-// source first+i) and leaves in k.dests, per destination tuple, the word of
-// sources with satisfying paths to it. It returns errStateBudget as soon
-// as more than maxStates distinct states have been met (0 = unlimited),
-// polls ctx every cancelCheckInterval expansions and returns ctx.Err() on
-// cancellation; k.dests is meaningful only after a nil return.
-func (k *sweepKernel) Run(ctx context.Context, first, lo, hi, maxStates int) error {
+// Run traverses the product graph from the source tuples in lanes lo …
+// hi-1 at once (hi ≤ 64; lane i is lanes[i*t:(i+1)*t], and bit i of every
+// word stands for it) and leaves in k.dests, per destination tuple, the
+// word of lanes with satisfying paths to it. It returns errStateBudget as
+// soon as more than maxStates distinct states have been met (0 =
+// unlimited), polls ctx every cancelCheckInterval expansions and returns
+// ctx.Err() on cancellation; k.dests is meaningful only after a nil return.
+func (k *sweepKernel) Run(ctx context.Context, lanes []int32, lo, hi, maxStates int) error {
 	k.states.reset()
 	k.dests.reset()
 	k.stateRows.reset() // destRows is kept: the owner reads destination keys after later Runs
 	k.queue.s = k.queue.s[:0]
-	n := k.db.NumVertices()
 	k.newDone = 0
 	for i := lo; i < hi; i++ {
-		decodeSource(first+i, n, k.newVerts)
+		for j, v := range lanes[i*k.t : (i+1)*k.t] {
+			k.newVerts[j] = int(v)
+		}
 		k.delta = 1 << uint(i)
 		k.seed()
 	}

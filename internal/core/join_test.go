@@ -99,7 +99,17 @@ func BenchmarkCQJoin(b *testing.B) {
 // materialisation and nothing left charged, until one completes, and the
 // decision phase alone polls at least 12 times.
 func TestCancelMidJoin(t *testing.T) {
-	jc := joinCases()[3] // two bags, 41 472 rows in
+	// Two bags over the pair (y1, y2), 41 472 rows in: each component's
+	// four endpoints are distinct variables, so its R' keeps every
+	// destination pair.
+	a := alphabet.Lower(2)
+	h := synchro.HammingAtMost(a, 1)
+	jc := struct {
+		db *graphdb.DB
+		q  *query.Query
+	}{joinCases()[3].db, query.NewBuilder(a).
+		Reach("x1", "p1", "y1").Reach("x2", "p2", "y2").Rel(h, "p1", "p2").
+		Reach("y1", "p3", "z1").Reach("y2", "p4", "z2").Rel(h, "p3", "p4").MustBuild()}
 	p, err := Prepare(jc.q, Options{Strategy: Reduction, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) (_ []co
 		if err := mem.Charge(before + int64(tab.NumStates())*mergedStateBytes + int64(8*len(c.tracks)) - mem.Charged()); err != nil {
 			return nil, 0, 0, err
 		}
-		merged[ci] = component{tracks: c.tracks, nodeVars: c.nodeVars, ends: c.ends, nfa: tab}
+		merged[ci] = component{tracks: c.tracks, nodeVars: c.nodeVars, ends: c.ends, pat: newAtomPattern(c.ends), nfa: tab}
 	}
 	sp.SetInt("merged_states", int64(states))
 	return merged, states, mem.Charged(), nil
@@ -59,8 +59,9 @@ func mergedViews(ctx context.Context, q *query.Query, comps []component) (_ []co
 // buildReductionMerged constructs the structure of the Lemma 4.3 instance
 // from the plan's merged views: over the database's vertices, one
 // materialized endpoint relation R' per merged component, each the sweep
-// of all its source tuples. walkQuery is the other half of the
-// instance. The rows stay charged to ctx's reservation, unless it fails.
+// of all its source tuples over the atom's own variables. walkQuery is the
+// other half of the instance. The rows stay charged to ctx's reservation,
+// unless it fails.
 func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*cq.Structure, Stats, error) {
 	merged, opts := p.merged, p.opts
 	var stats Stats
@@ -79,6 +80,9 @@ func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*c
 		}
 		ssp.SetInt("component", int64(ci))
 		ssp.SetInt("tracks", int64(t))
+		if sources, err := sweepSources(n, len(merged[ci].pat.digits)); err == nil {
+			ssp.SetInt("sources", int64(sources))
+		}
 		ssp.SetInt("rows", int64(len(rows)/(2*t)))
 		ssp.End()
 		if err != nil {
@@ -97,8 +101,9 @@ func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*c
 // running for hours. A planner must not pick Reduction past it.
 const MaxSweepSources = 1 << 32
 
-// sweepSources is the number of tuples a sweep of t positions over n
-// vertices visits, n^t, or an error past MaxSweepSources.
+// sweepSources is the number of tuples a sweep of t positions (distinct
+// source variables) over n vertices visits, n^t, or an error past
+// MaxSweepSources.
 func sweepSources(n, t int) (int, error) {
 	total := 1
 	for i := 0; i < t; i++ {
@@ -128,15 +133,19 @@ func sweepColumnOrder(t int) []int {
 }
 
 // sweepComponent materializes R' of a merged component: for every one of
-// the V^t source tuples, each destination tuple reachable by satisfying
-// paths, as interleaved rows (u1, v1, ..., ut, vt) back to back in one flat
-// []int32, which cq.LoadSorted takes as the relation's row store and the join
-// scans: a row is written once and never converted. Rows are distinct and in
-// sweep order whatever the parallelism: source index ascending with track 0
-// fastest, destinations lexicographic per source — the order sweepSource.Scan
-// reproduces lazily and /v1/enumerate cursors are pinned to.
+// the V^s tuples of its s distinct source variables, each destination tuple
+// reachable by satisfying paths whose repeated variables agree, as
+// interleaved rows (u1, v1, ..., ut, vt) back to back in one flat []int32,
+// which cq.LoadSorted takes as the relation's row store and the join scans:
+// a row is written once and never converted. Rows are distinct and in
+// sweep order whatever the parallelism: source index ascending (the last
+// track's source most significant), destinations lexicographic per source
+// — the order
+// sweepSource.Scan reproduces lazily and /v1/enumerate cursors are pinned
+// to. They are the rows of the sweep over all V^t source tuples that the
+// atom's equalities keep, in that sweep's order.
 //
-// Sources are swept 64 at a time (sweepKernel): the ⌈V^t/64⌉ batches are
+// Sources are swept 64 at a time (sweepKernel): the ⌈V^s/64⌉ batches are
 // sharded in contiguous ranges over opts.workers() goroutines, each with
 // its own kernel scratch over the shared product shape.
 // A worker keeps each batch as (destination key, source word) pairs; once
@@ -147,7 +156,7 @@ func sweepColumnOrder(t int) []int {
 // charged on success; on failure everything the sweep charged is released.
 func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts Options) (_ []int32, err error) {
 	t := len(merged.tracks)
-	total, err := sweepSources(db.NumVertices(), t)
+	total, err := sweepSources(db.NumVertices(), len(merged.pat.digits))
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +175,7 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 		}
 	}()
 	for i := range ws {
-		if ws[i], err = newSweepWorker(f, res); err != nil {
+		if ws[i], err = newSweepWorker(f, &merged.pat, res); err != nil {
 			return nil, err
 		}
 	}
@@ -180,6 +189,7 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 				return ctx.Err()
 			default:
 			}
+			w.decode(b*64, min(64, total-b*64))
 			if err := w.batch(ctx, b*64, 0, min(64, total-b*64), opts.maxStates()); err != nil {
 				return err
 			}
@@ -210,12 +220,16 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 // rows themselves are only written once, by emit, at their final place.
 type sweepWorker struct {
 	k        *sweepKernel
+	pat      *atomPattern
 	retained *govern.Meter // the rows' charge; kept on success
 	segs     []sweepSegment
 	keys     []uint64 // destination keys of all segments, back to back
 	words    []uint64 // keys[j] is reached by the sources in words[j]
 	rows     int
 	start    int // the worker's first row in the component's array
+	// The batch's source tuples, lane i at lanes[i*t:(i+1)*t], and one
+	// destination tuple: scratch the worker reuses for every batch.
+	lanes, dst []int32
 }
 
 // sweepSegment is one traversal's slice of the pair arrays.
@@ -225,17 +239,30 @@ type sweepSegment struct {
 	rows  int
 }
 
-func newSweepWorker(f *productShape, res *govern.Reservation) (*sweepWorker, error) {
+func newSweepWorker(f *productShape, pat *atomPattern, res *govern.Reservation) (*sweepWorker, error) {
 	k, err := newSweepKernel(f, res.NewMeter())
-	return &sweepWorker{k: k, retained: res.NewMeter()}, err
+	return &sweepWorker{k: k, pat: pat, retained: res.NewMeter(),
+		lanes: make([]int32, 64*f.t), dst: make([]int32, f.t)}, err
 }
 
-// batch sweeps sources first+lo … first+hi-1 into one segment. A batch
-// whose traversal exceeds the state budget is re-run in halves, down to a
-// single source, before the budget error is returned: the budget bounds
-// each source's own search, as it did when sources were swept one by one.
+// decode fills the first size lanes with sources first … first+size-1.
+func (w *sweepWorker) decode(first, size int) {
+	t, n := w.k.t, w.k.db.NumVertices()
+	for i := 0; i < size; i++ {
+		decodeSource(w.pat, first+i, n, w.lanes[i*t:(i+1)*t])
+	}
+}
+
+// batch sweeps the decoded lanes lo … hi-1, sources first+lo …
+// first+hi-1, into one segment. A batch whose traversal exceeds the state
+// budget is re-run in halves, down to a single source, before the budget
+// error is returned: the budget bounds each source's own search, as it did
+// when sources were swept one by one. Before anything is counted, charged
+// or kept, the atom's equalities cut the pairs: a destination tuple whose
+// repeated destinations disagree goes, and so do the lanes whose source
+// disagrees with a destination on a shared variable.
 func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) error {
-	err := w.k.Run(ctx, first, lo, hi, maxStates)
+	err := w.k.Run(ctx, w.lanes, lo, hi, maxStates)
 	if err == errStateBudget {
 		if hi-lo == 1 {
 			return fmt.Errorf("core: product exceeded the state budget of %d", maxStates)
@@ -250,11 +277,19 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 		return err
 	}
 	dests := w.k.dests
-	w.k.sortDests(dests.keys.s)
-	before, rows := cap(w.keys)+cap(w.words), 0
+	before, begin, rows := cap(w.keys)+cap(w.words), len(w.keys), 0
 	for _, key := range dests.keys.s {
-		word := dests.at(key)[0]
+		if w.pat.cuts {
+			slot := dests.at(key)
+			if slot[0] = w.cut(key, slot[0]); slot[0] == 0 {
+				continue
+			}
+		}
 		w.keys = append(w.keys, key)
+	}
+	w.k.sortDests(w.keys[begin:])
+	for _, key := range w.keys[begin:] {
+		word := dests.at(key)[0]
 		w.words = append(w.words, word)
 		rows += bits.OnesCount64(word)
 	}
@@ -269,15 +304,39 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 	return nil
 }
 
+// cut is the word of lanes the destination tuple key keeps of word, under
+// the atom's equalities: 0 if two of its destinations that must agree do
+// not, otherwise without the lanes whose source a destination must equal
+// and does not.
+func (w *sweepWorker) cut(key, word uint64) uint64 {
+	t, dst := w.k.t, w.dst
+	unpackDest(&w.k.productStep, key, dst)
+	for k, e := range w.pat.dst {
+		if e >= 0 && e%2 == 1 && dst[k] != dst[e/2] {
+			return 0
+		}
+	}
+	for k, e := range w.pat.dst {
+		if e < 0 || e%2 == 1 {
+			continue
+		}
+		for m := word; m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros64(m); w.lanes[i*t+e/2] != dst[k] {
+				word &^= 1 << uint(i)
+			}
+		}
+	}
+	return word
+}
+
 // emit expands the worker's segments into its region of the flat row array,
 // rows start … start+rows-1: per segment, sources ascending, and per source
 // its destinations in key order. A counting pass over the words gives every
 // source its offset, so each pair is visited once per row it stands for.
 func (w *sweepWorker) emit(ctx context.Context, flat []int32) error {
-	t, n := w.k.t, w.k.db.NumVertices()
+	t := w.k.t
 	out := flat[w.start*2*t : (w.start+w.rows)*2*t]
-	srcs := make([]int32, 64*t)
-	dst := make([]int32, t)
+	srcs, dst := w.lanes, w.dst
 	begin := 0
 	for _, seg := range w.segs {
 		if err := ctx.Err(); err != nil {
@@ -293,8 +352,8 @@ func (w *sweepWorker) emit(ctx context.Context, flat []int32) error {
 		}
 		for i := 0; i < 64; i++ {
 			next[i+1] += next[i]
-			decodeSource(seg.first+i, n, srcs[i*t:(i+1)*t])
 		}
+		w.decode(seg.first, 64)
 		for j, key := range keys {
 			unpackDest(&w.k.productStep, key, dst)
 			for word := words[j]; word != 0; word &= word - 1 {

@@ -93,9 +93,9 @@ func slabRun(t *testing.T) []string {
 		fp.paths = round == 0
 		srcs, dsts := make([]int, 2), make([]int, 2)
 		for _, s := range sources {
-			decodeSource(s, n, srcs)
+			decodeSource(distinctPattern(2), s, n, srcs)
 			for d := 0; d < n*n; d += 7 {
-				decodeSource(d, n, dsts)
+				decodeSource(distinctPattern(2), d, n, dsts)
 				ok, err := fp.reach(kctx, srcs, dsts, 0)
 				out = append(out, fmt.Sprintf("reach %v→%v: %v %v charged %d", srcs, dsts, ok, err, fp.charged))
 				decided[round] = append(decided[round], fmt.Sprintf("%v→%v: %v %v", srcs, dsts, ok, err))
@@ -128,8 +128,12 @@ func slabRun(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lanes := make([]int32, 64*2)
 	for first := 0; first < pow(in.db.NumVertices(), 2); first += 64 {
-		err := k.Run(ctx, first, 0, 64, 0)
+		for i := 0; i < 64; i++ {
+			decodeSource(&in.merged.pat, first+i, in.db.NumVertices(), lanes[2*i:2*i+2])
+		}
+		err := k.Run(ctx, lanes, 0, 64, 0)
 		keys := slices.Clone(k.dests.keys.s)
 		k.sortDests(keys)
 		words := make([]uint64, len(keys))

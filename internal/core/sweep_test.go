@@ -74,6 +74,17 @@ func (in sweepInstance) sweep(ctx context.Context, opts Options) ([]int32, error
 	return sweepComponent(ctx, in.db, in.merged, opts)
 }
 
+// distinctPattern is the pattern of a t-track atom whose 2t endpoints are
+// distinct variables: its sources are every t-tuple, track 0 fastest.
+func distinctPattern(t int) *atomPattern {
+	ends := make([]int, 0, 2*t)
+	for k := 0; k < t; k++ {
+		ends = append(ends, k, t+k)
+	}
+	p := newAtomPattern(ends)
+	return &p
+}
+
 // inWideRegime runs f with every product shape it builds forced into the
 // wide regime, whatever its width.
 func inWideRegime(f func()) {
@@ -105,7 +116,7 @@ func (in sweepInstance) reference(t testing.TB, maxStates int) ([]int32, error) 
 	var rows []int32
 	var dsts []int
 	for idx := 0; idx < total; idx++ {
-		decodeSource(idx, n, srcs)
+		decodeSource(distinctPattern(tr), idx, n, srcs)
 		var err error
 		if dsts, err = componentReachSet(context.Background(), fp, srcs, maxStates, dsts[:0]); err != nil {
 			return nil, err
@@ -278,7 +289,7 @@ func TestSweepKernelAgainstNaive(t *testing.T) {
 			row := make([]int, 2*tr)
 			pinned := make(map[string]int, 2*tr)
 			for idx := 0; idx < pow(n, 2*tr); idx++ {
-				decodeSource(idx, n, row)
+				decodeSource(distinctPattern(2*tr), idx, n, row)
 				for k := 0; k < tr; k++ {
 					pinned[fmt.Sprintf("u%d", k+1)] = row[2*k]
 					pinned[fmt.Sprintf("v%d", k+1)] = row[2*k+1]
@@ -465,29 +476,40 @@ func sweepCancelReleases(t *testing.T) {
 	}
 }
 
-// sweepCases are the Lemma 4.3 layer's operations: sweep one 2-track
-// component over V = 18 (the cold-sweep heavy op's shape) and bulk-load the
-// rows, at the default parallelism. Each op returns the rows it loaded.
+// sweepCases are the Lemma 4.3 layer's operations: sweep one component
+// over V = 18 and bulk-load the rows, at the default parallelism. The
+// shapes: chain2, the cold-sweep heavy op's (x0 → x1 → x2: V² sources, and
+// R' keeps the rows whose first destination is the second source); split2,
+// two tracks with four distinct endpoints (V² sources, every row); fan3,
+// three tracks out of one x (V sources instead of V³, every row). Each op
+// returns the rows it loaded.
 func sweepCases(tb testing.TB) []layerOp {
 	a := alphabet.Lower(2)
 	db := randomDB(rand.New(rand.NewSource(18)), a, 18, 54)
+	eqlen, hamming1 := synchro.EqualLength(a, 2), synchro.HammingAtMost(a, 1)
 	var cases []layerOp
 	for _, bc := range []struct {
 		name string
-		rel  *synchro.Relation
-	}{{"eqlen", synchro.EqualLength(a, 2)}, {"hamming1", synchro.HammingAtMost(a, 1)}} {
-		q := query.NewBuilder(a).Reach("x0", "p1", "x1").Reach("x1", "p2", "x2").Rel(bc.rel, "p1", "p2").MustBuild()
-		p, err := Prepare(q, Options{Strategy: Reduction})
+		q    *query.Query
+	}{
+		{"chain2-eqlen", query.NewBuilder(a).Reach("x0", "p1", "x1").Reach("x1", "p2", "x2").Rel(eqlen, "p1", "p2").MustBuild()},
+		{"chain2-hamming1", query.NewBuilder(a).Reach("x0", "p1", "x1").Reach("x1", "p2", "x2").Rel(hamming1, "p1", "p2").MustBuild()},
+		{"split2-eqlen", query.NewBuilder(a).Reach("x1", "p1", "y1").Reach("x2", "p2", "y2").Rel(eqlen, "p1", "p2").MustBuild()},
+		{"fan3-eqlen", query.NewBuilder(a).Reach("x", "p1", "y1").Reach("x", "p2", "y2").Reach("x", "p3", "y3").
+			Rel(synchro.EqualLength(a, 3), "p1", "p2", "p3").MustBuild()},
+	} {
+		p, err := Prepare(bc.q, Options{Strategy: Reduction})
 		if err != nil {
 			tb.Fatal(err)
 		}
+		t := len(p.merged[0].tracks)
 		cases = append(cases, layerOp{bc.name, func(tb testing.TB) int {
 			flat, err := sweepComponent(context.Background(), db, &p.merged[0], p.opts)
 			if err != nil {
 				tb.Fatal(err)
 			}
 			st := cq.NewStructure(db.NumVertices())
-			if err := st.LoadSorted("r", 4, flat, sweepColumnOrder(2)); err != nil {
+			if err := st.LoadSorted("r", 2*t, flat, sweepColumnOrder(t)); err != nil {
 				tb.Fatal(err)
 			}
 			return st.Relation("r").Len()

@@ -167,3 +167,32 @@ func TestAblationBaselineRuns(t *testing.T) {
 		t.Errorf("rows = %d", len(tb.Rows))
 	}
 }
+
+// TestE8ExponentShape: the split fan's fitted CQ-tuple exponent rises with
+// its track count — R' over 2t distinct variables — while the fan's, whose
+// tracks share their endpoints, stays that of its two variables.
+func TestE8ExponentShape(t *testing.T) {
+	tb := E8(1)
+	exps := map[string][]float64{}
+	for _, r := range tb.Rows {
+		var e float64
+		if _, err := fmt.Sscan(r[2], &e); err != nil {
+			t.Fatalf("exponent cell %q: %v", r[2], err)
+		}
+		exps[r[0]] = append(exps[r[0]], e)
+	}
+	split, fan := exps["split fan"], exps["fan"]
+	if len(split) != 3 || len(fan) != 3 {
+		t.Fatalf("rows per shape: split fan %d, fan %d, want 3 each (t = 1, 2, 3)", len(split), len(fan))
+	}
+	for i := 1; i < len(split); i++ {
+		if split[i] <= split[i-1]+0.5 {
+			t.Errorf("split fan exponents %v do not rise with t", split)
+		}
+	}
+	for i, e := range fan {
+		if e > 2.5 {
+			t.Errorf("fan t=%d: exponent %.2f, want ≤ 2.5 (two node variables)", i+1, e)
+		}
+	}
+}

@@ -29,12 +29,14 @@ func overloadDBText(n int) string {
 }
 
 // overloadHardQuery is a 2-track equality component whose Lemma 4.3
-// materialization sweeps the whole database. The variable names carry a
-// serial number so every request is a distinct plan-cache key: each hard
-// request pays the full materialization, which is what makes it a
-// memory- and worker-hungry "background" job worth shedding.
+// materialization sweeps the whole database: its four endpoints are
+// distinct variables, so R' keeps every pair of destinations the equal
+// paths reach. The variable names carry a serial number so every request
+// is a distinct plan-cache key: each hard request pays the full
+// materialization, which is what makes it a memory- and worker-hungry
+// "background" job worth shedding.
 func overloadHardQuery(i int) string {
-	return fmt.Sprintf("alphabet a b\nx%d -[$p1]-> y%d\nx%d -[$p2]-> y%d\nrel eq(p1, p2)\n", i, i, i, i)
+	return fmt.Sprintf("alphabet a b\nx%d -[$p1]-> y%d\nu%d -[$p2]-> z%d\nrel eq(p1, p2)\n", i, i, i, i)
 }
 
 // overloadEasyQuery is a plain one-edge reachability query — the

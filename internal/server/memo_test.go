@@ -30,6 +30,15 @@ var answerTexts = []string{
 	"alphabet a b\nx%[1]s -[$p1]-> y%[1]s\ny%[1]s -[$p2]-> z%[1]s\nrel eqlen(p1, p2)\ny%[1]s -[bb]-> w%[1]s\n",
 }
 
+// evictionTexts are answerTexts whose relation atoms join two paths with
+// distinct endpoint variables, so a materialisation keeps every pair of
+// destinations and is large enough for the eviction budget to bite.
+var evictionTexts = []string{
+	"alphabet a b\nx%[1]s -[$p1]-> y%[1]s\nu%[1]s -[$p2]-> z%[1]s\nrel eqlen(p1, p2)\n",
+	answerTexts[1],
+	"alphabet a b\nx%[1]s -[$p1]-> y%[1]s\nu%[1]s -[$p2]-> z%[1]s\nrel eqlen(p1, p2)\ny%[1]s -[bb]-> w%[1]s\n",
+}
+
 var (
 	answerSatDB   = denseDBText(8)
 	answerUnsatDB = "alphabet a b\nu a v\nv a w\nw a u\n"
@@ -181,7 +190,7 @@ func TestAnswerMemoEqualsRecompute(t *testing.T) {
 		registerDB(t, s, "g", answerSatDB)
 		var renamed []string
 		for i := 0; i < 8; i++ {
-			for _, text := range answerTexts {
+			for _, text := range evictionTexts {
 				renamed = append(renamed, fmt.Sprintf(text, fmt.Sprint(i)))
 			}
 		}

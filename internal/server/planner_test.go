@@ -196,8 +196,8 @@ func TestClusterReplicaExplainMatchesOwner(t *testing.T) {
 	}
 }
 
-// freeEqQuery is slowQuery with its endpoints free: a multi-page answer
-// set whose evaluation strategy the planner chooses.
+// freeEqQuery is a 2-track equality fan x → y with its endpoints free: a
+// multi-page answer set whose evaluation strategy the planner chooses.
 const freeEqQuery = "alphabet a b\nfree x y\nx -[$p1]-> y\nx -[$p2]-> y\nrel eq(p1, p2)\n"
 
 // TestEnumeratePaginationStableUnderPlanner is the planner-era cursor
@@ -311,13 +311,16 @@ func TestExplainRendersResolvedPlan(t *testing.T) {
 	s := newTestServer(t, Config{})
 	registerDB(t, s, "g", denseDBText(30))
 	const chain = "alphabet a b\nx0 -[$p1]-> x1\nx1 -[$p2]-> x2\nx2 -[$p3]-> x3\nx3 -[$p4]-> x4\nrel eqlen(p1, p2)\nrel eqlen(p3, p4)\n"
+	// Two tracks over two node variables: the cost model prices V² product
+	// checks below the sweep.
+	const fan = "alphabet a b\nx -[$p1]-> y\nx -[$p2]-> y\nrel eq(p1, p2)\n"
 	for _, tc := range []struct {
 		query, strategy, want string
 	}{
-		{slowQuery, "auto", "generic"},
+		{fan, "auto", "generic"},
 		{chain, "auto", "reduction"},
-		{slowQuery, "generic", "generic"},
-		{slowQuery, "reduction", "reduction"},
+		{fan, "generic", "generic"},
+		{fan, "reduction", "reduction"},
 	} {
 		rec, out := doJSON(t, s, "POST", "/v1/explain", map[string]any{"db": "g", "query": tc.query, "strategy": tc.strategy})
 		if rec.Code != http.StatusOK {

@@ -38,12 +38,27 @@ func denseDBText(n int) string {
 	return sb.String()
 }
 
-// slowQuery is a single 2-track equality component: on a dense database
-// its Lemma 4.3 materialization sweeps all n² source pairs.
-const slowQuery = "alphabet a b\nx -[$p1]-> y\nx -[$p2]-> y\nrel eq(p1, p2)\n"
+// slowQuery is a single 2-track equality component whose four endpoints
+// are distinct variables: on a dense database its Lemma 4.3
+// materialization sweeps all n² source pairs and keeps every destination
+// pair the equal paths reach.
+const slowQuery = "alphabet a b\nx1 -[$p1]-> y1\nx2 -[$p2]-> y2\nrel eq(p1, p2)\n"
 
 // quickQuery is a plain one-edge reachability query.
 const quickQuery = "alphabet a b\nx -[ab]-> y\n"
+
+// waitUntil polls cond every millisecond and fails the test with what if
+// it does not hold within five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(what + " within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
 func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
@@ -442,9 +457,7 @@ func TestGracefulShutdown(t *testing.T) {
 			map[string]any{"db": "g", "query": slowQuery, "strategy": "reduction", "timeout_ms": 10000})
 		inFlight <- result{rec.Code, rec.Body.String()}
 	}()
-	for s.inflight.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the query never became in flight", func() bool { return s.inflight.Load() > 0 })
 
 	shutdownDone := make(chan error, 1)
 	go func() {
@@ -452,9 +465,7 @@ func TestGracefulShutdown(t *testing.T) {
 		defer cancel()
 		shutdownDone <- s.Shutdown(ctx)
 	}()
-	for !s.Draining() {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the server never started draining", s.Draining)
 
 	rec, _ := doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": quickQuery})
 	if rec.Code != http.StatusServiceUnavailable {

@@ -7,6 +7,7 @@
 //	PairChainQuery   cc_vertex = 2, cc_hedge = 1, treewidth ≤ 2   → Thm 3.2(3) PTIME / Thm 3.1(3) FPT
 //	CliqueQuery      cc_vertex = 1, cc_hedge = 1, treewidth = k−1 → Thm 3.2(2) NP    / Thm 3.1(2) W[1]
 //	FanQuery         cc_vertex = k (one big component)            → Thm 3.2(1) PSPACE / Thm 3.1(1) XNL
+//	SplitFanQuery    FanQuery with 2k distinct endpoint variables  → Lemma 4.3's R' over V^(2k) rows
 package workload
 
 import (
@@ -176,6 +177,22 @@ func FanQuery(a *alphabet.Alphabet, k int) *query.Query {
 	for i := range paths {
 		paths[i] = pathName(i + 1)
 		b.Reach("x", paths[i], "y")
+	}
+	b.Rel(synchro.EqualLength(a, k), paths...)
+	return b.MustBuild()
+}
+
+// SplitFanQuery builds FanQuery with distinct endpoints: k path variables
+// x_i -p_i-> y_i joined by one k-ary equal-length atom — a single component
+// with cc_vertex = k whose atom has 2k distinct node variables, so its
+// endpoint relation R' ranges over V^k source tuples (FanQuery's, whose
+// tracks share x and y, over V).
+func SplitFanQuery(a *alphabet.Alphabet, k int) *query.Query {
+	b := query.NewBuilder(a)
+	paths := make([]string, k)
+	for i := range paths {
+		paths[i] = pathName(i + 1)
+		b.Reach(fmt.Sprintf("x%d", i+1), paths[i], fmt.Sprintf("y%d", i+1))
 	}
 	b.Rel(synchro.EqualLength(a, k), paths...)
 	return b.MustBuild()

@@ -102,6 +102,13 @@ func TestQueryFamilyMeasures(t *testing.T) {
 			t.Errorf("Fan(%d) measures = %+v", k, m)
 		}
 	}
+	// SplitFan: cc_vertex = k, as for the fan.
+	for _, k := range []int{2, 4} {
+		m := twolevel.QueryMeasures(SplitFanQuery(a, k))
+		if m.CCVertex != k || m.CCHedge != 1 {
+			t.Errorf("SplitFan(%d) measures = %+v", k, m)
+		}
+	}
 	// EqChain: cc_vertex = k, hyperedges of size 2.
 	m = twolevel.QueryMeasures(EqChainQuery(a, 5))
 	if m.CCVertex != 5 || m.CCHedge != 4 {
@@ -134,6 +141,10 @@ func TestQueryFamiliesEvaluate(t *testing.T) {
 	res, err = core.Evaluate(db, FanQuery(a, 3), core.Options{Strategy: core.Generic})
 	if err != nil || !res.Sat {
 		t.Errorf("Fan on cycle: %v %v", err, res)
+	}
+	res, err = core.Evaluate(db, SplitFanQuery(a, 3), core.Options{Strategy: core.Reduction})
+	if err != nil || !res.Sat {
+		t.Errorf("SplitFan on cycle: %v %v", err, res)
 	}
 	res, err = core.Evaluate(db, EqChainQuery(a, 3), core.Options{Strategy: core.Generic})
 	if err != nil || !res.Sat {
