@@ -528,13 +528,19 @@ func h() { synchro.Join(a, 2, rels, vars) }`},
 		violation: "func f() { <-time.After(d) }"},
 	// The one node-variable join: both strategies run the walk, the Generic
 	// one with no tables, and nothing but the walk's own file runs it.
-	{name: "one-node-join", why: "a second node-variable join beside the walk, or the walk run outside enumerate.go",
-		in: []string{"internal/core"}, check: allOf(
-			never(names, `^(genericSearch|newGenericSearch|genericComp|evalGeneric|decideCandidates|componentSearch|compReady)$`),
+	{name: "one-node-join", why: "a second node-variable join or top-down pass beside the walk, or the walk run outside enumerate.go, stream.go and the Plan's file",
+		in: []string{"internal/core", "internal/cq"}, check: allOf(
+			never(names, `^(genericSearch|newGenericSearch|genericComp|evalGeneric|decideCandidates|componentSearch|compReady|walkStep)$`),
+			never(funcs, `^\*run\.(witness|project)$`),
 			onlyFrom("cq.StreamAssignments", "internal/core/enumerate.go"),
-			onlyFrom("cq.StreamAnswers", "internal/core/enumerate.go")),
+			onlyFrom("cq.StreamAnswers", "internal/core/enumerate.go"),
+			onlyFrom("planStream", "internal/cq/stream.go", "internal/cq/plan.go")),
 		violation: `func (g *genericSearch) decide(ctx context.Context) (bool, error) { return g.rec(0), nil }
-func answers(src cq.AtomSource, q *cq.Query) error { return cq.StreamAnswers(src, q, nil, nil) }`},
+func answers(src cq.AtomSource, q *cq.Query) error { return cq.StreamAnswers(src, q, nil, nil) }
+func (r *run) witness() (Assignment, bool, error) { return nil, false, nil }
+func (r *run) project(b int, t *flatTable, cols []int) error { return nil }
+type walkStep struct{ bag int }
+func (r *run) front(q *Query) { planStream(q, true) }`},
 	// The Lemma 4.2 product search: one kernel (fastproduct.go) over the
 	// layout the database owns, its tables flat and sized by what it meets.
 	{name: "one-product-kernel", why: "a second product engine, a per-evaluation adjacency table or a guessed entry size",

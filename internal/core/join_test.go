@@ -95,7 +95,7 @@ func BenchmarkCQJoin(b *testing.B) {
 
 // TestCancelMidJoin cancels a Boolean plan's Materialize at every poll it
 // makes — in the sweep, then in the join's scans, semijoins and witness
-// pick, and in witness recovery: each run returns context.Canceled with no
+// walk, and in witness recovery: each run returns context.Canceled with no
 // materialisation and nothing left charged, until one completes, and the
 // decision phase alone polls at least 12 times.
 func TestCancelMidJoin(t *testing.T) {

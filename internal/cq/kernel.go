@@ -1,11 +1,13 @@
 package cq
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -19,6 +21,14 @@ import (
 // The evaluation never hands back what its final tables hold: the caller
 // releases the total when the evaluation returns, whichever way it ends.
 type ChargeFunc func(deltaBytes int64) error
+
+// take reports delta to c; a nil c accounts nothing.
+func (c ChargeFunc) take(delta int64) error {
+	if c == nil {
+		return nil
+	}
+	return c(delta)
+}
 
 // Work reports what one evaluation of a Plan did.
 type Work struct {
@@ -50,12 +60,24 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // of evaluations allocates nothing here.
 type scratch struct {
 	base      []flatTable // per bag: its table
-	atom, out flatTable   // a join's scanned atom, or the front of the answer walk; a join's, an extension's or a projection's output
+	atom, out flatTable   // a join's scanned atom; a join's or an extension's output
 	set       []uint64    // dense semijoin key set
 	idx       rowIndex
-	charged   []int64 // per bag, then the front: bytes reported through the ChargeFunc
-	vals      []int   // witness: variable id → value
+	charged   []int64 // per bag: bytes reported through the ChargeFunc
+	bagScans  []bagScan
+	probe     []int32
 	tuple     []int
+	answers   []int      // Answers: the rows the walk yields, back to back
+	walk      streamPlan // the walk's state over the reduced tables
+}
+
+// bagScan is what the walk's Scans of one bag keep: the tuple they hand
+// out, how often the bag was probed, and an index on its separator columns
+// once one is built.
+type bagScan struct {
+	tuple  []int
+	probes int
+	idx    rowIndex
 }
 
 // maxPooledWords bounds what an idle scratch may hold on to (32-bit words
@@ -63,9 +85,12 @@ type scratch struct {
 const maxPooledWords = 4 << 20
 
 func (sc *scratch) words() int {
-	n := cap(sc.atom.data) + cap(sc.out.data) + 2*cap(sc.set) + sc.idx.words()
+	n := cap(sc.atom.data) + cap(sc.out.data) + 2*cap(sc.set) + sc.idx.words() + 2*cap(sc.answers) + 2*cap(sc.walk.flat)
 	for i := range sc.base {
-		n += cap(sc.base[i].data)
+		n += cap(sc.base[i].data) + sc.bagScans[i].idx.words()
+	}
+	for i := range sc.walk.keySets {
+		n += sc.walk.keySets[i].words()
 	}
 	return n
 }
@@ -142,9 +167,12 @@ func (p *Plan) start(ctx context.Context, s *Structure, charge ChargeFunc) (*run
 	}
 	r.work.Bags = len(p.bags)
 	r.base = resize(r.base, len(p.bags))
-	r.charged = resize(r.charged, len(p.bags)+1)
+	r.charged = resize(r.charged, len(p.bags))
 	clear(r.charged)
-	r.vals = resize(r.vals, len(p.vars))
+	r.bagScans = resize(r.bagScans, len(p.bags))
+	for i := range r.bagScans {
+		r.bagScans[i].probes, r.bagScans[i].idx.t = 0, nil
+	}
 	return r, nil
 }
 
@@ -153,9 +181,10 @@ func (r *run) done() { scratches.put(r.scratch) }
 // Eval decides the plan's query on s by the Proposition 2.3 dynamic
 // program: every bag's table is the join of its atoms, extended over the
 // bag variables none of them mentions; a bottom-up semijoin pass leaves a
-// root table empty exactly when the query is unsatisfiable; a satisfying
-// assignment is read off top-down and verified atom by atom. For a
-// decomposition of width w this takes time polynomial in |Domain|^(w+1).
+// root table empty exactly when the query is unsatisfiable; the walk's
+// first row over the reduced tables is a satisfying assignment, verified
+// atom by atom. For a decomposition of width w this takes time polynomial
+// in |Domain|^(w+1).
 //
 // Tables are flat []int32 rows. Relation rows are distinct and joins,
 // extensions and semijoins of distinct rows are distinct, so nothing is
@@ -172,8 +201,8 @@ func (p *Plan) Eval(ctx context.Context, s *Structure, charge ChargeFunc) (Assig
 	if err != nil || !sat {
 		return nil, false, r.work, err
 	}
-	assign, sat, err := r.witness()
-	return assign, sat, r.work, err
+	assign, err := r.first()
+	return assign, err == nil, r.work, err
 }
 
 // reduce builds every bag table bottom-up and semijoins each with its
@@ -190,7 +219,7 @@ func (r *run) reduce() (bool, error) {
 				break
 			}
 			kid := &r.p.bags[c]
-			if err := r.semijoin(t, kid.parentSep, &r.base[c], kid.sep); err != nil {
+			if err := r.semijoin(t, kid.parentSep, &r.base[c], kid.sep, &r.bagScans[c].idx); err != nil {
 				return false, err
 			}
 			if err := r.account(b, t.stride, t.rows); err != nil {
@@ -242,11 +271,8 @@ func (r *run) build(b int, t *flatTable) error {
 // account reports bag b's table as now holding rows rows of stride values.
 func (r *run) account(b, stride, rows int) error {
 	r.work.RowsPeak = max(r.work.RowsPeak, rows)
-	if r.charge == nil {
-		return nil
-	}
 	now := 4 * int64(stride) * int64(rows)
-	if err := r.charge(now - r.charged[b]); err != nil {
+	if err := r.charge.take(now - r.charged[b]); err != nil {
 		return err
 	}
 	r.charged[b] = now
@@ -285,8 +311,8 @@ rows:
 // a: t's columns, then a's columns t does not have. With no shared column
 // every key is 0 and the result is the cross product.
 func (r *run) join(b int, t *flatTable, st *joinStep, a *flatTable) error {
-	x, err := r.index(a, st.atomKey, true)
-	if err != nil {
+	x := &r.idx
+	if err := r.index(x, a, st.atomKey); err != nil {
 		return err
 	}
 	out := &r.out
@@ -344,9 +370,9 @@ func (r *run) extend(b int, t *flatTable) error {
 
 // semijoin keeps, in place, the rows of t whose tcols values occur as the
 // ccols values of some row of c. The key set is a bitset when the packed
-// key space is no larger than a pass over the rows, else the row index.
-// With no key columns every key is 0: t survives iff c has a row.
-func (r *run) semijoin(t *flatTable, tcols []int, c *flatTable, ccols []int) error {
+// key space is no larger than a pass over the rows, else x, an index on c
+// by ccols. With no key columns every key is 0: t survives iff c has a row.
+func (r *run) semijoin(t *flatTable, tcols []int, c *flatTable, ccols []int, x *rowIndex) error {
 	width := len(ccols) * r.bits
 	dense := width <= 30 && 1<<width>>6 <= t.rows+c.rows+1024
 	if dense {
@@ -359,7 +385,7 @@ func (r *run) semijoin(t *flatTable, tcols []int, c *flatTable, ccols []int) err
 			k := packKey(c.row(i), ccols, r.bits)
 			r.set[k>>6] |= 1 << (k & 63)
 		}
-	} else if _, err := r.index(c, ccols, false); err != nil {
+	} else if err := r.index(x, c, ccols); err != nil {
 		return err
 	}
 	keep := 0
@@ -373,7 +399,7 @@ func (r *run) semijoin(t *flatTable, tcols []int, c *flatTable, ccols []int) err
 			k := packKey(row, tcols, r.bits)
 			hit = r.set[k>>6]&(1<<(k&63)) != 0
 		} else {
-			hit = r.idx.find(row, tcols) != 0
+			hit = x.find(row, tcols) != 0
 		}
 		if hit {
 			copy(t.data[keep*t.stride:], row)
@@ -405,20 +431,18 @@ type rowIndex struct {
 	exact bool
 	keys  []uint64 // per slot
 	heads []int32  // per slot: 1 + the first row with the slot's key; 0 = empty
-	next  []int32  // per row: 1 + the next row with the same key; 0 = last (chained indexes only)
+	next  []int32  // per row: 1 + the next row with the same key; 0 = last
 	shift int
 }
 
 func (x *rowIndex) words() int { return 2*cap(x.keys) + cap(x.heads) + cap(x.next) }
 
-// index builds r.idx over t's rows keyed by cols. Rows of one key are
-// chained in ascending order when chain is set; otherwise only the first is
-// kept, which is all a membership test or a projection needs.
-func (r *run) index(t *flatTable, cols []int, chain bool) (*rowIndex, error) {
+// index builds x over t's rows keyed by cols. Rows of one key are chained
+// in ascending order.
+func (r *run) index(x *rowIndex, t *flatTable, cols []int) error {
 	if t.rows > math.MaxInt32 {
-		return nil, fmt.Errorf("cq: a table of %d rows exceeds the join kernel's 32-bit row ids", t.rows)
+		return fmt.Errorf("cq: a table of %d rows exceeds the join kernel's 32-bit row ids", t.rows)
 	}
-	x := &r.idx
 	x.t, x.cols, x.bits = t, cols, r.bits
 	if x.exact = len(cols)*r.bits <= 64; !x.exact {
 		r.work.WideKeys++
@@ -431,22 +455,17 @@ func (r *run) index(t *flatTable, cols []int, chain bool) (*rowIndex, error) {
 	x.keys = resize(x.keys, size)
 	x.heads = resize(x.heads, size)
 	clear(x.heads)
-	if chain {
-		x.next = resize(x.next, t.rows)
-	}
+	x.next = resize(x.next, t.rows)
 	for i := t.rows - 1; i >= 0; i-- {
 		if err := r.tick(); err != nil {
-			return nil, err
+			return err
 		}
 		row := t.row(i)
 		k := x.key(row, cols)
 		s := x.slot(k, row, cols)
-		if chain {
-			x.next[i] = x.heads[s]
-		}
-		x.keys[s], x.heads[s] = k, int32(i+1)
+		x.keys[s], x.heads[s], x.next[i] = k, int32(i+1), x.heads[s]
 	}
-	return x, nil
+	return nil
 }
 
 // key is the index key of row's cols values (of the indexed table or of a
@@ -490,69 +509,89 @@ func (x *rowIndex) find(row []int32, cols []int) int32 {
 	return x.heads[x.slot(x.key(row, cols), row, cols)]
 }
 
-// witness reads a satisfying assignment off the reduced tables top-down: a
-// root's first row, then for each child the first row agreeing with its
-// parent's pick on the separator — one exists after the semijoin pass, and
-// the separator is all the child shares with anything picked before it. The
-// assignment is then verified against every atom; a bag with no row to pick
-// or an atom the assignment violates means the reduction is wrong, and is
-// reported as that rather than decided a second way.
-func (r *run) witness() (Assignment, bool, error) {
-	for b := range r.p.bags {
-		bag := &r.p.bags[b]
-		t := &r.base[b]
-		pick := -1
-	rows:
-		for i := 0; i < t.rows && pick < 0; i++ {
-			if err := r.tick(); err != nil {
-				return nil, false, err
+// Scan makes the reduced bag tables the walk's AtomSource: rel names a bag
+// by its index, and a tuple is a row. The walk visits a tree's bags parents
+// first, so a bag's bound columns are its separator. Its rows come off an
+// index on those, built by the semijoin or on the bag's second probe; the
+// first reads the rows in order, which serves Eval's one probe per bag.
+func (r *run) Scan(rel string, bound []int, yield func([]int) bool) error {
+	b, _ := strconv.Atoi(rel) // rel is a bag index Compile wrote
+	t, sep, bs := &r.base[b], r.p.bags[b].sep, &r.bagScans[b]
+	bs.tuple = resize(bs.tuple, t.stride)
+	i, h, indexed := -1, int32(0), false
+	if len(sep) > 0 && bound[sep[0]] >= 0 {
+		if bs.probes++; bs.probes > 1 && bs.idx.t == nil {
+			if err := r.index(&bs.idx, t, sep); err != nil {
+				return err
 			}
-			row := t.row(i)
-			for _, c := range bag.sep {
-				if int(row[c]) != r.vals[bag.vars[c]] {
-					continue rows
-				}
+		}
+		if indexed = bs.idx.t != nil; indexed {
+			r.probe = resize(r.probe, t.stride)
+			for _, c := range sep {
+				r.probe[c] = int32(bound[c])
 			}
-			pick = i
+			h = bs.idx.find(r.probe, sep)
 		}
-		if pick < 0 {
-			return nil, false, &invariant.Violation{Msg: fmt.Sprintf("cq: reduced bag %d has no row agreeing with its parent's pick", b)}
+	}
+	for {
+		if indexed {
+			if h == 0 {
+				return nil
+			}
+			i, h = int(h-1), bs.idx.next[h-1]
+		} else if i++; i == t.rows {
+			return nil
 		}
-		for c, v := range t.row(pick) {
-			r.vals[bag.vars[c]] = int(v)
+		if err := r.tick(); err != nil {
+			return err
 		}
+		if !emit(t.row(i), bound, bs.tuple, yield) {
+			return nil
+		}
+	}
+}
+
+// first is the walk's first row over every reduced bag, verified atom by
+// atom: no row, or a row that violates an atom, means the reduction is
+// wrong, and is reported as that rather than decided a second way.
+func (r *run) first() (Assignment, error) {
+	var assign Assignment
+	sp := r.p.allBags
+	err := sp.walk(&r.walk, r, r.charge, func(row []int) bool {
+		assign = make(Assignment, len(row))
+		for c, v := range sp.vars {
+			assign[v] = row[c]
+		}
+		return false
+	})
+	if err != nil {
+		return nil, err
+	}
+	if assign == nil {
+		return nil, &invariant.Violation{Msg: "cq: the walk over the reduced tables yields no row"}
 	}
 	for ai, at := range r.p.q.Atoms {
-		args := r.p.atoms[ai].args
-		r.tuple = resize(r.tuple, len(args))
-		for i, v := range args {
-			r.tuple[i] = r.vals[v]
+		r.tuple = resize(r.tuple, len(at.Args))
+		for i, v := range at.Args {
+			r.tuple[i] = assign[v]
 		}
 		if !r.s.Contains(at.Rel, r.tuple...) {
-			return nil, false, &invariant.Violation{Msg: fmt.Sprintf("cq: the assignment read off the reduced tables violates atom %d, %s%v", ai, at.Rel, r.tuple)}
+			return nil, &invariant.Violation{Msg: fmt.Sprintf("cq: the assignment read off the reduced tables violates atom %d, %s%v", ai, at.Rel, r.tuple)}
 		}
 	}
-	assign := make(Assignment, len(r.p.vars))
-	for v, name := range r.p.vars {
-		assign[name] = r.vals[v]
-	}
-	return assign, true, nil
+	return assign, nil
 }
 
 // Answers computes the answer set over the query's free variables, in
-// lexicographic order, by one top-down pass over the tables reduce leaves.
-// After the bottom-up semijoins every row of a bag extends into each of its
-// subtrees, so joining the walked bags parent to child on their separators
-// meets no dead end. Each bag is first projected onto the columns the walk
-// reads, and the front onto those it still will, both deduplicated, so a
-// variable that is neither free nor in a separator never multiplies a row:
-// for a free-connex query the front never outgrows the answer set, and
-// otherwise the same projection is what removes the duplicates. The domain
-// is never iterated. charge sees the bag tables as Eval's does, the front,
-// and every answer row.
+// lexicographic order: the walk over the reduced tables of the bags whose
+// subtree holds a free variable, which meets no dead end, drained and
+// sorted. Its memo makes the work follow the rows projected onto the free
+// variables and the separators ahead, not the derivations, and the domain
+// is never iterated. charge sees the bag tables as Eval's does, the
+// seen-sets, and every answer row.
 func (p *Plan) Answers(ctx context.Context, s *Structure, charge ChargeFunc) ([][]int, error) {
 	if len(p.q.Free) == 0 {
-		return nil, fmt.Errorf("cq: AllAnswers on a Boolean query")
+		return nil, fmt.Errorf("cq: Plan.Answers on a Boolean query")
 	}
 	r, err := p.start(ctx, s, charge)
 	if err != nil {
@@ -562,70 +601,23 @@ func (p *Plan) Answers(ctx context.Context, s *Structure, charge ChargeFunc) ([]
 	if ok, err := r.reduce(); err != nil || !ok {
 		return nil, err
 	}
-	front, slot := &r.atom, len(p.bags)
-	front.reset(0)
-	front.rows = 1
-	for i := range p.walk {
-		w := &p.walk[i]
-		bag := &r.base[w.bag]
-		if err := r.project(w.bag, bag, w.proj); err != nil {
-			return nil, err
+	var refused error
+	sp, n := p.freeBags, len(p.freeBags.free)
+	r.answers = r.answers[:0]
+	err = sp.walk(&r.walk, r, charge, func(row []int) bool {
+		for _, c := range sp.free {
+			r.answers = append(r.answers, row[c])
 		}
-		if err := r.join(slot, front, &w.join, bag); err != nil {
-			return nil, err
-		}
-		if err := r.project(slot, front, w.keep); err != nil {
-			return nil, err
-		}
+		refused = charge.take(int64(24 + 8*n))
+		return refused == nil
+	})
+	if err = cmp.Or(err, refused); err != nil {
+		return nil, err
 	}
-	free := len(p.answer)
-	if charge != nil {
-		if err := charge(int64(front.rows) * int64(24+8*free)); err != nil {
-			return nil, err
-		}
-	}
-	flat := make([]int, front.rows*free)
-	out := make([][]int, front.rows)
+	flat, out := slices.Clone(r.answers), make([][]int, len(r.answers)/n)
 	for i := range out {
-		if err := r.tick(); err != nil {
-			return nil, err
-		}
-		out[i] = flat[i*free : (i+1)*free : (i+1)*free]
-		row := front.row(i)
-		for k, c := range p.answer {
-			out[i][k] = int(row[c])
-		}
+		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
 	slices.SortFunc(out, slices.Compare[[]int])
 	return out, nil
-}
-
-// project replaces t, charged as bag b's table, by its cols columns (which
-// ascend), one row per distinct value: the index keeps the first row of
-// every key, and only that row is copied.
-func (r *run) project(b int, t *flatTable, cols []int) error {
-	if len(cols) == t.stride {
-		return nil // rows are distinct already
-	}
-	x, err := r.index(t, cols, false)
-	if err != nil {
-		return err
-	}
-	out := &r.out
-	out.reset(len(cols))
-	for i := 0; i < t.rows; i++ {
-		if err := r.tick(); err != nil {
-			return err
-		}
-		row := t.row(i)
-		if x.find(row, cols) != int32(i+1) {
-			continue
-		}
-		for _, c := range cols {
-			out.data = append(out.data, row[c])
-		}
-		out.rows++
-	}
-	*t, *out = *out, *t
-	return r.account(b, t.stride, t.rows)
 }

@@ -3,6 +3,7 @@ package cq
 import (
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Plan is the query-only half of the Proposition 2.3 evaluation: everything
@@ -12,21 +13,19 @@ import (
 // compiled from must not change afterwards.
 type Plan struct {
 	q     *Query
-	vars  []string   // variable id → name (Query.Vars order)
 	atoms []planAtom // parallel to q.Atoms
 	// bags is the contracted decomposition in discovery order: a bag's
 	// parent has a smaller index, so descending order is bottom-up and
 	// ascending order is top-down.
 	bags []planBag
-	// walk is Answers' top-down pass, one step per bag whose subtree holds a
-	// free variable; answer is q.Free's columns in the table it ends with.
-	walk   []walkStep
-	answer []int
+	// allBags and freeBags lay out the top-down walk over the reduced
+	// tables, a level per bag: Eval's over every bag, Answers' over the
+	// bags whose subtree holds a free variable.
+	allBags, freeBags *streamPlan
 }
 
 // planAtom is how one atom's relation rows become table rows.
 type planAtom struct {
-	args []int    // variable id per tuple position
 	vars []int    // the distinct variables, in first-occurrence order: the atom's columns
 	cols []int    // tuple position each column is read from
 	eq   [][2]int // tuple positions that must agree (a repeated variable)
@@ -55,16 +54,6 @@ type joinStep struct {
 	extra           []int // atom columns appended to the table
 }
 
-// walkStep joins one reduced bag table into the answer walk's front table.
-// The walk reads a column only if its variable is free or in another walked
-// bag (a separator): proj lists those of the bag, and keep those the front
-// still needs once the bag is in.
-type walkStep struct {
-	bag        int
-	proj, keep []int
-	join       joinStep // front ⋈ projected bag, keyed on the separator to its parent
-}
-
 // Compile does the per-query work of the tree-decomposition evaluator: it
 // numbers the variables, decomposes the Gaifman graph, contracts every bag
 // contained in a neighbour, roots each tree (at a bag holding a free
@@ -78,7 +67,7 @@ func Compile(q *Query) (*Plan, error) {
 		return nil, err
 	}
 	g, vars := q.GaifmanGraph()
-	p := &Plan{q: q, vars: vars, atoms: make([]planAtom, len(q.Atoms))}
+	p := &Plan{q: q, atoms: make([]planAtom, len(q.Atoms))}
 	id := make(map[string]int, len(vars))
 	for i, v := range vars {
 		id[v] = i
@@ -91,7 +80,6 @@ func Compile(q *Query) (*Plan, error) {
 		pa := &p.atoms[ai]
 		first := make(map[int]int, len(at.Args))
 		for pos, v := range at.Args {
-			pa.args = append(pa.args, id[v])
 			if f, ok := first[id[v]]; ok {
 				pa.eq = append(pa.eq, [2]int{f, pos})
 			} else {
@@ -100,9 +88,6 @@ func Compile(q *Query) (*Plan, error) {
 				pa.cols = append(pa.cols, pos)
 			}
 		}
-	}
-	if len(vars) == 0 {
-		return p, nil
 	}
 
 	// Contract: a bag contained in a neighbour adds no constraint of its
@@ -144,8 +129,8 @@ func Compile(q *Query) (*Plan, error) {
 	}
 
 	// Root and renumber in discovery order. Rooting at a bag with a free
-	// variable keeps the bags a candidate answer touches to the subtree
-	// spanning the free variables.
+	// variable keeps the bags Answers walks to the subtree spanning the
+	// free variables.
 	hasFree := func(b int) bool {
 		return slices.ContainsFunc(sets[b], func(v int) bool { return isFree[v] })
 	}
@@ -208,52 +193,30 @@ func Compile(q *Query) (*Plan, error) {
 		return nil, fmt.Errorf("cq: no bag covers atom %d (decomposition bug)", ai)
 	}
 
-	// The answer walk covers the bags whose subtree holds a free variable.
-	// By the running intersection a variable in two of them is in the
-	// separators between them, so a column that is neither free nor in such
-	// a separator constrains nothing the walk has left to read.
+	// Answers walks the bags whose subtree holds a free variable: a tree
+	// with none is satisfied once reduce has passed it, and adds no answer.
 	walked := make([]bool, len(p.bags))
-	last := make([]int, len(vars)) // variable id → the last walked bag holding it
 	for bi := len(p.bags) - 1; bi >= 0; bi-- {
-		bag := &p.bags[bi]
-		if !walked[bi] && !hasFree(order[bi]) {
-			continue
+		if walked[bi] = walked[bi] || hasFree(order[bi]); walked[bi] && p.bags[bi].parent >= 0 {
+			walked[p.bags[bi].parent] = true
 		}
-		walked[bi] = true
-		if bag.parent >= 0 {
-			walked[bag.parent] = true
-		}
+	}
+	all, free := &Query{}, &Query{Free: q.Free}
+	for bi, bag := range p.bags {
+		at := Atom{Rel: strconv.Itoa(bi)}
 		for _, v := range bag.vars {
-			last[v] = max(last[v], bi)
+			at.Args = append(at.Args, vars[v])
+		}
+		if all.Atoms = append(all.Atoms, at); walked[bi] {
+			free.Atoms = append(free.Atoms, at)
 		}
 	}
-	var front []int // front column → variable id
-	for bi := range p.bags {
-		if !walked[bi] {
-			continue
-		}
-		bag := &p.bags[bi]
-		w := walkStep{bag: bi}
-		var read []int
-		for c, v := range bag.vars {
-			if isFree[v] || last[v] > bi || slices.Contains(bag.sep, c) {
-				w.proj = append(w.proj, c)
-				read = append(read, v)
-			}
-		}
-		var joined []int
-		w.join, joined = lay(front, read)
-		front = nil
-		for c, v := range joined {
-			if isFree[v] || last[v] > bi {
-				w.keep = append(w.keep, c)
-				front = append(front, v)
-			}
-		}
-		p.walk = append(p.walk, w)
+	var err error
+	if p.allBags, err = planStream(all, false, true); err == nil {
+		p.freeBags, err = planStream(free, true, true)
 	}
-	for _, f := range q.Free {
-		p.answer = append(p.answer, slices.Index(front, id[f]))
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -243,8 +243,8 @@ func TestPlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.walk) != 1 || p.walk[0].bag != 0 {
-		t.Errorf("free variable d: the walk is %+v; want only the root", p.walk)
+	if len(p.freeBags.levels) != 1 || p.freeBags.levels[0].rel != "0" {
+		t.Errorf("free variable d: the walk is over %+v; want only the root", p.freeBags.levels)
 	}
 }
 

@@ -1,16 +1,17 @@
 package cq
 
-// Streaming CQ evaluation: where Plan.Answers reads the answers off
-// materialized tables, StreamAnswers binds the atoms left to right, one
-// recursive call per level, pushing bound variables down into each atom
-// scan and handing every row to a yield callback. The walk returns as soon
-// as yield returns false, so the Lemma 4.3 sweep behind the scans is only
-// forced as far as the consumer reads.
+// Streaming CQ evaluation, the one top-down pass: StreamAnswers binds the
+// atoms left to right, one recursive call per level, pushing bound
+// variables down into each atom scan and handing every row to a yield
+// callback. The walk returns as soon as yield returns false, so the Lemma
+// 4.3 sweep behind the scans is only forced as far as the consumer reads.
+// Plan.Eval and Plan.Answers run the same walk over the bag tables their
+// semijoin pass leaves.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // AtomSource scans a relation with binding pushdown: Scan calls yield with
@@ -35,150 +36,278 @@ func (s *Structure) Scan(rel string, bound []int, yield func([]int) bool) error 
 		return fmt.Errorf("cq: no relation %q of arity %d", rel, len(bound))
 	}
 	buf := make([]int, r.Arity)
-rows:
-	for i := 0; i < r.Len(); i++ {
-		for k, v := range r.Row(i) {
-			if bound[k] >= 0 && int(v) != bound[k] {
-				continue rows
-			}
-			buf[k] = int(v)
-		}
-		if !yield(buf) {
-			return nil
-		}
+	for i := 0; i < r.Len() && emit(r.Row(i), bound, buf, yield); i++ {
 	}
 	return nil
+}
+
+// emit is one step of a Scan over int32 rows: it hands row to yield as
+// tuple unless row disagrees with bound, and reports whether to go on.
+func emit(row []int32, bound, tuple []int, yield func([]int) bool) bool {
+	for k, v := range row {
+		if bound[k] >= 0 && int(v) != bound[k] {
+			return true
+		}
+		tuple[k] = int(v)
+	}
+	return yield(tuple)
 }
 
 // streamLevel is one join level: an atom, the row column of each of its
 // args, and scratch reused by its scans, which run one at a time.
 type streamLevel struct {
-	rel        string
-	cols       []int
-	disjoint   bool // shares no variable with earlier levels
-	bound, row []int
-	buf        []int // a disjoint level's tuples, back to back; nil until scanned
+	rel      string
+	cols     []int
+	disjoint bool // shares no variable with earlier levels
+	bound    []int
+	buf      []int // a disjoint level's tuples, back to back; nil until scanned
+	// memo keys the rows this level hands on in an answers walk: the free
+	// columns bound so far and those later levels read. Rows of one key
+	// have the same answers, so a key seen holds is not walked again.
+	memo []int
+	seen *keySet
 }
 
 // streamPlan lays out assignments as fixed-width rows, one column per
-// variable in first-occurrence order over the atoms.
+// variable in first-occurrence order over the atoms, and holds the state
+// of a walk. Compile's plans are read-only, each walk running in a pooled
+// streamPlan; a plan walked once runs in itself.
 type streamPlan struct {
-	vars   []string
-	free   []int // the column of each free variable
-	binds  []int // per column: the level that binds it
-	levels []*streamLevel
-	cut    int // a complete row ends the scans of the levels past this one: the last that binds a free variable
+	vars    []string
+	free    []int // the column of each free variable
+	binds   []int // per column: the level that binds it
+	levels  []streamLevel
+	cut     int     // a complete row ends the scans of the levels past this one: the last that binds a free variable
+	rows    [][]int // rows[i]: the row level i extends; rows[0] binds nothing
+	flat    []int   // the rows' and the levels' bound patterns' values
+	keySets []keySet
+	src     AtomSource
+	charge  ChargeFunc
+	yield   func([]int) bool
+	scan    func(tuple []int) bool // bind at the level whose scan runs innermost
+	at      int                    // that level
+	held    int64                  // bytes charged for the disjoint levels' buffers
+	reached bool                   // a row was complete since the scans up to cut last moved
+	stop    bool                   // yield returned false, a scan failed or charge refused
+	err     error
 }
 
+// planStream lays out q's walk. An answers walk stops the levels past cut
+// at a complete row, and memoizes at each level whose key leaves a bound
+// column out and at the last, whose key is the answer: a source may yield
+// a tuple twice. With sets, the source's relations are sets in memory:
+// complete rows are distinct, and a disjoint level is scanned again rather
+// than buffered.
+//
 //ecrpq:charged plan-shaped scratch: O(atoms × arity) buffers sized by the query, not the data
-func planStream(q *Query) (*streamPlan, error) {
-	p, varCol := &streamPlan{cut: -1}, make(map[string]int)
-	for _, at := range q.Atoms {
-		lvl := &streamLevel{rel: at.Rel, disjoint: true, bound: make([]int, len(at.Args))}
+func planStream(q *Query, answers, sets bool) (*streamPlan, error) {
+	p := &streamPlan{cut: -1, levels: make([]streamLevel, len(q.Atoms))}
+	var last []int // per column: the last level to read it, past them all if free
+	for i, at := range q.Atoms {
+		lvl := &p.levels[i]
+		lvl.rel, lvl.disjoint, lvl.cols = at.Rel, !sets, make([]int, len(at.Args))
 		before := len(p.vars) // the columns earlier levels bind
-		for _, v := range at.Args {
-			col, ok := varCol[v]
-			if !ok {
-				col = len(p.vars)
-				varCol[v] = col
-				p.vars, p.binds = append(p.vars, v), append(p.binds, len(p.levels))
+		for j, v := range at.Args {
+			col := slices.Index(p.vars, v)
+			if col < 0 {
+				col, p.vars, p.binds, last = len(p.vars), append(p.vars, v), append(p.binds, i), append(last, i)
 			}
-			lvl.cols = append(lvl.cols, col)
-			lvl.disjoint = lvl.disjoint && col >= before
+			lvl.cols[j], lvl.disjoint, last[col] = col, lvl.disjoint && col >= before, i
 		}
-		p.levels = append(p.levels, lvl)
 	}
 	for _, f := range q.Free {
-		col, ok := varCol[f]
-		if !ok {
+		col := slices.Index(p.vars, f)
+		if col < 0 {
 			return nil, fmt.Errorf("%w: %q", ErrUnconstrained, f)
 		}
-		p.free, p.cut = append(p.free, col), max(p.cut, p.binds[col])
+		p.free, p.cut, last[col] = append(p.free, col), max(p.cut, p.binds[col]), len(p.levels)
 	}
-	for _, lvl := range p.levels {
-		lvl.row = make([]int, len(p.vars))
+	if !answers {
+		p.cut = len(p.levels)
+	}
+	for i := 0; answers && i < len(p.levels); i++ {
+		memo, bound := []int{}, 0 // columns ascend with the level that binds them
+		for ; bound < len(p.vars) && p.binds[bound] <= i; bound++ {
+			if last[bound] > i {
+				memo = append(memo, bound)
+			}
+		}
+		if len(memo) < bound || i == len(p.levels)-1 && !sets {
+			p.levels[i].memo = memo
+		}
 	}
 	return p, nil
 }
 
-// walk is the streaming join. A row holds -1 in the columns no level has
-// bound, so a level scans its atom with the prefix row's values as the
-// bound pattern — pushdown, once per prefix row — and drops tuples that
-// disagree with the row. A level sharing no variable with the prefix
-// (after the first) is scanned once, on the first prefix row that reaches
-// it, into a buffer charged 48 + 16·arity bytes a row until walk returns.
-// A complete row ends the scans of the levels past p.cut. walk returns
-// when yield returns false, a scan fails or charge refuses.
-func (p *streamPlan) walk(src AtomSource, charge ChargeFunc, yield func([]int) bool) (err error) {
-	held, reached := int64(0), false // reached: a row was complete since the scans up to p.cut last moved
+// walk is the streaming join, run in w (p itself, for a plan walked once),
+// whose buffers from an earlier walk it reuses. A row holds -1 in the
+// columns no level has bound, so a level scans its atom with the prefix
+// row's values as the bound pattern — pushdown, once per prefix row — and
+// drops tuples that disagree with the row. A level sharing no variable
+// with the prefix (after the first) is scanned once, on the first prefix
+// row that reaches it, into a buffer charged 48 + 16·arity bytes a row
+// until walk returns. A complete row ends the scans of the levels past
+// p.cut, and a row whose memo key its level has seen goes no further; a
+// seen-set entry is charged 64 bytes plus 4 a key column, and stays
+// charged. walk returns when yield returns false, a scan fails or charge
+// refuses.
+func (p *streamPlan) walk(w *streamPlan, src AtomSource, charge ChargeFunc, yield func([]int) bool) error {
+	levels, rows, flat, keySets := w.levels, w.rows, w.flat, w.keySets
+	*w = *p
+	n, size := len(p.vars), (len(p.levels)+1)*len(p.vars)
+	for _, lvl := range p.levels {
+		size += len(lvl.cols)
+	}
+	w.src, w.charge, w.yield, w.levels = src, charge, yield, append(levels[:0], p.levels...)
+	w.rows, w.flat, w.keySets = resize(rows, len(p.levels)+1), resize(flat, size), keySets
+	flat = w.flat
+	for i := range w.rows {
+		w.rows[i], flat = flat[:n:n], flat[n:]
+	}
+	for c := range w.rows[0] {
+		w.rows[0][c] = -1
+	}
+	for i := range w.levels {
+		lvl, k := &w.levels[i], len(w.levels[i].cols)
+		if lvl.bound, flat = flat[:k:k], flat[k:]; lvl.memo != nil {
+			if len(w.keySets) < len(w.levels) {
+				w.keySets = resize(w.keySets, len(w.levels))
+			}
+			lvl.seen = &w.keySets[i]
+			lvl.seen.reset()
+		}
+	}
+	w.scan = func(tup []int) bool { return w.bind(w.at, tup) }
 	defer func() {
-		if held > 0 {
-			_ = charge(-held) // a release is never refused
+		if w.held > 0 {
+			_ = charge.take(-w.held) // a release is never refused
 		}
+		w.src, w.charge, w.yield, w.scan = nil, nil, nil, nil // a pooled w keeps no source alive
 	}()
-	var level func(i int, prefix []int) bool
-	level = func(i int, prefix []int) bool {
-		if i == len(p.levels) {
-			reached = true
-			return yield(prefix)
-		}
-		lvl := p.levels[i]
-		for k, col := range lvl.cols {
-			lvl.bound[k] = prefix[col]
-		}
-		more := true
-		next := func(tup []int) bool {
-			copy(lvl.row, prefix)
-			for k, col := range lvl.cols {
-				if lvl.row[col] >= 0 && lvl.row[col] != tup[k] {
-					return true
-				}
-				lvl.row[col] = tup[k]
-			}
-			more = level(i+1, lvl.row)
-			if reached && i > p.cut {
-				return false
-			}
-			reached = false
-			return more
-		}
-		if !lvl.disjoint || i == 0 {
-			if e := src.Scan(lvl.rel, lvl.bound, next); e != nil {
-				err, more = e, false
-			}
-			return more
-		}
-		if lvl.buf == nil {
-			lvl.buf = []int{}
-			e := src.Scan(lvl.rel, lvl.bound, func(tup []int) bool {
-				n := 48 + 16*int64(len(tup))
-				if charge != nil {
-					if err = charge(n); err != nil {
-						return false
-					}
-					held += n
-				}
-				lvl.buf = append(lvl.buf, tup...)
-				return true
-			})
-			if e != nil {
-				err = e
-			}
-			if err != nil {
-				return false
-			}
-		}
-		for k, a := 0, len(lvl.cols); k < len(lvl.buf) && next(lvl.buf[k:k+a]); k += a {
-		}
-		return more
-	}
-	init := make([]int, len(p.vars))
-	for i := range init {
-		init[i] = -1
-	}
-	level(0, init)
-	return err
+	w.level(0)
+	return w.err
 }
+
+// level runs level i's scan for the extensions of rows[i].
+func (p *streamPlan) level(i int) {
+	if i == len(p.levels) {
+		p.reached, p.stop = true, !p.yield(p.rows[i])
+		return
+	}
+	lvl := &p.levels[i]
+	for k, col := range lvl.cols {
+		lvl.bound[k] = p.rows[i][col]
+	}
+	if p.at = i; !lvl.disjoint || i == 0 {
+		p.fail(p.src.Scan(lvl.rel, lvl.bound, p.scan))
+		return
+	}
+	if lvl.buf == nil {
+		lvl.buf = []int{}
+		p.fail(p.src.Scan(lvl.rel, lvl.bound, func(tup []int) bool {
+			n := 48 + 16*int64(len(tup))
+			if p.fail(p.charge.take(n)) {
+				return false
+			}
+			p.held += n
+			lvl.buf = append(lvl.buf, tup...)
+			return true
+		}))
+	}
+	for k, a := 0, len(lvl.cols); k < len(lvl.buf) && !p.stop && p.bind(i, lvl.buf[k:k+a]); k += a {
+	}
+}
+
+// fail records err, if any, as what ends the walk, and reports whether the
+// walk is ending.
+func (p *streamPlan) fail(err error) bool {
+	if err != nil && p.err == nil {
+		p.err, p.stop = err, true
+	}
+	return p.stop
+}
+
+// bind is level i's scan callback: the row extending rows[i] by tup, if
+// they agree, goes on to the next level unless its memo key was seen.
+func (p *streamPlan) bind(i int, tup []int) bool {
+	lvl, row := &p.levels[i], p.rows[i+1]
+	copy(row, p.rows[i])
+	for k, col := range lvl.cols {
+		if row[col] >= 0 && row[col] != tup[k] {
+			return true
+		}
+		row[col] = tup[k]
+	}
+	switch {
+	case lvl.memo == nil:
+		p.level(i + 1)
+	case !lvl.seen.add(row, lvl.memo):
+		p.reached = p.reached || i == len(p.levels)-1 // a complete row, its answer yielded before
+	case !p.fail(p.charge.take(64 + 4*int64(len(lvl.memo)))):
+		p.level(i + 1)
+	}
+	if p.at = i; p.stop || p.reached && i > p.cut {
+		return false
+	}
+	p.reached = false
+	return true
+}
+
+// keySet is a seen-set of the values rows hold in some columns, by open
+// addressing: per slot a key's hash, which is the key itself when it packs
+// into 64 bits, and 1 + its number among the keys, kept back to back to
+// confirm a wider key; 0 marks an empty slot.
+type keySet struct {
+	hashes      []uint64
+	slots       []int32
+	keys, probe []int32
+	n           int
+}
+
+// add reports whether row's cols values are a new key, and adds them.
+//
+//ecrpq:charged the walk charges each key added: 64 bytes plus 4 a column
+func (s *keySet) add(row, cols []int) bool {
+	h, w := uint64(0), len(cols)
+	s.probe = s.probe[:0]
+	for _, c := range cols {
+		if s.probe = append(s.probe, int32(row[c])); w <= 2 {
+			h = h<<32 | uint64(uint32(row[c]))
+		} else {
+			h = (h ^ uint64(uint32(row[c]))) * 1099511628211
+		}
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		hashes, slots := s.hashes, s.slots
+		s.hashes, s.slots = make([]uint64, max(16, 2*len(slots))), make([]int32, max(16, 2*len(slots)))
+		for j, k := range slots {
+			if k == 0 {
+				continue
+			}
+			i := s.first(hashes[j])
+			for s.slots[i] != 0 {
+				i = s.next(i)
+			}
+			s.hashes[i], s.slots[i] = hashes[j], k
+		}
+	}
+	i := s.first(h)
+	for ; s.slots[i] != 0; i = s.next(i) {
+		if k := int(s.slots[i]); s.hashes[i] == h && (w <= 2 || slices.Equal(s.keys[(k-1)*w:k*w], s.probe)) {
+			return false
+		}
+	}
+	s.keys, s.n = append(s.keys, s.probe...), s.n+1
+	s.hashes[i], s.slots[i] = h, int32(s.n)
+	return true
+}
+
+func (s *keySet) reset() { clear(s.slots); s.keys, s.n = s.keys[:0], 0 }
+
+func (s *keySet) words() int { return 2*cap(s.hashes) + cap(s.slots) + cap(s.keys) + cap(s.probe) }
+
+func (s *keySet) first(h uint64) int { return int(h*0x9E3779B97F4A7C15>>32) & (len(s.slots) - 1) }
+func (s *keySet) next(i int) int     { return (i + 1) & (len(s.slots) - 1) }
 
 // StreamAssignments calls yield with the satisfying assignments of q over
 // src until it returns false: fixed-width rows, one column per variable of
@@ -186,45 +315,32 @@ func (p *streamPlan) walk(src AtomSource, charge ChargeFunc, yield func([]int) b
 // derivations of one assignment repeat. charge accounts the buffers of
 // prefix-disjoint levels; nil disables accounting.
 func StreamAssignments(src AtomSource, q *Query, charge ChargeFunc, yield func(row []int) bool) (vars []string, err error) {
-	p, err := planStream(q)
+	p, err := planStream(q, false, false)
 	if err != nil {
 		return nil, err
 	}
-	p.cut = len(p.levels) // every assignment, not only the first of an answer
-	return p.vars, p.walk(src, charge, yield)
+	return p.vars, p.walk(p, src, charge, yield)
 }
 
 // StreamAnswers calls yield with the answers of q over src in q.Free
-// order until it returns false, deduplicated: the first derivation wins,
-// and each seen-set entry is charged 64 bytes plus its key; the levels
-// past the last that binds a free variable stop at a complete row, as all
-// they could add repeats its answer. A Boolean query yields at most one
-// empty tuple.
+// order until it returns false, deduplicated: the first derivation wins.
+// The levels past the last that binds a free variable stop at a complete
+// row, as all they could add repeats its answer, and a level skips a row
+// whose memo key it has expanded already, as all it could add repeats
+// answers yielded before: the answers and their order are the first
+// occurrences of StreamAssignments' rows, projected onto q.Free, at work
+// bounded by the projected rows rather than the derivations. A Boolean
+// query yields at most one empty tuple.
 func StreamAnswers(src AtomSource, q *Query, charge ChargeFunc, yield func(answer []int) bool) error {
-	p, err := planStream(q)
+	p, err := planStream(q, true, false)
 	if err != nil {
 		return err
 	}
-	out, key := make([]int, len(p.free)), make([]byte, 4*len(p.free))
-	seen := make(map[string]struct{})
-	var refused error
-	if err := p.walk(src, charge, func(row []int) bool {
+	out := make([]int, len(p.free))
+	return p.walk(p, src, charge, func(row []int) bool {
 		for i, c := range p.free {
 			out[i] = row[c]
-			binary.LittleEndian.PutUint32(key[4*i:], uint32(out[i]))
 		}
-		if _, dup := seen[string(key)]; dup {
-			return true
-		}
-		if charge != nil {
-			if refused = charge(64 + int64(len(key))); refused != nil {
-				return false
-			}
-		}
-		seen[string(key)] = struct{}{}
 		return yield(out)
-	}); err != nil {
-		return err
-	}
-	return refused
+	})
 }

@@ -233,9 +233,18 @@ func TestStreamDisjointLevelWaitsForPrefix(t *testing.T) {
 // the last one that binds a free variable end their scans — what they have
 // left can only derive the same answer again — and the levels up to it go
 // on. A Boolean query stops at its first row.
+//
+// A level that binds no free variable the answers still miss skips a row
+// whose free values and columns later levels read it has expanded before.
+// In A(x), E(x,z), F(z,y) with x, y free, where both z join each (x, y),
+// no level follows F, the last to bind a free variable, so nothing can be
+// skipped; listed E, F, A, the query's A scan runs once per answer, not
+// once per derivation.
 func TestStreamAnswersCutsRepeats(t *testing.T) {
 	s := NewStructure(8)
-	for rel, rows := range map[string][][]int{"A": {{0}, {1}}, "E": {{0, 5}, {0, 6}, {1, 5}, {1, 6}}, "B": {{5}, {6}}} {
+	for rel, rows := range map[string][][]int{
+		"A": {{0}, {1}}, "E": {{0, 5}, {0, 6}, {1, 5}, {1, 6}}, "B": {{5}, {6}}, "F": {{5, 2}, {5, 3}, {6, 2}, {6, 3}},
+	} {
 		if err := s.AddRelation(rel, len(rows[0])); err != nil {
 			t.Fatal(err)
 		}
@@ -243,26 +252,33 @@ func TestStreamAnswersCutsRepeats(t *testing.T) {
 			s.MustAddTuple(rel, r...)
 		}
 	}
-	atoms := []Atom{{Rel: "A", Args: []string{"x"}}, {Rel: "E", Args: []string{"x", "y"}}, {Rel: "B", Args: []string{"y"}}}
+	at := func(rel string, args ...string) Atom { return Atom{Rel: rel, Args: args} }
+	atoms := []Atom{at("A", "x"), at("E", "x", "y"), at("B", "y")}
 	for _, tc := range []struct {
+		atoms    []Atom // nil: A(x), E(x,y), B(y)
 		free     []string
 		answers  int
 		pulledBy map[string]int // tuples each relation's scans handed out
 	}{
-		{[]string{"x"}, 2, map[string]int{"A": 2, "E": 2, "B": 2}},
-		{[]string{"x", "y"}, 4, map[string]int{"A": 2, "E": 4, "B": 4}},
-		{nil, 1, map[string]int{"A": 1, "E": 1, "B": 1}},
+		{nil, []string{"x"}, 2, map[string]int{"A": 2, "E": 2, "B": 2}},
+		{nil, []string{"x", "y"}, 4, map[string]int{"A": 2, "E": 4, "B": 4}},
+		{nil, nil, 1, map[string]int{"A": 1, "E": 1, "B": 1}},
+		{[]Atom{at("A", "x"), at("E", "x", "z"), at("F", "z", "y")}, []string{"x", "y"}, 4, map[string]int{"A": 2, "E": 4, "F": 8}},
+		{[]Atom{at("E", "x", "z"), at("F", "z", "y"), at("A", "x")}, []string{"x", "y"}, 4, map[string]int{"E": 4, "F": 8, "A": 4}},
 	} {
+		if tc.atoms == nil {
+			tc.atoms = atoms
+		}
 		pulled := map[string]int{}
 		src := sourceFunc(func(rel string, bound []int, yield func([]int) bool) error {
 			return s.Scan(rel, bound, func(tup []int) bool { pulled[rel]++; return yield(tup) })
 		})
 		answers := 0
-		if err := StreamAnswers(src, &Query{Atoms: atoms, Free: tc.free}, nil, func([]int) bool { answers++; return true }); err != nil {
+		if err := StreamAnswers(src, &Query{Atoms: tc.atoms, Free: tc.free}, nil, func([]int) bool { answers++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		if answers != tc.answers || !maps.Equal(pulled, tc.pulledBy) {
-			t.Errorf("free %v: %d answers, tuples pulled %v; want %d and %v", tc.free, answers, pulled, tc.answers, tc.pulledBy)
+			t.Errorf("%v free %v: %d answers, tuples pulled %v; want %d and %v", tc.atoms, tc.free, answers, pulled, tc.answers, tc.pulledBy)
 		}
 	}
 }
@@ -504,5 +520,47 @@ func TestStreamAnswersProjectDedup(t *testing.T) {
 	}
 	if want := [][]int{{1, 10}, {3, 10}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("E(_, 10) scanned %v, want %v", got, want)
+	}
+}
+
+// cycleSource is the relation E = {(i, i+1 mod n)} as an AtomSource whose
+// Scans allocate nothing.
+type cycleSource struct {
+	n   int
+	buf []int
+}
+
+func (c *cycleSource) Scan(_ string, bound []int, yield func([]int) bool) error {
+	for i := 0; i < c.n; i++ {
+		c.buf[0], c.buf[1] = i, (i+1)%c.n
+		if (bound[0] < 0 || bound[0] == c.buf[0]) && (bound[1] < 0 || bound[1] == c.buf[1]) && !yield(c.buf) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// TestStreamWalkAllocs: a walk's allocations do not grow with its prefix
+// rows. Three levels over an n-cycle reach levels two and three with n
+// prefix rows each; a callback built per prefix row cost one allocation
+// each.
+func TestStreamWalkAllocs(t *testing.T) {
+	e := func(a, b string) Atom { return Atom{Rel: "E", Args: []string{a, b}} }
+	q := &Query{Atoms: []Atom{e("x", "y"), e("y", "z"), e("z", "w")}}
+	allocs := func(n int) float64 {
+		src, rows := &cycleSource{n: n, buf: make([]int, 2)}, 0
+		a := testing.AllocsPerRun(10, func() {
+			rows = 0
+			if _, err := StreamAssignments(src, q, nil, func([]int) bool { rows++; return true }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if rows != n {
+			t.Fatalf("%d-cycle: %d assignments, want %d", n, rows, n)
+		}
+		return a
+	}
+	if few, many := allocs(4), allocs(400); many > few {
+		t.Errorf("a 3-level walk allocates %.0f times over 4 prefix rows a level and %.0f over 400", few, many)
 	}
 }
