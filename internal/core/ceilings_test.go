@@ -70,7 +70,7 @@ func TestCeilings(t *testing.T) {
 	}
 	a := alphabet.Lower(2)
 	for _, bc := range genericCheckShapes(a) {
-		op := genericCheckOp(t, bc.q, genericCheckDB(a, bc.v))
+		op := genericCheckOp(t, bc.q, genericCheckDB(bc.q.Alphabet(), bc.v))
 		st := op(t)
 		if st.Traversals > bc.v {
 			t.Errorf("generic/%s: %d traversals on V = %d", bc.name, st.Traversals, bc.v)

@@ -324,9 +324,10 @@ func (s *sweepSource) end() Stats {
 // sweep runs walk over a source on db, with the charge for what the join
 // buffers (the memo's entries share it): one core/sweep span per component
 // opening R', or one core/product_search span checking under hints, with
-// paths recorded when asked. It releases kernels, charges and spans.
+// paths recorded when asked. It releases kernels, charges and spans. A plan
+// with an empty relation has no row to walk to: walk is not run.
 func (p *Prepared) sweep(ctx context.Context, db *graphdb.DB, hints *PlanHints, paths bool, walk func(src *sweepSource, charge cq.ChargeFunc) error) error {
-	if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil || p.empty {
 		return err
 	}
 	mem, charge := meterCharge(ctx)

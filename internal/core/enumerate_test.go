@@ -241,21 +241,24 @@ func TestEvaluateStreamingFirstWitness(t *testing.T) {
 
 // TestStreamOpensDistinctSources: a streamed Scan opens one source tuple
 // per value of the component's distinct unbound source variables, not one
-// per track. On an unsatisfiable 3-track eq fan out of one x at V = 9, the
-// first-witness walk begins at most V traversals and polls its context
-// about twice per source (V³ = 729 of each when every track's source was
-// enumerated on its own); and the rows come out in the sweep's order,
-// those of the materialised R' whose repeated variables agree.
+// per track. On an unsatisfiable 3-track eq fan out of one x at V = 9
+// (cFan on a database with no c-edge), the first-witness walk begins at
+// most V traversals and polls its context about twice per source (V³ = 729
+// of each when every track's source was enumerated on its own); and the
+// rows come out in the sweep's order, those of the materialised R' whose
+// repeated variables agree.
 func TestStreamOpensDistinctSources(t *testing.T) {
-	a := alphabet.Lower(2)
-	db := randomDB(rand.New(rand.NewSource(3)), a, 9, 27)
+	a := alphabet.Lower(3)
+	db := abDB(rand.New(rand.NewSource(3)), a, 9, 27)
 	n := db.NumVertices()
 	fan := func() *query.Builder {
 		return query.NewBuilder(a).
 			Reach("x", "p1", "y").Reach("x", "p2", "y").Reach("x", "p3", "y").
 			Rel(synchro.Equality(a, 3), "p1", "p2", "p3")
 	}
-	p, err := Prepare(fan().Lang("p1", "a(a|b)*").Lang("p2", "b(a|b)*").MustBuild(), Options{Strategy: Reduction})
+	unsat := cFan("x", "y").MustBuild()
+	requireUnsatOnKernels(t, db, unsat)
+	p, err := Prepare(unsat, Options{Strategy: Reduction})
 	if err != nil {
 		t.Fatal(err)
 	}

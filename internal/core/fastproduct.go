@@ -471,15 +471,16 @@ const noDest = ^uint64(0)
 // fastProduct is the single-source kernel over a packed product: one
 // breadth-first traversal from a source tuple that can be suspended and
 // resumed. begin seeds it; seek answers "is this destination tuple reached
-// by satisfying paths" from the set of accepting destinations met so far,
-// resuming the traversal only when the answer is not yet known and
-// suspending it again as soon as it is. A traversal therefore never
-// explores further than an early-stopping search for the hardest
-// destination asked of it, and every other destination of the same sources
-// is a set probe. reach keeps the live traversal across calls with the
-// same sources (a one-entry memo); Run is the exhaustive traversal the
-// streamed sweep collects destinations with; witness reads the paths off
-// the parent links of the traversal that found them.
+// by satisfying paths" from the set of accepting destinations queued so
+// far — the goal test is at generation — resuming the traversal only when
+// the answer is not yet known and suspending it again after the expansion
+// that queues it. A traversal therefore never explores further than an
+// early-stopping search for the hardest destination asked of it, and every
+// other destination of the same sources is a set probe. reach keeps the
+// live traversal across calls with the same sources (a one-entry memo); Run
+// is the exhaustive traversal the streamed sweep collects destinations
+// with; witness reads the paths off the parent links of the traversal that
+// found them.
 //
 // The scratch is reused across traversals and cleared from its own member
 // lists. Not safe for concurrent use.
@@ -489,7 +490,7 @@ type fastProduct struct {
 	visited   keySet       // states met by the live traversal; its members are queue
 	queue     slab[uint64] // breadth-first order; queue[:qi] have been expanded
 	qi        int
-	accepted  keySet       // destination keys of the accepting states popped so far; its members are dests
+	accepted  keySet       // destination keys of the accepting states queued so far; its members are dests
 	dests     slab[uint64] // distinct, in the order met
 	srcs      []int        // sources of the live traversal
 	live      bool         // a traversal from srcs is suspended or exhausted, not failed
@@ -582,15 +583,19 @@ func (f *fastProduct) begin(ctx context.Context, srcs []int, maxStates int) erro
 	f.newDone = 0
 	f.seed()
 	f.qi = 0
-	if err := f.charge(); err != nil {
-		return err
+	// The poll of slot 0 comes before the seeds' destinations answer a seek.
+	err := f.charge()
+	if err == nil && len(f.queue.s) > 0 {
+		err = pollSearch(ctx)
 	}
-	f.live = true
-	return nil
+	f.live = err == nil
+	return err
 }
 
 // push queues the successor (nextQ, newVerts, newDone) of queue[qi] on
-// first sight.
+// first sight, and an accepting one's destination on its first sight: the
+// goal test is at generation. The queue is FIFO, so the first state queued
+// over a destination is the first that would be popped over it.
 func (f *fastProduct) push() {
 	key := f.pack(f.nextQ, f.newVerts, f.newDone)
 	if !f.visited.add(key) {
@@ -599,6 +604,15 @@ func (f *fastProduct) push() {
 	f.queue.push(key)
 	if f.record {
 		f.parents.push(int32(f.qi))
+	}
+	if !f.nfa.Accept[f.nextQ] {
+		return
+	}
+	if d := f.destKey(f.newVerts); f.accepted.add(d) {
+		f.dests.push(d)
+		if f.record {
+			f.destSlot.push(int32(len(f.queue.s) - 1))
+		}
 	}
 }
 
@@ -611,15 +625,15 @@ func (f *fastProduct) seek(ctx context.Context, want uint64) (bool, error) {
 	return f.advance(ctx, want)
 }
 
-// advance resumes the live traversal until it pops an accepting state over
-// want, leaving that state at the head of the queue (the next call reads it
-// again, which changes nothing, and expands it), or until the queue is
+// advance resumes the live traversal until the expansion of queue[qi]
+// queues an accepting state over want — it returns once that parent is
+// fully expanded, with the queue's head past it — or until the queue is
 // exhausted. It polls ctx and the core.budget fault point every
 // cancelCheckInterval states and fails once more than maxStates distinct
 // states have been met; a failed traversal is not resumable.
 func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
-	for ; f.qi < len(f.queue.s); f.qi++ {
-		if f.qi%cancelCheckInterval == 0 {
+	for f.qi < len(f.queue.s) {
+		if f.qi%cancelCheckInterval == 0 && f.qi > 0 {
 			err := pollSearch(ctx)
 			if err == nil {
 				err = f.charge()
@@ -629,25 +643,18 @@ func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
 				return false, err
 			}
 		}
-		f.load(f.queue.s[f.qi])
-		if f.accepting() {
-			d := f.destKey(f.verts)
-			if f.accepted.add(d) {
-				f.dests.push(d)
-				if f.record {
-					f.destSlot.push(int32(f.qi))
-				}
-			}
-			if d == want {
-				return true, nil
-			}
-		}
 		if f.maxStates > 0 && len(f.queue.s) > f.maxStates {
 			f.live = false
 			return false, fmt.Errorf("core: product exceeded the state budget of %d", f.maxStates)
 		}
+		f.load(f.queue.s[f.qi])
 		f.expanded++
+		met := len(f.dests.s)
 		f.step()
+		f.qi++
+		if slices.Contains(f.dests.s[met:], want) {
+			return true, nil
+		}
 	}
 	return false, nil
 }

@@ -120,9 +120,9 @@ func TestFreeTrackIsSigmaStar(t *testing.T) {
 // "destination bound before source" debt of ROADMAP, paid by every
 // component alike.
 func BenchmarkFreeTrack(b *testing.B) {
-	a := alphabet.Lower(2)
+	a, abc := alphabet.Lower(2), alphabet.Lower(3)
 	db40 := workload.RandomDB(rand.New(rand.NewSource(40)), a, 40, 120)
-	db30 := workload.RandomDB(rand.New(rand.NewSource(30)), a, 30, 90)
+	db30 := abDB(rand.New(rand.NewSource(30)), abc, 30, 90)
 	ctx := context.Background()
 	prep := func(q *query.Query, s Strategy) *Prepared {
 		p, err := Prepare(q, Options{Strategy: s})
@@ -132,13 +132,15 @@ func BenchmarkFreeTrack(b *testing.B) {
 		return p
 	}
 	red, gen := prep(freeTestQuery(b, a), Reduction), prep(freeTestQuery(b, a), Generic)
-	// x -a…-> y, the free track between y and z, and z -p3-> w under two
-	// languages no word satisfies: unsatisfiable, but only after the free
-	// track has been decided for every (y, z) under every x -a…-> y.
+	// x -a…-> y, the free track between y and z, and z -c-> w on a graph
+	// with no c-edge: unsatisfiable, but only after the free track has been
+	// decided for every (y, z) under every x -a…-> y. (Two languages no word
+	// satisfies, p3 ∈ a ∩ b, would be the empty relation, decided in
+	// prepare.)
 	unsat := func(src, dst string) *Prepared {
-		return prep(query.NewBuilder(a).
+		return prep(query.NewBuilder(abc).
 			Reach("x", "p1", "y").Reach(src, "p2", dst).Reach("z", "p3", "w").
-			Lang("p1", "a(a|b)*").Lang("p3", "a").Lang("p3", "b").
+			Lang("p1", "a(a|b)*").Lang("p3", "c").
 			MustBuild(), Generic)
 	}
 	outer, inner := unsat("y", "z"), unsat("z", "y")

@@ -12,6 +12,7 @@ import (
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
 	"ecrpq/internal/synchro"
+	"ecrpq/internal/trace"
 )
 
 // genericShape builds one query shape of the differential matrix. vars maps
@@ -308,15 +309,11 @@ func TestGenericDifferential(t *testing.T) {
 // in the order whatever the variables are called, so an exhaustive search
 // begins one traversal per source assignment, not one per check.
 func TestGenericOneTraversalPerSource(t *testing.T) {
-	a := alphabet.Lower(2)
-	db := randomDB(rand.New(rand.NewSource(3)), a, 9, 27)
+	db := abDB(rand.New(rand.NewSource(3)), alphabet.Lower(3), 9, 27)
 	for _, names := range [][2]string{{"x", "y"}, {"y", "x"}, {"n2", "n1"}} {
 		x, y := names[0], names[1]
-		q := query.NewBuilder(a).
-			Reach(x, "p1", y).Reach(x, "p2", y).Reach(x, "p3", y).
-			Rel(synchro.Equality(a, 3), "p1", "p2", "p3").
-			Lang("p1", "a(a|b)*").Lang("p2", "b(a|b)*").
-			MustBuild()
+		q := cFan(x, y).MustBuild()
+		requireUnsatOnKernels(t, db, q)
 		res, err := Evaluate(db, q, Options{Strategy: Generic})
 		if err != nil {
 			t.Fatal(err)
@@ -326,6 +323,9 @@ func TestGenericOneTraversalPerSource(t *testing.T) {
 				x, y, res.Sat, res.Stats.ProductChecks, res.Stats.Traversals)
 		}
 	}
+	// BenchmarkGenericCheck's unsatisfiable shape is this fan on V = 100.
+	fan := genericCheckShapes(alphabet.Lower(2))[0]
+	requireUnsatOnKernels(t, genericCheckDB(fan.q.Alphabet(), fan.v), fan.q)
 }
 
 // smallestBudget is the least budget ≥ 1 that fits, for a monotone fits.
@@ -521,7 +521,8 @@ func TestGenericWideComponent(t *testing.T) {
 
 // prefixChain3 is the satisfiable 3-track prefix chain of the generic-search
 // workload and genericCheckDB the database BenchmarkGenericCheck draws for V
-// vertices: TestGenericSearchChargesWhatItMeets runs the same pair under a
+// vertices, over the query's alphabet with a- and b-edges only:
+// TestGenericSearchChargesWhatItMeets runs the same pair under a
 // reservation.
 func prefixChain3(a *alphabet.Alphabet) *query.Query {
 	return query.NewBuilder(a).
@@ -531,11 +532,63 @@ func prefixChain3(a *alphabet.Alphabet) *query.Query {
 }
 
 func genericCheckDB(a *alphabet.Alphabet, v int) *graphdb.DB {
-	return randomDB(rand.New(rand.NewSource(int64(v))), a, v, 3*v)
+	return abDB(rand.New(rand.NewSource(int64(v))), a, v, 3*v)
+}
+
+// abDB is randomDB with every edge labelled a or b: over {a, b} it is
+// randomDB, draw for draw; over {a, b, c} it is the same graph, with no
+// c-edge.
+func abDB(rng *rand.Rand, a *alphabet.Alphabet, n, e int) *graphdb.DB {
+	db := graphdb.New(a)
+	for i := 0; i < n; i++ {
+		db.MustAddVertex("")
+	}
+	for i := 0; i < e; i++ {
+		db.MustAddEdge(rng.Intn(n), alphabet.Symbol(rng.Intn(2)), rng.Intn(n))
+	}
+	return db
+}
+
+// cFan is the 3-track eq fan x→y over {a, b, c} with p1 ∈ c(a|b|c)*. Its
+// Lemma 4.1 merge has states, so a Generic plan decides it on the kernels,
+// not in prepare; on a database with no c-edge (abDB) no start state has a
+// successor, and it is unsatisfiable. It stands where an unsatisfiable
+// instance must make checks: an eq fan whose languages disagree (a(a|b)*
+// against b(a|b)*) is the empty relation, decided before any database is
+// read.
+func cFan(x, y string) *query.Builder {
+	a := alphabet.Lower(3)
+	return query.NewBuilder(a).
+		Reach(x, "p1", y).Reach(x, "p2", y).Reach(x, "p3", y).
+		Rel(synchro.Equality(a, 3), "p1", "p2", "p3").
+		Lang("p1", "c(a|b|c)*")
+}
+
+// requireUnsatOnKernels fails unless q has a merged view with states in
+// every component and db satisfies it under neither strategy nor
+// NaiveBounded (bound 3).
+func requireUnsatOnKernels(t testing.TB, db *graphdb.DB, q *query.Query) {
+	t.Helper()
+	for ci, c := range mergedComponents(t, q) {
+		if c.nfa.NumStates() == 0 {
+			t.Fatalf("component %d merges to the empty relation", ci)
+		}
+	}
+	for _, s := range []Strategy{Generic, Reduction} {
+		if res, err := Evaluate(db, q, Options{Strategy: s}); err != nil || res.Sat {
+			t.Fatalf("%v: sat=%v err=%v, want unsatisfiable", s, res != nil && res.Sat, err)
+		}
+	}
+	if res, err := NaiveBounded(db, q, 3); err != nil || res.Sat {
+		t.Fatalf("NaiveBounded: sat=%v err=%v, want unsatisfiable", res != nil && res.Sat, err)
+	}
 }
 
 // genericCheckShapes are the two shapes of the generic-search workload that
-// cost the most, each with the size of the database it is drawn on.
+// cost the most, each with the size of the database it is drawn on. The
+// workload's unsatisfiable eq fan is the empty relation, decided in
+// prepare; cFan stands for it here, with the same 10 000 checks from 100
+// source assignments on V = 100.
 func genericCheckShapes(a *alphabet.Alphabet) []struct {
 	name string
 	v    int
@@ -546,10 +599,7 @@ func genericCheckShapes(a *alphabet.Alphabet) []struct {
 		v    int
 		q    *query.Query
 	}{
-		{"fan-eq3-unsat", 100, query.NewBuilder(a).
-			Reach("x", "p1", "y").Reach("x", "p2", "y").Reach("x", "p3", "y").
-			Rel(synchro.Equality(a, 3), "p1", "p2", "p3").
-			Lang("p1", "a(a|b)*").Lang("p2", "b(a|b)*").Lang("p3", "(a|b)*").MustBuild()},
+		{"fan-eq3-unsat", 100, cFan("x", "y").MustBuild()},
 		{"chain-prefix3-sat", 40, prefixChain3(a)},
 	}
 }
@@ -573,13 +623,14 @@ func genericCheckOp(tb testing.TB, q *query.Query, db *graphdb.DB) func(testing.
 
 // BenchmarkGenericCheck is the Lemma 4.2 layer benchmark, on the two shapes
 // of the generic-search workload that cost the most: the exhaustive
-// unsatisfiable 3-track eq fan on V = 100 (10 000 checks from 100 source
-// assignments) and the satisfiable prefix 3-chain on V = 40. TestCeilings
-// holds its traversals, allocations per check and bytes per evaluation.
+// unsatisfiable 3-track eq fan on V = 100 (cFan: 10 000 checks from 100
+// source assignments) and the satisfiable prefix 3-chain on V = 40.
+// TestCeilings holds its traversals, allocations per check and bytes per
+// evaluation.
 func BenchmarkGenericCheck(b *testing.B) {
 	a := alphabet.Lower(2)
 	for _, bc := range genericCheckShapes(a) {
-		op := genericCheckOp(b, bc.q, genericCheckDB(a, bc.v))
+		op := genericCheckOp(b, bc.q, genericCheckDB(bc.q.Alphabet(), bc.v))
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var stats Stats
@@ -588,6 +639,7 @@ func BenchmarkGenericCheck(b *testing.B) {
 			}
 			b.ReportMetric(float64(stats.ProductChecks), "checks/op")
 			b.ReportMetric(float64(stats.Traversals), "traversals/op")
+			b.ReportMetric(float64(stats.ProductStates), "states/op")
 		})
 	}
 }
@@ -608,65 +660,146 @@ func mergedComponents(tb testing.TB, q *query.Query) []component {
 	return merged
 }
 
-// TestLanguageEmptyComponent: a component whose Lemma 4.1 merge trims to no
-// state at all — eq over p1 ∈ a(a|b)* and p2 ∈ b(a|b)* — is decided by
-// every entry point without a product state met: Evaluate, Answers and
-// Enumerate under both strategies, and the witness kernel, in both key
-// regimes, all agree with NaiveBounded that nothing holds.
-func TestLanguageEmptyComponent(t *testing.T) {
-	const bound = 3
+// searchWork sums, over the spans of tr, the work the walk and the sweep
+// report: product checks, node assignments, traversals, expanded states,
+// sources opened and R′ rows.
+func searchWork(tr *trace.Trace) int64 {
+	var n int64
+	for _, sp := range tr.Snapshot().Spans {
+		for _, k := range []string{"product_checks", "node_assignments", "traversals", "states", "sources", "rows"} {
+			if v, ok := sp.Attrs[k].(int64); ok {
+				n += v
+			}
+		}
+	}
+	return n
+}
+
+// TestEmptyRelationDecided: a plan with a component whose Lemma 4.1 merge
+// has no state — eq over p2 ∈ a(a|b)* and p3 ∈ b(a|b)* — is decided by
+// prepare. Evaluate, Answers, Enumerate and Materialize, under both
+// strategies and in both key regimes, make no check, no node assignment,
+// no traversal, open no sweep source and keep no R′ row; they and the
+// witness kernel on the empty component agree with NaiveBounded that
+// nothing holds. The two-component query's empty component is the walk's
+// second level, which a walk that found out by searching would only reach
+// after the first level's guesses and rows.
+func TestEmptyRelationDecided(t *testing.T) {
 	a := alphabet.Lower(2)
 	ctx := context.Background()
-	shape := func(free ...string) *query.Query {
-		return query.NewBuilder(a).Free(free...).
-			Reach("x", "p1", "y").Reach("x", "p2", "y").
-			Rel(synchro.Equality(a, 2), "p1", "p2").
-			Lang("p1", "a(a|b)*").Lang("p2", "b(a|b)*").MustBuild()
+	eqFan := func(b *query.Builder, x, y string) *query.Builder {
+		return b.Reach(x, "p2", y).Reach(x, "p3", y).
+			Rel(synchro.Equality(a, 2), "p2", "p3").
+			Lang("p2", "a(a|b)*").Lang("p3", "b(a|b)*")
 	}
-	boolean, free := shape(), shape("x", "y")
-	comps := mergedComponents(t, boolean)
-	if len(comps) != 1 || len(comps[0].nfa.Accept) != 0 {
-		t.Fatal("want one component whose merged automaton trims to no state")
+	shapes := []struct {
+		name  string
+		build func(free ...string) *query.Query
+		free  []string
+	}{
+		{"fan", func(free ...string) *query.Query {
+			return eqFan(query.NewBuilder(a).Free(free...), "x", "y").MustBuild()
+		}, []string{"x", "y"}},
+		{"empty-second", func(free ...string) *query.Query {
+			b := query.NewBuilder(a).Free(free...).Reach("x", "p1", "y").Lang("p1", "a(a|b)*")
+			return eqFan(b, "y", "z").MustBuild()
+		}, []string{"x", "z"}},
 	}
 	rng := rand.New(rand.NewSource(37))
-	for v := 1; v <= 4; v++ {
-		db := randomDB(rng, a, v, 3*v)
-		if naive, err := NaiveBounded(db, boolean, bound); err != nil || naive.Sat {
-			t.Fatalf("V=%d: NaiveBounded says %v (err %v)", v, naive != nil && naive.Sat, err)
+	for _, sh := range shapes {
+		boolean, free := sh.build(), sh.build(sh.free...)
+		comps := mergedComponents(t, boolean)
+		for ci, c := range comps {
+			if (c.nfa.NumStates() == 0) != (ci == len(comps)-1) {
+				t.Fatalf("%s: want the last component, and only it, merged to no state", sh.name)
+			}
 		}
-		for name, regime := range map[string]func(func()){"narrow": func(f func()) { f() }, "wide": inWideRegime} {
-			regime(func() {
-				at := fmt.Sprintf("V=%d %s", v, name)
-				if wide := packProduct(db, &comps[0]).wide; wide != (name == "wide") {
-					t.Fatalf("%s: wide=%v", at, wide)
-				}
-				srcs, dsts := []int{0, 0}, []int{v - 1, v - 1}
-				if paths, ok, err := checkComponent(ctx, db, &comps[0], srcs, dsts, 0); err != nil || ok || paths != nil {
-					t.Fatalf("%s: witness kernel found %v (ok %v, err %v)", at, paths, ok, err)
-				}
-				for _, s := range []Strategy{Generic, Reduction} {
-					res, err := Evaluate(db, boolean, Options{Strategy: s})
-					if err != nil || res.Sat || res.Stats.ProductStates != 0 || res.Stats.CQTuples != 0 {
-						t.Fatalf("%s %v: Evaluate sat=%v stats=%+v err=%v; want false with no state and no row", at, s, res != nil && res.Sat, res.Stats, err)
+		empty := &comps[len(comps)-1]
+		for v := 1; v <= 4; v++ {
+			db := randomDB(rng, a, v, 3*v)
+			if naive, err := NaiveBounded(db, boolean, 3); err != nil || naive.Sat {
+				t.Fatalf("%s V=%d: NaiveBounded says %v (err %v)", sh.name, v, naive != nil && naive.Sat, err)
+			}
+			for regime, in := range map[string]func(func()){"narrow": func(f func()) { f() }, "wide": inWideRegime} {
+				in(func() {
+					at := fmt.Sprintf("%s V=%d %s", sh.name, v, regime)
+					if wide := packProduct(db, empty).wide; wide != (regime == "wide") {
+						t.Fatalf("%s: wide=%v", at, wide)
 					}
-					if ans, err := Answers(db, free, Options{Strategy: s}); err != nil || len(ans) != 0 {
-						t.Fatalf("%s %v: Answers %v (err %v)", at, s, ans, err)
+					srcs, dsts := []int{0, 0}, []int{v - 1, v - 1}
+					if paths, ok, err := checkComponent(ctx, db, empty, srcs, dsts, 0); err != nil || ok || paths != nil {
+						t.Fatalf("%s: witness kernel found %v (ok %v, err %v)", at, paths, ok, err)
 					}
-					p, err := Prepare(free, Options{Strategy: s})
-					if err != nil {
-						t.Fatal(err)
+					for _, s := range []Strategy{Generic, Reduction} {
+						emptyRelationDecided(t, fmt.Sprintf("%s %v", at, s), db, boolean, free, Options{Strategy: s})
 					}
-					it, err := p.Enumerate(ctx, db)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rows, err := page(it, 0, math.MaxInt)
-					it.Close()
-					if err != nil || len(rows) != 0 {
-						t.Fatalf("%s %v: Enumerate %v (err %v)", at, s, rows, err)
-					}
-				}
-			})
+				})
+			}
 		}
+	}
+}
+
+// emptyRelationDecided runs TestEmptyRelationDecided's four entry points on
+// one database under opts: no answer, no row and no search work.
+func emptyRelationDecided(t *testing.T, at string, db *graphdb.DB, boolean, free *query.Query, opts Options) {
+	t.Helper()
+	traced := func(op string, q *query.Query, run func(ctx context.Context, p *Prepared) int) {
+		t.Helper()
+		p, err := Prepare(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.cqq.Atoms[0].Rel != "__comp0" {
+			t.Fatalf("%s: the walk's first level is %s", at, p.cqq.Atoms[0].Rel)
+		}
+		tr := trace.New(op)
+		if got := run(trace.NewContext(context.Background(), tr), p); got != 0 {
+			t.Fatalf("%s %s: %d answers or rows, want none", at, op, got)
+		}
+		if work := searchWork(tr); work != 0 {
+			t.Fatalf("%s %s: %d units of search work, want 0", at, op, work)
+		}
+	}
+	traced("Evaluate", boolean, func(ctx context.Context, p *Prepared) int {
+		res, err := p.EvaluateContext(ctx, db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if work := st.ProductChecks + st.NodeAssignments + st.Traversals + st.ProductStates + st.CQTuples; res.Sat || work != 0 {
+			t.Fatalf("%s Evaluate: sat=%v stats %+v", at, res.Sat, st)
+		}
+		return 0
+	})
+	traced("Answers", free, func(ctx context.Context, p *Prepared) int {
+		rows, err := p.Answers(ctx, db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rows)
+	})
+	traced("Enumerate", free, func(ctx context.Context, p *Prepared) int {
+		it, err := p.Enumerate(ctx, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		rows, err := page(it, 0, math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rows)
+	})
+	if opts.Strategy == Reduction {
+		traced("Materialize", boolean, func(ctx context.Context, p *Prepared) int {
+			mat, err := p.Materialize(ctx, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := p.EvaluateContext(ctx, db, mat); err != nil || res.Sat {
+				t.Fatalf("%s over the materialisation: sat=%v err=%v", at, res != nil && res.Sat, err)
+			}
+			return mat.Tuples()
+		})
 	}
 }

@@ -30,6 +30,7 @@ type Prepared struct {
 	merged   []component // Lemma 4.1 single-relation views, one per component: what every kernel searches
 	mergedSt int         // total merged NFA states
 	mergeMem int64       // what mergedViews charged to the preparing context's reservation
+	empty    bool        // some merged view has no state: its relation, and so every answer set, is ∅
 	cqq      *cq.Query   // the Lemma 4.3 query in the walk's level order, q.Free its free tuple
 	answersQ *cq.Query   // what the answers walk runs: cqq, after a Generic plan's domain atoms
 	join     *cq.Plan    // Reduction plans: the compiled Prop 2.3 join of cqq
@@ -69,7 +70,9 @@ func PrepareContext(ctx context.Context, q *query.Query, opts Options) (*Prepare
 // prepare is the only compiler: validate, decompose, resolve the strategy,
 // merge (Lemma 4.1), build and compile the Lemma 4.3 query. Every plan has
 // its merged views: they are the one automaton per component that every
-// kernel — product search, sweep, witness — walks.
+// kernel — product search, sweep, witness — walks. A view with no state is
+// the empty relation, so the plan is decided here: it has no answer on any
+// database, and its walks and sweeps read nothing.
 func prepare(ctx context.Context, q *query.Query, opts Options) (*Prepared, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -87,6 +90,7 @@ func prepare(ctx context.Context, q *query.Query, opts Options) (*Prepared, erro
 	if p.merged, p.mergedSt, p.mergeMem, err = mergedViews(ctx, q, comps); err != nil {
 		return nil, err
 	}
+	p.empty = slices.ContainsFunc(p.merged, func(c component) bool { return c.nfa.NumStates() == 0 })
 	// A Generic answers walk leads with the free variables when others are existential.
 	p.cqq = walkQuery(comps, q.Free, nil, false)
 	p.answersQ = walkQuery(comps, q.Free, nil, p.strat == Generic && len(q.Free) < len(q.NodeVars()))

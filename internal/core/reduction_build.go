@@ -72,7 +72,7 @@ func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*c
 		var rows []int32
 		_, ssp := trace.StartSpan(ctx, "core/sweep")
 		var err error
-		if n > 0 {
+		if n > 0 && !p.empty { // an empty relation leaves every R′ empty: no source is opened
 			rows, err = sweepComponent(ctx, db, &merged[ci], opts)
 		}
 		if err == nil {
@@ -80,7 +80,7 @@ func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*c
 		}
 		ssp.SetInt("component", int64(ci))
 		ssp.SetInt("tracks", int64(t))
-		if sources, err := sweepSources(n, len(merged[ci].pat.digits)); err == nil {
+		if sources, err := sweepSources(n, len(merged[ci].pat.digits)); err == nil && !p.empty {
 			ssp.SetInt("sources", int64(sources))
 		}
 		ssp.SetInt("rows", int64(len(rows)/(2*t)))

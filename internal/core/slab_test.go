@@ -224,7 +224,7 @@ func TestGenericWarmEvaluationAllocs(t *testing.T) {
 	}
 	a := alphabet.Lower(2)
 	for _, bc := range genericCheckShapes(a) {
-		db := genericCheckDB(a, bc.v)
+		db := genericCheckDB(bc.q.Alphabet(), bc.v)
 		p, err := Prepare(bc.q, Options{Strategy: Generic})
 		if err != nil {
 			t.Fatal(err)
