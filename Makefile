@@ -27,6 +27,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz FuzzDigestCodec -fuzztime $(FUZZTIME) ./internal/integrity/
 	$(GO) test -run '^$$' -fuzz FuzzPlanAnswers -fuzztime $(FUZZTIME) ./internal/cq/
+	$(GO) test -run '^$$' -fuzz FuzzSet -fuzztime $(FUZZTIME) ./internal/rowset/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,8 +1,10 @@
 package ecrpq_test
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -401,6 +403,31 @@ func sourceWalks(_ string, n ast.Node) (bool, string) {
 
 var sourceEnd = regexp.MustCompile(`^2 \* \w+$`)
 
+// hashConstant is the Fibonacci-hashing multiplier or an FNV-1a constant.
+var hashConstant = regexp.MustCompile(`(?i)^(0x9E3779B97F4A7C15|1099511628211|14695981039346656037)$`)
+
+// hashConstants checks one top-level declaration: no hash-table constant
+// occurs in it, unless it is a method of core's rankTable.
+func hashConstants(_ string, n ast.Node) (bool, string) {
+	switch d := n.(type) {
+	case *ast.FuncDecl:
+		if d.Recv != nil && types.ExprString(d.Recv.List[0].Type) == "*rankTable" {
+			return false, ""
+		}
+	case *ast.GenDecl:
+	default:
+		return false, ""
+	}
+	var found []string
+	ast.Inspect(n, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.INT && hashConstant.MatchString(lit.Value) {
+			found = append(found, lit.Value)
+		}
+		return true
+	})
+	return true, strings.Join(found, ", ")
+}
+
 var archRules = []archRule{
 	// Hostile input must not be able to stop or unbound the engine: library
 	// code fails by error or through internal/invariant, product searches
@@ -547,9 +574,13 @@ func (r *run) front(q *Query) { planStream(q, true) }`},
 		in:        []string{"internal/core"},
 		check:     never(names, `productSearch|productState|sweepUnpacked|buildAdjacency|fastStateMapBytes`),
 		violation: "func buildAdjacency() {}"},
-	{name: "no-map-kernel-table", why: "a map-backed kernel table",
-		in: []string{"internal/core"}, check: never(mapTypes, `^map\[uint64\]`),
-		violation: "var seen map[uint64]int32"},
+	{name: "no-map-kernel-table", why: "a map-backed kernel table or state interning",
+		in: []string{"internal/core", "internal/synchro"}, check: never(mapTypes, `^map\[uint64\]|^map\[\w+\]int32$`),
+		violation: `var seen map[uint64]int32
+type builder[K comparable] struct{ ids map[K]int32 }
+var ids = make(map[string]int32)`,
+		accepted: `var seen = make(map[[2]uint64]bool)
+var names map[string]int`},
 	{name: "no-stored-letters", why: "stored witness letters: the witness is read off the search",
 		in: []string{"internal/core"}, check: never(selectors, `\.letters$`),
 		violation: "func f() { _ = k.letters }"},
@@ -651,14 +682,33 @@ func forward(c *component, vals []int) (s []int) {
 	{name: "no-candidate-engine", why: "a candidate-guessing answers engine beside the walk",
 		in: []string{"internal/cq"}, check: never(names, `^(candidate|cand)$`),
 		violation: "func f() { w.candidate(row) }"},
-	{name: "join-keys-not-strings", why: "the join builds string keys",
-		in: []string{"internal/cq/kernel.go"}, check: never(func(n ast.Node) (string, bool) {
-			if text, ok := funcs(n); ok {
-				return text, ok
-			}
-			return mapTypes(n)
-		}, `^(key|appendKey)$|^map\[string\]`),
-		violation: "func appendKey(b []byte, v int32) []byte { return b }"},
+	{name: "join-keys-not-strings", why: "the join, its walk or a relation index builds string keys",
+		in: []string{"internal/cq"}, check: allOf(
+			never(funcs, `^(key|appendKey)$`),
+			never(calls, `^string\(`),
+			never(as(func(st *ast.StructType) string { return types.ExprString(st) }), `\bmap\[string\](bool|int32)\b`)),
+		violation: `func appendKey(b []byte, v int32) []byte { return b }
+func key(tuple []int) string { return string(encode(tuple)) }
+type Relation struct{ index map[string]bool }`,
+		accepted: `type Structure struct{ rels map[string]*Relation }
+func vars(q *Query) map[string]bool { return make(map[string]bool) }
+func (x *rowIndex) key(row []int32) []int32 { return row }`},
+	// The integer tuples the engine numbers — merged product states, wide
+	// kernel states, join keys, relation rows, walk memo keys — get their
+	// ids from rowset.Set; core's rankTable numbers word keys in pooled slabs.
+	{name: "one-row-table", why: "an open-addressing row table (the Fibonacci slot multiplier or an FNV fold) beside rowset.Set and core's rankTable",
+		in: []string{"internal/core", "internal/cq", "internal/synchro"}, check: hashConstants,
+		violation: `func (x *rowIndex) slot(k uint64) int { return int(k * 0x9E3779B97F4A7C15 >> 60) }
+func hashRow(row []int32) (h uint64) {
+	h = 14695981039346656037
+	for _, v := range row {
+		h = (h ^ uint64(v)) * 1099511628211
+	}
+	return h
+}
+const fnvPrime = 1099511628211`,
+		accepted: `func (t *rankTable) slot(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> 32) }
+func mix(x uint64) uint64 { return x * 0x9E3779B9 }`},
 }
 
 // TestArchitecture checks every rule on the tree, on its violation and on
@@ -697,6 +747,7 @@ func TestArchitecture(t *testing.T) {
 	t.Run("make-targets", func(t *testing.T) { testMakeTargets(t, files) })
 	t.Run("fuzz-targets", func(t *testing.T) { testFuzzTargets(t, files) })
 	t.Run("doc-identifiers", func(t *testing.T) { testDocIdentifiers(t, files) })
+	t.Run("gofmt", testGofmt)
 	t.Run("module-analyzers", testModuleAnalyzers)
 }
 
@@ -751,6 +802,45 @@ func goFiles(t *testing.T, in ...string) []string {
 		}
 	}
 	return out
+}
+
+// testGofmt: go/format.Source returns every Go file of the repository
+// unchanged, bench/ and testdata included.
+func testGofmt(t *testing.T) {
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		checked++
+		if !gofmtted(src) {
+			t.Errorf("%s is not gofmt-formatted: run gofmt -w %s", path, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Error("no Go file found: the rule is looking at nothing")
+	}
+	if gofmtted([]byte("package p\nfunc f()  {}\n")) {
+		t.Error("the rule accepts an unformatted file")
+	}
+}
+
+func gofmtted(src []byte) bool {
+	out, err := format.Source(src)
+	return err == nil && bytes.Equal(out, src)
 }
 
 // makeMention finds a `make <target>` in prose: after a backtick, alone on

@@ -234,7 +234,11 @@ func BenchmarkE10_CQReduction(b *testing.B) {
 	})
 	b.Run("direct-cq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cq.EvalTreeDecomp(st, q); err != nil {
+			p, err := cq.Compile(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, _, err := p.Eval(context.Background(), st, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -309,7 +313,11 @@ func BenchmarkAblation_CQEval(b *testing.B) {
 	})
 	b.Run("treedecomp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cq.EvalTreeDecomp(st, q); err != nil {
+			p, err := cq.Compile(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, _, err := p.Eval(context.Background(), st, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -35,11 +35,11 @@ func TestParsePeers(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"  , ",
-		"n1",                           // no =
-		"=http://a:1",                  // empty id
-		"n1=",                          // empty url
-		"n1=localhost:8377",            // no scheme
-		"n1=http://a:1,n1=http://b:2",  // duplicate id
+		"n1",                          // no =
+		"=http://a:1",                 // empty id
+		"n1=",                         // empty url
+		"n1=localhost:8377",           // no scheme
+		"n1=http://a:1,n1=http://b:2", // duplicate id
 	} {
 		if _, err := ParsePeers(bad); err == nil {
 			t.Errorf("ParsePeers(%q): want error, got none", bad)

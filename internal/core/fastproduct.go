@@ -11,6 +11,7 @@ import (
 	"ecrpq/internal/faultinject"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
+	"ecrpq/internal/rowset"
 	"ecrpq/internal/synchro"
 )
 
@@ -27,8 +28,8 @@ import (
 //     and a destination tuple's key is its vertices packed likewise;
 //
 //   - wide: it does not, and a kernel keeps the columns of every state (and
-//     destination tuple) it meets as a flat int32 row in a rowSet; the key is
-//     the row's id.
+//     destination tuple) it meets as a row of a rowset.Set; the key is the
+//     row's id.
 //
 // pack, unpack, destKey, unpackDest and sortDests are the only code that
 // knows which; everything downstream of a key — the traversals, the visited
@@ -67,66 +68,6 @@ func packProduct(db *graphdb.DB, c *component) *productShape {
 	return s
 }
 
-// rowSet interns fixed-width int32 rows: a row's id is its rank in order of
-// first sight. It is the key space of the wide regime, and does what
-// cq.rowIndex does for join keys wider than a word: an open-addressing
-// table probed by an FNV fold of the row, a hit confirmed by comparing the
-// row. The zero value is an empty set that is never added to (the narrow
-// regime's).
-type rowSet struct {
-	width int
-	rows  []int32 // row id is rows[id*width:(id+1)*width]
-	slots []int32 // 1 + a row id, 0 = empty; a power of two long, at most half full
-	buf   []int32 // the row to intern, width long
-}
-
-func newRowSet(width int) rowSet { return rowSet{width: width, buf: make([]int32, width)} }
-
-func (s *rowSet) row(id uint64) []int32 {
-	return s.rows[int(id)*s.width : (int(id)+1)*s.width]
-}
-
-// slot returns the slot holding row's id, or the empty one where it belongs.
-func (s *rowSet) slot(row []int32) int {
-	h := uint64(14695981039346656037)
-	for _, v := range row {
-		h = (h ^ uint64(uint32(v))) * 1099511628211
-	}
-	mask := len(s.slots) - 1
-	//ecrpq:bounded the table is at most half full: a probe ends at the row or at an empty slot
-	for i := int(h>>32) & mask; ; i = (i + 1) & mask {
-		if id := s.slots[i]; id == 0 || slices.Equal(s.row(uint64(id-1)), row) {
-			return i
-		}
-	}
-}
-
-// intern returns the id of the row in s.buf, adding it on first sight.
-//
-//ecrpq:charged the owning kernel charges bytes() as part of its footprint's high-water mark
-func (s *rowSet) intern() uint64 {
-	n := len(s.rows) / s.width
-	if 2*n >= len(s.slots) {
-		s.slots = make([]int32, max(16, 2*len(s.slots)))
-		for id := 0; id < n; id++ {
-			s.slots[s.slot(s.row(uint64(id)))] = int32(id + 1)
-		}
-	}
-	i := s.slot(s.buf)
-	if s.slots[i] == 0 {
-		s.slots[i] = int32(n + 1)
-		s.rows = append(s.rows, s.buf...)
-	}
-	return uint64(s.slots[i] - 1)
-}
-
-func (s *rowSet) reset() {
-	s.rows = s.rows[:0]
-	clear(s.slots)
-}
-
-func (s *rowSet) bytes() int64 { return int64(4 * (cap(s.rows) + cap(s.slots))) }
-
 // productStep holds the registers of the product state being expanded and
 // enumerates its successors: the nondeterministic step of Lemma 4.2 — take
 // one transition of the merged automaton, whose letter is the joint
@@ -144,7 +85,11 @@ type productStep struct {
 	done, newDone   uint64
 	emit            func()
 
-	stateRows, destRows rowSet // wide regime: [automaton state | vertices | done lo, hi] and [vertices]
+	// The wide regime's key space, nil in the narrow one: [automaton state |
+	// vertices | done lo, hi] (hashed: the done halves take 32 bits) and
+	// [vertices], and the row to look up.
+	stateRows, destRows *rowset.Set
+	row                 []int32
 }
 
 //ecrpq:charged registers per track: query-sized, whatever the database
@@ -155,20 +100,21 @@ func newProductStep(s *productShape) productStep {
 		newVerts:     make([]int, s.t),
 	}
 	if s.wide {
-		p.stateRows, p.destRows = newRowSet(s.t+3), newRowSet(s.t)
+		p.stateRows, p.destRows, p.row = rowset.New(s.t+3, 32), rowset.New(s.t, int(s.vBits)), make([]int32, s.t+3)
 	}
 	return p
 }
 
 func (p *productStep) pack(q int, verts []int, done uint64) uint64 {
 	if p.wide {
-		row := p.stateRows.buf
+		row := p.row
 		row[0] = int32(q)
 		for i, v := range verts {
 			row[1+i] = int32(v)
 		}
 		row[1+p.t], row[2+p.t] = int32(done), int32(done>>32)
-		return p.stateRows.intern()
+		id, _ := p.stateRows.Add(row)
+		return uint64(id)
 	}
 	key := uint64(q)
 	shift := p.qBits
@@ -182,7 +128,7 @@ func (p *productStep) pack(q int, verts []int, done uint64) uint64 {
 
 func (p *productStep) unpack(key uint64, verts []int) (q int, done uint64) {
 	if p.wide {
-		row := p.stateRows.row(key)
+		row := p.stateRows.Row(int32(key))
 		for i := range verts {
 			verts[i] = int(row[1+i])
 		}
@@ -203,9 +149,10 @@ func (p *productStep) unpack(key uint64, verts []int) (q int, done uint64) {
 func (p *productStep) destKey(verts []int) uint64 {
 	if p.wide {
 		for i, v := range verts {
-			p.destRows.buf[i] = int32(v)
+			p.row[i] = int32(v)
 		}
-		return p.destRows.intern()
+		id, _ := p.destRows.Add(p.row[:p.t])
+		return uint64(id)
 	}
 	key := uint64(0)
 	for _, v := range verts {
@@ -217,7 +164,7 @@ func (p *productStep) destKey(verts []int) uint64 {
 // unpackDest inverts destKey into verts: ints for a search, int32 for R' rows.
 func unpackDest[T int | int32](p *productStep, key uint64, verts []T) {
 	if p.wide {
-		for i, v := range p.destRows.row(key) {
+		for i, v := range p.destRows.Row(int32(key)) {
 			verts[i] = T(v)
 		}
 		return
@@ -237,7 +184,7 @@ func (p *productStep) sortDests(keys []uint64) {
 		return
 	}
 	slices.SortFunc(keys, func(a, b uint64) int {
-		return slices.Compare(p.destRows.row(a), p.destRows.row(b))
+		return slices.Compare(p.destRows.Row(int32(a)), p.destRows.Row(int32(b)))
 	})
 }
 
@@ -297,7 +244,8 @@ func (p *productStep) overTracks(i int) {
 }
 
 // rankTable gives each distinct key of up to 63 bits its rank in order of
-// first sight: what rowSet does for rows, for keys that are their own row.
+// first sight: what a rowset.Set does for rows, for keys that are their own
+// row, in slab-pooled storage.
 // It starts empty and doubles at half load, so its size follows the keys a
 // search meets, never the space they are drawn from.
 type rankTable struct {
@@ -549,7 +497,7 @@ func (f *fastProduct) charge() error {
 	if f.mem == nil {
 		return nil
 	}
-	need := f.visited.bytes() + f.accepted.bytes() + f.stateRows.bytes() + f.destRows.bytes() +
+	need := f.visited.bytes() + f.accepted.bytes() + f.stateRows.Bytes() + f.destRows.Bytes() +
 		int64(8*(cap(f.queue.s)+cap(f.dests.s))+4*(cap(f.parents.s)+cap(f.destSlot.s)))
 	if need > f.charged {
 		if err := f.mem.Grow(need - f.charged); err != nil {
@@ -571,8 +519,8 @@ func (f *fastProduct) begin(ctx context.Context, srcs []int, maxStates int) erro
 	f.accepted.clear(f.dests.s)
 	f.visited.open()
 	f.accepted.open()
-	f.stateRows.reset()
-	f.destRows.reset()
+	f.stateRows.Clear()
+	f.destRows.Clear()
 	f.queue.s, f.dests.s = f.queue.s[:0], f.dests.s[:0]
 	f.parents.s, f.destSlot.s = f.parents.s[:0], f.destSlot.s[:0]
 	copy(f.srcs, srcs)
@@ -862,7 +810,7 @@ func (k *sweepKernel) release() {
 
 // charge lifts the scratch charge to the kernel's current footprint.
 func (k *sweepKernel) charge() error {
-	need := k.states.bytes() + k.dests.bytes() + k.stateRows.bytes() + k.destRows.bytes() + int64(8*cap(k.queue.s))
+	need := k.states.bytes() + k.dests.bytes() + k.stateRows.Bytes() + k.destRows.Bytes() + int64(8*cap(k.queue.s))
 	if need > k.charged {
 		if err := k.mem.Grow(need - k.charged); err != nil {
 			return fmt.Errorf("core: product search: %w", err)
@@ -897,7 +845,7 @@ func decodeSource[T int | int32](pat *atomPattern, idx, n int, srcs []T) {
 func (k *sweepKernel) Run(ctx context.Context, lanes []int32, lo, hi, maxStates int) error {
 	k.states.reset()
 	k.dests.reset()
-	k.stateRows.reset() // destRows is kept: the owner reads destination keys after later Runs
+	k.stateRows.Clear() // destRows is kept: the owner reads destination keys after later Runs
 	k.queue.s = k.queue.s[:0]
 	k.newDone = 0
 	for i := lo; i < hi; i++ {

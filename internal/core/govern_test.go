@@ -154,7 +154,7 @@ func TestGenericSearchChargesWhatItMeets(t *testing.T) {
 					if fp.wide != (name == "wide") {
 						t.Fatalf("%s: wide=%v", at, fp.wide)
 					}
-					held := fp.visited.bytes() + fp.accepted.bytes() + fp.stateRows.bytes() + fp.destRows.bytes()
+					held := fp.visited.bytes() + fp.accepted.bytes() + fp.stateRows.Bytes() + fp.destRows.Bytes()
 					if held > 16<<10 {
 						t.Fatalf("%s: an empty kernel holds %d bytes", at, held)
 					}

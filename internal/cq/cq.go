@@ -10,10 +10,12 @@ package cq
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
 	"ecrpq/internal/invariant"
+	"ecrpq/internal/rowset"
 	"ecrpq/internal/twolevel"
 )
 
@@ -26,13 +28,13 @@ type Structure struct {
 
 // Relation is a named relation: a set of tuples over the domain, stored as the
 // join kernel reads them — rows back to back in one pointer-free []int32. It is
-// built tuple by tuple (AddTuple; membership through a hash index beside the
+// built tuple by tuple (AddTuple; membership through a rowset.Set beside the
 // rows) or bulk-loaded sorted (LoadSorted; membership by binary search, no index).
 type Relation struct {
 	Arity int
-	data  []int32         // Len() rows of Arity values each
-	index map[string]bool // AddTuple-built relations; nil when bulk-loaded
-	order []int           // bulk-loaded: rows ascend strictly under this column order
+	data  []int32     // Len() rows of Arity values each
+	index *rowset.Set // AddTuple-built relations; nil when bulk-loaded
+	order []int       // bulk-loaded: rows ascend strictly under this column order
 }
 
 // Len returns the number of rows.
@@ -54,7 +56,7 @@ func (s *Structure) AddRelation(name string, arity int) error {
 	if arity < 1 {
 		return fmt.Errorf("cq: relation %q arity %d < 1", name, arity)
 	}
-	s.rels[name] = &Relation{Arity: arity, index: make(map[string]bool)}
+	s.rels[name] = &Relation{Arity: arity, index: rowset.New(arity, bits.Len(uint(max(s.Domain, 1)-1)))}
 	return nil
 }
 
@@ -135,15 +137,9 @@ func (s *Structure) AddTuple(name string, tuple ...int) error {
 			return fmt.Errorf("cq: tuple value %d outside domain", v)
 		}
 	}
-	k := key(tuple)
-	if r.index[k] {
-		return nil
-	}
-	r.index[k] = true
-	n := len(r.data)
-	r.data = slices.Grow(r.data, r.Arity)[:n+r.Arity]
-	for i, v := range tuple {
-		r.data[n+i] = int32(v)
+	row := int32s(tuple)
+	if _, fresh := r.index.Add(row); fresh {
+		r.data = append(r.data, row...)
 	}
 	return nil
 }
@@ -156,11 +152,11 @@ func (s *Structure) MustAddTuple(name string, tuple ...int) {
 // Contains reports whether the relation holds the tuple.
 func (s *Structure) Contains(name string, tuple ...int) bool {
 	r, ok := s.rels[name]
-	if !ok || len(tuple) != r.Arity {
-		return false
+	if !ok || len(tuple) != r.Arity || slices.ContainsFunc(tuple, func(v int) bool { return v < 0 || v >= s.Domain || v > math.MaxInt32 }) {
+		return false // no row holds a value outside the domain or past int32
 	}
 	if r.index != nil {
-		return r.index[key(tuple)]
+		return r.index.Find(int32s(tuple)) >= 0
 	}
 	_, found := sort.Find(r.Len(), func(i int) int { return compareRows(r.order, tuple, r.Row(i)) })
 	return found
@@ -199,15 +195,13 @@ func (s *Structure) RowBytes() int {
 	return n
 }
 
-func key(tuple []int) string {
-	buf := make([]byte, 4*len(tuple))
+// int32s is tuple as a row.
+func int32s(tuple []int) []int32 {
+	row := make([]int32, len(tuple))
 	for i, v := range tuple {
-		buf[4*i] = byte(v)
-		buf[4*i+1] = byte(v >> 8)
-		buf[4*i+2] = byte(v >> 16)
-		buf[4*i+3] = byte(v >> 24)
+		row[i] = int32(v)
 	}
-	return string(buf)
+	return row
 }
 
 // Atom is a conjunctive-query atom Rel(Args...).

@@ -125,7 +125,11 @@ func TestGaifmanGraph(t *testing.T) {
 func evalBoth(t *testing.T, s *Structure, q *Query) bool {
 	t.Helper()
 	a1, ok1, err1 := EvalBacktrack(context.Background(), s, q)
-	a2, ok2, err2 := EvalTreeDecomp(s, q)
+	p, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, ok2, _, err2 := p.Eval(context.Background(), s, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors: %v / %v", err1, err2)
 	}
@@ -435,7 +439,11 @@ func TestEvaluatorsAgreeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s, q := randomInstance(rng)
 		_, ok1, err1 := EvalBacktrack(context.Background(), s, q)
-		_, ok2, err2 := EvalTreeDecomp(s, q)
+		p, err := Compile(q)
+		if err != nil {
+			return false
+		}
+		_, ok2, _, err2 := p.Eval(context.Background(), s, nil)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -110,15 +110,3 @@ func orderVars(q *Query, vars []string) []string {
 	}
 	return order
 }
-
-// EvalTreeDecomp decides Boolean satisfiability by the tree-decomposition
-// dynamic program of Proposition 2.3 (see Plan.Eval), compiling the query
-// for this one evaluation.
-func EvalTreeDecomp(s *Structure, q *Query) (Assignment, bool, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return nil, false, err
-	}
-	assign, sat, _, err := p.Eval(context.Background(), s, nil)
-	return assign, sat, err
-}

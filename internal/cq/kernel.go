@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"ecrpq/internal/invariant"
+	"ecrpq/internal/rowset"
 )
 
 // ChargeFunc accounts join-intermediate bytes during tree-decomposition
@@ -65,7 +66,6 @@ type scratch struct {
 	idx       rowIndex
 	charged   []int64 // per bag: bytes reported through the ChargeFunc
 	bagScans  []bagScan
-	probe     []int32
 	tuple     []int
 	answers   []int      // Answers: the rows the walk yields, back to back
 	walk      streamPlan // the walk's state over the reduced tables
@@ -89,8 +89,8 @@ func (sc *scratch) words() int {
 	for i := range sc.base {
 		n += cap(sc.base[i].data) + sc.bagScans[i].idx.words()
 	}
-	for i := range sc.walk.keySets {
-		n += sc.walk.keySets[i].words()
+	for i := range sc.walk.seen {
+		n += int(sc.walk.seen[i].Bytes() / 4)
 	}
 	return n
 }
@@ -319,7 +319,7 @@ func (r *run) join(b int, t *flatTable, st *joinStep, a *flatTable) error {
 	out.reset(t.stride + len(st.extra))
 	for i := 0; i < t.rows; i++ {
 		row := t.row(i)
-		for h := x.find(row, st.tabKey); h != 0; h = x.next[h-1] {
+		for h := find(x, row, st.tabKey); h != 0; h = x.next[h-1] {
 			if err := r.tick(); err != nil {
 				return err
 			}
@@ -399,7 +399,7 @@ func (r *run) semijoin(t *flatTable, tcols []int, c *flatTable, ccols []int, x *
 			k := packKey(row, tcols, r.bits)
 			hit = r.set[k>>6]&(1<<(k&63)) != 0
 		} else {
-			hit = x.find(row, tcols) != 0
+			hit = find(x, row, tcols) != 0
 		}
 		if hit {
 			copy(t.data[keep*t.stride:], row)
@@ -419,94 +419,60 @@ func packKey(row []int32, cols []int, width int) uint64 {
 	return k
 }
 
-// rowIndex is an open-addressing hash index of a table's rows by some of
-// their columns. When the columns pack into 64 bits the packed value is the
-// key and equal keys mean equal columns; past that the key is a hash of the
-// columns and a hit is confirmed by comparing them — the same table and
-// probe either way.
+// rowIndex indexes a table's rows by some of their columns: the distinct
+// values of those columns are the rows of a rowset.Set, and the table rows
+// of each are chained in ascending order.
 type rowIndex struct {
-	t     *flatTable
-	cols  []int
-	bits  int
-	exact bool
-	keys  []uint64 // per slot
-	heads []int32  // per slot: 1 + the first row with the slot's key; 0 = empty
-	next  []int32  // per row: 1 + the next row with the same key; 0 = last
-	shift int
+	t     *flatTable // the indexed table; nil until built
+	keys  rowset.Set
+	heads []int32 // per key: 1 + its first row
+	next  []int32 // per row: 1 + the next row with the same key; 0 = last
+	probe []int32 // the key being looked up, sized by index
 }
 
-func (x *rowIndex) words() int { return 2*cap(x.keys) + cap(x.heads) + cap(x.next) }
+func (x *rowIndex) words() int {
+	return int(x.keys.Bytes()/4) + cap(x.heads) + cap(x.next) + cap(x.probe)
+}
 
-// index builds x over t's rows keyed by cols. Rows of one key are chained
-// in ascending order.
+// index builds x over t's rows keyed by cols.
 func (r *run) index(x *rowIndex, t *flatTable, cols []int) error {
 	if t.rows > math.MaxInt32 {
 		return fmt.Errorf("cq: a table of %d rows exceeds the join kernel's 32-bit row ids", t.rows)
 	}
-	x.t, x.cols, x.bits = t, cols, r.bits
-	if x.exact = len(cols)*r.bits <= 64; !x.exact {
+	if len(cols)*r.bits > 64 {
 		r.work.WideKeys++
 	}
-	size := 8
-	for size < 2*t.rows {
-		size <<= 1
-	}
-	x.shift = 64 - bits.TrailingZeros(uint(size))
-	x.keys = resize(x.keys, size)
-	x.heads = resize(x.heads, size)
-	clear(x.heads)
-	x.next = resize(x.next, t.rows)
+	x.t, x.probe = t, resize(x.probe, len(cols))
+	x.keys.Reset(len(cols), r.bits, t.rows)
+	x.heads, x.next = resize(x.heads, t.rows), resize(x.next, t.rows)
 	for i := t.rows - 1; i >= 0; i-- {
 		if err := r.tick(); err != nil {
 			return err
 		}
-		row := t.row(i)
-		k := x.key(row, cols)
-		s := x.slot(k, row, cols)
-		x.keys[s], x.heads[s], x.next[i] = k, int32(i+1), x.heads[s]
+		id, fresh := x.keys.Add(gather(x.probe, t.row(i), cols))
+		if fresh {
+			x.heads[id] = 0
+		}
+		x.next[i], x.heads[id] = x.heads[id], int32(i+1)
 	}
 	return nil
 }
 
-// key is the index key of row's cols values (of the indexed table or of a
-// probing one).
-func (x *rowIndex) key(row []int32, cols []int) uint64 {
-	if x.exact {
-		return packKey(row, cols, x.bits)
+// gather fills key, len(cols) long, with row's cols values.
+func gather[T int | int32](key []int32, row []T, cols []int) []int32 {
+	for j, c := range cols {
+		key[j] = int32(row[c])
 	}
-	k := uint64(14695981039346656037)
-	for _, c := range cols {
-		k = (k ^ uint64(row[c])) * 1099511628211
-	}
-	return k
+	return key
 }
 
-// slot returns the slot holding key k with row's cols values, or the empty
-// slot where it belongs.
-func (x *rowIndex) slot(k uint64, row []int32, cols []int) int {
-	mask := len(x.heads) - 1
-	for s := int(k * 0x9E3779B97F4A7C15 >> x.shift); ; s = (s + 1) & mask {
-		h := x.heads[s]
-		if h == 0 || x.keys[s] == k && (x.exact || x.same(int(h-1), row, cols)) {
-			return s
-		}
+// find returns 1 + the first row x indexes whose key columns equal row's
+// cols values, or 0.
+func find[T int | int32](x *rowIndex, row []T, cols []int) int32 {
+	if id := x.keys.Find(gather(x.probe, row, cols)); id >= 0 {
+		return x.heads[id]
 	}
-}
-
-func (x *rowIndex) same(i int, row []int32, cols []int) bool {
-	mine := x.t.row(i)
-	for j, c := range x.cols {
-		if mine[c] != row[cols[j]] {
-			return false
-		}
-	}
-	return true
-}
-
-// find returns 1 + the first indexed row whose key columns equal row's cols
-// values, or 0.
-func (x *rowIndex) find(row []int32, cols []int) int32 {
-	return x.heads[x.slot(x.key(row, cols), row, cols)]
+	return 0
 }
 
 // Scan makes the reduced bag tables the walk's AtomSource: rel names a bag
@@ -526,11 +492,7 @@ func (r *run) Scan(rel string, bound []int, yield func([]int) bool) error {
 			}
 		}
 		if indexed = bs.idx.t != nil; indexed {
-			r.probe = resize(r.probe, t.stride)
-			for _, c := range sep {
-				r.probe[c] = int32(bound[c])
-			}
-			h = bs.idx.find(r.probe, sep)
+			h = find(&bs.idx, bound, sep)
 		}
 	}
 	for {

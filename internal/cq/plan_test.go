@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -122,8 +123,8 @@ func bruteAnswers(s *Structure, q *Query) [][]int {
 		for k, f := range q.Free {
 			ans[k] = val[f]
 		}
-		if !seen[key(ans)] {
-			seen[key(ans)] = true
+		if !seen[fmt.Sprint(ans)] {
+			seen[fmt.Sprint(ans)] = true
 			out = append(out, ans)
 		}
 	}
@@ -261,7 +262,7 @@ func wideInstance(rng *rand.Rand, domain int) (*Structure, *Query) {
 			for k := range row {
 				row[k] = rng.Intn(3)
 			}
-			set[key(row)] = row
+			set[fmt.Sprint(row)] = row
 		}
 		var all [][]int
 		for _, r := range set {
@@ -552,5 +553,37 @@ func TestPlanConcurrent(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestEvalWitnessIsFirstRow: Eval's witness is the walk's first row over
+// the reduced tables, each bag read in row order — through its separator
+// index, whose rows of one key are chained in ascending order, where the
+// semijoin built one (a one-column key over a domain of 2^20 is indexed,
+// not a bitset). Either bag may be the root; the witness is the first
+// row of each relation either way.
+func TestEvalWitnessIsFirstRow(t *testing.T) {
+	s := NewStructure(1 << 20)
+	for _, r := range []string{"R", "S"} {
+		if err := s.AddRelation(r, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range []int{7, 0, 4} {
+		s.MustAddTuple("R", x, 1)
+	}
+	for _, z := range []int{5, 3, 9} {
+		s.MustAddTuple("S", 1, z)
+	}
+	p, err := Compile(&Query{Atoms: []Atom{{Rel: "R", Args: []string{"x", "y"}}, {Rel: "S", Args: []string{"y", "z"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, sat, work, err := p.Eval(context.Background(), s, nil)
+	if err != nil || !sat || work.WideKeys != 0 {
+		t.Fatalf("sat %v, %d wide keys, err %v", sat, work.WideKeys, err)
+	}
+	if want := (Assignment{"x": 7, "y": 1, "z": 5}); !maps.Equal(assign, want) {
+		t.Fatalf("witness %v, want %v", assign, want)
 	}
 }

@@ -200,7 +200,11 @@ func TestAddTupleBeyondInt32(t *testing.T) {
 	if err := s.AddTuple("R", 1<<31, 0); err == nil || s.Relation("R").Len() != 1 || s.Contains("R", 1<<31, 0) {
 		t.Fatalf("AddTuple of 2^31: err %v, %d rows", err, s.Relation("R").Len())
 	}
-	_, _, err := EvalTreeDecomp(s, &Query{Atoms: []Atom{{Rel: "R", Args: []string{"x", "y"}}}})
+	p, err := Compile(&Query{Atoms: []Atom{{Rel: "R", Args: []string{"x", "y"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = p.Eval(context.Background(), s, nil)
 	if err == nil || err.Error() != fmt.Sprintf("cq: domain %d exceeds the join kernel's 32-bit values", 1<<33) {
 		t.Fatalf("Eval over a 2^33 domain: err = %v", err)
 	}

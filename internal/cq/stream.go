@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"ecrpq/internal/rowset"
 )
 
 // AtomSource scans a relation with binding pushdown: Scan calls yield with
@@ -65,7 +67,7 @@ type streamLevel struct {
 	// columns bound so far and those later levels read. Rows of one key
 	// have the same answers, so a key seen holds is not walked again.
 	memo []int
-	seen *keySet
+	seen *rowset.Set
 }
 
 // streamPlan lays out assignments as fixed-width rows, one column per
@@ -77,10 +79,11 @@ type streamPlan struct {
 	free    []int // the column of each free variable
 	binds   []int // per column: the level that binds it
 	levels  []streamLevel
-	cut     int     // a complete row ends the scans of the levels past this one: the last that binds a free variable
-	rows    [][]int // rows[i]: the row level i extends; rows[0] binds nothing
-	flat    []int   // the rows' and the levels' bound patterns' values
-	keySets []keySet
+	cut     int          // a complete row ends the scans of the levels past this one: the last that binds a free variable
+	rows    [][]int      // rows[i]: the row level i extends; rows[0] binds nothing
+	flat    []int        // the rows' and the levels' bound patterns' values
+	seen    []rowset.Set // the levels' memo keys
+	key     []int32      // the memo key being looked up, one column per variable
 	src     AtomSource
 	charge  ChargeFunc
 	yield   func([]int) bool
@@ -152,14 +155,14 @@ func planStream(q *Query, answers, sets bool) (*streamPlan, error) {
 // charged. walk returns when yield returns false, a scan fails or charge
 // refuses.
 func (p *streamPlan) walk(w *streamPlan, src AtomSource, charge ChargeFunc, yield func([]int) bool) error {
-	levels, rows, flat, keySets := w.levels, w.rows, w.flat, w.keySets
+	levels, rows, flat, seen, key := w.levels, w.rows, w.flat, w.seen, w.key
 	*w = *p
 	n, size := len(p.vars), (len(p.levels)+1)*len(p.vars)
 	for _, lvl := range p.levels {
 		size += len(lvl.cols)
 	}
 	w.src, w.charge, w.yield, w.levels = src, charge, yield, append(levels[:0], p.levels...)
-	w.rows, w.flat, w.keySets = resize(rows, len(p.levels)+1), resize(flat, size), keySets
+	w.rows, w.flat, w.seen, w.key = resize(rows, len(p.levels)+1), resize(flat, size), seen, resize(key, n)
 	flat = w.flat
 	for i := range w.rows {
 		w.rows[i], flat = flat[:n:n], flat[n:]
@@ -170,11 +173,11 @@ func (p *streamPlan) walk(w *streamPlan, src AtomSource, charge ChargeFunc, yiel
 	for i := range w.levels {
 		lvl, k := &w.levels[i], len(w.levels[i].cols)
 		if lvl.bound, flat = flat[:k:k], flat[k:]; lvl.memo != nil {
-			if len(w.keySets) < len(w.levels) {
-				w.keySets = resize(w.keySets, len(w.levels))
+			if len(w.seen) < len(w.levels) {
+				w.seen = resize(w.seen, len(w.levels))
 			}
-			lvl.seen = &w.keySets[i]
-			lvl.seen.reset()
+			lvl.seen = &w.seen[i]
+			lvl.seen.Reset(len(lvl.memo), 32, lvl.seen.Len()) // a source's values may take all 31 bits
 		}
 	}
 	w.scan = func(tup []int) bool { return w.bind(w.at, tup) }
@@ -238,10 +241,14 @@ func (p *streamPlan) bind(i int, tup []int) bool {
 		}
 		row[col] = tup[k]
 	}
+	fresh := lvl.memo == nil
+	if !fresh {
+		_, fresh = lvl.seen.Add(gather(p.key[:len(lvl.memo)], row, lvl.memo))
+	}
 	switch {
 	case lvl.memo == nil:
 		p.level(i + 1)
-	case !lvl.seen.add(row, lvl.memo):
+	case !fresh:
 		p.reached = p.reached || i == len(p.levels)-1 // a complete row, its answer yielded before
 	case !p.fail(p.charge.take(64 + 4*int64(len(lvl.memo)))):
 		p.level(i + 1)
@@ -252,62 +259,6 @@ func (p *streamPlan) bind(i int, tup []int) bool {
 	p.reached = false
 	return true
 }
-
-// keySet is a seen-set of the values rows hold in some columns, by open
-// addressing: per slot a key's hash, which is the key itself when it packs
-// into 64 bits, and 1 + its number among the keys, kept back to back to
-// confirm a wider key; 0 marks an empty slot.
-type keySet struct {
-	hashes      []uint64
-	slots       []int32
-	keys, probe []int32
-	n           int
-}
-
-// add reports whether row's cols values are a new key, and adds them.
-//
-//ecrpq:charged the walk charges each key added: 64 bytes plus 4 a column
-func (s *keySet) add(row, cols []int) bool {
-	h, w := uint64(0), len(cols)
-	s.probe = s.probe[:0]
-	for _, c := range cols {
-		if s.probe = append(s.probe, int32(row[c])); w <= 2 {
-			h = h<<32 | uint64(uint32(row[c]))
-		} else {
-			h = (h ^ uint64(uint32(row[c]))) * 1099511628211
-		}
-	}
-	if 2*(s.n+1) > len(s.slots) {
-		hashes, slots := s.hashes, s.slots
-		s.hashes, s.slots = make([]uint64, max(16, 2*len(slots))), make([]int32, max(16, 2*len(slots)))
-		for j, k := range slots {
-			if k == 0 {
-				continue
-			}
-			i := s.first(hashes[j])
-			for s.slots[i] != 0 {
-				i = s.next(i)
-			}
-			s.hashes[i], s.slots[i] = hashes[j], k
-		}
-	}
-	i := s.first(h)
-	for ; s.slots[i] != 0; i = s.next(i) {
-		if k := int(s.slots[i]); s.hashes[i] == h && (w <= 2 || slices.Equal(s.keys[(k-1)*w:k*w], s.probe)) {
-			return false
-		}
-	}
-	s.keys, s.n = append(s.keys, s.probe...), s.n+1
-	s.hashes[i], s.slots[i] = h, int32(s.n)
-	return true
-}
-
-func (s *keySet) reset() { clear(s.slots); s.keys, s.n = s.keys[:0], 0 }
-
-func (s *keySet) words() int { return 2*cap(s.hashes) + cap(s.slots) + cap(s.keys) + cap(s.probe) }
-
-func (s *keySet) first(h uint64) int { return int(h*0x9E3779B97F4A7C15>>32) & (len(s.slots) - 1) }
-func (s *keySet) next(i int) int     { return (i + 1) & (len(s.slots) - 1) }
 
 // StreamAssignments calls yield with the satisfying assignments of q over
 // src until it returns false: fixed-width rows, one column per variable of

@@ -260,8 +260,8 @@ func FuzzPlanAnswers(f *testing.F) {
 			for k, f := range q.Free {
 				ans[k] = row[slices.Index(vars, f)]
 			}
-			if !seen[key(ans)] {
-				seen[key(ans)] = true
+			if !seen[fmt.Sprint(ans)] {
+				seen[fmt.Sprint(ans)] = true
 				firsts = append(firsts, ans)
 			}
 		}

@@ -432,7 +432,9 @@ func E10(seed int64) *Table {
 			st, q := workload.CliqueCQ(rng, k, n, n, true)
 			var cqSat bool
 			dCQ := timeIt(func() {
-				_, s, err := cq.EvalTreeDecomp(st, q)
+				p, err := cq.Compile(q)
+				invariant.NoError(err, "experiments: E10 query compilation")
+				_, s, _, err := p.Eval(context.Background(), st, nil)
 				invariant.NoError(err, "experiments: E10 tree-decomposition evaluation")
 				cqSat = s
 			})
@@ -590,7 +592,11 @@ func AblationCQEval(seed int64) *Table {
 			st, q := workload.CliqueCQ(rng, k, n, 3*n, false)
 			var s1, s2 bool
 			d1 := timeIt(func() { _, s1, _ = cq.EvalBacktrack(context.Background(), st, q) })
-			d2 := timeIt(func() { _, s2, _ = cq.EvalTreeDecomp(st, q) })
+			d2 := timeIt(func() {
+				p, err := cq.Compile(q)
+				invariant.NoError(err, "experiments: A2 query compilation")
+				_, s2, _, _ = p.Eval(context.Background(), st, nil)
+			})
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("clique k=%d", k), fmt.Sprint(n), ms(d1), ms(d2), fmt.Sprint(s1 == s2),
 			})
@@ -604,7 +610,11 @@ func AblationCQEval(seed int64) *Table {
 		st, q := chainOnBinaryTree(depth)
 		var s1, s2 bool
 		d1 := timeIt(func() { _, s1, _ = cq.EvalBacktrack(context.Background(), st, q) })
-		d2 := timeIt(func() { _, s2, _ = cq.EvalTreeDecomp(st, q) })
+		d2 := timeIt(func() {
+			p, err := cq.Compile(q)
+			invariant.NoError(err, "experiments: A2 query compilation")
+			_, s2, _, _ = p.Eval(context.Background(), st, nil)
+		})
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("tree-chain d=%d", depth), fmt.Sprint(st.Domain), ms(d1), ms(d2), fmt.Sprint(s1 == s2),
 		})

@@ -4,9 +4,9 @@ package violation
 import "ecrpq/internal/alphabet"
 
 func rawConversions() alphabet.Symbol {
-	s := alphabet.Symbol(3)       // want `raw literal converted to alphabet.Symbol`
-	t := alphabet.Symbol(-2)      // want `raw literal converted to alphabet.Symbol`
-	u := alphabet.Symbol('a')     // want `raw literal converted to alphabet.Symbol`
+	s := alphabet.Symbol(3)   // want `raw literal converted to alphabet.Symbol`
+	t := alphabet.Symbol(-2)  // want `raw literal converted to alphabet.Symbol`
+	u := alphabet.Symbol('a') // want `raw literal converted to alphabet.Symbol`
 	_ = []alphabet.Symbol{t, u}
 	return s
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"ecrpq/internal/alphabet"
+	"ecrpq/internal/rowset"
 )
 
 // Join implements the product construction of Lemma 4.1: given relations
@@ -111,8 +112,8 @@ func newJoin(a *alphabet.Alphabet, arity int, rels []*Relation, vars [][]int) (*
 }
 
 // product runs the construction breadth-first from the combinations of
-// start states, keying a product state by its component states packed into
-// a uint64 when they fit and by their bytes when they do not.
+// start states. A product state is a row of component states, numbered in
+// order of first sight by a rowset.Set.
 func (j *join) product(ctx context.Context, grow func(states int) error) (*Table, error) {
 	freeChoices := 1
 	for range j.free {
@@ -121,68 +122,29 @@ func (j *join) product(ctx context.Context, grow func(states int) error) (*Table
 			return nil, fmt.Errorf("synchro: join leaves %d unconstrained tracks; letter blowup too large", len(j.free))
 		}
 	}
-	var widths []uint
-	var total uint
+	ell, width := len(j.tabs), 0
 	for _, t := range j.tabs {
-		widths = append(widths, uint(bits.Len(uint(max(t.NumStates(), 1)-1))))
-		total += widths[len(widths)-1]
+		width = max(width, bits.Len(uint(max(t.NumStates(), 1)-1)))
 	}
-	if total <= 64 {
-		return runProduct(ctx, j, grow, func(qs []int) uint64 {
-			var k uint64
-			for i, q := range qs {
-				k = k<<widths[i] | uint64(q)
-			}
-			return k
-		})
-	}
-	return runProduct(ctx, j, grow, func(qs []int) string {
-		buf := make([]byte, 0, 4*len(qs))
-		for _, q := range qs {
-			buf = append(buf, byte(q), byte(q>>8), byte(q>>16), byte(q>>24))
-		}
-		return string(buf)
-	})
-}
-
-// builder holds a product under construction. The transitions of state s
-// are to[off[s]:off[s+1]], their letters arity symbols each in syms.
-type builder[K comparable] struct {
-	*join
-	key    func(qs []int) K
-	ids    map[K]int32
-	qs     []int // the component states of each product state, back to back
-	accept []bool
-	cur    []int // the component states of the state being expanded
-	next   []int
-	joint  alphabet.Tuple
-	pads   alphabet.Tuple // the stall's letter
-	syms   []alphabet.Symbol
-	to     []int32
-	off    []int32
-}
-
-func runProduct[K comparable](ctx context.Context, j *join, grow func(int) error, key func([]int) K) (*Table, error) {
-	ell := len(j.tabs)
-	b := &builder[K]{join: j, key: key, ids: make(map[K]int32), next: make([]int, ell), joint: make(alphabet.Tuple, j.arity)}
+	b := &builder{join: j, states: rowset.New(ell, width), next: make([]int32, ell), joint: make(alphabet.Tuple, j.arity)}
 	for range j.arity {
 		b.pads = append(b.pads, alphabet.Pad)
 	}
 	var starts func(i int)
 	starts = func(i int) {
 		if i == ell {
-			b.state(b.next)
+			b.states.Add(b.next)
 			return
 		}
 		for _, q := range j.tabs[i].Starts {
-			b.next[i] = q
+			b.next[i] = int32(q)
 			starts(i + 1)
 		}
 	}
 	starts(0)
-	nStarts, charged := len(b.accept), 0
-	for s := 0; s < len(b.accept); s++ {
-		if n := len(b.accept); n-charged >= mergeCheckInterval {
+	nStarts, charged := b.states.Len(), 0
+	for s := 0; s < b.states.Len(); s++ {
+		if n := b.states.Len(); n-charged >= mergeCheckInterval {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -194,41 +156,48 @@ func runProduct[K comparable](ctx context.Context, j *join, grow func(int) error
 			charged = n
 		}
 		b.off = append(b.off, int32(len(b.to)))
-		b.cur = b.qs[s*ell : (s+1)*ell]
+		b.cur = b.states.Row(int32(s))
 		b.emit(0)
 	}
 	b.off = append(b.off, int32(len(b.to)))
 	return b.trim(nStarts), nil
 }
 
-// state returns the id of the product state qs, adding it on first sight.
-func (b *builder[K]) state(qs []int) int32 {
-	k := b.key(qs)
-	if id, ok := b.ids[k]; ok {
-		return id
+// builder holds a product under construction. The transitions of state s
+// are to[off[s]:off[s+1]], their letters arity symbols each in syms.
+type builder struct {
+	*join
+	states *rowset.Set // the component states of each product state
+	cur    []int32     // the component states of the state being expanded
+	next   []int32
+	joint  alphabet.Tuple
+	pads   alphabet.Tuple // the stall's letter
+	syms   []alphabet.Symbol
+	to     []int32
+	off    []int32
+}
+
+// accepts reports whether product state p accepts: every component does.
+func (b *builder) accepts(p int) bool {
+	for i, q := range b.states.Row(int32(p)) {
+		if !b.tabs[i].Accept[q] {
+			return false
+		}
 	}
-	id := int32(len(b.accept))
-	b.ids[k] = id
-	b.qs = append(b.qs, qs...)
-	acc := true
-	for i, q := range qs {
-		acc = acc && b.tabs[i].Accept[q]
-	}
-	b.accept = append(b.accept, acc)
-	return id
+	return true
 }
 
 // emit extends the joint letter with a move of relation i and of every
 // later one: each transition consistent with the symbols the earlier
 // relations chose, then the stall.
-func (b *builder[K]) emit(i int) {
+func (b *builder) emit(i int) {
 	if i == len(b.tabs) {
 		b.fill(0)
 		return
 	}
 	for _, tr := range b.tabs[i].Trans[b.cur[i]] {
 		if b.consistent(i, tr.Tuple) {
-			b.next[i] = tr.To
+			b.next[i] = int32(tr.To)
 			b.emit(i + 1)
 		}
 	}
@@ -244,7 +213,7 @@ func (b *builder[K]) emit(i int) {
 
 // consistent writes relation i's letter t into the tracks it owns and
 // reports whether it agrees with the joint letter on the others.
-func (b *builder[K]) consistent(i int, t alphabet.Tuple) bool {
+func (b *builder) consistent(i int, t alphabet.Tuple) bool {
 	for k, mt := range b.vars[i] {
 		if b.owns[i][k] {
 			b.joint[mt] = t[k]
@@ -257,7 +226,7 @@ func (b *builder[K]) consistent(i int, t alphabet.Tuple) bool {
 
 // fill gives the free tracks from f on every choice in A ∪ {⊥} and records
 // each joint letter but the all-pad one.
-func (b *builder[K]) fill(f int) {
+func (b *builder) fill(f int) {
 	if f < len(b.free) {
 		b.joint[b.free[f]] = alphabet.Pad
 		b.fill(f + 1)
@@ -270,15 +239,16 @@ func (b *builder[K]) fill(f int) {
 	if !slices.ContainsFunc(b.joint, func(s alphabet.Symbol) bool { return s != alphabet.Pad }) {
 		return
 	}
-	b.to = append(b.to, b.state(b.next))
+	id, _ := b.states.Add(b.next)
+	b.to = append(b.to, id)
 	b.syms = append(b.syms, b.joint...)
 }
 
 // trim keeps the states from which an accepting state is reachable (every
 // state is reachable from a start), renumbered in order, and lays their
 // transitions out as the merged Table.
-func (b *builder[K]) trim(nStarts int) *Table {
-	n := len(b.accept)
+func (b *builder) trim(nStarts int) *Table {
+	n := b.states.Len()
 	// The sources of the transitions into q are src[in[q]:in[q+1]].
 	in := make([]int32, n+1)
 	for _, q := range b.to {
@@ -295,8 +265,8 @@ func (b *builder[K]) trim(nStarts int) *Table {
 	}
 	id := make([]int, n) // 1 + the new number of a kept state, 0 for a dropped one
 	var stack []int32
-	for q, acc := range b.accept {
-		if acc {
+	for q := range n {
+		if b.accepts(q) {
 			id[q], stack = 1, append(stack, int32(q))
 		}
 	}
@@ -314,7 +284,7 @@ func (b *builder[K]) trim(nStarts int) *Table {
 		if id[p] == 0 {
 			continue
 		}
-		if t.Accept = append(t.Accept, b.accept[p]); p < nStarts {
+		if t.Accept = append(t.Accept, b.accepts(p)); p < nStarts {
 			t.Starts = append(t.Starts, len(t.Accept)-1)
 		}
 		id[p] = len(t.Accept)

@@ -120,4 +120,3 @@ func (t *Tracer) Recent(max int) []TraceData {
 	}
 	return t.ring.Recent(max)
 }
-
