@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race vet fuzz-smoke bench chaos bench-check ci
+.PHONY: all build test race vet fuzz-smoke bench chaos bench-check mutants ci
 
 all: build test
 
@@ -48,9 +48,23 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
+## mutants applies each patch of testdata/mutants/ to a copy of the tree
+## and requires the tests its header names (Package:, Run:) to fail there:
+## a fix whose test stops catching its mutant fails this target.
+## TestArchitecture/mutants-apply checks that every patch still applies.
+mutants:
+	@for p in testdata/mutants/*.patch; do \
+		pkg=$$(sed -n 's/^Package: //p' $$p); run=$$(sed -n 's/^Run: //p' $$p); tmp=$$(mktemp -d); \
+		tar -c --exclude=./.git --exclude=./.bench_build . | tar -x -C $$tmp; \
+		if ! (cd $$tmp && git apply $(CURDIR)/$$p); then rm -rf $$tmp; echo "$$p: does not apply"; exit 1; fi; \
+		out=$$(cd $$tmp && $(GO) test -count=1 -run "$$run" $$pkg 2>&1); rm -rf $$tmp; \
+		case "$$out" in *"--- FAIL"*) echo "$$p: caught by $$run";; \
+		*) echo "$$out" | tail -5; echo "$$p: not caught by $$run in $$pkg"; exit 1;; esac; \
+	done
+
 ## ci mirrors the GitHub Actions jobs. Every static check is a test that
 ## `test` runs: TestArchitecture (syntactic rules over the source and the
 ## module analyzers of internal/lint) and the TestCeilings tables of
 ## internal/core, internal/server and internal/govern (allocation and byte
 ## ceilings).
-ci: build vet test race chaos bench-check
+ci: build vet test race chaos bench-check mutants

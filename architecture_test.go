@@ -709,6 +709,19 @@ func hashRow(row []int32) (h uint64) {
 const fnvPrime = 1099511628211`,
 		accepted: `func (t *rankTable) slot(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> 32) }
 func mix(x uint64) uint64 { return x * 0x9E3779B9 }`},
+	// Nor does a map keyed by a tuple stand in for one: an integer array as
+	// the key, or a key built from bytes by binary's Append functions. The
+	// slab pools' grownCap memo keys append's (capacity, length) steps, not
+	// tuples of the engine.
+	{name: "no-tuple-map-keys", why: "an integer tuple as a map key (an integer array, or bytes built by binary.*Append*) beside rowset.Set",
+		in: []string{"internal/core", "internal/cq", "internal/synchro"}, skip: []string{"internal/core/slab.go"},
+		check: allOf(never(mapTypes, `^map\[\[\w*\](u?int\d*|byte)\]`), never(calls, `^binary\.\w+\.Append\w*\(`)),
+		violation: `var seen = make(map[[2]uint64]bool)
+type memo struct{ lists map[[3]int32][]int }
+func key(buf []byte, v int) []byte { return binary.LittleEndian.AppendUint32(buf, uint32(v)) }`,
+		accepted: `var names map[string]int
+type structure struct{ rels map[string]*Relation }
+func word(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }`},
 }
 
 // TestArchitecture checks every rule on the tree, on its violation and on
@@ -748,7 +761,85 @@ func TestArchitecture(t *testing.T) {
 	t.Run("fuzz-targets", func(t *testing.T) { testFuzzTargets(t, files) })
 	t.Run("doc-identifiers", func(t *testing.T) { testDocIdentifiers(t, files) })
 	t.Run("gofmt", testGofmt)
+	t.Run("mutants-apply", func(t *testing.T) { testMutantsApply(t, files) })
 	t.Run("module-analyzers", testModuleAnalyzers)
+}
+
+// testMutantsApply: every patch of testdata/mutants/ (`make mutants` runs
+// them) names a package and a -run pattern matching one of its tests, and
+// each hunk's context and removed lines are still a block of its file, so
+// code that moves takes its mutants with it.
+func testMutantsApply(t *testing.T, files map[string]*ast.File) {
+	patches, err := filepath.Glob("testdata/mutants/*.patch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(patches) == 0 {
+		t.Fatal("no mutant in testdata/mutants: the rule is looking at nothing")
+	}
+	for _, p := range patches {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range mutantProblems(string(b), files) {
+			t.Errorf("%s: %s", p, bad)
+		}
+	}
+	stale := "Package: ./internal/core/\nRun: ^TestNoSuch$\n\n--- a/go.mod\n+++ b/go.mod\n@@ -1 +1 @@\n-module elsewhere\n+module ecrpq\n"
+	if len(mutantProblems(stale, files)) < 2 {
+		t.Error("the rule accepts a mutant of no test whose hunk matches nothing")
+	}
+}
+
+// mutantProblems checks one patch: its header and every hunk.
+func mutantProblems(patch string, files map[string]*ast.File) []string {
+	var out []string
+	header, body, _ := strings.Cut(patch, "\n--- a/")
+	field := func(name string) string {
+		m := regexp.MustCompile(`(?m)^` + name + `: (.+)$`).FindStringSubmatch(header)
+		if m == nil {
+			out = append(out, "no "+name+": line")
+			return ""
+		}
+		return m[1]
+	}
+	pkg, run := strings.Trim(field("Package"), "./"), field("Run")
+	if re, err := regexp.Compile(run); err != nil || run == "" {
+		out = append(out, fmt.Sprintf("Run: %q is not a pattern", run))
+	} else {
+		tests := 0
+		for path, f := range files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && filepath.Dir(path) == pkg && strings.HasPrefix(fd.Name.Name, "Test") && re.MatchString(fd.Name.Name) {
+					tests++
+				}
+			}
+		}
+		if tests == 0 {
+			out = append(out, fmt.Sprintf("Run: %s names no test of %s", run, pkg))
+		}
+	}
+	for _, file := range strings.Split("\n--- a/"+body, "\n--- a/")[1:] {
+		path, hunks, _ := strings.Cut(file, "\n")
+		src, err := os.ReadFile(path)
+		if err != nil {
+			out = append(out, err.Error())
+			continue
+		}
+		for _, hunk := range strings.Split(hunks, "\n@@")[1:] {
+			var old []string
+			for _, line := range strings.Split(hunk, "\n")[1:] {
+				if strings.HasPrefix(line, " ") || strings.HasPrefix(line, "-") {
+					old = append(old, line[1:])
+				}
+			}
+			if block := strings.Join(old, "\n") + "\n"; !strings.Contains(string(src), block) {
+				out = append(out, fmt.Sprintf("a hunk of %s no longer matches it:\n%s", path, block))
+			}
+		}
+	}
+	return out
 }
 
 // problems walks root with the rule's check, counting subjects, and

@@ -10,7 +10,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"iter"
 	"slices"
@@ -20,6 +19,7 @@ import (
 	"ecrpq/internal/cq"
 	"ecrpq/internal/govern"
 	"ecrpq/internal/graphdb"
+	"ecrpq/internal/rowset"
 	"ecrpq/internal/trace"
 )
 
@@ -85,9 +85,10 @@ type sweepSource struct {
 	// list componentReachSet gave: a nested level re-scans its atom once per
 	// prefix row, mostly with sources pinned before. Entries are charged to
 	// mem, the join's meter; one the reservation refuses is simply not kept.
-	memo    []map[string][]int
+	memo    []*rowset.Set
+	lists   [][][]int // per component, the list of each source tuple in memo, by id
 	mem     *govern.Meter
-	keyBuf  []byte
+	keyBuf  []int32
 	scratch [][]int // per component, its Scans' buffer: they never nest
 	// The check mode (Generic plans): the guesses' domains, whether the
 	// kernels record for a witness, and the guesses and decisions made.
@@ -103,7 +104,7 @@ type sweepSource struct {
 func (p *Prepared) newSource(ctx context.Context, db *graphdb.DB) *sweepSource {
 	n := len(p.merged)
 	return &sweepSource{ctx: ctx, db: db, p: p, res: govern.FromContext(ctx), fps: make([]*fastProduct, n),
-		rows: make([]int64, n), memo: make([]map[string][]int, n), scratch: make([][]int, n)}
+		rows: make([]int64, n), memo: make([]*rowset.Set, n), lists: make([][][]int, n), scratch: make([][]int, n)}
 }
 
 func (s *sweepSource) release() {
@@ -126,21 +127,21 @@ func (s *sweepSource) fp(ci int) *fastProduct {
 func (s *sweepSource) destinations(ci int, srcs []int) ([]int, error) {
 	s.keyBuf = s.keyBuf[:0]
 	for _, v := range srcs {
-		s.keyBuf = binary.LittleEndian.AppendUint32(s.keyBuf, uint32(v))
+		s.keyBuf = append(s.keyBuf, int32(v))
 	}
-	if dsts, ok := s.memo[ci][string(s.keyBuf)]; ok {
-		return dsts, nil
+	if s.memo[ci] == nil {
+		s.memo[ci] = rowset.New(len(srcs), int(s.fp(ci).vBits))
+	} else if id := s.memo[ci].Find(s.keyBuf); id >= 0 {
+		return s.lists[ci][id], nil
 	}
 	dsts, err := componentReachSet(s.ctx, s.fp(ci), srcs, s.p.opts.maxStates(), nil)
 	if err != nil {
 		return nil, err
 	}
-	// Beyond key and list, an entry holds a map slot and three headers: 64 bytes.
-	if s.mem.Grow(int64(8*cap(dsts)+len(s.keyBuf))+64) == nil {
-		if s.memo[ci] == nil {
-			s.memo[ci] = make(map[string][]int)
-		}
-		s.memo[ci][string(s.keyBuf)] = dsts
+	// Beyond key and list, an entry holds a list header and ≤ 4 slots of 12 bytes.
+	if s.mem.Grow(int64(8*cap(dsts)+4*len(s.keyBuf))+72) == nil {
+		s.memo[ci].Add(s.keyBuf)
+		s.lists[ci] = append(s.lists[ci], dsts)
 	}
 	return dsts, nil
 }
@@ -301,6 +302,7 @@ func (s *sweepSource) Scan(rel string, bound []int, yield func([]int) bool) erro
 func (s *sweepSource) end() Stats {
 	st := s.work
 	for ci, fp := range s.fps {
+		before := st.Traversals
 		if fp != nil {
 			st.Traversals += fp.traversals
 			st.ProductStates += fp.expanded
@@ -308,6 +310,8 @@ func (s *sweepSource) end() Stats {
 		if !s.check {
 			st.CQTuples += int(s.rows[ci])
 			s.spans[ci].SetInt("rows", s.rows[ci])
+			s.spans[ci].SetInt("lanes", 1) // one source per traversal
+			s.spans[ci].SetInt("traversals", int64(st.Traversals-before))
 			s.spans[ci].End()
 		}
 	}

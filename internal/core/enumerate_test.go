@@ -525,10 +525,10 @@ func TestSweepSourceMemo(t *testing.T) {
 			if charged := s.mem.Charged(); (charged > 0) == refused {
 				t.Errorf("refused=%v: the memo holds %d bytes", refused, charged)
 			}
-			before := len(s.memo[1])
+			before := len(s.lists[1])
 			all := drain(s, "__comp1", []int{-1, -1})
-			if len(s.memo[1]) != before || len(all) < 20 {
-				t.Errorf("refused=%v: an unpinned sweep of %d rows took the memo from %d entries to %d", refused, len(all), before, len(s.memo[1]))
+			if len(s.lists[1]) != before || len(all) < 20 {
+				t.Errorf("refused=%v: an unpinned sweep of %d rows took the memo from %d entries to %d", refused, len(all), before, len(s.lists[1]))
 			}
 			return nil
 		})

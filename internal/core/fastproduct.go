@@ -73,7 +73,7 @@ func packProduct(db *graphdb.DB, c *component) *productShape {
 // one transition of the merged automaton, whose letter is the joint
 // convolution letter of every track, and advance one database pointer per
 // non-padded track along a matching edge. Both kernels embed it — the
-// single-source traversal of fastProduct and the 64-source sweepKernel — and
+// single-source traversal of fastProduct and the many-lane sweepKernel — and
 // differ only in emit, which receives every successor as (nextQ, newVerts,
 // newDone). It also owns the kernel's key space: the rows behind the wide
 // regime's keys.
@@ -680,37 +680,36 @@ func (f *fastProduct) witness(ctx context.Context, srcs, dsts []int, maxStates i
 	return paths, true, nil
 }
 
-// denseTableBits bounds the key width up to which a wordTable is a dense
-// array indexed by key (2^20 slots); wider keys index it by their rank.
-const denseTableBits = 20
+// denseTableWords bounds a wordTable over its key space; a larger one is indexed by rank.
+const denseTableWords = 1 << 21
 
 // wordTable maps uint64 keys to slots of stride words, all zero until
-// written. It is the per-state table of the sweep kernel (stride 2: the
-// sources that reach a product state, and those not yet propagated from it)
-// and the per-destination table the rows are emitted from (stride 1). Up to
-// denseTableBits wide a key indexes its slot and the table covers the key
-// space (at width 0 — the wide regime — it grows with the keys instead);
-// a wider key indexes it by its rank. keys lists the distinct keys touched
-// since the last reset, so clearing costs what was touched, never a pass
-// over the key space.
+// written. It is the per-state table of the sweep kernel (stride 2w: the
+// lanes that reach a product state, and those not yet propagated from it)
+// and the per-destination table the rows are emitted from (stride w). Where
+// slots over the whole key space fit in denseTableWords a key indexes its
+// slot (at width 0 — the wide regime — the table grows with the keys
+// instead); otherwise it indexes it by its rank. keys lists the distinct
+// keys touched since the last reset, so clearing — also before a table
+// over its key space goes back to its pool — costs what was touched.
 type wordTable struct {
 	stride int
 	words  slab[uint64] // the slot of index i starts at i*stride
-	index  *rankTable   // past denseTableBits: key → index; nil where the key is the index
+	index  *rankTable   // key → index; nil where the key is the index
 	keys   slab[uint64]
+	zeroed bool // words cover the key space: they go back to zeroSlabs
 }
 
 //ecrpq:charged the owner charges bytes() to its scratch meter before the first traversal
 func newWordTable(keyBits uint, stride int) *wordTable {
-	if keyBits > denseTableBits {
+	if keyBits > 21 || stride<<keyBits > denseTableWords {
 		return &wordTable{stride: stride, index: new(rankTable)}
 	}
-	return &wordTable{stride: stride, words: takeSlab[uint64](stride<<keyBits, true)}
+	return &wordTable{stride: stride, words: zeroSlabs.take(stride<<keyBits, true), zeroed: keyBits > 0}
 }
 
 // at returns key's slot, claiming a zeroed one on first use where the table
-// does not cover the key space. The slice is valid until the next at or or
-// call.
+// does not cover the key space. The slice is valid until the next at call.
 func (t *wordTable) at(key uint64) []uint64 {
 	i := int(key)
 	if t.index != nil {
@@ -723,16 +722,16 @@ func (t *wordTable) at(key uint64) []uint64 {
 	return t.words.s[i : i+t.stride]
 }
 
-// or ORs bits (non-zero) into the first word of key's slot, recording the
-// key on first touch. It returns the slot and the bits that were new.
-func (t *wordTable) or(key, bits uint64) (slot []uint64, fresh uint64) {
-	slot = t.at(key)
-	if slot[0] == 0 {
+// or ORs the lane mask bits (non-zero) into key's slot, recording the key
+// on first touch.
+func (t *wordTable) or(key uint64, bits []uint64) {
+	slot := t.at(key)
+	if slices.Max(slot) == 0 {
 		t.keys.push(key)
 	}
-	fresh = bits &^ slot[0]
-	slot[0] |= fresh
-	return slot, fresh
+	for i, b := range bits {
+		slot[i] |= b
+	}
 }
 
 // reset zeroes every touched slot.
@@ -750,6 +749,10 @@ func (t *wordTable) reset() {
 
 // release gives the table's storage back to the pools.
 func (t *wordTable) release() {
+	if t.zeroed {
+		t.reset()
+		t.words.releaseTo(&zeroSlabs)
+	}
 	t.words.release()
 	t.keys.release()
 	if t.index != nil {
@@ -767,18 +770,20 @@ func (t *wordTable) bytes() int64 {
 var errStateBudget = errors.New("core: product exceeded the state budget")
 
 // sweepKernel is one worker's scratch for the batched Lemma 4.3 sweep: a
-// traversal of the packed product graph that carries up to 64 source
-// tuples at once. Every state holds one word of "which sources of this
-// batch reach me" and one of "which of those I have not propagated yet";
-// a state is (re-)expanded only for the latter, so the searches of a batch
-// share every state they have in common. The product shape is shared and
-// read-only; everything else belongs to this kernel.
+// traversal of the packed product graph that carries up to 64w source
+// tuples at once, lane i being bit i%64 of word i/64 of a lane mask. Every
+// state holds the mask of "which lanes of this batch reach me" and that of
+// "which of those I have not propagated yet"; a state is (re-)expanded
+// only for the latter, so the searches of a batch share every state they
+// have in common. The shape is shared; everything else is this kernel's.
 type sweepKernel struct {
 	productStep
-	states *wordTable   // per packed state: [reached, pending]
-	dests  *wordTable   // per packed destination tuple: sources that reach it
-	queue  slab[uint64] // states with pending sources, FIFO; a state re-enters when new sources arrive
-	delta  uint64       // sources being propagated
+	states *wordTable   // per packed state: [reached | pending], w words each
+	dests  *wordTable   // per packed destination tuple: the lanes that reach it
+	queue  slab[uint64] // states with pending lanes, FIFO; a state re-enters when new lanes arrive
+	delta  []uint64     // the lanes being propagated, w words
+	carry  uint64       // bit i set: delta[i] is not zero
+	runs   int          // traversals begun
 
 	// Scratch accounting: the tables and the queue are charged as a
 	// high-water mark and released by the owner through release.
@@ -786,13 +791,14 @@ type sweepKernel struct {
 	charged int64
 }
 
-// newSweepKernel allocates a kernel over the shared product shape and
-// charges its tables to mem.
-func newSweepKernel(s *productShape, mem *govern.Meter) (*sweepKernel, error) {
+// newSweepKernel allocates a kernel of w-word lane masks over the shared
+// product shape and charges its tables to mem.
+func newSweepKernel(s *productShape, w int, mem *govern.Meter) (*sweepKernel, error) {
 	k := &sweepKernel{
 		productStep: newProductStep(s),
-		states:      newWordTable(s.bits, 2),
-		dests:       newWordTable(s.destBits, 1),
+		states:      newWordTable(s.bits, 2*w),
+		dests:       newWordTable(s.destBits, w),
+		delta:       make([]uint64, w),
 		mem:         mem,
 	}
 	k.emit = k.push
@@ -836,25 +842,27 @@ func decodeSource[T int | int32](pat *atomPattern, idx, n int, srcs []T) {
 }
 
 // Run traverses the product graph from the source tuples in lanes lo …
-// hi-1 at once (hi ≤ 64; lane i is lanes[i*t:(i+1)*t], and bit i of every
-// word stands for it) and leaves in k.dests, per destination tuple, the
-// word of lanes with satisfying paths to it. It returns errStateBudget as
-// soon as more than maxStates distinct states have been met (0 =
-// unlimited), polls ctx every cancelCheckInterval expansions and returns
-// ctx.Err() on cancellation; k.dests is meaningful only after a nil return.
+// hi-1 at once (hi ≤ 64w; lane i is lanes[i*t:(i+1)*t]) and leaves in
+// k.dests, per destination tuple, the mask of lanes with satisfying paths
+// to it. It returns errStateBudget as soon as more than maxStates distinct
+// states have been met (0 = unlimited), polls ctx every cancelCheckInterval
+// expansions and returns ctx.Err() on cancellation; k.dests is meaningful
+// only after a nil return.
 func (k *sweepKernel) Run(ctx context.Context, lanes []int32, lo, hi, maxStates int) error {
 	k.states.reset()
 	k.dests.reset()
 	k.stateRows.Clear() // destRows is kept: the owner reads destination keys after later Runs
 	k.queue.s = k.queue.s[:0]
 	k.newDone = 0
+	k.runs++
 	for i := lo; i < hi; i++ {
 		for j, v := range lanes[i*k.t : (i+1)*k.t] {
 			k.newVerts[j] = int(v)
 		}
-		k.delta = 1 << uint(i)
+		k.delta[i/64], k.carry = 1<<uint(i%64), 1<<uint(i/64) // push reads the carried words only
 		k.seed()
 	}
+	w := len(k.delta)
 	for qi := 0; qi < len(k.queue.s); qi++ {
 		if qi%cancelCheckInterval == 0 {
 			if err := pollSearch(ctx); err != nil {
@@ -868,30 +876,49 @@ func (k *sweepKernel) Run(ctx context.Context, lanes []int32, lo, hi, maxStates 
 			return errStateBudget
 		}
 		key := k.queue.s[qi]
-		slot := k.states.at(key)
-		k.delta, slot[1] = slot[1], 0
+		pending := k.states.at(key)[w:]
+		k.carry = 0
+		for i, m := range pending {
+			if k.delta[i] = m; m != 0 {
+				k.carry |= 1 << uint(i)
+			}
+		}
+		clear(pending)
 		k.load(key)
 		k.step()
 	}
 	for _, key := range k.states.keys.s {
 		k.load(key)
 		if k.accepting() {
-			k.dests.or(k.destKey(k.verts), k.states.at(key)[0])
+			k.dests.or(k.destKey(k.verts), k.states.at(key)[:w])
 		}
 	}
 	return k.charge()
 }
 
-// push delivers the sources being propagated to the state (nextQ,
-// newVerts, newDone), queueing it if any of them is new to it.
+// push delivers the lanes being propagated to the state (nextQ, newVerts,
+// newDone), queueing it if any of them is new to it. Only the words delta
+// carries are read and written.
 func (k *sweepKernel) push() {
 	key := k.pack(k.nextQ, k.newVerts, k.newDone)
-	slot, fresh := k.states.or(key, k.delta)
-	if fresh == 0 {
+	slot := k.states.at(key)
+	reached, pending := slot[:len(k.delta)], slot[len(k.delta):]
+	m := k.carry // the carried words, from the first with a lane new to the state
+	for ; m != 0 && k.delta[bits.TrailingZeros64(m)]&^reached[bits.TrailingZeros64(m)] == 0; m &= m - 1 {
+	}
+	if m == 0 {
 		return
 	}
-	if slot[1] == 0 {
+	if slices.Max(reached) == 0 {
+		k.states.keys.push(key)
+	}
+	if slices.Max(pending) == 0 {
 		k.queue.push(key)
 	}
-	slot[1] |= fresh
+	for ; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		fresh := k.delta[i] &^ reached[i]
+		reached[i] |= fresh
+		pending[i] |= fresh
+	}
 }

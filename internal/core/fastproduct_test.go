@@ -337,65 +337,78 @@ func TestRankTableAgainstMap(t *testing.T) {
 
 // TestKeyTablesAgainstMap drives keySet and wordTable in each of their
 // regimes — direct over a small key space, direct and growing with the
-// wide regime's row ids (width 0), hashed past denseSetBits and
-// denseTableBits — against a map, through the reset-and-reuse cycle the
-// kernels put them through.
+// wide regime's row ids (width 0), hashed past denseSetBits and past
+// denseTableWords (at the strides of one lane word and of eight) — against
+// a map, through the reset-and-reuse cycle the kernels put them through;
+// a direct table handed back and taken again is all zero.
 func TestKeyTablesAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
-	for _, width := range []uint{0, 10, denseSetBits, denseSetBits + 1, denseTableBits, denseTableBits + 1, 63} {
-		set, words := newKeySet(width), newWordTable(width, 2)
-		if hashed := set.table != nil; hashed != (width > denseSetBits) {
-			t.Fatalf("width %d: key set hashed = %v", width, hashed)
-		}
-		if hashed := words.index != nil; hashed != (width > denseTableBits) {
-			t.Fatalf("width %d: word table hashed = %v", width, hashed)
-		}
-		space := uint64(1)<<width - 1
-		if width == 0 {
-			space = 5000 // row ids: however many rows a search has interned
-		}
-		for round := 0; round < 4; round++ {
-			ref := map[uint64][2]uint64{}
-			var members []uint64
-			for op := 0; op < 3000; op++ {
-				key := rng.Uint64() & space
-				if width == 0 {
-					key = uint64(rng.Intn(int(space)))
-				}
-				_, seen := ref[key]
-				if set.has(key) != seen {
-					t.Fatalf("width %d: has(%d) = %v", width, key, !seen)
-				}
-				if set.add(key) == seen {
-					t.Fatalf("width %d: add(%d) reports new = %v", width, key, seen)
-				}
-				if !seen {
-					members = append(members, key)
-				}
-				bits := uint64(1) << uint(rng.Intn(64))
-				slot, fresh := words.or(key, bits)
-				if want := bits &^ ref[key][0]; fresh != want {
-					t.Fatalf("width %d: or(%d) reports %x new, want %x", width, key, fresh, want)
-				}
-				slot[1] += bits
-				ref[key] = [2]uint64{ref[key][0] | bits, ref[key][1] + bits}
+	for _, stride := range []int{2, 16} {
+		for _, width := range []uint{0, 10, denseSetBits, denseSetBits + 1, 17, 18, 20, 21, 63} {
+			set, words := newKeySet(width), newWordTable(width, stride)
+			if hashed := set.table != nil; hashed != (width > denseSetBits) {
+				t.Fatalf("width %d: key set hashed = %v", width, hashed)
 			}
-			if !slices.Equal(words.keys.s, members) {
-				t.Fatalf("width %d: touched keys are not the members in order of first touch", width)
+			if hashed := words.index != nil; hashed != (width > 21 || uint64(stride)<<width > denseTableWords) {
+				t.Fatalf("width %d stride %d: word table hashed = %v", width, stride, hashed)
 			}
-			for key, want := range ref {
-				if got := words.at(key); got[0] != want[0] || got[1] != want[1] {
-					t.Fatalf("width %d: slot of %d is %x, want %x", width, key, got, want)
+			space := uint64(1)<<width - 1
+			if width == 0 {
+				space = 5000 // row ids: however many rows a search has interned
+			}
+			mask := make([]uint64, stride/2)
+			for round := 0; round < 4; round++ {
+				ref := map[uint64][]uint64{}
+				var members []uint64
+				for op := 0; op < 3000; op++ {
+					key := rng.Uint64() & space
+					if width == 0 {
+						key = uint64(rng.Intn(int(space)))
+					}
+					_, seen := ref[key]
+					if set.has(key) != seen {
+						t.Fatalf("width %d: has(%d) = %v", width, key, !seen)
+					}
+					if set.add(key) == seen {
+						t.Fatalf("width %d: add(%d) reports new = %v", width, key, seen)
+					}
+					if !seen {
+						members = append(members, key)
+						ref[key] = make([]uint64, stride)
+					}
+					clear(mask)
+					j := rng.Intn(len(mask))
+					mask[j] = uint64(1) << uint(rng.Intn(64))
+					words.or(key, mask)
+					words.at(key)[len(mask)+j] += mask[j]
+					ref[key][j] |= mask[j]
+					ref[key][len(mask)+j] += mask[j]
 				}
-			}
-			set.clear(members)
-			words.reset()
-			for _, key := range members {
-				if set.has(key) || words.at(key)[0] != 0 || words.at(key)[1] != 0 {
-					t.Fatalf("width %d: key %d survives the reset", width, key)
+				if !slices.Equal(words.keys.s, members) {
+					t.Fatalf("width %d stride %d: touched keys are not the members in order of first touch", width, stride)
 				}
+				for key, want := range ref {
+					if got := words.at(key); !slices.Equal(got, want) {
+						t.Fatalf("width %d stride %d: slot of %d is %x, want %x", width, stride, key, got, want)
+					}
+				}
+				set.clear(members)
+				words.reset()
+				for _, key := range members {
+					if set.has(key) || slices.Max(words.at(key)) != 0 {
+						t.Fatalf("width %d stride %d: key %d survives the reset", width, stride, key)
+					}
+				}
+				words.reset() // the probes above claimed slots in the hashed regime
 			}
-			words.reset() // the probes above claimed slots in the hashed regime
+			set.release()
+			words.or(space/2, mask) // handed back dirty, release must clear it
+			words.release()
+			if again := newWordTable(width, stride); len(again.words.s) > 0 && slices.Max(again.words.s) != 0 {
+				t.Fatalf("width %d stride %d: a table taken after a release is not all zero", width, stride)
+			} else {
+				again.release()
+			}
 		}
 	}
 }

@@ -106,6 +106,16 @@ func patternInstances(tb testing.TB, rng *rand.Rand) []patternInstance {
 			out = append(out, newPatternInstance(tb, fmt.Sprintf("%s/V%d", sh.name, v), db, sh.ends, chain, lang))
 		}
 	}
+	// V = 12: 144 sources, three lane words, so the equalities cut lanes
+	// past the first word.
+	for _, sh := range shapes[2:3] {
+		db := randomDB(rng, a, 12, 12+rng.Intn(12))
+		out = append(out, newPatternInstance(tb, sh.name+"/V12", db, sh.ends, []*synchro.Relation{rels["eqlen"]}, "a(a|b)*"))
+	}
+	for _, sh := range shapes[7:8] {
+		db := randomDB(rng, a, 12, 12+rng.Intn(12))
+		out = append(out, newPatternInstance(tb, sh.name+"/V12", db, sh.ends, []*synchro.Relation{rels["hamming<=1"]}, ""))
+	}
 	return out
 }
 
@@ -130,8 +140,9 @@ next:
 
 // TestSweepPatternEqualsFiltered holds the sweep over the atom's own
 // variables to the sweep over all V^t source tuples, filtered by the
-// atom's equalities: row for row and in order, under every parallelism, in
-// both key regimes and under a state budget that splits batches. The
+// atom's equalities: row for row and in order, under every parallelism, at
+// every lane cap, in both key regimes and under a state budget that splits
+// batches. The
 // materialised Evaluate and Answers of each instance are the brute-force
 // semantics. The lazy reader of R', sweepSource.Scan, yields the same rows
 // in the same order, and the streamed Answers are the materialised ones.
@@ -145,21 +156,25 @@ func TestSweepPatternEqualsFiltered(t *testing.T) {
 		tr := len(c.tracks)
 		all := *c
 		all.pat = *distinctPattern(tr)
-		full, err := sweepComponent(ctx, in.db, &all, Options{MaxProductStates: -1})
+		full, err := sweepComponent(ctx, in.db, &all, Options{MaxProductStates: -1}, nil)
 		if err != nil {
 			t.Fatalf("%s: all-distinct sweep: %v", in.name, err)
 		}
 		want := filtered(full, c.ends)
 		sweeps := func(regime string) {
-			for _, par := range []int{0, 2, 5} {
-				got, err := sweepComponent(ctx, in.db, c, Options{Parallelism: par, MaxProductStates: -1})
-				if err != nil {
-					t.Fatalf("%s %s par=%d: %v", in.name, regime, par, err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s %s par=%d: %d row values, the filtered sweep has %d (first difference at row %d)",
-						in.name, regime, par, len(got), len(want), firstDiff(got, want)/(2*tr))
-				}
+			for _, words := range laneCaps {
+				atLaneCap(words, func() {
+					for _, par := range []int{0, 2, 5} {
+						got, err := sweepComponent(ctx, in.db, c, Options{Parallelism: par, MaxProductStates: -1}, nil)
+						if err != nil {
+							t.Fatalf("%s %s words=%d par=%d: %v", in.name, regime, words, par, err)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s %s words=%d par=%d: %d row values, the filtered sweep has %d (first difference at row %d)",
+								in.name, regime, words, par, len(got), len(want), firstDiff(got, want)/(2*tr))
+						}
+					}
+				})
 			}
 		}
 		sweeps("own regime")
@@ -188,7 +203,7 @@ func TestSweepPatternEqualsFiltered(t *testing.T) {
 		// The budget: the most states one source's search meets.
 		n := in.db.NumVertices()
 		sources := pow(n, len(c.pat.digits))
-		k, err := newSweepKernel(packProduct(in.db, c), nil)
+		k, err := newSweepKernel(packProduct(in.db, c), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,13 +227,13 @@ func TestSweepPatternEqualsFiltered(t *testing.T) {
 		}
 		k.release()
 		for _, par := range []int{0, 2} {
-			got, err := sweepComponent(ctx, in.db, c, Options{Parallelism: par, MaxProductStates: fits})
+			got, err := sweepComponent(ctx, in.db, c, Options{Parallelism: par, MaxProductStates: fits}, nil)
 			if err != nil || !slices.Equal(got, want) {
 				t.Fatalf("%s par=%d: budget %d fits every source (a batch meets %d) but the sweep gave %d row values, %v",
 					in.name, par, fits, batch, len(got), err)
 			}
 			if fits > 1 {
-				if _, err := sweepComponent(ctx, in.db, c, Options{Parallelism: par, MaxProductStates: fits - 1}); err == nil || !strings.Contains(err.Error(), "state budget") {
+				if _, err := sweepComponent(ctx, in.db, c, Options{Parallelism: par, MaxProductStates: fits - 1}, nil); err == nil || !strings.Contains(err.Error(), "state budget") {
 					t.Fatalf("%s par=%d budget %d: err = %v, want the state budget error", in.name, par, fits-1, err)
 				}
 			}

@@ -73,16 +73,13 @@ func (p *Prepared) buildReductionMerged(ctx context.Context, db *graphdb.DB) (*c
 		_, ssp := trace.StartSpan(ctx, "core/sweep")
 		var err error
 		if n > 0 && !p.empty { // an empty relation leaves every R′ empty: no source is opened
-			rows, err = sweepComponent(ctx, db, &merged[ci], opts)
+			rows, err = sweepComponent(ctx, db, &merged[ci], opts, ssp)
 		}
 		if err == nil {
 			err = st.LoadSorted(fmt.Sprintf("__comp%d", ci), 2*t, rows, sweepColumnOrder(t))
 		}
 		ssp.SetInt("component", int64(ci))
 		ssp.SetInt("tracks", int64(t))
-		if sources, err := sweepSources(n, len(merged[ci].pat.digits)); err == nil && !p.empty {
-			ssp.SetInt("sources", int64(sources))
-		}
 		ssp.SetInt("rows", int64(len(rows)/(2*t)))
 		ssp.End()
 		if err != nil {
@@ -145,29 +142,32 @@ func sweepColumnOrder(t int) []int {
 // to. They are the rows of the sweep over all V^t source tuples that the
 // atom's equalities keep, in that sweep's order.
 //
-// Sources are swept 64 at a time (sweepKernel): the ⌈V^s/64⌉ batches are
-// sharded in contiguous ranges over opts.workers() goroutines, each with
-// its own kernel scratch over the shared product shape.
-// A worker keeps each batch as (destination key, source word) pairs; once
-// all traversals are done the row count is known, the flat slice is
+// A traversal (sweepKernel) carries 64w sources, w = min(maxLaneWords,
+// ⌈V^s/64⌉): the batches are sharded in contiguous ranges over
+// opts.workers() goroutines, each with its own kernel over the shared
+// shape. A worker keeps each lane word of a batch as (destination key,
+// source word) pairs; once all traversals are done the flat slice is
 // allocated once at its final size, and every worker expands its pairs
 // into its own region of it. Retained rows are charged to the context's
-// reservation per batch, at the bytes they take in that array, and stay
-// charged on success; on failure everything the sweep charged is released.
-func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts Options) (_ []int32, err error) {
+// reservation per batch, at the bytes they take in that array, kept on
+// success and released on failure. sp gets the sources, lanes and traversals.
+func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts Options, sp *trace.Span) (_ []int32, err error) {
 	t := len(merged.tracks)
 	total, err := sweepSources(db.NumVertices(), len(merged.pat.digits))
 	if err != nil {
 		return nil, err
 	}
 	f := packProduct(db, merged)
-	batches := (total + 63) / 64
+	words := min(maxLaneWords, max(1, (total+63)/64))
+	lanes := 64 * words
+	batches := (total + lanes - 1) / lanes
 	res := govern.FromContext(ctx)
 	ws := make([]*sweepWorker, min(opts.workers(), batches))
 	defer func() {
 		for _, w := range ws {
 			if w != nil {
 				w.k.release()
+				w.lanes.release()
 				if err != nil {
 					w.retained.Close()
 				}
@@ -175,7 +175,7 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 		}
 	}()
 	for i := range ws {
-		if ws[i], err = newSweepWorker(f, &merged.pat, res); err != nil {
+		if ws[i], err = newSweepWorker(f, &merged.pat, words, res); err != nil {
 			return nil, err
 		}
 	}
@@ -189,8 +189,8 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 				return ctx.Err()
 			default:
 			}
-			w.decode(b*64, min(64, total-b*64))
-			if err := w.batch(ctx, b*64, 0, min(64, total-b*64), opts.maxStates()); err != nil {
+			w.decode(b*lanes, min(lanes, total-b*lanes))
+			if err := w.batch(ctx, b*lanes, 0, min(lanes, total-b*lanes), opts.maxStates()); err != nil {
 				return err
 			}
 		}
@@ -199,11 +199,15 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 	if err != nil {
 		return nil, err
 	}
-	rows := 0
+	rows, runs := 0, 0
 	for _, w := range ws {
 		w.start = rows
 		rows += w.rows
+		runs += w.k.runs
 	}
+	sp.SetInt("sources", int64(total))
+	sp.SetInt("lanes", int64(lanes))
+	sp.SetInt("traversals", int64(runs))
 	flat := make([]int32, rows*2*t)
 	err = runWorkers(len(ws), func(i int, _ <-chan struct{}) error {
 		return ws[i].emit(ctx, flat)
@@ -214,10 +218,14 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 	return flat, nil
 }
 
-// sweepWorker sweeps a contiguous range of batches. Each traversal leaves
-// a segment: the batch's distinct destinations in key order, each with the
-// word of batch sources that reach it — 16 bytes for up to 64 rows, so the
-// rows themselves are only written once, by emit, at their final place.
+// maxLaneWords caps a sweep kernel's lane mask, in words. A variable so that
+// the differential suites can run at several widths; only tests assign it.
+var maxLaneWords = 8
+
+// sweepWorker sweeps a contiguous range of batches. Each lane word of a
+// traversal leaves a segment: its distinct destinations in key order, each
+// with the word — 16 bytes for up to 64 rows, so the rows themselves are
+// only written once, by emit, at their final place.
 type sweepWorker struct {
 	k        *sweepKernel
 	pat      *atomPattern
@@ -229,40 +237,41 @@ type sweepWorker struct {
 	start    int // the worker's first row in the component's array
 	// The batch's source tuples, lane i at lanes[i*t:(i+1)*t], and one
 	// destination tuple: scratch the worker reuses for every batch.
-	lanes, dst []int32
+	lanes slab[int32]
+	dst   []int32
 }
 
-// sweepSegment is one traversal's slice of the pair arrays.
+// sweepSegment is one word's slice of the pair arrays.
 type sweepSegment struct {
-	first int // sweep index of the batch's source 0 (bit 0 of the words)
+	first int // sweep index of the word's source 0 (bit 0 of the words)
 	end   int // the segment's pairs are keys[previous end:end]
 	rows  int
 }
 
-func newSweepWorker(f *productShape, pat *atomPattern, res *govern.Reservation) (*sweepWorker, error) {
-	k, err := newSweepKernel(f, res.NewMeter())
+func newSweepWorker(f *productShape, pat *atomPattern, w int, res *govern.Reservation) (*sweepWorker, error) {
+	k, err := newSweepKernel(f, w, res.NewMeter())
 	return &sweepWorker{k: k, pat: pat, retained: res.NewMeter(),
-		lanes: make([]int32, 64*f.t), dst: make([]int32, f.t)}, err
+		lanes: takeSlab[int32](64*w*f.t, false), dst: make([]int32, f.t)}, err
 }
 
 // decode fills the first size lanes with sources first … first+size-1.
 func (w *sweepWorker) decode(first, size int) {
 	t, n := w.k.t, w.k.db.NumVertices()
 	for i := 0; i < size; i++ {
-		decodeSource(w.pat, first+i, n, w.lanes[i*t:(i+1)*t])
+		decodeSource(w.pat, first+i, n, w.lanes.s[i*t:(i+1)*t])
 	}
 }
 
 // batch sweeps the decoded lanes lo … hi-1, sources first+lo …
-// first+hi-1, into one segment. A batch whose traversal exceeds the state
-// budget is re-run in halves, down to a single source, before the budget
-// error is returned: the budget bounds each source's own search, as it did
-// when sources were swept one by one. Before anything is counted, charged
-// or kept, the atom's equalities cut the pairs: a destination tuple whose
-// repeated destinations disagree goes, and so do the lanes whose source
-// disagrees with a destination on a shared variable.
+// first+hi-1, into a segment per word. A batch whose traversal exceeds the
+// state budget is re-run in halves, down to a single source, before the
+// budget error is returned: the budget bounds each source's own search, as
+// it did when sources were swept one by one. Before anything is counted,
+// charged or kept, the atom's equalities cut the lane masks: a destination
+// tuple whose repeated destinations disagree goes, and so do the lanes
+// whose source disagrees with a destination on a shared variable.
 func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) error {
-	err := w.k.Run(ctx, w.lanes, lo, hi, maxStates)
+	err := w.k.Run(ctx, w.lanes.s, lo, hi, maxStates)
 	if err == errStateBudget {
 		if hi-lo == 1 {
 			return fmt.Errorf("core: product exceeded the state budget of %d", maxStates)
@@ -276,57 +285,59 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 	if err != nil {
 		return err
 	}
-	dests := w.k.dests
-	before, begin, rows := cap(w.keys)+cap(w.words), len(w.keys), 0
-	for _, key := range dests.keys.s {
-		if w.pat.cuts {
-			slot := dests.at(key)
-			if slot[0] = w.cut(key, slot[0]); slot[0] == 0 {
-				continue
+	dests, keys := w.k.dests, w.k.dests.keys.s
+	if w.pat.cuts {
+		for _, key := range keys {
+			w.cut(key, dests.at(key))
+		}
+	}
+	w.k.sortDests(keys)
+	before, added := cap(w.keys)+cap(w.words), 0
+	for word := lo / 64; word <= (hi-1)/64; word++ {
+		rows := 0
+		for _, key := range keys {
+			if m := dests.at(key)[word]; m != 0 {
+				w.keys, w.words = append(w.keys, key), append(w.words, m)
+				rows += bits.OnesCount64(m)
 			}
 		}
-		w.keys = append(w.keys, key)
+		if rows > 0 {
+			w.segs = append(w.segs, sweepSegment{first: first + 64*word, end: len(w.keys), rows: rows})
+			added += rows
+		}
 	}
-	w.k.sortDests(w.keys[begin:])
-	for _, key := range w.keys[begin:] {
-		word := dests.at(key)[0]
-		w.words = append(w.words, word)
-		rows += bits.OnesCount64(word)
-	}
+	w.rows += added
 	if err := w.k.mem.Grow(int64(8 * (cap(w.keys) + cap(w.words) - before))); err != nil {
 		return fmt.Errorf("core: product search: %w", err)
 	}
-	if err := w.retained.Grow(int64(rows) * 8 * int64(w.k.t)); err != nil { // 2t int32 values a row
-		return err
-	}
-	w.segs = append(w.segs, sweepSegment{first: first, end: len(w.keys), rows: rows})
-	w.rows += rows
-	return nil
+	return w.retained.Grow(int64(added) * 8 * int64(w.k.t)) // 2t int32 values a row
 }
 
-// cut is the word of lanes the destination tuple key keeps of word, under
-// the atom's equalities: 0 if two of its destinations that must agree do
-// not, otherwise without the lanes whose source a destination must equal
-// and does not.
-func (w *sweepWorker) cut(key, word uint64) uint64 {
+// cut takes out of mask, the lanes that reach the destination tuple key,
+// what the atom's equalities do not keep: every lane if two of its
+// destinations that must agree do not, otherwise the lanes whose source a
+// destination must equal and does not.
+func (w *sweepWorker) cut(key uint64, mask []uint64) {
 	t, dst := w.k.t, w.dst
 	unpackDest(&w.k.productStep, key, dst)
 	for k, e := range w.pat.dst {
 		if e >= 0 && e%2 == 1 && dst[k] != dst[e/2] {
-			return 0
+			clear(mask)
+			return
 		}
 	}
 	for k, e := range w.pat.dst {
 		if e < 0 || e%2 == 1 {
 			continue
 		}
-		for m := word; m != 0; m &= m - 1 {
-			if i := bits.TrailingZeros64(m); w.lanes[i*t+e/2] != dst[k] {
-				word &^= 1 << uint(i)
+		for word, m := range mask {
+			for ; m != 0; m &= m - 1 {
+				if i := bits.TrailingZeros64(m); w.lanes.s[(64*word+i)*t+e/2] != dst[k] {
+					mask[word] &^= 1 << uint(i)
+				}
 			}
 		}
 	}
-	return word
 }
 
 // emit expands the worker's segments into its region of the flat row array,
@@ -336,7 +347,7 @@ func (w *sweepWorker) cut(key, word uint64) uint64 {
 func (w *sweepWorker) emit(ctx context.Context, flat []int32) error {
 	t := w.k.t
 	out := flat[w.start*2*t : (w.start+w.rows)*2*t]
-	srcs, dst := w.lanes, w.dst
+	srcs, dst := w.lanes.s, w.dst
 	begin := 0
 	for _, seg := range w.segs {
 		if err := ctx.Err(); err != nil {

@@ -35,13 +35,17 @@ var slabReuse, slabPoison = true, false
 type slabPool[T uint64 | int32] struct {
 	class [64]sync.Pool // class k: *[]T of length 2^k
 
-	mu   sync.Mutex
-	caps map[[2]int]int // (old capacity, new length) → append's new capacity
+	mu     sync.Mutex
+	caps   map[[2]int]int // (old capacity, new length) → append's new capacity
+	zeroed bool           // every array put back is all zero
 }
 
 var (
 	wordSlabs slabPool[uint64]
 	halfSlabs slabPool[int32]
+	// zeroSlabs holds arrays handed back all zero (word tables over their
+	// key space, cleared from their key lists): taking one clears nothing.
+	zeroSlabs = slabPool[uint64]{zeroed: true}
 )
 
 func slabsOf[T uint64 | int32]() *slabPool[T] {
@@ -53,36 +57,40 @@ func slabsOf[T uint64 | int32]() *slabPool[T] {
 }
 
 // takeSlab returns a table of n elements (len and cap n), all zero if zero
-// is set and otherwise of unspecified contents.
-//
+// is set and otherwise of unspecified contents; p.take takes it from p.
+func takeSlab[T uint64 | int32](n int, zero bool) slab[T] { return slabsOf[T]().take(n, zero) }
+
 //ecrpq:charged the owning kernel charges the table's cap as part of its footprint's high-water mark
-func takeSlab[T uint64 | int32](n int, zero bool) slab[T] {
+func (p *slabPool[T]) take(n int, zero bool) slab[T] {
 	if n == 0 {
 		return slab[T]{}
 	}
-	p, k := slabsOf[T](), bits.Len(uint(n-1))
+	k := bits.Len(uint(n - 1))
 	box, _ := p.class[k].Get().(*[]T)
 	made := box == nil || !slabReuse
 	if made {
 		buf := make([]T, 1<<k)
 		box = &buf
 	}
-	if slabPoison {
+	if slabPoison && !p.zeroed { // a zeroed array is used as it came back: dirty, it shows
 		for i := range *box {
 			(*box)[i] = ^T(0)
 		}
 	}
 	s := (*box)[:n:n]
-	if zero && (!made || slabPoison) {
+	if zero && !p.zeroed && (!made || slabPoison) {
 		clear(s)
 	}
 	return slab[T]{s: s, box: box}
 }
 
 // release gives the array back to its pool and leaves b empty.
-func (b *slab[T]) release() {
+func (b *slab[T]) release() { b.releaseTo(slabsOf[T]()) }
+
+// releaseTo gives the array back to p and leaves b empty.
+func (b *slab[T]) releaseTo(p *slabPool[T]) {
 	if b.box != nil {
-		slabsOf[T]().class[bits.Len(uint(len(*b.box)))-1].Put(b.box)
+		p.class[bits.Len(uint(len(*b.box)))-1].Put(b.box)
 	}
 	*b = slab[T]{}
 }

@@ -124,7 +124,7 @@ func slabRun(t *testing.T) []string {
 		}
 	}
 	res := reserve()
-	k, err := newSweepKernel(packProduct(in.db, in.merged), res.NewMeter())
+	k, err := newSweepKernel(packProduct(in.db, in.merged), 1, res.NewMeter())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
 	"ecrpq/internal/synchro"
+	"ecrpq/internal/trace"
 )
 
 // sweepRelations are the binary relations the differential test draws
@@ -71,7 +72,7 @@ func newSweepInstance(t testing.TB, name string, db *graphdb.DB, tracks int, rel
 }
 
 func (in sweepInstance) sweep(ctx context.Context, opts Options) ([]int32, error) {
-	return sweepComponent(ctx, in.db, in.merged, opts)
+	return sweepComponent(ctx, in.db, in.merged, opts, nil)
 }
 
 // distinctPattern is the pattern of a t-track atom whose 2t endpoints are
@@ -91,6 +92,26 @@ func inWideRegime(f func()) {
 	old := packedBits
 	packedBits = 0
 	defer func() { packedBits = old }()
+	f()
+}
+
+// keyRegimes run a function in the key regime an instance packs into, and
+// forced wide.
+var keyRegimes = []struct {
+	name string
+	run  func(func())
+}{{"narrow", func(f func()) { f() }}, {"wide", inWideRegime}}
+
+// laneCaps are the lane-mask widths the differential suites sweep at: one
+// word (a traversal per 64 sources), two (V^s past 128 takes several
+// traversals) and the default eight.
+var laneCaps = []int{1, 2, 8}
+
+// atLaneCap runs f with the sweep kernel's lane mask capped at words words.
+func atLaneCap(words int, f func()) {
+	old := maxLaneWords
+	maxLaneWords = words
+	defer func() { maxLaneWords = old }()
 	f()
 }
 
@@ -133,10 +154,13 @@ func (in sweepInstance) reference(t testing.TB, maxStates int) ([]int32, error) 
 // sweepInstances enumerates the differential matrix: V ∈ 1…9 × t ∈ {1,2}
 // and V ∈ {1…5, 8} × t = 3 (the per-source reference is what costs) × the
 // five relations × with and without a language atom, so V^t lands below 64
-// (most), on it (8², 4³), on a multiple (8³) and off one (9², 5³); and, as
-// far as V^t permits, a 17-track eq chain (V = 1: at V = 2 its 2^17
-// per-source searches take a minute) and the merge of eight automata
-// (V ≤ 4); every instance is swept again forced into the wide regime.
+// (most), on it (8², 4³), on a multiple (8³, a full eight-word mask) and
+// off one (9², 5³); two-track pairs at V = 12 (144 sources: a partial last
+// word) and V = 23 (529: past 512, so two traversals at eight words, the
+// second of one partial word); and, as far as V^t permits, a 17-track eq
+// chain (V = 1: at V = 2 its 2^17 per-source searches take a minute) and
+// the merge of eight automata (V ≤ 4); every instance is swept again forced
+// into the wide regime.
 func sweepInstances(t testing.TB, rng *rand.Rand) []sweepInstance {
 	a := alphabet.Lower(2)
 	rels := sweepRelations(t, a)
@@ -181,14 +205,20 @@ func sweepInstances(t testing.TB, rng *rand.Rand) []sweepInstance {
 			out = append(out, sweepInstance{name: fmt.Sprintf("V%d/t2/combo-overflow", v), db: db, q: q, merged: &comps[0]})
 		}
 	}
+	for _, v := range []int{12, 23} {
+		db := randomDB(rng, a, v, v+rng.Intn(v))
+		for _, name := range []string{"eqlen", "hamming<=1"} {
+			out = append(out, newSweepInstance(t, fmt.Sprintf("V%d/t2/%s/lang=a(a|b)*", v, name), db, 2, []*synchro.Relation{rels[name]}, "a(a|b)*"))
+		}
+	}
 	return out
 }
 
 // TestSweepKernelDifferential holds the batched sweep to the per-source
-// loop it replaced, row for row and in order, under every parallelism and
-// in both key regimes (every instance is swept again forced wide, against
-// the rows its own regime gave); and the bulk-loaded relation's Contains to
-// plain membership.
+// loop it replaced, row for row and in order, under every parallelism, at
+// every lane cap and in both key regimes (every instance is swept again
+// forced wide, against the rows its own regime gave); and the bulk-loaded
+// relation's Contains to plain membership.
 func TestSweepKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20220612))
 	ctx := context.Background()
@@ -199,15 +229,19 @@ func TestSweepKernelDifferential(t *testing.T) {
 			t.Fatalf("%s: reference: %v", in.name, err)
 		}
 		sweeps := func(regime string) {
-			for _, par := range []int{0, 2, 5} {
-				got, err := in.sweep(ctx, Options{Parallelism: par, MaxProductStates: -1})
-				if err != nil {
-					t.Fatalf("%s %s par=%d: %v", in.name, regime, par, err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s %s par=%d: %d row values, reference has %d (first difference at row %d)",
-						in.name, regime, par, len(got), len(want), firstDiff(got, want)/(2*tr))
-				}
+			for _, words := range laneCaps {
+				atLaneCap(words, func() {
+					for _, par := range []int{0, 2, 5} {
+						got, err := in.sweep(ctx, Options{Parallelism: par, MaxProductStates: -1})
+						if err != nil {
+							t.Fatalf("%s %s words=%d par=%d: %v", in.name, regime, words, par, err)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s %s words=%d par=%d: %d row values, reference has %d (first difference at row %d)",
+								in.name, regime, words, par, len(got), len(want), firstDiff(got, want)/(2*tr))
+						}
+					}
+				})
 			}
 		}
 		sweeps("own regime")
@@ -255,32 +289,49 @@ func firstDiff(a, b []int32) int {
 }
 
 // TestSweepKernelAgainstNaive compares the swept relation, as a set, with
-// the brute-force semantics on instances small enough to enumerate: every
-// candidate row NaiveBounded admits is in R', and every row of R' has a
-// witness VerifyWitness accepts — which NaiveBounded may only have missed
-// because a witness path is longer than its bound.
+// the brute-force semantics on instances small enough to enumerate, at
+// every lane cap and in both key regimes: every candidate row NaiveBounded admits is in R', and
+// every row of R' has a witness VerifyWitness accepts — which NaiveBounded
+// may only have missed because a witness path is longer than its bound.
+// The last trial's pairs have 81 sources: two lane words.
 func TestSweepKernelAgainstNaive(t *testing.T) {
 	const bound = 4
 	rng := rand.New(rand.NewSource(43))
 	a := alphabet.Lower(2)
 	rels := sweepRelations(t, a)
 	ctx := context.Background()
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 7; trial++ {
 		n := 1 + trial%3
+		if trial == 6 {
+			n = 9
+		}
 		db := randomDB(rng, a, n, n+rng.Intn(2*n+1))
 		var ins []sweepInstance
 		ins = append(ins, newSweepInstance(t, "t1", db, 1, nil, "a(a|b)*"))
 		for name, r := range rels {
-			ins = append(ins, newSweepInstance(t, "t2/"+name, db, 2, []*synchro.Relation{r}, []string{"", "a(a|b)*"}[trial%2]))
+			if n < 9 || name == "eqlen" {
+				ins = append(ins, newSweepInstance(t, "t2/"+name, db, 2, []*synchro.Relation{r}, []string{"", "a(a|b)*"}[trial%2]))
+			}
 		}
 		if n <= 2 {
 			ins = append(ins, newSweepInstance(t, "t3", db, 3, []*synchro.Relation{rels["eqlen"], rels["hamming<=1"]}, ""))
 		}
 		for _, in := range ins {
 			tr := len(in.merged.tracks)
-			rows, err := in.sweep(ctx, Options{Parallelism: 2})
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, in.name, err)
+			var rows []int32
+			for _, regime := range keyRegimes {
+				for _, words := range laneCaps {
+					var got []int32
+					var err error
+					regime.run(func() { atLaneCap(words, func() { got, err = in.sweep(ctx, Options{Parallelism: 2}) }) })
+					if err != nil {
+						t.Fatalf("trial %d %s %s words=%d: %v", trial, in.name, regime.name, words, err)
+					}
+					if rows != nil && !slices.Equal(got, rows) {
+						t.Fatalf("trial %d %s: %s at %d words gives other rows than narrow at one word", trial, in.name, regime.name, words)
+					}
+					rows = got
+				}
 			}
 			inRel := make(map[string]bool)
 			for r := 0; r < len(rows); r += 2 * tr {
@@ -341,8 +392,10 @@ func pow(n, e int) int {
 }
 
 // TestSweepKernelMapTable forces the hashed regime of the word table (a
-// packed state wider than denseTableBits, indexed through the rank table it
-// shares with the key sets) and holds it to the per-source reference.
+// packed state whose slots over the key space pass denseTableWords,
+// indexed through the rank table it shares with the key sets) and holds it
+// to the per-source reference at every lane cap, and so the same sweep
+// forced wide.
 func TestSweepKernelMapTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := alphabet.Lower(2)
@@ -350,24 +403,73 @@ func TestSweepKernelMapTable(t *testing.T) {
 	db := randomDB(rng, a, n, n)
 	in := newSweepInstance(t, "V260/hamming<=1", db, 2, []*synchro.Relation{synchro.HammingAtMost(a, 1)}, "a(a|b)*")
 	f := packProduct(db, in.merged)
-	if f.wide || f.bits <= denseTableBits {
+	if f.wide || 2<<f.bits <= denseTableWords {
 		t.Fatalf("instance packs into %d bits: it does not reach the map regime", f.bits)
-	}
-	if k, err := newSweepKernel(f, nil); err != nil || k.states.index == nil {
-		t.Fatalf("state table is dense for a %d-bit state (err %v)", f.bits, err)
 	}
 	want, err := in.reference(t, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{0, 2} {
-		got, err := in.sweep(context.Background(), Options{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
+	for _, words := range laneCaps {
+		if k, err := newSweepKernel(f, words, nil); err != nil || k.states.index == nil {
+			t.Fatalf("words=%d: state table is dense for a %d-bit state (err %v)", words, f.bits, err)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("par=%d: map-regime sweep differs from the reference at row %d", par, firstDiff(got, want)/4)
+		for _, regime := range keyRegimes {
+			for _, par := range []int{0, 2} {
+				var got []int32
+				regime.run(func() {
+					atLaneCap(words, func() { got, err = in.sweep(context.Background(), Options{Parallelism: par}) })
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s words=%d par=%d: sweep differs from the reference at row %d", regime.name, words, par, firstDiff(got, want)/4)
+				}
+			}
 		}
+	}
+}
+
+// TestSweepKernelTableBound: at eight lane words a state's slot is 16 words,
+// so over a 20-bit packed state a dense table would take 2^24 words (128
+// MiB); the kernel indexes it by rank instead, and no table it holds,
+// built or after sweeping, is larger than 2^21 words — in the map regime
+// and forced wide.
+func TestSweepKernelTableBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	a := alphabet.Lower(2)
+	db := randomDB(rng, a, 200, 200)
+	in := newSweepInstance(t, "V200/eqlen", db, 2, []*synchro.Relation{synchro.EqualLength(a, 2)}, "(a|b)*b")
+	for _, regime := range keyRegimes {
+		regime.run(func() {
+			f := packProduct(db, in.merged)
+			if !f.wide && f.bits != 20 {
+				t.Fatalf("instance packs into %d bits, want 20", f.bits)
+			}
+			k, err := newSweepKernel(f, 8, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer k.release()
+			lanes := make([]int32, 512*2)
+			for i := 0; i < 512; i++ {
+				decodeSource(&in.merged.pat, 100*i, db.NumVertices(), lanes[2*i:2*i+2])
+			}
+			for _, held := range []string{"built", "swept"} {
+				for name, tab := range map[string]*wordTable{"state": k.states, "destination": k.dests} {
+					if words := cap(tab.words.s); words > denseTableWords {
+						t.Errorf("%s %s: the %s table holds %d words", regime.name, held, name, words)
+					}
+				}
+				if err := k.Run(context.Background(), lanes, 0, 512, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !f.wide && k.states.index == nil {
+				t.Errorf("%s: the state table covers the key space", regime.name)
+			}
+		})
 	}
 }
 
@@ -375,7 +477,8 @@ func TestSweepKernelMapTable(t *testing.T) {
 // per-source loop. The smallest budget under which every single-source
 // search fits must still sweep (batches that overflow it are split), with
 // the same rows; a budget below that is the budget error and never a short
-// relation.
+// relation — at every lane cap (at two words and more the halves split
+// inside a word) and in both key regimes.
 func TestSweepKernelBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := alphabet.Lower(2)
@@ -394,21 +497,30 @@ func TestSweepKernelBudget(t *testing.T) {
 	if fits < 8 {
 		t.Fatalf("instance too small to exercise splitting: every source fits in %d states", fits)
 	}
+	for _, regime := range keyRegimes {
+		for _, words := range laneCaps {
+			regime.run(func() { atLaneCap(words, func() { budgetSweeps(t, in, regime.name, words, fits, want) }) })
+		}
+	}
+}
+
+// budgetSweeps is TestSweepKernelBudget at one key regime and lane cap.
+func budgetSweeps(t *testing.T, in sweepInstance, regime string, words, fits int, want []int32) {
 	for _, par := range []int{0, 2} {
 		got, err := in.sweep(context.Background(), Options{MaxProductStates: fits, Parallelism: par})
 		if err != nil {
-			t.Fatalf("par=%d: budget %d fits every source but the sweep failed: %v", par, fits, err)
+			t.Fatalf("%s words=%d par=%d: budget %d fits every source but the sweep failed: %v", regime, words, par, fits, err)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("par=%d: split batches changed the relation", par)
+			t.Fatalf("%s words=%d par=%d: split batches changed the relation", regime, words, par)
 		}
 		for _, budget := range []int{1, fits - 1} {
 			got, err := in.sweep(context.Background(), Options{MaxProductStates: budget, Parallelism: par})
 			if err == nil || !strings.Contains(err.Error(), "state budget") {
-				t.Fatalf("par=%d budget %d: err = %v, want the state budget error", par, budget, err)
+				t.Fatalf("%s words=%d par=%d budget %d: err = %v, want the state budget error", regime, words, par, budget, err)
 			}
 			if got != nil {
-				t.Fatalf("par=%d budget %d: %d row values returned beside the error", par, budget, len(got))
+				t.Fatalf("%s words=%d par=%d budget %d: %d row values returned beside the error", regime, words, par, budget, len(got))
 			}
 		}
 	}
@@ -430,17 +542,23 @@ func (c *countdownCtx) Err() error {
 
 // TestSweepKernelCancelReleases: a sweep cancelled at any poll returns
 // ctx.Err() and leaves nothing charged; one that completes keeps exactly
-// its rows charged — in both key regimes.
+// its rows charged — in both key regimes. The instance is slow by its
+// size: 1 600 sources, four traversals of 512 lanes at most.
 func TestSweepKernelCancelReleases(t *testing.T) {
 	t.Run("narrow", sweepCancelReleases)
 	t.Run("wide", func(t *testing.T) { inWideRegime(func() { sweepCancelReleases(t) }) })
 }
 
-func sweepCancelReleases(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+// splitInstance is two tracks with four distinct endpoints over V = 40:
+// V² = 1 600 sources.
+func splitInstance(t testing.TB) sweepInstance {
 	a := alphabet.Lower(2)
-	db := randomDB(rng, a, 12, 36)
-	in := newSweepInstance(t, "V12/hamming<=1", db, 2, []*synchro.Relation{synchro.HammingAtMost(a, 1)}, "")
+	db := randomDB(rand.New(rand.NewSource(5)), a, 40, 40)
+	return newSweepInstance(t, "V40/split2-hamming<=1", db, 2, []*synchro.Relation{synchro.HammingAtMost(a, 1)}, "")
+}
+
+func sweepCancelReleases(t *testing.T) {
+	in := splitInstance(t)
 	broker := govern.NewBroker(1 << 30)
 	for _, par := range []int{0, 2} {
 		polls := 0
@@ -476,6 +594,72 @@ func sweepCancelReleases(t *testing.T) {
 	}
 }
 
+// TestSweepTraversals: a traversal carries up to 512 sources, and the
+// core/sweep span says how many it took — sources, lanes and traversals of
+// the materialised sweep, and of the lazy Scan, which begins a single-lane
+// traversal per source it opens. V = 18's chain2 is one traversal of six
+// lane words (six of one word each); the V = 40 split four of eight words
+// (25 of one).
+func TestSweepTraversals(t *testing.T) {
+	a := alphabet.Lower(2)
+	split := splitInstance(t)
+	for _, c := range []struct {
+		name                   string
+		db                     *graphdb.DB
+		q                      *query.Query
+		sources, lanes, sweeps int
+		oneWordSweeps          int
+	}{
+		{"V18/chain2-eqlen", randomDB(rand.New(rand.NewSource(18)), a, 18, 54),
+			query.NewBuilder(a).Reach("x0", "p1", "x1").Reach("x1", "p2", "x2").Rel(synchro.EqualLength(a, 2), "p1", "p2").MustBuild(),
+			324, 384, 1, 6},
+		{split.name, split.db, split.q, 1600, 512, 4, 25},
+	} {
+		p, err := Prepare(c.q, Options{Strategy: Reduction})
+		if err != nil {
+			t.Fatal(err)
+		}
+		span := func(tr *trace.Trace) map[string]any {
+			for _, sp := range tr.Snapshot().Spans {
+				if sp.Name == "core/sweep" {
+					return sp.Attrs
+				}
+			}
+			t.Fatalf("%s: no core/sweep span", c.name)
+			return nil
+		}
+		for _, words := range []int{8, 1} {
+			atLaneCap(words, func() {
+				tr := trace.New("materialize")
+				if _, err := p.Materialize(trace.NewContext(context.Background(), tr), c.db); err != nil {
+					t.Fatal(err)
+				}
+				want := map[string]any{"sources": int64(c.sources), "lanes": int64(c.lanes), "traversals": int64(c.sweeps)}
+				if words == 1 {
+					want["lanes"], want["traversals"] = int64(64), int64(c.oneWordSweeps)
+				}
+				for k, v := range want {
+					if got := span(tr)[k]; got != v {
+						t.Errorf("%s words=%d: core/sweep %s = %v, want %v", c.name, words, k, got, v)
+					}
+				}
+			})
+		}
+		tr := trace.New("enumerate")
+		it, err := p.Enumerate(trace.NewContext(context.Background(), tr), c.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := page(it, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		it.Close()
+		if attrs := span(tr); attrs["mode"] != "stream" || attrs["lanes"] != int64(1) || attrs["traversals"].(int64) < 1 {
+			t.Errorf("%s: the lazy Scan's core/sweep span reads %v, want mode stream, one lane and its traversals", c.name, attrs)
+		}
+	}
+}
+
 // sweepCases are the Lemma 4.3 layer's operations: sweep one component
 // over V = 18 and bulk-load the rows, at the default parallelism. The
 // shapes: chain2, the cold-sweep heavy op's (x0 → x1 → x2: V² sources, and
@@ -504,7 +688,7 @@ func sweepCases(tb testing.TB) []layerOp {
 		}
 		t := len(p.merged[0].tracks)
 		cases = append(cases, layerOp{bc.name, func(tb testing.TB) int {
-			flat, err := sweepComponent(context.Background(), db, &p.merged[0], p.opts)
+			flat, err := sweepComponent(context.Background(), db, &p.merged[0], p.opts, nil)
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -24,6 +24,7 @@ import (
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/automata"
 	"ecrpq/internal/invariant"
+	"ecrpq/internal/rowset"
 )
 
 // Relation is a k-ary synchronous relation over an alphabet.
@@ -295,10 +296,10 @@ func (t *Table) IsEmpty() ([]alphabet.Word, bool) {
 		tuple alphabet.Tuple
 	}
 	var nodes []node
-	seen := make(map[[2]uint64]bool)
+	seen := rowset.New(3, 32) // (state, finished tracks' low and high halves)
 	push := func(n node) {
-		if k := [2]uint64{uint64(n.q), n.mask}; !seen[k] {
-			seen[k], nodes = true, append(nodes, n)
+		if _, fresh := seen.Add([]int32{int32(n.q), int32(n.mask), int32(n.mask >> 32)}); fresh {
+			nodes = append(nodes, n)
 		}
 	}
 	for _, q := range t.Starts {
