@@ -604,6 +604,27 @@ var names map[string]int`},
 		in: []string{"internal/core"}, check: never(selectors, `^alphabet\.TupleFromKey$|\.Key$`),
 		violation: `func f(t alphabet.Tuple) string { return t.Key() }
 func g(k string) (alphabet.Tuple, error) { return alphabet.TupleFromKey(k) }`},
+	// The engine runs on its caller's goroutine: the server's pool runs
+	// requests side by side, and the sweep's lanes are its only parallelism.
+	// The slab and scratch pools keep their sync.Pool and sync.Mutex.
+	{name: "engine-goroutine-free", why: "a goroutine or goroutine group in the engine: an evaluation runs on its caller's goroutine",
+		in: []string{"internal/core", "internal/cq", "internal/synchro", "internal/rowset"}, check: allOf(
+			never(as(func(g *ast.GoStmt) string { return "go " + types.ExprString(g.Call) }), `^go `),
+			never(names, `^(WaitGroup|errgroup)$|/errgroup"$`)),
+		violation: `import "golang.org/x/sync/errgroup"
+func fanOut(work []func()) {
+	for _, f := range work {
+		go f()
+	}
+}
+type sweep struct{ wg sync.WaitGroup }
+func group() *errgroup.Group { return nil }`,
+		accepted: `type slabs struct {
+	mu    sync.Mutex
+	class [64]sync.Pool
+}
+var table = sync.OnceValue(func() int { return 0 })
+func goFirst(goroutines int) int { return goroutines }`},
 	// The Lemma 4.3 sweep: R' is int32 values back to back from the sweep's
 	// emit to the join's scan.
 	{name: "rows-no-header", why: "a slice header per row",

@@ -197,6 +197,7 @@ func cancelAtEveryPoll(t *testing.T, instance func(testing.TB) (*graphdb.DB, *qu
 
 func TestCancelMidMaterialization(t *testing.T) {
 	db, q := slowReductionInstance(t)
+	// Parallelism is ignored; both values must cancel the same way.
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			cancelMidway(t, func(ctx context.Context) error {
@@ -209,7 +210,7 @@ func TestCancelMidMaterialization(t *testing.T) {
 
 func TestCancelPreparedMaterialize(t *testing.T) {
 	db, q := slowReductionInstance(t)
-	p, err := Prepare(q, Options{Strategy: Reduction, Parallelism: 1})
+	p, err := Prepare(q, Options{Strategy: Reduction})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := EvaluateContext(ctx, db, q, Options{Strategy: Reduction, Parallelism: 2})
+	_, err := EvaluateContext(ctx, db, q, Options{Strategy: Reduction})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}

@@ -33,7 +33,7 @@ func TestChaosWideKernelReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := Prepare(sweepQ, Options{Strategy: Reduction, Parallelism: 2})
+	sweep, err := Prepare(sweepQ, Options{Strategy: Reduction})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -647,39 +647,9 @@ func TestAnswersReductionFastPathUsed(t *testing.T) {
 	}
 }
 
-func TestParallelSweepMatchesSequential(t *testing.T) {
-	a := alphabet.Lower(2)
-	rng := rand.New(rand.NewSource(99))
-	db := randomDB(rng, a, 8, 20)
-	q := query.NewBuilder(a).
-		Reach("x", "p1", "y").
-		Reach("x", "p2", "y").
-		Rel(synchro.EqualLength(a, 2), "p1", "p2").
-		Free("x", "y").
-		MustBuild()
-	seq, err := Answers(db, q, Options{Strategy: Reduction})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, -1} {
-		par, err := Answers(db, q, Options{Strategy: Reduction, Parallelism: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d answers vs %d sequential", workers, len(par), len(seq))
-		}
-		for i := range seq {
-			for j := range seq[i] {
-				if par[i][j] != seq[i][j] {
-					t.Fatalf("workers=%d: answers differ at %d", workers, i)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelSweepBudgetError(t *testing.T) {
+// TestSweepBudgetError: a state budget no source fits in fails the
+// Reduction evaluation instead of being swallowed by the sweep.
+func TestSweepBudgetError(t *testing.T) {
 	db := lineDB(t)
 	a := db.Alphabet()
 	q := query.NewBuilder(a).
@@ -687,8 +657,8 @@ func TestParallelSweepBudgetError(t *testing.T) {
 		Reach("x", "p2", "y").
 		Rel(synchro.EqualLength(a, 2), "p1", "p2").
 		MustBuild()
-	if _, err := Evaluate(db, q, Options{Strategy: Reduction, MaxProductStates: 1, Parallelism: 4}); err == nil {
-		t.Error("tiny state budget should surface from workers")
+	if _, err := Evaluate(db, q, Options{Strategy: Reduction, MaxProductStates: 1}); err == nil {
+		t.Error("tiny state budget should surface from the sweep")
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"ecrpq/internal/graphdb"
 	"ecrpq/internal/query"
@@ -44,21 +43,10 @@ type Options struct {
 	// MaxProductStates caps each component product search (0 = default of
 	// 20 million states; negative = unlimited).
 	MaxProductStates int
-	// Parallelism sets the number of worker goroutines for the Lemma 4.3
-	// R' sweep (the dominant cost of the reduction strategy). 0 or 1 runs
-	// sequentially; negative uses GOMAXPROCS.
+	// Parallelism is ignored: the evaluation runs on its caller's goroutine,
+	// and the Lemma 4.3 sweep's lanes (up to 512 sources a traversal) are its
+	// only parallelism. The field stays for callers that still set it.
 	Parallelism int
-}
-
-func (o Options) workers() int {
-	switch {
-	case o.Parallelism < 0:
-		return runtime.GOMAXPROCS(0)
-	case o.Parallelism == 0:
-		return 1
-	default:
-		return o.Parallelism
-	}
 }
 
 func (o Options) maxStates() int {

@@ -769,7 +769,7 @@ func (t *wordTable) bytes() int64 {
 // states than its budget; sweepWorker.batch splits the batch and retries.
 var errStateBudget = errors.New("core: product exceeded the state budget")
 
-// sweepKernel is one worker's scratch for the batched Lemma 4.3 sweep: a
+// sweepKernel is the sweep worker's scratch for the batched Lemma 4.3 sweep: a
 // traversal of the packed product graph that carries up to 64w source
 // tuples at once, lane i being bit i%64 of word i/64 of a lane mask. Every
 // state holds the mask of "which lanes of this batch reach me" and that of

@@ -59,7 +59,7 @@ func TestEvaluateExhaustsTinyBudget(t *testing.T) {
 		MustBuild()
 
 	denied := func() {
-		for _, opts := range []Options{{Strategy: Reduction}, {Strategy: Reduction, Parallelism: 4}, {Strategy: Generic}} {
+		for _, opts := range []Options{{Strategy: Reduction}, {Strategy: Generic}} {
 			broker := govern.NewBroker(2 << 10) // far below what the sweep needs
 			res, err := broker.Reserve(0)
 			if err != nil {
@@ -68,12 +68,10 @@ func TestEvaluateExhaustsTinyBudget(t *testing.T) {
 			ctx := govern.NewContext(context.Background(), res)
 			_, err = EvaluateContext(ctx, db, q, opts)
 			if !errors.Is(err, govern.ErrResourceExhausted) {
-				t.Fatalf("strategy %v parallelism %d: err = %v, want ErrResourceExhausted",
-					opts.Strategy, opts.Parallelism, err)
+				t.Fatalf("strategy %v: err = %v, want ErrResourceExhausted", opts.Strategy, err)
 			}
 			if used := res.Used(); used != 0 {
-				t.Fatalf("strategy %v parallelism %d: %d bytes still charged after the denial",
-					opts.Strategy, opts.Parallelism, used)
+				t.Fatalf("strategy %v: %d bytes still charged after the denial", opts.Strategy, used)
 			}
 			res.Release()
 			if got := broker.Reserved(); got != 0 {
@@ -181,8 +179,7 @@ func TestGenericSearchChargesWhatItMeets(t *testing.T) {
 // Put of it takes from the broker's ledger are the same bytes — the size of
 // the []int32 arrays its relations hold, each component at its own arity (a
 // 1-track row is 8 bytes beside a 2-track row's 16, not charged at the wider),
-// plus the Boolean query's decided answer — in both key regimes and at every
-// parallelism.
+// plus the Boolean query's decided answer — in both key regimes.
 func TestMaterializationChargesItsRows(t *testing.T) {
 	a := alphabet.Lower(2)
 	db := randomDB(rand.New(rand.NewSource(27)), a, 10, 30)
@@ -194,52 +191,50 @@ func TestMaterializationChargesItsRows(t *testing.T) {
 		Lang("p3", "a(a|b)*").
 		MustBuild()
 	check := func() {
-		for _, par := range []int{0, 2} {
-			p, err := Prepare(q, Options{Strategy: Reduction, Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
+		p, err := Prepare(q, Options{Strategy: Reduction})
+		if err != nil {
+			t.Fatal(err)
+		}
+		broker := govern.NewBroker(1 << 30)
+		res, err := broker.Reserve(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat, err := p.Materialize(govern.NewContext(context.Background(), res), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, arities := int64(0), map[int]bool{}
+		for _, name := range mat.st.RelationNames() {
+			r := mat.st.Relation(name)
+			if r.Len() == 0 {
+				t.Fatalf("%s is empty; the instance no longer exercises both arities", name)
 			}
-			broker := govern.NewBroker(1 << 30)
-			res, err := broker.Reserve(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mat, err := p.Materialize(govern.NewContext(context.Background(), res), db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, arities := int64(0), map[int]bool{}
-			for _, name := range mat.st.RelationNames() {
-				r := mat.st.Relation(name)
-				if r.Len() == 0 {
-					t.Fatalf("par=%d: %s is empty; the instance no longer exercises both arities", par, name)
-				}
-				rows += int64(4 * r.Arity * r.Len())
-				arities[r.Arity] = true
-			}
-			if !arities[2] || !arities[4] {
-				t.Fatalf("par=%d: relation arities %v, want a 1-track and a 2-track component", par, arities)
-			}
-			if mat.decided == nil {
-				t.Fatalf("par=%d: a Boolean materialisation carries no decided answer", par)
-			}
-			held := rows + resultBytes(mat.decided)
-			if int64(mat.st.RowBytes()) != rows || res.Used() != held || int64(mat.MemBytes()) != 512+held {
-				t.Fatalf("par=%d: the relations hold %d bytes of rows (RowBytes %d) and the decision %d: the reservation keeps %d, MemBytes is %d, want %d and %d",
-					par, rows, mat.st.RowBytes(), resultBytes(mat.decided), res.Used(), mat.MemBytes(), held, 512+held)
-			}
-			res.Release()
-			cache := plancache.New(1 << 30)
-			cache.SetLedger(broker)
-			before := broker.Reserved()
-			cache.Put(plancache.Key{QueryHash: "q", Strategy: "reduction", DBGen: 1}, mat, mat.MemBytes())
-			if got := broker.Reserved() - before; got != int64(mat.MemBytes()) || cache.Len() != 1 {
-				t.Fatalf("par=%d: caching the materialisation moved the ledger by %d bytes (%d entries), want MemBytes = %d", par, got, cache.Len(), mat.MemBytes())
-			}
-			cache.Delete(plancache.Key{QueryHash: "q", Strategy: "reduction", DBGen: 1})
-			if got := broker.Reserved(); got != 0 {
-				t.Fatalf("par=%d: broker holds %d bytes after the release and the delete", par, got)
-			}
+			rows += int64(4 * r.Arity * r.Len())
+			arities[r.Arity] = true
+		}
+		if !arities[2] || !arities[4] {
+			t.Fatalf("relation arities %v, want a 1-track and a 2-track component", arities)
+		}
+		if mat.decided == nil {
+			t.Fatal("a Boolean materialisation carries no decided answer")
+		}
+		held := rows + resultBytes(mat.decided)
+		if int64(mat.st.RowBytes()) != rows || res.Used() != held || int64(mat.MemBytes()) != 512+held {
+			t.Fatalf("the relations hold %d bytes of rows (RowBytes %d) and the decision %d: the reservation keeps %d, MemBytes is %d, want %d and %d",
+				rows, mat.st.RowBytes(), resultBytes(mat.decided), res.Used(), mat.MemBytes(), held, 512+held)
+		}
+		res.Release()
+		cache := plancache.New(1 << 30)
+		cache.SetLedger(broker)
+		before := broker.Reserved()
+		cache.Put(plancache.Key{QueryHash: "q", Strategy: "reduction", DBGen: 1}, mat, mat.MemBytes())
+		if got := broker.Reserved() - before; got != int64(mat.MemBytes()) || cache.Len() != 1 {
+			t.Fatalf("caching the materialisation moved the ledger by %d bytes (%d entries), want MemBytes = %d", got, cache.Len(), mat.MemBytes())
+		}
+		cache.Delete(plancache.Key{QueryHash: "q", Strategy: "reduction", DBGen: 1})
+		if got := broker.Reserved(); got != 0 {
+			t.Fatalf("broker holds %d bytes after the release and the delete", got)
 		}
 	}
 	check()

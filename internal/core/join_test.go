@@ -110,7 +110,7 @@ func TestCancelMidJoin(t *testing.T) {
 	}{joinCases()[3].db, query.NewBuilder(a).
 		Reach("x1", "p1", "y1").Reach("x2", "p2", "y2").Rel(h, "p1", "p2").
 		Reach("y1", "p3", "z1").Reach("y2", "p4", "z2").Rel(h, "p3", "p4").MustBuild()}
-	p, err := Prepare(jc.q, Options{Strategy: Reduction, Parallelism: 1})
+	p, err := Prepare(jc.q, Options{Strategy: Reduction})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCancelMidJoin(t *testing.T) {
 	// its polls are the sweep's.
 	fq := *jc.q
 	fq.Free = jc.q.NodeVars()[:1]
-	twin, err := Prepare(&fq, Options{Strategy: Reduction, Parallelism: 1})
+	twin, err := Prepare(&fq, Options{Strategy: Reduction})
 	if err != nil {
 		t.Fatal(err)
 	}

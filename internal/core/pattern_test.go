@@ -164,15 +164,13 @@ func TestSweepPatternEqualsFiltered(t *testing.T) {
 		sweeps := func(regime string) {
 			for _, words := range laneCaps {
 				atLaneCap(words, func() {
-					for _, par := range []int{0, 2, 5} {
-						got, err := sweepComponent(ctx, in.db, c, Options{Parallelism: par, MaxProductStates: -1}, nil)
-						if err != nil {
-							t.Fatalf("%s %s words=%d par=%d: %v", in.name, regime, words, par, err)
-						}
-						if !slices.Equal(got, want) {
-							t.Fatalf("%s %s words=%d par=%d: %d row values, the filtered sweep has %d (first difference at row %d)",
-								in.name, regime, words, par, len(got), len(want), firstDiff(got, want)/(2*tr))
-						}
+					got, err := sweepComponent(ctx, in.db, c, Options{MaxProductStates: -1}, nil)
+					if err != nil {
+						t.Fatalf("%s %s words=%d: %v", in.name, regime, words, err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s %s words=%d: %d row values, the filtered sweep has %d (first difference at row %d)",
+							in.name, regime, words, len(got), len(want), firstDiff(got, want)/(2*tr))
 					}
 				})
 			}
@@ -226,16 +224,14 @@ func TestSweepPatternEqualsFiltered(t *testing.T) {
 			split++
 		}
 		k.release()
-		for _, par := range []int{0, 2} {
-			got, err := sweepComponent(ctx, in.db, c, Options{Parallelism: par, MaxProductStates: fits}, nil)
-			if err != nil || !slices.Equal(got, want) {
-				t.Fatalf("%s par=%d: budget %d fits every source (a batch meets %d) but the sweep gave %d row values, %v",
-					in.name, par, fits, batch, len(got), err)
-			}
-			if fits > 1 {
-				if _, err := sweepComponent(ctx, in.db, c, Options{Parallelism: par, MaxProductStates: fits - 1}, nil); err == nil || !strings.Contains(err.Error(), "state budget") {
-					t.Fatalf("%s par=%d budget %d: err = %v, want the state budget error", in.name, par, fits-1, err)
-				}
+		got, err := sweepComponent(ctx, in.db, c, Options{MaxProductStates: fits}, nil)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s: budget %d fits every source (a batch meets %d) but the sweep gave %d row values, %v",
+				in.name, fits, batch, len(got), err)
+		}
+		if fits > 1 {
+			if _, err := sweepComponent(ctx, in.db, c, Options{MaxProductStates: fits - 1}, nil); err == nil || !strings.Contains(err.Error(), "state budget") {
+				t.Fatalf("%s budget %d: err = %v, want the state budget error", in.name, fits-1, err)
 			}
 		}
 

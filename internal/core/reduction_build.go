@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"ecrpq/internal/cq"
 	"ecrpq/internal/govern"
@@ -135,84 +134,55 @@ func sweepColumnOrder(t int) []int {
 // interleaved rows (u1, v1, ..., ut, vt) back to back in one flat []int32,
 // which cq.LoadSorted takes as the relation's row store and the join scans:
 // a row is written once and never converted. Rows are distinct and in
-// sweep order whatever the parallelism: source index ascending (the last
-// track's source most significant), destinations lexicographic per source
-// — the order
+// sweep order: source index ascending (the last track's source most
+// significant), destinations lexicographic per source — the order
 // sweepSource.Scan reproduces lazily and /v1/enumerate cursors are pinned
 // to. They are the rows of the sweep over all V^t source tuples that the
 // atom's equalities keep, in that sweep's order.
 //
 // A traversal (sweepKernel) carries 64w sources, w = min(maxLaneWords,
-// ⌈V^s/64⌉): the batches are sharded in contiguous ranges over
-// opts.workers() goroutines, each with its own kernel over the shared
-// shape. A worker keeps each lane word of a batch as (destination key,
-// source word) pairs; once all traversals are done the flat slice is
-// allocated once at its final size, and every worker expands its pairs
-// into its own region of it. Retained rows are charged to the context's
-// reservation per batch, at the bytes they take in that array, kept on
-// success and released on failure. sp gets the sources, lanes and traversals.
+// ⌈V^s/64⌉), and its lanes are the sweep's only parallelism: one worker
+// runs the batches in order on the caller's goroutine, polling ctx between
+// them, and keeps each lane word of a batch as (destination key, source
+// word) pairs; once all traversals are done the flat slice is allocated
+// once at its final size and the worker expands its pairs into it.
+// Retained rows are charged to the context's reservation per batch, at the
+// bytes they take in that array, kept on success and released on failure.
+// sp gets the sources, lanes and traversals.
 func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts Options, sp *trace.Span) (_ []int32, err error) {
 	t := len(merged.tracks)
 	total, err := sweepSources(db.NumVertices(), len(merged.pat.digits))
 	if err != nil {
 		return nil, err
 	}
-	f := packProduct(db, merged)
 	words := min(maxLaneWords, max(1, (total+63)/64))
 	lanes := 64 * words
-	batches := (total + lanes - 1) / lanes
-	res := govern.FromContext(ctx)
-	ws := make([]*sweepWorker, min(opts.workers(), batches))
+	w, err := newSweepWorker(packProduct(db, merged), &merged.pat, words, govern.FromContext(ctx))
 	defer func() {
-		for _, w := range ws {
-			if w != nil {
-				w.k.release()
-				w.lanes.release()
-				if err != nil {
-					w.retained.Close()
-				}
-			}
+		w.k.release()
+		w.lanes.release()
+		if err != nil {
+			w.retained.Close()
 		}
 	}()
-	for i := range ws {
-		if ws[i], err = newSweepWorker(f, &merged.pat, words, res); err != nil {
-			return nil, err
-		}
-	}
-	err = runWorkers(len(ws), func(i int, stop <-chan struct{}) error {
-		w := ws[i]
-		for b := i * batches / len(ws); b < (i+1)*batches/len(ws); b++ {
-			select {
-			case <-stop:
-				return nil // a sibling failed; its error wins
-			case <-ctx.Done():
-				return ctx.Err()
-			default:
-			}
-			w.decode(b*lanes, min(lanes, total-b*lanes))
-			if err := w.batch(ctx, b*lanes, 0, min(lanes, total-b*lanes), opts.maxStates()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 	if err != nil {
 		return nil, err
 	}
-	rows, runs := 0, 0
-	for _, w := range ws {
-		w.start = rows
-		rows += w.rows
-		runs += w.k.runs
+	for first := 0; first < total; first += lanes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		size := min(lanes, total-first)
+		w.decode(first, size)
+		if err := w.batch(ctx, first, 0, size, opts.maxStates()); err != nil {
+			return nil, err
+		}
 	}
 	sp.SetInt("sources", int64(total))
 	sp.SetInt("lanes", int64(lanes))
-	sp.SetInt("traversals", int64(runs))
-	flat := make([]int32, rows*2*t)
-	err = runWorkers(len(ws), func(i int, _ <-chan struct{}) error {
-		return ws[i].emit(ctx, flat)
-	})
-	if err != nil {
+	sp.SetInt("traversals", int64(w.k.runs))
+	flat := make([]int32, w.rows*2*t)
+	if err := w.emit(ctx, flat); err != nil {
 		return nil, err
 	}
 	return flat, nil
@@ -222,7 +192,7 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 // the differential suites can run at several widths; only tests assign it.
 var maxLaneWords = 8
 
-// sweepWorker sweeps a contiguous range of batches. Each lane word of a
+// sweepWorker sweeps a component's batches in order. Each lane word of a
 // traversal leaves a segment: its distinct destinations in key order, each
 // with the word — 16 bytes for up to 64 rows, so the rows themselves are
 // only written once, by emit, at their final place.
@@ -234,7 +204,6 @@ type sweepWorker struct {
 	keys     []uint64 // destination keys of all segments, back to back
 	words    []uint64 // keys[j] is reached by the sources in words[j]
 	rows     int
-	start    int // the worker's first row in the component's array
 	// The batch's source tuples, lane i at lanes[i*t:(i+1)*t], and one
 	// destination tuple: scratch the worker reuses for every batch.
 	lanes slab[int32]
@@ -340,13 +309,12 @@ func (w *sweepWorker) cut(key uint64, mask []uint64) {
 	}
 }
 
-// emit expands the worker's segments into its region of the flat row array,
-// rows start … start+rows-1: per segment, sources ascending, and per source
-// its destinations in key order. A counting pass over the words gives every
-// source its offset, so each pair is visited once per row it stands for.
-func (w *sweepWorker) emit(ctx context.Context, flat []int32) error {
+// emit expands the worker's segments into out, the flat row array: per
+// segment, sources ascending, and per source its destinations in key order.
+// A counting pass over the words gives every source its offset, so each
+// pair is visited once per row it stands for.
+func (w *sweepWorker) emit(ctx context.Context, out []int32) error {
 	t := w.k.t
-	out := flat[w.start*2*t : (w.start+w.rows)*2*t]
 	srcs, dst := w.lanes.s, w.dst
 	begin := 0
 	for _, seg := range w.segs {
@@ -380,43 +348,4 @@ func (w *sweepWorker) emit(ctx context.Context, flat []int32) error {
 		out = out[seg.rows*2*t:]
 	}
 	return nil
-}
-
-// runWorkers runs body(w, stop) on `workers` goroutines and returns the
-// first failure observed. A panicking worker — including an
-// invariant.Violation — is recovered and surfaced as an error on the
-// same channel instead of killing the process with work from its
-// siblings half-done. The stop channel closes on the first failure so
-// the surviving workers can bail out of long sweeps early; bodies should
-// poll it between work items and return nil when it fires.
-func runWorkers(workers int, body func(w int, stop <-chan struct{}) error) error {
-	stop := make(chan struct{})
-	errCh := make(chan error, workers)
-	var stopOnce sync.Once
-	fail := func(err error) {
-		errCh <- err
-		stopOnce.Do(func() { close(stop) })
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if err, ok := r.(error); ok {
-						fail(fmt.Errorf("core: worker %d panicked: %w", w, err))
-					} else {
-						fail(fmt.Errorf("core: worker %d panicked: %v", w, r))
-					}
-				}
-			}()
-			if err := body(w, stop); err != nil {
-				fail(err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	return <-errCh // nil when the channel is empty
 }

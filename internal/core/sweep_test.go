@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -215,8 +216,7 @@ func sweepInstances(t testing.TB, rng *rand.Rand) []sweepInstance {
 }
 
 // TestSweepKernelDifferential holds the batched sweep to the per-source
-// loop it replaced, row for row and in order, under every parallelism, at
-// every lane cap and in both key regimes (every instance is swept again
+// loop it replaced, row for row and in order, at every lane cap and in both key regimes (every instance is swept again
 // forced wide, against the rows its own regime gave); and the bulk-loaded
 // relation's Contains to plain membership.
 func TestSweepKernelDifferential(t *testing.T) {
@@ -231,15 +231,13 @@ func TestSweepKernelDifferential(t *testing.T) {
 		sweeps := func(regime string) {
 			for _, words := range laneCaps {
 				atLaneCap(words, func() {
-					for _, par := range []int{0, 2, 5} {
-						got, err := in.sweep(ctx, Options{Parallelism: par, MaxProductStates: -1})
-						if err != nil {
-							t.Fatalf("%s %s words=%d par=%d: %v", in.name, regime, words, par, err)
-						}
-						if !slices.Equal(got, want) {
-							t.Fatalf("%s %s words=%d par=%d: %d row values, reference has %d (first difference at row %d)",
-								in.name, regime, words, par, len(got), len(want), firstDiff(got, want)/(2*tr))
-						}
+					got, err := in.sweep(ctx, Options{MaxProductStates: -1})
+					if err != nil {
+						t.Fatalf("%s %s words=%d: %v", in.name, regime, words, err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s %s words=%d: %d row values, reference has %d (first difference at row %d)",
+							in.name, regime, words, len(got), len(want), firstDiff(got, want)/(2*tr))
 					}
 				})
 			}
@@ -323,7 +321,7 @@ func TestSweepKernelAgainstNaive(t *testing.T) {
 				for _, words := range laneCaps {
 					var got []int32
 					var err error
-					regime.run(func() { atLaneCap(words, func() { got, err = in.sweep(ctx, Options{Parallelism: 2}) }) })
+					regime.run(func() { atLaneCap(words, func() { got, err = in.sweep(ctx, Options{}) }) })
 					if err != nil {
 						t.Fatalf("trial %d %s %s words=%d: %v", trial, in.name, regime.name, words, err)
 					}
@@ -415,17 +413,15 @@ func TestSweepKernelMapTable(t *testing.T) {
 			t.Fatalf("words=%d: state table is dense for a %d-bit state (err %v)", words, f.bits, err)
 		}
 		for _, regime := range keyRegimes {
-			for _, par := range []int{0, 2} {
-				var got []int32
-				regime.run(func() {
-					atLaneCap(words, func() { got, err = in.sweep(context.Background(), Options{Parallelism: par}) })
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s words=%d par=%d: sweep differs from the reference at row %d", regime.name, words, par, firstDiff(got, want)/4)
-				}
+			var got []int32
+			regime.run(func() {
+				atLaneCap(words, func() { got, err = in.sweep(context.Background(), Options{}) })
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s words=%d: sweep differs from the reference at row %d", regime.name, words, firstDiff(got, want)/4)
 			}
 		}
 	}
@@ -506,22 +502,20 @@ func TestSweepKernelBudget(t *testing.T) {
 
 // budgetSweeps is TestSweepKernelBudget at one key regime and lane cap.
 func budgetSweeps(t *testing.T, in sweepInstance, regime string, words, fits int, want []int32) {
-	for _, par := range []int{0, 2} {
-		got, err := in.sweep(context.Background(), Options{MaxProductStates: fits, Parallelism: par})
-		if err != nil {
-			t.Fatalf("%s words=%d par=%d: budget %d fits every source but the sweep failed: %v", regime, words, par, fits, err)
+	got, err := in.sweep(context.Background(), Options{MaxProductStates: fits})
+	if err != nil {
+		t.Fatalf("%s words=%d: budget %d fits every source but the sweep failed: %v", regime, words, fits, err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s words=%d: split batches changed the relation", regime, words)
+	}
+	for _, budget := range []int{1, fits - 1} {
+		got, err := in.sweep(context.Background(), Options{MaxProductStates: budget})
+		if err == nil || !strings.Contains(err.Error(), "state budget") {
+			t.Fatalf("%s words=%d budget %d: err = %v, want the state budget error", regime, words, budget, err)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s words=%d par=%d: split batches changed the relation", regime, words, par)
-		}
-		for _, budget := range []int{1, fits - 1} {
-			got, err := in.sweep(context.Background(), Options{MaxProductStates: budget, Parallelism: par})
-			if err == nil || !strings.Contains(err.Error(), "state budget") {
-				t.Fatalf("%s words=%d par=%d budget %d: err = %v, want the state budget error", regime, words, par, budget, err)
-			}
-			if got != nil {
-				t.Fatalf("%s words=%d par=%d budget %d: %d row values returned beside the error", regime, words, par, budget, len(got))
-			}
+		if got != nil {
+			t.Fatalf("%s words=%d budget %d: %d row values returned beside the error", regime, words, budget, len(got))
 		}
 	}
 }
@@ -560,34 +554,32 @@ func splitInstance(t testing.TB) sweepInstance {
 func sweepCancelReleases(t *testing.T) {
 	in := splitInstance(t)
 	broker := govern.NewBroker(1 << 30)
-	for _, par := range []int{0, 2} {
-		polls := 0
-		for ; ; polls++ {
-			res, err := broker.Reserve(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := &countdownCtx{Context: govern.NewContext(context.Background(), res)}
-			ctx.left.Store(int64(polls))
-			rows, err := in.sweep(ctx, Options{Parallelism: par})
-			used := res.Used()
-			res.Release()
-			if err == nil {
-				if want := int64(4 * len(rows)); used != want {
-					t.Fatalf("par=%d: completed sweep leaves %d bytes charged, want %d: the size of its %d-value array", par, used, want, len(rows))
-				}
-				break
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("par=%d cancelled at poll %d: err = %v, want context.Canceled", par, polls, err)
-			}
-			if rows != nil || used != 0 {
-				t.Fatalf("par=%d cancelled at poll %d: %d row values returned, %d bytes still charged", par, polls, len(rows), used)
-			}
+	polls := 0
+	for ; ; polls++ {
+		res, err := broker.Reserve(0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if polls < 3 {
-			t.Fatalf("par=%d: sweep polled the context only %d times", par, polls)
+		ctx := &countdownCtx{Context: govern.NewContext(context.Background(), res)}
+		ctx.left.Store(int64(polls))
+		rows, err := in.sweep(ctx, Options{})
+		used := res.Used()
+		res.Release()
+		if err == nil {
+			if want := int64(4 * len(rows)); used != want {
+				t.Fatalf("completed sweep leaves %d bytes charged, want %d: the size of its %d-value array", used, want, len(rows))
+			}
+			break
 		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d: err = %v, want context.Canceled", polls, err)
+		}
+		if rows != nil || used != 0 {
+			t.Fatalf("cancelled at poll %d: %d row values returned, %d bytes still charged", polls, len(rows), used)
+		}
+	}
+	if polls < 3 {
+		t.Fatalf("sweep polled the context only %d times", polls)
 	}
 	if got := broker.Reserved(); got != 0 {
 		t.Fatalf("broker holds %d bytes after every reservation was released", got)
@@ -660,8 +652,69 @@ func TestSweepTraversals(t *testing.T) {
 	}
 }
 
+// TestSweepChargesOneKernel: the sweep runs on its caller's goroutine
+// whatever Options.Parallelism asks and however many CPUs there are, so a
+// materialisation's reservation peaks at its rows plus one kernel — the
+// tables and pair arrays a single worker holds after the V = 40 split's
+// four traversals — and the core/sweep span still reads four.
+func TestSweepChargesOneKernel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	in := splitInstance(t)
+	broker := govern.NewBroker(1 << 30)
+
+	own, err := broker.Reserve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newSweepWorker(packProduct(in.db, in.merged), &in.merged.pat, maxLaneWords, own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 1600
+	for first := 0; first < total; first += 64 * maxLaneWords {
+		size := min(64*maxLaneWords, total-first)
+		w.decode(first, size)
+		if err := w.batch(context.Background(), first, 0, size, Options{}.maxStates()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kernel := w.k.mem.Charged()
+	w.k.release()
+	w.lanes.release()
+	own.Release()
+
+	p, err := Prepare(in.q, Options{Strategy: Reduction, Parallelism: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := broker.Reserve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	tr := trace.New("materialize")
+	mat, err := p.Materialize(govern.NewContext(trace.NewContext(context.Background(), tr), res), in.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := int64(mat.st.RowBytes()); res.Peak()-rows != kernel {
+		t.Errorf("the reservation peaked at %d bytes: %d of rows and %d beside them, want one kernel's %d", res.Peak(), rows, res.Peak()-rows, kernel)
+	}
+	sweeps := 0
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Name == "core/sweep" {
+			if sweeps++; sp.Attrs["traversals"] != int64(4) {
+				t.Errorf("core/sweep reads %v traversals, want 4", sp.Attrs["traversals"])
+			}
+		}
+	}
+	if sweeps != 1 {
+		t.Errorf("%d core/sweep spans, want the split's one", sweeps)
+	}
+}
+
 // sweepCases are the Lemma 4.3 layer's operations: sweep one component
-// over V = 18 and bulk-load the rows, at the default parallelism. The
+// over V = 18 and bulk-load the rows. The
 // shapes: chain2, the cold-sweep heavy op's (x0 → x1 → x2: V² sources, and
 // R' keeps the rows whose first destination is the second source); split2,
 // two tracks with four distinct endpoints (V² sources, every row); fan3,

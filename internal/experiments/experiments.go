@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"time"
 
@@ -675,7 +674,7 @@ func All(seed int64) []*Table {
 	return []*Table{
 		E1(seed), E1b(seed), E2(seed), E3(seed), E4(seed), E5(seed), E6(seed),
 		E7(), E8(seed), E9(seed), E10(seed), E11(seed), E12(seed),
-		AblationStrategies(seed), AblationCQEval(seed), AblationTreewidth(), AblationParallel(seed), AblationBaseline(seed),
+		AblationStrategies(seed), AblationCQEval(seed), AblationTreewidth(), AblationBaseline(seed),
 		StageAttribution(seed), Overload(seed), StreamingEnumeration(seed),
 		PlannerAblation(seed),
 	}
@@ -784,35 +783,6 @@ func StageAttribution(seed int64) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"Shares are span self-times (duration minus child spans) from internal/trace, so columns sum to ≤100%; \"other\" is untraced glue. The dominant column per row matches the regime's predicted cost driver: E3's time concentrates in prepare+merge + product + witness (the exponential language product: under the generic strategy the witness stage is the winning product traversal re-run with parent links recorded), E1/E8 in sweep + cq join (the Lemma 4.3 pipeline).")
-	return t
-}
-
-// AblationParallel measures the Lemma 4.3 sweep's speedup from sharding
-// across goroutines (Options.Parallelism).
-func AblationParallel(seed int64) *Table {
-	a := alphabet.Lower(2)
-	t := &Table{
-		ID:      "A4",
-		Title:   "Ablation: parallel R' sweep",
-		Claim:   "design choice: the V^t source sweep is embarrassingly parallel; workers share nothing but the database",
-		Headers: []string{"workers", "time (ms)", "speedup"},
-	}
-	rng := rand.New(rand.NewSource(seed))
-	db := workload.RandomDB(rng, a, 26, 78)
-	q := workload.PairChainQuery(a, 4)
-	var base time.Duration
-	for _, w := range []int{1, 2, 4, 8} {
-		opts := core.Options{Strategy: core.Reduction, Parallelism: w}
-		d := timeIt(func() { mustEval(db, q, opts) })
-		if w == 1 {
-			base = d
-		}
-		speedup := float64(base) / float64(d)
-		t.Rows = append(t.Rows, []string{fmt.Sprint(w), ms(d), fmt.Sprintf("%.2fx", speedup)})
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"Host has GOMAXPROCS = %d; speedup is bounded by available CPUs (a single-CPU host shows none). Correctness is property-tested against the sequential sweep.",
-		runtime.GOMAXPROCS(0)))
 	return t
 }
 

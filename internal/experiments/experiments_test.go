@@ -151,16 +151,6 @@ func TestE7MergeGrowthShape(t *testing.T) {
 	}
 }
 
-func TestAblationParallelRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping parallel ablation in -short mode")
-	}
-	tb := AblationParallel(1)
-	if len(tb.Rows) != 4 {
-		t.Errorf("rows = %d", len(tb.Rows))
-	}
-}
-
 func TestAblationBaselineRuns(t *testing.T) {
 	tb := AblationBaseline(1)
 	if len(tb.Rows) != 3 {

@@ -160,8 +160,7 @@ func (b *Broker) Reserve(n int64) (*Reservation, error) {
 }
 
 // Reservation is one query's claim against a Broker. Methods are safe for
-// concurrent use (parallel sweep workers charge one shared reservation)
-// and safe on a nil receiver (the disabled path).
+// concurrent use and safe on a nil receiver (the disabled path).
 type Reservation struct {
 	b        *Broker
 	granted  atomic.Int64 // bytes held at the broker

@@ -67,9 +67,6 @@ type Config struct {
 	// MaxProductStates caps each component product search, as
 	// core.Options.MaxProductStates (default: core's default).
 	MaxProductStates int
-	// Parallelism is the per-evaluation Lemma 4.3 sweep parallelism, as
-	// core.Options.Parallelism (default: GOMAXPROCS).
-	Parallelism int
 	// Logger receives structured (key=value) request and lifecycle lines
 	// (default: stderr; use log.New(io.Discard, "", 0) to silence).
 	Logger *log.Logger
@@ -151,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBudgetBytes == 0 {
 		c.CacheBudgetBytes = plancache.DefaultBudget
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = -1 // core: GOMAXPROCS
 	}
 	if c.Logger == nil {
 		c.Logger = log.New(os.Stderr, "ecrpqd ", log.LstdFlags|log.LUTC)
@@ -774,7 +768,6 @@ func (s *Server) coreOptions(strategy core.Strategy) core.Options {
 	return core.Options{
 		Strategy:         strategy,
 		MaxProductStates: s.cfg.MaxProductStates,
-		Parallelism:      s.cfg.Parallelism,
 	}
 }
 

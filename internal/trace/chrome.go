@@ -12,8 +12,8 @@ import (
 // one process (pid = trace id); spans become "X" complete events. Chrome
 // nests events on a thread only when their intervals nest, so spans are
 // laid out onto the fewest lanes (tids) on which every pair either nests
-// or is disjoint — concurrent sibling spans (parallel sweep shards, pool
-// interleavings) land on separate lanes instead of rendering garbled.
+// or is disjoint — concurrent sibling spans (pool interleavings) land on
+// separate lanes instead of rendering garbled.
 func WriteChrome(w io.Writer, traces ...TraceData) error {
 	events := make([]chromeEvent, 0, 64)
 	for i, td := range traces {
