@@ -14,8 +14,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+## vet also vets the faultinject-tagged files, which only `make chaos`
+## compiles.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags faultinject ./...
 
 ## fuzz-smoke gives each fuzz target a short budget on top of its seeded
 ## corpus under testdata/fuzz/. Crashes are minimized into those corpora.

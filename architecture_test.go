@@ -781,6 +781,7 @@ func TestArchitecture(t *testing.T) {
 	t.Run("make-targets", func(t *testing.T) { testMakeTargets(t, files) })
 	t.Run("fuzz-targets", func(t *testing.T) { testFuzzTargets(t, files) })
 	t.Run("doc-identifiers", func(t *testing.T) { testDocIdentifiers(t, files) })
+	t.Run("no-idle-exports", func(t *testing.T) { testNoIdleExports(t, fset, files) })
 	t.Run("gofmt", testGofmt)
 	t.Run("mutants-apply", func(t *testing.T) { testMutantsApply(t, files) })
 	t.Run("module-analyzers", testModuleAnalyzers)
@@ -1152,6 +1153,191 @@ func testDocIdentifiers(t *testing.T, files map[string]*ast.File) {
 	if name := "NoSuch" + "Function"; len(docNames("call `core."+name+"`")) != 1 || known[name] {
 		t.Errorf("the rule accepts its violation `core.%s`", name)
 	}
+}
+
+// idleAllowed are the exports whose callers the rule cannot see, with why:
+// interface methods the standard library calls, and a name only testdata
+// spells. A method entry is the method's name, any other pkg.Name.
+var idleAllowed = map[string]string{
+	"Unwrap":         "errors.Is and errors.As call it on an *invariant.Violation",
+	"MarshalJSON":    "encoding/json calls it on a planner.Decision",
+	"Import":         "go/types calls it on the lint loader's importer",
+	"alphabet.Unset": "internal/lint's alphabetguard fixture, under testdata, names it",
+}
+
+// testNoIdleExports: every exported top-level func, method, type, var and
+// const of a non-test file under internal/ is referenced outside its own
+// declaration, from a non-test file anywhere in the repository or from a
+// test of another package. An export only its own package's tests call is
+// code the system does not run: delete it, or move it to those tests.
+func testNoIdleExports(t *testing.T, fset *token.FileSet, files map[string]*ast.File) {
+	idle, exports, allowed := idleExports(fset, files)
+	for _, bad := range idle {
+		t.Errorf("%s has no caller outside its own package's tests", bad)
+	}
+	if exports == 0 {
+		t.Error("no exported declaration under internal/: the rule is looking at nothing")
+	}
+	for key := range idleAllowed {
+		if !allowed[key] {
+			t.Errorf("idleAllowed holds %s, which the tree no longer needs", key)
+		}
+	}
+	fixture := func(srcs map[string]string) map[string]*ast.File {
+		out := map[string]*ast.File{}
+		for path, src := range srcs {
+			out[path] = parseSource(t, fset, path, src)
+		}
+		return out
+	}
+	violation := fixture(map[string]string{
+		"internal/p/p.go":      "package p\nfunc Idle() {}\ntype T struct{}\nfunc (T) Tested() {}\n",
+		"internal/p/p_test.go": "package p\nfunc TestIdle(t *testing.T) { Idle(); T{}.Tested() }\n",
+	})
+	if idle, _, _ := idleExports(fset, violation); len(idle) != 3 {
+		t.Errorf("the rule reports %q of its violation, want Idle, T and T.Tested", idle)
+	}
+	accepted := fixture(map[string]string{
+		"internal/p/p.go":      "package p\nfunc FromTest() {}\nfunc FromCode() int { return helper() }\nfunc helper() int { return Local }\nconst Local = 1\n",
+		"internal/q/q_test.go": "package q\nimport \"ecrpq/internal/p\"\nfunc TestQ(t *testing.T) { p.FromTest() }\n",
+		"cmd/c/main.go":        "package main\nimport r \"ecrpq/internal/p\"\nfunc main() { r.FromCode() }\n",
+	})
+	if idle, _, _ := idleExports(fset, accepted); len(idle) != 0 {
+		t.Errorf("the rule rejects shapes it must accept: %q", idle)
+	}
+}
+
+// idleExports lists the exported declarations under internal/ that nothing
+// but their own package's tests references, counts the exports it saw and
+// returns the idleAllowed entries it needed. A package-level name resolves
+// through the import name of the file that spells it, or bare inside its
+// own package; a method by its selector name, from any file but its own
+// package's tests, so a name shared by two methods keeps both.
+func idleExports(fset *token.FileSet, files map[string]*ast.File) (idle []string, exports int, allowed map[string]bool) {
+	allowed = map[string]bool{}
+	type name struct{ dir, name string }
+	pkgs := map[string]string{} // package directory → package name
+	for path, f := range files {
+		if !strings.HasSuffix(path, "_test.go") {
+			pkgs[filepath.Dir(path)] = f.Name.Name
+		}
+	}
+	used := map[name]bool{}         // package-level names referenced
+	called := map[string][]string{} // method name → directories of the files selecting it; "" for a non-test file
+	for path, f := range files {
+		dir, test := filepath.Dir(path), strings.HasSuffix(path, "_test.go")
+		from := "" // what called records for this file
+		if test {
+			from = dir
+		}
+		imports := map[string]string{} // import name → package directory
+		for _, spec := range f.Imports {
+			p, _ := strconv.Unquote(spec.Path.Value)
+			if rel, ok := strings.CutPrefix(p, "ecrpq/"); ok {
+				imports[pkgs[rel]] = rel
+				if spec.Name != nil {
+					imports[spec.Name.Name] = rel
+				}
+			}
+		}
+		var decls []ast.Node // a func, or one spec of a declaration block
+		for _, d := range f.Decls {
+			if g, ok := d.(*ast.GenDecl); ok {
+				for _, spec := range g.Specs {
+					decls = append(decls, spec)
+				}
+			} else {
+				decls = append(decls, d)
+			}
+		}
+		for _, d := range decls {
+			own := map[string]bool{} // what d declares: its own uses of them do not count
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					own[n.Name.Name] = true
+					ast.Inspect(n.Type, visit) // not the receiver: a method does not use its type
+					if n.Body != nil {
+						ast.Inspect(n.Body, visit)
+					}
+					return false
+				case *ast.TypeSpec:
+					own[n.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, id := range n.Names {
+						own[id.Name] = true
+					}
+				case *ast.Field: // its names declare, its type uses
+					ast.Inspect(n.Type, visit)
+					return false
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						if pkg := imports[x.Name]; !test || pkg != dir {
+							used[name{pkg, n.Sel.Name}] = true
+						}
+						return false
+					}
+					if !own[n.Sel.Name] {
+						called[n.Sel.Name] = append(called[n.Sel.Name], from)
+					}
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Ident:
+					if !test && !own[n.Name] {
+						used[name{dir, n.Name}] = true
+					}
+				}
+				return true
+			}
+			ast.Inspect(d, visit)
+		}
+	}
+	for path, f := range files {
+		dir := filepath.Dir(path)
+		if !strings.HasPrefix(path, "internal/") || strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		pkg := f.Name.Name + "."
+		report := func(id *ast.Ident, live bool, key, what string) {
+			if !id.IsExported() {
+				return
+			}
+			exports++
+			switch _, ok := idleAllowed[key]; {
+			case live:
+			case ok:
+				allowed[key] = true
+			default:
+				idle = append(idle, fmt.Sprintf("%s: %s", fset.Position(id.Pos()), what))
+			}
+		}
+		global := func(id *ast.Ident) { report(id, used[name{dir, id.Name}], pkg+id.Name, pkg+id.Name) }
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					global(d.Name)
+					continue
+				}
+				live := slices.ContainsFunc(called[d.Name.Name], func(from string) bool { return from != dir })
+				report(d.Name, live, d.Name.Name, pkg+types.ExprString(d.Recv.List[0].Type)+"."+d.Name.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						global(s.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							global(id)
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(idle)
+	return idle, exports, allowed
 }
 
 // docNames lists the Go names backticked in markdown outside fenced code.

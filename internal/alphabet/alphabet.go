@@ -10,7 +10,6 @@ package alphabet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ecrpq/internal/invariant"
@@ -30,9 +29,6 @@ const Pad Symbol = -1
 // distinct from Pad so a track can be explicitly padded without looking
 // undecided.
 const Unset Symbol = -2
-
-// IsPad reports whether s is the padding symbol.
-func (s Symbol) IsPad() bool { return s == Pad }
 
 // Alphabet is a finite, ordered set of named symbols. The zero value is an
 // empty alphabet ready for use via Add.
@@ -159,11 +155,6 @@ func (a *Alphabet) Extend(extra ...string) (*Alphabet, error) {
 		}
 	}
 	return b, nil
-}
-
-// MustExtend is Extend, panicking on error.
-func (a *Alphabet) MustExtend(extra ...string) *Alphabet {
-	return invariant.Must(a.Extend(extra...))
 }
 
 // Word is a finite word over an alphabet: a sequence of symbols. The empty
@@ -327,14 +318,6 @@ func Deconvolve(k int, tuples []Tuple) ([]Word, error) {
 	return words, nil
 }
 
-// ValidConvolution reports whether the tuple sequence is a valid convolution
-// of some k words: every track pads only as a suffix and no letter is
-// all-padding.
-func ValidConvolution(k int, tuples []Tuple) bool {
-	_, err := Deconvolve(k, tuples)
-	return err == nil
-}
-
 // Key packs the tuple into a compact string usable as a map key. Two tuples
 // have the same key iff they are equal.
 func (t Tuple) Key() string {
@@ -421,31 +404,4 @@ func AllTuples(a *Alphabet, k int) []Tuple {
 	}
 	rec(0)
 	return out
-}
-
-// SortTuples sorts tuples lexicographically (Pad sorts before any symbol).
-func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return compareTuples(ts[i], ts[j]) < 0 })
-}
-
-func compareTuples(a, b Tuple) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }

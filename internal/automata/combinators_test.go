@@ -6,6 +6,87 @@ import (
 	"testing/quick"
 )
 
+// Thompson combinators building NFAs compositionally, with the tests that
+// pin their languages. rex compiles regular expressions through its own
+// fragments; nothing outside these tests builds an NFA this way.
+
+// Empty returns an automaton recognizing the empty language.
+func Empty[L comparable]() *NFA[L] {
+	return NewNFA[L](0)
+}
+
+// Epsilon returns an automaton recognizing exactly the empty word.
+func Epsilon[L comparable]() *NFA[L] {
+	a := NewNFA[L](1)
+	a.SetStart(0, true)
+	a.SetAccept(0, true)
+	return a
+}
+
+// Single returns an automaton recognizing exactly the given word.
+func Single[L comparable](word []L) *NFA[L] {
+	a := NewNFA[L](len(word) + 1)
+	a.SetStart(0, true)
+	a.SetAccept(len(word), true)
+	for i, l := range word {
+		a.AddTransition(i, l, i+1)
+	}
+	return a
+}
+
+// Concat returns an automaton for L(a)·L(b).
+func Concat[L comparable](a, b *NFA[L]) *NFA[L] {
+	out := a.Clone()
+	off := out.NumStates()
+	for i := 0; i < b.NumStates(); i++ {
+		out.AddState()
+	}
+	b.Transitions(func(p int, l L, q int) {
+		out.AddTransition(p+off, l, q+off)
+	})
+	for p := 0; p < b.NumStates(); p++ {
+		for _, q := range b.eps[p] {
+			out.AddEps(p+off, q+off)
+		}
+	}
+	for _, qa := range a.AcceptStates() {
+		out.SetAccept(qa, false)
+		for _, sb := range b.StartStates() {
+			out.AddEps(qa, sb+off)
+		}
+	}
+	for _, qb := range b.AcceptStates() {
+		out.SetAccept(qb+off, true)
+	}
+	return out
+}
+
+// Star returns an automaton for L(a)*.
+func Star[L comparable](a *NFA[L]) *NFA[L] {
+	out := a.Clone()
+	hub := out.AddState()
+	out.SetAccept(hub, true)
+	for _, s := range a.StartStates() {
+		out.AddEps(hub, s)
+		out.SetStart(s, false)
+	}
+	out.SetStart(hub, true)
+	for _, f := range a.AcceptStates() {
+		out.AddEps(f, hub)
+	}
+	return out
+}
+
+// Plus returns an automaton for L(a)+ = L(a)·L(a)*.
+func Plus[L comparable](a *NFA[L]) *NFA[L] {
+	return Concat(a, Star(a))
+}
+
+// Optional returns an automaton for L(a) ∪ {ε}.
+func Optional[L comparable](a *NFA[L]) *NFA[L] {
+	return a.Union(Epsilon[L]())
+}
+
 func TestEmptyEpsilonSingle(t *testing.T) {
 	e := Empty[byte]()
 	if e.Accepts(nil) || e.Accepts([]byte("a")) {

@@ -1,11 +1,6 @@
 package automata
 
-import (
-	"fmt"
-	"sort"
-
-	"ecrpq/internal/invariant"
-)
+import "ecrpq/internal/invariant"
 
 // DFA is a deterministic finite automaton over letters of type L. The
 // transition function may be partial: a missing transition rejects.
@@ -13,13 +8,6 @@ type DFA[L comparable] struct {
 	start  int
 	accept []bool
 	trans  []map[L]int
-}
-
-// NewDFA returns a DFA with a single non-accepting start state.
-func NewDFA[L comparable]() *DFA[L] {
-	d := &DFA[L]{start: -1}
-	d.start = d.AddState(false)
-	return d
 }
 
 // AddState adds a state and returns its index.
@@ -31,27 +19,6 @@ func (d *DFA[L]) AddState(accept bool) int {
 
 // NumStates returns the number of states.
 func (d *DFA[L]) NumStates() int { return len(d.accept) }
-
-// Start returns the start state.
-func (d *DFA[L]) Start() int { return d.start }
-
-// SetStart sets the start state. The state must already exist.
-func (d *DFA[L]) SetStart(q int) {
-	invariant.Assert(q >= 0 && q < len(d.accept), "automata: SetStart with state outside the DFA")
-	d.start = q
-}
-
-// IsAccept reports whether q accepts. The state must exist.
-func (d *DFA[L]) IsAccept(q int) bool {
-	invariant.Assert(q >= 0 && q < len(d.accept), "automata: IsAccept with state outside the DFA")
-	return d.accept[q]
-}
-
-// SetAccept marks q as (non-)accepting. The state must exist.
-func (d *DFA[L]) SetAccept(q int, v bool) {
-	invariant.Assert(q >= 0 && q < len(d.accept), "automata: SetAccept with state outside the DFA")
-	d.accept[q] = v
-}
 
 // SetTransition sets δ(p, l) = q, overwriting any previous target. Both
 // endpoints must be states returned by AddState.
@@ -73,24 +40,6 @@ func (d *DFA[L]) Step(p int, l L) (int, bool) {
 	}
 	q, ok := d.trans[p][l]
 	return q, ok
-}
-
-// Validate checks internal consistency — the start state and every
-// transition endpoint must be states of the automaton — returning a
-// descriptive error if violated. Useful after manual construction.
-func (d *DFA[L]) Validate() error {
-	n := d.NumStates()
-	if d.start < 0 || d.start >= n {
-		return fmt.Errorf("automata: DFA start state %d out of range [0,%d)", d.start, n)
-	}
-	for p, m := range d.trans {
-		for _, q := range m {
-			if q < 0 || q >= n {
-				return fmt.Errorf("automata: DFA transition %d->%d out of range [0,%d)", p, q, n)
-			}
-		}
-	}
-	return nil
 }
 
 // Accepts reports whether the DFA accepts the word.
@@ -119,15 +68,6 @@ func (d *DFA[L]) Letters() []L {
 		}
 	}
 	return out
-}
-
-// NumTransitions returns the number of defined transitions.
-func (d *DFA[L]) NumTransitions() int {
-	n := 0
-	for _, m := range d.trans {
-		n += len(m)
-	}
-	return n
 }
 
 // Clone returns a deep copy.
@@ -186,46 +126,6 @@ func (d *DFA[L]) Complement(letters []L) *DFA[L] {
 	return out
 }
 
-// product builds the synchronous product with acceptance combined by op.
-func (d *DFA[L]) product(e *DFA[L], op func(a, b bool) bool) *DFA[L] {
-	type pair struct{ p, q int }
-	out := &DFA[L]{start: -1}
-	idx := make(map[pair]int)
-	var queue []pair
-	get := func(pr pair) int {
-		if i, ok := idx[pr]; ok {
-			return i
-		}
-		i := out.AddState(op(d.accept[pr.p], e.accept[pr.q]))
-		idx[pr] = i
-		queue = append(queue, pr)
-		return i
-	}
-	out.start = get(pair{d.start, e.start})
-	for i := 0; i < len(queue); i++ {
-		pr := queue[i]
-		from := idx[pr]
-		for l, p2 := range d.trans[pr.p] {
-			if q2, ok := e.Step(pr.q, l); ok {
-				out.SetTransition(from, l, get(pair{p2, q2}))
-			}
-		}
-	}
-	return out
-}
-
-// Intersect returns a DFA for L(d) ∩ L(e).
-func (d *DFA[L]) Intersect(e *DFA[L]) *DFA[L] {
-	return d.product(e, func(a, b bool) bool { return a && b })
-}
-
-// Difference returns a DFA for L(d) \ L(e). Both automata should be complete
-// over a common letter set for the result to be exact; Equivalent arranges
-// this.
-func (d *DFA[L]) Difference(e *DFA[L]) *DFA[L] {
-	return d.product(e, func(a, b bool) bool { return a && !b })
-}
-
 // ToNFA converts the DFA to an equivalent NFA.
 func (d *DFA[L]) ToNFA() *NFA[L] {
 	a := NewNFA[L](d.NumStates())
@@ -239,12 +139,6 @@ func (d *DFA[L]) ToNFA() *NFA[L] {
 		}
 	}
 	return a
-}
-
-// IsEmpty reports whether the language is empty, with a shortest witness if
-// not.
-func (d *DFA[L]) IsEmpty() (witness []L, empty bool) {
-	return d.ToNFA().IsEmpty()
 }
 
 // Minimize returns the minimal DFA for the same language, computed by
@@ -381,12 +275,4 @@ func (d *DFA[L]) trimSink() *DFA[L] {
 func appendInt(buf []byte, v int) []byte {
 	u := uint64(int64(v)) // -1 encodes distinctly
 	return append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-}
-
-// SortedLetters returns the letters sorted by the provided less function —
-// a convenience for deterministic iteration in callers and tests.
-func SortedLetters[L comparable](ls []L, less func(a, b L) bool) []L {
-	out := append([]L(nil), ls...)
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-	return out
 }

@@ -10,7 +10,6 @@ package automata
 
 import (
 	"fmt"
-	"sort"
 
 	"ecrpq/internal/invariant"
 )
@@ -156,23 +155,6 @@ func (a *NFA[L]) OutLetters(p int, f func(l L)) {
 	for l := range a.trans[p] {
 		f(l)
 	}
-}
-
-// Letters returns the set of letters appearing on any transition. The order
-// is unspecified but deterministic across identical automata only if the
-// caller sorts; use LettersSorted in tests.
-func (a *NFA[L]) Letters() []L {
-	seen := make(map[L]struct{})
-	var out []L
-	for _, m := range a.trans {
-		for l := range m {
-			if _, ok := seen[l]; !ok {
-				seen[l] = struct{}{}
-				out = append(out, l)
-			}
-		}
-	}
-	return out
 }
 
 // Clone returns a deep copy of the automaton.
@@ -448,28 +430,6 @@ func (a *NFA[L]) Trim() *NFA[L] {
 	return b
 }
 
-// Reverse returns an automaton recognizing the reversal of the language.
-// ε-transitions are reversed as well.
-func (a *NFA[L]) Reverse() *NFA[L] {
-	n := a.NumStates()
-	b := NewNFA[L](n)
-	for q := 0; q < n; q++ {
-		b.start[q] = a.accept[q]
-		b.accept[q] = a.start[q]
-	}
-	for p := 0; p < n; p++ {
-		for _, q := range a.eps[p] {
-			b.AddEps(q, p)
-		}
-		for l, tos := range a.trans[p] {
-			for _, q := range tos {
-				b.AddTransition(q, l, p)
-			}
-		}
-	}
-	return b
-}
-
 // Intersect returns the product automaton recognizing L(a) ∩ L(b). Both
 // inputs may contain ε-transitions; the product handles them by asynchronous
 // interleaving.
@@ -619,40 +579,6 @@ func (a *NFA[L]) Determinize() *DFA[L] {
 	return d
 }
 
-// Equivalent reports whether a and b recognize the same language over the
-// union of their letter sets, by determinizing, completing, minimizing and
-// comparing canonical forms (via cross-checking both difference languages).
-func Equivalent[L comparable](a, b *NFA[L]) bool {
-	letters := unionLetters(a.Letters(), b.Letters())
-	da := a.Determinize().Complete(letters)
-	db := b.Determinize().Complete(letters)
-	if _, empty := da.Difference(db).ToNFA().IsEmpty(); !empty {
-		return false
-	}
-	if _, empty := db.Difference(da).ToNFA().IsEmpty(); !empty {
-		return false
-	}
-	return true
-}
-
-func unionLetters[L comparable](xs, ys []L) []L {
-	seen := make(map[L]struct{}, len(xs)+len(ys))
-	var out []L
-	for _, l := range xs {
-		if _, ok := seen[l]; !ok {
-			seen[l] = struct{}{}
-			out = append(out, l)
-		}
-	}
-	for _, l := range ys {
-		if _, ok := seen[l]; !ok {
-			seen[l] = struct{}{}
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Validate checks internal consistency (transition endpoints in range) and
 // returns a descriptive error if violated. Primarily useful after manual
 // construction.
@@ -673,11 +599,4 @@ func (a *NFA[L]) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortedInts returns a sorted copy (test helper shared across the package).
-func SortedInts(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	return out
 }

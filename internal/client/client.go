@@ -159,14 +159,6 @@ func New(cfg Config) *Client {
 	return c
 }
 
-// Retries returns the total number of retry attempts this client has made
-// (first attempts excluded).
-func (c *Client) Retries() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retries
-}
-
 // backoffDelay computes the attempt'th retry sleep: full jitter over an
 // exponentially growing window, capped at MaxDelay ("Full Jitter" from the
 // AWS architecture blog — the variant that best de-correlates synchronized
@@ -619,17 +611,6 @@ func (c *Client) Explain(ctx context.Context, req ExplainRequest) (*ExplainRespo
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Stats fetches the statistics catalog of a database held by the server.
-// Retried (read-only). The shape is internal/stats' Catalog JSON, kept
-// raw here.
-func (c *Client) Stats(ctx context.Context, db string) (json.RawMessage, error) {
-	var out json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/stats/"+url.PathEscape(db), nil, true, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // IntegrityInfo is the GET /v1/integrity/{db} response: the node's local

@@ -13,6 +13,14 @@ import (
 	"time"
 )
 
+// Retries returns the total number of retry attempts this client has made
+// (first attempts excluded).
+func (c *Client) Retries() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.retries
+}
+
 // testClient returns a client against url whose sleeps are recorded
 // instead of performed and whose jitter is pinned to the top of the
 // window (rnd = 1 - ε behaves like rnd ≈ 1 for assertions).

@@ -251,7 +251,7 @@ func TestAnswersStrategiesAgreeProperty(t *testing.T) {
 				t.Fatalf("%s: %s = %v, %v; want %v", c.at, how, got, err, c.ref)
 			}
 		}
-		oneShot, err := Answers(c.db, c.p.Query(), c.p.opts)
+		oneShot, err := Answers(c.db, c.p.q, c.p.opts)
 		same("Answers", oneShot, err)
 		for how, run := range c.ways() {
 			got, err := run(ctx)

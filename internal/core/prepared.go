@@ -114,9 +114,6 @@ func (p *Prepared) Strategy() Strategy { return p.strat }
 // time).
 func (p *Prepared) Measures() twolevel.Measures { return p.measures }
 
-// Query returns the compiled query.
-func (p *Prepared) Query() *query.Query { return p.q }
-
 // MemBytes approximates the retained size of the compiled plan, for cache
 // byte budgeting. It counts the merged relation NFAs (the dominant term)
 // plus fixed per-component overhead; it is an estimate, not an accounting.

@@ -303,9 +303,3 @@ func (q *Query) GaifmanGraph() (*twolevel.SimpleGraph, []string) {
 	}
 	return g, vars
 }
-
-// Treewidth returns treewidth bounds of the query's Gaifman graph.
-func (q *Query) Treewidth() (lower, upper int, exact bool) {
-	g, _ := q.GaifmanGraph()
-	return g.Treewidth()
-}

@@ -384,13 +384,19 @@ func TestLoadSorted(t *testing.T) {
 	}
 }
 
+// treewidth is the treewidth interval of the query's Gaifman graph.
+func treewidth(q *Query) (lower, upper int, exact bool) {
+	g, _ := q.GaifmanGraph()
+	return g.Treewidth()
+}
+
 func TestTreewidthOfQuery(t *testing.T) {
 	// Acyclic chain: tw 1.
 	q := &Query{Atoms: []Atom{
 		{Rel: "E", Args: []string{"a", "b"}},
 		{Rel: "E", Args: []string{"b", "c"}},
 	}}
-	lo, hi, exact := q.Treewidth()
+	lo, hi, exact := treewidth(q)
 	if !exact || lo != 1 || hi != 1 {
 		t.Errorf("chain tw = [%d,%d]", lo, hi)
 	}
@@ -400,7 +406,7 @@ func TestTreewidthOfQuery(t *testing.T) {
 		{Rel: "E", Args: []string{"b", "c"}},
 		{Rel: "E", Args: []string{"c", "a"}},
 	}}
-	lo, _, _ = q2.Treewidth()
+	lo, _, _ = treewidth(q2)
 	if lo != 2 {
 		t.Errorf("triangle tw = %d", lo)
 	}

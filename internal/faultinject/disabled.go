@@ -2,10 +2,6 @@
 
 package faultinject
 
-// BuildEnabled reports whether this binary was compiled with the
-// faultinject build tag.
-const BuildEnabled = false
-
 // Enabled reports whether any injection configuration is active (never, in
 // production builds).
 func Enabled() bool { return false }

@@ -8,9 +8,6 @@ import "testing"
 // faultinject build tag every entry point is a no-op and Point never
 // injects, no matter what configuration calls were made.
 func TestDisabledIsInert(t *testing.T) {
-	if BuildEnabled {
-		t.Fatal("BuildEnabled true in a !faultinject build")
-	}
 	Enable(42, 1)
 	EnableSite("persist.journal.append", ModePanic, 1)
 	defer Disable()

@@ -12,10 +12,6 @@ import (
 	"ecrpq/internal/invariant"
 )
 
-// BuildEnabled reports whether this binary was compiled with the
-// faultinject build tag.
-const BuildEnabled = true
-
 // siteCfg is the injection policy for one site (or the all-site default).
 type siteCfg struct {
 	mode Mode

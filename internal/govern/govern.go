@@ -109,14 +109,6 @@ func (b *Broker) Release(n int64) {
 	}
 }
 
-// Budget returns the configured budget (0 = unlimited).
-func (b *Broker) Budget() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.budget
-}
-
 // Reserved returns the bytes currently claimed.
 func (b *Broker) Reserved() int64 {
 	if b == nil {
@@ -251,14 +243,6 @@ func (r *Reservation) Peak() int64 {
 		return 0
 	}
 	return r.peak.Load()
-}
-
-// Granted returns the bytes currently held at the broker.
-func (r *Reservation) Granted() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.granted.Load()
 }
 
 // NewMeter opens a charging scope over the reservation. A nil reservation

@@ -8,6 +8,14 @@ import (
 	"time"
 )
 
+// Granted returns the bytes currently held at the broker.
+func (r *Reservation) Granted() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.granted.Load()
+}
+
 func TestBrokerAcquireRelease(t *testing.T) {
 	b := NewBroker(1000)
 	if !b.TryAcquire(600) {

@@ -75,14 +75,6 @@ func (d *DB) MustAddVertex(name string) int {
 	return invariant.Must(d.AddVertex(name))
 }
 
-// EnsureVertex returns the id of the named vertex, creating it if absent.
-func (d *DB) EnsureVertex(name string) int {
-	if v, ok := d.index[name]; ok {
-		return v
-	}
-	return d.MustAddVertex(name)
-}
-
 // Lookup returns the id of a named vertex.
 func (d *DB) Lookup(name string) (int, bool) {
 	v, ok := d.index[name]
@@ -282,8 +274,8 @@ func Parse(r io.Reader) (*DB, error) {
 	return db.withEdges(triples)
 }
 
-// vertexNamed is EnsureVertex for Parse: it names the vertex and leaves its
-// adjacency to withEdges.
+// vertexNamed returns the id of the named vertex, creating it if absent;
+// Parse leaves its adjacency to withEdges.
 func (d *DB) vertexNamed(name []byte) int32 {
 	if v, ok := d.index[string(name)]; ok {
 		return int32(v)

@@ -208,16 +208,6 @@ func naiveReach(db *DB, accept func(alphabet.Word) bool, src, maxLen int) map[in
 	return out
 }
 
-func TestDOT(t *testing.T) {
-	db := triangleDB(t)
-	dot := db.DOT("tri")
-	for _, want := range []string{"digraph \"tri\"", "label=\"x\"", "label=\"a\""} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q", want)
-		}
-	}
-}
-
 func TestCheckConsistency(t *testing.T) {
 	db := triangleDB(t)
 	if err := db.CheckConsistency(); err != nil {

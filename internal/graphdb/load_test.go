@@ -12,6 +12,15 @@ import (
 	"ecrpq/internal/alphabet"
 )
 
+// EnsureVertex returns the id of the named vertex, creating it if absent:
+// referenceParse's vertex step.
+func (d *DB) EnsureVertex(name string) int {
+	if v, ok := d.index[name]; ok {
+		return v
+	}
+	return d.MustAddVertex(name)
+}
+
 // referenceParse is the line-by-line parser Parse replaced, kept as the
 // oracle: Text and strings.Fields per line, EnsureVertex and AddEdge per
 // edge. Parse must agree with it on every text, errors included.

@@ -114,27 +114,6 @@ func (g *CallGraph) Funcs() []*FuncNode {
 	return g.order
 }
 
-// Node returns the node for fn, nil if fn has no body in the loaded set.
-func (g *CallGraph) Node(fn *types.Func) *FuncNode {
-	return g.nodes[fn]
-}
-
-// Callees returns fn's resolved callees that have nodes, sorted.
-func (g *CallGraph) Callees(fn *types.Func) []*FuncNode {
-	n := g.nodes[fn]
-	if n == nil {
-		return nil
-	}
-	var out []*FuncNode
-	for callee := range n.callees {
-		if cn := g.nodes[callee]; cn != nil {
-			out = append(out, cn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
-	return out
-}
-
 // PollsCtx reports whether fn polls the context directly or through any
 // transitively-reachable callee (callee fact propagated to callers).
 func (g *CallGraph) PollsCtx(fn *types.Func) bool {

@@ -58,9 +58,3 @@ func Hash(q *Query) string {
 	sum := sha256.Sum256([]byte(Canonical(q)))
 	return hex.EncodeToString(sum[:])
 }
-
-// Equal reports whether two queries have identical canonical forms (same
-// alphabet, free tuple, and atom multiset up to ordering).
-func Equal(a, b *Query) bool {
-	return Canonical(a) == Canonical(b)
-}

@@ -37,9 +37,6 @@ func TestCanonicalRoundTrip(t *testing.T) {
 	if Hash(q1) != Hash(q2) {
 		t.Fatal("two parses of the same text hash differently")
 	}
-	if !Equal(q1, q2) {
-		t.Fatal("Equal(q1, q2) = false for identical parses")
-	}
 
 	// Same query, atoms added in reverse order.
 	a := mustAlpha(t, "a", "b")

@@ -170,7 +170,11 @@ func TestInternConcurrentParse(t *testing.T) {
 	want := make([]string, len(internTexts))
 	withoutIntern(func() {
 		for i, src := range internTexts {
-			want[i] = Hash(MustParseString(src))
+			q, err := ParseString(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = Hash(q)
 		}
 	})
 	var wg sync.WaitGroup
@@ -201,16 +205,14 @@ func TestInternConcurrentParse(t *testing.T) {
 	}
 }
 
-// TestInternBounded: 10^5 distinct regular expressions never leave the
-// table holding more than internEntries relations, and an automaton past
-// internMaxTransitions is never held at all.
+// TestInternBounded: 4·internEntries distinct regular expressions fill
+// the table to internEntries and start it over four times, never leaving it
+// holding more, and an automaton past internMaxTransitions is never held at
+// all.
 func TestInternBounded(t *testing.T) {
 	a := alphabet.Lower(26)
-	n := 100000
-	if testing.Short() {
-		n = 5000
-	}
-	for i := 0; i < n; i++ {
+	peak := 0
+	for i := 0; i < 4*internEntries; i++ {
 		var re []byte // i in base 26, one letter a digit: "ab*", "zzx*", …
 		for d := i; ; d /= 26 {
 			if re = append(re, byte('a'+d%26)); d < 26 {
@@ -221,9 +223,14 @@ func TestInternBounded(t *testing.T) {
 		if _, err := NewBuilder(a).Reach("x", "p", "y").Lang("p", string(re)).Build(); err != nil {
 			t.Fatalf("regex %q: %v", re, err)
 		}
-		if held := len(relations.m); held > internEntries {
+		held := len(relations.m)
+		if held > internEntries {
 			t.Fatalf("after %d regexes the table holds %d relations, over its cap of %d", i+1, held, internEntries)
 		}
+		peak = max(peak, held)
+	}
+	if peak != internEntries {
+		t.Fatalf("the table peaked at %d relations, want its cap of %d", peak, internEntries)
 	}
 	big := "hamming<=" + strconv.Itoa(internMaxTransitions) // (d+1)·|A|² transitions
 	r, err := BuiltinRelation(alphabet.Lower(2), big, 2)

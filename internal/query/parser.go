@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"ecrpq/internal/alphabet"
-	"ecrpq/internal/invariant"
 	"ecrpq/internal/synchro"
 )
 
@@ -87,11 +86,6 @@ func ParseWithRelations(r io.Reader, registry map[string]*synchro.Relation) (*Qu
 
 // ParseString is Parse over a string.
 func ParseString(s string) (*Query, error) { return Parse(strings.NewReader(s)) }
-
-// MustParseString is ParseString, panicking on error.
-func MustParseString(s string) *Query {
-	return invariant.Must(ParseString(s))
-}
 
 // parseReachClause parses  src -[X]-> dst  where X is $pathvar or a regex.
 func parseReachClause(b *Builder, line string) error {

@@ -10,7 +10,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/invariant"
@@ -89,9 +88,6 @@ func (q *Query) ReachAtomFor(path string) (ReachAtom, bool) {
 	}
 	return ReachAtom{}, false
 }
-
-// IsBoolean reports whether the query has no free variables.
-func (q *Query) IsBoolean() bool { return len(q.Free) == 0 }
 
 // IsCRPQ reports whether the query satisfies the CRPQ restrictions: every
 // relation has arity one, and no path variable appears in more than one
@@ -300,12 +296,4 @@ func (b *Builder) Build() (*Query, error) {
 // MustBuild is Build, panicking on error.
 func (b *Builder) MustBuild() *Query {
 	return invariant.Must(b.Build())
-}
-
-// SortedNodeVars returns the node variables sorted (test helper for
-// deterministic comparisons).
-func (q *Query) SortedNodeVars() []string {
-	vs := q.NodeVars()
-	sort.Strings(vs)
-	return vs
 }

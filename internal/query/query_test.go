@@ -1,6 +1,7 @@
 package query
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestBuilderBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.IsBoolean() {
+	if len(q.Free) != 0 {
 		t.Error("should be Boolean")
 	}
 	if got := q.NodeVars(); len(got) != 2 {
@@ -52,7 +53,7 @@ func TestBuilderEdgeSugar(t *testing.T) {
 	if len(q.Reach) != 2 || len(q.Rels) != 2 {
 		t.Errorf("atoms: %d reach, %d rel", len(q.Reach), len(q.Rels))
 	}
-	if q.IsBoolean() {
+	if len(q.Free) == 0 {
 		t.Error("has free vars")
 	}
 }
@@ -290,9 +291,10 @@ func TestQueryString(t *testing.T) {
 func TestSortedNodeVars(t *testing.T) {
 	a := alphabet.Lower(2)
 	q := NewBuilder(a).Reach("z", "p1", "a").Reach("m", "p2", "z").MustBuild()
-	got := q.SortedNodeVars()
+	got := q.NodeVars()
+	sort.Strings(got)
 	if len(got) != 3 || got[0] != "a" || got[2] != "z" {
-		t.Errorf("SortedNodeVars = %v", got)
+		t.Errorf("sorted NodeVars = %v", got)
 	}
 }
 

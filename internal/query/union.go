@@ -42,11 +42,6 @@ func (u *UnionQuery) Validate() error {
 	return nil
 }
 
-// IsBoolean reports whether the union has no free variables.
-func (u *UnionQuery) IsBoolean() bool {
-	return len(u.Disjuncts) > 0 && u.Disjuncts[0].IsBoolean()
-}
-
 // String renders the union as disjunct strings joined by ∨.
 func (u *UnionQuery) String() string {
 	parts := make([]string, len(u.Disjuncts))

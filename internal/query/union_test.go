@@ -23,7 +23,7 @@ lang p ab
 	if len(u.Disjuncts) != 3 {
 		t.Fatalf("disjuncts = %d", len(u.Disjuncts))
 	}
-	if !u.IsBoolean() {
+	if len(u.Disjuncts[0].Free) != 0 {
 		t.Error("should be Boolean")
 	}
 	if !strings.Contains(u.String(), "∨") {

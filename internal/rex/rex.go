@@ -90,11 +90,6 @@ func Parse(a *alphabet.Alphabet, src string) (*Expr, error) {
 	return &Expr{root: n, src: src}, nil
 }
 
-// MustParse is Parse, panicking on error.
-func MustParse(a *alphabet.Alphabet, src string) *Expr {
-	return invariant.Must(Parse(a, src))
-}
-
 type parser struct {
 	alpha *alphabet.Alphabet
 	src   []rune
@@ -382,10 +377,4 @@ func CompileString(a *alphabet.Alphabet, src string) (*automata.NFA[alphabet.Sym
 // MustCompileString is CompileString, panicking on error.
 func MustCompileString(a *alphabet.Alphabet, src string) *automata.NFA[alphabet.Symbol] {
 	return invariant.Must(CompileString(a, src))
-}
-
-// Matches reports whether the word matches the expression (convenience
-// wrapper that compiles on each call; compile once for hot paths).
-func (e *Expr) Matches(a *alphabet.Alphabet, w alphabet.Word) bool {
-	return e.Compile(a).Accepts(w)
 }

@@ -138,12 +138,15 @@ func TestNestedQuantifiers(t *testing.T) {
 
 func TestSourceRoundTrip(t *testing.T) {
 	a := alphabet.Lower(2)
-	e := MustParse(a, "(a|b)*a")
+	e, err := Parse(a, "(a|b)*a")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if e.Source() != "(a|b)*a" {
 		t.Errorf("Source = %q", e.Source())
 	}
-	if !e.Matches(a, alphabet.MustParseWord(a, "ba")) {
-		t.Error("Matches failed")
+	if !e.Compile(a).Accepts(alphabet.MustParseWord(a, "ba")) {
+		t.Error("the compiled expression rejects ba")
 	}
 }
 

@@ -138,16 +138,6 @@ func (s *Server) renderDBCache() string {
 	return sb.String()
 }
 
-// StatsFor returns the statistics catalog held for a database, for tests
-// and tooling. nil when the database is unknown or has no catalog.
-func (s *Server) StatsFor(name string) *stats.Catalog {
-	e, ok := s.dbs.get(name)
-	if !ok {
-		return nil
-	}
-	return e.stats
-}
-
 // statsAge renders how stale a catalog is relative to now — used by
 // explain responses for operator context.
 func statsAge(registeredAt time.Time) float64 {

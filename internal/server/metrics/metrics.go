@@ -23,9 +23,6 @@ import (
 // Counter is a monotonically increasing counter.
 type Counter struct{ v atomic.Uint64 }
 
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
@@ -44,12 +41,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 
 // Dec decrements the gauge.
 func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 func (g *Gauge) appendJSON(sb *strings.Builder) {
 	fmt.Fprintf(sb, "%d", g.v.Load())

@@ -12,7 +12,18 @@ import (
 
 	"ecrpq/internal/core"
 	"ecrpq/internal/query"
+	"ecrpq/internal/stats"
 )
+
+// StatsFor returns the statistics catalog held for a database, nil when
+// the database is unknown or has no catalog.
+func (s *Server) StatsFor(name string) *stats.Catalog {
+	e, ok := s.dbs.get(name)
+	if !ok {
+		return nil
+	}
+	return e.stats
+}
 
 // TestPerDBCacheMetricsShape pins the JSON shape of the
 // plan_cache_by_db expvar: one object per database name, each with

@@ -521,9 +521,6 @@ func (s *Server) CacheStats() plancache.Stats { return s.cache.Stats() }
 // peak, denials) for tests, benchmarks, and the overload experiment.
 func (s *Server) GovernStats() govern.BrokerStats { return s.broker.Stats() }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown drains the daemon: new query and registration requests are
 // refused with 503 (carrying Retry-After so well-behaved clients back
 // off to a healthy replica), in-flight requests run to completion

@@ -465,7 +465,7 @@ func TestGracefulShutdown(t *testing.T) {
 		defer cancel()
 		shutdownDone <- s.Shutdown(ctx)
 	}()
-	waitUntil(t, "the server never started draining", s.Draining)
+	waitUntil(t, "the server never started draining", s.draining.Load)
 
 	rec, _ := doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": quickQuery})
 	if rec.Code != http.StatusServiceUnavailable {

@@ -240,27 +240,6 @@ func EditDistanceAtMost(a *alphabet.Alphabet, d int) (*Relation, error) {
 	return cur.WithName(fmt.Sprintf("edit<=%d", d)), nil
 }
 
-// FromTuples returns the finite relation containing exactly the given word
-// tuples.
-func FromTuples(a *alphabet.Alphabet, k int, tuples ...[]alphabet.Word) (*Relation, error) {
-	nfa := automata.NewNFA[string](1)
-	nfa.SetStart(0, true)
-	for _, words := range tuples {
-		if len(words) != k {
-			return nil, fmt.Errorf("synchro: tuple has %d words, want %d", len(words), k)
-		}
-		cur := 0
-		conv := alphabet.Convolve(words...)
-		for _, t := range conv {
-			next := nfa.AddState()
-			nfa.AddTransition(cur, t.Key(), next)
-			cur = next
-		}
-		nfa.SetAccept(cur, true)
-	}
-	return FromNFA(a, k, nfa)
-}
-
 // Minimized returns an equivalent relation with a determinized+minimized
 // underlying automaton (useful to tame composition growth). Its states are
 // numbered canonically, so the same relation minimises to the same Format

@@ -184,50 +184,6 @@ func (r *Relation) Project(keep []int) (*Relation, error) {
 	return explicit(r.alpha, len(keep), clean, ""), nil
 }
 
-// Cylindrify inserts a new unconstrained track at position pos (0-based),
-// returning a relation of arity k+1: { (w_0,...,w_{pos-1}, x, w_pos, ...) :
-// (w_0,...,w_{k-1}) ∈ R, x ∈ A* }. The new track may carry any symbol or
-// padding on every letter; additionally the new track may extend beyond all
-// original tracks (suffix letters where only the new track is active).
-func (r *Relation) Cylindrify(pos int) (*Relation, error) {
-	if pos < 0 || pos > r.arity {
-		return nil, fmt.Errorf("synchro: cylindrification position %d out of range", pos)
-	}
-	if r.universal {
-		return Universal(r.alpha, r.arity+1), nil
-	}
-	syms := append([]alphabet.Symbol{alphabet.Pad}, r.alpha.Symbols()...)
-	out := r.relabel(func(out *automata.NFA[string], q int, tr Transition) {
-		for _, x := range syms {
-			nt := make(alphabet.Tuple, r.arity+1)
-			copy(nt, tr.Tuple[:pos])
-			nt[pos] = x
-			copy(nt[pos+1:], tr.Tuple[pos:])
-			out.AddTransition(q, nt.Key(), tr.To)
-		}
-	})
-	// Tail: the new track continues after all original tracks ended. Add a
-	// tail state reachable from every accepting state, looping on letters
-	// that are pad everywhere except the new track.
-	tail := out.AddState()
-	out.SetAccept(tail, true)
-	for _, s := range r.alpha.Symbols() {
-		nt := make(alphabet.Tuple, r.arity+1)
-		for i := range nt {
-			nt[i] = alphabet.Pad
-		}
-		nt[pos] = s
-		key := nt.Key()
-		for _, q := range out.AcceptStates() {
-			if q != tail {
-				out.AddTransition(q, key, tail)
-			}
-		}
-		out.AddTransition(tail, key, tail)
-	}
-	return explicit(r.alpha, r.arity+1, out, ""), nil
-}
-
 // Compose returns the composition R ∘ S = { (u, w) : ∃v, (u,v) ∈ R and
 // (v,w) ∈ S } of two binary relations: their Lemma 4.1 merge over the
 // tracks (u, v, w), projected to (u, w) (synchronous relations are closed
@@ -275,17 +231,4 @@ func (r *Relation) EquivalentTo(s *Relation) (bool, error) {
 		return false, nil
 	}
 	return s.SubsetOf(r)
-}
-
-// Difference returns r \ s (same arity required; subject to the Complement
-// arity bound).
-func (r *Relation) Difference(s *Relation) (*Relation, error) {
-	if r.arity != s.arity {
-		return nil, fmt.Errorf("synchro: difference arities %d and %d", r.arity, s.arity)
-	}
-	comp, err := s.Complement()
-	if err != nil {
-		return nil, err
-	}
-	return r.Intersect(comp)
 }

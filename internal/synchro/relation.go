@@ -152,11 +152,6 @@ func FromNFA(a *alphabet.Alphabet, arity int, nfa *automata.NFA[string]) (*Relat
 	return &Relation{arity: arity, alpha: a, nfa: nfa, table: func() *Table { return t }}, nil
 }
 
-// MustFromNFA is FromNFA, panicking on error.
-func MustFromNFA(a *alphabet.Alphabet, arity int, nfa *automata.NFA[string]) *Relation {
-	return invariant.Must(FromNFA(a, arity, nfa))
-}
-
 // Arity returns the number of tracks of the relation.
 func (r *Relation) Arity() int { return r.arity }
 
@@ -263,11 +258,6 @@ func (r *Relation) Contains(words ...alphabet.Word) (bool, error) {
 		letters[i] = t.Key()
 	}
 	return r.nfa.Accepts(letters), nil
-}
-
-// MustContain is Contains, panicking on error.
-func (r *Relation) MustContain(words ...alphabet.Word) bool {
-	return invariant.Must(r.Contains(words...))
 }
 
 // IsEmpty reports whether the relation contains no tuple. When non-empty it

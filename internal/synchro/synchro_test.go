@@ -1,14 +1,21 @@
 package synchro
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/automata"
+	"ecrpq/internal/invariant"
 	"ecrpq/internal/rex"
 )
+
+// MustContain is Contains, panicking on error: the tests' membership probe.
+func (r *Relation) MustContain(words ...alphabet.Word) bool {
+	return invariant.Must(r.Contains(words...))
+}
 
 // allWords enumerates every word over a of length ≤ maxLen.
 func allWords(a *alphabet.Alphabet, maxLen int) []alphabet.Word {
@@ -347,11 +354,35 @@ func TestIsEmptyFiltersInvalidConvolutions(t *testing.T) {
 	n.AddTransition(0, alphabet.Tuple{alphabet.Pad, 0}.Key(), 1)
 	n.AddTransition(1, alphabet.Tuple{0, 0}.Key(), 2)
 	n.SetAccept(2, true)
-	r := MustFromNFA(a, 2, n)
+	r, err := FromNFA(a, 2, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, empty := r.IsEmpty(); !empty {
 		// The NFA accepts a word, but no valid convolution: relation empty.
 		t.Error("relation with only invalid convolutions should be empty")
 	}
+}
+
+// FromTuples returns the finite relation containing exactly the given word
+// tuples.
+func FromTuples(a *alphabet.Alphabet, k int, tuples ...[]alphabet.Word) (*Relation, error) {
+	nfa := automata.NewNFA[string](1)
+	nfa.SetStart(0, true)
+	for _, words := range tuples {
+		if len(words) != k {
+			return nil, fmt.Errorf("synchro: tuple has %d words, want %d", len(words), k)
+		}
+		cur := 0
+		conv := alphabet.Convolve(words...)
+		for _, t := range conv {
+			next := nfa.AddState()
+			nfa.AddTransition(cur, t.Key(), next)
+			cur = next
+		}
+		nfa.SetAccept(cur, true)
+	}
+	return FromNFA(a, k, nfa)
 }
 
 func TestFromTuples(t *testing.T) {
@@ -524,6 +555,50 @@ func TestProject(t *testing.T) {
 	if err != nil || !pu.IsUniversal() || pu.Arity() != 2 {
 		t.Error("projection of universal should be universal of reduced arity")
 	}
+}
+
+// Cylindrify inserts a new unconstrained track at position pos (0-based),
+// returning a relation of arity k+1: { (w_0,...,w_{pos-1}, x, w_pos, ...) :
+// (w_0,...,w_{k-1}) ∈ R, x ∈ A* }. The new track may carry any symbol or
+// padding on every letter; additionally the new track may extend beyond all
+// original tracks (suffix letters where only the new track is active).
+func (r *Relation) Cylindrify(pos int) (*Relation, error) {
+	if pos < 0 || pos > r.arity {
+		return nil, fmt.Errorf("synchro: cylindrification position %d out of range", pos)
+	}
+	if r.universal {
+		return Universal(r.alpha, r.arity+1), nil
+	}
+	syms := append([]alphabet.Symbol{alphabet.Pad}, r.alpha.Symbols()...)
+	out := r.relabel(func(out *automata.NFA[string], q int, tr Transition) {
+		for _, x := range syms {
+			nt := make(alphabet.Tuple, r.arity+1)
+			copy(nt, tr.Tuple[:pos])
+			nt[pos] = x
+			copy(nt[pos+1:], tr.Tuple[pos:])
+			out.AddTransition(q, nt.Key(), tr.To)
+		}
+	})
+	// Tail: the new track continues after all original tracks ended. Add a
+	// tail state reachable from every accepting state, looping on letters
+	// that are pad everywhere except the new track.
+	tail := out.AddState()
+	out.SetAccept(tail, true)
+	for _, s := range r.alpha.Symbols() {
+		nt := make(alphabet.Tuple, r.arity+1)
+		for i := range nt {
+			nt[i] = alphabet.Pad
+		}
+		nt[pos] = s
+		key := nt.Key()
+		for _, q := range out.AcceptStates() {
+			if q != tail {
+				out.AddTransition(q, key, tail)
+			}
+		}
+		out.AddTransition(tail, key, tail)
+	}
+	return explicit(r.alpha, r.arity+1, out, ""), nil
 }
 
 func TestCylindrify(t *testing.T) {
@@ -857,12 +932,21 @@ func TestEditDistanceMonotoneProperty(t *testing.T) {
 	}
 }
 
+// difference is r \ s as r ∩ ¬s.
+func difference(r, s *Relation) (*Relation, error) {
+	comp, err := s.Complement()
+	if err != nil {
+		return nil, err
+	}
+	return r.Intersect(comp)
+}
+
 func TestDifference(t *testing.T) {
 	a := alphabet.Lower(2)
 	el := EqualLength(a, 2)
 	eq := Equality(a, 2)
-	// eqlen \ eq = equal length but different words.
-	d, err := el.Difference(eq)
+	// eqlen \ eq = equal length but different words: eqlen ∩ ¬eq.
+	d, err := difference(el, eq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -875,11 +959,11 @@ func TestDifference(t *testing.T) {
 			}
 		}
 	}
-	if _, err := el.Difference(Equality(a, 3)); err == nil {
+	if _, err := difference(el, Equality(a, 3)); err == nil {
 		t.Error("arity mismatch should error")
 	}
 	// r \ r is empty.
-	self, err := eq.Difference(eq)
+	self, err := difference(eq, eq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,15 +43,3 @@ func Classify(ccVertexBounded, ccHedgeBounded, twBounded bool) (EvalClass, Param
 	}
 	return ec, pc
 }
-
-// ClassifyThresholds classifies a single query's measures against concrete
-// bounds, as a practical proxy: the family "queries with cc_vertex ≤ cv,
-// cc_hedge ≤ ch, tw ≤ tw" falls in the returned classes. Measures exceeding
-// a threshold are treated as unbounded.
-func ClassifyThresholds(m Measures, maxCCVertex, maxCCHedge, maxTreewidth int) (EvalClass, ParamClass) {
-	return Classify(
-		m.CCVertex <= maxCCVertex,
-		m.CCHedge <= maxCCHedge,
-		m.TreewidthUpper <= maxTreewidth,
-	)
-}

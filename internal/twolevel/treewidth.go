@@ -1,7 +1,6 @@
 package twolevel
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 )
@@ -34,15 +33,6 @@ func (g *SimpleGraph) AddEdge(u, v int) {
 // HasEdge reports whether {u, v} is an edge.
 func (g *SimpleGraph) HasEdge(u, v int) bool { return u >= 0 && u < g.N && g.adj[u][v] }
 
-// NumEdges returns the number of edges.
-func (g *SimpleGraph) NumEdges() int {
-	m := 0
-	for _, a := range g.adj {
-		m += len(a)
-	}
-	return m / 2
-}
-
 // Neighbors returns the sorted neighbor list of v.
 func (g *SimpleGraph) Neighbors(v int) []int {
 	out := make([]int, 0, len(g.adj[v]))
@@ -62,44 +52,6 @@ func (g *SimpleGraph) Clone() *SimpleGraph {
 		}
 	}
 	return c
-}
-
-// MultiGraph is an undirected multigraph (parallel edges counted).
-type MultiGraph struct {
-	N    int
-	Mult map[[2]int]int // key: ordered pair (min, max)
-}
-
-// NewMultiGraph returns an empty multigraph with n vertices.
-func NewMultiGraph(n int) *MultiGraph {
-	return &MultiGraph{N: n, Mult: make(map[[2]int]int)}
-}
-
-// AddEdge adds one copy of {u, v}.
-func (m *MultiGraph) AddEdge(u, v int) {
-	if u > v {
-		u, v = v, u
-	}
-	m.Mult[[2]int{u, v}]++
-}
-
-// NumEdges returns the total number of edges counting multiplicity.
-func (m *MultiGraph) NumEdges() int {
-	n := 0
-	for _, c := range m.Mult {
-		n += c
-	}
-	return n
-}
-
-// Simple returns the underlying simple graph (multiplicities and loops
-// dropped).
-func (m *MultiGraph) Simple() *SimpleGraph {
-	g := NewSimpleGraph(m.N)
-	for k := range m.Mult {
-		g.AddEdge(k[0], k[1])
-	}
-	return g
 }
 
 // exactTreewidthMaxN bounds the subset-DP exact treewidth computation
@@ -421,98 +373,4 @@ func decomposeFromOrder(fill *SimpleGraph, order []int) *TreeDecomposition {
 		}
 	}
 	return td
-}
-
-// Verify checks the tree-decomposition conditions for graph g: (1) every
-// graph edge is inside some bag; (2) for every vertex, the bags containing
-// it induce a connected subtree; and that TreeEdges form a forest over the
-// bags (a tree per connected component of the bag set).
-func (td *TreeDecomposition) Verify(g *SimpleGraph) error {
-	nb := len(td.Bags)
-	inBag := func(b int, v int) bool {
-		for _, x := range td.Bags[b] {
-			if x == v {
-				return true
-			}
-		}
-		return false
-	}
-	// Forest check (no cycles).
-	parent := make([]int, nb)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	adj := make([][]int, nb)
-	for _, e := range td.TreeEdges {
-		if e[0] < 0 || e[0] >= nb || e[1] < 0 || e[1] >= nb {
-			return fmt.Errorf("twolevel: tree edge %v out of range", e)
-		}
-		ra, rb := find(e[0]), find(e[1])
-		if ra == rb {
-			return fmt.Errorf("twolevel: tree edges contain a cycle at %v", e)
-		}
-		parent[ra] = rb
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
-	}
-	// Edge coverage.
-	for u := 0; u < g.N; u++ {
-		for v := range g.adj[u] {
-			if u > v {
-				continue
-			}
-			found := false
-			for b := 0; b < nb && !found; b++ {
-				if inBag(b, u) && inBag(b, v) {
-					found = true
-				}
-			}
-			if !found {
-				return fmt.Errorf("twolevel: edge {%d,%d} not covered by any bag", u, v)
-			}
-		}
-	}
-	// Connected-subtree condition per vertex.
-	for v := 0; v < g.N; v++ {
-		var holding []int
-		for b := 0; b < nb; b++ {
-			if inBag(b, v) {
-				holding = append(holding, b)
-			}
-		}
-		if len(holding) == 0 {
-			// Vertices may be absent only if isolated and not covered; for
-			// our constructions every vertex appears in its own bag.
-			return fmt.Errorf("twolevel: vertex %d in no bag", v)
-		}
-		// BFS within holding set.
-		hs := make(map[int]bool, len(holding))
-		for _, b := range holding {
-			hs[b] = true
-		}
-		seen := map[int]bool{holding[0]: true}
-		queue := []int{holding[0]}
-		for len(queue) > 0 {
-			b := queue[0]
-			queue = queue[1:]
-			for _, nb2 := range adj[b] {
-				if hs[nb2] && !seen[nb2] {
-					seen[nb2] = true
-					queue = append(queue, nb2)
-				}
-			}
-		}
-		if len(seen) != len(holding) {
-			return fmt.Errorf("twolevel: bags holding vertex %d are disconnected", v)
-		}
-	}
-	return nil
 }

@@ -1,15 +1,11 @@
 // Package twolevel implements two-level multi-hypergraphs (2L graphs,
 // Section 2 of the paper), the structural abstraction of ECRPQ queries, the
-// derived graphs G^rel, G^node and G^collapse, and the three measures that
+// derived graphs G^rel and G^node, and the three measures that
 // drive the complexity characterization: treewidth (of G^node), cc_vertex
 // and cc_hedge (component sizes in G^rel).
 package twolevel
 
-import (
-	"fmt"
-
-	"ecrpq/internal/query"
-)
+import "ecrpq/internal/query"
 
 // Graph is a two-level multi-hypergraph G = (V, E, H, η, ν): (V, E, η) is a
 // multigraph of first-level edges and (E, H, ν) a multi-hypergraph of
@@ -23,32 +19,6 @@ type Graph struct {
 // Endpoints is the (ordered, for query provenance) vertex pair of a
 // first-level edge.
 type Endpoints struct{ U, V int }
-
-// Validate checks index ranges and that hyperedges are non-empty with
-// distinct members.
-func (g *Graph) Validate() error {
-	for i, e := range g.Edges {
-		if e.U < 0 || e.U >= g.NumVertices || e.V < 0 || e.V >= g.NumVertices {
-			return fmt.Errorf("twolevel: edge %d endpoints (%d,%d) out of range", i, e.U, e.V)
-		}
-	}
-	for i, h := range g.Hyper {
-		if len(h) == 0 {
-			return fmt.Errorf("twolevel: hyperedge %d is empty", i)
-		}
-		seen := make(map[int]bool, len(h))
-		for _, e := range h {
-			if e < 0 || e >= len(g.Edges) {
-				return fmt.Errorf("twolevel: hyperedge %d member %d out of range", i, e)
-			}
-			if seen[e] {
-				return fmt.Errorf("twolevel: hyperedge %d repeats edge %d", i, e)
-			}
-			seen[e] = true
-		}
-	}
-	return nil
-}
 
 // Abstraction computes the 2L-graph abstraction of an ECRPQ (Section 2,
 // "Two-level graphs"): vertices are node variables, first-level edges are
@@ -198,24 +168,6 @@ func (g *Graph) NodeGraph() *SimpleGraph {
 		}
 	}
 	return sg
-}
-
-// CollapseGraph computes G^collapse (Section 5.2): the bipartite multigraph
-// on V ∪ C obtained by splitting every first-level edge η(e) = {u, v} in
-// component c into edges {u, c} and {v, c}. It returns the multigraph
-// (as a simple graph with multiplicity counts) and the number of component
-// vertices appended after the original V vertices.
-func (g *Graph) CollapseGraph() (*MultiGraph, int) {
-	comps := g.RelComponents()
-	mg := NewMultiGraph(g.NumVertices + len(comps))
-	for ci, c := range comps {
-		cv := g.NumVertices + ci
-		for _, e := range c.Edges {
-			mg.AddEdge(g.Edges[e].U, cv)
-			mg.AddEdge(g.Edges[e].V, cv)
-		}
-	}
-	return mg, len(comps)
 }
 
 // Treewidth returns exact-or-bounded treewidth of G^node; see

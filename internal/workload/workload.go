@@ -62,28 +62,6 @@ func LineDB(a *alphabet.Alphabet, n int) *graphdb.DB {
 	return db
 }
 
-// GridDB generates an r×c grid: right edges labelled with symbol 0, down
-// edges with symbol 1 (requires |A| ≥ 2).
-func GridDB(a *alphabet.Alphabet, r, c int) *graphdb.DB {
-	invariant.Assert(a.Size() >= 2, "workload: GridDB needs at least 2 symbols")
-	db := graphdb.New(a)
-	for i := 0; i < r*c; i++ {
-		db.MustAddVertex("")
-	}
-	id := func(i, j int) int { return i*c + j }
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			if j+1 < c {
-				db.MustAddEdge(id(i, j), 0, id(i, j+1))
-			}
-			if i+1 < r {
-				db.MustAddEdge(id(i, j), 1, id(i+1, j))
-			}
-		}
-	}
-	return db
-}
-
 // RandomDFA generates a complete random DFA with the given number of states
 // over the alphabet, as an NFA value (start state 0; each state accepting
 // with probability 1/3, at least one accepting state).
