@@ -114,8 +114,6 @@ type atomPattern struct {
 	// the source of track j, 2j+1 the destination of an earlier track j —
 	// or -1 when it is free.
 	dst []int
-	// cuts is whether some destination is not free.
-	cuts bool
 }
 
 // newAtomPattern reads the pattern off component.ends.
@@ -144,7 +142,6 @@ func newAtomPattern(ends []int) atomPattern {
 				p.dst[k] = e
 			}
 		}
-		p.cuts = p.cuts || p.dst[k] >= 0
 	}
 	return p
 }

@@ -684,9 +684,9 @@ func (f *fastProduct) witness(ctx context.Context, srcs, dsts []int, maxStates i
 const denseTableWords = 1 << 21
 
 // wordTable maps uint64 keys to slots of stride words, all zero until
-// written. It is the per-state table of the sweep kernel (stride 2w: the
-// lanes that reach a product state, and those not yet propagated from it)
-// and the per-destination table the rows are emitted from (stride w). Where
+// written. It is the sweep kernel's state table (stride 1: a state's id),
+// the per-destination table the rows are emitted from and the table of
+// lanes by source vertex (stride w). Where
 // slots over the whole key space fit in denseTableWords a key indexes its
 // slot (at width 0 — the wide regime — the table grows with the keys
 // instead); otherwise it indexes it by its rank. keys lists the distinct
@@ -701,11 +701,11 @@ type wordTable struct {
 }
 
 //ecrpq:charged the owner charges bytes() to its scratch meter before the first traversal
-func newWordTable(keyBits uint, stride int) *wordTable {
+func newWordTable(keyBits uint, stride int) wordTable {
 	if keyBits > 21 || stride<<keyBits > denseTableWords {
-		return &wordTable{stride: stride, index: new(rankTable)}
+		return wordTable{stride: stride, index: new(rankTable)}
 	}
-	return &wordTable{stride: stride, words: zeroSlabs.take(stride<<keyBits, true), zeroed: keyBits > 0}
+	return wordTable{stride: stride, words: zeroSlabs.take(stride<<keyBits, true), zeroed: keyBits > 0}
 }
 
 // at returns key's slot, claiming a zeroed one on first use where the table
@@ -769,39 +769,51 @@ func (t *wordTable) bytes() int64 {
 // states than its budget; sweepWorker.batch splits the batch and retries.
 var errStateBudget = errors.New("core: product exceeded the state budget")
 
-// sweepKernel is the sweep worker's scratch for the batched Lemma 4.3 sweep: a
-// traversal of the packed product graph that carries up to 64w source
-// tuples at once, lane i being bit i%64 of word i/64 of a lane mask. Every
-// state holds the mask of "which lanes of this batch reach me" and that of
-// "which of those I have not propagated yet"; a state is (re-)expanded
-// only for the latter, so the searches of a batch share every state they
-// have in common. The shape is shared; everything else is this kernel's.
+// sweepKernel is the sweep worker's scratch for the batched Lemma 4.3 sweep:
+// a traversal of the packed product graph that carries up to 64w source
+// tuples at once (lane i is bit i%64 of word i/64 of a lane mask) and
+// expands each state it meets once. Pass 1 is Tarjan's search for the
+// strongly connected components, which keeps each state's successor ids as
+// a CSR edge list; pass 2 ORs each component's lanes into those its edges
+// lead to, from the last completed to the first (a topological order).
 type sweepKernel struct {
 	productStep
-	states *wordTable   // per packed state: [reached | pending], w words each
-	dests  *wordTable   // per packed destination tuple: the lanes that reach it
-	queue  slab[uint64] // states with pending lanes, FIFO; a state re-enters when new lanes arrive
-	delta  []uint64     // the lanes being propagated, w words
-	carry  uint64       // bit i set: delta[i] is not zero
-	runs   int          // traversals begun
-
-	// Scratch accounting: the tables and the queue are charged as a
-	// high-water mark and released by the owner through release.
-	mem     *govern.Meter
-	charged int64
+	pat   *atomPattern
+	ids   wordTable    // per packed state: 1 + its id, ids in order of first sight; its keys are the states by id
+	num   slab[int32]  // per id: 0 until expanded, then its order of expansion from 1, and -1-c once its component c completes
+	out   slab[int32]  // per id: its successors are edges[out[2id]:out[2id+1]]
+	edges slab[int32]  // successor ids, led by the seeds: len(nfa.Starts) per lane
+	path  slab[int32]  // the search's path, a triple per state on it: id, next edge, low-link
+	stack slab[int32]  // Tarjan's stack: the expanded ids whose component is not complete
+	done  slab[int32]  // the ids by component, in order of completion
+	masks slab[uint64] // per component: the lanes that reach it, w words
+	keep  wordTable    // per (track, vertex): the lanes whose source on that track is that vertex
+	dests wordTable    // per packed destination tuple: the lanes that reach it
+	mask  []uint64     // scratch, w words
+	n, c  int32        // the traversal's expansions and completed components
+	// Traversals begun, and the states and components of those completed.
+	runs, states, sccs int
+	mem                *govern.Meter // the tables' charge, a high-water mark released by release
+	charged            int64
 }
 
 // newSweepKernel allocates a kernel of w-word lane masks over the shared
-// product shape and charges its tables to mem.
-func newSweepKernel(s *productShape, w int, mem *govern.Meter) (*sweepKernel, error) {
+// product shape for the atom pattern pat and charges its tables to mem.
+func newSweepKernel(s *productShape, pat *atomPattern, w int, mem *govern.Meter) (*sweepKernel, error) {
+	keep := uint(0) // the lanes by source vertex are read only for a source equality
+	if slices.ContainsFunc(pat.dst, func(e int) bool { return e >= 0 && e%2 == 0 }) {
+		keep = s.vBits + uint(bits.Len(uint(s.t-1)))
+	}
 	k := &sweepKernel{
 		productStep: newProductStep(s),
-		states:      newWordTable(s.bits, 2*w),
+		pat:         pat,
+		ids:         newWordTable(s.bits, 1),
+		keep:        newWordTable(keep, w),
 		dests:       newWordTable(s.destBits, w),
-		delta:       make([]uint64, w),
+		mask:        make([]uint64, w),
 		mem:         mem,
 	}
-	k.emit = k.push
+	k.emit = k.meet
 	return k, k.charge()
 }
 
@@ -809,14 +821,19 @@ func newSweepKernel(s *productShape, w int, mem *govern.Meter) (*sweepKernel, er
 // pools; the kernel is not used again.
 func (k *sweepKernel) release() {
 	k.mem.Close()
-	k.states.release()
+	k.ids.release()
+	k.keep.release()
 	k.dests.release()
-	k.queue.release()
+	for _, l := range []*slab[int32]{&k.num, &k.out, &k.edges, &k.path, &k.stack, &k.done} {
+		l.release()
+	}
+	k.masks.release()
 }
 
 // charge lifts the scratch charge to the kernel's current footprint.
 func (k *sweepKernel) charge() error {
-	need := k.states.bytes() + k.dests.bytes() + k.stateRows.Bytes() + k.destRows.Bytes() + int64(8*cap(k.queue.s))
+	need := k.ids.bytes() + k.keep.bytes() + k.dests.bytes() + k.stateRows.Bytes() + k.destRows.Bytes() + int64(8*cap(k.masks.s)+
+		4*(cap(k.num.s)+cap(k.out.s)+cap(k.edges.s)+cap(k.path.s)+cap(k.stack.s)+cap(k.done.s)))
 	if need > k.charged {
 		if err := k.mem.Grow(need - k.charged); err != nil {
 			return fmt.Errorf("core: product search: %w", err)
@@ -843,82 +860,164 @@ func decodeSource[T int | int32](pat *atomPattern, idx, n int, srcs []T) {
 
 // Run traverses the product graph from the source tuples in lanes lo …
 // hi-1 at once (hi ≤ 64w; lane i is lanes[i*t:(i+1)*t]) and leaves in
-// k.dests, per destination tuple, the mask of lanes with satisfying paths
-// to it. It returns errStateBudget as soon as more than maxStates distinct
-// states have been met (0 = unlimited), polls ctx every cancelCheckInterval
-// expansions and returns ctx.Err() on cancellation; k.dests is meaningful
-// only after a nil return.
+// k.dests, per destination tuple, the mask of lanes with satisfying paths to
+// it, less what the atom's equalities cut. It returns errStateBudget as soon
+// as more than maxStates distinct states have been met (0 = unlimited),
+// polls ctx every cancelCheckInterval expansions and returns ctx.Err() on
+// cancellation; k.dests is meaningful only after a nil return.
 func (k *sweepKernel) Run(ctx context.Context, lanes []int32, lo, hi, maxStates int) error {
-	k.states.reset()
+	k.ids.reset()
+	k.keep.reset()
 	k.dests.reset()
 	k.stateRows.Clear() // destRows is kept: the owner reads destination keys after later Runs
-	k.queue.s = k.queue.s[:0]
-	k.newDone = 0
+	k.num.s, k.out.s, k.edges.s, k.path.s, k.stack.s, k.done.s = k.num.s[:0], k.out.s[:0], k.edges.s[:0], k.path.s[:0], k.stack.s[:0], k.done.s[:0]
+	k.n, k.c, k.newDone = 0, 0, 0
 	k.runs++
+	clear(k.mask)
 	for i := lo; i < hi; i++ {
-		for j, v := range lanes[i*k.t : (i+1)*k.t] {
+		src := lanes[i*k.t : (i+1)*k.t]
+		for j, v := range src {
 			k.newVerts[j] = int(v)
 		}
-		k.delta[i/64], k.carry = 1<<uint(i%64), 1<<uint(i/64) // push reads the carried words only
 		k.seed()
-	}
-	w := len(k.delta)
-	for qi := 0; qi < len(k.queue.s); qi++ {
-		if qi%cancelCheckInterval == 0 {
-			if err := pollSearch(ctx); err != nil {
-				return err
-			}
-			if err := k.charge(); err != nil {
-				return err
+		word := i / 64
+		k.mask[word] = 1 << uint(i%64)
+		for _, e := range k.pat.dst {
+			if e >= 0 && e%2 == 0 {
+				k.keep.or(uint64(e/2)<<k.vBits|uint64(src[e/2]), k.mask)
 			}
 		}
-		if maxStates > 0 && len(k.states.keys.s) > maxStates {
-			return errStateBudget
-		}
-		key := k.queue.s[qi]
-		pending := k.states.at(key)[w:]
-		k.carry = 0
-		for i, m := range pending {
-			if k.delta[i] = m; m != 0 {
-				k.carry |= 1 << uint(i)
+		k.mask[word] = 0
+	}
+	seeds := len(k.edges.s)
+	if err := k.search(ctx, seeds, maxStates); err != nil {
+		return err
+	}
+
+	w := len(k.mask)
+	k.masks.s = k.masks.s[:0]
+	k.masks.extend(int(k.c) * w)
+	masks, mask := k.masks.s, k.mask
+	for s, id := range k.edges.s[:seeds] {
+		lane := lo + s/len(k.nfa.Starts)
+		masks[int(-1-k.num.s[id])*w+lane/64] |= 1 << uint(lane%64)
+	}
+	// An accepting state's lanes reach its destination tuple, less the lanes
+	// whose source a destination must equal and does not, or all of them if
+	// two destinations that must agree do not.
+states:
+	for i := len(k.done.s) - 1; i >= 0; i-- {
+		v := k.done.s[i]
+		c := int(-1 - k.num.s[v])
+		for _, u := range k.edges.s[k.out.s[2*v]:k.out.s[2*v+1]] {
+			d := int(-1 - k.num.s[u]) // d = c ORs the mask into itself
+			for j, m := range masks[c*w : (c+1)*w] {
+				masks[d*w+j] |= m
 			}
 		}
-		clear(pending)
-		k.load(key)
-		k.step()
-	}
-	for _, key := range k.states.keys.s {
-		k.load(key)
-		if k.accepting() {
-			k.dests.or(k.destKey(k.verts), k.states.at(key)[:w])
+		if k.load(k.ids.keys.s[v]); !k.accepting() {
+			continue
+		}
+		copy(mask, masks[c*w:(c+1)*w])
+		for j, e := range k.pat.dst {
+			if e >= 0 && e%2 == 1 && k.verts[j] != k.verts[e/2] {
+				continue states
+			}
+			if e >= 0 && e%2 == 0 {
+				for i, m := range k.keep.at(uint64(e/2)<<k.vBits | uint64(k.verts[j])) {
+					mask[i] &= m
+				}
+			}
+		}
+		if slices.Max(mask) != 0 {
+			k.dests.or(k.destKey(k.verts), mask)
 		}
 	}
+	k.states += len(k.ids.keys.s)
+	k.sccs += int(k.c)
 	return k.charge()
 }
 
-// push delivers the lanes being propagated to the state (nextQ, newVerts,
-// newDone), queueing it if any of them is new to it. Only the words delta
-// carries are read and written.
-func (k *sweepKernel) push() {
+// search is pass 1: an iterative Tarjan search from each of the first seeds
+// edges that no earlier one reached. It numbers each component it completes
+// and appends its ids to done.
+func (k *sweepKernel) search(ctx context.Context, seeds, maxStates int) error {
+	for s := 0; s < seeds; s++ {
+		if root := k.edges.s[s]; k.num.s[root] == 0 {
+			if err := k.visit(ctx, root, maxStates); err != nil {
+				return err
+			}
+		}
+		for len(k.path.s) > 0 {
+			top := k.path.s[len(k.path.s)-3:]
+			if v, e := top[0], top[1]; e < k.out.s[2*v+1] {
+				top[1]++
+				switch nu := k.num.s[k.edges.s[e]]; {
+				case nu == 0:
+					if err := k.visit(ctx, k.edges.s[e], maxStates); err != nil {
+						return err
+					}
+				case nu > 0: // on the stack; a completed component's ids are negative
+					top[2] = min(top[2], nu)
+				}
+				continue
+			}
+			v, low := top[0], top[2]
+			k.path.s = k.path.s[:len(k.path.s)-3]
+			if low == k.num.s[v] { // v is the root of a component: it and what is above it on the stack
+				for u := int32(-1); u != v; {
+					u = k.stack.s[len(k.stack.s)-1]
+					k.stack.s = k.stack.s[:len(k.stack.s)-1]
+					k.num.s[u] = -1 - k.c
+					k.done.push(u)
+				}
+				k.c++
+			}
+			if p := len(k.path.s); p > 0 {
+				k.path.s[p-1] = min(k.path.s[p-1], low)
+			}
+		}
+	}
+	return nil
+}
+
+// visit numbers id, pushes it on the stack and the path, and expands it
+// into its edges.
+func (k *sweepKernel) visit(ctx context.Context, id int32, maxStates int) error {
+	if k.n%cancelCheckInterval == 0 {
+		if err := pollSearch(ctx); err != nil {
+			return err
+		}
+		if err := k.charge(); err != nil {
+			return err
+		}
+	}
+	if maxStates > 0 && len(k.ids.keys.s) > maxStates {
+		return errStateBudget
+	}
+	k.n++
+	k.num.s[id] = k.n
+	k.stack.push(id)
+	k.out.s[2*id] = int32(len(k.edges.s))
+	k.load(k.ids.keys.s[id])
+	k.step()
+	k.out.s[2*id+1] = int32(len(k.edges.s))
+	k.path.push(id)
+	k.path.push(k.out.s[2*id])
+	k.path.push(k.n)
+	return nil
+}
+
+// meet appends the id of the state (nextQ, newVerts, newDone) to the edges,
+// giving it the next id on first sight.
+func (k *sweepKernel) meet() {
 	key := k.pack(k.nextQ, k.newVerts, k.newDone)
-	slot := k.states.at(key)
-	reached, pending := slot[:len(k.delta)], slot[len(k.delta):]
-	m := k.carry // the carried words, from the first with a lane new to the state
-	for ; m != 0 && k.delta[bits.TrailingZeros64(m)]&^reached[bits.TrailingZeros64(m)] == 0; m &= m - 1 {
+	slot := k.ids.at(key)
+	if slot[0] == 0 {
+		k.ids.keys.push(key)
+		slot[0] = uint64(len(k.ids.keys.s))
+		k.num.push(0)
+		k.out.extend(2)
 	}
-	if m == 0 {
-		return
-	}
-	if slices.Max(reached) == 0 {
-		k.states.keys.push(key)
-	}
-	if slices.Max(pending) == 0 {
-		k.queue.push(key)
-	}
-	for ; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		fresh := k.delta[i] &^ reached[i]
-		reached[i] |= fresh
-		pending[i] |= fresh
-	}
+	k.edges.push(int32(slot[0] - 1))
 }

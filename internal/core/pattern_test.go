@@ -107,10 +107,11 @@ func patternInstances(tb testing.TB, rng *rand.Rand) []patternInstance {
 		}
 	}
 	// V = 12: 144 sources, three lane words, so the equalities cut lanes
-	// past the first word.
-	for _, sh := range shapes[2:3] {
-		db := randomDB(rng, a, 12, 12+rng.Intn(12))
-		out = append(out, newPatternInstance(tb, sh.name+"/V12", db, sh.ends, []*synchro.Relation{rels["eqlen"]}, "a(a|b)*"))
+	// past the first word; V = 17: 289 sources, three traversals at two lane
+	// words, so a later traversal cuts lanes past the first word too.
+	for _, v := range []int{12, 17} {
+		db := randomDB(rng, a, v, v+rng.Intn(v))
+		out = append(out, newPatternInstance(tb, fmt.Sprintf("%s/V%d", shapes[2].name, v), db, shapes[2].ends, []*synchro.Relation{rels["eqlen"]}, "a(a|b)*"))
 	}
 	for _, sh := range shapes[7:8] {
 		db := randomDB(rng, a, 12, 12+rng.Intn(12))
@@ -201,7 +202,7 @@ func TestSweepPatternEqualsFiltered(t *testing.T) {
 		// The budget: the most states one source's search meets.
 		n := in.db.NumVertices()
 		sources := pow(n, len(c.pat.digits))
-		k, err := newSweepKernel(packProduct(in.db, c), 1, nil)
+		k, err := newSweepKernel(packProduct(in.db, c), &c.pat, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +213,7 @@ func TestSweepPatternEqualsFiltered(t *testing.T) {
 			if err := k.Run(ctx, lanes, 0, 1, -1); err != nil {
 				t.Fatal(err)
 			}
-			fits = max(fits, len(k.states.keys.s))
+			fits = max(fits, len(k.ids.keys.s))
 		}
 		for i := 0; i < min(64, sources); i++ {
 			decodeSource(&c.pat, i, n, lanes[i*tr:(i+1)*tr])
@@ -220,7 +221,7 @@ func TestSweepPatternEqualsFiltered(t *testing.T) {
 		if err := k.Run(ctx, lanes, 0, min(64, sources), -1); err != nil {
 			t.Fatal(err)
 		}
-		if batch = len(k.states.keys.s); batch > fits {
+		if batch = len(k.ids.keys.s); batch > fits {
 			split++
 		}
 		k.release()

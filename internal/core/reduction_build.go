@@ -148,7 +148,8 @@ func sweepColumnOrder(t int) []int {
 // once at its final size and the worker expands its pairs into it.
 // Retained rows are charged to the context's reservation per batch, at the
 // bytes they take in that array, kept on success and released on failure.
-// sp gets the sources, lanes and traversals.
+// sp gets the sources, lanes and traversals, and the distinct product states
+// and strongly connected components the completed traversals met.
 func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts Options, sp *trace.Span) (_ []int32, err error) {
 	t := len(merged.tracks)
 	total, err := sweepSources(db.NumVertices(), len(merged.pat.digits))
@@ -161,6 +162,8 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 	defer func() {
 		w.k.release()
 		w.lanes.release()
+		w.keys.release()
+		w.words.release()
 		if err != nil {
 			w.retained.Close()
 		}
@@ -181,6 +184,8 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 	sp.SetInt("sources", int64(total))
 	sp.SetInt("lanes", int64(lanes))
 	sp.SetInt("traversals", int64(w.k.runs))
+	sp.SetInt("states", int64(w.k.states))
+	sp.SetInt("sccs", int64(w.k.sccs))
 	flat := make([]int32, w.rows*2*t)
 	if err := w.emit(ctx, flat); err != nil {
 		return nil, err
@@ -198,11 +203,10 @@ var maxLaneWords = 8
 // only written once, by emit, at their final place.
 type sweepWorker struct {
 	k        *sweepKernel
-	pat      *atomPattern
 	retained *govern.Meter // the rows' charge; kept on success
 	segs     []sweepSegment
-	keys     []uint64 // destination keys of all segments, back to back
-	words    []uint64 // keys[j] is reached by the sources in words[j]
+	keys     slab[uint64] // destination keys of all segments, back to back
+	words    slab[uint64] // keys[j] is reached by the sources in words[j]
 	rows     int
 	// The batch's source tuples, lane i at lanes[i*t:(i+1)*t], and one
 	// destination tuple: scratch the worker reuses for every batch.
@@ -218,8 +222,8 @@ type sweepSegment struct {
 }
 
 func newSweepWorker(f *productShape, pat *atomPattern, w int, res *govern.Reservation) (*sweepWorker, error) {
-	k, err := newSweepKernel(f, w, res.NewMeter())
-	return &sweepWorker{k: k, pat: pat, retained: res.NewMeter(),
+	k, err := newSweepKernel(f, pat, w, res.NewMeter())
+	return &sweepWorker{k: k, retained: res.NewMeter(),
 		lanes: takeSlab[int32](64*w*f.t, false), dst: make([]int32, f.t)}, err
 }
 
@@ -227,7 +231,7 @@ func newSweepWorker(f *productShape, pat *atomPattern, w int, res *govern.Reserv
 func (w *sweepWorker) decode(first, size int) {
 	t, n := w.k.t, w.k.db.NumVertices()
 	for i := 0; i < size; i++ {
-		decodeSource(w.pat, first+i, n, w.lanes.s[i*t:(i+1)*t])
+		decodeSource(w.k.pat, first+i, n, w.lanes.s[i*t:(i+1)*t])
 	}
 }
 
@@ -235,10 +239,7 @@ func (w *sweepWorker) decode(first, size int) {
 // first+hi-1, into a segment per word. A batch whose traversal exceeds the
 // state budget is re-run in halves, down to a single source, before the
 // budget error is returned: the budget bounds each source's own search, as
-// it did when sources were swept one by one. Before anything is counted,
-// charged or kept, the atom's equalities cut the lane masks: a destination
-// tuple whose repeated destinations disagree goes, and so do the lanes
-// whose source disagrees with a destination on a shared variable.
+// it did when sources were swept one by one.
 func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) error {
 	err := w.k.Run(ctx, w.lanes.s, lo, hi, maxStates)
 	if err == errStateBudget {
@@ -254,59 +255,28 @@ func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) e
 	if err != nil {
 		return err
 	}
-	dests, keys := w.k.dests, w.k.dests.keys.s
-	if w.pat.cuts {
-		for _, key := range keys {
-			w.cut(key, dests.at(key))
-		}
-	}
+	dests, keys := &w.k.dests, w.k.dests.keys.s
 	w.k.sortDests(keys)
-	before, added := cap(w.keys)+cap(w.words), 0
+	before, added := cap(w.keys.s)+cap(w.words.s), 0
 	for word := lo / 64; word <= (hi-1)/64; word++ {
 		rows := 0
 		for _, key := range keys {
 			if m := dests.at(key)[word]; m != 0 {
-				w.keys, w.words = append(w.keys, key), append(w.words, m)
+				w.keys.push(key)
+				w.words.push(m)
 				rows += bits.OnesCount64(m)
 			}
 		}
 		if rows > 0 {
-			w.segs = append(w.segs, sweepSegment{first: first + 64*word, end: len(w.keys), rows: rows})
+			w.segs = append(w.segs, sweepSegment{first: first + 64*word, end: len(w.keys.s), rows: rows})
 			added += rows
 		}
 	}
 	w.rows += added
-	if err := w.k.mem.Grow(int64(8 * (cap(w.keys) + cap(w.words) - before))); err != nil {
+	if err := w.k.mem.Grow(int64(8 * (cap(w.keys.s) + cap(w.words.s) - before))); err != nil {
 		return fmt.Errorf("core: product search: %w", err)
 	}
 	return w.retained.Grow(int64(added) * 8 * int64(w.k.t)) // 2t int32 values a row
-}
-
-// cut takes out of mask, the lanes that reach the destination tuple key,
-// what the atom's equalities do not keep: every lane if two of its
-// destinations that must agree do not, otherwise the lanes whose source a
-// destination must equal and does not.
-func (w *sweepWorker) cut(key uint64, mask []uint64) {
-	t, dst := w.k.t, w.dst
-	unpackDest(&w.k.productStep, key, dst)
-	for k, e := range w.pat.dst {
-		if e >= 0 && e%2 == 1 && dst[k] != dst[e/2] {
-			clear(mask)
-			return
-		}
-	}
-	for k, e := range w.pat.dst {
-		if e < 0 || e%2 == 1 {
-			continue
-		}
-		for word, m := range mask {
-			for ; m != 0; m &= m - 1 {
-				if i := bits.TrailingZeros64(m); w.lanes.s[(64*word+i)*t+e/2] != dst[k] {
-					mask[word] &^= 1 << uint(i)
-				}
-			}
-		}
-	}
 }
 
 // emit expands the worker's segments into out, the flat row array: per
@@ -321,7 +291,7 @@ func (w *sweepWorker) emit(ctx context.Context, out []int32) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		keys, words := w.keys[begin:seg.end], w.words[begin:seg.end]
+		keys, words := w.keys.s[begin:seg.end], w.words.s[begin:seg.end]
 		begin = seg.end
 		var next [65]int // next[i]: segment row the next row of source i goes to
 		for _, word := range words {

@@ -160,8 +160,9 @@ func (in sweepInstance) reference(t testing.TB, maxStates int) ([]int32, error) 
 // word) and V = 23 (529: past 512, so two traversals at eight words, the
 // second of one partial word); and, as far as V^t permits, a 17-track eq
 // chain (V = 1: at V = 2 its 2^17 per-source searches take a minute) and
-// the merge of eight automata (V ≤ 4); every instance is swept again forced
-// into the wide regime.
+// the merge of eight automata (V ≤ 4); the shaped database's one- and
+// two-track instances; every instance is swept again forced into the wide
+// regime.
 func sweepInstances(t testing.TB, rng *rand.Rand) []sweepInstance {
 	a := alphabet.Lower(2)
 	rels := sweepRelations(t, a)
@@ -212,16 +213,122 @@ func sweepInstances(t testing.TB, rng *rand.Rand) []sweepInstance {
 			out = append(out, newSweepInstance(t, fmt.Sprintf("V%d/t2/%s/lang=a(a|b)*", v, name), db, 2, []*synchro.Relation{rels[name]}, "a(a|b)*"))
 		}
 	}
+	db := shapedDB(a)
+	out = append(out, newSweepInstance(t, "shaped/t1/lang=(a|b)*", db, 1, nil, "(a|b)*"))
+	for _, name := range []string{"eq", "eqlen", "hamming<=1"} {
+		out = append(out, newSweepInstance(t, "shaped/t2/"+name+"/lang=", db, 2, []*synchro.Relation{rels[name]}, ""))
+	}
 	return out
+}
+
+// shapedDB is a database whose product graphs have what each pass of the
+// sweep kernel must get right: an a-cycle 0 → 1 → 2 → 0 (its sources seed
+// one strongly connected component), a b-loop at 3 (a state that is its own
+// successor), a path 3 → 4 → 5 → 6 into the cycle (components in a chain)
+// and a vertex 7 with no edge.
+func shapedDB(a *alphabet.Alphabet) *graphdb.DB {
+	db := graphdb.New(a)
+	for i := 0; i < 8; i++ {
+		db.MustAddVertex("")
+	}
+	for _, e := range [][3]int{{0, 0, 1}, {1, 0, 2}, {2, 0, 0}, {3, 1, 3}, {3, 0, 4}, {4, 0, 5}, {5, 1, 6}, {6, 0, 0}} {
+		db.MustAddEdge(e[0], alphabet.Symbol(e[1]), e[2])
+	}
+	return db
+}
+
+// kernelShapes records which of the shapes the two passes must get right
+// the traversals of a suite met.
+type kernelShapes struct{ components, selfLoop, sharedSeeds bool }
+
+// expandsOnce sweeps in's batches through one kernel, as sweepComponent
+// does, and holds every traversal to the property the two-pass kernel rests
+// on: it expanded each state it met exactly once. It records in seen the
+// shapes the traversals met — several components, a state that is its own
+// successor, two seeds in one component — and returns the expansions.
+func expandsOnce(t *testing.T, in sweepInstance, label string, seen *kernelShapes) (expanded int) {
+	t.Helper()
+	c, n, tr := in.merged, in.db.NumVertices(), len(in.merged.tracks)
+	total := pow(n, len(c.pat.digits))
+	words := min(maxLaneWords, max(1, (total+63)/64))
+	k, err := newSweepKernel(packProduct(in.db, c), &c.pat, words, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.release()
+	lanes := make([]int32, 64*words*tr)
+	for first := 0; first < total; first += 64 * words {
+		size := min(64*words, total-first)
+		for i := 0; i < size; i++ {
+			decodeSource(&c.pat, first+i, n, lanes[i*tr:(i+1)*tr])
+		}
+		states := k.states
+		if err := k.Run(context.Background(), lanes, 0, size, 0); err != nil {
+			t.Fatalf("%s: traversal from source %d: %v", label, first, err)
+		}
+		if met := len(k.ids.keys.s); int(k.n) != met || k.states-states != met {
+			t.Fatalf("%s: the traversal from source %d expanded %d times and counted %d states; it met %d",
+				label, first, k.n, k.states-states, met)
+		}
+		expanded += int(k.n)
+		seen.components = seen.components || k.c > 1
+		component := map[int32]bool{}
+		for _, id := range k.edges.s[:size*len(k.nfa.Starts)] {
+			seen.sharedSeeds = seen.sharedSeeds || component[k.num.s[id]]
+			component[k.num.s[id]] = true
+		}
+		for v := range k.ids.keys.s {
+			seen.selfLoop = seen.selfLoop || slices.Contains(k.edges.s[k.out.s[2*v]:k.out.s[2*v+1]], int32(v))
+		}
+	}
+	return expanded
+}
+
+// splitsInBatch sweeps in under the smallest budget every single source's
+// search fits in, which some batch's traversal exceeds, and requires the
+// rows want of a sweep whose batches were split.
+func splitsInBatch(t *testing.T, in sweepInstance, label string, want []int32) {
+	t.Helper()
+	c, n, tr := in.merged, in.db.NumVertices(), len(in.merged.tracks)
+	total := pow(n, len(c.pat.digits))
+	k, err := newSweepKernel(packProduct(in.db, c), &c.pat, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := make([]int32, 64*tr)
+	fits := 1
+	for idx := 0; idx < total; idx++ {
+		decodeSource(&c.pat, idx, n, lanes[:tr])
+		if err := k.Run(context.Background(), lanes, 0, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		fits = max(fits, len(k.ids.keys.s))
+	}
+	k.release()
+	tra := trace.New("materialize")
+	ctx, sp := trace.StartSpan(trace.NewContext(context.Background(), tra), "core/sweep")
+	got, err := sweepComponent(ctx, in.db, c, Options{MaxProductStates: fits}, sp)
+	sp.End()
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("%s: budget %d fits every source, but the sweep gave %d row values (err %v), the reference %d", label, fits, len(got), err, len(want))
+	}
+	words := min(maxLaneWords, max(1, (total+63)/64))
+	if runs := tra.Snapshot().Spans[0].Attrs["traversals"].(int64); runs <= int64((total+64*words-1)/(64*words)) {
+		t.Fatalf("%s: budget %d split no batch (%d traversals)", label, fits, runs)
+	}
 }
 
 // TestSweepKernelDifferential holds the batched sweep to the per-source
 // loop it replaced, row for row and in order, at every lane cap and in both key regimes (every instance is swept again
 // forced wide, against the rows its own regime gave); and the bulk-loaded
-// relation's Contains to plain membership.
+// relation's Contains to plain membership. Every traversal expands each
+// state it meets exactly once (expandsOnce), the traversals meet several
+// components, self-loops and seeds sharing a component, and the shaped
+// instances are swept again under a budget that splits a batch.
 func TestSweepKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20220612))
 	ctx := context.Background()
+	var seen kernelShapes
 	for _, in := range sweepInstances(t, rng) {
 		tr, n := len(in.merged.tracks), in.db.NumVertices()
 		want, err := in.reference(t, 0)
@@ -238,6 +345,11 @@ func TestSweepKernelDifferential(t *testing.T) {
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s %s words=%d: %d row values, reference has %d (first difference at row %d)",
 							in.name, regime, words, len(got), len(want), firstDiff(got, want)/(2*tr))
+					}
+					label := fmt.Sprintf("%s %s words=%d", in.name, regime, words)
+					expandsOnce(t, in, label, &seen)
+					if strings.HasPrefix(in.name, "shaped/") {
+						splitsInBatch(t, in, label, want)
 					}
 				})
 			}
@@ -274,6 +386,9 @@ func TestSweepKernelDifferential(t *testing.T) {
 				t.Fatalf("%s: Contains(%v) = %v, membership says %v", in.name, probe, got, !got)
 			}
 		}
+	}
+	if !seen.components || !seen.selfLoop || !seen.sharedSeeds {
+		t.Fatalf("the instances miss a shape the kernel's passes must get right: %+v", seen)
 	}
 }
 
@@ -390,7 +505,7 @@ func pow(n, e int) int {
 }
 
 // TestSweepKernelMapTable forces the hashed regime of the word table (a
-// packed state whose slots over the key space pass denseTableWords,
+// packed state whose one-word slots over the key space pass denseTableWords,
 // indexed through the rank table it shares with the key sets) and holds it
 // to the per-source reference at every lane cap, and so the same sweep
 // forced wide.
@@ -401,7 +516,7 @@ func TestSweepKernelMapTable(t *testing.T) {
 	db := randomDB(rng, a, n, n)
 	in := newSweepInstance(t, "V260/hamming<=1", db, 2, []*synchro.Relation{synchro.HammingAtMost(a, 1)}, "a(a|b)*")
 	f := packProduct(db, in.merged)
-	if f.wide || 2<<f.bits <= denseTableWords {
+	if f.wide || 1<<f.bits <= denseTableWords {
 		t.Fatalf("instance packs into %d bits: it does not reach the map regime", f.bits)
 	}
 	want, err := in.reference(t, 0)
@@ -409,7 +524,7 @@ func TestSweepKernelMapTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, words := range laneCaps {
-		if k, err := newSweepKernel(f, words, nil); err != nil || k.states.index == nil {
+		if k, err := newSweepKernel(f, &in.merged.pat, words, nil); err != nil || k.ids.index == nil {
 			t.Fatalf("words=%d: state table is dense for a %d-bit state (err %v)", words, f.bits, err)
 		}
 		for _, regime := range keyRegimes {
@@ -427,23 +542,23 @@ func TestSweepKernelMapTable(t *testing.T) {
 	}
 }
 
-// TestSweepKernelTableBound: at eight lane words a state's slot is 16 words,
-// so over a 20-bit packed state a dense table would take 2^24 words (128
-// MiB); the kernel indexes it by rank instead, and no table it holds,
-// built or after sweeping, is larger than 2^21 words — in the map regime
-// and forced wide.
+// TestSweepKernelTableBound: at eight lane words a destination's slot is 8
+// words, so over a 20-bit destination tuple (two tracks over V = 600) a
+// dense table would take 2^23 words (64 MiB); the kernel indexes it by rank
+// instead, and no table it holds, built or after sweeping, is larger than
+// 2^21 words — in the map regime and forced wide.
 func TestSweepKernelTableBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	a := alphabet.Lower(2)
-	db := randomDB(rng, a, 200, 200)
-	in := newSweepInstance(t, "V200/eqlen", db, 2, []*synchro.Relation{synchro.EqualLength(a, 2)}, "(a|b)*b")
+	db := randomDB(rng, a, 600, 600)
+	in := newSweepInstance(t, "V600/eqlen", db, 2, []*synchro.Relation{synchro.EqualLength(a, 2)}, "(a|b)*b")
 	for _, regime := range keyRegimes {
 		regime.run(func() {
 			f := packProduct(db, in.merged)
-			if !f.wide && f.bits != 20 {
-				t.Fatalf("instance packs into %d bits, want 20", f.bits)
+			if !f.wide && f.destBits != 20 {
+				t.Fatalf("destination tuples pack into %d bits, want 20", f.destBits)
 			}
-			k, err := newSweepKernel(f, 8, nil)
+			k, err := newSweepKernel(f, &in.merged.pat, 8, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -453,7 +568,7 @@ func TestSweepKernelTableBound(t *testing.T) {
 				decodeSource(&in.merged.pat, 100*i, db.NumVertices(), lanes[2*i:2*i+2])
 			}
 			for _, held := range []string{"built", "swept"} {
-				for name, tab := range map[string]*wordTable{"state": k.states, "destination": k.dests} {
+				for name, tab := range map[string]*wordTable{"state": &k.ids, "destination": &k.dests} {
 					if words := cap(tab.words.s); words > denseTableWords {
 						t.Errorf("%s %s: the %s table holds %d words", regime.name, held, name, words)
 					}
@@ -462,8 +577,8 @@ func TestSweepKernelTableBound(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !f.wide && k.states.index == nil {
-				t.Errorf("%s: the state table covers the key space", regime.name)
+			if !f.wide && k.dests.index == nil {
+				t.Errorf("%s: the destination table covers the key space", regime.name)
 			}
 		})
 	}
@@ -591,7 +706,9 @@ func sweepCancelReleases(t *testing.T) {
 // the materialised sweep, and of the lazy Scan, which begins a single-lane
 // traversal per source it opens. V = 18's chain2 is one traversal of six
 // lane words (six of one word each); the V = 40 split four of eight words
-// (25 of one).
+// (25 of one). The span's states are the kernel's expansions: V = 18's
+// chain2 meets 324 states in 36 components in its one traversal, 1 769 in
+// 41 over six of one word.
 func TestSweepTraversals(t *testing.T) {
 	a := alphabet.Lower(2)
 	split := splitInstance(t)
@@ -601,11 +718,12 @@ func TestSweepTraversals(t *testing.T) {
 		q                      *query.Query
 		sources, lanes, sweeps int
 		oneWordSweeps          int
+		states, sccs           [2]int // at eight lane words and at one; 0: not pinned
 	}{
 		{"V18/chain2-eqlen", randomDB(rand.New(rand.NewSource(18)), a, 18, 54),
 			query.NewBuilder(a).Reach("x0", "p1", "x1").Reach("x1", "p2", "x2").Rel(synchro.EqualLength(a, 2), "p1", "p2").MustBuild(),
-			324, 384, 1, 6},
-		{split.name, split.db, split.q, 1600, 512, 4, 25},
+			324, 384, 1, 6, [2]int{324, 1769}, [2]int{36, 41}},
+		{split.name, split.db, split.q, 1600, 512, 4, 25, [2]int{}, [2]int{}},
 	} {
 		p, err := Prepare(c.q, Options{Strategy: Reduction})
 		if err != nil {
@@ -626,14 +744,23 @@ func TestSweepTraversals(t *testing.T) {
 				if _, err := p.Materialize(trace.NewContext(context.Background(), tr), c.db); err != nil {
 					t.Fatal(err)
 				}
+				in := sweepInstance{name: c.name, db: c.db, q: c.q, merged: &p.merged[0]}
+				expanded := expandsOnce(t, in, c.name, &kernelShapes{})
 				want := map[string]any{"sources": int64(c.sources), "lanes": int64(c.lanes), "traversals": int64(c.sweeps)}
+				pin := 0
 				if words == 1 {
-					want["lanes"], want["traversals"] = int64(64), int64(c.oneWordSweeps)
+					want["lanes"], want["traversals"], pin = int64(64), int64(c.oneWordSweeps), 1
+				}
+				if c.states[pin] > 0 {
+					want["states"], want["sccs"] = int64(c.states[pin]), int64(c.sccs[pin])
 				}
 				for k, v := range want {
 					if got := span(tr)[k]; got != v {
 						t.Errorf("%s words=%d: core/sweep %s = %v, want %v", c.name, words, k, got, v)
 					}
+				}
+				if got := span(tr)["states"]; got != int64(expanded) {
+					t.Errorf("%s words=%d: core/sweep states = %v, the kernel expanded %d", c.name, words, got, expanded)
 				}
 			})
 		}

@@ -240,14 +240,20 @@ func TestFreeVariableAnswers(t *testing.T) {
 	}
 }
 
-// TestTimeout504 is the deadline acceptance: a 50ms-timeout query against
-// an instance that needs ~1s must come back 504 within twice the deadline.
+// slowAnswers is slowQuery with every endpoint free: its answers are the
+// rows of slowQuery's R′, 1 830 400 of them over denseDBText(80), and no
+// evaluation can be faster than listing its answers.
+const slowAnswers = "alphabet a b\nfree x1 y1 x2 y2\nx1 -[$p1]-> y1\nx2 -[$p2]-> y2\nrel eq(p1, p2)\n"
+
+// TestTimeout504 is the deadline acceptance: a 50ms-timeout query whose
+// answer set alone takes longer to list must come back 504 within twice
+// the deadline.
 func TestTimeout504(t *testing.T) {
 	s := newTestServer(t, Config{})
-	registerDB(t, s, "g", denseDBText(60))
+	registerDB(t, s, "g", denseDBText(80))
 	start := time.Now()
 	rec, _ := doJSON(t, s, "POST", "/v1/query",
-		map[string]any{"db": "g", "query": slowQuery, "strategy": "reduction", "timeout_ms": 50})
+		map[string]any{"db": "g", "query": slowAnswers, "strategy": "reduction", "timeout_ms": 50})
 	elapsed := time.Since(start)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("code=%d after %v, want 504 (%s)", rec.Code, elapsed, rec.Body.String())
