@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ecrpq/internal/lint"
@@ -407,14 +408,10 @@ var sourceEnd = regexp.MustCompile(`^2 \* \w+$`)
 var hashConstant = regexp.MustCompile(`(?i)^(0x9E3779B97F4A7C15|1099511628211|14695981039346656037)$`)
 
 // hashConstants checks one top-level declaration: no hash-table constant
-// occurs in it, unless it is a method of core's rankTable.
+// occurs in it.
 func hashConstants(_ string, n ast.Node) (bool, string) {
-	switch d := n.(type) {
-	case *ast.FuncDecl:
-		if d.Recv != nil && types.ExprString(d.Recv.List[0].Type) == "*rankTable" {
-			return false, ""
-		}
-	case *ast.GenDecl:
+	switch n.(type) {
+	case *ast.FuncDecl, *ast.GenDecl:
 	default:
 		return false, ""
 	}
@@ -606,7 +603,8 @@ var names map[string]int`},
 func g(k string) (alphabet.Tuple, error) { return alphabet.TupleFromKey(k) }`},
 	// The engine runs on its caller's goroutine: the server's pool runs
 	// requests side by side, and the sweep's lanes are its only parallelism.
-	// The slab and scratch pools keep their sync.Pool and sync.Mutex.
+	// The join's and the kernels' scratch pools keep their sync.Pool and
+	// their atomic count of scratches out.
 	{name: "engine-goroutine-free", why: "a goroutine or goroutine group in the engine: an evaluation runs on its caller's goroutine",
 		in: []string{"internal/core", "internal/cq", "internal/synchro", "internal/rowset"}, check: allOf(
 			never(as(func(g *ast.GoStmt) string { return "go " + types.ExprString(g.Call) }), `^go `),
@@ -619,9 +617,9 @@ func fanOut(work []func()) {
 }
 type sweep struct{ wg sync.WaitGroup }
 func group() *errgroup.Group { return nil }`,
-		accepted: `type slabs struct {
-	mu    sync.Mutex
-	class [64]sync.Pool
+		accepted: `type scratchPool[T kernelScratch] struct {
+	pool sync.Pool
+	out  atomic.Int64
 }
 var table = sync.OnceValue(func() int { return 0 })
 func goFirst(goroutines int) int { return goroutines }`},
@@ -715,9 +713,10 @@ type Relation struct{ index map[string]bool }`,
 func vars(q *Query) map[string]bool { return make(map[string]bool) }
 func (x *rowIndex) key(row []int32) []int32 { return row }`},
 	// The integer tuples the engine numbers — merged product states, wide
-	// kernel states, join keys, relation rows, walk memo keys — get their
-	// ids from rowset.Set; core's rankTable numbers word keys in pooled slabs.
-	{name: "one-row-table", why: "an open-addressing row table (the Fibonacci slot multiplier or an FNV fold) beside rowset.Set and core's rankTable",
+	// kernel states, join keys, relation rows, walk memo keys, and the
+	// kernels' hashed keys, each a row of its two 32-bit halves — get their
+	// ids from rowset.Set.
+	{name: "one-row-table", why: "an open-addressing row table (the Fibonacci slot multiplier or an FNV fold) beside rowset.Set",
 		in: []string{"internal/core", "internal/cq", "internal/synchro"}, check: hashConstants,
 		violation: `func (x *rowIndex) slot(k uint64) int { return int(k * 0x9E3779B97F4A7C15 >> 60) }
 func hashRow(row []int32) (h uint64) {
@@ -728,14 +727,12 @@ func hashRow(row []int32) (h uint64) {
 	return h
 }
 const fnvPrime = 1099511628211`,
-		accepted: `func (t *rankTable) slot(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> 32) }
+		accepted: `func (x *keyIndex) number(key uint64) (int, bool) { return x.rows.Add([]int32{int32(key >> 32), int32(key)}) }
 func mix(x uint64) uint64 { return x * 0x9E3779B9 }`},
 	// Nor does a map keyed by a tuple stand in for one: an integer array as
-	// the key, or a key built from bytes by binary's Append functions. The
-	// slab pools' grownCap memo keys append's (capacity, length) steps, not
-	// tuples of the engine.
+	// the key, or a key built from bytes by binary's Append functions.
 	{name: "no-tuple-map-keys", why: "an integer tuple as a map key (an integer array, or bytes built by binary.*Append*) beside rowset.Set",
-		in: []string{"internal/core", "internal/cq", "internal/synchro"}, skip: []string{"internal/core/slab.go"},
+		in:    []string{"internal/core", "internal/cq", "internal/synchro"},
 		check: allOf(never(mapTypes, `^map\[\[\w*\](u?int\d*|byte)\]`), never(calls, `^binary\.\w+\.Append\w*\(`)),
 		violation: `var seen = make(map[[2]uint64]bool)
 type memo struct{ lists map[[3]int32][]int }
@@ -781,10 +778,23 @@ func TestArchitecture(t *testing.T) {
 	t.Run("make-targets", func(t *testing.T) { testMakeTargets(t, files) })
 	t.Run("fuzz-targets", func(t *testing.T) { testFuzzTargets(t, files) })
 	t.Run("doc-identifiers", func(t *testing.T) { testDocIdentifiers(t, files) })
-	t.Run("no-idle-exports", func(t *testing.T) { testNoIdleExports(t, fset, files) })
+	// The module, type-checked once for the two rules that need types.
+	var root struct {
+		once   sync.Once
+		loader *lint.Loader
+		pkgs   []*lint.Package
+	}
+	loadRoot := func(t *testing.T) (*lint.Loader, []*lint.Package) {
+		root.once.Do(func() { root.loader, root.pkgs = loadModule(t, ".", "./...") })
+		if root.loader == nil {
+			t.Fatal("the module did not load")
+		}
+		return root.loader, root.pkgs
+	}
+	t.Run("no-idle-exports", func(t *testing.T) { testNoIdleExports(t, fset, files, loadRoot) })
 	t.Run("gofmt", testGofmt)
 	t.Run("mutants-apply", func(t *testing.T) { testMutantsApply(t, files) })
-	t.Run("module-analyzers", testModuleAnalyzers)
+	t.Run("module-analyzers", func(t *testing.T) { testModuleAnalyzers(t, loadRoot) })
 }
 
 // testMutantsApply: every patch of testdata/mutants/ (`make mutants` runs
@@ -1161,7 +1171,6 @@ func testDocIdentifiers(t *testing.T, files map[string]*ast.File) {
 var idleAllowed = map[string]string{
 	"Unwrap":         "errors.Is and errors.As call it on an *invariant.Violation",
 	"MarshalJSON":    "encoding/json calls it on a planner.Decision",
-	"Import":         "go/types calls it on the lint loader's importer",
 	"alphabet.Unset": "internal/lint's alphabetguard fixture, under testdata, names it",
 }
 
@@ -1170,8 +1179,9 @@ var idleAllowed = map[string]string{
 // declaration, from a non-test file anywhere in the repository or from a
 // test of another package. An export only its own package's tests call is
 // code the system does not run: delete it, or move it to those tests.
-func testNoIdleExports(t *testing.T, fset *token.FileSet, files map[string]*ast.File) {
-	idle, exports, allowed := idleExports(fset, files)
+func testNoIdleExports(t *testing.T, fset *token.FileSet, files map[string]*ast.File, loadRoot func(*testing.T) (*lint.Loader, []*lint.Package)) {
+	loader, pkgs := loadRoot(t)
+	idle, exports, allowed := idleExports(fset, files, methodUses(t, loader, pkgs))
 	for _, bad := range idle {
 		t.Errorf("%s has no caller outside its own package's tests", bad)
 	}
@@ -1183,37 +1193,118 @@ func testNoIdleExports(t *testing.T, fset *token.FileSet, files map[string]*ast.
 			t.Errorf("idleAllowed holds %s, which the tree no longer needs", key)
 		}
 	}
-	fixture := func(srcs map[string]string) map[string]*ast.File {
+	// A fixture is a module of its own, type-checked as the tree is.
+	fixture := func(srcs map[string]string) (map[string]*ast.File, map[methodKey][]string) {
+		dir := t.TempDir()
 		out := map[string]*ast.File{}
 		for path, src := range srcs {
 			out[path] = parseSource(t, fset, path, src)
+			if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(path)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, path), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return out
+		if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module ecrpq\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loader, pkgs := loadModule(t, dir, "./...")
+		return out, methodUses(t, loader, pkgs)
 	}
-	violation := fixture(map[string]string{
-		"internal/p/p.go":      "package p\nfunc Idle() {}\ntype T struct{}\nfunc (T) Tested() {}\n",
-		"internal/p/p_test.go": "package p\nfunc TestIdle(t *testing.T) { Idle(); T{}.Tested() }\n",
+	// Tested is called only by its own package's test; Used shares a name
+	// with a method code calls, which does not make it live.
+	violation, uses := fixture(map[string]string{
+		"internal/p/p.go":      "package p\nfunc Idle() {}\ntype T struct{}\nfunc (T) Tested() {}\nfunc (*T) Used() {}\ntype U struct{}\nfunc (U) Used() {}\nvar _ = U{}.Used\n",
+		"internal/p/p_test.go": "package p\nfunc TestIdle() { Idle(); T{}.Tested() }\n",
 	})
-	if idle, _, _ := idleExports(fset, violation); len(idle) != 3 {
-		t.Errorf("the rule reports %q of its violation, want Idle, T and T.Tested", idle)
+	if idle, _, _ := idleExports(fset, violation, uses); len(idle) != 4 {
+		t.Errorf("the rule reports %q of its violation, want Idle, T, T.Tested and T.Used", idle)
 	}
-	accepted := fixture(map[string]string{
-		"internal/p/p.go":      "package p\nfunc FromTest() {}\nfunc FromCode() int { return helper() }\nfunc helper() int { return Local }\nconst Local = 1\n",
-		"internal/q/q_test.go": "package q\nimport \"ecrpq/internal/p\"\nfunc TestQ(t *testing.T) { p.FromTest() }\n",
-		"cmd/c/main.go":        "package main\nimport r \"ecrpq/internal/p\"\nfunc main() { r.FromCode() }\n",
+	accepted, uses := fixture(map[string]string{
+		"internal/p/p.go":      "package p\nfunc FromTest() {}\nfunc FromCode() int { return helper() }\nfunc helper() int { return Local }\nconst Local = 1\ntype V struct{}\nfunc (V) Method() {}\ntype I interface{ Method() }\nvar _ I = V{}\n",
+		"internal/q/q.go":      "package q\n",
+		"internal/q/q_test.go": "package q\nimport \"ecrpq/internal/p\"\nfunc TestQ() { p.FromTest() }\n",
+		"cmd/c/main.go":        "package main\nimport r \"ecrpq/internal/p\"\nfunc main() { r.FromCode(); var i r.I; i.Method() }\n",
 	})
-	if idle, _, _ := idleExports(fset, accepted); len(idle) != 0 {
+	if idle, _, _ := idleExports(fset, accepted, uses); len(idle) != 0 {
 		t.Errorf("the rule rejects shapes it must accept: %q", idle)
 	}
+}
+
+// methodKey names a method by its package's directory, its receiver's type
+// and its own name; a call through an interface names only the method.
+type methodKey struct{ dir, recv, name string }
+
+// methodUses type-checks the tests of the loaded packages as go test builds
+// them, and maps each method a selector in the packages or their tests
+// resolves to onto the directories of the test files that select it — ""
+// for a non-test file. A call through an interface counts for every method
+// of its name.
+func methodUses(t *testing.T, loader *lint.Loader, pkgs []*lint.Package) map[methodKey][]string {
+	var checked []*lint.Package
+	for _, pkg := range pkgs {
+		tests, err := loader.LoadTests(pkg.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked = append(append(checked, pkg), tests...)
+	}
+	uses := map[methodKey][]string{}
+	for _, pkg := range checked {
+		for _, err := range pkg.Errors {
+			t.Fatalf("%s: %v", pkg.Path, err)
+		}
+		for _, f := range pkg.Files {
+			rel, err := filepath.Rel(loader.ModuleDir, pkg.Fset.Position(f.Pos()).Filename)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from := "" // what a use in this file records
+			if strings.HasSuffix(rel, "_test.go") {
+				from = filepath.ToSlash(filepath.Dir(rel))
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if s := pkg.TypesInfo.Selections[sel]; s != nil {
+						if fn, ok := s.Obj().(*types.Func); ok {
+							key := methodKeyOf(fn)
+							uses[key] = append(uses[key], from)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return uses
+}
+
+// methodKeyOf is the key of a method of a named type, and of a method of an
+// interface only its name.
+func methodKeyOf(fn *types.Func) methodKey {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || types.IsInterface(named) || named.Obj().Pkg() == nil {
+		return methodKey{name: fn.Name()}
+	}
+	dir := strings.TrimPrefix(strings.TrimPrefix(named.Obj().Pkg().Path(), "ecrpq"), "/")
+	if dir == "" {
+		dir = "."
+	}
+	return methodKey{dir, named.Obj().Name(), fn.Name()}
 }
 
 // idleExports lists the exported declarations under internal/ that nothing
 // but their own package's tests references, counts the exports it saw and
 // returns the idleAllowed entries it needed. A package-level name resolves
 // through the import name of the file that spells it, or bare inside its
-// own package; a method by its selector name, from any file but its own
-// package's tests, so a name shared by two methods keeps both.
-func idleExports(fset *token.FileSet, files map[string]*ast.File) (idle []string, exports int, allowed map[string]bool) {
+// own package; a method through uses (methodUses), from any file but its
+// own package's tests.
+func idleExports(fset *token.FileSet, files map[string]*ast.File, uses map[methodKey][]string) (idle []string, exports int, allowed map[string]bool) {
 	allowed = map[string]bool{}
 	type name struct{ dir, name string }
 	pkgs := map[string]string{} // package directory → package name
@@ -1222,14 +1313,9 @@ func idleExports(fset *token.FileSet, files map[string]*ast.File) (idle []string
 			pkgs[filepath.Dir(path)] = f.Name.Name
 		}
 	}
-	used := map[name]bool{}         // package-level names referenced
-	called := map[string][]string{} // method name → directories of the files selecting it; "" for a non-test file
+	used := map[name]bool{} // package-level names referenced
 	for path, f := range files {
 		dir, test := filepath.Dir(path), strings.HasSuffix(path, "_test.go")
-		from := "" // what called records for this file
-		if test {
-			from = dir
-		}
 		imports := map[string]string{} // import name → package directory
 		for _, spec := range f.Imports {
 			p, _ := strconv.Unquote(spec.Path.Value)
@@ -1278,9 +1364,6 @@ func idleExports(fset *token.FileSet, files map[string]*ast.File) (idle []string
 						}
 						return false
 					}
-					if !own[n.Sel.Name] {
-						called[n.Sel.Name] = append(called[n.Sel.Name], from)
-					}
 					ast.Inspect(n.X, visit)
 					return false
 				case *ast.Ident:
@@ -1320,7 +1403,9 @@ func idleExports(fset *token.FileSet, files map[string]*ast.File) (idle []string
 					global(d.Name)
 					continue
 				}
-				live := slices.ContainsFunc(called[d.Name.Name], func(from string) bool { return from != dir })
+				recv, _, _ := strings.Cut(strings.TrimPrefix(types.ExprString(d.Recv.List[0].Type), "*"), "[")
+				from := append(uses[methodKey{filepath.ToSlash(dir), recv, d.Name.Name}], uses[methodKey{name: d.Name.Name}]...)
+				live := slices.ContainsFunc(from, func(from string) bool { return from != filepath.ToSlash(dir) })
 				report(d.Name, live, d.Name.Name, pkg+types.ExprString(d.Recv.List[0].Type)+"."+d.Name.Name)
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -1365,8 +1450,9 @@ func docNames(markdown string) []string {
 // report nothing on the module, and each reports its mutant seeded into a
 // copy of internal/: an uncharged loop allocation in core, an early return
 // holding a lock in server, an unpolled worklist loop in core.
-func testModuleAnalyzers(t *testing.T) {
-	for _, f := range lintModule(t, ".", "./...") {
+func testModuleAnalyzers(t *testing.T, loadRoot func(*testing.T) (*lint.Loader, []*lint.Package)) {
+	_, pkgs := loadRoot(t)
+	for _, f := range lintPackages(pkgs) {
 		t.Error(f)
 	}
 	tmp := t.TempDir()
@@ -1395,7 +1481,8 @@ func testModuleAnalyzers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, f := range lintModule(t, tmp, filepath.Join(tmp, "internal/core"), filepath.Join(tmp, "internal/server")) {
+	_, pkgs = loadModule(t, tmp, filepath.Join(tmp, "internal/core"), filepath.Join(tmp, "internal/server"))
+	for _, f := range lintPackages(pkgs) {
 		got = append(got, fmt.Sprintf("%s: [%s] %s", filepath.Base(f.Position.Filename), f.Analyzer, f.Message))
 	}
 	for _, want := range []string{
@@ -1409,9 +1496,9 @@ func testModuleAnalyzers(t *testing.T) {
 	}
 }
 
-// lintModule loads the packages matching patterns in the module at dir and
-// runs the module analyzers over them.
-func lintModule(t *testing.T, dir string, patterns ...string) []lint.Finding {
+// loadModule loads and type-checks the packages matching patterns in the
+// module at dir.
+func loadModule(t *testing.T, dir string, patterns ...string) (*lint.Loader, []*lint.Package) {
 	loader, err := lint.NewLoader(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -1425,6 +1512,11 @@ func lintModule(t *testing.T, dir string, patterns ...string) []lint.Finding {
 			t.Fatalf("%s: %v", pkg.Path, err)
 		}
 	}
+	return loader, pkgs
+}
+
+// lintPackages runs the module analyzers over pkgs.
+func lintPackages(pkgs []*lint.Package) []lint.Finding {
 	return lint.RunAnalyzers(pkgs, []*lint.Analyzer{
 		alphabetguard.Analyzer, ctxpoll.Analyzer, governcharge.Analyzer, lockorder.Analyzer})
 }

@@ -86,11 +86,6 @@ func (a *Alphabet) Add(name string) (Symbol, error) {
 	return s, nil
 }
 
-// MustAdd is Add, panicking on error.
-func (a *Alphabet) MustAdd(name string) Symbol {
-	return invariant.Must(a.Add(name))
-}
-
 // Size returns the number of symbols in the alphabet.
 func (a *Alphabet) Size() int { return len(a.names) }
 
@@ -344,28 +339,6 @@ func TupleFromKey(key string) (Tuple, error) {
 		t[i] = Symbol(int32(u))
 	}
 	return t, nil
-}
-
-// Format renders the tuple as (a, ⊥, b) using the alphabet's names.
-func (t Tuple) Format(a *Alphabet) string {
-	parts := make([]string, len(t))
-	for i, s := range t {
-		parts[i] = a.Name(s)
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// Equal reports whether two tuples are identical.
-func (t Tuple) Equal(u Tuple) bool {
-	if len(t) != len(u) {
-		return false
-	}
-	for i := range t {
-		if t[i] != u[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone returns a copy of the tuple.

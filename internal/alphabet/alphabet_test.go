@@ -2,6 +2,7 @@ package alphabet
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -169,7 +170,7 @@ func TestConvolveExampleFromPaper(t *testing.T) {
 		t.Fatalf("len = %d, want %d", len(conv), len(want))
 	}
 	for i := range want {
-		if !conv[i].Equal(want[i]) {
+		if !slices.Equal(conv[i], want[i]) {
 			t.Errorf("position %d: got %v, want %v", i, conv[i], want[i])
 		}
 	}
@@ -259,7 +260,7 @@ func TestTupleKeyRoundTripProperty(t *testing.T) {
 			}
 		}
 		back, err := TupleFromKey(tup.Key())
-		return err == nil && back.Equal(tup)
+		return err == nil && slices.Equal(back, tup)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -337,7 +338,7 @@ func TestSortTuples(t *testing.T) {
 	SortTuples(ts)
 	want := []Tuple{{Pad, 1}, {0, Pad}, {0, 0}, {1, 0}}
 	for i := range want {
-		if !ts[i].Equal(want[i]) {
+		if !slices.Equal(ts[i], want[i]) {
 			t.Fatalf("position %d: got %v, want %v", i, ts[i], want[i])
 		}
 	}
@@ -352,14 +353,6 @@ func TestCompareTuplesLengths(t *testing.T) {
 	}
 	if compareTuples(Tuple{0, 1}, Tuple{0, 1}) != 0 {
 		t.Error("equal tuples should compare 0")
-	}
-}
-
-func TestTupleFormat(t *testing.T) {
-	a := Lower(2)
-	tp := Tuple{0, Pad, 1}
-	if got := tp.Format(a); got != "(a, ⊥, b)" {
-		t.Errorf("Format = %q", got)
 	}
 }
 

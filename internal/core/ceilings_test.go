@@ -18,7 +18,7 @@ type layerOp struct {
 
 // measure warms op up, then returns its mean allocations and heap bytes over
 // runs runs at GOMAXPROCS(1): a sync.Pool keeps one private slot per P, so on
-// more Ps a goroutine that moves misses the slabs it put back, which is
+// more Ps a goroutine that moves misses the scratches it put back, which is
 // warm-up, not regrowth.
 func measure(t *testing.T, runs int, op func(testing.TB) int) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -70,6 +70,7 @@ func TestChaosWideKernelReleases(t *testing.T) {
 			if used := res.Used(); used != 0 {
 				t.Fatalf("%s, %s: %d bytes still charged after the fault", site, tc.name, used)
 			}
+			checkScratchesReturned(t, site+", "+tc.name)
 			res.Release()
 			if got := broker.Reserved(); got != 0 {
 				t.Fatalf("%s, %s: broker holds %d bytes after release", site, tc.name, got)

@@ -306,8 +306,9 @@ func componentReachSet(ctx context.Context, fp *fastProduct, srcs []int, maxStat
 	if err := fp.Run(ctx, srcs, maxStates); err != nil {
 		return nil, err
 	}
-	fp.sortDests(fp.dests.s)
-	for _, key := range fp.dests.s {
+	fp.order = fp.accepted.appendKeys(fp.order[:0])
+	fp.sortDests(fp.order)
+	for _, key := range fp.order {
 		n := len(buf)
 		buf = append(buf, srcs...) // t slots, overwritten below
 		unpackDest(&fp.productStep, key, buf[n:])

@@ -395,6 +395,7 @@ func TestEnumerateCloseReleasesReservations(t *testing.T) {
 	if got := res.Used(); got != 0 {
 		t.Fatalf("reservation still holds %d bytes after Close", got)
 	}
+	checkScratchesReturned(t, "after Close")
 	res.Release()
 	if got := broker.Reserved(); got != 0 {
 		t.Fatalf("broker still holds %d bytes after Release", got)

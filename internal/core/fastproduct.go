@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/faultinject"
@@ -243,156 +245,187 @@ func (p *productStep) overTracks(i int) {
 	p.newVerts[i] = p.verts[i]
 }
 
-// rankTable gives each distinct key of up to 63 bits its rank in order of
-// first sight: what a rowset.Set does for rows, for keys that are their own
-// row, in slab-pooled storage.
-// It starts empty and doubles at half load, so its size follows the keys a
-// search meets, never the space they are drawn from.
-type rankTable struct {
-	keys  slab[uint64] // 1 + a key, 0 = empty; a power of two long, at most half full
-	ranks slab[int32]  // the rank of the key in the same slot of keys
-	n     int
+// A kernel's tables are pooled whole, as the join's are (cq's scratch), and
+// keep their capacity from one kernel to the next. What a kernel charges is
+// a function of what its search met, never of the capacity its scratch
+// kept: a warm scratch and a cold one charge alike.
+type kernelScratch interface {
+	zero()           // clears what the last kernel wrote to the dense tables
+	retained() int64 // the bytes the tables hold on to
 }
 
-// slot returns the slot holding key, or the empty one where it belongs.
-func (t *rankTable) slot(key uint64) int {
-	keys := t.keys.s
-	mask := len(keys) - 1
-	//ecrpq:bounded the table is at most half full: a probe ends at the key or at an empty slot
-	for i := int(key*0x9E3779B97F4A7C15>>32) & mask; ; i = (i + 1) & mask {
-		if k := keys[i]; k == 0 || k == key+1 {
-			return i
-		}
+// scratchPool hands out one kind of kernel scratch and counts the ones out,
+// so tests can assert that every exit path of a kernel gives back what it
+// took. An idle scratch holding more than maxPooledBytes is left to the
+// collector.
+type scratchPool[T kernelScratch] struct {
+	pool sync.Pool
+	out  atomic.Int64
+}
+
+const maxPooledBytes = 64 << 20
+
+var (
+	productScratches = scratchPool[*productScratch]{pool: sync.Pool{New: func() any { return new(productScratch) }}}
+	sweepScratches   = scratchPool[*sweepScratch]{pool: sync.Pool{New: func() any { return new(sweepScratch) }}}
+)
+
+// scratchTaken, when set, sees every scratch a pool hands out (to drop or
+// poison its tables). Nothing but a test assigns it.
+var scratchTaken func(any)
+
+func (p *scratchPool[T]) get() T {
+	p.out.Add(1)
+	sc := p.pool.Get().(T)
+	if scratchTaken != nil {
+		scratchTaken(sc)
+	}
+	return sc
+}
+
+func (p *scratchPool[T]) put(sc T) {
+	p.out.Add(-1)
+	sc.zero()
+	if sc.retained() <= maxPooledBytes {
+		p.pool.Put(sc)
 	}
 }
 
-func (t *rankTable) has(key uint64) bool { return t.n > 0 && t.keys.s[t.slot(key)] != 0 }
-
-// add returns key's rank and whether this call gave it one.
-func (t *rankTable) add(key uint64) (rank int, fresh bool) {
-	if 2*t.n >= len(t.keys.s) {
-		t.double()
+// zeroTo returns s at least n long, zeroing what it exposes: a table whose
+// length only grows is all zero but for what its owner wrote, whatever its
+// spare capacity holds.
+func zeroTo(s []uint64, n int) []uint64 {
+	if n > len(s) {
+		s = append(s, make([]uint64, n-len(s))...)
 	}
-	i := t.slot(key)
-	if fresh = t.keys.s[i] == 0; fresh {
-		t.keys.s[i], t.ranks.s[i] = key+1, int32(t.n)
-		t.n++
-	}
-	return int(t.ranks.s[i]), fresh
+	return s
 }
 
-// double moves the keys into a table twice the size (16 slots at first).
+// hashedKeyBytes is a hashed key's charge: its row and two 12-byte slots.
+const hashedKeyBytes = 32
+
+// keyIndex lists the keys a kernel table holds, in order of first sight. A
+// dense table keeps the list; a hashed one numbers its keys by it: a key of
+// up to 63 bits is a packed row of its two 32-bit halves in a rowset.Set,
+// its id the row's rank, and the rows are the list.
+type keyIndex struct {
+	hashed bool
+	list   []uint64   // dense: the keys
+	rows   rowset.Set // hashed: the keys' rows
+}
+
+// open empties the index for a use in the given regime. A hashed index
+// keeps slots for as many keys as its last use held.
+func (x *keyIndex) open(hashed bool) {
+	x.hashed, x.list = hashed, x.list[:0]
+	if hashed {
+		x.rows.Reset(2, 32, x.rows.Len())
+	}
+}
+
+// number returns a hashed key's id and whether this call gave it one.
+func (x *keyIndex) number(key uint64) (int, bool) {
+	if id := x.rows.FindKey(key); id >= 0 {
+		return int(id), false
+	}
+	row := [2]int32{int32(key >> 32), int32(key)}
+	id, _ := x.rows.Add(row[:])
+	return int(id), true
+}
+
+func (x *keyIndex) count() int {
+	if x.hashed {
+		return x.rows.Len()
+	}
+	return len(x.list)
+}
+
+// key returns the i-th key of the list.
+func (x *keyIndex) key(i int) uint64 {
+	if !x.hashed {
+		return x.list[i]
+	}
+	row := x.rows.Row(int32(i))
+	return uint64(uint32(row[0]))<<32 | uint64(uint32(row[1]))
+}
+
+// appendKeys appends the list to dst.
 //
-//ecrpq:charged the owning kernel charges bytes() as part of its footprint's high-water mark
-func (t *rankTable) double() {
-	keys, ranks := t.keys, t.ranks
-	n := max(16, 2*len(keys.s))
-	t.keys, t.ranks = takeSlab[uint64](n, true), takeSlab[int32](n, false)
-	for i, k := range keys.s {
-		if k != 0 {
-			j := t.slot(k - 1)
-			t.keys.s[j], t.ranks.s[j] = k, ranks.s[i]
-		}
+//ecrpq:charged a copy of a list the owning kernel charges
+func (x *keyIndex) appendKeys(dst []uint64) []uint64 {
+	for i := range x.count() {
+		dst = append(dst, x.key(i))
 	}
-	keys.release()
-	ranks.release()
+	return dst
 }
 
-func (t *rankTable) reset() {
-	clear(t.keys.s)
-	t.n = 0
-}
-
-// release gives the slots back to their pools and leaves the table empty.
-func (t *rankTable) release() {
-	t.keys.release()
-	t.ranks.release()
-	t.n = 0
-}
-
-// bytes is the table's footprint; a nil table (a direct-indexed owner) has none.
-func (t *rankTable) bytes() int64 {
-	if t == nil {
-		return 0
+func (x *keyIndex) bytes() int64 {
+	if x.hashed {
+		return hashedKeyBytes * int64(x.rows.Len())
 	}
-	return int64(8*cap(t.keys.s) + 4*cap(t.ranks.s))
+	return 8 * int64(len(x.list))
 }
+
+func (x *keyIndex) retained() int64 { return 8*int64(cap(x.list)) + x.rows.Bytes() }
 
 // denseSetBits bounds the key width up to which a keySet is a bitset over
 // its whole key space (2^16 bits = 8 KiB); a wider space is hashed.
 const denseSetBits = 16
 
-// keySet is a set of keys of a known width: a bitset indexed by the key, or
-// past denseSetBits a rankTable. The bitset covers the key space from the
-// first open or add; one that meets a key beyond its end grows to hold it,
-// which only the wide regime's width 0 lets happen. The owner keeps the list
-// of members (it needs them in order anyway), so clearing a bitset costs
-// what was added, never a pass over the key space.
+// keySet is a set of keys of a known width: a bitset over the key space up
+// to denseSetBits, hashed past it. Its index lists the members in order of
+// first sight, so zeroing the bitset costs what was added, never a pass
+// over the key space. At width 0 (the wide regime's row ids) the bitset
+// grows with the keys.
 type keySet struct {
-	width uint
-	bits  slab[uint64]
-	table *rankTable // nil for a bitset
+	keyIndex
+	set   []uint64 // dense: a bit per key, zero but the members'
+	words int      // dense: the words of the key space met so far
 }
 
-func newKeySet(width uint) keySet {
-	if width > denseSetBits {
-		return keySet{table: new(rankTable)}
+// open empties the set, whose bitset is zero, for keys of width bits.
+func (s *keySet) open(width uint) {
+	s.words = 0
+	if s.keyIndex.open(width > denseSetBits); !s.hashed {
+		s.words = int((uint64(1)<<width + 63) / 64)
+		s.set = zeroTo(s.set, s.words)
 	}
-	return keySet{width: width}
 }
 
-// open gives a bitset that has none (a new or released set) the words of
-// its key space.
-func (s *keySet) open() {
-	if s.table == nil && s.bits.s == nil {
-		s.bits = takeSlab[uint64](int((uint64(1)<<s.width+63)/64), true)
+// zero clears the members' bits.
+func (s *keySet) zero() {
+	for _, k := range s.list {
+		s.set[k>>6] &^= 1 << (k & 63)
 	}
 }
 
 func (s *keySet) has(key uint64) bool {
-	if s.table != nil {
-		return s.table.has(key)
+	if s.hashed {
+		return s.rows.Len() > 0 && s.rows.FindKey(key) >= 0
 	}
-	return key>>6 < uint64(len(s.bits.s)) && s.bits.s[key>>6]&(1<<(key&63)) != 0
+	return key>>6 < uint64(len(s.set)) && s.set[key>>6]&(1<<(key&63)) != 0
 }
 
 // add inserts key and reports whether it was new.
 func (s *keySet) add(key uint64) bool {
-	if s.table != nil {
-		_, fresh := s.table.add(key)
+	if s.hashed {
+		_, fresh := s.number(key)
 		return fresh
 	}
-	if w := int(key >> 6); w >= len(s.bits.s) {
-		s.open()
-		if w >= len(s.bits.s) {
-			s.bits.extend(w + 1 - len(s.bits.s))
-		}
+	if w := int(key>>6) + 1; w > s.words {
+		s.words, s.set = w, zeroTo(s.set, w)
 	}
-	fresh := s.bits.s[key>>6]&(1<<(key&63)) == 0
-	s.bits.s[key>>6] |= 1 << (key & 63)
-	return fresh
+	if s.set[key>>6]&(1<<(key&63)) != 0 {
+		return false
+	}
+	s.set[key>>6] |= 1 << (key & 63)
+	s.list = append(s.list, key)
+	return true
 }
 
-// clear empties the set, given exactly its members.
-func (s *keySet) clear(members []uint64) {
-	if s.table != nil {
-		s.table.reset()
-		return
-	}
-	for _, k := range members {
-		s.bits.s[k>>6] &^= 1 << (k & 63)
-	}
-}
+func (s *keySet) bytes() int64 { return 8*int64(s.words) + s.keyIndex.bytes() }
 
-// release gives the set's storage back to the pools and leaves it empty.
-func (s *keySet) release() {
-	s.bits.release()
-	if s.table != nil {
-		s.table.release()
-	}
-}
-
-func (s *keySet) bytes() int64 { return int64(8*cap(s.bits.s)) + s.table.bytes() }
+func (s *keySet) retained() int64 { return 8*int64(cap(s.set)) + s.keyIndex.retained() }
 
 // cancelCheckInterval is how many product states are processed between
 // context-cancellation polls. Polling ctx.Err() costs an atomic load, so
@@ -430,53 +463,60 @@ const noDest = ^uint64(0)
 // with; witness reads the paths off the parent links of the traversal that
 // found them.
 //
-// The scratch is reused across traversals and cleared from its own member
+// The tables are reused across traversals and zeroed from their own member
 // lists. Not safe for concurrent use.
 type fastProduct struct {
 	productStep
+	productScratch
+	held *productScratch // the pooled scratch whose tables f holds; nil while it holds none
 
-	visited   keySet       // states met by the live traversal; its members are queue
-	queue     slab[uint64] // breadth-first order; queue[:qi] have been expanded
-	qi        int
-	accepted  keySet       // destination keys of the accepting states queued so far; its members are dests
-	dests     slab[uint64] // distinct, in the order met
-	srcs      []int        // sources of the live traversal
-	live      bool         // a traversal from srcs is suspended or exhausted, not failed
-	maxStates int          // the live traversal's cap on distinct states (0 = unlimited)
+	qi        int   // the queue's head: its first qi states have been expanded
+	srcs      []int // sources of the live traversal
+	live      bool  // a traversal from srcs is suspended or exhausted, not failed
+	maxStates int   // the live traversal's cap on distinct states (0 = unlimited)
 
 	// Recording, what a witness is read off: witness's traversals do, reach's
 	// if the owner wants paths, Run's — whose callers reorder dests — never.
-	paths    bool        // reach records
-	record   bool        // the live traversal records
-	parents  slab[int32] // per queue slot: the slot it was first reached from; -1 for a start state
-	destSlot slab[int32] // per member of dests, in the order met: the slot of its first accepting state
-	child    uint64      // witness: the state whose first emit by the loaded one is being looked for
+	paths  bool   // reach records
+	record bool   // the live traversal records
+	child  uint64 // witness: the state whose first emit by the loaded one is being looked for
 
 	traversals int // begins
 	expanded   int // states whose successors were generated
 
-	// Byte accounting against the context reservation: what the sets, rows
-	// and lists hold, as a high-water mark. The owner releases via releaseMem.
+	// What the tables and lists hold, charged as a high-water mark until releaseMem.
 	mem     *govern.Meter
 	charged int64
 }
 
+// productScratch is the product search's tables.
+type productScratch struct {
+	visited  keySet   // states met by the live traversal; its members, in breadth-first order, are the queue
+	accepted keySet   // destination keys of the accepting states queued so far, in the order met
+	parents  []int32  // per queue slot: the slot it was first reached from; -1 for a start state
+	order    []uint64 // the accepted destinations in the order of their tuples (componentReachSet)
+}
+
+func (sc *productScratch) zero() {
+	sc.visited.zero()
+	sc.accepted.zero()
+}
+
+func (sc *productScratch) retained() int64 {
+	return sc.visited.retained() + sc.accepted.retained() + int64(4*cap(sc.parents)+8*cap(sc.order))
+}
+
 func newFastProduct(db *graphdb.DB, c *component) *fastProduct {
 	s := packProduct(db, c)
-	f := &fastProduct{
-		productStep: newProductStep(s),
-		visited:     newKeySet(s.bits),
-		accepted:    newKeySet(s.destBits),
-		srcs:        make([]int, s.t),
-	}
+	f := &fastProduct{productStep: newProductStep(s), srcs: make([]int, s.t)}
 	f.emit = f.push
 	return f
 }
 
 // releaseMem closes the accounting scope: everything this fastProduct
-// charged is released back to the reservation, and its tables go back to
-// their pools. Safe on nil receivers and without an attached meter; the
-// kernel stays usable, and a later traversal starts from empty tables.
+// charged is released back to the reservation, and its scratch goes back
+// to the pool. Safe on nil receivers and without an attached meter; the
+// kernel stays usable, and a later traversal takes a scratch again.
 func (f *fastProduct) releaseMem() {
 	if f == nil {
 		return
@@ -484,21 +524,16 @@ func (f *fastProduct) releaseMem() {
 	f.mem.Close()
 	f.mem, f.charged = nil, 0
 	f.live = false
-	f.visited.release()
-	f.accepted.release()
-	f.queue.release()
-	f.dests.release()
-	f.parents.release()
-	f.destSlot.release()
+	if f.held != nil {
+		*f.held = f.productScratch
+		productScratches.put(f.held)
+		f.held, f.productScratch = nil, productScratch{}
+	}
 }
 
 // charge lifts the charge to the kernel's current footprint.
 func (f *fastProduct) charge() error {
-	if f.mem == nil {
-		return nil
-	}
-	need := f.visited.bytes() + f.accepted.bytes() + f.stateRows.Bytes() + f.destRows.Bytes() +
-		int64(8*(cap(f.queue.s)+cap(f.dests.s))+4*(cap(f.parents.s)+cap(f.destSlot.s)))
+	need := f.visited.bytes() + f.accepted.bytes() + f.stateRows.Bytes() + f.destRows.Bytes() + int64(4*len(f.parents))
 	if need > f.charged {
 		if err := f.mem.Grow(need - f.charged); err != nil {
 			return fmt.Errorf("core: product search: %w", err)
@@ -509,20 +544,24 @@ func (f *fastProduct) charge() error {
 }
 
 // begin abandons the live traversal and seeds a new one from srcs, capped
-// at maxStates distinct states (0 = unlimited).
+// at maxStates distinct states (0 = unlimited). The kernel's first
+// traversal takes its scratch.
 func (f *fastProduct) begin(ctx context.Context, srcs []int, maxStates int) error {
 	f.live = false
 	if f.mem == nil {
 		f.mem = govern.MeterFrom(ctx)
 	}
-	f.visited.clear(f.queue.s)
-	f.accepted.clear(f.dests.s)
-	f.visited.open()
-	f.accepted.open()
+	if f.held == nil {
+		f.held = productScratches.get()
+		f.productScratch = *f.held
+	} else {
+		f.zero()
+	}
+	f.visited.open(f.bits)
+	f.accepted.open(f.destBits)
 	f.stateRows.Clear()
 	f.destRows.Clear()
-	f.queue.s, f.dests.s = f.queue.s[:0], f.dests.s[:0]
-	f.parents.s, f.destSlot.s = f.parents.s[:0], f.destSlot.s[:0]
+	f.parents = f.parents[:0]
 	copy(f.srcs, srcs)
 	f.maxStates = maxStates
 	f.traversals++
@@ -533,35 +572,28 @@ func (f *fastProduct) begin(ctx context.Context, srcs []int, maxStates int) erro
 	f.qi = 0
 	// The poll of slot 0 comes before the seeds' destinations answer a seek.
 	err := f.charge()
-	if err == nil && len(f.queue.s) > 0 {
+	if err == nil && f.visited.count() > 0 {
 		err = pollSearch(ctx)
 	}
 	f.live = err == nil
 	return err
 }
 
-// push queues the successor (nextQ, newVerts, newDone) of queue[qi] on
-// first sight, and an accepting one's destination on its first sight: the
-// goal test is at generation. The queue is FIFO, so the first state queued
-// over a destination is the first that would be popped over it.
+// push queues the successor (nextQ, newVerts, newDone) of the state in
+// slot qi on first sight, and an accepting one's destination on its first
+// sight: the goal test is at generation. The queue is FIFO, so the first
+// state queued over a destination is the first that would be popped over it.
 func (f *fastProduct) push() {
-	key := f.pack(f.nextQ, f.newVerts, f.newDone)
-	if !f.visited.add(key) {
+	if !f.visited.add(f.pack(f.nextQ, f.newVerts, f.newDone)) {
 		return
 	}
-	f.queue.push(key)
 	if f.record {
-		f.parents.push(int32(f.qi))
+		f.parents = append(f.parents, int32(f.qi))
 	}
 	if !f.nfa.Accept[f.nextQ] {
 		return
 	}
-	if d := f.destKey(f.newVerts); f.accepted.add(d) {
-		f.dests.push(d)
-		if f.record {
-			f.destSlot.push(int32(len(f.queue.s) - 1))
-		}
-	}
+	f.accepted.add(f.destKey(f.newVerts))
 }
 
 // seek reports whether the live traversal reaches an accepting state over
@@ -573,14 +605,14 @@ func (f *fastProduct) seek(ctx context.Context, want uint64) (bool, error) {
 	return f.advance(ctx, want)
 }
 
-// advance resumes the live traversal until the expansion of queue[qi]
-// queues an accepting state over want — it returns once that parent is
-// fully expanded, with the queue's head past it — or until the queue is
-// exhausted. It polls ctx and the core.budget fault point every
-// cancelCheckInterval states and fails once more than maxStates distinct
-// states have been met; a failed traversal is not resumable.
+// advance resumes the live traversal, which has not accepted want, until
+// the expansion of slot qi queues an accepting state over want — it returns
+// once that parent is fully expanded, with the queue's head past it — or
+// until the queue is exhausted. It polls ctx and the core.budget fault
+// point every cancelCheckInterval states and fails once more than maxStates
+// distinct states have been met; a failed traversal is not resumable.
 func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
-	for f.qi < len(f.queue.s) {
+	for f.qi < f.visited.count() {
 		if f.qi%cancelCheckInterval == 0 && f.qi > 0 {
 			err := pollSearch(ctx)
 			if err == nil {
@@ -591,16 +623,16 @@ func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
 				return false, err
 			}
 		}
-		if f.maxStates > 0 && len(f.queue.s) > f.maxStates {
+		if f.maxStates > 0 && f.visited.count() > f.maxStates {
 			f.live = false
 			return false, fmt.Errorf("core: product exceeded the state budget of %d", f.maxStates)
 		}
-		f.load(f.queue.s[f.qi])
+		f.load(f.visited.key(f.qi))
 		f.expanded++
-		met := len(f.dests.s)
+		met := f.accepted.count()
 		f.step()
 		f.qi++
-		if slices.Contains(f.dests.s[met:], want) {
+		if f.accepted.count() > met && f.accepted.has(want) {
 			return true, nil
 		}
 	}
@@ -621,8 +653,8 @@ func (f *fastProduct) reach(ctx context.Context, srcs, dsts []int, maxStates int
 	return f.seek(ctx, f.destKey(dsts))
 }
 
-// Run traverses everything reachable from srcs and leaves in f.dests the
-// distinct destination keys of the accepting states.
+// Run traverses everything reachable from srcs and leaves in f.accepted
+// the distinct destination keys of the accepting states.
 func (f *fastProduct) Run(ctx context.Context, srcs []int, maxStates int) error {
 	f.record = false
 	if err := f.begin(ctx, srcs, maxStates); err != nil {
@@ -635,7 +667,7 @@ func (f *fastProduct) Run(ctx context.Context, srcs []int, maxStates int) error 
 // witness is reach with the paths, one per track. It resumes the live
 // traversal if that is from srcs and recorded, and begins one only
 // otherwise; the path is the chain of parent links from the first accepting
-// state over dsts back to a start state. A link stores no letter: each
+// state queued over dsts back to a start state. A link stores no letter: each
 // step's parent is expanded once more and the joint letter read where the
 // expansion first emits the child, as it did when the child was queued.
 func (f *fastProduct) witness(ctx context.Context, srcs, dsts []int, maxStates int) ([]graphdb.Path, bool, error) {
@@ -667,10 +699,13 @@ func (f *fastProduct) witness(ctx context.Context, srcs, dsts []int, maxStates i
 			}
 		}
 	}
-	queue, parents := f.queue.s, f.parents.s
-	for slot := f.destSlot.s[slices.Index(f.dests.s, want)]; parents[slot] >= 0; slot = parents[slot] {
-		f.child = queue[slot]
-		f.load(queue[parents[slot]])
+	slot := int32(0) // the first accepting state queued over want
+	for f.load(f.visited.key(0)); !f.accepting() || f.destKey(f.verts) != want; f.load(f.visited.key(int(slot))) {
+		slot++
+	}
+	for ; f.parents[slot] >= 0; slot = f.parents[slot] {
+		f.child = f.visited.key(int(slot))
+		f.load(f.visited.key(int(f.parents[slot])))
 		f.step()
 	}
 	f.emit = push
@@ -680,160 +715,201 @@ func (f *fastProduct) witness(ctx context.Context, srcs, dsts []int, maxStates i
 	return paths, true, nil
 }
 
-// denseTableWords bounds a wordTable over its key space; a larger one is indexed by rank.
+// denseTableWords bounds a wordTable over its key space; a larger one is hashed.
 const denseTableWords = 1 << 21
 
-// wordTable maps uint64 keys to slots of stride words, all zero until
-// written. It is the sweep kernel's state table (stride 1: a state's id),
-// the per-destination table the rows are emitted from and the table of
-// lanes by source vertex (stride w). Where
-// slots over the whole key space fit in denseTableWords a key indexes its
-// slot (at width 0 — the wide regime — the table grows with the keys
-// instead); otherwise it indexes it by its rank. keys lists the distinct
-// keys touched since the last reset, so clearing — also before a table
-// over its key space goes back to its pool — costs what was touched.
+// wordTable maps keys to slots of stride words, all zero until written. It
+// is the sweep kernel's state table (stride 1: a state's id), the
+// per-destination table the rows are emitted from and the table of lanes
+// by source vertex (stride w). Where slots over the whole key space fit in
+// denseTableWords a key indexes its slot (at width 0 — the wide regime —
+// the table grows with the keys instead); otherwise the key's id in the
+// hashed index does. The index lists the distinct keys touched, so zeroing
+// costs what was touched.
 type wordTable struct {
-	stride int
-	words  slab[uint64] // the slot of index i starts at i*stride
-	index  *rankTable   // key → index; nil where the key is the index
-	keys   slab[uint64]
-	zeroed bool // words cover the key space: they go back to zeroSlabs
+	keyIndex
+	keyBits uint
+	stride  int
+	words   []uint64 // the slot of index i starts at i*stride; zero but the touched slots
+	used    int      // the words of the slots this use reaches
 }
 
-//ecrpq:charged the owner charges bytes() to its scratch meter before the first traversal
-func newWordTable(keyBits uint, stride int) wordTable {
-	if keyBits > 21 || stride<<keyBits > denseTableWords {
-		return wordTable{stride: stride, index: new(rankTable)}
+// open empties the table, whose words are zero, for keys of keyBits bits
+// and slots of stride words.
+func (t *wordTable) open(keyBits uint, stride int) {
+	t.keyBits, t.stride, t.used = keyBits, stride, 0
+	if t.keyIndex.open(keyBits > 21 || stride<<keyBits > denseTableWords); !t.hashed {
+		t.used = stride << keyBits
+		t.words = zeroTo(t.words, t.used)
 	}
-	return wordTable{stride: stride, words: zeroSlabs.take(stride<<keyBits, true), zeroed: keyBits > 0}
+}
+
+// zero clears every touched slot.
+func (t *wordTable) zero() {
+	if t.hashed {
+		clear(t.words[:t.used])
+		return
+	}
+	for _, key := range t.list {
+		clear(t.words[int(key)*t.stride:][:t.stride])
+	}
+}
+
+// reset empties the table for another traversal.
+func (t *wordTable) reset() {
+	t.zero()
+	t.open(t.keyBits, t.stride)
 }
 
 // at returns key's slot, claiming a zeroed one on first use where the table
 // does not cover the key space. The slice is valid until the next at call.
 func (t *wordTable) at(key uint64) []uint64 {
 	i := int(key)
-	if t.index != nil {
-		i, _ = t.index.add(key)
+	if t.hashed {
+		i, _ = t.number(key)
 	}
-	i *= t.stride
-	if i >= len(t.words.s) {
-		t.words.extend(i + t.stride - len(t.words.s))
+	if i *= t.stride; i+t.stride > t.used {
+		t.used = i + t.stride
+		t.words = zeroTo(t.words, t.used)
 	}
-	return t.words.s[i : i+t.stride]
+	return t.words[i : i+t.stride]
 }
 
-// or ORs the lane mask bits (non-zero) into key's slot, recording the key
-// on first touch.
+// or ORs the lane mask bits (non-zero) into key's slot, listing the key on
+// first touch.
 func (t *wordTable) or(key uint64, bits []uint64) {
 	slot := t.at(key)
-	if slices.Max(slot) == 0 {
-		t.keys.push(key)
+	if !t.hashed && slices.Max(slot) == 0 {
+		t.list = append(t.list, key)
 	}
 	for i, b := range bits {
 		slot[i] |= b
 	}
 }
 
-// reset zeroes every touched slot.
-func (t *wordTable) reset() {
-	if t.index != nil {
-		clear(t.words.s[:t.index.n*t.stride])
-		t.index.reset()
-	} else {
-		for _, key := range t.keys.s {
-			clear(t.at(key))
-		}
+// id returns key's id in a table of one-word slots — ids count from 0 in
+// order of first sight — and whether this call gave it one. A hashed table
+// numbers its keys itself and writes no slot.
+func (t *wordTable) id(key uint64) (int32, bool) {
+	if t.hashed {
+		id, fresh := t.number(key)
+		return int32(id), fresh
 	}
-	t.keys.s = t.keys.s[:0]
+	slot := t.at(key)
+	if slot[0] == 0 {
+		t.list = append(t.list, key)
+		slot[0] = uint64(len(t.list))
+		return int32(len(t.list) - 1), true
+	}
+	return int32(slot[0] - 1), false
 }
 
-// release gives the table's storage back to the pools.
-func (t *wordTable) release() {
-	if t.zeroed {
-		t.reset()
-		t.words.releaseTo(&zeroSlabs)
-	}
-	t.words.release()
-	t.keys.release()
-	if t.index != nil {
-		t.index.release()
-	}
-}
+func (t *wordTable) bytes() int64 { return 8*int64(t.used) + t.keyIndex.bytes() }
 
-// bytes is the table's current footprint.
-func (t *wordTable) bytes() int64 {
-	return int64(8*(cap(t.words.s)+cap(t.keys.s))) + t.index.bytes()
-}
+func (t *wordTable) retained() int64 { return 8*int64(cap(t.words)) + t.keyIndex.retained() }
 
 // errStateBudget reports a sweep traversal that met more distinct product
-// states than its budget; sweepWorker.batch splits the batch and retries.
+// states than its budget; sweepKernel.batch splits the batch and retries.
 var errStateBudget = errors.New("core: product exceeded the state budget")
 
-// sweepKernel is the sweep worker's scratch for the batched Lemma 4.3 sweep:
-// a traversal of the packed product graph that carries up to 64w source
-// tuples at once (lane i is bit i%64 of word i/64 of a lane mask) and
+// sweepKernel sweeps a component's source tuples for the batched Lemma 4.3
+// sweep: a traversal of the packed product graph that carries up to 64w
+// source tuples at once (lane i is bit i%64 of word i/64 of a lane mask) and
 // expands each state it meets once. Pass 1 is Tarjan's search for the
 // strongly connected components, which keeps each state's successor ids as
 // a CSR edge list; pass 2 ORs each component's lanes into those its edges
 // lead to, from the last completed to the first (a topological order).
 type sweepKernel struct {
 	productStep
-	pat   *atomPattern
-	ids   wordTable    // per packed state: 1 + its id, ids in order of first sight; its keys are the states by id
-	num   slab[int32]  // per id: 0 until expanded, then its order of expansion from 1, and -1-c once its component c completes
-	out   slab[int32]  // per id: its successors are edges[out[2id]:out[2id+1]]
-	edges slab[int32]  // successor ids, led by the seeds: len(nfa.Starts) per lane
-	path  slab[int32]  // the search's path, a triple per state on it: id, next edge, low-link
-	stack slab[int32]  // Tarjan's stack: the expanded ids whose component is not complete
-	done  slab[int32]  // the ids by component, in order of completion
-	masks slab[uint64] // per component: the lanes that reach it, w words
-	keep  wordTable    // per (track, vertex): the lanes whose source on that track is that vertex
-	dests wordTable    // per packed destination tuple: the lanes that reach it
-	mask  []uint64     // scratch, w words
-	n, c  int32        // the traversal's expansions and completed components
+	*sweepScratch
+	pat  *atomPattern
+	n, c int32 // the traversal's expansions and completed components
+	rows int   // the rows the segments stand for
 	// Traversals begun, and the states and components of those completed.
 	runs, states, sccs int
 	mem                *govern.Meter // the tables' charge, a high-water mark released by release
 	charged            int64
+	rowMem             *govern.Meter // the rows' charge; kept on success
 }
 
-// newSweepKernel allocates a kernel of w-word lane masks over the shared
-// product shape for the atom pattern pat and charges its tables to mem.
-func newSweepKernel(s *productShape, pat *atomPattern, w int, mem *govern.Meter) (*sweepKernel, error) {
+// sweepScratch is every table and list a sweep uses.
+type sweepScratch struct {
+	ids      wordTable // per packed state: 1 + its id, ids in order of first sight; its keys are the states by id
+	keep     wordTable // per (track, vertex): the lanes whose source on that track is that vertex
+	dests    wordTable // per packed destination tuple: the lanes that reach it
+	num      []int32   // per id: 0 until expanded, then its order of expansion from 1, and -1-c once its component c completes
+	out      []int32   // per id: its successors are edges[out[2id]:out[2id+1]]
+	edges    []int32   // successor ids, led by the seeds: len(nfa.Starts) per lane
+	path     []int32   // the search's path, a triple per state on it: id, next edge, low-link
+	stack    []int32   // Tarjan's stack: the expanded ids whose component is not complete
+	finished []int32   // the ids by component, in order of completion
+	masks    []uint64  // per component: the lanes that reach it, w words
+	mask     []uint64  // w words
+	// Each lane word of a batch leaves a segment: its distinct destinations
+	// in key order, each with the word — 16 bytes for up to 64 rows, so the
+	// rows themselves are only written once, by fill, at their final place.
+	segs  []sweepSegment
+	keys  []uint64 // destination keys of all segments, back to back
+	words []uint64 // keys[j] is reached by the sources in words[j]
+	order []uint64 // a batch's destination keys in the order of their tuples
+	// The batch's source tuples, lane i at lanes[i*t:(i+1)*t], and one
+	// destination tuple.
+	lanes, dst []int32
+}
+
+func (sc *sweepScratch) zero() {
+	sc.ids.zero()
+	sc.keep.zero()
+	sc.dests.zero()
+}
+
+// retained leaves out the lanes, which a lane cap bounds.
+func (sc *sweepScratch) retained() int64 {
+	return sc.ids.retained() + sc.keep.retained() + sc.dests.retained() + 24*int64(cap(sc.segs)) + 8*int64(cap(sc.masks)+cap(sc.keys)+cap(sc.words)+cap(sc.order)) +
+		4*int64(cap(sc.num)+cap(sc.out)+cap(sc.edges)+cap(sc.path)+cap(sc.stack)+cap(sc.finished))
+}
+
+// sweepSegment is one word's slice of the pair arrays.
+type sweepSegment struct {
+	first int // sweep index of the word's source 0 (bit 0 of the words)
+	end   int // the segment's pairs are keys[previous end:end]
+	rows  int
+}
+
+// newSweepKernel makes a kernel of w-word lane masks over the shared
+// product shape for the atom pattern pat, takes its scratch and charges its
+// tables to res.
+func newSweepKernel(s *productShape, pat *atomPattern, w int, res *govern.Reservation) (*sweepKernel, error) {
 	keep := uint(0) // the lanes by source vertex are read only for a source equality
 	if slices.ContainsFunc(pat.dst, func(e int) bool { return e >= 0 && e%2 == 0 }) {
 		keep = s.vBits + uint(bits.Len(uint(s.t-1)))
 	}
-	k := &sweepKernel{
-		productStep: newProductStep(s),
-		pat:         pat,
-		ids:         newWordTable(s.bits, 1),
-		keep:        newWordTable(keep, w),
-		dests:       newWordTable(s.destBits, w),
-		mask:        make([]uint64, w),
-		mem:         mem,
-	}
+	k := &sweepKernel{productStep: newProductStep(s), sweepScratch: sweepScratches.get(), pat: pat, mem: res.NewMeter(), rowMem: res.NewMeter()}
+	k.ids.open(s.bits, 1)
+	k.keep.open(keep, w)
+	k.dests.open(s.destBits, w)
+	k.mask = zeroTo(k.mask[:0], w)
+	k.lanes, k.dst = slices.Grow(k.lanes[:0], 64*w*s.t)[:64*w*s.t], slices.Grow(k.dst[:0], s.t)[:s.t]
+	k.segs, k.keys, k.words, k.masks = k.segs[:0], k.keys[:0], k.words[:0], k.masks[:0]
+	k.num, k.out, k.edges, k.path, k.stack, k.finished = k.num[:0], k.out[:0], k.edges[:0], k.path[:0], k.stack[:0], k.finished[:0]
 	k.emit = k.meet
 	return k, k.charge()
 }
 
-// release closes the kernel's meter and gives its tables back to their
-// pools; the kernel is not used again.
-func (k *sweepKernel) release() {
-	k.mem.Close()
-	k.ids.release()
-	k.keep.release()
-	k.dests.release()
-	for _, l := range []*slab[int32]{&k.num, &k.out, &k.edges, &k.path, &k.stack, &k.done} {
-		l.release()
+// release closes the tables' meter, and the rows' too if the sweep failed,
+// and gives the scratch back to its pool; the kernel is not used again.
+func (k *sweepKernel) release(failed bool) {
+	if k.mem.Close(); failed {
+		k.rowMem.Close()
 	}
-	k.masks.release()
+	sweepScratches.put(k.sweepScratch)
+	k.sweepScratch = nil
 }
 
 // charge lifts the scratch charge to the kernel's current footprint.
 func (k *sweepKernel) charge() error {
-	need := k.ids.bytes() + k.keep.bytes() + k.dests.bytes() + k.stateRows.Bytes() + k.destRows.Bytes() + int64(8*cap(k.masks.s)+
-		4*(cap(k.num.s)+cap(k.out.s)+cap(k.edges.s)+cap(k.path.s)+cap(k.stack.s)+cap(k.done.s)))
+	need := k.ids.bytes() + k.keep.bytes() + k.dests.bytes() + k.stateRows.Bytes() + k.destRows.Bytes() + int64(8*len(k.masks)+
+		4*(len(k.num)+len(k.out)+len(k.edges)+len(k.path)+len(k.stack)+len(k.finished)))
 	if need > k.charged {
 		if err := k.mem.Grow(need - k.charged); err != nil {
 			return fmt.Errorf("core: product search: %w", err)
@@ -870,7 +946,7 @@ func (k *sweepKernel) Run(ctx context.Context, lanes []int32, lo, hi, maxStates 
 	k.keep.reset()
 	k.dests.reset()
 	k.stateRows.Clear() // destRows is kept: the owner reads destination keys after later Runs
-	k.num.s, k.out.s, k.edges.s, k.path.s, k.stack.s, k.done.s = k.num.s[:0], k.out.s[:0], k.edges.s[:0], k.path.s[:0], k.stack.s[:0], k.done.s[:0]
+	k.num, k.out, k.edges, k.path, k.stack, k.finished = k.num[:0], k.out[:0], k.edges[:0], k.path[:0], k.stack[:0], k.finished[:0]
 	k.n, k.c, k.newDone = 0, 0, 0
 	k.runs++
 	clear(k.mask)
@@ -889,33 +965,32 @@ func (k *sweepKernel) Run(ctx context.Context, lanes []int32, lo, hi, maxStates 
 		}
 		k.mask[word] = 0
 	}
-	seeds := len(k.edges.s)
+	seeds := len(k.edges)
 	if err := k.search(ctx, seeds, maxStates); err != nil {
 		return err
 	}
 
 	w := len(k.mask)
-	k.masks.s = k.masks.s[:0]
-	k.masks.extend(int(k.c) * w)
-	masks, mask := k.masks.s, k.mask
-	for s, id := range k.edges.s[:seeds] {
+	k.masks = zeroTo(k.masks[:0], int(k.c)*w)
+	masks, mask := k.masks, k.mask
+	for s, id := range k.edges[:seeds] {
 		lane := lo + s/len(k.nfa.Starts)
-		masks[int(-1-k.num.s[id])*w+lane/64] |= 1 << uint(lane%64)
+		masks[int(-1-k.num[id])*w+lane/64] |= 1 << uint(lane%64)
 	}
 	// An accepting state's lanes reach its destination tuple, less the lanes
 	// whose source a destination must equal and does not, or all of them if
 	// two destinations that must agree do not.
 states:
-	for i := len(k.done.s) - 1; i >= 0; i-- {
-		v := k.done.s[i]
-		c := int(-1 - k.num.s[v])
-		for _, u := range k.edges.s[k.out.s[2*v]:k.out.s[2*v+1]] {
-			d := int(-1 - k.num.s[u]) // d = c ORs the mask into itself
+	for i := len(k.finished) - 1; i >= 0; i-- {
+		v := k.finished[i]
+		c := int(-1 - k.num[v])
+		for _, u := range k.edges[k.out[2*v]:k.out[2*v+1]] {
+			d := int(-1 - k.num[u]) // d = c ORs the mask into itself
 			for j, m := range masks[c*w : (c+1)*w] {
 				masks[d*w+j] |= m
 			}
 		}
-		if k.load(k.ids.keys.s[v]); !k.accepting() {
+		if k.load(k.ids.key(int(v))); !k.accepting() {
 			continue
 		}
 		copy(mask, masks[c*w:(c+1)*w])
@@ -933,28 +1008,28 @@ states:
 			k.dests.or(k.destKey(k.verts), mask)
 		}
 	}
-	k.states += len(k.ids.keys.s)
+	k.states += k.ids.count()
 	k.sccs += int(k.c)
 	return k.charge()
 }
 
 // search is pass 1: an iterative Tarjan search from each of the first seeds
 // edges that no earlier one reached. It numbers each component it completes
-// and appends its ids to done.
+// and appends its ids to finished.
 func (k *sweepKernel) search(ctx context.Context, seeds, maxStates int) error {
 	for s := 0; s < seeds; s++ {
-		if root := k.edges.s[s]; k.num.s[root] == 0 {
+		if root := k.edges[s]; k.num[root] == 0 {
 			if err := k.visit(ctx, root, maxStates); err != nil {
 				return err
 			}
 		}
-		for len(k.path.s) > 0 {
-			top := k.path.s[len(k.path.s)-3:]
-			if v, e := top[0], top[1]; e < k.out.s[2*v+1] {
+		for len(k.path) > 0 {
+			top := k.path[len(k.path)-3:]
+			if v, e := top[0], top[1]; e < k.out[2*v+1] {
 				top[1]++
-				switch nu := k.num.s[k.edges.s[e]]; {
+				switch nu := k.num[k.edges[e]]; {
 				case nu == 0:
-					if err := k.visit(ctx, k.edges.s[e], maxStates); err != nil {
+					if err := k.visit(ctx, k.edges[e], maxStates); err != nil {
 						return err
 					}
 				case nu > 0: // on the stack; a completed component's ids are negative
@@ -963,18 +1038,18 @@ func (k *sweepKernel) search(ctx context.Context, seeds, maxStates int) error {
 				continue
 			}
 			v, low := top[0], top[2]
-			k.path.s = k.path.s[:len(k.path.s)-3]
-			if low == k.num.s[v] { // v is the root of a component: it and what is above it on the stack
+			k.path = k.path[:len(k.path)-3]
+			if low == k.num[v] { // v is the root of a component: it and what is above it on the stack
 				for u := int32(-1); u != v; {
-					u = k.stack.s[len(k.stack.s)-1]
-					k.stack.s = k.stack.s[:len(k.stack.s)-1]
-					k.num.s[u] = -1 - k.c
-					k.done.push(u)
+					u = k.stack[len(k.stack)-1]
+					k.stack = k.stack[:len(k.stack)-1]
+					k.num[u] = -1 - k.c
+					k.finished = append(k.finished, u)
 				}
 				k.c++
 			}
-			if p := len(k.path.s); p > 0 {
-				k.path.s[p-1] = min(k.path.s[p-1], low)
+			if p := len(k.path); p > 0 {
+				k.path[p-1] = min(k.path[p-1], low)
 			}
 		}
 	}
@@ -992,32 +1067,27 @@ func (k *sweepKernel) visit(ctx context.Context, id int32, maxStates int) error 
 			return err
 		}
 	}
-	if maxStates > 0 && len(k.ids.keys.s) > maxStates {
+	if maxStates > 0 && k.ids.count() > maxStates {
 		return errStateBudget
 	}
 	k.n++
-	k.num.s[id] = k.n
-	k.stack.push(id)
-	k.out.s[2*id] = int32(len(k.edges.s))
-	k.load(k.ids.keys.s[id])
+	k.num[id] = k.n
+	k.stack = append(k.stack, id)
+	k.out[2*id] = int32(len(k.edges))
+	k.load(k.ids.key(int(id)))
 	k.step()
-	k.out.s[2*id+1] = int32(len(k.edges.s))
-	k.path.push(id)
-	k.path.push(k.out.s[2*id])
-	k.path.push(k.n)
+	k.out[2*id+1] = int32(len(k.edges))
+	k.path = append(k.path, id, k.out[2*id], k.n)
 	return nil
 }
 
 // meet appends the id of the state (nextQ, newVerts, newDone) to the edges,
 // giving it the next id on first sight.
 func (k *sweepKernel) meet() {
-	key := k.pack(k.nextQ, k.newVerts, k.newDone)
-	slot := k.ids.at(key)
-	if slot[0] == 0 {
-		k.ids.keys.push(key)
-		slot[0] = uint64(len(k.ids.keys.s))
-		k.num.push(0)
-		k.out.extend(2)
+	id, fresh := k.ids.id(k.pack(k.nextQ, k.newVerts, k.newDone))
+	if fresh {
+		k.num = append(k.num, 0)
+		k.out = append(k.out, 0, 0)
 	}
-	k.edges.push(int32(slot[0] - 1))
+	k.edges = append(k.edges, id)
 }

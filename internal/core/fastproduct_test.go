@@ -74,6 +74,7 @@ func TestFastProductAgreesWithGeneral(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		db, q, c, srcs, dsts := randomComponentInstance(t, rng, a)
 		fp := newFastProduct(db, c)
+		defer fp.releaseMem()
 		found, err := fp.reach(ctx, srcs, dsts, 0)
 		if err != nil {
 			return false
@@ -126,6 +127,7 @@ func TestFastProductReuseAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db, _, c, _, _ := randomComponentInstance(t, rng, a)
 	fp := newFastProduct(db, c)
+	defer fp.releaseMem()
 	n := db.NumVertices()
 	tn := len(c.tracks)
 	collect := func(f *fastProduct, srcs []int) map[string]bool {
@@ -134,7 +136,7 @@ func TestFastProductReuseAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		verts := make([]int, tn)
-		for _, key := range f.dests.s {
+		for _, key := range f.accepted.appendKeys(nil) {
 			unpackDest(&f.productStep, key, verts)
 			out[fmt.Sprint(verts)] = true
 		}
@@ -146,7 +148,9 @@ func TestFastProductReuseAcrossRuns(t *testing.T) {
 			srcs[i] = rng.Intn(n)
 		}
 		reused := collect(fp, srcs)
-		fresh := collect(newFastProduct(db, c), srcs)
+		other := newFastProduct(db, c)
+		fresh := collect(other, srcs)
+		other.releaseMem()
 		if len(reused) != len(fresh) {
 			t.Fatalf("trial %d: reuse %d results, fresh %d", trial, len(reused), len(fresh))
 		}
@@ -172,6 +176,7 @@ func TestFastProductUnavailableFallback(t *testing.T) {
 		t.Fatalf("%d components", len(comps))
 	}
 	fp := newFastProduct(db, &comps[0])
+	defer fp.releaseMem()
 	if !fp.wide {
 		t.Fatal("a 17-track state over 6 vertices packs into a word")
 	}
@@ -255,16 +260,21 @@ func TestCheckComponentBudgetViaFastPath(t *testing.T) {
 	}
 }
 
-// TestRankTableAgainstMap holds the open-addressing table the key sets and
-// the word tables share to map[uint64]int: every key gets the rank of its
-// first sight, dense from 0, through growth and after a reset. The keys are
-// the ones the encoding could get wrong — 0, whose slot word is 1, beside
-// an empty slot; 2^63-1, the widest packed key, whose slot word is 2^63 —
-// then runs congruent modulo every table size (what packed keys of one
-// relation state look like), keys picked to share a home slot, and a
-// million random operations over a key space small enough to repeat.
-func TestRankTableAgainstMap(t *testing.T) {
-	var tab rankTable
+// TestKeyIndexAgainstMap holds the hashed index the key sets and the word
+// tables share to map[uint64]int: every key gets the id of its first
+// sight, dense from 0, through growth and after a reopening, and the list
+// reads the keys back in that order. The keys are the ones the two-half row
+// could get wrong — 0 and 2^63-1, the widest packed key, and keys whose low
+// half has its sign bit set — then runs congruent modulo every table size
+// (what packed keys of one relation state look like), and a million random
+// operations over a key space small enough to repeat.
+func TestKeyIndexAgainstMap(t *testing.T) {
+	var x keyIndex
+	x.open(true)
+	find := func(key uint64) int {
+		row := [2]int32{int32(key >> 32), int32(key)}
+		return int(x.rows.Find(row[:]))
+	}
 	ref := map[uint64]int{}
 	add := func(key uint64) {
 		t.Helper()
@@ -273,27 +283,24 @@ func TestRankTableAgainstMap(t *testing.T) {
 			want = len(ref)
 			ref[key] = want
 		}
-		if tab.has(key) != seen {
-			t.Fatalf("has(%d) = %v before the add", key, !seen)
+		if got := find(key); (got >= 0) != seen {
+			t.Fatalf("find(%d) = %d before the add", key, got)
 		}
-		if rank, fresh := tab.add(key); rank != want || fresh == seen {
-			t.Fatalf("add(%d) = rank %d, fresh %v; want rank %d, fresh %v", key, rank, fresh, want, !seen)
+		if id, fresh := x.number(key); id != want || fresh == seen {
+			t.Fatalf("number(%d) = id %d, fresh %v; want id %d, fresh %v", key, id, fresh, want, !seen)
 		}
-		if !tab.has(key) || tab.n != len(ref) || 2*tab.n > len(tab.keys.s) {
-			t.Fatalf("after add(%d): has %v; %d keys in %d slots, want %d at most half full", key, tab.has(key), tab.n, len(tab.keys.s), len(ref))
+		if find(key) != want || x.key(want) != key || x.count() != len(ref) {
+			t.Fatalf("after number(%d): find %d, key(%d) = %d, %d keys; want %d", key, find(key), want, x.key(want), x.count(), len(ref))
 		}
 	}
-	reset := func() {
-		tab.reset()
+	reopen := func() {
+		x.open(true)
 		clear(ref)
-		if tab.has(0) || tab.has(1<<63-1) {
-			t.Fatal("a reset table has a key")
+		if x.count() != 0 || find(0) >= 0 || find(1<<63-1) >= 0 {
+			t.Fatal("a reopened index has a key")
 		}
 	}
-	if tab.has(0) || tab.bytes() != 0 {
-		t.Fatal("the zero table is not empty")
-	}
-	edge := []uint64{0, 1<<63 - 1, 1, 1<<63 - 2, 0, 1<<63 - 1}
+	edge := []uint64{0, 1<<63 - 1, 1, 1<<63 - 2, 1 << 31, 1<<32 - 1, 1 << 32, 0, 1<<63 - 1}
 	for _, key := range edge {
 		add(key)
 	}
@@ -303,30 +310,18 @@ func TestRankTableAgainstMap(t *testing.T) {
 			add(i<<shift | 3)
 		}
 	}
-	if len(tab.keys.s) < 16<<3 {
-		t.Fatalf("%d slots after %d keys: the table has not doubled three times", len(tab.keys.s), tab.n)
-	}
-	grown := len(tab.keys.s)
-	reset()
+	reopen()
 	for _, key := range edge {
-		add(key) // ranks are dense from 0 again
+		add(key) // ids are dense from 0 again
 	}
-	// Keys that share a home slot in the table as it is now: one probe chain.
-	const home = 7
-	for key, found := uint64(2), 0; found < grown/4; key++ {
-		if int(key*0x9E3779B97F4A7C15>>32)&(grown-1) == home {
-			add(key)
-			found++
-		}
-	}
-	if len(tab.keys.s) != grown {
-		t.Fatalf("a reset table of %d slots has %d after fewer keys than before", grown, len(tab.keys.s))
+	if got := x.appendKeys(nil); !slices.Equal(got, slices.Compact(slices.Clone(edge[:7]))) {
+		t.Fatalf("the list reads %v", got)
 	}
 	rng := rand.New(rand.NewSource(63))
 	for op := 0; op < 1000000; op++ {
 		switch r := rng.Intn(200000); {
 		case r == 0:
-			reset()
+			reopen()
 		case r%2 == 0:
 			add(uint64(rng.Intn(30000)))
 		default:
@@ -335,22 +330,26 @@ func TestRankTableAgainstMap(t *testing.T) {
 	}
 }
 
-// TestKeyTablesAgainstMap drives keySet and wordTable in each of their
-// regimes — direct over a small key space, direct and growing with the
-// wide regime's row ids (width 0), hashed past denseSetBits and past
-// denseTableWords (at the strides of one lane word and of eight) — against
-// a map, through the reset-and-reuse cycle the kernels put them through;
-// a direct table handed back and taken again is all zero.
+// TestKeyTablesAgainstMap drives keySet and wordTable, in the scratches the
+// pools hand the kernels, in each of their regimes — direct over a small
+// key space, direct and growing with the wide regime's row ids (width 0),
+// hashed past denseSetBits and past denseTableWords (at the strides of one
+// lane word and of eight) — against a map, through the reset-and-reuse
+// cycle the kernels put them through; a scratch put back dirty and taken
+// again is all zero.
 func TestKeyTablesAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for _, stride := range []int{2, 16} {
 		for _, width := range []uint{0, 10, denseSetBits, denseSetBits + 1, 17, 18, 20, 21, 63} {
-			set, words := newKeySet(width), newWordTable(width, stride)
-			if hashed := set.table != nil; hashed != (width > denseSetBits) {
-				t.Fatalf("width %d: key set hashed = %v", width, hashed)
+			ps, ss := productScratches.get(), sweepScratches.get()
+			set, words := &ps.visited, &ss.dests
+			set.open(width)
+			words.open(width, stride)
+			if set.hashed != (width > denseSetBits) {
+				t.Fatalf("width %d: key set hashed = %v", width, set.hashed)
 			}
-			if hashed := words.index != nil; hashed != (width > 21 || uint64(stride)<<width > denseTableWords) {
-				t.Fatalf("width %d stride %d: word table hashed = %v", width, stride, hashed)
+			if words.hashed != (width > 21 || uint64(stride)<<width > denseTableWords) {
+				t.Fatalf("width %d stride %d: word table hashed = %v", width, stride, words.hashed)
 			}
 			space := uint64(1)<<width - 1
 			if width == 0 {
@@ -384,15 +383,16 @@ func TestKeyTablesAgainstMap(t *testing.T) {
 					ref[key][j] |= mask[j]
 					ref[key][len(mask)+j] += mask[j]
 				}
-				if !slices.Equal(words.keys.s, members) {
-					t.Fatalf("width %d stride %d: touched keys are not the members in order of first touch", width, stride)
+				if !slices.Equal(set.appendKeys(nil), members) || !slices.Equal(words.appendKeys(nil), members) {
+					t.Fatalf("width %d stride %d: the listed keys are not the members in order of first touch", width, stride)
 				}
 				for key, want := range ref {
 					if got := words.at(key); !slices.Equal(got, want) {
 						t.Fatalf("width %d stride %d: slot of %d is %x, want %x", width, stride, key, got, want)
 					}
 				}
-				set.clear(members)
+				set.zero()
+				set.open(width)
 				words.reset()
 				for _, key := range members {
 					if set.has(key) || slices.Max(words.at(key)) != 0 {
@@ -401,14 +401,17 @@ func TestKeyTablesAgainstMap(t *testing.T) {
 				}
 				words.reset() // the probes above claimed slots in the hashed regime
 			}
-			set.release()
-			words.or(space/2, mask) // handed back dirty, release must clear it
-			words.release()
-			if again := newWordTable(width, stride); len(again.words.s) > 0 && slices.Max(again.words.s) != 0 {
-				t.Fatalf("width %d stride %d: a table taken after a release is not all zero", width, stride)
-			} else {
-				again.release()
+			set.add(space / 2) // put back dirty: the pools must zero them
+			words.or(space/2, mask)
+			productScratches.put(ps)
+			sweepScratches.put(ss)
+			ps, ss = productScratches.get(), sweepScratches.get()
+			if slices.ContainsFunc(ps.visited.set, func(w uint64) bool { return w != 0 }) ||
+				slices.ContainsFunc(ss.dests.words, func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("width %d stride %d: a scratch taken after a release is not all zero", width, stride)
 			}
+			productScratches.put(ps)
+			sweepScratches.put(ss)
 		}
 	}
 }

@@ -185,10 +185,12 @@ func perCheckGeneric(db *graphdb.DB, q *query.Query, comps []component, maxState
 					continue
 				}
 				fp := newFastProduct(db, c)
-				if err := fp.begin(ctx, srcs, maxStates); err != nil {
-					return false, err
+				err := fp.begin(ctx, srcs, maxStates)
+				ok := false
+				if err == nil {
+					ok, err = fp.seek(ctx, fp.destKey(dsts))
 				}
-				ok, err := fp.seek(ctx, fp.destKey(dsts))
+				fp.releaseMem()
 				if err != nil {
 					return false, err
 				}

@@ -281,6 +281,7 @@ func TestOneShotReleasesItsCharges(t *testing.T) {
 				if res.Peak() == 0 || res.Used() != 0 {
 					t.Fatalf("p2 ∈ %s, %v %s: peak charge %d, %d bytes still charged after the call", second, s, call, res.Peak(), res.Used())
 				}
+				checkScratchesReturned(t, fmt.Sprintf("p2 ∈ %s, %v %s", second, s, call))
 				res.Release()
 			}
 		}

@@ -213,7 +213,7 @@ func TestSweepPatternEqualsFiltered(t *testing.T) {
 			if err := k.Run(ctx, lanes, 0, 1, -1); err != nil {
 				t.Fatal(err)
 			}
-			fits = max(fits, len(k.ids.keys.s))
+			fits = max(fits, k.ids.count())
 		}
 		for i := 0; i < min(64, sources); i++ {
 			decodeSource(&c.pat, i, n, lanes[i*tr:(i+1)*tr])
@@ -221,10 +221,10 @@ func TestSweepPatternEqualsFiltered(t *testing.T) {
 		if err := k.Run(ctx, lanes, 0, min(64, sources), -1); err != nil {
 			t.Fatal(err)
 		}
-		if batch = len(k.ids.keys.s); batch > fits {
+		if batch = k.ids.count(); batch > fits {
 			split++
 		}
-		k.release()
+		k.release(true)
 		got, err := sweepComponent(ctx, in.db, c, Options{MaxProductStates: fits}, nil)
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("%s: budget %d fits every source (a batch meets %d) but the sweep gave %d row values, %v",

@@ -141,11 +141,11 @@ func sweepColumnOrder(t int) []int {
 // atom's equalities keep, in that sweep's order.
 //
 // A traversal (sweepKernel) carries 64w sources, w = min(maxLaneWords,
-// ⌈V^s/64⌉), and its lanes are the sweep's only parallelism: one worker
+// ⌈V^s/64⌉), and its lanes are the sweep's only parallelism: one kernel
 // runs the batches in order on the caller's goroutine, polling ctx between
 // them, and keeps each lane word of a batch as (destination key, source
 // word) pairs; once all traversals are done the flat slice is allocated
-// once at its final size and the worker expands its pairs into it.
+// once at its final size and the kernel expands its pairs into it.
 // Retained rows are charged to the context's reservation per batch, at the
 // bytes they take in that array, kept on success and released on failure.
 // sp gets the sources, lanes and traversals, and the distinct product states
@@ -158,16 +158,8 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 	}
 	words := min(maxLaneWords, max(1, (total+63)/64))
 	lanes := 64 * words
-	w, err := newSweepWorker(packProduct(db, merged), &merged.pat, words, govern.FromContext(ctx))
-	defer func() {
-		w.k.release()
-		w.lanes.release()
-		w.keys.release()
-		w.words.release()
-		if err != nil {
-			w.retained.Close()
-		}
-	}()
+	k, err := newSweepKernel(packProduct(db, merged), &merged.pat, words, govern.FromContext(ctx))
+	defer func() { k.release(err != nil) }()
 	if err != nil {
 		return nil, err
 	}
@@ -176,18 +168,18 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 			return nil, err
 		}
 		size := min(lanes, total-first)
-		w.decode(first, size)
-		if err := w.batch(ctx, first, 0, size, opts.maxStates()); err != nil {
+		k.decode(first, size)
+		if err := k.batch(ctx, first, 0, size, opts.maxStates()); err != nil {
 			return nil, err
 		}
 	}
 	sp.SetInt("sources", int64(total))
 	sp.SetInt("lanes", int64(lanes))
-	sp.SetInt("traversals", int64(w.k.runs))
-	sp.SetInt("states", int64(w.k.states))
-	sp.SetInt("sccs", int64(w.k.sccs))
-	flat := make([]int32, w.rows*2*t)
-	if err := w.emit(ctx, flat); err != nil {
+	sp.SetInt("traversals", int64(k.runs))
+	sp.SetInt("states", int64(k.states))
+	sp.SetInt("sccs", int64(k.sccs))
+	flat := make([]int32, k.rows*2*t)
+	if err := k.fill(ctx, flat); err != nil {
 		return nil, err
 	}
 	return flat, nil
@@ -197,41 +189,11 @@ func sweepComponent(ctx context.Context, db *graphdb.DB, merged *component, opts
 // the differential suites can run at several widths; only tests assign it.
 var maxLaneWords = 8
 
-// sweepWorker sweeps a component's batches in order. Each lane word of a
-// traversal leaves a segment: its distinct destinations in key order, each
-// with the word — 16 bytes for up to 64 rows, so the rows themselves are
-// only written once, by emit, at their final place.
-type sweepWorker struct {
-	k        *sweepKernel
-	retained *govern.Meter // the rows' charge; kept on success
-	segs     []sweepSegment
-	keys     slab[uint64] // destination keys of all segments, back to back
-	words    slab[uint64] // keys[j] is reached by the sources in words[j]
-	rows     int
-	// The batch's source tuples, lane i at lanes[i*t:(i+1)*t], and one
-	// destination tuple: scratch the worker reuses for every batch.
-	lanes slab[int32]
-	dst   []int32
-}
-
-// sweepSegment is one word's slice of the pair arrays.
-type sweepSegment struct {
-	first int // sweep index of the word's source 0 (bit 0 of the words)
-	end   int // the segment's pairs are keys[previous end:end]
-	rows  int
-}
-
-func newSweepWorker(f *productShape, pat *atomPattern, w int, res *govern.Reservation) (*sweepWorker, error) {
-	k, err := newSweepKernel(f, pat, w, res.NewMeter())
-	return &sweepWorker{k: k, retained: res.NewMeter(),
-		lanes: takeSlab[int32](64*w*f.t, false), dst: make([]int32, f.t)}, err
-}
-
 // decode fills the first size lanes with sources first … first+size-1.
-func (w *sweepWorker) decode(first, size int) {
-	t, n := w.k.t, w.k.db.NumVertices()
+func (k *sweepKernel) decode(first, size int) {
+	t, n := k.t, k.db.NumVertices()
 	for i := 0; i < size; i++ {
-		decodeSource(w.k.pat, first+i, n, w.lanes.s[i*t:(i+1)*t])
+		decodeSource(k.pat, first+i, n, k.lanes[i*t:(i+1)*t])
 	}
 }
 
@@ -240,58 +202,58 @@ func (w *sweepWorker) decode(first, size int) {
 // state budget is re-run in halves, down to a single source, before the
 // budget error is returned: the budget bounds each source's own search, as
 // it did when sources were swept one by one.
-func (w *sweepWorker) batch(ctx context.Context, first, lo, hi, maxStates int) error {
-	err := w.k.Run(ctx, w.lanes.s, lo, hi, maxStates)
+func (k *sweepKernel) batch(ctx context.Context, first, lo, hi, maxStates int) error {
+	err := k.Run(ctx, k.lanes, lo, hi, maxStates)
 	if err == errStateBudget {
 		if hi-lo == 1 {
 			return fmt.Errorf("core: product exceeded the state budget of %d", maxStates)
 		}
 		mid := (lo + hi) / 2
-		if err := w.batch(ctx, first, lo, mid, maxStates); err != nil {
+		if err := k.batch(ctx, first, lo, mid, maxStates); err != nil {
 			return err
 		}
-		return w.batch(ctx, first, mid, hi, maxStates)
+		return k.batch(ctx, first, mid, hi, maxStates)
 	}
 	if err != nil {
 		return err
 	}
-	dests, keys := &w.k.dests, w.k.dests.keys.s
-	w.k.sortDests(keys)
-	before, added := cap(w.keys.s)+cap(w.words.s), 0
+	k.order = k.dests.appendKeys(k.order[:0])
+	k.sortDests(k.order)
+	pairs, added := len(k.keys), 0
 	for word := lo / 64; word <= (hi-1)/64; word++ {
 		rows := 0
-		for _, key := range keys {
-			if m := dests.at(key)[word]; m != 0 {
-				w.keys.push(key)
-				w.words.push(m)
+		for _, key := range k.order {
+			if m := k.dests.at(key)[word]; m != 0 {
+				k.keys = append(k.keys, key)
+				k.words = append(k.words, m)
 				rows += bits.OnesCount64(m)
 			}
 		}
 		if rows > 0 {
-			w.segs = append(w.segs, sweepSegment{first: first + 64*word, end: len(w.keys.s), rows: rows})
+			k.segs = append(k.segs, sweepSegment{first: first + 64*word, end: len(k.keys), rows: rows})
 			added += rows
 		}
 	}
-	w.rows += added
-	if err := w.k.mem.Grow(int64(8 * (cap(w.keys.s) + cap(w.words.s) - before))); err != nil {
+	k.rows += added
+	if err := k.mem.Grow(int64(16 * (len(k.keys) - pairs))); err != nil {
 		return fmt.Errorf("core: product search: %w", err)
 	}
-	return w.retained.Grow(int64(added) * 8 * int64(w.k.t)) // 2t int32 values a row
+	return k.rowMem.Grow(int64(added) * 8 * int64(k.t)) // 2t int32 values a row
 }
 
-// emit expands the worker's segments into out, the flat row array: per
-// segment, sources ascending, and per source its destinations in key order.
-// A counting pass over the words gives every source its offset, so each
-// pair is visited once per row it stands for.
-func (w *sweepWorker) emit(ctx context.Context, out []int32) error {
-	t := w.k.t
-	srcs, dst := w.lanes.s, w.dst
+// fill expands the segments into out, the flat row array: per segment,
+// sources ascending, and per source its destinations in key order. A
+// counting pass over the words gives every source its offset, so each pair
+// is visited once per row it stands for.
+func (k *sweepKernel) fill(ctx context.Context, out []int32) error {
+	t := k.t
+	srcs, dst := k.lanes, k.dst
 	begin := 0
-	for _, seg := range w.segs {
+	for _, seg := range k.segs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		keys, words := w.keys.s[begin:seg.end], w.words.s[begin:seg.end]
+		keys, words := k.keys[begin:seg.end], k.words[begin:seg.end]
 		begin = seg.end
 		var next [65]int // next[i]: segment row the next row of source i goes to
 		for _, word := range words {
@@ -302,16 +264,16 @@ func (w *sweepWorker) emit(ctx context.Context, out []int32) error {
 		for i := 0; i < 64; i++ {
 			next[i+1] += next[i]
 		}
-		w.decode(seg.first, 64)
+		k.decode(seg.first, 64)
 		for j, key := range keys {
-			unpackDest(&w.k.productStep, key, dst)
+			unpackDest(&k.productStep, key, dst)
 			for word := words[j]; word != 0; word &= word - 1 {
 				i := bits.TrailingZeros64(word)
 				row := out[next[i]*2*t : (next[i]+1)*2*t]
 				next[i]++
-				for k := 0; k < t; k++ {
-					row[2*k] = srcs[i*t+k]
-					row[2*k+1] = dst[k]
+				for c := 0; c < t; c++ {
+					row[2*c] = srcs[i*t+c]
+					row[2*c+1] = dst[c]
 				}
 			}
 		}

@@ -13,23 +13,79 @@ import (
 	"ecrpq/internal/synchro"
 )
 
-// withSlabs runs f with the slab pools set as given: reuse off is an empty
-// pool (every table allocated, as before the pools), poison on hands out
-// every array all ones.
-func withSlabs(reuse, poison bool, f func()) {
-	slabReuse, slabPoison = reuse, poison
-	defer func() { slabReuse, slabPoison = true, false }()
+// withScratches runs f with every scratch a pool hands out passed to
+// taken first.
+func withScratches(taken func(any), f func()) {
+	scratchTaken = taken
+	defer func() { scratchTaken = nil }()
 	f()
 }
 
-// slabRun is what a run over the slab instances shows from outside the
-// kernels' memory: per instance and strategy the decision, the witness, the
+// coldScratch drops a scratch's tables: the kernel that takes it allocates
+// every table afresh, as if the pool were empty.
+func coldScratch(sc any) {
+	switch sc := sc.(type) {
+	case *productScratch:
+		*sc = productScratch{}
+	case *sweepScratch:
+		*sc = sweepScratch{}
+	}
+}
+
+// poisonScratch sets every element of a scratch's spare capacity — past the
+// length of each of its slices — to all ones, so a kernel that reads what
+// it has not written shows up.
+func poisonScratch(sc any) {
+	switch sc := sc.(type) {
+	case *productScratch:
+		for _, s := range []*keySet{&sc.visited, &sc.accepted} {
+			poisonSpare(s.set)
+			poisonSpare(s.list)
+		}
+		poisonSpare(sc.parents)
+		poisonSpare(sc.order)
+	case *sweepScratch:
+		for _, w := range []*wordTable{&sc.ids, &sc.keep, &sc.dests} {
+			poisonSpare(w.words)
+			poisonSpare(w.list)
+		}
+		for _, l := range [][]int32{sc.num, sc.out, sc.edges, sc.path, sc.stack, sc.finished, sc.lanes, sc.dst} {
+			poisonSpare(l)
+		}
+		for _, l := range [][]uint64{sc.masks, sc.mask, sc.keys, sc.words, sc.order} {
+			poisonSpare(l)
+		}
+		segs := sc.segs[:cap(sc.segs)]
+		for i := len(sc.segs); i < len(segs); i++ {
+			segs[i] = sweepSegment{-1, -1, -1}
+		}
+	}
+}
+
+func poisonSpare[T uint64 | int32](s []T) {
+	full := s[:cap(s)]
+	for i := len(s); i < len(full); i++ {
+		full[i] = ^T(0)
+	}
+}
+
+// checkScratchesReturned fails t unless every kernel scratch taken has been
+// given back to its pool.
+func checkScratchesReturned(t testing.TB, at string) {
+	t.Helper()
+	if p, s := productScratches.out.Load(), sweepScratches.out.Load(); p != 0 || s != 0 {
+		t.Fatalf("%s: %d product and %d sweep scratches not given back", at, p, s)
+	}
+}
+
+// scratchRun is what a run over the differential instances shows from
+// outside the kernels' memory: per instance and strategy the decision, the witness, the
 // work and the reservation's peak and remainder after the call; per answers
 // query the answer set; per kernel step — every check, witness and
 // exhaustive traversal of a kept fastProduct, before and after a
 // releaseMem, and every batch of a sweepKernel — what the kernel has
 // charged.
-func slabRun(t *testing.T) []string {
+func scratchRun(t *testing.T) []string {
 	t.Helper()
 	var out []string
 	ctx := context.Background()
@@ -124,7 +180,7 @@ func slabRun(t *testing.T) []string {
 		}
 	}
 	res := reserve()
-	k, err := newSweepKernel(packProduct(in.db, in.merged), &in.merged.pat, 1, res.NewMeter())
+	k, err := newSweepKernel(packProduct(in.db, in.merged), &in.merged.pat, 1, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +190,7 @@ func slabRun(t *testing.T) []string {
 			decodeSource(&in.merged.pat, first+i, in.db.NumVertices(), lanes[2*i:2*i+2])
 		}
 		err := k.Run(ctx, lanes, 0, 64, 0)
-		keys := slices.Clone(k.dests.keys.s)
+		keys := k.dests.appendKeys(nil)
 		k.sortDests(keys)
 		words := make([]uint64, len(keys))
 		for j, key := range keys {
@@ -142,73 +198,37 @@ func slabRun(t *testing.T) []string {
 		}
 		out = append(out, fmt.Sprintf("batch %d: %v dests %v words %v charged %d", first, err, keys, words, k.charged))
 	}
-	k.release()
+	k.release(true)
 	out = append(out, fmt.Sprintf("sweep released: %d kept", res.Used()))
 	res.Release()
+	checkScratchesReturned(t, "after the run")
 	return out
 }
 
-// TestSlabsPoisonedEqualEmpty: kernels whose tables come from warm pools of
-// poisoned arrays (every word all ones until a table writes it) decide,
-// answer, witness and charge exactly what they do over an empty pool, in
-// both key regimes — a table that read a word it had not written, kept a
-// pooled array's slack, or charged the class instead of its own length
-// would differ.
-func TestSlabsPoisonedEqualEmpty(t *testing.T) {
-	for _, regime := range []struct {
-		name string
-		run  func(func())
-	}{{"narrow", func(f func()) { f() }}, {"wide", inWideRegime}} {
+// TestScratchWarmEqualsCold: kernels that take warm scratches whose spare
+// capacity is poisoned (every element past a slice's length all ones)
+// decide, answer, witness and charge exactly what they do over cold ones
+// (every table allocated afresh), in both key regimes — a table that read
+// what it had not written, or a charge that counted a scratch's capacity
+// instead of what the search met, would differ.
+func TestScratchWarmEqualsCold(t *testing.T) {
+	for _, regime := range keyRegimes {
 		t.Run(regime.name, func(t *testing.T) {
 			regime.run(func() {
-				var empty, poisoned []string
-				withSlabs(false, false, func() { empty = slabRun(t) })
-				withSlabs(true, true, func() {
-					slabRun(t) // fill the pools
-					poisoned = slabRun(t)
-				})
-				if len(empty) != len(poisoned) {
-					t.Fatalf("%d records over an empty pool, %d over a poisoned one", len(empty), len(poisoned))
+				var cold, warm []string
+				withScratches(coldScratch, func() { cold = scratchRun(t) })
+				scratchRun(t) // warm the pools
+				withScratches(poisonScratch, func() { warm = scratchRun(t) })
+				if len(cold) != len(warm) {
+					t.Fatalf("%d records over cold scratches, %d over warm ones", len(cold), len(warm))
 				}
-				for i := range empty {
-					if empty[i] != poisoned[i] {
-						t.Fatalf("record %d differs:\nempty pool:    %s\npoisoned pool: %s", i, empty[i], poisoned[i])
+				for i := range cold {
+					if cold[i] != warm[i] {
+						t.Fatalf("record %d differs (after %q):\ncold scratch: %s\nwarm scratch: %s", i, cold[max(i-2, 0):i], cold[i], warm[i])
 					}
 				}
 			})
 		})
-	}
-}
-
-// TestSlabAppendCapacity: a table grown through its slab has, step by step,
-// the capacity append gives a plain slice grown the same way — what keeps
-// every charge what it was before the pools.
-func TestSlabAppendCapacity(t *testing.T) {
-	var s slab[uint64]
-	var plain []uint64
-	var h slab[int32]
-	var plainH []int32
-	for i := 0; i < 100000; i++ {
-		s.push(uint64(i))
-		plain = append(plain, uint64(i))
-		h.push(int32(i))
-		plainH = append(plainH, int32(i))
-		if cap(s.s) != cap(plain) || cap(h.s) != cap(plainH) {
-			t.Fatalf("after %d pushes: caps %d and %d, append gives %d and %d", i+1, cap(s.s), cap(h.s), cap(plain), cap(plainH))
-		}
-	}
-	if !slices.Equal(s.s, plain) || !slices.Equal(h.s, plainH) {
-		t.Fatal("pushed items differ from appended ones")
-	}
-	s.release()
-	var words slab[uint64]
-	var plainWords []uint64
-	for _, k := range []int{1, 2, 2, 3, 64, 1, 1000, 2} {
-		words.extend(k)
-		plainWords = append(plainWords, make([]uint64, k)...)
-		if cap(words.s) != cap(plainWords) || len(words.s) != len(plainWords) {
-			t.Fatalf("extend(%d): len %d cap %d, append gives len %d cap %d", k, len(words.s), cap(words.s), len(plainWords), cap(plainWords))
-		}
 	}
 }
 
@@ -217,12 +237,14 @@ func TestSlabAppendCapacity(t *testing.T) {
 // constant — the result, the kernel's registers — and no table: a kernel
 // that regrew its tables per evaluation would make tens of allocations more
 // per traversal's growth, and BenchmarkGenericCheck's bytes per operation
-// would read the tables (1.28 MB on the prefix chain before the pools).
+// would read the tables (1.28 MB on the prefix chain before they were
+// pooled).
 func TestGenericWarmEvaluationAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random")
 	}
 	a := alphabet.Lower(2)
+	var evals []func()
 	for _, bc := range genericCheckShapes(a) {
 		db := genericCheckDB(bc.q.Alphabet(), bc.v)
 		p, err := Prepare(bc.q, Options{Strategy: Generic})
@@ -238,5 +260,19 @@ func TestGenericWarmEvaluationAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(10, eval); got > 64 {
 			t.Errorf("%s: a warm evaluation makes %.0f allocations (ceiling 64)", bc.name, got)
 		}
+		evals = append(evals, eval)
+	}
+	// One warm scratch serves kernels of every shape in turn: a table sized
+	// by the last, smaller search regrows into the storage it kept, so the
+	// evaluations stay under TestCeilings' 8 KiB (76 KB each when a regrown
+	// table was allocated afresh).
+	_, bytes := measure(t, 10, func(testing.TB) int {
+		for _, eval := range evals {
+			eval()
+		}
+		return 1
+	})
+	if each := bytes / float64(len(evals)); each > 8<<10 {
+		t.Errorf("the shapes in turn: a warm evaluation allocates %.0f bytes (ceiling 8 KiB)", each)
 	}
 }

@@ -133,6 +133,7 @@ func (in sweepInstance) reference(t testing.TB, maxStates int) ([]int32, error) 
 	t.Helper()
 	tr, n := len(in.merged.tracks), in.db.NumVertices()
 	fp := newFastProduct(in.db, in.merged)
+	defer fp.releaseMem()
 	total := pow(n, tr)
 	srcs := make([]int, tr)
 	var rows []int32
@@ -255,7 +256,7 @@ func expandsOnce(t *testing.T, in sweepInstance, label string, seen *kernelShape
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer k.release()
+	defer k.release(true)
 	lanes := make([]int32, 64*words*tr)
 	for first := 0; first < total; first += 64 * words {
 		size := min(64*words, total-first)
@@ -266,19 +267,19 @@ func expandsOnce(t *testing.T, in sweepInstance, label string, seen *kernelShape
 		if err := k.Run(context.Background(), lanes, 0, size, 0); err != nil {
 			t.Fatalf("%s: traversal from source %d: %v", label, first, err)
 		}
-		if met := len(k.ids.keys.s); int(k.n) != met || k.states-states != met {
+		if met := k.ids.count(); int(k.n) != met || k.states-states != met {
 			t.Fatalf("%s: the traversal from source %d expanded %d times and counted %d states; it met %d",
 				label, first, k.n, k.states-states, met)
 		}
 		expanded += int(k.n)
 		seen.components = seen.components || k.c > 1
 		component := map[int32]bool{}
-		for _, id := range k.edges.s[:size*len(k.nfa.Starts)] {
-			seen.sharedSeeds = seen.sharedSeeds || component[k.num.s[id]]
-			component[k.num.s[id]] = true
+		for _, id := range k.edges[:size*len(k.nfa.Starts)] {
+			seen.sharedSeeds = seen.sharedSeeds || component[k.num[id]]
+			component[k.num[id]] = true
 		}
-		for v := range k.ids.keys.s {
-			seen.selfLoop = seen.selfLoop || slices.Contains(k.edges.s[k.out.s[2*v]:k.out.s[2*v+1]], int32(v))
+		for v := range k.ids.count() {
+			seen.selfLoop = seen.selfLoop || slices.Contains(k.edges[k.out[2*v]:k.out[2*v+1]], int32(v))
 		}
 	}
 	return expanded
@@ -302,9 +303,9 @@ func splitsInBatch(t *testing.T, in sweepInstance, label string, want []int32) {
 		if err := k.Run(context.Background(), lanes, 0, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		fits = max(fits, len(k.ids.keys.s))
+		fits = max(fits, k.ids.count())
 	}
-	k.release()
+	k.release(true)
 	tra := trace.New("materialize")
 	ctx, sp := trace.StartSpan(trace.NewContext(context.Background(), tra), "core/sweep")
 	got, err := sweepComponent(ctx, in.db, c, Options{MaxProductStates: fits}, sp)
@@ -506,7 +507,7 @@ func pow(n, e int) int {
 
 // TestSweepKernelMapTable forces the hashed regime of the word table (a
 // packed state whose one-word slots over the key space pass denseTableWords,
-// indexed through the rank table it shares with the key sets) and holds it
+// numbered through the hashed index it shares with the key sets) and holds it
 // to the per-source reference at every lane cap, and so the same sweep
 // forced wide.
 func TestSweepKernelMapTable(t *testing.T) {
@@ -524,9 +525,11 @@ func TestSweepKernelMapTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, words := range laneCaps {
-		if k, err := newSweepKernel(f, &in.merged.pat, words, nil); err != nil || k.ids.index == nil {
+		k, err := newSweepKernel(f, &in.merged.pat, words, nil)
+		if err != nil || !k.ids.hashed {
 			t.Fatalf("words=%d: state table is dense for a %d-bit state (err %v)", words, f.bits, err)
 		}
+		k.release(true)
 		for _, regime := range keyRegimes {
 			var got []int32
 			regime.run(func() {
@@ -562,14 +565,14 @@ func TestSweepKernelTableBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer k.release()
+			defer k.release(true)
 			lanes := make([]int32, 512*2)
 			for i := 0; i < 512; i++ {
 				decodeSource(&in.merged.pat, 100*i, db.NumVertices(), lanes[2*i:2*i+2])
 			}
 			for _, held := range []string{"built", "swept"} {
 				for name, tab := range map[string]*wordTable{"state": &k.ids, "destination": &k.dests} {
-					if words := cap(tab.words.s); words > denseTableWords {
+					if words := tab.used; words > denseTableWords {
 						t.Errorf("%s %s: the %s table holds %d words", regime.name, held, name, words)
 					}
 				}
@@ -577,7 +580,7 @@ func TestSweepKernelTableBound(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !f.wide && k.dests.index == nil {
+			if !f.wide && !k.dests.hashed {
 				t.Errorf("%s: the destination table covers the key space", regime.name)
 			}
 		})
@@ -680,6 +683,7 @@ func sweepCancelReleases(t *testing.T) {
 		rows, err := in.sweep(ctx, Options{})
 		used := res.Used()
 		res.Release()
+		checkScratchesReturned(t, fmt.Sprintf("after poll %d", polls))
 		if err == nil {
 			if want := int64(4 * len(rows)); used != want {
 				t.Fatalf("completed sweep leaves %d bytes charged, want %d: the size of its %d-value array", used, want, len(rows))
@@ -782,7 +786,7 @@ func TestSweepTraversals(t *testing.T) {
 // TestSweepChargesOneKernel: the sweep runs on its caller's goroutine
 // whatever Options.Parallelism asks and however many CPUs there are, so a
 // materialisation's reservation peaks at its rows plus one kernel — the
-// tables and pair arrays a single worker holds after the V = 40 split's
+// tables and pair arrays a single kernel holds after the V = 40 split's
 // four traversals — and the core/sweep span still reads four.
 func TestSweepChargesOneKernel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -793,21 +797,20 @@ func TestSweepChargesOneKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newSweepWorker(packProduct(in.db, in.merged), &in.merged.pat, maxLaneWords, own)
+	k, err := newSweepKernel(packProduct(in.db, in.merged), &in.merged.pat, maxLaneWords, own)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const total = 1600
 	for first := 0; first < total; first += 64 * maxLaneWords {
 		size := min(64*maxLaneWords, total-first)
-		w.decode(first, size)
-		if err := w.batch(context.Background(), first, 0, size, Options{}.maxStates()); err != nil {
+		k.decode(first, size)
+		if err := k.batch(context.Background(), first, 0, size, Options{}.maxStates()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	kernel := w.k.mem.Charged()
-	w.k.release()
-	w.lanes.release()
+	kernel := k.mem.Charged()
+	k.release(true)
 	own.Release()
 
 	p, err := Prepare(in.q, Options{Strategy: Reduction, Parallelism: -1})

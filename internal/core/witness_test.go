@@ -141,7 +141,7 @@ func TestSearchStopsAtGeneration(t *testing.T) {
 		for k, tr := range c.tracks {
 			srcs[k] = res.Nodes[tr.srcVar]
 		}
-		flat, err := componentReachSet(ctx, newFastProduct(db, &c), srcs, 0, nil)
+		flat, err := freshReachSet(ctx, db, &c, srcs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,6 +194,7 @@ func TestWitnessFromSearch(t *testing.T) {
 	kernelOf := func(in genericInstance, c *component) *fastProduct {
 		fp := newFastProduct(in.db, c)
 		fp.paths = true
+		t.Cleanup(fp.releaseMem)
 		return fp
 	}
 	resumed := 0
@@ -206,7 +207,7 @@ func TestWitnessFromSearch(t *testing.T) {
 			for k := range srcs {
 				srcs[k], other[k] = rng.Intn(n), rng.Intn(n)
 			}
-			flat, err := componentReachSet(ctx, newFastProduct(in.db, c), srcs, 0, nil)
+			flat, err := freshReachSet(ctx, in.db, c, srcs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,4 +346,11 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// freshReachSet is componentReachSet on a kernel of its own.
+func freshReachSet(ctx context.Context, db *graphdb.DB, c *component, srcs []int) ([]int, error) {
+	fp := newFastProduct(db, c)
+	defer fp.releaseMem()
+	return componentReachSet(ctx, fp, srcs, 0, nil)
 }

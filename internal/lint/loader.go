@@ -234,8 +234,57 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, nil
 	}
-	var asts []*ast.File
-	var errs []error
+	asts, errs := l.parse(files)
+	pkg := l.check(path, dir, asts, errs, nil)
+	l.cache[path] = pkg
+	return pkg, nil
+}
+
+// LoadTests type-checks the test files of the package in dir as go test
+// builds them: the internal tests with the package's own files, the
+// external tests against that test variant. It returns a Package per
+// variant with test files, whose Files are those test files.
+func (l *Loader) LoadTests(dir string) ([]*Package, error) {
+	base, err := l.loadDir(dir)
+	if err != nil || base == nil || base.Types == nil {
+		return nil, err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range entries {
+		if name := e.Name(); strings.HasSuffix(name, "_test.go") {
+			if ok, err := build.Default.MatchFile(dir, name); err == nil && ok {
+				files = append(files, filepath.Join(dir, name))
+			}
+		}
+	}
+	asts, errs := l.parse(files)
+	var internal, external []*ast.File
+	for _, f := range asts {
+		if f.Name.Name == base.Types.Name() {
+			internal = append(internal, f)
+		} else {
+			external = append(external, f)
+		}
+	}
+	var out []*Package
+	variant := base.Types
+	if len(internal) > 0 {
+		pkg := l.check(base.Path, dir, append(append([]*ast.File{}, base.Files...), internal...), errs, nil)
+		pkg.Files, variant, errs = internal, pkg.Types, nil
+		out = append(out, pkg)
+	}
+	if len(external) > 0 {
+		out = append(out, l.check(base.Path+"_test", dir, external, errs, variant))
+	}
+	return out, nil
+}
+
+// parse parses files, collecting the errors.
+func (l *Loader) parse(files []string) (asts []*ast.File, errs []error) {
 	for _, f := range files {
 		af, err := parser.ParseFile(l.Fset, f, nil, parser.ParseComments)
 		if err != nil {
@@ -244,6 +293,13 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		}
 		asts = append(asts, af)
 	}
+	return asts, errs
+}
+
+// check type-checks asts as the package path in dir. An external test
+// package imports self, the variant of the package under test that its
+// internal tests are part of.
+func (l *Loader) check(path, dir string, asts []*ast.File, errs []error, self *types.Package) *Package {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -253,11 +309,11 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{
-		Importer: &moduleImporter{l: l},
+		Importer: &moduleImporter{l: l, self: self},
 		Error:    func(err error) { errs = append(errs, err) },
 	}
 	tpkg, _ := conf.Check(path, l.Fset, asts, info) // errors collected via conf.Error
-	pkg := &Package{
+	return &Package{
 		Path:      path,
 		Dir:       dir,
 		Fset:      l.Fset,
@@ -266,18 +322,20 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		TypesInfo: info,
 		Errors:    errs,
 	}
-	l.cache[path] = pkg
-	return pkg, nil
 }
 
 // moduleImporter resolves module-internal import paths from source and
 // falls back to the standard-library source importer for everything else.
 type moduleImporter struct {
-	l *Loader
+	l    *Loader
+	self *types.Package // what the package under test's own path resolves to, for its external tests
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	l := m.l
+	if m.self != nil && path == m.self.Path() {
+		return m.self, nil
+	}
 	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
 		pkg, err := l.loadDir(l.resolveDir(path))
 		if err != nil {

@@ -29,7 +29,6 @@ import (
 // Expr is a parsed regular expression.
 type Expr struct {
 	root node
-	src  string
 }
 
 // node is a regex AST node.
@@ -74,9 +73,6 @@ func (n starNode) String() string { return n.sub.String() + "*" }
 func (n plusNode) String() string { return n.sub.String() + "+" }
 func (n optNode) String() string  { return n.sub.String() + "?" }
 
-// Source returns the original text of the expression.
-func (e *Expr) Source() string { return e.src }
-
 // Parse parses a regular expression over the given alphabet.
 func Parse(a *alphabet.Alphabet, src string) (*Expr, error) {
 	p := &parser{alpha: a, src: []rune(src)}
@@ -87,7 +83,7 @@ func Parse(a *alphabet.Alphabet, src string) (*Expr, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("rex: unexpected %q at position %d in %q", string(p.src[p.pos]), p.pos, src)
 	}
-	return &Expr{root: n, src: src}, nil
+	return &Expr{root: n}, nil
 }
 
 type parser struct {

@@ -136,20 +136,6 @@ func TestNestedQuantifiers(t *testing.T) {
 	}
 }
 
-func TestSourceRoundTrip(t *testing.T) {
-	a := alphabet.Lower(2)
-	e, err := Parse(a, "(a|b)*a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Source() != "(a|b)*a" {
-		t.Errorf("Source = %q", e.Source())
-	}
-	if !e.Compile(a).Accepts(alphabet.MustParseWord(a, "ba")) {
-		t.Error("the compiled expression rejects ba")
-	}
-}
-
 func TestUnionPrecedence(t *testing.T) {
 	a := alphabet.Lower(3)
 	// ab|c means (ab)|c, not a(b|c)

@@ -112,6 +112,17 @@ func (s *Set) Find(row []int32) int32 {
 	return s.ids[i] - 1
 }
 
+// FindKey is Find for a set whose rows pack into their keys, given the
+// row's packing: its values, the first most significant, each in the bits
+// the set was made for.
+func (s *Set) FindKey(k uint64) int32 {
+	i := int(k * 0x9E3779B97F4A7C15 >> (s.shift & 63))
+	for s.ids[i] != 0 && s.keys[i] != k {
+		i = (i + 1) & (len(s.ids) - 1)
+	}
+	return s.ids[i] - 1
+}
+
 func (s *Set) key(row []int32) uint64 {
 	var k uint64
 	if s.packed {
@@ -127,19 +138,17 @@ func (s *Set) key(row []int32) uint64 {
 	return k
 }
 
-// grow moves the rows' slots into a table twice the size.
+// grow re-slots the rows into a table twice the size, reading their keys
+// off the stored rows, so that a table with room left from an earlier use
+// grows in place without allocating.
 func (s *Set) grow() {
-	keys, ids := s.keys, s.ids
-	s.keys, s.ids = nil, nil
-	s.table(2*len(ids), 0)
-	for j, id := range ids {
-		if id == 0 {
-			continue
-		}
-		i := int(keys[j] * 0x9E3779B97F4A7C15 >> (s.shift & 63))
+	s.table(2*len(s.ids), 0)
+	for id := int32(1); id <= int32(s.n); id++ {
+		k := s.key(s.Row(id - 1))
+		i := int(k * 0x9E3779B97F4A7C15 >> (s.shift & 63))
 		for s.ids[i] != 0 {
 			i = (i + 1) & (len(s.ids) - 1)
 		}
-		s.keys[i], s.ids[i] = keys[j], id
+		s.keys[i], s.ids[i] = k, id
 	}
 }

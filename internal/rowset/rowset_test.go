@@ -63,6 +63,9 @@ func check(t *testing.T, width, bits int, ops []byte) {
 			if got, want := s.Find(row), ref.find(row); got != want {
 				t.Fatalf("width %d, bits %d: Find(%v) = %d, want %d", width, bits, row, got, want)
 			}
+			if got, want := s.FindKey(s.key(row)), ref.find(row); s.packed && got != want {
+				t.Fatalf("width %d, bits %d: FindKey of %v = %d, want %d", width, bits, row, got, want)
+			}
 		default:
 			id, fresh := s.Add(row)
 			wantID, wantFresh := ref.add(row)
@@ -100,7 +103,8 @@ func TestSetAgainstMap(t *testing.T) {
 
 // TestSetGrowth adds distinct rows through several doublings, in both
 // regimes, and reads every one back by id and by Find; a Reset with a hint
-// keeps the table from growing for that many rows.
+// keeps the table from growing for that many rows, and a set reset without
+// one regrows in the storage it kept.
 func TestSetGrowth(t *testing.T) {
 	for _, c := range []struct{ width, bits int }{{2, 16}, {3, 32}} {
 		var s Set
@@ -137,6 +141,16 @@ func TestSetGrowth(t *testing.T) {
 		}
 		if s.Clear(); s.Len() != 0 || len(s.ids) != slots || s.Find(row) != -1 {
 			t.Fatalf("%+v: after Clear, %d rows in %d slots, want 0 in %d", c, s.Len(), len(s.ids), slots)
+		}
+		// A set reset small regrows into the storage it kept: no allocation.
+		if allocs := testing.AllocsPerRun(3, func() {
+			s.Reset(c.width, c.bits, 0)
+			for i := range n {
+				row[0] = int32(i)
+				s.Add(row)
+			}
+		}); allocs != 0 || s.Len() != n {
+			t.Fatalf("%+v: regrowing to %d rows after a Reset allocates %.0f times", c, s.Len(), allocs)
 		}
 	}
 }
