@@ -495,25 +495,18 @@ func (c *Client) Enumerate(ctx context.Context, req EnumerateRequest) (*Enumerat
 // ReplicateRecord is one journal record shipped between cluster nodes:
 // the owner pushes it to replicas after committing locally (POST
 // /v1/replicate), and catch-up pulls return the same shape. Snapshot is
-// the internal/persist snapshot encoding of the database (base64 in
-// JSON); it is empty for drops.
+// the registration's internal/persist snapshot file (base64 in JSON); it
+// is empty for drops. Its footer carries the owner's statistics catalog,
+// so replicas cost plans from the same numbers and EXPLAIN agrees
+// cluster-wide, and its content digest, which replicas verify the decoded
+// database against before installing: a corrupted ship can never
+// silently install divergent state.
 type ReplicateRecord struct {
 	Op       string `json:"op"` // "register" | "drop"
 	Name     string `json:"name"`
 	Gen      uint64 `json:"gen"`
 	UnixNano int64  `json:"unix_nano,omitempty"`
 	Snapshot []byte `json:"snapshot,omitempty"`
-	// Stats is the owner's encoded statistics catalog for this
-	// registration (internal/stats JSON), shipped so replicas cost plans
-	// from the same numbers and EXPLAIN agrees cluster-wide. Optional:
-	// absent on drops and on ships from stats-disabled owners.
-	Stats []byte `json:"stats,omitempty"`
-	// Digest is the owner's encoded content digest (internal/integrity)
-	// for this registration. Replicas verify the decoded snapshot against
-	// it before installing and reject the record on mismatch, so a
-	// corrupted ship can never silently install divergent state. Optional
-	// for wire compatibility with older owners; absent on drops.
-	Digest []byte `json:"digest,omitempty"`
 }
 
 // ReplicateResult reports what the replica did with a shipped record.

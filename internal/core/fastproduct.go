@@ -323,14 +323,12 @@ func (x *keyIndex) open(hashed bool) {
 	}
 }
 
-// number returns a hashed key's id and whether this call gave it one.
+// number returns a hashed key's id and whether this call gave it one, in
+// one probe.
 func (x *keyIndex) number(key uint64) (int, bool) {
-	if id := x.rows.FindKey(key); id >= 0 {
-		return int(id), false
-	}
 	row := [2]int32{int32(key >> 32), int32(key)}
-	id, _ := x.rows.Add(row[:])
-	return int(id), true
+	id, fresh := x.rows.Add(row[:])
+	return int(id), fresh
 }
 
 func (x *keyIndex) count() int {
@@ -609,22 +607,28 @@ func (f *fastProduct) seek(ctx context.Context, want uint64) (bool, error) {
 // the expansion of slot qi queues an accepting state over want — it returns
 // once that parent is fully expanded, with the queue's head past it — or
 // until the queue is exhausted. It polls ctx and the core.budget fault
-// point every cancelCheckInterval states and fails once more than maxStates
-// distinct states have been met; a failed traversal is not resumable.
-func (f *fastProduct) advance(ctx context.Context, want uint64) (bool, error) {
+// point every cancelCheckInterval states, charges what it met when it
+// returns, and fails once more than maxStates distinct states have been
+// met; a failed traversal is not resumable.
+func (f *fastProduct) advance(ctx context.Context, want uint64) (found bool, err error) {
+	defer func() {
+		if err == nil {
+			err = f.charge()
+		}
+		if err != nil {
+			found, f.live = false, false
+		}
+	}()
 	for f.qi < f.visited.count() {
 		if f.qi%cancelCheckInterval == 0 && f.qi > 0 {
-			err := pollSearch(ctx)
-			if err == nil {
-				err = f.charge()
+			if err := pollSearch(ctx); err != nil {
+				return false, err
 			}
-			if err != nil {
-				f.live = false
+			if err := f.charge(); err != nil {
 				return false, err
 			}
 		}
 		if f.maxStates > 0 && f.visited.count() > f.maxStates {
-			f.live = false
 			return false, fmt.Errorf("core: product exceeded the state budget of %d", f.maxStates)
 		}
 		f.load(f.visited.key(f.qi))

@@ -128,6 +128,12 @@ func TestGenericSearchChargesWhatItMeets(t *testing.T) {
 			if res.Peak() == 0 || res.Used() != 0 {
 				t.Fatalf("peak charge %d, %d bytes still charged after the call", res.Peak(), res.Used())
 			}
+			// The search ends between polls, long before its first one,
+			// and its last charge still covers the states it met: at
+			// least the ones it expanded, a hashed key 32 bytes each.
+			if met := int64(out.Stats.ProductStates) * hashedKeyBytes; met == 0 || res.Peak() < met {
+				t.Fatalf("peak charge %d for %d states met, want at least %d", res.Peak(), out.Stats.ProductStates, met)
+			}
 			res.Release()
 			if got := broker.Reserved(); got != 0 {
 				t.Fatalf("broker holds %d bytes after release", got)

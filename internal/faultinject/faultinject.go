@@ -21,7 +21,7 @@
 // return: "integrity.bitflip" makes the background scrub see a flipped
 // bit in the on-disk snapshot (at-rest rot), "integrity.digest" makes a
 // digest verification disagree (a divergent replica or rotted heap),
-// and "persist.sidecar.rename" crashes a sidecar write between the
+// and "persist.snapshot.rename" crashes a snapshot write between the
 // temp-file write and its rename (the orphan is garbage-collected at
 // the next Open).
 //

@@ -16,8 +16,8 @@
 // registration.
 //
 // The encoded form ("ECDG" magic, version, generation, sum, CRC-32C) is
-// persisted as a sidecar next to the snapshot, shipped inside
-// ReplicateRecord, and served at GET /v1/integrity/{db}; Decode rejects
+// persisted in the footer of the generation's snapshot, shipped with that
+// snapshot inside ReplicateRecord, and served at GET /v1/integrity/{db}; Decode rejects
 // truncated, corrupt, or future-versioned bytes with typed errors.
 package integrity
 
@@ -142,7 +142,7 @@ var (
 	ErrChecksum   = errors.New("integrity: digest record checksum mismatch")
 )
 
-// Encode renders the digest in its sidecar/wire form.
+// Encode renders the digest in its persisted and wire form.
 func (d Digest) Encode() []byte {
 	buf := make([]byte, encodedLen)
 	copy(buf, magic[:])
@@ -155,7 +155,7 @@ func (d Digest) Encode() []byte {
 
 // Decode parses an encoded digest, rejecting truncation, foreign bytes,
 // future versions, and checksum damage. Trailing bytes beyond the fixed
-// record are also rejected: a digest sidecar is exactly one record.
+// record are also rejected: an encoded digest is exactly one record.
 func Decode(data []byte) (Digest, error) {
 	if len(data) < encodedLen {
 		return Digest{}, fmt.Errorf("%w: %d byte(s), want %d", ErrTruncated, len(data), encodedLen)

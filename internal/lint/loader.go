@@ -28,15 +28,18 @@ type Package struct {
 }
 
 // Loader loads and type-checks packages of the enclosing module from
-// source, resolving module-internal imports itself and delegating
-// standard-library imports to the compiler's source importer, so it works
-// without a module cache or network access.
+// source, resolving module-internal imports itself, so one *types.Func
+// stands for a module function across every package it loads. It reads
+// the standard library from the compiler's export data (the gc importer,
+// which asks the go command for it), which is faster than type-checking
+// the standard library from source, and needs no module cache or network
+// access.
 type Loader struct {
 	ModulePath string // e.g. "ecrpq"
 	ModuleDir  string // absolute root of the module
 	Fset       *token.FileSet
 
-	std   types.Importer // source importer for the standard library
+	std   types.Importer // export-data importer for the standard library
 	cache map[string]*Package
 }
 
@@ -60,7 +63,7 @@ func NewLoader(dir string) (*Loader, error) {
 				ModulePath: modPath,
 				ModuleDir:  root,
 				Fset:       fset,
-				std:        importer.ForCompiler(fset, "source", nil),
+				std:        importer.ForCompiler(fset, "gc", nil),
 				cache:      make(map[string]*Package),
 			}, nil
 		}
@@ -325,7 +328,7 @@ func (l *Loader) check(path, dir string, asts []*ast.File, errs []error, self *t
 }
 
 // moduleImporter resolves module-internal import paths from source and
-// falls back to the standard-library source importer for everything else.
+// falls back to the standard library's export data for everything else.
 type moduleImporter struct {
 	l    *Loader
 	self *types.Package // what the package under test's own path resolves to, for its external tests

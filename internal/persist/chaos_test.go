@@ -14,6 +14,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,62 +173,40 @@ func TestChaosCrashBeforeSnapshotRename(t *testing.T) {
 	}
 }
 
-// TestChaosCrashBeforeSidecarRename crashes a register between a
-// sidecar's temp-file write and its rename. The register fails (the
-// journal record was never written), the orphan temp is left behind
-// exactly as a real crash would leave it, and reopen GCs the orphan
-// while keeping the previously committed registration — and its earlier
-// sidecars — fully intact.
-func TestChaosCrashBeforeSidecarRename(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
+// TestChaosOnePublishPerRegistration: with every site counted and none
+// firing, each registration — with a catalog and a digest, or without —
+// crosses persist.snapshot.rename exactly once and no other rename site:
+// one generation is one file, published once.
+func TestChaosOnePublishPerRegistration(t *testing.T) {
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := buildDB(t, 4)
-	stats1 := []byte(`{"generation":1}`)
-	if err := st.AppendRegisterWithSidecars(context.Background(), "alpha", 1, time.Unix(100, 0), db, stats1, []byte("DG1-placeholder-bytes-ok")); err != nil {
-		t.Fatal(err)
+	defer st.Close()
+	faultinject.Enable(1, 0)
+	defer faultinject.Disable()
+	const registrations = 4
+	for gen := uint64(1); gen <= registrations; gen++ {
+		db := buildDB(t, 3+int(gen))
+		var stats, digest []byte
+		if gen%2 == 0 {
+			stats, digest = []byte(`{"generation":2}`), []byte("digest")
+		}
+		if err := st.AppendRegisterWithSidecars(context.Background(), "g", gen, time.Unix(int64(gen), 0), db, stats, digest); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	faultinject.EnableSite("persist.sidecar.rename", faultinject.ModeError, 1.0)
-	err = st.AppendRegisterWithSidecars(context.Background(), "alpha", 2, time.Unix(200, 0), buildDB(t, 5), []byte(`{"generation":2}`), []byte("DG2"))
-	faultinject.Disable()
-	if err == nil {
-		t.Fatal("AppendRegisterWithSidecars succeeded despite the injected sidecar crash")
+	for site, ss := range faultinject.Stats() {
+		switch {
+		case site == "persist.snapshot.rename" || site == "persist.snapshot.write" || site == "persist.journal.sync":
+			if ss.Checks != registrations {
+				t.Errorf("%s: %d checks over %d registrations", site, ss.Checks, registrations)
+			}
+		case strings.HasSuffix(site, ".rename"):
+			t.Errorf("a registration crosses a second rename site %s (%d checks)", site, ss.Checks)
+		}
 	}
-	// The crash left the gen-2 temp sidecar orphaned on disk.
-	leftovers, globErr := filepath.Glob(filepath.Join(dir, ".tmp-*"))
-	if globErr != nil {
-		t.Fatal(globErr)
-	}
-	if len(leftovers) == 0 {
-		t.Fatal("test arranged the wrong crash window: no orphan temp sidecar on disk")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("closing crashed store: %v", err)
-	}
-
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopening after crash: %v", err)
-	}
-	defer st2.Close()
-	ents := st2.Entries()
-	if len(ents) != 1 || ents[0].Gen != 1 {
-		t.Fatalf("recovered %d entries (gen %v), want the committed gen-1 registration", len(ents), ents)
-	}
-	if string(ents[0].Stats) != string(stats1) {
-		t.Errorf("gen-1 stats sidecar damaged: %q", ents[0].Stats)
-	}
-	if string(ents[0].Digest) != "DG1-placeholder-bytes-ok" {
-		t.Errorf("gen-1 digest sidecar damaged: %q", ents[0].Digest)
-	}
-	leftovers, globErr = filepath.Glob(filepath.Join(dir, ".tmp-*"))
-	if globErr != nil {
-		t.Fatal(globErr)
-	}
-	if len(leftovers) != 0 {
-		t.Errorf(".tmp- files survived reopen: %v", leftovers)
+	if got := faultinject.Stats()["persist.snapshot.rename"].Checks; got != registrations {
+		t.Errorf("persist.snapshot.rename: %d checks, want %d", got, registrations)
 	}
 }

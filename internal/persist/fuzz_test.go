@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"testing"
 
 	"ecrpq/internal/alphabet"
@@ -8,9 +9,10 @@ import (
 )
 
 // FuzzSnapshotRoundTrip mirrors graphdb's FuzzParse for the binary codec:
-// arbitrary bytes must never panic DecodeSnapshot, and anything that does
-// decode must re-encode to a snapshot that decodes back to the identical
-// database (decode∘encode is the identity on the codec's image).
+// arbitrary bytes must never panic Decode, and anything that does decode —
+// a version-1 file or a version-2 one — must re-encode to a snapshot that
+// decodes back to the identical database and footer sections
+// (decode∘encode is the identity on the codec's image).
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	seed := func(build func(db *graphdb.DB)) {
 		db := graphdb.New(alphabet.MustNew("a", "b"))
@@ -35,6 +37,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			db.MustAddEdge(i, alphabet.Symbol(i%2), (i*7+3)%20)
 		}
 	})
+	ring := graphdb.New(alphabet.MustNew("a", "b"))
+	u, v := ring.MustAddVertex("u"), ring.MustAddVertex("")
+	ring.MustAddEdge(u, 1, v)
+	f.Add(Snapshot{DB: ring, Stats: []byte(`{"generation":1}`)}.Encode())
+	f.Add(Snapshot{DB: ring, Stats: []byte("{}"), Digest: []byte("digest")}.Encode())
 	// Mutated seeds so the fuzzer starts near the interesting rejection
 	// paths (bad magic, bad checksum) rather than only deep inside them.
 	base := EncodeSnapshot(graphdb.New(alphabet.MustNew("a")))
@@ -45,17 +52,19 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := DecodeSnapshot(data)
+		snap, err := Decode(data)
 		if err != nil {
 			return // rejected input: the only requirement is "no panic"
 		}
-		re := EncodeSnapshot(db)
-		db2, err := DecodeSnapshot(re)
+		back, err := Decode(snap.Encode())
 		if err != nil {
 			t.Fatalf("re-encoding a decoded snapshot does not decode: %v", err)
 		}
-		if err := sameDB(db, db2); err != nil {
+		if err := sameDB(snap.DB, back.DB); err != nil {
 			t.Fatalf("decode∘encode not the identity: %v", err)
+		}
+		if !bytes.Equal(snap.Stats, back.Stats) || !bytes.Equal(snap.Digest, back.Digest) {
+			t.Fatalf("sections %q, %q came back as %q, %q", snap.Stats, snap.Digest, back.Stats, back.Digest)
 		}
 	})
 }

@@ -93,7 +93,8 @@ func replay(db *graphdb.DB) *graphdb.DB {
 }
 
 // rawSnapshot encodes a payload EncodeSnapshot would never write — records
-// out of range or repeated — under a correct header and checksum.
+// out of range or repeated — under a correct header, empty footer sections
+// and checksum.
 func rawSnapshot(syms, names []string, records ...[3]uint64) []byte {
 	buf := binary.LittleEndian.AppendUint16([]byte(snapMagic), snapVersion)
 	for _, strs := range [][]string{syms, names} {
@@ -108,6 +109,7 @@ func rawSnapshot(syms, names []string, records ...[3]uint64) []byte {
 			buf = binary.AppendUvarint(buf, x)
 		}
 	}
+	buf = append(buf, 0, 0)
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 }
 
@@ -182,17 +184,26 @@ func TestSnapshotDecodeMatchesReplay(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	db := buildDB(t, 17)
-	enc := EncodeSnapshot(db)
-	back, err := DecodeSnapshot(enc)
+	in := Snapshot{DB: db, Stats: []byte(`{"generation":4}`), Digest: []byte("digest bytes")}
+	enc := in.Encode()
+	back, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if err := sameDB(db, back); err != nil {
+	if err := sameDB(db, back.DB); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	// Deterministic encoding: same database, same bytes.
-	if string(enc) != string(EncodeSnapshot(back)) {
-		t.Error("re-encoding the decoded database changed the bytes")
+	if !bytes.Equal(back.Stats, in.Stats) || !bytes.Equal(back.Digest, in.Digest) {
+		t.Errorf("sections came back as %q, %q", back.Stats, back.Digest)
+	}
+	// Deterministic encoding: same snapshot, same bytes.
+	if !bytes.Equal(enc, back.Encode()) {
+		t.Error("re-encoding the decoded snapshot changed the bytes")
+	}
+	// The sections are copies: the file's bytes may be reused.
+	clear(enc)
+	if string(back.Stats) != `{"generation":4}` {
+		t.Errorf("decoded stats alias the file: %q", back.Stats)
 	}
 }
 
@@ -211,7 +222,7 @@ func TestSnapshotEmptyDB(t *testing.T) {
 // mutation must produce a decode error (checksum or structural), never a
 // panic and never a silently different database.
 func TestSnapshotCorruptionDetected(t *testing.T) {
-	enc := EncodeSnapshot(buildDB(t, 5))
+	enc := Snapshot{DB: buildDB(t, 5), Stats: []byte("{}"), Digest: []byte("dg")}.Encode()
 	for i := range enc {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x41

@@ -25,20 +25,9 @@ type Entry struct {
 	Name         string
 	Gen          uint64
 	RegisteredAt time.Time
-	DB           *graphdb.DB
-	// Stats is the encoded statistics catalog sidecar
-	// (internal/stats.Catalog.Encode) saved next to the snapshot, or nil
-	// when none was persisted (pre-planner journals, or a lost sidecar —
-	// the server recomputes in both cases). The journal format itself is
-	// unchanged: the sidecar shares the snapshot's generation-derived name.
-	Stats []byte
-	// Digest is the encoded content digest sidecar
-	// (internal/integrity.Digest.Encode) saved next to the snapshot, or
-	// nil when none was persisted. Like Stats it is advisory bytes handed
-	// to the server verbatim: the server validates on decode and
-	// recomputes from the loaded snapshot when the sidecar is absent,
-	// corrupt, or from another generation.
-	Digest []byte
+	// Snapshot is the generation's file, decoded: the database with its
+	// catalog and digest, handed to the server verbatim.
+	Snapshot
 }
 
 // Store is a crash-safe registry persistence layer over one data
@@ -124,41 +113,22 @@ func Open(dir string) (*Store, error) {
 			s.warnings = append(s.warnings, fmt.Sprintf("dropping %q: snapshot %s unreadable: %v", name, lr.snapFile, err))
 			continue
 		}
-		db, err := DecodeSnapshot(raw)
+		snap, err := Decode(raw)
 		if err != nil {
 			s.warnings = append(s.warnings, fmt.Sprintf("dropping %q: snapshot %s corrupt: %v", name, lr.snapFile, err))
 			continue
 		}
-		e := Entry{
-			Name:         name,
-			Gen:          lr.gen,
-			RegisteredAt: time.Unix(0, int64(lr.unixNano)),
-			DB:           db,
-		}
-		// The stats and digest sidecars are optional: readable bytes are
-		// handed to the server verbatim (it validates on decode and
-		// recomputes on mismatch), anything else just means recompute.
-		if raw, err := os.ReadFile(filepath.Join(dir, statsFileName(lr.gen))); err == nil {
-			e.Stats = raw
-		}
-		if raw, err := os.ReadFile(filepath.Join(dir, digestFileName(lr.gen))); err == nil {
-			e.Digest = raw
-		}
-		referenced[statsFileName(lr.gen)] = true
-		referenced[digestFileName(lr.gen)] = true
-		s.entries = append(s.entries, e)
+		s.entries = append(s.entries, Entry{Name: name, Gen: lr.gen, RegisteredAt: time.Unix(0, int64(lr.unixNano)), Snapshot: snap})
 	}
 	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].Gen < s.entries[j].Gen })
 
-	// GC: snapshots of replaced/dropped registrations and temp files from
+	// GC: the files of replaced/dropped registrations (and the sidecars
+	// older versions wrote beside a snapshot) and temp files from
 	// interrupted writes. Failures here cost disk, not correctness.
 	if dents, err := os.ReadDir(dir); err == nil {
 		for _, de := range dents {
 			n := de.Name()
-			stale := ((strings.HasSuffix(n, ".snap") || strings.HasSuffix(n, ".stats") ||
-				strings.HasSuffix(n, ".digest")) && !referenced[n]) ||
-				strings.HasPrefix(n, ".tmp-")
-			if stale {
+			if strings.HasPrefix(n, "db-") && !referenced[n] || strings.HasPrefix(n, ".tmp-") {
 				_ = os.Remove(filepath.Join(dir, n))
 			}
 		}
@@ -192,39 +162,27 @@ func (s *Store) Warnings() []string { return s.warnings }
 // globally unique, so the name is too.
 func snapFileName(gen uint64) string { return fmt.Sprintf("db-%016x.snap", gen) }
 
-// statsFileName names the statistics catalog sidecar for a generation.
-func statsFileName(gen uint64) string { return fmt.Sprintf("db-%016x.stats", gen) }
-
-// digestFileName names the content-digest sidecar for a generation.
-func digestFileName(gen uint64) string { return fmt.Sprintf("db-%016x.digest", gen) }
-
-// AppendRegisterWithSidecars durably records a registration: snapshot first
-// (temp file, fsync, atomic rename, directory fsync), then the optional
-// statistics and content-digest sidecars (same discipline), then the journal
-// record referencing the snapshot (append, fsync). On error the registration
+// AppendRegisterWithSidecars durably records a registration: the snapshot,
+// whose footer carries the encoded statistics catalog and content digest
+// (the "sidecars" of the name, once files of their own), is published
+// (temp file, fsync, atomic rename, directory fsync), then the journal
+// record referencing it is appended and fsynced. On error the registration
 // is not recorded; any temp file is cleaned up on the next Open. The
-// sidecars are advisory — never journaled, and a crash between snapshot and
-// sidecar just means the server recomputes on restart; the digest one lets a
-// restart and the background scrub verify on-disk and in-memory content
-// without recomputing a digest they cannot trust. When ctx carries an
-// internal/trace trace, the snapshot write and journal append are recorded
-// as spans (the fsyncs dominate register latency, and the slow-query log
-// should say so rather than blaming evaluation).
+// catalog and digest are advisory — the server recomputes what does not
+// decode — and the digest lets a restart and the background scrub verify
+// on-disk and in-memory content without recomputing a digest they cannot
+// trust. When ctx carries an internal/trace trace, the snapshot write and
+// journal append are recorded as spans (the fsyncs dominate register
+// latency, and the slow-query log should say so rather than blaming
+// evaluation).
 func (s *Store) AppendRegisterWithSidecars(ctx context.Context, name string, gen uint64, registeredAt time.Time, db *graphdb.DB, statsJSON, digest []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("persist: store is closed")
 	}
-	snapFile := snapFileName(gen)
 	_, ssp := trace.StartSpan(ctx, "persist/snapshot_write")
-	err := s.writeSnapshot(snapFile, db)
-	if err == nil && len(statsJSON) > 0 {
-		err = s.writeSidecar(statsFileName(gen), statsJSON)
-	}
-	if err == nil && len(digest) > 0 {
-		err = s.writeSidecar(digestFileName(gen), digest)
-	}
+	err := s.writeSnapshot(gen, Snapshot{DB: db, Stats: statsJSON, Digest: digest})
 	ssp.End()
 	if err != nil {
 		return err
@@ -234,7 +192,7 @@ func (s *Store) AppendRegisterWithSidecars(ctx context.Context, name string, gen
 		gen:      gen,
 		unixNano: uint64(registeredAt.UnixNano()),
 		name:     name,
-		snapFile: snapFile,
+		snapFile: snapFileName(gen),
 	}
 	_, jsp := trace.StartSpan(ctx, "persist/journal_append")
 	err = s.appendRecord(rec)
@@ -257,61 +215,48 @@ func (s *Store) AppendDropContext(ctx context.Context, name string, gen uint64) 
 	if err != nil {
 		return err
 	}
-	// The snapshot and its sidecars are now unreferenced; best-effort
-	// removal (Open GCs leftovers).
+	// The snapshot is now unreferenced; best-effort removal (Open GCs
+	// leftovers).
 	_ = os.Remove(filepath.Join(s.dir, snapFileName(gen)))
-	_ = os.Remove(filepath.Join(s.dir, statsFileName(gen)))
-	_ = os.Remove(filepath.Join(s.dir, digestFileName(gen)))
 	return nil
 }
 
-// writeSidecar publishes arbitrary sidecar bytes next to a snapshot.
-func (s *Store) writeSidecar(fileName string, data []byte) error {
-	return s.publish("sidecar", fileName, "persist.sidecar.rename", data)
-}
-
-// writeSnapshot publishes the encoded database as snapFile.
-func (s *Store) writeSnapshot(snapFile string, db *graphdb.DB) error {
+// writeSnapshot publishes snap as gen's file atomically: temp file, fsync,
+// rename, directory fsync, so a reader sees the old file or the new one,
+// never a torn one. Open's ".tmp-" GC sweeps any orphan a crash leaves.
+// persist.snapshot.rename is the fault point for a crash between the temp
+// write and the rename: the temp stays behind exactly as a real crash would
+// leave it, and the previously published file, if any, is untouched.
+func (s *Store) writeSnapshot(gen uint64, snap Snapshot) error {
 	if err := faultinject.Point("persist.snapshot.write"); err != nil {
 		return fmt.Errorf("persist: writing snapshot: %w", err)
 	}
-	return s.publish("snapshot", snapFile, "persist.snapshot.rename", EncodeSnapshot(db))
-}
-
-// publish writes data to fileName atomically: temp file, fsync, rename,
-// directory fsync, so a reader sees the old file or the new one, never a torn
-// one. The temp name embeds the final name, so the files of one generation
-// (snapshot, stats, digest) can never collide, and Open's ".tmp-" GC sweeps
-// any orphan a crash leaves. renameSite is the fault point for a crash
-// between the temp write and the rename: the temp stays behind exactly as a
-// real crash would leave it, and the previously published file, if any, is
-// untouched.
-func (s *Store) publish(kind, fileName, renameSite string, data []byte) error {
+	fileName := snapFileName(gen)
 	tmp := filepath.Join(s.dir, ".tmp-"+fileName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("persist: creating %s temp file: %w", kind, err)
+		return fmt.Errorf("persist: creating snapshot temp file: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	if _, err := f.Write(snap.Encode()); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: writing %s: %w", kind, err)
+		return fmt.Errorf("persist: writing snapshot: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: syncing %s: %w", kind, err)
+		return fmt.Errorf("persist: syncing snapshot: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: closing %s: %w", kind, err)
+		return fmt.Errorf("persist: closing snapshot: %w", err)
 	}
-	if err := faultinject.Point(renameSite); err != nil {
-		return fmt.Errorf("persist: publishing %s: %w", kind, err)
+	if err := faultinject.Point("persist.snapshot.rename"); err != nil {
+		return fmt.Errorf("persist: publishing snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, fileName)); err != nil {
 		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: publishing %s: %w", kind, err)
+		return fmt.Errorf("persist: publishing snapshot: %w", err)
 	}
 	s.syncDir()
 	return nil
@@ -394,25 +339,19 @@ func (s *Store) ReadSnapshot(gen uint64) ([]byte, error) {
 	return raw, nil
 }
 
-// RewriteSnapshot re-publishes the snapshot (and digest sidecar, when
-// given) for an existing generation from a known-good in-memory copy:
-// the self-heal path when the scrub finds disk rot under a verified
-// in-memory database. The same atomic temp+rename discipline applies, so
-// a crash mid-heal leaves either the old corrupt file (scrub finds it
-// again) or the healed one — never a torn snapshot.
-func (s *Store) RewriteSnapshot(gen uint64, db *graphdb.DB, digest []byte) error {
+// RewriteSnapshot re-publishes the whole file of an existing generation,
+// catalog and digest included, from a known-good in-memory copy: the
+// self-heal path when the scrub finds disk rot under a verified in-memory
+// database. The same atomic temp+rename discipline applies, so a crash
+// mid-heal leaves either the old corrupt file (scrub finds it again) or the
+// healed one — never a torn snapshot.
+func (s *Store) RewriteSnapshot(gen uint64, snap Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("persist: store is closed")
 	}
-	if err := s.writeSnapshot(snapFileName(gen), db); err != nil {
-		return err
-	}
-	if len(digest) > 0 {
-		return s.writeSidecar(digestFileName(gen), digest)
-	}
-	return nil
+	return s.writeSnapshot(gen, snap)
 }
 
 // JournalCheck is VerifyJournal's report.

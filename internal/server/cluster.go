@@ -270,12 +270,12 @@ func (s *Server) applyReplicated(ctx context.Context, rec client.ReplicateRecord
 		if e, ok := s.dbs.get(rec.Name); ok && replicaFresh(e, rec.Gen) {
 			return false, "stale", nil
 		}
-		db, derr := persist.DecodeSnapshot(rec.Snapshot)
+		snap, derr := persist.Decode(rec.Snapshot)
 		if derr != nil {
 			return false, "", fmt.Errorf("replicate: decoding snapshot for %q gen %d: %w", rec.Name, rec.Gen, derr)
 		}
-		changed, _, err = s.install(ctx, installReq{from: fromOwner, name: rec.Name, db: db, gen: rec.Gen,
-			at: time.Unix(0, rec.UnixNano), stats: rec.Stats, digest: rec.Digest})
+		changed, _, err = s.install(ctx, installReq{from: fromOwner, name: rec.Name, db: snap.DB, gen: rec.Gen,
+			at: time.Unix(0, rec.UnixNano), stats: snap.Stats, digest: snap.Digest})
 	case "drop":
 		changed, err = s.remove(ctx, fromOwner, rec.Name, rec.Gen)
 	default:

@@ -3,9 +3,9 @@ package server
 // Integrity subsystem: quarantine, background scrub, and anti-entropy.
 //
 // Every registration carries an order-independent content digest
-// (internal/integrity) computed by the owner, persisted as a sidecar,
-// and shipped with replication. This file is everything the server does
-// with it after register time:
+// (internal/integrity) computed by the owner, persisted in the footer of
+// the generation's snapshot, and shipped with replication. This file is
+// everything the server does with it after register time:
 //
 //   - Quarantine: a database whose content fails verification is marked
 //     corrupt-local. Reads against it answer a typed 503 CORRUPT_LOCAL
@@ -301,7 +301,7 @@ func (s *Server) scrubDB(ctx context.Context, e *dbEntry) (finding, internalErr 
 		// come from memory); the rewrite protects the next restart.
 		finding = fmt.Sprintf("%s gen %d: disk snapshot corrupt (%s); rewritten from verified memory", e.name, e.gen, diskWhy)
 		s.cfg.Logger.Printf("event=scrub_disk_heal db=%s gen=%d reason=%q", e.name, e.gen, diskWhy)
-		if err := st.RewriteSnapshot(e.gen, e.db, e.digest.Encode()); err != nil {
+		if err := st.RewriteSnapshot(e.gen, e.snapshot()); err != nil {
 			s.mRepairErrors.Inc()
 			return finding, fmt.Sprintf("rewriting snapshot for %s: %v", e.name, err)
 		}

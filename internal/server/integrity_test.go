@@ -100,25 +100,28 @@ func TestIntegrityEndpoint(t *testing.T) {
 	}
 }
 
-// TestDigestPersistedAndRestored: the digest sidecar written at register
-// time survives a restart, and the restored entry carries a digest that
-// matches both the sidecar and recomputation.
+// TestDigestPersistedAndRestored: the digest written into the snapshot's
+// footer at register time survives a restart, and the restored entry carries
+// a digest that matches both the footer and recomputation.
 func TestDigestPersistedAndRestored(t *testing.T) {
 	dir := t.TempDir()
 	s1, st1, _ := attachedServer(t, dir)
 	registerDB(t, s1, "g", denseDBText(8))
 	e1, _ := s1.dbs.get("g")
-	sidecar := filepath.Join(dir, fmt.Sprintf("db-%016x.digest", e1.gen))
-	raw, err := os.ReadFile(sidecar)
+	raw, err := os.ReadFile(snapPath(dir, e1.gen))
 	if err != nil {
-		t.Fatalf("digest sidecar not written: %v", err)
+		t.Fatalf("snapshot not written: %v", err)
 	}
-	dec, err := integrity.Decode(raw)
+	snap, err := persist.Decode(raw)
 	if err != nil {
-		t.Fatalf("sidecar does not decode: %v", err)
+		t.Fatalf("snapshot does not decode: %v", err)
+	}
+	dec, err := integrity.Decode(snap.Digest)
+	if err != nil {
+		t.Fatalf("footer digest does not decode: %v", err)
 	}
 	if dec != e1.digest {
-		t.Errorf("sidecar %v, entry %v", dec, e1.digest)
+		t.Errorf("footer %v, entry %v", dec, e1.digest)
 	}
 	st1.Close()
 
@@ -387,8 +390,7 @@ func TestReplicateRejectsDigestMismatch(t *testing.T) {
 	rec := client.ReplicateRecord{
 		Op: "register", Name: name, Gen: 1,
 		UnixNano: time.Now().UnixNano(),
-		Snapshot: persist.EncodeSnapshot(db),
-		Digest:   wrong.Encode(),
+		Snapshot: persist.Snapshot{DB: db, Digest: wrong.Encode()}.Encode(),
 	}
 	body, _ := json.Marshal(rec)
 	code, out, _ := httpJSON(t, http.DefaultClient, "POST", replica.url("/v1/replicate"), body)
@@ -402,7 +404,7 @@ func TestReplicateRejectsDigestMismatch(t *testing.T) {
 		t.Errorf("apply rejected counter = %d, want 1", v)
 	}
 	// The same record with the right digest applies cleanly.
-	rec.Digest = integrity.Compute(db, 1).Encode()
+	rec.Snapshot = persist.Snapshot{DB: db, Digest: integrity.Compute(db, 1).Encode()}.Encode()
 	body, _ = json.Marshal(rec)
 	if code, out, _ = httpJSON(t, http.DefaultClient, "POST", replica.url("/v1/replicate"), body); code != http.StatusOK {
 		t.Fatalf("matching replicate: %d (%v)", code, out)
@@ -468,25 +470,22 @@ func TestAntiEntropyDetectsDivergence(t *testing.T) {
 }
 
 // TestRestoreDigestMismatchStaysQuarantined: content restored against a
-// disagreeing digest sidecar is quarantined with the *persisted* digest
+// disagreeing persisted digest is quarantined with the *persisted* digest
 // as the entry's expectation — so a scrub pass re-finds the mismatch and
 // keeps the quarantine, instead of verifying the corrupt content against
 // a digest computed from itself and lifting it.
 func TestRestoreDigestMismatchStaysQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	s1, st1, _ := attachedServer(t, dir)
-	registerDB(t, s1, "g", denseDBText(8))
-	e1, _ := s1.dbs.get("g")
-	st1.Close()
-
-	// Simulate at-rest damage the snapshot CRC cannot see: the sidecar
-	// (the authoritative record of what was registered) disagrees with
-	// what the snapshot decodes to.
-	want := integrity.Compute(mustParseDB(t, altDBText()), e1.gen)
-	sidecar := filepath.Join(dir, fmt.Sprintf("db-%016x.digest", e1.gen))
-	if err := os.WriteFile(sidecar, want.Encode(), 0o644); err != nil {
-		t.Fatalf("tampering sidecar: %v", err)
+	// Damage the snapshot's CRC cannot see: the footer's digest (the
+	// authoritative record of what was registered) is another graph's, so
+	// it disagrees with what the snapshot decodes to.
+	const gen = 1
+	want := integrity.Compute(mustParseDB(t, altDBText()), gen)
+	st1 := openStore(t, dir)
+	if err := st1.AppendRegisterWithSidecars(context.Background(), "g", gen, time.Now(), mustParseDB(t, denseDBText(8)), nil, want.Encode()); err != nil {
+		t.Fatal(err)
 	}
+	st1.Close()
 
 	s2, st2, n := attachedServer(t, dir)
 	defer st2.Close()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ecrpq/internal/integrity"
 	"ecrpq/internal/persist"
 )
 
@@ -269,5 +270,53 @@ func TestShutdownStuckWorker(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("Shutdown took %v, the ctx deadline should have bounded it", elapsed)
+	}
+}
+
+// TestRestoreVersion1Snapshot: a data dir written before snapshots carried a
+// footer — internal/persist's version-1 fixture, its journal and one file —
+// restores, serves the graph, and has its catalog and digest recomputed. A
+// sidecar file of that era beside it is not read (its digest names other
+// content, which would quarantine the entry) and is collected.
+func TestRestoreVersion1Snapshot(t *testing.T) {
+	dir := t.TempDir()
+	fixture := filepath.Join("..", "persist", "testdata", "v1")
+	for _, f := range []string{"registry.journal", "db-0000000000000001.snap"} {
+		b, err := os.ReadFile(filepath.Join(fixture, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sidecar := filepath.Join(dir, "db-0000000000000001.digest")
+	if err := os.WriteFile(sidecar, integrity.Compute(mustParseDB(t, altDBText()), 1).Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, st, n := attachedServer(t, dir)
+	defer st.Close()
+	if n != 1 {
+		t.Fatalf("restored %d entries, want 1", n)
+	}
+	e, _ := s.dbs.get("g")
+	if e.gen != 1 || e.db.NumVertices() != 6 {
+		t.Fatalf("restored g at gen %d with %d vertices, want gen 1 with 6", e.gen, e.db.NumVertices())
+	}
+	if e.stats == nil || e.stats.Generation != 1 {
+		t.Errorf("catalog not recomputed: %+v", e.stats)
+	}
+	if want := integrity.Compute(e.db, 1); e.digest != want {
+		t.Errorf("digest %v, want the recomputed %v", e.digest, want)
+	}
+	if s.isQuarantined("g") {
+		t.Error("a version-1 restore read the old digest sidecar")
+	}
+	if _, err := os.Stat(sidecar); !os.IsNotExist(err) {
+		t.Errorf("old sidecar survived the restore: %v", err)
+	}
+	rec, out := doJSON(t, s, "POST", "/v1/query", map[string]any{"db": "g", "query": quickQuery})
+	if rec.Code != http.StatusOK || out["sat"] != true {
+		t.Errorf("query on the restored version-1 graph: %d %v", rec.Code, out)
 	}
 }

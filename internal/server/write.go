@@ -34,8 +34,8 @@ const (
 	// Journaled, never shipped on.
 	fromOwner
 	// fromDisk: a journal entry replayed by AttachStore. Not journaled
-	// again; content that disagrees with its digest sidecar is installed
-	// quarantined rather than served or dropped.
+	// again; content that disagrees with the digest in its snapshot's footer
+	// is installed quarantined rather than served or dropped.
 	fromDisk
 	// fromScrub: the scrub's memory heal — the verified on-disk copy of the
 	// generation that is live right now. Not journaled.
@@ -50,7 +50,7 @@ type installReq struct {
 	gen  uint64    // ignored fromClient: install mints it
 	at   time.Time // ignored fromClient: install stamps it
 	// stats and digest are the encoded catalog and content digest that came
-	// with the content (shipped by the owner, or the sidecars on disk). The
+	// with the content (the footer of the owner's or the disk's snapshot). The
 	// catalog is used if it decodes at gen and recomputed otherwise; the
 	// digest is what the content must verify against.
 	stats, digest []byte
@@ -85,14 +85,13 @@ func (s *Server) install(ctx context.Context, req installReq) (entry, replaced *
 		return nil, nil, nil
 	}
 
-	// Statistics come before the durability write so the sidecar and the
+	// Statistics come before the durability write so the snapshot and the
 	// replication record carry them. A replica prefers the owner's catalog (it
-	// must cost plans exactly as the owner does) and a restart the sidecar's;
-	// anything that does not decode at this generation — absent, corrupt, or
-	// a previous generation's file left by a crash between snapshot and
-	// sidecar — is recomputed. A nil catalog (stats disabled or the ledger
-	// refused the transient compute) degrades the planner to the fixed rule;
-	// it never blocks the registration.
+	// must cost plans exactly as the owner does) and a restart the disk's;
+	// anything that does not decode at this generation — absent (a version-1
+	// file) or corrupt — is recomputed. A nil catalog (stats disabled or the
+	// ledger refused the transient compute) degrades the planner to the fixed
+	// rule; it never blocks the registration.
 	var cat *stats.Catalog
 	if len(req.stats) > 0 {
 		if dec, derr := stats.Decode(req.stats); derr == nil && dec.Generation == req.gen {
@@ -119,13 +118,13 @@ func (s *Server) install(ctx context.Context, req installReq) (entry, replaced *
 		}
 	case fromDisk, fromScrub:
 		// The snapshot's CRC already vouches for the bytes on disk; the
-		// sidecar additionally vouches that they decode to the content that
-		// was registered. A mismatch is at-rest damage the CRC could not
+		// digest in its footer additionally vouches that they decode to the
+		// content that was registered. A mismatch is damage the CRC could not
 		// see: install the entry quarantined rather than serve potentially
 		// wrong answers or refuse to start, and keep the *persisted* digest
 		// as its expectation — one computed from the corrupt content would
 		// let the next scrub pass verify the corruption clean and lift the
-		// quarantine. A sidecar that does not decode at this generation is
+		// quarantine. A digest that does not decode at this generation is
 		// ignored.
 		if want, derr := integrity.Decode(req.digest); len(req.digest) > 0 && derr == nil && want.Gen == req.gen {
 			if want != dg {
@@ -198,21 +197,25 @@ func replicaFresh(e *dbEntry, gen uint64) bool {
 }
 
 // recordFor renders an entry as the replication record that installs it
-// elsewhere. The statistics catalog rides along so replicas plan from the
-// owner's catalog (byte-identical costs → identical EXPLAIN output
-// cluster-wide) instead of recomputing.
+// elsewhere. The record ships the entry's snapshot file, so the statistics
+// catalog rides along and replicas plan from the owner's catalog
+// (byte-identical costs → identical EXPLAIN output cluster-wide) instead of
+// recomputing.
 func recordFor(e *dbEntry) client.ReplicateRecord {
-	rec := client.ReplicateRecord{
-		Op: "register", Name: e.name, Gen: e.gen,
-		UnixNano: e.registeredAt.UnixNano(), Snapshot: persist.EncodeSnapshot(e.db),
-	}
+	return client.ReplicateRecord{Op: "register", Name: e.name, Gen: e.gen,
+		UnixNano: e.registeredAt.UnixNano(), Snapshot: e.snapshot().Encode()}
+}
+
+// snapshot is the file that persists e: its content, catalog and digest.
+func (e *dbEntry) snapshot() persist.Snapshot {
+	snap := persist.Snapshot{DB: e.db}
 	if e.stats != nil {
-		rec.Stats = e.stats.Encode()
+		snap.Stats = e.stats.Encode()
 	}
 	if e.digest.Gen == e.gen {
-		rec.Digest = e.digest.Encode()
+		snap.Digest = e.digest.Encode()
 	}
-	return rec
+	return snap
 }
 
 // verifyShippedDigest checks got, the digest of a decoded replication

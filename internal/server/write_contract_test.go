@@ -76,16 +76,23 @@ func (env *writeEnv) attach(t *testing.T, dir string) {
 	}
 }
 
-// record renders content as the replication record its owner would ship.
-func record(t *testing.T, name, content string, gen uint64) client.ReplicateRecord {
+// snapshotOf renders content as the snapshot its owner would write at gen,
+// catalog and digest in the footer.
+func snapshotOf(t *testing.T, content string, gen uint64) persist.Snapshot {
 	t.Helper()
 	db := mustParseDB(t, content)
 	cat, err := stats.Compute(context.Background(), db, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return persist.Snapshot{DB: db, Stats: cat.Encode(), Digest: integrity.Compute(db, gen).Encode()}
+}
+
+// record renders content as the replication record its owner would ship.
+func record(t *testing.T, name, content string, gen uint64) client.ReplicateRecord {
+	t.Helper()
 	return client.ReplicateRecord{Op: "register", Name: name, Gen: gen, UnixNano: time.Now().UnixNano(),
-		Snapshot: persist.EncodeSnapshot(db), Stats: cat.Encode(), Digest: integrity.Compute(db, gen).Encode()}
+		Snapshot: snapshotOf(t, content, gen).Encode()}
 }
 
 func (env *writeEnv) replicate(t *testing.T, content string, gen uint64) error {
@@ -161,8 +168,8 @@ var installWays = []installVia{
 	{name: "restore", do: func(t *testing.T, env *writeEnv, content string, gen uint64) error {
 		dir := t.TempDir()
 		st := openStore(t, dir)
-		rec := record(t, contractDB, content, gen)
-		if err := st.AppendRegisterWithSidecars(context.Background(), contractDB, gen, time.Now(), mustParseDB(t, content), rec.Stats, rec.Digest); err != nil {
+		snap := snapshotOf(t, content, gen)
+		if err := st.AppendRegisterWithSidecars(context.Background(), contractDB, gen, time.Now(), snap.DB, snap.Stats, snap.Digest); err != nil {
 			t.Fatal(err)
 		}
 		st.Close()

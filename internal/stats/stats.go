@@ -1,9 +1,9 @@
 // Package stats maintains per-database statistics catalogs for the
 // cost-based planner (internal/planner). A Catalog is computed once at
-// register/ingest time, versioned by the database generation, persisted as
-// a sidecar next to the snapshot (internal/persist), shipped with the
-// replication record (internal/server cluster mode), and served at
-// GET /v1/stats/{db}.
+// register/ingest time, versioned by the database generation, persisted in
+// the footer of the generation's snapshot (internal/persist), shipped with
+// that snapshot in the replication record (internal/server cluster mode),
+// and served at GET /v1/stats/{db}.
 //
 // Everything in a Catalog is database-sized-or-smaller and deterministic:
 // reachability selectivities are exact reachability counts from a fixed-seed
@@ -85,8 +85,8 @@ func (c *Catalog) MemBytes() int {
 	return 256 + catalogRowBytes*len(c.Labels) + 8*(len(c.OutDegreeHist)+len(c.InDegreeHist))
 }
 
-// Encode serializes the catalog for the persist sidecar and the
-// replication record.
+// Encode serializes the catalog for the snapshot's footer, which the
+// replication record ships too.
 func (c *Catalog) Encode() []byte {
 	b, err := json.Marshal(c)
 	if err != nil {
