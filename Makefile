@@ -31,6 +31,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDigestCodec -fuzztime $(FUZZTIME) ./internal/integrity/
 	$(GO) test -run '^$$' -fuzz FuzzPlanAnswers -fuzztime $(FUZZTIME) ./internal/cq/
 	$(GO) test -run '^$$' -fuzz FuzzSet -fuzztime $(FUZZTIME) ./internal/rowset/
+	$(GO) test -run '^$$' -fuzz FuzzQueryResponseJSON -fuzztime $(FUZZTIME) ./internal/server/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"unicode"
+	"unicode/utf8"
 
 	"ecrpq/internal/alphabet"
 	"ecrpq/internal/invariant"
@@ -195,9 +196,15 @@ func (p Path) Valid(d *DB) bool {
 // Format renders the path as v0 -a-> v1 -b-> v2.
 func (p Path) Format(d *DB) string {
 	var sb strings.Builder
-	sb.WriteString(d.VertexName(p.Start))
+	start := d.VertexName(p.Start)
+	// One edge is " -a-> " and a name about as long as the first.
+	sb.Grow(len(start) + len(p.Edges)*(len(start)+6))
+	sb.WriteString(start)
 	for _, e := range p.Edges {
-		fmt.Fprintf(&sb, " -%s-> %s", d.alpha.Name(e.Label), d.VertexName(e.To))
+		sb.WriteString(" -")
+		sb.WriteString(d.alpha.Name(e.Label))
+		sb.WriteString("-> ")
+		sb.WriteString(d.VertexName(e.To))
 	}
 	return sb.String()
 }
@@ -216,10 +223,12 @@ func Parse(r io.Reader) (*DB, error) {
 	sc := bufio.NewScanner(r)
 	var db *DB
 	var triples []int32 // (source, label, target) per edge line
+	edges := 0          // the edge lines an in-memory text has room for
 	if text, ok := r.(interface{ Len() int }); ok {
 		// An in-memory text says how long it is: reserve for edge lines of 12
 		// bytes ("v123 a v456\n"), which is at most the text's size again.
-		triples = make([]int32, 0, text.Len()/12*3)
+		edges = text.Len() / 12
+		triples = make([]int32, 0, edges*3)
 	}
 	lineNo := 0
 	for sc.Scan() {
@@ -238,6 +247,12 @@ func Parse(r io.Reader) (*DB, error) {
 				return nil, fmt.Errorf("graphdb: line %d: %v", lineNo, err)
 			}
 			db = New(a)
+			if edges > 0 {
+				// Vertex names for a third of those lines: a graph has
+				// fewer vertices than edges, and an index sized past its
+				// vertices would be held for the database's life.
+				db.index = make(map[string]int, edges/3)
+			}
 			continue
 		}
 		if db == nil {
@@ -287,13 +302,47 @@ func (d *DB) vertexNamed(name []byte) int32 {
 }
 
 // nextField splits the first field off b the way strings.Fields would: fields
-// are separated by unicode.IsSpace runes of the UTF-8 text.
+// are separated by unicode.IsSpace runes of the UTF-8 text. An ASCII byte is
+// looked up in asciiSpace; only a byte from 0x80 on starts a rune to decode
+// (an invalid byte decodes as U+FFFD, which is not a space).
 func nextField(b []byte) (field, rest []byte) {
-	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
-	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
-		return b[:i], b[i:]
+	i := 0
+	for i < len(b) {
+		if c := b[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+		} else if space, size := decodeSpace(b[i:]); space {
+			i += size
+		} else {
+			break
+		}
+	}
+	b = b[i:]
+	for j := 0; j < len(b); {
+		if c := b[j]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				return b[:j], b[j:]
+			}
+			j++
+		} else if space, size := decodeSpace(b[j:]); space {
+			return b[:j], b[j:]
+		} else {
+			j += size
+		}
 	}
 	return b, nil
+}
+
+// asciiSpace[c] is unicode.IsSpace(rune(c)) for an ASCII byte c.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// decodeSpace reports whether the rune b starts with is a space, and its
+// size.
+func decodeSpace(b []byte) (space bool, size int) {
+	r, size := utf8.DecodeRune(b)
+	return unicode.IsSpace(r), size
 }
 
 // ParseString is Parse over a string.

@@ -351,3 +351,38 @@ func BenchmarkParse(b *testing.B) {
 		})
 	}
 }
+
+// fields splits b with nextField until nothing is left.
+func fields(b []byte) []string {
+	var out []string
+	for {
+		f, rest := nextField(b)
+		if len(f) == 0 {
+			return out
+		}
+		out = append(out, string(f))
+		b = rest
+	}
+}
+
+// TestNextFieldIsStringsFields: nextField splits exactly as strings.Fields
+// does, with every rune up to U+FFFF as the separator (leading, doubled and
+// trailing) and with invalid UTF-8 around and inside the fields.
+func TestNextFieldIsStringsFields(t *testing.T) {
+	check := func(line string) {
+		t.Helper()
+		if got, want := fields([]byte(line)), strings.Fields(line); !slices.Equal(got, want) {
+			t.Fatalf("fields of %q = %q, strings.Fields = %q", line, got, want)
+		}
+	}
+	for r := rune(0); r <= 0xffff; r++ {
+		sep := string(r)
+		check("a" + sep + "bc" + sep + sep + "d\xffe" + sep)
+		check(sep + "x" + sep)
+	}
+	for _, bad := range []string{"\xff", "\xc2", "\xc2\x20", "\xe2\x80", "\xe2\x80\x20", "\xed\xa0\x80", "\xf4\x90\x80\x80", "\xc2\x85\xc2", "\x80\xa0"} {
+		check(bad)
+		check(" " + bad + " v1 " + bad + bad + "\u0085a　v2" + bad)
+		check("u" + bad + " " + bad + "w")
+	}
+}

@@ -65,7 +65,7 @@ func TestChaosCrashBetweenSnapshotAndJournal(t *testing.T) {
 			t.Errorf("closing reopened store: %v", err)
 		}
 	}()
-	entries := st2.Entries()
+	entries := st2.TakeEntries()
 	if len(entries) != 2 {
 		t.Fatalf("recovered %d entries, want 2 (the committed ones)", len(entries))
 	}
@@ -116,13 +116,14 @@ func TestChaosCrashBetweenSnapshotAndJournal(t *testing.T) {
 		t.Errorf("MaxGen after post-recovery register = %d, want %d", st3.MaxGen(), nextGen)
 	}
 	found := false
-	for _, e := range st3.Entries() {
+	ents := st3.TakeEntries()
+	for _, e := range ents {
 		if e.Name == "delta" && e.Gen == nextGen {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("post-recovery register missing after replay: %v", st3.Entries())
+		t.Errorf("post-recovery register missing after replay: %v", ents)
 	}
 }
 
@@ -158,7 +159,7 @@ func TestChaosCrashBeforeSnapshotRename(t *testing.T) {
 			t.Errorf("closing reopened store: %v", err)
 		}
 	}()
-	if n := len(st2.Entries()); n != 1 {
+	if n := len(st2.TakeEntries()); n != 1 {
 		t.Fatalf("recovered %d entries, want 1", n)
 	}
 	if st2.MaxGen() != 1 {

@@ -38,7 +38,7 @@ func TestStatsSidecarRoundTrip(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	ents := s2.Entries()
+	ents := s2.TakeEntries()
 	if len(ents) != 1 {
 		t.Fatalf("entries = %d, want 1", len(ents))
 	}
@@ -72,7 +72,7 @@ func TestDigestSidecarRoundTrip(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	ents := s2.Entries()
+	ents := s2.TakeEntries()
 	if len(ents) != 1 {
 		t.Fatalf("entries = %d, want 1", len(ents))
 	}
@@ -115,7 +115,7 @@ func TestFooterOptional(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	if ents := s2.Entries(); len(ents) != 1 || ents[0].Stats != nil || ents[0].Digest != nil {
+	if ents := s2.TakeEntries(); len(ents) != 1 || ents[0].Stats != nil || ents[0].Digest != nil {
 		t.Errorf("entries = %+v, want one entry with nil stats and digest", ents)
 	}
 }
@@ -162,7 +162,7 @@ func TestOneFilePerGeneration(t *testing.T) {
 	}
 	defer s2.Close()
 	var live []string
-	for _, e := range s2.Entries() {
+	for _, e := range s2.TakeEntries() {
 		live = append(live, snapFileName(e.Gen))
 		if e.Stats == nil || e.Digest == nil {
 			t.Errorf("%s gen %d replayed without its footer", e.Name, e.Gen)
@@ -218,7 +218,7 @@ func TestSnapshotOrphanTempIgnored(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Errorf("orphan temp snapshot survived reopen: %v", err)
 	}
-	ents := s2.Entries()
+	ents := s2.TakeEntries()
 	if len(ents) != 1 {
 		t.Fatalf("entries = %d, want 1", len(ents))
 	}
@@ -264,7 +264,7 @@ func TestSnapshotV1Fixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if ents := s.Entries(); len(ents) != 1 || ents[0].Name != "g" || ents[0].Gen != 1 || ents[0].Stats != nil || ents[0].Digest != nil {
+	if ents := s.TakeEntries(); len(ents) != 1 || ents[0].Name != "g" || ents[0].Gen != 1 || ents[0].Stats != nil || ents[0].Digest != nil {
 		t.Fatalf("v1 data dir opened to %+v, want g at gen 1 with no footer", ents)
 	}
 	if w := s.Warnings(); len(w) != 0 {

@@ -272,7 +272,7 @@ func TestStoreReplayRegisterReplaceDrop(t *testing.T) {
 	if st2.MaxGen() != 4 {
 		t.Errorf("MaxGen=%d, want 4", st2.MaxGen())
 	}
-	entries := st2.Entries()
+	entries := st2.TakeEntries()
 	if len(entries) != 2 {
 		t.Fatalf("replayed %d entries, want 2 (alpha replaced, gamma dropped)", len(entries))
 	}
@@ -334,8 +334,8 @@ func TestStoreTornTailTruncated(t *testing.T) {
 		t.Fatalf("recovery from torn tail failed: %v", err)
 	}
 	defer st2.Close()
-	if len(st2.Entries()) != 1 || st2.Entries()[0].Name != "keep" {
-		t.Fatalf("entries after torn-tail recovery: %+v", st2.Entries())
+	if ents := st2.TakeEntries(); len(ents) != 1 || ents[0].Name != "keep" {
+		t.Fatalf("entries after torn-tail recovery: %+v", ents)
 	}
 	found := false
 	for _, w := range st2.Warnings() {
@@ -359,8 +359,8 @@ func TestStoreTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	if len(st3.Entries()) != 2 || st3.MaxGen() != 5 {
-		t.Errorf("after repair+append: %d entries, MaxGen=%d; want 2 entries, MaxGen 5", len(st3.Entries()), st3.MaxGen())
+	if n := len(st3.TakeEntries()); n != 2 || st3.MaxGen() != 5 {
+		t.Errorf("after repair+append: %d entries, MaxGen=%d; want 2 entries, MaxGen 5", n, st3.MaxGen())
 	}
 }
 
@@ -387,8 +387,8 @@ func TestStoreCorruptSnapshotSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if len(st2.Entries()) != 1 || st2.Entries()[0].Name != "ok" {
-		t.Fatalf("entries=%+v, want just 'ok'", st2.Entries())
+	if ents := st2.TakeEntries(); len(ents) != 1 || ents[0].Name != "ok" {
+		t.Fatalf("entries=%+v, want just 'ok'", ents)
 	}
 	if len(st2.Warnings()) == 0 {
 		t.Error("corrupt snapshot produced no warning")
@@ -420,8 +420,8 @@ func BenchmarkRecovery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(st.Entries()) != 3 {
-					b.Fatalf("replayed %d entries", len(st.Entries()))
+				if n := len(st.TakeEntries()); n != 3 {
+					b.Fatalf("replayed %d entries", n)
 				}
 				st.Close()
 			}

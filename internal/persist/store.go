@@ -145,9 +145,17 @@ func Open(dir string) (*Store, error) {
 // Dir returns the data directory the store manages.
 func (s *Store) Dir() string { return s.dir }
 
-// Entries returns the live databases reconstructed by Open, ordered by
-// generation.
-func (s *Store) Entries() []Entry { return s.entries }
+// TakeEntries hands over the live databases reconstructed by Open, ordered
+// by generation, once: the store drops its reference, so a restored graph
+// is freed when its registration is replaced or dropped, and a later call
+// returns nil.
+func (s *Store) TakeEntries() []Entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ents := s.entries
+	s.entries = nil
+	return ents
+}
 
 // MaxGen returns the highest generation seen anywhere in the journal
 // (including replaced and dropped registrations), the floor for the

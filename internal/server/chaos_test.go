@@ -137,6 +137,19 @@ func TestChaosMixedWorkload(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("closing chaos store: %v", err)
 	}
+	// AttachStore takes the store's entries, so the names to check are read
+	// from a reopening before the one that is attached.
+	peek, err := persist.Open(dir)
+	if err != nil {
+		t.Fatalf("reopening after chaos: %v", err)
+	}
+	var names []string
+	for _, e := range peek.TakeEntries() {
+		names = append(names, e.Name)
+	}
+	if err := peek.Close(); err != nil {
+		t.Fatalf("closing the first reopening: %v", err)
+	}
 	st2, err := persist.Open(dir)
 	if err != nil {
 		t.Fatalf("reopening after chaos: %v", err)
@@ -147,11 +160,14 @@ func TestChaosMixedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("attaching reopened store: %v", err)
 	}
-	for _, e := range st2.Entries() {
+	if n != len(names) {
+		t.Fatalf("restored %d databases, the data directory holds %d (%v)", n, len(names), names)
+	}
+	for _, name := range names {
 		rec, _ := doJSON(t, s2, "POST", "/v1/query",
-			map[string]any{"db": e.Name, "query": quickQuery})
+			map[string]any{"db": name, "query": quickQuery})
 		if rec.Code != http.StatusOK {
-			t.Errorf("restored db %q does not answer: %d", e.Name, rec.Code)
+			t.Errorf("restored db %q does not answer: %d", name, rec.Code)
 		}
 	}
 	t.Logf("chaos: %d injected faults across %d sites, statuses %v, %d dbs survived",

@@ -336,16 +336,19 @@ func BenchmarkServeReadHit(b *testing.B) {
 	}
 }
 
-// TestCeilings holds a read hit under 160 (thin) and 130 (join) allocations
-// per request: 136 and 112 since a hit reads the decided answer off the
-// materialisation, 205 and 144 when it re-ran the join and the witness
-// search, 273 and 155 when the request-text memo landed, 1 418 and 283 with
-// the parser and the canonical hash on the path.
+// TestCeilings holds a read hit under 75 (thin) and 73 (join) allocations
+// per request: 65 and 63 since the trace keeps its spans and attributes in
+// a per-trace arena, is rendered only when read, and the response is
+// appended; 136 and 112 when every trace was snapshotted into maps and the
+// response encoded by reflection, from when a hit reads the decided answer
+// off the materialisation; 205 and 144 when it re-ran the join and the
+// witness search, 273 and 155 when the request-text memo landed, 1 418 and
+// 283 with the parser and the canonical hash on the path.
 func TestCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random and allocates on its own")
 	}
-	ceilings := map[string]float64{"thin": 160, "join": 130}
+	ceilings := map[string]float64{"thin": 75, "join": 73}
 	for _, tc := range readBenchTexts {
 		got := testing.AllocsPerRun(200, readHitOp(t, tc.text))
 		t.Logf("%s: %.0f allocations per read hit", tc.name, got)

@@ -112,14 +112,24 @@ var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // writeJSON encodes v compactly into a pooled buffer and only then sends
 // the status line, so the header can carry Content-Length, the body is one
 // Write, and a value that does not encode (a non-finite float) is a 500 with
-// an error body instead of the intended status over an empty one.
+// an error body instead of the intended status over an empty one. A
+// *queryResponse is appended (queryResponse.appendJSON, the same bytes);
+// every other body goes through encoding/json.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	buf.Reset()
-	enc := json.NewEncoder(buf)
-	if err := enc.Encode(v); err != nil { // nothing was written
+	var err error
+	if qr, ok := v.(*queryResponse); ok {
+		var b []byte
+		if b, err = qr.appendJSON(buf.AvailableBuffer()); err == nil {
+			buf.Write(b)
+		}
+	} else {
+		err = json.NewEncoder(buf).Encode(v)
+	}
+	if err != nil { // nothing was written
 		code = http.StatusInternalServerError
-		_ = enc.Encode(map[string]string{"error": "encoding response: " + err.Error()}) // a map of strings always encodes
+		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encoding response: " + err.Error()}) // a map of strings always encodes
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))

@@ -5,10 +5,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"ecrpq/internal/graphdb"
 	"ecrpq/internal/integrity"
 	"ecrpq/internal/persist"
 )
@@ -142,6 +144,44 @@ func TestPersistDropSurvivesRestart(t *testing.T) {
 	if snaps != 1 {
 		t.Errorf("%d snapshot files on disk, want 1 (the live db)", snaps)
 	}
+}
+
+// TestRestoredGraphFreedOnReplace: a restored graph is the registry's alone.
+// When its name is registered again the graph is garbage: its finalizer
+// runs. While the store kept every restored entry for its life, it never
+// ran.
+func TestRestoredGraphFreedOnReplace(t *testing.T) {
+	dir := t.TempDir()
+	s1, st1, _ := attachedServer(t, dir)
+	registerDB(t, s1, "g", denseDBText(6))
+	st1.Close()
+
+	s2, st2, n := attachedServer(t, dir)
+	defer st2.Close()
+	if n != 1 {
+		t.Fatalf("restored %d entries, want 1", n)
+	}
+	if ents := st2.TakeEntries(); ents != nil {
+		t.Fatalf("the store still hands out %d entries after AttachStore took them", len(ents))
+	}
+	freed := make(chan struct{})
+	func() {
+		entry, ok := s2.dbs.get("g")
+		if !ok {
+			t.Fatal("g was not restored")
+		}
+		runtime.SetFinalizer(entry.db, func(*graphdb.DB) { close(freed) })
+	}()
+	registerDB(t, s2, "g", denseDBText(7))
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the restored graph was not freed within 10 GCs of its replacement")
 }
 
 // TestPersistTornJournalTailAtServer: a crash mid-append leaves a torn

@@ -498,7 +498,7 @@ func (s *Server) AttachStore(st *persist.Store) (int, error) {
 	s.salvage = append(s.salvage, warnings...)
 	s.salvageMu.Unlock()
 	restored := 0
-	for _, e := range st.Entries() {
+	for _, e := range st.TakeEntries() {
 		entry, _, err := s.install(context.Background(), installReq{from: fromDisk,
 			name: e.Name, db: e.DB, gen: e.Gen, at: e.RegisteredAt, stats: e.Stats, digest: e.Digest})
 		if err != nil {
@@ -713,18 +713,18 @@ func (s *Server) startTrace(ctx context.Context, name string) (context.Context, 
 
 // finishTrace collects tr into the ring and, when the request ran past
 // the -slow-query threshold, logs its plan snapshot and per-stage
-// breakdown. Nil-safe.
+// breakdown: only such a request renders its trace here. Nil-safe.
 func (s *Server) finishTrace(tr *trace.Trace) {
 	if tr == nil {
 		return
 	}
-	dur := tr.Duration()
-	td := s.tracer.Collect(tr)
+	s.tracer.Collect(tr)
 	thr := s.cfg.SlowQueryThreshold
-	if thr <= 0 || dur < thr {
+	if thr <= 0 || tr.Duration() < thr {
 		return
 	}
 	s.mSlow.Inc()
+	td := tr.Snapshot()
 	var stages []byte
 	{
 		type row struct {

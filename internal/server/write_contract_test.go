@@ -130,7 +130,7 @@ func (env *writeEnv) onDisk(t *testing.T) (persist.Entry, bool) {
 		t.Fatalf("reopening %s: %v", env.dir, err)
 	}
 	defer st.Close()
-	for _, e := range st.Entries() {
+	for _, e := range st.TakeEntries() {
 		if e.Name == contractDB {
 			return e, true
 		}

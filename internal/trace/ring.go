@@ -5,32 +5,38 @@ import (
 	"sync/atomic"
 )
 
-// Ring is a fixed-capacity circular buffer of trace snapshots. Writers
-// overwrite the oldest entry; Recent returns newest-first copies. Sizing:
-// each TraceData for a typical query holds 10–20 spans (~2 KiB), so the
-// default 64-entry ring costs on the order of 128 KiB — see DESIGN.md.
+// Ring is a fixed-capacity circular buffer of finished traces. Writers
+// overwrite the oldest entry; Recent renders newest-first snapshots. The
+// ring keeps the *Trace itself: a trace is rendered only when something
+// reads it, so a request whose trace nobody asks for never pays for a
+// snapshot. Sizing: a retained trace is its arena — 16 spans and 16
+// attributes inline, one 1 792-byte allocation, plus 768 bytes per further
+// 16 spans and 1 536 per further 32 attributes — so the default 64-entry
+// ring holds about 115 KiB of read hits, and a few times that of misses
+// (see DESIGN.md).
 type Ring struct {
 	mu   sync.Mutex
-	buf  []TraceData
+	buf  []*Trace
 	next int // index of the slot the next Add writes
 	n    int // number of live entries, ≤ len(buf)
 }
 
-// NewRing returns a ring holding up to size snapshots (minimum 1).
+// NewRing returns a ring holding up to size traces (minimum 1).
 func NewRing(size int) *Ring {
 	if size < 1 {
 		size = 1
 	}
-	return &Ring{buf: make([]TraceData, size)}
+	return &Ring{buf: make([]*Trace, size)}
 }
 
-// Add stores a snapshot, evicting the oldest when full. Nil-safe.
-func (r *Ring) Add(td TraceData) {
-	if r == nil {
+// Add stores a trace, evicting the oldest when full. Nil-safe on both
+// receiver and argument.
+func (r *Ring) Add(tr *Trace) {
+	if r == nil || tr == nil {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = td
+	r.buf[r.next] = tr
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
@@ -38,27 +44,31 @@ func (r *Ring) Add(td TraceData) {
 	r.mu.Unlock()
 }
 
-// Recent returns up to max snapshots, newest first (max ≤ 0 means all).
-// Nil-safe (returns nil).
+// Recent renders up to max traces, newest first (max ≤ 0 means all). A
+// trace a late worker still writes to renders with its open spans clamped
+// to the instant it is read. Nil-safe (returns nil).
 func (r *Ring) Recent(max int) []TraceData {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := r.n
 	if max > 0 && max < n {
 		n = max
 	}
-	out := make([]TraceData, 0, n)
+	trs := make([]*Trace, 0, n)
 	for i := 0; i < n; i++ {
-		idx := (r.next - 1 - i + len(r.buf)*2) % len(r.buf)
-		out = append(out, r.buf[idx])
+		trs = append(trs, r.buf[(r.next-1-i+len(r.buf)*2)%len(r.buf)])
+	}
+	r.mu.Unlock()
+	out := make([]TraceData, len(trs))
+	for i, tr := range trs {
+		out[i] = tr.Snapshot()
 	}
 	return out
 }
 
-// Tracer decides which requests get a trace and keeps their snapshots.
+// Tracer decides which requests get a trace and keeps the latest of them.
 //
 // Sampling rule: with SampleEvery = N, every Nth request is traced
 // (counter-based, so a steady load sees a uniform 1/N). N ≤ 1 traces
@@ -74,7 +84,7 @@ type Tracer struct {
 }
 
 // NewTracer samples one request in sampleEvery (≤ 1 = all) and retains
-// ringSize snapshots.
+// ringSize finished traces.
 func NewTracer(sampleEvery, ringSize int) *Tracer {
 	if sampleEvery < 1 {
 		sampleEvery = 1
@@ -99,21 +109,16 @@ func (t *Tracer) Sample(name string) *Trace {
 	return tr
 }
 
-// Collect finishes the trace, snapshots it into the ring, and returns the
-// snapshot. Nil-safe on both receiver and argument.
-func (t *Tracer) Collect(tr *Trace) TraceData {
-	if tr == nil {
-		return TraceData{}
-	}
+// Collect finishes the trace and keeps it in the ring. Nil-safe on both
+// receiver and argument.
+func (t *Tracer) Collect(tr *Trace) {
 	tr.Finish()
-	td := tr.Snapshot()
 	if t != nil {
-		t.ring.Add(td)
+		t.ring.Add(tr)
 	}
-	return td
 }
 
-// Recent returns up to max retained snapshots, newest first. Nil-safe.
+// Recent renders up to max retained traces, newest first. Nil-safe.
 func (t *Tracer) Recent(max int) []TraceData {
 	if t == nil {
 		return nil

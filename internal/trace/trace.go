@@ -13,8 +13,9 @@
 //	defer sp.End()
 //	sp.SetInt("sources", int64(n))
 //
-// Attributes are typed (SetInt / SetStr) rather than interface-valued so
-// the enabled path stays allocation-light too.
+// Attributes are typed (SetInt / SetStr) rather than interface-valued, and
+// spans and attributes live in per-trace storage, so the enabled path costs
+// about one allocation per span.
 //
 // Span names form a small fixed taxonomy (see DESIGN.md "Observability"):
 //
@@ -39,46 +40,69 @@ import (
 	"time"
 )
 
-// Attr is a typed key/value attribute. Exactly one of Str/Int is
-// meaningful, per IsStr. Typed fields (rather than `any`) keep SetInt free
-// of interface-boxing allocations.
-type Attr struct {
-	Key   string
-	Str   string
-	Int   int64
-	IsStr bool
+// attr is a typed key/value attribute of the trace (span -1) or of one of
+// its spans. Typed fields (rather than `any`) keep SetInt free of
+// interface-boxing allocations.
+type attr struct {
+	span  int32
+	isStr bool
+	key   string
+	str   string
+	num   int64
 }
+
+// chunkSpans is the size of a span-arena chunk. A chunk is never moved once
+// allocated, so a *Span handed out stays valid however many spans follow.
+const chunkSpans = 16
+
+// inlineAttrs is how many attributes a trace holds inline (a read hit sets
+// ten); chunkAttrs is the size of each chunk its attribute log adds after
+// them, large enough that a span setting one attribute adds 1/32 of an
+// allocation.
+const (
+	inlineAttrs = 16
+	chunkAttrs  = 32
+)
 
 // Span is one timed stage within a Trace. All methods are nil-safe: a nil
 // *Span (the disabled path) ignores every call.
 type Span struct {
-	tr     *Trace
-	id     int
-	parent int // span id of parent, -1 for a root span
-	name   string
-	begin  time.Time
-	end    time.Time // zero until End
-	attrs  []Attr
+	ref   traceRef // its trace, id and parent: the context carrier of its children
+	name  string
+	begin time.Duration // since the trace's begin, on the monotonic clock
+	end   time.Duration // since the trace's begin; -1 until End
 }
 
 // Trace collects the spans of one request or one CLI evaluation. A Trace
 // is safe for concurrent use: pool workers may start and end spans while
-// another goroutine snapshots it.
+// another goroutine renders it.
+//
+// Its spans live in an arena of fixed-size chunks, the first inline, and
+// its attributes — trace-level and per span — in one log that starts in an
+// inline array and goes on in chunks, so an enabled span costs about one
+// allocation: the context.WithValue that carries it.
 type Trace struct {
 	id    uint64
 	name  string
 	begin time.Time
+	root  traceRef // the context carrier of root-level spans
 
-	mu    sync.Mutex
-	end   time.Time // zero until Finish
-	spans []*Span
-	attrs []Attr
+	mu        sync.Mutex
+	end       time.Time // zero until Finish
+	n         int32     // spans started
+	nattrs    int32     // attributes set
+	first     [chunkSpans]Span
+	more      []*[chunkSpans]Span // the chunks after first
+	attrs     [inlineAttrs]attr
+	moreAttrs []*[chunkAttrs]attr // the chunks after attrs
 }
 
 // New starts a trace whose clock begins now. The id is 0; the Tracer
 // assigns unique ids to sampled request traces.
 func New(name string) *Trace {
-	return &Trace{name: name, begin: time.Now()}
+	t := &Trace{name: name, begin: time.Now()}
+	t.root = traceRef{tr: t, id: -1, parent: -1}
+	return t
 }
 
 // ctxKey carries a *traceRef in a context. The ref bundles the trace with
@@ -87,7 +111,8 @@ type ctxKey struct{}
 
 type traceRef struct {
 	tr     *Trace
-	parent int // id of the span that owns this context, -1 at the root
+	id     int32 // the span that owns this context, -1 at the root
+	parent int32 // that span's parent, -1 for a root span
 }
 
 // NewContext returns ctx carrying tr; spans started via StartSpan on the
@@ -97,7 +122,7 @@ func NewContext(ctx context.Context, tr *Trace) context.Context {
 	if tr == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, &traceRef{tr: tr, parent: -1})
+	return context.WithValue(ctx, ctxKey{}, &tr.root)
 }
 
 // FromContext returns the trace carried by ctx, or nil.
@@ -117,8 +142,8 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if !ok {
 		return ctx, nil
 	}
-	sp := ref.tr.startChild(name, ref.parent, time.Now())
-	return context.WithValue(ctx, ctxKey{}, &traceRef{tr: ref.tr, parent: sp.id}), sp
+	sp := ref.tr.startChild(name, ref.id, time.Now())
+	return context.WithValue(ctx, ctxKey{}, &sp.ref), sp
 }
 
 // Start begins a root-level span directly on the trace. Nil-safe.
@@ -137,12 +162,35 @@ func (t *Trace) StartAt(name string, at time.Time) *Span {
 	return t.startChild(name, -1, at)
 }
 
-func (t *Trace) startChild(name string, parent int, at time.Time) *Span {
+func (t *Trace) startChild(name string, parent int32, at time.Time) *Span {
 	t.mu.Lock()
-	sp := &Span{tr: t, id: len(t.spans), parent: parent, name: name, begin: at}
-	t.spans = append(t.spans, sp)
+	id := t.n
+	if k := id - chunkSpans; k >= 0 && k%chunkSpans == 0 {
+		t.more = append(t.more, new([chunkSpans]Span))
+	}
+	t.n++
+	sp := t.span(id)
+	*sp = Span{ref: traceRef{tr: t, id: id, parent: parent}, name: name, begin: at.Sub(t.begin), end: -1}
 	t.mu.Unlock()
 	return sp
+}
+
+// span returns span id's slot; the caller holds t.mu.
+func (t *Trace) span(id int32) *Span {
+	if id < chunkSpans {
+		return &t.first[id]
+	}
+	k := id - chunkSpans
+	return &t.more[k/chunkSpans][k%chunkSpans]
+}
+
+// attrAt returns attribute i's slot; the caller holds t.mu.
+func (t *Trace) attrAt(i int32) *attr {
+	if i < inlineAttrs {
+		return &t.attrs[i]
+	}
+	k := i - inlineAttrs
+	return &t.moreAttrs[k/chunkAttrs][k%chunkAttrs]
 }
 
 // End closes the span. Calling End twice keeps the first end time.
@@ -151,12 +199,13 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	now := time.Now()
-	s.tr.mu.Lock()
-	if s.end.IsZero() {
-		s.end = now
+	t := s.ref.tr
+	end := time.Since(t.begin)
+	t.mu.Lock()
+	if s.end < 0 {
+		s.end = end
 	}
-	s.tr.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // SetInt attaches an integer attribute. Nil-safe.
@@ -164,9 +213,7 @@ func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Int: v})
-	s.tr.mu.Unlock()
+	s.ref.tr.set(attr{span: s.ref.id, key: key, num: v})
 }
 
 // SetStr attaches a string attribute. Nil-safe.
@@ -174,9 +221,7 @@ func (s *Span) SetStr(key, v string) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Str: v, IsStr: true})
-	s.tr.mu.Unlock()
+	s.ref.tr.set(attr{span: s.ref.id, key: key, str: v, isStr: true})
 }
 
 // SetInt attaches a trace-level integer attribute (plan snapshot fields:
@@ -185,9 +230,7 @@ func (t *Trace) SetInt(key string, v int64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.attrs = append(t.attrs, Attr{Key: key, Int: v})
-	t.mu.Unlock()
+	t.set(attr{span: -1, key: key, num: v})
 }
 
 // SetStr attaches a trace-level string attribute (db, strategy, cache
@@ -196,13 +239,22 @@ func (t *Trace) SetStr(key, v string) {
 	if t == nil {
 		return
 	}
+	t.set(attr{span: -1, key: key, str: v, isStr: true})
+}
+
+func (t *Trace) set(a attr) {
 	t.mu.Lock()
-	t.attrs = append(t.attrs, Attr{Key: key, Str: v, IsStr: true})
+	if k := t.nattrs - inlineAttrs; k >= 0 && k%chunkAttrs == 0 {
+		t.moreAttrs = append(t.moreAttrs, new([chunkAttrs]attr))
+	}
+	*t.attrAt(t.nattrs) = a
+	t.nattrs++
 	t.mu.Unlock()
 }
 
 // Finish closes the trace clock. Spans still open keep running until
-// their own End; Snapshot clamps them to the snapshot instant. Nil-safe.
+// their own End; Snapshot clamps them to the instant it reads them.
+// Nil-safe.
 func (t *Trace) Finish() {
 	if t == nil {
 		return
@@ -252,24 +304,19 @@ type TraceData struct {
 	Spans []SpanData     `json:"spans"`
 }
 
-func attrMap(attrs []Attr) map[string]any {
-	if len(attrs) == 0 {
-		return nil
+// value is the attribute's value as a snapshot carries it.
+func (a attr) value() any {
+	if a.isStr {
+		return a.str
 	}
-	m := make(map[string]any, len(attrs))
-	for _, a := range attrs {
-		if a.IsStr {
-			m[a.Key] = a.Str
-		} else {
-			m[a.Key] = a.Int
-		}
-	}
-	return m
+	return a.num
 }
 
-// Snapshot copies the trace into plain exported structs. Open spans and an
-// open trace are clamped to the snapshot instant so a mid-flight snapshot
-// is still well-formed. Nil-safe (returns the zero TraceData).
+// Snapshot renders the trace into plain exported structs. Open spans and
+// an open trace are clamped to the instant of the call, so a mid-flight
+// snapshot is still well-formed. A trace is rendered only when something
+// reads it: the ring keeps the *Trace, not its snapshot. Nil-safe
+// (returns the zero TraceData).
 func (t *Trace) Snapshot() TraceData {
 	if t == nil {
 		return TraceData{}
@@ -289,22 +336,34 @@ func (t *Trace) Snapshot() TraceData {
 		Name:  t.name,
 		Begin: t.begin,
 		DurMs: float64(end.Sub(t.begin)) / float64(time.Millisecond),
-		Attrs: attrMap(t.attrs),
-		Spans: make([]SpanData, 0, len(t.spans)),
+		Spans: make([]SpanData, t.n),
 	}
-	for _, sp := range t.spans {
+	open := now.Sub(t.begin)
+	for id := range td.Spans {
+		sp := t.span(int32(id))
 		se := sp.end
-		if se.IsZero() {
-			se = now
+		if se < 0 {
+			se = open
 		}
-		td.Spans = append(td.Spans, SpanData{
-			ID:      sp.id,
-			Parent:  sp.parent,
+		td.Spans[id] = SpanData{
+			ID:      id,
+			Parent:  int(sp.ref.parent),
 			Name:    sp.name,
-			StartUs: float64(sp.begin.Sub(t.begin)) / float64(time.Microsecond),
-			DurUs:   float64(se.Sub(sp.begin)) / float64(time.Microsecond),
-			Attrs:   attrMap(sp.attrs),
-		})
+			StartUs: float64(sp.begin) / float64(time.Microsecond),
+			DurUs:   float64(se-sp.begin) / float64(time.Microsecond),
+		}
+	}
+	// The log is in call order, so a key set twice keeps its last value.
+	for i := int32(0); i < t.nattrs; i++ {
+		a := t.attrAt(i)
+		m := &td.Attrs
+		if a.span >= 0 {
+			m = &td.Spans[a.span].Attrs
+		}
+		if *m == nil {
+			*m = make(map[string]any)
+		}
+		(*m)[a.key] = a.value()
 	}
 	return td
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -103,14 +104,41 @@ func BenchmarkTraceDisabled(b *testing.B) {
 	}
 }
 
+// enabledSpan is one traced stage as instrumented code writes it.
+func enabledSpan(ctx context.Context, v int64) {
+	_, sp := StartSpan(ctx, "core/sweep")
+	sp.SetInt("sources", v)
+	sp.End()
+}
+
 func BenchmarkTraceEnabled(b *testing.B) {
 	tr := New("bench")
 	ctx := NewContext(context.Background(), tr)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, sp := StartSpan(ctx, "core/sweep")
-		sp.SetInt("sources", int64(i))
-		sp.End()
+		enabledSpan(ctx, int64(i))
+	}
+}
+
+// TestTraceEnabledAllocs holds an enabled span to about one allocation —
+// the context.WithValue that carries it — with its chunk of the span arena
+// and its attribute's share of the log amortised over many spans: 4 when
+// each span, its context carrier and its attributes were allocated apart.
+// It counts mallocs itself: testing.AllocsPerRun truncates to an integer.
+func TestTraceEnabledAllocs(t *testing.T) {
+	tr := New("allocs")
+	ctx := NewContext(context.Background(), tr)
+	const spans = 10000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < spans; i++ {
+		enabledSpan(ctx, int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / spans
+	t.Logf("%.3f allocations per enabled span", per)
+	if per > 1.1 {
+		t.Fatalf("enabled span path allocates %.3f allocs/op, want ≤ 1.1", per)
 	}
 }
 
@@ -234,7 +262,9 @@ func TestBreakdownSelfTime(t *testing.T) {
 func TestRingEvictionOrder(t *testing.T) {
 	r := NewRing(3)
 	for i := 1; i <= 5; i++ {
-		r.Add(TraceData{ID: uint64(i)})
+		tr := New("req")
+		tr.id = uint64(i)
+		r.Add(tr)
 	}
 	got := r.Recent(0)
 	if len(got) != 3 {
@@ -248,10 +278,118 @@ func TestRingEvictionOrder(t *testing.T) {
 	if got := r.Recent(2); len(got) != 2 || got[0].ID != 5 {
 		t.Errorf("recent(2) = %+v", got)
 	}
+	// A nil trace is not kept: the ring still holds 5, 4, 3.
+	r.Add(nil)
+	if got := r.Recent(0); len(got) != 3 || got[0].ID != 5 {
+		t.Errorf("after Add(nil): recent = %+v", got)
+	}
 	var nilRing *Ring
-	nilRing.Add(TraceData{})
+	nilRing.Add(New("x"))
 	if nilRing.Recent(0) != nil {
 		t.Error("nil ring must return nil")
+	}
+}
+
+// TestRingRendersWhenRead: the ring keeps the trace, so what it renders is
+// the trace as it stands when read — an attribute set after Collect shows,
+// and a span still open is clamped to the read instant, not to the finish.
+func TestRingRendersWhenRead(t *testing.T) {
+	tc := NewTracer(1, 4)
+	tr := tc.Sample("q")
+	late := tr.Start("late")
+	tc.Collect(tr)
+	tr.SetStr("after", "collect")
+	time.Sleep(2 * time.Millisecond)
+	td := tc.Recent(0)[0]
+	if td.Attrs["after"] != "collect" {
+		t.Errorf("attrs = %v, want the one set after Collect", td.Attrs)
+	}
+	if sp := td.Spans[0]; sp.StartUs+sp.DurUs <= td.DurMs*1000 {
+		t.Errorf("open span ends at %vus, within the trace's %vms: want it clamped to the read instant", sp.StartUs+sp.DurUs, td.DurMs)
+	}
+	late.End()
+	end := tc.Recent(0)[0].Spans[0].DurUs
+	time.Sleep(2 * time.Millisecond)
+	if again := tc.Recent(0)[0].Spans[0].DurUs; again != end {
+		t.Errorf("an ended span's duration moved between reads: %v → %v", end, again)
+	}
+}
+
+// TestRingRecentWhileWorkerEnds renders the ring while a late pool worker
+// still starts and ends spans on a collected trace (run under -race).
+func TestRingRecentWhileWorkerEnds(t *testing.T) {
+	tc := NewTracer(1, 2)
+	tr := tc.Sample("q")
+	ctx := NewContext(context.Background(), tr)
+	_, held := StartSpan(ctx, "core/sweep")
+	tc.Collect(tr)
+	const spans = 3 * chunkSpans
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < spans; i++ {
+			_, sp := StartSpan(ctx, "core/product_search")
+			sp.SetInt("i", int64(i))
+			sp.End()
+		}
+		held.End()
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for _, td := range tc.Recent(0) {
+			for _, sp := range td.Spans {
+				if sp.DurUs < 0 {
+					t.Fatalf("negative span duration %v", sp.DurUs)
+				}
+			}
+		}
+	}
+	td := tc.Recent(0)[0]
+	if len(td.Spans) != spans+1 {
+		t.Fatalf("spans = %d, want %d", len(td.Spans), spans+1)
+	}
+	for i, sp := range td.Spans[1:] {
+		if sp.Attrs["i"] != int64(i) {
+			t.Errorf("span %d attrs = %v, want i=%d", i+1, sp.Attrs, i)
+		}
+	}
+}
+
+// TestSpanArenaKeepsHandedOutSpans: a *Span handed out stays the span the
+// trace renders however many spans follow it. Spans enough to fill several
+// chunks are all started before any ends, then ended in reverse, the first
+// last; an arena regrown by append would take an End into a dead copy and
+// render that span still open.
+func TestSpanArenaKeepsHandedOutSpans(t *testing.T) {
+	tr := New("req")
+	ctx := NewContext(context.Background(), tr)
+	ctx1, first := StartSpan(ctx, "first")
+	held := []*Span{first}
+	for i := 0; i < 3*chunkSpans; i++ {
+		_, sp := StartSpan(ctx1, "child")
+		held = append(held, sp)
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		held[i].SetInt("i", int64(i))
+		held[i].End()
+	}
+	tr.Finish()
+	time.Sleep(2 * time.Millisecond)
+	td := tr.Snapshot()
+	if len(td.Spans) != len(held) {
+		t.Fatalf("spans = %d, want %d", len(td.Spans), len(held))
+	}
+	for i, sp := range td.Spans {
+		if end := sp.StartUs + sp.DurUs; end > td.DurMs*1000 || sp.Attrs["i"] != int64(i) {
+			t.Fatalf("span %d %+v ends at %vus past the trace's %vms end, or without its attribute", i, sp, end, td.DurMs)
+		}
+		if want := map[bool]int{true: -1, false: 0}[i == 0]; sp.Parent != want {
+			t.Fatalf("span %d has parent %d, want %d", i, sp.Parent, want)
+		}
 	}
 }
 
